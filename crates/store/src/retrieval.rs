@@ -13,7 +13,7 @@
 //! with XOR is guaranteed to reproduce the full data.
 
 use crate::obs::StoreObserver;
-use std::collections::BTreeSet;
+use tornado_bitset::DynBitSet;
 use tornado_codec::{ErasureDecoder, RecoveryStep};
 use tornado_graph::{Graph, NodeId};
 use tornado_obs::{Json, SpanTimer};
@@ -80,27 +80,11 @@ impl RetrievalPlan {
         let mut depth = vec![0u64; graph.num_nodes()];
         let mut max = 0u64;
         for step in &self.schedule {
-            let d = match *step {
-                RecoveryStep::Peel { node, via } => {
-                    let mut d = depth[via as usize];
-                    for &nbr in graph.check_neighbors(via) {
-                        if nbr != node {
-                            d = d.max(depth[nbr as usize]);
-                        }
-                    }
-                    depth[node as usize] = d + 1;
-                    d + 1
-                }
-                RecoveryStep::Reencode { node } => {
-                    let mut d = 0;
-                    for &nbr in graph.check_neighbors(node) {
-                        d = d.max(depth[nbr as usize]);
-                    }
-                    depth[node as usize] = d + 1;
-                    d + 1
-                }
-            };
-            max = max.max(d);
+            let (node, via) = step_node_and_check(step);
+            let inputs = graph.check_neighbors(via).iter().copied().chain([via]);
+            let deepest = inputs.filter(|&v| v != node).map(|v| depth[v as usize]);
+            depth[node as usize] = deepest.max().unwrap_or(0) + 1;
+            max = max.max(depth[node as usize]);
         }
         max
     }
@@ -114,11 +98,12 @@ impl RetrievalPlan {
         block_len: usize,
         device_of: F,
     ) -> RepairCost {
-        let devices: BTreeSet<usize> = self.fetch.iter().copied().map(device_of).collect();
+        let devices: Vec<usize> = self.fetch.iter().copied().map(device_of).collect();
+        let universe = devices.iter().max().map_or(0, |&d| d + 1);
         RepairCost {
             bytes_read: self.fetch.len() as u64 * block_len as u64,
             blocks_fetched: self.fetch.len() as u64,
-            devices_contacted: devices.len() as u64,
+            devices_contacted: DynBitSet::from_indices(universe, devices).len() as u64,
             recovery_depth: self.recovery_depth(graph),
         }
     }
@@ -127,6 +112,16 @@ impl RetrievalPlan {
     /// the analytic benches assume (node id = device id).
     pub fn cost(&self, graph: &Graph, block_len: usize) -> RepairCost {
         self.cost_with(graph, block_len, |n| n as usize)
+    }
+}
+
+/// The node `step` produces and the check whose neighbourhood it reads: a
+/// peel XORs check `via` with `via`'s other neighbours; a re-encode XORs
+/// the neighbours of the check it regenerates (so `via` is the node itself).
+pub(crate) fn step_node_and_check(step: &RecoveryStep) -> (NodeId, NodeId) {
+    match *step {
+        RecoveryStep::Peel { node, via } => (node, via),
+        RecoveryStep::Reencode { node } => (node, node),
     }
 }
 
@@ -140,8 +135,20 @@ impl RetrievalPlan {
 /// which matches the paper's framing of guided search as an optimisation
 /// heuristic.
 pub fn plan_retrieval(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPlan> {
+    plan_retrieval_or_lost(graph, available).ok()
+}
+
+/// [`plan_retrieval`] for the GET miss path: when reconstruction is
+/// impossible the error is the data nodes the planner's one decode found
+/// lost, so the caller reports them without decoding the pattern again.
+pub(crate) fn plan_retrieval_or_lost(
+    graph: &Graph,
+    available: &[NodeId],
+) -> Result<RetrievalPlan, Vec<NodeId>> {
     // Everything a GET ultimately needs: the data nodes.
-    plan_for(graph, available, |g, _| g.data_ids().collect())
+    plan_for(graph, available, |avail| {
+        DynBitSet::from_indices(avail.universe(), 0..graph.num_data())
+    })
 }
 
 /// Plans the regeneration of every *missing* block — the scrubber's and
@@ -150,80 +157,47 @@ pub fn plan_retrieval(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPl
 /// bandwidth-aware repair would read to rebuild everything that was lost.
 /// Returns `None` when the stripe is unrecoverable.
 pub fn plan_repair(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPlan> {
-    plan_for(graph, available, |g, avail| {
-        (0..g.num_nodes() as NodeId)
-            .filter(|n| !avail.contains(n))
-            .collect()
-    })
+    plan_for(graph, available, DynBitSet::complement).ok()
 }
 
 /// Shared backward-walk planner: runs the availability-only peeling
 /// decoder, then keeps only the schedule steps the `seed` nodes
-/// transitively depend on.
+/// transitively depend on. Sets are node-indexed bitmaps. `Err` carries
+/// the decode's lost data nodes.
 fn plan_for(
     graph: &Graph,
     available: &[NodeId],
-    seed: impl FnOnce(&Graph, &BTreeSet<NodeId>) -> BTreeSet<NodeId>,
-) -> Option<RetrievalPlan> {
-    let avail_set: BTreeSet<NodeId> = available.iter().copied().collect();
-    let missing: Vec<usize> = (0..graph.num_nodes() as NodeId)
-        .filter(|n| !avail_set.contains(n))
-        .map(|n| n as usize)
-        .collect();
-
-    let mut dec = ErasureDecoder::new(graph);
-    let detail = dec.decode_detailed(&missing);
+    seed: impl FnOnce(&DynBitSet) -> DynBitSet,
+) -> Result<RetrievalPlan, Vec<NodeId>> {
+    let avail = DynBitSet::from_indices(graph.num_nodes(), available.iter().map(|&n| n as usize));
+    let detail = ErasureDecoder::new(graph).decode_detailed(&avail.complement().to_vec());
     if !detail.success {
-        return None;
+        return Err(detail.lost_data);
     }
 
-    let mut needed: BTreeSet<NodeId> = seed(graph, &avail_set);
+    let mut needed = seed(&avail);
 
     // Walk the schedule backwards: a step is kept iff it produces a needed
     // node; its inputs become needed in turn.
     let mut kept: Vec<RecoveryStep> = Vec::new();
     for step in detail.schedule.iter().rev() {
-        match *step {
-            RecoveryStep::Peel { node, via } => {
-                if needed.contains(&node) {
-                    kept.push(*step);
-                    needed.insert(via);
-                    for &nbr in graph.check_neighbors(via) {
-                        if nbr != node {
-                            needed.insert(nbr);
-                        }
-                    }
-                }
-            }
-            RecoveryStep::Reencode { node } => {
-                if needed.contains(&node) {
-                    kept.push(*step);
-                    for &nbr in graph.check_neighbors(node) {
-                        needed.insert(nbr);
-                    }
+        let (node, via) = step_node_and_check(step);
+        if needed.contains(node as usize) {
+            kept.push(*step);
+            for input in graph.check_neighbors(via).iter().copied().chain([via]) {
+                if input != node {
+                    needed.insert(input as usize);
                 }
             }
         }
     }
     kept.reverse();
 
-    // Fetch = needed nodes that are genuinely on devices (available), minus
-    // the ones the schedule regenerates.
-    let produced: BTreeSet<NodeId> = kept
-        .iter()
-        .map(|s| match *s {
-            RecoveryStep::Peel { node, .. } => node,
-            RecoveryStep::Reencode { node } => node,
-        })
-        .collect();
-    let fetch: Vec<NodeId> = needed
-        .iter()
-        .copied()
-        .filter(|n| avail_set.contains(n) && !produced.contains(n))
-        .collect();
-
-    Some(RetrievalPlan {
-        fetch,
+    // Fetch = needed nodes that are genuinely on devices. The schedule only
+    // regenerates missing nodes, so nothing it produces is in `avail`.
+    needed.intersect_with(&avail);
+    Ok(RetrievalPlan {
+        fetch: needed.iter().map(|n| n as NodeId).collect(),
         schedule: kept,
     })
 }

@@ -5,12 +5,13 @@ use crate::durable::{self, BackendKind, DurableConfig, Durability, RecoveryRepor
 use crate::error::StoreError;
 use crate::journal::{CrashInjector, JournalRecord};
 use crate::obs::StoreObserver;
-use crate::retrieval::{plan_retrieval, RepairCost};
+use crate::retrieval::{plan_retrieval_or_lost, step_node_and_check, RepairCost, RetrievalPlan};
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tornado_codec::{pool, xor_into, Codec, EncodedStripe, RecoveryStep};
+use std::time::Instant;
+use tornado_codec::{pool, xor_into, BlockPool, Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 
 /// Opaque object identifier.
@@ -39,15 +40,19 @@ pub struct ObjectMeta {
 /// Retrieval-path statistics for one [`ArchivalStore::get_detailed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GetStats {
-    /// Blocks fetched from devices (the guided-retrieval metric).
+    /// Blocks fetched from devices and used (the guided-retrieval metric):
+    /// the `k` data blocks of a healthy stripe, else the final plan's
+    /// fetch set.
     pub blocks_fetched: usize,
     /// Blocks reconstructed by the decoder instead of read — non-zero
     /// exactly when the read took the degraded path.
     pub blocks_recovered: usize,
-    /// Times the plan had to be recomputed because a planned block turned
-    /// out corrupt or racily lost.
+    /// Blocks that failed checksum verification, plus check blocks lost
+    /// between the availability probe and their fetch. A data block that is
+    /// simply absent or on an offline device is a hole, not a replan.
     pub replans: usize,
-    /// Wall time spent planning the retrieval (all attempts), µs.
+    /// Wall time spent planning the retrieval (all attempts), µs — zero
+    /// on a healthy stripe, which is read without a plan.
     pub plan_us: u64,
     /// Wall time spent fetching and checksum-verifying blocks, µs.
     pub fetch_us: u64,
@@ -56,8 +61,8 @@ pub struct GetStats {
     /// pays.
     pub decode_us: u64,
     /// What this retrieval cost in bytes/blocks/devices/depth, across all
-    /// plan attempts (reads made before a replan aborted an attempt are
-    /// still counted — those bytes really moved).
+    /// plan attempts (a check block a replan no longer needs was still
+    /// read — those bytes really moved). Every block is read at most once.
     pub cost: RepairCost,
     /// Subset of `cost.bytes_read` attributed to repair: check-block
     /// fetches, which a healthy stripe never needs.
@@ -89,7 +94,7 @@ pub(crate) fn block_checksum(data: &[u8]) -> u64 {
 pub struct ArchivalStore {
     graph: Graph,
     devices: Vec<Device>,
-    objects: RwLock<HashMap<ObjectId, ObjectMeta>>,
+    objects: RwLock<HashMap<ObjectId, Arc<ObjectMeta>>>,
     next_id: AtomicU64,
     put_count: AtomicU64,
     /// Per-stripe dirty generations: bumped on every API-visible mutation
@@ -135,7 +140,7 @@ impl ArchivalStore {
     pub(crate) fn assemble(
         graph: Graph,
         devices: Vec<Device>,
-        objects: HashMap<ObjectId, ObjectMeta>,
+        objects: HashMap<ObjectId, Arc<ObjectMeta>>,
         next_id: u64,
         put_count: u64,
         durability: Option<Durability>,
@@ -331,35 +336,27 @@ impl ArchivalStore {
             d.write_sidecar(&meta)?;
             d.journal_append(&JournalRecord::PutCommit { id })?;
         }
-        self.objects.write().insert(id, meta);
+        self.objects.write().insert(id, Arc::new(meta));
         self.bump_generation(id);
         Ok(id)
     }
 
     /// Object metadata, if present.
     pub fn meta(&self, id: ObjectId) -> Option<ObjectMeta> {
-        self.objects.read().get(&id).cloned()
+        self.objects.read().get(&id).map(|m| ObjectMeta::clone(m))
     }
 
     /// All stored objects, ascending by id.
     pub fn list(&self) -> Vec<ObjectMeta> {
-        let mut v: Vec<ObjectMeta> = self.objects.read().values().cloned().collect();
+        let objects = self.objects.read();
+        let mut v: Vec<ObjectMeta> = objects.values().map(|m| ObjectMeta::clone(m)).collect();
         v.sort_by_key(|m| m.id);
         v
     }
 
-    /// Which graph nodes of `meta` have their block currently readable.
-    fn available_nodes(&self, meta: &ObjectMeta) -> Vec<NodeId> {
-        (0..self.graph.num_nodes() as NodeId)
-            .filter(|&node| {
-                let dev = self.device_of_block(meta, node);
-                self.devices[dev].has_block(&(meta.id, node))
-            })
-            .collect()
-    }
-
-    /// Retrieves an object, reading as few devices as the guided retrieval
-    /// planner allows and decoding through the pruned schedule.
+    /// Retrieves an object: the data blocks alone when the stripe is
+    /// healthy, otherwise as few more as the guided retrieval planner
+    /// allows, decoded through the pruned schedule.
     pub fn get(&self, id: ObjectId) -> Result<Vec<u8>, StoreError> {
         let (payload, _) = self.get_detailed(id)?;
         Ok(payload)
@@ -375,120 +372,127 @@ impl ArchivalStore {
     /// Like [`ArchivalStore::get`], additionally reporting retrieval-path
     /// statistics (the serving layer's degraded-read signal).
     ///
-    /// Fetched blocks are checksum-verified; a corrupt (or racily lost)
-    /// block is excluded and the retrieval re-planned, so silent corruption
-    /// degrades into an ordinary erasure.
+    /// The code is systematic, so the data half of the stripe *is* the
+    /// framed payload: data blocks `0..k` are read in order through one
+    /// pooled scratch block, checksum-verified, and copied into their slots
+    /// of one contiguous buffer that becomes the reply. A healthy stripe
+    /// touches nothing else — no availability scan, no plan. A block that
+    /// is absent, on an offline device or corrupt leaves a zeroed *hole*
+    /// for [`ArchivalStore::fill_holes`], so silent corruption degrades
+    /// into an ordinary erasure.
     pub fn get_detailed(&self, id: ObjectId) -> Result<(Vec<u8>, GetStats), StoreError> {
-        let meta = self.meta(id).ok_or(StoreError::UnknownObject { id })?;
-        let mut excluded: Vec<NodeId> = Vec::new();
-        let mut replans = 0usize;
-        let mut plan_us = 0u64;
-        let mut fetch_us = 0u64;
-        // Cost accounting across every attempt: a replan discards buffers
-        // but not the fact that devices already served those bytes.
-        let mut bytes_read = 0u64;
-        let mut blocks_read = 0u64;
-        let mut repair_bytes = 0u64;
-        let mut devices_contacted: BTreeSet<usize> = BTreeSet::new();
-        let n = self.graph.num_nodes();
-        let k = self.graph.num_data();
-        let (blocks, stats) = 'plan: loop {
-            let plan_start = std::time::Instant::now();
-            let available: Vec<NodeId> = self
-                .available_nodes(&meta)
-                .into_iter()
-                .filter(|node| !excluded.contains(node))
-                .collect();
-            let planned = plan_retrieval(&self.graph, &available);
-            plan_us += plan_start.elapsed().as_micros() as u64;
-            let Some(plan) = planned else {
-                // Identify which data blocks are genuinely gone.
-                let missing: Vec<usize> = (0..n as NodeId)
-                    .filter(|v| !available.contains(v))
-                    .map(|v| v as usize)
-                    .collect();
-                let mut dec = tornado_codec::ErasureDecoder::new(&self.graph);
-                let detail = dec.decode_detailed(&missing);
-                return Err(StoreError::Unrecoverable {
-                    id,
-                    lost_blocks: detail.lost_data,
-                });
-            };
-            // Fetch exactly the planned blocks, verifying each. Buffers
-            // come from this thread's block pool and are recycled once the
-            // payload is reassembled, so a warm worker serves steady-state
-            // GETs without block mallocs.
-            let fetch_start = std::time::Instant::now();
-            let mut blocks: Vec<Option<Vec<u8>>> = vec![None; n];
-            for &node in &plan.fetch {
-                // A data block is the payload itself; a check block is only
-                // ever fetched to feed reconstruction — repair traffic.
-                let class = if (node as usize) < k {
-                    ReadClass::Payload
-                } else {
-                    ReadClass::Repair
-                };
-                match self.read_raw_block_classed(&meta, node, class) {
-                    Some(b) => {
-                        bytes_read += b.len() as u64;
-                        blocks_read += 1;
-                        if class == ReadClass::Repair {
-                            repair_bytes += b.len() as u64;
-                        }
-                        devices_contacted.insert(self.device_of_block(&meta, node));
-                        blocks[node as usize] = Some(b)
+        let meta = self.objects.read().get(&id).cloned();
+        let meta = meta.ok_or(StoreError::UnknownObject { id })?;
+        let (k, block_len) = (self.graph.num_data(), meta.block_len);
+        pool::with_thread_pool(|p| {
+            let fetch_start = Instant::now();
+            let mut reply: Vec<u8> = Vec::with_capacity(k * block_len);
+            let mut holes: Vec<NodeId> = Vec::new();
+            let mut stats = GetStats::default();
+            for node in 0..k as NodeId {
+                match self.read_verified(&meta, node, ReadClass::Payload, p) {
+                    Ok(block) => {
+                        reply.extend_from_slice(&block);
+                        p.recycle(block);
                     }
-                    None => {
-                        // Corrupt or lost after planning: exclude, replan.
-                        excluded.push(node);
-                        replans += 1;
-                        fetch_us += fetch_start.elapsed().as_micros() as u64;
-                        pool::with_thread_pool(|p| p.recycle_stripe(&mut blocks));
-                        continue 'plan;
+                    Err(miss) => {
+                        reply.resize(reply.len() + block_len, 0);
+                        holes.push(node);
+                        stats.replans += usize::from(miss == Miss::Corrupt);
                     }
                 }
             }
-            fetch_us += fetch_start.elapsed().as_micros() as u64;
-            let decode_start = std::time::Instant::now();
-            let decoded = apply_schedule(&self.graph, blocks, &plan, meta.block_len);
-            let stats = GetStats {
-                blocks_fetched: plan.fetch.len(),
-                blocks_recovered: plan.schedule.len(),
-                replans,
-                plan_us,
-                fetch_us,
-                decode_us: decode_start.elapsed().as_micros() as u64,
-                cost: RepairCost {
-                    bytes_read,
-                    blocks_fetched: blocks_read,
-                    devices_contacted: devices_contacted.len() as u64,
-                    recovery_depth: plan.recovery_depth(&self.graph),
-                },
-                repair_bytes_read: repair_bytes,
-            };
-            break (decoded, stats);
-        };
+            stats.fetch_us = fetch_start.elapsed().as_micros() as u64;
+            stats.blocks_fetched = k - holes.len();
+            stats.cost.blocks_fetched = stats.blocks_fetched as u64;
+            if !holes.is_empty() {
+                self.fill_holes(&meta, &holes, &mut reply, &mut stats, p)?;
+            }
+            // One device per node and no block read twice: blocks, devices
+            // and bytes are the same count in different units.
+            stats.cost.devices_contacted = stats.cost.blocks_fetched;
+            stats.cost.bytes_read = stats.cost.blocks_fetched * block_len as u64;
 
-        // Reassemble the framed payload from the data blocks, then hand
-        // every scratch buffer back to the pool.
-        let reassemble_start = std::time::Instant::now();
-        let mut blocks = blocks;
-        let k = self.graph.num_data();
-        let mut framed = pool::with_thread_pool(|p| p.take_zeroed(0));
-        framed.reserve(k * meta.block_len);
-        for block in blocks.iter().take(k) {
-            framed.extend_from_slice(block.as_ref().expect("all data planned or recovered"));
-        }
-        let len = u64::from_le_bytes(framed[..8].try_into().expect("length header")) as usize;
-        debug_assert_eq!(len, meta.size);
-        let payload = framed[8..8 + len].to_vec();
-        pool::with_thread_pool(|p| {
-            p.recycle(framed);
-            p.recycle_stripe(&mut blocks);
-        });
-        let mut stats = stats;
-        stats.decode_us += reassemble_start.elapsed().as_micros() as u64;
-        Ok((payload, stats))
+            // Strip the length header in place: the buffer is the payload.
+            let strip_start = Instant::now();
+            let len = u64::from_le_bytes(reply[..8].try_into().expect("length header")) as usize;
+            debug_assert_eq!(len, meta.size);
+            reply.copy_within(8..8 + len, 0);
+            reply.truncate(len);
+            stats.decode_us += strip_start.elapsed().as_micros() as u64;
+            Ok((reply, stats))
+        })
+    }
+
+    /// The miss path of a GET: `data` is the contiguous data half with the
+    /// `holes` zeroed. Availability is what the data pass saw plus an
+    /// index probe of the check nodes only; the planner runs once, only
+    /// the planned check blocks are fetched, and the pruned schedule is
+    /// replayed over `data` in place. A check block that turns out corrupt
+    /// or lost since its probe is excluded and the retrieval re-planned,
+    /// keeping every block already in hand.
+    fn fill_holes(
+        &self,
+        meta: &ObjectMeta,
+        holes: &[NodeId],
+        data: &mut [u8],
+        stats: &mut GetStats,
+        p: &mut BlockPool,
+    ) -> Result<(), StoreError> {
+        let (n, k) = (self.graph.num_nodes(), self.graph.num_data());
+        let is_check_stored =
+            |&v: &NodeId| self.devices[self.device_of_block(meta, v)].has_block(&(meta.id, v));
+        let mut available: Vec<NodeId> = (0..k as NodeId)
+            .filter(|v| !holes.contains(v))
+            .chain((k as NodeId..n as NodeId).filter(is_check_stored))
+            .collect();
+        let mut checks: Vec<Option<Vec<u8>>> = vec![None; n - k];
+        let result = loop {
+            let plan_start = Instant::now();
+            let planned = plan_retrieval_or_lost(&self.graph, &available);
+            stats.plan_us += plan_start.elapsed().as_micros() as u64;
+            let plan = match planned {
+                Ok(plan) => plan,
+                Err(lost_blocks) => break Err(lost_blocks),
+            };
+            // A check block is only ever fetched to feed reconstruction —
+            // repair traffic.
+            let fetch_start = Instant::now();
+            let mut lost = None;
+            for &node in plan.fetch.iter().filter(|&&v| v as usize >= k) {
+                let slot = &mut checks[node as usize - k];
+                if slot.is_some() {
+                    continue;
+                }
+                match self.read_verified(meta, node, ReadClass::Repair, p) {
+                    Ok(block) => {
+                        stats.cost.blocks_fetched += 1;
+                        stats.repair_bytes_read += block.len() as u64;
+                        *slot = Some(block);
+                    }
+                    Err(_) => {
+                        lost = Some(node);
+                        break;
+                    }
+                }
+            }
+            stats.fetch_us += fetch_start.elapsed().as_micros() as u64;
+            if let Some(node) = lost {
+                available.retain(|&v| v != node);
+                stats.replans += 1;
+                continue;
+            }
+            let decode_start = Instant::now();
+            replay_schedule(&self.graph, &plan, data, &mut checks, p);
+            stats.decode_us += decode_start.elapsed().as_micros() as u64;
+            stats.blocks_fetched = plan.fetch.len();
+            stats.blocks_recovered = plan.schedule.len();
+            stats.cost.recovery_depth = plan.recovery_depth(&self.graph);
+            break Ok(());
+        };
+        p.recycle_stripe(&mut checks);
+        let id = meta.id;
+        result.map_err(|lost_blocks| StoreError::Unrecoverable { id, lost_blocks })
     }
 
     /// Deletes an object from all devices. On a durable store the delete
@@ -517,33 +521,34 @@ impl ArchivalStore {
         Ok(())
     }
 
-    /// Exposes the raw stored block for federation/scrubbing, verifying its
-    /// checksum: a corrupt block is reported as absent (an erasure), which
-    /// is exactly how the coding layer can repair it. The copy is made into
-    /// a buffer recycled from the calling thread's block pool.
+    /// Exposes the raw stored block for federation/scrubbing — repair
+    /// paths, so the read is attributed [`ReadClass::Repair`]. A corrupt
+    /// block is reported as absent (an erasure), which is exactly how the
+    /// coding layer can repair it. The copy is made into a buffer recycled
+    /// from the calling thread's block pool.
     pub(crate) fn read_raw_block(&self, meta: &ObjectMeta, node: NodeId) -> Option<Vec<u8>> {
-        self.read_raw_block_classed(meta, node, ReadClass::Repair)
+        pool::with_thread_pool(|p| self.read_verified(meta, node, ReadClass::Repair, p).ok())
     }
 
-    /// [`ArchivalStore::read_raw_block`] with an explicit attribution
-    /// class. The raw-block readers (scrub tier 3, federation) are repair
-    /// paths, so the classless form defaults to [`ReadClass::Repair`]; the
-    /// GET path passes the class per node.
-    pub(crate) fn read_raw_block_classed(
+    /// Reads one block into a buffer from `pool` and verifies it against
+    /// the checksum recorded at put time.
+    fn read_verified(
         &self,
         meta: &ObjectMeta,
         node: NodeId,
         class: ReadClass,
-    ) -> Option<Vec<u8>> {
+        pool: &mut BlockPool,
+    ) -> Result<Vec<u8>, Miss> {
         let dev = self.device_of_block(meta, node);
-        let block = pool::with_thread_pool(|p| {
-            self.devices[dev].read_block_pooled(&(meta.id, node), p, class)
-        })?;
-        if block_checksum(&block) != meta.checksums[node as usize] {
-            pool::with_thread_pool(|p| p.recycle(block));
-            return None;
+        let block = self.devices[dev]
+            .read_block_pooled(&(meta.id, node), pool, class)
+            .ok_or(Miss::Absent)?;
+        if block.len() != meta.block_len || block_checksum(&block) != meta.checksums[node as usize]
+        {
+            pool.recycle(block);
+            return Err(Miss::Corrupt);
         }
-        Some(block)
+        Ok(block)
     }
 
     /// Writes a (re-encoded) block back to its home device. Repair
@@ -575,44 +580,64 @@ impl ArchivalStore {
     }
 }
 
-/// Replays a retrieval plan's pruned recovery schedule with real XOR over
-/// the fetched blocks (the word-wide kernel; accumulators come from the
-/// calling thread's block pool).
-fn apply_schedule(
+/// Why a block read produced nothing usable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Miss {
+    /// The device is offline, does not hold the block, or failed the I/O.
+    Absent,
+    /// Bytes were served but do not match the put-time checksum.
+    Corrupt,
+}
+
+/// Replays a retrieval plan's pruned recovery schedule with real XOR (the
+/// word-wide kernel; accumulators come from `pool`). The data half of the
+/// stripe is `data` — `k` contiguous blocks — and a recovered data block is
+/// written into its hole there; the check half is `checks`, indexed by
+/// `node - k`.
+fn replay_schedule(
     graph: &Graph,
-    mut blocks: Vec<Option<Vec<u8>>>,
-    plan: &crate::retrieval::RetrievalPlan,
-    block_len: usize,
-) -> Vec<Option<Vec<u8>>> {
+    plan: &RetrievalPlan,
+    data: &mut [u8],
+    checks: &mut [Option<Vec<u8>>],
+    pool: &mut BlockPool,
+) {
+    let k = graph.num_data();
+    let block_len = data.len() / k;
+    let slot = |node: NodeId| node as usize * block_len..(node as usize + 1) * block_len;
     for step in &plan.schedule {
-        match *step {
-            RecoveryStep::Peel { node, via } => {
-                let via_block = blocks[via as usize].as_deref().expect("planned");
-                let mut acc = pool::with_thread_pool(|p| p.take_copy(via_block));
-                for &nbr in graph.check_neighbors(via) {
-                    if nbr != node {
-                        let b = blocks[nbr as usize].as_ref().expect("planned");
-                        xor_into(&mut acc, b);
-                    }
-                }
-                blocks[node as usize] = Some(acc);
-            }
-            RecoveryStep::Reencode { node } => {
-                let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-                for &nbr in graph.check_neighbors(node) {
-                    let b = blocks[nbr as usize].as_ref().expect("planned");
-                    xor_into(&mut acc, b);
-                }
-                blocks[node as usize] = Some(acc);
+        let (node, via) = step_node_and_check(step);
+        let block = |v: NodeId| match (v as usize).checked_sub(k) {
+            None => &data[slot(v)],
+            Some(c) => checks[c].as_deref().expect("planned"),
+        };
+        // A peel starts from its check block, a re-encode from zero; both
+        // then fold in the check's other neighbours.
+        let mut acc = if via == node {
+            pool.take_zeroed(block_len)
+        } else {
+            pool.take_copy(block(via))
+        };
+        for &nbr in graph.check_neighbors(via) {
+            if nbr != node {
+                xor_into(&mut acc, block(nbr));
             }
         }
+        match (node as usize).checked_sub(k) {
+            None => {
+                data[slot(node)].copy_from_slice(&acc);
+                pool.recycle(acc);
+            }
+            Some(c) => checks[c] = Some(acc),
+        }
     }
-    blocks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{BlockBackend, BlockKey, MemoryBackend};
+    use std::io;
+    use std::sync::{mpsc, Mutex};
     use tornado_gen::{TornadoGenerator, TornadoParams};
     use tornado_graph::GraphBuilder;
 
@@ -775,6 +800,120 @@ mod tests {
         assert!(degraded.repair_bytes_read > 0, "check blocks were fetched");
         assert!(degraded.cost.recovery_depth >= 1);
         assert!((degraded.cost.devices_contacted as usize) < store.num_devices());
+    }
+
+    /// A memory backend whose read of one block announces itself and then
+    /// waits to be released: the test's handle on "this GET has probed the
+    /// check nodes and is now fetching them".
+    #[derive(Debug)]
+    struct GatedBackend {
+        inner: MemoryBackend,
+        gate: BlockKey,
+        reached: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl BlockBackend for GatedBackend {
+        fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
+            self.inner.put(key, data)
+        }
+        fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+        fn get_pooled(
+            &mut self,
+            key: &BlockKey,
+            pool: &mut BlockPool,
+        ) -> io::Result<Option<Vec<u8>>> {
+            if *key == self.gate {
+                self.reached.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.get_pooled(key, pool)
+        }
+        fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
+            self.inner.checksum(key)
+        }
+        fn contains(&self, key: &BlockKey) -> bool {
+            self.inner.contains(key)
+        }
+        fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn block_count(&self) -> usize {
+            self.inner.block_count()
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+        fn destroy(&mut self) -> io::Result<()> {
+            self.inner.destroy()
+        }
+        fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
+            self.inner.corrupt(key, mask)
+        }
+        fn kind(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    #[test]
+    fn device_lost_between_probe_and_fetch_costs_one_replan_and_no_reread() {
+        let graph = TornadoGenerator::new(TornadoParams::paper_96())
+            .generate(4)
+            .unwrap();
+        let (n, k) = (graph.num_nodes(), graph.num_data());
+        let all_except = |missing: &[NodeId]| -> Vec<NodeId> {
+            (0..n as NodeId).filter(|v| !missing.contains(v)).collect()
+        };
+        // The first object sits at rotation 0 (node v on device v) and gets
+        // id 1. Data nodes 0 and 1 will be offline, so the GET plans; the
+        // gate is the first check block that plan fetches, the victim its
+        // last.
+        let first = plan_retrieval_or_lost(&graph, &all_except(&[0, 1])).unwrap();
+        let is_check = |v: &NodeId| *v as usize >= k;
+        let checks: Vec<NodeId> = first.fetch.iter().copied().filter(is_check).collect();
+        let (gate, victim) = (checks[0], *checks.last().unwrap());
+        assert_ne!(gate, victim, "the plan fetches several check blocks");
+        let second = plan_retrieval_or_lost(&graph, &all_except(&[0, 1, victim])).unwrap();
+
+        let (reached_tx, reached_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let mut gated = Some(GatedBackend {
+            inner: MemoryBackend::new(),
+            gate: (1, gate),
+            reached: Mutex::new(reached_tx),
+            release: Mutex::new(release_rx),
+        });
+        let devices = (0..n)
+            .map(|d| match gated.take_if(|_| d == gate as usize) {
+                Some(backend) => Device::with_backend(d, Box::new(backend)),
+                None => Device::new(d),
+            })
+            .collect();
+        let store = ArchivalStore::assemble(graph, devices, HashMap::new(), 1, 0, None);
+        let payload = vec![9u8; 5000];
+        let id = store.put("x", &payload).unwrap();
+        store.fail_device(0).unwrap();
+        store.fail_device(1).unwrap();
+        let reads = |s: &ArchivalStore| -> u64 { s.devices.iter().map(|d| d.stats().reads).sum() };
+
+        let before = reads(&store);
+        let (got, stats) = std::thread::scope(|s| {
+            let get = s.spawn(|| store.get_detailed(id));
+            // The GET is inside its first check fetch: the victim was
+            // probed present and has not been read yet.
+            reached_rx.recv().unwrap();
+            store.fail_device(victim as usize).unwrap();
+            release_tx.send(()).unwrap();
+            get.join().unwrap().unwrap()
+        });
+        assert_eq!(got, payload);
+        assert_eq!(stats.replans, 1, "the racy loss; offline data is no replan");
+        assert_eq!(stats.blocks_fetched, second.fetch.len());
+        assert_eq!(stats.blocks_recovered, second.schedule.len());
+        assert_eq!(store.devices[victim as usize].stats().failed_reads, 1);
+        assert_eq!(reads(&store) - before, stats.cost.blocks_fetched);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! threads hammer `get` must never produce a torn or wrong payload. Every
 //! successful response has to match the original bytes exactly — the
 //! `RwLock` boundaries inside [`tornado_store::Device`] and the
-//! checksum-verified fetch path are what this exercises.
+//! checksum-verified fetch path are what this exercises. A device that
+//! fails between a GET's data pass and its check fetch must cost that GET
+//! one replan, never a second read of a block it already holds (the forced
+//! interleaving of exactly that is a unit test beside `get_detailed`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,14 +38,19 @@ fn concurrent_reads_survive_mid_run_device_failures() {
     let stop = Arc::new(AtomicBool::new(false));
     let reads_ok = Arc::new(AtomicU64::new(0));
     let degraded = Arc::new(AtomicU64::new(0));
+    let attributed = Arc::new(AtomicU64::new(0));
+    let replans = Arc::new(AtomicU64::new(0));
+    let (readers_n, failures) = (8usize, [3usize, 17, 48, 95]);
 
     std::thread::scope(|s| {
         let mut readers = Vec::new();
-        for reader in 0..8usize {
+        for reader in 0..readers_n {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
             let reads_ok = Arc::clone(&reads_ok);
             let degraded = Arc::clone(&degraded);
+            let attributed = Arc::clone(&attributed);
+            let replans = Arc::clone(&replans);
             let ids = ids.clone();
             let expected = expected.clone();
             readers.push(s.spawn(move || {
@@ -56,6 +64,8 @@ fn concurrent_reads_survive_mid_run_device_failures() {
                                 "torn or wrong payload for object {object}"
                             );
                             reads_ok.fetch_add(1, Ordering::Relaxed);
+                            attributed.fetch_add(stats.cost.blocks_fetched, Ordering::Relaxed);
+                            replans.fetch_add(stats.replans as u64, Ordering::Relaxed);
                             if stats.degraded() {
                                 degraded.fetch_add(1, Ordering::Relaxed);
                             }
@@ -73,7 +83,7 @@ fn concurrent_reads_survive_mid_run_device_failures() {
 
         // Fail k = 4 devices while the readers are running, spaced out so
         // reads interleave with every intermediate failure state.
-        for &device in &[3usize, 17, 48, 95] {
+        for &device in &failures {
             std::thread::sleep(std::time::Duration::from_millis(20));
             store.fail_device(device).unwrap();
         }
@@ -85,7 +95,18 @@ fn concurrent_reads_survive_mid_run_device_failures() {
         }
     });
 
-    assert_eq!(store.offline_devices(), vec![3, 17, 48, 95]);
+    assert_eq!(store.offline_devices(), failures);
+    // Nothing is corrupt and every GET succeeded, so every block a device
+    // served was attributed by exactly one GET: no block was read twice,
+    // whatever a failure interrupted.
+    let served: u64 = (0..store.num_devices())
+        .map(|d| store.device(d).unwrap().stats().reads)
+        .sum();
+    assert_eq!(served, attributed.load(Ordering::Relaxed));
+    // A replan is a check block lost between its probe and its fetch: at
+    // most one per failure per GET in flight. Reading a stripe with
+    // devices already offline is never one.
+    assert!(replans.load(Ordering::Relaxed) <= (readers_n * failures.len()) as u64);
     assert!(
         reads_ok.load(Ordering::Relaxed) > 0,
         "readers must have completed reads"

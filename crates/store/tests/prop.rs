@@ -1,8 +1,9 @@
 //! Property-based tests for the archival store.
 
 use proptest::prelude::*;
-use tornado_graph::{Graph, GraphBuilder};
-use tornado_store::{get_chunked, put_chunked, ArchivalStore};
+use tornado_codec::ErasureDecoder;
+use tornado_graph::{Graph, GraphBuilder, NodeId};
+use tornado_store::{get_chunked, plan_retrieval, put_chunked, ArchivalStore, StoreError};
 
 /// A small robust graph: 8 data nodes, mirrored + a cross-check layer, so
 /// any single loss is survivable and payload behaviour is easy to reason
@@ -20,8 +21,87 @@ fn robust_graph() -> Graph {
     b.build().unwrap()
 }
 
+/// Payload sizes for the differential test. With k = 48 the first three
+/// give `block_len = 1`, so the 8-byte length header spans eight blocks;
+/// the rest straddle every block_len boundary up to the 1.4 KiB blocks of
+/// a 64 KiB object.
+const SIZES: [usize; 11] = [0, 1, 7, 8, 9, 47, 48, 383, 385, 4 << 10, 64 << 10];
+
+/// One data-first GET on catalog graph 1 against the planner as oracle:
+/// the object is put at `rotation`, `offline` devices fail, and everything
+/// the GET reports must be what `plan_retrieval` derives from the same
+/// availability — or `Unrecoverable` with the decoder's own lost list.
+/// Returns whether the object was served.
+fn get_matches_planner_oracle(rotation: usize, offline: &[usize], size: usize) -> bool {
+    let graph = tornado_core::tornado_graph_1();
+    let (n, k) = (graph.num_nodes(), graph.num_data());
+    let store = ArchivalStore::new(graph.clone());
+    for _ in 0..rotation {
+        store.put("pad", b"").expect("pad put");
+    }
+    let payload: Vec<u8> = (0..size).map(|i| (i * 131 % 251) as u8).collect();
+    let id = store.put("obj", &payload).expect("put");
+    let meta = store.meta(id).expect("meta");
+    assert_eq!(meta.rotation, rotation);
+    for &d in offline {
+        store.fail_device(d).expect("fail");
+    }
+    let available: Vec<NodeId> = (0..n as NodeId)
+        .filter(|&v| !offline.contains(&store.device_of_block(&meta, v)))
+        .collect();
+
+    match (store.get_detailed(id), plan_retrieval(&graph, &available)) {
+        (Ok((got, stats)), Some(plan)) => {
+            assert_eq!(got, payload, "payload is byte-identical");
+            assert_eq!(stats.blocks_fetched, plan.fetch.len());
+            assert_eq!(stats.blocks_recovered, plan.schedule.len());
+            assert_eq!(stats.replans, 0, "an offline miss is a hole, not a replan");
+            let cost = plan.cost_with(&graph, meta.block_len, |v| store.device_of_block(&meta, v));
+            assert_eq!(stats.cost, cost);
+            let checks = plan.fetch.iter().filter(|&&v| v as usize >= k).count();
+            assert_eq!(stats.repair_bytes_read, (checks * meta.block_len) as u64);
+            true
+        }
+        (Err(StoreError::Unrecoverable { lost_blocks, .. }), None) => {
+            let missing: Vec<usize> = (0..n)
+                .filter(|&v| !available.contains(&(v as NodeId)))
+                .collect();
+            let oracle = ErasureDecoder::new(&graph).decode_detailed(&missing);
+            assert_eq!(lost_blocks, oracle.lost_data);
+            false
+        }
+        (got, plan) => panic!(
+            "store and planner disagree: get = {:?}, plan = {:?}",
+            got.map(|(_, stats)| stats),
+            plan.map(|p| p.fetch)
+        ),
+    }
+}
+
+/// Patterns far past the graph's tolerance, which six random failures
+/// essentially never produce: the `Unrecoverable` arm of the oracle.
+#[test]
+fn unrecoverable_gets_list_what_the_decoder_lists() {
+    let every_other: Vec<usize> = (0..96).step_by(2).collect();
+    assert!(!get_matches_planner_oracle(0, &every_other, 385));
+    let first_third: Vec<usize> = (0..32).collect();
+    assert!(!get_matches_planner_oracle(71, &first_third, 4 << 10));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Differential test of the data-first GET (see
+    /// [`get_matches_planner_oracle`]): random rotation, 0–6 offline
+    /// devices, payload sizes around every framing boundary.
+    #[test]
+    fn get_agrees_with_the_planner_oracle(
+        rotation in 0usize..96,
+        offline in proptest::collection::vec(0usize..96, 0..7),
+        size in 0usize..SIZES.len(),
+    ) {
+        get_matches_planner_oracle(rotation, &offline, SIZES[size]);
+    }
 
     /// Put/get round-trips arbitrary payloads, including after losing any
     /// single device.
