@@ -118,8 +118,8 @@ fn main() {
             ]),
         ));
     }
-    // Likewise the connection-scaling run: its sweep shape and A/B ratio
-    // are the reviewable outcome.
+    // Likewise the connection-scaling run: its sweep shape and the
+    // closed-loop point are the reviewable outcome.
     if let Some(s) = *exp::server_scale::LAST_SUMMARY.lock().unwrap() {
         manifest_fields.push((
             "server_scale".into(),
@@ -127,9 +127,8 @@ fn main() {
                 ("max_connections".into(), Json::U64(s.max_connections as u64)),
                 ("p99_at_max_us".into(), Json::U64(s.p99_at_max_us)),
                 ("ops_per_sec_at_max".into(), Json::F64(s.rate_at_max)),
-                ("ab_event_loop_ops_per_sec".into(), Json::F64(s.ops_per_sec_event_loop)),
-                ("ab_threaded_ops_per_sec".into(), Json::F64(s.ops_per_sec_threaded)),
-                ("ab_ratio".into(), Json::F64(s.ab_ratio)),
+                ("closed_loop_64_ops_per_sec".into(), Json::F64(s.closed_loop_ops_per_sec)),
+                ("closed_loop_64_p99_us".into(), Json::U64(s.closed_loop_p99_us)),
             ]),
         ));
     }

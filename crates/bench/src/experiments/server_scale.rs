@@ -11,10 +11,8 @@
 //!    costs it. Latency is measured from each operation's *scheduled*
 //!    arrival — a server that buckles under connection count shows up as
 //!    p99 inflation, never as silently reduced throughput.
-//! 2. **Does the event loop give anything up at low counts?** A
-//!    closed-loop A/B at 64 connections, event-loop vs the legacy
-//!    thread-per-connection path, same seed and mix, fresh in-process
-//!    server per arm.
+//! 2. **What does it sustain at a low count?** One closed-loop point at
+//!    64 connections, fresh in-process server.
 //!
 //! The process `RLIMIT_NOFILE` hard cap (20k in CI containers) cannot
 //! hold two sockets per connection at the 10k point, so the sweep's
@@ -66,15 +64,15 @@ pub struct SweepPoint {
     pub payload_mismatches: u64,
 }
 
-/// One closed-loop A/B arm at fixed connection count.
+/// The closed-loop point at a fixed connection count.
 #[derive(Clone, Copy, Debug)]
-pub struct AbPoint {
+pub struct ClosedLoopPoint {
+    /// Connections driven.
+    pub connections: usize,
     /// Completed operations.
     pub ops: u64,
     /// Completed ops/s.
     pub ops_per_sec: f64,
-    /// Median client latency, µs.
-    pub p50_us: u64,
     /// 99th-percentile client latency, µs.
     pub p99_us: u64,
 }
@@ -88,27 +86,14 @@ pub struct ScaleResult {
     pub sweep_server: &'static str,
     /// Sweep points, ascending connection count.
     pub sweep: Vec<SweepPoint>,
-    /// Connections at the A/B point.
-    pub ab_connections: usize,
-    /// Thread-per-connection arm.
-    pub ab_threaded: AbPoint,
-    /// Event-loop arm.
-    pub ab_event_loop: AbPoint,
+    /// The closed-loop point at 64 connections.
+    pub closed_loop: ClosedLoopPoint,
 }
 
 impl ScaleResult {
     /// Largest connection count the sweep actually established.
     pub fn max_connections(&self) -> usize {
         self.sweep.iter().map(|p| p.connected).max().unwrap_or(0)
-    }
-
-    /// Event-loop ops/s at the A/B point relative to threaded.
-    pub fn ab_ratio(&self) -> f64 {
-        if self.ab_threaded.ops_per_sec > 0.0 {
-            self.ab_event_loop.ops_per_sec / self.ab_threaded.ops_per_sec
-        } else {
-            0.0
-        }
     }
 }
 
@@ -121,12 +106,10 @@ pub struct ScaleSummary {
     pub p99_at_max_us: u64,
     /// Achieved ops/s at that count.
     pub rate_at_max: f64,
-    /// Event-loop closed-loop ops/s at the A/B point.
-    pub ops_per_sec_event_loop: f64,
-    /// Thread-per-connection closed-loop ops/s at the A/B point.
-    pub ops_per_sec_threaded: f64,
-    /// Event-loop / threaded ratio.
-    pub ab_ratio: f64,
+    /// Closed-loop ops/s at 64 connections.
+    pub closed_loop_ops_per_sec: f64,
+    /// Closed-loop p99 at 64 connections, µs.
+    pub closed_loop_p99_us: u64,
 }
 
 /// Last run's summary (populated by [`run`], read by `run_all`).
@@ -241,14 +224,13 @@ fn stop_sweep_server(server: SweepServer, addr: &str) {
     }
 }
 
-/// Runs one closed-loop A/B arm against a fresh in-process server.
-fn run_ab_arm(event_loop: bool, shards: usize, connections: usize, duration_ms: u64, seed: u64) -> AbPoint {
+/// Runs the closed-loop point against a fresh in-process server.
+fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u64) -> ClosedLoopPoint {
     let store = Arc::new(ArchivalStore::new(tornado_core::tornado_graph_1()));
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
         queue_depth: 256,
-        event_loop,
         shards,
         health: HealthConfig { enabled: false, ..HealthConfig::default() },
         ..ServerConfig::default()
@@ -268,21 +250,22 @@ fn run_ab_arm(event_loop: bool, shards: usize, connections: usize, duration_ms: 
         trace_sample: 0,
         ..LoadConfig::default()
     })
-    .expect("closed-loop A/B arm");
+    .expect("closed-loop point");
     if let Ok(mut admin) = Client::connect(&addr) {
         let _ = admin.shutdown();
     }
     handle.join();
-    assert_eq!(report.payload_mismatches, 0, "A/B arm must verify byte-for-byte");
-    AbPoint {
+    assert_eq!(report.payload_mismatches, 0, "closed-loop GETs must verify byte-for-byte");
+    ClosedLoopPoint {
+        connections,
         ops: report.ops,
         ops_per_sec: report.ops_per_sec,
-        p50_us: report.p50_us(),
         p99_us: report.p99_us(),
     }
 }
 
-/// Runs the sweep and A/B, returning the structured result.
+/// Runs the sweep and the closed-loop point, returning the structured
+/// result.
 ///
 /// `quick` caps the sweep at ~1k connections with shorter windows — the
 /// CI smoke; the full run reaches 10,000.
@@ -339,20 +322,9 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
     }
     stop_sweep_server(server, &addr);
 
-    // Closed-loop A/B at low connection count, in-process both arms.
-    let ab_connections = 64;
-    let ab_ms = if quick { 800 } else { 1_500 };
-    let ab_threaded = run_ab_arm(false, shards, ab_connections, ab_ms, seed);
-    let ab_event_loop = run_ab_arm(true, shards, ab_connections, ab_ms, seed);
+    let closed_loop = run_closed_loop(shards, 64, if quick { 800 } else { 1_500 }, seed);
 
-    let result = ScaleResult {
-        shards,
-        sweep_server,
-        sweep,
-        ab_connections,
-        ab_threaded,
-        ab_event_loop,
-    };
+    let result = ScaleResult { shards, sweep_server, sweep, closed_loop };
     let at_max = result
         .sweep
         .iter()
@@ -363,9 +335,8 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
         max_connections: result.max_connections(),
         p99_at_max_us: at_max.p99_us,
         rate_at_max: at_max.achieved_rate,
-        ops_per_sec_event_loop: result.ab_event_loop.ops_per_sec,
-        ops_per_sec_threaded: result.ab_threaded.ops_per_sec,
-        ab_ratio: result.ab_ratio(),
+        closed_loop_ops_per_sec: result.closed_loop.ops_per_sec,
+        closed_loop_p99_us: result.closed_loop.p99_us,
     });
     result
 }
@@ -379,7 +350,7 @@ pub fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# Event-loop connection scaling — open-loop sweep ({} server, {} shards) + 64-conn A/B",
+        "# Event-loop connection scaling — open-loop sweep ({} server, {} shards) + 64-conn closed loop",
         r.sweep_server, r.shards
     );
     let _ = writeln!(out, "connections, achieved_ops_s, p50_us, p99_us, busy, errors");
@@ -390,17 +361,8 @@ pub fn run(effort: &Effort) -> String {
             p.connected, p.achieved_rate, p.p50_us, p.p99_us, p.busy, p.errors
         );
     }
-    let _ = writeln!(
-        out,
-        "ab_64conn_threaded_ops_s, {:.0}",
-        r.ab_threaded.ops_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "ab_64conn_event_loop_ops_s, {:.0}",
-        r.ab_event_loop.ops_per_sec
-    );
-    let _ = writeln!(out, "ab_event_loop_vs_threaded, {:.2}", r.ab_ratio());
+    let _ = writeln!(out, "closed_loop_64conn_ops_s, {:.0}", r.closed_loop.ops_per_sec);
+    let _ = writeln!(out, "closed_loop_64conn_p99_us, {}", r.closed_loop.p99_us);
     for p in &r.sweep {
         assert_eq!(p.payload_mismatches, 0, "sweep GETs must verify byte-for-byte");
     }

@@ -139,11 +139,6 @@ pub fn dot(args: &ParsedArgs) -> CmdResult {
     write_or_print(args.get("out"), &dot::to_dot(&graph))
 }
 
-/// `tornado test` — alias for [`worst_case`], kept for compatibility.
-pub fn test(args: &ParsedArgs) -> CmdResult {
-    worst_case(args)
-}
-
 /// `tornado worst-case`
 pub fn worst_case(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
@@ -200,11 +195,6 @@ pub fn worst_case(args: &ParsedArgs) -> CmdResult {
             .collect();
         snap.set("levels", Json::Arr(levels));
     })
-}
-
-/// `tornado profile` — alias for [`monte_carlo`], kept for compatibility.
-pub fn profile(args: &ParsedArgs) -> CmdResult {
-    monte_carlo(args)
 }
 
 /// `tornado monte-carlo`
@@ -566,7 +556,6 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     let timeseries_interval_ms: u64 = args.get_parsed("timeseries-ms", 500)?;
     let shards: usize = args.get_parsed("shards", 2)?;
     let max_inflight: usize = args.get_parsed("max-inflight", 64)?;
-    let event_loop = !args.flag("thread-per-conn");
     let health = health_config_from_args(args)?;
     let (graph, label) = if args.get("graph").is_some() || args.get("catalog").is_some() {
         load_target_graph(args)?
@@ -651,7 +640,6 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
         trace_slow_keep,
         slow_request_us: slow_ms.saturating_mul(1_000),
         timeseries_interval_ms,
-        event_loop,
         shards,
         max_inflight_per_conn: max_inflight,
         health,
@@ -668,11 +656,7 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
             ("backend", Json::Str(store.backend_kind().to_string())),
             ("workers", Json::U64(workers as u64)),
             ("queue_depth", Json::U64(queue_depth as u64)),
-            (
-                "mode",
-                Json::Str(if event_loop { "event_loop".into() } else { "threads".into() }),
-            ),
-            ("shards", Json::U64(if event_loop { shards as u64 } else { 0 })),
+            ("shards", Json::U64(shards as u64)),
         ],
     );
 
@@ -685,24 +669,19 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
         std::fs::rename(&tmp, port_file).map_err(|e| format!("{port_file}: {e}"))?;
     }
 
-    // Serve until a SHUTDOWN op drains the server — or, on unix, until
-    // SIGTERM: the reactor latches the signal into a flag (the handler
-    // itself only stores an atomic), and this supervising loop turns it
-    // into the same graceful drain the wire op triggers.
+    // Serve until a SHUTDOWN op drains the server — or until SIGTERM: the
+    // reactor latches the signal into a flag (the handler itself only
+    // stores an atomic), and this supervising loop turns it into the same
+    // graceful drain the wire op triggers.
     let started = std::time::Instant::now();
-    #[cfg(unix)]
-    {
-        let sigterm = tornado_server::reactor::install_sigterm_flag();
-        while !handle.is_shutting_down()
-            && !sigterm.load(std::sync::atomic::Ordering::SeqCst)
-        {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        if sigterm.load(std::sync::atomic::Ordering::SeqCst) {
-            obs.status("serve_sigterm", &[]);
-        }
-        handle.shutdown();
+    let sigterm = tornado_server::reactor::install_sigterm_flag();
+    while !handle.is_shutting_down() && !sigterm.load(std::sync::atomic::Ordering::SeqCst) {
+        std::thread::sleep(std::time::Duration::from_millis(50));
     }
+    if sigterm.load(std::sync::atomic::Ordering::SeqCst) {
+        obs.status("serve_sigterm", &[]);
+    }
+    handle.shutdown();
     handle.join();
     // After the drain every in-flight root span is recorded, so the
     // export written here is complete and well-nested by construction.

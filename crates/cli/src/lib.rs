@@ -25,10 +25,8 @@ COMMANDS:
     inspect      Show structure and degree stats    --graph FILE
     dot          Export Graphviz DOT                --graph FILE [--out FILE]
     worst-case   Exhaustive worst-case search       --graph FILE | --catalog 1|2|3 [--max-k 4]
-    test         Alias for worst-case               (same options)
     monte-carlo  Monte-Carlo failure profile        --graph FILE | --catalog 1|2|3
                                                     [--trials 20000] [--seed N]
-    profile      Alias for monte-carlo              (same options)
     scrub        Fail devices, scrub, report health  --graph FILE | --catalog 1|2|3
                                                      [--objects 8] [--level 5] [--repair]
                                                      [--threads 1] [--fail DEV]...
@@ -48,8 +46,6 @@ COMMANDS:
     serve        TCP archival block service          [--addr 127.0.0.1:7401] [--workers 4]
                                                      [--queue-depth 64] [--deadline-ms 0]
                                                      [--shards 2] [--max-inflight 64]
-                                                     [--thread-per-conn] (legacy
-                                                     thread-per-connection serving)
                                                      [--catalog 1|2|3 | --graph FILE]
                                                      [--data-dir DIR [--backend file|segment]
                                                      [--no-fsync]] (durable store with
@@ -91,7 +87,7 @@ COMMANDS:
     trace        Export server spans (Chrome JSON)    --addr ADDR [--out FILE]
     validate-trace  Validate a trace export           --file FILE [--require SPAN]...
 
-OBSERVABILITY (worst-case, monte-carlo, scrub, and their aliases):
+OBSERVABILITY (worst-case, monte-carlo, scrub):
     --progress        Throttled progress lines (rate + ETA) on stderr
     --metrics FILE    Write a JSON metrics snapshot on completion
     --log-json        JSON-lines events on stderr instead of human text
@@ -108,9 +104,7 @@ pub fn run_command(command: &str, parsed: &ParsedArgs) -> Result<(), String> {
         "catalog" => commands::catalog(parsed),
         "inspect" => commands::inspect(parsed),
         "dot" => commands::dot(parsed),
-        "test" => commands::test(parsed),
         "worst-case" => commands::worst_case(parsed),
-        "profile" => commands::profile(parsed),
         "monte-carlo" => commands::monte_carlo(parsed),
         "scrub" => commands::scrub(parsed),
         "validate-metrics" => commands::validate_metrics(parsed),

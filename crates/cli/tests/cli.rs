@@ -17,7 +17,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 fn generate_then_inspect_then_test() {
     let out = temp_path("gen.graphml");
     let out_s = out.to_str().unwrap();
-    // Use a small graph so the exhaustive `test` stays debug-affordable.
+    // Use a small graph so the exhaustive search stays debug-affordable.
     run_command(
         "generate",
         &args(&["--seed", "3", "--data", "16", "--screen", "2", "--out", out_s]),
@@ -27,12 +27,12 @@ fn generate_then_inspect_then_test() {
     assert!(xml.contains("<graphml"));
 
     run_command("inspect", &args(&["--graph", out_s])).expect("inspect");
-    run_command("test", &args(&["--graph", out_s, "--max-k", "2"])).expect("test");
+    run_command("worst-case", &args(&["--graph", out_s, "--max-k", "2"])).expect("worst-case");
     run_command(
-        "profile",
+        "monte-carlo",
         &args(&["--graph", out_s, "--trials", "300", "--seed", "1"]),
     )
-    .expect("profile");
+    .expect("monte-carlo");
 }
 
 #[test]
@@ -111,7 +111,7 @@ fn adjust_small_graph() {
 #[test]
 fn missing_required_flag_errors() {
     assert!(run_command("inspect", &args(&[])).is_err());
-    assert!(run_command("test", &args(&[])).is_err());
+    assert!(run_command("worst-case", &args(&[])).is_err());
 }
 
 #[test]

@@ -1,72 +1,53 @@
 //! Blocking clients for the archival block service.
 //!
-//! One [`Client`] wraps one TCP connection and runs one request at a time
-//! (strictly request/response — the legacy wire discipline, byte-identical
-//! to pre-correlation servers). A [`PipelinedClient`] keeps several
-//! requests in flight on one connection: every request carries a
-//! correlation id and responses are matched back as they arrive, in any
-//! order. Error statuses come back as typed [`ClientError`] variants so
-//! callers can distinguish backpressure ([`ClientError::Busy`] — back off
-//! and retry) from real failures.
+//! A [`PipelinedClient`] is the primitive: one TCP connection on which
+//! every request carries a correlation id, so several can be in flight and
+//! responses are matched back as they arrive, in any order
+//! ([`PipelinedClient::submit`] / [`PipelinedClient::recv`]). A [`Client`]
+//! is the blocking call on top of it: submit one request, wait for its
+//! response, with typed methods per operation. Error statuses come back
+//! as typed [`ClientError`] variants so callers can distinguish
+//! backpressure ([`ClientError::Busy`] — back off and retry) from real
+//! failures.
 
 use crate::error::ClientError;
-use crate::protocol::{read_frame, write_frame, FrameRead, Op, Request, Response, StatMeta};
+use crate::protocol::{read_frame, write_frame, Op, Request, Response, StatMeta, MAX_NAME};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-/// A blocking connection to one server.
+/// A blocking connection to one server: one request at a time over a
+/// [`PipelinedClient`].
 pub struct Client {
-    stream: TcpStream,
-    /// Deadline stamped on every request (milliseconds; 0 = none).
-    deadline_ms: u32,
-    /// Trace id stamped on every request (`None` = untraced header,
-    /// byte-identical to the pre-trace wire format).
-    trace_id: Option<u64>,
+    inner: PipelinedClient,
 }
 
 impl Client {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream, deadline_ms: 0, trace_id: None })
+        Ok(Self { inner: PipelinedClient::connect(addr)? })
     }
 
     /// Connects with a bounded connection attempt.
     pub fn connect_timeout(addr: &std::net::SocketAddr, timeout: Duration) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream, deadline_ms: 0, trace_id: None })
+        Ok(Self { inner: PipelinedClient::connect_timeout(addr, timeout)? })
     }
 
     /// Sets the per-request deadline stamped on subsequent requests
     /// (0 clears it).
     pub fn set_deadline_ms(&mut self, deadline_ms: u32) {
-        self.deadline_ms = deadline_ms;
+        self.inner.set_deadline_ms(deadline_ms);
     }
 
     /// Sets the trace id stamped on subsequent requests (`None` clears
     /// it). Retries of the same logical operation should keep the same
     /// id so their spans land in one trace.
     pub fn set_trace_id(&mut self, trace_id: Option<u64>) {
-        self.trace_id = trace_id;
+        self.inner.set_trace_id(trace_id);
     }
 
-    /// Sends one request and reads its response frame.
+    /// Sends one request and waits for its response.
     pub fn roundtrip(&mut self, op: Op) -> Result<Response, ClientError> {
-        let req = Request { deadline_ms: self.deadline_ms, corr_id: None, trace_id: self.trace_id, op };
-        write_frame(&mut self.stream, &req.encode())?;
-        match read_frame(&mut self.stream)? {
-            FrameRead::Frame(body) => Ok(Response::decode(&body)?),
-            FrameRead::Eof => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before replying",
-            ))),
-            FrameRead::TimedOut => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "timed out waiting for response",
-            ))),
-        }
+        self.inner.roundtrip(op)
     }
 
     /// Stores `payload` under `name`, returning the assigned object id.
@@ -163,10 +144,6 @@ impl Client {
 
 /// A pipelined connection: issue up to many requests before reading any
 /// response, then match completions by correlation id.
-///
-/// Requires a server that understands the v2 request header (PR 10+);
-/// older servers reject the flagged opcode byte loudly rather than
-/// misparsing it. For old servers, use [`Client`].
 pub struct PipelinedClient {
     stream: TcpStream,
     /// Deadline stamped on every request (milliseconds; 0 = none).
@@ -181,11 +158,14 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connects to `addr`.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr)?;
+    fn over(stream: TcpStream) -> Result<Self, ClientError> {
         stream.set_nodelay(true)?;
         Ok(Self { stream, deadline_ms: 0, trace_id: None, next_corr: 0, inflight: 0 })
+    }
+
+    /// Connects to `addr`.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
+        Self::over(TcpStream::connect(addr)?)
     }
 
     /// Connects with a bounded connection attempt.
@@ -193,9 +173,7 @@ impl PipelinedClient {
         addr: &std::net::SocketAddr,
         timeout: Duration,
     ) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream, deadline_ms: 0, trace_id: None, next_corr: 0, inflight: 0 })
+        Self::over(TcpStream::connect_timeout(addr, timeout)?)
     }
 
     /// Sets the per-request deadline stamped on subsequent requests
@@ -215,8 +193,19 @@ impl PipelinedClient {
     }
 
     /// Sends one request without waiting, returning the correlation id its
-    /// response will carry.
+    /// response will carry. A PUT name over [`MAX_NAME`] bytes is refused
+    /// with [`ClientError::BadRequest`] before anything is written (its
+    /// length would not fit the wire's `u16`, or would ship the whole
+    /// payload only for the server to refuse it).
     pub fn submit(&mut self, op: Op) -> Result<u32, ClientError> {
+        if let Op::Put { name, .. } = &op {
+            if name.len() > MAX_NAME {
+                return Err(ClientError::BadRequest(format!(
+                    "name length {} exceeds {MAX_NAME}",
+                    name.len()
+                )));
+            }
+        }
         let corr = self.next_corr;
         self.next_corr = self.next_corr.wrapping_add(1);
         let req = Request {
@@ -232,26 +221,22 @@ impl PipelinedClient {
 
     /// Reads the next response frame — whichever in-flight request
     /// finished first — as `(correlation id, response)`.
+    ///
+    /// A server that cannot decode a frame has no id to echo and answers
+    /// it unflagged; that reply settles one in-flight request and comes
+    /// back as the typed error it is (`BadRequest`), not as a response.
     pub fn recv(&mut self) -> Result<(u32, Response), ClientError> {
-        match read_frame(&mut self.stream)? {
-            FrameRead::Frame(body) => {
-                let (corr, resp) = Response::decode_corr(&body)?;
-                let corr = corr.ok_or_else(|| {
-                    ClientError::Unexpected(
-                        "server answered a pipelined request without a correlation id".into(),
-                    )
-                })?;
-                self.inflight = self.inflight.saturating_sub(1);
-                Ok((corr, resp))
-            }
-            FrameRead::Eof => Err(ClientError::Io(std::io::Error::new(
+        let body = read_frame(&mut self.stream)?.ok_or_else(|| {
+            ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection with requests in flight",
-            ))),
-            FrameRead::TimedOut => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "timed out waiting for a pipelined response",
-            ))),
+            ))
+        })?;
+        let (corr, resp) = Response::decode_corr(&body)?;
+        self.inflight = self.inflight.saturating_sub(1);
+        match corr {
+            Some(corr) => Ok((corr, resp)),
+            None => Err(error_from(resp, "uncorrelated reply to a pipelined request")),
         }
     }
 
@@ -282,5 +267,43 @@ fn error_from(resp: Response, op: &str) -> ClientError {
         Response::ShuttingDown => ClientError::ShuttingDown,
         Response::ServerError { message } => ClientError::Server(message),
         ok => ClientError::Unexpected(format!("{op} answered {}", ok.kind())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::thread;
+
+    #[test]
+    fn flagless_error_reply_comes_back_typed_and_settles_the_request() {
+        // A peer that answers every frame the way the server answers one
+        // it cannot decode: BAD_REQUEST with no correlation id to echo.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reply = Response::BadRequest { message: "unknown opcode 66".into() };
+        let peer = thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut s, _) = listener.accept().unwrap();
+                while let Ok(Some(_)) = read_frame(&mut s) {
+                    write_frame(&mut s, &reply.encode()).unwrap();
+                }
+            }
+        });
+
+        let mut pipelined = PipelinedClient::connect(addr).unwrap();
+        pipelined.submit(Op::Ping).unwrap();
+        match pipelined.recv() {
+            Err(ClientError::BadRequest(m)) => assert_eq!(m, "unknown opcode 66"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        assert_eq!(pipelined.inflight(), 0, "the reply settled the request");
+        drop(pipelined);
+
+        let mut client = Client::connect(addr).unwrap();
+        assert!(matches!(client.ping(), Err(ClientError::BadRequest(_))));
+        drop(client);
+        peer.join().unwrap();
     }
 }

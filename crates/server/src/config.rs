@@ -70,9 +70,10 @@ pub struct ServerConfig {
     /// Server-side deadline applied when a request carries none
     /// (milliseconds; 0 disables).
     pub default_deadline_ms: u32,
-    /// Per-connection read poll interval in milliseconds — how often an
-    /// idle connection checks the shutdown flag. Also bounds how long
-    /// shutdown waits on idle connections.
+    /// Longest an idle acceptor or shard waits on its poller before
+    /// re-checking the shutdown flag, milliseconds. New connections and
+    /// completions wake them at once; this only bounds how long a
+    /// shutdown goes unnoticed.
     pub poll_interval_ms: u64,
     /// Trace sampling rate: record spans for 1 in N traces (keyed
     /// deterministically on the trace id). 0 disables tracing, 1 samples
@@ -91,10 +92,6 @@ pub struct ServerConfig {
     /// Interval between time-series counter samples in milliseconds;
     /// 0 disables the sampler thread.
     pub timeseries_interval_ms: u64,
-    /// Serve connections through the nonblocking event loop (epoll/poll
-    /// readiness shards) instead of one thread per connection. Ignored on
-    /// non-unix targets, which always use the threaded path.
-    pub event_loop: bool,
     /// Event-loop shards (each one thread owning a slab of connections).
     pub shards: usize,
     /// Per-connection cap on pipelined (correlated) requests in flight;
@@ -119,7 +116,6 @@ impl Default for ServerConfig {
             trace_slow_keep: 16,
             slow_request_us: 0,
             timeseries_interval_ms: 500,
-            event_loop: true,
             shards: 2,
             max_inflight_per_conn: 64,
             health: HealthConfig::default(),
@@ -141,7 +137,6 @@ mod tests {
         assert_eq!(c.trace_sample, 0, "tracing is opt-in");
         assert!(c.trace_capacity >= 1);
         assert!(c.timeseries_interval_ms >= 1);
-        assert!(c.event_loop, "the event loop is the default serving path");
         assert!(c.shards >= 1);
         assert!(c.max_inflight_per_conn >= 1);
         let h = &c.health;

@@ -1,17 +1,18 @@
 //! Request execution: the worker pool behind the bounded queue.
 //!
-//! Connection handlers decode frames and [`Engine::submit`] jobs; a fixed
-//! pool of workers pops them, enforces per-request deadlines, executes
-//! against the shared [`ArchivalStore`], and sends the [`Response`] back
-//! through the job's reply channel. The queue is the only buffer between
-//! accept and execute, so a full queue is an immediate BUSY — the system
-//! sheds load instead of hiding it in growing latency.
+//! Event-loop shards decode frames and submit jobs (`Engine::submit`); a
+//! fixed pool of workers pops them, enforces per-request deadlines,
+//! executes against the shared [`ArchivalStore`], and posts the
+//! [`Response`] to the submitting shard's completion mailbox. The queue is
+//! the only buffer between accept and execute, so a full queue is an
+//! immediate BUSY — the system sheds load instead of hiding it in growing
+//! latency.
 
 use crate::obs::ServerObserver;
 use crate::protocol::{Op, Request, Response, StatMeta};
 use crate::queue::{BoundedQueue, PushError};
+use crate::shard::ShardMailbox;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -19,57 +20,42 @@ use tornado_obs::trace::{to_chrome_trace, SpanRecord, Tracer};
 use tornado_obs::Json;
 use tornado_store::{ArchivalStore, StoreError};
 
-/// Trace context for one sampled request, created by the connection
-/// handler and carried through the queue so worker-side spans attach to
-/// the same tree.
+/// Trace context for one sampled request, created by the shard that
+/// decoded it and carried through the queue so worker-side spans attach
+/// to the same tree.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct JobTrace {
     /// The request's trace id.
     pub trace_id: u64,
     /// Span id reserved for the root `request` span (recorded by the
-    /// handler after the reply; children reference it immediately).
+    /// shard once the reply is queued; children reference it immediately).
     pub root_span: u64,
     /// Tracer-timebase instant the job was submitted (start of the
     /// queue-wait window).
     pub accepted_us: u64,
 }
 
-/// Where a finished response goes: back to a blocking connection-handler
-/// thread (thread-per-connection path) or into an event-loop shard's
-/// completion mailbox (matched to its connection by slot/generation, and
-/// to its request by correlation id).
-pub(crate) enum Reply {
-    /// A blocking handler waiting on an mpsc channel.
-    Channel(mpsc::Sender<Response>),
-    /// An event-loop shard: push into its mailbox and kick its waker.
-    #[cfg(unix)]
-    Shard {
-        /// The owning shard's completion mailbox.
-        mailbox: Arc<crate::shard::ShardMailbox>,
-        /// Connection slot within the shard.
-        slot: usize,
-        /// Slot generation at dispatch time (stale completions for a
-        /// reused slot are dropped by the shard).
-        gen: u64,
-        /// Correlation id from the request header (None for one-at-a-time
-        /// clients — the shard holds frame extraction until it answers).
-        corr: Option<u32>,
-    },
+/// Where a finished response goes: the completion mailbox of the shard
+/// that owns the connection, which matches it to the connection by
+/// slot/generation and to the request by correlation id.
+pub(crate) struct Reply {
+    /// The owning shard's completion mailbox.
+    pub mailbox: Arc<ShardMailbox>,
+    /// Connection slot within the shard.
+    pub slot: usize,
+    /// Slot generation at dispatch time (stale completions for a reused
+    /// slot are dropped by the shard).
+    pub gen: u64,
+    /// Correlation id from the request header (None for one-at-a-time
+    /// clients — the shard holds frame extraction until it answers).
+    pub corr: Option<u32>,
 }
 
 impl Reply {
-    /// Delivers the response. A dead receiver (hung-up connection) is not
-    /// an error; the work itself already happened.
+    /// Delivers the response and wakes the shard. A connection that has
+    /// since hung up is not an error; the work itself already happened.
     pub fn send(self, response: Response) {
-        match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            #[cfg(unix)]
-            Reply::Shard { mailbox, slot, gen, corr } => {
-                mailbox.complete(slot, gen, corr, response);
-            }
-        }
+        self.mailbox.complete(self.slot, self.gen, self.corr, response);
     }
 }
 
@@ -431,8 +417,8 @@ fn execute(
         Op::TraceExport => Response::TraceOk {
             json: to_chrome_trace(&obs.tracer.spans()).to_pretty(),
         },
-        // The connection layer intercepts SHUTDOWN before queueing; answer
-        // OK if one slips through (e.g. submitted via the engine directly).
+        // The shard intercepts SHUTDOWN before queueing; answer OK if one
+        // slips through (e.g. submitted via the engine directly).
         Op::Shutdown => Response::Ok,
     }
 }
@@ -526,18 +512,25 @@ mod tests {
         Engine::start(store, ServerObserver::shared(), Instant::now(), workers, depth)
     }
 
+    /// A reply addressed to a mailbox no shard drains: nothing installs a
+    /// waker, so `kick` is a no-op and the test reads the completion
+    /// itself.
+    fn reply_to(mailbox: &Arc<ShardMailbox>) -> Reply {
+        Reply { mailbox: Arc::clone(mailbox), slot: 0, gen: 0, corr: None }
+    }
+
     fn roundtrip(engine: &Engine, op: Op) -> Response {
-        let (tx, rx) = mpsc::channel();
+        let mailbox = ShardMailbox::new();
         engine
             .submit(Job {
                 request: Request { deadline_ms: 0, corr_id: None, trace_id: None, op },
-                reply: Reply::Channel(tx),
+                reply: reply_to(&mailbox),
                 accepted_at: Instant::now(),
                 deadline: None,
                 trace: None,
             })
             .expect("queue has room");
-        rx.recv().expect("worker replies")
+        mailbox.wait_response()
     }
 
     #[test]
@@ -571,7 +564,7 @@ mod tests {
     fn expired_deadline_is_rejected_without_executing() {
         let store = Arc::new(ArchivalStore::new(tornado_graph_1()));
         let engine = engine_over(Arc::clone(&store), 1, 8);
-        let (tx, rx) = mpsc::channel();
+        let mailbox = ShardMailbox::new();
         engine
             .submit(Job {
                 request: Request {
@@ -580,13 +573,13 @@ mod tests {
                     trace_id: None,
                     op: Op::Put { name: "late".into(), payload: vec![1; 64] },
                 },
-                reply: Reply::Channel(tx),
+                reply: reply_to(&mailbox),
                 accepted_at: Instant::now() - std::time::Duration::from_millis(50),
                 deadline: Some(Instant::now() - std::time::Duration::from_millis(10)),
                 trace: None,
             })
             .unwrap();
-        assert_eq!(rx.recv().unwrap(), Response::DeadlineExceeded);
+        assert_eq!(mailbox.wait_response(), Response::DeadlineExceeded);
         assert!(store.list().is_empty(), "expired request must not execute");
         engine.shutdown();
     }
@@ -653,12 +646,12 @@ mod tests {
             store.fail_device(device).unwrap();
         }
 
-        // Submit a traced GET exactly as the connection handler would:
-        // reserve the root span id up front, record the root after reply.
+        // Submit a traced GET exactly as a shard would: reserve the root
+        // span id up front, record the root after the reply.
         let trace_id = 0xABCDu64;
         let root_span = obs.tracer.next_span_id();
         let accepted_us = obs.tracer.now_us();
-        let (tx, rx) = mpsc::channel();
+        let mailbox = ShardMailbox::new();
         engine
             .submit(Job {
                 request: Request {
@@ -667,13 +660,13 @@ mod tests {
                     trace_id: Some(trace_id),
                     op: Op::Get { id },
                 },
-                reply: Reply::Channel(tx),
+                reply: reply_to(&mailbox),
                 accepted_at: Instant::now(),
                 deadline: None,
                 trace: Some(JobTrace { trace_id, root_span, accepted_us }),
             })
             .unwrap();
-        match rx.recv().unwrap() {
+        match mailbox.wait_response() {
             Response::GetOk { payload: got } => assert_eq!(got, payload),
             other => panic!("{other:?}"),
         }

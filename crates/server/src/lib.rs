@@ -17,13 +17,19 @@
 //!   per-request deadlines, and serving GETs through the store's guided
 //!   retrieval path (checksum failures and offline devices degrade into
 //!   erasures that the Tornado decoder reconstructs transparently);
-//! * [`server`] — the TCP accept loop, per-connection framing, and
+//! * [`reactor`] — the readiness poller (epoll on Linux, `poll(2)` on
+//!   other unix) under the acceptor, the shards and the mux load driver;
+//! * [`shard`] — the event-loop connection shards: incremental frame
+//!   reassembly, pipelined dispatch to the engine, batched writes;
+//! * [`server`] — the acceptor that hands connections to the shards, and
 //!   graceful shutdown that drains in-flight requests before exiting;
-//! * [`client`] — a small blocking client library for the protocol;
-//! * [`load`] — a closed-loop multi-connection load generator with a
-//!   seeded operation mix (weighted put/get/delete, zipfian object
-//!   popularity) and mid-run device-failure injection, verifying every
-//!   GET byte-for-byte;
+//! * [`client`] — the client library: a pipelined connection (submit /
+//!   recv by correlation id) and the blocking call built on it;
+//! * [`load`] — a multi-connection load generator (closed or open loop,
+//!   any pipeline depth) with a seeded operation mix (weighted
+//!   put/get/delete, zipfian object popularity) and mid-run
+//!   device-failure injection, verifying every GET byte-for-byte, plus
+//!   the one-thread multiplexed driver for connection-count sweeps;
 //! * [`obs`] — `tornado-obs` counters, latency histograms, JSON-lines
 //!   events, sampled request-scoped trace spans (exported as Chrome
 //!   trace-event JSON), and a time-series ring of periodic counter
@@ -39,6 +45,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+// The one serving path is built on a readiness poller (epoll / poll(2))
+// and no other platform has ever been built or tested.
+#[cfg(not(unix))]
+compile_error!("tornado-server serves connections through a unix readiness poller (epoll/poll)");
+
 pub mod client;
 pub mod config;
 pub mod engine;
@@ -48,10 +59,8 @@ pub mod load;
 pub mod obs;
 pub mod protocol;
 pub mod queue;
-#[cfg(unix)]
 pub mod reactor;
 pub mod server;
-#[cfg(unix)]
 pub mod shard;
 
 pub use client::{Client, PipelinedClient};

@@ -1,25 +1,25 @@
 //! Load generators for the archival block service.
 //!
 //! [`run_load`] opens `connections` client connections, each driven by its
-//! own worker thread: pick the next operation from the seeded weighted
-//! mix, run it, record the latency, repeat until the clock runs out.
-//! Object popularity is zipfian — earlier objects are hotter — so GETs
-//! concentrate on a warm set the way archival read traffic does. Three
-//! orthogonal knobs change the discipline:
+//! own worker thread over a [`PipelinedClient`]: pick the next operation
+//! from the seeded weighted mix, submit it, settle completions by
+//! correlation id in whatever order the server finishes them, record the
+//! latency, repeat until the clock runs out. Object popularity is zipfian
+//! — earlier objects are hotter — so GETs concentrate on a warm set the
+//! way archival read traffic does. Two knobs change the discipline:
 //!
-//! * `pipeline_depth` > 1 switches a worker from the serial
-//!   request/response [`Client`] to a [`PipelinedClient`] that keeps up
-//!   to that many requests in flight, matching completions by
-//!   correlation id in whatever order the server finishes them;
+//! * `pipeline_depth` is how many requests a worker keeps in flight on
+//!   its connection; at 1 each request waits for its response;
 //! * `rate_ops_per_sec` > 0 switches from closed-loop (issue as fast as
 //!   responses come back) to open-loop: arrivals follow a fixed schedule
 //!   and latency is measured from the *scheduled* time, so server
 //!   backlog shows up as queueing delay instead of quietly throttling
-//!   the arrival stream (the coordinated-omission correction);
-//! * [`mux::run_mux`] (unix) drives thousands of connections from one
-//!   thread over the readiness reactor — the connection-count scaling
-//!   harness, where thread-per-connection driving would perturb the
-//!   measurement more than the server under test.
+//!   the arrival stream (the coordinated-omission correction).
+//!
+//! [`mux::run_mux`] is a separate driver: thousands of connections from
+//! one thread over the readiness reactor — the connection-count scaling
+//! harness, where a driver thread per connection would perturb the
+//! measurement more than the server under test.
 //!
 //! Determinism: every random choice (op, object, payload size, payload
 //! bytes) derives from `LoadConfig::seed`, so two runs with the same seed
@@ -105,10 +105,9 @@ pub struct LoadConfig {
     /// op stream — and therefore the sampled trace-id set — an exact
     /// function of `seed`, independent of server worker count.
     pub op_limit: u64,
-    /// Requests each worker keeps in flight on its connection. 1 (or 0)
-    /// is the legacy serial discipline over [`Client`]; greater depths
-    /// switch to [`PipelinedClient`], matching completions by
-    /// correlation id — requires a v2-header server (PR 10+).
+    /// Requests each worker keeps in flight on its connection, matched
+    /// to their completions by correlation id. 1 (or 0) waits for each
+    /// response before issuing the next request.
     pub pipeline_depth: usize,
     /// Open-loop arrival rate, operations per second across the whole
     /// run (0 = closed loop). Each worker paces at `rate / connections`
@@ -393,13 +392,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
             .map(|worker| {
                 let cfg = cfg.clone();
                 let seq = Arc::clone(&seq);
-                s.spawn(move || {
-                    if cfg.pipeline_depth > 1 {
-                        worker_loop_pipelined(&cfg, worker as u64, stop_at, &seq)
-                    } else {
-                        worker_loop(&cfg, worker as u64, stop_at, &seq)
-                    }
-                })
+                s.spawn(move || worker_loop_pipelined(&cfg, worker as u64, stop_at, &seq))
             })
             .collect();
 
@@ -473,70 +466,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
     Ok(report)
 }
 
-fn worker_loop(cfg: &LoadConfig, worker: u64, stop_at: Instant, seq: &AtomicU64) -> WorkerTally {
-    let mut tally = WorkerTally::default();
-    let mut client = match Client::connect(&cfg.addr) {
-        Ok(c) => c,
-        Err(_) => {
-            tally.errors += 1;
-            return tally;
-        }
-    };
-    client.set_deadline_ms(cfg.deadline_ms);
-    // Golden-ratio stride keeps per-worker streams uncorrelated while the
-    // whole run stays a pure function of cfg.seed.
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
-    let mut table = ZipfTable::new(cfg.zipf_theta);
-
-    for _ in 0..cfg.prefill {
-        let tid = next_trace_id(cfg, &mut rng, &mut client);
-        do_put(cfg, &mut client, &mut rng, &mut table, seq, &mut tally, tid, None);
-    }
-
-    // Open-loop pacing: one worker owns a 1/connections slice of the
-    // aggregate rate, and each operation's latency clock starts at its
-    // *scheduled* arrival, not when the (possibly backlogged) worker got
-    // around to sending it.
-    let interval = per_worker_interval(cfg);
-    let open_start = Instant::now();
-    let mut issued: u64 = 0;
-
-    let measured_start = tally.ops;
-    while Instant::now() < stop_at
-        && (cfg.op_limit == 0 || tally.ops - measured_start < cfg.op_limit)
-    {
-        let sched = match interval {
-            Some(iv) => {
-                let due = open_start + Duration::from_secs_f64(issued as f64 * iv.as_secs_f64());
-                if due >= stop_at {
-                    break;
-                }
-                let now = Instant::now();
-                if due > now {
-                    thread::sleep(due - now);
-                }
-                Some(due)
-            }
-            None => None,
-        };
-        issued += 1;
-        // The trace id is drawn from the same seeded stream as the op
-        // choice, so the id sequence — and the sampled subset — is an
-        // exact function of (seed, worker index).
-        let tid = next_trace_id(cfg, &mut rng, &mut client);
-        let total = cfg.mix.put + cfg.mix.get + cfg.mix.delete;
-        let pick = if total == 0 { 0 } else { rng.gen_range(0..total) };
-        if pick < cfg.mix.put || table.len() == 0 {
-            do_put(cfg, &mut client, &mut rng, &mut table, seq, &mut tally, tid, sched);
-        } else if pick < cfg.mix.put + cfg.mix.get {
-            do_get(cfg, &mut client, &mut rng, &mut table, &mut tally, tid, sched);
-        } else {
-            do_delete(cfg, &mut client, &mut rng, &mut table, &mut tally, tid, sched);
-        }
-    }
-    tally
-}
-
 /// The per-worker arrival interval for open-loop runs (`None` = closed
 /// loop).
 fn per_worker_interval(cfg: &LoadConfig) -> Option<Duration> {
@@ -546,132 +475,6 @@ fn per_worker_interval(cfg: &LoadConfig) -> Option<Duration> {
         ))
     } else {
         None
-    }
-}
-
-/// Draws the next logical operation's trace id and stamps it on the
-/// client (retries inside the op keep the same id, so their spans land
-/// in one trace). `None` — and an untraced wire header — when trace
-/// propagation is off.
-fn next_trace_id(cfg: &LoadConfig, rng: &mut SmallRng, client: &mut Client) -> Option<u64> {
-    if cfg.trace_sample == 0 {
-        return None;
-    }
-    let tid = rng.next_u64();
-    client.set_trace_id(Some(tid));
-    Some(tid)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn do_put(
-    cfg: &LoadConfig,
-    client: &mut Client,
-    rng: &mut SmallRng,
-    table: &mut ZipfTable,
-    seq: &AtomicU64,
-    tally: &mut WorkerTally,
-    trace_id: Option<u64>,
-    sched: Option<Instant>,
-) {
-    let len = if cfg.payload_max > cfg.payload_min {
-        rng.gen_range(cfg.payload_min..=cfg.payload_max)
-    } else {
-        cfg.payload_min.max(1)
-    };
-    let obj_seed = rng.next_u64();
-    let payload = payload_for(obj_seed, len.max(1));
-    // The atomic sequence makes names globally unique across workers;
-    // payload bytes stay a pure function of obj_seed.
-    let name = format!("load-{}", seq.fetch_add(1, Ordering::Relaxed));
-    loop {
-        // Open loop: the clock starts at the scheduled arrival and keeps
-        // running across busy retries — backlog is the user's latency.
-        let t = sched.unwrap_or_else(Instant::now);
-        match client.put(&name, &payload) {
-            Ok(id) => {
-                tally.complete(cfg, trace_id, "put", t.elapsed().as_micros() as u64);
-                table.push(ObjEntry { id, seed: obj_seed, len: len.max(1) });
-                return;
-            }
-            Err(ClientError::Busy) => {
-                tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                tally.errors += 1;
-                return;
-            }
-        }
-    }
-}
-
-fn do_get(
-    cfg: &LoadConfig,
-    client: &mut Client,
-    rng: &mut SmallRng,
-    table: &mut ZipfTable,
-    tally: &mut WorkerTally,
-    trace_id: Option<u64>,
-    sched: Option<Instant>,
-) {
-    let i = table.sample(rng);
-    let (id, seed, len) = {
-        let e = &table.entries[i];
-        (e.id, e.seed, e.len)
-    };
-    loop {
-        let t = sched.unwrap_or_else(Instant::now);
-        match client.get(id) {
-            Ok(payload) => {
-                tally.complete(cfg, trace_id, "get", t.elapsed().as_micros() as u64);
-                if payload != payload_for(seed, len) {
-                    tally.payload_mismatches += 1;
-                }
-                return;
-            }
-            Err(ClientError::Busy) => {
-                tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(ClientError::Unrecoverable { .. }) => {
-                tally.unrecoverable += 1;
-                return;
-            }
-            Err(_) => {
-                tally.errors += 1;
-                return;
-            }
-        }
-    }
-}
-
-fn do_delete(
-    cfg: &LoadConfig,
-    client: &mut Client,
-    rng: &mut SmallRng,
-    table: &mut ZipfTable,
-    tally: &mut WorkerTally,
-    trace_id: Option<u64>,
-    sched: Option<Instant>,
-) {
-    let i = table.sample(rng);
-    let e = table.remove(i);
-    loop {
-        let t = sched.unwrap_or_else(Instant::now);
-        match client.delete(e.id) {
-            Ok(()) => {
-                tally.complete(cfg, trace_id, "delete", t.elapsed().as_micros() as u64);
-                return;
-            }
-            Err(ClientError::Busy) => {
-                tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                tally.errors += 1;
-                return;
-            }
-        }
     }
 }
 
@@ -689,8 +492,9 @@ enum PendingKind {
 struct PendingOp {
     kind: PendingKind,
     trace_id: Option<u64>,
-    /// Latency origin: the scheduled arrival (open loop) or the submit
-    /// instant (closed loop). Survives busy-resubmits unchanged.
+    /// Latency origin: the scheduled arrival (open loop) or the instant
+    /// the frame was first handed to the socket (closed loop). Survives
+    /// busy-resubmits unchanged — backlog is the user's latency.
     sched: Instant,
 }
 
@@ -712,20 +516,27 @@ struct PipelinedWorker<'a> {
 }
 
 impl PipelinedWorker<'_> {
+    /// Draws a fresh object to PUT: length, then payload seed. The atomic
+    /// sequence makes names globally unique across workers; payload bytes
+    /// stay a pure function of `obj_seed`.
+    fn new_put(&mut self) -> PendingKind {
+        let len = if self.cfg.payload_max > self.cfg.payload_min {
+            self.rng.gen_range(self.cfg.payload_min..=self.cfg.payload_max)
+        } else {
+            self.cfg.payload_min.max(1)
+        };
+        let obj_seed = self.rng.next_u64();
+        let name = format!("load-{}", self.seq.fetch_add(1, Ordering::Relaxed));
+        PendingKind::Put { name, obj_seed, len: len.max(1) }
+    }
+
     /// Draws the next op from the weighted mix. DELETE of an object with
     /// reads still in flight degrades to a GET of that object.
     fn pick_kind(&mut self) -> PendingKind {
         let total = self.cfg.mix.put + self.cfg.mix.get + self.cfg.mix.delete;
         let pick = if total == 0 { 0 } else { self.rng.gen_range(0..total) };
         if pick < self.cfg.mix.put || self.table.len() == 0 {
-            let len = if self.cfg.payload_max > self.cfg.payload_min {
-                self.rng.gen_range(self.cfg.payload_min..=self.cfg.payload_max)
-            } else {
-                self.cfg.payload_min.max(1)
-            };
-            let obj_seed = self.rng.next_u64();
-            let name = format!("load-{}", self.seq.fetch_add(1, Ordering::Relaxed));
-            return PendingKind::Put { name, obj_seed, len: len.max(1) };
+            return self.new_put();
         }
         let i = self.table.sample(&mut self.rng);
         if pick < self.cfg.mix.put + self.cfg.mix.get
@@ -740,9 +551,17 @@ impl PipelinedWorker<'_> {
         }
     }
 
-    /// Submits `kind`, registering it in the pending window. Returns
-    /// `false` when the connection is unusable.
-    fn submit_kind(&mut self, kind: PendingKind, trace_id: Option<u64>, sched: Instant) -> bool {
+    /// Submits `kind`, registering it in the pending window. `sched` is
+    /// the latency origin; `None` (a closed-loop first attempt) starts the
+    /// clock as the frame is handed to the socket, so generating a PUT
+    /// payload is not billed to the server. Returns `false` when the
+    /// connection is unusable.
+    fn submit_kind(
+        &mut self,
+        kind: PendingKind,
+        trace_id: Option<u64>,
+        sched: Option<Instant>,
+    ) -> bool {
         let op = match &kind {
             PendingKind::Put { name, obj_seed, len } => {
                 Op::Put { name: name.clone(), payload: payload_for(*obj_seed, *len) }
@@ -751,6 +570,7 @@ impl PipelinedWorker<'_> {
             PendingKind::Delete { obj_id } => Op::Delete { id: *obj_id },
         };
         self.client.set_trace_id(trace_id);
+        let sched = sched.unwrap_or_else(Instant::now);
         match self.client.submit(op) {
             Ok(corr) => {
                 if let PendingKind::Get { obj_id, .. } = &kind {
@@ -805,12 +625,12 @@ impl PipelinedWorker<'_> {
                 self.tally.complete(self.cfg, p.trace_id, "delete", latency_us);
             }
             (Response::Busy, kind) => {
-                // Same backoff as the serial path, then the identical op
-                // goes back out under a fresh correlation id with its
-                // original latency clock still running.
+                // Back off, then the identical op goes back out under a
+                // fresh correlation id with its original latency clock
+                // still running.
                 self.tally.busy_retries += 1;
                 thread::sleep(Duration::from_millis(1));
-                return self.submit_kind(kind, p.trace_id, p.sched);
+                return self.submit_kind(kind, p.trace_id, Some(p.sched));
             }
             (Response::Unrecoverable { .. }, PendingKind::Get { .. }) => {
                 self.tally.unrecoverable += 1;
@@ -823,9 +643,12 @@ impl PipelinedWorker<'_> {
     }
 }
 
-/// The pipelined worker body: up to `pipeline_depth` requests in flight
-/// on one connection, completions settled in whatever order the shards
-/// finish them.
+/// The worker body: up to `pipeline_depth` requests in flight on one
+/// connection, completions settled in whatever order the shards finish
+/// them. The trace id is drawn from the same seeded stream as the op
+/// choice (trace id → mix pick → length → object seed / zipf sample), so
+/// the id sequence — and the sampled subset — is an exact function of
+/// (seed, worker index).
 fn worker_loop_pipelined(
     cfg: &LoadConfig,
     worker: u64,
@@ -841,6 +664,8 @@ fn worker_loop_pipelined(
         }
     };
     client.set_deadline_ms(cfg.deadline_ms);
+    // Golden-ratio stride keeps per-worker streams uncorrelated while the
+    // whole run stays a pure function of cfg.seed.
     let rng =
         SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
     let mut w = PipelinedWorker {
@@ -858,15 +683,8 @@ fn worker_loop_pipelined(
     // window opens.
     for _ in 0..cfg.prefill {
         let tid = (cfg.trace_sample > 0).then(|| w.rng.next_u64());
-        let len = if cfg.payload_max > cfg.payload_min {
-            w.rng.gen_range(cfg.payload_min..=cfg.payload_max)
-        } else {
-            cfg.payload_min.max(1)
-        };
-        let obj_seed = w.rng.next_u64();
-        let name = format!("load-{}", seq.fetch_add(1, Ordering::Relaxed));
-        let kind = PendingKind::Put { name, obj_seed, len: len.max(1) };
-        if !w.submit_kind(kind, tid, Instant::now()) {
+        let kind = w.new_put();
+        if !w.submit_kind(kind, tid, None) {
             return w.tally;
         }
         while !w.pending.is_empty() {
@@ -877,6 +695,10 @@ fn worker_loop_pipelined(
     }
 
     let depth = cfg.pipeline_depth.max(1);
+    // Open-loop pacing: one worker owns a 1/connections slice of the
+    // aggregate rate, and each operation's latency clock starts at its
+    // *scheduled* arrival, not when the (possibly backlogged) worker got
+    // around to sending it.
     let interval = per_worker_interval(cfg);
     let open_start = Instant::now();
     let mut issued: u64 = 0;
@@ -901,9 +723,9 @@ fn worker_loop_pipelined(
                         thread::sleep((due - now).min(Duration::from_millis(5)));
                         continue;
                     }
-                    due
+                    Some(due)
                 }
-                None => now,
+                None => None,
             };
             issued += 1;
             let tid = (cfg.trace_sample > 0).then(|| w.rng.next_u64());
@@ -937,14 +759,13 @@ fn worker_loop_pipelined(
 /// The connection-count scaling bench needs 10,000+ concurrent
 /// connections against a server sharing the same machine. Driving those
 /// with one thread each would measure the *driver's* scheduler, not the
-/// server; instead [`run_mux`] multiplexes every connection over the
+/// server; instead [`mux::run_mux`] multiplexes every connection over the
 /// same readiness reactor the server itself uses — nonblocking sockets,
 /// per-connection frame reassembly, correlation-id matching — and paces
 /// arrivals on a fixed open-loop schedule. Latency is measured from each
 /// operation's *scheduled* arrival, so a server that falls behind at
 /// high connection counts shows the backlog in p99 rather than silently
 /// slowing the offered load.
-#[cfg(unix)]
 pub mod mux {
     use super::payload_for;
     use crate::client::Client;
@@ -1079,7 +900,7 @@ pub mod mux {
     /// Fails fast if the server is unreachable or prefill fails; errors
     /// on individual connections during the run are counted, not fatal.
     pub fn run_mux(cfg: &MuxConfig) -> Result<MuxReport, ClientError> {
-        // Prefill over an ordinary serial connection.
+        // Prefill over an ordinary blocking connection.
         let mut admin = Client::connect(&cfg.addr)?;
         admin.ping()?;
         let mut objects = Vec::with_capacity(cfg.prefill.max(1));
@@ -1419,27 +1240,24 @@ mod tests {
     /// (test scale only) that answers each request immediately, echoing
     /// correlation ids. PUTs get `PutOk`, GETs a fixed fake payload.
     fn spawn_stub_server() -> std::net::SocketAddr {
-        use crate::protocol::{read_frame, write_frame, FrameRead, Request};
+        use crate::protocol::{read_frame, write_frame, Request};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
         let addr = listener.local_addr().expect("stub addr");
         thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut s) = stream else { break };
-                thread::spawn(move || loop {
-                    match read_frame(&mut s) {
-                        Ok(FrameRead::Frame(body)) => {
-                            let Ok(req) = Request::decode(&body) else { return };
-                            let resp = match req.op {
-                                Op::Put { .. } => Response::PutOk { id: 7 },
-                                Op::Get { .. } => Response::GetOk { payload: vec![1, 2, 3] },
-                                Op::Metrics => Response::MetricsOk { json: "{}".into() },
-                                _ => Response::Ok,
-                            };
-                            if write_frame(&mut s, &resp.encode_corr(req.corr_id)).is_err() {
-                                return;
-                            }
+                thread::spawn(move || {
+                    while let Ok(Some(body)) = read_frame(&mut s) {
+                        let Ok(req) = Request::decode(&body) else { return };
+                        let resp = match req.op {
+                            Op::Put { .. } => Response::PutOk { id: 7 },
+                            Op::Get { .. } => Response::GetOk { payload: vec![1, 2, 3] },
+                            Op::Metrics => Response::MetricsOk { json: "{}".into() },
+                            _ => Response::Ok,
+                        };
+                        if write_frame(&mut s, &resp.encode_corr(req.corr_id)).is_err() {
+                            return;
                         }
-                        _ => return,
                     }
                 });
             }
@@ -1458,29 +1276,30 @@ mod tests {
     #[test]
     fn pipelined_worker_completes_its_op_limit_exactly() {
         let addr = spawn_stub_server();
-        let cfg = LoadConfig {
-            addr: addr.to_string(),
-            connections: 1,
-            duration_ms: 10_000,
-            pipeline_depth: 8,
-            // PUT-only mix: the stub fakes GET payloads, which would
-            // (correctly) trip byte-for-byte verification.
-            mix: OpMix { put: 100, get: 0, delete: 0 },
-            payload_min: 32,
-            payload_max: 64,
-            prefill: 8,
-            op_limit: 40,
-            trace_sample: 0,
-            ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).expect("load run");
-        assert_eq!(report.ops, 48, "8 prefill + 40 measured: {report:?}");
-        assert_eq!(report.puts, 48);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.payload_mismatches, 0);
+        for pipeline_depth in [1, 8] {
+            let cfg = LoadConfig {
+                addr: addr.to_string(),
+                connections: 1,
+                duration_ms: 10_000,
+                pipeline_depth,
+                // PUT-only mix: the stub fakes GET payloads, which would
+                // (correctly) trip byte-for-byte verification.
+                mix: OpMix { put: 100, get: 0, delete: 0 },
+                payload_min: 32,
+                payload_max: 64,
+                prefill: 8,
+                op_limit: 40,
+                trace_sample: 0,
+                ..LoadConfig::default()
+            };
+            let report = run_load(&cfg).expect("load run");
+            assert_eq!(report.ops, 48, "depth {pipeline_depth}, 8 prefill + 40 measured: {report:?}");
+            assert_eq!(report.puts, 48);
+            assert_eq!(report.errors, 0);
+            assert_eq!(report.payload_mismatches, 0);
+        }
     }
 
-    #[cfg(unix)]
     #[test]
     fn mux_driver_sustains_open_loop_over_many_connections() {
         let addr = spawn_stub_server();

@@ -128,10 +128,9 @@ pub struct ServerObserver {
     /// [`crate::config::HealthConfig::enabled`] is set. Engine workers
     /// answer HEALTH from it; the sampler thread drives its SLO clock.
     pub health: OnceLock<Arc<HealthModel>>,
-    /// Per-shard event-loop statistics, installed by `serve` when the
-    /// event-loop path is active. Empty (never installed) under the
-    /// thread-per-connection path; `server.loop.*` metrics still emit as
-    /// zeros so dashboards never miss the keys.
+    /// Per-shard event-loop statistics, installed by `serve`. An observer
+    /// no server has been started on still emits the `server.loop.*`
+    /// metrics, as zeros, so dashboards never miss the keys.
     pub loop_shards: OnceLock<Vec<Arc<LoopStats>>>,
 }
 
@@ -294,7 +293,7 @@ impl ServerObserver {
                     "health.recomputes".into(),
                     self.health.get().map_or(0, |m| m.recomputes.get()),
                 ),
-                // Event-loop activity (zeros under thread-per-connection).
+                // Event-loop activity.
                 // connections/inflight are point-in-time gauges, not
                 // cumulative counters — `watch` shows them raw, not as
                 // rates.
@@ -352,8 +351,8 @@ impl ServerObserver {
             )
             .counter_value("pool.hit", tornado_codec::pool::metrics().hits.get())
             .counter_value("pool.miss", tornado_codec::pool::metrics().misses.get())
-            // Event-loop serving metrics: always present (zeros under the
-            // thread-per-connection path) so dashboards never miss keys.
+            // Event-loop serving metrics: always present (zeros before
+            // `serve` installs the shards) so dashboards never miss keys.
             .counter_value("server.loop.wakeups", self.loop_sum(|s| s.wakeups.get()))
             .counter_value("server.loop.events", self.loop_sum(|s| s.events.get()))
             .counter_value(

@@ -73,6 +73,11 @@ use std::io::{self, Read, Write};
 /// allocation (a corrupt or hostile peer cannot balloon memory).
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// Longest PUT object name, bytes. Checked by the client before anything
+/// is written and by the server's decoder; it also keeps the `u16` name
+/// length on the wire from wrapping.
+pub const MAX_NAME: usize = 4096;
+
 /// Header flag bit: an 8-byte trace id follows the (optional) corr id.
 pub const TRACE_FLAG: u8 = 0x80;
 
@@ -346,6 +351,10 @@ impl<'a> Cursor<'a> {
             .map_err(|_| WireError(format!("{what} is not UTF-8")))
     }
 
+    fn rest_string(&mut self, what: &str) -> Result<String, WireError> {
+        self.string(self.buf.len() - self.pos, what)
+    }
+
     fn finish(&self, what: &str) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -422,8 +431,8 @@ impl Request {
         let op = match opcode {
             1 => {
                 let name_len = c.u16("name length")? as usize;
-                if name_len > 4096 {
-                    return Err(WireError(format!("name length {name_len} exceeds 4096")));
+                if name_len > MAX_NAME {
+                    return Err(WireError(format!("name length {name_len} exceeds {MAX_NAME}")));
                 }
                 let name = c.string(name_len, "name")?;
                 let payload = c.rest().to_vec();
@@ -452,21 +461,47 @@ impl Request {
 }
 
 impl Response {
-    /// Serializes the response body (no frame prefix).
+    /// Serializes the response body (no frame prefix) for an uncorrelated
+    /// request — the pre-pipelining wire, byte for byte.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16);
+        self.encode_corr(None)
+    }
+
+    /// Serializes the response body, echoing `corr_id` when the request
+    /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
+    /// u32 id follows it, then the status fields. Everything is written
+    /// once, into a buffer sized from the payload.
+    pub fn encode_corr(&self, corr_id: Option<u32>) -> Vec<u8> {
+        let variable = match self {
+            Response::GetOk { payload } => payload.len(),
+            Response::StatOk { meta } => meta.name.len(),
+            Response::MetricsOk { json }
+            | Response::TraceOk { json }
+            | Response::HealthOk { json } => json.len(),
+            Response::BadRequest { message } | Response::ServerError { message } => message.len(),
+            _ => 0,
+        };
+        // Status, corr id and the widest fixed fields (STAT: 30 bytes).
+        let mut buf = Vec::with_capacity(1 + 4 + 30 + variable);
+        let head = |buf: &mut Vec<u8>, status: u8| match corr_id {
+            None => buf.push(status),
+            Some(corr) => {
+                buf.push(status | RESP_CORR_FLAG);
+                put_u32(buf, corr);
+            }
+        };
         match self {
-            Response::Ok => buf.push(0),
+            Response::Ok => head(&mut buf, 0),
             Response::PutOk { id } => {
-                buf.push(1);
+                head(&mut buf, 1);
                 put_u64(&mut buf, *id);
             }
             Response::GetOk { payload } => {
-                buf.push(2);
+                head(&mut buf, 2);
                 buf.extend_from_slice(payload);
             }
             Response::StatOk { meta } => {
-                buf.push(3);
+                head(&mut buf, 3);
                 put_u64(&mut buf, meta.id);
                 put_u64(&mut buf, meta.size);
                 put_u64(&mut buf, meta.block_len);
@@ -475,45 +510,65 @@ impl Response {
                 buf.extend_from_slice(meta.name.as_bytes());
             }
             Response::MetricsOk { json } => {
-                buf.push(4);
+                head(&mut buf, 4);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::TraceOk { json } => {
-                buf.push(5);
+                head(&mut buf, 5);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::HealthOk { json } => {
-                buf.push(6);
+                head(&mut buf, 6);
                 buf.extend_from_slice(json.as_bytes());
             }
-            Response::Busy => buf.push(16),
+            Response::Busy => head(&mut buf, 16),
             Response::NotFound { id } => {
-                buf.push(17);
+                head(&mut buf, 17);
                 put_u64(&mut buf, *id);
             }
             Response::Unrecoverable { id, lost_blocks } => {
-                buf.push(18);
+                head(&mut buf, 18);
                 put_u64(&mut buf, *id);
                 put_u32(&mut buf, *lost_blocks);
             }
             Response::BadRequest { message } => {
-                buf.push(19);
+                head(&mut buf, 19);
                 buf.extend_from_slice(message.as_bytes());
             }
-            Response::DeadlineExceeded => buf.push(20),
-            Response::ShuttingDown => buf.push(21),
+            Response::DeadlineExceeded => head(&mut buf, 20),
+            Response::ShuttingDown => head(&mut buf, 21),
             Response::ServerError { message } => {
-                buf.push(22);
+                head(&mut buf, 22);
                 buf.extend_from_slice(message.as_bytes());
             }
         }
         buf
     }
 
-    /// Parses a response body.
+    /// Parses an uncorrelated response body. A status carrying
+    /// [`RESP_CORR_FLAG`] is rejected as unknown, never misread.
     pub fn decode(body: &[u8]) -> Result<Response, WireError> {
         let mut c = Cursor::new(body);
         let status = c.u8("status")?;
+        Self::decode_fields(status, &mut c)
+    }
+
+    /// Parses a response body that may carry an echoed correlation id
+    /// (`None` for an unflagged body, which decodes exactly as
+    /// [`Response::decode`] would).
+    pub fn decode_corr(body: &[u8]) -> Result<(Option<u32>, Response), WireError> {
+        let mut c = Cursor::new(body);
+        let tagged = c.u8("status")?;
+        let corr = if tagged & RESP_CORR_FLAG != 0 {
+            Some(c.u32("corr id")?)
+        } else {
+            None
+        };
+        Ok((corr, Self::decode_fields(tagged & !RESP_CORR_FLAG, &mut c)?))
+    }
+
+    /// The fields that follow the status byte (and the corr id, if any).
+    fn decode_fields(status: u8, c: &mut Cursor<'_>) -> Result<Response, WireError> {
         let resp = match status {
             0 => Response::Ok,
             1 => Response::PutOk { id: c.u64("id")? },
@@ -529,27 +584,9 @@ impl Response {
                     meta: StatMeta { id, name, size, block_len, rotation },
                 }
             }
-            4 => {
-                let rest = c.rest();
-                Response::MetricsOk {
-                    json: String::from_utf8(rest.to_vec())
-                        .map_err(|_| WireError("metrics JSON is not UTF-8".into()))?,
-                }
-            }
-            5 => {
-                let rest = c.rest();
-                Response::TraceOk {
-                    json: String::from_utf8(rest.to_vec())
-                        .map_err(|_| WireError("trace JSON is not UTF-8".into()))?,
-                }
-            }
-            6 => {
-                let rest = c.rest();
-                Response::HealthOk {
-                    json: String::from_utf8(rest.to_vec())
-                        .map_err(|_| WireError("health JSON is not UTF-8".into()))?,
-                }
-            }
+            4 => Response::MetricsOk { json: c.rest_string("metrics JSON")? },
+            5 => Response::TraceOk { json: c.rest_string("trace JSON")? },
+            6 => Response::HealthOk { json: c.rest_string("health JSON")? },
             16 => Response::Busy,
             17 => Response::NotFound { id: c.u64("id")? },
             18 => Response::Unrecoverable {
@@ -568,44 +605,6 @@ impl Response {
         };
         c.finish(resp.kind())?;
         Ok(resp)
-    }
-
-    /// Serializes the response body, echoing `corr_id` when the request
-    /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
-    /// u32 id follows it. With `corr_id: None` this is byte-identical to
-    /// [`Response::encode`], so uncorrelated clients see the old wire.
-    pub fn encode_corr(&self, corr_id: Option<u32>) -> Vec<u8> {
-        let body = self.encode();
-        match corr_id {
-            None => body,
-            Some(corr) => {
-                let mut out = Vec::with_capacity(body.len() + 5);
-                out.push(body[0] | RESP_CORR_FLAG);
-                out.extend_from_slice(&corr.to_le_bytes());
-                out.extend_from_slice(&body[1..]);
-                out
-            }
-        }
-    }
-
-    /// Parses a response body that may carry an echoed correlation id.
-    /// Unflagged bodies decode exactly as [`Response::decode`] with
-    /// `None` for the id.
-    pub fn decode_corr(body: &[u8]) -> Result<(Option<u32>, Response), WireError> {
-        let first = *body
-            .first()
-            .ok_or_else(|| WireError("truncated status".into()))?;
-        if first & RESP_CORR_FLAG == 0 {
-            return Ok((None, Response::decode(body)?));
-        }
-        if body.len() < 5 {
-            return Err(WireError("truncated corr id".into()));
-        }
-        let corr = u32::from_le_bytes(body[1..5].try_into().unwrap());
-        let mut unflagged = Vec::with_capacity(body.len() - 4);
-        unflagged.push(first & !RESP_CORR_FLAG);
-        unflagged.extend_from_slice(&body[5..]);
-        Ok((Some(corr), Response::decode(&unflagged)?))
     }
 }
 
@@ -704,65 +703,25 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Result of one polling frame read.
-#[derive(Debug)]
-pub enum FrameRead {
-    /// A complete frame body.
-    Frame(Vec<u8>),
-    /// The peer closed the connection cleanly (EOF at a frame boundary).
-    Eof,
-    /// The read timed out before the first byte of a frame arrived (only
-    /// possible when the stream has a read timeout configured).
-    TimedOut,
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-/// Fills `buf` completely, retrying timeouts once at least one byte of the
-/// frame has been consumed (a started frame is always finished, preserving
-/// framing). `started` reports whether any byte had already been read.
-fn read_full(r: &mut impl Read, buf: &mut [u8], mut started: bool) -> io::Result<Option<bool>> {
+/// Reads one frame from a blocking stream. `None` is a clean EOF at a
+/// frame boundary; EOF once a frame has started is an error, and an
+/// oversized length prefix is rejected without allocating.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut len_buf = [0u8; 4];
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while filled < len_buf.len() {
+        match r.read(&mut len_buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
-                if started || filled > 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    ));
-                }
-                return Ok(None); // clean EOF at frame boundary
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                ))
             }
-            Ok(n) => {
-                filled += n;
-                started = true;
-            }
-            Err(e) if is_timeout(&e) => {
-                if !started && filled == 0 {
-                    return Ok(Some(false)); // timed out before the frame began
-                }
-                // Mid-frame timeout: keep waiting for the rest.
-            }
+            Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    }
-    Ok(Some(true))
-}
-
-/// Reads one frame, honouring the stream's read timeout at frame
-/// boundaries only: a timeout before the first byte yields
-/// [`FrameRead::TimedOut`]; once a frame has started it is read to
-/// completion. Oversized length prefixes are rejected without allocating.
-pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
-    let mut len_buf = [0u8; 4];
-    match read_full(r, &mut len_buf, false)? {
-        None => return Ok(FrameRead::Eof),
-        Some(false) => return Ok(FrameRead::TimedOut),
-        Some(true) => {}
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME {
@@ -772,10 +731,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
         ));
     }
     let mut body = vec![0u8; len];
-    match read_full(r, &mut body, true)? {
-        Some(_) => Ok(FrameRead::Frame(body)),
-        None => unreachable!("read_full reports EOF mid-frame as an error"),
-    }
+    // `read_exact` retries `Interrupted` and reports EOF as `UnexpectedEof`.
+    r.read_exact(&mut body)?;
+    Ok(Some(body))
 }
 
 #[cfg(test)]
@@ -959,19 +917,10 @@ mod tests {
         write_frame(&mut wire, b"").unwrap();
         write_frame(&mut wire, &[7u8; 300]).unwrap();
         let mut r = std::io::Cursor::new(wire);
-        match read_frame(&mut r).unwrap() {
-            FrameRead::Frame(b) => assert_eq!(b, b"alpha"),
-            other => panic!("{other:?}"),
-        }
-        match read_frame(&mut r).unwrap() {
-            FrameRead::Frame(b) => assert!(b.is_empty()),
-            other => panic!("{other:?}"),
-        }
-        match read_frame(&mut r).unwrap() {
-            FrameRead::Frame(b) => assert_eq!(b.len(), 300),
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(read_frame(&mut r).unwrap(), FrameRead::Eof));
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"alpha");
+        assert!(read_frame(&mut r).unwrap().unwrap().is_empty());
+        assert_eq!(read_frame(&mut r).unwrap().unwrap().len(), 300);
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF at a frame boundary");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Readiness reactor: a hand-rolled epoll wrapper over `std::os::fd`.
 //!
-//! The event-loop serving path multiplexes thousands of mostly-idle
-//! archival connections on a handful of shard threads; this module is the
+//! The server multiplexes thousands of mostly-idle archival connections
+//! on a handful of shard threads; this module is the
 //! only place the crate touches the OS readiness API, and the only place
 //! `unsafe` is allowed (raw syscall FFI — the symbols resolve from the C
 //! runtime every Rust binary already links, honouring the workspace's
@@ -324,7 +324,7 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
     //! Portable Unix backend: `poll(2)` over explicit registration
     //! book-keeping. O(n) per wait — the fallback favours portability.

@@ -1,42 +1,31 @@
 //! The TCP archival block service.
 //!
-//! [`serve`] binds a listener and returns a [`ServerHandle`]; the accept
-//! loop, the connection-serving layer, and the engine's worker pool all
-//! run in the background. Two serving paths share the same engine,
-//! protocol, and observability:
-//!
-//! * **Event loop** (the default on unix): a single acceptor distributes
-//!   connections round-robin to [`crate::shard`] event-loop shards —
-//!   nonblocking readiness polling, incremental frame reassembly,
-//!   pipelined dispatch, batched writes.
-//! * **Thread per connection** (`event_loop: false`, and always on
-//!   non-unix targets): one blocking handler thread per connection.
+//! [`serve`] binds a listener and returns a [`ServerHandle`]; the
+//! acceptor, the connection shards and the engine's worker pool all run in
+//! the background. One acceptor thread waits on the listener and hands
+//! each new connection, round-robin, to a [`crate::shard`] event loop —
+//! nonblocking readiness polling, incremental frame reassembly, pipelined
+//! dispatch, batched writes.
 //!
 //! Every stage polls a shared shutdown flag at its natural boundary — the
-//! accept loop between accepts, handlers/shards between frames, workers
-//! between jobs — so a SHUTDOWN op (or [`ServerHandle::shutdown`]) drains
-//! cleanly: in-flight requests finish, new frames are answered
-//! SHUTTING_DOWN, queued jobs execute, and [`ServerHandle::join`] returns
-//! only after every thread has exited.
+//! acceptor between accepts, shards between wakeups, workers between jobs
+//! — so a SHUTDOWN op (or [`ServerHandle::shutdown`]) drains cleanly:
+//! in-flight requests finish, new frames are answered SHUTTING_DOWN,
+//! queued jobs execute, and [`ServerHandle::join`] returns only after
+//! every thread has exited.
 
 use crate::config::ServerConfig;
-use crate::engine::{Engine, Job, JobTrace, Reply};
-use crate::obs::ServerObserver;
-use crate::protocol::{read_frame, write_frame, FrameRead, Op, Request, Response};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use crate::engine::Engine;
+use crate::obs::{LoopStats, ServerObserver};
+use crate::reactor::{Interest, Poller};
+use crate::shard::{run_shard, ShardContext, ShardMailbox};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use tornado_obs::trace::SpanRecord;
 use tornado_obs::Json;
 use tornado_store::ArchivalStore;
-
-/// Trace ids assigned to requests whose client sent none. A plain counter
-/// is enough: the sampling decision mixes the id, so sequential ids still
-/// sample uniformly.
-static SERVER_TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Control handle for a running server.
 pub struct ServerHandle {
@@ -44,10 +33,8 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     /// Shard mailboxes, kicked on shutdown so event loops react
-    /// immediately instead of waiting out their poll timeout. Empty under
-    /// the thread-per-connection path.
-    #[cfg(unix)]
-    mailboxes: Vec<Arc<crate::shard::ShardMailbox>>,
+    /// immediately instead of waiting out their poll timeout.
+    mailboxes: Vec<Arc<ShardMailbox>>,
 }
 
 impl ServerHandle {
@@ -59,7 +46,6 @@ impl ServerHandle {
     /// Starts a graceful shutdown without waiting for it to finish.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        #[cfg(unix)]
         for mb in &self.mailboxes {
             mb.kick();
         }
@@ -91,7 +77,9 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `config.addr` and serves `store` until shut down.
+/// Binds `config.addr` and serves `store` until shut down: spawns
+/// `config.shards` shard threads, the worker pool, and one acceptor that
+/// distributes connections round-robin by mailbox.
 pub fn serve(
     config: ServerConfig,
     store: Arc<ArchivalStore>,
@@ -100,6 +88,12 @@ pub fn serve(
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    // The acceptor waits for the listener to become readable instead of
+    // sleeping between polls, so a new connection is adopted at once; the
+    // wait's timeout only bounds how stale its view of the shutdown flag
+    // can get.
+    let accept_poller = Poller::new()?;
+    accept_poller.register(&listener, 0, Interest::READ)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
     // The store notifies the observer's device-health gauges directly on
@@ -112,75 +106,25 @@ pub fn serve(
             .health
             .set(Arc::new(crate::health::HealthModel::new(config.health.clone())));
     }
-    let engine = Engine::start(
+    let engine = Arc::new(Engine::start(
         Arc::clone(&store),
         Arc::clone(&obs),
         started,
         config.workers,
         config.queue_depth,
-    );
-    #[cfg(unix)]
-    let event_loop = config.event_loop;
-    #[cfg(not(unix))]
-    let event_loop = false;
+    ));
+    let nshards = config.shards.max(1);
     obs.events.emit(
         "server.start",
         &[
             ("addr", Json::Str(addr.to_string())),
             ("workers", Json::U64(config.workers as u64)),
             ("queue_depth", Json::U64(config.queue_depth as u64)),
-            (
-                "mode",
-                Json::Str(if event_loop { "event_loop".into() } else { "threads".into() }),
-            ),
-            ("shards", Json::U64(if event_loop { config.shards.max(1) as u64 } else { 0 })),
+            ("shards", Json::U64(nshards as u64)),
         ],
     );
 
-    #[cfg(unix)]
-    if event_loop {
-        return serve_event_loop(listener, addr, config, store, obs, shutdown, engine, started);
-    }
-
-    let accept_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        let obs = Arc::clone(&obs);
-        thread::Builder::new()
-            .name("tornado-accept".into())
-            .spawn(move || {
-                accept_loop(&listener, &config, engine, &shutdown, &obs, &store, started);
-            })?
-    };
-
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        accept_thread: Some(accept_thread),
-        #[cfg(unix)]
-        mailboxes: Vec::new(),
-    })
-}
-
-/// Spawns the event-loop serving path: `config.shards` shard threads plus
-/// one acceptor distributing connections round-robin by mailbox.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn serve_event_loop(
-    listener: TcpListener,
-    addr: SocketAddr,
-    config: ServerConfig,
-    store: Arc<ArchivalStore>,
-    obs: Arc<ServerObserver>,
-    shutdown: Arc<AtomicBool>,
-    engine: Engine,
-    started: Instant,
-) -> std::io::Result<ServerHandle> {
-    use crate::obs::LoopStats;
-    use crate::shard::{run_shard, ShardContext, ShardMailbox};
-
-    let engine = Arc::new(engine);
     let active = Arc::new(AtomicI64::new(0));
-    let nshards = config.shards.max(1);
     let mut mailboxes = Vec::with_capacity(nshards);
     let mut all_stats = Vec::with_capacity(nshards);
     let mut shard_threads = Vec::with_capacity(nshards);
@@ -216,6 +160,7 @@ fn serve_event_loop(
         thread::Builder::new().name("tornado-accept".into()).spawn(move || {
             let sampler = spawn_sampler(&config, &shutdown, &obs, &store, started);
             let poll = Duration::from_millis(config.poll_interval_ms.max(1));
+            let mut events = Vec::new();
             let mut next = 0usize;
             while !shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
@@ -225,8 +170,13 @@ fn serve_event_loop(
                         mailboxes[next].adopt(stream);
                         next = (next + 1) % mailboxes.len();
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(poll),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        let _ = accept_poller.wait(&mut events, Some(poll));
+                        events.clear();
+                    }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    // e.g. out of descriptors: the listener stays readable,
+                    // so back off rather than spin on the poller.
                     Err(_) => thread::sleep(poll),
                 }
             }
@@ -246,6 +196,7 @@ fn serve_event_loop(
                 .unwrap_or_else(|_| unreachable!("all shard dispatchers joined"))
                 .shutdown();
             obs.events.emit("server.stop", &[]);
+            // Shutdown is the one moment buffered file events must hit disk.
             obs.events.flush();
         })?
     };
@@ -253,9 +204,9 @@ fn serve_event_loop(
     Ok(ServerHandle { addr, shutdown, accept_thread: Some(accept_thread), mailboxes })
 }
 
-/// Spawns the periodic time-series sampler (shared by both serving
-/// paths): cumulative counters every interval, so METRICS consumers can
-/// compute windowed rates. Doubles as the durability observatory's clock.
+/// Spawns the periodic time-series sampler: cumulative counters every
+/// interval, so METRICS consumers can compute windowed rates. Doubles as
+/// the durability observatory's clock.
 fn spawn_sampler(
     config: &ServerConfig,
     shutdown: &Arc<AtomicBool>,
@@ -292,256 +243,4 @@ fn spawn_sampler(
             })
             .expect("spawn timeseries sampler")
     })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    config: &ServerConfig,
-    engine: Engine,
-    shutdown: &Arc<AtomicBool>,
-    obs: &Arc<ServerObserver>,
-    store: &Arc<ArchivalStore>,
-    started: Instant,
-) {
-    let engine = Arc::new(engine);
-    let active = Arc::new(AtomicI64::new(0));
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let poll = Duration::from_millis(config.poll_interval_ms.max(1));
-    // Joined at drain so it never outlives the observer's useful life.
-    let sampler = spawn_sampler(config, shutdown, obs, store, started);
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                obs.connections_opened.inc();
-                obs.connections_active.set(active.fetch_add(1, Ordering::SeqCst) + 1);
-                let engine = Arc::clone(&engine);
-                let shutdown = Arc::clone(shutdown);
-                let obs = Arc::clone(obs);
-                let active = Arc::clone(&active);
-                let default_deadline_ms = config.default_deadline_ms;
-                let slow_request_us = config.slow_request_us;
-                let handler = thread::Builder::new()
-                    .name(format!("tornado-conn-{peer}"))
-                    .spawn(move || {
-                        handle_connection(
-                            stream,
-                            &engine,
-                            &shutdown,
-                            &obs,
-                            default_deadline_ms,
-                            slow_request_us,
-                            poll,
-                        );
-                        obs.connections_active.set(active.fetch_sub(1, Ordering::SeqCst) - 1);
-                    })
-                    .expect("spawn connection handler");
-                handlers.push(handler);
-                // Opportunistically reap finished handlers so a
-                // long-running server does not accumulate join handles.
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(poll),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(poll),
-        }
-    }
-    // Drain: handlers finish their in-flight frames (they observe the
-    // flag at the next frame boundary), then the engine empties the queue.
-    for h in handlers {
-        let _ = h.join();
-    }
-    if let Some(s) = sampler {
-        let _ = s.join();
-    }
-    Arc::try_unwrap(engine)
-        .unwrap_or_else(|_| unreachable!("all handler clones joined"))
-        .shutdown();
-    obs.events.emit("server.stop", &[]);
-    // Shutdown is the one moment buffered file events must hit disk.
-    obs.events.flush();
-}
-
-fn handle_connection(
-    mut stream: TcpStream,
-    engine: &Engine,
-    shutdown: &AtomicBool,
-    obs: &ServerObserver,
-    default_deadline_ms: u32,
-    slow_request_us: u64,
-    poll: Duration,
-) {
-    if stream.set_read_timeout(Some(poll)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    loop {
-        let body = match read_frame(&mut stream) {
-            Ok(FrameRead::Frame(body)) => body,
-            Ok(FrameRead::TimedOut) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Ok(FrameRead::Eof) | Err(_) => return,
-        };
-        let req_start = Instant::now();
-        let request = match Request::decode(&body) {
-            Ok(r) => r,
-            Err(e) => {
-                obs.bad_requests.inc();
-                let keep = reply(&mut stream, &Response::BadRequest { message: e.to_string() });
-                if keep {
-                    continue;
-                }
-                return;
-            }
-        };
-        let decode_us = req_start.elapsed().as_micros() as u64;
-        // The serial discipline answers in order either way, but a
-        // correlated request gets its id echoed so pipelined clients can
-        // also talk to the legacy path.
-        let corr = request.corr_id;
-
-        if matches!(request.op, Op::Shutdown) {
-            shutdown.store(true, Ordering::SeqCst);
-            obs.admin.inc();
-            obs.events.emit("server.shutdown_requested", &[]);
-            let _ = reply_corr(&mut stream, corr, &Response::Ok);
-            return;
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            let _ = reply_corr(&mut stream, corr, &Response::ShuttingDown);
-            return;
-        }
-
-        // Trace context: the client's id if it sent one (so its spans and
-        // ours share a trace), a server-assigned id otherwise. Sampling is
-        // a pure function of the id — no per-request coin flip.
-        let trace_id = request
-            .trace_id
-            .unwrap_or_else(|| SERVER_TRACE_SEQ.fetch_add(1, Ordering::Relaxed));
-        // TRACE_EXPORT itself is never traced: it snapshots the ring
-        // mid-request, so its own half-built tree (children recorded,
-        // root still pending) would pollute every export with orphans.
-        let traceable = !matches!(request.op, Op::TraceExport);
-        let trace = (traceable && obs.tracer.is_enabled() && obs.tracer.sampled(trace_id)).then(|| {
-            let root_span = obs.tracer.next_span_id();
-            let now_us = obs.tracer.now_us();
-            let root_start_us = now_us.saturating_sub(decode_us);
-            obs.tracer.record(SpanRecord {
-                trace_id,
-                span_id: obs.tracer.next_span_id(),
-                parent_id: Some(root_span),
-                name: "frame.decode",
-                start_us: root_start_us,
-                dur_us: decode_us,
-                fields: vec![("frame_bytes", Json::U64(body.len() as u64))],
-            });
-            (root_span, root_start_us)
-        });
-
-        let op_kind = request.op.kind();
-        let accepted_at = Instant::now();
-        let deadline_ms = if request.deadline_ms > 0 { request.deadline_ms } else { default_deadline_ms };
-        let deadline =
-            (deadline_ms > 0).then(|| accepted_at + Duration::from_millis(deadline_ms as u64));
-        let (tx, rx) = mpsc::channel();
-        let job_trace = trace.map(|(root_span, _)| JobTrace {
-            trace_id,
-            root_span,
-            accepted_us: obs.tracer.now_us(),
-        });
-        let response = match engine.submit(Job {
-            request,
-            reply: Reply::Channel(tx),
-            accepted_at,
-            deadline,
-            trace: job_trace,
-        }) {
-            Ok(()) => match rx.recv() {
-                Ok(r) => r,
-                // Worker pool tore down mid-request (shutdown race).
-                Err(_) => Response::ShuttingDown,
-            },
-            Err(rejection) => rejection,
-        };
-        let keep = reply_corr(&mut stream, corr, &response);
-
-        // Root span last: every child is already recorded, so the root's
-        // window (decode start → reply written) encloses them all.
-        if let Some((root_span, root_start_us)) = trace {
-            obs.tracer.record(SpanRecord {
-                trace_id,
-                span_id: root_span,
-                parent_id: None,
-                name: "request",
-                start_us: root_start_us,
-                dur_us: obs.tracer.now_us().saturating_sub(root_start_us),
-                fields: vec![
-                    ("op", Json::Str(op_kind.into())),
-                    ("status", Json::Str(response.kind().into())),
-                ],
-            });
-        }
-        let total_us = req_start.elapsed().as_micros() as u64;
-        if slow_request_us > 0 && total_us >= slow_request_us && obs.events.is_enabled() {
-            emit_slow_request(obs, trace_id, op_kind, &response, total_us, trace.is_some());
-        }
-        if !keep {
-            return;
-        }
-    }
-}
-
-/// Emits a `server.slow_request` event; when the request was sampled the
-/// event carries its full span tree (name/span/parent/start/duration), so
-/// the slow path is diagnosable straight from the event stream. Shared by
-/// the threaded handler and the event-loop shards.
-pub(crate) fn emit_slow_request(
-    obs: &ServerObserver,
-    trace_id: u64,
-    op_kind: &str,
-    response: &Response,
-    total_us: u64,
-    sampled: bool,
-) {
-    let mut fields = vec![
-        ("trace_id", Json::Str(format!("{trace_id:#018x}"))),
-        ("op", Json::Str(op_kind.into())),
-        ("status", Json::Str(response.kind().into())),
-        ("total_us", Json::U64(total_us)),
-        ("sampled", Json::Bool(sampled)),
-    ];
-    if sampled {
-        let spans: Vec<Json> = obs
-            .tracer
-            .spans_for(trace_id)
-            .into_iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(s.name.into())),
-                    ("span".into(), Json::U64(s.span_id)),
-                    (
-                        "parent".into(),
-                        s.parent_id.map(Json::U64).unwrap_or(Json::Null),
-                    ),
-                    ("start_us".into(), Json::U64(s.start_us)),
-                    ("dur_us".into(), Json::U64(s.dur_us)),
-                ])
-            })
-            .collect();
-        fields.push(("spans", Json::Arr(spans)));
-    }
-    obs.events.emit("server.slow_request", &fields);
-}
-
-/// Writes one response frame; `false` means the connection is dead.
-fn reply(stream: &mut impl Write, response: &Response) -> bool {
-    write_frame(stream, &response.encode()).is_ok()
-}
-
-/// Like [`reply`], echoing the request's correlation id when it carried
-/// one (byte-identical to [`reply`] when it did not).
-fn reply_corr(stream: &mut impl Write, corr: Option<u32>, response: &Response) -> bool {
-    write_frame(stream, &response.encode_corr(corr)).is_ok()
 }

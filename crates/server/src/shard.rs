@@ -1,7 +1,7 @@
 //! Event-loop connection shards.
 //!
-//! The event-loop serving path replaces thread-per-connection with a
-//! small, fixed set of shards. Each shard is one thread around a
+//! Connections are served by a small, fixed set of shards. Each shard is
+//! one thread around a
 //! [`crate::reactor::Poller`]: it owns a slab of connection states
 //! (per-connection read [`FrameBuffer`], write buffer, and in-flight
 //! bookkeeping), reassembles frames incrementally, dispatches decoded
@@ -17,7 +17,7 @@
 //! * **Legacy ordering.** A request without a correlation id (an
 //!   old-header, one-at-a-time client) holds further frame extraction on
 //!   its connection until it is answered, so responses stay in request
-//!   order on the wire — byte-identical behavior to the threaded path.
+//!   order on the wire, byte-identical to what such a client always saw.
 //! * **Pipelining.** Correlated requests run concurrently up to
 //!   `max_inflight_per_conn`; completions arrive out of order and are
 //!   matched back by slot, generation, and correlation id. Stale
@@ -38,7 +38,6 @@ use crate::engine::{Job, JobTrace, Reply};
 use crate::obs::{LoopStats, ServerObserver};
 use crate::protocol::{append_frame, FrameBuffer, Op, Request, Response};
 use crate::reactor::{Interest, Poller, Waker};
-use crate::server::emit_slow_request;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -104,6 +103,18 @@ impl ShardMailbox {
     pub fn kick(&self) {
         if let Some(w) = self.waker.get() {
             w.wake();
+        }
+    }
+
+    /// Blocks until a completion arrives and returns its response: how
+    /// the engine's unit tests, which run no shard, read a worker's reply.
+    #[cfg(test)]
+    pub fn wait_response(&self) -> Response {
+        loop {
+            if let Some(done) = self.completions.lock().expect("mailbox lock").pop() {
+                return done.response;
+            }
+            std::thread::sleep(Duration::from_micros(200));
         }
     }
 }
@@ -202,9 +213,10 @@ impl Conn {
     }
 }
 
-/// Trace ids assigned to requests whose client sent none. Offset from the
-/// threaded path's counter so ids stay unique across serving paths.
-pub(crate) static SHARD_TRACE_SEQ: AtomicU64 = AtomicU64::new(1 << 48);
+/// Trace ids assigned to requests whose client sent none. A plain counter
+/// is enough: the sampling decision mixes the id, so sequential ids still
+/// sample uniformly.
+static SHARD_TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Runs one shard's event loop until shutdown completes. This is the
 /// shard thread's entire body.
@@ -422,7 +434,7 @@ impl<D: Dispatcher> ShardState<D> {
                 Err(e) => {
                     self.ctx.obs.bad_requests.inc();
                     // No correlation id survives a failed decode; answer
-                    // unflagged, exactly like the threaded path.
+                    // unflagged.
                     let resp = Response::BadRequest { message: e.to_string() };
                     self.queue_response(slot, None, &resp, dirty);
                     continue;
@@ -446,9 +458,13 @@ impl<D: Dispatcher> ShardState<D> {
                 continue;
             }
 
-            // Trace bookkeeping mirrors the threaded handler: client id if
-            // present, server-assigned otherwise; sampling is a pure
-            // function of the id; TRACE_EXPORT is never traced.
+            // Trace context: the client's id if it sent one (so its spans
+            // and ours share a trace), a server-assigned id otherwise.
+            // Sampling is a pure function of the id — no per-request coin
+            // flip. TRACE_EXPORT itself is never traced: it snapshots the
+            // ring mid-request, so its own half-built tree (children
+            // recorded, root still pending) would pollute every export
+            // with orphans.
             let obs = Arc::clone(&self.ctx.obs);
             let trace_id = request
                 .trace_id
@@ -488,12 +504,7 @@ impl<D: Dispatcher> ShardState<D> {
             let gen = self.conns[slot].as_ref().expect("conn present").gen;
             let job = Job {
                 request,
-                reply: Reply::Shard {
-                    mailbox: Arc::clone(&self.ctx.mailbox),
-                    slot,
-                    gen,
-                    corr,
-                },
+                reply: Reply { mailbox: Arc::clone(&self.ctx.mailbox), slot, gen, corr },
                 accepted_at,
                 deadline,
                 trace: job_trace,
@@ -561,9 +572,10 @@ impl<D: Dispatcher> ShardState<D> {
         }
     }
 
-    /// Queues the response bytes, records the root span, and emits the
-    /// slow-request event — everything the threaded path does after
-    /// `reply()`.
+    /// Queues the response bytes, then records the root span — last, so
+    /// every child is already recorded and the root's window (decode start
+    /// → reply queued) encloses them all — and emits the slow-request
+    /// event.
     fn finish_request(
         &mut self,
         slot: usize,
@@ -706,10 +718,51 @@ impl<D: Dispatcher> ShardState<D> {
     }
 }
 
+/// Emits a `server.slow_request` event; when the request was sampled the
+/// event carries its full span tree (name/span/parent/start/duration), so
+/// the slow path is diagnosable straight from the event stream.
+fn emit_slow_request(
+    obs: &ServerObserver,
+    trace_id: u64,
+    op_kind: &str,
+    response: &Response,
+    total_us: u64,
+    sampled: bool,
+) {
+    let mut fields = vec![
+        ("trace_id", Json::Str(format!("{trace_id:#018x}"))),
+        ("op", Json::Str(op_kind.into())),
+        ("status", Json::Str(response.kind().into())),
+        ("total_us", Json::U64(total_us)),
+        ("sampled", Json::Bool(sampled)),
+    ];
+    if sampled {
+        let spans: Vec<Json> = obs
+            .tracer
+            .spans_for(trace_id)
+            .into_iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("name".into(), Json::Str(s.name.into())),
+                    ("span".into(), Json::U64(s.span_id)),
+                    (
+                        "parent".into(),
+                        s.parent_id.map(Json::U64).unwrap_or(Json::Null),
+                    ),
+                    ("start_us".into(), Json::U64(s.start_us)),
+                    ("dur_us".into(), Json::U64(s.dur_us)),
+                ])
+            })
+            .collect();
+        fields.push(("spans", Json::Arr(spans)));
+    }
+    obs.events.emit("server.slow_request", &fields);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame, write_frame, FrameRead};
+    use crate::protocol::{read_frame, write_frame};
     use std::net::TcpListener;
     use std::thread;
 
@@ -821,10 +874,8 @@ mod tests {
     }
 
     fn read_response(stream: &mut TcpStream) -> (Option<u32>, Response) {
-        match read_frame(stream).unwrap() {
-            FrameRead::Frame(body) => Response::decode_corr(&body).unwrap(),
-            other => panic!("expected frame, got {other:?}"),
-        }
+        let body = read_frame(stream).unwrap().expect("a frame, not EOF");
+        Response::decode_corr(&body).unwrap()
     }
 
     #[test]
@@ -967,10 +1018,7 @@ mod tests {
         let (corr, resp) = read_response(&mut c);
         assert_eq!((corr, resp), (Some(2), Response::Ok));
         // The server closes the connection after answering SHUTDOWN.
-        match read_frame(&mut c).unwrap() {
-            FrameRead::Eof => {}
-            other => panic!("expected EOF after shutdown reply, got {other:?}"),
-        }
+        assert_eq!(read_frame(&mut c).unwrap(), None, "EOF after the shutdown reply");
         h.stop();
     }
 }

@@ -190,11 +190,8 @@ fn malformed_frames_get_bad_request() {
     let body = [200u8, 0, 0, 0, 0];
     raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
     raw.write_all(&body).unwrap();
-    let mut resp = match tornado_server::protocol::read_frame(&mut raw).unwrap() {
-        tornado_server::protocol::FrameRead::Frame(b) => b,
-        other => panic!("{other:?}"),
-    };
-    assert_eq!(resp.remove(0), 19, "BAD_REQUEST status byte");
+    let resp = tornado_server::protocol::read_frame(&mut raw).unwrap().expect("a reply frame");
+    assert_eq!(resp[0], 19, "BAD_REQUEST status byte");
     drop(raw);
 
     let mut c = Client::connect(&addr).unwrap();
@@ -672,37 +669,6 @@ fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
 }
 
 #[test]
-fn pipelined_client_degrades_gracefully_against_thread_per_conn_server() {
-    use tornado_server::PipelinedClient;
-
-    // The legacy serving path answers in order but echoes correlation
-    // ids, so a pipelined client still matches its completions.
-    let cfg = ServerConfig { workers: 2, queue_depth: 16, event_loop: false, ..ServerConfig::default() };
-    let (handle, addr) = start_server_with(cfg, ServerObserver::shared());
-
-    let mut legacy = Client::connect(&addr).unwrap();
-    let payload: Vec<u8> = (0..5_000u32).map(|i| (i % 241) as u8).collect();
-    let id = legacy.put("threaded/one", &payload).unwrap();
-
-    let mut pipelined = PipelinedClient::connect(&addr).unwrap();
-    let mut corrs = Vec::new();
-    for _ in 0..5 {
-        corrs.push(pipelined.submit(Op::Get { id }).unwrap());
-    }
-    for want in corrs {
-        let (corr, resp) = pipelined.recv().unwrap();
-        assert_eq!(corr, want, "serial path answers in submission order");
-        match resp {
-            Response::GetOk { payload: got } => assert_eq!(got, payload),
-            other => panic!("GET answered {:?}", other.kind()),
-        }
-    }
-
-    legacy.shutdown().unwrap();
-    handle.join();
-}
-
-#[test]
 fn pipelined_open_loop_load_survives_device_failures() {
     let (handle, addr) = start_server(3, 48);
     let report = load::run_load(&LoadConfig {
@@ -730,5 +696,67 @@ fn pipelined_open_loop_load_survives_device_failures() {
 
     let mut admin = Client::connect(&addr).unwrap();
     admin.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn over_long_put_names_are_refused_before_anything_is_sent() {
+    use tornado_server::protocol::MAX_NAME;
+
+    let (handle, addr) = start_server(1, 4);
+    let mut client = Client::connect(&addr).unwrap();
+    let payload = [7u8; 100];
+
+    // The longest legal name goes through and comes back from STAT.
+    let longest = "n".repeat(MAX_NAME);
+    let id = client.put(&longest, &payload).unwrap();
+    assert_eq!(client.stat(id).unwrap().name, longest);
+
+    // One byte over is what the server's decoder would refuse after the
+    // whole payload had been shipped; 70,000 wraps a u16 length, so the
+    // name's tail would be stored as the head of the payload.
+    for len in [MAX_NAME + 1, 70_000] {
+        match client.put(&"n".repeat(len), &payload) {
+            Err(ClientError::BadRequest(m)) => assert!(m.contains("name length"), "{m}"),
+            other => panic!("{len}-byte name: expected BadRequest, got {other:?}"),
+        }
+        // Nothing was written, so the connection is still in step.
+        assert_eq!(client.get(id).unwrap(), payload);
+    }
+    let doc = tornado_obs::json::parse(&client.metrics().unwrap()).unwrap();
+    let counters = doc.get("counters").unwrap();
+    assert_eq!(
+        counters.get("server.bad_requests").unwrap().as_u64(),
+        Some(0),
+        "refused by the client: the server never saw the frames"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn first_request_on_a_fresh_connection_does_not_wait_out_the_poll_interval() {
+    // The acceptor waits on the listener's readiness; `poll_interval_ms`
+    // only bounds how long a shutdown goes unnoticed. Connect once the
+    // acceptor has gone idle: the first reply must not take a poll period.
+    let cfg = ServerConfig { workers: 1, poll_interval_ms: 1_000, ..ServerConfig::default() };
+    let (handle, addr) = start_server_with(cfg, ServerObserver::shared());
+    thread::sleep(Duration::from_millis(50));
+
+    // Fastest of three fresh connections, so a descheduled test thread
+    // cannot fail it; an acceptor that sleeps makes every one of them slow.
+    let fastest = (0..3)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            Client::connect(&addr).unwrap().ping().unwrap();
+            t.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(fastest < Duration::from_millis(250), "connect + PING took {fastest:?}");
+
+    let mut client = Client::connect(&addr).unwrap();
+    client.shutdown().unwrap();
     handle.join();
 }
