@@ -9,9 +9,18 @@
 //! as typed [`ClientError`] variants so callers can distinguish
 //! backpressure ([`ClientError::Busy`] — back off and retry) from real
 //! failures.
+//!
+//! A request leaves in one `write` (length prefix and body built in one
+//! buffer — on a `TCP_NODELAY` socket two writes are two segments and two
+//! server wake-ups). A reply is decoded as it is read
+//! ([`read_response`]): header fields come out of a small read-ahead
+//! buffer, and a GET's payload goes from the socket into the `Vec` that
+//! [`Client::get`] returns — allocated once at its final size, never
+//! zero-filled, never copied again.
 
 use crate::error::ClientError;
-use crate::protocol::{read_frame, write_frame, Op, Request, Response, StatMeta, MAX_NAME};
+use crate::protocol::{read_response, Op, Request, Response, StatMeta, MAX_NAME};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -145,7 +154,10 @@ impl Client {
 /// A pipelined connection: issue up to many requests before reading any
 /// response, then match completions by correlation id.
 pub struct PipelinedClient {
-    stream: TcpStream,
+    /// Replies are read through the buffer (a frame header costs no
+    /// syscall of its own; reads larger than the buffer bypass it);
+    /// requests are written to the socket inside.
+    stream: BufReader<TcpStream>,
     /// Deadline stamped on every request (milliseconds; 0 = none).
     deadline_ms: u32,
     /// Trace id stamped on every request (`None` = untraced).
@@ -160,7 +172,13 @@ pub struct PipelinedClient {
 impl PipelinedClient {
     fn over(stream: TcpStream) -> Result<Self, ClientError> {
         stream.set_nodelay(true)?;
-        Ok(Self { stream, deadline_ms: 0, trace_id: None, next_corr: 0, inflight: 0 })
+        Ok(Self {
+            stream: BufReader::new(stream),
+            deadline_ms: 0,
+            trace_id: None,
+            next_corr: 0,
+            inflight: 0,
+        })
     }
 
     /// Connects to `addr`.
@@ -214,7 +232,7 @@ impl PipelinedClient {
             trace_id: self.trace_id,
             op,
         };
-        write_frame(&mut self.stream, &req.encode())?;
+        write_request(self.stream.get_mut(), &req)?;
         self.inflight += 1;
         Ok(corr)
     }
@@ -226,13 +244,13 @@ impl PipelinedClient {
     /// it unflagged; that reply settles one in-flight request and comes
     /// back as the typed error it is (`BadRequest`), not as a response.
     pub fn recv(&mut self) -> Result<(u32, Response), ClientError> {
-        let body = read_frame(&mut self.stream)?.ok_or_else(|| {
+        let reply = read_response::<ClientError>(&mut self.stream)?;
+        let (corr, resp) = reply.ok_or_else(|| {
             ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection with requests in flight",
             ))
         })?;
-        let (corr, resp) = Response::decode_corr(&body)?;
         self.inflight = self.inflight.saturating_sub(1);
         match corr {
             Some(corr) => Ok((corr, resp)),
@@ -256,6 +274,11 @@ impl PipelinedClient {
     }
 }
 
+/// Sends `req` as one frame in one `write` (short writes aside).
+fn write_request(w: &mut impl Write, req: &Request) -> std::io::Result<()> {
+    w.write_all(&req.encode_frame()?)
+}
+
 /// Maps an error-status response onto a typed [`ClientError`].
 fn error_from(resp: Response, op: &str) -> ClientError {
     match resp {
@@ -273,8 +296,45 @@ fn error_from(resp: Response, op: &str) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{read_frame, write_frame};
     use std::net::TcpListener;
     use std::thread;
+
+    #[test]
+    fn one_request_is_one_write() {
+        /// Records the size of every `write` it is handed.
+        struct Recorder(Vec<usize>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for op in [
+            Op::Get { id: 7 },
+            Op::Put {
+                name: "n".into(),
+                payload: vec![3; 64 << 10],
+            },
+        ] {
+            let req = Request {
+                deadline_ms: 0,
+                corr_id: Some(1),
+                trace_id: None,
+                op,
+            };
+            let mut wire = Recorder(Vec::new());
+            write_request(&mut wire, &req).unwrap();
+            assert_eq!(
+                wire.0,
+                [4 + req.encode().len()],
+                "prefix and body leave together"
+            );
+        }
+    }
 
     #[test]
     fn flagless_error_reply_comes_back_typed_and_settles_the_request() {

@@ -2,14 +2,15 @@
 //!
 //! Event-loop shards decode frames and submit jobs (`Engine::submit`); a
 //! fixed pool of workers pops them, enforces per-request deadlines,
-//! executes against the shared [`ArchivalStore`], and posts the
-//! [`Response`] to the submitting shard's completion mailbox. The queue is
-//! the only buffer between accept and execute, so a full queue is an
-//! immediate BUSY — the system sheds load instead of hiding it in growing
-//! latency.
+//! executes against the shared [`ArchivalStore`], encodes the response —
+//! for a GET, by writing the frame header in front of the payload in the
+//! store's own buffer — and posts the finished `Frame` to the submitting
+//! shard's completion mailbox. The queue is the only buffer between accept
+//! and execute, so a full queue is an immediate BUSY — the system sheds
+//! load instead of hiding it in growing latency.
 
 use crate::obs::ServerObserver;
-use crate::protocol::{Op, Request, Response, StatMeta};
+use crate::protocol::{Frame, Op, Request, Response, StatMeta, RESPONSE_HEAD_MAX};
 use crate::queue::{BoundedQueue, PushError};
 use crate::shard::ShardMailbox;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +36,8 @@ pub(crate) struct JobTrace {
     pub accepted_us: u64,
 }
 
-/// Where a finished response goes: the completion mailbox of the shard
-/// that owns the connection, which matches it to the connection by
+/// Where a finished response frame goes: the completion mailbox of the
+/// shard that owns the connection, which matches it to the connection by
 /// slot/generation and to the request by correlation id.
 pub(crate) struct Reply {
     /// The owning shard's completion mailbox.
@@ -52,10 +53,11 @@ pub(crate) struct Reply {
 }
 
 impl Reply {
-    /// Delivers the response and wakes the shard. A connection that has
-    /// since hung up is not an error; the work itself already happened.
-    pub fn send(self, response: Response) {
-        self.mailbox.complete(self.slot, self.gen, self.corr, response);
+    /// Delivers the encoded response and wakes the shard. A connection
+    /// that has since hung up is not an error; the work itself already
+    /// happened.
+    pub fn send(self, frame: Frame) {
+        self.mailbox.complete(self.slot, self.gen, self.corr, frame);
     }
 }
 
@@ -175,9 +177,10 @@ fn worker_loop(
                 fields: vec![("expired", Json::Bool(expired))],
             });
         }
-        let response = if expired {
+        let corr = job.reply.corr;
+        let frame = if expired {
             obs.deadline_exceeded.inc();
-            Response::DeadlineExceeded
+            Frame::encode(&Response::DeadlineExceeded, corr)
         } else {
             let exec_ctx = job.trace.as_ref().map(|tr| {
                 let span_id = tracer.next_span_id();
@@ -188,7 +191,14 @@ fn worker_loop(
                     start_us: tracer.now_us(),
                 }
             });
-            let response = execute(&job.request.op, store, obs, started, exec_ctx.as_ref());
+            let frame = execute(
+                &job.request.op,
+                corr,
+                store,
+                obs,
+                started,
+                exec_ctx.as_ref(),
+            );
             if let Some(ctx) = exec_ctx {
                 let end_us = ctx.tracer.now_us();
                 ctx.tracer.record(SpanRecord {
@@ -200,11 +210,11 @@ fn worker_loop(
                     dur_us: end_us.saturating_sub(ctx.start_us),
                     fields: vec![
                         ("op", Json::Str(job.request.op.kind().into())),
-                        ("status", Json::Str(response.kind().into())),
+                        ("status", Json::Str(frame.kind.into())),
                     ],
                 });
             }
-            response
+            frame
         };
 
         let service_us = picked_up.elapsed().as_micros() as u64;
@@ -219,13 +229,13 @@ fn worker_loop(
                 &[
                     ("seq", Json::U64(REQ_SEQ.fetch_add(1, Ordering::Relaxed))),
                     ("op", Json::Str(job.request.op.kind().into())),
-                    ("status", Json::Str(response.kind().into())),
+                    ("status", Json::Str(frame.kind.into())),
                     ("queue_wait_us", Json::U64(wait_us)),
                     ("service_us", Json::U64(service_us)),
                 ],
             );
         }
-        job.reply.send(response);
+        job.reply.send(frame);
     }
 }
 
@@ -275,15 +285,18 @@ const EXPENSIVE_RECOVERY_DEPTH: u64 = 3;
 /// "expensive" regardless of depth.
 const EXPENSIVE_RECOVERY_BYTES: u64 = 1 << 20;
 
-/// Runs one operation against the store and maps the result onto the wire.
+/// Runs one operation against the store and encodes the result for the
+/// wire. A successful GET is framed where the store put it; every other
+/// response is small and encoded into a buffer of its own.
 fn execute(
     op: &Op,
+    corr: Option<u32>,
     store: &ArchivalStore,
     obs: &ServerObserver,
     started: Instant,
     trace: Option<&ExecTrace<'_>>,
-) -> Response {
-    match op {
+) -> Frame {
+    let response = match op {
         Op::Ping => Response::Ok,
         Op::Put { name, payload } => {
             let start_us = trace.map(|t| t.tracer.now_us()).unwrap_or_default();
@@ -306,7 +319,7 @@ fn execute(
         }
         Op::Get { id } => {
             let start_us = trace.map(|t| t.tracer.now_us()).unwrap_or_default();
-            let result = store.get_detailed(*id);
+            let result = store.get_framed(*id, RESPONSE_HEAD_MAX);
             if let Some(t) = trace {
                 let end_us = t.tracer.now_us();
                 let get_span = t.child(
@@ -315,12 +328,12 @@ fn execute(
                     end_us.saturating_sub(start_us),
                     vec![("id", Json::U64(*id))],
                 );
-                if let Ok((_, stats)) = &result {
+                if let Ok((_, _, stats)) = &result {
                     record_get_phases(t, get_span, start_us, end_us, stats);
                 }
             }
             match result {
-                Ok((payload, stats)) => {
+                Ok((buf, payload_start, stats)) => {
                     obs.replans.add(stats.replans as u64);
                     obs.get_repair_bytes.add(stats.repair_bytes_read);
                     obs.get_devices_contacted.add(stats.cost.devices_contacted);
@@ -349,8 +362,8 @@ fn execute(
                             );
                         }
                     }
-                    obs.bytes_out.add(payload.len() as u64);
-                    Response::GetOk { payload }
+                    obs.bytes_out.add((buf.len() - payload_start) as u64);
+                    return Frame::get_ok(buf, payload_start, corr);
                 }
                 Err(e) => error_response(e, obs),
             }
@@ -420,7 +433,8 @@ fn execute(
         // The shard intercepts SHUTDOWN before queueing; answer OK if one
         // slips through (e.g. submitted via the engine directly).
         Op::Shutdown => Response::Ok,
-    }
+    };
+    Frame::encode(&response, corr)
 }
 
 /// Fabricates the sequential plan → fetch → decode child spans of a

@@ -370,7 +370,32 @@ impl<'a> Cursor<'a> {
 impl Request {
     /// Serializes the request body (no frame prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(24);
+        let mut buf = Vec::with_capacity(self.body_capacity());
+        self.write_body(&mut buf);
+        buf
+    }
+
+    /// Serializes the whole frame — length prefix and body in one buffer,
+    /// so a client sends a request with one write. A body over
+    /// [`MAX_FRAME`] is refused, as [`write_frame`] refuses it.
+    pub fn encode_frame(&self) -> io::Result<Vec<u8>> {
+        let frame = build_frame(self.body_capacity(), |buf| self.write_body(buf));
+        check_frame_len(frame.len() - 4)?;
+        Ok(frame)
+    }
+
+    /// Header with both optional ids, the widest fixed fields, and the
+    /// variable part of a PUT.
+    fn body_capacity(&self) -> usize {
+        let variable = match &self.op {
+            Op::Put { name, payload } => 2 + name.len() + payload.len(),
+            _ => 0,
+        };
+        1 + 4 + 4 + 8 + 8 + variable
+    }
+
+    /// The one request encoder: appends the body to `buf`.
+    fn write_body(&self, buf: &mut Vec<u8>) {
         let opcode: u8 = match &self.op {
             Op::Put { .. } => 1,
             Op::Get { .. } => 2,
@@ -392,24 +417,23 @@ impl Request {
             tagged |= TRACE_FLAG;
         }
         buf.push(tagged);
-        put_u32(&mut buf, self.deadline_ms);
+        put_u32(buf, self.deadline_ms);
         if let Some(corr_id) = self.corr_id {
-            put_u32(&mut buf, corr_id);
+            put_u32(buf, corr_id);
         }
         if let Some(trace_id) = self.trace_id {
-            put_u64(&mut buf, trace_id);
+            put_u64(buf, trace_id);
         }
         match &self.op {
             Op::Put { name, payload } => {
-                put_u16(&mut buf, name.len() as u16);
+                put_u16(buf, name.len() as u16);
                 buf.extend_from_slice(name.as_bytes());
                 buf.extend_from_slice(payload);
             }
-            Op::Get { id } | Op::Delete { id } | Op::Stat { id } => put_u64(&mut buf, *id),
-            Op::FailDevice { device } | Op::ReviveDevice { device } => put_u32(&mut buf, *device),
+            Op::Get { id } | Op::Delete { id } | Op::Stat { id } => put_u64(buf, *id),
+            Op::FailDevice { device } | Op::ReviveDevice { device } => put_u32(buf, *device),
             Op::Ping | Op::Metrics | Op::Shutdown | Op::TraceExport | Op::Health => {}
         }
-        buf
     }
 
     /// Parses a request body.
@@ -460,6 +484,24 @@ impl Request {
     }
 }
 
+/// Status byte of a successful GET (`OK GET` in the module table).
+const STATUS_GET_OK: u8 = 2;
+
+/// The bytes every response body starts with: the status byte, or — for a
+/// correlated request — the status byte with [`RESP_CORR_FLAG`] and the
+/// echoed id. Returns the array and how much of it is used (1 or 5).
+fn response_head(status: u8, corr_id: Option<u32>) -> ([u8; 5], usize) {
+    let mut head = [status, 0, 0, 0, 0];
+    match corr_id {
+        None => (head, 1),
+        Some(corr) => {
+            head[0] |= RESP_CORR_FLAG;
+            head[1..].copy_from_slice(&corr.to_le_bytes());
+            (head, 5)
+        }
+    }
+}
+
 impl Response {
     /// Serializes the response body (no frame prefix) for an uncorrelated
     /// request — the pre-pipelining wire, byte for byte.
@@ -469,9 +511,17 @@ impl Response {
 
     /// Serializes the response body, echoing `corr_id` when the request
     /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
-    /// u32 id follows it, then the status fields. Everything is written
-    /// once, into a buffer sized from the payload.
+    /// u32 id follows it, then the status fields.
     pub fn encode_corr(&self, corr_id: Option<u32>) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.body_capacity());
+        self.write_body(corr_id, &mut buf);
+        buf
+    }
+
+    /// Enough for status, corr id, the widest fixed fields (STAT: 30
+    /// bytes) and the variable part, so a body is written without
+    /// regrowing.
+    fn body_capacity(&self) -> usize {
         let variable = match self {
             Response::GetOk { payload } => payload.len(),
             Response::StatOk { meta } => meta.name.len(),
@@ -481,68 +531,68 @@ impl Response {
             Response::BadRequest { message } | Response::ServerError { message } => message.len(),
             _ => 0,
         };
-        // Status, corr id and the widest fixed fields (STAT: 30 bytes).
-        let mut buf = Vec::with_capacity(1 + 4 + 30 + variable);
-        let head = |buf: &mut Vec<u8>, status: u8| match corr_id {
-            None => buf.push(status),
-            Some(corr) => {
-                buf.push(status | RESP_CORR_FLAG);
-                put_u32(buf, corr);
-            }
+        1 + 4 + 30 + variable
+    }
+
+    /// The one response encoder: appends the body — status (|
+    /// [`RESP_CORR_FLAG`]), optional corr id, fields — to `buf`.
+    fn write_body(&self, corr_id: Option<u32>, buf: &mut Vec<u8>) {
+        let head = |buf: &mut Vec<u8>, status: u8| {
+            let (head, used) = response_head(status, corr_id);
+            buf.extend_from_slice(&head[..used]);
         };
         match self {
-            Response::Ok => head(&mut buf, 0),
+            Response::Ok => head(buf, 0),
             Response::PutOk { id } => {
-                head(&mut buf, 1);
-                put_u64(&mut buf, *id);
+                head(buf, 1);
+                put_u64(buf, *id);
             }
             Response::GetOk { payload } => {
-                head(&mut buf, 2);
+                head(buf, STATUS_GET_OK);
                 buf.extend_from_slice(payload);
             }
             Response::StatOk { meta } => {
-                head(&mut buf, 3);
-                put_u64(&mut buf, meta.id);
-                put_u64(&mut buf, meta.size);
-                put_u64(&mut buf, meta.block_len);
-                put_u32(&mut buf, meta.rotation);
-                put_u16(&mut buf, meta.name.len() as u16);
+                head(buf, 3);
+                put_u64(buf, meta.id);
+                put_u64(buf, meta.size);
+                put_u64(buf, meta.block_len);
+                put_u32(buf, meta.rotation);
+                put_u16(buf, meta.name.len() as u16);
                 buf.extend_from_slice(meta.name.as_bytes());
             }
             Response::MetricsOk { json } => {
-                head(&mut buf, 4);
+                head(buf, 4);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::TraceOk { json } => {
-                head(&mut buf, 5);
+                head(buf, 5);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::HealthOk { json } => {
-                head(&mut buf, 6);
+                head(buf, 6);
                 buf.extend_from_slice(json.as_bytes());
             }
-            Response::Busy => head(&mut buf, 16),
+            Response::Busy => head(buf, 16),
             Response::NotFound { id } => {
-                head(&mut buf, 17);
-                put_u64(&mut buf, *id);
+                head(buf, 17);
+                put_u64(buf, *id);
             }
             Response::Unrecoverable { id, lost_blocks } => {
-                head(&mut buf, 18);
-                put_u64(&mut buf, *id);
-                put_u32(&mut buf, *lost_blocks);
+                head(buf, 18);
+                put_u64(buf, *id);
+                put_u32(buf, *lost_blocks);
             }
             Response::BadRequest { message } => {
-                head(&mut buf, 19);
+                head(buf, 19);
                 buf.extend_from_slice(message.as_bytes());
             }
-            Response::DeadlineExceeded => head(&mut buf, 20),
-            Response::ShuttingDown => head(&mut buf, 21),
+            Response::DeadlineExceeded => head(buf, 20),
+            Response::ShuttingDown => head(buf, 21),
             Response::ServerError { message } => {
-                head(&mut buf, 22);
+                head(buf, 22);
                 buf.extend_from_slice(message.as_bytes());
             }
         }
-        buf
     }
 
     /// Parses an uncorrelated response body. A status carrying
@@ -572,7 +622,9 @@ impl Response {
         let resp = match status {
             0 => Response::Ok,
             1 => Response::PutOk { id: c.u64("id")? },
-            2 => Response::GetOk { payload: c.rest().to_vec() },
+            STATUS_GET_OK => Response::GetOk {
+                payload: c.rest().to_vec(),
+            },
             3 => {
                 let id = c.u64("id")?;
                 let size = c.u64("size")?;
@@ -619,6 +671,76 @@ pub fn append_frame(out: &mut Vec<u8>, body: &[u8]) {
     out.extend_from_slice(body);
 }
 
+/// Builds a whole frame in one buffer: room for the length prefix, the
+/// body `write_body` appends, then the prefix filled in.
+fn build_frame(body_capacity: usize, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + body_capacity);
+    frame.extend_from_slice(&[0; 4]);
+    write_body(&mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame
+}
+
+/// Most bytes a response frame puts in front of its fields: the length
+/// prefix, the status byte and a correlation id. A GET asks the store for
+/// this much room in front of the payload.
+pub(crate) const RESPONSE_HEAD_MAX: usize = 4 + 5;
+
+/// One encoded response frame on its way to a socket: `bytes[start..]` is
+/// `[len u32][body]`, and the bytes before `start` are never sent. The
+/// worker that ran the request produces it; the shard only moves it.
+pub(crate) struct Frame {
+    /// The buffer holding the frame.
+    pub bytes: Vec<u8>,
+    /// Where the frame starts in `bytes`.
+    pub start: usize,
+    /// [`Response::kind`] of what was encoded (span and event label).
+    pub kind: &'static str,
+}
+
+impl Frame {
+    /// Encodes `response` — length prefix included — into a buffer of its
+    /// own.
+    pub fn encode(response: &Response, corr_id: Option<u32>) -> Frame {
+        let bytes = build_frame(response.body_capacity(), |buf| {
+            response.write_body(corr_id, buf)
+        });
+        debug_assert!(bytes.len() - 4 <= MAX_FRAME, "oversized frame body");
+        Frame {
+            bytes,
+            start: 0,
+            kind: response.kind(),
+        }
+    }
+
+    /// A successful GET whose payload is `buf[payload_start..]`, as
+    /// `ArchivalStore::get_framed` returns it: the frame header is written
+    /// into the bytes just in front of the payload and the buffer becomes
+    /// the frame — no payload byte moves. Byte-identical on the wire to
+    /// encoding [`Response::GetOk`].
+    pub fn get_ok(mut buf: Vec<u8>, payload_start: usize, corr_id: Option<u32>) -> Frame {
+        let (head, used) = response_head(STATUS_GET_OK, corr_id);
+        let body_len = used + buf.len() - payload_start;
+        debug_assert!(body_len <= MAX_FRAME, "oversized frame body");
+        let start = payload_start
+            .checked_sub(4 + used)
+            .expect("the store left room for the frame header");
+        buf[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+        buf[start + 4..payload_start].copy_from_slice(&head[..used]);
+        Frame {
+            bytes: buf,
+            start,
+            kind: "ok",
+        }
+    }
+
+    /// The bytes that go on the wire.
+    pub fn wire(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+}
+
 /// Incremental frame reassembly over a nonblocking byte stream.
 ///
 /// Bytes arrive in arbitrary chunks ([`FrameBuffer::extend`]); complete
@@ -630,6 +752,23 @@ pub fn append_frame(out: &mut Vec<u8>, body: &[u8]) {
 pub struct FrameBuffer {
     buf: Vec<u8>,
     pos: usize,
+}
+
+/// Largest capacity a connection's drained read or write buffer keeps for
+/// its next frame. Above it the allocation is given back, so an idle
+/// connection does not hold its largest request and reply for as long as
+/// it stays open; below it a stream of 64 KiB PUTs (whose buffer grows to
+/// 128 KiB by doubling) reuses one allocation.
+pub(crate) const RETAINED_CAPACITY: usize = 256 << 10;
+
+/// Empties a fully drained connection buffer, keeping its allocation only
+/// up to [`RETAINED_CAPACITY`].
+pub(crate) fn release_drained(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_CAPACITY {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
 }
 
 /// Consumed-prefix size past which [`FrameBuffer`] compacts its backing
@@ -650,6 +789,12 @@ impl FrameBuffer {
     /// Unconsumed bytes currently buffered.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Bytes of backing storage currently allocated.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Extracts the next complete frame body, `Ok(None)` until one is
@@ -678,10 +823,12 @@ impl FrameBuffer {
     }
 
     /// Reclaims the consumed prefix: free when the buffer is fully
-    /// drained, a memmove once the dead prefix crosses the threshold.
+    /// drained (a large allocation is given back, see
+    /// [`RETAINED_CAPACITY`]), a memmove once the dead prefix crosses the
+    /// threshold.
     fn compact(&mut self) {
         if self.pos == self.buf.len() {
-            self.buf.clear();
+            release_drained(&mut self.buf);
             self.pos = 0;
         } else if self.pos >= COMPACT_THRESHOLD {
             self.buf.drain(..self.pos);
@@ -690,23 +837,30 @@ impl FrameBuffer {
     }
 }
 
-/// Writes one frame: `u32` LE length prefix plus `body`.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME {
+/// The `u32` a frame body of `len` bytes announces itself with; a body
+/// over [`MAX_FRAME`] is refused.
+fn check_frame_len(len: usize) -> io::Result<u32> {
+    if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame body {} exceeds MAX_FRAME {MAX_FRAME}", body.len()),
+            format!("frame body {len} exceeds MAX_FRAME {MAX_FRAME}"),
         ));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
+    Ok(len as u32)
+}
+
+/// Writes one frame: `u32` LE length prefix plus `body`.
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    w.write_all(&check_frame_len(body.len())?.to_le_bytes())?;
     w.write_all(body)?;
     w.flush()
 }
 
-/// Reads one frame from a blocking stream. `None` is a clean EOF at a
-/// frame boundary; EOF once a frame has started is an error, and an
-/// oversized length prefix is rejected without allocating.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+/// Reads a frame's length prefix from a blocking stream. `None` is a
+/// clean EOF at a frame boundary; EOF once the prefix has started is an
+/// error, and a length over [`MAX_FRAME`] is rejected here — before
+/// anyone allocates for it.
+fn read_frame_len(r: &mut impl Read) -> io::Result<Option<usize>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < len_buf.len() {
@@ -730,10 +884,65 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME {MAX_FRAME}"),
         ));
     }
-    let mut body = vec![0u8; len];
-    // `read_exact` retries `Interrupted` and reports EOF as `UnexpectedEof`.
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    Ok(Some(len))
+}
+
+/// Reads exactly `len` bytes into a new `Vec`: the stream writes into the
+/// allocation's spare capacity, so the bytes are written once and nothing
+/// is zero-filled first. EOF before `len` bytes is `UnexpectedEof`.
+fn read_exact_vec(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(len);
+    // `read_to_end` retries `Interrupted`.
+    if r.by_ref().take(len as u64).read_to_end(&mut bytes)? != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
+    }
+    Ok(bytes)
+}
+
+/// Reads one frame from a blocking stream. `None` is a clean EOF at a
+/// frame boundary; EOF once a frame has started is an error, and an
+/// oversized length prefix is rejected without allocating.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let Some(len) = read_frame_len(r)? else {
+        return Ok(None);
+    };
+    read_exact_vec(r, len).map(Some)
+}
+
+/// Reads one response frame from a blocking stream, decoding as it
+/// arrives: the length prefix (under [`read_frame`]'s EOF and
+/// [`MAX_FRAME`] rules), the status byte, the correlation id if flagged,
+/// and then the fields — which for a successful GET are the payload, read
+/// from the stream straight into the `Vec` that [`Response::GetOk`] hands
+/// the caller. `E` is the caller's sum of the two ways this fails.
+pub fn read_response<E>(r: &mut impl Read) -> Result<Option<(Option<u32>, Response)>, E>
+where
+    E: From<io::Error> + From<WireError>,
+{
+    let Some(len) = read_frame_len(r)? else {
+        return Ok(None);
+    };
+    let truncated = |what: &str| WireError(format!("truncated {what}"));
+    let mut tagged = [0u8; 1];
+    let mut rest = len.checked_sub(1).ok_or_else(|| truncated("status"))?;
+    r.read_exact(&mut tagged)?;
+    let corr = if tagged[0] & RESP_CORR_FLAG != 0 {
+        let mut corr = [0u8; 4];
+        rest = rest.checked_sub(4).ok_or_else(|| truncated("corr id"))?;
+        r.read_exact(&mut corr)?;
+        Some(u32::from_le_bytes(corr))
+    } else {
+        None
+    };
+    let fields = read_exact_vec(r, rest)?;
+    let response = match tagged[0] & !RESP_CORR_FLAG {
+        STATUS_GET_OK => Response::GetOk { payload: fields },
+        status => Response::decode_fields(status, &mut Cursor::new(&fields))?,
+    };
+    Ok(Some((corr, response)))
 }
 
 #[cfg(test)]
@@ -1122,6 +1331,298 @@ mod tests {
         }
         // After compaction the dead prefix is bounded, not 16 frames deep.
         assert!(fb.buf.len() < 2 * (body.len() + 4), "backing store stays bounded");
+    }
+
+    #[test]
+    fn frame_buffer_gives_back_a_large_allocation_once_drained() {
+        let mut fb = FrameBuffer::new();
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &vec![5u8; 4 << 20]);
+        for chunk in wire.chunks(16 << 10) {
+            fb.extend(chunk);
+        }
+        assert_eq!(fb.next_frame().unwrap().unwrap().len(), 4 << 20);
+        assert_eq!(fb.buffered(), 0);
+        assert!(
+            fb.buf.capacity() <= RETAINED_CAPACITY,
+            "an idle connection keeps {} bytes of its largest request",
+            fb.buf.capacity()
+        );
+        // A stream of 64 KiB PUTs keeps reusing one allocation.
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &vec![6u8; (64 << 10) + 30]);
+        for chunk in wire.chunks(16 << 10) {
+            fb.extend(chunk);
+        }
+        fb.next_frame().unwrap().unwrap();
+        let kept = fb.buf.capacity();
+        assert!(kept > 64 << 10);
+        fb.extend(&wire);
+        assert_eq!(fb.buf.capacity(), kept);
+    }
+
+    // --- encoded frames -----------------------------------------------------
+
+    /// What the wire carried before responses were framed by their
+    /// producer: the body from `encode_corr`, prefixed by `append_frame`.
+    fn reference_frame(resp: &Response, corr: Option<u32>) -> Vec<u8> {
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &resp.encode_corr(corr));
+        wire
+    }
+
+    #[test]
+    fn encoded_frames_are_byte_identical_to_prefixed_bodies() {
+        for corr in [None, Some(0), Some(0xFEED_BEEF)] {
+            for resp in [
+                Response::Ok,
+                Response::PutOk { id: 99 },
+                Response::GetOk {
+                    payload: vec![9; 1000],
+                },
+                Response::GetOk {
+                    payload: Vec::new(),
+                },
+                Response::NotFound { id: 12 },
+                Response::BadRequest {
+                    message: "no".into(),
+                },
+            ] {
+                let frame = Frame::encode(&resp, corr);
+                assert_eq!(
+                    frame.wire(),
+                    reference_frame(&resp, corr),
+                    "{resp:?} {corr:?}"
+                );
+                assert_eq!(frame.kind, resp.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn a_get_is_framed_in_front_of_its_payload_without_moving_it() {
+        for payload_len in [0usize, 1, 5000] {
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
+            let resp = Response::GetOk {
+                payload: payload.clone(),
+            };
+            for headroom in [RESPONSE_HEAD_MAX, 64] {
+                // As the store returns it: headroom, the stripe's 8-byte
+                // length header, the payload.
+                let mut buf = vec![0xEE; headroom + 8];
+                buf.extend_from_slice(&payload);
+                let payload_at = buf[headroom + 8..].as_ptr();
+                for (corr, head) in [(None, 5), (Some(7u32), 9)] {
+                    let frame = Frame::get_ok(buf.clone(), headroom + 8, corr);
+                    assert_eq!(
+                        frame.start,
+                        headroom + 8 - head,
+                        "legacy replies get 5 bytes"
+                    );
+                    assert_eq!(frame.wire(), reference_frame(&resp, corr));
+                    assert_eq!(frame.kind, resp.kind());
+                }
+                let frame = Frame::get_ok(buf, headroom + 8, Some(1));
+                assert_eq!(
+                    frame.bytes[headroom + 8..].as_ptr(),
+                    payload_at,
+                    "same allocation"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn request_frames_are_prefix_and_body_in_one_buffer() {
+        for op in [
+            Op::Put {
+                name: "p".into(),
+                payload: vec![1, 2, 3],
+            },
+            Op::Get { id: 9 },
+            Op::Ping,
+        ] {
+            let req = Request {
+                deadline_ms: 5,
+                corr_id: Some(3),
+                trace_id: Some(8),
+                op,
+            };
+            let mut wire = Vec::new();
+            append_frame(&mut wire, &req.encode());
+            assert_eq!(req.encode_frame().unwrap(), wire);
+        }
+        let huge = Request {
+            deadline_ms: 0,
+            corr_id: None,
+            trace_id: None,
+            op: Op::Put {
+                name: String::new(),
+                payload: vec![0; MAX_FRAME],
+            },
+        };
+        assert_eq!(
+            huge.encode_frame().unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+    }
+
+    // --- streaming response read -------------------------------------------
+
+    /// A peer that delivers `wire` at most `chunk` bytes per read, then
+    /// closes; it counts what it was asked for.
+    struct Dribble {
+        wire: Vec<u8>,
+        pos: usize,
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl Dribble {
+        fn new(wire: Vec<u8>, chunk: usize) -> Self {
+            Self {
+                wire,
+                pos: 0,
+                chunk,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Dribble {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.chunk).min(self.wire.len() - self.pos);
+            buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// The two ways `read_response` fails, comparable.
+    #[derive(Debug, PartialEq)]
+    enum Failure {
+        Io(io::ErrorKind),
+        Wire(WireError),
+    }
+
+    impl From<io::Error> for Failure {
+        fn from(e: io::Error) -> Self {
+            Failure::Io(e.kind())
+        }
+    }
+
+    impl From<WireError> for Failure {
+        fn from(e: WireError) -> Self {
+            Failure::Wire(e)
+        }
+    }
+
+    type Reply = Option<(Option<u32>, Response)>;
+
+    fn read_one(r: &mut impl Read) -> Result<Reply, Failure> {
+        read_response(r)
+    }
+
+    #[test]
+    fn responses_stream_in_whatever_the_chunking() {
+        let replies = [
+            (
+                Some(7),
+                Response::GetOk {
+                    payload: (0..70_000).map(|i| (i % 253) as u8).collect(),
+                },
+            ),
+            (
+                None,
+                Response::GetOk {
+                    payload: vec![1, 2, 3],
+                },
+            ),
+            (
+                Some(8),
+                Response::GetOk {
+                    payload: Vec::new(),
+                },
+            ),
+            (Some(9), Response::PutOk { id: 4 }),
+            (
+                None,
+                Response::BadRequest {
+                    message: "unknown opcode 66".into(),
+                },
+            ),
+            (Some(u32::MAX), Response::Ok),
+        ];
+        let mut wire = Vec::new();
+        for (corr, resp) in &replies {
+            wire.extend_from_slice(&reference_frame(resp, *corr));
+        }
+        for chunk in [1, 3, 4096, usize::MAX] {
+            let mut peer = Dribble::new(wire.clone(), chunk);
+            for (corr, resp) in &replies {
+                assert_eq!(
+                    read_one(&mut peer),
+                    Ok(Some((*corr, resp.clone()))),
+                    "chunk {chunk}"
+                );
+            }
+            assert_eq!(
+                read_one(&mut peer),
+                Ok(None),
+                "clean EOF at a frame boundary"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reply_cut_short_is_an_eof_error_wherever_it_is_cut() {
+        let wire = reference_frame(
+            &Response::GetOk {
+                payload: vec![7; 300],
+            },
+            Some(1),
+        );
+        for cut in [1, 4, 5, 8, 9, 200, wire.len() - 1] {
+            let mut peer = Dribble::new(wire[..cut].to_vec(), 1);
+            assert_eq!(
+                read_one(&mut peer),
+                Err(Failure::Io(io::ErrorKind::UnexpectedEof)),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_oversized_reply_is_refused_at_its_prefix() {
+        let mut wire = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[STATUS_GET_OK; 64]);
+        let mut peer = Dribble::new(wire, usize::MAX);
+        assert_eq!(
+            read_one(&mut peer),
+            Err(Failure::Io(io::ErrorKind::InvalidData))
+        );
+        assert_eq!(
+            (peer.reads, peer.pos),
+            (1, 4),
+            "nothing is read, or allocated, for the body"
+        );
+    }
+
+    #[test]
+    fn a_frame_too_short_for_its_own_header_is_a_wire_error() {
+        let mut peer = Dribble::new(0u32.to_le_bytes().to_vec(), usize::MAX);
+        assert!(
+            matches!(read_one(&mut peer), Err(Failure::Wire(_))),
+            "no status byte"
+        );
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &[STATUS_GET_OK | RESP_CORR_FLAG, 1, 2]);
+        let mut peer = Dribble::new(wire, usize::MAX);
+        assert!(
+            matches!(read_one(&mut peer), Err(Failure::Wire(_))),
+            "flagged, but no room for the id"
+        );
     }
 
     #[test]

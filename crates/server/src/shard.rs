@@ -7,7 +7,11 @@
 //! bookkeeping), reassembles frames incrementally, dispatches decoded
 //! requests to the engine's worker pool, and writes completed responses
 //! back — coalescing every response queued since the last flush into one
-//! write syscall.
+//! write syscall. Responses arrive already encoded (`Frame`): when a
+//! connection has nothing unflushed the frame's buffer *becomes* its
+//! output buffer (a 1 MiB GET reply is not copied on its way to the
+//! socket); behind unflushed output it is appended, so frames still leave
+//! in the order they were queued and share a write.
 //!
 //! Invariants the shard maintains:
 //!
@@ -29,6 +33,13 @@
 //! * **Level-triggered liveness.** When a completion frees pipeline
 //!   capacity, frame extraction re-runs immediately — buffered bytes are
 //!   never stranded waiting for a readiness edge that will not come.
+//! * **Bounded output.** A peer that pipelines requests and does not read
+//!   the replies stops being served: no further frame is taken from a
+//!   connection holding more than `MAX_UNFLUSHED` (2 × `MAX_FRAME`) bytes
+//!   of unsent output, until a flush drains it below that (extraction
+//!   then resumes from the flush, for the same reason). Requests already
+//!   dispatched still complete, so the buffer tops out at the bound plus
+//!   `max_inflight_per_conn` replies.
 //! * **Drain ordering.** On shutdown a shard stops dispatching, answers
 //!   already-buffered frames SHUTTING_DOWN, finishes in-flight requests,
 //!   flushes every write buffer, then closes — with a force-close
@@ -36,7 +47,7 @@
 
 use crate::engine::{Job, JobTrace, Reply};
 use crate::obs::{LoopStats, ServerObserver};
-use crate::protocol::{append_frame, FrameBuffer, Op, Request, Response};
+use crate::protocol::{release_drained, Frame, FrameBuffer, Op, Request, Response, MAX_FRAME};
 use crate::reactor::{Interest, Poller, Waker};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -52,6 +63,11 @@ const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Read scratch size per readiness event.
 const READ_CHUNK: usize = 16 << 10;
+
+/// Unsent output past which a connection's buffered requests wait (see
+/// *Bounded output* in the module docs): room for two of the largest
+/// replies, so one can queue while another drains.
+const MAX_UNFLUSHED: usize = 2 * MAX_FRAME;
 
 /// How long a draining shard waits for in-flight requests and write
 /// buffers before force-closing connections.
@@ -71,7 +87,7 @@ struct Completion {
     slot: usize,
     gen: u64,
     corr: Option<u32>,
-    response: Response,
+    frame: Frame,
 }
 
 impl ShardMailbox {
@@ -83,12 +99,18 @@ impl ShardMailbox {
         })
     }
 
-    /// Delivers a finished response (engine worker side of [`Reply`]).
-    pub fn complete(&self, slot: usize, gen: u64, corr: Option<u32>, response: Response) {
+    /// Delivers a finished, encoded response (engine worker side of
+    /// [`Reply`]).
+    pub fn complete(&self, slot: usize, gen: u64, corr: Option<u32>, frame: Frame) {
         self.completions
             .lock()
             .expect("mailbox lock")
-            .push(Completion { slot, gen, corr, response });
+            .push(Completion {
+                slot,
+                gen,
+                corr,
+                frame,
+            });
         self.kick();
     }
 
@@ -112,7 +134,10 @@ impl ShardMailbox {
     pub fn wait_response(&self) -> Response {
         loop {
             if let Some(done) = self.completions.lock().expect("mailbox lock").pop() {
-                return done.response;
+                let body = &done.frame.wire()[4..];
+                return Response::decode_corr(body)
+                    .expect("a worker's frame decodes")
+                    .1;
             }
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -166,8 +191,9 @@ struct Conn {
     /// generation targeted a previous tenant of this slot and are dropped.
     gen: u64,
     inbuf: FrameBuffer,
-    /// Queued response bytes not yet written (`out_pos` marks progress of
-    /// a partial write).
+    /// Queued response bytes not yet written: `out[out_pos..]`. `out_pos`
+    /// is the progress of a partial write and, for an adopted frame, where
+    /// the frame starts in its buffer.
     out: Vec<u8>,
     out_pos: usize,
     /// Frames appended to `out` since the last fully-drained flush — the
@@ -178,6 +204,9 @@ struct Conn {
     /// An uncorrelated (one-at-a-time) request is in flight: extraction
     /// holds until it is answered so legacy responses stay ordered.
     serial_hold: bool,
+    /// Extraction stopped because more than [`MAX_UNFLUSHED`] bytes were
+    /// waiting for the peer to read; the flush that drains them resumes it.
+    output_hold: bool,
     /// The poller currently watches this fd for writability.
     write_interest: bool,
     /// Read side is finished (EOF or fatal error); tear down once
@@ -198,6 +227,7 @@ impl Conn {
             out_frames: 0,
             pending: Vec::new(),
             serial_hold: false,
+            output_hold: false,
             write_interest: false,
             peer_gone: false,
             close_after_flush: false,
@@ -208,8 +238,12 @@ impl Conn {
         self.pending.len()
     }
 
+    fn unflushed(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
     fn has_output(&self) -> bool {
-        self.out_pos < self.out.len()
+        self.unflushed() > 0
     }
 }
 
@@ -397,8 +431,8 @@ impl<D: Dispatcher> ShardState<D> {
     }
 
     /// Pulls complete frames out of the connection's read buffer and
-    /// dispatches them, honoring the serial hold (legacy ordering), the
-    /// per-connection in-flight cap, and drain mode.
+    /// dispatches them, honoring the output bound, the serial hold (legacy
+    /// ordering), the per-connection in-flight cap, and drain mode.
     fn extract_frames(&mut self, slot: usize, dirty: &mut Vec<usize>) {
         let shutting_down = self.ctx.shutdown.load(Ordering::SeqCst);
         loop {
@@ -406,6 +440,10 @@ impl<D: Dispatcher> ShardState<D> {
                 return;
             };
             if conn.close_after_flush {
+                return;
+            }
+            if conn.unflushed() > MAX_UNFLUSHED {
+                conn.output_hold = true;
                 return;
             }
             if !shutting_down {
@@ -436,7 +474,7 @@ impl<D: Dispatcher> ShardState<D> {
                     // No correlation id survives a failed decode; answer
                     // unflagged.
                     let resp = Response::BadRequest { message: e.to_string() };
-                    self.queue_response(slot, None, &resp, dirty);
+                    self.queue_frame(slot, Frame::encode(&resp, None), dirty);
                     continue;
                 }
             };
@@ -447,14 +485,14 @@ impl<D: Dispatcher> ShardState<D> {
                 self.ctx.shutdown.store(true, Ordering::SeqCst);
                 self.ctx.obs.admin.inc();
                 self.ctx.obs.events.emit("server.shutdown_requested", &[]);
-                self.queue_response(slot, corr, &Response::Ok, dirty);
+                self.queue_frame(slot, Frame::encode(&Response::Ok, corr), dirty);
                 if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
                     conn.close_after_flush = true;
                 }
                 return;
             }
             if shutting_down {
-                self.queue_response(slot, corr, &Response::ShuttingDown, dirty);
+                self.queue_frame(slot, Frame::encode(&Response::ShuttingDown, corr), dirty);
                 continue;
             }
 
@@ -532,7 +570,7 @@ impl<D: Dispatcher> ShardState<D> {
                         self.ctx.stats.queue_busy.inc();
                     }
                     let meta = PendingMeta { corr, op_kind, req_start, trace_id, trace };
-                    self.finish_request(slot, &meta, &rejection, dirty);
+                    self.finish_request(slot, &meta, Frame::encode(&rejection, corr), dirty);
                 }
             }
         }
@@ -563,7 +601,7 @@ impl<D: Dispatcher> ShardState<D> {
                 conn.serial_hold = false;
             }
             self.ctx.stats.inflight.add(-1);
-            self.finish_request(done.slot, &meta, &done.response, dirty);
+            self.finish_request(done.slot, &meta, done.frame, dirty);
             freed.push_back(done.slot);
         }
         while let Some(slot) = freed.pop_front() {
@@ -572,7 +610,7 @@ impl<D: Dispatcher> ShardState<D> {
         }
     }
 
-    /// Queues the response bytes, then records the root span — last, so
+    /// Queues the response frame, then records the root span — last, so
     /// every child is already recorded and the root's window (decode start
     /// → reply queued) encloses them all — and emits the slow-request
     /// event.
@@ -580,10 +618,11 @@ impl<D: Dispatcher> ShardState<D> {
         &mut self,
         slot: usize,
         meta: &PendingMeta,
-        response: &Response,
+        frame: Frame,
         dirty: &mut Vec<usize>,
     ) {
-        self.queue_response(slot, meta.corr, response, dirty);
+        let status = frame.kind;
+        self.queue_frame(slot, frame, dirty);
         let obs = &self.ctx.obs;
         if let Some((root_span, root_start_us)) = meta.trace {
             obs.tracer.record(SpanRecord {
@@ -595,7 +634,7 @@ impl<D: Dispatcher> ShardState<D> {
                 dur_us: obs.tracer.now_us().saturating_sub(root_start_us),
                 fields: vec![
                     ("op", Json::Str(meta.op_kind.into())),
-                    ("status", Json::Str(response.kind().into())),
+                    ("status", Json::Str(status.into())),
                 ],
             });
         }
@@ -608,88 +647,109 @@ impl<D: Dispatcher> ShardState<D> {
                 obs,
                 meta.trace_id,
                 meta.op_kind,
-                response,
+                status,
                 total_us,
                 meta.trace.is_some(),
             );
         }
     }
 
-    /// Appends one response frame to the connection's write buffer.
-    fn queue_response(
-        &mut self,
-        slot: usize,
-        corr: Option<u32>,
-        response: &Response,
-        dirty: &mut Vec<usize>,
-    ) {
+    /// The one way a response reaches a connection, completions and inline
+    /// rejections alike: with nothing unflushed the frame's buffer becomes
+    /// the connection's output buffer, otherwise its bytes are appended
+    /// behind what is already waiting.
+    fn queue_frame(&mut self, slot: usize, frame: Frame, dirty: &mut Vec<usize>) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        append_frame(&mut conn.out, &response.encode_corr(corr));
+        if conn.has_output() {
+            conn.out.extend_from_slice(frame.wire());
+        } else {
+            conn.out = frame.bytes;
+            conn.out_pos = frame.start;
+        }
         conn.out_frames += 1;
         self.ctx.stats.responses_out.inc();
         dirty.push(slot);
     }
 
+    /// Writes the connection's output, then — if that drained a buffer
+    /// whose size had stopped frame extraction — takes up the buffered
+    /// requests again and writes what they queued, until the connection is
+    /// back on hold or has nothing more to say.
+    fn flush(&mut self, slot: usize) {
+        loop {
+            self.write_out(slot);
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                return;
+            };
+            if !conn.output_hold || conn.unflushed() > MAX_UNFLUSHED {
+                break;
+            }
+            conn.output_hold = false;
+            let mut queued = Vec::new();
+            self.extract_frames(slot, &mut queued);
+            if queued.is_empty() {
+                break;
+            }
+        }
+        self.maybe_teardown(slot);
+    }
+
     /// Writes the connection's whole output buffer in one syscall (the
     /// write-batching win: every frame queued since the last drain shares
     /// it). Short writes keep the remainder and register write interest.
-    fn flush(&mut self, slot: usize) {
+    fn write_out(&mut self, slot: usize) {
         // Split borrows: the connection slab, the poller, and the stats
         // are all touched while the connection is held mutably.
         let Self { poller, ctx, conns, .. } = self;
         let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        if conn.has_output() {
-            let frames = conn.out_frames;
-            let mut wrote_all = false;
-            let mut broken = false;
-            loop {
-                match conn.stream.write(&conn.out[conn.out_pos..]) {
-                    Ok(0) => {
-                        broken = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        ctx.stats.write_flushes.inc();
-                        conn.out_pos += n;
-                        if conn.out_pos == conn.out.len() {
-                            wrote_all = true;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        broken = true;
+        if !conn.has_output() {
+            return;
+        }
+        let frames = conn.out_frames;
+        let mut wrote_all = false;
+        let mut broken = false;
+        loop {
+            match conn.stream.write(&conn.out[conn.out_pos..]) {
+                Ok(0) => {
+                    broken = true;
+                    break;
+                }
+                Ok(n) => {
+                    ctx.stats.write_flushes.inc();
+                    conn.out_pos += n;
+                    if conn.out_pos == conn.out.len() {
+                        wrote_all = true;
                         break;
                     }
                 }
-            }
-            if broken {
-                conn.peer_gone = true;
-                conn.out.clear();
-                conn.out_pos = 0;
-                conn.out_frames = 0;
-            } else if wrote_all {
-                if frames >= 2 {
-                    ctx.stats.batched_writes.inc();
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    broken = true;
+                    break;
                 }
-                conn.out.clear();
-                conn.out_pos = 0;
-                conn.out_frames = 0;
-                if conn.write_interest {
-                    conn.write_interest = false;
-                    let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ);
-                }
-            } else if !conn.write_interest {
-                conn.write_interest = true;
-                let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ_WRITE);
             }
         }
-        self.maybe_teardown(slot);
+        if broken || wrote_all {
+            conn.peer_gone |= broken;
+            if wrote_all && frames >= 2 {
+                ctx.stats.batched_writes.inc();
+            }
+            release_drained(&mut conn.out);
+            conn.out_pos = 0;
+            conn.out_frames = 0;
+            if wrote_all && conn.write_interest {
+                conn.write_interest = false;
+                let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ);
+            }
+        } else if !conn.write_interest {
+            conn.write_interest = true;
+            let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ_WRITE);
+        }
     }
 
     /// Closes the connection if it has reached a terminal state: the peer
@@ -725,14 +785,14 @@ fn emit_slow_request(
     obs: &ServerObserver,
     trace_id: u64,
     op_kind: &str,
-    response: &Response,
+    status: &str,
     total_us: u64,
     sampled: bool,
 ) {
     let mut fields = vec![
         ("trace_id", Json::Str(format!("{trace_id:#018x}"))),
         ("op", Json::Str(op_kind.into())),
-        ("status", Json::Str(response.kind().into())),
+        ("status", Json::Str(status.into())),
         ("total_us", Json::U64(total_us)),
         ("sampled", Json::Bool(sampled)),
     ];
@@ -762,8 +822,11 @@ fn emit_slow_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame, write_frame};
+    use crate::protocol::{
+        append_frame, read_frame, write_frame, RESPONSE_HEAD_MAX, RETAINED_CAPACITY,
+    };
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicUsize;
     use std::thread;
 
     /// Dispatcher double whose queue is permanently full.
@@ -784,9 +847,65 @@ mod tests {
                 Op::Get { id } => Response::GetOk { payload: vec![*id as u8] },
                 _ => Response::Ok,
             };
-            job.reply.send(response);
+            let frame = Frame::encode(&response, job.reply.corr);
+            job.reply.send(frame);
             Ok(())
         }
+    }
+
+    /// What [`Sized`] answers `GET id` with: `id` patterned bytes.
+    fn sized_payload(id: u64) -> Vec<u8> {
+        (0..id).map(|i| (i * 31 + id) as u8).collect()
+    }
+
+    /// Dispatcher double that answers `GET id` inline with `id` bytes,
+    /// framed the way a worker frames the store's buffer (headroom, the
+    /// stripe's length header, the payload), and counts what it was given.
+    #[derive(Default)]
+    struct Sized {
+        dispatched: Arc<AtomicUsize>,
+    }
+    impl Dispatcher for Sized {
+        fn dispatch(&self, job: Job) -> Result<(), Response> {
+            self.dispatched.fetch_add(1, Ordering::SeqCst);
+            let corr = job.reply.corr;
+            let frame = match &job.request.op {
+                Op::Get { id } => {
+                    let mut buf = vec![0xEE; RESPONSE_HEAD_MAX + 8];
+                    buf.extend_from_slice(&sized_payload(*id));
+                    Frame::get_ok(buf, RESPONSE_HEAD_MAX + 8, corr)
+                }
+                _ => Frame::encode(&Response::Ok, corr),
+            };
+            job.reply.send(frame);
+            Ok(())
+        }
+    }
+
+    /// The bytes a reply put on the wire before workers framed replies.
+    fn reference_frame(corr: Option<u32>, resp: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &resp.encode_corr(corr));
+        wire
+    }
+
+    /// Pins the socket's send buffer at the kernel's minimum, so a large
+    /// reply is certain to leave in several partial writes.
+    #[cfg(target_os = "linux")]
+    #[allow(unsafe_code)]
+    fn shrink_send_buffer(stream: &TcpStream) {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_SNDBUF: i32 = 7;
+        let bytes: i32 = 1;
+        // SAFETY: `fd` is an open socket for as long as `stream` is
+        // borrowed, and `value`/`len` describe one live `i32`, which is
+        // what SO_SNDBUF reads.
+        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, &bytes, 4) };
+        assert_eq!(rc, 0, "setsockopt(SO_SNDBUF)");
     }
 
     struct Harness {
@@ -802,6 +921,16 @@ mod tests {
         /// Stands up one shard behind a real listener: accepted
         /// connections go straight to the shard's mailbox.
         fn start<D: Dispatcher>(dispatcher: D, max_inflight: usize) -> Self {
+            Self::start_with(dispatcher, max_inflight, |_| ())
+        }
+
+        /// As [`Harness::start`], with `on_accept` run on every accepted
+        /// stream before the shard sees it.
+        fn start_with<D: Dispatcher>(
+            dispatcher: D,
+            max_inflight: usize,
+            on_accept: fn(&TcpStream),
+        ) -> Self {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             listener.set_nonblocking(true).unwrap();
             let addr = listener.local_addr().unwrap();
@@ -829,6 +958,7 @@ mod tests {
                     while !shutdown.load(Ordering::SeqCst) {
                         match listener.accept() {
                             Ok((stream, _)) => {
+                                on_accept(&stream);
                                 active.fetch_add(1, Ordering::SeqCst);
                                 mailbox.adopt(stream);
                             }
@@ -855,6 +985,18 @@ mod tests {
             s.set_nodelay(true).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             s
+        }
+
+        /// Waits for the shard to have queued `n` responses.
+        fn await_responses_out(&self, n: u64) {
+            let patience = Instant::now();
+            while self.stats.responses_out.get() < n {
+                assert!(
+                    patience.elapsed() < Duration::from_secs(10),
+                    "{n} responses never queued"
+                );
+                thread::sleep(Duration::from_millis(1));
+            }
         }
 
         fn stop(mut self) {
@@ -1020,5 +1162,180 @@ mod tests {
         // The server closes the connection after answering SHUTDOWN.
         assert_eq!(read_frame(&mut c).unwrap(), None, "EOF after the shutdown reply");
         h.stop();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn adopted_and_appended_frames_leave_in_order_byte_identical_to_encoded_bodies() {
+        let h = Harness::start_with(Sized::default(), 64, shrink_send_buffer);
+        let mut c = h.connect();
+        // Nothing is queued, so the first reply's buffer becomes the
+        // connection's output; 2 MiB against a pinned send buffer and a
+        // peer that is not reading leaves most of it unflushed.
+        write_frame(&mut c, &req(Some(1), Op::Get { id: 2 << 20 })).unwrap();
+        h.await_responses_out(1);
+        // These two are appended behind the partially written buffer.
+        write_frame(&mut c, &req(Some(2), Op::Get { id: 300 << 10 })).unwrap();
+        write_frame(&mut c, &req(Some(3), Op::Get { id: 5 })).unwrap();
+        h.await_responses_out(3);
+
+        let mut expect = Vec::new();
+        for (corr, id) in [(1, 2 << 20), (2, 300 << 10), (3, 5)] {
+            let resp = Response::GetOk {
+                payload: sized_payload(id),
+            };
+            expect.extend_from_slice(&reference_frame(Some(corr), &resp));
+        }
+        let mut got = vec![0u8; expect.len()];
+        c.read_exact(&mut got).unwrap();
+        assert!(got == expect, "three replies, in order, byte for byte");
+
+        // A legacy request's reply is adopted too, behind the shorter
+        // (uncorrelated) header.
+        write_frame(&mut c, &req(None, Op::Get { id: 1000 })).unwrap();
+        let expect = reference_frame(
+            None,
+            &Response::GetOk {
+                payload: sized_payload(1000),
+            },
+        );
+        let mut got = vec![0u8; expect.len()];
+        c.read_exact(&mut got).unwrap();
+        assert_eq!(got, expect);
+        h.stop();
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_stops_being_served_and_loses_nothing() {
+        const REQUESTS: u32 = 200;
+        const OBJECT: u64 = 1 << 20;
+        let dispatcher = Sized::default();
+        let dispatched = Arc::clone(&dispatcher.dispatched);
+        let h = Harness::start(dispatcher, 16);
+
+        // 200 pipelined 1 MiB GETs (4 KiB of requests) and not one read.
+        let mut greedy = h.connect();
+        for corr in 0..REQUESTS {
+            write_frame(&mut greedy, &req(Some(corr), Op::Get { id: OBJECT })).unwrap();
+        }
+        // The shard goes on serving everyone else...
+        let mut polite = h.connect();
+        for _ in 0..50 {
+            write_frame(&mut polite, &req(None, Op::Ping)).unwrap();
+            assert_eq!(read_response(&mut polite), (None, Response::Ok));
+        }
+        // ...while the greedy peer's requests wait in its read buffer:
+        // what was dispatched is what fits the output bound, the in-flight
+        // cap on top of it, and the kernel's socket buffers.
+        let served = dispatched.load(Ordering::SeqCst) - 50;
+        let bound = MAX_UNFLUSHED / OBJECT as usize + 16;
+        assert!(
+            served <= bound + 16,
+            "{served} replies of 1 MiB buffered for a peer that reads none (bound {bound})"
+        );
+
+        // When it does read, every reply is there, once, intact.
+        let expect = sized_payload(OBJECT);
+        let mut seen = vec![false; REQUESTS as usize];
+        for _ in 0..REQUESTS {
+            let (corr, resp) = read_response(&mut greedy);
+            let corr = corr.expect("correlated") as usize;
+            assert!(
+                !std::mem::replace(&mut seen[corr], true),
+                "corr {corr} answered twice"
+            );
+            match resp {
+                Response::GetOk { payload } => assert!(payload == expect, "corr {corr}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        h.stop();
+    }
+
+    #[test]
+    fn a_drained_connection_gives_back_its_large_buffers() {
+        const BIG: usize = 4 << 20;
+        // One shard, driven by hand on this thread, around one connection.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let mailbox = ShardMailbox::new();
+        mailbox.adopt(served);
+        let mut shard = ShardState {
+            poller: Poller::new().unwrap(),
+            ctx: ShardContext {
+                dispatcher: Arc::new(Sized::default()),
+                obs: ServerObserver::shared(),
+                stats: Arc::new(LoopStats::new()),
+                mailbox,
+                shutdown: Arc::new(AtomicBool::new(false)),
+                active: Arc::new(AtomicI64::new(1)),
+                default_deadline_ms: 0,
+                slow_request_us: 0,
+                poll_interval_ms: 5,
+                max_inflight_per_conn: 8,
+            },
+            conns: Vec::new(),
+            free: Vec::new(),
+            gen_counter: 0,
+            drain_started: None,
+        };
+        shard.adopt_new();
+        // Runs the loop body until `done`, without the poller: read,
+        // complete, flush.
+        let turn_until = |shard: &mut ShardState<Sized>, done: &dyn Fn(&Conn) -> bool| {
+            let patience = Instant::now();
+            loop {
+                let mut dirty = Vec::new();
+                shard.handle_readable(0, &mut dirty);
+                shard.process_completions(&mut dirty);
+                shard.flush(0);
+                if done(shard.conns[0].as_ref().expect("connection stays open")) {
+                    return;
+                }
+                assert!(
+                    patience.elapsed() < Duration::from_secs(10),
+                    "shard made no progress"
+                );
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // Capacities are judged once the peer has its replies and is gone:
+        // a panic inside the scope would wait on it forever.
+        let (inbuf_idle, out_idle) = thread::scope(|s| {
+            // The peer: a 4 MiB PUT, its reply, a 4 MiB GET, its reply.
+            s.spawn(|| {
+                let mut c = client;
+                let put = Op::Put {
+                    name: "big".into(),
+                    payload: vec![7; BIG],
+                };
+                write_frame(&mut c, &req(Some(1), put)).unwrap();
+                assert_eq!(read_response(&mut c), (Some(1), Response::Ok));
+                write_frame(&mut c, &req(Some(2), Op::Get { id: BIG as u64 })).unwrap();
+                match read_response(&mut c) {
+                    (Some(2), Response::GetOk { payload }) => assert_eq!(payload.len(), BIG),
+                    other => panic!("{other:?}"),
+                }
+            });
+            let stats = Arc::clone(&shard.ctx.stats);
+            turn_until(&mut shard, &|conn| {
+                stats.responses_out.get() == 1 && !conn.has_output()
+            });
+            let inbuf_idle = shard.conns[0].as_ref().unwrap().inbuf.capacity();
+            turn_until(&mut shard, &|conn| {
+                stats.responses_out.get() == 2 && !conn.has_output()
+            });
+            (inbuf_idle, shard.conns[0].as_ref().unwrap().out.capacity())
+        });
+        assert!(
+            inbuf_idle <= RETAINED_CAPACITY,
+            "idle, yet holding {inbuf_idle} bytes of its largest request"
+        );
+        assert!(
+            out_idle <= RETAINED_CAPACITY,
+            "idle, yet holding {out_idle} bytes of its largest reply"
+        );
     }
 }

@@ -15,6 +15,13 @@
 //!   append-only segment file per device with an in-memory index
 //!   rebuilt by scan on open.
 //!
+//! A backend implements one read, [`BlockBackend::read_into`], which
+//! appends a block to a buffer the caller owns — the memory backend
+//! copies from its map, the durable ones read from the file into the
+//! buffer's spare capacity. A GET passes its reply buffer, so a block's
+//! bytes are written once, where they are going; `get` (a fresh `Vec`)
+//! and `get_pooled` (a recycled one) are provided on top of it.
+//!
 //! Backends report failures as `io::Error`; the device layer translates
 //! those into [`DeviceStats::io_errors`](crate::DeviceStats::io_errors)
 //! and degrades exactly as if the block were an erasure, so upstream
@@ -51,13 +58,33 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
         self.put(key, &data)
     }
 
-    /// Reads a block into a fresh `Vec`; `Ok(None)` when absent.
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>>;
+    /// The one read every backend implements: appends the block's bytes
+    /// to `out` — straight from the map, the file or the segment, into the
+    /// caller's spare capacity — and returns how many; `Ok(None)` when
+    /// absent. A GET passes its reply buffer, so a block is written once,
+    /// where it is going. After an `Err`, bytes past `out`'s entry length
+    /// are garbage the caller truncates away ([`Device`](crate::Device)
+    /// does).
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>>;
 
-    /// Reads a block into a buffer drawn from `pool` (the data-plane
-    /// fast path; see `tornado_codec::pool`).
-    fn get_pooled(&mut self, key: &BlockKey, pool: &mut BlockPool)
-        -> io::Result<Option<Vec<u8>>>;
+    /// Reads a block into a fresh `Vec`; `Ok(None)` when absent.
+    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
+        let mut block = Vec::new();
+        Ok(self.read_into(key, &mut block)?.map(|_| block))
+    }
+
+    /// Reads a block into a buffer drawn from `pool` (see
+    /// `tornado_codec::pool`), which gets it back when the block is absent.
+    fn get_pooled(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
+        let mut block = pool.take_zeroed(0);
+        match self.read_into(key, &mut block) {
+            Ok(Some(_)) => Ok(Some(block)),
+            miss => {
+                pool.recycle(block);
+                miss.map(|_| None)
+            }
+        }
+    }
 
     /// Word-wide FNV checksum (`tornado_codec::kernels::checksum`) of
     /// the stored bytes, without handing out a copy — the scrub verify
@@ -116,16 +143,11 @@ impl BlockBackend for MemoryBackend {
         Ok(())
     }
 
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.blocks.get(key).cloned())
-    }
-
-    fn get_pooled(
-        &mut self,
-        key: &BlockKey,
-        pool: &mut BlockPool,
-    ) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.blocks.get(key).map(|b| pool.take_copy(b)))
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
+        Ok(self.blocks.get(key).map(|b| {
+            out.extend_from_slice(b);
+            b.len()
+        }))
     }
 
     fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
@@ -231,6 +253,54 @@ mod tests {
         assert!(!b.delete(&(1, 2)).unwrap());
         assert_eq!(b.block_count(), 0);
         assert!(b.get(&(1, 2)).unwrap().is_none());
+    }
+
+    #[test]
+    fn one_read_serves_all_three_on_every_backend() {
+        use crate::backend_file::FileBackend;
+        use crate::backend_segment::SegmentBackend;
+        let dir = std::env::temp_dir().join(format!("tornado-backend-read-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut backends: Vec<Box<dyn BlockBackend>> = vec![
+            Box::new(MemoryBackend::new()),
+            Box::new(FileBackend::open(&dir.join("file"), false).unwrap()),
+            Box::new(SegmentBackend::open(&dir.join("seg"), false).unwrap()),
+        ];
+        for b in &mut backends {
+            let block: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+            b.put((1, 0), &block).unwrap();
+            b.put((1, 1), &[]).unwrap();
+
+            // The primitive appends behind what the caller already has,
+            // into capacity the caller reserved.
+            let mut out = Vec::with_capacity(3 + 2 * block.len());
+            out.extend_from_slice(&[0xEE; 3]);
+            let at = out.as_ptr();
+            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(block.len()));
+            assert_eq!(b.read_into(&(1, 1), &mut out).unwrap(), Some(0));
+            assert_eq!(b.read_into(&(9, 9), &mut out).unwrap(), None);
+            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(block.len()));
+            assert_eq!(out[..3], [0xEE; 3]);
+            assert_eq!(out[3..3 + block.len()], block[..]);
+            assert_eq!(out[3 + block.len()..], block[..]);
+            assert_eq!(out.as_ptr(), at, "{}: no reallocation", b.kind());
+
+            assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), block);
+            assert!(b.get(&(9, 9)).unwrap().is_none());
+            let mut pool = BlockPool::new();
+            pool.recycle(Vec::with_capacity(8192));
+            let pooled = b.get_pooled(&(1, 0), &mut pool).unwrap().unwrap();
+            assert_eq!(pooled, block);
+            assert_eq!(
+                (pooled.capacity(), pool.available()),
+                (8192, 0),
+                "the pool's buffer"
+            );
+            pool.recycle(pooled);
+            assert!(b.get_pooled(&(9, 9), &mut pool).unwrap().is_none());
+            assert_eq!(pool.available(), 1, "a miss hands the buffer back");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use tornado_codec::kernels;
-use tornado_codec::BlockPool;
 
 use crate::backend::{sync_file, BlockBackend, BlockKey};
 
@@ -72,15 +71,14 @@ impl FileBackend {
         self.dir.join(block_file_name(key))
     }
 
-    /// Reads the block into `self.scratch`; `Ok(false)` when absent.
+    /// Reads the block into `self.scratch` — the buffer the in-place
+    /// operations (checksum, corrupt) reuse; `Ok(false)` when absent.
     fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<bool> {
-        if !self.index.contains(key) {
-            return Ok(false);
-        }
-        let mut f = File::open(self.path_of(key))?;
-        self.scratch.clear();
-        f.read_to_end(&mut self.scratch)?;
-        Ok(true)
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        let read = self.read_into(key, &mut scratch);
+        self.scratch = scratch;
+        Ok(read?.is_some())
     }
 }
 
@@ -104,22 +102,12 @@ impl BlockBackend for FileBackend {
         Ok(())
     }
 
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
         if !self.index.contains(key) {
             return Ok(None);
         }
-        Ok(Some(fs::read(self.path_of(key))?))
-    }
-
-    fn get_pooled(
-        &mut self,
-        key: &BlockKey,
-        pool: &mut BlockPool,
-    ) -> io::Result<Option<Vec<u8>>> {
-        if !self.read_into_scratch(key)? {
-            return Ok(None);
-        }
-        Ok(Some(pool.take_copy(&self.scratch)))
+        // `read_to_end` fills the caller's spare capacity directly.
+        File::open(self.path_of(key))?.read_to_end(out).map(Some)
     }
 
     fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {

@@ -24,7 +24,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tornado_codec::kernels;
-use tornado_codec::BlockPool;
 
 use crate::backend::{metrics, sync_file, BlockBackend, BlockKey};
 
@@ -140,15 +139,14 @@ impl SegmentBackend {
         Ok(payload_off)
     }
 
-    /// Reads the live payload for `key` into `self.scratch`.
+    /// Reads the live payload for `key` into `self.scratch`, which the
+    /// checksum probe reuses; `Ok(false)` when absent.
     fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<bool> {
-        let Some(&(off, len)) = self.index.get(key) else {
-            return Ok(false);
-        };
-        self.scratch.resize(len as usize, 0);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(&mut self.scratch)?;
-        Ok(true)
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        let read = self.read_into(key, &mut scratch);
+        self.scratch = scratch;
+        Ok(read?.is_some())
     }
 }
 
@@ -159,22 +157,21 @@ impl BlockBackend for SegmentBackend {
         Ok(())
     }
 
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-        if !self.read_into_scratch(key)? {
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
+        let Some(&(off, len)) = self.index.get(key) else {
             return Ok(None);
+        };
+        self.file.seek(SeekFrom::Start(off))?;
+        // A bounded `read_to_end` fills the caller's spare capacity
+        // directly, with no zero-fill first.
+        let read = (&self.file).take(u64::from(len)).read_to_end(out)?;
+        if read != len as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "segment ends inside an indexed block",
+            ));
         }
-        Ok(Some(self.scratch.clone()))
-    }
-
-    fn get_pooled(
-        &mut self,
-        key: &BlockKey,
-        pool: &mut BlockPool,
-    ) -> io::Result<Option<Vec<u8>>> {
-        if !self.read_into_scratch(key)? {
-            return Ok(None);
-        }
-        Ok(Some(pool.take_copy(&self.scratch)))
+        Ok(Some(read))
     }
 
     fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {

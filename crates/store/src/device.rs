@@ -1,7 +1,9 @@
 //! Storage devices with failure injection, backed by pluggable
 //! [`BlockBackend`]s.
 //!
-//! Each device stores named blocks and keeps access counters. Interior
+//! Each device stores named blocks and keeps access counters; every read
+//! is [`Device::read_block_into`], one locked append into the caller's
+//! buffer, attributed to a [`ReadClass`]. Interior
 //! mutability (a `parking_lot::RwLock` per device) lets many readers hit
 //! different devices concurrently — the access pattern the guided
 //! retrieval planner optimises — while failure injection flips a device
@@ -201,60 +203,44 @@ impl Device {
         }
     }
 
-    /// Reads a block; `None` when offline or absent. Attributed as a
-    /// [`ReadClass::Payload`] read.
-    pub fn read_block(&self, key: &BlockKey) -> Option<Vec<u8>> {
-        self.read_block_classed(key, ReadClass::Payload)
-    }
-
-    /// Reads a block attributed to `class`; `None` when offline, absent,
-    /// or failing at the I/O layer.
-    pub fn read_block_classed(&self, key: &BlockKey, class: ReadClass) -> Option<Vec<u8>> {
-        let mut s = self.state.write();
-        if !s.online {
-            s.stats.failed_reads += 1;
-            return None;
-        }
-        match s.backend.get(key) {
-            Ok(block) => {
-                if let Some(b) = &block {
-                    s.stats.record_read(b.len(), class);
-                }
-                block
-            }
-            Err(_) => {
-                s.stats.io_errors += 1;
-                None
-            }
-        }
-    }
-
-    /// Like [`Device::read_block`], but copies into a buffer recycled from
-    /// `pool` instead of a fresh allocation — the serving path's read
-    /// primitive. Bytes are attributed to `class`.
-    pub fn read_block_pooled(
+    /// The device's one read: under the device lock, appends the block's
+    /// bytes to `out` and returns how many, attributed to `class`. `None`
+    /// — with `out` as it was — when the device is offline, the block is
+    /// absent, or the backend fails the I/O (counted in
+    /// [`DeviceStats::io_errors`]).
+    pub fn read_block_into(
         &self,
         key: &BlockKey,
-        pool: &mut tornado_codec::BlockPool,
         class: ReadClass,
-    ) -> Option<Vec<u8>> {
+        out: &mut Vec<u8>,
+    ) -> Option<usize> {
         let mut s = self.state.write();
         if !s.online {
             s.stats.failed_reads += 1;
             return None;
         }
-        match s.backend.get_pooled(key, pool) {
-            Ok(block) => {
-                if let Some(b) = &block {
-                    s.stats.record_read(b.len(), class);
+        let start = out.len();
+        match s.backend.read_into(key, out) {
+            Ok(read) => {
+                if let Some(len) = read {
+                    s.stats.record_read(len, class);
                 }
-                block
+                read
             }
             Err(_) => {
+                out.truncate(start);
                 s.stats.io_errors += 1;
                 None
             }
         }
+    }
+
+    /// [`Device::read_block_into`] a fresh `Vec`, as a
+    /// [`ReadClass::Payload`] read.
+    pub fn read_block(&self, key: &BlockKey) -> Option<Vec<u8>> {
+        let mut block = Vec::new();
+        self.read_block_into(key, ReadClass::Payload, &mut block)
+            .map(|_| block)
     }
 
     /// Checksums a block in place against `expected` — the scrub verify
@@ -390,15 +376,30 @@ mod tests {
         let d = Device::new(0);
         d.write_block((1, 0), vec![7u8; 64]);
         assert!(d.read_block(&(1, 0)).is_some());
-        assert!(d.read_block_classed(&(1, 0), ReadClass::Repair).is_some());
-        let mut pool = tornado_codec::BlockPool::default();
-        assert!(d.read_block_pooled(&(1, 0), &mut pool, ReadClass::Repair).is_some());
-        assert!(d.read_block_pooled(&(1, 0), &mut pool, ReadClass::Payload).is_some());
+        // Reads append: the caller's bytes in front stay put.
+        let mut out = vec![0xEE; 3];
+        assert_eq!(
+            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
+            Some(64)
+        );
+        assert_eq!(
+            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
+            Some(64)
+        );
+        assert_eq!(
+            d.read_block_into(&(1, 0), ReadClass::Payload, &mut out),
+            Some(64)
+        );
+        assert_eq!(out.len(), 3 + 3 * 64);
+        assert_eq!((&out[..3], &out[3..67]), (&[0xEE; 3][..], &[7u8; 64][..]));
         let s = d.stats();
         assert_eq!(s.reads, 4);
         assert_eq!(s.bytes_read, 4 * 64);
         assert_eq!(s.bytes_repair_read, 2 * 64);
-        assert!(d.read_block_classed(&(9, 9), ReadClass::Repair).is_none());
+        assert!(d
+            .read_block_into(&(9, 9), ReadClass::Repair, &mut out)
+            .is_none());
+        assert_eq!(out.len(), 3 + 3 * 64, "a miss appends nothing");
         assert_eq!(d.stats().bytes_read, 4 * 64, "misses serve no bytes");
     }
 
@@ -453,7 +454,13 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         std::fs::create_dir(&path).unwrap();
         assert!(d.has_block(&(1, 2)), "index still lists it");
-        assert_eq!(d.read_block(&(1, 2)), None, "read error reads as erasure");
+        let mut out = vec![1, 2, 3];
+        assert_eq!(
+            d.read_block_into(&(1, 2), ReadClass::Payload, &mut out),
+            None,
+            "read error reads as erasure"
+        );
+        assert_eq!(out, [1, 2, 3], "and leaves the caller's buffer as it was");
         assert_eq!(d.verify_block(&(1, 2), 0), BlockProbe::Missing);
         let s = d.stats();
         assert_eq!(s.io_errors, 2);

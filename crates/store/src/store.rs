@@ -370,58 +370,74 @@ impl ArchivalStore {
     }
 
     /// Like [`ArchivalStore::get`], additionally reporting retrieval-path
-    /// statistics (the serving layer's degraded-read signal).
+    /// statistics (the serving layer's degraded-read signal): what
+    /// [`ArchivalStore::get_framed`] read, with the buffer cut down to the
+    /// payload (the one memmove a caller who wants a bare `Vec` pays).
+    pub fn get_detailed(&self, id: ObjectId) -> Result<(Vec<u8>, GetStats), StoreError> {
+        let (mut buf, payload_start, mut stats) = self.get_framed(id, 0)?;
+        let strip_start = Instant::now();
+        buf.drain(..payload_start);
+        stats.decode_us += strip_start.elapsed().as_micros() as u64;
+        Ok((buf, stats))
+    }
+
+    /// The GET every other GET is built on: returns `(buf, payload_start,
+    /// stats)` where `buf[payload_start..]` is the object and the bytes in
+    /// front of it are the caller's to overwrite — `headroom` spare bytes,
+    /// then the stripe's own 8-byte length header where it was read, so
+    /// `payload_start == headroom + 8`. The serving layer writes its frame
+    /// header there and the buffer goes to the socket as it is.
     ///
     /// The code is systematic, so the data half of the stripe *is* the
-    /// framed payload: data blocks `0..k` are read in order through one
-    /// pooled scratch block, checksum-verified, and copied into their slots
-    /// of one contiguous buffer that becomes the reply. A healthy stripe
-    /// touches nothing else — no availability scan, no plan. A block that
-    /// is absent, on an offline device or corrupt leaves a zeroed *hole*
-    /// for [`ArchivalStore::fill_holes`], so silent corruption degrades
-    /// into an ordinary erasure.
-    pub fn get_detailed(&self, id: ObjectId) -> Result<(Vec<u8>, GetStats), StoreError> {
+    /// framed payload: data blocks `0..k` are read in order straight into
+    /// `buf`, each byte written once, and checksum-verified where they
+    /// landed. A healthy stripe touches nothing else — no availability
+    /// scan, no plan, no scratch block. A block that is absent, on an
+    /// offline device, of the wrong length or corrupt is cut back out and
+    /// its slot zero-filled as a *hole* for [`ArchivalStore::fill_holes`]
+    /// before the next block is read, so silent corruption degrades into
+    /// an ordinary erasure and unverified bytes are never in a buffer that
+    /// is returned.
+    pub fn get_framed(
+        &self,
+        id: ObjectId,
+        headroom: usize,
+    ) -> Result<(Vec<u8>, usize, GetStats), StoreError> {
         let meta = self.objects.read().get(&id).cloned();
         let meta = meta.ok_or(StoreError::UnknownObject { id })?;
         let (k, block_len) = (self.graph.num_data(), meta.block_len);
-        pool::with_thread_pool(|p| {
-            let fetch_start = Instant::now();
-            let mut reply: Vec<u8> = Vec::with_capacity(k * block_len);
-            let mut holes: Vec<NodeId> = Vec::new();
-            let mut stats = GetStats::default();
-            for node in 0..k as NodeId {
-                match self.read_verified(&meta, node, ReadClass::Payload, p) {
-                    Ok(block) => {
-                        reply.extend_from_slice(&block);
-                        p.recycle(block);
-                    }
-                    Err(miss) => {
-                        reply.resize(reply.len() + block_len, 0);
-                        holes.push(node);
-                        stats.replans += usize::from(miss == Miss::Corrupt);
-                    }
-                }
+        let fetch_start = Instant::now();
+        let mut buf: Vec<u8> = Vec::with_capacity(headroom + k * block_len);
+        buf.resize(headroom, 0);
+        let mut holes: Vec<NodeId> = Vec::new();
+        let mut stats = GetStats::default();
+        for node in 0..k as NodeId {
+            if let Err(miss) = self.read_verified_into(&meta, node, ReadClass::Payload, &mut buf) {
+                buf.resize(buf.len() + block_len, 0);
+                holes.push(node);
+                stats.replans += usize::from(miss == Miss::Corrupt);
             }
-            stats.fetch_us = fetch_start.elapsed().as_micros() as u64;
-            stats.blocks_fetched = k - holes.len();
-            stats.cost.blocks_fetched = stats.blocks_fetched as u64;
-            if !holes.is_empty() {
-                self.fill_holes(&meta, &holes, &mut reply, &mut stats, p)?;
-            }
-            // One device per node and no block read twice: blocks, devices
-            // and bytes are the same count in different units.
-            stats.cost.devices_contacted = stats.cost.blocks_fetched;
-            stats.cost.bytes_read = stats.cost.blocks_fetched * block_len as u64;
+        }
+        stats.fetch_us = fetch_start.elapsed().as_micros() as u64;
+        stats.blocks_fetched = k - holes.len();
+        stats.cost.blocks_fetched = stats.blocks_fetched as u64;
+        if !holes.is_empty() {
+            let data = &mut buf[headroom..];
+            pool::with_thread_pool(|p| self.fill_holes(&meta, &holes, data, &mut stats, p))?;
+        }
+        // One device per node and no block read twice: blocks, devices
+        // and bytes are the same count in different units.
+        stats.cost.devices_contacted = stats.cost.blocks_fetched;
+        stats.cost.bytes_read = stats.cost.blocks_fetched * block_len as u64;
 
-            // Strip the length header in place: the buffer is the payload.
-            let strip_start = Instant::now();
-            let len = u64::from_le_bytes(reply[..8].try_into().expect("length header")) as usize;
-            debug_assert_eq!(len, meta.size);
-            reply.copy_within(8..8 + len, 0);
-            reply.truncate(len);
-            stats.decode_us += strip_start.elapsed().as_micros() as u64;
-            Ok((reply, stats))
-        })
+        let payload_start = headroom + 8;
+        let header = buf[headroom..payload_start]
+            .try_into()
+            .expect("length header");
+        let len = u64::from_le_bytes(header) as usize;
+        debug_assert_eq!(len, meta.size);
+        buf.truncate(payload_start + len);
+        Ok((buf, payload_start, stats))
     }
 
     /// The miss path of a GET: `data` is the contiguous data half with the
@@ -539,16 +555,40 @@ impl ArchivalStore {
         class: ReadClass,
         pool: &mut BlockPool,
     ) -> Result<Vec<u8>, Miss> {
-        let dev = self.device_of_block(meta, node);
-        let block = self.devices[dev]
-            .read_block_pooled(&(meta.id, node), pool, class)
-            .ok_or(Miss::Absent)?;
-        if block.len() != meta.block_len || block_checksum(&block) != meta.checksums[node as usize]
-        {
-            pool.recycle(block);
-            return Err(Miss::Corrupt);
+        let mut block = pool.take_zeroed(0);
+        match self.read_verified_into(meta, node, class, &mut block) {
+            Ok(()) => Ok(block),
+            Err(miss) => {
+                pool.recycle(block);
+                Err(miss)
+            }
         }
-        Ok(block)
+    }
+
+    /// Appends one block to `out` and verifies it, where it landed,
+    /// against the checksum recorded at put time. On a miss `out` is as it
+    /// was: bytes that failed verification do not outlive this call.
+    fn read_verified_into(
+        &self,
+        meta: &ObjectMeta,
+        node: NodeId,
+        class: ReadClass,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Miss> {
+        let start = out.len();
+        let dev = self.device_of_block(meta, node);
+        let miss = match self.devices[dev].read_block_into(&(meta.id, node), class, out) {
+            None => Miss::Absent,
+            Some(len)
+                if len == meta.block_len
+                    && block_checksum(&out[start..]) == meta.checksums[node as usize] =>
+            {
+                return Ok(())
+            }
+            Some(_) => Miss::Corrupt,
+        };
+        out.truncate(start);
+        Err(miss)
     }
 
     /// Writes a (re-encoded) block back to its home device. Repair
@@ -817,19 +857,12 @@ mod tests {
         fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
             self.inner.put(key, data)
         }
-        fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-            self.inner.get(key)
-        }
-        fn get_pooled(
-            &mut self,
-            key: &BlockKey,
-            pool: &mut BlockPool,
-        ) -> io::Result<Option<Vec<u8>>> {
+        fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
             if *key == self.gate {
                 self.reached.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
             }
-            self.inner.get_pooled(key, pool)
+            self.inner.read_into(key, out)
         }
         fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
             self.inner.checksum(key)
@@ -899,8 +932,8 @@ mod tests {
         let reads = |s: &ArchivalStore| -> u64 { s.devices.iter().map(|d| d.stats().reads).sum() };
 
         let before = reads(&store);
-        let (got, stats) = std::thread::scope(|s| {
-            let get = s.spawn(|| store.get_detailed(id));
+        let (buf, payload_start, stats) = std::thread::scope(|s| {
+            let get = s.spawn(|| store.get_framed(id, 9));
             // The GET is inside its first check fetch: the victim was
             // probed present and has not been read yet.
             reached_rx.recv().unwrap();
@@ -908,7 +941,7 @@ mod tests {
             release_tx.send(()).unwrap();
             get.join().unwrap().unwrap()
         });
-        assert_eq!(got, payload);
+        assert_eq!(&buf[payload_start..], payload);
         assert_eq!(stats.replans, 1, "the racy loss; offline data is no replan");
         assert_eq!(stats.blocks_fetched, second.fetch.len());
         assert_eq!(stats.blocks_recovered, second.schedule.len());

@@ -30,9 +30,15 @@ const SIZES: [usize; 11] = [0, 1, 7, 8, 9, 47, 48, 383, 385, 4 << 10, 64 << 10];
 /// One data-first GET on catalog graph 1 against the planner as oracle:
 /// the object is put at `rotation`, `offline` devices fail, and everything
 /// the GET reports must be what `plan_retrieval` derives from the same
-/// availability — or `Unrecoverable` with the decoder's own lost list.
+/// availability — or `Unrecoverable` with the decoder's own lost list. The
+/// GET is the framed call, with `headroom` bytes in front of the stripe.
 /// Returns whether the object was served.
-fn get_matches_planner_oracle(rotation: usize, offline: &[usize], size: usize) -> bool {
+fn get_matches_planner_oracle(
+    rotation: usize,
+    offline: &[usize],
+    size: usize,
+    headroom: usize,
+) -> bool {
     let graph = tornado_core::tornado_graph_1();
     let (n, k) = (graph.num_nodes(), graph.num_data());
     let store = ArchivalStore::new(graph.clone());
@@ -50,9 +56,13 @@ fn get_matches_planner_oracle(rotation: usize, offline: &[usize], size: usize) -
         .filter(|&v| !offline.contains(&store.device_of_block(&meta, v)))
         .collect();
 
-    match (store.get_detailed(id), plan_retrieval(&graph, &available)) {
-        (Ok((got, stats)), Some(plan)) => {
-            assert_eq!(got, payload, "payload is byte-identical");
+    match (
+        store.get_framed(id, headroom),
+        plan_retrieval(&graph, &available),
+    ) {
+        (Ok((buf, payload_start, stats)), Some(plan)) => {
+            assert_eq!(payload_start, headroom + 8);
+            assert_eq!(&buf[payload_start..], payload, "payload is byte-identical");
             assert_eq!(stats.blocks_fetched, plan.fetch.len());
             assert_eq!(stats.blocks_recovered, plan.schedule.len());
             assert_eq!(stats.replans, 0, "an offline miss is a hole, not a replan");
@@ -72,7 +82,7 @@ fn get_matches_planner_oracle(rotation: usize, offline: &[usize], size: usize) -
         }
         (got, plan) => panic!(
             "store and planner disagree: get = {:?}, plan = {:?}",
-            got.map(|(_, stats)| stats),
+            got.map(|(_, _, stats)| stats),
             plan.map(|p| p.fetch)
         ),
     }
@@ -83,9 +93,9 @@ fn get_matches_planner_oracle(rotation: usize, offline: &[usize], size: usize) -
 #[test]
 fn unrecoverable_gets_list_what_the_decoder_lists() {
     let every_other: Vec<usize> = (0..96).step_by(2).collect();
-    assert!(!get_matches_planner_oracle(0, &every_other, 385));
+    assert!(!get_matches_planner_oracle(0, &every_other, 385, 0));
     let first_third: Vec<usize> = (0..32).collect();
-    assert!(!get_matches_planner_oracle(71, &first_third, 4 << 10));
+    assert!(!get_matches_planner_oracle(71, &first_third, 4 << 10, 9));
 }
 
 proptest! {
@@ -93,14 +103,15 @@ proptest! {
 
     /// Differential test of the data-first GET (see
     /// [`get_matches_planner_oracle`]): random rotation, 0–6 offline
-    /// devices, payload sizes around every framing boundary.
+    /// devices, payload sizes around every framing boundary, any headroom.
     #[test]
     fn get_agrees_with_the_planner_oracle(
         rotation in 0usize..96,
         offline in proptest::collection::vec(0usize..96, 0..7),
         size in 0usize..SIZES.len(),
+        headroom in 0usize..80,
     ) {
-        get_matches_planner_oracle(rotation, &offline, SIZES[size]);
+        get_matches_planner_oracle(rotation, &offline, SIZES[size], headroom);
     }
 
     /// Put/get round-trips arbitrary payloads, including after losing any
