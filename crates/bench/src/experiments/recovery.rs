@@ -18,6 +18,7 @@
 
 use crate::effort::Effort;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tornado_store::{ArchivalStore, BackendKind, DurableConfig};
 
 /// Payload size per object; recovery cost is dominated by per-object
@@ -88,10 +89,14 @@ pub fn measure(object_counts: &[usize]) -> RecoveryBenchReport {
     for kind in [BackendKind::File, BackendKind::Segment] {
         let mut sweep = Vec::with_capacity(object_counts.len());
         for &objects in object_counts {
+            // Unique per call, not just per process: two tests of one test
+            // binary measure the same sizes at once.
+            static CALLS: AtomicUsize = AtomicUsize::new(0);
             let dir = std::env::temp_dir().join(format!(
-                "tornado-bench-recovery-{}-{objects}-{}",
+                "tornado-bench-recovery-{}-{objects}-{}-{}",
                 kind.as_str(),
-                std::process::id()
+                std::process::id(),
+                CALLS.fetch_add(1, Ordering::Relaxed)
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let (store, _) = ArchivalStore::open(

@@ -3,7 +3,6 @@
 use crate::erasure::{ErasureDecoder, RecoveryStep};
 use crate::error::CodecError;
 use crate::kernels::xor_into;
-use crate::metrics::DecodeMetrics;
 use crate::pool;
 use rayon::prelude::*;
 use tornado_graph::{Graph, NodeId};
@@ -111,26 +110,6 @@ impl<'g> Codec<'g> {
     /// check) are filled in; the report lists what was recovered and what
     /// stayed lost.
     pub fn decode(&self, stored: &mut [Option<Vec<u8>>]) -> Result<DecodeReport, CodecError> {
-        self.decode_inner(stored, None)
-    }
-
-    /// Like [`Codec::decode`], but drains the peeling kernel's
-    /// instrumentation cells into `metrics` when done. Each call uses its
-    /// own decoder, so concurrent callers (rayon scrub workers) record
-    /// independently and the sharded aggregate is order-independent.
-    pub fn decode_recorded(
-        &self,
-        stored: &mut [Option<Vec<u8>>],
-        metrics: &DecodeMetrics,
-    ) -> Result<DecodeReport, CodecError> {
-        self.decode_inner(stored, Some(metrics))
-    }
-
-    fn decode_inner(
-        &self,
-        stored: &mut [Option<Vec<u8>>],
-        metrics: Option<&DecodeMetrics>,
-    ) -> Result<DecodeReport, CodecError> {
         let n = self.graph.num_nodes();
         if stored.len() != n {
             return Err(CodecError::WrongStripeWidth {
@@ -155,66 +134,59 @@ impl<'g> Codec<'g> {
         }
 
         let missing: Vec<usize> = (0..n).filter(|&i| stored[i].is_none()).collect();
-        let mut dec = ErasureDecoder::new(self.graph);
-        if metrics.is_some() {
-            dec.set_recording(true);
-        }
-        let detail = dec.decode_detailed(&missing);
-        if let Some(m) = metrics {
-            m.absorb(&dec.take_cells());
-        }
+        let detail = ErasureDecoder::new(self.graph).decode_detailed(&missing);
 
-        let mut recovered = Vec::with_capacity(detail.schedule.len());
-        // Depth of each node's value in the recovery dependency chain:
-        // blocks that survived sit at depth 0, each recovered block is one
-        // deeper than its deepest input.
-        let mut depth = vec![0u64; n];
-        let mut recovery_depth = 0u64;
-        for step in &detail.schedule {
-            match *step {
-                RecoveryStep::Peel { node, via } => {
-                    // node = via ⊕ (other left neighbours of via)
-                    let via_block = stored[via as usize]
-                        .as_deref()
-                        .expect("schedule guarantees via is present");
-                    let mut acc = pool::with_thread_pool(|p| p.take_copy(via_block));
-                    let mut d = depth[via as usize];
-                    for &nbr in self.graph.check_neighbors(via) {
-                        if nbr != node {
-                            let b = stored[nbr as usize]
-                                .as_ref()
-                                .expect("schedule guarantees the other neighbours are present");
-                            xor_into(&mut acc, b);
-                            d = d.max(depth[nbr as usize]);
-                        }
-                    }
-                    stored[node as usize] = Some(acc);
-                    depth[node as usize] = d + 1;
-                    recovery_depth = recovery_depth.max(d + 1);
-                    recovered.push(node);
-                }
-                RecoveryStep::Reencode { node } => {
-                    let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-                    let mut d = 0u64;
-                    for &nbr in self.graph.check_neighbors(node) {
-                        let b = stored[nbr as usize]
-                            .as_ref()
-                            .expect("schedule guarantees the neighbours are present");
-                        xor_into(&mut acc, b);
-                        d = d.max(depth[nbr as usize]);
-                    }
-                    stored[node as usize] = Some(acc);
-                    depth[node as usize] = d + 1;
-                    recovery_depth = recovery_depth.max(d + 1);
-                    recovered.push(node);
-                }
-            }
-        }
+        let recovery_depth = self.replay(&detail.schedule, stored);
+        let rebuilt = detail.schedule.iter().map(|s| s.node_and_check().0);
         Ok(DecodeReport {
             lost_data: detail.lost_data,
-            recovered,
+            recovered: rebuilt.collect(),
             recovery_depth,
         })
+    }
+
+    /// Replays a peeling `schedule` over `stored` with real XOR: each step's
+    /// node is rebuilt into its (empty) slot, in an accumulator from the
+    /// calling thread's [`pool::BlockPool`]. Only the blocks the schedule
+    /// reads need be present — [`Codec::decode`] hands it a whole stripe, a
+    /// guided repair just the schedule's inputs. Returns the longest
+    /// dependency chain: blocks present on entry sit at depth 0, each
+    /// rebuilt block one deeper than its deepest input.
+    ///
+    /// # Panics
+    /// Panics if a block a step reads is neither present nor rebuilt by an
+    /// earlier step — the schedule was not derived for this availability.
+    pub fn replay(&self, schedule: &[RecoveryStep], stored: &mut [Option<Vec<u8>>]) -> u64 {
+        let block_len = stored.iter().flatten().next().map_or(0, Vec::len);
+        let mut depth = vec![0u64; stored.len()];
+        let mut recovery_depth = 0u64;
+        for step in schedule {
+            // A peel starts from its check block, a re-encode from zero;
+            // both then fold in the check's other neighbours.
+            let (node, via) = step.node_and_check();
+            let (mut acc, mut d) = if via == node {
+                (pool::with_thread_pool(|p| p.take_zeroed(block_len)), 0)
+            } else {
+                let via_block = stored[via as usize]
+                    .as_deref()
+                    .expect("schedule guarantees via is present");
+                let copy = pool::with_thread_pool(|p| p.take_copy(via_block));
+                (copy, depth[via as usize])
+            };
+            for &nbr in self.graph.check_neighbors(via) {
+                if nbr != node {
+                    let b = stored[nbr as usize]
+                        .as_ref()
+                        .expect("schedule guarantees the other neighbours are present");
+                    xor_into(&mut acc, b);
+                    d = d.max(depth[nbr as usize]);
+                }
+            }
+            stored[node as usize] = Some(acc);
+            depth[node as usize] = d + 1;
+            recovery_depth = recovery_depth.max(d + 1);
+        }
+        recovery_depth
     }
 
     /// Verifies that every check block equals the XOR of its left
@@ -532,21 +504,6 @@ mod tests {
         let stripe = EncodedStripe::from_object(&c, b"move me").unwrap();
         let expected = stripe.blocks().to_vec();
         assert_eq!(stripe.into_blocks(), expected);
-    }
-
-    #[test]
-    fn decode_recorded_drains_kernel_cells() {
-        use crate::metrics::{cells, DecodeMetrics};
-        let g = cascade();
-        let c = Codec::new(&g);
-        let blocks = c.encode(&sample_data(32)).unwrap();
-        let mut stored: Vec<Option<Vec<u8>>> = blocks.into_iter().map(Some).collect();
-        stored[0] = None;
-        let m = DecodeMetrics::new();
-        let report = c.decode_recorded(&mut stored, &m).unwrap();
-        assert!(report.complete());
-        assert_eq!(m.get(cells::TRIALS), 1);
-        assert!(m.get(cells::RECOVERIES) >= 1);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! * [`xor_into`] — `dst ^= src` processed a `u64` word at a time, with an
 //!   aligned head/body/tail split so the body runs over whole words that
-//!   the compiler auto-vectorises. No `unsafe`: word loads go through
-//!   `u64::from_ne_bytes` on 8-byte chunks, which compiles to single
-//!   (possibly unaligned) loads on every target this workspace cares
-//!   about.
+//!   the compiler auto-vectorises. Word loads need no `unsafe`: they go
+//!   through `u64::from_ne_bytes` on 8-byte chunks, which compiles to
+//!   single (possibly unaligned) loads on every target this workspace
+//!   cares about.
 //! * [`MulTable`] / [`mul_acc`] — `dst ^= c · src` over GF(2⁸). The word
 //!   body is a bit-decomposition SWAR multiply: eight field elements ride
 //!   in one `u64`, and `c·b = ⊕ᵢ bitᵢ(b)·(c·xⁱ)` turns the field multiply
@@ -21,6 +21,13 @@
 //!   coefficient (`c·b = lo[b & 0xF] ⊕ hi[b >> 4]`), where the
 //!   log/antilog path would chase two dependent loads through 768 bytes
 //!   of tables per byte.
+//! * [`checksum`] / [`append_checksummed`] — the 8-lane FNV block digest,
+//!   and the same digest computed while a block is copied, so a read
+//!   streams a stored byte from memory once. Both ask for cache lines
+//!   ahead of themselves through `prefetch_read`, the crate's single
+//!   `unsafe` (one instruction; the crate is `deny(unsafe_code)` with that
+//!   one `allow`): cold block buffers stream at about half of memory speed
+//!   without the hint.
 //! * [`scalar`] — the pre-existing byte-serial loops, kept verbatim as the
 //!   parity oracle for the property suite and as the benchmark baseline.
 //!
@@ -192,19 +199,64 @@ fn tail_word(tail: &[u8]) -> u64 {
     w
 }
 
-/// The word-wide checksum body: 64-byte groups update all eight lanes
-/// with statically-indexed independent multiplies; leftover whole words
-/// continue round-robin, and a partial tail becomes one zero-padded word.
-fn checksum_words(data: &[u8]) -> u64 {
-    let mut lanes = lane_init();
-    let mut groups = data.chunks_exact(8 * WORD);
-    for g in &mut groups {
+/// Bytes in one checksum group: one word for each of the eight lanes, and
+/// one cache line.
+const GROUP: usize = 8 * WORD;
+
+/// How far ahead of itself [`checksum`]'s group loop requests a cache
+/// line. Block buffers are separate allocations of ~20 KB, too short for
+/// the hardware prefetcher to get ahead on, and the loop's 24 µops per
+/// line fill the reorder window before the next line's load is reached —
+/// so without a hint each miss is taken in turn. Longer than the blocks of
+/// a 64 KiB object (1.4 KB): those issue no prefetch at all.
+const PREFETCH_AHEAD: usize = 4096;
+
+/// Strip size of [`append_checksummed`]: small enough that a strip is
+/// still in L1 when it is hashed, a whole number of groups so lane state
+/// carries from strip to strip.
+const STRIP: usize = 4096;
+
+/// Asks for the cache line holding `*p` to be brought in for reading — a
+/// hint, never an access: no address can make it fault, so it takes any
+/// pointer. The crate's one `unsafe`; nothing on targets without the
+/// instruction.
+#[allow(unsafe_code)]
+#[inline(always)]
+fn prefetch_read(p: *const u8) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 reads and writes no architectural state and
+    // raises no exception for any address, mapped or not.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// Absorbs `groups` (a whole number of 64-byte groups) into all eight
+/// lanes with statically-indexed independent multiplies, requesting one
+/// line of `ahead` — the bytes that will be wanted next, possibly none —
+/// per group absorbed.
+#[inline(always)]
+fn absorb_groups(lanes: &mut [u64; 8], groups: &[u8], ahead: &[u8]) {
+    debug_assert_eq!(groups.len() % GROUP, 0);
+    for (i, g) in groups.chunks_exact(GROUP).enumerate() {
+        if let Some(line) = ahead.get(i * GROUP) {
+            prefetch_read(line);
+        }
         for (j, l) in lanes.iter_mut().enumerate() {
             let w = u64::from_le_bytes(g[j * WORD..(j + 1) * WORD].try_into().unwrap());
             *l = lane_step(*l, w);
         }
     }
-    let mut words = groups.remainder().chunks_exact(WORD);
+}
+
+/// Absorbs the last, partial group — leftover whole words continue
+/// round-robin, a partial tail becomes one zero-padded word — and folds
+/// the lanes into the digest of a `len`-byte input.
+fn finish_lanes(mut lanes: [u64; 8], rest: &[u8], len: usize) -> u64 {
+    debug_assert!(rest.len() < GROUP);
+    let mut words = rest.chunks_exact(WORD);
     let mut j = 0usize;
     for chunk in &mut words {
         lanes[j] = lane_step(lanes[j], u64::from_le_bytes(chunk.try_into().unwrap()));
@@ -214,7 +266,46 @@ fn checksum_words(data: &[u8]) -> u64 {
     if !tail.is_empty() {
         lanes[j] = lane_step(lanes[j], tail_word(tail));
     }
-    fold_lanes(lanes, data.len())
+    fold_lanes(lanes, len)
+}
+
+/// The word-wide checksum body: whole groups with the line
+/// [`PREFETCH_AHEAD`] bytes on requested as each is absorbed (never past
+/// the end of `data`), then the partial group.
+fn checksum_words(data: &[u8]) -> u64 {
+    let mut lanes = lane_init();
+    let (groups, rest) = data.split_at(data.len() - data.len() % GROUP);
+    let ahead = data.get(PREFETCH_AHEAD..).unwrap_or(&[]);
+    absorb_groups(&mut lanes, groups, ahead);
+    finish_lanes(lanes, rest, data.len())
+}
+
+/// Appends `src` to `out` and returns [`checksum`]`(src)`, streaming `src`
+/// from memory once: it is copied a 4 KiB strip at a time and each strip is
+/// hashed where it landed, still in L1, while the lines of the next are
+/// requested from `src`. The same digest, bit for bit, on either dispatch
+/// path; the bytes count once in `kernel.bytes_hashed`.
+pub fn append_checksummed(out: &mut Vec<u8>, src: &[u8]) -> u64 {
+    METRICS.bytes_hashed.add(src.len() as u64);
+    if force_scalar() {
+        out.extend_from_slice(src);
+        return scalar::checksum(src);
+    }
+    out.reserve(src.len());
+    let mut lanes = lane_init();
+    let mut rest = src;
+    while rest.len() >= STRIP {
+        let (strip, next) = rest.split_at(STRIP);
+        let at = out.len();
+        out.extend_from_slice(strip);
+        absorb_groups(&mut lanes, &out[at..], next);
+        rest = next;
+    }
+    let at = out.len();
+    out.extend_from_slice(rest);
+    let (groups, tail) = out[at..].split_at(rest.len() - rest.len() % GROUP);
+    absorb_groups(&mut lanes, groups, &[]);
+    finish_lanes(lanes, tail, src.len())
 }
 
 /// Per-coefficient nibble multiplication tables: `c·b` for any byte `b` is

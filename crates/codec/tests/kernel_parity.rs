@@ -6,9 +6,16 @@
 //! success verdict, same lost-node sets, and a *valid* recovery schedule
 //! (schedules may order independent steps differently, so they are checked
 //! by replay, not by equality).
+//!
+//! The data-plane half: the fused copy-and-checksum kernel
+//! (`kernels::append_checksummed`) must append exactly the source bytes
+//! and return exactly the digest the byte-serial oracle computes, and the
+//! digest itself is pinned to a golden value — it is what the sidecars of
+//! every store already on disk hold.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use tornado_codec::kernels::{self, append_checksummed, scalar};
 use tornado_codec::reference::DenseDecoder;
 use tornado_codec::{DecodeDetail, ErasureDecoder, RecoveryStep};
 use tornado_gen::cascaded::generate_fixed_degree;
@@ -121,8 +128,75 @@ fn every_generator_family_mostly_builds() {
     }
 }
 
+/// One strip of `append_checksummed` (it copies and hashes 4 KiB at a time).
+const STRIP: usize = 4096;
+
+/// The lengths the fused kernel's seams sit at: empty, one byte, around one
+/// 64-byte group, every strip boundary ± 1 up to three strips, and the
+/// block length of a 1 MiB object (21 846 B: five strips and a ragged tail).
+const SEAM_LENGTHS: [usize; 15] = [
+    0,
+    1,
+    63,
+    64,
+    65,
+    STRIP - 1,
+    STRIP,
+    STRIP + 1,
+    2 * STRIP - 1,
+    2 * STRIP,
+    2 * STRIP + 1,
+    3 * STRIP - 1,
+    3 * STRIP,
+    3 * STRIP + 1,
+    21_846,
+];
+
+/// `checksum` of one fixed buffer — a strip and a 5-byte ragged tail — is
+/// the value it had before the kernel learned to prefetch: the digests in
+/// every sidecar on disk were computed by that function.
+#[test]
+fn checksum_of_a_fixed_buffer_is_pinned() {
+    let buf: Vec<u8> = (0..STRIP + 5)
+        .map(|i| i.wrapping_mul(31).wrapping_add(7) as u8)
+        .collect();
+    const GOLDEN: u64 = 0x6cb7_ac18_093c_c910;
+    assert_eq!(kernels::checksum(&buf), GOLDEN);
+    assert_eq!(scalar::checksum(&buf), GOLDEN);
+    assert_eq!(append_checksummed(&mut Vec::new(), &buf), GOLDEN);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `append_checksummed(out, src)` ≡ `out.extend_from_slice(src)` +
+    /// `scalar::checksum(src)`, at every seam length, for misaligned
+    /// sources, behind whatever `out` already holds, on both dispatch
+    /// paths.
+    #[test]
+    fn append_checksummed_is_extend_plus_the_scalar_digest(
+        len_ix in 0usize..SEAM_LENGTHS.len(),
+        offset in 0usize..8,
+        prefix in 0usize..70,
+        seed in any::<u64>(),
+    ) {
+        let len = SEAM_LENGTHS[len_ix];
+        let backing: Vec<u8> = derive_pattern(251, offset + len, seed)
+            .into_iter()
+            .map(|b| b as u8)
+            .collect();
+        let src = &backing[offset..];
+        let mut expected = vec![0xEE; prefix];
+        expected.extend_from_slice(src);
+        for force in [false, true] {
+            kernels::set_force_scalar(force);
+            let mut out = vec![0xEE; prefix];
+            let digest = append_checksummed(&mut out, src);
+            kernels::set_force_scalar(false);
+            prop_assert_eq!(digest, scalar::checksum(src), "len {} force {}", len, force);
+            prop_assert_eq!(&out, &expected, "len {} force {}", len, force);
+        }
+    }
 
     /// The sparse kernel and the dense reference agree on success, lost
     /// sets, and availability, and both schedules replay cleanly.

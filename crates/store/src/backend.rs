@@ -16,11 +16,13 @@
 //!   rebuilt by scan on open.
 //!
 //! A backend implements one read, [`BlockBackend::read_into`], which
-//! appends a block to a buffer the caller owns — the memory backend
-//! copies from its map, the durable ones read from the file into the
-//! buffer's spare capacity. A GET passes its reply buffer, so a block's
-//! bytes are written once, where they are going; `get` (a fresh `Vec`)
-//! and `get_pooled` (a recycled one) are provided on top of it.
+//! appends a block to a buffer the caller owns and returns the checksum of
+//! what it appended — the memory backend copies from its map and hashes
+//! each strip as it lands (`kernels::append_checksummed`), the durable
+//! ones read from the file into the buffer's spare capacity and hash that.
+//! A GET passes its reply buffer, so a block's bytes are written once,
+//! where they are going, and streamed from memory once; `get` (a fresh
+//! `Vec`) and `get_pooled` (a recycled one) are provided on top of it.
 //!
 //! Backends report failures as `io::Error`; the device layer translates
 //! those into [`DeviceStats::io_errors`](crate::DeviceStats::io_errors)
@@ -39,6 +41,15 @@ use tornado_obs::Counter;
 
 /// Identifies a block on a device: `(object id, graph node index)`.
 pub type BlockKey = (u64, u32);
+
+/// What [`BlockBackend::read_into`] appended to the caller's buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Appended {
+    /// How many bytes.
+    pub len: usize,
+    /// Their `tornado_codec::kernels::checksum`.
+    pub checksum: u64,
+}
 
 /// Block persistence for one device.
 ///
@@ -60,12 +71,12 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
 
     /// The one read every backend implements: appends the block's bytes
     /// to `out` — straight from the map, the file or the segment, into the
-    /// caller's spare capacity — and returns how many; `Ok(None)` when
-    /// absent. A GET passes its reply buffer, so a block is written once,
-    /// where it is going. After an `Err`, bytes past `out`'s entry length
-    /// are garbage the caller truncates away ([`Device`](crate::Device)
-    /// does).
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>>;
+    /// caller's spare capacity — and returns how many and their checksum;
+    /// `Ok(None)` when absent. A GET passes its reply buffer, so a block is
+    /// written once, where it is going, and verified without being streamed
+    /// a second time. After an `Err`, bytes past `out`'s entry length are
+    /// garbage the caller truncates away ([`Device`](crate::Device) does).
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>>;
 
     /// Reads a block into a fresh `Vec`; `Ok(None)` when absent.
     fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
@@ -143,10 +154,10 @@ impl BlockBackend for MemoryBackend {
         Ok(())
     }
 
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
-        Ok(self.blocks.get(key).map(|b| {
-            out.extend_from_slice(b);
-            b.len()
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
+        Ok(self.blocks.get(key).map(|b| Appended {
+            len: b.len(),
+            checksum: kernels::append_checksummed(out, b),
         }))
     }
 
@@ -226,6 +237,15 @@ pub fn metrics() -> &'static BackendMetrics {
     &METRICS
 }
 
+/// What a durable backend's read reports once `read_to_end` has landed a
+/// block at `out[start..]`: its length and the checksum of it where it is.
+pub(crate) fn appended_since(out: &[u8], start: usize) -> Appended {
+    Appended {
+        len: out.len() - start,
+        checksum: kernels::checksum(&out[start..]),
+    }
+}
+
 /// Fsync helper used by every durable-path sync so the `backend.fsyncs`
 /// counter can't drift from reality.
 pub(crate) fn sync_file(f: &std::fs::File) -> io::Result<()> {
@@ -276,10 +296,18 @@ mod tests {
             let mut out = Vec::with_capacity(3 + 2 * block.len());
             out.extend_from_slice(&[0xEE; 3]);
             let at = out.as_ptr();
-            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(block.len()));
-            assert_eq!(b.read_into(&(1, 1), &mut out).unwrap(), Some(0));
+            let whole = Appended {
+                len: block.len(),
+                checksum: kernels::checksum(&block),
+            };
+            let empty = Appended {
+                len: 0,
+                checksum: kernels::checksum(&[]),
+            };
+            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(whole));
+            assert_eq!(b.read_into(&(1, 1), &mut out).unwrap(), Some(empty));
             assert_eq!(b.read_into(&(9, 9), &mut out).unwrap(), None);
-            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(block.len()));
+            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(whole));
             assert_eq!(out[..3], [0xEE; 3]);
             assert_eq!(out[3..3 + block.len()], block[..]);
             assert_eq!(out[3 + block.len()..], block[..]);

@@ -12,9 +12,8 @@ use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use tornado_codec::kernels;
 
-use crate::backend::{sync_file, BlockBackend, BlockKey};
+use crate::backend::{appended_since, sync_file, Appended, BlockBackend, BlockKey};
 
 /// One file per block in a directory; see the module docs for layout.
 #[derive(Debug)]
@@ -72,13 +71,13 @@ impl FileBackend {
     }
 
     /// Reads the block into `self.scratch` — the buffer the in-place
-    /// operations (checksum, corrupt) reuse; `Ok(false)` when absent.
-    fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<bool> {
+    /// operations (checksum, corrupt) reuse; `Ok(None)` when absent.
+    fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<Option<Appended>> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         let read = self.read_into(key, &mut scratch);
         self.scratch = scratch;
-        Ok(read?.is_some())
+        read
     }
 }
 
@@ -102,19 +101,18 @@ impl BlockBackend for FileBackend {
         Ok(())
     }
 
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
         if !self.index.contains(key) {
             return Ok(None);
         }
+        let start = out.len();
         // `read_to_end` fills the caller's spare capacity directly.
-        File::open(self.path_of(key))?.read_to_end(out).map(Some)
+        File::open(self.path_of(key))?.read_to_end(out)?;
+        Ok(Some(appended_since(out, start)))
     }
 
     fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
-        if !self.read_into_scratch(key)? {
-            return Ok(None);
-        }
-        Ok(Some(kernels::checksum(&self.scratch)))
+        Ok(self.read_into_scratch(key)?.map(|read| read.checksum))
     }
 
     fn contains(&self, key: &BlockKey) -> bool {
@@ -156,7 +154,7 @@ impl BlockBackend for FileBackend {
     }
 
     fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-        if !self.read_into_scratch(key)? {
+        if self.read_into_scratch(key)?.is_none() {
             return Ok(false);
         }
         if !self.scratch.is_empty() {

@@ -25,7 +25,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tornado_codec::kernels;
 
-use crate::backend::{metrics, sync_file, BlockBackend, BlockKey};
+use crate::backend::{appended_since, metrics, sync_file, Appended, BlockBackend, BlockKey};
 
 const KIND_PUT: u8 = 1;
 const KIND_TOMBSTONE: u8 = 2;
@@ -140,13 +140,13 @@ impl SegmentBackend {
     }
 
     /// Reads the live payload for `key` into `self.scratch`, which the
-    /// checksum probe reuses; `Ok(false)` when absent.
-    fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<bool> {
+    /// checksum probe reuses; `Ok(None)` when absent.
+    fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<Option<Appended>> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         let read = self.read_into(key, &mut scratch);
         self.scratch = scratch;
-        Ok(read?.is_some())
+        read
     }
 }
 
@@ -157,13 +157,14 @@ impl BlockBackend for SegmentBackend {
         Ok(())
     }
 
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
+    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
         let Some(&(off, len)) = self.index.get(key) else {
             return Ok(None);
         };
         self.file.seek(SeekFrom::Start(off))?;
         // A bounded `read_to_end` fills the caller's spare capacity
         // directly, with no zero-fill first.
+        let start = out.len();
         let read = (&self.file).take(u64::from(len)).read_to_end(out)?;
         if read != len as usize {
             return Err(io::Error::new(
@@ -171,14 +172,11 @@ impl BlockBackend for SegmentBackend {
                 "segment ends inside an indexed block",
             ));
         }
-        Ok(Some(read))
+        Ok(Some(appended_since(out, start)))
     }
 
     fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
-        if !self.read_into_scratch(key)? {
-            return Ok(None);
-        }
-        Ok(Some(kernels::checksum(&self.scratch)))
+        Ok(self.read_into_scratch(key)?.map(|read| read.checksum))
     }
 
     fn contains(&self, key: &BlockKey) -> bool {

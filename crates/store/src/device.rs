@@ -3,7 +3,8 @@
 //!
 //! Each device stores named blocks and keeps access counters; every read
 //! is [`Device::read_block_into`], one locked append into the caller's
-//! buffer, attributed to a [`ReadClass`]. Interior
+//! buffer that also reports the checksum of what it appended, attributed
+//! to a [`ReadClass`]. Interior
 //! mutability (a `parking_lot::RwLock` per device) lets many readers hit
 //! different devices concurrently — the access pattern the guided
 //! retrieval planner optimises — while failure injection flips a device
@@ -17,7 +18,7 @@
 //! counters — and the affected block is reported absent, so the coding
 //! layer treats real storage trouble exactly like an erasure.
 
-use crate::backend::{BlockBackend, MemoryBackend};
+use crate::backend::{Appended, BlockBackend, MemoryBackend};
 use parking_lot::RwLock;
 
 pub use crate::backend::BlockKey;
@@ -204,16 +205,16 @@ impl Device {
     }
 
     /// The device's one read: under the device lock, appends the block's
-    /// bytes to `out` and returns how many, attributed to `class`. `None`
-    /// — with `out` as it was — when the device is offline, the block is
-    /// absent, or the backend fails the I/O (counted in
-    /// [`DeviceStats::io_errors`]).
+    /// bytes to `out` and returns how many and their checksum, attributed
+    /// to `class`. `None` — with `out` as it was — when the device is
+    /// offline, the block is absent, or the backend fails the I/O (counted
+    /// in [`DeviceStats::io_errors`]).
     pub fn read_block_into(
         &self,
         key: &BlockKey,
         class: ReadClass,
         out: &mut Vec<u8>,
-    ) -> Option<usize> {
+    ) -> Option<Appended> {
         let mut s = self.state.write();
         if !s.online {
             s.stats.failed_reads += 1;
@@ -222,8 +223,8 @@ impl Device {
         let start = out.len();
         match s.backend.read_into(key, out) {
             Ok(read) => {
-                if let Some(len) = read {
-                    s.stats.record_read(len, class);
+                if let Some(read) = read {
+                    s.stats.record_read(read.len, class);
                 }
                 read
             }
@@ -378,18 +379,13 @@ mod tests {
         assert!(d.read_block(&(1, 0)).is_some());
         // Reads append: the caller's bytes in front stay put.
         let mut out = vec![0xEE; 3];
-        assert_eq!(
-            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
-            Some(64)
-        );
-        assert_eq!(
-            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
-            Some(64)
-        );
-        assert_eq!(
-            d.read_block_into(&(1, 0), ReadClass::Payload, &mut out),
-            Some(64)
-        );
+        let read = Some(Appended {
+            len: 64,
+            checksum: tornado_codec::kernels::checksum(&[7u8; 64]),
+        });
+        assert_eq!(d.read_block_into(&(1, 0), ReadClass::Repair, &mut out), read);
+        assert_eq!(d.read_block_into(&(1, 0), ReadClass::Repair, &mut out), read);
+        assert_eq!(d.read_block_into(&(1, 0), ReadClass::Payload, &mut out), read);
         assert_eq!(out.len(), 3 + 3 * 64);
         assert_eq!((&out[..3], &out[3..67]), (&[0xEE; 3][..], &[7u8; 64][..]));
         let s = d.stats();

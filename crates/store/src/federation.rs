@@ -14,6 +14,7 @@
 //! data node allows the data graph to be reconstructed even when both
 //! graphs cannot independently perform the reconstruction."
 
+use crate::device::BlockProbe;
 use crate::error::StoreError;
 use crate::obs::StoreObserver;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
@@ -228,8 +229,9 @@ impl FederatedStore {
     }
 }
 
-/// Re-encodes `payload` under `site`'s graph and writes any missing blocks
-/// whose home device is online.
+/// Re-encodes `payload` under `site`'s graph and writes any blocks that are
+/// missing or corrupt (probed in place — nothing is copied out to find
+/// out) and whose home device is online.
 fn refill_site(
     site: &ArchivalStore,
     meta: &ObjectMeta,
@@ -240,7 +242,7 @@ fn refill_site(
     let mut restored = 0usize;
     for (node, block) in stripe.blocks().iter().enumerate() {
         let node = node as NodeId;
-        if site.read_raw_block(meta, node).is_none()
+        if site.probe_block(meta, node) != BlockProbe::Ok
             && site.write_raw_block(meta, node, block.clone())
         {
             restored += 1;

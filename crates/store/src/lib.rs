@@ -45,7 +45,7 @@ pub mod scrubber;
 pub mod store;
 pub mod workload;
 
-pub use backend::{BlockBackend, BlockKey, MemoryBackend};
+pub use backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
 pub use backend_file::FileBackend;
 pub use backend_segment::SegmentBackend;
 pub use chunking::{delete_chunked, get_chunked, put_chunked};

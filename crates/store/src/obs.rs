@@ -155,7 +155,7 @@ impl StoreObserver {
     }
 
     /// Records a completed recovery-on-open: emits a `recovery` event
-    /// with the full [`RecoveryReport`]. The `backend.*` counters the
+    /// with the full [`crate::RecoveryReport`]. The `backend.*` counters the
     /// recovery bumped are process-wide and flow into every snapshot via
     /// [`StoreObserver::fill_snapshot`].
     pub fn record_recovery(&self, report: &crate::durable::RecoveryReport) {

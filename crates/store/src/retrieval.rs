@@ -14,7 +14,7 @@
 
 use crate::obs::StoreObserver;
 use tornado_bitset::DynBitSet;
-use tornado_codec::{ErasureDecoder, RecoveryStep};
+use tornado_codec::{DecodeDetail, DecodeMetrics, ErasureDecoder, RecoveryStep};
 use tornado_graph::{Graph, NodeId};
 use tornado_obs::{Json, SpanTimer};
 
@@ -56,8 +56,9 @@ impl RepairCost {
     }
 }
 
-/// A retrieval plan: what to fetch and how to decode it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A retrieval plan: what to fetch and how to decode it. The default plan
+/// is the empty one — nothing to fetch, nothing to replay.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RetrievalPlan {
     /// Available blocks that must be fetched, ascending.
     pub fetch: Vec<NodeId>,
@@ -80,7 +81,7 @@ impl RetrievalPlan {
         let mut depth = vec![0u64; graph.num_nodes()];
         let mut max = 0u64;
         for step in &self.schedule {
-            let (node, via) = step_node_and_check(step);
+            let (node, via) = step.node_and_check();
             let inputs = graph.check_neighbors(via).iter().copied().chain([via]);
             let deepest = inputs.filter(|&v| v != node).map(|v| depth[v as usize]);
             depth[node as usize] = deepest.max().unwrap_or(0) + 1;
@@ -112,16 +113,6 @@ impl RetrievalPlan {
     /// the analytic benches assume (node id = device id).
     pub fn cost(&self, graph: &Graph, block_len: usize) -> RepairCost {
         self.cost_with(graph, block_len, |n| n as usize)
-    }
-}
-
-/// The node `step` produces and the check whose neighbourhood it reads: a
-/// peel XORs check `via` with `via`'s other neighbours; a re-encode XORs
-/// the neighbours of the check it regenerates (so `via` is the node itself).
-pub(crate) fn step_node_and_check(step: &RecoveryStep) -> (NodeId, NodeId) {
-    match *step {
-        RecoveryStep::Peel { node, via } => (node, via),
-        RecoveryStep::Reencode { node } => (node, node),
     }
 }
 
@@ -160,28 +151,67 @@ pub fn plan_repair(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPlan>
     plan_for(graph, available, DynBitSet::complement).ok()
 }
 
-/// Shared backward-walk planner: runs the availability-only peeling
-/// decoder, then keeps only the schedule steps the `seed` nodes
-/// transitively depend on. Sets are node-indexed bitmaps. `Err` carries
-/// the decode's lost data nodes.
+/// [`plan_repair`] for the scrubber, which also repairs what it can of a
+/// stripe that is past saving: the plan regenerates every missing block
+/// peeling reaches, and the flag says whether that is all of the data —
+/// where it is, the plan is [`plan_repair`]'s. The peeling kernel's cells
+/// are drained into `metrics` when given.
+pub(crate) fn plan_partial_repair(
+    graph: &Graph,
+    available: &[NodeId],
+    metrics: Option<&DecodeMetrics>,
+) -> (RetrievalPlan, bool) {
+    let (avail, detail) = peel(graph, available, metrics);
+    let plan = prune(graph, &avail, &detail.schedule, avail.complement());
+    (plan, detail.success)
+}
+
+/// Shared planner: peels, then keeps only the schedule steps the `seed`
+/// nodes transitively depend on. `Err` carries the decode's lost data
+/// nodes.
 fn plan_for(
     graph: &Graph,
     available: &[NodeId],
     seed: impl FnOnce(&DynBitSet) -> DynBitSet,
 ) -> Result<RetrievalPlan, Vec<NodeId>> {
-    let avail = DynBitSet::from_indices(graph.num_nodes(), available.iter().map(|&n| n as usize));
-    let detail = ErasureDecoder::new(graph).decode_detailed(&avail.complement().to_vec());
+    let (avail, detail) = peel(graph, available, None);
     if !detail.success {
         return Err(detail.lost_data);
     }
+    let needed = seed(&avail);
+    Ok(prune(graph, &avail, &detail.schedule, needed))
+}
 
-    let mut needed = seed(&avail);
+/// Runs the availability-only peeling decoder to fixpoint with exactly
+/// `available` present; also returns `available` as a node-indexed bitmap.
+fn peel(
+    graph: &Graph,
+    available: &[NodeId],
+    metrics: Option<&DecodeMetrics>,
+) -> (DynBitSet, DecodeDetail) {
+    let avail = DynBitSet::from_indices(graph.num_nodes(), available.iter().map(|&n| n as usize));
+    let mut dec = ErasureDecoder::new(graph);
+    dec.set_recording(metrics.is_some());
+    let detail = dec.decode_detailed(&avail.complement().to_vec());
+    if let Some(m) = metrics {
+        m.absorb(&dec.take_cells());
+    }
+    (avail, detail)
+}
 
-    // Walk the schedule backwards: a step is kept iff it produces a needed
-    // node; its inputs become needed in turn.
+/// The backward walk: a step of the peeling `schedule` is kept iff it
+/// produces a `needed` node, and its inputs become needed in turn; what is
+/// then needed and on a device is the fetch set. A needed node no step
+/// produces (one peeling could not reach) is simply left out.
+fn prune(
+    graph: &Graph,
+    avail: &DynBitSet,
+    schedule: &[RecoveryStep],
+    mut needed: DynBitSet,
+) -> RetrievalPlan {
     let mut kept: Vec<RecoveryStep> = Vec::new();
-    for step in detail.schedule.iter().rev() {
-        let (node, via) = step_node_and_check(step);
+    for step in schedule.iter().rev() {
+        let (node, via) = step.node_and_check();
         if needed.contains(node as usize) {
             kept.push(*step);
             for input in graph.check_neighbors(via).iter().copied().chain([via]) {
@@ -195,11 +225,11 @@ fn plan_for(
 
     // Fetch = needed nodes that are genuinely on devices. The schedule only
     // regenerates missing nodes, so nothing it produces is in `avail`.
-    needed.intersect_with(&avail);
-    Ok(RetrievalPlan {
+    needed.intersect_with(avail);
+    RetrievalPlan {
         fetch: needed.iter().map(|n| n as NodeId).collect(),
         schedule: kept,
-    })
+    }
 }
 
 /// [`plan_retrieval`] with planning time, plan/unplannable counters, and

@@ -10,23 +10,36 @@
 //! when asked — reconstructs missing blocks and writes them back to
 //! whatever devices are online (replacement drives included).
 //!
-//! A scrub cycle is **checksum-gated** ([`ScrubMode`]), three tiers from
-//! cheapest to most certain:
+//! A scrub cycle is **checksum-gated** ([`ScrubMode`]). A stripe is either
+//! skipped or goes through the one stripe routine, which does as little as
+//! the stripe's state allows:
 //!
 //! 1. **Skip** — a stripe whose dirty generation and pool epoch are
 //!    unchanged since it was last seen fully clean is not touched at all
 //!    (near-O(1) per stripe). Only [`ScrubMode::Incremental`] uses this
 //!    tier; it trusts that every store-API mutation bumps the generation.
-//! 2. **Verify** — every block is hash-checked *in place* on its device
-//!    ([`crate::device::Device::verify_block`]): zero copies, zero
-//!    allocations, the word-wide checksum kernel at memory speed.
-//! 3. **Decode** — only stripes with a missing or corrupt block are fully
-//!    read, decoded, and (when asked) repaired — the PR 5 data path, now
-//!    reserved for actual damage.
+//! 2. **Plan → cone → replay** — the device index says which blocks are
+//!    there (nothing is read to find out); the repair planner's peeling
+//!    schedule ([`crate::retrieval::plan_repair`]'s) says how to rebuild
+//!    the ones that are not, and from which blocks — the *cone*. Only the
+//!    cone is copied out (hashed as it lands, by the fused read); every
+//!    other present block is hash-checked *in place* on its device
+//!    ([`crate::device::Device::verify_block`]): zero copies, the
+//!    checksum kernel at memory speed. A block that fails its check, or is
+//!    gone since the index was asked, joins the missing set and the stripe
+//!    is re-planned, keeping every block already in hand. The schedule is
+//!    replayed with real XOR (`Codec::replay`) and a rebuilt block is
+//!    written home only if it hashes to its put-time digest. A stripe past
+//!    saving still gets every block the partial schedule reaches.
 //!
-//! Every tier reports identical [`StripeHealth`]s for states reachable
-//! through the store API; what each tier actually did per stripe is
-//! recorded as a [`ScrubAction`].
+//! A stripe with nothing missing has an empty cone: every block is
+//! verified in place and nothing moves. [`ScrubMode::Full`] is the same
+//! routine with the cone widened to every present block — the whole
+//! stripe goes through the read path.
+//!
+//! Every mode reports identical [`StripeHealth`]s for states reachable
+//! through the store API; what was done per stripe is recorded as a
+//! [`ScrubAction`].
 
 //! Scrub passes can fan out across worker threads ([`scrub_cycle`]): each
 //! rayon worker scrubs whole stripes with its own thread-local block pool
@@ -37,25 +50,26 @@
 
 use crate::device::BlockProbe;
 use crate::obs::StoreObserver;
-use crate::retrieval::RepairCost;
-use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
+use crate::retrieval::{plan_partial_repair, RepairCost, RetrievalPlan};
+use crate::store::{block_checksum, ArchivalStore, ObjectId, ObjectMeta};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use tornado_codec::{pool, Codec, DecodeMetrics};
 use tornado_graph::NodeId;
 
 /// How much work a scrub cycle is allowed to avoid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScrubMode {
-    /// Read + checksum every block of every stripe, decode degraded
-    /// stripes — the exhaustive (PR 5) pass. Never lies, pays a full copy
-    /// of the archive per cycle.
+    /// Read + checksum every present block of every stripe through the
+    /// read path, repair degraded stripes — the exhaustive pass. What it
+    /// guarantees over `Verify`: each block's bytes were actually served
+    /// by its device into a buffer, not just hashed where they lie. Pays a
+    /// full copy of the archive per cycle.
     Full,
-    /// Hash-verify every block in place; full read + decode only for
-    /// stripes with a missing or corrupt block. Detects everything `Full`
-    /// detects (both trust the same per-block digests) without copying
-    /// healthy bytes.
+    /// Hash-verify blocks in place; copy out only the blocks a damaged
+    /// stripe's repair reads. Detects everything `Full` detects (both
+    /// trust the same per-block digests) without copying healthy bytes.
     Verify,
     /// Like [`ScrubMode::Verify`], but skip stripes whose dirty generation
     /// is unchanged since they were last seen clean. Blind to out-of-band
@@ -71,11 +85,12 @@ pub enum ScrubAction {
     /// Dirty generation and pool epoch unchanged since the stripe was last
     /// seen clean — not touched at all.
     Skipped,
-    /// Every block checksum-verified (in place for the verify tier; via
-    /// the read path in [`ScrubMode::Full`]) and found present and intact.
+    /// Every block checksum-verified (in place; via the read path in
+    /// [`ScrubMode::Full`]) and found present and intact.
     Verified,
-    /// At least one block missing or corrupt: the stripe was fully read
-    /// and run through the decoder (and repaired, when asked).
+    /// At least one block missing or corrupt: the stripe's repair was
+    /// planned, its cone read and the schedule replayed (and the rebuilt
+    /// blocks written home, when asked).
     Decoded,
 }
 
@@ -113,13 +128,16 @@ pub struct ScrubOutcome {
     /// Per-stripe health, ascending by object id.
     pub stripes: Vec<StripeHealth>,
     /// What the cycle did to each stripe, parallel to `stripes`. Healths
-    /// are tier-independent; actions are where the three-tier gating shows.
+    /// are mode-independent; actions are where the gating shows.
     pub actions: Vec<ScrubAction>,
     /// What scrubbing each stripe cost, parallel to `stripes`: actual
     /// bytes/blocks read off devices and (for decoded stripes) the
     /// recovery-schedule depth. Zero for skipped and in-place-verified
-    /// stripes — those tiers move no block bytes. Deterministic per stripe,
-    /// so parallel cycles fold the same costs as serial ones.
+    /// stripes — those move no block bytes; for a decoded stripe in
+    /// `Verify`/`Incremental` mode it is the repair plan's own cost
+    /// (`plan_repair(..).cost_with(..)`) unless a block failed its check on
+    /// the way. Deterministic per stripe, so parallel cycles fold the same
+    /// costs as serial ones.
     pub costs: Vec<RepairCost>,
     /// Blocks rewritten by repair.
     pub blocks_repaired: usize,
@@ -150,7 +168,7 @@ impl ScrubOutcome {
         self.actions.iter().filter(|&&a| a == ScrubAction::Verified).count()
     }
 
-    /// Stripes that needed the full read + decode tier.
+    /// Stripes with damage, whose repair was planned and replayed.
     pub fn decoded_count(&self) -> usize {
         self.actions.iter().filter(|&&a| a == ScrubAction::Decoded).count()
     }
@@ -183,8 +201,8 @@ impl ScrubOutcome {
 /// and writes them back where devices permit. `first_failure_level` is the
 /// graph's profiled worst-case bound (5 for the paper's adjusted graphs)
 /// used to compute margins. Serial — equivalent to [`scrub_cycle`] with one
-/// thread. Runs the (default) verify tier: blocks are hash-checked in
-/// place and only damaged stripes are read and decoded; the reported
+/// thread. Runs in (the default) verify mode: blocks are hash-checked in
+/// place and only a damaged stripe's repair cone is read; the reported
 /// healths are identical to a [`ScrubMode::Full`] pass.
 pub fn scrub(store: &ArchivalStore, first_failure_level: usize, repair: bool) -> ScrubOutcome {
     scrub_cycle(store, first_failure_level, repair, 1)
@@ -286,7 +304,7 @@ impl Scrubber {
     }
 
     /// Runs one scrub cycle in `mode`. See [`scrub`] for the `repair` and
-    /// `first_failure_level` semantics; healths are tier-independent, the
+    /// `first_failure_level` semantics; healths are mode-independent, the
     /// per-stripe [`ScrubAction`]s record what the gating avoided.
     pub fn run(
         &self,
@@ -392,8 +410,8 @@ struct StripeScrub {
     clean_mark: Option<CleanMark>,
 }
 
-/// A fully-present stripe's health (what the skip and verify tiers report
-/// without running the decoder).
+/// A fully-present stripe's health (what the skip tier reports without
+/// touching the stripe).
 fn clean_health(id: ObjectId, first_failure_level: usize) -> StripeHealth {
     StripeHealth {
         id,
@@ -415,13 +433,14 @@ fn scrub_stripe(
     epoch: u64,
     metrics: Option<&DecodeMetrics>,
 ) -> StripeScrub {
-    let n = store.graph().num_nodes();
+    let graph = store.graph();
+    let n = graph.num_nodes();
     // The generation is sampled *before* any block is probed: a writer
     // racing with this pass makes the recorded mark stale (the next cycle
     // re-verifies) rather than the verification stale.
     let start_gen = store.stripe_generation(meta.id);
 
-    // Tier 1 — skip: generation and epoch unchanged since last seen clean.
+    // Skip: generation and epoch unchanged since last seen clean.
     if mode == ScrubMode::Incremental {
         if let Some(m) = mark {
             if m.generation == start_gen && m.pool_epoch == epoch {
@@ -437,91 +456,85 @@ fn scrub_stripe(
         }
     }
 
-    // Tier 2 — verify in place: zero-copy checksum probes against the
-    // device-resident bytes. A fully intact stripe is done here.
-    if mode != ScrubMode::Full {
-        let intact =
-            (0..n as NodeId).all(|node| store.probe_block(meta, node) == BlockProbe::Ok);
-        if intact {
-            return StripeScrub {
-                health: clean_health(meta.id, first_failure_level),
-                action: ScrubAction::Verified,
-                cost: RepairCost::default(),
-                repaired: 0,
-                incomplete: false,
-                clean_mark: Some(CleanMark {
-                    generation: start_gen,
-                    pool_epoch: epoch,
-                }),
-            };
-        }
-    }
-
-    // Tier 3 — full read + decode (+ repair): the only tier that copies
-    // bytes. `read_raw_block` re-verifies checksums, so a corrupt block
-    // surfaces as missing here exactly as the probe saw it.
-    let mut stored: Vec<Option<Vec<u8>>> = (0..n as NodeId)
-        .map(|node| store.read_raw_block(meta, node))
+    // What is there, by the device index: nothing is read to find out.
+    let mut missing: Vec<NodeId> = (0..n as NodeId)
+        .filter(|&v| !store.has_block(meta, v))
         .collect();
-    let missing: Vec<NodeId> = (0..n as NodeId)
-        .filter(|&i| stored[i as usize].is_none())
-        .collect();
-    // What this tier actually read off devices — the per-stripe repair
-    // cost. Corrupt blocks land in `missing` and contribute nothing here
-    // (their device-side bytes are the documented attribution gap).
-    let mut cost = RepairCost::default();
-    {
-        let mut devices: BTreeSet<usize> = BTreeSet::new();
-        for (i, b) in stored.iter().enumerate() {
-            if let Some(b) = b {
-                cost.bytes_read += b.len() as u64;
-                cost.blocks_fetched += 1;
-                devices.insert(store.device_of_block(meta, i as NodeId));
-            }
-        }
-        cost.devices_contacted = devices.len() as u64;
-    }
-    let mut health = StripeHealth {
-        id: meta.id,
-        missing_blocks: missing.clone(),
-        recoverable: true,
-        margin: first_failure_level as i64 - missing.len() as i64,
-    };
-    let action = if missing.is_empty() {
-        ScrubAction::Verified
-    } else {
-        ScrubAction::Decoded
-    };
-    let mut repaired = 0usize;
-    let mut incomplete = false;
-    if !missing.is_empty() {
-        let report = match metrics {
-            Some(m) => codec.decode_recorded(&mut stored, m),
-            None => codec.decode(&mut stored),
-        }
-        .expect("stripe shape is fixed");
-        health.recoverable = report.complete();
-        cost.recovery_depth = report.recovery_depth;
-        if repair {
-            incomplete = !health.recoverable;
-            for &node in &missing {
-                match stored[node as usize].take() {
-                    Some(block) => {
-                        if store.write_raw_block(meta, node, block) {
-                            repaired += 1;
-                        } else {
-                            incomplete = true; // home device still offline
-                        }
-                    }
-                    None => incomplete = true,
-                }
-            }
+    // Blocks in hand: the cone's, copied out and verified as they landed;
+    // after the replay, the rebuilt ones too.
+    let mut blocks: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut verified_in_place = vec![false; n];
+    let (plan, recoverable) = loop {
+        let (plan, recoverable) = if missing.is_empty() {
+            (RetrievalPlan::default(), true)
         } else {
-            incomplete = !health.recoverable;
+            let available: Vec<NodeId> =
+                (0..n as NodeId).filter(|v| !missing.contains(v)).collect();
+            plan_partial_repair(graph, &available, metrics)
+        };
+        // The cone is copied out, because the replay reads it; every other
+        // present block is hashed where it lies. Either way a block is
+        // streamed once — unless a re-plan pulls one already verified in
+        // place into the cone — and a block in hand is never read again.
+        let in_cone =
+            |v: NodeId| mode == ScrubMode::Full || plan.fetch.binary_search(&v).is_ok();
+        let lost = (0..n as NodeId).find(|&v| {
+            let i = v as usize;
+            if missing.contains(&v) || blocks[i].is_some() {
+                false
+            } else if in_cone(v) {
+                blocks[i] = store.read_raw_block(meta, v);
+                blocks[i].is_none()
+            } else if verified_in_place[i] {
+                false
+            } else {
+                verified_in_place[i] = store.probe_block(meta, v) == BlockProbe::Ok;
+                !verified_in_place[i]
+            }
+        });
+        // Corrupt, or gone since the index was asked: one more erasure.
+        match lost {
+            Some(v) => missing.push(v),
+            None => break (plan, recoverable),
+        }
+    };
+    missing.sort_unstable();
+
+    // What was read off devices — the per-stripe repair cost. A block that
+    // failed verification contributes nothing here (its device-side bytes
+    // are the documented attribution gap). One device per node and every
+    // verified block `block_len` long: blocks, devices and bytes are one
+    // count in three units.
+    let blocks_fetched = blocks.iter().flatten().count() as u64;
+    let cost = RepairCost {
+        bytes_read: blocks_fetched * meta.block_len as u64,
+        blocks_fetched,
+        devices_contacted: blocks_fetched,
+        recovery_depth: codec.replay(&plan.schedule, &mut blocks),
+    };
+
+    let mut repaired = 0usize;
+    // Blocks peeling cannot reach stay lost; the others are written home
+    // where a device will take them.
+    let mut incomplete = !recoverable;
+    for &node in &missing {
+        let slot = &mut blocks[node as usize];
+        let Some(block) = slot else { continue };
+        if block_checksum(block) != meta.checksums[node as usize] {
+            // Not the block that was lost: recycled below, never written.
+            incomplete = true;
+        } else if repair {
+            let block = slot.take().expect("seen above");
+            if store.write_raw_block(meta, node, block) {
+                repaired += 1;
+            } else {
+                incomplete = true; // home device still offline
+            }
         }
     }
-    // Whatever was read (and not written back) goes home to the pool.
-    pool::with_thread_pool(|p| p.recycle_stripe(&mut stored));
+    // Whatever was read or rebuilt and not written back goes home to the
+    // pool.
+    pool::with_thread_pool(|p| p.recycle_stripe(&mut blocks));
     // A stripe is markable clean when every block is verifiably present:
     // either nothing was missing, or repair just rewrote every missing
     // block. Repair writes bumped the generation, so re-sample it — the
@@ -539,8 +552,18 @@ fn scrub_stripe(
     } else {
         None
     };
+    let action = if missing.is_empty() {
+        ScrubAction::Verified
+    } else {
+        ScrubAction::Decoded
+    };
     StripeScrub {
-        health,
+        health: StripeHealth {
+            id: meta.id,
+            margin: first_failure_level as i64 - missing.len() as i64,
+            recoverable,
+            missing_blocks: missing,
+        },
         action,
         cost,
         repaired,
@@ -643,6 +666,42 @@ mod tests {
         let clean = scrub(&store, 2, false);
         assert_eq!(clean.degraded_count(), 0);
         assert_eq!(store.get(id).unwrap(), b"bit rot happens");
+    }
+
+    #[test]
+    fn rebuilt_block_that_misses_its_put_time_digest_is_not_written() {
+        let store = ArchivalStore::new(small_graph());
+        let id = store.put("a", b"digest gate").unwrap();
+        store.fail_device(0).unwrap();
+        store.replace_device(0).unwrap();
+        // The stripe's record of what node 0 held is wrong, so whatever
+        // the replay rebuilds cannot be shown to be the block that was lost.
+        let mut meta = store.meta(id).unwrap();
+        meta.checksums[0] ^= 1;
+        let writes = |s: &ArchivalStore| -> u64 {
+            (0..s.num_devices())
+                .map(|d| s.device(d).unwrap().stats().writes)
+                .sum()
+        };
+        let before = writes(&store);
+        let r = scrub_stripe(
+            &store,
+            &Codec::new(store.graph()),
+            &meta,
+            2,
+            true,
+            ScrubMode::Verify,
+            None,
+            store.pool_epoch(),
+            None,
+        );
+        assert_eq!(r.health.missing_blocks, vec![0]);
+        assert!(r.health.recoverable);
+        assert_eq!(r.repaired, 0);
+        assert!(r.incomplete, "reported in objects_incomplete");
+        assert!(r.clean_mark.is_none());
+        assert_eq!(writes(&store), before, "nothing was written");
+        assert!(!store.has_block(&meta, 0));
     }
 
     #[test]

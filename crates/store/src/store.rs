@@ -5,7 +5,7 @@ use crate::durable::{self, BackendKind, DurableConfig, Durability, RecoveryRepor
 use crate::error::StoreError;
 use crate::journal::{CrashInjector, JournalRecord};
 use crate::obs::StoreObserver;
-use crate::retrieval::{plan_retrieval_or_lost, step_node_and_check, RepairCost, RetrievalPlan};
+use crate::retrieval::{plan_retrieval_or_lost, RepairCost, RetrievalPlan};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -394,7 +394,7 @@ impl ArchivalStore {
     /// landed. A healthy stripe touches nothing else — no availability
     /// scan, no plan, no scratch block. A block that is absent, on an
     /// offline device, of the wrong length or corrupt is cut back out and
-    /// its slot zero-filled as a *hole* for [`ArchivalStore::fill_holes`]
+    /// its slot zero-filled as a *hole* for `fill_holes`
     /// before the next block is read, so silent corruption degrades into
     /// an ordinary erasure and unverified bytes are never in a buffer that
     /// is returned.
@@ -456,11 +456,9 @@ impl ArchivalStore {
         p: &mut BlockPool,
     ) -> Result<(), StoreError> {
         let (n, k) = (self.graph.num_nodes(), self.graph.num_data());
-        let is_check_stored =
-            |&v: &NodeId| self.devices[self.device_of_block(meta, v)].has_block(&(meta.id, v));
         let mut available: Vec<NodeId> = (0..k as NodeId)
             .filter(|v| !holes.contains(v))
-            .chain((k as NodeId..n as NodeId).filter(is_check_stored))
+            .chain((k as NodeId..n as NodeId).filter(|&v| self.has_block(meta, v)))
             .collect();
         let mut checks: Vec<Option<Vec<u8>>> = vec![None; n - k];
         let result = loop {
@@ -565,9 +563,10 @@ impl ArchivalStore {
         }
     }
 
-    /// Appends one block to `out` and verifies it, where it landed,
-    /// against the checksum recorded at put time. On a miss `out` is as it
-    /// was: bytes that failed verification do not outlive this call.
+    /// Appends one block to `out` and verifies it — the read hashed it as
+    /// it landed — against the checksum recorded at put time. On a miss
+    /// `out` is as it was: bytes that failed verification do not outlive
+    /// this call.
     fn read_verified_into(
         &self,
         meta: &ObjectMeta,
@@ -579,9 +578,8 @@ impl ArchivalStore {
         let dev = self.device_of_block(meta, node);
         let miss = match self.devices[dev].read_block_into(&(meta.id, node), class, out) {
             None => Miss::Absent,
-            Some(len)
-                if len == meta.block_len
-                    && block_checksum(&out[start..]) == meta.checksums[node as usize] =>
+            Some(read)
+                if read.len == meta.block_len && read.checksum == meta.checksums[node as usize] =>
             {
                 return Ok(())
             }
@@ -608,6 +606,12 @@ impl ArchivalStore {
             self.bump_generation(meta.id);
         }
         written
+    }
+
+    /// Whether a block's home device is online and lists it — an index
+    /// lookup, not an access: nothing is read and no counter moves.
+    pub(crate) fn has_block(&self, meta: &ObjectMeta, node: NodeId) -> bool {
+        self.devices[self.device_of_block(meta, node)].has_block(&(meta.id, node))
     }
 
     /// Hash-verifies a block **in place** on its home device — the scrub
@@ -645,7 +649,7 @@ fn replay_schedule(
     let block_len = data.len() / k;
     let slot = |node: NodeId| node as usize * block_len..(node as usize + 1) * block_len;
     for step in &plan.schedule {
-        let (node, via) = step_node_and_check(step);
+        let (node, via) = step.node_and_check();
         let block = |v: NodeId| match (v as usize).checked_sub(k) {
             None => &data[slot(v)],
             Some(c) => checks[c].as_deref().expect("planned"),
@@ -675,7 +679,7 @@ fn replay_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BlockBackend, BlockKey, MemoryBackend};
+    use crate::backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
     use std::io;
     use std::sync::{mpsc, Mutex};
     use tornado_gen::{TornadoGenerator, TornadoParams};
@@ -857,7 +861,7 @@ mod tests {
         fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
             self.inner.put(key, data)
         }
-        fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<usize>> {
+        fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
             if *key == self.gate {
                 self.reached.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
@@ -890,26 +894,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn device_lost_between_probe_and_fetch_costs_one_replan_and_no_reread() {
-        let graph = TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(4)
-            .unwrap();
-        let (n, k) = (graph.num_nodes(), graph.num_data());
-        let all_except = |missing: &[NodeId]| -> Vec<NodeId> {
-            (0..n as NodeId).filter(|v| !missing.contains(v)).collect()
-        };
-        // The first object sits at rotation 0 (node v on device v) and gets
-        // id 1. Data nodes 0 and 1 will be offline, so the GET plans; the
-        // gate is the first check block that plan fetches, the victim its
-        // last.
-        let first = plan_retrieval_or_lost(&graph, &all_except(&[0, 1])).unwrap();
-        let is_check = |v: &NodeId| *v as usize >= k;
-        let checks: Vec<NodeId> = first.fetch.iter().copied().filter(is_check).collect();
-        let (gate, victim) = (checks[0], *checks.last().unwrap());
-        assert_ne!(gate, victim, "the plan fetches several check blocks");
-        let second = plan_retrieval_or_lost(&graph, &all_except(&[0, 1, victim])).unwrap();
-
+    /// The paper's 96-node graph and, over it, a store whose device `gate`
+    /// runs on a [`GatedBackend`] gating object 1's block there (the first
+    /// object put sits at rotation 0: node v on device v), with the test's
+    /// ends of the two channels.
+    fn gated_store(gate: NodeId) -> (ArchivalStore, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (reached_tx, reached_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
         let mut gated = Some(GatedBackend {
@@ -918,20 +907,51 @@ mod tests {
             reached: Mutex::new(reached_tx),
             release: Mutex::new(release_rx),
         });
-        let devices = (0..n)
+        let graph = paper_graph();
+        let devices = (0..graph.num_nodes())
             .map(|d| match gated.take_if(|_| d == gate as usize) {
                 Some(backend) => Device::with_backend(d, Box::new(backend)),
                 None => Device::new(d),
             })
             .collect();
         let store = ArchivalStore::assemble(graph, devices, HashMap::new(), 1, 0, None);
+        (store, reached_rx, release_tx)
+    }
+
+    fn paper_graph() -> Graph {
+        TornadoGenerator::new(TornadoParams::paper_96())
+            .generate(4)
+            .unwrap()
+    }
+
+    fn all_except(missing: &[NodeId]) -> Vec<NodeId> {
+        (0..96).filter(|v| !missing.contains(v)).collect()
+    }
+
+    fn total_reads(store: &ArchivalStore) -> u64 {
+        store.devices.iter().map(|d| d.stats().reads).sum()
+    }
+
+    #[test]
+    fn device_lost_between_probe_and_fetch_costs_one_replan_and_no_reread() {
+        let graph = paper_graph();
+        let k = graph.num_data();
+        // Data nodes 0 and 1 will be offline, so the GET plans; the gate is
+        // the first check block that plan fetches, the victim its last.
+        let first = plan_retrieval_or_lost(&graph, &all_except(&[0, 1])).unwrap();
+        let is_check = |v: &NodeId| *v as usize >= k;
+        let checks: Vec<NodeId> = first.fetch.iter().copied().filter(is_check).collect();
+        let (gate, victim) = (checks[0], *checks.last().unwrap());
+        assert_ne!(gate, victim, "the plan fetches several check blocks");
+        let second = plan_retrieval_or_lost(&graph, &all_except(&[0, 1, victim])).unwrap();
+
+        let (store, reached_rx, release_tx) = gated_store(gate);
         let payload = vec![9u8; 5000];
         let id = store.put("x", &payload).unwrap();
         store.fail_device(0).unwrap();
         store.fail_device(1).unwrap();
-        let reads = |s: &ArchivalStore| -> u64 { s.devices.iter().map(|d| d.stats().reads).sum() };
 
-        let before = reads(&store);
+        let before = total_reads(&store);
         let (buf, payload_start, stats) = std::thread::scope(|s| {
             let get = s.spawn(|| store.get_framed(id, 9));
             // The GET is inside its first check fetch: the victim was
@@ -946,7 +966,57 @@ mod tests {
         assert_eq!(stats.blocks_fetched, second.fetch.len());
         assert_eq!(stats.blocks_recovered, second.schedule.len());
         assert_eq!(store.devices[victim as usize].stats().failed_reads, 1);
-        assert_eq!(reads(&store) - before, stats.cost.blocks_fetched);
+        assert_eq!(total_reads(&store) - before, stats.cost.blocks_fetched);
+    }
+
+    #[test]
+    fn block_lost_between_index_probe_and_fetch_costs_a_scrub_one_replan_and_no_reread() {
+        use crate::retrieval::plan_repair;
+        use crate::scrubber::{ScrubMode, Scrubber};
+        use std::collections::BTreeSet;
+        use tornado_codec::metrics::cells;
+
+        let graph = paper_graph();
+        // Devices 0 and 1 will be offline, so the scrub plans a repair; the
+        // gate is the first block of that plan's cone, the victim its last.
+        let first = plan_repair(&graph, &all_except(&[0, 1])).unwrap();
+        let (gate, victim) = (first.fetch[0], *first.fetch.last().unwrap());
+        assert_ne!(gate, victim, "the cone holds several blocks");
+        let second = plan_repair(&graph, &all_except(&[0, 1, victim])).unwrap();
+
+        let (store, reached_rx, release_tx) = gated_store(gate);
+        store.put("x", &vec![9u8; 5000]).unwrap();
+        store.fail_device(0).unwrap();
+        store.fail_device(1).unwrap();
+
+        let obs = StoreObserver::disabled();
+        let before = total_reads(&store);
+        let scrubber = Scrubber::new(1);
+        let outcome = std::thread::scope(|s| {
+            let run = || scrubber.run_observed(&store, 5, false, ScrubMode::Verify, &obs);
+            let scrub = s.spawn(run);
+            // The scrub is inside its first cone fetch: the index listed
+            // the victim and it has not been read yet.
+            reached_rx.recv().unwrap();
+            store.fail_device(victim as usize).unwrap();
+            release_tx.send(()).unwrap();
+            scrub.join().unwrap()
+        });
+        assert_eq!(outcome.stripes[0].missing_blocks, vec![0, 1, victim]);
+        assert!(outcome.stripes[0].recoverable);
+        assert_eq!(obs.decode.get(cells::TRIALS), 2, "plan and one re-plan");
+        // In hand: what the first plan fetched before the loss, plus what
+        // the second wanted on top — each read exactly once.
+        let in_hand: BTreeSet<NodeId> = first
+            .fetch
+            .iter()
+            .chain(&second.fetch)
+            .copied()
+            .filter(|&v| v != victim)
+            .collect();
+        assert_eq!(outcome.costs[0].blocks_fetched, in_hand.len() as u64);
+        assert_eq!(total_reads(&store) - before, in_hand.len() as u64);
+        assert_eq!(store.devices[victim as usize].stats().failed_reads, 1);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! some device actually *served* — the reported [`RepairCost`] totals and
 //! the per-device [`DeviceStats`] byte counters are two independent
 //! tallies of the same traffic, and they must agree exactly, for any
-//! offline-device failure pattern, at any scrub parallelism.
+//! offline-device failure pattern, at any scrub parallelism. A guided
+//! (verify-mode) scrub adds a third tally that must be the same number:
+//! what [`plan_repair`] prices the stripe's repair cone at — the figure the
+//! repair-bandwidth bake-off reports.
 //!
 //! The law holds for offline failures only: a corrupt block's bytes are
 //! served by its device (and land in `DeviceStats`) but rejected by the
@@ -16,17 +19,29 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tornado_store::{ArchivalStore, RepairCost, ScrubMode, ScrubOutcome, Scrubber};
+use tornado_graph::NodeId;
+use tornado_store::{plan_repair, ArchivalStore, RepairCost, ScrubMode, ScrubOutcome, Scrubber};
 
 /// Sums `(bytes_read, bytes_repair_read)` across the device pool.
 fn pool_bytes(store: &ArchivalStore) -> (u64, u64) {
+    let (bytes, repair, ..) = pool_counts(store);
+    (bytes, repair)
+}
+
+/// Sums `(bytes_read, bytes_repair_read, reads, verifies)` across the
+/// device pool.
+fn pool_counts(store: &ArchivalStore) -> (u64, u64, u64, u64) {
     (0..store.num_devices())
         .filter_map(|d| store.device(d).ok())
-        .map(|d| {
-            let s = d.stats();
-            (s.bytes_read, s.bytes_repair_read)
+        .map(|d| d.stats())
+        .fold((0, 0, 0, 0), |(a, b, c, e), s| {
+            (
+                a + s.bytes_read,
+                b + s.bytes_repair_read,
+                c + s.reads,
+                e + s.verifies,
+            )
         })
-        .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
 }
 
 /// A populated store with the given devices offline.
@@ -79,6 +94,55 @@ proptest! {
         }
         prop_assert_eq!(&outcomes[0].costs, &outcomes[1].costs);
         prop_assert_eq!(&outcomes[0].costs, &outcomes[2].costs);
+    }
+
+    /// Guided scrub: a recoverable stripe's reported cost *is*
+    /// [`plan_repair`]'s price for its repair cone, and the devices served
+    /// exactly those bytes — each cone block one read, every other present
+    /// block one in-place probe, none both — whether or not the lost
+    /// blocks have a replacement device to be written to.
+    #[test]
+    fn guided_scrub_cost_is_the_planned_cost_and_the_served_bytes(
+        failure_draws in proptest::collection::vec(0usize..96, 0..7),
+        objects in 1usize..4,
+        replace in any::<bool>(),
+    ) {
+        let failures: BTreeSet<usize> = failure_draws.into_iter().collect();
+        let graph = tornado_core::tornado_graph_1();
+        for threads in [1usize, 4] {
+            let store = damaged_store(objects, &failures);
+            if replace {
+                for &d in &failures {
+                    store.replace_device(d).expect("replace");
+                }
+            }
+            let metas = store.list();
+            let before = pool_counts(&store);
+            let outcome = Scrubber::new(threads).run(&store, 5, true, ScrubMode::Verify);
+            let after = pool_counts(&store);
+
+            let mut present_blocks = 0u64;
+            for (meta, cost) in metas.iter().zip(&outcome.costs) {
+                let available: Vec<NodeId> = (0..graph.num_nodes() as NodeId)
+                    .filter(|&v| !failures.contains(&store.device_of_block(meta, v)))
+                    .collect();
+                present_blocks += available.len() as u64;
+                if let Some(plan) = plan_repair(&graph, &available) {
+                    let planned =
+                        plan.cost_with(&graph, meta.block_len, |v| store.device_of_block(meta, v));
+                    prop_assert_eq!(*cost, planned, "object {}", meta.id);
+                }
+            }
+            let claimed = outcome.total_cost();
+            prop_assert_eq!(claimed.bytes_read, after.0 - before.0, "claimed vs served");
+            prop_assert_eq!(claimed.bytes_read, after.1 - before.1, "all repair-class");
+            prop_assert_eq!(claimed.blocks_fetched, after.2 - before.2, "one read per cone block");
+            prop_assert_eq!(
+                present_blocks - claimed.blocks_fetched,
+                after.3 - before.3,
+                "one in-place probe per present block outside the cone"
+            );
+        }
     }
 
     /// GET-side conservation: `GetStats.cost` equals the pool-wide byte
