@@ -2,13 +2,12 @@
 //! worst-case search and Monte-Carlo suites (§3's 962 M test cases are
 //! exactly this operation).
 //!
-//! Every group runs A/B: `dense` is the retained pre-sparse reference
-//! kernel (`tornado_codec::reference::DenseDecoder`, full O(n) reset +
-//! all-checks seeding), `sparse` is the epoch-stamped kernel. The
-//! `lex_sweep` group additionally exercises the shared-prefix path the
-//! worst-case search uses, and `unrank` isolates the combinadic
-//! enumeration cost to show it stays a small fraction of a k = 4 trial
-//! (see the `combination_overhead` bin check in
+//! Every group runs A/B: `dense` is the retained counter-per-check
+//! reference kernel (`tornado_codec::reference::DenseDecoder`, full O(n)
+//! reset + all-checks seeding), `row` is the bit-row kernel. The
+//! `lex_sweep` group additionally exercises the shared-prefix path
+//! (certificates instead of peels), and `unrank` isolates the combinadic
+//! enumeration cost (budgeted in absolute terms by the bin check in
 //! `src/bin/bench_decode_trial.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -19,14 +18,14 @@ use tornado_codec::ErasureDecoder;
 
 fn bench_decode_trial(c: &mut Criterion) {
     let graph = tornado_core::tornado_graph_1();
-    let mut sparse = ErasureDecoder::new(&graph);
+    let mut row = ErasureDecoder::new(&graph);
     let mut dense = DenseDecoder::new(&graph);
     let mut group = c.benchmark_group("decode_trial");
     for &k in &[1usize, 4, 16, 48] {
         // A deterministic spread-out pattern of k losses.
         let missing: Vec<usize> = (0..k).map(|i| (i * 53) % 96).collect();
-        group.bench_with_input(BenchmarkId::new("sparse", k), &missing, |b, missing| {
-            b.iter(|| black_box(sparse.decode(black_box(missing))))
+        group.bench_with_input(BenchmarkId::new("row", k), &missing, |b, missing| {
+            b.iter(|| black_box(row.decode(black_box(missing))))
         });
         group.bench_with_input(BenchmarkId::new("dense", k), &missing, |b, missing| {
             b.iter(|| black_box(dense.decode(black_box(missing))))
@@ -35,13 +34,14 @@ fn bench_decode_trial(c: &mut Criterion) {
     group.finish();
 }
 
-/// The worst-case search inner loop: a lexicographic slice of `C(96, k)`,
-/// one decode per combination. The sparse side re-marks the shared prefix
-/// only when it changes; the dense side pays a full reset every trial.
+/// A lexicographic slice of `C(96, k)`, one verdict per combination. The
+/// row side re-derives the shared prefix's certificates only when it
+/// changes and peels only the tails that collide with them; the dense side
+/// pays a full reset every trial.
 fn bench_lex_sweep(c: &mut Criterion) {
     let graph = tornado_core::tornado_graph_1();
     let n = graph.num_nodes();
-    let mut sparse = ErasureDecoder::new(&graph);
+    let mut row = ErasureDecoder::new(&graph);
     let mut dense = DenseDecoder::new(&graph);
     let mut group = c.benchmark_group("lex_sweep");
     for &k in &[2usize, 4] {
@@ -51,30 +51,24 @@ fn bench_lex_sweep(c: &mut Criterion) {
         let total = binomial(n as u64, k as u64);
         let start = (total / 3).min(total - u128::from(TRIALS));
         group.throughput(Throughput::Elements(TRIALS));
-        group.bench_function(BenchmarkId::new("sparse_prefix_reuse", k), |b| {
+        group.bench_function(BenchmarkId::new("row_prefix_reuse", k), |b| {
             b.iter(|| {
                 let mut it = CombinationIter::from_rank(n, k, start);
-                let mut prefix: Vec<usize> = vec![usize::MAX];
                 let mut failures = 0u64;
                 for _ in 0..TRIALS {
-                    let combo = it.next_slice().unwrap();
-                    let split = k - 1;
-                    if combo[..split] != prefix[..] {
-                        sparse.begin_pattern(&combo[..split]);
-                        prefix.clear();
-                        prefix.extend_from_slice(&combo[..split]);
-                    }
-                    failures += u64::from(!sparse.decode_tail(&combo[split..]));
+                    let (prefix, tail) = it.next_slice().unwrap().split_at(k - 1);
+                    row.begin_pattern(prefix);
+                    failures += u64::from(!row.decode_tail(tail));
                 }
                 black_box(failures)
             })
         });
-        group.bench_function(BenchmarkId::new("sparse_one_shot", k), |b| {
+        group.bench_function(BenchmarkId::new("row_one_shot", k), |b| {
             b.iter(|| {
                 let mut it = CombinationIter::from_rank(n, k, start);
                 let mut failures = 0u64;
                 for _ in 0..TRIALS {
-                    failures += u64::from(!sparse.decode(it.next_slice().unwrap()));
+                    failures += u64::from(!row.decode(it.next_slice().unwrap()));
                 }
                 black_box(failures)
             })
@@ -93,8 +87,8 @@ fn bench_lex_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Combinadic enumeration alone: `next_slice` must stay well under 5% of a
-/// k = 4 sparse trial for the data-parallel split to be effectively free.
+/// Combinadic enumeration alone: `next_slice` must stay a few nanoseconds
+/// a step for the data-parallel split to be effectively free.
 fn bench_unrank(c: &mut Criterion) {
     let mut group = c.benchmark_group("unrank");
     const TRIALS: u64 = 4096;
@@ -115,14 +109,14 @@ fn bench_unrank(c: &mut Criterion) {
     group.finish();
 }
 
-/// Decode-metrics recorder A/B on the worst-case-search inner loop: the
-/// recorder is plain `u64` increments behind one branch, so the enabled
-/// side must track the disabled side within noise (the release bin check
-/// in `src/bin/bench_decode_trial.rs` enforces the 3% budget).
+/// Decode-metrics recorder A/B on the lexicographic sweep: the recorder
+/// is plain `u64` increments behind one branch, so the enabled side must
+/// track the disabled side within noise (the release bin check in
+/// `src/bin/bench_decode_trial.rs` enforces the 2 ns budget).
 fn bench_recording_overhead(c: &mut Criterion) {
     let graph = tornado_core::tornado_graph_1();
     let n = graph.num_nodes();
-    let mut sparse = ErasureDecoder::new(&graph);
+    let mut row = ErasureDecoder::new(&graph);
     let mut group = c.benchmark_group("recording_overhead");
     const TRIALS: u64 = 4096;
     let start = binomial(n as u64, 4) / 3;
@@ -130,24 +124,19 @@ fn bench_recording_overhead(c: &mut Criterion) {
     for recording in [false, true] {
         let name = if recording { "recording_on" } else { "recording_off" };
         group.bench_function(BenchmarkId::new("lex_sweep", name), |b| {
-            sparse.set_recording(recording);
+            row.set_recording(recording);
             b.iter(|| {
                 let mut it = CombinationIter::from_rank(n, 4, start);
-                let mut prefix: Vec<usize> = vec![usize::MAX];
                 let mut failures = 0u64;
                 for _ in 0..TRIALS {
                     let combo = it.next_slice().unwrap();
-                    if combo[..3] != prefix[..] {
-                        sparse.begin_pattern(&combo[..3]);
-                        prefix.clear();
-                        prefix.extend_from_slice(&combo[..3]);
-                    }
-                    failures += u64::from(!sparse.decode_tail(&combo[3..]));
+                    row.begin_pattern(&combo[..3]);
+                    failures += u64::from(!row.decode_tail(&combo[3..]));
                 }
                 black_box(failures)
             });
-            sparse.set_recording(false);
-            black_box(sparse.take_cells());
+            row.set_recording(false);
+            black_box(row.take_cells());
         });
     }
     group.finish();

@@ -1,13 +1,17 @@
-//! Measures the decode-trial A/B (dense reference kernel vs sparse
-//! epoch-stamped kernel) on the 96-node catalog graph and writes
+//! Measures the decode-trial A/B (dense counter-per-check reference vs
+//! the bit-row kernel) on the 96-node catalog graph and writes
 //! `BENCH_decode_trial.json` at the repository root.
 //!
-//! The headline number is the k = 4 lexicographic sweep — the exact shape
-//! of the worst-case search inner loop — where the sparse kernel must be
-//! ≥ 3× the dense baseline. The combinadic enumeration share is also
-//! checked: `CombinationIter::next_slice` must cost < 5% of a k = 4 sparse
-//! trial. A third A/B runs the same sweep with the decode metrics recorder
-//! enabled (no sink attached); it must stay within 3% of recording-off.
+//! The headline number is the k = 4 lexicographic sweep — one pattern at a
+//! time through `begin_pattern` / `decode_tail`, the per-pattern form of
+//! what the worst-case search does a prefix at a time — where the row
+//! kernel must be ≥ 10× the dense baseline (it measures about 20×). The
+//! enumerator has an absolute budget: `CombinationIter::next_slice` must
+//! cost under 5 ns a step (it used to be budgeted as a share of a trial,
+//! which stopped meaning anything once most patterns are decided by a
+//! certificate test). A third A/B runs the same sweep with the decode
+//! metrics recorder enabled (no sink attached); it may add at most 2 ns a
+//! trial — absolute for the same reason.
 //!
 //! Usage: `cargo run --release -p tornado-bench --bin bench_decode_trial`
 //! (pass `--check` to only verify invariants without rewriting the JSON,
@@ -18,6 +22,13 @@ use std::time::Instant;
 use tornado_bitset::combinations::{binomial, CombinationIter};
 use tornado_codec::reference::DenseDecoder;
 use tornado_codec::ErasureDecoder;
+
+/// The least the row kernel must gain over the dense one on the sweep.
+const SWEEP_FLOOR: f64 = 10.0;
+/// The most one `next_slice` step may cost.
+const UNRANK_BUDGET_NS: f64 = 5.0;
+/// The most the enabled recorder may add to one sweep trial.
+const RECORDING_BUDGET_NS: f64 = 2.0;
 
 /// Median ns per inner iteration of `f` (which must run `batch` iterations
 /// per call), over `samples` timed calls after one warmup call.
@@ -37,12 +48,12 @@ fn measure(batch: u64, samples: usize, mut f: impl FnMut()) -> f64 {
 struct Case {
     name: &'static str,
     dense_ns: f64,
-    sparse_ns: f64,
+    row_ns: f64,
 }
 
 impl Case {
     fn speedup(&self) -> f64 {
-        self.dense_ns / self.sparse_ns
+        self.dense_ns / self.row_ns
     }
 }
 
@@ -50,7 +61,7 @@ fn main() {
     let check_only = std::env::args().any(|a| a == "--check");
     let graph = tornado_core::tornado_graph_1();
     let n = graph.num_nodes();
-    let mut sparse = ErasureDecoder::new(&graph);
+    let mut row = ErasureDecoder::new(&graph);
     let mut dense = DenseDecoder::new(&graph);
     let samples = 9;
     let mut cases: Vec<Case> = Vec::new();
@@ -59,9 +70,9 @@ fn main() {
     for k in [1usize, 4] {
         let missing: Vec<usize> = (0..k).map(|i| (i * 53) % 96).collect();
         let batch = 20_000u64;
-        let sparse_ns = measure(batch, samples, || {
+        let row_ns = measure(batch, samples, || {
             for _ in 0..batch {
-                std::hint::black_box(sparse.decode(std::hint::black_box(&missing)));
+                std::hint::black_box(row.decode(std::hint::black_box(&missing)));
             }
         });
         let dense_ns = measure(batch, samples, || {
@@ -72,25 +83,20 @@ fn main() {
         cases.push(Case {
             name: if k == 1 { "single_k1" } else { "single_k4" },
             dense_ns,
-            sparse_ns,
+            row_ns,
         });
     }
 
     // Lexicographic sweep (the worst-case search inner loop), k = 4.
     let batch = 65_536u64;
     let start = binomial(n as u64, 4) / 3;
-    let sweep_sparse_ns = measure(batch, samples, || {
+    let sweep_row_ns = measure(batch, samples, || {
         let mut it = CombinationIter::from_rank(n, 4, start);
-        let mut prefix: Vec<usize> = vec![usize::MAX];
         let mut failures = 0u64;
         for _ in 0..batch {
             let combo = it.next_slice().unwrap();
-            if combo[..3] != prefix[..] {
-                sparse.begin_pattern(&combo[..3]);
-                prefix.clear();
-                prefix.extend_from_slice(&combo[..3]);
-            }
-            failures += u64::from(!sparse.decode_tail(&combo[3..]));
+            row.begin_pattern(&combo[..3]);
+            failures += u64::from(!row.decode_tail(&combo[3..]));
         }
         std::hint::black_box(failures);
     });
@@ -105,61 +111,55 @@ fn main() {
     cases.push(Case {
         name: "lex_sweep_k4",
         dense_ns: sweep_dense_ns,
-        sparse_ns: sweep_sparse_ns,
+        row_ns: sweep_row_ns,
     });
 
     // Observability A/B: the same k = 4 sweep with the decode recorder
     // enabled (counters ticking, no sink attached). The recorder is plain
-    // u64 increments behind one branch, so it must stay within 3% of the
-    // recording-off sweep — keeping `--metrics` runs honest about speed.
-    // Clock-frequency and cache drift between distant measurements runs to
-    // ±10% here — far above the recorder's real cost — so the two sides are
-    // interleaved off/on per round and compared as a median of per-round
-    // ratios, which cancels any drift slower than one round.
+    // u64 increments behind one branch, so it may add at most 2 ns to a
+    // trial — keeping `--metrics` runs honest about speed. Clock-frequency
+    // and cache drift between distant measurements runs to ±10% here — far
+    // above the recorder's real cost — so the two sides are interleaved
+    // off/on per round and compared as a median of per-round differences,
+    // which cancels any drift slower than one round.
     let mut timed_sweep = |rec: bool| {
-        sparse.set_recording(rec);
+        row.set_recording(rec);
         let t = Instant::now();
         let mut it = CombinationIter::from_rank(n, 4, start);
-        let mut prefix: Vec<usize> = vec![usize::MAX];
         let mut failures = 0u64;
         for _ in 0..batch {
             let combo = it.next_slice().unwrap();
-            if combo[..3] != prefix[..] {
-                sparse.begin_pattern(&combo[..3]);
-                prefix.clear();
-                prefix.extend_from_slice(&combo[..3]);
-            }
-            failures += u64::from(!sparse.decode_tail(&combo[3..]));
+            row.begin_pattern(&combo[..3]);
+            failures += u64::from(!row.decode_tail(&combo[3..]));
         }
         std::hint::black_box(failures);
         let ns = t.elapsed().as_nanos() as f64 / batch as f64;
-        sparse.set_recording(false);
-        std::hint::black_box(sparse.take_cells());
+        row.set_recording(false);
+        std::hint::black_box(row.take_cells());
         ns
     };
     timed_sweep(false); // warmup
     timed_sweep(true);
     let mut off_ns = Vec::with_capacity(samples);
     let mut on_ns = Vec::with_capacity(samples);
-    let mut ratios: Vec<f64> = (0..samples)
+    let mut extra_ns: Vec<f64> = (0..samples)
         .map(|_| {
             let off = timed_sweep(false);
             let on = timed_sweep(true);
             off_ns.push(off);
             on_ns.push(on);
-            on / off
+            on - off
         })
         .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
     let median = |v: &mut Vec<f64>| {
         v.sort_by(|a, b| a.total_cmp(b));
         v[v.len() / 2]
     };
     let sweep_off_ns = median(&mut off_ns);
     let sweep_recording_ns = median(&mut on_ns);
-    let recording_overhead = ratios[ratios.len() / 2] - 1.0;
+    let recording_overhead_ns = median(&mut extra_ns);
 
-    // Combinadic enumeration share of a k = 4 sparse sweep trial.
+    // Combinadic enumeration: one step of a k = 4 sweep.
     let unrank_ns = measure(batch, samples, || {
         let mut it = CombinationIter::from_rank(n, 4, start);
         let mut acc = 0usize;
@@ -168,41 +168,33 @@ fn main() {
         }
         std::hint::black_box(acc);
     });
-    let unrank_share = unrank_ns / sweep_sparse_ns;
 
     let headline = cases.iter().find(|c| c.name == "lex_sweep_k4").unwrap();
-    let target_met = headline.speedup() >= 3.0;
+    let target_met = headline.speedup() >= SWEEP_FLOOR;
 
     println!("graph: tornado_graph_1 ({n} nodes), {samples} samples/case");
     for c in &cases {
         println!(
-            "  {:<14} dense {:>8.1} ns/trial   sparse {:>8.1} ns/trial   speedup {:>5.2}x",
+            "  {:<14} dense {:>8.1} ns/trial   row {:>8.1} ns/trial   speedup {:>5.2}x",
             c.name,
             c.dense_ns,
-            c.sparse_ns,
+            c.row_ns,
             c.speedup()
         );
     }
+    println!("  unrank         {unrank_ns:>8.1} ns/step (budget {UNRANK_BUDGET_NS} ns)");
     println!(
-        "  unrank         {:>8.1} ns/step = {:.1}% of a sparse k=4 sweep trial (budget 5%)",
-        unrank_ns,
-        unrank_share * 100.0
+        "  recording      {sweep_recording_ns:>8.1} ns/trial (off {sweep_off_ns:>6.1}) = \
+         {recording_overhead_ns:+.2} ns median paired difference (budget {RECORDING_BUDGET_NS} ns)"
     );
     println!(
-        "  recording      {:>8.1} ns/trial (off {:>6.1}) = {:+.1}% median paired ratio (budget 3%)",
-        sweep_recording_ns,
-        sweep_off_ns,
-        recording_overhead * 100.0
-    );
-    println!(
-        "  target: sparse >= 3x dense on lex_sweep_k4 -> {}",
+        "  target: row >= {SWEEP_FLOOR}x dense on lex_sweep_k4 -> {}",
         if target_met { "MET" } else { "NOT MET" }
     );
 
     assert!(
-        unrank_share < 0.05,
-        "combination enumeration costs {:.1}% of a k=4 trial (budget 5%)",
-        unrank_share * 100.0
+        cfg!(debug_assertions) || unrank_ns < UNRANK_BUDGET_NS,
+        "combination enumeration costs {unrank_ns:.1} ns a step (budget {UNRANK_BUDGET_NS} ns)"
     );
 
     if cfg!(debug_assertions) {
@@ -211,13 +203,13 @@ fn main() {
     }
     assert!(
         target_met,
-        "lex_sweep_k4 speedup {:.2}x is below the 3x floor",
+        "lex_sweep_k4 speedup {:.2}x is below the {SWEEP_FLOOR}x floor",
         headline.speedup()
     );
     assert!(
-        recording_overhead < 0.03,
-        "recording-enabled sweep is {:+.1}% vs recording-off (budget 3%)",
-        recording_overhead * 100.0
+        recording_overhead_ns < RECORDING_BUDGET_NS,
+        "recording-enabled sweep is {recording_overhead_ns:+.2} ns a trial vs recording-off \
+         (budget {RECORDING_BUDGET_NS} ns)"
     );
     if check_only {
         println!("--check: invariants hold, JSON left untouched");
@@ -235,10 +227,10 @@ fn main() {
     json.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"case\": \"{}\", \"dense\": {:.1}, \"sparse\": {:.1}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"case\": \"{}\", \"dense\": {:.1}, \"row\": {:.1}, \"speedup\": {:.2}}}{}\n",
             c.name,
             c.dense_ns,
-            c.sparse_ns,
+            c.row_ns,
             c.speedup(),
             if i + 1 < cases.len() { "," } else { "" }
         ));
@@ -248,15 +240,17 @@ fn main() {
         "  \"unrank_ns_per_step\": {unrank_ns:.1},\n"
     ));
     json.push_str(&format!(
-        "  \"unrank_share_of_sparse_k4_trial\": {unrank_share:.4},\n"
+        "  \"unrank_budget_ns_per_step\": {UNRANK_BUDGET_NS:.1},\n"
     ));
     json.push_str(&format!(
         "  \"recording_ns_per_trial\": {sweep_recording_ns:.1},\n"
     ));
     json.push_str(&format!(
-        "  \"recording_overhead_vs_off\": {recording_overhead:.4},\n"
+        "  \"recording_overhead_ns_per_trial\": {recording_overhead_ns:.2},\n"
     ));
-    json.push_str("  \"target\": \"sparse >= 3x dense on lex_sweep_k4\",\n");
+    json.push_str(&format!(
+        "  \"target\": \"row >= {SWEEP_FLOOR}x dense on lex_sweep_k4\",\n"
+    ));
     json.push_str(&format!("  \"target_met\": {target_met}\n"));
     json.push_str("}\n");
 

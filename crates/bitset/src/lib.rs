@@ -10,10 +10,10 @@
 //!   and [`Bits256`] (four words) covers the 192-device federated systems.
 //! * [`DynBitSet`] — a heap-backed bit set for arbitrary sizes, used by the
 //!   storage layer and anywhere graph sizes are not known at compile time.
-//! * [`EpochSet`] / [`StampedCounts`] — generation-stamped membership and
-//!   counter arrays whose `clear` is a single epoch bump instead of an O(n)
-//!   refill. They are the state representation behind the sparse-reset decode
-//!   kernel: a trial that touches *t* nodes costs O(t) to reset, not O(n).
+//! * [`rows`] — bit rows as plain word slices and [`RowTable`], a flat table
+//!   of them. They are the state representation behind the decode kernel: an
+//!   erasure pattern is one row, each check's neighbourhood another, and a
+//!   check's state is the popcount of their intersection.
 //! * [`combinations`] — lexicographic *k*-subset enumeration with
 //!   combinatorial ranking/unranking, which lets the simulator split an
 //!   exhaustive `C(96, k)` search into independent, evenly sized chunks for
@@ -27,10 +27,10 @@
 
 pub mod combinations;
 pub mod dynamic;
-pub mod epoch;
 pub mod fixed;
+pub mod rows;
 
 pub use combinations::{CombinationIter, Combinations};
 pub use dynamic::DynBitSet;
-pub use epoch::{EpochSet, StampedCounts};
 pub use fixed::{Bits128, Bits256, Bits64, FixedBitSet};
+pub use rows::RowTable;

@@ -34,6 +34,11 @@ impl ParsedArgs {
         Ok(Self { values })
     }
 
+    /// The flags that were passed, each once.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().map(String::as_str)
+    }
+
     /// Last value of a flag, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).and_then(|v| v.last()).map(|s| s.as_str())

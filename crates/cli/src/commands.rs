@@ -19,6 +19,9 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     graphml::from_graphml(&xml).map_err(|e| format!("{path}: {e}"))
 }
 
+/// The flags `load_target_graph` reads.
+pub const TARGET_FLAGS: &[&str] = &["catalog", "graph"];
+
 /// Resolves `--catalog N` or `--graph FILE` to a graph plus a label for
 /// metrics snapshots.
 fn load_target_graph(args: &ParsedArgs) -> Result<(Graph, String), String> {
@@ -985,6 +988,21 @@ pub fn validate_trace(args: &ParsedArgs) -> CmdResult {
     Ok(())
 }
 
+/// The flags `health_config_from_args` reads.
+pub const HEALTH_FLAGS: &[&str] = &[
+    "no-health",
+    "afr",
+    "horizon-hours",
+    "health-trials",
+    "health-seed",
+    "health-max-k",
+    "margin-cap",
+    "health-recompute-ms",
+    "slo-degraded",
+    "slo-corruption",
+    "slo-window",
+];
+
 /// Builds a [`tornado_server::HealthConfig`] from `serve` flags.
 /// `--slo-window label:short_ms:long_ms:threshold` (repeatable) replaces
 /// the standard 5m/1h + 30m/6h pairs — CI shrinks these to seconds so a
@@ -1113,6 +1131,9 @@ fn print_health_summary(doc: &Json) {
         }
     }
 }
+
+/// The flags `check_health_expectations` reads.
+pub const EXPECT_FLAGS: &[&str] = &["expect-offline", "expect-max-margin", "expect-alert"];
 
 /// `--expect-offline N`, `--expect-max-margin N`, `--expect-alert`:
 /// smoke-test assertions against a fetched (and already validated)

@@ -25,6 +25,8 @@ COMMANDS:
     inspect      Show structure and degree stats    --graph FILE
     dot          Export Graphviz DOT                --graph FILE [--out FILE]
     worst-case   Exhaustive worst-case search       --graph FILE | --catalog 1|2|3 [--max-k 4]
+                                                    (96 nodes, one core: k = 5 in 0.25 s,
+                                                    the paper's k = 6 in about 5 s)
     monte-carlo  Monte-Carlo failure profile        --graph FILE | --catalog 1|2|3
                                                     [--trials 20000] [--seed N]
     scrub        Fail devices, scrub, report health  --graph FILE | --catalog 1|2|3
@@ -96,34 +98,146 @@ OBSERVABILITY (worst-case, monte-carlo, scrub):
 All commands are deterministic in their seeds.
 ";
 
+/// One subcommand: its name, its implementation, and every flag it reads
+/// (in groups, so the shared readers declare theirs once). A flag outside
+/// the groups is an error before the command runs — a mistyped `--maxk 6`
+/// must not silently certify the default depth.
+pub struct Command {
+    /// The word after `tornado`.
+    pub name: &'static str,
+    /// Flag names (without `--`) the command reads.
+    pub flags: &'static [&'static [&'static str]],
+    run: fn(&ParsedArgs) -> Result<(), String>,
+}
+
+use commands::{EXPECT_FLAGS, HEALTH_FLAGS, TARGET_FLAGS};
+use obs::OBS_FLAGS;
+
+/// Every subcommand, in `USAGE` order.
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command { name: "generate", run: commands::generate, flags: &[
+        &["seed", "data", "screen", "no-screen", "family", "degree", "out"], OBS_FLAGS] },
+    Command { name: "catalog", run: commands::catalog, flags: &[&["index", "out"]] },
+    Command { name: "inspect", run: commands::inspect, flags: &[&["graph"]] },
+    Command { name: "dot", run: commands::dot, flags: &[&["graph", "out"]] },
+    Command { name: "worst-case", run: commands::worst_case, flags: &[
+        &["max-k"], TARGET_FLAGS, OBS_FLAGS] },
+    Command { name: "monte-carlo", run: commands::monte_carlo, flags: &[
+        &["trials", "seed"], TARGET_FLAGS, OBS_FLAGS] },
+    Command { name: "scrub", run: commands::scrub, flags: &[
+        &["objects", "level", "repair", "threads", "fail", "replace", "cycles", "full", "verify",
+          "incremental"],
+        TARGET_FLAGS, OBS_FLAGS] },
+    Command { name: "validate-metrics", run: commands::validate_metrics, flags: &[&["file"]] },
+    Command { name: "adjust", run: commands::adjust, flags: &[&["graph", "target", "out"]] },
+    Command { name: "reliability", run: commands::reliability, flags: &[
+        &["graph", "afr", "trials"]] },
+    Command { name: "demo", run: commands::demo, flags: &[&["seed"]] },
+    Command { name: "mindist", run: commands::mindist, flags: &[&["graph", "cap"]] },
+    Command { name: "incremental", run: commands::incremental, flags: &[
+        &["graph", "trials", "seed"]] },
+    Command { name: "lifetime", run: commands::lifetime, flags: &[
+        &["graph", "afr", "scrubs", "trials", "seed"]] },
+    Command { name: "workload", run: commands::workload, flags: &[
+        &["seed", "objects", "reads"]] },
+    Command { name: "serve", run: commands::serve, flags: &[
+        &["addr", "workers", "queue-depth", "deadline-ms", "shards", "max-inflight", "data-dir",
+          "backend", "no-fsync", "port-file", "trace-sample", "trace-file", "trace-capacity",
+          "trace-slow-keep", "slow-ms", "timeseries-ms"],
+        TARGET_FLAGS, HEALTH_FLAGS, OBS_FLAGS] },
+    Command { name: "put", run: commands::put, flags: &[&["addr", "name", "payload-file"]] },
+    Command { name: "get", run: commands::get, flags: &[&["addr", "id", "out"]] },
+    Command { name: "load", run: commands::load, flags: &[
+        &["addr", "connections", "duration-ms", "seed", "put", "get", "delete", "payload-min",
+          "payload-max", "zipf", "prefill", "fail", "fail-after-ms", "fail-spacing-ms",
+          "deadline-ms", "shutdown", "trace-sample", "op-limit", "pipeline", "rate"],
+        OBS_FLAGS] },
+    Command { name: "watch", run: commands::watch, flags: &[
+        &["addr", "interval-ms", "count"]] },
+    Command { name: "health", run: commands::health, flags: &[
+        &["addr", "json", "prometheus", "out"], EXPECT_FLAGS] },
+    Command { name: "validate-health", run: commands::validate_health, flags: &[
+        &["file"], EXPECT_FLAGS] },
+    Command { name: "trace", run: commands::trace, flags: &[&["addr", "out"], OBS_FLAGS] },
+    Command { name: "validate-trace", run: commands::validate_trace, flags: &[
+        &["file", "require"]] },
+];
+
 /// Dispatches a parsed command line. Returns `Err` with a user-facing
-/// message on failure.
+/// message on failure — an unknown command, a flag the command does not
+/// read, or whatever the command itself reports.
 pub fn run_command(command: &str, parsed: &ParsedArgs) -> Result<(), String> {
-    match command {
-        "generate" => commands::generate(parsed),
-        "catalog" => commands::catalog(parsed),
-        "inspect" => commands::inspect(parsed),
-        "dot" => commands::dot(parsed),
-        "worst-case" => commands::worst_case(parsed),
-        "monte-carlo" => commands::monte_carlo(parsed),
-        "scrub" => commands::scrub(parsed),
-        "validate-metrics" => commands::validate_metrics(parsed),
-        "adjust" => commands::adjust(parsed),
-        "reliability" => commands::reliability(parsed),
-        "demo" => commands::demo(parsed),
-        "mindist" => commands::mindist(parsed),
-        "incremental" => commands::incremental(parsed),
-        "lifetime" => commands::lifetime(parsed),
-        "workload" => commands::workload(parsed),
-        "serve" => commands::serve(parsed),
-        "put" => commands::put(parsed),
-        "get" => commands::get(parsed),
-        "load" => commands::load(parsed),
-        "watch" => commands::watch(parsed),
-        "health" => commands::health(parsed),
-        "validate-health" => commands::validate_health(parsed),
-        "trace" => commands::trace(parsed),
-        "validate-trace" => commands::validate_trace(parsed),
-        other => Err(format!("unknown command '{other}'")),
+    let found = COMMANDS
+        .iter()
+        .find(|c| c.name == command)
+        .ok_or_else(|| format!("unknown command '{command}'"))?;
+    let declared = found.flags.concat();
+    if let Some(stray) = parsed.keys().find(|k| !declared.contains(k)) {
+        return Err(format!(
+            "unknown flag --{stray} for '{command}' (it reads: --{})",
+            declared.join(", --")
+        ));
+    }
+    (found.run)(parsed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(parts: &[&str]) -> ParsedArgs {
+        ParsedArgs::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// The part of `USAGE` that describes `command`: from the line that
+    /// starts with its name to the next line that starts a command or a
+    /// section.
+    fn usage_block(command: &str) -> String {
+        let mut lines = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with(&format!("    {command} ")));
+        let first = lines.next().unwrap_or_else(|| panic!("USAGE omits '{command}'"));
+        let rest = lines.take_while(|l| l.starts_with("     ") || l.is_empty());
+        std::iter::once(first).chain(rest).collect::<Vec<_>>().join("\n")
+    }
+
+    /// `--flag` words in `text`.
+    fn flags_in(text: &str) -> Vec<String> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|w| !w.is_empty())
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn every_command_table_rejects_strays_and_admits_what_usage_documents() {
+        for c in COMMANDS {
+            let declared = c.flags.concat();
+            // A stray flag is refused by name, before the command runs.
+            let err = run_command(c.name, &parse(&["--no-such-flag", "1"])).unwrap_err();
+            assert!(err.contains("--no-such-flag") && err.contains(c.name), "{}: {err}", c.name);
+            // The help text and the table agree on what the command reads.
+            for flag in flags_in(&usage_block(c.name)) {
+                assert!(declared.contains(&flag.as_str()), "{}: USAGE shows --{flag}", c.name);
+            }
+            let mut sorted = declared.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), declared.len(), "{}: a flag is declared twice", c.name);
+        }
+        let observed = flags_in(USAGE.split("OBSERVABILITY").nth(1).unwrap());
+        assert_eq!(observed, OBS_FLAGS);
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_commands() {
+        for line in USAGE.lines().filter(|l| l.starts_with("    ") && !l.starts_with("     ")) {
+            let name = line.split_whitespace().next().unwrap();
+            if !name.starts_with("--") && name != "tornado" {
+                assert!(COMMANDS.iter().any(|c| c.name == name), "USAGE shows '{name}'");
+            }
+        }
     }
 }

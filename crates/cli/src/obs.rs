@@ -23,6 +23,9 @@ use tornado_obs::{EventFormat, EventSink, Json, ProgressConfig, Snapshot};
 use tornado_sim::SimObserver;
 use tornado_store::StoreObserver;
 
+/// The flags [`CliObs::from_args`] reads.
+pub const OBS_FLAGS: &[&str] = &["progress", "metrics", "log-json", "quiet"];
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum EventMode {
     Disabled,

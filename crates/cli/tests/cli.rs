@@ -428,3 +428,19 @@ fn catalog_and_graph_flags_are_interchangeable() {
     assert!(run_command("worst-case", &args(&["--catalog", "7", "--quiet"])).is_err());
     assert!(run_command("worst-case", &args(&["--quiet"])).is_err(), "needs a graph source");
 }
+
+#[test]
+fn a_misspelt_flag_is_an_error_not_a_default_depth() {
+    // `tornado worst-case --catalog 1 --maxk 6` used to run the default
+    // k = 4 and print "first failure: none". Through the real binary: it
+    // must exit non-zero, name the flag, and search nothing.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tornado"))
+        .args(["worst-case", "--catalog", "1", "--maxk", "6"])
+        .output()
+        .expect("run tornado");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --maxk"), "{stderr}");
+    assert!(stderr.contains("--max-k"), "the message lists what it does read: {stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+}

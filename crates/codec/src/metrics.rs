@@ -18,37 +18,31 @@ pub mod cells {
     pub const TRIALS: usize = 0;
     /// Trials whose reconstruction failed.
     pub const FAILURES: usize = 1;
-    /// Sparse state resets (`clear_state` calls).
-    pub const RESETS: usize = 2;
-    /// `begin_pattern` full-fixpoint prefix decodes.
-    pub const PREFIX_BEGINS: usize = 3;
-    /// Tails that took the certificate-disjoint residual fast path.
-    pub const PREFIX_REUSE_HITS: usize = 4;
-    /// Tails that collided with the prefix certificate (full re-decode).
-    pub const PREFIX_COLLISIONS: usize = 5;
-    /// Tails answered in O(1) by failure monotonicity of a failed prefix.
-    pub const MONOTONE_SHORTCUTS: usize = 6;
-    /// Check ids pushed onto the peeling worklist.
-    pub const WORKLIST_PUSHES: usize = 7;
-    /// Worklist entries examined (popped).
-    pub const WORKLIST_POPS: usize = 8;
+    /// Full-fixpoint prefix decodes: the prefixes `begin_pattern` had to
+    /// peel because a node fell inside both certificates of the shorter one.
+    pub const PREFIX_BEGINS: usize = 2;
+    /// Patterns decided without peeling their prefix: the tail missed the
+    /// prefix's certificate.
+    pub const PREFIX_REUSE_HITS: usize = 3;
+    /// Patterns that collided with their prefix's certificate and were
+    /// peeled whole.
+    pub const PREFIX_COLLISIONS: usize = 4;
+    /// Patterns under a failed prefix, answered by failure monotonicity.
+    pub const MONOTONE_SHORTCUTS: usize = 5;
     /// Nodes recovered (peeled or re-encoded).
-    pub const RECOVERIES: usize = 9;
+    pub const RECOVERIES: usize = 6;
     /// Number of cells.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 7;
 }
 
 /// Snapshot names for each cell, index-aligned with [`cells`].
 pub const CELL_NAMES: [&str; cells::COUNT] = [
     "decode.trials",
     "decode.failures",
-    "decode.resets",
     "decode.prefix_begins",
     "decode.prefix_reuse_hits",
     "decode.prefix_collisions",
     "decode.monotone_shortcuts",
-    "decode.worklist_pushes",
-    "decode.worklist_pops",
     "decode.recoveries",
 ];
 

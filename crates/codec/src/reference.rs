@@ -5,11 +5,12 @@
 //! to seed the worklist. It is retained verbatim for two reasons:
 //!
 //! * **Parity oracle** — the property suite in `tests/kernel_parity.rs`
-//!   asserts the sparse epoch-stamped kernel ([`crate::ErasureDecoder`])
-//!   reaches exactly the same fixpoint (success flag, lost sets) on random
-//!   graphs × random erasure patterns.
+//!   asserts the bit-row kernel ([`crate::ErasureDecoder`]) reaches
+//!   exactly the same fixpoint (success flag, lost sets) on random graphs
+//!   × random erasure patterns. A counter per check and a bit row per
+//!   check share no code, which is what makes the comparison worth having.
 //! * **Benchmark baseline** — the `decode_trial` criterion bench and the
-//!   `BENCH_decode_trial.json` emitter report sparse-vs-dense throughput,
+//!   `BENCH_decode_trial.json` emitter report row-vs-dense throughput,
 //!   tracking the speedup from PR 1 onward.
 //!
 //! Do not optimise this module; its value is being the simple, obviously

@@ -1,11 +1,12 @@
-//! Sparse-kernel / dense-reference parity properties.
+//! Row-kernel / dense-reference parity properties.
 //!
-//! The epoch-stamped sparse-reset decoder (`ErasureDecoder`) must reach
-//! exactly the same peeling fixpoint as the retained dense formulation
+//! The bit-row decoder (`ErasureDecoder`) must reach exactly the same
+//! peeling fixpoint as the retained counter-per-check formulation
 //! (`reference::DenseDecoder`) on every graph × erasure pattern: same
 //! success verdict, same lost-node sets, and a *valid* recovery schedule
 //! (schedules may order independent steps differently, so they are checked
-//! by replay, not by equality).
+//! by replay, not by equality). Rows are ⌈n/64⌉ words, so one property
+//! runs on graphs sized at and around every word boundary up to 256.
 //!
 //! The data-plane half: the fused copy-and-checksum kernel
 //! (`kernels::append_checksummed`) must append exactly the source bytes
@@ -22,7 +23,7 @@ use tornado_gen::cascaded::generate_fixed_degree;
 use tornado_gen::mirror::generate_mirror;
 use tornado_gen::regular::generate_regular;
 use tornado_gen::TornadoParams;
-use tornado_graph::Graph;
+use tornado_graph::{Graph, GraphBuilder};
 
 /// Builds one of the generator families from flattened parameters.
 /// Families whose random matching can fail for a given seed are skipped
@@ -101,6 +102,48 @@ fn validate_schedule(g: &Graph, pattern: &[usize], detail: &DecodeDetail) {
     }
     let lost: Vec<u32> = missing.iter().map(|&n| n as u32).collect();
     assert_eq!(lost, detail.lost_nodes, "replayed fixpoint disagrees");
+}
+
+/// A random cascade with exactly `n` nodes, half of them checks (so the
+/// larger sizes have more than 64 checks): three check levels, each check
+/// XORing one to four distinct nodes of lower id.
+fn graph_of_size(n: usize, seed: u64) -> Graph {
+    let num_data = n / 2;
+    let mut draws = derive_pattern(usize::MAX, 5 * n, seed).into_iter();
+    let mut b = GraphBuilder::new(num_data);
+    let num_checks = n - num_data;
+    let (half, quarter) = (num_checks / 2, num_checks / 4);
+    for (level, size) in [half, quarter, num_checks - half - quarter].into_iter().enumerate() {
+        b.begin_level(&format!("c{level}"));
+        for _ in 0..size {
+            let below = b.num_nodes();
+            let degree = 1 + draws.next().unwrap() % 4;
+            let nbrs: BTreeSet<u32> = (0..degree)
+                .map(|_| (draws.next().unwrap() % below) as u32)
+                .collect();
+            b.add_check(&nbrs.into_iter().collect::<Vec<_>>());
+        }
+    }
+    let g = b.build().unwrap();
+    assert_eq!(g.num_nodes(), n);
+    g
+}
+
+/// Asserts the row kernel and the dense reference agree on `pattern`:
+/// verdict (with and without early exit), lost sets, per-node
+/// availability, and schedules that replay.
+fn assert_parity(g: &Graph, row: &mut ErasureDecoder, dense: &mut DenseDecoder, pattern: &[usize]) {
+    assert_eq!(row.decode(pattern), dense.decode(pattern), "{pattern:?}");
+    let r = row.decode_detailed(pattern);
+    let d = dense.decode_detailed(pattern);
+    assert_eq!(r.success, d.success, "{pattern:?}");
+    assert_eq!(r.lost_data, d.lost_data, "{pattern:?}");
+    assert_eq!(r.lost_nodes, d.lost_nodes, "{pattern:?}");
+    validate_schedule(g, pattern, &r);
+    validate_schedule(g, pattern, &d);
+    for node in 0..g.num_nodes() as u32 {
+        assert_eq!(row.is_available(node), dense.is_available(node));
+    }
 }
 
 /// Guards the `prop_assume(g.is_some())` filters above: if a generator
@@ -198,7 +241,41 @@ proptest! {
         }
     }
 
-    /// The sparse kernel and the dense reference agree on success, lost
+    /// Rows of one, two, three and four words, with a node on each side of
+    /// every word boundary, and more than 64 checks from n = 130 up: random
+    /// patterns of every density (duplicates included), nothing missing,
+    /// and everything missing.
+    #[test]
+    fn row_kernel_matches_dense_across_word_boundaries(
+        size_ix in 0usize..6,
+        graph_seed in any::<u64>(),
+        k in 0usize..=40,
+        pattern_seed in any::<u64>(),
+    ) {
+        let n = [63usize, 64, 65, 128, 130, 256][size_ix];
+        let g = graph_of_size(n, graph_seed);
+        let mut row = ErasureDecoder::new(&g);
+        let mut dense = DenseDecoder::new(&g);
+        assert_parity(&g, &mut row, &mut dense, &derive_pattern(n, k, pattern_seed));
+        // Dense patterns: most nodes gone, drawn with replacement.
+        assert_parity(&g, &mut row, &mut dense, &derive_pattern(n, n, pattern_seed));
+        assert_parity(&g, &mut row, &mut dense, &[]);
+        assert_parity(&g, &mut row, &mut dense, &(0..n).collect::<Vec<_>>());
+        // The last node of each word and the first of the next.
+        let seams = [63, 64, 127, 128, 191, 192].into_iter().filter(|&v| v < n);
+        let seams: Vec<usize> = seams.collect();
+        assert_parity(&g, &mut row, &mut dense, &seams);
+        // The certificate is a row as well: every one-node tail of a
+        // prefix, through whichever of the three tail paths it takes.
+        let prefix = derive_pattern(n, k % 6, pattern_seed);
+        row.begin_pattern(&prefix);
+        for t in 0..n {
+            let full: Vec<usize> = prefix.iter().copied().chain([t]).collect();
+            prop_assert_eq!(row.decode_tail(&[t]), dense.decode(&full), "{:?} + {}", &prefix, t);
+        }
+    }
+
+    /// The row kernel and the dense reference agree on success, lost
     /// sets, and availability, and both schedules replay cleanly.
     #[test]
     fn sparse_and_dense_reach_the_same_fixpoint(
@@ -214,21 +291,7 @@ proptest! {
         let g = g.unwrap();
         let pattern = derive_pattern(g.num_nodes(), k, pattern_seed);
 
-        let mut sparse = ErasureDecoder::new(&g);
-        let mut dense = DenseDecoder::new(&g);
-
-        prop_assert_eq!(sparse.decode(&pattern), dense.decode(&pattern));
-
-        let s = sparse.decode_detailed(&pattern);
-        let d = dense.decode_detailed(&pattern);
-        prop_assert_eq!(s.success, d.success);
-        prop_assert_eq!(&s.lost_data, &d.lost_data);
-        prop_assert_eq!(&s.lost_nodes, &d.lost_nodes);
-        validate_schedule(&g, &pattern, &s);
-        validate_schedule(&g, &pattern, &d);
-        for node in 0..g.num_nodes() as u32 {
-            prop_assert_eq!(sparse.is_available(node), dense.is_available(node));
-        }
+        assert_parity(&g, &mut ErasureDecoder::new(&g), &mut DenseDecoder::new(&g), &pattern);
     }
 
     /// The prefix-reuse path (begin_pattern + repeated decode_tail) gives
@@ -249,16 +312,16 @@ proptest! {
         let n = g.num_nodes();
         let prefix = derive_pattern(n, prefix_k, pattern_seed);
 
-        let mut sparse = ErasureDecoder::new(&g);
+        let mut row = ErasureDecoder::new(&g);
         let mut dense = DenseDecoder::new(&g);
-        sparse.begin_pattern(&prefix);
+        row.begin_pattern(&prefix);
         // Sweep every 1-element tail, then a few 2-element tails; a rewind
         // bug in one trial shows up as a wrong verdict in a later one.
         for t in 0..n {
             let mut full = prefix.clone();
             full.push(t);
             prop_assert_eq!(
-                sparse.decode_tail(&[t]),
+                row.decode_tail(&[t]),
                 dense.decode(&full),
                 "prefix {:?} tail [{}]", &prefix, t
             );
@@ -268,10 +331,43 @@ proptest! {
             let mut full = prefix.clone();
             full.extend_from_slice(&tail);
             prop_assert_eq!(
-                sparse.decode_tail(&tail),
+                row.decode_tail(&tail),
                 dense.decode(&full),
                 "prefix {:?} tail {:?}", &prefix, &tail
             );
+        }
+    }
+
+    /// `begin_pattern` keeps what successive prefixes share and derives the
+    /// rest without peeling where certificates allow: a chain of prefixes,
+    /// each a head of the one before with new nodes appended (longer,
+    /// shorter, equal, disjoint, with repeats), answers every tail as the
+    /// dense reference does.
+    #[test]
+    fn successive_prefixes_match_dense(
+        size_ix in 0usize..6,
+        graph_seed in any::<u64>(),
+        chain_seed in any::<u64>(),
+    ) {
+        let n = [63usize, 64, 65, 128, 130, 256][size_ix];
+        let g = graph_of_size(n, graph_seed);
+        let mut row = ErasureDecoder::new(&g);
+        let mut dense = DenseDecoder::new(&g);
+        let mut prefix: Vec<usize> = Vec::new();
+        for step in 0..8u64 {
+            let draws = derive_pattern(usize::MAX, 2, chain_seed ^ step);
+            prefix.truncate(draws[0] % (prefix.len() + 1));
+            prefix.extend(derive_pattern(n, draws[1] % 4, chain_seed.rotate_left(7) ^ step));
+            row.begin_pattern(&prefix);
+            prop_assert_eq!(row.prefix_decodes(), dense.decode(&prefix), "{:?}", &prefix);
+            for t in 0..n {
+                let tails: [&[usize]; 2] = [&[t], &[t, (t * 7 + 3) % n]];
+                for tail in tails {
+                    let full: Vec<usize> = prefix.iter().chain(tail).copied().collect();
+                    let expected = dense.decode(&full);
+                    prop_assert_eq!(row.decode_tail(tail), expected, "{:?} + {:?}", &prefix, tail);
+                }
+            }
         }
     }
 
@@ -306,9 +402,9 @@ proptest! {
             .cloned()
             .collect();
 
-        let mut sparse = ErasureDecoder::new(&g);
+        let mut row = ErasureDecoder::new(&g);
         let mut reported: Vec<Vec<usize>> = Vec::new();
-        let stats = sparse.decode_batch(patterns.iter().map(|p| p.as_slice()), |p| {
+        let stats = row.decode_batch(patterns.iter().map(|p| p.as_slice()), |p| {
             reported.push(p.to_vec());
         });
         prop_assert_eq!(stats.trials, patterns.len() as u64);

@@ -2,8 +2,8 @@
 //!
 //! Runs the full §3 pipeline over successive seeds, keeps the first three
 //! 96-node graphs certified to survive any four losses, measures their
-//! k = 5 failure counts, and writes the GraphML assets plus a provenance
-//! summary. Run in release:
+//! k = 5 and k = 6 failure counts, and writes the GraphML assets plus a
+//! provenance summary. Run in release:
 //!
 //! ```text
 //! cargo run --release -p tornado-core --example make_catalog
@@ -39,17 +39,20 @@ fn main() {
         }
         // Characterise the first failing level (the paper reports e.g. "14
         // losses out of 61,124,064" at k = 5).
-        let l5 = search_level(&profiled.graph, 5, 64);
+        let [l5, l6] = [5, 6].map(|k| search_level(&profiled.graph, k, 0));
         kept += 1;
         let path = format!("crates/core/assets/tornado_graph_{kept}.graphml");
         std::fs::write(&path, tornado_graph::graphml::to_graphml(&profiled.graph)).unwrap();
         let line = format!(
-            "graph {kept}: seed {seed}, attempts {}, adjustments {}, fingerprint {:#018x}, k5 failures {}/{}\n",
+            "graph {kept}: seed {seed}, attempts {}, adjustments {}, fingerprint {:#018x}, \
+             k5 failures {}/{}, k6 failures {}/{}\n",
             profiled.generation_attempts,
             profiled.adjustment_steps.len(),
             profiled.graph.fingerprint(),
             l5.failures,
             l5.cases,
+            l6.failures,
+            l6.cases,
         );
         print!("{line}");
         provenance.push_str(&line);

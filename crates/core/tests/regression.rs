@@ -1,12 +1,12 @@
 //! Fixed-seed regression pins for the worst-case search.
 //!
-//! The sparse-reset kernel rewrite made `search_level` deterministic across
-//! runs and thread counts; these tests pin its exact outputs — counts *and*
-//! the lexicographically smallest collected failure sets — so any future
-//! change to the kernel, the seeding lemma, or the capped collection shows
-//! up as a diff here rather than as silent drift.
+//! `search_level` is deterministic across runs and thread counts; these
+//! tests pin its exact outputs — counts *and* the lexicographically
+//! smallest collected failure sets — so any future change to the kernel,
+//! the certificate lemmas, or the capped collection shows up as a diff
+//! here rather than as silent drift.
 
-use tornado_core::tornado_graph_1;
+use tornado_core::{catalog, tornado_graph_1};
 use tornado_gen::regular::generate_regular;
 use tornado_sim::worst_case::search_level;
 
@@ -58,4 +58,30 @@ fn seeded_regular_graph_failure_counts_are_pinned() {
             vec![0, 1, 15, 19, 21],
         ],
     );
+}
+
+/// The paper's depth (§3: "(96 choose 1) through (96 choose 6)"),
+/// re-derived for the whole catalogue: every `kN failures F/C` entry of
+/// `assets/PROVENANCE.txt` against a fresh exhaustive search. About 20 s
+/// on one core in release (k = 6 is 927,048,304 patterns per graph).
+#[test]
+#[ignore = "exhaustive C(96,5) + C(96,6) over three graphs; run with --ignored --release"]
+fn provenance_failure_counts_are_rederived_to_k6() {
+    let provenance = include_str!("../assets/PROVENANCE.txt");
+    let graphs = catalog::all();
+    assert_eq!(provenance.lines().count(), graphs.len());
+    for (line, (label, g)) in provenance.lines().zip(&graphs) {
+        let mut depths = Vec::new();
+        for entry in line.split(", ").filter(|e| e.starts_with('k')) {
+            let (k, counts) = entry.split_once(" failures ").expect("kN failures F/C");
+            let k: usize = k[1..].parse().unwrap();
+            let (failures, cases) = counts.split_once('/').unwrap();
+            let level = search_level(g, k, 0);
+            assert_eq!(level.failures, failures.parse::<u64>().unwrap(), "{label}, k = {k}");
+            assert_eq!(level.cases, cases.parse::<u128>().unwrap(), "{label}, k = {k}");
+            depths.push(k);
+        }
+        assert_eq!(depths, [5, 6], "{label}: {line}");
+    }
+    assert!(provenance.lines().next().unwrap().ends_with("k6 failures 1240/927048304"));
 }

@@ -1,7 +1,7 @@
 //! Mutable graph accumulation and validation.
 
 use crate::error::GraphError;
-use crate::model::{Graph, Level, LevelKind, NodeId};
+use crate::model::{Graph, Level, LevelKind, NodeId, ParityRows};
 
 /// Accumulates a cascaded LDPC graph level by level, then validates and
 /// freezes it into a [`Graph`].
@@ -242,6 +242,7 @@ impl GraphBuilder {
         }
 
         let graph = Graph {
+            rows: ParityRows::build(self.num_data, num_nodes, &check_offsets, &check_edges),
             num_data: self.num_data,
             num_nodes,
             levels,

@@ -1,6 +1,7 @@
 //! The frozen graph representation.
 
 use crate::error::GraphError;
+use tornado_bitset::rows::{self, RowTable, Word};
 
 /// Global node identifier. Data nodes are `0..num_data`; check nodes follow
 /// in level order.
@@ -50,6 +51,63 @@ impl Level {
     }
 }
 
+/// The graph's parity equations as bit rows over node ids, built once when
+/// the graph is frozen so that every decoder bound to it starts for free.
+///
+/// Check `c` asserts that `c` XOR its left neighbours is zero, so whichever
+/// *one* node of that closed neighbourhood is unknown can be solved for: a
+/// present check with one missing neighbour peels it, a missing check with
+/// every neighbour present is re-encoded. The decode kernel therefore needs
+/// one row per check and its transpose, nothing else.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParityRows {
+    /// Row `c` (a check id; data rows are empty): `c` itself and its left
+    /// neighbours — the nodes of check `c`'s equation.
+    pub equation: RowTable,
+    /// Row `v`: the checks whose equation contains node `v` — the checks to
+    /// look at again when `v` is recovered.
+    pub wakes: RowTable,
+    /// The data nodes.
+    pub data: Vec<Word>,
+    /// The nodes some equation contains: every check, and every data node
+    /// with a check over it. Missing alone, such a node is recovered by any
+    /// of its equations; an uncovered data node is lost with no help.
+    pub covered: Vec<Word>,
+}
+
+impl ParityRows {
+    pub(crate) fn build(
+        num_data: u32,
+        num_nodes: u32,
+        check_offsets: &[u32],
+        check_edges: &[u32],
+    ) -> Self {
+        let n = num_nodes as usize;
+        let mut equation = RowTable::new(n, n);
+        let mut wakes = RowTable::new(n, n);
+        for check in num_data as usize..n {
+            let c = check - num_data as usize;
+            let nbrs = &check_edges[check_offsets[c] as usize..check_offsets[c + 1] as usize];
+            for v in nbrs.iter().map(|&v| v as usize).chain([check]) {
+                equation.set(check, v);
+                wakes.set(v, check);
+            }
+        }
+        let mut data = vec![0; rows::words_for(n)];
+        rows::fill_range(&mut data, 0, num_data as usize);
+        let mut covered = vec![0; rows::words_for(n)];
+        for v in (0..n).filter(|&v| !rows::is_empty(wakes.row(v))) {
+            rows::set(&mut covered, v);
+        }
+        Self {
+            equation,
+            wakes,
+            data,
+            covered,
+        }
+    }
+}
+
 /// A validated, immutable cascaded LDPC graph with CSR adjacency in both
 /// directions.
 ///
@@ -69,9 +127,17 @@ pub struct Graph {
     /// *global ids* of the check nodes that XOR node `v` in.
     pub(crate) node_offsets: Vec<u32>,
     pub(crate) node_checks: Vec<u32>,
+    /// The same adjacency as bit rows (see [`ParityRows`]).
+    pub(crate) rows: ParityRows,
 }
 
 impl Graph {
+    /// The parity equations as bit rows, for the decode kernel.
+    #[inline]
+    pub fn rows(&self) -> &ParityRows {
+        &self.rows
+    }
+
     /// Number of data nodes (`k`).
     #[inline]
     pub fn num_data(&self) -> usize {

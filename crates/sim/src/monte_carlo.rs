@@ -199,6 +199,18 @@ mod tests {
     }
 
     #[test]
+    fn failure_counts_are_pinned() {
+        // The counts the counter-per-check kernel produced for these
+        // (graph, k, trials, seed): the sampling streams and every verdict
+        // are unchanged by how the kernel represents a pattern.
+        let regular = generate_regular(12, 3, 1).unwrap();
+        assert_eq!(sample_level(&regular, 8, 10_000, 42), 1077);
+        assert_eq!(sample_level(&regular, 5, 10_000, 7), 78);
+        let mirror = generate_mirror(8).unwrap();
+        assert_eq!(sample_level(&mirror, 4, 10_000, 11), 3792);
+    }
+
+    #[test]
     fn sampling_is_deterministic_across_thread_counts() {
         // The hoisted per-worker scratch must not let results depend on
         // which batches a worker happens to execute.
