@@ -1,148 +1,134 @@
-//! Runs every experiment in paper order, printing one combined report —
-//! the source of EXPERIMENTS.md's measured columns.
-//!
-//! Besides the per-experiment reports, the run emits:
-//!
-//! * a final per-experiment timing table, and
-//! * `run_manifest.json` (override with `--manifest PATH`) recording the
-//!   suite configuration and wall time of each experiment, so a finished
-//!   run is auditable without re-parsing its stdout.
+//! `run_all [NAME]... [--list] [--quick] [--write]` — the one experiment
+//! driver (see the crate docs). Reports go to stdout, one blank line
+//! apart; everything else goes to stderr, so `run_all table5 > table5.txt`
+//! captures exactly the table.
 
 use std::time::Instant;
-use tornado_bench::experiments as exp;
-use tornado_bench::Effort;
-use tornado_obs::Json;
+use tornado_bench::harness::{bench_file, build_mode, envelope};
+use tornado_bench::{Effort, Experiment, ALL};
 
-/// One experiment: display name and its entry point.
-type Experiment = (&'static str, fn(&Effort) -> String);
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest_path = args
-        .iter()
-        .position(|a| a == "--manifest")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("run_manifest.json");
-
-    let effort = Effort::from_env();
-    println!("# Tornado Codes for Archival Storage — full experiment suite");
-    println!("# effort: {effort:?}\n");
-    let experiments: Vec<Experiment> = vec![
-        ("Eq. 1 validation", exp::eq1::run),
-        ("Figure 3 + Table 1", exp::fig3_table1::run),
-        ("Figure 4 + Table 2", exp::fig4_table2::run),
-        ("Figure 5 + Table 3", exp::fig5_table3::run),
-        ("Figure 6 + Table 4", exp::fig6_table4::run),
-        ("Table 5", exp::table5::run),
-        ("Table 6", exp::table6::run),
-        ("Table 7", exp::table7::run),
-        ("Guided retrieval ablation", exp::retrieval::run),
-        ("Degree sweep ablation", exp::degree_sweep::run),
-        ("Incremental overhead (Plank metric)", exp::plank_overhead::run),
-        ("Scrub-interval sweep", exp::scrub_sweep::run),
-        ("Size sweep (Plank regime)", exp::size_sweep::run),
-        ("Federated failure profiles", exp::fed_profile::run),
-        ("Serving-layer load test", exp::load_test::run),
-        ("Event-loop connection scaling", exp::server_scale::run),
-        ("Data-plane kernels", exp::data_plane::run),
-        ("Checksum-gated scrub tiers", exp::data_plane::run_scrub_modes),
-        ("Repair-bandwidth bake-off", exp::repair_bandwidth::run),
-        ("Cold-start recovery", exp::recovery::run),
-    ];
-
-    let suite_start = Instant::now();
-    let mut timings: Vec<(&'static str, u64)> = Vec::new();
-    for (name, run) in experiments {
-        let t = Instant::now();
-        let report = run(&effort);
-        let wall_ms = t.elapsed().as_millis() as u64;
-        println!("{report}");
-        println!("# [{name}] completed in {wall_ms} ms\n");
-        timings.push((name, wall_ms));
-    }
-    let total_ms = suite_start.elapsed().as_millis() as u64;
-
-    println!("# Timing summary");
-    println!("# {:<38} {:>10}", "experiment", "wall ms");
-    for (name, wall_ms) in &timings {
-        println!("# {name:<38} {wall_ms:>10}");
-    }
-    println!("# {:<38} {:>10}", "TOTAL", total_ms);
-
-    let mut manifest_fields = vec![
-        ("suite".into(), Json::Str("tornado-run-all".into())),
-        ("mode".into(), Json::Str(build_mode().into())),
-        ("mc_trials".into(), Json::U64(effort.mc_trials)),
-        (
-            "exhaustive_max_k".into(),
-            Json::U64(effort.exhaustive_max_k as u64),
-        ),
-        ("seed".into(), Json::U64(effort.seed)),
-        ("total_wall_ms".into(), Json::U64(total_ms)),
-        (
-            "experiments".into(),
-            Json::Arr(
-                timings
-                    .iter()
-                    .map(|&(name, wall_ms)| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(name.into())),
-                            ("wall_ms".into(), Json::U64(wall_ms)),
-                            ("output".into(), Json::Str("stdout".into())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    // The load test is the one experiment whose headline numbers matter
-    // beyond its wall time; surface them as a manifest summary row.
-    if let Some(s) = *exp::load_test::LAST_SUMMARY.lock().unwrap() {
-        manifest_fields.push((
-            "load_test".into(),
-            Json::Obj(vec![
-                ("ops".into(), Json::U64(s.ops)),
-                ("ops_per_sec".into(), Json::F64(s.ops_per_sec)),
-                ("latency_p99_us".into(), Json::U64(s.p99_us)),
-                ("degraded_reads".into(), Json::U64(s.degraded_reads)),
-                ("payload_mismatches".into(), Json::U64(s.payload_mismatches)),
-                ("ops_per_sec_untraced".into(), Json::F64(s.ops_per_sec_untraced)),
-                ("ops_per_sec_traced_1_in_256".into(), Json::F64(s.ops_per_sec_traced)),
-                ("tracing_overhead_frac".into(), Json::F64(s.tracing_overhead_frac)),
-                ("traced_spans_recorded".into(), Json::U64(s.traced_spans_recorded)),
-                ("ops_per_sec_health_off".into(), Json::F64(s.ops_per_sec_health_off)),
-                ("ops_per_sec_health_on".into(), Json::F64(s.ops_per_sec_health_on)),
-                ("health_recomputes".into(), Json::U64(s.health_recomputes)),
-                ("health_compute_frac".into(), Json::F64(s.health_compute_frac)),
-            ]),
-        ));
-    }
-    // Likewise the connection-scaling run: its sweep shape and the
-    // closed-loop point are the reviewable outcome.
-    if let Some(s) = *exp::server_scale::LAST_SUMMARY.lock().unwrap() {
-        manifest_fields.push((
-            "server_scale".into(),
-            Json::Obj(vec![
-                ("max_connections".into(), Json::U64(s.max_connections as u64)),
-                ("p99_at_max_us".into(), Json::U64(s.p99_at_max_us)),
-                ("ops_per_sec_at_max".into(), Json::F64(s.rate_at_max)),
-                ("closed_loop_64_ops_per_sec".into(), Json::F64(s.closed_loop_ops_per_sec)),
-                ("closed_loop_64_p99_us".into(), Json::U64(s.closed_loop_p99_us)),
-            ]),
-        ));
-    }
-    let manifest = Json::Obj(manifest_fields);
-    match std::fs::write(manifest_path, manifest.to_pretty()) {
-        Ok(()) => println!("# wrote {manifest_path}"),
-        Err(e) => eprintln!("# could not write {manifest_path}: {e}"),
-    }
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// Experiments to run, in registry order.
+    names: Vec<&'static str>,
+    list: bool,
+    quick: bool,
+    write: bool,
 }
 
-fn build_mode() -> &'static str {
-    if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
+/// Parses the command line. An unknown flag or experiment name is an
+/// error that lists the valid ones — never a silently smaller run.
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args { names: Vec::new(), list: false, quick: false, write: false };
+    let mut named = Vec::new();
+    for arg in argv {
+        match arg.as_str() {
+            "--list" => args.list = true,
+            "--quick" => args.quick = true,
+            "--write" => args.write = true,
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag {flag} (flags: --list, --quick, --write)"))
+            }
+            name => match ALL.iter().find(|e| e.name == name) {
+                Some(e) => named.push(e.name),
+                None => {
+                    let valid: Vec<&str> = ALL.iter().map(|e| e.name).collect();
+                    return Err(format!(
+                        "unknown experiment '{name}' (experiments: {})",
+                        valid.join(", ")
+                    ));
+                }
+            },
+        }
+    }
+    if args.write && (args.quick || cfg!(debug_assertions)) {
+        return Err("--write records full-effort release numbers: not with --quick, \
+                    not from a debug build"
+            .into());
+    }
+    args.names =
+        ALL.iter().map(|e| e.name).filter(|n| named.is_empty() || named.contains(n)).collect();
+    Ok(args)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (args, effort) = match parse(&argv).and_then(|a| Ok((a, Effort::from_env()?))) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
+    if args.list {
+        for e in ALL {
+            println!("{:<18} {}", e.name, e.title);
+        }
+        return;
+    }
+    let effort = Effort { quick: args.quick, ..effort };
+    eprintln!("# Tornado Codes for Archival Storage — experiment suite ({} build)", build_mode());
+    eprintln!("# effort: {effort:?}\n");
+
+    let suite_start = Instant::now();
+    let mut timings: Vec<(&Experiment, u128)> = Vec::new();
+    for e in ALL.iter().filter(|e| args.names.contains(&e.name)) {
+        let t = Instant::now();
+        let report = (e.run)(&effort);
+        let wall_ms = t.elapsed().as_millis();
+        if !timings.is_empty() {
+            println!();
+        }
+        print!("{}", report.text);
+        eprintln!("# [{}] completed in {wall_ms} ms", e.title);
+        if let (true, Some(data)) = (args.write, report.data) {
+            let path = bench_file(e.name);
+            std::fs::write(&path, envelope(e.name, &effort, data).to_pretty())
+                .unwrap_or_else(|err| panic!("write {path}: {err}"));
+            eprintln!("# wrote BENCH_{}.json", e.name);
+        }
+        timings.push((e, wall_ms));
+    }
+
+    eprintln!("\n# Timing summary");
+    eprintln!("# {:<18} {:<42} {:>10}", "name", "experiment", "wall ms");
+    for (e, wall_ms) in &timings {
+        eprintln!("# {:<18} {:<42} {wall_ms:>10}", e.name, e.title);
+    }
+    eprintln!("# {:<61} {:>10}", "TOTAL", suite_start.elapsed().as_millis());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(words: &[&str]) -> Result<Args, String> {
+        parse(&words.iter().map(|w| w.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_names_means_every_experiment_in_registry_order() {
+        let args = parse_words(&["--quick"]).unwrap();
+        assert!(args.quick && !args.list && !args.write);
+        assert_eq!(args.names, ALL.iter().map(|e| e.name).collect::<Vec<_>>());
+        let picked = parse_words(&["table5", "eq1"]).unwrap();
+        assert_eq!(picked.names, ["eq1", "table5"]);
+    }
+
+    #[test]
+    fn an_unknown_name_or_flag_is_an_error_listing_the_valid_ones() {
+        let err = parse_words(&["table5", "tabel6"]).unwrap_err();
+        assert!(err.contains("'tabel6'") && err.contains("table6") && err.contains("eq1"), "{err}");
+        for stale in ["--check", "--manifest", "--only"] {
+            let err = parse_words(&[stale]).unwrap_err();
+            assert!(err.contains(stale) && err.contains("--write"), "{err}");
+        }
+    }
+
+    #[test]
+    fn write_is_refused_under_quick_and_in_debug_builds() {
+        assert!(parse_words(&["--write", "--quick"]).is_err());
+        assert_eq!(parse_words(&["--write"]).is_err(), cfg!(debug_assertions));
     }
 }

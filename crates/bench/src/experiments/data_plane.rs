@@ -11,12 +11,27 @@
 //! threaded through `black_box`, so the optimiser cannot vectorise it);
 //! the speedups quantify what the word-wide layout buys over byte-serial
 //! execution, not over whatever autovectorisation would have rescued.
+//!
+//! A second section A/Bs the checksum-gated scrub — a stripe is skipped,
+//! or goes through plan → cone → replay, where an intact stripe's cone is
+//! empty and every block is hashed in place — against the historical
+//! full-read + byte-serial data path.
+//!
+//! The headline floors are kernel-level: `xor_into` must be ≥ 4× and
+//! `mul_acc` ≥ 3× the byte-serial oracle, and the hash-in-place pass over
+//! a clean store (`verify_clean`) ≥ 5× the historical baseline. Under
+//! `Effort::quick` they relax to 1.0 / 1.0 / 3× (CI machines are noisy and
+//! sometimes byte-serial-hostile in odd ways). The floors assume the
+//! workspace's `x86-64-v3` codegen target. The other end-to-end rows are
+//! informational — their speedups depend on how much non-kernel work
+//! (hashing, framing, graph walks) each path carries.
 
 use crate::effort::Effort;
+use crate::harness::{csv, median_ns, num, obj, Report};
 use std::fmt::Write as _;
-use std::time::Instant;
 use tornado_codec::gf256::Gf256;
 use tornado_codec::{kernels, pool, Codec};
+use tornado_obs::Json;
 use tornado_store::{ArchivalStore, ScrubMode, Scrubber};
 
 /// One measured A/B case.
@@ -39,10 +54,6 @@ impl Case {
 
 /// A full data-plane measurement.
 pub struct DataPlaneReport {
-    /// Block size measured, bytes.
-    pub block_bytes: usize,
-    /// Timed samples per case side (median taken).
-    pub samples: usize,
     /// Kernel and end-to-end cases, in fixed order:
     /// `xor_into`, `mul_acc`, `encode`, `decode`, `scrub`.
     pub cases: Vec<Case>,
@@ -76,21 +87,6 @@ impl DataPlaneReport {
             self.pool_hits as f64 / total as f64
         }
     }
-}
-
-/// Median ns per inner iteration of `f` (which must run `batch` iterations
-/// per call), over `samples` timed calls after one warmup call.
-fn median_ns(batch: u64, samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: touch caches, fault pages, warm the pools
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64 / batch as f64
-        })
-        .collect();
-    per_iter.sort_by(|a, b| a.total_cmp(b));
-    per_iter[per_iter.len() / 2]
 }
 
 /// Decimal MB/s for `bytes` processed in `ns` nanoseconds.
@@ -227,8 +223,8 @@ pub fn measure(block_bytes: usize, samples: usize) -> DataPlaneReport {
     // Scrub: a small store with one failed device; every pass reads every
     // stripe and decodes the missing block (no repair, so each pass does
     // identical work). Pinned to `ScrubMode::Full` — this row tracks the
-    // historical full-read data path; the tiered modes get their own A/B
-    // in [`measure_scrub_modes`].
+    // historical full-read data path; the checksum-gated modes get their
+    // own A/B in [`measure_scrub_modes`].
     let store = ArchivalStore::new(tornado_core::tornado_graph_1());
     let objects = 2usize;
     let payload = vec![0xA5u8; k * block_bytes - 8];
@@ -251,8 +247,6 @@ pub fn measure(block_bytes: usize, samples: usize) -> DataPlaneReport {
     });
 
     DataPlaneReport {
-        block_bytes,
-        samples,
         cases,
         pool_hits: pool::metrics().hits.get() - pool0.0,
         pool_misses: pool::metrics().misses.get() - pool0.1,
@@ -262,8 +256,8 @@ pub fn measure(block_bytes: usize, samples: usize) -> DataPlaneReport {
     }
 }
 
-/// One scrub-tier A/B case: the tier under test against the PR 5 data
-/// path (full read + byte-serial checksum + decode on damage).
+/// One scrub-mode A/B case: the mode under test against the historical
+/// data path (full read + byte-serial checksum + decode on damage).
 ///
 /// All three throughputs use the same nominal denominator — the bytes of
 /// archive the pass covers (`objects × n × block_bytes`) — so the ratios
@@ -278,31 +272,30 @@ pub struct ScrubModeCase {
     /// `ScrubMode::Full` with word-wide kernels (isolates the copy/decode
     /// cost from the checksum-kernel win).
     pub full_word_mb_s: f64,
-    /// The tier under test with word-wide kernels.
+    /// The mode under test with word-wide kernels.
     pub mode_mb_s: f64,
 }
 
 impl ScrubModeCase {
-    /// Tier over the PR 5 full-read byte-serial baseline.
+    /// Mode over the historical full-read byte-serial baseline.
     pub fn speedup_vs_baseline(&self) -> f64 {
         self.mode_mb_s / self.baseline_mb_s
     }
 
-    /// Tier over word-wide full decode (what checksum gating alone buys).
+    /// Mode over word-wide full decode (what checksum gating alone buys).
     pub fn speedup_vs_full(&self) -> f64 {
         self.mode_mb_s / self.full_word_mb_s
     }
 }
 
-/// A full scrub-tier measurement.
+/// A full scrub-mode measurement.
 pub struct ScrubModeReport {
-    /// Block size measured, bytes.
-    pub block_bytes: usize,
-    /// Timed samples per case side (median taken).
-    pub samples: usize,
-    /// Tier cases, in fixed order:
-    /// `verify_clean`, `verify_dirty`, `incremental_clean`.
+    /// `verify_clean`, then `verify_dirty`.
     pub cases: Vec<ScrubModeCase>,
+    /// What a warm `ScrubMode::Incremental` pass over a clean store costs
+    /// per stripe it skips. Not a throughput: a skip reads no archive
+    /// bytes, so there is nothing to divide by.
+    pub skip_ns_per_stripe: f64,
     /// Bytes through the checksum kernel during the measurement.
     pub bytes_hashed: u64,
 }
@@ -317,15 +310,15 @@ impl ScrubModeReport {
     }
 }
 
-/// Measures the three scrub tiers against the full-read baseline.
+/// Measures the checksum-gated scrub against the full-read baseline.
 ///
-/// * `verify_clean` — hash-verify pass over an undamaged store: the
-///   default scrub, where the win is copy elimination × word-wide hashing.
-/// * `verify_dirty` — hash-verify with one failed device: every stripe
-///   still pays the decode, so the gain is just the healthy blocks that
-///   skipped the copy.
-/// * `incremental_clean` — warm skip tier over an undamaged store: the
-///   steady-state background scrub, bounded by the generation-map walk.
+/// * `verify_clean` — `ScrubMode::Verify` over an undamaged store: every
+///   cone is empty, so the win is copy elimination × word-wide hashing.
+/// * `verify_dirty` — the same with one failed device: every stripe is
+///   planned, its cone read and replayed, so the gain is just the blocks
+///   outside the cone that skipped the copy.
+/// * the skip — a warm `ScrubMode::Incremental` pass over the undamaged
+///   store: the steady-state background scrub, a generation-map walk.
 pub fn measure_scrub_modes(block_bytes: usize, samples: usize) -> ScrubModeReport {
     let hash0 = kernels::metrics().bytes_hashed.get();
     let graph = tornado_core::tornado_graph_1();
@@ -344,11 +337,11 @@ pub fn measure_scrub_modes(block_bytes: usize, samples: usize) -> ScrubModeRepor
     dirty.fail_device(3).expect("fail");
 
     // One scrubber per (store, timing block): clean marks must not leak a
-    // skip tier into a Verify/Full measurement.
+    // skip into a Verify/Full measurement. Returns ns per pass.
     let time = |store: &ArchivalStore, mode: ScrubMode, force: bool| -> f64 {
         let scrubber = Scrubber::new(1);
         if mode == ScrubMode::Incremental {
-            // Warm the skip tier: steady state, not first-pass discovery.
+            // Mark every stripe clean: steady state, not first-pass discovery.
             scrubber.run(store, 5, false, mode);
         }
         kernels::set_force_scalar(force);
@@ -357,97 +350,151 @@ pub fn measure_scrub_modes(block_bytes: usize, samples: usize) -> ScrubModeRepor
             assert_eq!(out.stripes.len(), objects);
         });
         kernels::set_force_scalar(false);
-        mb_s(nominal, ns)
+        ns
     };
 
-    let mut cases = Vec::new();
-    for (name, store, mode) in [
-        ("verify_clean", &clean, ScrubMode::Verify),
-        ("verify_dirty", &dirty, ScrubMode::Verify),
-        ("incremental_clean", &clean, ScrubMode::Incremental),
-    ] {
-        cases.push(ScrubModeCase {
+    let cases = [("verify_clean", &clean), ("verify_dirty", &dirty)]
+        .map(|(name, store)| ScrubModeCase {
             name,
-            baseline_mb_s: time(store, ScrubMode::Full, true),
-            full_word_mb_s: time(store, ScrubMode::Full, false),
-            mode_mb_s: time(store, mode, false),
-        });
-    }
+            baseline_mb_s: mb_s(nominal, time(store, ScrubMode::Full, true)),
+            full_word_mb_s: mb_s(nominal, time(store, ScrubMode::Full, false)),
+            mode_mb_s: mb_s(nominal, time(store, ScrubMode::Verify, false)),
+        })
+        .to_vec();
+    // One stripe per object at this payload size.
+    let skip_ns_per_stripe = time(&clean, ScrubMode::Incremental, false) / objects as f64;
 
     ScrubModeReport {
-        block_bytes,
-        samples,
         cases,
+        skip_ns_per_stripe,
         bytes_hashed: kernels::metrics().bytes_hashed.get() - hash0,
     }
 }
 
-/// Runs the scrub-tier A/B and formats the throughput table.
-pub fn run_scrub_modes(effort: &Effort) -> String {
-    let smoke = effort.mc_trials < 1_000;
-    let (block_bytes, samples) = if smoke { (4096, 3) } else { (65536, 7) };
-    let r = measure_scrub_modes(block_bytes, samples);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Checksum-gated scrub tiers vs full-read baseline, {} KiB blocks, archive MB/s (decimal)",
-        r.block_bytes / 1024
-    );
-    let _ = writeln!(
-        out,
-        "case, baseline_mb_s, full_word_mb_s, mode_mb_s, vs_baseline, vs_full"
-    );
-    for c in &r.cases {
-        let _ = writeln!(
-            out,
-            "{}, {:.0}, {:.0}, {:.0}, {:.2}, {:.2}",
-            c.name,
-            c.baseline_mb_s,
-            c.full_word_mb_s,
-            c.mode_mb_s,
-            c.speedup_vs_baseline(),
-            c.speedup_vs_full(),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "checksum kernel volume: {:.1} MB hashed",
-        r.bytes_hashed as f64 / 1e6,
-    );
-    out
-}
-
-/// Runs the A/B and formats the throughput table.
-pub fn run(effort: &Effort) -> String {
-    // Smoke efforts shrink the block so harness tests stay fast; the
-    // committed numbers come from the release-mode bench bin at 64 KiB.
-    let smoke = effort.mc_trials < 1_000;
-    let (block_bytes, samples) = if smoke { (4096, 3) } else { (65536, 7) };
+/// Runs both A/Bs at 64 KiB blocks, renders the tables and asserts the
+/// three floors.
+pub fn run(effort: &Effort) -> Report {
+    let block_bytes = 65536usize;
+    let samples = if effort.quick { 3 } else { 9 };
+    let (xor_floor, mul_floor, verify_floor) =
+        if effort.quick { (1.0, 1.0, 3.0) } else { (4.0, 3.0, 5.0) };
     let r = measure(block_bytes, samples);
+    let sm = measure_scrub_modes(block_bytes, samples);
+    let cases: Vec<Json> = r
+        .cases
+        .iter()
+        .map(|c| {
+            obj([
+                ("case", Json::Str(c.name.into())),
+                ("scalar_mb_s", num(c.scalar_mb_s, 1)),
+                ("word_mb_s", num(c.word_mb_s, 1)),
+                ("speedup", num(c.speedup(), 2)),
+            ])
+        })
+        .collect();
+    let scrub_modes: Vec<Json> = sm
+        .cases
+        .iter()
+        .map(|c| {
+            obj([
+                ("case", Json::Str(c.name.into())),
+                ("baseline_mb_s", num(c.baseline_mb_s, 1)),
+                ("full_word_mb_s", num(c.full_word_mb_s, 1)),
+                ("mode_mb_s", num(c.mode_mb_s, 1)),
+                ("vs_baseline", num(c.speedup_vs_baseline(), 2)),
+                ("vs_full", num(c.speedup_vs_full(), 2)),
+            ])
+        })
+        .collect();
+
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# Data-plane kernels — word-wide vs byte-serial scalar, {} KiB blocks, MB/s (decimal)",
-        r.block_bytes / 1024
+        "# Data-plane kernels — word-wide vs byte-serial scalar, {} KiB blocks, MB/s (decimal), \
+         median of {samples} samples",
+        block_bytes / 1024
     );
-    let _ = writeln!(out, "case, scalar_mb_s, word_mb_s, speedup");
-    for c in &r.cases {
-        let _ = writeln!(
-            out,
-            "{}, {:.0}, {:.0}, {:.2}",
-            c.name, c.scalar_mb_s, c.word_mb_s, c.speedup()
-        );
-    }
+    out.push_str(&csv(&cases));
     let _ = writeln!(
         out,
-        "pool: {} hits / {} misses ({:.1}% hit rate); kernel volume: {:.1} MB xored, {:.1} MB muled",
+        "pool: {} hits / {} misses ({:.1}% hit rate); kernel volume: {:.1} MB xored, {:.1} MB muled, \
+         {:.1} MB hashed",
         r.pool_hits,
         r.pool_misses,
         r.pool_hit_rate() * 100.0,
         r.bytes_xored as f64 / 1e6,
         r.bytes_muled as f64 / 1e6,
+        r.bytes_hashed as f64 / 1e6,
     );
-    out
+    let _ = writeln!(
+        out,
+        "# Checksum-gated scrub vs full-read byte-serial baseline, archive MB/s (decimal)"
+    );
+    out.push_str(&csv(&scrub_modes));
+    let _ = writeln!(
+        out,
+        "incremental_skip_ns_per_stripe, {:.0} (warm pass, clean store)",
+        sm.skip_ns_per_stripe
+    );
+    let _ = writeln!(
+        out,
+        "checksum kernel volume: {:.1} MB hashed",
+        sm.bytes_hashed as f64 / 1e6,
+    );
+    if cfg!(debug_assertions) {
+        // Unoptimised, the word loops lose to the byte loops they replace.
+        let _ = writeln!(out, "floors: not asserted in a debug build");
+    } else {
+        let _ = writeln!(
+            out,
+            "floors: xor_into >= {xor_floor}x, mul_acc >= {mul_floor}x scalar; \
+             verify_clean >= {verify_floor}x baseline"
+        );
+        let xor = r.case("xor_into").speedup();
+        let mul = r.case("mul_acc").speedup();
+        let verify_clean = sm.case("verify_clean").speedup_vs_baseline();
+        assert!(xor >= xor_floor, "xor_into speedup {xor:.2}x is below the {xor_floor}x floor");
+        assert!(mul >= mul_floor, "mul_acc speedup {mul:.2}x is below the {mul_floor}x floor");
+        assert!(
+            verify_clean >= verify_floor,
+            "verify_clean speedup {verify_clean:.2}x is below the {verify_floor}x floor"
+        );
+    }
+
+    let data = obj([
+        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
+        ("block_bytes", Json::U64(block_bytes as u64)),
+        ("samples_per_case", Json::U64(samples as u64)),
+        ("units", Json::Str("mb_per_s_decimal".into())),
+        ("cases", Json::Arr(cases)),
+        (
+            "pool",
+            obj([
+                ("hits", Json::U64(r.pool_hits)),
+                ("misses", Json::U64(r.pool_misses)),
+                ("hit_rate", num(r.pool_hit_rate(), 4)),
+            ]),
+        ),
+        (
+            "kernel_volume",
+            obj([
+                ("bytes_xored", Json::U64(r.bytes_xored)),
+                ("bytes_muled", Json::U64(r.bytes_muled)),
+                ("bytes_hashed", Json::U64(r.bytes_hashed)),
+            ]),
+        ),
+        ("scrub_modes", Json::Arr(scrub_modes)),
+        ("incremental_skip_ns_per_stripe", num(sm.skip_ns_per_stripe, 0)),
+        (
+            "floors",
+            obj([
+                ("xor_into", num(xor_floor, 1)),
+                ("mul_acc", num(mul_floor, 1)),
+                ("verify_clean_vs_baseline", num(verify_floor, 1)),
+            ]),
+        ),
+    ]);
+    Report { text: out, data: Some(data) }
 }
 
 #[cfg(test)]
@@ -457,7 +504,6 @@ mod tests {
     #[test]
     fn report_has_all_cases_and_sane_numbers() {
         let r = measure(512, 1);
-        assert_eq!(r.block_bytes, 512);
         for name in ["xor_into", "mul_acc", "encode", "decode", "scrub"] {
             let c = r.case(name);
             assert!(c.scalar_mb_s > 0.0, "{name} scalar");
@@ -470,33 +516,15 @@ mod tests {
     }
 
     #[test]
-    fn run_formats_every_row() {
-        let report = run(&Effort::smoke());
-        for name in ["xor_into,", "mul_acc,", "encode,", "decode,", "scrub,"] {
-            assert!(report.contains(name), "missing row {name}:\n{report}");
-        }
-        assert!(report.contains("hit rate"));
-    }
-
-    #[test]
     fn scrub_mode_report_has_all_cases_and_sane_numbers() {
         let r = measure_scrub_modes(512, 1);
-        assert_eq!(r.block_bytes, 512);
-        for name in ["verify_clean", "verify_dirty", "incremental_clean"] {
+        for name in ["verify_clean", "verify_dirty"] {
             let c = r.case(name);
             assert!(c.baseline_mb_s > 0.0, "{name} baseline");
             assert!(c.full_word_mb_s > 0.0, "{name} full word");
             assert!(c.mode_mb_s > 0.0, "{name} mode");
         }
-        assert!(r.bytes_hashed > 0, "verify tiers hash in place");
-    }
-
-    #[test]
-    fn run_scrub_modes_formats_every_row() {
-        let report = run_scrub_modes(&Effort::smoke());
-        for name in ["verify_clean,", "verify_dirty,", "incremental_clean,"] {
-            assert!(report.contains(name), "missing row {name}:\n{report}");
-        }
-        assert!(report.contains("MB hashed"));
+        assert!(r.skip_ns_per_stripe > 0.0, "a skipped stripe still costs a map lookup");
+        assert!(r.bytes_hashed > 0, "the verify passes hash in place");
     }
 }

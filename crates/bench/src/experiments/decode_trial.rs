@@ -1,0 +1,187 @@
+//! Decode-trial A/B: the dense counter-per-check reference
+//! (`tornado_codec::reference::DenseDecoder`, full O(n) reset + all-checks
+//! seeding) against the bit-row kernel, on the 96-node catalog graph — the
+//! quantum of the worst-case search and Monte-Carlo suites (§3's 962 M test
+//! cases are exactly this operation).
+//!
+//! The headline number is the k = 4 lexicographic sweep — one pattern at a
+//! time through `begin_pattern` / `decode_tail`, the per-pattern form of
+//! what the worst-case search does a prefix at a time — where the row
+//! kernel must be ≥ 10× the dense baseline (it measures about 20×). The
+//! enumerator has an absolute budget: `CombinationIter::next_slice` must
+//! cost under 5 ns a step (it used to be budgeted as a share of a trial,
+//! which stopped meaning anything once most patterns are decided by a
+//! certificate test). A third A/B runs the same sweep with the decode
+//! metrics recorder enabled (no sink attached); it may add at most 2 ns a
+//! trial — absolute for the same reason. All three are release-only:
+//! a debug build's timings mean nothing.
+
+use crate::effort::Effort;
+use crate::harness::{csv, median, median_ns, num, obj, Report};
+use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::Instant;
+use tornado_bitset::combinations::{binomial, CombinationIter};
+use tornado_codec::reference::DenseDecoder;
+use tornado_codec::ErasureDecoder;
+use tornado_obs::Json;
+
+/// The least the row kernel must gain over the dense one on the sweep.
+const SWEEP_FLOOR: f64 = 10.0;
+/// The most one `next_slice` step may cost.
+const UNRANK_BUDGET_NS: f64 = 5.0;
+/// The most the enabled recorder may add to one sweep trial.
+const RECORDING_BUDGET_NS: f64 = 2.0;
+/// Timed samples per case side (median taken).
+const SAMPLES: usize = 9;
+
+/// Runs the A/B, renders the table and asserts the three release floors.
+pub fn run(_effort: &Effort) -> Report {
+    let graph = tornado_core::tornado_graph_1();
+    let n = graph.num_nodes();
+    let mut row = ErasureDecoder::new(&graph);
+    let mut dense = DenseDecoder::new(&graph);
+    // One row per A/B case, ns per trial on each kernel.
+    let mut rows: Vec<Json> = Vec::new();
+    let mut case = |name: &str, dense_ns: f64, row_ns: f64| {
+        rows.push(obj([
+            ("case", Json::Str(name.into())),
+            ("dense_ns", num(dense_ns, 1)),
+            ("row_ns", num(row_ns, 1)),
+            ("speedup", num(dense_ns / row_ns, 2)),
+        ]));
+    };
+
+    // Fixed-pattern single trials.
+    for (name, k) in [("single_k1", 1usize), ("single_k4", 4)] {
+        let missing: Vec<usize> = (0..k).map(|i| (i * 53) % 96).collect();
+        let batch = 20_000u64;
+        let row_ns = median_ns(batch, SAMPLES, || {
+            for _ in 0..batch {
+                black_box(row.decode(black_box(&missing)));
+            }
+        });
+        let dense_ns = median_ns(batch, SAMPLES, || {
+            for _ in 0..batch {
+                black_box(dense.decode(black_box(&missing)));
+            }
+        });
+        case(name, dense_ns, row_ns);
+    }
+
+    // Lexicographic sweep (the worst-case search inner loop), k = 4.
+    let batch = 65_536u64;
+    let start = binomial(n as u64, 4) / 3;
+    let row_sweep = |row: &mut ErasureDecoder| {
+        let mut it = CombinationIter::from_rank(n, 4, start);
+        let mut failures = 0u64;
+        for _ in 0..batch {
+            let combo = it.next_slice().unwrap();
+            row.begin_pattern(&combo[..3]);
+            failures += u64::from(!row.decode_tail(&combo[3..]));
+        }
+        black_box(failures);
+    };
+    let sweep_row_ns = median_ns(batch, SAMPLES, || row_sweep(&mut row));
+    let sweep_dense_ns = median_ns(batch, SAMPLES, || {
+        let mut it = CombinationIter::from_rank(n, 4, start);
+        let mut failures = 0u64;
+        for _ in 0..batch {
+            failures += u64::from(!dense.decode(it.next_slice().unwrap()));
+        }
+        black_box(failures);
+    });
+    case("lex_sweep_k4", sweep_dense_ns, sweep_row_ns);
+
+    // Observability A/B: the same k = 4 sweep with the decode recorder
+    // enabled (counters ticking, no sink attached). The recorder is plain
+    // u64 increments behind one branch, so it may add at most 2 ns to a
+    // trial — keeping `--metrics` runs honest about speed. Clock-frequency
+    // and cache drift between distant measurements runs to ±10% here — far
+    // above the recorder's real cost — so the two sides are interleaved
+    // off/on per round and compared as a median of per-round differences,
+    // which cancels any drift slower than one round.
+    let mut timed_sweep = |rec: bool| {
+        row.set_recording(rec);
+        let t = Instant::now();
+        row_sweep(&mut row);
+        let ns = t.elapsed().as_nanos() as f64 / batch as f64;
+        row.set_recording(false);
+        black_box(row.take_cells());
+        ns
+    };
+    timed_sweep(false); // warmup
+    timed_sweep(true);
+    let (mut off_ns, mut on_ns, mut extra_ns) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        let off = timed_sweep(false);
+        let on = timed_sweep(true);
+        off_ns.push(off);
+        on_ns.push(on);
+        extra_ns.push(on - off);
+    }
+    let sweep_off_ns = median(&mut off_ns);
+    let sweep_recording_ns = median(&mut on_ns);
+    let recording_overhead_ns = median(&mut extra_ns);
+
+    // Combinadic enumeration: one step of a k = 4 sweep.
+    let unrank_ns = median_ns(batch, SAMPLES, || {
+        let mut it = CombinationIter::from_rank(n, 4, start);
+        let mut acc = 0usize;
+        for _ in 0..batch {
+            acc ^= it.next_slice().unwrap()[3];
+        }
+        black_box(acc);
+    });
+
+    let sweep_speedup = sweep_dense_ns / sweep_row_ns;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# Decode-trial A/B — dense reference vs bit-row kernel, tornado_graph_1 ({n} nodes), \
+         ns per trial, median of {SAMPLES} samples"
+    );
+    out.push_str(&csv(&rows));
+    let _ = writeln!(out, "unrank_ns_per_step, {unrank_ns:.1}");
+    let _ = writeln!(
+        out,
+        "recording_ns_per_trial, {sweep_recording_ns:.1} on, {sweep_off_ns:.1} off, \
+         {recording_overhead_ns:+.2} median paired difference"
+    );
+    if cfg!(debug_assertions) {
+        let _ = writeln!(out, "floors: not asserted in a debug build");
+    } else {
+        let _ = writeln!(
+            out,
+            "floors: lex_sweep_k4 >= {SWEEP_FLOOR}x dense, unrank < {UNRANK_BUDGET_NS} ns/step, \
+             recording < {RECORDING_BUDGET_NS} ns/trial"
+        );
+        assert!(
+            unrank_ns < UNRANK_BUDGET_NS,
+            "combination enumeration costs {unrank_ns:.1} ns a step (budget {UNRANK_BUDGET_NS} ns)"
+        );
+        assert!(
+            sweep_speedup >= SWEEP_FLOOR,
+            "lex_sweep_k4 speedup {sweep_speedup:.2}x is below the {SWEEP_FLOOR}x floor"
+        );
+        assert!(
+            recording_overhead_ns < RECORDING_BUDGET_NS,
+            "recording-enabled sweep is {recording_overhead_ns:+.2} ns a trial vs recording-off \
+             (budget {RECORDING_BUDGET_NS} ns)"
+        );
+    }
+
+    let data = obj([
+        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
+        ("samples_per_case", Json::U64(SAMPLES as u64)),
+        ("units", Json::Str("ns_per_trial".into())),
+        ("cases", Json::Arr(rows)),
+        ("unrank_ns_per_step", num(unrank_ns, 1)),
+        ("unrank_budget_ns_per_step", num(UNRANK_BUDGET_NS, 1)),
+        ("recording_ns_per_trial", num(sweep_recording_ns, 1)),
+        ("recording_overhead_ns_per_trial", num(recording_overhead_ns, 2)),
+        ("recording_budget_ns_per_trial", num(RECORDING_BUDGET_NS, 1)),
+        ("sweep_floor", num(SWEEP_FLOOR, 1)),
+    ]);
+    Report { text: out, data: Some(data) }
+}

@@ -11,50 +11,14 @@
 //! search's "no pattern of 4 losses is fatal".
 
 use crate::effort::Effort;
+use crate::harness::{num, obj, Report};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tornado_obs::{Json, Tracer};
 use tornado_server::{
     run_load, serve, Client, HealthConfig, LoadConfig, LoadReport, ServerConfig, ServerObserver,
 };
 use tornado_store::ArchivalStore;
-
-/// Headline numbers of the last [`run`], for the `run_all` manifest.
-#[derive(Clone, Copy, Debug)]
-pub struct LoadSummary {
-    /// Completed operations.
-    pub ops: u64,
-    /// Completed operations per second.
-    pub ops_per_sec: f64,
-    /// 99th-percentile client-observed latency, microseconds.
-    pub p99_us: u64,
-    /// Reads the server answered through the degraded (decode) path.
-    pub degraded_reads: u64,
-    /// GETs whose payload failed byte-for-byte verification (must be 0).
-    pub payload_mismatches: u64,
-    /// A/B arm A: ops/s with tracing fully off (untraced wire format).
-    pub ops_per_sec_untraced: f64,
-    /// A/B arm B: ops/s with 1-in-256 sampling and trace ids on the wire.
-    pub ops_per_sec_traced: f64,
-    /// Fractional throughput cost of arm B vs arm A (negative = noise in
-    /// B's favour).
-    pub tracing_overhead_frac: f64,
-    /// Spans the server recorded during arm B.
-    pub traced_spans_recorded: u64,
-    /// A/B: ops/s with the durability observatory disabled.
-    pub ops_per_sec_health_off: f64,
-    /// A/B: ops/s with the observatory on at an aggressive cadence.
-    pub ops_per_sec_health_on: f64,
-    /// Model recomputations during the health-on arm.
-    pub health_recomputes: u64,
-    /// Fraction of the health-on arm's wall time spent recomputing the
-    /// model — the observatory's directly-accounted compute overhead
-    /// (bounded at 2% by this experiment).
-    pub health_compute_frac: f64,
-}
-
-/// Last run's summary (populated by [`run`], read by `run_all`).
-pub static LAST_SUMMARY: Mutex<Option<LoadSummary>> = Mutex::new(None);
 
 /// Devices the injector fails mid-run — within the certified tolerance of
 /// catalog graph 1 (survives ANY four losses), so correctness must hold.
@@ -123,7 +87,7 @@ fn health_off() -> HealthConfig {
 }
 
 /// Runs the load test.
-pub fn run(effort: &Effort) -> String {
+pub fn run(effort: &Effort) -> Report {
     // Scale the measured window with effort, but keep the smoke setting
     // fast enough for CI.
     let duration_ms = (effort.mc_trials / 16).clamp(800, 5_000);
@@ -185,21 +149,25 @@ pub fn run(effort: &Effort) -> String {
         0.0
     };
 
-    *LAST_SUMMARY.lock().unwrap() = Some(LoadSummary {
-        ops: report.ops,
-        ops_per_sec: report.ops_per_sec,
-        p99_us: report.p99_us(),
-        degraded_reads: report.degraded_reads,
-        payload_mismatches: report.payload_mismatches,
-        ops_per_sec_untraced: untraced.ops_per_sec,
-        ops_per_sec_traced: traced.ops_per_sec,
-        tracing_overhead_frac: overhead_frac,
-        traced_spans_recorded: traced_spans,
-        ops_per_sec_health_off: health_off_report.ops_per_sec,
-        ops_per_sec_health_on: health_on_report.ops_per_sec,
-        health_recomputes: steady_recomputes,
-        health_compute_frac,
-    });
+    // The headline numbers as data. `tracing_overhead_frac` is the fractional
+    // throughput cost of 1-in-256 sampling vs the untraced arm (negative =
+    // noise in its favour); `health_compute_frac` is the share of the
+    // health-on arm's wall time spent recomputing the model.
+    let data = obj([
+        ("ops", Json::U64(report.ops)),
+        ("ops_per_sec", num(report.ops_per_sec, 1)),
+        ("latency_p99_us", Json::U64(report.p99_us())),
+        ("degraded_reads", Json::U64(report.degraded_reads)),
+        ("payload_mismatches", Json::U64(report.payload_mismatches)),
+        ("ops_per_sec_untraced", num(untraced.ops_per_sec, 1)),
+        ("ops_per_sec_traced_1_in_256", num(traced.ops_per_sec, 1)),
+        ("tracing_overhead_frac", num(overhead_frac, 4)),
+        ("traced_spans_recorded", Json::U64(traced_spans)),
+        ("ops_per_sec_health_off", num(health_off_report.ops_per_sec, 1)),
+        ("ops_per_sec_health_on", num(health_on_report.ops_per_sec, 1)),
+        ("health_recomputes", Json::U64(steady_recomputes)),
+        ("health_compute_frac", num(health_compute_frac, 5)),
+    ]);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -286,5 +254,5 @@ pub fn run(effort: &Effort) -> String {
         "1-in-256 tracing cost {:.1}% ops/s — far beyond its overhead budget",
         overhead_frac * 100.0
     );
-    out
+    Report { text: out, data: Some(data) }
 }

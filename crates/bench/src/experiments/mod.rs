@@ -1,7 +1,13 @@
-//! One module per paper artefact. Every `run` takes an [`crate::Effort`]
-//! and returns the finished report text (also suitable for EXPERIMENTS.md).
+//! One module per experiment, and the registry [`ALL`] that `run_all`
+//! runs. Every `run` takes an [`Effort`] and returns the finished report
+//! (text suitable for EXPERIMENTS.md; the engineering benches add the
+//! measurement as data) after asserting its own floors.
+
+use crate::harness::Report;
+use crate::Effort;
 
 pub mod data_plane;
+pub mod decode_trial;
 pub mod degree_sweep;
 pub mod eq1;
 pub mod fed_profile;
@@ -14,9 +20,123 @@ pub mod plank_overhead;
 pub mod recovery;
 pub mod repair_bandwidth;
 pub mod retrieval;
+pub mod rs_comparison;
 pub mod scrub_sweep;
 pub mod server_scale;
 pub mod size_sweep;
 pub mod table5;
 pub mod table6;
 pub mod table7;
+
+/// One experiment: the name `run_all` selects it by (and, when it returns
+/// data, the `BENCH_<name>.json` it owns), a display title, and its entry
+/// point.
+pub struct Experiment {
+    /// The word on the `run_all` command line.
+    pub name: &'static str,
+    /// What the timing table calls it.
+    pub title: &'static str,
+    /// Runs it, asserting its floors.
+    pub run: fn(&Effort) -> Report,
+}
+
+/// Every experiment, in paper order: §3–§5 artefacts, the ablations, then
+/// the engineering measurements.
+#[rustfmt::skip]
+pub const ALL: &[Experiment] = &[
+    Experiment { name: "eq1", title: "Eq. 1 validation", run: |e| eq1::run(e).into() },
+    Experiment { name: "fig3_table1", title: "Figure 3 + Table 1", run: |e| fig3_table1::run(e).into() },
+    Experiment { name: "fig4_table2", title: "Figure 4 + Table 2", run: |e| fig4_table2::run(e).into() },
+    Experiment { name: "fig5_table3", title: "Figure 5 + Table 3", run: |e| fig5_table3::run(e).into() },
+    Experiment { name: "fig6_table4", title: "Figure 6 + Table 4", run: |e| fig6_table4::run(e).into() },
+    Experiment { name: "table5", title: "Table 5", run: |e| table5::run(e).into() },
+    Experiment { name: "table6", title: "Table 6", run: |e| table6::run(e).into() },
+    Experiment { name: "table7", title: "Table 7", run: |e| table7::run(e).into() },
+    Experiment { name: "retrieval", title: "Guided retrieval ablation", run: |e| retrieval::run(e).into() },
+    Experiment { name: "degree_sweep", title: "Degree sweep ablation", run: |e| degree_sweep::run(e).into() },
+    Experiment { name: "plank_overhead", title: "Incremental overhead (Plank metric)", run: |e| plank_overhead::run(e).into() },
+    Experiment { name: "scrub_sweep", title: "Scrub-interval sweep", run: |e| scrub_sweep::run(e).into() },
+    Experiment { name: "size_sweep", title: "Size sweep (Plank regime)", run: |e| size_sweep::run(e).into() },
+    Experiment { name: "fed_profile", title: "Federated failure profiles", run: |e| fed_profile::run(e).into() },
+    Experiment { name: "rs_comparison", title: "Tornado vs Reed-Solomon time (§2.1)", run: rs_comparison::run },
+    Experiment { name: "decode_trial", title: "Decode-trial kernel A/B", run: decode_trial::run },
+    Experiment { name: "data_plane", title: "Data-plane kernels + checksum-gated scrub", run: data_plane::run },
+    Experiment { name: "repair_bandwidth", title: "Repair-bandwidth bake-off", run: repair_bandwidth::run },
+    Experiment { name: "recovery", title: "Cold-start recovery", run: recovery::run },
+    Experiment { name: "load_test", title: "Serving-layer load test", run: load_test::run },
+    Experiment { name: "server_scale", title: "Event-loop connection scaling", run: server_scale::run },
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{bench_file, envelope, SCHEMA};
+    use tornado_obs::json;
+
+    /// The two experiments that boot servers and drive them for seconds;
+    /// CI's `run_all --quick` covers them. Both return data.
+    const BOOTS_SERVERS: [&str; 2] = ["load_test", "server_scale"];
+
+    #[test]
+    fn names_are_unique() {
+        let mut names: Vec<&str> = ALL.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ALL.len());
+        assert!(BOOTS_SERVERS.iter().all(|n| names.contains(n)));
+    }
+
+    /// Every experiment runs at smoke effort and says something; one that
+    /// returns data has it survive the envelope and the parser, and owns a
+    /// committed `BENCH_<name>.json`; one that returns none owns no file.
+    #[test]
+    fn every_experiment_runs_and_its_data_envelopes() {
+        let check = |e: &Experiment| {
+            let effort = Effort::smoke();
+            let report = (e.run)(&effort);
+            assert!(!report.text.trim().is_empty(), "{}: empty report", e.name);
+            let has_file = std::path::Path::new(&bench_file(e.name)).exists();
+            assert_eq!(report.data.is_some(), has_file, "{}: data vs committed file", e.name);
+            if let Some(data) = report.data {
+                let text = envelope(e.name, &effort, data.clone()).to_pretty();
+                let doc = json::parse(&text).unwrap_or_else(|err| panic!("{}: {err}", e.name));
+                assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some(SCHEMA));
+                assert_eq!(doc.get("bench").and_then(|s| s.as_str()), Some(e.name));
+                assert_eq!(doc.get("data"), Some(&data), "{}: data round-trips", e.name);
+            }
+        };
+        // Two at a time: nothing timed is asserted in a debug build.
+        std::thread::scope(|s| {
+            for lane in 0..2 {
+                let smoke = ALL.iter().filter(|e| !BOOTS_SERVERS.contains(&e.name));
+                s.spawn(move || smoke.skip(lane).step_by(2).for_each(check));
+            }
+        });
+    }
+
+    /// Every `BENCH_*.json` in the repository root is an enveloped release
+    /// measurement named after the experiment that owns it.
+    #[test]
+    fn committed_bench_files_are_enveloped_and_owned() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut committed = Vec::new();
+        for entry in std::fs::read_dir(root).expect("repository root") {
+            let file = entry.expect("dir entry").file_name().to_string_lossy().into_owned();
+            let Some(name) = file.strip_prefix("BENCH_").and_then(|f| f.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            assert!(ALL.iter().any(|e| e.name == name), "{file}: no experiment owns it");
+            let text = std::fs::read_to_string(bench_file(name)).expect("read bench file");
+            let doc = json::parse(&text).unwrap_or_else(|err| panic!("{file}: {err}"));
+            assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some(SCHEMA), "{file}");
+            assert_eq!(doc.get("bench").and_then(|s| s.as_str()), Some(name), "{file}");
+            assert_eq!(doc.get("mode").and_then(|s| s.as_str()), Some("release"), "{file}");
+            assert!(doc.get("data").is_some(), "{file}: no data");
+            committed.push(name.to_string());
+        }
+        for name in BOOTS_SERVERS {
+            assert!(committed.iter().any(|c| c == name), "BENCH_{name}.json is missing");
+        }
+    }
+}

@@ -17,8 +17,9 @@
 //! [`RecoveryReport::duration_us`]: tornado_store::RecoveryReport
 
 use crate::effort::Effort;
-use std::fmt::Write as _;
+use crate::harness::{csv, num, obj, Report};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tornado_obs::Json;
 use tornado_store::{ArchivalStore, BackendKind, DurableConfig};
 
 /// Payload size per object; recovery cost is dominated by per-object
@@ -30,8 +31,6 @@ pub const PAYLOAD_BYTES: usize = 4096;
 pub struct RecoveryPoint {
     /// Objects in the store at reopen.
     pub objects: usize,
-    /// User bytes ingested (`objects × payload`).
-    pub data_bytes: u64,
     /// Recovery time reported by the store (scan + replay + rebuild), µs.
     pub recovery_us: u64,
     /// End-to-end `ArchivalStore::open` wall time, µs.
@@ -51,27 +50,6 @@ pub struct BackendSweep {
     pub sweep: Vec<RecoveryPoint>,
 }
 
-/// The whole benchmark.
-#[derive(Clone, Debug)]
-pub struct RecoveryBenchReport {
-    /// Payload bytes per object.
-    pub payload_bytes: usize,
-    /// Store sizes swept (object counts).
-    pub object_counts: Vec<usize>,
-    /// One sweep per durable backend.
-    pub backends: Vec<BackendSweep>,
-}
-
-impl RecoveryBenchReport {
-    /// Looks a backend sweep up by label.
-    pub fn backend(&self, backend: &str) -> &BackendSweep {
-        self.backends
-            .iter()
-            .find(|b| b.backend == backend)
-            .unwrap_or_else(|| panic!("no backend {backend}"))
-    }
-}
-
 fn payload_for(i: usize) -> Vec<u8> {
     (0..PAYLOAD_BYTES)
         .map(|b| {
@@ -84,7 +62,7 @@ fn payload_for(i: usize) -> Vec<u8> {
 
 /// Measures cold-start recovery for both durable backends at each store
 /// size. Stores are built and torn down under the system temp dir.
-pub fn measure(object_counts: &[usize]) -> RecoveryBenchReport {
+pub fn measure(object_counts: &[usize]) -> Vec<BackendSweep> {
     let mut backends = Vec::new();
     for kind in [BackendKind::File, BackendKind::Segment] {
         let mut sweep = Vec::with_capacity(object_counts.len());
@@ -123,7 +101,6 @@ pub fn measure(object_counts: &[usize]) -> RecoveryBenchReport {
 
             sweep.push(RecoveryPoint {
                 objects,
-                data_bytes: (objects * PAYLOAD_BYTES) as u64,
                 recovery_us: report.duration_us,
                 open_wall_us,
                 journal_records: report.journal_records,
@@ -132,53 +109,56 @@ pub fn measure(object_counts: &[usize]) -> RecoveryBenchReport {
         }
         backends.push(BackendSweep { backend: kind.as_str(), sweep });
     }
-    RecoveryBenchReport {
-        payload_bytes: PAYLOAD_BYTES,
-        object_counts: object_counts.to_vec(),
-        backends,
-    }
+    backends
 }
 
-/// Effort → store sizes: smoke efforts shrink the counts, never the
-/// schema (always ≥ 3 sizes so the scaling trend is visible).
-pub fn object_counts(effort: &Effort) -> Vec<usize> {
-    if effort.mc_trials <= 1_000 {
-        vec![4, 8, 16]
-    } else {
-        vec![16, 64, 256]
-    }
-}
+/// Runs the benchmark, formats the EXPERIMENTS.md table and asserts the
+/// floors. They are exact recovery invariants, not timings, so they hold
+/// in every build: both durable backends, at least three store sizes (so
+/// the scaling trend is visible), every object recovered, and exactly two
+/// journal records — intent + commit — per clean put.
+pub fn run(effort: &Effort) -> Report {
+    let counts: &[usize] = if effort.quick { &[2, 4, 8] } else { &[16, 64, 256] };
+    let backends = measure(counts);
 
-/// Runs the benchmark and formats the EXPERIMENTS.md table.
-pub fn run(effort: &Effort) -> String {
-    let r = measure(&object_counts(effort));
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Cold-start recovery: 96-device store, {} B objects, clean-shutdown journals",
-        r.payload_bytes
-    );
-    let _ = writeln!(out, "backend, objects, journal_records, recovery_us, open_wall_us, us_per_object");
-    for b in &r.backends {
+    assert!(counts.len() >= 3, "need >= 3 store sizes, got {}", counts.len());
+    assert_eq!(backends.len(), 2, "file + segment");
+    let mut rows = Vec::new();
+    for b in &backends {
+        assert_eq!(b.sweep.len(), counts.len(), "{}: one sweep point per store size", b.backend);
         for p in &b.sweep {
-            let _ = writeln!(
-                out,
-                "{}, {}, {}, {}, {}, {:.1}",
-                b.backend,
-                p.objects,
+            assert_eq!(p.objects_recovered, p.objects, "{}: lost objects", b.backend);
+            assert_eq!(
                 p.journal_records,
-                p.recovery_us,
-                p.open_wall_us,
-                p.recovery_us as f64 / p.objects.max(1) as f64
+                p.objects * 2,
+                "{}: intent + commit per clean put",
+                b.backend
             );
+            rows.push(obj([
+                ("backend", Json::Str(b.backend.into())),
+                ("objects", Json::U64(p.objects as u64)),
+                ("journal_records", Json::U64(p.journal_records as u64)),
+                ("recovery_us", Json::U64(p.recovery_us)),
+                ("open_wall_us", Json::U64(p.open_wall_us)),
+                ("us_per_object", num(p.recovery_us as f64 / p.objects.max(1) as f64, 1)),
+            ]));
         }
     }
-    let _ = writeln!(
-        out,
-        "recovery replays the journal and sidecars, never payload blocks — cost scales with \
-         the catalog, not the archive"
+
+    let text = format!(
+        "# Cold-start recovery: 96-device store, {PAYLOAD_BYTES} B objects, clean-shutdown journals\n\
+         {}\
+         recovery replays the journal and sidecars, never payload blocks — cost scales with \
+         the catalog, not the archive\n\
+         floors: file + segment backends, >= 3 store sizes, every object recovered, \
+         2 journal records per put\n",
+        csv(&rows)
     );
-    out
+    let data = obj([
+        ("payload_bytes", Json::U64(PAYLOAD_BYTES as u64)),
+        ("points", Json::Arr(rows)),
+    ]);
+    Report { text, data: Some(data) }
 }
 
 #[cfg(test)]
@@ -187,21 +167,14 @@ mod tests {
 
     #[test]
     fn sweep_covers_both_backends_at_every_size() {
-        let r = measure(&[2, 4]);
-        assert_eq!(r.backends.len(), 2);
-        for b in &r.backends {
+        let backends = measure(&[2, 4]);
+        assert_eq!(backends.len(), 2);
+        for b in &backends {
             assert_eq!(b.sweep.len(), 2, "{}", b.backend);
             for p in &b.sweep {
                 assert_eq!(p.objects_recovered, p.objects);
                 assert_eq!(p.journal_records, p.objects * 2, "intent + commit per put");
             }
         }
-    }
-
-    #[test]
-    fn run_formats_both_backend_rows() {
-        let report = run(&Effort::smoke());
-        assert!(report.contains("file, 4,"), "{report}");
-        assert!(report.contains("segment, 16,"), "{report}");
     }
 }

@@ -19,12 +19,13 @@
 //! [`RepairCost`]: tornado_store::RepairCost
 
 use crate::effort::Effort;
+use crate::harness::{csv, num, obj, Report};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use tornado_gen::TornadoParams;
 use tornado_graph::{Graph, NodeId};
+use tornado_obs::Json;
 use tornado_raid::GroupSystem;
 use tornado_store::plan_repair;
 
@@ -40,8 +41,6 @@ pub struct SweepPoint {
     pub p_loss: f64,
     /// Mean blocks read per lost block, over repairable patterns.
     pub repair_blocks_per_lost: f64,
-    /// Mean bytes read per lost block ([`BLOCK_BYTES`]-byte blocks).
-    pub repair_bytes_per_lost: f64,
     /// Mean distinct devices contacted per repair.
     pub devices_contacted: f64,
     /// Mean longest dependency chain in the repair schedule.
@@ -55,10 +54,6 @@ pub struct CodeReport {
     pub code: &'static str,
     /// `"graph"` (empirical, via `plan_repair`) or `"analytic"`.
     pub kind: &'static str,
-    /// Total devices in the system.
-    pub nodes: usize,
-    /// Data devices presented to the user.
-    pub data: usize,
     /// Storage overhead: total devices per data device.
     pub overhead: f64,
     /// Points in ascending `k`.
@@ -78,12 +73,6 @@ impl CodeReport {
 /// The whole bake-off.
 #[derive(Clone, Debug)]
 pub struct RepairBandwidthReport {
-    /// Block size the byte columns assume.
-    pub block_bytes: usize,
-    /// Random offline patterns per (graph code, k).
-    pub trials_per_k: u64,
-    /// Offline counts swept.
-    pub ks: Vec<usize>,
     /// One report per code, generator order then analytic.
     pub codes: Vec<CodeReport>,
 }
@@ -140,7 +129,6 @@ fn sweep_graph(
             k,
             p_loss: losses as f64 / trials as f64,
             repair_blocks_per_lost: mean(blocks),
-            repair_bytes_per_lost: mean(blocks) * BLOCK_BYTES as f64,
             devices_contacted: mean(devices),
             recovery_depth: mean(depth),
         });
@@ -148,8 +136,6 @@ fn sweep_graph(
     CodeReport {
         code,
         kind: "graph",
-        nodes: n,
-        data: graph.num_data(),
         overhead: n as f64 / graph.num_data() as f64,
         sweep,
     }
@@ -169,7 +155,6 @@ fn sweep_raid(code: &'static str, sys: &GroupSystem, ks: &[usize]) -> CodeReport
             k,
             p_loss: sys.failure_probability(k),
             repair_blocks_per_lost: reads,
-            repair_bytes_per_lost: reads * BLOCK_BYTES as f64,
             devices_contacted: reads,
             recovery_depth: 1.0,
         })
@@ -177,8 +162,6 @@ fn sweep_raid(code: &'static str, sys: &GroupSystem, ks: &[usize]) -> CodeReport
     CodeReport {
         code,
         kind: "analytic",
-        nodes,
-        data: sys.data_devices(),
         overhead: nodes as f64 / sys.data_devices() as f64,
         sweep,
     }
@@ -211,65 +194,76 @@ pub fn measure(trials_per_k: u64, ks: &[usize], seed: u64) -> RepairBandwidthRep
     codes.push(sweep_raid("raid5", &GroupSystem::raid5_paper(), ks));
     codes.push(sweep_raid("raid6", &GroupSystem::raid6_paper(), ks));
 
-    RepairBandwidthReport {
-        block_bytes: BLOCK_BYTES,
-        trials_per_k,
-        ks: ks.to_vec(),
-        codes,
-    }
+    RepairBandwidthReport { codes }
 }
 
-/// Effort → sweep shape: the full sweep reaches the interesting loss
-/// region (k = 8 is past every family's worst-case bound); smoke efforts
-/// shrink trials, never the schema.
-pub fn sweep_config(effort: &Effort) -> (u64, Vec<usize>) {
-    let trials = (effort.mc_trials / 20).clamp(25, 5_000);
-    (trials, (1..=8).collect())
-}
-
-/// Runs the bake-off and formats the EXPERIMENTS.md table.
-pub fn run(effort: &Effort) -> String {
-    let (trials, ks) = sweep_config(effort);
+/// Runs the bake-off (k = 1..=8 offline, which is past every family's
+/// worst-case bound), formats the EXPERIMENTS.md table and asserts the
+/// floors. They are exact properties of the codes, independent of trial
+/// count and build mode: all six graph families and both analytic rows are
+/// present with one point per k, mirroring repairs exactly 1 block per
+/// lost block, a RAID5 rebuild contacts the other 11 drawer members, and
+/// tornado survives every single-device loss.
+pub fn run(effort: &Effort) -> Report {
+    let trials = if effort.quick { 100 } else { 2_000 };
+    let ks: Vec<usize> = (1..=8).collect();
     let r = measure(trials, &ks, effort.seed);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Repair-bandwidth bake-off: {} random offline patterns per (code, k), {} KiB blocks",
-        r.trials_per_k,
-        r.block_bytes / 1024
+
+    assert!(
+        r.codes.len() >= 8,
+        "expected >= 6 graph families + 2 analytic rows, got {}",
+        r.codes.len()
     );
-    let _ = writeln!(
-        out,
-        "code, kind, overhead, k, p_loss, repair_blocks_per_lost, devices_contacted, depth"
-    );
+    let mut rows = Vec::new();
     for c in &r.codes {
+        assert_eq!(c.sweep.len(), ks.len(), "{}: one sweep point per k", c.code);
         for p in &c.sweep {
-            let _ = writeln!(
-                out,
-                "{}, {}, {:.2}, {}, {:.4}, {:.2}, {:.2}, {:.2}",
-                c.code,
-                c.kind,
-                c.overhead,
-                p.k,
-                p.p_loss,
-                p.repair_blocks_per_lost,
-                p.devices_contacted,
-                p.recovery_depth
-            );
+            rows.push(obj([
+                ("code", Json::Str(c.code.into())),
+                ("kind", Json::Str(c.kind.into())),
+                ("overhead", num(c.overhead, 2)),
+                ("k", Json::U64(p.k as u64)),
+                ("p_loss", num(p.p_loss, 6)),
+                ("repair_blocks_per_lost", num(p.repair_blocks_per_lost, 4)),
+                ("devices_contacted", num(p.devices_contacted, 4)),
+                ("recovery_depth", num(p.recovery_depth, 4)),
+            ]));
         }
     }
     let mirror1 = r.code("mirror").at(1);
     let tornado1 = r.code("tornado").at(1);
-    let _ = writeln!(
-        out,
-        "mirroring repairs {:.0} block/block at depth {:.0}; tornado reads {:.1} blocks/block \
-         from {:.1} devices — the bandwidth price of surviving what mirroring cannot",
+    assert!(
+        (mirror1.repair_blocks_per_lost - 1.0).abs() < 1e-12,
+        "mirroring must repair exactly 1 block per lost block, got {}",
+        mirror1.repair_blocks_per_lost
+    );
+    assert_eq!(
+        r.code("raid5").at(1).devices_contacted,
+        11.0,
+        "RAID5 rebuild must contact the other n - 1 = 11 drawer members"
+    );
+    assert_eq!(tornado1.p_loss, 0.0, "tornado must survive every single-device loss");
+
+    let text = format!(
+        "# Repair-bandwidth bake-off: {trials} random offline patterns per (code, k), {} KiB blocks\n\
+         {}\
+         mirroring repairs {:.0} block/block at depth {:.0}; tornado reads {:.1} blocks/block \
+         from {:.1} devices — the bandwidth price of surviving what mirroring cannot\n\
+         floors: >= 8 codes, one point per k, mirror 1 block/lost, raid5 contacts 11, \
+         tornado p_loss(k = 1) = 0\n",
+        BLOCK_BYTES / 1024,
+        csv(&rows),
         mirror1.repair_blocks_per_lost,
         mirror1.recovery_depth,
         tornado1.repair_blocks_per_lost,
         tornado1.devices_contacted
     );
-    out
+    let data = obj([
+        ("block_bytes", Json::U64(BLOCK_BYTES as u64)),
+        ("trials_per_k", Json::U64(trials)),
+        ("points", Json::Arr(rows)),
+    ]);
+    Report { text, data: Some(data) }
 }
 
 #[cfg(test)]
@@ -319,22 +313,5 @@ mod tests {
         assert_eq!(p.p_loss, 0.0);
         assert!(p.repair_blocks_per_lost >= 1.0, "a repair reads something");
         assert!(p.recovery_depth >= 1.0);
-    }
-
-    #[test]
-    fn run_formats_every_code_row() {
-        let report = run(&Effort::smoke());
-        for code in [
-            "tornado,",
-            "tornado_doubled,",
-            "tornado_shifted,",
-            "regular_d4,",
-            "cascade_fixed_d4,",
-            "mirror,",
-            "raid5,",
-            "raid6,",
-        ] {
-            assert!(report.contains(code), "missing row {code}:\n{report}");
-        }
     }
 }

@@ -22,72 +22,40 @@
 //! tornado-bench` without building the CLI) the sweep falls back to an
 //! in-process server and caps the sweep at what the fd budget fits,
 //! reporting which mode ran.
+//!
+//! Floors (asserted by [`run`], not just reported): every connection of
+//! every point established, zero errors, zero unanswered requests, zero
+//! payload mismatches, p99 ≤ 2 s at every point (an open-loop stream that
+//! backlogs past that has stopped keeping up), ≥ 10,000 concurrent
+//! connections reached (≥ 1,000 under `Effort::quick`), and a closed-loop
+//! point that completed operations. The closed-loop rate is reported, not
+//! floored: it depends on the machine.
 
 use crate::effort::Effort;
-use std::fmt::Write as _;
+use crate::harness::{csv, num, obj, Report};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tornado_obs::Json;
 use tornado_server::load::mux::{run_mux, MuxConfig, MuxReport};
 use tornado_server::{
-    run_load, serve, Client, HealthConfig, LoadConfig, OpMix, ServerConfig, ServerObserver,
+    run_load, serve, Client, HealthConfig, LoadConfig, LoadReport, OpMix, ServerConfig,
+    ServerObserver,
 };
 use tornado_store::ArchivalStore;
 
-/// One sweep point: `connections` held concurrently under a fixed
-/// offered load.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepPoint {
-    /// Connections requested at this point.
-    pub connections: usize,
-    /// Connections actually established (must equal `connections`).
-    pub connected: usize,
-    /// Offered (open-loop) arrival rate, ops/s.
-    pub target_rate: f64,
-    /// Completed ops/s over the measured window.
-    pub achieved_rate: f64,
-    /// Completed operations.
-    pub ops: u64,
-    /// Median latency from scheduled arrival, µs.
-    pub p50_us: u64,
-    /// 99th-percentile latency from scheduled arrival, µs.
-    pub p99_us: u64,
-    /// BUSY answers (not retried; open loop sheds at the server).
-    pub busy: u64,
-    /// Arrivals shed at the driver (every connection at its cap).
-    pub shed: u64,
-    /// Transport/server errors.
-    pub errors: u64,
-    /// Requests still unanswered at the drain deadline.
-    pub unanswered: u64,
-    /// Verified GETs with wrong bytes (must be 0).
-    pub payload_mismatches: u64,
-}
-
-/// The closed-loop point at a fixed connection count.
-#[derive(Clone, Copy, Debug)]
-pub struct ClosedLoopPoint {
-    /// Connections driven.
-    pub connections: usize,
-    /// Completed operations.
-    pub ops: u64,
-    /// Completed ops/s.
-    pub ops_per_sec: f64,
-    /// 99th-percentile client latency, µs.
-    pub p99_us: u64,
-}
-
 /// Full result of one scaling run.
-#[derive(Clone, Debug)]
 pub struct ScaleResult {
     /// Event-loop shards serving the sweep.
     pub shards: usize,
     /// `"external-process"` or `"in-process"` (fd-budget fallback).
     pub sweep_server: &'static str,
-    /// Sweep points, ascending connection count.
-    pub sweep: Vec<SweepPoint>,
+    /// Sweep points, ascending connection count: the connections held
+    /// concurrently under the fixed offered load, latency from each
+    /// operation's scheduled arrival.
+    pub sweep: Vec<MuxReport>,
     /// The closed-loop point at 64 connections.
-    pub closed_loop: ClosedLoopPoint,
+    pub closed_loop: LoadReport,
 }
 
 impl ScaleResult {
@@ -96,24 +64,6 @@ impl ScaleResult {
         self.sweep.iter().map(|p| p.connected).max().unwrap_or(0)
     }
 }
-
-/// Headline numbers of the last [`run`], for the `run_all` manifest.
-#[derive(Clone, Copy, Debug)]
-pub struct ScaleSummary {
-    /// Largest concurrent connection count established.
-    pub max_connections: usize,
-    /// p99 latency at that count, µs.
-    pub p99_at_max_us: u64,
-    /// Achieved ops/s at that count.
-    pub rate_at_max: f64,
-    /// Closed-loop ops/s at 64 connections.
-    pub closed_loop_ops_per_sec: f64,
-    /// Closed-loop p99 at 64 connections, µs.
-    pub closed_loop_p99_us: u64,
-}
-
-/// Last run's summary (populated by [`run`], read by `run_all`).
-pub static LAST_SUMMARY: Mutex<Option<ScaleSummary>> = Mutex::new(None);
 
 /// A server for the sweep: either a child process or an in-process
 /// handle, shut down via the wire op either way.
@@ -126,13 +76,9 @@ enum SweepServer {
 /// socket (stdio, listener, epoll/waker fds, admin + prefill conns).
 const FD_SLACK: u64 = 512;
 
-/// Boots the sweep server with `shards` event-loop shards, preferring
-/// the sibling `tornado` binary so driver and server each get a full
-/// descriptor budget. Returns the server, its address, and which mode.
-fn boot_sweep_server(shards: usize) -> (SweepServer, String, &'static str) {
-    if let Some((child, addr)) = spawn_external(shards) {
-        return (SweepServer::External(child), addr, "external-process");
-    }
+/// An in-process server on a loopback ephemeral port, configured as
+/// [`spawn_external`] configures the child, and its address.
+fn serve_in_process(shards: usize) -> (tornado_server::ServerHandle, String) {
     let store = Arc::new(ArchivalStore::new(tornado_core::tornado_graph_1()));
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -145,6 +91,17 @@ fn boot_sweep_server(shards: usize) -> (SweepServer, String, &'static str) {
     let handle =
         serve(cfg, store, Arc::new(ServerObserver::disabled())).expect("bind loopback server");
     let addr = handle.local_addr().to_string();
+    (handle, addr)
+}
+
+/// Boots the sweep server with `shards` event-loop shards, preferring
+/// the sibling `tornado` binary so driver and server each get a full
+/// descriptor budget. Returns the server, its address, and which mode.
+fn boot_sweep_server(shards: usize) -> (SweepServer, String, &'static str) {
+    if let Some((child, addr)) = spawn_external(shards) {
+        return (SweepServer::External(child), addr, "external-process");
+    }
+    let (handle, addr) = serve_in_process(shards);
     (SweepServer::InProcess(handle), addr, "in-process")
 }
 
@@ -225,19 +182,8 @@ fn stop_sweep_server(server: SweepServer, addr: &str) {
 }
 
 /// Runs the closed-loop point against a fresh in-process server.
-fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u64) -> ClosedLoopPoint {
-    let store = Arc::new(ArchivalStore::new(tornado_core::tornado_graph_1()));
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 4,
-        queue_depth: 256,
-        shards,
-        health: HealthConfig { enabled: false, ..HealthConfig::default() },
-        ..ServerConfig::default()
-    };
-    let handle =
-        serve(cfg, store, Arc::new(ServerObserver::disabled())).expect("bind loopback server");
-    let addr = handle.local_addr().to_string();
+fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u64) -> LoadReport {
+    let (handle, addr) = serve_in_process(shards);
     let report = run_load(&LoadConfig {
         addr: addr.clone(),
         connections,
@@ -256,12 +202,7 @@ fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u6
     }
     handle.join();
     assert_eq!(report.payload_mismatches, 0, "closed-loop GETs must verify byte-for-byte");
-    ClosedLoopPoint {
-        connections,
-        ops: report.ops,
-        ops_per_sec: report.ops_per_sec,
-        p99_us: report.p99_us(),
-    }
+    report
 }
 
 /// Runs the sweep and the closed-loop point, returning the structured
@@ -292,7 +233,7 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
     let mut sweep = Vec::new();
     for (i, &want) in counts.iter().enumerate() {
         let connections = want.min(conn_cap);
-        let report: MuxReport = run_mux(&MuxConfig {
+        let report = run_mux(&MuxConfig {
             addr: addr.clone(),
             connections,
             duration_ms,
@@ -305,66 +246,96 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
             ..MuxConfig::default()
         })
         .expect("open-loop sweep point");
-        sweep.push(SweepPoint {
-            connections,
-            connected: report.connected,
-            target_rate: report.target_rate,
-            achieved_rate: report.achieved_rate,
-            ops: report.ops,
-            p50_us: report.p50_us(),
-            p99_us: report.p99_us(),
-            busy: report.busy,
-            shed: report.shed,
-            errors: report.errors,
-            unanswered: report.unanswered,
-            payload_mismatches: report.payload_mismatches,
-        });
+        sweep.push(report);
     }
     stop_sweep_server(server, &addr);
 
     let closed_loop = run_closed_loop(shards, 64, if quick { 800 } else { 1_500 }, seed);
 
-    let result = ScaleResult { shards, sweep_server, sweep, closed_loop };
-    let at_max = result
-        .sweep
-        .iter()
-        .max_by_key(|p| p.connected)
-        .copied()
-        .expect("non-empty sweep");
-    *LAST_SUMMARY.lock().unwrap() = Some(ScaleSummary {
-        max_connections: result.max_connections(),
-        p99_at_max_us: at_max.p99_us,
-        rate_at_max: at_max.achieved_rate,
-        closed_loop_ops_per_sec: result.closed_loop.ops_per_sec,
-        closed_loop_p99_us: result.closed_loop.p99_us,
-    });
-    result
+    ScaleResult { shards, sweep_server, sweep, closed_loop }
 }
 
-/// Runs the experiment for `run_all`, returning the printable report.
-pub fn run(effort: &Effort) -> String {
-    // run_all always runs the quick shape: the 10k point is the
-    // standalone bin's job (it needs the sibling CLI binary and a
-    // release build to mean anything).
-    let r = measure(true, effort.seed);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Event-loop connection scaling — open-loop sweep ({} server, {} shards) + 64-conn closed loop",
-        r.sweep_server, r.shards
-    );
-    let _ = writeln!(out, "connections, achieved_ops_s, p50_us, p99_us, busy, errors");
+/// The most p99 (from scheduled arrival) any sweep point may show, µs.
+const P99_CEILING_US: u64 = 2_000_000;
+
+/// Runs the sweep (to 10,000 connections; to 1,024 under `effort.quick`)
+/// and the closed-loop point, renders the table and asserts the floors.
+pub fn run(effort: &Effort) -> Report {
+    let conn_floor = if effort.quick { 1_000 } else { 10_000 };
+    let r = measure(effort.quick, effort.seed);
+
+    let mut rows = Vec::new();
     for p in &r.sweep {
-        let _ = writeln!(
-            out,
-            "{}, {:.0}, {}, {}, {}, {}",
-            p.connected, p.achieved_rate, p.p50_us, p.p99_us, p.busy, p.errors
+        let p99_us = p.p99_us();
+        assert_eq!(
+            p.connected, p.connections,
+            "only {} of {} connections established",
+            p.connected, p.connections
         );
-    }
-    let _ = writeln!(out, "closed_loop_64conn_ops_s, {:.0}", r.closed_loop.ops_per_sec);
-    let _ = writeln!(out, "closed_loop_64conn_p99_us, {}", r.closed_loop.p99_us);
-    for p in &r.sweep {
+        assert_eq!(p.errors, 0, "sweep at {} conns hit {} errors", p.connected, p.errors);
+        assert_eq!(
+            p.unanswered, 0,
+            "sweep at {} conns left {} requests unanswered",
+            p.connected, p.unanswered
+        );
         assert_eq!(p.payload_mismatches, 0, "sweep GETs must verify byte-for-byte");
+        assert!(
+            p99_us <= P99_CEILING_US,
+            "p99 {p99_us} us at {} conns exceeds the {P99_CEILING_US} us ceiling",
+            p.connected
+        );
+        rows.push(obj([
+            ("connections", Json::U64(p.connected as u64)),
+            ("ops_per_sec", num(p.achieved_rate, 1)),
+            ("p50_us", Json::U64(p.p50_us())),
+            ("p99_us", Json::U64(p99_us)),
+            ("busy", Json::U64(p.busy)),
+            ("shed", Json::U64(p.shed)),
+            ("errors", Json::U64(p.errors)),
+            ("unanswered", Json::U64(p.unanswered)),
+        ]));
     }
-    out
+    let max_conns = r.max_connections();
+    assert!(
+        max_conns >= conn_floor,
+        "sweep reached {max_conns} concurrent connections — floor is {conn_floor}"
+    );
+    assert!(r.closed_loop.ops > 0, "the closed-loop point completed no operations");
+
+    let text = format!(
+        "# Event-loop connection scaling — open-loop sweep ({} server, {} shards) + 64-conn \
+         closed loop\n\
+         {}\
+         closed_loop_64conn_ops_s, {:.0}\n\
+         closed_loop_64conn_p99_us, {}\n\
+         floors: >= {conn_floor} connections, all established, 0 errors / unanswered / \
+         mismatches, p99 <= {P99_CEILING_US} us, closed loop > 0 ops\n",
+        r.sweep_server,
+        r.shards,
+        csv(&rows),
+        r.closed_loop.ops_per_sec,
+        r.closed_loop.p99_us()
+    );
+    let data = obj([
+        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
+        ("sweep_server", Json::Str(r.sweep_server.into())),
+        ("shards", Json::U64(r.shards as u64)),
+        ("discipline", Json::Str("open_loop_1000_ops_per_sec_scheduled_latency".into())),
+        ("sweep", Json::Arr(rows)),
+        (
+            "closed_loop_64_connections",
+            obj([
+                ("ops_per_sec", num(r.closed_loop.ops_per_sec, 1)),
+                ("p99_us", Json::U64(r.closed_loop.p99_us())),
+            ]),
+        ),
+        (
+            "floors",
+            obj([
+                ("connections", Json::U64(conn_floor as u64)),
+                ("p99_ceiling_us", Json::U64(P99_CEILING_US)),
+            ]),
+        ),
+    ]);
+    Report { text, data: Some(data) }
 }

@@ -2,10 +2,120 @@
 
 use crate::effort::Effort;
 use std::fmt::Write as _;
+use std::time::Instant;
 use tornado_graph::Graph;
+use tornado_obs::Json;
 use tornado_sim::{
     monte_carlo_profile, worst_case_search, FailureProfile, MonteCarloConfig, WorstCaseConfig,
 };
+
+/// What one experiment hands back: the printable report, and — for the
+/// experiments whose numbers are committed as `BENCH_<name>.json` — the
+/// same measurement as data.
+pub struct Report {
+    /// The finished report text (also suitable for EXPERIMENTS.md).
+    pub text: String,
+    /// The measurement, for [`envelope`]; `None` for text-only experiments.
+    pub data: Option<Json>,
+}
+
+impl From<String> for Report {
+    fn from(text: String) -> Self {
+        Self { text, data: None }
+    }
+}
+
+/// Schema tag of every `BENCH_<name>.json`.
+pub const SCHEMA: &str = "tornado-bench-v1";
+
+/// `"debug"` or `"release"`: timings from a debug build mean nothing, so
+/// every document says which it came from.
+pub fn build_mode() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
+/// A JSON object from literal keys, in order.
+pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// `v` rounded to `decimals` places, so committed files diff in the digits
+/// that were measured rather than in seventeen.
+pub fn num(v: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::F64((v * scale).round() / scale)
+}
+
+/// Renders flat row objects as a report's CSV block — a header line from
+/// the first row's keys, then one line of values per row — so an
+/// experiment builds its rows once, for the text and for the data.
+pub fn csv(rows: &[Json]) -> String {
+    let mut out = String::new();
+    for (i, row) in rows.iter().enumerate() {
+        let Json::Obj(fields) = row else { continue };
+        if i == 0 {
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            let _ = writeln!(out, "{}", keys.join(", "));
+        }
+        let cells: Vec<String> =
+            fields.iter().map(|(_, v)| v.as_str().map_or_else(|| v.to_line(), str::to_string)).collect();
+        let _ = writeln!(out, "{}", cells.join(", "));
+    }
+    out
+}
+
+/// Where `bench`'s enveloped data is committed: `BENCH_<bench>.json` at the
+/// repository root, two levels above this crate.
+pub fn bench_file(bench: &str) -> String {
+    format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Wraps one experiment's `data` in the one envelope every
+/// `BENCH_<name>.json` shares: what was measured, by which build, at what
+/// effort, on how many CPUs.
+pub fn envelope(bench: &str, effort: &Effort, data: Json) -> Json {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    obj([
+        ("schema", Json::Str(SCHEMA.into())),
+        ("bench", Json::Str(bench.into())),
+        ("mode", Json::Str(build_mode().into())),
+        (
+            "effort",
+            obj([
+                ("mc_trials", Json::U64(effort.mc_trials)),
+                ("exhaustive_max_k", Json::U64(effort.exhaustive_max_k as u64)),
+                ("seed", Json::U64(effort.seed)),
+                ("quick", Json::Bool(effort.quick)),
+            ]),
+        ),
+        ("cpus", Json::U64(cpus as u64)),
+        ("data", data),
+    ])
+}
+
+/// Median ns per inner iteration of `f` (which must run `batch` iterations
+/// per call), over `samples` timed calls after one warmup call.
+pub fn median_ns(batch: u64, samples: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warmup: touch caches, fault pages, warm the pools
+    let mut per_iter: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64 / batch as f64
+        })
+        .collect();
+    median(&mut per_iter)
+}
+
+/// Median of `v` (upper of the middle two when even), sorting it.
+pub fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(|a, b| a.total_cmp(b));
+    v[v.len() / 2]
+}
 
 /// Builds the paper's hybrid profile for a graph: exhaustive counts for
 /// `k ≤ exhaustive_max_k`, Monte-Carlo for every larger `k`.

@@ -1,31 +1,29 @@
-//! Experiment harness: regenerates every table and figure of the paper.
+//! Experiment harness: regenerates every table and figure of the paper,
+//! and every engineering measurement EXPERIMENTS.md quotes, from one
+//! binary.
 //!
-//! Each experiment lives in [`experiments`] as a library function returning
-//! its report as text (so the `run_all` binary can assemble
-//! `EXPERIMENTS.md` data), with a thin `src/bin/` wrapper per table/figure:
+//! Each experiment is a module of [`experiments`] with one entry point,
+//! `run(&Effort) -> Report`, which measures, renders its table and asserts
+//! its own floors; [`experiments::ALL`] lists them in paper order. The one
+//! binary, `run_all [NAME]... [--list] [--quick] [--write]`, runs the named
+//! ones (all of them when none is named) and prints each report on stdout;
+//! status and the timing table go to stderr. `--list` prints the registry.
+//! `--quick` is CI's smoke: the engineering benches run their small shape
+//! and assert their relaxed floors. `--write` wraps each experiment's data
+//! in the `tornado-bench-v1` envelope ([`harness::envelope`]) and writes it
+//! to `BENCH_<name>.json` at the repository root (release builds at full
+//! effort only).
 //!
-//! | Binary | Paper artefact |
-//! |---|---|
-//! | `validate_eq1` | §3 simulator validation against Eq. 1 |
-//! | `fig3_table1` | Fig. 3 + Table 1 — RAID/mirrored vs Tornado graphs |
-//! | `fig4_table2` | Fig. 4 + Table 2 — unadjusted vs screened vs adjusted |
-//! | `fig5_table3` | Fig. 5 + Table 3 — regular/altered families |
-//! | `fig6_table4` | Fig. 6 + Table 4 — fixed-degree cascades |
-//! | `table5` | Table 5 — reliability at AFR 0.01 |
-//! | `table6` | Table 6 — 50 % reconstruction node count / overhead |
-//! | `table7` | Table 7 — federated multi-graph first failure |
-//! | `retrieval_ablation` | §5.2/§6 guided-retrieval extension |
-//! | `degree_sweep` | §4.3 connectivity trade-off ablation |
-//! | `load_test` | serving-layer load test — degraded reads under live load |
-//! | `run_all` | everything above, in order |
-//!
-//! Fidelity knobs come from the environment so `cargo bench` and CI stay
-//! fast while full-fidelity runs remain one variable away:
-//! `TORNADO_TRIALS` (Monte-Carlo trials per point, default 20 000) and
-//! `TORNADO_MAX_K` (exhaustive search depth, default 4; the paper used 6).
+//! Fidelity comes from the environment so CI stays fast while
+//! full-fidelity runs remain one variable away: `TORNADO_TRIALS`
+//! (Monte-Carlo trials per point, default 20 000), `TORNADO_MAX_K`
+//! (exhaustive search depth, default 4; the paper used 6) and
+//! `TORNADO_SEED`. A value that does not parse is an error, not a default.
 
 pub mod effort;
 pub mod experiments;
 pub mod harness;
 
 pub use effort::Effort;
+pub use experiments::{Experiment, ALL};
+pub use harness::Report;

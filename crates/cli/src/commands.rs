@@ -332,20 +332,66 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
     })
 }
 
-/// `tornado validate-metrics`
-pub fn validate_metrics(args: &ParsedArgs) -> CmdResult {
-    let path = args.require("file")?;
+/// `tornado validate --metrics FILE | --health FILE | --trace FILE` —
+/// check a saved document against the schema its flag names (so a metrics
+/// snapshot handed to `--health` still fails): a `tornado-metrics-v1`
+/// snapshot; a `tornado-health-v1` document, with the same `--expect-*`
+/// assertions as `health` for post-hoc CI checks on captured files; or a
+/// Chrome trace-event export with well-nested spans, where `--require
+/// NAME` (repeatable) additionally demands that span names be present.
+pub fn validate(args: &ParsedArgs) -> CmdResult {
+    let kinds: Vec<&str> =
+        ["metrics", "health", "trace"].into_iter().filter(|k| args.flag(k)).collect();
+    let &[kind] = kinds.as_slice() else {
+        return Err("validate takes exactly one of --metrics FILE, --health FILE, --trace FILE".into());
+    };
+    if let Some(stray) = EXPECT_FLAGS.iter().find(|f| kind != "health" && args.flag(f)) {
+        return Err(format!("--{stray} checks a health document: it needs --health"));
+    }
+    if kind != "trace" && args.flag("require") {
+        return Err("--require names spans of a trace export: it needs --trace".into());
+    }
+    let path = args.require(kind)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = tornado_obs::json::parse(&text).map_err(|e| format!("{path}: parse error: {e}"))?;
-    tornado_obs::snapshot::validate(&doc).map_err(|e| format!("{path}: invalid snapshot: {e}"))?;
-    let command = doc.get("command").and_then(Json::as_str).unwrap_or("?");
-    let elapsed = doc.get("elapsed_ms").and_then(Json::as_u64).unwrap_or(0);
-    let counters = match doc.get("counters") {
-        Some(Json::Obj(entries)) => entries.len(),
-        _ => 0,
-    };
-    println!("valid {} snapshot: command={command} elapsed_ms={elapsed} counters={counters}",
-        tornado_obs::snapshot::SCHEMA);
+    match kind {
+        "metrics" => {
+            tornado_obs::snapshot::validate(&doc)
+                .map_err(|e| format!("{path}: invalid snapshot: {e}"))?;
+            let counters = match doc.get("counters") {
+                Some(Json::Obj(entries)) => entries.len(),
+                _ => 0,
+            };
+            println!(
+                "valid {} snapshot: command={} elapsed_ms={} counters={counters}",
+                tornado_obs::snapshot::SCHEMA,
+                doc.get("command").and_then(Json::as_str).unwrap_or("?"),
+                doc.get("elapsed_ms").and_then(Json::as_u64).unwrap_or(0),
+            );
+        }
+        "health" => {
+            tornado_server::validate_health(&doc).map_err(|e| format!("{path}: invalid: {e}"))?;
+            check_health_expectations(args, &doc)?;
+            let field = |section: &str, key: &str| {
+                doc.get(section).and_then(|s| s.get(key)).and_then(Json::as_u64).unwrap_or(0)
+            };
+            println!(
+                "valid {} document: {} devices, {} offline, min margin {}",
+                tornado_server::HEALTH_SCHEMA,
+                field("fleet", "devices"),
+                field("fleet", "offline"),
+                field("margins", "min_margin"),
+            );
+        }
+        _ => {
+            let stats = tornado_obs::trace::validate_chrome_trace(&doc, &args.get_all("require"))
+                .map_err(|e| format!("{path}: invalid trace: {e}"))?;
+            println!(
+                "valid Chrome trace: {} events across {} traces ({} roots)",
+                stats.events, stats.traces, stats.roots
+            );
+        }
+    }
     Ok(())
 }
 
@@ -971,23 +1017,6 @@ pub fn trace(args: &ParsedArgs) -> CmdResult {
     }
 }
 
-/// `tornado validate-trace` — check a trace export is structurally valid
-/// Chrome trace-event JSON with well-nested spans; `--require NAME`
-/// (repeatable) additionally demands that span names be present.
-pub fn validate_trace(args: &ParsedArgs) -> CmdResult {
-    let path = args.require("file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = tornado_obs::json::parse(&text).map_err(|e| format!("{path}: parse error: {e}"))?;
-    let require = args.get_all("require");
-    let stats = tornado_obs::trace::validate_chrome_trace(&doc, &require)
-        .map_err(|e| format!("{path}: invalid trace: {e}"))?;
-    println!(
-        "valid Chrome trace: {} events across {} traces ({} roots)",
-        stats.events, stats.traces, stats.roots
-    );
-    Ok(())
-}
-
 /// The flags `health_config_from_args` reads.
 pub const HEALTH_FLAGS: &[&str] = &[
     "no-health",
@@ -1172,24 +1201,5 @@ fn check_health_expectations(args: &ParsedArgs, doc: &Json) -> CmdResult {
             return Err("expected at least one burn-rate alert, none fired".into());
         }
     }
-    Ok(())
-}
-
-/// `tornado validate-health` — check a saved health document parses and
-/// satisfies the `tornado-health-v1` schema (same `--expect-*` assertions
-/// as `health`, for post-hoc CI checks on captured files).
-pub fn validate_health(args: &ParsedArgs) -> CmdResult {
-    let path = args.require("file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = tornado_obs::json::parse(&text).map_err(|e| format!("{path}: parse error: {e}"))?;
-    tornado_server::validate_health(&doc).map_err(|e| format!("{path}: invalid: {e}"))?;
-    check_health_expectations(args, &doc)?;
-    println!(
-        "valid {} document: {} devices, {} offline, min margin {}",
-        tornado_server::HEALTH_SCHEMA,
-        doc.get("fleet").and_then(|f| f.get("devices")).and_then(Json::as_u64).unwrap_or(0),
-        doc.get("fleet").and_then(|f| f.get("offline")).and_then(Json::as_u64).unwrap_or(0),
-        doc.get("margins").and_then(|m| m.get("min_margin")).and_then(Json::as_u64).unwrap_or(0),
-    );
     Ok(())
 }

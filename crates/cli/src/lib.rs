@@ -36,7 +36,10 @@ COMMANDS:
                                                      [--full | --verify | --incremental]
                                                      (default --verify: hash-check in
                                                      place, decode only on damage)
-    validate-metrics  Validate a metrics snapshot    --file FILE
+    validate     Check a saved document's schema     --metrics FILE | --health FILE
+                                                     [--expect-offline N]
+                                                     [--expect-max-margin N] [--expect-alert]
+                                                     | --trace FILE [--require SPAN]...
     adjust       Feedback adjustment (§3.3)         --graph FILE [--target 5] [--out FILE]
     reliability  Table 5 reliability comparison     [--graph FILE]... [--afr 0.01] [--trials 20000]
     demo         Archival store walkthrough         [--seed N]
@@ -84,10 +87,7 @@ COMMANDS:
     health       Durability observatory snapshot      --addr ADDR [--json | --prometheus]
                                                      [--out FILE] [--expect-offline N]
                                                      [--expect-max-margin N] [--expect-alert]
-    validate-health  Validate a health document       --file FILE [--expect-offline N]
-                                                     [--expect-max-margin N] [--expect-alert]
     trace        Export server spans (Chrome JSON)    --addr ADDR [--out FILE]
-    validate-trace  Validate a trace export           --file FILE [--require SPAN]...
 
 OBSERVABILITY (worst-case, monte-carlo, scrub):
     --progress        Throttled progress lines (rate + ETA) on stderr
@@ -129,7 +129,8 @@ pub const COMMANDS: &[Command] = &[
         &["objects", "level", "repair", "threads", "fail", "replace", "cycles", "full", "verify",
           "incremental"],
         TARGET_FLAGS, OBS_FLAGS] },
-    Command { name: "validate-metrics", run: commands::validate_metrics, flags: &[&["file"]] },
+    Command { name: "validate", run: commands::validate, flags: &[
+        &["metrics", "health", "trace", "require"], EXPECT_FLAGS] },
     Command { name: "adjust", run: commands::adjust, flags: &[&["graph", "target", "out"]] },
     Command { name: "reliability", run: commands::reliability, flags: &[
         &["graph", "afr", "trials"]] },
@@ -157,11 +158,7 @@ pub const COMMANDS: &[Command] = &[
         &["addr", "interval-ms", "count"]] },
     Command { name: "health", run: commands::health, flags: &[
         &["addr", "json", "prometheus", "out"], EXPECT_FLAGS] },
-    Command { name: "validate-health", run: commands::validate_health, flags: &[
-        &["file"], EXPECT_FLAGS] },
     Command { name: "trace", run: commands::trace, flags: &[&["addr", "out"], OBS_FLAGS] },
-    Command { name: "validate-trace", run: commands::validate_trace, flags: &[
-        &["file", "require"]] },
 ];
 
 /// Dispatches a parsed command line. Returns `Err` with a user-facing

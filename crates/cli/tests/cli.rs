@@ -190,8 +190,8 @@ fn worst_case_writes_a_validating_metrics_snapshot() {
         .expect("decode.trials counter");
     assert_eq!(trials, expected, "trials == sum_k C(32,k)");
 
-    // And validate-metrics accepts the same file.
-    run_command("validate-metrics", &args(&["--file", out_s])).expect("validate-metrics");
+    // And `validate --metrics` accepts the same file.
+    run_command("validate", &args(&["--metrics", out_s])).expect("validate --metrics");
 }
 
 #[test]
@@ -199,11 +199,24 @@ fn validate_metrics_rejects_garbage() {
     let bad = temp_path("bad-metrics.json");
     let bad_s = bad.to_str().unwrap();
     std::fs::write(&bad, "not json at all").unwrap();
-    assert!(run_command("validate-metrics", &args(&["--file", bad_s])).is_err());
+    assert!(run_command("validate", &args(&["--metrics", bad_s])).is_err());
     std::fs::write(&bad, r#"{"schema": "other-schema", "command": "x", "elapsed_ms": 1, "counters": {}}"#).unwrap();
-    let err = run_command("validate-metrics", &args(&["--file", bad_s])).unwrap_err();
+    let err = run_command("validate", &args(&["--metrics", bad_s])).unwrap_err();
     assert!(err.contains("schema"), "mentions the offending key: {err}");
-    assert!(run_command("validate-metrics", &args(&["--file", "/nonexistent/metrics.json"])).is_err());
+    assert!(run_command("validate", &args(&["--metrics", "/nonexistent/metrics.json"])).is_err());
+    // The flag names the kind: exactly one, and the other kinds' checks
+    // are an error beside it rather than silently unread.
+    for (misuse, says) in [
+        (&[][..], "exactly one of"),
+        (&["--metrics", bad_s, "--trace", bad_s], "exactly one of"),
+        (&["--metrics", bad_s, "--require", "request"], "needs --trace"),
+        (&["--health", bad_s, "--require", "request"], "needs --trace"),
+        (&["--metrics", bad_s, "--expect-offline", "2"], "needs --health"),
+        (&["--trace", bad_s, "--expect-alert"], "needs --health"),
+    ] {
+        let err = run_command("validate", &args(misuse)).unwrap_err();
+        assert!(err.contains(says), "{misuse:?}: {err}");
+    }
 }
 
 #[test]
@@ -293,12 +306,14 @@ fn serve_load_watch_trace_end_to_end() {
     assert_eq!(client.get(id).expect("degraded get"), payload);
 
     // Seeded load with trace propagation, bounded by op count.
+    let metrics_file = temp_path("e2e-load.metrics.json");
+    let metrics_s = metrics_file.to_str().unwrap();
     run_command(
         "load",
         &args(&[
             "--addr", &addr, "--connections", "2", "--duration-ms", "30000", "--op-limit", "30",
             "--seed", "11", "--prefill", "3", "--payload-min", "512", "--payload-max", "4096",
-            "--trace-sample", "4", "--quiet",
+            "--trace-sample", "4", "--metrics", metrics_s, "--quiet",
         ]),
     )
     .expect("load");
@@ -312,13 +327,34 @@ fn serve_load_watch_trace_end_to_end() {
     let live_s = live_trace.to_str().unwrap();
     run_command("trace", &args(&["--addr", &addr, "--out", live_s])).expect("trace");
     run_command(
-        "validate-trace",
+        "validate",
         &args(&[
-            "--file", live_s, "--require", "request", "--require", "store.get", "--require",
+            "--trace", live_s, "--require", "request", "--require", "store.get", "--require",
             "decode.recover",
         ]),
     )
     .expect("live export holds a well-nested degraded-GET span tree");
+
+    // One validator, three kinds: through the real binary, each flag
+    // accepts its own kind of document and refuses the other two.
+    let health_file = temp_path("e2e.health.json");
+    let health_s = health_file.to_str().unwrap();
+    run_command("health", &args(&["--addr", &addr, "--out", health_s])).expect("health");
+    let documents = [("--metrics", metrics_s), ("--health", health_s), ("--trace", live_s)];
+    for (flag, _) in documents {
+        for (kind, file) in documents {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_tornado"))
+                .args(["validate", flag, file])
+                .output()
+                .expect("run tornado");
+            assert_eq!(
+                out.status.code(),
+                Some(if flag == kind { 0 } else { 1 }),
+                "validate {flag} on a {kind} document: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
 
     client.shutdown().expect("shutdown");
     server.join().unwrap().expect("serve exits cleanly");
@@ -326,8 +362,8 @@ fn serve_load_watch_trace_end_to_end() {
     // The shutdown-time export must validate too, and METRICS consumers
     // aside, the file is what Perfetto loads.
     run_command(
-        "validate-trace",
-        &args(&["--file", &tf, "--require", "request", "--require", "decode.recover"]),
+        "validate",
+        &args(&["--trace", &tf, "--require", "request", "--require", "decode.recover"]),
     )
     .expect("shutdown trace file validates");
 }
@@ -407,14 +443,14 @@ fn validate_trace_rejects_garbage() {
     let bad = temp_path("bad-trace.json");
     let bad_s = bad.to_str().unwrap();
     std::fs::write(&bad, "not json").unwrap();
-    assert!(run_command("validate-trace", &args(&["--file", bad_s])).is_err());
+    assert!(run_command("validate", &args(&["--trace", bad_s])).is_err());
     std::fs::write(&bad, r#"{"traceEvents": [{"ph": "B", "name": "x"}]}"#).unwrap();
-    let err = run_command("validate-trace", &args(&["--file", bad_s])).unwrap_err();
+    let err = run_command("validate", &args(&["--trace", bad_s])).unwrap_err();
     assert!(err.contains("invalid trace"), "{err}");
     std::fs::write(&bad, r#"{"traceEvents": []}"#).unwrap();
     let err = run_command(
-        "validate-trace",
-        &args(&["--file", bad_s, "--require", "decode.recover"]),
+        "validate",
+        &args(&["--trace", bad_s, "--require", "decode.recover"]),
     )
     .unwrap_err();
     assert!(err.contains("decode.recover"), "missing required span is named: {err}");
