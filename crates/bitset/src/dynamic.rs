@@ -2,8 +2,7 @@
 //!
 //! The storage layer deals in device populations whose size is a runtime
 //! configuration choice (one site, two federated sites, arbitrary stripe
-//! widths), so it uses [`DynBitSet`] rather than the const-generic
-//! [`crate::FixedBitSet`].
+//! widths), so [`DynBitSet`] takes its universe size at construction.
 
 use std::fmt;
 

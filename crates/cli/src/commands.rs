@@ -278,11 +278,13 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
         let d: usize = dev.parse().map_err(|e| format!("--replace {dev}: {e}"))?;
         store.replace_device(d).map_err(|e| e.to_string())?;
     }
-    let store_obs = obs.store_observer();
+    let store_obs = tornado_store::StoreObserver::disabled().with_events(obs.events());
+    let store_obs = std::sync::Arc::new(store_obs);
+    store.set_observer(store_obs.clone());
     // One scrubber across all cycles: the worker pool is built once and
     // the clean marks accumulate, so later incremental cycles skip.
     let scrubber = tornado_store::Scrubber::new(threads);
-    let mut outcome = scrubber.run_observed(&store, level, repair, mode, &store_obs);
+    let mut outcome = scrubber.run(&store, level, repair, mode);
     for cycle in 1..cycles {
         println!(
             "cycle {cycle}: {} skipped / {} verified / {} decoded",
@@ -290,7 +292,7 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
             outcome.verified_count(),
             outcome.decoded_count()
         );
-        outcome = scrubber.run_observed(&store, level, repair, mode, &store_obs);
+        outcome = scrubber.run(&store, level, repair, mode);
     }
     println!("stripes scanned:     {}", outcome.stripes.len());
     println!("  skipped (clean):   {}", outcome.skipped_count());
@@ -328,14 +330,15 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
                 "failed_devices",
                 Json::Arr(failed.iter().map(|&d| Json::U64(d as u64)).collect()),
             );
-        store_obs.fill_snapshot(snap);
+        store_obs.record_into(&store, snap);
     })
 }
 
 /// `tornado validate --metrics FILE | --health FILE | --trace FILE` —
 /// check a saved document against the schema its flag names (so a metrics
 /// snapshot handed to `--health` still fails): a `tornado-metrics-v1`
-/// snapshot; a `tornado-health-v1` document, with the same `--expect-*`
+/// snapshot, each metric name of which must be in the catalogue and in its
+/// kind's section; a `tornado-health-v1` document, with the same `--expect-*`
 /// assertions as `health` for post-hoc CI checks on captured files; or a
 /// Chrome trace-event export with well-nested spans, where `--require
 /// NAME` (repeatable) additionally demands that span names be present.
@@ -357,6 +360,7 @@ pub fn validate(args: &ParsedArgs) -> CmdResult {
     match kind {
         "metrics" => {
             tornado_obs::snapshot::validate(&doc)
+                .and_then(|()| tornado_server::catalogue::check_snapshot(&doc))
                 .map_err(|e| format!("{path}: invalid snapshot: {e}"))?;
             let counters = match doc.get("counters") {
                 Some(Json::Obj(entries)) => entries.len(),
@@ -900,6 +904,40 @@ pub fn get(args: &ParsedArgs) -> CmdResult {
     Ok(())
 }
 
+/// How a `watch` column reads and shows a time-series name.
+#[derive(Clone, Copy, PartialEq)]
+enum Read {
+    /// Rate over the latest two samples, per second.
+    Rate,
+    /// The same, in MiB.
+    MibRate,
+    /// Rate over the whole retained window, per second.
+    WindowRate,
+    /// The latest sample, raw: occupancy gauges are never rates.
+    Latest,
+}
+
+/// The columns of `tornado watch`: header, width, the time-series names the
+/// column adds up, and how each is read. The only place outside a metric's
+/// declaration where its name is typed; a unit test checks each against
+/// `tornado_server::catalogue()`.
+const WATCH_COLUMNS: [(&str, usize, &[&str], Read); 11] = [
+    ("req/s", 10, &["server.requests"], Read::Rate),
+    ("put/s", 9, &["server.put"], Read::Rate),
+    ("get/s", 9, &["server.get"], Read::Rate),
+    ("busy/s", 9, &["server.busy_rejected"], Read::Rate),
+    ("degr/s", 9, &["server.get.degraded"], Read::Rate),
+    ("MB out/s", 11, &["server.bytes_out"], Read::MibRate),
+    // Repair bandwidth: check-block bytes degraded GETs pulled plus scrub repair reads.
+    ("rep MB/s", 11, &["server.get.repair_bytes", "repair.bytes_read"], Read::MibRate),
+    // Stripes scrubbed across all three tiers; a skip-heavy cadence shows
+    // as high scrub/s at near-zero device traffic.
+    ("scrub/s", 10, &["scrub.skipped", "scrub.verified", "scrub.decoded"], Read::Rate),
+    ("conns", 7, &["server.loop.connections"], Read::Latest),
+    ("inflight", 8, &["server.loop.inflight"], Read::Latest),
+    ("window req/s", 12, &["server.requests"], Read::WindowRate),
+];
+
 /// `tornado watch` — live windowed rates from a running server's
 /// time-series ring (polls the METRICS admin op).
 pub fn watch(args: &ParsedArgs) -> CmdResult {
@@ -909,8 +947,8 @@ pub fn watch(args: &ParsedArgs) -> CmdResult {
     let mut client =
         tornado_server::Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
 
-    println!("{:>10} {:>9} {:>9} {:>9} {:>9} {:>11} {:>11} {:>10} {:>7} {:>8} {:>12}",
-        "req/s", "put/s", "get/s", "busy/s", "degr/s", "MB out/s", "rep MB/s", "scrub/s", "conns", "inflight", "window req/s");
+    let header = WATCH_COLUMNS.map(|(title, width, ..)| format!("{title:>width$}"));
+    println!("{}", header.join(" "));
     let mut tick = 0u64;
     loop {
         tick += 1;
@@ -923,45 +961,31 @@ pub fn watch(args: &ParsedArgs) -> CmdResult {
         if points.len() < 2 {
             println!("(waiting for the server's sampler: {} point(s) so far)", points.len());
         } else {
-            // Event-loop occupancy is a point-in-time gauge, not a
-            // cumulative counter: show the latest sample raw, never as a
-            // rate.
-            let latest = |k: &str| {
-                points
-                    .last()
-                    .and_then(|p| p.values.iter().find(|(name, _)| name == k))
-                    .map_or(0, |(_, v)| *v)
-            };
-            let conns = latest("server.loop.connections");
-            let inflight = latest("server.loop.inflight");
             // Rebuild the ring client-side so the same windowed-rate code
             // serves the live view and the server.
-            let series = tornado_obs::TimeSeries::new(points.len().max(2));
+            let series = tornado_obs::TimeSeries::new(points.len());
+            let latest = points.last().cloned().expect("two points or more");
             for p in points {
                 series.push(p);
             }
-            let rate = |k: &str| series.latest_rate(k).unwrap_or(0.0);
-            // Stripes scrubbed per second across all three tiers; a
-            // skip-heavy cadence shows here as high scrub/s at near-zero
-            // device traffic.
-            let scrub_rate =
-                rate("scrub.skipped") + rate("scrub.verified") + rate("scrub.decoded");
-            println!(
-                "{:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>11.2} {:>11.2} {:>10.1} {:>7} {:>8} {:>12.1}",
-                rate("server.requests"),
-                rate("server.put"),
-                rate("server.get"),
-                rate("server.busy_rejected"),
-                rate("server.get.degraded"),
-                rate("server.bytes_out") / (1024.0 * 1024.0),
-                // Repair bandwidth: check-block bytes degraded GETs pulled
-                // plus scrub decode-tier reads, per second.
-                rate("repair.bytes_read") / (1024.0 * 1024.0),
-                scrub_rate,
-                conns,
-                inflight,
-                series.window_rate("server.requests").unwrap_or(0.0),
-            );
+            let row: Vec<String> = WATCH_COLUMNS
+                .iter()
+                .map(|&(_, width, names, read)| {
+                    let (decimals, divisor) = match read {
+                        Read::MibRate => (2, 1024.0 * 1024.0),
+                        Read::Latest => (0, 1.0),
+                        Read::Rate | Read::WindowRate => (1, 1.0),
+                    };
+                    let value = |name: &&str| match read {
+                        Read::Rate | Read::MibRate => series.latest_rate(name),
+                        Read::WindowRate => series.window_rate(name),
+                        Read::Latest => latest.value(name).map(|v| v as f64),
+                    };
+                    let sum: f64 = names.iter().map(|name| value(name).unwrap_or(0.0)).sum();
+                    format!("{:>width$.decimals$}", sum / divisor)
+                })
+                .collect();
+            println!("{}", row.join(" "));
         }
         // The metrics snapshot embeds the observatory's cached document;
         // one compact durability line rides under the rate row.
@@ -1202,4 +1226,25 @@ fn check_health_expectations(args: &ParsedArgs, doc: &Json) -> CmdResult {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_watch_column_reads_a_sampled_catalogue_name_of_the_right_kind() {
+        let catalogue = tornado_server::catalogue();
+        for (title, .., names, read) in WATCH_COLUMNS {
+            for name in names {
+                let row = catalogue
+                    .iter()
+                    .find(|d| d.name == *name)
+                    .unwrap_or_else(|| panic!("{title}: '{name}' is not in the catalogue"));
+                assert!(row.sampled, "{title}: '{name}' is not in the time series");
+                let wanted = if read == Read::Latest { "gauge" } else { "counter" };
+                assert_eq!(row.kind, wanted, "{title}: '{name}'");
+            }
+        }
+    }
 }

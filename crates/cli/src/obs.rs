@@ -21,7 +21,6 @@ use std::time::Instant;
 use tornado_codec::DecodeMetrics;
 use tornado_obs::{EventFormat, EventSink, Json, ProgressConfig, Snapshot};
 use tornado_sim::SimObserver;
-use tornado_store::StoreObserver;
 
 /// The flags [`CliObs::from_args`] reads.
 pub const OBS_FLAGS: &[&str] = &["progress", "metrics", "log-json", "quiet"];
@@ -63,11 +62,6 @@ impl CliObs {
         }
     }
 
-    /// Whether a metrics snapshot will be written.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_path.is_some()
-    }
-
     /// Progress factory honouring `--progress`/`--quiet`.
     pub fn progress(&self) -> ProgressConfig {
         if self.progress_on {
@@ -99,15 +93,10 @@ impl CliObs {
         let mut obs = SimObserver::disabled()
             .with_progress(self.progress())
             .with_events(self.events());
-        if self.metrics_enabled() {
+        if self.metrics_path.is_some() {
             obs = obs.with_metrics(self.decode_metrics.clone());
         }
         obs
-    }
-
-    /// Builds a store observer wired to the shared event sink.
-    pub fn store_observer(&self) -> StoreObserver {
-        StoreObserver::disabled().with_events(self.events())
     }
 
     /// Writes the metrics snapshot if `--metrics` was given. `extra` adds
@@ -122,7 +111,7 @@ impl CliObs {
             return Ok(());
         };
         let mut snap = Snapshot::new(command, self.started.elapsed().as_millis() as u64);
-        self.decode_metrics.fill_snapshot(&mut snap);
+        snap.record(&*self.decode_metrics);
         extra(&mut snap);
         snap.write(path).map_err(|e| format!("{path}: {e}"))?;
         self.status("metrics_written", &[("path", Json::Str(path.clone()))]);

@@ -220,6 +220,30 @@ fn validate_metrics_rejects_garbage() {
 }
 
 #[test]
+fn validate_metrics_refuses_names_the_catalogue_does_not_have_or_files_elsewhere() {
+    let path = temp_path("off-catalogue-metrics.json");
+    let path_s = path.to_str().unwrap();
+    let snapshot = |counters: &str, gauges: &str| {
+        format!(
+            r#"{{"schema": "tornado-metrics-v1", "command": "serve", "elapsed_ms": 1,
+                "counters": {{{counters}}}, "gauges": {{{gauges}}}}}"#
+        )
+    };
+    std::fs::write(&path, snapshot(r#""server.get": 3"#, r#""device.offline": 0"#)).unwrap();
+    run_command("validate", &args(&["--metrics", path_s])).expect("catalogue names, filed by kind");
+    // One name nobody declares, and one cumulative sum filed as a gauge.
+    std::fs::write(
+        &path,
+        snapshot(r#""server.get": 3, "server.queue.busy": 0"#, r#""device.bytes_read": 9"#),
+    )
+    .unwrap();
+    let err = run_command("validate", &args(&["--metrics", path_s])).unwrap_err();
+    assert!(err.contains("'server.queue.busy' is not in the catalogue"), "{err}");
+    assert!(err.contains("'device.bytes_read' is a counter filed under 'gauges'"), "{err}");
+    assert!(!err.contains("server.get'"), "only the offenders are named: {err}");
+}
+
+#[test]
 fn monte_carlo_with_metrics_counts_trials() {
     let out = temp_path("mc-metrics.json");
     let out_s = out.to_str().unwrap();
@@ -253,8 +277,8 @@ fn scrub_reports_health_and_writes_metrics() {
         ]),
     )
     .expect("scrub");
+    run_command("validate", &args(&["--metrics", out_s])).expect("validate --metrics");
     let doc = tornado_obs::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    tornado_obs::snapshot::validate(&doc).expect("validates");
     let counters = doc.get("counters").unwrap();
     assert_eq!(
         counters.get("scrub.cycles").and_then(tornado_obs::Json::as_u64),

@@ -4,7 +4,6 @@ use crate::erasure::{ErasureDecoder, RecoveryStep};
 use crate::error::CodecError;
 use crate::kernels::xor_into;
 use crate::pool;
-use rayon::prelude::*;
 use tornado_graph::{Graph, NodeId};
 
 /// Outcome of a block decode.
@@ -87,22 +86,6 @@ impl<'g> Codec<'g> {
             blocks.push(acc);
         }
         Ok(blocks)
-    }
-
-    /// Encodes many stripes, fanning the per-stripe work out across worker
-    /// threads (each with its own [`pool::BlockPool`]). Output order matches
-    /// input order and every stripe's bytes are identical to a serial
-    /// [`Codec::encode_owned`] — parallelism never changes the coding.
-    pub fn encode_stripes(
-        &self,
-        stripes: Vec<Vec<Vec<u8>>>,
-    ) -> Result<Vec<Vec<Vec<u8>>>, CodecError> {
-        stripes
-            .into_par_iter()
-            .map(|stripe| self.encode_owned(stripe))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect()
     }
 
     /// Decodes a stripe in place: `stored[i]` is `Some(block)` if node `i`'s
@@ -475,26 +458,6 @@ mod tests {
         let by_ref = c.encode(&data).unwrap();
         let by_move = c.encode_owned(data).unwrap();
         assert_eq!(by_ref, by_move);
-    }
-
-    #[test]
-    fn encode_stripes_is_bit_identical_to_serial() {
-        let g = cascade();
-        let c = Codec::new(&g);
-        let stripes: Vec<Vec<Vec<u8>>> = (0..9u8)
-            .map(|s| (0..4u8).map(|i| vec![s.wrapping_mul(31) ^ i; 24]).collect())
-            .collect();
-        let serial: Vec<_> = stripes.iter().map(|st| c.encode(st).unwrap()).collect();
-        let parallel = c.encode_stripes(stripes).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn encode_stripes_surfaces_shape_errors() {
-        let g = cascade();
-        let c = Codec::new(&g);
-        let stripes = vec![sample_data(8), sample_data(8)[..3].to_vec()];
-        assert!(c.encode_stripes(stripes).is_err());
     }
 
     #[test]

@@ -42,28 +42,26 @@
 
 use crate::gf256::Gf256;
 use std::sync::atomic::{AtomicBool, Ordering};
-use tornado_obs::Counter;
 
 /// Kernel word width in bytes.
 const WORD: usize = 8;
 
-/// Process-wide data-plane volume counters (see [`metrics`]).
-pub struct KernelMetrics {
-    /// Bytes processed by [`xor_into`] (either path), cumulative.
-    pub bytes_xored: Counter,
-    /// Bytes processed by [`mul_acc`] / [`MulTable::mul_acc`] with a
-    /// non-trivial coefficient (either path), cumulative.
-    pub bytes_muled: Counter,
-    /// Bytes processed by [`checksum`] (either path), cumulative — the
-    /// scrub verify tier's volume signal.
-    pub bytes_hashed: Counter,
+tornado_obs::metric_set! {
+    /// Process-wide data-plane volume counters (see [`metrics`]).
+    pub struct KernelMetrics {
+        /// Bytes XORed by `xor_into`, word or scalar path.
+        bytes_xored: Counter = "kernel.bytes_xored", "bytes";
+        /// Bytes multiplied-and-accumulated in GF(256) by `mul_acc` with a
+        /// non-trivial coefficient: the Reed-Solomon comparator's kernel,
+        /// which the XOR-only Tornado data path never runs.
+        bytes_muled: Counter = "kernel.bytes_muled", "bytes";
+        /// Bytes hashed by `checksum`: block verification on PUT, GET and
+        /// the scrub verify tier.
+        bytes_hashed: Counter = "kernel.bytes_hashed", "bytes";
+    }
 }
 
-static METRICS: KernelMetrics = KernelMetrics {
-    bytes_xored: Counter::new(),
-    bytes_muled: Counter::new(),
-    bytes_hashed: Counter::new(),
-};
+static METRICS: KernelMetrics = KernelMetrics::new();
 
 /// The process-wide kernel volume counters.
 pub fn metrics() -> &'static KernelMetrics {

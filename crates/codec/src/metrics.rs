@@ -9,103 +9,85 @@
 //! and because summation commutes the merged totals are identical no
 //! matter which worker processed which rank range.
 
-use tornado_obs::Counter;
+use tornado_obs::set::Cell;
+use tornado_obs::MetricSet;
 
-/// Recorder cell indices for [`crate::ErasureDecoder`].
+/// Recorder cell indices for [`crate::ErasureDecoder`]: the position of
+/// each [`DecodeMetrics`] field.
 pub mod cells {
-    /// Decode trials: every `decode`, `decode_detailed`, or `decode_tail`
-    /// verdict (prefix fixpoints are counted separately).
+    /// [`DecodeMetrics::trials`](super::DecodeMetrics).
     pub const TRIALS: usize = 0;
-    /// Trials whose reconstruction failed.
+    /// [`DecodeMetrics::failures`](super::DecodeMetrics).
     pub const FAILURES: usize = 1;
-    /// Full-fixpoint prefix decodes: the prefixes `begin_pattern` had to
-    /// peel because a node fell inside both certificates of the shorter one.
+    /// [`DecodeMetrics::prefix_begins`](super::DecodeMetrics).
     pub const PREFIX_BEGINS: usize = 2;
-    /// Patterns decided without peeling their prefix: the tail missed the
-    /// prefix's certificate.
+    /// [`DecodeMetrics::prefix_reuse_hits`](super::DecodeMetrics).
     pub const PREFIX_REUSE_HITS: usize = 3;
-    /// Patterns that collided with their prefix's certificate and were
-    /// peeled whole.
+    /// [`DecodeMetrics::prefix_collisions`](super::DecodeMetrics).
     pub const PREFIX_COLLISIONS: usize = 4;
-    /// Patterns under a failed prefix, answered by failure monotonicity.
+    /// [`DecodeMetrics::monotone_shortcuts`](super::DecodeMetrics).
     pub const MONOTONE_SHORTCUTS: usize = 5;
-    /// Nodes recovered (peeled or re-encoded).
+    /// [`DecodeMetrics::recoveries`](super::DecodeMetrics).
     pub const RECOVERIES: usize = 6;
     /// Number of cells.
     pub const COUNT: usize = 7;
 }
 
-/// Snapshot names for each cell, index-aligned with [`cells`].
-pub const CELL_NAMES: [&str; cells::COUNT] = [
-    "decode.trials",
-    "decode.failures",
-    "decode.prefix_begins",
-    "decode.prefix_reuse_hits",
-    "decode.prefix_collisions",
-    "decode.monotone_shortcuts",
-    "decode.recoveries",
-];
-
 /// The decoder's recorder type.
 pub type DecodeRecorder = tornado_obs::Recorder<{ cells::COUNT }>;
 
-/// Cross-thread aggregate of decode-kernel counters, one sharded
-/// [`Counter`] per recorder cell. Usable in `static`s.
-pub struct DecodeMetrics {
-    counters: [Counter; cells::COUNT],
+tornado_obs::metric_set! {
+    /// Cross-thread aggregate of decode-kernel counters, one sharded
+    /// counter per recorder cell, in [`cells`] order.
+    #[derive(Debug)]
+    pub struct DecodeMetrics {
+        /// Decode verdicts: `decode`, `decode_detailed`, `decode_tail` (prefix
+        /// fixpoints are counted separately).
+        trials: Counter = "decode.trials", "patterns";
+        /// Trials whose reconstruction failed.
+        failures: Counter = "decode.failures", "patterns";
+        /// Prefixes peeled to a full fixpoint: a node fell inside both
+        /// certificates of the shorter prefix.
+        prefix_begins: Counter = "decode.prefix_begins", "prefixes";
+        /// Patterns decided unpeeled: the tail missed the prefix's certificate.
+        prefix_reuse_hits: Counter = "decode.prefix_reuse_hits", "patterns";
+        /// Patterns that hit their prefix's certificate and were peeled whole.
+        prefix_collisions: Counter = "decode.prefix_collisions", "patterns";
+        /// Patterns under a failed prefix, answered by failure monotonicity.
+        monotone_shortcuts: Counter = "decode.monotone_shortcuts", "patterns";
+        /// Nodes recovered (peeled or re-encoded).
+        recoveries: Counter = "decode.recoveries", "nodes";
+    }
 }
 
-impl DecodeMetrics {
-    /// A zeroed metrics block.
-    pub const fn new() -> Self {
-        // `Counter::new` is const but `Counter` is not `Copy`; a const
-        // item makes the array-repeat legal, and each repeat instantiates
-        // a fresh counter (never shared state).
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: Counter = Counter::new();
-        Self {
-            counters: [ZERO; cells::COUNT],
-        }
-    }
+const _: () = assert!(DecodeMetrics::DESCS.len() == cells::COUNT);
 
+impl DecodeMetrics {
     /// Adds one drained recorder cell array into the aggregate.
     pub fn absorb(&self, drained: &[u64; cells::COUNT]) {
-        for (counter, &v) in self.counters.iter().zip(drained.iter()) {
-            counter.add(v);
-        }
+        let mut drained = drained.iter();
+        self.visit(|_, cell| {
+            if let (Cell::Counter(c), Some(&v)) = (cell, drained.next()) {
+                c.add(v);
+            }
+        });
     }
 
     /// Current value of one cell's aggregate.
     pub fn get(&self, cell: usize) -> u64 {
-        self.counters[cell].get()
+        self.items()[cell].1
     }
 
     /// `(snapshot name, current value)` for every cell.
     pub fn items(&self) -> [(&'static str, u64); cells::COUNT] {
-        std::array::from_fn(|i| (CELL_NAMES[i], self.counters[i].get()))
-    }
-
-    /// Writes every cell into a snapshot's counter section.
-    pub fn fill_snapshot(&self, snap: &mut tornado_obs::Snapshot) {
-        for (name, value) in self.items() {
-            snap.counter_value(name, value);
-        }
-    }
-}
-
-impl Default for DecodeMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for DecodeMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("DecodeMetrics");
-        for (name, value) in self.items() {
-            d.field(name, &value);
-        }
-        d.finish()
+        let mut items = [("", 0); cells::COUNT];
+        let mut slots = items.iter_mut();
+        self.visit(|desc, cell| {
+            if let (Cell::Counter(c), Some(slot)) = (cell, slots.next()) {
+                *slot = (desc.name, c.get());
+            }
+        });
+        items
     }
 }
 
@@ -130,12 +112,22 @@ mod tests {
 
     #[test]
     fn items_are_name_aligned() {
+        // Each recorder index lands in the field it is documented as.
         let m = DecodeMetrics::new();
-        let mut drained = [0u64; cells::COUNT];
-        drained[cells::PREFIX_REUSE_HITS] = 7;
-        m.absorb(&drained);
-        let items = m.items();
-        assert_eq!(items[cells::PREFIX_REUSE_HITS], ("decode.prefix_reuse_hits", 7));
-        assert_eq!(items[cells::TRIALS], ("decode.trials", 0));
+        m.absorb(&std::array::from_fn(|i| 10 + i as u64));
+        let expected = [
+            (cells::TRIALS, "decode.trials", &m.trials),
+            (cells::FAILURES, "decode.failures", &m.failures),
+            (cells::PREFIX_BEGINS, "decode.prefix_begins", &m.prefix_begins),
+            (cells::PREFIX_REUSE_HITS, "decode.prefix_reuse_hits", &m.prefix_reuse_hits),
+            (cells::PREFIX_COLLISIONS, "decode.prefix_collisions", &m.prefix_collisions),
+            (cells::MONOTONE_SHORTCUTS, "decode.monotone_shortcuts", &m.monotone_shortcuts),
+            (cells::RECOVERIES, "decode.recoveries", &m.recoveries),
+        ];
+        assert_eq!(expected.len(), cells::COUNT);
+        for (index, name, field) in expected {
+            assert_eq!(m.items()[index], (name, 10 + index as u64));
+            assert_eq!(field.get(), 10 + index as u64, "{name}");
+        }
     }
 }

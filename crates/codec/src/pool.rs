@@ -23,20 +23,18 @@
 //!   / `pool.miss`), surfaced by the server's METRICS op.
 
 use std::cell::RefCell;
-use tornado_obs::Counter;
 
-/// Process-wide pool traffic counters (see [`metrics`]).
-pub struct PoolMetrics {
-    /// Takes served from a recycled buffer.
-    pub hits: Counter,
-    /// Takes that had to allocate.
-    pub misses: Counter,
+tornado_obs::metric_set! {
+    /// Process-wide pool traffic counters (see [`metrics`]).
+    pub struct PoolMetrics {
+        /// Block-buffer takes served from a recycled buffer.
+        hits: Counter = "pool.hit", "takes";
+        /// Block-buffer takes that had to allocate.
+        misses: Counter = "pool.miss", "takes";
+    }
 }
 
-static METRICS: PoolMetrics = PoolMetrics {
-    hits: Counter::new(),
-    misses: Counter::new(),
-};
+static METRICS: PoolMetrics = PoolMetrics::new();
 
 /// The process-wide pool hit/miss counters.
 pub fn metrics() -> &'static PoolMetrics {

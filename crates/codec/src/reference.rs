@@ -9,9 +9,9 @@
 //!   exactly the same fixpoint (success flag, lost sets) on random graphs
 //!   × random erasure patterns. A counter per check and a bit row per
 //!   check share no code, which is what makes the comparison worth having.
-//! * **Benchmark baseline** — the `decode_trial` criterion bench and the
-//!   `BENCH_decode_trial.json` emitter report row-vs-dense throughput,
-//!   tracking the speedup from PR 1 onward.
+//! * **Benchmark baseline** — the `decode_trial` experiment (`run_all
+//!   decode_trial`, committed as `BENCH_decode_trial.json`) reports
+//!   row-vs-dense throughput and asserts its floor.
 //!
 //! Do not optimise this module; its value is being the simple, obviously
 //! correct formulation of the peeling fixpoint.

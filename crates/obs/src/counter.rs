@@ -142,42 +142,6 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Last-write-wins floating-point gauge (failure fractions, rates).
-pub struct FloatGauge {
-    bits: AtomicU64,
-}
-
-impl FloatGauge {
-    /// A gauge reading 0.0.
-    pub const fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Relaxed);
-    }
-
-    /// Reads the gauge.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Relaxed))
-    }
-}
-
-impl Default for FloatGauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for FloatGauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("FloatGauge").field(&self.get()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,14 +165,6 @@ mod tests {
         assert_eq!(g.get(), 3);
         g.raise(-10);
         assert_eq!(g.get(), 3, "raise never lowers");
-    }
-
-    #[test]
-    fn float_gauge_round_trips() {
-        let g = FloatGauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(1.0 / 7.0);
-        assert_eq!(g.get(), 1.0 / 7.0);
     }
 
     #[test]

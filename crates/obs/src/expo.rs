@@ -1,50 +1,13 @@
-//! Prometheus-style text exposition for metrics and health documents.
+//! Prometheus-style text exposition of JSON documents.
 //!
-//! Renders a parsed `tornado-metrics-v1` snapshot (and optionally a
-//! `tornado-health-v1` document) into the Prometheus text format —
-//! `# TYPE` lines, sanitized names, cumulative `le` histogram buckets —
-//! with nothing but the in-repo JSON model. Counters become `_total`-free
-//! counters under a `tornado_` prefix, gauges become gauges, and the
-//! snapshot's sparse non-cumulative log2 histogram buckets are folded
-//! into the cumulative form scrapers expect, `+Inf` included.
-//!
-//! Arbitrary JSON documents (the health doc, whose schema will grow) are
-//! flattened: every numeric leaf becomes a gauge named by its path, so a
-//! new field in the document is a new series with no renderer change.
+//! [`render_flat`] turns any document built on the in-repo JSON model —
+//! the `tornado-health-v1` document is the one caller, `tornado health
+//! --prometheus` — into the Prometheus text format by flattening it: every
+//! numeric leaf becomes a gauge named by its sanitized path, so a new
+//! field in the document is a new series with no renderer change.
 
 use crate::json::Json;
 use std::fmt::Write as _;
-
-/// Renders a `tornado-metrics-v1` document as Prometheus text.
-/// Unknown top-level keys are ignored, mirroring the snapshot validator.
-pub fn render_metrics(doc: &Json) -> String {
-    let mut out = String::new();
-    if let Some(Json::Obj(counters)) = doc.get("counters") {
-        for (name, v) in counters {
-            if let Some(v) = v.as_u64() {
-                let m = metric_name("tornado", name);
-                let _ = writeln!(out, "# TYPE {m} counter\n{m} {v}");
-            }
-        }
-    }
-    if let Some(Json::Obj(gauges)) = doc.get("gauges") {
-        for (name, v) in gauges {
-            if let Some(v) = v.as_f64() {
-                let m = metric_name("tornado", name);
-                let _ = writeln!(out, "# TYPE {m} gauge\n{m} {}", fmt_f64(v));
-            }
-        }
-    }
-    if let Some(Json::Obj(histograms)) = doc.get("histograms") {
-        for (name, h) in histograms {
-            render_histogram(&mut out, &metric_name("tornado", name), h);
-        }
-    }
-    if let Some(v) = doc.get("elapsed_ms").and_then(Json::as_u64) {
-        let _ = writeln!(out, "# TYPE tornado_elapsed_ms gauge\ntornado_elapsed_ms {v}");
-    }
-    out
-}
 
 /// Renders any JSON document as flattened gauges under `prefix`: numeric
 /// leaves only, path segments joined with `_`. Booleans render as 0/1;
@@ -71,36 +34,6 @@ fn flatten(out: &mut String, path: &str, v: &Json) {
         }
         _ => {}
     }
-}
-
-/// Folds the snapshot's sparse non-cumulative buckets into cumulative
-/// Prometheus buckets. The snapshot guarantees strictly increasing upper
-/// bounds and counts summing to `count`, so the fold is a running sum
-/// plus the mandatory `+Inf` bucket.
-fn render_histogram(out: &mut String, name: &str, h: &Json) {
-    let count = match h.get("count").and_then(Json::as_u64) {
-        Some(c) => c,
-        None => return,
-    };
-    let sum = h.get("sum").and_then(Json::as_u64).unwrap_or(0);
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    if let Some(buckets) = h.get("buckets").and_then(Json::as_arr) {
-        for b in buckets {
-            let upper = match b.get("bucket_upper_bound").or_else(|| b.get("le")) {
-                Some(v) => v.as_u64().unwrap_or(u64::MAX),
-                None => continue,
-            };
-            cumulative += b.get("count").and_then(Json::as_u64).unwrap_or(0);
-            if upper == u64::MAX {
-                // The top log2 bucket is already the +Inf bucket.
-                continue;
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
-        }
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-    let _ = writeln!(out, "{name}_sum {sum}\n{name}_count {count}");
 }
 
 /// Joins and sanitizes into a legal Prometheus metric name: every
@@ -136,47 +69,6 @@ fn fmt_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::{FloatGauge, Gauge};
-    use crate::histogram::Histogram;
-    use crate::snapshot::Snapshot;
-
-    #[test]
-    fn counters_and_gauges_render_with_type_lines() {
-        let mut s = Snapshot::new("test", 0);
-        s.counter_value("server.gets", 42);
-        let offline = Gauge::default();
-        offline.set(3);
-        s.gauge("device.offline", &offline);
-        let p_loss = FloatGauge::default();
-        p_loss.set(0.125);
-        s.float_gauge("health.p_loss", &p_loss);
-        let text = render_metrics(&s.to_json());
-        assert!(text.contains("# TYPE tornado_server_gets counter\ntornado_server_gets 42\n"));
-        assert!(text.contains("# TYPE tornado_device_offline gauge\ntornado_device_offline 3\n"));
-        assert!(text.contains("tornado_health_p_loss 0.125\n"));
-    }
-
-    #[test]
-    fn histogram_buckets_become_cumulative_with_inf() {
-        let h = Histogram::new();
-        for v in [1u64, 1, 2, 100, 5_000] {
-            h.record(v);
-        }
-        let mut s = Snapshot::new("test", 0);
-        s.histogram("get.us", &h);
-        let text = render_metrics(&s.to_json());
-        // Buckets are cumulative and end with +Inf == count.
-        assert!(text.contains("# TYPE tornado_get_us histogram"));
-        assert!(text.contains("tornado_get_us_bucket{le=\"+Inf\"} 5\n"));
-        assert!(text.contains("tornado_get_us_count 5\n"));
-        let mut last = 0u64;
-        for line in text.lines().filter(|l| l.contains("_bucket{")) {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last, "buckets must be cumulative: {line}");
-            last = v;
-        }
-        assert_eq!(last, 5);
-    }
 
     #[test]
     fn flat_rendering_walks_nested_documents() {

@@ -1,10 +1,10 @@
 //! Hand-rolled JSON value, serializer, and minimal parser.
 //!
-//! The workspace deliberately has no serde; artefacts like
-//! `BENCH_decode_trial.json` are hand-formatted. This module centralises
-//! that: a small [`Json`] tree, a pretty writer producing the same
-//! two-space style, and a strict recursive-descent parser so round-trip
-//! tests and the `validate-metrics` command need no external tooling.
+//! The workspace deliberately has no serde. This module is what every
+//! document it writes goes through — metrics snapshots, health and trace
+//! exports, the `BENCH_*.json` reports: a small [`Json`] tree, a pretty
+//! writer in two-space style, and a strict recursive-descent parser so
+//! round-trip tests and the `validate` command need no external tooling.
 //!
 //! Integers are kept exact: values that parse without a fraction or
 //! exponent come back as [`Json::U64`]/[`Json::I64`], so a 3 469 496-trial

@@ -1,14 +1,14 @@
 //! Point-in-time metrics snapshots serialized to JSON.
 //!
-//! A [`Snapshot`] is an ordered JSON object built from live metrics —
-//! counters, gauges, histograms — plus whatever command-specific context
-//! the caller adds (graph path, per-`k` level rows). The schema key lets
-//! downstream validators (`tornado validate-metrics`, the CI smoke step)
-//! reject foreign files cheaply.
+//! A [`Snapshot`] is an ordered JSON object built from live metrics — every
+//! cell of each recorded [`MetricSet`], under its declared name and section
+//! — plus whatever context the caller adds (graph path, per-`k` rows). The
+//! schema key lets validators (`tornado validate --metrics`, the CI smoke
+//! steps) reject foreign files cheaply.
 
-use crate::counter::{Counter, FloatGauge, Gauge};
 use crate::histogram::Histogram;
 use crate::json::Json;
+use crate::set::{Cell, Desc, MetricSet};
 
 /// Schema identifier written into every snapshot.
 pub const SCHEMA: &str = "tornado-metrics-v1";
@@ -17,12 +17,12 @@ pub const SCHEMA: &str = "tornado-metrics-v1";
 pub const REQUIRED_KEYS: [&str; 4] = ["schema", "command", "elapsed_ms", "counters"];
 
 /// Builder for one metrics snapshot.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Snapshot {
     fields: Vec<(String, Json)>,
-    counters: Vec<(String, Json)>,
-    gauges: Vec<(String, Json)>,
-    histograms: Vec<(String, Json)>,
+    counters: Vec<(&'static Desc, u64)>,
+    gauges: Vec<(&'static Desc, i64)>,
+    histograms: Vec<(&'static Desc, Histogram)>,
 }
 
 impl Snapshot {
@@ -44,85 +44,44 @@ impl Snapshot {
         self
     }
 
-    /// Records a counter's current value.
-    pub fn counter(&mut self, name: &str, c: &Counter) -> &mut Self {
-        self.counters.push((name.into(), Json::U64(c.get())));
+    /// Records every cell of `set` under its declared name, zeros and empty
+    /// histograms included, so a name is present from the first snapshot on.
+    /// A name already recorded is added to (histograms are merged): that is
+    /// how one set per shard becomes one line per name.
+    pub fn record(&mut self, set: &impl MetricSet) -> &mut Self {
+        set.visit(|desc, cell| match cell {
+            Cell::Counter(c) => *slot(&mut self.counters, desc) += c.get(),
+            Cell::Gauge(g) => *slot(&mut self.gauges, desc) += g.get(),
+            Cell::Histogram(h) => slot(&mut self.histograms, desc).merge(h),
+        });
         self
     }
 
-    /// Records a raw counter value (for plain-u64 recorder cells).
-    pub fn counter_value(&mut self, name: &str, v: u64) -> &mut Self {
-        self.counters.push((name.into(), Json::U64(v)));
-        self
-    }
-
-    /// Records an integer gauge.
-    pub fn gauge(&mut self, name: &str, g: &Gauge) -> &mut Self {
-        self.gauges.push((name.into(), Json::I64(g.get())));
-        self
-    }
-
-    /// Records a raw integer gauge value (for values derived at snapshot
-    /// time rather than held in a `Gauge` cell).
-    pub fn gauge_value(&mut self, name: &str, v: i64) -> &mut Self {
-        self.gauges.push((name.into(), Json::I64(v)));
-        self
-    }
-
-    /// Records a floating-point gauge.
-    pub fn float_gauge(&mut self, name: &str, g: &FloatGauge) -> &mut Self {
-        self.gauges.push((name.into(), Json::F64(g.get())));
-        self
-    }
-
-    /// Records a histogram as count/sum/min/max/mean/percentiles plus the
-    /// sparse non-zero buckets.
-    pub fn histogram(&mut self, name: &str, h: &Histogram) -> &mut Self {
-        let buckets: Vec<Json> = h
-            .bucket_counts()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let upper = crate::histogram::bucket_upper_bound(i);
-                Json::Obj(vec![
-                    // "le" predates the explicit bound keys; kept so older
-                    // tornado-metrics-v1 consumers still find it.
-                    ("le".into(), Json::U64(upper)),
-                    ("bucket_upper_bound".into(), Json::U64(upper)),
-                    (
-                        "bucket_lower_bound".into(),
-                        Json::U64(crate::histogram::bucket_lower_bound(i)),
-                    ),
-                    ("count".into(), Json::U64(c)),
-                ])
-            })
-            .collect();
-        let mut obj = vec![
-            ("count".into(), Json::U64(h.count())),
-            ("sum".into(), Json::U64(h.sum())),
-            ("mean".into(), Json::F64(h.mean())),
-        ];
-        if let (Some(min), Some(max)) = (h.min(), h.max()) {
-            obj.push(("min".into(), Json::U64(min)));
-            obj.push(("max".into(), Json::U64(max)));
-            obj.push(("p50".into(), Json::U64(h.percentile(0.5).unwrap())));
-            obj.push(("p99".into(), Json::U64(h.percentile(0.99).unwrap())));
-        }
-        obj.push(("buckets".into(), Json::Arr(buckets)));
-        self.histograms.push((name.into(), Json::Obj(obj)));
-        self
+    /// `(name, value)` of every recorded counter and gauge declared
+    /// `sampled`: one point of the server's time series, carrying what the
+    /// `counters` / `gauges` sections carry (a negative gauge as 0).
+    pub fn sampled(&self) -> Vec<(String, u64)> {
+        let counters = self.counters.iter().map(|&(d, v)| (d, v));
+        let gauges = self.gauges.iter().map(|&(d, v)| (d, v.max(0) as u64));
+        counters
+            .chain(gauges)
+            .filter(|(d, _)| d.sampled)
+            .map(|(d, v)| (d.name.to_string(), v))
+            .collect()
     }
 
     /// Assembles the final JSON tree.
     pub fn to_json(&self) -> Json {
+        fn section<T>(cells: &[(&'static Desc, T)], json: impl Fn(&T) -> Json) -> Json {
+            Json::Obj(cells.iter().map(|(d, v)| (d.name.to_string(), json(v))).collect())
+        }
         let mut root = self.fields.clone();
-        root.push(("counters".into(), Json::Obj(self.counters.clone())));
+        root.push(("counters".into(), section(&self.counters, |&v| Json::U64(v))));
         if !self.gauges.is_empty() {
-            root.push(("gauges".into(), Json::Obj(self.gauges.clone())));
+            root.push(("gauges".into(), section(&self.gauges, |&v| Json::I64(v))));
         }
         if !self.histograms.is_empty() {
-            root.push(("histograms".into(), Json::Obj(self.histograms.clone())));
+            root.push(("histograms".into(), section(&self.histograms, histogram_json)));
         }
         Json::Obj(root)
     }
@@ -136,6 +95,52 @@ impl Snapshot {
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_pretty())
     }
+}
+
+/// The value recorded under `desc`'s name, inserted at its zero if new.
+fn slot<'a, T: Default>(cells: &'a mut Vec<(&'static Desc, T)>, desc: &'static Desc) -> &'a mut T {
+    let at = cells.iter().position(|(d, _)| d.name == desc.name).unwrap_or_else(|| {
+        cells.push((desc, T::default()));
+        cells.len() - 1
+    });
+    &mut cells[at].1
+}
+
+/// count/sum/mean, min/max/percentiles once sampled, sparse non-zero buckets.
+fn histogram_json(h: &Histogram) -> Json {
+    let buckets: Vec<Json> = h
+        .bucket_counts()
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &c)| {
+            let upper = crate::histogram::bucket_upper_bound(i);
+            Json::Obj(vec![
+                // "le" predates the explicit bound keys; kept so older
+                // tornado-metrics-v1 consumers still find it.
+                ("le".into(), Json::U64(upper)),
+                ("bucket_upper_bound".into(), Json::U64(upper)),
+                (
+                    "bucket_lower_bound".into(),
+                    Json::U64(crate::histogram::bucket_lower_bound(i)),
+                ),
+                ("count".into(), Json::U64(c)),
+            ])
+        })
+        .collect();
+    let mut obj = vec![
+        ("count".into(), Json::U64(h.count())),
+        ("sum".into(), Json::U64(h.sum())),
+        ("mean".into(), Json::F64(h.mean())),
+    ];
+    if let (Some(min), Some(max)) = (h.min(), h.max()) {
+        obj.push(("min".into(), Json::U64(min)));
+        obj.push(("max".into(), Json::U64(max)));
+        obj.push(("p50".into(), Json::U64(h.percentile(0.5).unwrap())));
+        obj.push(("p99".into(), Json::U64(h.percentile(0.99).unwrap())));
+    }
+    obj.push(("buckets".into(), Json::Arr(buckets)));
+    Json::Obj(obj)
 }
 
 /// Checks that `doc` looks like a snapshot this crate wrote: every
@@ -228,26 +233,19 @@ fn validate_histogram(name: &str, h: &Json) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use crate::set::tests::Cells;
 
     #[test]
     fn snapshot_round_trips_through_the_serializer() {
-        let trials = Counter::new();
-        trials.add(3_469_496);
-        let margin = Gauge::new();
-        margin.set(-2);
-        let frac = FloatGauge::new();
-        frac.set(0.125);
-        let hist = Histogram::new();
+        let cells = Cells::new();
+        cells.trials.add(3_469_496);
+        cells.margin.set(-2);
         for v in [10u64, 100, 1000] {
-            hist.record(v);
+            cells.cycle_us.record(v);
         }
 
         let mut snap = Snapshot::new("worst-case", 4200);
-        snap.set("graph", Json::Str("catalog:1".into()))
-            .counter("search.trials", &trials)
-            .gauge("scrub.margin", &margin)
-            .float_gauge("mc.failure_fraction", &frac)
-            .histogram("scrub.cycle_us", &hist);
+        snap.set("graph", Json::Str("catalog:1".into())).record(&cells);
 
         let text = snap.to_pretty();
         let doc = parse(&text).expect("snapshot must parse");
@@ -255,17 +253,17 @@ mod tests {
         validate(&doc).expect("snapshot must validate");
 
         let counters = doc.get("counters").unwrap();
-        assert_eq!(
-            counters.get("search.trials").unwrap().as_u64(),
-            Some(3_469_496)
-        );
-        assert_eq!(
-            doc.get("gauges").unwrap().get("scrub.margin"),
-            Some(&Json::I64(-2))
-        );
+        assert_eq!(counters.get("search.trials").unwrap().as_u64(), Some(3_469_496));
+        assert_eq!(doc.get("gauges").unwrap().get("scrub.margin"), Some(&Json::I64(-2)));
         let h = doc.get("histograms").unwrap().get("scrub.cycle_us").unwrap();
         assert_eq!(h.get("count").unwrap().as_u64(), Some(3));
         assert_eq!(h.get("max").unwrap().as_u64(), Some(1000));
+        // A histogram with no sample is still a line: a count of 0, no
+        // extremes or percentiles to report, no buckets.
+        let idle = doc.get("histograms").unwrap().get("scrub.idle_us").unwrap();
+        assert_eq!(idle.get("count").unwrap().as_u64(), Some(0));
+        assert!(idle.get("min").is_none() && idle.get("p99").is_none());
+        assert_eq!(idle.get("buckets").unwrap().as_arr().map(<[Json]>::len), Some(0));
     }
 
     #[test]
@@ -278,18 +276,18 @@ mod tests {
 
     #[test]
     fn buckets_carry_explicit_log2_bounds() {
-        let hist = Histogram::new();
+        let cells = Cells::new();
         for v in [0u64, 1, 5, 5, 1_000] {
-            hist.record(v);
+            cells.cycle_us.record(v);
         }
         let mut snap = Snapshot::new("x", 1);
-        snap.histogram("lat_us", &hist);
+        snap.record(&cells);
         let doc = parse(&snap.to_pretty()).unwrap();
         validate(&doc).expect("new-format snapshot validates");
         let buckets = doc
             .get("histograms")
             .unwrap()
-            .get("lat_us")
+            .get("scrub.cycle_us")
             .unwrap()
             .get("buckets")
             .unwrap()

@@ -34,7 +34,7 @@ use tornado_analysis::health::{
     conditional_failure_probability, horizon_failure_probability, mttdl_hours, risk_margin,
     ConditionalConfig, HOURS_PER_YEAR,
 };
-use tornado_obs::{Counter, Histogram, Json, SloTracker};
+use tornado_obs::{Json, SloTracker};
 use tornado_store::ArchivalStore;
 
 /// Schema tag of the health document.
@@ -66,6 +66,19 @@ struct State {
     slo_corruption: SloTracker,
 }
 
+tornado_obs::metric_set! {
+    /// What the observatory counts about itself. Present only on a server
+    /// started with [`HealthConfig::enabled`].
+    pub struct HealthMetrics {
+        /// Reliability-model recomputations performed.
+        recomputes: Counter = "health.recomputes", "recomputes", sampled;
+        /// Burn-rate alert firings, both SLOs, fire edges only.
+        alerts: Counter = "health.alerts", "alerts", sampled;
+        /// Wall time per model recomputation.
+        recompute_us: Histogram = "health.recompute_us", "us";
+    }
+}
+
 /// The live durability model. One per server; shared via
 /// [`ServerObserver::health`](crate::obs::ServerObserver).
 pub struct HealthModel {
@@ -73,12 +86,8 @@ pub struct HealthModel {
     /// Healthy-fleet baseline P(loss): the graph never changes, so this
     /// is computed once and reused by every recompute.
     healthy_p_loss: OnceLock<f64>,
-    /// Model recomputations performed.
-    pub recomputes: Counter,
-    /// Wall-clock microseconds per recomputation.
-    pub recompute_us: Histogram,
-    /// Cumulative burn-rate alert firings (both SLOs, fire edges only).
-    pub alerts: Counter,
+    /// The observatory's own cells.
+    pub metrics: HealthMetrics,
     state: Mutex<State>,
 }
 
@@ -108,9 +117,7 @@ impl HealthModel {
         Self {
             config,
             healthy_p_loss: OnceLock::new(),
-            recomputes: Counter::new(),
-            recompute_us: Histogram::new(),
-            alerts: Counter::new(),
+            metrics: HealthMetrics::new(),
             state: Mutex::new(state),
         }
     }
@@ -151,7 +158,7 @@ impl HealthModel {
         transitions.extend(st.slo_corruption.evaluate(now_ms));
         for a in &transitions {
             if a.firing {
-                self.alerts.inc();
+                self.metrics.alerts.inc();
             }
             obs.events.emit(
                 "slo.burn_rate",
@@ -381,8 +388,8 @@ impl HealthModel {
             (
                 "recompute".into(),
                 Json::Obj(vec![
-                    ("count".into(), Json::U64(self.recomputes.get())),
-                    ("total_us".into(), Json::U64(self.recompute_us.sum())),
+                    ("count".into(), Json::U64(self.metrics.recomputes.get())),
+                    ("total_us".into(), Json::U64(self.metrics.recompute_us.sum())),
                 ]),
             ),
         ]);
@@ -392,8 +399,8 @@ impl HealthModel {
         st.last_pool_epoch = Some(store.pool_epoch());
         st.last_scrub_decoded = obs.store_obs.stripes_decoded.get();
         let us = t0.elapsed().as_micros() as u64;
-        self.recomputes.inc();
-        self.recompute_us.record(us);
+        self.metrics.recomputes.inc();
+        self.metrics.recompute_us.record(us);
         obs.events.emit(
             "health.recompute",
             &[
@@ -668,17 +675,17 @@ mod tests {
             ..test_config()
         });
         let _ = model.document(&store, &obs, 100);
-        assert_eq!(model.recomputes.get(), 1);
+        assert_eq!(model.metrics.recomputes.get(), 1);
         for t in 0..50 {
             let _ = model.document(&store, &obs, 200 + t);
             model.tick(&store, &obs, 200 + t);
         }
-        assert_eq!(model.recomputes.get(), 1, "clean fleet: cached document serves");
+        assert_eq!(model.metrics.recomputes.get(), 1, "clean fleet: cached document serves");
         store.fail_device(1).unwrap();
         let _ = model.document(&store, &obs, 300);
-        assert_eq!(model.recomputes.get(), 2, "pool-epoch transition recomputes once");
+        assert_eq!(model.metrics.recomputes.get(), 2, "pool-epoch transition recomputes once");
         let _ = model.document(&store, &obs, 301);
-        assert_eq!(model.recomputes.get(), 2);
+        assert_eq!(model.metrics.recomputes.get(), 2);
     }
 
     #[test]
@@ -692,7 +699,7 @@ mod tests {
             obs.degraded_reads.add(50);
             model.tick(&store, &obs, s * 250);
         }
-        assert!(model.alerts.get() >= 1, "sustained burn must fire");
+        assert!(model.metrics.alerts.get() >= 1, "sustained burn must fire");
         let doc = model.document(&store, &obs, 3_000);
         let slo = doc.get("slo").unwrap().get("degraded_reads").unwrap();
         assert!(slo.get("alerts_total").unwrap().as_u64().unwrap() >= 1);

@@ -50,6 +50,7 @@
 #[cfg(not(unix))]
 compile_error!("tornado-server serves connections through a unix readiness poller (epoll/poll)");
 
+pub mod catalogue;
 pub mod client;
 pub mod config;
 pub mod engine;
@@ -63,12 +64,13 @@ pub mod reactor;
 pub mod server;
 pub mod shard;
 
+pub use catalogue::catalogue;
 pub use client::{Client, PipelinedClient};
 pub use config::{HealthConfig, ServerConfig};
 pub use error::ClientError;
 pub use health::{validate_health, HealthModel, HEALTH_SCHEMA};
 pub use load::{run_load, LoadConfig, LoadReport, OpMix, TraceExemplar};
-pub use obs::ServerObserver;
+pub use obs::{LoopStats, ServerMetrics, ServerObserver};
 pub use protocol::{Op, Request, Response, StatMeta};
 pub use queue::BoundedQueue;
 pub use server::{serve, ServerHandle};

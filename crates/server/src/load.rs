@@ -36,6 +36,7 @@
 
 use crate::client::{Client, PipelinedClient};
 use crate::error::ClientError;
+use crate::obs::ServerMetrics;
 use crate::protocol::{Op, Response};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -171,6 +172,40 @@ fn note_exemplar(slowest: &mut Vec<TraceExemplar>, e: TraceExemplar) {
     }
 }
 
+tornado_obs::metric_set! {
+    /// The names a load run's own snapshot exports ([`LoadReport::snapshot`]).
+    pub struct LoadMetrics {
+        /// Operations completed (BUSY retries excluded).
+        ops: Counter = "load.ops", "ops";
+        /// PUTs completed.
+        puts: Counter = "load.put", "ops";
+        /// GETs completed, each verified byte-for-byte.
+        gets: Counter = "load.get", "ops";
+        /// DELETEs completed.
+        deletes: Counter = "load.delete", "ops";
+        /// BUSY rejections absorbed, each retried after backoff.
+        busy_retries: Counter = "load.busy_retries", "retries";
+        /// Operations that failed with a transport or server error.
+        errors: Counter = "load.errors", "ops";
+        /// GETs answered UNRECOVERABLE.
+        unrecoverable: Counter = "load.unrecoverable", "ops";
+        /// GETs whose payload did not match the expected bytes; must be 0.
+        payload_mismatches: Counter = "load.payload_mismatches", "ops";
+        /// Devices failed by the injector during the run.
+        devices_failed: Counter = "load.devices_failed", "devices";
+        /// The server's `server.get.degraded` when the run ended.
+        degraded_reads: Counter = "load.degraded_reads", "requests";
+        /// The server's `server.get.replans` when the run ended.
+        replans: Counter = "load.replans", "replans";
+        /// The server's `server.get.repair_bytes` when the run ended.
+        repair_bytes: Counter = "load.repair_bytes", "bytes";
+        /// Trace ids the server's deterministic sampler will have kept.
+        sampled_traces: Counter = "load.sampled_traces", "traces";
+        /// Client-observed operation latency.
+        latency_us: Histogram = "load.latency_us", "us";
+    }
+}
+
 /// Aggregated result of one load run.
 #[derive(Debug)]
 pub struct LoadReport {
@@ -231,23 +266,25 @@ impl LoadReport {
     /// Builds a client-side `tornado-metrics-v1` snapshot of this run,
     /// embedding the server's own final snapshot under `"server"`.
     pub fn snapshot(&self, seed: u64) -> Snapshot {
+        let m = LoadMetrics::new();
+        m.ops.add(self.ops);
+        m.puts.add(self.puts);
+        m.gets.add(self.gets);
+        m.deletes.add(self.deletes);
+        m.busy_retries.add(self.busy_retries);
+        m.errors.add(self.errors);
+        m.unrecoverable.add(self.unrecoverable);
+        m.payload_mismatches.add(self.payload_mismatches);
+        m.devices_failed.add(self.devices_failed.len() as u64);
+        m.degraded_reads.add(self.degraded_reads);
+        m.replans.add(self.replans);
+        m.repair_bytes.add(self.repair_bytes);
+        m.sampled_traces.add(self.sampled_trace_ids.len() as u64);
+        m.latency_us.merge(&self.latency_us);
         let mut snap = Snapshot::new("load", self.elapsed_ms);
         snap.set("seed", Json::U64(seed))
             .set("ops_per_sec", Json::F64(self.ops_per_sec))
-            .counter_value("load.ops", self.ops)
-            .counter_value("load.put", self.puts)
-            .counter_value("load.get", self.gets)
-            .counter_value("load.delete", self.deletes)
-            .counter_value("load.busy_retries", self.busy_retries)
-            .counter_value("load.errors", self.errors)
-            .counter_value("load.unrecoverable", self.unrecoverable)
-            .counter_value("load.payload_mismatches", self.payload_mismatches)
-            .counter_value("load.devices_failed", self.devices_failed.len() as u64)
-            .counter_value("load.degraded_reads", self.degraded_reads)
-            .counter_value("load.replans", self.replans)
-            .counter_value("load.repair_bytes", self.repair_bytes)
-            .counter_value("load.sampled_traces", self.sampled_trace_ids.len() as u64)
-            .histogram("load.latency_us", &self.latency_us);
+            .record(&m);
         if !self.slowest.is_empty() {
             let arr = self
                 .slowest
@@ -459,9 +496,9 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
         let counter = |key: &str| {
             doc.get("counters").and_then(|c| c.get(key)).and_then(Json::as_u64).unwrap_or(0)
         };
-        report.degraded_reads = counter("server.get.degraded");
-        report.replans = counter("server.get.replans");
-        report.repair_bytes = counter("server.get.repair_bytes");
+        report.degraded_reads = counter(ServerMetrics::degraded_reads);
+        report.replans = counter(ServerMetrics::replans);
+        report.repair_bytes = counter(ServerMetrics::get_repair_bytes);
     }
     Ok(report)
 }

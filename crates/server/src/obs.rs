@@ -1,137 +1,145 @@
 //! Observability for the serving layer.
 //!
-//! A [`ServerObserver`] is shared by the accept loop, every connection
-//! handler, and every engine worker. Counters and histograms are sharded
+//! A [`ServerObserver`] is shared by the accept loop, every shard, and
+//! every engine worker. Its cells are declared once, in [`ServerMetrics`]
+//! (request path) and [`LoopStats`] (one per event-loop shard), as sharded
 //! relaxed atomics (`tornado-obs`), so the hot request path pays a few
-//! nanoseconds per emit; the JSON-lines event sink is disabled unless the
-//! operator asks for it. The METRICS admin op and the `serve` command's
-//! `--metrics` flag both serialize through [`ServerObserver::snapshot`],
-//! which also refreshes the embedded [`StoreObserver`]'s device-health
-//! gauges (offline devices, writes rejected while offline).
+//! nanoseconds per emit; the JSON-lines event sink is off unless asked for.
+//! The METRICS admin op and the periodic time-series sampler go through one
+//! list of metric sets, which is also what [`crate::catalogue()`] documents.
 
 use crate::health::HealthModel;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
-use tornado_obs::{
-    Counter, EventSink, Gauge, Histogram, Json, SeriesPoint, Snapshot, TimeSeries, Tracer,
-};
+use tornado_obs::{metric_set, EventSink, Json, SeriesPoint, Snapshot, TimeSeries, Tracer};
 use tornado_store::{ArchivalStore, StoreObserver};
 
 /// How many periodic samples the server's time-series ring retains.
 /// At the default 500 ms interval this is one minute of history.
 pub const TIMESERIES_CAPACITY: usize = 120;
 
-/// Per-shard statistics for the event-loop serving path. One instance per
-/// shard, written only by that shard's thread (plus the engine workers'
-/// completion handoff), aggregated across shards at snapshot time.
-#[derive(Default)]
-pub struct LoopStats {
-    /// Readiness wakeups (returns from the poller's wait).
-    pub wakeups: Counter,
-    /// Readiness events delivered, summed over wakeups — events ÷ wakeups
-    /// is the loop's batching factor.
-    pub events: Counter,
-    /// Output flushes that coalesced two or more response frames into one
-    /// write syscall (the write-batching win).
-    pub batched_writes: Counter,
-    /// Output flush syscalls, total.
-    pub write_flushes: Counter,
-    /// Request frames reassembled and dispatched or answered.
-    pub frames_in: Counter,
-    /// Response frames queued for output.
-    pub responses_out: Counter,
-    /// Engine-queue rejections surfaced as BUSY without blocking the loop
-    /// (the event-loop backpressure signal).
-    pub queue_busy: Counter,
-    /// Connections currently owned by this shard.
-    pub connections: Gauge,
-    /// Frames dispatched to the engine and not yet answered, across this
-    /// shard's connections.
-    pub inflight: Gauge,
-}
-
-impl LoopStats {
-    /// Fresh, zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
+metric_set! {
+    /// One event-loop shard's statistics: written only by that shard's
+    /// thread, summed across shards at snapshot time.
+    pub struct LoopStats {
+        /// Readiness wakeups (returns from the poller's wait).
+        wakeups: Counter = "server.loop.wakeups", "wakeups";
+        /// Readiness events delivered; per wakeup, the loop's batching factor.
+        events: Counter = "server.loop.events", "events";
+        /// Output flushes that put two or more response frames in one write.
+        batched_writes: Counter = "server.loop.batched_writes", "writes";
+        /// Output flush syscalls.
+        write_flushes: Counter = "server.loop.write_flushes", "writes";
+        /// Request frames reassembled and dispatched or answered.
+        frames_in: Counter = "server.loop.frames_in", "frames";
+        /// Response frames queued for output.
+        responses_out: Counter = "server.loop.responses_out", "frames";
+        /// Connections open now.
+        connections: Gauge = "server.loop.connections", "connections", sampled;
+        /// Frames dispatched to the engine and not yet answered.
+        inflight: Gauge = "server.loop.inflight", "frames", sampled;
     }
 }
 
-/// Metrics and events for one server instance.
+metric_set! {
+    /// The request-path cells of one server.
+    pub struct ServerMetrics {
+        /// Connections accepted.
+        connections_opened: Counter = "server.connections_opened", "connections";
+        /// PUT requests admitted to the queue.
+        puts: Counter = "server.put", "requests", sampled;
+        /// GET requests admitted.
+        gets: Counter = "server.get", "requests", sampled;
+        /// DELETE requests admitted.
+        deletes: Counter = "server.delete", "requests";
+        /// STAT requests admitted.
+        stats_ops: Counter = "server.stat", "requests";
+        /// PING and admin requests admitted (fail, revive, metrics, health, …).
+        admin: Counter = "server.admin", "requests";
+        /// Requests answered BUSY, the engine queue being at depth: backpressure.
+        busy_rejected: Counter = "server.busy_rejected", "requests", sampled;
+        /// Requests whose deadline expired before a worker picked them up.
+        deadline_exceeded: Counter = "server.deadline_exceeded", "requests", sampled;
+        /// Requests answered NOT_FOUND.
+        not_found: Counter = "server.not_found", "requests";
+        /// GETs answered UNRECOVERABLE.
+        unrecoverable: Counter = "server.unrecoverable", "requests";
+        /// Malformed frames or requests.
+        bad_requests: Counter = "server.bad_requests", "requests";
+        /// Requests that failed with an internal error.
+        errors: Counter = "server.errors", "requests", sampled;
+        /// GETs served degraded: a block was rebuilt, or the plan recomputed.
+        degraded_reads: Counter = "server.get.degraded", "requests", sampled;
+        /// Blocks rebuilt by the decoder to serve GETs.
+        blocks_recovered: Counter = "server.get.blocks_recovered", "blocks";
+        /// Replans mid-GET: a planned block turned out corrupt or newly lost.
+        replans: Counter = "server.get.replans", "replans", sampled;
+        /// Check-block bytes read to serve degraded GETs: foreground repair
+        /// traffic (a scrub's is `repair.bytes_read`).
+        get_repair_bytes: Counter = "server.get.repair_bytes", "bytes", sampled;
+        /// Devices contacted by GETs, summed per request.
+        get_devices_contacted: Counter = "server.get.devices_contacted", "devices";
+        /// Object payload bytes received by PUTs.
+        bytes_in: Counter = "server.bytes_in", "bytes", sampled;
+        /// Object payload bytes served by GETs.
+        bytes_out: Counter = "server.bytes_out", "bytes", sampled;
+        /// Engine queue depth now.
+        queue_depth: Gauge = "server.queue_depth", "jobs";
+        /// Engine queue depth, high-water mark.
+        queue_depth_peak: Gauge = "server.queue_depth_peak", "jobs";
+        /// Time jobs spent queued before a worker picked them up.
+        queue_wait_us: Histogram = "server.queue_wait_us", "us";
+        /// PUT service time, excluding queue wait.
+        put_us: Histogram = "server.put_us", "us";
+        /// GET service time, excluding queue wait.
+        get_us: Histogram = "server.get_us", "us";
+        /// Service time of every other op, excluding queue wait.
+        other_us: Histogram = "server.other_us", "us";
+    }
+}
+
+metric_set! {
+    /// Values a server works out when a snapshot is taken.
+    pub(crate) struct Derived {
+        /// Requests admitted to the queue, all op classes.
+        requests: Counter = "server.requests", "requests", sampled;
+        /// Open connections on the fullest shard minus the emptiest: large for
+        /// long means round-robin accepting is fighting uneven lifetimes.
+        shard_imbalance: Gauge = "server.loop.shard_imbalance", "connections";
+        /// Trace spans recorded (`serve --trace-sample N`).
+        spans_recorded: Counter = "trace.spans_recorded", "spans";
+        /// Trace spans evicted from the bounded ring before export.
+        spans_dropped: Counter = "trace.spans_dropped", "spans";
+    }
+}
+
+/// Metrics and events for one server instance: derefs to its
+/// [`ServerMetrics`], so a cell is `obs.gets`.
 pub struct ServerObserver {
     /// Structured event sink (disabled by default).
     pub events: EventSink,
     /// Request-scoped span collector (disabled by default).
     pub tracer: Tracer,
-    /// Periodic counter samples for windowed rates.
+    /// Periodic samples of the metrics declared `sampled`.
     pub timeseries: TimeSeries,
-    /// Connections accepted, cumulative.
-    pub connections_opened: Counter,
-    /// Connections currently open.
-    pub connections_active: Gauge,
-    /// Requests admitted to the queue, by op class.
-    pub puts: Counter,
-    /// GET requests admitted.
-    pub gets: Counter,
-    /// DELETE requests admitted.
-    pub deletes: Counter,
-    /// STAT requests admitted.
-    pub stats_ops: Counter,
-    /// PING / admin requests admitted (fail, revive, metrics).
-    pub admin: Counter,
-    /// Requests rejected with BUSY (queue at depth — the backpressure
-    /// signal).
-    pub busy_rejected: Counter,
-    /// Requests whose deadline expired before a worker picked them up.
-    pub deadline_exceeded: Counter,
-    /// Requests answered NOT_FOUND.
-    pub not_found: Counter,
-    /// GETs answered UNRECOVERABLE.
-    pub unrecoverable: Counter,
-    /// Malformed frames / requests.
-    pub bad_requests: Counter,
-    /// Internal errors.
-    pub errors: Counter,
-    /// GETs that took the degraded path (decoder reconstructed at least
-    /// one block, or the plan was recomputed around corruption).
-    pub degraded_reads: Counter,
-    /// Blocks reconstructed by the decoder across all GETs.
-    pub blocks_recovered: Counter,
-    /// Retrieval replans across all GETs (a planned block turned out
-    /// corrupt or racily lost mid-fetch) — the satellite export of
-    /// `GetStats::replans`.
-    pub replans: Counter,
-    /// Repair-class bytes (check-block fetches) read to serve GETs.
-    pub get_repair_bytes: Counter,
-    /// Devices contacted by GETs, summed per request.
-    pub get_devices_contacted: Counter,
-    /// Object payload bytes received via PUT.
-    pub bytes_in: Counter,
-    /// Object payload bytes served via GET.
-    pub bytes_out: Counter,
-    /// Point-in-time queue depth (set as jobs are pushed and popped).
-    pub queue_depth: Gauge,
-    /// High-water queue depth.
-    pub queue_depth_peak: Gauge,
-    /// Microseconds jobs spent queued before a worker picked them up.
-    pub queue_wait_us: Histogram,
-    /// PUT service time, microseconds (excluding queue wait).
-    pub put_us: Histogram,
-    /// GET service time, microseconds (excluding queue wait).
-    pub get_us: Histogram,
-    /// Service time of everything else, microseconds.
-    pub other_us: Histogram,
-    /// Device-health gauges shared with the store layer. Behind an `Arc`
-    /// so the store itself can hold a clone and refresh the gauges on
-    /// fail/replace transitions (not only when a scrub or snapshot runs).
+    /// The request-path cells.
+    pub metrics: ServerMetrics,
+    /// The store layer's observer; `serve` attaches it to the store it serves.
     pub store_obs: Arc<StoreObserver>,
-    /// The durability observatory, installed by `serve` when
-    /// [`crate::config::HealthConfig::enabled`] is set. Engine workers
-    /// answer HEALTH from it; the sampler thread drives its SLO clock.
+    /// The durability observatory, set by `serve` when `HealthConfig::enabled`:
+    /// workers answer HEALTH from it, the sampler thread drives its SLO clock.
     pub health: OnceLock<Arc<HealthModel>>,
-    /// Per-shard event-loop statistics, installed by `serve`. An observer
-    /// no server has been started on still emits the `server.loop.*`
-    /// metrics, as zeros, so dashboards never miss the keys.
+    /// Per-shard event-loop statistics, set once by `serve`. An observer no
+    /// server was started on still exports `server.loop.*`, as zeros.
     pub loop_shards: OnceLock<Vec<Arc<LoopStats>>>,
+}
+
+impl Deref for ServerObserver {
+    type Target = ServerMetrics;
+
+    fn deref(&self) -> &ServerMetrics {
+        &self.metrics
+    }
 }
 
 impl ServerObserver {
@@ -141,72 +149,11 @@ impl ServerObserver {
             events: EventSink::disabled(),
             tracer: Tracer::disabled(),
             timeseries: TimeSeries::new(TIMESERIES_CAPACITY),
-            connections_opened: Counter::new(),
-            connections_active: Gauge::new(),
-            puts: Counter::new(),
-            gets: Counter::new(),
-            deletes: Counter::new(),
-            stats_ops: Counter::new(),
-            admin: Counter::new(),
-            busy_rejected: Counter::new(),
-            deadline_exceeded: Counter::new(),
-            not_found: Counter::new(),
-            unrecoverable: Counter::new(),
-            bad_requests: Counter::new(),
-            errors: Counter::new(),
-            degraded_reads: Counter::new(),
-            blocks_recovered: Counter::new(),
-            replans: Counter::new(),
-            get_repair_bytes: Counter::new(),
-            get_devices_contacted: Counter::new(),
-            bytes_in: Counter::new(),
-            bytes_out: Counter::new(),
-            queue_depth: Gauge::new(),
-            queue_depth_peak: Gauge::new(),
-            queue_wait_us: Histogram::new(),
-            put_us: Histogram::new(),
-            get_us: Histogram::new(),
-            other_us: Histogram::new(),
+            metrics: ServerMetrics::new(),
             store_obs: Arc::new(StoreObserver::disabled()),
             health: OnceLock::new(),
             loop_shards: OnceLock::new(),
         }
-    }
-
-    /// Installs the event-loop shards' statistics (at most once; `serve`
-    /// calls this before the shards start).
-    pub fn install_loop_shards(&self, shards: Vec<Arc<LoopStats>>) {
-        let _ = self.loop_shards.set(shards);
-    }
-
-    /// Sums a per-shard counter across installed shards (0 when the
-    /// event-loop path is not active).
-    fn loop_sum(&self, f: impl Fn(&LoopStats) -> u64) -> u64 {
-        self.loop_shards
-            .get()
-            .map_or(0, |shards| shards.iter().map(|s| f(s)).sum())
-    }
-
-    /// Sums a per-shard gauge across installed shards.
-    fn loop_gauge_sum(&self, f: impl Fn(&LoopStats) -> i64) -> i64 {
-        self.loop_shards
-            .get()
-            .map_or(0, |shards| shards.iter().map(|s| f(s)).sum())
-    }
-
-    /// Shard imbalance: max − min connection count across shards (0 when
-    /// fewer than two shards are installed). A persistently large value
-    /// means the round-robin acceptor is fighting uneven connection
-    /// lifetimes.
-    fn loop_shard_imbalance(&self) -> i64 {
-        let Some(shards) = self.loop_shards.get() else { return 0 };
-        if shards.len() < 2 {
-            return 0;
-        }
-        let counts: Vec<i64> = shards.iter().map(|s| s.connections.get()).collect();
-        let max = counts.iter().copied().max().unwrap_or(0);
-        let min = counts.iter().copied().min().unwrap_or(0);
-        max - min
     }
 
     /// Replaces the event sink.
@@ -237,171 +184,47 @@ impl ServerObserver {
         }
     }
 
-    /// Total requests admitted to the queue.
-    pub fn requests_total(&self) -> u64 {
-        self.puts.get()
-            + self.gets.get()
-            + self.deletes.get()
-            + self.stats_ops.get()
-            + self.admin.get()
-    }
-
     /// Records the queue depth after a push/pop.
     pub(crate) fn record_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as i64);
         self.queue_depth_peak.raise(depth as i64);
     }
 
-    /// Takes one time-series sample of the rate-relevant cumulative
-    /// counters (the periodic sampler thread and tests call this).
-    pub fn sample_timeseries(&self, t_ms: u64) {
-        self.timeseries.push(SeriesPoint {
-            t_ms,
-            values: vec![
-                ("server.requests".into(), self.requests_total()),
-                ("server.put".into(), self.puts.get()),
-                ("server.get".into(), self.gets.get()),
-                ("server.busy_rejected".into(), self.busy_rejected.get()),
-                ("server.deadline_exceeded".into(), self.deadline_exceeded.get()),
-                ("server.get.degraded".into(), self.degraded_reads.get()),
-                ("server.get.replans".into(), self.replans.get()),
-                ("server.bytes_in".into(), self.bytes_in.get()),
-                ("server.bytes_out".into(), self.bytes_out.get()),
-                ("server.errors".into(), self.errors.get()),
-                // Repair bandwidth: GET-side check-block fetches plus the
-                // scrub decode tier's stripe reads. `watch` derives its
-                // repair-MB/s column from this.
-                (
-                    "repair.bytes_read".into(),
-                    self.get_repair_bytes.get() + self.store_obs.repair_bytes_read.get(),
-                ),
-                // Scrub-tier activity: a background scrub loop shows up
-                // here as skipped/verified/decoded rates, so `watch` can
-                // tell a healthy skip-mostly cadence from one that is
-                // re-decoding the archive every pass.
-                ("scrub.skipped".into(), self.store_obs.stripes_skipped.get()),
-                ("scrub.verified".into(), self.store_obs.stripes_verified.get()),
-                ("scrub.decoded".into(), self.store_obs.stripes_decoded.get()),
-                // Observatory activity: alert firings and model recomputes
-                // (both zero when the observatory is disabled), so `watch`
-                // can show burn-rate trouble without a HEALTH round trip.
-                (
-                    "health.alerts".into(),
-                    self.health.get().map_or(0, |m| m.alerts.get()),
-                ),
-                (
-                    "health.recomputes".into(),
-                    self.health.get().map_or(0, |m| m.recomputes.get()),
-                ),
-                // Event-loop activity.
-                // connections/inflight are point-in-time gauges, not
-                // cumulative counters — `watch` shows them raw, not as
-                // rates.
-                (
-                    "server.loop.connections".into(),
-                    self.loop_gauge_sum(|s| s.connections.get()).max(0) as u64,
-                ),
-                (
-                    "server.loop.inflight".into(),
-                    self.loop_gauge_sum(|s| s.inflight.get()).max(0) as u64,
-                ),
-            ],
-        });
+    /// Takes one time-series sample: every metric declared `sampled`, at the
+    /// value a METRICS snapshot taken now would carry (the sampler thread's call).
+    pub fn sample_timeseries(&self, store: &ArchivalStore, t_ms: u64) {
+        let mut snap = Snapshot::default();
+        self.record_all(store, &mut snap);
+        self.timeseries.push(SeriesPoint { t_ms, values: snap.sampled() });
     }
 
-    /// Writes every server metric into `snap`.
-    pub fn fill_snapshot(&self, snap: &mut Snapshot) {
-        snap.counter("server.connections_opened", &self.connections_opened)
-            .counter_value("server.requests", self.requests_total())
-            .counter("server.put", &self.puts)
-            .counter("server.get", &self.gets)
-            .counter("server.delete", &self.deletes)
-            .counter("server.stat", &self.stats_ops)
-            .counter("server.admin", &self.admin)
-            .counter("server.busy_rejected", &self.busy_rejected)
-            .counter("server.deadline_exceeded", &self.deadline_exceeded)
-            .counter("server.not_found", &self.not_found)
-            .counter("server.unrecoverable", &self.unrecoverable)
-            .counter("server.bad_requests", &self.bad_requests)
-            .counter("server.errors", &self.errors)
-            .counter("server.get.degraded", &self.degraded_reads)
-            .counter("server.get.blocks_recovered", &self.blocks_recovered)
-            .counter("server.get.replans", &self.replans)
-            .counter("server.get.repair_bytes", &self.get_repair_bytes)
-            .counter("server.get.devices_contacted", &self.get_devices_contacted)
-            .counter("server.bytes_in", &self.bytes_in)
-            .counter("server.bytes_out", &self.bytes_out)
-            .counter_value("trace.spans_recorded", self.tracer.recorded())
-            .counter_value("trace.spans_dropped", self.tracer.dropped())
-            // Data-plane volume and scratch-arena effectiveness: process-
-            // wide (the server owns its process), so load snapshots show
-            // how many bytes moved through the kernels per request mix and
-            // whether block reuse is holding.
-            .counter_value(
-                "kernel.bytes_xored",
-                tornado_codec::kernels::metrics().bytes_xored.get(),
-            )
-            .counter_value(
-                "kernel.bytes_muled",
-                tornado_codec::kernels::metrics().bytes_muled.get(),
-            )
-            .counter_value(
-                "kernel.bytes_hashed",
-                tornado_codec::kernels::metrics().bytes_hashed.get(),
-            )
-            .counter_value("pool.hit", tornado_codec::pool::metrics().hits.get())
-            .counter_value("pool.miss", tornado_codec::pool::metrics().misses.get())
-            // Event-loop serving metrics: always present (zeros before
-            // `serve` installs the shards) so dashboards never miss keys.
-            .counter_value("server.loop.wakeups", self.loop_sum(|s| s.wakeups.get()))
-            .counter_value("server.loop.events", self.loop_sum(|s| s.events.get()))
-            .counter_value(
-                "server.loop.batched_writes",
-                self.loop_sum(|s| s.batched_writes.get()),
-            )
-            .counter_value(
-                "server.loop.write_flushes",
-                self.loop_sum(|s| s.write_flushes.get()),
-            )
-            .counter_value("server.loop.frames_in", self.loop_sum(|s| s.frames_in.get()))
-            .counter_value(
-                "server.loop.responses_out",
-                self.loop_sum(|s| s.responses_out.get()),
-            )
-            .counter_value("server.queue.busy", self.loop_sum(|s| s.queue_busy.get()))
-            .gauge_value(
-                "server.loop.connections",
-                self.loop_gauge_sum(|s| s.connections.get()),
-            )
-            .gauge_value("server.loop.inflight", self.loop_gauge_sum(|s| s.inflight.get()))
-            .gauge_value("server.loop.shard_imbalance", self.loop_shard_imbalance())
-            .gauge("server.connections_active", &self.connections_active)
-            .gauge("server.queue_depth", &self.queue_depth)
-            .gauge("server.queue_depth_peak", &self.queue_depth_peak);
-        for (name, h) in [
-            ("server.queue_wait_us", &self.queue_wait_us),
-            ("server.put_us", &self.put_us),
-            ("server.get_us", &self.get_us),
-            ("server.other_us", &self.other_us),
-        ] {
-            if h.count() > 0 {
-                snap.histogram(name, h);
-            }
+    /// Records every metric set a server exports: the one list behind
+    /// METRICS, the time series and (by the catalogue test) the catalogue.
+    /// Kernel, pool and backend counters are process-wide, as the server is.
+    fn record_all(&self, store: &ArchivalStore, snap: &mut Snapshot) {
+        let derived = Derived::new();
+        for class in [&self.puts, &self.gets, &self.deletes, &self.stats_ops, &self.admin] {
+            derived.requests.add(class.get());
+        }
+        derived.spans_recorded.add(self.tracer.recorded());
+        derived.spans_dropped.add(self.tracer.dropped());
+        let shards = self.loop_shards.get().map_or(&[][..], Vec::as_slice);
+        let open = || shards.iter().map(|s| s.connections.get());
+        derived.shard_imbalance.set(open().max().unwrap_or(0) - open().min().unwrap_or(0));
+        // A zero `LoopStats` first: the names are there before `serve` sets the shards.
+        snap.record(&self.metrics).record(&derived).record(&LoopStats::new());
+        for shard in shards {
+            snap.record(&**shard);
         }
         if let Some(model) = self.health.get() {
-            snap.counter("health.recomputes", &model.recomputes)
-                .counter("health.alerts", &model.alerts);
-            if model.recompute_us.count() > 0 {
-                snap.histogram("health.recompute_us", &model.recompute_us);
-            }
+            snap.record(&model.metrics);
         }
-        self.store_obs.fill_snapshot(snap);
+        self.store_obs.record_into(store, snap);
+        snap.record(tornado_codec::kernels::metrics()).record(tornado_codec::pool::metrics());
     }
 
-    /// Builds a complete `tornado-metrics-v1` snapshot for the METRICS
-    /// admin op, refreshing the device-health gauges from `store` first.
+    /// Builds a complete `tornado-metrics-v1` snapshot for the METRICS admin op.
     pub fn snapshot(&self, store: &ArchivalStore, elapsed_ms: u64) -> Snapshot {
-        self.store_obs.record_device_health(store);
         let mut snap = Snapshot::new("serve", elapsed_ms);
         snap.set("devices", Json::U64(store.num_devices() as u64));
         if !self.timeseries.is_empty() {
@@ -414,14 +237,8 @@ impl ServerObserver {
         if let Some(doc) = self.health.get().and_then(|m| m.cached()) {
             snap.set("health", doc);
         }
-        self.fill_snapshot(&mut snap);
+        self.record_all(store, &mut snap);
         snap
-    }
-}
-
-impl Default for ServerObserver {
-    fn default() -> Self {
-        Self::disabled()
     }
 }
 
@@ -429,54 +246,43 @@ impl Default for ServerObserver {
 mod tests {
     use super::*;
 
-    #[test]
-    fn timeseries_samples_carry_scrub_tier_counters() {
-        let obs = ServerObserver::disabled();
-        obs.store_obs.stripes_skipped.add(7);
-        obs.store_obs.stripes_verified.add(3);
-        obs.store_obs.stripes_decoded.add(1);
-        obs.sample_timeseries(100);
-        let json = obs.timeseries.to_json();
-        let points = tornado_obs::timeseries::points_from_json(&json).unwrap();
-        let p = &points[0];
-        let value = |k: &str| {
-            p.values
-                .iter()
-                .find(|(name, _)| name == k)
-                .map(|(_, v)| *v)
-        };
-        assert_eq!(value("scrub.skipped"), Some(7));
-        assert_eq!(value("scrub.verified"), Some(3));
-        assert_eq!(value("scrub.decoded"), Some(1));
+    fn small_store() -> ArchivalStore {
+        ArchivalStore::new(tornado_gen::mirror::generate_mirror(4).unwrap())
     }
 
     #[test]
-    fn timeseries_samples_carry_repair_and_replan_counters() {
-        let obs = ServerObserver::disabled();
+    fn every_sampled_name_is_a_catalogue_counter_carrying_the_counters_value() {
+        let (obs, store) = (ServerObserver::disabled(), small_store());
+        obs.count_op("get");
         obs.replans.add(2);
         obs.get_repair_bytes.add(4096);
         obs.store_obs.repair_bytes_read.add(1024);
-        obs.sample_timeseries(50);
-        let points =
-            tornado_obs::timeseries::points_from_json(&obs.timeseries.to_json()).unwrap();
-        let p = &points[0];
-        let value = |k: &str| {
-            p.values
-                .iter()
-                .find(|(name, _)| name == k)
-                .map(|(_, v)| *v)
-        };
-        assert_eq!(value("server.get.replans"), Some(2));
-        assert_eq!(
-            value("repair.bytes_read"),
-            Some(5120),
-            "GET-side and scrub-side repair bytes combine"
-        );
+        obs.store_obs.stripes_skipped.add(7);
+        obs.sample_timeseries(&store, 50);
+        let doc = obs.snapshot(&store, 50).to_json();
+        let point = obs.timeseries.points().pop().unwrap();
+        // The two occupancy gauges `watch` shows raw, never as rates.
+        let (raw_gauges, rows) = ([LoopStats::connections, LoopStats::inflight], crate::catalogue());
+        for (name, value) in &point.values {
+            let row = rows.iter().find(|d| d.name == name).expect(name);
+            assert!(row.sampled, "{name}");
+            let section = match row.kind {
+                "counter" => "counters",
+                _ if raw_gauges.contains(&row.name) => "gauges",
+                other => panic!("{name} is sampled as a rate but is a {other}"),
+            };
+            let in_document = doc.get(section).and_then(|s| s.get(name)).and_then(Json::as_u64);
+            assert_eq!(in_document, Some(*value), "{name}: one meaning per document");
+        }
+        // Repair traffic keeps its two sources apart, each under its own name.
+        assert_eq!(point.value(ServerMetrics::get_repair_bytes), Some(4096));
+        assert_eq!(point.value(tornado_store::StoreMetrics::repair_bytes_read), Some(1024));
+        assert_eq!(point.value(Derived::requests), Some(1));
     }
 
     #[test]
     fn snapshot_carries_request_counters_and_validates() {
-        let obs = ServerObserver::disabled();
+        let (obs, store) = (ServerObserver::disabled(), small_store());
         obs.count_op("put");
         obs.count_op("get");
         obs.count_op("get");
@@ -486,42 +292,15 @@ mod tests {
         obs.record_queue_depth(5);
         obs.record_queue_depth(2);
 
-        let mut snap = Snapshot::new("serve", 10);
-        obs.fill_snapshot(&mut snap);
-        let doc = tornado_obs::json::parse(&snap.to_pretty()).unwrap();
+        let doc = tornado_obs::json::parse(&obs.snapshot(&store, 10).to_pretty()).unwrap();
         tornado_obs::snapshot::validate(&doc).unwrap();
+        crate::catalogue::check_snapshot(&doc).unwrap();
         let counters = doc.get("counters").unwrap();
         assert_eq!(counters.get("server.requests").unwrap().as_u64(), Some(4));
         assert_eq!(counters.get("server.get").unwrap().as_u64(), Some(2));
         assert_eq!(counters.get("server.get.degraded").unwrap().as_u64(), Some(1));
-        // The repair-cost accounting layer's counters are always present
-        // (zero on an idle server), so dashboards never miss the key.
-        for name in [
-            "server.get.replans",
-            "server.get.repair_bytes",
-            "server.get.devices_contacted",
-            "repair.bytes_read",
-            "repair.blocks_fetched",
-            "repair.devices_contacted",
-            "federation.bytes_crossed",
-            "federation.blocks_crossed",
-        ] {
-            assert_eq!(counters.get(name).unwrap().as_u64(), Some(0), "{name}");
-        }
         let gauges = doc.get("gauges").unwrap();
         assert_eq!(gauges.get("server.queue_depth").unwrap().as_u64(), Some(2));
         assert_eq!(gauges.get("server.queue_depth_peak").unwrap().as_u64(), Some(5));
-        // The data-plane counters are process-wide and monotone; the
-        // snapshot must carry them even when this process has not yet
-        // encoded anything.
-        for name in [
-            "kernel.bytes_xored",
-            "kernel.bytes_muled",
-            "kernel.bytes_hashed",
-            "pool.hit",
-            "pool.miss",
-        ] {
-            assert!(counters.get(name).unwrap().as_u64().is_some(), "{name}");
-        }
     }
 }

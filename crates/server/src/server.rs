@@ -20,7 +20,7 @@ use crate::obs::{LoopStats, ServerObserver};
 use crate::reactor::{Interest, Poller};
 use crate::shard::{run_shard, ShardContext, ShardMailbox};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -96,8 +96,8 @@ pub fn serve(
     accept_poller.register(&listener, 0, Interest::READ)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
-    // The store notifies the observer's device-health gauges directly on
-    // fail/replace transitions, so dashboards never read a stale gauge.
+    // A scrubber run over the served store records into the server's
+    // scrub.* / repair.* cells, which the observatory's corruption SLO reads.
     store.set_observer(Arc::clone(&obs.store_obs));
     if config.health.enabled {
         // First server wins the slot if one observer is shared (unusual);
@@ -124,7 +124,6 @@ pub fn serve(
         ],
     );
 
-    let active = Arc::new(AtomicI64::new(0));
     let mut mailboxes = Vec::with_capacity(nshards);
     let mut all_stats = Vec::with_capacity(nshards);
     let mut shard_threads = Vec::with_capacity(nshards);
@@ -137,7 +136,6 @@ pub fn serve(
             stats: Arc::clone(&stats),
             mailbox: Arc::clone(&mailbox),
             shutdown: Arc::clone(&shutdown),
-            active: Arc::clone(&active),
             default_deadline_ms: config.default_deadline_ms,
             slow_request_us: config.slow_request_us,
             poll_interval_ms: config.poll_interval_ms,
@@ -151,7 +149,7 @@ pub fn serve(
         mailboxes.push(mailbox);
         all_stats.push(stats);
     }
-    obs.install_loop_shards(all_stats);
+    let _ = obs.loop_shards.set(all_stats);
 
     let accept_thread = {
         let shutdown = Arc::clone(&shutdown);
@@ -166,7 +164,6 @@ pub fn serve(
                 match listener.accept() {
                     Ok((stream, _peer)) => {
                         obs.connections_opened.inc();
-                        obs.connections_active.set(active.fetch_add(1, Ordering::SeqCst) + 1);
                         mailboxes[next].adopt(stream);
                         next = (next + 1) % mailboxes.len();
                     }
@@ -224,7 +221,7 @@ fn spawn_sampler(
             .spawn(move || {
                 while !shutdown.load(Ordering::SeqCst) {
                     let now_ms = started.elapsed().as_millis() as u64;
-                    obs.sample_timeseries(now_ms);
+                    obs.sample_timeseries(&store, now_ms);
                     // The sampler doubles as the observatory's clock: the
                     // same cadence feeds SLO burn windows and triggers
                     // (rate-limited) model recomputes on fleet changes.

@@ -28,7 +28,7 @@
 //!   completions for a reused slot are dropped by a per-slot generation
 //!   counter.
 //! * **Nonblocking backpressure.** A full engine queue answers BUSY
-//!   inline (`server.queue.busy`); the loop never blocks on dispatch, so
+//!   inline (`server.busy_rejected`); the loop never blocks on dispatch, so
 //!   a saturated queue cannot stall readiness processing.
 //! * **Level-triggered liveness.** When a completion frees pipeline
 //!   capacity, frame extraction re-runs immediately — buffered bytes are
@@ -52,7 +52,7 @@ use crate::reactor::{Interest, Poller, Waker};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tornado_obs::trace::SpanRecord;
@@ -165,9 +165,6 @@ pub(crate) struct ShardContext<D: Dispatcher> {
     pub stats: Arc<LoopStats>,
     pub mailbox: Arc<ShardMailbox>,
     pub shutdown: Arc<AtomicBool>,
-    /// Server-wide open-connection count (shared with the acceptor, which
-    /// increments it; shards decrement on teardown).
-    pub active: Arc<AtomicI64>,
     pub default_deadline_ms: u32,
     pub slow_request_us: u64,
     pub poll_interval_ms: u64,
@@ -365,13 +362,9 @@ impl<D: Dispatcher> ShardState<D> {
                 // Acceptor race during drain: the peer has sent nothing
                 // yet, so closing is indistinguishable from never having
                 // been accepted.
-                self.ctx.active.fetch_sub(1, Ordering::SeqCst);
-                self.sync_active_gauge();
                 continue;
             }
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                self.ctx.active.fetch_sub(1, Ordering::SeqCst);
-                self.sync_active_gauge();
                 continue;
             }
             self.gen_counter += 1;
@@ -385,20 +378,11 @@ impl<D: Dispatcher> ShardState<D> {
             };
             if self.poller.register(&stream, slot as u64, Interest::READ).is_err() {
                 self.free.push(slot);
-                self.ctx.active.fetch_sub(1, Ordering::SeqCst);
-                self.sync_active_gauge();
                 continue;
             }
             self.conns[slot] = Some(Conn::new(stream, gen));
             self.ctx.stats.connections.add(1);
         }
-    }
-
-    fn sync_active_gauge(&self) {
-        self.ctx
-            .obs
-            .connections_active
-            .set(self.ctx.active.load(Ordering::SeqCst));
     }
 
     /// Reads until `WouldBlock` (level-triggered: drain the socket fully),
@@ -566,9 +550,6 @@ impl<D: Dispatcher> ShardState<D> {
                     // Nonblocking backpressure: the rejection (BUSY /
                     // SHUTTING_DOWN) is queued inline and the loop moves
                     // on — a full engine queue never stalls readiness.
-                    if matches!(rejection, Response::Busy) {
-                        self.ctx.stats.queue_busy.inc();
-                    }
                     let meta = PendingMeta { corr, op_kind, req_start, trace_id, trace };
                     self.finish_request(slot, &meta, Frame::encode(&rejection, corr), dirty);
                 }
@@ -773,8 +754,6 @@ impl<D: Dispatcher> ShardState<D> {
         drop(conn);
         self.free.push(slot);
         self.ctx.stats.connections.add(-1);
-        self.ctx.active.fetch_sub(1, Ordering::SeqCst);
-        self.sync_active_gauge();
     }
 }
 
@@ -937,14 +916,12 @@ mod tests {
             let shutdown = Arc::new(AtomicBool::new(false));
             let mailbox = ShardMailbox::new();
             let stats = Arc::new(LoopStats::new());
-            let active = Arc::new(AtomicI64::new(0));
             let ctx = ShardContext {
                 dispatcher: Arc::new(dispatcher),
                 obs: ServerObserver::shared(),
                 stats: Arc::clone(&stats),
                 mailbox: Arc::clone(&mailbox),
                 shutdown: Arc::clone(&shutdown),
-                active: Arc::clone(&active),
                 default_deadline_ms: 0,
                 slow_request_us: 0,
                 poll_interval_ms: 5,
@@ -959,7 +936,6 @@ mod tests {
                         match listener.accept() {
                             Ok((stream, _)) => {
                                 on_accept(&stream);
-                                active.fetch_add(1, Ordering::SeqCst);
                                 mailbox.adopt(stream);
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1110,6 +1086,7 @@ mod tests {
             write_frame(&mut a, &req(Some(i), Op::Ping)).unwrap();
         }
         write_frame(&mut b, &req(None, Op::Ping)).unwrap();
+        // All 21 frames come back, each one BUSY.
         for _ in 0..20 {
             let (corr, resp) = read_response(&mut a);
             assert!(corr.is_some());
@@ -1118,7 +1095,7 @@ mod tests {
         let (corr, resp) = read_response(&mut b);
         assert_eq!(corr, None);
         assert_eq!(resp, Response::Busy);
-        assert_eq!(h.stats.queue_busy.get(), 21);
+        assert_eq!(h.stats.responses_out.get(), 21);
         assert_eq!(
             h.stats.inflight.get(),
             0,
@@ -1269,7 +1246,6 @@ mod tests {
                 stats: Arc::new(LoopStats::new()),
                 mailbox,
                 shutdown: Arc::new(AtomicBool::new(false)),
-                active: Arc::new(AtomicI64::new(1)),
                 default_deadline_ms: 0,
                 slow_request_us: 0,
                 poll_interval_ms: 5,

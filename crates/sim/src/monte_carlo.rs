@@ -75,7 +75,6 @@ pub fn monte_carlo_profile_observed(
         } else {
             0.0
         };
-        obs.failure_fraction.set(fraction);
         obs.events.emit(
             "monte_carlo_level",
             &[
@@ -110,7 +109,6 @@ pub fn sample_level_observed(
     if k == 0 {
         return 0;
     }
-    obs.current_k.set(k as i64);
     let progress = obs.progress.start(format!("monte-carlo k={k}"), trials);
     let record = obs.metrics.is_some();
     let failures = (0..trials.div_ceil(BATCH))

@@ -2,10 +2,9 @@
 //!
 //! A [`SimObserver`] bundles everything a long sweep can report through:
 //! a progress-reporter factory (per-`k` progress with rate and ETA), a
-//! structured event sink (one event per completed level), a shared
+//! structured event sink (one event per completed level) and a shared
 //! [`DecodeMetrics`] aggregate that turns kernel recording on in every
-//! worker decoder, and a pair of gauges exposing the current level and its
-//! failure fraction. The default observer is fully disabled and the
+//! worker decoder. The default observer is fully disabled and the
 //! observed entry points with a disabled observer behave exactly like the
 //! plain ones — same counts, same collected sets, same determinism across
 //! thread counts — because workers drain their recorder cells at range or
@@ -13,7 +12,7 @@
 
 use std::sync::Arc;
 use tornado_codec::DecodeMetrics;
-use tornado_obs::{EventSink, FloatGauge, Gauge, ProgressConfig};
+use tornado_obs::{EventSink, ProgressConfig};
 
 /// Observability bundle threaded through the simulator's observed entry
 /// points ([`crate::worst_case::search_level_observed`],
@@ -27,10 +26,6 @@ pub struct SimObserver {
     /// in every worker decoder; cells are drained into it at range/batch
     /// boundaries.
     pub metrics: Option<Arc<DecodeMetrics>>,
-    /// The `k` level currently being processed.
-    pub current_k: Gauge,
-    /// Failure fraction of the most recently completed level.
-    pub failure_fraction: FloatGauge,
 }
 
 impl SimObserver {
@@ -40,8 +35,6 @@ impl SimObserver {
             progress: ProgressConfig::silent(),
             events: EventSink::disabled(),
             metrics: None,
-            current_k: Gauge::new(),
-            failure_fraction: FloatGauge::new(),
         }
     }
 
@@ -61,11 +54,5 @@ impl SimObserver {
     pub fn with_metrics(mut self, metrics: Arc<DecodeMetrics>) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-}
-
-impl Default for SimObserver {
-    fn default() -> Self {
-        Self::disabled()
     }
 }

@@ -160,7 +160,6 @@ pub fn search_level_observed(
 ) -> KLevelResult {
     let n = graph.num_nodes();
     let total = binomial(n as u64, k as u64);
-    obs.current_k.set(k as i64);
     let progress = obs
         .progress
         .start(format!("worst-case k={k}"), u64::try_from(total).unwrap_or(u64::MAX));

@@ -136,11 +136,6 @@ fn observed_monte_carlo_is_identical_and_counts_trials() {
         doc.get("failures").unwrap().as_u64(),
         Some(observed.entry(2).failures)
     );
-
-    // The failure-fraction gauge holds the last completed level's fraction.
-    let expected = observed.entry(4).failures as f64 / 5000.0;
-    assert_eq!(obs.failure_fraction.get(), expected);
-    assert_eq!(obs.current_k.get(), 4);
 }
 
 #[test]

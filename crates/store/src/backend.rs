@@ -37,7 +37,6 @@ use std::collections::HashMap;
 use std::io;
 use tornado_codec::kernels;
 use tornado_codec::BlockPool;
-use tornado_obs::Counter;
 
 /// Identifies a block on a device: `(object id, graph node index)`.
 pub type BlockKey = (u64, u32);
@@ -201,36 +200,30 @@ impl BlockBackend for MemoryBackend {
     }
 }
 
-/// Process-wide persistence counters, surfaced as `backend.*` in METRICS
-/// snapshots (see `StoreObserver::fill_snapshot`).
-#[derive(Debug)]
-pub struct BackendMetrics {
-    /// Intent-journal records appended (intents + commits + deletes).
-    pub journal_appends: Counter,
-    /// Journal records replayed during recovery-on-open.
-    pub journal_replays: Counter,
-    /// Torn (intent-without-commit) puts rolled back during recovery.
-    pub journal_rollbacks: Counter,
-    /// fsync / fdatasync calls issued by journals, sidecars, and
-    /// durable backends, cumulative.
-    pub fsyncs: Counter,
-    /// Recovery-on-open passes completed.
-    pub recoveries: Counter,
-    /// Cumulative wall time spent in recovery-on-open, microseconds.
-    pub recovery_us: Counter,
-    /// Bytes scanned rebuilding segment indexes and replaying journals.
-    pub scan_bytes: Counter,
+tornado_obs::metric_set! {
+    /// Process-wide persistence counters: moved by durable stores only
+    /// (`ArchivalStore::open`), by PUT/DELETE and by recovery-on-open.
+    #[derive(Debug)]
+    pub struct BackendMetrics {
+        /// Intent-journal records appended (intents, commits, deletes).
+        journal_appends: Counter = "backend.journal_appends", "records";
+        /// Journal records replayed during recovery-on-open.
+        journal_replays: Counter = "backend.journal_replays", "records";
+        /// Torn (intent-without-commit) PUTs rolled back during recovery.
+        journal_rollbacks: Counter = "backend.journal_rollbacks", "puts";
+        /// fsync / fdatasync calls issued by journals, sidecars and durable
+        /// backends.
+        fsyncs: Counter = "backend.fsyncs", "calls";
+        /// Recovery-on-open passes completed.
+        recoveries: Counter = "backend.recoveries", "passes";
+        /// Wall time spent in recovery-on-open.
+        recovery_us: Counter = "backend.recovery_us", "us";
+        /// Bytes scanned rebuilding segment indexes and replaying journals.
+        scan_bytes: Counter = "backend.scan_bytes", "bytes";
+    }
 }
 
-static METRICS: BackendMetrics = BackendMetrics {
-    journal_appends: Counter::new(),
-    journal_replays: Counter::new(),
-    journal_rollbacks: Counter::new(),
-    fsyncs: Counter::new(),
-    recoveries: Counter::new(),
-    recovery_us: Counter::new(),
-    scan_bytes: Counter::new(),
-};
+static METRICS: BackendMetrics = BackendMetrics::new();
 
 /// The process-wide persistence counters.
 pub fn metrics() -> &'static BackendMetrics {

@@ -16,11 +16,9 @@
 
 use crate::device::BlockProbe;
 use crate::error::StoreError;
-use crate::obs::StoreObserver;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
 use tornado_codec::Codec;
 use tornado_graph::{Graph, NodeId};
-use tornado_obs::Json;
 use tornado_sim::multi::FederatedSystem;
 
 /// How a federated `get` was satisfied.
@@ -202,31 +200,6 @@ impl FederatedStore {
                 + pushed as u64 * pushed_len as u64,
         })
     }
-
-    /// [`FederatedStore::exchange_repair`] with the crossed traffic and
-    /// restored blocks recorded into `obs`'s federation counters and one
-    /// `exchange_repair` event emitted. The report is identical.
-    pub fn exchange_repair_observed(
-        &self,
-        id: ObjectId,
-        obs: &StoreObserver,
-    ) -> Result<ExchangeReport, StoreError> {
-        let report = self.exchange_repair(id)?;
-        obs.federation_exchanges.inc();
-        obs.federation_blocks_restored.add(report.blocks_restored as u64);
-        obs.federation_blocks_crossed.add(report.blocks_crossed as u64);
-        obs.federation_bytes_crossed.add(report.bytes_crossed);
-        obs.events.emit(
-            "exchange_repair",
-            &[
-                ("id", Json::U64(id)),
-                ("restored", Json::U64(report.blocks_restored as u64)),
-                ("blocks_crossed", Json::U64(report.blocks_crossed as u64)),
-                ("bytes_crossed", Json::U64(report.bytes_crossed)),
-            ],
-        );
-        Ok(report)
-    }
 }
 
 /// Re-encodes `payload` under `site`'s graph and writes any blocks that are
@@ -371,30 +344,5 @@ mod tests {
         assert_eq!(report.blocks_restored, 2);
         assert_eq!(report.blocks_crossed, 2);
         assert_eq!(report.bytes_crossed, 2 * block_len as u64);
-    }
-
-    #[test]
-    fn observed_exchange_agrees_with_the_counter() {
-        // The satellite invariant: the counter is fed from the report, so
-        // the two views of "bytes crossed" can never drift.
-        let fed = two_mirror_sites();
-        let id = fed.put("x", b"ledger must balance").unwrap();
-        fed.site_b().fail_device(2).unwrap();
-        fed.site_b().replace_device(2).unwrap();
-        fed.site_a().fail_device(3).unwrap();
-        fed.site_a().replace_device(3).unwrap();
-        let obs = StoreObserver::disabled();
-        let first = fed.exchange_repair_observed(id, &obs).unwrap();
-        assert!(first.blocks_restored >= 2);
-        assert_eq!(obs.federation_bytes_crossed.get(), first.bytes_crossed);
-        assert_eq!(obs.federation_blocks_crossed.get(), first.blocks_crossed as u64);
-        // A second (clean) exchange adds nothing: counters accumulate.
-        let second = fed.exchange_repair_observed(id, &obs).unwrap();
-        assert_eq!(second, ExchangeReport::default());
-        assert_eq!(obs.federation_exchanges.get(), 2);
-        assert_eq!(
-            obs.federation_bytes_crossed.get(),
-            first.bytes_crossed + second.bytes_crossed
-        );
     }
 }

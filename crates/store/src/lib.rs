@@ -54,10 +54,8 @@ pub use durable::{BackendKind, DurableConfig, RecoveryReport};
 pub use journal::{CrashInjector, IntentJournal, JournalRecord};
 pub use error::StoreError;
 pub use federation::{ExchangeReport, FederatedStore, FetchPath};
-pub use obs::StoreObserver;
-pub use retrieval::{
-    plan_repair, plan_retrieval, plan_retrieval_observed, RepairCost, RetrievalPlan,
-};
+pub use obs::{DeviceTotals, StoreMetrics, StoreObserver};
+pub use retrieval::{plan_repair, plan_retrieval, RepairCost, RetrievalPlan};
 pub use scrubber::{ScrubAction, ScrubMode, ScrubOutcome, Scrubber, StripeHealth};
 pub use store::{ArchivalStore, GetStats, ObjectId, ObjectMeta};
 pub use workload::{

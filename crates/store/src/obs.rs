@@ -1,163 +1,122 @@
 //! Observability hooks for the archival store.
 //!
-//! A [`StoreObserver`] collects what operators of the simulated archive
-//! care about between scrub passes: how long a cycle took, how many
-//! stripes are degraded or urgent right now (gauges — point-in-time, not
-//! cumulative), how many blocks repair has rewritten (counter —
-//! cumulative), and how much the guided retrieval planner is saving over a
-//! naive fetch-everything reader. The disabled observer costs one branch
-//! per emit and a handful of relaxed stores per scrub.
+//! A [`StoreObserver`] is attached to a store
+//! ([`ArchivalStore::set_observer`]) and collects what operators of the
+//! archive care about between scrub passes: how long a cycle took, how
+//! many stripes are degraded or urgent right now, how many blocks repair
+//! has rewritten and what it read to do so. Every cell is declared once, in
+//! [`StoreMetrics`]; [`DeviceTotals`] are the pool-wide device sums, read
+//! off the devices themselves when a snapshot is taken.
 
+use std::ops::Deref;
 use tornado_codec::DecodeMetrics;
-use tornado_obs::{Counter, EventSink, Gauge, Histogram, Json, Snapshot, SpanTimer};
+use tornado_obs::{metric_set, EventSink, Json, Snapshot};
 
 use crate::scrubber::ScrubOutcome;
 use crate::store::ArchivalStore;
 
-/// Observability bundle for [`crate::scrubber::scrub_observed`] and
-/// [`crate::retrieval::plan_retrieval_observed`].
+metric_set! {
+    /// What a [`Scrubber`](crate::Scrubber) counts, run over a store with an
+    /// observer attached.
+    pub struct StoreMetrics {
+        /// Scrub cycle wall time.
+        scrub_cycle_us: Histogram = "scrub.cycle_us", "us";
+        /// Scrub cycles completed.
+        scrub_cycles: Counter = "scrub.cycles", "cycles";
+        /// Stripes with a block missing or corrupt, as of the latest scrub.
+        degraded: Gauge = "scrub.degraded_stripes", "stripes";
+        /// Stripes within one loss of the first-failure level, as of the latest scrub.
+        urgent: Gauge = "scrub.urgent_stripes", "stripes";
+        /// Blocks rebuilt and written home by repair.
+        blocks_repaired: Counter = "scrub.blocks_repaired", "blocks";
+        /// Stripes the incremental tier skipped untouched.
+        stripes_skipped: Counter = "scrub.skipped", "stripes", sampled;
+        /// Stripes checksum-verified and found intact.
+        stripes_verified: Counter = "scrub.verified", "stripes", sampled;
+        /// Stripes with damage, whose repair was planned and replayed.
+        stripes_decoded: Counter = "scrub.decoded", "stripes", sampled;
+        /// Bytes scrub repairs read off devices to rebuild lost blocks:
+        /// background repair traffic (a degraded GET's is `server.get.repair_bytes`).
+        repair_bytes_read: Counter = "repair.bytes_read", "bytes", sampled;
+        /// Blocks those repair reads fetched.
+        repair_blocks_fetched: Counter = "repair.blocks_fetched", "blocks";
+        /// Devices contacted by scrub repairs, summed per repaired stripe.
+        repair_devices_contacted: Counter = "repair.devices_contacted", "devices";
+        /// Recovery-schedule depth per repaired stripe.
+        repair_depth: Histogram = "repair.depth", "steps";
+    }
+}
+
+metric_set! {
+    /// Pool-wide device figures: [`DeviceStats`](crate::DeviceStats) summed
+    /// over every device when a snapshot is taken ([`DeviceTotals::of`]),
+    /// so a scrape never reads a stale fleet.
+    pub struct DeviceTotals {
+        /// Devices offline now.
+        offline: Gauge = "device.offline", "devices";
+        /// Writes rejected because the device was offline.
+        failed_writes: Counter = "device.failed_writes", "writes";
+        /// Backend I/O failures on online devices: media trouble, not rejections.
+        io_errors: Counter = "device.io_errors", "errors";
+        /// Bytes read from devices, any class.
+        bytes_read: Counter = "device.bytes_read", "bytes";
+        /// Repair-class bytes read: check blocks for degraded GETs, scrub cones.
+        bytes_repair_read: Counter = "device.bytes_repair_read", "bytes";
+    }
+}
+
+impl DeviceTotals {
+    /// The totals of `store`'s device pool as of now.
+    pub fn of(store: &ArchivalStore) -> Self {
+        let totals = Self::new();
+        totals.offline.set(store.offline_devices().len() as i64);
+        for d in (0..store.num_devices()).filter_map(|d| store.device(d).ok()) {
+            let s = d.stats();
+            totals.failed_writes.add(s.failed_writes);
+            totals.io_errors.add(s.io_errors);
+            totals.bytes_read.add(s.bytes_read);
+            totals.bytes_repair_read.add(s.bytes_repair_read);
+        }
+        totals
+    }
+}
+
+/// Observability bundle for one store: derefs to its [`StoreMetrics`], so
+/// a cell is `obs.scrub_cycles`.
 pub struct StoreObserver {
     /// Structured event sink (disabled by default).
     pub events: EventSink,
-    /// Scrub cycle wall time, microseconds.
-    pub scrub_cycle_us: Histogram,
-    /// Scrub passes completed.
-    pub scrub_cycles: Counter,
-    /// Degraded stripes seen by the most recent scrub.
-    pub degraded: Gauge,
-    /// Urgent stripes (margin ≤ 1) seen by the most recent scrub.
-    pub urgent: Gauge,
-    /// Blocks rewritten by repair, cumulative.
-    pub blocks_repaired: Counter,
-    /// Stripes the incremental skip tier never touched, cumulative.
-    pub stripes_skipped: Counter,
-    /// Stripes fully checksum-verified (and intact), cumulative.
-    pub stripes_verified: Counter,
-    /// Stripes that needed the full read + decode tier, cumulative.
-    pub stripes_decoded: Counter,
-    /// Retrieval plans computed successfully.
-    pub retrieval_plans: Counter,
-    /// Retrieval requests that were unplannable (data unrecoverable).
-    pub retrieval_unplannable: Counter,
-    /// Blocks the guided plans would fetch, cumulative.
-    pub retrieval_blocks_fetched: Counter,
-    /// Retrieval planning wall time, microseconds.
-    pub plan_us: Histogram,
-    /// Devices currently offline (point-in-time).
-    pub devices_offline: Gauge,
-    /// Writes rejected by offline devices across the pool (point-in-time
-    /// sum of [`crate::device::DeviceStats::failed_writes`]).
-    pub device_failed_writes: Gauge,
-    /// Backend I/O failures across the pool (point-in-time sum of
-    /// [`crate::device::DeviceStats::io_errors`]) — media trouble, as
-    /// opposed to offline rejections.
-    pub device_io_errors: Gauge,
-    /// Bytes read to feed recoveries (scrub decode-tier stripe reads),
-    /// cumulative — the repair-bandwidth headline number.
-    pub repair_bytes_read: Counter,
-    /// Blocks those repair reads fetched, cumulative.
-    pub repair_blocks_fetched: Counter,
-    /// Devices contacted by recoveries, summed per recovery (a device
-    /// serving two recoveries counts twice), cumulative.
-    pub repair_devices_contacted: Counter,
-    /// Recovery-schedule depth per decoded recovery (log2 histogram).
-    pub repair_depth: Histogram,
-    /// Bytes read from devices across the pool, any class (point-in-time
-    /// sum of [`crate::device::DeviceStats::bytes_read`]).
-    pub device_bytes_read: Gauge,
-    /// Repair-class bytes read across the pool (point-in-time sum of
-    /// [`crate::device::DeviceStats::bytes_repair_read`]).
-    pub device_bytes_repair_read: Gauge,
-    /// Federation exchange-repair invocations.
-    pub federation_exchanges: Counter,
-    /// Blocks restored by federation exchanges, cumulative.
-    pub federation_blocks_restored: Counter,
-    /// Blocks moved between sites, cumulative — fed from
-    /// [`crate::federation::ExchangeReport::blocks_crossed`], so counter
-    /// and return value always agree.
-    pub federation_blocks_crossed: Counter,
-    /// Bytes moved between sites, cumulative.
-    pub federation_bytes_crossed: Counter,
-    /// Peeling-kernel counters drained from observed scrub decodes. Each
-    /// scrub worker records into its own decoder and drains here at stripe
+    /// The scrub and repair cells.
+    pub metrics: StoreMetrics,
+    /// Peeling-kernel counters drained from scrub decodes. Each scrub
+    /// worker records into its own decoder and drains here at stripe
     /// boundaries; summation commutes, so the totals are independent of
     /// which worker scrubbed which stripe.
     pub decode: DecodeMetrics,
 }
 
+impl Deref for StoreObserver {
+    type Target = StoreMetrics;
+
+    fn deref(&self) -> &StoreMetrics {
+        &self.metrics
+    }
+}
+
 impl StoreObserver {
-    /// An observer with no event output (metrics still accumulate, at
-    /// negligible cost).
+    /// An observer with no event output (metrics still accumulate).
     pub fn disabled() -> Self {
         Self {
             events: EventSink::disabled(),
-            scrub_cycle_us: Histogram::new(),
-            scrub_cycles: Counter::new(),
-            degraded: Gauge::new(),
-            urgent: Gauge::new(),
-            blocks_repaired: Counter::new(),
-            stripes_skipped: Counter::new(),
-            stripes_verified: Counter::new(),
-            stripes_decoded: Counter::new(),
-            retrieval_plans: Counter::new(),
-            retrieval_unplannable: Counter::new(),
-            retrieval_blocks_fetched: Counter::new(),
-            plan_us: Histogram::new(),
-            devices_offline: Gauge::new(),
-            device_failed_writes: Gauge::new(),
-            device_io_errors: Gauge::new(),
-            repair_bytes_read: Counter::new(),
-            repair_blocks_fetched: Counter::new(),
-            repair_devices_contacted: Counter::new(),
-            repair_depth: Histogram::new(),
-            device_bytes_read: Gauge::new(),
-            device_bytes_repair_read: Gauge::new(),
-            federation_exchanges: Counter::new(),
-            federation_blocks_restored: Counter::new(),
-            federation_blocks_crossed: Counter::new(),
-            federation_bytes_crossed: Counter::new(),
+            metrics: StoreMetrics::new(),
             decode: DecodeMetrics::new(),
         }
-    }
-
-    /// Records one recovery's cost into the repair counters and depth
-    /// histogram. Zero costs (nothing was read) are not recorded — a
-    /// skipped or in-place-verified stripe is not a recovery.
-    pub fn record_repair_cost(&self, cost: &crate::retrieval::RepairCost) {
-        if cost.is_zero() {
-            return;
-        }
-        self.repair_bytes_read.add(cost.bytes_read);
-        self.repair_blocks_fetched.add(cost.blocks_fetched);
-        self.repair_devices_contacted.add(cost.devices_contacted);
-        self.repair_depth.record(cost.recovery_depth);
-    }
-
-    /// Refreshes the device-pool gauges from the store: offline device
-    /// count and the pool-wide total of writes rejected while offline.
-    pub fn record_device_health(&self, store: &ArchivalStore) {
-        self.devices_offline.set(store.offline_devices().len() as i64);
-        let mut failed_writes = 0u64;
-        let mut bytes_read = 0u64;
-        let mut bytes_repair = 0u64;
-        let mut io_errors = 0u64;
-        for d in (0..store.num_devices()).filter_map(|d| store.device(d).ok()) {
-            let s = d.stats();
-            failed_writes += s.failed_writes;
-            bytes_read += s.bytes_read;
-            bytes_repair += s.bytes_repair_read;
-            io_errors += s.io_errors;
-        }
-        self.device_failed_writes.set(failed_writes as i64);
-        self.device_bytes_read.set(bytes_read as i64);
-        self.device_bytes_repair_read.set(bytes_repair as i64);
-        self.device_io_errors.set(io_errors as i64);
     }
 
     /// Records a completed recovery-on-open: emits a `recovery` event
     /// with the full [`crate::RecoveryReport`]. The `backend.*` counters the
     /// recovery bumped are process-wide and flow into every snapshot via
-    /// [`StoreObserver::fill_snapshot`].
+    /// [`StoreObserver::record_into`].
     pub fn record_recovery(&self, report: &crate::durable::RecoveryReport) {
         self.events.emit(
             "recovery",
@@ -180,9 +139,10 @@ impl StoreObserver {
         self
     }
 
-    /// Records one completed scrub pass: cycle span, health gauges, repair
+    /// Records one completed scrub pass: cycle time, health gauges, repair
     /// counters, and a `scrub_cycle` event.
     pub(crate) fn record_scrub(&self, outcome: &ScrubOutcome, elapsed_us: u64, repair: bool) {
+        self.scrub_cycle_us.record(elapsed_us);
         self.scrub_cycles.inc();
         self.degraded.set(outcome.degraded_count() as i64);
         self.urgent.set(outcome.urgent_count() as i64);
@@ -190,11 +150,14 @@ impl StoreObserver {
         self.stripes_skipped.add(outcome.skipped_count() as u64);
         self.stripes_verified.add(outcome.verified_count() as u64);
         self.stripes_decoded.add(outcome.decoded_count() as u64);
-        // Each decoded stripe is one recovery: its cost lands in the
-        // repair counters and its depth in the histogram.
+        // Each decoded stripe that read anything is one recovery: its cost
+        // lands in the repair counters and its depth in the histogram.
         for (cost, action) in outcome.costs.iter().zip(&outcome.actions) {
-            if *action == crate::scrubber::ScrubAction::Decoded {
-                self.record_repair_cost(cost);
+            if *action == crate::scrubber::ScrubAction::Decoded && !cost.is_zero() {
+                self.repair_bytes_read.add(cost.bytes_read);
+                self.repair_blocks_fetched.add(cost.blocks_fetched);
+                self.repair_devices_contacted.add(cost.devices_contacted);
+                self.repair_depth.record(cost.recovery_depth);
             }
         }
         let repair_cost = outcome.repair_cost();
@@ -223,62 +186,13 @@ impl StoreObserver {
         );
     }
 
-    /// Writes every store metric into a snapshot.
-    pub fn fill_snapshot(&self, snap: &mut Snapshot) {
-        snap.counter("scrub.cycles", &self.scrub_cycles)
-            .counter("scrub.blocks_repaired", &self.blocks_repaired)
-            .counter("scrub.skipped", &self.stripes_skipped)
-            .counter("scrub.verified", &self.stripes_verified)
-            .counter("scrub.decoded", &self.stripes_decoded)
-            .counter("retrieval.plans", &self.retrieval_plans)
-            .counter("retrieval.unplannable", &self.retrieval_unplannable)
-            .counter("retrieval.blocks_fetched", &self.retrieval_blocks_fetched)
-            .counter("repair.bytes_read", &self.repair_bytes_read)
-            .counter("repair.blocks_fetched", &self.repair_blocks_fetched)
-            .counter("repair.devices_contacted", &self.repair_devices_contacted)
-            .counter("federation.exchanges", &self.federation_exchanges)
-            .counter("federation.blocks_restored", &self.federation_blocks_restored)
-            .counter("federation.blocks_crossed", &self.federation_blocks_crossed)
-            .counter("federation.bytes_crossed", &self.federation_bytes_crossed)
-            .gauge("scrub.degraded_stripes", &self.degraded)
-            .gauge("scrub.urgent_stripes", &self.urgent)
-            .gauge("device.offline", &self.devices_offline)
-            .gauge("device.failed_writes", &self.device_failed_writes)
-            .gauge("device.io_errors", &self.device_io_errors)
-            .gauge("device.bytes_read", &self.device_bytes_read)
-            .gauge("device.bytes_repair_read", &self.device_bytes_repair_read);
-        // Process-wide persistence counters (journal + backend fsyncs +
-        // recovery), surfaced by value like the kernel/pool counters.
-        let b = crate::backend::metrics();
-        snap.counter_value("backend.journal_appends", b.journal_appends.get())
-            .counter_value("backend.journal_replays", b.journal_replays.get())
-            .counter_value("backend.journal_rollbacks", b.journal_rollbacks.get())
-            .counter_value("backend.fsyncs", b.fsyncs.get())
-            .counter_value("backend.recoveries", b.recoveries.get())
-            .counter_value("backend.recovery_us", b.recovery_us.get())
-            .counter_value("backend.scan_bytes", b.scan_bytes.get());
-        if self.repair_depth.count() > 0 {
-            snap.histogram("repair.depth", &self.repair_depth);
-        }
-        if self.scrub_cycle_us.count() > 0 {
-            snap.histogram("scrub.cycle_us", &self.scrub_cycle_us);
-        }
-        if self.plan_us.count() > 0 {
-            snap.histogram("retrieval.plan_us", &self.plan_us);
-        }
-        if self.decode.get(tornado_codec::metrics::cells::TRIALS) > 0 {
-            self.decode.fill_snapshot(snap);
-        }
-    }
-
-    /// Starts a span that records into the scrub cycle histogram.
-    pub(crate) fn scrub_span(&self) -> SpanTimer<'_> {
-        SpanTimer::new(&self.scrub_cycle_us)
-    }
-}
-
-impl Default for StoreObserver {
-    fn default() -> Self {
-        Self::disabled()
+    /// Records every store-layer metric into `snap`: this observer's
+    /// cells, the decode-kernel counters its scrubs drained, `store`'s
+    /// device totals as of now and the process-wide `backend.*` counters.
+    pub fn record_into(&self, store: &ArchivalStore, snap: &mut Snapshot) {
+        snap.record(&self.metrics)
+            .record(&self.decode)
+            .record(&DeviceTotals::of(store))
+            .record(crate::backend::metrics());
     }
 }

@@ -41,20 +41,22 @@
 //! through the store API; what was done per stripe is recorded as a
 //! [`ScrubAction`].
 
-//! Scrub passes can fan out across worker threads ([`scrub_cycle`]): each
+//! Scrub passes can fan out across worker threads ([`Scrubber::new`]): each
 //! rayon worker scrubs whole stripes with its own thread-local block pool
 //! and decoder, and the per-stripe results are folded back **in object-id
 //! order**, so the outcome is bit-identical to a serial pass regardless of
 //! thread count. A long-lived [`Scrubber`] owns its rayon pool (built once,
 //! reused every cycle) and the clean-stripe marks the skip tier consults.
+//! A cycle records into the observer attached to the store
+//! ([`ArchivalStore::set_observer`]), when there is one.
 
 use crate::device::BlockProbe;
-use crate::obs::StoreObserver;
 use crate::retrieval::{plan_partial_repair, RepairCost, RetrievalPlan};
 use crate::store::{block_checksum, ArchivalStore, ObjectId, ObjectMeta};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::time::Instant;
 use tornado_codec::{pool, Codec, DecodeMetrics};
 use tornado_graph::NodeId;
 
@@ -200,51 +202,13 @@ impl ScrubOutcome {
 /// Inspects every stripe; `repair` additionally reconstructs missing blocks
 /// and writes them back where devices permit. `first_failure_level` is the
 /// graph's profiled worst-case bound (5 for the paper's adjusted graphs)
-/// used to compute margins. Serial — equivalent to [`scrub_cycle`] with one
-/// thread. Runs in (the default) verify mode: blocks are hash-checked in
-/// place and only a damaged stripe's repair cone is read; the reported
-/// healths are identical to a [`ScrubMode::Full`] pass.
+/// used to compute margins. One serial cycle of a fresh [`Scrubber`] in
+/// (the default) verify mode: blocks are hash-checked in place and only a
+/// damaged stripe's repair cone is read; the reported healths are
+/// identical to a [`ScrubMode::Full`] pass. Periodic loops should hold a
+/// `Scrubber` so the worker pool and clean marks persist across cycles.
 pub fn scrub(store: &ArchivalStore, first_failure_level: usize, repair: bool) -> ScrubOutcome {
-    scrub_cycle(store, first_failure_level, repair, 1)
-}
-
-/// A scrub pass fanned out across `threads` worker threads (`0` means
-/// automatic). Workers scrub whole stripes with their own block pools and
-/// decoders; results fold back in object-id order, so the outcome is
-/// bit-identical to [`scrub`]. One-shot: builds a fresh [`Scrubber`];
-/// periodic loops should hold a `Scrubber` so the worker pool and clean
-/// marks persist across cycles.
-pub fn scrub_cycle(
-    store: &ArchivalStore,
-    first_failure_level: usize,
-    repair: bool,
-    threads: usize,
-) -> ScrubOutcome {
-    Scrubber::new(threads).run(store, first_failure_level, repair, ScrubMode::Verify)
-}
-
-/// [`scrub`] with the pass timed into `obs`'s cycle histogram, the
-/// degraded/urgent gauges updated, the repair counter bumped, decode-kernel
-/// cells drained into `obs.decode`, and one `scrub_cycle` event emitted.
-/// The outcome is identical to [`scrub`].
-pub fn scrub_observed(
-    store: &ArchivalStore,
-    first_failure_level: usize,
-    repair: bool,
-    obs: &StoreObserver,
-) -> ScrubOutcome {
-    scrub_cycle_observed(store, first_failure_level, repair, 1, obs)
-}
-
-/// [`scrub_cycle`] with the same observability as [`scrub_observed`].
-pub fn scrub_cycle_observed(
-    store: &ArchivalStore,
-    first_failure_level: usize,
-    repair: bool,
-    threads: usize,
-    obs: &StoreObserver,
-) -> ScrubOutcome {
-    Scrubber::new(threads).run_observed(store, first_failure_level, repair, ScrubMode::Verify, obs)
+    Scrubber::new(1).run(store, first_failure_level, repair, ScrubMode::Verify)
 }
 
 /// A stripe's clean mark: the dirty generation and pool epoch at which it
@@ -303,9 +267,13 @@ impl Scrubber {
         self.clean.lock().clear();
     }
 
-    /// Runs one scrub cycle in `mode`. See [`scrub`] for the `repair` and
-    /// `first_failure_level` semantics; healths are mode-independent, the
-    /// per-stripe [`ScrubAction`]s record what the gating avoided.
+    /// Runs one scrub cycle in `mode` over this scrubber's workers; results
+    /// fold back in object-id order, bit-identical to a serial cycle. See
+    /// [`scrub`] for the `repair` and `first_failure_level` semantics;
+    /// healths are mode-independent, the per-stripe [`ScrubAction`]s record
+    /// what the gating avoided. With an observer attached to `store` the
+    /// cycle is also timed and recorded into it (time, tier counts, repair
+    /// cost, decode cells, one `scrub_cycle` event); the outcome is the same.
     pub fn run(
         &self,
         store: &ArchivalStore,
@@ -313,23 +281,12 @@ impl Scrubber {
         repair: bool,
         mode: ScrubMode,
     ) -> ScrubOutcome {
-        self.run_inner(store, first_failure_level, repair, mode, None)
-    }
-
-    /// [`Scrubber::run`] with the same observability as [`scrub_observed`].
-    pub fn run_observed(
-        &self,
-        store: &ArchivalStore,
-        first_failure_level: usize,
-        repair: bool,
-        mode: ScrubMode,
-        obs: &StoreObserver,
-    ) -> ScrubOutcome {
-        let span = obs.scrub_span();
+        let Some(obs) = store.observer() else {
+            return self.run_inner(store, first_failure_level, repair, mode, None);
+        };
+        let started = Instant::now();
         let outcome = self.run_inner(store, first_failure_level, repair, mode, Some(&obs.decode));
-        let elapsed_us = span.stop();
-        obs.record_scrub(&outcome, elapsed_us, repair);
-        obs.record_device_health(store);
+        obs.record_scrub(&outcome, started.elapsed().as_micros() as u64, repair);
         outcome
     }
 
@@ -575,6 +532,8 @@ fn scrub_stripe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::StoreObserver;
+    use std::sync::Arc;
     use tornado_graph::{Graph, GraphBuilder};
 
     fn small_graph() -> Graph {
@@ -720,9 +679,15 @@ mod tests {
         assert_eq!(tight.urgent_count(), 2);
     }
 
+    /// Attaches a fresh observer to `store`: every later scrub records.
+    fn observe(store: &ArchivalStore, obs: StoreObserver) -> Arc<StoreObserver> {
+        let obs = Arc::new(obs);
+        store.set_observer(Arc::clone(&obs));
+        obs
+    }
+
     #[test]
     fn observed_scrub_matches_and_records() {
-        use crate::obs::StoreObserver;
         use tornado_obs::{EventFormat, EventSink};
 
         let store = ArchivalStore::new(small_graph());
@@ -731,22 +696,22 @@ mod tests {
         store.replace_device(0).unwrap();
 
         let (events, buf) = EventSink::memory(EventFormat::Json);
-        let obs = StoreObserver::disabled().with_events(events);
         let plain = scrub(&store, 2, false);
-        let observed = scrub_observed(&store, 2, false, &obs);
+        let obs = observe(&store, StoreObserver::disabled().with_events(events));
+        let observed = scrub(&store, 2, false);
         assert_eq!(plain, observed);
         assert_eq!(obs.degraded.get(), 1);
         assert_eq!(obs.urgent.get(), 1);
         assert_eq!(obs.scrub_cycles.get(), 1);
         assert_eq!(obs.scrub_cycle_us.count(), 1);
 
-        let repaired = scrub_observed(&store, 2, true, &obs);
+        let repaired = scrub(&store, 2, true);
         assert_eq!(repaired.blocks_repaired, 1);
         assert_eq!(obs.blocks_repaired.get(), 1);
         assert_eq!(obs.scrub_cycles.get(), 2);
 
         // Post-repair scrub: gauges reflect the latest pass, not history.
-        scrub_observed(&store, 2, false, &obs);
+        scrub(&store, 2, false);
         assert_eq!(obs.degraded.get(), 0);
         assert_eq!(obs.urgent.get(), 0);
 
@@ -770,7 +735,7 @@ mod tests {
         store.fail_device(5).unwrap();
         let serial = scrub(&store, 2, false);
         for threads in [2, 4, 7] {
-            let parallel = scrub_cycle(&store, 2, false, threads);
+            let parallel = Scrubber::new(threads).run(&store, 2, false, ScrubMode::Verify);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -791,7 +756,7 @@ mod tests {
         let (a, ids_a) = build();
         let (b, ids_b) = build();
         let serial = scrub(&a, 2, true);
-        let parallel = scrub_cycle(&b, 2, true, 4);
+        let parallel = Scrubber::new(4).run(&b, 2, true, ScrubMode::Verify);
         assert_eq!(serial, parallel);
         assert!(serial.blocks_repaired > 0);
         for (&ia, &ib) in ids_a.iter().zip(&ids_b) {
@@ -801,7 +766,6 @@ mod tests {
 
     #[test]
     fn observed_parallel_scrub_drains_decode_metrics() {
-        use crate::obs::StoreObserver;
         use tornado_codec::metrics::cells;
 
         let store = ArchivalStore::new(small_graph());
@@ -809,8 +773,8 @@ mod tests {
             store.put(&format!("m{i}"), b"decode me").unwrap();
         }
         store.fail_device(0).unwrap();
-        let obs = StoreObserver::disabled();
-        let out = scrub_cycle_observed(&store, 2, false, 3, &obs);
+        let obs = observe(&store, StoreObserver::disabled());
+        let out = Scrubber::new(3).run(&store, 2, false, ScrubMode::Verify);
         assert_eq!(out.degraded_count(), 6);
         assert_eq!(obs.decode.get(cells::TRIALS), 6, "one decode per stripe");
         assert!(obs.decode.get(cells::RECOVERIES) >= 6);
@@ -955,14 +919,13 @@ mod tests {
 
     #[test]
     fn observed_scrub_records_tier_counters() {
-        use crate::obs::StoreObserver;
         let store = ArchivalStore::new(small_graph());
         store.put("a", b"one").unwrap();
         store.put("b", b"two").unwrap();
-        let obs = StoreObserver::disabled();
+        let obs = observe(&store, StoreObserver::disabled());
         let scrubber = Scrubber::new(1);
-        scrubber.run_observed(&store, 2, false, ScrubMode::Incremental, &obs);
-        scrubber.run_observed(&store, 2, false, ScrubMode::Incremental, &obs);
+        scrubber.run(&store, 2, false, ScrubMode::Incremental);
+        scrubber.run(&store, 2, false, ScrubMode::Incremental);
         assert_eq!(obs.stripes_verified.get(), 2, "cold pass verified both");
         assert_eq!(obs.stripes_skipped.get(), 2, "warm pass skipped both");
         assert_eq!(obs.stripes_decoded.get(), 0);

@@ -112,9 +112,8 @@ pub struct ArchivalStore {
     /// sidecar paths, fsync policy, crash injector. `None` keeps the
     /// volatile in-memory store on the exact pre-persistence code path.
     durability: Option<Durability>,
-    /// Attached by the serving layer: device gauges are refreshed on the
-    /// fail/replace transitions themselves, so a health scrape between
-    /// scrub cycles never sees a stale fleet.
+    /// What scrub cycles over this store record into, when attached (the
+    /// serving layer attaches its own, `tornado scrub` one for its run).
     observer: RwLock<Option<Arc<StoreObserver>>>,
 }
 
@@ -159,18 +158,16 @@ impl ArchivalStore {
         }
     }
 
-    /// Attaches a [`StoreObserver`] whose device gauges are refreshed on
-    /// every fail/replace transition (not just on scrub cycles).
+    /// Attaches the [`StoreObserver`] that every later
+    /// [`Scrubber::run`](crate::Scrubber::run) over this store records
+    /// into. A store nothing was attached to is scrubbed unobserved.
     pub fn set_observer(&self, obs: Arc<StoreObserver>) {
         *self.observer.write() = Some(obs);
     }
 
-    /// Refreshes the attached observer's device gauges, if any.
-    fn notify_device_health(&self) {
-        let obs = self.observer.read().clone();
-        if let Some(obs) = obs {
-            obs.record_device_health(self);
-        }
+    /// The attached observer, if any.
+    pub(crate) fn observer(&self) -> Option<Arc<StoreObserver>> {
+        self.observer.read().clone()
     }
 
     /// The backend kind devices run on (`Memory` for volatile stores).
@@ -216,7 +213,6 @@ impl ArchivalStore {
     pub fn fail_device(&self, index: usize) -> Result<(), StoreError> {
         self.device(index)?.fail();
         self.pool_epoch.fetch_add(1, Ordering::Release);
-        self.notify_device_health();
         Ok(())
     }
 
@@ -244,7 +240,6 @@ impl ArchivalStore {
             device.replace();
         }
         self.pool_epoch.fetch_add(1, Ordering::Release);
-        self.notify_device_health();
         Ok(())
     }
 
@@ -719,13 +714,18 @@ mod tests {
         let store = ArchivalStore::new(small_graph());
         let obs = Arc::new(StoreObserver::disabled());
         store.set_observer(Arc::clone(&obs));
+        // What a snapshot of the observer says, read off the devices as it
+        // is taken: no scrub cycle in between, no stored gauge to go stale.
+        let offline = || {
+            let mut snap = tornado_obs::Snapshot::new("test", 0);
+            obs.record_into(&store, &mut snap);
+            snap.to_json().get("gauges").and_then(|g| g.get("device.offline")?.as_u64())
+        };
         store.fail_device(1).unwrap();
         store.fail_device(3).unwrap();
-        // The gauges refreshed on the transition itself — no scrub cycle,
-        // no metrics snapshot in between.
-        assert_eq!(obs.devices_offline.get(), 2);
+        assert_eq!(offline(), Some(2));
         store.replace_device(1).unwrap();
-        assert_eq!(obs.devices_offline.get(), 1);
+        assert_eq!(offline(), Some(1));
     }
 
     #[test]
@@ -989,11 +989,12 @@ mod tests {
         store.fail_device(0).unwrap();
         store.fail_device(1).unwrap();
 
-        let obs = StoreObserver::disabled();
+        let obs = Arc::new(StoreObserver::disabled());
+        store.set_observer(Arc::clone(&obs));
         let before = total_reads(&store);
         let scrubber = Scrubber::new(1);
         let outcome = std::thread::scope(|s| {
-            let run = || scrubber.run_observed(&store, 5, false, ScrubMode::Verify, &obs);
+            let run = || scrubber.run(&store, 5, false, ScrubMode::Verify);
             let scrub = s.spawn(run);
             // The scrub is inside its first cone fetch: the index listed
             // the victim and it has not been read yet.
