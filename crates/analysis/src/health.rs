@@ -16,7 +16,8 @@
 //! healthy-fleet number equals the offline
 //! [`crate::reliability::system_failure_probability`] exactly.
 
-use tornado_codec::ErasureDecoder;
+use tornado_bitset::combinations::CombinationIter;
+use tornado_codec::{ErasureDecoder, LaneDecoder};
 use tornado_graph::Graph;
 use tornado_numerics::{binomial_u128, compose_failure_probability};
 use tornado_sim::monte_carlo::sample_level;
@@ -101,18 +102,18 @@ pub fn conditional_failure_profile(
         if combos <= cfg.exact_cap as u128 {
             let mut failures = 0u64;
             let mut scratch = missing.to_vec();
-            for_each_combination(remaining.len(), j, |idxs| {
+            let mut subsets = CombinationIter::new(remaining.len(), j);
+            while let Some(idxs) = subsets.next_slice() {
                 scratch.truncate(missing.len());
                 scratch.extend(idxs.iter().map(|&i| remaining[i]));
                 if !dec.decode(&scratch) {
                     failures += 1;
                 }
-                true
-            });
+            }
             profile.record(j, combos as u64, failures, true);
         } else {
             let failures =
-                sample_conditional(&mut dec, missing, &remaining, j, cfg.trials_per_k, cfg.seed);
+                sample_conditional(graph, missing, &remaining, j, cfg.trials_per_k, cfg.seed);
             profile.record(j, cfg.trials_per_k, failures, false);
         }
     }
@@ -182,18 +183,13 @@ pub fn risk_margin(graph: &Graph, missing: &[usize], cap: usize) -> usize {
     let remaining: Vec<usize> = (0..n).filter(|&i| !seen[i]).collect();
     let mut scratch = missing.to_vec();
     for j in 1..=cap.min(remaining.len()) {
-        let mut found = false;
-        for_each_combination(remaining.len(), j, |idxs| {
+        let mut subsets = CombinationIter::new(remaining.len(), j);
+        while let Some(idxs) = subsets.next_slice() {
             scratch.truncate(missing.len());
             scratch.extend(idxs.iter().map(|&i| remaining[i]));
             if !dec.decode(&scratch) {
-                found = true;
-                return false;
+                return j;
             }
-            true
-        });
-        if found {
-            return j;
         }
     }
     cap.min(remaining.len()) + 1
@@ -202,9 +198,10 @@ pub fn risk_margin(graph: &Graph, missing: &[usize], cap: usize) -> usize {
 /// Deterministic batched sampling of `P(fail | missing ∪ j random further
 /// losses)`: the `monte_carlo` batching discipline (fixed-size batches,
 /// each reseeded from `(seed, j, batch)`) applied to partial Fisher–Yates
-/// draws over the remaining nodes.
+/// draws over the remaining nodes, one trial per lane: `missing` is marked
+/// in every lane and each lane loads only its `j` draws.
 fn sample_conditional(
-    dec: &mut ErasureDecoder,
+    graph: &Graph,
     missing: &[usize],
     remaining: &[usize],
     j: usize,
@@ -213,28 +210,33 @@ fn sample_conditional(
 ) -> u64 {
     const BATCH: u64 = 4096;
     let r = remaining.len();
+    let mut lanes = LaneDecoder::new(graph);
     let mut perm: Vec<usize> = Vec::new();
-    let mut scratch = missing.to_vec();
     let mut failures = 0u64;
     for batch in 0..trials.div_ceil(BATCH) {
         let mut state = mix(seed, j as u64, batch);
+        // The permutation restarts from identity over the remaining nodes;
+        // swapping the nodes themselves draws the subset swapping their
+        // indices would.
         perm.clear();
-        perm.extend(0..r);
-        let count = BATCH.min(trials - batch * BATCH);
-        for _ in 0..count {
-            for i in 0..j {
-                // Lemire-style bounded draw from the SplitMix64 stream —
-                // bias is ≤ 2⁻⁵⁶ for these ranges, far below sampling noise.
-                state = splitmix(state);
-                let span = (r - i) as u64;
-                let idx = i + ((state as u128 * span as u128) >> 64) as usize;
-                perm.swap(i, idx);
+        perm.extend_from_slice(remaining);
+        let mut left = BATCH.min(trials - batch * BATCH) as usize;
+        while left > 0 {
+            let group = left.min(LaneDecoder::LANES);
+            lanes.load_all(missing);
+            for lane in 0..group {
+                for i in 0..j {
+                    // Lemire-style bounded draw from the SplitMix64 stream —
+                    // bias is ≤ 2⁻⁵⁶ for these ranges, far below sampling noise.
+                    state = splitmix(state);
+                    let span = (r - i) as u64;
+                    let idx = i + ((state as u128 * span as u128) >> 64) as usize;
+                    perm.swap(i, idx);
+                }
+                lanes.load(lane, &perm[..j]);
             }
-            scratch.truncate(missing.len());
-            scratch.extend(perm[..j].iter().map(|&i| remaining[i]));
-            if !dec.decode(&scratch) {
-                failures += 1;
-            }
+            failures += lanes.run(group);
+            left -= group;
         }
     }
     failures
@@ -252,38 +254,6 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Visits every `j`-combination of `0..n` in lexicographic order. The
-/// visitor returns `false` to stop early.
-fn for_each_combination(n: usize, j: usize, mut visit: impl FnMut(&[usize]) -> bool) {
-    if j > n {
-        return;
-    }
-    let mut idxs: Vec<usize> = (0..j).collect();
-    loop {
-        if !visit(&idxs) {
-            return;
-        }
-        // Advance the rightmost index that still has room.
-        let mut i = j;
-        loop {
-            if i == 0 {
-                return;
-            }
-            i -= 1;
-            if idxs[i] != i + n - j {
-                break;
-            }
-            if i == 0 {
-                return;
-            }
-        }
-        idxs[i] += 1;
-        for t in i + 1..j {
-            idxs[t] = idxs[t - 1] + 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,40 +261,6 @@ mod tests {
     use tornado_gen::mirror::generate_mirror;
     use tornado_gen::regular::generate_regular;
     use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
-
-    #[test]
-    fn combinations_visit_all_and_stop_early() {
-        let mut seen = Vec::new();
-        for_each_combination(4, 2, |c| {
-            seen.push(c.to_vec());
-            true
-        });
-        assert_eq!(
-            seen,
-            vec![
-                vec![0, 1],
-                vec![0, 2],
-                vec![0, 3],
-                vec![1, 2],
-                vec![1, 3],
-                vec![2, 3]
-            ]
-        );
-        let mut count = 0;
-        for_each_combination(5, 3, |_| {
-            count += 1;
-            count < 4
-        });
-        assert_eq!(count, 4, "visitor stops on false");
-        for_each_combination(2, 3, |_| panic!("j > n visits nothing"));
-        let mut empties = 0;
-        for_each_combination(3, 0, |c| {
-            assert!(c.is_empty());
-            empties += 1;
-            true
-        });
-        assert_eq!(empties, 1, "the empty combination once");
-    }
 
     #[test]
     fn healthy_fleet_matches_offline_model_exactly() {

@@ -13,17 +13,23 @@
 //! which stopped meaning anything once most patterns are decided by a
 //! certificate test). A third A/B runs the same sweep with the decode
 //! metrics recorder enabled (no sink attached); it may add at most 2 ns a
-//! trial — absolute for the same reason. All three are release-only:
-//! a debug build's timings mean nothing.
+//! trial — absolute for the same reason. The fourth is the trial the
+//! Monte-Carlo suite runs — random 24-subsets, no prefix to share —
+//! through the dense reference, the row kernel and the lane kernel
+//! (`tornado_codec::LaneDecoder`, a group of patterns per run), where the
+//! lanes must be ≥ 4× the row kernel (≥ 2× under `--quick`). All four are
+//! release-only: a debug build's timings mean nothing.
 
 use crate::effort::Effort;
 use crate::harness::{csv, median, median_ns, num, obj, Report};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 use tornado_bitset::combinations::{binomial, CombinationIter};
 use tornado_codec::reference::DenseDecoder;
-use tornado_codec::ErasureDecoder;
+use tornado_codec::{ErasureDecoder, LaneDecoder};
 use tornado_obs::Json;
 
 /// The least the row kernel must gain over the dense one on the sweep.
@@ -32,11 +38,18 @@ const SWEEP_FLOOR: f64 = 10.0;
 const UNRANK_BUDGET_NS: f64 = 5.0;
 /// The most the enabled recorder may add to one sweep trial.
 const RECORDING_BUDGET_NS: f64 = 2.0;
+/// The least the lane kernel must gain over the row kernel on random
+/// patterns, at full effort and under `--quick`.
+const LANES_FLOOR: f64 = 4.0;
+const LANES_FLOOR_QUICK: f64 = 2.0;
+/// Random patterns in the lane A/B, and the nodes each erases.
+const RANDOM_PATTERNS: usize = 4096;
+const RANDOM_K: usize = 24;
 /// Timed samples per case side (median taken).
 const SAMPLES: usize = 9;
 
-/// Runs the A/B, renders the table and asserts the three release floors.
-pub fn run(_effort: &Effort) -> Report {
+/// Runs the A/B, renders the table and asserts the four release floors.
+pub fn run(effort: &Effort) -> Report {
     let graph = tornado_core::tornado_graph_1();
     let n = graph.num_nodes();
     let mut row = ErasureDecoder::new(&graph);
@@ -93,6 +106,41 @@ pub fn run(_effort: &Effort) -> Report {
     });
     case("lex_sweep_k4", sweep_dense_ns, sweep_row_ns);
 
+    // Random patterns, the Monte-Carlo suite's trial: the same seeded
+    // 24-subsets one at a time through the dense reference and the row
+    // kernel, and a group per run through the lanes (loading included).
+    let mut rng = SmallRng::seed_from_u64(effort.seed);
+    let mut perm: Vec<usize> = (0..n).collect();
+    let patterns: Vec<Vec<usize>> = (0..RANDOM_PATTERNS)
+        .map(|_| {
+            for i in 0..RANDOM_K {
+                perm.swap(i, rng.gen_range(i..n));
+            }
+            perm[..RANDOM_K].to_vec()
+        })
+        .collect();
+    let random_dense_ns = median_ns(RANDOM_PATTERNS as u64, SAMPLES, || {
+        for p in &patterns {
+            black_box(dense.decode(p));
+        }
+    });
+    let random_row_ns = median_ns(RANDOM_PATTERNS as u64, SAMPLES, || {
+        for p in &patterns {
+            black_box(row.decode(p));
+        }
+    });
+    let mut lanes = LaneDecoder::new(&graph);
+    let random_lanes_ns = median_ns(RANDOM_PATTERNS as u64, SAMPLES, || {
+        for group in patterns.chunks(LaneDecoder::LANES) {
+            for (lane, p) in group.iter().enumerate() {
+                lanes.load(lane, p);
+            }
+            black_box(lanes.run(group.len()));
+        }
+    });
+    let lanes_speedup = random_row_ns / random_lanes_ns;
+    let lanes_floor = if effort.quick { LANES_FLOOR_QUICK } else { LANES_FLOOR };
+
     // Observability A/B: the same k = 4 sweep with the decode recorder
     // enabled (counters ticking, no sink attached). The recorder is plain
     // u64 increments behind one branch, so it may add at most 2 ns to a
@@ -142,6 +190,12 @@ pub fn run(_effort: &Effort) -> Report {
          ns per trial, median of {SAMPLES} samples"
     );
     out.push_str(&csv(&rows));
+    let _ = writeln!(
+        out,
+        "random_k{RANDOM_K}_ns_per_trial, {random_dense_ns:.1} dense, {random_row_ns:.1} row, \
+         {random_lanes_ns:.1} lanes ({} a group), {lanes_speedup:.2}x lanes over row",
+        LaneDecoder::LANES
+    );
     let _ = writeln!(out, "unrank_ns_per_step, {unrank_ns:.1}");
     let _ = writeln!(
         out,
@@ -153,8 +207,14 @@ pub fn run(_effort: &Effort) -> Report {
     } else {
         let _ = writeln!(
             out,
-            "floors: lex_sweep_k4 >= {SWEEP_FLOOR}x dense, unrank < {UNRANK_BUDGET_NS} ns/step, \
-             recording < {RECORDING_BUDGET_NS} ns/trial"
+            "floors: lex_sweep_k4 >= {SWEEP_FLOOR}x dense, random_k{RANDOM_K} lanes >= \
+             {lanes_floor}x row, unrank < {UNRANK_BUDGET_NS} ns/step, recording < \
+             {RECORDING_BUDGET_NS} ns/trial"
+        );
+        assert!(
+            lanes_speedup >= lanes_floor,
+            "random_k{RANDOM_K} lanes are {lanes_speedup:.2}x the row kernel, below the \
+             {lanes_floor}x floor"
         );
         assert!(
             unrank_ns < UNRANK_BUDGET_NS,
@@ -176,6 +236,19 @@ pub fn run(_effort: &Effort) -> Report {
         ("samples_per_case", Json::U64(SAMPLES as u64)),
         ("units", Json::Str("ns_per_trial".into())),
         ("cases", Json::Arr(rows)),
+        (
+            "random_patterns",
+            obj([
+                ("patterns", Json::U64(RANDOM_PATTERNS as u64)),
+                ("k", Json::U64(RANDOM_K as u64)),
+                ("lanes_per_group", Json::U64(LaneDecoder::LANES as u64)),
+                ("dense_ns", num(random_dense_ns, 1)),
+                ("row_ns", num(random_row_ns, 1)),
+                ("lanes_ns", num(random_lanes_ns, 1)),
+                ("lanes_over_row", num(lanes_speedup, 2)),
+                ("lanes_floor", num(lanes_floor, 1)),
+            ]),
+        ),
         ("unrank_ns_per_step", num(unrank_ns, 1)),
         ("unrank_budget_ns_per_step", num(UNRANK_BUDGET_NS, 1)),
         ("recording_ns_per_trial", num(sweep_recording_ns, 1)),

@@ -8,6 +8,11 @@
 //! by replay, not by equality). Rows are ⌈n/64⌉ words, so one property
 //! runs on graphs sized at and around every word boundary up to 256.
 //!
+//! The lane kernel (`LaneDecoder`) decides up to `LaneDecoder::LANES`
+//! patterns in one run; every lane's verdict must be the row kernel's and
+//! the dense reference's verdict on that lane's pattern, whatever the
+//! group size and whatever the other lanes hold.
+//!
 //! The data-plane half: the fused copy-and-checksum kernel
 //! (`kernels::append_checksummed`) must append exactly the source bytes
 //! and return exactly the digest the byte-serial oracle computes, and the
@@ -18,11 +23,11 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tornado_codec::kernels::{self, append_checksummed, scalar};
 use tornado_codec::reference::DenseDecoder;
-use tornado_codec::{DecodeDetail, ErasureDecoder, RecoveryStep};
+use tornado_codec::{DecodeDetail, ErasureDecoder, LaneDecoder, RecoveryStep};
 use tornado_gen::cascaded::generate_fixed_degree;
 use tornado_gen::mirror::generate_mirror;
 use tornado_gen::regular::generate_regular;
-use tornado_gen::TornadoParams;
+use tornado_gen::{TornadoGenerator, TornadoParams};
 use tornado_graph::{Graph, GraphBuilder};
 
 /// Builds one of the generator families from flattened parameters.
@@ -171,6 +176,96 @@ fn every_generator_family_mostly_builds() {
     }
 }
 
+/// Group sizes on each side of a lane word and of a full group.
+const GROUP_SIZES: [usize; 6] = [1, 63, 64, 65, LaneDecoder::LANES - 1, LaneDecoder::LANES];
+
+/// The pattern lane `lane` holds: by turns nothing, checks only, every
+/// node, a pattern listed twice over, and random patterns of every density
+/// (drawn with replacement, so duplicates occur in these too).
+fn lane_pattern(g: &Graph, lane: usize, k: usize, seed: u64) -> Vec<usize> {
+    let (n, num_data) = (g.num_nodes(), g.num_data());
+    let seed = seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    match lane % 8 {
+        0 => Vec::new(),
+        1 => derive_pattern(n - num_data, k, seed).into_iter().map(|c| num_data + c).collect(),
+        2 => (0..n).collect(),
+        3 => derive_pattern(n, k, seed).repeat(2),
+        _ => derive_pattern(n, (k + lane) % (n / 2 + 1), seed),
+    }
+}
+
+/// Runs `patterns` as one group, one per lane, with `base` missing in
+/// every lane, and asserts each lane's verdict and the group's count are
+/// what the row kernel and the dense reference say of `base ∪ pattern`.
+fn assert_lane_parity(g: &Graph, lanes: &mut LaneDecoder, base: &[usize], patterns: &[Vec<usize>]) {
+    let mut row = ErasureDecoder::new(g);
+    let mut dense = DenseDecoder::new(g);
+    lanes.load_all(base);
+    for (lane, pattern) in patterns.iter().enumerate() {
+        lanes.load(lane, pattern);
+    }
+    let failures = lanes.run(patterns.len());
+    let mut expected = 0;
+    for (lane, pattern) in patterns.iter().enumerate() {
+        let full: Vec<usize> = base.iter().chain(pattern).copied().collect();
+        let decodes = row.decode(&full);
+        assert_eq!(decodes, dense.decode(&full), "{full:?}");
+        assert_eq!(!lanes.failed(lane), decodes, "lane {lane} of {}: {full:?}", patterns.len());
+        expected += u64::from(!decodes);
+    }
+    assert_eq!(failures, expected, "group of {}", patterns.len());
+}
+
+/// Every group size, with and without a base set, on `g`.
+fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) {
+    let mut lanes = LaneDecoder::new(g);
+    for (i, &group) in GROUP_SIZES.iter().enumerate() {
+        let seed = seed.rotate_left(i as u32);
+        let patterns: Vec<Vec<usize>> = (0..group).map(|lane| lane_pattern(g, lane, k, seed)).collect();
+        assert_lane_parity(g, &mut lanes, &[], &patterns);
+        assert_lane_parity(g, &mut lanes, &derive_pattern(g.num_nodes(), 1 + i % 3, seed), &patterns);
+    }
+}
+
+/// The size sweep's largest graph: 128 data + 128 checks.
+#[test]
+fn lanes_match_row_and_dense_on_a_256_node_tornado_graph() {
+    let params = TornadoParams { num_data: 128, ..TornadoParams::default() };
+    let (g, _) = TornadoGenerator::new(params).generate_screened(7, 256, 2).unwrap();
+    assert_eq!(g.num_nodes(), 256);
+    for k in [3usize, 40, 100] {
+        assert_lane_parity_at_every_group_size(&g, k, 0xC0FFEE ^ k as u64);
+    }
+}
+
+/// A lane's verdict is its own: the same pattern alone in a group and
+/// among a full group of others, in every lane position of a word seam.
+#[test]
+fn a_lane_does_not_see_its_neighbours() {
+    let g = graph_of_size(130, 11);
+    let n = g.num_nodes();
+    let mut lanes = LaneDecoder::new(&g);
+    let mut row = ErasureDecoder::new(&g);
+    let mut verdicts = [0usize; 2];
+    for (i, lane) in [0usize, 63, 64, 65, LaneDecoder::LANES - 1].into_iter().enumerate() {
+        for k in [2usize, 20, 45, 70] {
+            let pattern = derive_pattern(n, k, 977 * (i + k) as u64);
+            let decodes = row.decode(&pattern);
+            verdicts[usize::from(decodes)] += 1;
+            lanes.load(lane, &pattern);
+            lanes.run(LaneDecoder::LANES);
+            assert_eq!(!lanes.failed(lane), decodes, "alone in lane {lane}: {pattern:?}");
+            for other in (0..LaneDecoder::LANES).filter(|&o| o != lane) {
+                lanes.load(other, &lane_pattern(&g, other, k, 31 + k as u64));
+            }
+            lanes.load(lane, &pattern);
+            lanes.run(LaneDecoder::LANES);
+            assert_eq!(!lanes.failed(lane), decodes, "lane {lane} in a full group: {pattern:?}");
+        }
+    }
+    assert!(verdicts[0] > 0 && verdicts[1] > 0, "both verdicts exercised: {verdicts:?}");
+}
+
 /// One strip of `append_checksummed` (it copies and hashes 4 KiB at a time).
 const STRIP: usize = 4096;
 
@@ -273,6 +368,28 @@ proptest! {
             let full: Vec<usize> = prefix.iter().copied().chain([t]).collect();
             prop_assert_eq!(row.decode_tail(&[t]), dense.decode(&full), "{:?} + {}", &prefix, t);
         }
+    }
+
+    /// Lanes ≡ row ≡ dense per lane, on every generator family and on
+    /// random cascades at the row kernel's word seams, for every group
+    /// size: empty, checks-only, all-node, doubled and random patterns
+    /// side by side, with and without a set missing in every lane.
+    #[test]
+    fn lanes_match_row_and_dense_per_lane(
+        kind in 0usize..4,
+        size in 4usize..=64,
+        degree in 2u32..=4,
+        graph_seed in any::<u64>(),
+        k in 0usize..=24,
+        pattern_seed in any::<u64>(),
+    ) {
+        let g = if kind == 3 {
+            Some(graph_of_size([63usize, 64, 65, 128, 130][size % 5], graph_seed))
+        } else {
+            build_graph(kind, size, degree, graph_seed)
+        };
+        prop_assume!(g.is_some());
+        assert_lane_parity_at_every_group_size(&g.unwrap(), k, pattern_seed);
     }
 
     /// The row kernel and the dense reference agree on success, lost

@@ -148,8 +148,9 @@ impl FailureProfile {
         1.0 - self.conditional(self.num_nodes - online)
     }
 
-    /// First `k` with an observed failure, scanning exact rows first and
-    /// falling back to sampled rows. `None` if no failure was ever observed.
+    /// First `k`, in `k` order, whose row shows a failure, whether that row
+    /// was enumerated or sampled. `None` if no failure was ever observed;
+    /// the certified answer is [`FailureProfile::first_failure_exact`].
     pub fn first_failure(&self) -> Option<usize> {
         self.entries
             .iter()

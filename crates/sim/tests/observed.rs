@@ -139,6 +139,31 @@ fn observed_monte_carlo_is_identical_and_counts_trials() {
 }
 
 #[test]
+fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
+    // Three batches of a level with both verdicts. A lane group never
+    // spans batches, so every cell — the recoveries of lanes peeled side by
+    // side included — belongs to its batch, not to the worker that ran it.
+    let g = tornado_gen::regular::generate_regular(12, 3, 1).unwrap();
+    let collect = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let metrics = Arc::new(DecodeMetrics::new());
+        let obs = SimObserver::disabled().with_metrics(metrics.clone());
+        let failures = pool.install(|| sample_level_observed(&g, 8, 10_000, 42, &obs));
+        (failures, metrics.items().map(|(_, v)| v))
+    };
+    let baseline = collect(1);
+    assert_eq!(baseline.1[cells::TRIALS], 10_000);
+    assert_eq!(baseline.1[cells::FAILURES], baseline.0);
+    assert!(baseline.1[cells::RECOVERIES] > 0, "{:?}", baseline.1);
+    for threads in [2usize, 5] {
+        assert_eq!(collect(threads), baseline, "{threads} threads");
+    }
+}
+
+#[test]
 fn observed_progress_renders_per_level_lines() {
     let g = generate_mirror(6).unwrap();
     let (progress, buf) = ProgressConfig::memory();
