@@ -1,8 +1,14 @@
 //! The real data path: byte blocks in, byte blocks out.
+//!
+//! Encoding writes every stored byte once: [`EncodedStripe::from_object`]
+//! cuts its data blocks straight out of the payload, [`Codec::encode`] /
+//! [`Codec::encode_owned`] take theirs as given, and all three run one
+//! check loop that builds each check block in a buffer nobody zeroed and
+//! digests it as it lands — the stripe is not streamed again to hash it.
 
 use crate::erasure::{ErasureDecoder, RecoveryStep};
 use crate::error::CodecError;
-use crate::kernels::xor_into;
+use crate::kernels::{append_checksummed, checksum, xor_checksummed, xor_into};
 use crate::pool;
 use tornado_graph::{Graph, NodeId};
 
@@ -54,8 +60,9 @@ impl<'g> Codec<'g> {
     }
 
     /// Like [`Codec::encode`], but takes ownership of the data blocks so
-    /// they become the stored blocks without a per-block clone. Check-block
-    /// accumulators come from the calling thread's [`pool::BlockPool`].
+    /// they become the stored blocks without a per-block clone. Check
+    /// blocks are built in buffers from the calling thread's
+    /// [`pool::BlockPool`].
     pub fn encode_owned(&self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
         let k = self.graph.num_data();
         if data.len() != k {
@@ -75,17 +82,31 @@ impl<'g> Codec<'g> {
             }
         }
         let mut blocks = data;
-        blocks.reserve(self.graph.num_nodes() - k);
-        // Forward sweep: every left neighbour has a smaller id, so it is
-        // already materialised when its check is computed.
-        for check in self.graph.check_ids() {
-            let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-            for &n in self.graph.check_neighbors(check) {
-                xor_into(&mut acc, &blocks[n as usize]);
-            }
-            blocks.push(acc);
-        }
+        self.push_checks(&mut blocks, block_len, None);
         Ok(blocks)
+    }
+
+    /// The one encoder: appends every check block to the `k` data blocks of
+    /// `block_len` bytes in `blocks`, and its digest to `digests` when the
+    /// caller keeps them. A forward sweep: every left neighbour has a
+    /// smaller id, so it is already materialised when its check is computed.
+    fn push_checks(
+        &self,
+        blocks: &mut Vec<Vec<u8>>,
+        block_len: usize,
+        mut digests: Option<&mut Vec<u64>>,
+    ) {
+        blocks.reserve(self.graph.num_nodes() - blocks.len());
+        for check in self.graph.check_ids() {
+            let mut block = pool::with_thread_pool(|p| p.take_empty(block_len));
+            let neighbours = self.graph.check_neighbors(check).iter();
+            let sources = neighbours.map(|&n| blocks[n as usize].as_slice());
+            let digest = xor_checksummed(&mut block, block_len, sources);
+            if let Some(digests) = digests.as_deref_mut() {
+                digests.push(digest);
+            }
+            blocks.push(block);
+        }
     }
 
     /// Decodes a stripe in place: `stored[i]` is `Some(block)` if node `i`'s
@@ -224,6 +245,7 @@ impl<'g> Codec<'g> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncodedStripe {
     blocks: Vec<Vec<u8>>,
+    digests: Vec<u64>,
     block_len: usize,
 }
 
@@ -231,24 +253,45 @@ pub struct EncodedStripe {
 const LEN_HEADER: usize = 8;
 
 impl EncodedStripe {
-    /// Encodes `payload` into a stripe for `codec`'s graph. The framing
-    /// scratch and data blocks come from the calling thread's
-    /// [`pool::BlockPool`], so a warm worker encodes without block mallocs.
+    /// Encodes `payload` into a stripe for `codec`'s graph. The framed
+    /// object — an 8-byte length header, the payload, zero padding to `k`
+    /// equal blocks — is never assembled: each data block is built from its
+    /// slice of `payload` and hashed as it lands, so the stripe carries the
+    /// [`checksum`] of every block. Block buffers come from the calling
+    /// thread's [`pool::BlockPool`].
     pub fn from_object(codec: &Codec<'_>, payload: &[u8]) -> Result<Self, CodecError> {
-        let k = codec.graph().num_data();
-        let framed_len = payload.len() + LEN_HEADER;
-        let block_len = framed_len.div_ceil(k).max(1);
-        let (framed, data) = pool::with_thread_pool(|p| {
-            // take_zeroed gives zero padding past the payload for free.
-            let mut framed = p.take_zeroed(block_len * k);
-            framed[..LEN_HEADER].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-            framed[LEN_HEADER..LEN_HEADER + payload.len()].copy_from_slice(payload);
-            let data: Vec<Vec<u8>> = framed.chunks(block_len).map(|c| p.take_copy(c)).collect();
-            (framed, data)
+        let (n, k) = (codec.graph().num_nodes(), codec.graph().num_data());
+        let block_len = (payload.len() + LEN_HEADER).div_ceil(k).max(1);
+        let header = (payload.len() as u64).to_le_bytes();
+        // Where offset `at` of the framed object falls in the payload.
+        let in_payload = |at: usize| at.saturating_sub(LEN_HEADER).min(payload.len());
+        let mut blocks = Vec::with_capacity(n);
+        let mut digests = Vec::with_capacity(n);
+        pool::with_thread_pool(|p| {
+            for start in (0..k).map(|i| i * block_len) {
+                let end = start + block_len;
+                let body = &payload[in_payload(start)..in_payload(end)];
+                let mut block = p.take_empty(block_len);
+                digests.push(if body.len() == block_len {
+                    append_checksummed(&mut block, body)
+                } else {
+                    // The header's block(s) and whatever the payload does
+                    // not fill: a few bytes of a 64 KiB object's first and
+                    // last block, most of a tiny one.
+                    block.extend_from_slice(&header[start.min(LEN_HEADER)..end.min(LEN_HEADER)]);
+                    block.extend_from_slice(body);
+                    block.resize(block_len, 0);
+                    checksum(&block)
+                });
+                blocks.push(block);
+            }
         });
-        let blocks = codec.encode_owned(data)?;
-        pool::with_thread_pool(|p| p.recycle(framed));
-        Ok(Self { blocks, block_len })
+        codec.push_checks(&mut blocks, block_len, Some(&mut digests));
+        Ok(Self {
+            blocks,
+            digests,
+            block_len,
+        })
     }
 
     /// The stored blocks, one per graph node.
@@ -256,10 +299,21 @@ impl EncodedStripe {
         &self.blocks
     }
 
+    /// The [`checksum`] of every stored block, by graph node: computed as
+    /// the blocks were built.
+    pub fn digests(&self) -> &[u64] {
+        &self.digests
+    }
+
     /// Consumes the stripe and hands the stored blocks over — the move that
     /// lets a store place encoded blocks on devices without cloning them.
     pub fn into_blocks(self) -> Vec<Vec<u8>> {
         self.blocks
+    }
+
+    /// As [`EncodedStripe::into_blocks`], with the blocks' digests.
+    pub fn into_parts(self) -> (Vec<Vec<u8>>, Vec<u64>) {
+        (self.blocks, self.digests)
     }
 
     /// Per-block length in bytes.
@@ -448,6 +502,36 @@ mod tests {
         stored[0] = None;
         stored[1] = None;
         assert_eq!(EncodedStripe::recover_object(&c, &mut stored).unwrap(), None);
+    }
+
+    #[test]
+    fn from_object_matches_encode_over_a_hand_framed_buffer() {
+        let graph_1 = tornado_graph::graphml::from_graphml(include_str!(
+            "../../core/assets/tornado_graph_1.graphml"
+        ))
+        .unwrap();
+        for g in [&graph_1, &cascade()] {
+            let c = Codec::new(g);
+            let k = g.num_data();
+            // The last fills its `k` blocks of 1,366 bytes with no padding.
+            let exact_fit = k * 1_366 - 8;
+            for size in [0, 1, 7, 8, 9, 40, 41, 65_535, 65_536, 65_537, 1 << 20, exact_fit] {
+                let payload: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+                let block_len = (size + 8).div_ceil(k).max(1);
+                let mut framed = vec![0u8; k * block_len];
+                framed[..8].copy_from_slice(&(size as u64).to_le_bytes());
+                framed[8..8 + size].copy_from_slice(&payload);
+                let data: Vec<Vec<u8>> = framed.chunks(block_len).map(<[u8]>::to_vec).collect();
+                let expect = c.encode(&data).unwrap();
+
+                let stripe = EncodedStripe::from_object(&c, &payload).unwrap();
+                assert_eq!(stripe.block_len(), block_len, "size {size}");
+                assert!(stripe.blocks() == &expect[..], "size {size}, k {k}");
+                let digests: Vec<u64> = expect.iter().map(|b| checksum(b)).collect();
+                assert_eq!(stripe.digests(), digests, "size {size}, k {k}");
+                assert_eq!(stripe.clone().into_parts(), (expect, digests));
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //!   `unsafe` (one instruction; the crate is `deny(unsafe_code)` with that
 //!   one `allow`): cold block buffers stream at about half of memory speed
 //!   without the hint.
+//! * [`xor_checksummed`] — the encoder's check-block kernel: the XOR of a
+//!   check's neighbours built strip by strip in a buffer nobody zeroed, and
+//!   the same digest taken of each strip as it lands, so encoding writes a
+//!   check block once and a PUT never streams its stripe a second time.
 //! * [`scalar`] — the pre-existing byte-serial loops, kept verbatim as the
 //!   parity oracle for the property suite and as the benchmark baseline.
 //!
@@ -304,6 +308,62 @@ pub fn append_checksummed(out: &mut Vec<u8>, src: &[u8]) -> u64 {
     let (groups, tail) = out[at..].split_at(rest.len() - rest.len() % GROUP);
     absorb_groups(&mut lanes, groups, &[]);
     finish_lanes(lanes, tail, src.len())
+}
+
+/// Appends `s₀ ⊕ s₁ ⊕ … ⊕ s_d` — `len` bytes, every source exactly that
+/// long — to `out` and returns its [`checksum`]: the encoder's check-block
+/// kernel. The block is built a 4 KiB strip at a time — the first source
+/// copied, the others folded in a word at a time — and each strip is hashed
+/// where it landed, still in L1; nothing is zero-filled first. The same
+/// bytes, digest and counts as [`xor_into`] from zero then [`checksum`], on
+/// either dispatch path: `kernel.bytes_xored` advances by `len` per source,
+/// `kernel.bytes_hashed` by `len`.
+///
+/// # Panics
+/// Panics if a source is not `len` bytes long.
+pub fn xor_checksummed<'a, I>(out: &mut Vec<u8>, len: usize, sources: I) -> u64
+where
+    I: Iterator<Item = &'a [u8]> + Clone,
+{
+    let mut xored = 0;
+    for src in sources.clone() {
+        assert_eq!(src.len(), len, "xor_checksummed requires equal lengths");
+        xored += len as u64;
+    }
+    METRICS.bytes_xored.add(xored);
+    METRICS.bytes_hashed.add(len as u64);
+    let block = out.len();
+    if force_scalar() {
+        out.resize(block + len, 0);
+        for src in sources {
+            scalar::xor_into(&mut out[block..], src);
+        }
+        return scalar::checksum(&out[block..]);
+    }
+    out.reserve(len);
+    // Appends bytes `from..to` of the block and says where they start.
+    let fold = |out: &mut Vec<u8>, from: usize, to: usize| {
+        let at = out.len();
+        let mut rest = sources.clone();
+        match rest.next() {
+            Some(first) => out.extend_from_slice(&first[from..to]),
+            None => out.resize(at + to - from, 0),
+        }
+        for src in rest {
+            xor_into_words(&mut out[at..], &src[from..to]);
+        }
+        at
+    };
+    let mut lanes = lane_init();
+    let whole = len - len % STRIP;
+    for from in (0..whole).step_by(STRIP) {
+        let at = fold(out, from, from + STRIP);
+        absorb_groups(&mut lanes, &out[at..], &[]);
+    }
+    let at = fold(out, whole, len);
+    let (groups, tail) = out[at..].split_at((len - whole) - (len - whole) % GROUP);
+    absorb_groups(&mut lanes, groups, &[]);
+    finish_lanes(lanes, tail, len)
 }
 
 /// Per-coefficient nibble multiplication tables: `c·b` for any byte `b` is

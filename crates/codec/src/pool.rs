@@ -4,11 +4,11 @@
 //! block it touched: encode's check accumulators, decode's recovery
 //! buffers, the store's device reads, the scrubber's per-stripe scans.
 //! A [`BlockPool`] turns those into buffer reuse: [`BlockPool::take_zeroed`]
-//! / [`BlockPool::take_copy`] hand out a recycled buffer when one is free
-//! (a *hit* — at most a memset, no allocator call once the buffer's
-//! capacity suffices) and fall back to a fresh allocation otherwise (a
-//! *miss*); [`BlockPool::recycle`] returns buffers once their contents are
-//! dead.
+//! / [`BlockPool::take_empty`] / [`BlockPool::take_copy`] hand out a
+//! recycled buffer when one is free (a *hit* — at most a memset, no
+//! allocator call once the buffer's capacity suffices) and fall back to a
+//! fresh allocation otherwise (a *miss*); [`BlockPool::recycle`] returns
+//! buffers once their contents are dead.
 //!
 //! Ownership rules:
 //!
@@ -89,20 +89,28 @@ impl BlockPool {
         }
     }
 
-    /// A buffer holding a copy of `src`.
-    pub fn take_copy(&mut self, src: &[u8]) -> Vec<u8> {
+    /// An empty buffer with room for `len` bytes: for a block its builder
+    /// appends to, so nothing is filled in only to be overwritten.
+    pub fn take_empty(&mut self, len: usize) -> Vec<u8> {
         match self.free.pop() {
             Some(mut buf) => {
                 METRICS.hits.inc();
                 buf.clear();
-                buf.extend_from_slice(src);
+                buf.reserve(len);
                 buf
             }
             None => {
                 METRICS.misses.inc();
-                src.to_vec()
+                Vec::with_capacity(len)
             }
         }
+    }
+
+    /// A buffer holding a copy of `src`.
+    pub fn take_copy(&mut self, src: &[u8]) -> Vec<u8> {
+        let mut buf = self.take_empty(src.len());
+        buf.extend_from_slice(src);
+        buf
     }
 
     /// Returns a dead buffer to the free list (dropped if the pool is at

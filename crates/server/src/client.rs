@@ -10,17 +10,23 @@
 //! backpressure ([`ClientError::Busy`] — back off and retry) from real
 //! failures.
 //!
-//! A request leaves in one `write` (length prefix and body built in one
-//! buffer — on a `TCP_NODELAY` socket two writes are two segments and two
-//! server wake-ups). A reply is decoded as it is read
+//! A request leaves in one write — on a `TCP_NODELAY` socket two writes
+//! are two segments and two server wake-ups — and a PUT's payload leaves
+//! from where the caller holds it: the length prefix, header and name are
+//! built in a small buffer and the payload slice goes out behind them in
+//! the same vectored write ([`Client::put`] copies nothing, and
+//! [`PipelinedClient::submit`] sends an [`Op::Put`]'s payload from inside
+//! the op). A reply is decoded as it is read
 //! ([`read_response`]): header fields come out of a small read-ahead
 //! buffer, and a GET's payload goes from the socket into the `Vec` that
 //! [`Client::get`] returns — allocated once at its final size, never
 //! zero-filled, never copied again.
 
 use crate::error::ClientError;
-use crate::protocol::{read_response, Op, Request, Response, StatMeta, MAX_NAME};
-use std::io::{BufReader, Write};
+use crate::protocol::{
+    put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME,
+};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -61,8 +67,8 @@ impl Client {
 
     /// Stores `payload` under `name`, returning the assigned object id.
     pub fn put(&mut self, name: &str, payload: &[u8]) -> Result<u64, ClientError> {
-        let resp = self.roundtrip(Op::Put { name: name.into(), payload: payload.to_vec() })?;
-        match resp {
+        let want = self.inner.submit_put(name, payload)?;
+        match self.inner.wait(want)? {
             Response::PutOk { id } => Ok(id),
             other => Err(error_from(other, "PUT")),
         }
@@ -216,16 +222,10 @@ impl PipelinedClient {
     /// length would not fit the wire's `u16`, or would ship the whole
     /// payload only for the server to refuse it).
     pub fn submit(&mut self, op: Op) -> Result<u32, ClientError> {
-        if let Op::Put { name, .. } = &op {
-            if name.len() > MAX_NAME {
-                return Err(ClientError::BadRequest(format!(
-                    "name length {} exceeds {MAX_NAME}",
-                    name.len()
-                )));
-            }
+        if let Op::Put { name, payload } = &op {
+            return self.submit_put(name, payload);
         }
-        let corr = self.next_corr;
-        self.next_corr = self.next_corr.wrapping_add(1);
+        let corr = self.take_corr();
         let req = Request {
             deadline_ms: self.deadline_ms,
             corr_id: Some(corr),
@@ -235,6 +235,30 @@ impl PipelinedClient {
         write_request(self.stream.get_mut(), &req)?;
         self.inflight += 1;
         Ok(corr)
+    }
+
+    /// [`PipelinedClient::submit`] of a PUT whose name and payload the
+    /// caller only lends: the same checks, the same bytes on the wire.
+    pub(crate) fn submit_put(&mut self, name: &str, payload: &[u8]) -> Result<u32, ClientError> {
+        if name.len() > MAX_NAME {
+            return Err(ClientError::BadRequest(format!(
+                "name length {} exceeds {MAX_NAME}",
+                name.len()
+            )));
+        }
+        let corr = self.take_corr();
+        let (deadline_ms, trace_id) = (self.deadline_ms, self.trace_id);
+        let head = put_frame_head(deadline_ms, Some(corr), trace_id, name, payload.len())?;
+        write_parts(self.stream.get_mut(), &head, payload)?;
+        self.inflight += 1;
+        Ok(corr)
+    }
+
+    /// Assigns the next correlation id.
+    fn take_corr(&mut self) -> u32 {
+        let corr = self.next_corr;
+        self.next_corr = self.next_corr.wrapping_add(1);
+        corr
     }
 
     /// Reads the next response frame — whichever in-flight request
@@ -263,6 +287,11 @@ impl PipelinedClient {
     /// submits are surfaced as errors rather than misattributed).
     pub fn roundtrip(&mut self, op: Op) -> Result<Response, ClientError> {
         let want = self.submit(op)?;
+        self.wait(want)
+    }
+
+    /// Reads the next response, which must be the one to request `want`.
+    fn wait(&mut self, want: u32) -> Result<Response, ClientError> {
         let (corr, resp) = self.recv()?;
         if corr != want {
             return Err(ClientError::Unexpected(format!(
@@ -274,9 +303,29 @@ impl PipelinedClient {
     }
 }
 
-/// Sends `req` as one frame in one `write` (short writes aside).
-fn write_request(w: &mut impl Write, req: &Request) -> std::io::Result<()> {
-    w.write_all(&req.encode_frame()?)
+/// Sends `req` as one frame in one write (short writes aside). PUTs do not
+/// come this way: [`PipelinedClient::submit_put`] sends theirs without
+/// building the frame around a copy of the payload.
+fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
+    write_parts(w, &req.encode_frame()?, &[])
+}
+
+/// The one request writer: `head` then `payload` in one vectored write,
+/// repeated from where a short write stopped until both are out.
+fn write_parts(w: &mut impl Write, mut head: &[u8], mut payload: &[u8]) -> io::Result<()> {
+    while !(head.is_empty() && payload.is_empty()) {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(payload)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                let of_head = n.min(head.len());
+                head = &head[of_head..];
+                payload = &payload[n - of_head..];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Maps an error-status response onto a typed [`ClientError`].
@@ -334,6 +383,127 @@ mod tests {
                 "prefix and body leave together"
             );
         }
+    }
+
+    /// Takes at most `per_call` bytes per call and counts the calls of
+    /// each kind.
+    struct Trickle {
+        per_call: usize,
+        wire: Vec<u8>,
+        writes: usize,
+        vectored: usize,
+    }
+
+    impl Trickle {
+        fn new(per_call: usize) -> Self {
+            Self {
+                per_call,
+                wire: Vec::new(),
+                writes: 0,
+                vectored: 0,
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.per_call);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored += 1;
+            let mut room = self.per_call;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.wire.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.per_call - room)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_put_is_one_vectored_write() {
+        let payload: Vec<u8> = (0..64usize << 10).map(|i| (i * 7 % 251) as u8).collect();
+        let req = Request {
+            deadline_ms: 9,
+            corr_id: Some(3),
+            trace_id: Some(5),
+            op: Op::Put {
+                name: "archive/tape-01".into(),
+                payload: payload.clone(),
+            },
+        };
+        // The bytes the parent put on the wire: the body behind its length.
+        let mut expect = (req.encode().len() as u32).to_le_bytes().to_vec();
+        expect.extend_from_slice(&req.encode());
+
+        // What `submit_put` — `Client::put` and `submit(Op::Put)` alike —
+        // hands the writer: a head that announces the payload, and the
+        // payload where the caller holds it.
+        let head = put_frame_head(9, Some(3), Some(5), "archive/tape-01", payload.len()).unwrap();
+        assert!(head.len() < 64, "no payload byte was copied to build it");
+        for per_call in [usize::MAX, 4096, 7, 1] {
+            let mut sent = Trickle::new(per_call);
+            write_parts(&mut sent, &head, &payload).unwrap();
+            assert!(sent.wire == expect, "{per_call} bytes per call");
+            assert_eq!(sent.writes, 0, "only ever vectored");
+            assert_eq!(sent.vectored, expect.len().div_ceil(per_call));
+        }
+    }
+
+    #[test]
+    fn an_oversized_put_and_an_overlong_name_are_refused_with_nothing_written() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut served, _) = listener.accept().unwrap();
+
+        // A name plus a payload of exactly MAX_FRAME cannot fit the frame.
+        let huge = vec![0u8; crate::protocol::MAX_FRAME];
+        let name = "x".repeat(MAX_NAME + 1);
+        for pipelined in [false, true] {
+            let too_big = match pipelined {
+                false => client.put("big", &huge).map(drop),
+                true => {
+                    let op = Op::Put {
+                        name: "big".into(),
+                        payload: huge.clone(),
+                    };
+                    client.inner.submit(op).map(drop)
+                }
+            };
+            match too_big {
+                Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+            let too_long = match pipelined {
+                false => client.put(&name, b"payload").map(drop),
+                true => {
+                    let op = Op::Put {
+                        name: name.clone(),
+                        payload: b"payload".to_vec(),
+                    };
+                    client.inner.submit(op).map(drop)
+                }
+            };
+            match too_long {
+                Err(ClientError::BadRequest(m)) => {
+                    assert_eq!(m, format!("name length {} exceeds {MAX_NAME}", MAX_NAME + 1))
+                }
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        assert_eq!(client.inner.inflight(), 0);
+        // The connection is still in step: a PING goes out, and it is the
+        // first thing the peer sees.
+        client.inner.submit(Op::Ping).unwrap();
+        let frame = read_frame(&mut served).unwrap().expect("a frame");
+        assert_eq!(Request::decode(&frame).unwrap().op, Op::Ping);
     }
 
     #[test]

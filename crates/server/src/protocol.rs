@@ -375,9 +375,8 @@ impl Request {
         buf
     }
 
-    /// Serializes the whole frame — length prefix and body in one buffer,
-    /// so a client sends a request with one write. A body over
-    /// [`MAX_FRAME`] is refused, as [`write_frame`] refuses it.
+    /// Serializes the whole frame — length prefix and body in one buffer.
+    /// A body over [`MAX_FRAME`] is refused, as [`write_frame`] refuses it.
     pub fn encode_frame(&self) -> io::Result<Vec<u8>> {
         let frame = build_frame(self.body_capacity(), |buf| self.write_body(buf));
         check_frame_len(frame.len() - 4)?;
@@ -391,13 +390,13 @@ impl Request {
             Op::Put { name, payload } => 2 + name.len() + payload.len(),
             _ => 0,
         };
-        1 + 4 + 4 + 8 + 8 + variable
+        HEADER_MAX + 8 + variable
     }
 
     /// The one request encoder: appends the body to `buf`.
     fn write_body(&self, buf: &mut Vec<u8>) {
         let opcode: u8 = match &self.op {
-            Op::Put { .. } => 1,
+            Op::Put { .. } => OPCODE_PUT,
             Op::Get { .. } => 2,
             Op::Delete { .. } => 3,
             Op::Stat { .. } => 4,
@@ -409,21 +408,7 @@ impl Request {
             Op::TraceExport => 10,
             Op::Health => 11,
         };
-        let mut tagged = opcode;
-        if self.corr_id.is_some() {
-            tagged |= CORR_FLAG;
-        }
-        if self.trace_id.is_some() {
-            tagged |= TRACE_FLAG;
-        }
-        buf.push(tagged);
-        put_u32(buf, self.deadline_ms);
-        if let Some(corr_id) = self.corr_id {
-            put_u32(buf, corr_id);
-        }
-        if let Some(trace_id) = self.trace_id {
-            put_u64(buf, trace_id);
-        }
+        write_header(buf, opcode, self.deadline_ms, self.corr_id, self.trace_id);
         match &self.op {
             Op::Put { name, payload } => {
                 put_u16(buf, name.len() as u16);
@@ -436,9 +421,17 @@ impl Request {
         }
     }
 
-    /// Parses a request body.
+    /// Parses a request body: the owning decoder the server runs on the
+    /// buffer a frame was read into, over a copy.
     pub fn decode(body: &[u8]) -> Result<Request, WireError> {
-        let mut c = Cursor::new(body);
+        Self::decode_owned(body.to_vec(), 0)
+    }
+
+    /// The one request decoder: parses the body `buf[body_start..]`, taking
+    /// the buffer (as [`FrameBuffer::take_frame`] returns it) so that a
+    /// PUT's payload is that allocation with the front cut off, not a copy.
+    pub(crate) fn decode_owned(mut buf: Vec<u8>, body_start: usize) -> Result<Request, WireError> {
+        let mut c = Cursor::new(&buf[body_start..]);
         let tagged = c.u8("opcode")?;
         let opcode = tagged & !(TRACE_FLAG | CORR_FLAG);
         let deadline_ms = c.u32("deadline")?;
@@ -453,14 +446,21 @@ impl Request {
             None
         };
         let op = match opcode {
-            1 => {
+            OPCODE_PUT => {
                 let name_len = c.u16("name length")? as usize;
                 if name_len > MAX_NAME {
                     return Err(WireError(format!("name length {name_len} exceeds {MAX_NAME}")));
                 }
                 let name = c.string(name_len, "name")?;
-                let payload = c.rest().to_vec();
-                Op::Put { name, payload }
+                // The payload is the rest of the body.
+                let payload_start = body_start + c.pos;
+                buf.drain(..payload_start);
+                return Ok(Request {
+                    deadline_ms,
+                    corr_id,
+                    trace_id,
+                    op: Op::Put { name, payload: buf },
+                });
             }
             2 => Op::Get { id: c.u64("id")? },
             3 => Op::Delete { id: c.u64("id")? },
@@ -482,6 +482,59 @@ impl Request {
             op,
         })
     }
+}
+
+/// Opcode of a PUT (see the module table).
+const OPCODE_PUT: u8 = 1;
+
+/// Most bytes a request header takes: the tagged opcode, the deadline and
+/// both optional ids.
+const HEADER_MAX: usize = 1 + 4 + 4 + 8;
+
+/// Appends a request header: the opcode tagged with the flags of the ids
+/// present, the deadline, then those ids.
+fn write_header(
+    buf: &mut Vec<u8>,
+    opcode: u8,
+    deadline_ms: u32,
+    corr_id: Option<u32>,
+    trace_id: Option<u64>,
+) {
+    let mut tagged = opcode;
+    if corr_id.is_some() {
+        tagged |= CORR_FLAG;
+    }
+    if trace_id.is_some() {
+        tagged |= TRACE_FLAG;
+    }
+    buf.push(tagged);
+    put_u32(buf, deadline_ms);
+    if let Some(corr_id) = corr_id {
+        put_u32(buf, corr_id);
+    }
+    if let Some(trace_id) = trace_id {
+        put_u64(buf, trace_id);
+    }
+}
+
+/// A PUT frame up to its payload: the length prefix — which counts the
+/// `payload_len` bytes the caller sends behind it — header and name. A
+/// body over [`MAX_FRAME`] is refused.
+pub(crate) fn put_frame_head(
+    deadline_ms: u32,
+    corr_id: Option<u32>,
+    trace_id: Option<u64>,
+    name: &str,
+    payload_len: usize,
+) -> io::Result<Vec<u8>> {
+    let mut head = build_frame(HEADER_MAX + 2 + name.len(), |buf| {
+        write_header(buf, OPCODE_PUT, deadline_ms, corr_id, trace_id);
+        put_u16(buf, name.len() as u16);
+        buf.extend_from_slice(name.as_bytes());
+    });
+    let body_len = check_frame_len(head.len() - 4 + payload_len)?;
+    head[..4].copy_from_slice(&body_len.to_le_bytes());
+    Ok(head)
 }
 
 /// Status byte of a successful GET (`OK GET` in the module table).
@@ -743,11 +796,19 @@ impl Frame {
 
 /// Incremental frame reassembly over a nonblocking byte stream.
 ///
-/// Bytes arrive in arbitrary chunks ([`FrameBuffer::extend`]); complete
-/// frames come out one at a time ([`FrameBuffer::next_frame`]). The length
-/// prefix is only ever consumed together with its body, so a partial
-/// read can never desync the stream — the never-desync property of the
-/// blocking [`read_frame`] path, preserved under readiness-driven I/O.
+/// Bytes arrive in arbitrary chunks — read from the stream straight into
+/// the buffer's spare capacity by the shard (`FrameBuffer::fill_from`), or
+/// handed over ([`FrameBuffer::extend`]); complete frames come out one at a
+/// time ([`FrameBuffer::next_frame`]). The length prefix is only ever
+/// consumed together with its body, so a partial read can never desync the
+/// stream — the never-desync property of the blocking [`read_frame`] path,
+/// preserved under readiness-driven I/O.
+///
+/// The shard's path writes a frame's bytes here once: the buffer is sized
+/// for the frame when its length prefix is in, and a frame that is all the
+/// buffer holds leaves *with* it (`FrameBuffer::take_frame`). What a peer
+/// *announces* buys it no memory: the buffer is never reserved more than
+/// `RETAINED_CAPACITY` (256 KiB) ahead of the bytes that have arrived.
 #[derive(Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -757,9 +818,13 @@ pub struct FrameBuffer {
 /// Largest capacity a connection's drained read or write buffer keeps for
 /// its next frame. Above it the allocation is given back, so an idle
 /// connection does not hold its largest request and reply for as long as
-/// it stays open; below it a stream of 64 KiB PUTs (whose buffer grows to
-/// 128 KiB by doubling) reuses one allocation.
+/// it stays open; below it a stream of small requests reuses one
+/// allocation. Also the most a read buffer reserves ahead of what arrived.
 pub(crate) const RETAINED_CAPACITY: usize = 256 << 10;
+
+/// Least spare capacity a read is offered: what one readiness event of a
+/// connection sending small requests typically holds.
+pub(crate) const READ_CHUNK: usize = 16 << 10;
 
 /// Empties a fully drained connection buffer, keeping its allocation only
 /// up to [`RETAINED_CAPACITY`].
@@ -797,29 +862,103 @@ impl FrameBuffer {
         self.buf.capacity()
     }
 
-    /// Extracts the next complete frame body, `Ok(None)` until one is
-    /// fully buffered. A length prefix over [`MAX_FRAME`] is a hard
-    /// protocol error — the connection cannot be resynchronized.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buffered() < 4 {
+    /// The length the frame at the front announces, once its prefix is in.
+    fn announced(&self) -> Option<usize> {
+        let prefix = self.buf.get(self.pos..self.pos + 4)?;
+        Some(u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize)
+    }
+
+    /// Reads from a nonblocking stream into the buffer's spare capacity —
+    /// nothing zero-filled first, nothing copied afterwards — until the
+    /// stream would block (`Ok(true)`) or has ended (`Ok(false)`). A read
+    /// is offered the rest of the frame being received, up to
+    /// [`RETAINED_CAPACITY`] of it, so a frame under that gets a buffer of
+    /// exactly its size; with no frame announced (or one over
+    /// [`MAX_FRAME`], which extraction then refuses) it is offered
+    /// [`READ_CHUNK`]. Beyond that the buffer grows with what has arrived:
+    /// doubling, then [`RETAINED_CAPACITY`] at a time. Filling a buffer
+    /// sized for its frame also ends the call — the frame can leave with
+    /// the buffer only while it has it to itself, and the level-triggered
+    /// poller reports again whatever is still unread.
+    pub(crate) fn fill_from(&mut self, stream: &mut impl Read) -> io::Result<bool> {
+        loop {
+            let missing = match self.announced() {
+                Some(len) if len <= MAX_FRAME => (4 + len).saturating_sub(self.buffered()),
+                _ => 0,
+            };
+            let want = match missing {
+                0 => READ_CHUNK,
+                rest => rest.min(RETAINED_CAPACITY),
+            };
+            let held = self.buf.len();
+            if self.buf.capacity() - held < want {
+                let grow = want.max(held.min(RETAINED_CAPACITY));
+                self.buf.reserve_exact(grow);
+            }
+            // `read_to_end` appends into spare capacity and, because the
+            // `Take` ends where the capacity does, never grows the buffer.
+            let room = self.buf.capacity() - held;
+            match stream.by_ref().take(room as u64).read_to_end(&mut self.buf) {
+                Ok(n) if n < room => return Ok(false),
+                Ok(_) if room == missing => return Ok(true),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Where the front frame lies — `(body_start, end)` — once all of it
+    /// is in. A length prefix over [`MAX_FRAME`] is a hard protocol error —
+    /// the connection cannot be resynchronized.
+    fn complete_frame(&mut self) -> Result<Option<(usize, usize)>, WireError> {
+        let Some(len) = self.announced() else {
             self.compact();
             return Ok(None);
-        }
-        let len =
-            u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
+        };
         if len > MAX_FRAME {
             return Err(WireError(format!(
                 "frame length {len} exceeds MAX_FRAME {MAX_FRAME}"
             )));
         }
-        if self.buffered() < 4 + len {
+        let (body_start, end) = (self.pos + 4, self.pos + 4 + len);
+        if self.buf.len() < end {
             self.compact();
             return Ok(None);
         }
-        let body = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
+        Ok(Some((body_start, end)))
+    }
+
+    /// Copies the body `buf[body_start..end]` out and consumes the frame.
+    fn copy_out(&mut self, body_start: usize, end: usize) -> Vec<u8> {
+        let body = self.buf[body_start..end].to_vec();
+        self.pos = end;
         self.compact();
-        Ok(Some(body))
+        body
+    }
+
+    /// Extracts the next complete frame body (a copy), `Ok(None)` until
+    /// one is fully buffered; `Err` for a length prefix over [`MAX_FRAME`].
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        let frame = self.complete_frame()?;
+        Ok(frame.map(|(body_start, end)| self.copy_out(body_start, end)))
+    }
+
+    /// [`FrameBuffer::next_frame`] for a caller that can take the buffer:
+    /// the body is `buf[body_start..]` of the returned pair. A frame that
+    /// is all the buffer holds and at least half its capacity leaves with
+    /// it (a small request is cheaper to copy out than a large buffer is
+    /// to replace); any other is copied out, with `body_start == 0`.
+    pub(crate) fn take_frame(&mut self) -> Result<Option<(Vec<u8>, usize)>, WireError> {
+        let frame = self.complete_frame()?;
+        Ok(frame.map(|(body_start, end)| {
+            if end == self.buf.len() && end >= self.buf.capacity() / 2 {
+                self.pos = 0;
+                (std::mem::take(&mut self.buf), body_start)
+            } else {
+                (self.copy_out(body_start, end), 0)
+            }
+        }))
     }
 
     /// Reclaims the consumed prefix: free when the buffer is fully
@@ -1359,6 +1498,213 @@ mod tests {
         assert!(kept > 64 << 10);
         fb.extend(&wire);
         assert_eq!(fb.buf.capacity(), kept);
+    }
+
+    // --- frames read in place and taken with their buffer --------------------
+
+    /// A nonblocking stream: delivers what is `ready`, then would block.
+    struct Stalling<'a> {
+        ready: &'a [u8],
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.ready.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.ready.len());
+            buf[..n].copy_from_slice(&self.ready[..n]);
+            self.ready = &self.ready[n..];
+            Ok(n)
+        }
+    }
+
+    /// A PUT of `size` seeded bytes under a seeded name and header.
+    fn seeded_put(rng: &mut rand::rngs::SmallRng, size: usize) -> Request {
+        use rand::RngCore;
+        let mut payload = vec![0u8; size];
+        rng.fill_bytes(&mut payload);
+        let draw = rng.next_u64();
+        Request {
+            deadline_ms: draw as u32 & 0xFFFF,
+            corr_id: (draw & 1 << 32 != 0).then_some((draw >> 40) as u32),
+            trace_id: (draw & 1 << 33 != 0).then_some(draw.rotate_left(17)),
+            op: Op::Put {
+                name: "n".repeat((draw >> 34) as usize % 40),
+                payload,
+            },
+        }
+    }
+
+    #[test]
+    fn a_put_decodes_the_same_wherever_it_is_cut_and_however_it_leaves_the_buffer() {
+        use rand::SeedableRng;
+        const SEED: u64 = 0x21_5EED;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(SEED);
+        let get = Request {
+            deadline_ms: 0,
+            corr_id: Some(9),
+            trace_id: None,
+            op: Op::Get { id: 77 },
+        };
+        for size in [0usize, 1, 4 << 10, 64 << 10, 1 << 20] {
+            let put = seeded_put(&mut rng, size);
+            // Size and cut decide which way each frame leaves: with the
+            // buffer when it has it to itself, copied out when a successor
+            // arrived in the same read or the frame is a corner of it.
+            let streams = [
+                vec![put.clone()],
+                vec![put.clone(), get.clone()],
+                vec![put.clone(), seeded_put(&mut rng, size)],
+            ];
+            for (stream, expect) in streams.iter().enumerate() {
+                let mut wire = Vec::new();
+                for req in expect {
+                    append_frame(&mut wire, &req.encode());
+                }
+                let cuts = (1..=64).chain((1..).map(|i| i * (16 << 10)));
+                for cut in cuts.take_while(|&cut| cut < wire.len()) {
+                    let case = format!("seed {SEED:#x} size {size} stream {stream} cut {cut}");
+                    let pieces = [&wire[..cut], &wire[cut..]];
+
+                    // Handed over and copied out: the parent's path.
+                    let mut copied = FrameBuffer::new();
+                    let mut got = Vec::new();
+                    for piece in pieces {
+                        copied.extend(piece);
+                        while let Some(body) = copied.next_frame().expect(&case) {
+                            got.push(Request::decode(&body).expect(&case));
+                        }
+                    }
+                    assert!(got == *expect, "{case}: copied out");
+
+                    // Read in place and taken: the shard's path.
+                    let mut taken = FrameBuffer::new();
+                    let mut got = Vec::new();
+                    for piece in pieces {
+                        let mut peer = Stalling { ready: piece };
+                        // As the level-triggered poller has it: readable
+                        // until read dry.
+                        loop {
+                            assert!(taken.fill_from(&mut peer).expect(&case), "{case}: open");
+                            while let Some((buf, body_start)) = taken.take_frame().expect(&case) {
+                                got.push(Request::decode_owned(buf, body_start).expect(&case));
+                            }
+                            if peer.ready.is_empty() {
+                                break;
+                            }
+                        }
+                    }
+                    assert!(got == *expect, "{case}: taken");
+                    assert_eq!(taken.buffered(), 0, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_with_the_buffer_only_when_it_is_most_of_it() {
+        let put = Request {
+            deadline_ms: 0,
+            corr_id: Some(1),
+            trace_id: None,
+            op: Op::Put {
+                name: "n".into(),
+                payload: vec![7; 64 << 10],
+            },
+        };
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &put.encode());
+        let mut fb = FrameBuffer::new();
+        fb.fill_from(&mut Stalling { ready: &wire }).unwrap();
+        assert!(
+            fb.capacity() <= wire.len() + READ_CHUNK,
+            "sized from the prefix, not by doubling: {}",
+            fb.capacity()
+        );
+        let at = fb.buf.as_ptr();
+        let (buf, body_start) = fb.take_frame().unwrap().unwrap();
+        assert_eq!((buf.as_ptr(), body_start), (at, 4), "the buffer itself");
+        assert_eq!(fb.capacity(), 0);
+        match Request::decode_owned(buf, body_start).unwrap().op {
+            Op::Put { payload, .. } => assert_eq!(payload.as_ptr(), at, "cut down in place"),
+            other => panic!("{other:?}"),
+        }
+
+        // A 13-byte GET in a 16 KiB buffer is copied out, and the buffer
+        // stays for the next request.
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &Request::decode(&[2, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap().encode());
+        fb.fill_from(&mut Stalling { ready: &wire }).unwrap();
+        let kept = fb.capacity();
+        let (buf, body_start) = fb.take_frame().unwrap().unwrap();
+        assert_eq!((buf.len(), body_start), (13, 0));
+        assert_eq!(fb.capacity(), kept);
+    }
+
+    #[test]
+    fn a_large_frame_that_shared_its_buffer_is_copied_out_and_the_buffer_given_back() {
+        // 300 KiB is read in steps, the last of them not sized for the
+        // frame, so the GET behind it lands in the same buffer.
+        let put = Request {
+            deadline_ms: 0,
+            corr_id: Some(1),
+            trace_id: None,
+            op: Op::Put {
+                name: "n".into(),
+                payload: vec![7; 300 << 10],
+            },
+        };
+        let get = Request {
+            deadline_ms: 0,
+            corr_id: Some(2),
+            trace_id: None,
+            op: Op::Get { id: 5 },
+        };
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &put.encode());
+        append_frame(&mut wire, &get.encode());
+        let mut fb = FrameBuffer::new();
+        let mut peer = Stalling { ready: &wire };
+        assert!(fb.fill_from(&mut peer).unwrap());
+        assert!(peer.ready.is_empty(), "read dry in one call");
+        assert!(fb.capacity() > RETAINED_CAPACITY);
+        let (buf, body_start) = fb.take_frame().unwrap().unwrap();
+        assert_eq!(body_start, 0, "copied out");
+        assert_eq!(Request::decode_owned(buf, 0).unwrap(), put);
+        let (buf, body_start) = fb.take_frame().unwrap().unwrap();
+        assert_eq!(Request::decode_owned(buf, body_start).unwrap(), get);
+        assert_eq!(fb.buffered(), 0);
+        assert!(
+            fb.capacity() <= RETAINED_CAPACITY,
+            "drained, yet holding {} bytes",
+            fb.capacity()
+        );
+    }
+
+    #[test]
+    fn an_announced_length_buys_no_memory() {
+        // Ten bytes of a frame that claims to be as large as frames get.
+        let mut wire = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[1; 10]);
+        let mut fb = FrameBuffer::new();
+        assert!(fb.fill_from(&mut Stalling { ready: &wire }).unwrap());
+        assert!(fb.take_frame().unwrap().is_none());
+        assert!(fb.fill_from(&mut Stalling { ready: &[] }).unwrap());
+        assert!(
+            fb.capacity() <= RETAINED_CAPACITY + READ_CHUNK,
+            "{} bytes held for 14 that arrived",
+            fb.capacity()
+        );
+        // One byte more than that, and not even the announcement counts.
+        let mut wire = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[1; 10]);
+        let mut fb = FrameBuffer::new();
+        assert!(fb.fill_from(&mut Stalling { ready: &wire }).unwrap());
+        assert!(fb.capacity() <= READ_CHUNK, "{}", fb.capacity());
+        assert!(fb.take_frame().is_err());
+        // End of stream is told apart from a stream that would block.
+        assert!(!fb.fill_from(&mut io::empty()).unwrap());
     }
 
     // --- encoded frames -----------------------------------------------------

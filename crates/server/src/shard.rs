@@ -7,7 +7,13 @@
 //! bookkeeping), reassembles frames incrementally, dispatches decoded
 //! requests to the engine's worker pool, and writes completed responses
 //! back — coalescing every response queued since the last flush into one
-//! write syscall. Responses arrive already encoded (`Frame`): when a
+//! write syscall. Requests are read from the socket straight into the
+//! connection's [`FrameBuffer`] — no scratch buffer in between, nothing
+//! zero-filled — which sizes itself from a frame's length prefix, so a PUT
+//! lands in one allocation of its own size, leaves the buffer *with* it,
+//! and has its payload cut out of it by the decoder: between the socket
+//! and the store's encoder a payload byte moves once (the cut). Responses
+//! arrive already encoded (`Frame`): when a
 //! connection has nothing unflushed the frame's buffer *becomes* its
 //! output buffer (a 1 MiB GET reply is not copied on its way to the
 //! socket); behind unflushed output it is appended, so frames still leave
@@ -18,6 +24,11 @@
 //! * **Never desync.** Partial frames interleaved across connections are
 //!   reassembled per-connection by [`FrameBuffer`]; a frame's bytes are
 //!   only consumed once the whole frame is present.
+//! * **An announcement buys no memory.** A read buffer is never reserved
+//!   more than `RETAINED_CAPACITY` ahead of the bytes its peer has sent,
+//!   whatever length the peer's prefix claims, and a prefix over
+//!   `MAX_FRAME` ends the connection's read side with nothing reserved
+//!   for it.
 //! * **Legacy ordering.** A request without a correlation id (an
 //!   old-header, one-at-a-time client) holds further frame extraction on
 //!   its connection until it is answered, so responses stay in request
@@ -50,7 +61,7 @@ use crate::obs::{LoopStats, ServerObserver};
 use crate::protocol::{release_drained, Frame, FrameBuffer, Op, Request, Response, MAX_FRAME};
 use crate::reactor::{Interest, Poller, Waker};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -60,9 +71,6 @@ use tornado_obs::Json;
 
 /// Poller token reserved for the shard's waker.
 const WAKER_TOKEN: u64 = u64::MAX;
-
-/// Read scratch size per readiness event.
-const READ_CHUNK: usize = 16 << 10;
 
 /// Unsent output past which a connection's buffered requests wait (see
 /// *Bounded output* in the module docs): room for two of the largest
@@ -385,8 +393,10 @@ impl<D: Dispatcher> ShardState<D> {
         }
     }
 
-    /// Reads until `WouldBlock` (level-triggered: drain the socket fully),
-    /// then extracts as many complete frames as pipelining rules allow.
+    /// Reads straight into the connection's frame buffer until the socket
+    /// would block or a buffer sized for its frame is full (the poller is
+    /// level-triggered: what is left unread is reported again), then
+    /// extracts as many complete frames as pipelining rules allow.
     fn handle_readable(&mut self, slot: usize, dirty: &mut Vec<usize>) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
@@ -394,22 +404,8 @@ impl<D: Dispatcher> ShardState<D> {
         if conn.peer_gone || conn.close_after_flush {
             return;
         }
-        let mut scratch = [0u8; READ_CHUNK];
-        loop {
-            match conn.stream.read(&mut scratch) {
-                Ok(0) => {
-                    conn.peer_gone = true;
-                    break;
-                }
-                Ok(n) => conn.inbuf.extend(&scratch[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.peer_gone = true;
-                    break;
-                }
-            }
-        }
+        // End of stream and a failed read both end the read side.
+        conn.peer_gone = !conn.inbuf.fill_from(&mut conn.stream).unwrap_or(false);
         self.extract_frames(slot, dirty);
         self.maybe_teardown(slot);
     }
@@ -438,8 +434,8 @@ impl<D: Dispatcher> ShardState<D> {
                     return;
                 }
             }
-            let body = match conn.inbuf.next_frame() {
-                Ok(Some(body)) => body,
+            let (frame, body_start) = match conn.inbuf.take_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => return,
                 Err(_) => {
                     // Framing violation (oversized length prefix): the
@@ -451,7 +447,8 @@ impl<D: Dispatcher> ShardState<D> {
             };
             self.ctx.stats.frames_in.inc();
             let req_start = Instant::now();
-            let request = match Request::decode(&body) {
+            let frame_bytes = (frame.len() - body_start) as u64;
+            let request = match Request::decode_owned(frame, body_start) {
                 Ok(r) => r,
                 Err(e) => {
                     self.ctx.obs.bad_requests.inc();
@@ -504,7 +501,7 @@ impl<D: Dispatcher> ShardState<D> {
                         name: "frame.decode",
                         start_us: root_start_us,
                         dur_us: decode_us,
-                        fields: vec![("frame_bytes", Json::U64(body.len() as u64))],
+                        fields: vec![("frame_bytes", Json::U64(frame_bytes))],
                     });
                     (root_span, root_start_us)
                 });
@@ -802,8 +799,9 @@ fn emit_slow_request(
 mod tests {
     use super::*;
     use crate::protocol::{
-        append_frame, read_frame, write_frame, RESPONSE_HEAD_MAX, RETAINED_CAPACITY,
+        append_frame, read_frame, write_frame, READ_CHUNK, RESPONSE_HEAD_MAX, RETAINED_CAPACITY,
     };
+    use std::io::Read;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
     use std::thread;
@@ -1313,5 +1311,118 @@ mod tests {
             out_idle <= RETAINED_CAPACITY,
             "idle, yet holding {out_idle} bytes of its largest reply"
         );
+    }
+
+    /// Dispatcher double that accepts every job and answers none, until
+    /// the test takes them back.
+    #[derive(Default)]
+    struct Parked {
+        jobs: Arc<Mutex<Vec<Job>>>,
+    }
+    impl Dispatcher for Parked {
+        fn dispatch(&self, job: Job) -> Result<(), Response> {
+            self.jobs.lock().unwrap().push(job);
+            Ok(())
+        }
+    }
+
+    /// One shard around one connection, to be driven by hand on the test's
+    /// thread, and the peer's end of that connection.
+    fn hand_driven<D: Dispatcher>(dispatcher: D) -> (ShardState<D>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_nodelay(true).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let mailbox = ShardMailbox::new();
+        mailbox.adopt(served);
+        let mut shard = ShardState {
+            poller: Poller::new().unwrap(),
+            ctx: ShardContext {
+                dispatcher: Arc::new(dispatcher),
+                obs: ServerObserver::shared(),
+                stats: Arc::new(LoopStats::new()),
+                mailbox,
+                shutdown: Arc::new(AtomicBool::new(false)),
+                default_deadline_ms: 0,
+                slow_request_us: 0,
+                poll_interval_ms: 5,
+                max_inflight_per_conn: 8,
+            },
+            conns: Vec::new(),
+            free: Vec::new(),
+            gen_counter: 0,
+            drain_started: None,
+        };
+        shard.adopt_new();
+        (shard, client)
+    }
+
+    /// Reads connection 0 until `done`, as readiness events would have it.
+    fn read_until<D: Dispatcher>(shard: &mut ShardState<D>, done: impl Fn(&ShardState<D>) -> bool) {
+        let patience = Instant::now();
+        while !done(shard) {
+            assert!(
+                patience.elapsed() < Duration::from_secs(10),
+                "shard made no progress"
+            );
+            shard.handle_readable(0, &mut Vec::new());
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_peer_that_announces_a_frame_and_stalls_holds_a_bounded_buffer() {
+        let (mut shard, mut peer) = hand_driven(Inline);
+        // The largest frame there is, announced; ten bytes of it, sent.
+        peer.write_all(&(MAX_FRAME as u32).to_le_bytes()).unwrap();
+        peer.write_all(&[1; 10]).unwrap();
+        read_until(&mut shard, |shard| {
+            shard.conns[0].as_ref().expect("stays open").inbuf.buffered() == 14
+        });
+        // A few more readiness events change nothing.
+        for _ in 0..3 {
+            shard.handle_readable(0, &mut Vec::new());
+        }
+        let held = shard.conns[0].as_ref().unwrap().inbuf.capacity();
+        assert!(
+            held <= RETAINED_CAPACITY + READ_CHUNK,
+            "{held} bytes reserved for 14 that arrived"
+        );
+    }
+
+    #[test]
+    fn a_prefix_over_max_frame_stops_the_connection_before_anything_is_reserved() {
+        let dispatcher = Parked::default();
+        let jobs = Arc::clone(&dispatcher.jobs);
+        let (mut shard, mut peer) = hand_driven(dispatcher);
+        // A request that stays in flight keeps the connection around to be
+        // looked at; behind it, a frame one byte over the limit.
+        write_frame(&mut peer, &req(Some(1), Op::Ping)).unwrap();
+        peer.write_all(&(MAX_FRAME as u32 + 1).to_le_bytes()).unwrap();
+        peer.write_all(&[1; 10]).unwrap();
+        read_until(&mut shard, |shard| {
+            shard.conns[0].as_ref().expect("a request is in flight").peer_gone
+        });
+        let conn = shard.conns[0].as_ref().unwrap();
+        assert_eq!(conn.inflight(), 1);
+        assert!(
+            conn.inbuf.capacity() <= READ_CHUNK,
+            "{} bytes reserved on the word of a frame that is refused",
+            conn.inbuf.capacity()
+        );
+        // Nothing more is read from it...
+        peer.write_all(&[2; 100]).unwrap();
+        thread::sleep(Duration::from_millis(20));
+        let before = shard.conns[0].as_ref().unwrap().inbuf.buffered();
+        shard.handle_readable(0, &mut Vec::new());
+        assert_eq!(shard.conns[0].as_ref().unwrap().inbuf.buffered(), before);
+        // ...the request in flight is still answered, and then it is closed.
+        let job = jobs.lock().unwrap().pop().expect("the PING was dispatched");
+        job.reply.send(Frame::encode(&Response::Ok, Some(1)));
+        shard.process_completions(&mut Vec::new());
+        shard.flush(0);
+        assert_eq!(read_response(&mut peer), (Some(1), Response::Ok));
+        assert!(shard.conns[0].is_none(), "torn down");
     }
 }

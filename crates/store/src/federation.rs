@@ -204,7 +204,9 @@ impl FederatedStore {
 
 /// Re-encodes `payload` under `site`'s graph and writes any blocks that are
 /// missing or corrupt (probed in place — nothing is copied out to find
-/// out) and whose home device is online.
+/// out) and whose home device is online. Like the scrubber, it never
+/// writes a block that misses its put-time digest: such a block is not the
+/// one that was lost, and counts as not restored.
 fn refill_site(
     site: &ArchivalStore,
     meta: &ObjectMeta,
@@ -213,9 +215,10 @@ fn refill_site(
     let codec = Codec::new(site.graph());
     let stripe = tornado_codec::EncodedStripe::from_object(&codec, payload)?;
     let mut restored = 0usize;
-    for (node, block) in stripe.blocks().iter().enumerate() {
+    for (node, (block, digest)) in stripe.blocks().iter().zip(stripe.digests()).enumerate() {
         let node = node as NodeId;
-        if site.probe_block(meta, node) != BlockProbe::Ok
+        if meta.checksums.get(node as usize) == Some(digest)
+            && site.probe_block(meta, node) != BlockProbe::Ok
             && site.write_raw_block(meta, node, block.clone())
         {
             restored += 1;
@@ -326,6 +329,33 @@ mod tests {
         let (payload, path) = fed.get(id).unwrap();
         assert_eq!(payload, b"repair me");
         assert_eq!(path, FetchPath::SiteA);
+    }
+
+    #[test]
+    fn refill_does_not_write_a_block_that_misses_its_put_time_digest() {
+        let fed = two_mirror_sites();
+        let payload = b"digest gate";
+        let id = fed.put("x", payload).unwrap();
+        let site = fed.site_a();
+        for d in [0, 1] {
+            site.fail_device(d).unwrap();
+            site.replace_device(d).unwrap();
+        }
+        // The stripe's record of what node 0 held is wrong, so the
+        // re-encoded block cannot be shown to be the one that was lost;
+        // node 1's record is right.
+        let mut meta = site.meta(id).unwrap();
+        meta.checksums[0] ^= 1;
+        let writes = |node| {
+            let device = site.device(site.device_of_block(&meta, node)).unwrap();
+            device.stats().writes
+        };
+        let before = (writes(0), writes(1));
+        assert_eq!(refill_site(site, &meta, payload).unwrap(), 1);
+        assert_eq!(writes(0), before.0, "nothing was written for node 0");
+        assert!(!site.has_block(&meta, 0));
+        assert_eq!(writes(1), before.1 + 1, "node 1 went home");
+        assert!(site.has_block(&meta, 1));
     }
 
     #[test]

@@ -291,14 +291,15 @@ impl ArchivalStore {
         let rotation =
             self.put_count.fetch_add(1, Ordering::Relaxed) as usize % self.devices.len();
         let block_len = stripe.block_len();
-        let blocks = stripe.into_blocks();
+        // The digests were taken as the encoder wrote the blocks.
+        let (blocks, checksums) = stripe.into_parts();
         let meta = ObjectMeta {
             id,
             name: name.to_string(),
             size: payload.len(),
             block_len,
             rotation,
-            checksums: blocks.iter().map(|b| block_checksum(b)).collect(),
+            checksums,
         };
         if let Some(d) = &self.durability {
             d.journal_append(&JournalRecord::PutIntent {
