@@ -5,12 +5,12 @@
 //! node indices; this crate provides the set representations used on that hot
 //! path:
 //!
-//! * [`DynBitSet`] — a heap-backed bit set for arbitrary sizes, used by the
-//!   storage layer and the analyses that hold sets of nodes.
 //! * [`rows`] — bit rows as plain word slices and [`RowTable`], a flat table
-//!   of them. They are the state representation behind the decode kernel: an
-//!   erasure pattern is one row, each check's neighbourhood another, and a
-//!   check's state is the popcount of their intersection.
+//!   of them: the workspace's one node-set type. They are the state
+//!   representation behind the decode kernel — an erasure pattern is one
+//!   row, each check's neighbourhood another, and a check's state is the
+//!   popcount of their intersection — and what the store's retrieval
+//!   planner keeps its needed / missing sets in.
 //! * [`combinations`] — lexicographic *k*-subset enumeration with
 //!   combinatorial ranking/unranking, which lets the simulator split an
 //!   exhaustive `C(96, k)` search into independent, evenly sized chunks for
@@ -22,9 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod combinations;
-pub mod dynamic;
 pub mod rows;
 
 pub use combinations::{CombinationIter, Combinations};
-pub use dynamic::DynBitSet;
 pub use rows::RowTable;

@@ -1,29 +1,10 @@
-//! Property-based tests for the bit-set algebra and the combinadic
-//! rank/unrank bijection.
+//! Property-based tests for the combinadic rank/unrank bijection.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use tornado_bitset::combinations::{binomial, chunk_ranges, rank, unrank};
-use tornado_bitset::{CombinationIter, DynBitSet};
-
-fn arb_members() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0usize..128, 0..40)
-}
+use tornado_bitset::CombinationIter;
 
 proptest! {
-    #[test]
-    fn dynamic_matches_btreeset(a in arb_members(), b in arb_members()) {
-        let sa: BTreeSet<usize> = a.iter().copied().collect();
-        let sb: BTreeSet<usize> = b.iter().copied().collect();
-        let mut da = DynBitSet::from_indices(128, a.iter().copied());
-        let db = DynBitSet::from_indices(128, b.iter().copied());
-        prop_assert_eq!(da.to_vec(), sa.iter().copied().collect::<Vec<_>>());
-        prop_assert_eq!(da.intersection_len(&db), sa.intersection(&sb).count());
-        prop_assert_eq!(da.is_subset(&db), sa.is_subset(&sb));
-        da.union_with(&db);
-        prop_assert_eq!(da.to_vec(), sa.union(&sb).copied().collect::<Vec<_>>());
-    }
-
     #[test]
     fn rank_unrank_bijection(n in 1usize..26, seed in any::<u64>()) {
         let k = (seed as usize % n).clamp(1, 6.min(n));

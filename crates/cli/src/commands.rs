@@ -497,10 +497,11 @@ pub fn demo(args: &ParsedArgs) -> CmdResult {
     store.fail_device(0).map_err(|e| e.to_string())?;
     store.fail_device(7).map_err(|e| e.to_string())?;
     println!("failed devices 0 and 7");
-    let (payload, fetched) = store.get_with_stats(id).map_err(|e| e.to_string())?;
+    let (payload, stats) = store.get_detailed(id).map_err(|e| e.to_string())?;
     println!(
-        "recovered {} bytes by fetching {fetched}/{} blocks: {:?}",
+        "recovered {} bytes by fetching {}/{} blocks: {:?}",
         payload.len(),
+        stats.blocks_fetched,
         store.num_devices(),
         String::from_utf8_lossy(&payload)
     );

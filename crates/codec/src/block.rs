@@ -5,11 +5,23 @@
 //! [`Codec::encode_owned`] take theirs as given, and all three run one
 //! check loop that builds each check block in a buffer nobody zeroed and
 //! digests it as it lands — the stripe is not streamed again to hash it.
+//!
+//! This module is the one place that knows what a stripe's bytes are and
+//! how they are rebuilt. *Framing* — an 8-byte length header, the payload,
+//! zero padding to `k` equal blocks — is written by
+//! [`EncodedStripe::from_object`] and read back by
+//! [`EncodedStripe::payload_range`]; nothing else names the header's size.
+//! *Rebuilding* is [`Codec::replay`], the only loop that turns a
+//! [`RecoveryStep`] into bytes: [`Codec::decode`], the store's scrubber and
+//! its federation hand it a stripe of separate blocks, the store's GET miss
+//! path the contiguous data half it is about to return, and a recovered
+//! block is built where it will be read from.
 
 use crate::erasure::{ErasureDecoder, RecoveryStep};
 use crate::error::CodecError;
 use crate::kernels::{append_checksummed, checksum, xor_checksummed, xor_into};
 use crate::pool;
+use std::ops::Range;
 use tornado_graph::{Graph, NodeId};
 
 /// Outcome of a block decode.
@@ -140,7 +152,7 @@ impl<'g> Codec<'g> {
         let missing: Vec<usize> = (0..n).filter(|&i| stored[i].is_none()).collect();
         let detail = ErasureDecoder::new(self.graph).decode_detailed(&missing);
 
-        let recovery_depth = self.replay(&detail.schedule, stored);
+        let recovery_depth = self.replay(&detail.schedule, &mut [], stored);
         let rebuilt = detail.schedule.iter().map(|s| s.node_and_check().0);
         Ok(DecodeReport {
             lost_data: detail.lost_data,
@@ -149,75 +161,92 @@ impl<'g> Codec<'g> {
         })
     }
 
-    /// Replays a peeling `schedule` over `stored` with real XOR: each step's
-    /// node is rebuilt into its (empty) slot, in an accumulator from the
-    /// calling thread's [`pool::BlockPool`]. Only the blocks the schedule
-    /// reads need be present — [`Codec::decode`] hands it a whole stripe, a
-    /// guided repair just the schedule's inputs. Returns the longest
-    /// dependency chain: blocks present on entry sit at depth 0, each
-    /// rebuilt block one deeper than its deepest input.
+    /// Replays a peeling `schedule` with real XOR — the one loop that turns
+    /// a [`RecoveryStep`] into bytes. The stripe's first `d` nodes lie back
+    /// to back in `front`, one block each; node `d + i` is `rest[i]`, so
+    /// `d` is the graph's node count less `rest.len()`. [`Codec::decode`]
+    /// and a guided repair hold every block apart (`front` empty); a GET
+    /// holds the data half in the buffer it returns (`d = k`) and only the
+    /// check blocks it fetched in `rest`.
+    ///
+    /// Each step's node is rebuilt where it belongs: a node of `front`
+    /// over whatever its slot held (check block copied in, the check's
+    /// other neighbours folded in on top), a node of `rest` into its empty
+    /// slot, in an accumulator from the calling thread's
+    /// [`pool::BlockPool`]. Only the blocks the schedule reads need be
+    /// present. Returns the longest dependency chain: blocks present on
+    /// entry sit at depth 0, each rebuilt block one deeper than its deepest
+    /// input.
     ///
     /// # Panics
-    /// Panics if a block a step reads is neither present nor rebuilt by an
-    /// earlier step — the schedule was not derived for this availability.
-    pub fn replay(&self, schedule: &[RecoveryStep], stored: &mut [Option<Vec<u8>>]) -> u64 {
-        let block_len = stored.iter().flatten().next().map_or(0, Vec::len);
-        let mut depth = vec![0u64; stored.len()];
+    /// Panics if a block of `rest` that a step reads is neither present
+    /// nor rebuilt by an earlier step — the schedule was not derived for
+    /// this availability — or if `front` is not `d` equal blocks, or `rest`
+    /// is longer than the graph has nodes.
+    pub fn replay(
+        &self,
+        schedule: &[RecoveryStep],
+        front: &mut [u8],
+        rest: &mut [Option<Vec<u8>>],
+    ) -> u64 {
+        let d = (self.graph.num_nodes().checked_sub(rest.len()))
+            .expect("rest holds at most one block per node");
+        let block_len = match d {
+            0 => rest.iter().flatten().next().map_or(0, Vec::len),
+            _ => front.len() / d,
+        };
+        assert_eq!(front.len(), d * block_len, "front is d equal blocks");
+        let mut depth = vec![0u64; self.graph.num_nodes()];
         let mut recovery_depth = 0u64;
         for step in schedule {
+            let (node, via) = step.node_and_check();
+            // `front` cut around the slot being rebuilt — an empty slot at
+            // its far end when the node lives in `rest`.
+            let at = (node as usize).min(d);
+            let (before, tail) = front.split_at_mut(at * block_len);
+            let (slot, after) = tail.split_at_mut(if at < d { block_len } else { 0 });
+            let block = |v: NodeId| -> Option<&[u8]> {
+                let v = v as usize;
+                match v.checked_sub(d) {
+                    Some(i) => rest[i].as_deref(),
+                    None if v < at => Some(&before[v * block_len..][..block_len]),
+                    None => Some(&after[(v - at - 1) * block_len..][..block_len]),
+                }
+            };
             // A peel starts from its check block, a re-encode from zero;
             // both then fold in the check's other neighbours.
-            let (node, via) = step.node_and_check();
-            let (mut acc, mut d) = if via == node {
-                (pool::with_thread_pool(|p| p.take_zeroed(block_len)), 0)
+            let via_block = (via != node)
+                .then(|| block(via).expect("schedule guarantees via is present"));
+            let mut acc = Vec::new();
+            let dst = if at < d {
+                match via_block {
+                    Some(b) => slot.copy_from_slice(b),
+                    None => slot.fill(0),
+                }
+                slot
             } else {
-                let via_block = stored[via as usize]
-                    .as_deref()
-                    .expect("schedule guarantees via is present");
-                let copy = pool::with_thread_pool(|p| p.take_copy(via_block));
-                (copy, depth[via as usize])
+                acc = pool::with_thread_pool(|p| match via_block {
+                    Some(b) => p.take_copy(b),
+                    None => p.take_zeroed(block_len),
+                });
+                &mut acc[..]
             };
+            let mut deepest = via_block.map_or(0, |_| depth[via as usize]);
             for &nbr in self.graph.check_neighbors(via) {
                 if nbr != node {
-                    let b = stored[nbr as usize]
-                        .as_ref()
+                    let b = block(nbr)
                         .expect("schedule guarantees the other neighbours are present");
-                    xor_into(&mut acc, b);
-                    d = d.max(depth[nbr as usize]);
+                    xor_into(dst, b);
+                    deepest = deepest.max(depth[nbr as usize]);
                 }
             }
-            stored[node as usize] = Some(acc);
-            depth[node as usize] = d + 1;
-            recovery_depth = recovery_depth.max(d + 1);
+            if at == d {
+                rest[node as usize - d] = Some(acc);
+            }
+            depth[node as usize] = deepest + 1;
+            recovery_depth = recovery_depth.max(deepest + 1);
         }
         recovery_depth
-    }
-
-    /// Verifies that every check block equals the XOR of its left
-    /// neighbours; returns the ids of inconsistent check nodes. Used by the
-    /// store's scrubber to detect silent corruption.
-    pub fn verify(&self, blocks: &[Vec<u8>]) -> Result<Vec<NodeId>, CodecError> {
-        let n = self.graph.num_nodes();
-        if blocks.len() != n {
-            return Err(CodecError::WrongStripeWidth {
-                got: blocks.len(),
-                expected: n,
-            });
-        }
-        let block_len = blocks.first().map(|b| b.len()).unwrap_or(0);
-        let mut bad = Vec::new();
-        let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-        for check in self.graph.check_ids() {
-            acc.fill(0);
-            for &nbr in self.graph.check_neighbors(check) {
-                xor_into(&mut acc, &blocks[nbr as usize]);
-            }
-            if acc[..] != blocks[check as usize][..] {
-                bad.push(check);
-            }
-        }
-        pool::with_thread_pool(|p| p.recycle(acc));
-        Ok(bad)
     }
 }
 
@@ -321,8 +350,21 @@ impl EncodedStripe {
         self.block_len
     }
 
+    /// The inverse of [`EncodedStripe::from_object`]'s framing: where the
+    /// payload lies in `framed`, a stripe's data blocks laid end to end.
+    /// `None` when `framed` is too short to hold a length header, or the
+    /// header names more bytes than follow it — the blocks are not a
+    /// stripe `from_object` wrote.
+    pub fn payload_range(framed: &[u8]) -> Option<Range<usize>> {
+        let header = framed.first_chunk::<LEN_HEADER>()?;
+        let len = usize::try_from(u64::from_le_bytes(*header)).ok()?;
+        let end = LEN_HEADER.checked_add(len)?;
+        (end <= framed.len()).then_some(LEN_HEADER..end)
+    }
+
     /// Decodes a (possibly damaged) stored stripe and reassembles the
-    /// payload. Returns `Ok(None)` if reconstruction failed.
+    /// payload. Returns `Ok(None)` if reconstruction failed or the data
+    /// blocks do not frame a payload.
     pub fn recover_object(
         codec: &Codec<'_>,
         stored: &mut [Option<Vec<u8>>],
@@ -336,14 +378,7 @@ impl EncodedStripe {
         for block in stored.iter().take(k) {
             framed.extend_from_slice(block.as_ref().expect("decode reported complete"));
         }
-        if framed.len() < LEN_HEADER {
-            return Ok(None);
-        }
-        let len = u64::from_le_bytes(framed[..LEN_HEADER].try_into().expect("8 bytes")) as usize;
-        if LEN_HEADER + len > framed.len() {
-            return Ok(None);
-        }
-        Ok(Some(framed[LEN_HEADER..LEN_HEADER + len].to_vec()))
+        Ok(Self::payload_range(&framed).map(|payload| framed[payload].to_vec()))
     }
 }
 
@@ -378,7 +413,6 @@ mod tests {
             assert_eq!(blocks[5][i], data[2][i] ^ data[3][i]);
             assert_eq!(blocks[6][i], blocks[4][i] ^ blocks[5][i]);
         }
-        assert!(c.verify(&blocks).unwrap().is_empty());
     }
 
     #[test]
@@ -450,18 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_flags_corruption() {
-        let g = cascade();
-        let c = Codec::new(&g);
-        let mut blocks = c.encode(&sample_data(8)).unwrap();
-        blocks[5][0] ^= 0xff;
-        let bad = c.verify(&blocks).unwrap();
-        // Check 5 is wrong, and check 6 (which XORs 4 and 5 — computed from
-        // the *stored* 5) no longer matches either.
-        assert_eq!(bad, vec![5, 6]);
-    }
-
-    #[test]
     fn stripe_framing_roundtrip_various_sizes() {
         let g = cascade();
         let c = Codec::new(&g);
@@ -502,6 +524,52 @@ mod tests {
         stored[0] = None;
         stored[1] = None;
         assert_eq!(EncodedStripe::recover_object(&c, &mut stored).unwrap(), None);
+    }
+
+    #[test]
+    fn a_length_header_that_does_not_fit_is_none_never_a_panic() {
+        let g = cascade();
+        let c = Codec::new(&g);
+        let room = 4 * 6 - LEN_HEADER;
+        for (header, fits) in [
+            (0u64, Some(0)),
+            (room as u64, Some(room)),
+            (room as u64 + 1, None),
+            (usize::MAX as u64 - 7, None),
+            (u64::MAX, None),
+        ] {
+            let mut framed = vec![0x5Au8; 4 * 6];
+            framed[..LEN_HEADER].copy_from_slice(&header.to_le_bytes());
+            let range = EncodedStripe::payload_range(&framed);
+            assert_eq!(range, fits.map(|len| LEN_HEADER..LEN_HEADER + len), "header {header}");
+            let data: Vec<Vec<u8>> = framed.chunks(6).map(<[u8]>::to_vec).collect();
+            let mut stored: Vec<Option<Vec<u8>>> =
+                c.encode(&data).unwrap().into_iter().map(Some).collect();
+            let out = EncodedStripe::recover_object(&c, &mut stored).unwrap();
+            assert_eq!(out, fits.map(|len| vec![0x5A; len]), "header {header}");
+        }
+        // Four one-byte data blocks: no room for a header at all.
+        for short in 0..LEN_HEADER {
+            assert_eq!(EncodedStripe::payload_range(&vec![0xFF; short]), None, "{short} bytes");
+        }
+        let mut stored: Vec<Option<Vec<u8>>> =
+            c.encode(&vec![vec![0xFF]; 4]).unwrap().into_iter().map(Some).collect();
+        assert_eq!(EncodedStripe::recover_object(&c, &mut stored).unwrap(), None);
+    }
+
+    #[test]
+    fn payload_range_inverts_from_object() {
+        let g = cascade();
+        let c = Codec::new(&g);
+        let (k, b) = (g.num_data(), 5);
+        // The last two: blocks filled to the byte, and one byte over.
+        for size in [0, 1, k * b - LEN_HEADER, k * b - LEN_HEADER + 1] {
+            let payload: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+            let stripe = EncodedStripe::from_object(&c, &payload).unwrap();
+            let framed = stripe.blocks()[..k].concat();
+            let range = EncodedStripe::payload_range(&framed).expect("framed by from_object");
+            assert_eq!(framed[range], payload, "size {size}");
+        }
     }
 
     #[test]

@@ -32,20 +32,19 @@
 //!   check's neighbours built strip by strip in a buffer nobody zeroed, and
 //!   the same digest taken of each strip as it lands, so encoding writes a
 //!   check block once and a PUT never streams its stripe a second time.
-//! * [`scalar`] — the pre-existing byte-serial loops, kept verbatim as the
-//!   parity oracle for the property suite and as the benchmark baseline.
+//! * [`scalar`] — the byte-serial loops these replaced, kept verbatim as
+//!   an oracle. Nothing in the data plane runs them: the parity suites
+//!   (`tests/data_plane_parity.rs`, `tests/kernel_parity.rs`,
+//!   `tests/fused_encode_kernel.rs`) assert `word == scalar::…` on the same
+//!   input, and the `data_plane` experiment times them as the baseline of
+//!   its two kernel rows. Every kernel above has one body.
 //!
-//! Dispatch honours [`set_force_scalar`], a process-wide switch the A/B
-//! benchmarks and parity tests use to route the whole data plane (encode,
-//! decode, scrub) through the byte-serial oracle without code changes.
-//!
-//! Volume counters: every dispatch bumps the process-wide
+//! Volume counters: every call bumps the process-wide
 //! `kernel.bytes_xored` / `kernel.bytes_muled` totals (sharded relaxed
 //! atomics, one `add` per *call*, not per byte) — surfaced by the server's
 //! METRICS op so load snapshots show data-plane volume.
 
 use crate::gf256::Gf256;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Kernel word width in bytes.
 const WORD: usize = 8;
@@ -53,7 +52,7 @@ const WORD: usize = 8;
 tornado_obs::metric_set! {
     /// Process-wide data-plane volume counters (see [`metrics`]).
     pub struct KernelMetrics {
-        /// Bytes XORed by `xor_into`, word or scalar path.
+        /// Bytes XORed by `xor_into` and `xor_checksummed`.
         bytes_xored: Counter = "kernel.bytes_xored", "bytes";
         /// Bytes multiplied-and-accumulated in GF(256) by `mul_acc` with a
         /// non-trivial coefficient: the Reed-Solomon comparator's kernel,
@@ -72,22 +71,6 @@ pub fn metrics() -> &'static KernelMetrics {
     &METRICS
 }
 
-/// When set, every kernel dispatch takes the byte-serial [`scalar`] path.
-/// One relaxed load per call; used by the A/B benchmarks and the parity
-/// suite to drive the *whole* data plane through the oracle.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Routes all kernel dispatches through the byte-serial oracle (`true`)
-/// or the word-wide kernels (`false`, the default).
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// Whether kernel dispatches are currently forced onto the scalar path.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
-
 /// XORs `src` into `dst` a word at a time.
 ///
 /// # Panics
@@ -95,15 +78,12 @@ pub fn force_scalar() -> bool {
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_into requires equal lengths");
     METRICS.bytes_xored.add(dst.len() as u64);
-    if force_scalar() {
-        scalar::xor_into(dst, src);
-    } else {
-        xor_into_words(dst, src);
-    }
+    xor_into_words(dst, src);
 }
 
-/// The word-wide XOR body: scalar head up to `dst`'s word boundary, a
-/// `u64` body the compiler is free to widen further, scalar tail.
+/// The word-wide XOR body, uncounted: scalar head up to `dst`'s word
+/// boundary, a `u64` body the compiler is free to widen further, scalar
+/// tail.
 fn xor_into_words(dst: &mut [u8], src: &[u8]) {
     let head = dst.as_ptr().align_offset(WORD).min(dst.len());
     let (dst_head, dst_rest) = dst.split_at_mut(head);
@@ -148,16 +128,17 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 /// path digests a block near memory speed while remaining a pure
 /// function of the bytes.
 ///
-/// The word-wide path and the byte-serial [`scalar::checksum`] oracle
-/// compute the *same* function (pinned by the parity suite); dispatch
-/// honours [`set_force_scalar`] like the other kernels.
+/// Whole groups are absorbed with the line `PREFETCH_AHEAD` bytes on
+/// requested as each goes in (never past the end of `data`), then the
+/// partial group. The byte-serial [`scalar::checksum`] oracle computes the
+/// *same* function (pinned by the parity suite).
 pub fn checksum(data: &[u8]) -> u64 {
     METRICS.bytes_hashed.add(data.len() as u64);
-    if force_scalar() {
-        scalar::checksum(data)
-    } else {
-        checksum_words(data)
-    }
+    let mut lanes = lane_init();
+    let (groups, rest) = data.split_at(data.len() - data.len() % GROUP);
+    let ahead = data.get(PREFETCH_AHEAD..).unwrap_or(&[]);
+    absorb_groups(&mut lanes, groups, ahead);
+    finish_lanes(lanes, rest, data.len())
 }
 
 /// Per-lane initial states: the FNV offset basis perturbed by the lane
@@ -179,8 +160,8 @@ fn lane_step(l: u64, w: u64) -> u64 {
 }
 
 /// Folds the eight lane states and the input length into one digest via a
-/// final FNV-1a chain (shared by both dispatch paths; O(1), so it adds
-/// nothing to the per-byte cost either side is measuring). The
+/// final FNV-1a chain (shared with the [`scalar::checksum`] oracle; O(1),
+/// so it adds nothing to the per-byte cost either side is measuring). The
 /// `h ^= h >> 32` mix after each step is an invertible xorshift, so a
 /// change in any single lane always survives into the digest.
 fn fold_lanes(lanes: [u64; 8], len: usize) -> u64 {
@@ -271,28 +252,12 @@ fn finish_lanes(mut lanes: [u64; 8], rest: &[u8], len: usize) -> u64 {
     fold_lanes(lanes, len)
 }
 
-/// The word-wide checksum body: whole groups with the line
-/// [`PREFETCH_AHEAD`] bytes on requested as each is absorbed (never past
-/// the end of `data`), then the partial group.
-fn checksum_words(data: &[u8]) -> u64 {
-    let mut lanes = lane_init();
-    let (groups, rest) = data.split_at(data.len() - data.len() % GROUP);
-    let ahead = data.get(PREFETCH_AHEAD..).unwrap_or(&[]);
-    absorb_groups(&mut lanes, groups, ahead);
-    finish_lanes(lanes, rest, data.len())
-}
-
 /// Appends `src` to `out` and returns [`checksum`]`(src)`, streaming `src`
 /// from memory once: it is copied a 4 KiB strip at a time and each strip is
 /// hashed where it landed, still in L1, while the lines of the next are
-/// requested from `src`. The same digest, bit for bit, on either dispatch
-/// path; the bytes count once in `kernel.bytes_hashed`.
+/// requested from `src`. The bytes count once in `kernel.bytes_hashed`.
 pub fn append_checksummed(out: &mut Vec<u8>, src: &[u8]) -> u64 {
     METRICS.bytes_hashed.add(src.len() as u64);
-    if force_scalar() {
-        out.extend_from_slice(src);
-        return scalar::checksum(src);
-    }
     out.reserve(src.len());
     let mut lanes = lane_init();
     let mut rest = src;
@@ -315,9 +280,9 @@ pub fn append_checksummed(out: &mut Vec<u8>, src: &[u8]) -> u64 {
 /// kernel. The block is built a 4 KiB strip at a time — the first source
 /// copied, the others folded in a word at a time — and each strip is hashed
 /// where it landed, still in L1; nothing is zero-filled first. The same
-/// bytes, digest and counts as [`xor_into`] from zero then [`checksum`], on
-/// either dispatch path: `kernel.bytes_xored` advances by `len` per source,
-/// `kernel.bytes_hashed` by `len`.
+/// bytes, digest and counts as [`xor_into`] from zero then [`checksum`]:
+/// `kernel.bytes_xored` advances by `len` per source, `kernel.bytes_hashed`
+/// by `len`.
 ///
 /// # Panics
 /// Panics if a source is not `len` bytes long.
@@ -332,14 +297,6 @@ where
     }
     METRICS.bytes_xored.add(xored);
     METRICS.bytes_hashed.add(len as u64);
-    let block = out.len();
-    if force_scalar() {
-        out.resize(block + len, 0);
-        for src in sources {
-            scalar::xor_into(&mut out[block..], src);
-        }
-        return scalar::checksum(&out[block..]);
-    }
     out.reserve(len);
     // Appends bytes `from..to` of the block and says where they start.
     let fold = |out: &mut Vec<u8>, from: usize, to: usize| {
@@ -411,25 +368,16 @@ impl MulTable {
         self.lo[(b & 0x0F) as usize] ^ self.hi[(b >> 4) as usize]
     }
 
-    /// `dst ^= c · src`, eight bytes per step.
+    /// `dst ^= c · src`: eight field elements per `u64`, multiplied by
+    /// `c` with the bit-decomposition SWAR in `mul8`, XORed into
+    /// `dst` with a single store per word. Tail bytes go through the
+    /// nibble tables.
     ///
     /// # Panics
     /// Panics if the lengths differ.
     pub fn mul_acc(&self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "mul_acc requires equal lengths");
         METRICS.bytes_muled.add(dst.len() as u64);
-        if force_scalar() {
-            scalar::mul_table_acc(self, dst, src);
-        } else {
-            self.mul_acc_words(dst, src);
-        }
-    }
-
-    /// The word-wide body: eight field elements per `u64`, multiplied by
-    /// `c` with the bit-decomposition SWAR in [`Self::mul8`], XORed into
-    /// `dst` with a single store per word. Tail bytes go through the
-    /// nibble tables.
-    fn mul_acc_words(&self, dst: &mut [u8], src: &[u8]) {
         let mut src_words = src.chunks_exact(WORD);
         for (d, s) in dst.chunks_exact_mut(WORD).zip(&mut src_words) {
             let sw = u64::from_ne_bytes(s.try_into().expect("word chunk"));
@@ -487,14 +435,14 @@ pub fn mul_acc(field: &Gf256, dst: &mut [u8], src: &[u8], c: u8) {
 
 /// Byte-serial reference kernels: the loops the data plane ran before the
 /// word-wide rewrite, kept bit-for-bit as the parity oracle and the
-/// benchmark baseline.
+/// benchmark baseline. Called only by tests and the `data_plane`
+/// experiment, always directly.
 ///
 /// The loop index is threaded through [`std::hint::black_box`] so the
 /// optimiser can neither vectorise nor unroll these — they measure (and
 /// model) genuine one-byte-at-a-time execution, which is the cost model
 /// the word-wide kernels are benchmarked against.
 pub mod scalar {
-    use super::MulTable;
     use crate::gf256::Gf256;
     use std::hint::black_box;
 
@@ -523,17 +471,6 @@ pub mod scalar {
         let mut i = 0usize;
         while i < dst.len() {
             dst[i] ^= field.mul(c, src[i]);
-            i += black_box(1);
-        }
-    }
-
-    /// Byte-serial application of a prebuilt [`MulTable`] (same tables,
-    /// no word assembly) — isolates the word-wide layout's contribution
-    /// from the table layout's.
-    pub(super) fn mul_table_acc(table: &MulTable, dst: &mut [u8], src: &[u8]) {
-        let mut i = 0usize;
-        while i < dst.len() {
-            dst[i] ^= table.mul(src[i]);
             i += black_box(1);
         }
     }
@@ -631,21 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn force_scalar_switch_routes_both_paths_to_the_same_bytes() {
-        let f = Gf256::new();
-        let src = pattern(100, 11);
-        let mut fast = pattern(100, 13);
-        let mut slow = fast.clone();
-        set_force_scalar(true);
-        xor_into(&mut slow, &src);
-        mul_acc(&f, &mut slow, &src, 77);
-        set_force_scalar(false);
-        xor_into(&mut fast, &src);
-        mul_acc(&f, &mut fast, &src, 77);
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn volume_counters_advance() {
         let before_xor = metrics().bytes_xored.get();
         let before_mul = metrics().bytes_muled.get();
@@ -667,7 +589,7 @@ mod tests {
             for offset in 0..4usize {
                 let data = pattern(len + offset, 17);
                 assert_eq!(
-                    checksum_words(&data[offset..]),
+                    checksum(&data[offset..]),
                     scalar::checksum(&data[offset..]),
                     "len {len} offset {offset}"
                 );

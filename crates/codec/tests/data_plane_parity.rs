@@ -1,18 +1,24 @@
-//! Word-wide / byte-serial data-plane parity properties.
+//! The data plane against its byte-serial oracles.
 //!
 //! The word-wide kernels ([`tornado_codec::kernels`]) must produce exactly
 //! the bytes of the byte-serial `scalar` oracle on every length (including
 //! empty, sub-word, and odd tails), every slice offset (the word body
 //! aligns to `dst`, so misaligned slices exercise the head/tail splits),
 //! and every coefficient (including the peeled `c == 0` / `c == 1`
-//! cases). On top of the kernel-level properties, a full encode → erase →
-//! decode round trip is run through both dispatch paths at block sizes
-//! from one byte to 64 KiB and must be bit-identical.
+//! cases). On top of the kernel-level properties, the one loop that
+//! rebuilds blocks — [`Codec::replay`] — is run over encode → erase →
+//! peel at both layouts the workspace uses (every block apart; the data
+//! half contiguous) and must rebuild, at block sizes from one byte to a
+//! 1 MiB object's 21,846, exactly the encoded block *and* the XOR of its
+//! equation as `scalar::xor_into` computes it.
 
 use proptest::prelude::*;
 use tornado_codec::gf256::Gf256;
-use tornado_codec::{kernels, Codec};
+use tornado_codec::{kernels, Codec, ErasureDecoder, RecoveryStep};
+use tornado_gen::cascaded::generate_fixed_degree;
 use tornado_gen::mirror::generate_mirror;
+use tornado_gen::{TornadoGenerator, TornadoParams};
+use tornado_graph::{Graph, GraphBuilder};
 
 /// Deterministic pseudo-random bytes, xorshift-style like the other
 /// property suites in this workspace.
@@ -105,48 +111,140 @@ proptest! {
     }
 }
 
-/// Encode → erase → decode, bit-identical through both dispatch paths.
-///
-/// All `force_scalar` toggling lives in this one test: the switch is
-/// process-wide, and the kernel-level properties above compare outputs
-/// (identical on either path), so they stay valid regardless of which
-/// path a concurrent toggle routes them through.
-#[test]
-fn round_trip_is_bit_identical_across_dispatch() {
-    let graph = generate_mirror(12).expect("mirror graph");
-    let codec = Codec::new(&graph);
-    let k = graph.num_data();
-    for block_len in [1usize, 7, 4096, 65536] {
-        let data: Vec<Vec<u8>> = (0..k)
-            .map(|i| bytes(block_len, (block_len as u64) << 8 | i as u64))
-            .collect();
+/// The stripe with its first `d` blocks laid end to end — an erased one's
+/// slot holding whatever — and the others apart, the erased ones absent.
+/// At `d = k` this is what a GET holds after its data pass.
+fn split_layout(blocks: &[Vec<u8>], d: usize, erased: &[usize]) -> (Vec<u8>, Vec<Option<Vec<u8>>>) {
+    let gone = |i: &usize| erased.contains(i);
+    let front = (0..d).flat_map(|i| blocks[i].iter().map(move |&b| if gone(&i) { 0xA5 } else { b }));
+    let rest = (d..blocks.len()).map(|i| (!gone(&i)).then(|| blocks[i].clone()));
+    (front.collect(), rest.collect())
+}
 
-        kernels::set_force_scalar(true);
-        let scalar_blocks = codec.encode(&data).expect("scalar encode");
-        let scalar_sums: Vec<u64> =
-            scalar_blocks.iter().map(|b| kernels::checksum(b)).collect();
-        kernels::set_force_scalar(false);
-        let word_blocks = codec.encode(&data).expect("word encode");
-        let word_sums: Vec<u64> = word_blocks.iter().map(|b| kernels::checksum(b)).collect();
-        assert_eq!(scalar_blocks, word_blocks, "encode at block {block_len}");
-        assert_eq!(scalar_sums, word_sums, "checksum dispatch at block {block_len}");
-
-        for force in [true, false] {
-            kernels::set_force_scalar(force);
-            let mut stored: Vec<Option<Vec<u8>>> =
-                word_blocks.iter().cloned().map(Some).collect();
-            stored[0] = None;
-            stored[k - 1] = None;
-            let report = codec.decode(&mut stored).expect("decode");
-            assert!(report.complete(), "force {force} block {block_len}");
-            for (i, b) in stored.iter().enumerate() {
-                assert_eq!(
-                    b.as_deref(),
-                    Some(&word_blocks[i][..]),
-                    "node {i} force {force} block {block_len}"
-                );
-            }
-        }
-        kernels::set_force_scalar(false);
+/// What `step` must rebuild, from the encoded `blocks`, one byte at a time.
+fn equation_by_oracle(graph: &Graph, blocks: &[Vec<u8>], step: &RecoveryStep) -> Vec<u8> {
+    let (node, via) = step.node_and_check();
+    let mut acc = if via == node { vec![0; blocks[0].len()] } else { blocks[via as usize].clone() };
+    for &nbr in graph.check_neighbors(via).iter().filter(|&&nbr| nbr != node) {
+        kernels::scalar::xor_into(&mut acc, &blocks[nbr as usize]);
     }
+    acc
+}
+
+/// Encodes `block_len`-byte blocks, erases `erased`, and replays the
+/// peeling schedule at `d = 0`, at `d = k` and — no caller's layout, but
+/// the one where checks too are rebuilt in place — at `d = n`: every
+/// rebuilt block is the encoded one and the oracle's, every layout reports
+/// one depth, and [`Codec::decode`] is the `d = 0` replay. `case` names
+/// the inputs.
+fn assert_replay_rebuilds(graph: &Graph, block_len: usize, seed: u64, erased: &[usize], case: &str) {
+    let codec = Codec::new(graph);
+    let (n, k) = (graph.num_nodes(), graph.num_data());
+    let data: Vec<Vec<u8>> = (0..k).map(|i| bytes(block_len, seed ^ (i as u64) << 20)).collect();
+    let blocks = codec.encode(&data).expect("encode");
+    let detail = ErasureDecoder::new(graph).decode_detailed(erased);
+
+    let mut apart: Vec<Option<Vec<u8>>> =
+        (0..n).map(|i| (!erased.contains(&i)).then(|| blocks[i].clone())).collect();
+    let mut decoded = apart.clone();
+    let depth = codec.replay(&detail.schedule, &mut [], &mut apart);
+    for step in &detail.schedule {
+        let node = step.node_and_check().0 as usize;
+        let expect = &blocks[node];
+        assert!(*expect == equation_by_oracle(graph, &blocks, step), "oracle, node {node}, {case}");
+        assert!(apart[node].as_ref() == Some(expect), "d = 0, node {node}, {case}");
+    }
+    for d in [k, n] {
+        let (mut front, mut rest) = split_layout(&blocks, d, erased);
+        assert_eq!(codec.replay(&detail.schedule, &mut front, &mut rest), depth, "depth, d = {d}, {case}");
+        for node in detail.schedule.iter().map(|step| step.node_and_check().0 as usize) {
+            let rebuilt = match node.checked_sub(d) {
+                None => &front[node * block_len..][..block_len],
+                Some(i) => rest[i].as_deref().expect("rebuilt"),
+            };
+            assert!(rebuilt == &blocks[node][..], "d = {d}, node {node}, {case}");
+        }
+        if detail.success {
+            assert!(front[..k * block_len] == blocks[..k].concat(), "data half, d = {d}, {case}");
+        }
+    }
+    let report = codec.decode(&mut decoded).expect("decode");
+    assert_eq!(report.recovery_depth, depth, "decode's depth, {case}");
+    assert!(decoded == apart, "decode is the d = 0 replay, {case}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Cascades, mirrors and 96-node Tornado graphs; a random erasure set
+    /// cut back until it decodes.
+    #[test]
+    fn replay_rebuilds_the_encoded_blocks_at_both_layouts(
+        family in 0usize..3,
+        len_ix in 0usize..4,
+        count in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        let graph = match family {
+            0 => generate_fixed_degree(TornadoParams::paper_96(), 3, seed),
+            1 => generate_mirror(12),
+            _ => TornadoGenerator::new(TornadoParams::paper_96()).generate(seed),
+        }
+        .expect("graph");
+        let block_len = [1usize, 7, 4096, 21_846][len_ix];
+        let mut erased: Vec<usize> = bytes(count, seed ^ 0xE5A5)
+            .iter()
+            .map(|&b| b as usize % graph.num_nodes())
+            .collect();
+        erased.sort_unstable();
+        erased.dedup();
+        let mut decoder = ErasureDecoder::new(&graph);
+        while !decoder.decode_detailed(&erased).success {
+            erased.pop();
+        }
+        let case = format!("family {family} seed {seed:#x} block_len {block_len} erased {erased:?}");
+        assert_replay_rebuilds(&graph, block_len, seed, &erased, &case);
+    }
+}
+
+/// data 0..4; checks 4 = 0^1, 5 = 1^2^3, 6 = 4^5: check 5 has a neighbour
+/// on each side of data 2, and check 6 re-encodes check 4.
+fn hand_graph() -> Graph {
+    let mut b = GraphBuilder::new(4);
+    b.begin_level("c1");
+    b.add_check(&[0, 1]);
+    b.add_check(&[1, 2, 3]);
+    b.begin_level("c2");
+    b.add_check(&[4, 5]);
+    b.build().unwrap()
+}
+
+/// The split borrow's corners: a hole in the first slot, in the last, two
+/// adjacent holes (the second rebuilt from the first), a hole whose check
+/// reads blocks on both sides of it, a check block peeled before it peels,
+/// and check blocks re-encoded from the data half.
+#[test]
+fn replay_rebuilds_holes_wherever_they_fall_in_the_data_half() {
+    let g = hand_graph();
+    for erased in [&[0usize][..], &[3], &[0, 1], &[1, 2], &[2], &[0, 4], &[4, 6]] {
+        assert!(ErasureDecoder::new(&g).decode_detailed(erased).success, "{erased:?}");
+        for block_len in [1usize, 7, 4096] {
+            let case = format!("hand graph, block_len {block_len}, erased {erased:?}");
+            assert_replay_rebuilds(&g, block_len, 0xC0FFEE, erased, &case);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "schedule guarantees the other neighbours are present")]
+fn replaying_a_schedule_over_blocks_it_was_not_derived_for_panics() {
+    let g = hand_graph();
+    let codec = Codec::new(&g);
+    let blocks = codec.encode(&vec![vec![7u8; 16]; 4]).expect("encode");
+    // Derived with data 2 gone: check 5 folds in data 1 and 3.
+    let schedule = ErasureDecoder::new(&g).decode_detailed(&[2]).schedule;
+    let mut apart: Vec<Option<Vec<u8>>> = blocks.into_iter().map(Some).collect();
+    apart[2] = None;
+    apart[3] = None;
+    codec.replay(&schedule, &mut [], &mut apart);
 }

@@ -309,8 +309,7 @@ proptest! {
 
     /// `append_checksummed(out, src)` ≡ `out.extend_from_slice(src)` +
     /// `scalar::checksum(src)`, at every seam length, for misaligned
-    /// sources, behind whatever `out` already holds, on both dispatch
-    /// paths.
+    /// sources, behind whatever `out` already holds.
     #[test]
     fn append_checksummed_is_extend_plus_the_scalar_digest(
         len_ix in 0usize..SEAM_LENGTHS.len(),
@@ -326,14 +325,10 @@ proptest! {
         let src = &backing[offset..];
         let mut expected = vec![0xEE; prefix];
         expected.extend_from_slice(src);
-        for force in [false, true] {
-            kernels::set_force_scalar(force);
-            let mut out = vec![0xEE; prefix];
-            let digest = append_checksummed(&mut out, src);
-            kernels::set_force_scalar(false);
-            prop_assert_eq!(digest, scalar::checksum(src), "len {} force {}", len, force);
-            prop_assert_eq!(&out, &expected, "len {} force {}", len, force);
-        }
+        let mut out = vec![0xEE; prefix];
+        let digest = append_checksummed(&mut out, src);
+        prop_assert_eq!(digest, scalar::checksum(src), "len {}", len);
+        prop_assert_eq!(&out, &expected, "len {}", len);
     }
 
     /// Rows of one, two, three and four words, with a node on each side of

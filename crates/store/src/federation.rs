@@ -17,7 +17,7 @@
 use crate::device::BlockProbe;
 use crate::error::StoreError;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
-use tornado_codec::Codec;
+use tornado_codec::{Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 use tornado_sim::multi::FederatedSystem;
 
@@ -156,8 +156,12 @@ impl FederatedStore {
         for block in stored.iter().take(k) {
             framed.extend_from_slice(block.as_ref().expect("decode complete"));
         }
-        let len = u64::from_le_bytes(framed[..8].try_into().expect("length header")) as usize;
-        Ok((framed[8..8 + len].to_vec(), blocks_crossed))
+        // A rebuilt block is checked against no digest here: data blocks
+        // that frame no payload are data blocks that were not recovered.
+        let payload = EncodedStripe::payload_range(&framed).ok_or_else(|| {
+            StoreError::Unrecoverable { id, lost_blocks: (0..k as NodeId).collect() }
+        })?;
+        Ok((framed[payload].to_vec(), blocks_crossed))
     }
 
     /// Anti-entropy: copies blocks between sites so that each site's stripe

@@ -23,9 +23,7 @@
 //!   object under *different* Tornado graphs, and a joint cross-site decode
 //!   recovers data even when both sites individually cannot;
 //! * [`workload`] — synthetic archival workload generation and replay with
-//!   device-activation accounting (the MAID cost model);
-//! * [`chunking`] — manifest-based splitting of large objects into
-//!   independent stripes with capped block sizes.
+//!   device-activation accounting (the MAID cost model).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +31,6 @@
 pub mod backend;
 pub mod backend_file;
 pub mod backend_segment;
-pub mod chunking;
 pub mod device;
 pub mod durable;
 pub mod error;
@@ -48,7 +45,6 @@ pub mod workload;
 pub use backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
 pub use backend_file::FileBackend;
 pub use backend_segment::SegmentBackend;
-pub use chunking::{delete_chunked, get_chunked, put_chunked};
 pub use device::{BlockProbe, Device, DeviceStats, ReadClass};
 pub use durable::{BackendKind, DurableConfig, RecoveryReport};
 pub use journal::{CrashInjector, IntentJournal, JournalRecord};

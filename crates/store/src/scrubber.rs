@@ -467,7 +467,7 @@ fn scrub_stripe(
         bytes_read: blocks_fetched * meta.block_len as u64,
         blocks_fetched,
         devices_contacted: blocks_fetched,
-        recovery_depth: codec.replay(&plan.schedule, &mut blocks),
+        recovery_depth: codec.replay(&plan.schedule, &mut [], &mut blocks),
     };
 
     let mut repaired = 0usize;

@@ -5,13 +5,13 @@ use crate::durable::{self, BackendKind, DurableConfig, Durability, RecoveryRepor
 use crate::error::StoreError;
 use crate::journal::{CrashInjector, JournalRecord};
 use crate::obs::StoreObserver;
-use crate::retrieval::{plan_retrieval_or_lost, RepairCost, RetrievalPlan};
+use crate::retrieval::{plan_retrieval_or_lost, RepairCost};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tornado_codec::{pool, xor_into, BlockPool, Codec, EncodedStripe};
+use tornado_codec::{pool, Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 
 /// Opaque object identifier.
@@ -358,13 +358,6 @@ impl ArchivalStore {
         Ok(payload)
     }
 
-    /// Like [`ArchivalStore::get`], additionally reporting how many blocks
-    /// were fetched (the guided-retrieval metric).
-    pub fn get_with_stats(&self, id: ObjectId) -> Result<(Vec<u8>, usize), StoreError> {
-        let (payload, stats) = self.get_detailed(id)?;
-        Ok((payload, stats.blocks_fetched))
-    }
-
     /// Like [`ArchivalStore::get`], additionally reporting retrieval-path
     /// statistics (the serving layer's degraded-read signal): what
     /// [`ArchivalStore::get_framed`] read, with the buffer cut down to the
@@ -380,9 +373,9 @@ impl ArchivalStore {
     /// The GET every other GET is built on: returns `(buf, payload_start,
     /// stats)` where `buf[payload_start..]` is the object and the bytes in
     /// front of it are the caller's to overwrite — `headroom` spare bytes,
-    /// then the stripe's own 8-byte length header where it was read, so
-    /// `payload_start == headroom + 8`. The serving layer writes its frame
-    /// header there and the buffer goes to the socket as it is.
+    /// then the stripe's own length header where it was read. The serving
+    /// layer writes its frame header there and the buffer goes to the
+    /// socket as it is.
     ///
     /// The code is systematic, so the data half of the stripe *is* the
     /// framed payload: data blocks `0..k` are read in order straight into
@@ -390,7 +383,7 @@ impl ArchivalStore {
     /// landed. A healthy stripe touches nothing else — no availability
     /// scan, no plan, no scratch block. A block that is absent, on an
     /// offline device, of the wrong length or corrupt is cut back out and
-    /// its slot zero-filled as a *hole* for `fill_holes`
+    /// its slot zero-filled as a *hole* for `fill_holes` to rebuild
     /// before the next block is read, so silent corruption degrades into
     /// an ordinary erasure and unverified bytes are never in a buffer that
     /// is returned.
@@ -418,29 +411,27 @@ impl ArchivalStore {
         stats.blocks_fetched = k - holes.len();
         stats.cost.blocks_fetched = stats.blocks_fetched as u64;
         if !holes.is_empty() {
-            let data = &mut buf[headroom..];
-            pool::with_thread_pool(|p| self.fill_holes(&meta, &holes, data, &mut stats, p))?;
+            self.fill_holes(&meta, &holes, &mut buf[headroom..], &mut stats)?;
         }
         // One device per node and no block read twice: blocks, devices
         // and bytes are the same count in different units.
         stats.cost.devices_contacted = stats.cost.blocks_fetched;
         stats.cost.bytes_read = stats.cost.blocks_fetched * block_len as u64;
 
-        let payload_start = headroom + 8;
-        let header = buf[headroom..payload_start]
-            .try_into()
-            .expect("length header");
-        let len = u64::from_le_bytes(header) as usize;
-        debug_assert_eq!(len, meta.size);
-        buf.truncate(payload_start + len);
-        Ok((buf, payload_start, stats))
+        // Every data block matched its put-time digest or was rebuilt from
+        // blocks that did, so this is the framing `put` wrote.
+        let payload = EncodedStripe::payload_range(&buf[headroom..]).expect("framed by put");
+        debug_assert_eq!(payload.len(), meta.size);
+        buf.truncate(headroom + payload.end);
+        Ok((buf, headroom + payload.start, stats))
     }
 
     /// The miss path of a GET: `data` is the contiguous data half with the
     /// `holes` zeroed. Availability is what the data pass saw plus an
     /// index probe of the check nodes only; the planner runs once, only
     /// the planned check blocks are fetched, and the pruned schedule is
-    /// replayed over `data` in place. A check block that turns out corrupt
+    /// replayed with each lost data block rebuilt in its hole. A check
+    /// block that turns out corrupt
     /// or lost since its probe is excluded and the retrieval re-planned,
     /// keeping every block already in hand.
     fn fill_holes(
@@ -449,7 +440,6 @@ impl ArchivalStore {
         holes: &[NodeId],
         data: &mut [u8],
         stats: &mut GetStats,
-        p: &mut BlockPool,
     ) -> Result<(), StoreError> {
         let (n, k) = (self.graph.num_nodes(), self.graph.num_data());
         let mut available: Vec<NodeId> = (0..k as NodeId)
@@ -474,13 +464,13 @@ impl ArchivalStore {
                 if slot.is_some() {
                     continue;
                 }
-                match self.read_verified(meta, node, ReadClass::Repair, p) {
-                    Ok(block) => {
+                match self.read_raw_block(meta, node) {
+                    Some(block) => {
                         stats.cost.blocks_fetched += 1;
                         stats.repair_bytes_read += block.len() as u64;
                         *slot = Some(block);
                     }
-                    Err(_) => {
+                    None => {
                         lost = Some(node);
                         break;
                     }
@@ -493,14 +483,14 @@ impl ArchivalStore {
                 continue;
             }
             let decode_start = Instant::now();
-            replay_schedule(&self.graph, &plan, data, &mut checks, p);
+            stats.cost.recovery_depth =
+                Codec::new(&self.graph).replay(&plan.schedule, data, &mut checks);
             stats.decode_us += decode_start.elapsed().as_micros() as u64;
             stats.blocks_fetched = plan.fetch.len();
             stats.blocks_recovered = plan.schedule.len();
-            stats.cost.recovery_depth = plan.recovery_depth(&self.graph);
             break Ok(());
         };
-        p.recycle_stripe(&mut checks);
+        pool::with_thread_pool(|p| p.recycle_stripe(&mut checks));
         let id = meta.id;
         result.map_err(|lost_blocks| StoreError::Unrecoverable { id, lost_blocks })
     }
@@ -537,26 +527,16 @@ impl ArchivalStore {
     /// coding layer can repair it. The copy is made into a buffer recycled
     /// from the calling thread's block pool.
     pub(crate) fn read_raw_block(&self, meta: &ObjectMeta, node: NodeId) -> Option<Vec<u8>> {
-        pool::with_thread_pool(|p| self.read_verified(meta, node, ReadClass::Repair, p).ok())
-    }
-
-    /// Reads one block into a buffer from `pool` and verifies it against
-    /// the checksum recorded at put time.
-    fn read_verified(
-        &self,
-        meta: &ObjectMeta,
-        node: NodeId,
-        class: ReadClass,
-        pool: &mut BlockPool,
-    ) -> Result<Vec<u8>, Miss> {
-        let mut block = pool.take_zeroed(0);
-        match self.read_verified_into(meta, node, class, &mut block) {
-            Ok(()) => Ok(block),
-            Err(miss) => {
-                pool.recycle(block);
-                Err(miss)
+        pool::with_thread_pool(|p| {
+            let mut block = p.take_zeroed(0);
+            match self.read_verified_into(meta, node, ReadClass::Repair, &mut block) {
+                Ok(()) => Some(block),
+                Err(_) => {
+                    p.recycle(block);
+                    None
+                }
             }
-        }
+        })
     }
 
     /// Appends one block to `out` and verifies it — the read hashed it as
@@ -627,49 +607,6 @@ enum Miss {
     Absent,
     /// Bytes were served but do not match the put-time checksum.
     Corrupt,
-}
-
-/// Replays a retrieval plan's pruned recovery schedule with real XOR (the
-/// word-wide kernel; accumulators come from `pool`). The data half of the
-/// stripe is `data` — `k` contiguous blocks — and a recovered data block is
-/// written into its hole there; the check half is `checks`, indexed by
-/// `node - k`.
-fn replay_schedule(
-    graph: &Graph,
-    plan: &RetrievalPlan,
-    data: &mut [u8],
-    checks: &mut [Option<Vec<u8>>],
-    pool: &mut BlockPool,
-) {
-    let k = graph.num_data();
-    let block_len = data.len() / k;
-    let slot = |node: NodeId| node as usize * block_len..(node as usize + 1) * block_len;
-    for step in &plan.schedule {
-        let (node, via) = step.node_and_check();
-        let block = |v: NodeId| match (v as usize).checked_sub(k) {
-            None => &data[slot(v)],
-            Some(c) => checks[c].as_deref().expect("planned"),
-        };
-        // A peel starts from its check block, a re-encode from zero; both
-        // then fold in the check's other neighbours.
-        let mut acc = if via == node {
-            pool.take_zeroed(block_len)
-        } else {
-            pool.take_copy(block(via))
-        };
-        for &nbr in graph.check_neighbors(via) {
-            if nbr != node {
-                xor_into(&mut acc, block(nbr));
-            }
-        }
-        match (node as usize).checked_sub(k) {
-            None => {
-                data[slot(node)].copy_from_slice(&acc);
-                pool.recycle(acc);
-            }
-            Some(c) => checks[c] = Some(acc),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -778,13 +715,13 @@ mod tests {
             .unwrap();
         let store = ArchivalStore::new(graph);
         let id = store.put("big", &vec![7u8; 4096]).unwrap();
-        let (_, fetched_healthy) = store.get_with_stats(id).unwrap();
-        assert_eq!(fetched_healthy, 48, "healthy stripe reads only data blocks");
+        let (_, healthy) = store.get_detailed(id).unwrap();
+        assert_eq!(healthy.blocks_fetched, 48, "healthy stripe reads only data blocks");
         store.fail_device(3).unwrap();
-        let (payload, fetched_degraded) = store.get_with_stats(id).unwrap();
+        let (payload, degraded) = store.get_detailed(id).unwrap();
         assert_eq!(payload.len(), 4096);
         assert!(
-            fetched_degraded < 96,
+            degraded.blocks_fetched < 96,
             "degraded read must not touch the whole stripe"
         );
     }
@@ -1057,9 +994,9 @@ mod tests {
         let id = store.put("x", b"integrity matters").unwrap();
         // Corrupt data block 0 in place (device 0, rotation 0).
         assert!(store.device(0).unwrap().corrupt_block(&(id, 0), 0xFF));
-        let (payload, fetched) = store.get_with_stats(id).unwrap();
+        let (payload, stats) = store.get_detailed(id).unwrap();
         assert_eq!(payload, b"integrity matters");
-        assert!(fetched >= 4, "had to fetch extra blocks to route around corruption");
+        assert!(stats.blocks_fetched >= 4, "had to fetch extra blocks to route around corruption");
     }
 
     #[test]

@@ -183,10 +183,10 @@ pub fn replay(store: &ArchivalStore, events: &[Event]) -> ReplayReport {
             }
             Event::Get { object } => {
                 let id = ingested[object % ingested.len()];
-                match store.get_with_stats(id) {
-                    Ok((payload, fetched)) => {
+                match store.get_detailed(id) {
+                    Ok((payload, stats)) => {
                         report.reads_ok += 1;
-                        report.blocks_fetched += fetched as u64;
+                        report.blocks_fetched += stats.blocks_fetched as u64;
                         // Naive reader: every currently healthy block.
                         let meta = store.meta(id).expect("just read it");
                         let healthy = (0..store.graph().num_nodes() as u32)

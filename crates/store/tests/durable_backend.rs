@@ -78,40 +78,6 @@ fn segment_backend_roundtrips_through_reopen() {
     roundtrip_through_reopen(BackendKind::Segment);
 }
 
-/// A directory written before the checksum kernel prefetched or fused with
-/// the copy — its sidecar digests (and the segment's record trailers)
-/// computed by the byte-serial oracle — reopens, reads back and scrubs
-/// clean under the word-wide kernels: the digest on disk is the digest
-/// they compute. Blocks are 10 KB, so every read crosses strips.
-#[test]
-fn directory_written_with_the_scalar_oracle_reads_and_scrubs_clean() {
-    use tornado_codec::kernels::set_force_scalar;
-    for backend in [BackendKind::File, BackendKind::Segment] {
-        let dir = tmpdir(&format!("scalar-written-{}", backend.as_str()));
-        let payloads: Vec<Vec<u8>> = (0..3usize)
-            .map(|i| (0..40_000 + i * 977).map(|b| (b * 29 + i) as u8).collect())
-            .collect();
-        set_force_scalar(true);
-        let ids: Vec<u64> = {
-            let store = open(&dir, backend);
-            let put = |p: &Vec<u8>| store.put("old", p).unwrap();
-            payloads.iter().map(put).collect()
-        };
-        set_force_scalar(false);
-
-        let store = open(&dir, backend);
-        for (id, payload) in ids.iter().zip(&payloads) {
-            assert_eq!(&store.get(*id).unwrap(), payload, "{}", backend.as_str());
-        }
-        let outcome = Scrubber::new(1).run(&store, 1, true, ScrubMode::Verify);
-        assert_eq!(outcome.verified_count(), payloads.len());
-        assert_eq!(outcome.degraded_count(), 0);
-        assert_eq!(outcome.blocks_repaired, 0);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
 #[test]
 fn degraded_get_and_scrub_repair_work_on_durable_store() {
     let dir = tmpdir("degraded");

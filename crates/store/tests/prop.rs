@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tornado_codec::ErasureDecoder;
 use tornado_graph::{Graph, GraphBuilder, NodeId};
-use tornado_store::{get_chunked, plan_retrieval, put_chunked, ArchivalStore, StoreError};
+use tornado_store::{plan_retrieval, ArchivalStore, StoreError};
 
 /// A small robust graph: 8 data nodes, mirrored + a cross-check layer, so
 /// any single loss is survivable and payload behaviour is easy to reason
@@ -125,18 +125,6 @@ proptest! {
         let id = store.put("obj", &payload).expect("put");
         store.fail_device(lost_device).expect("fail");
         prop_assert_eq!(store.get(id).expect("degraded get"), payload);
-    }
-
-    /// Chunked storage round-trips regardless of payload/chunk-size
-    /// combination.
-    #[test]
-    fn chunked_roundtrip(
-        payload in proptest::collection::vec(any::<u8>(), 0..5000),
-        chunk in 1usize..1500,
-    ) {
-        let store = ArchivalStore::new(robust_graph());
-        let id = put_chunked(&store, "obj", &payload, chunk).expect("put");
-        prop_assert_eq!(get_chunked(&store, id).expect("get"), payload);
     }
 
     /// Corrupting any single block never corrupts the returned payload —

@@ -31,11 +31,11 @@ fn main() {
     }
 
     // A healthy read touches only the data blocks.
-    let (payload, fetched) = store.get_with_stats(ids[0]).expect("healthy read");
+    let (payload, stats) = store.get_detailed(ids[0]).expect("healthy read");
     println!(
         "healthy read: {} bytes by powering {} of {} devices",
         payload.len(),
-        fetched,
+        stats.blocks_fetched,
         store.num_devices()
     );
 
@@ -53,12 +53,12 @@ fn main() {
 
     // Degraded reads still succeed, still touching few devices.
     for &id in &ids {
-        let (payload, fetched) = store.get_with_stats(id).expect("degraded read");
+        let (payload, stats) = store.get_detailed(id).expect("degraded read");
         let meta = store.meta(id).unwrap();
         assert_eq!(payload.len(), meta.size);
         println!(
-            "degraded read of '{}': ok, fetched {fetched} blocks",
-            meta.name
+            "degraded read of '{}': ok, fetched {} blocks",
+            meta.name, stats.blocks_fetched
         );
     }
 

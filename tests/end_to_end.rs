@@ -128,9 +128,9 @@ fn catalog_graph_runs_the_whole_stack() {
     for d in [1usize, 30, 60, 90] {
         store.fail_device(d).expect("fail");
     }
-    let (payload, fetched) = store.get_with_stats(id).expect("get");
+    let (payload, stats) = store.get_detailed(id).expect("get");
     assert_eq!(payload.len(), 10_000);
-    assert!(fetched <= 96);
+    assert!(stats.blocks_fetched <= 96);
     let health = scrub(&store, 5, false);
     assert_eq!(health.degraded_count(), 1);
     assert!(health.stripes[0].recoverable);
