@@ -4,15 +4,17 @@
 //! fixed pool of workers pops them, enforces per-request deadlines,
 //! executes against the shared [`ArchivalStore`], encodes the response —
 //! for a GET, by writing the frame header in front of the payload in the
-//! store's own buffer — and posts the finished `Frame` to the submitting
-//! shard's completion mailbox. The queue is the only buffer between accept
-//! and execute, so a full queue is an immediate BUSY — the system sheds
-//! load instead of hiding it in growing latency.
+//! store's own buffer — and answers (`Job::answer`): the root `request`
+//! span is recorded and the finished `Frame` goes to the connection's write
+//! half, which the worker itself writes to the socket when the frame has
+//! nothing to share a write with (see [`crate::shard`]). The queue is the
+//! only buffer between accept and execute, so a full queue is an immediate
+//! BUSY — the system sheds load instead of hiding it in growing latency.
 
 use crate::obs::ServerObserver;
 use crate::protocol::{Frame, Op, Request, Response, StatMeta, RESPONSE_HEAD_MAX};
 use crate::queue::{BoundedQueue, PushError};
-use crate::shard::ShardMailbox;
+use crate::shard::Reply;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -26,39 +28,15 @@ use tornado_store::{ArchivalStore, StoreError};
 /// to the same tree.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct JobTrace {
-    /// The request's trace id.
-    pub trace_id: u64,
-    /// Span id reserved for the root `request` span (recorded by the
-    /// shard once the reply is queued; children reference it immediately).
+    /// Span id reserved for the root `request` span (recorded when the
+    /// request is answered; children reference it immediately).
     pub root_span: u64,
+    /// Tracer-timebase instant the shard began decoding the request's
+    /// frame: where the root span starts.
+    pub root_start_us: u64,
     /// Tracer-timebase instant the job was submitted (start of the
     /// queue-wait window).
     pub accepted_us: u64,
-}
-
-/// Where a finished response frame goes: the completion mailbox of the
-/// shard that owns the connection, which matches it to the connection by
-/// slot/generation and to the request by correlation id.
-pub(crate) struct Reply {
-    /// The owning shard's completion mailbox.
-    pub mailbox: Arc<ShardMailbox>,
-    /// Connection slot within the shard.
-    pub slot: usize,
-    /// Slot generation at dispatch time (stale completions for a reused
-    /// slot are dropped by the shard).
-    pub gen: u64,
-    /// Correlation id from the request header (None for one-at-a-time
-    /// clients — the shard holds frame extraction until it answers).
-    pub corr: Option<u32>,
-}
-
-impl Reply {
-    /// Delivers the encoded response and wakes the shard. A connection
-    /// that has since hung up is not an error; the work itself already
-    /// happened.
-    pub fn send(self, frame: Frame) {
-        self.mailbox.complete(self.slot, self.gen, self.corr, frame);
-    }
 }
 
 /// One queued request plus everything needed to answer it.
@@ -67,12 +45,58 @@ pub(crate) struct Job {
     pub request: Request,
     /// Where the answer goes.
     pub reply: Reply,
+    /// When the shard began decoding the request's frame (the
+    /// slow-request clock).
+    pub started_at: Instant,
     /// When the server accepted the request (queue-wait measurement).
     pub accepted_at: Instant,
     /// Absolute deadline, if the request (or server default) set one.
     pub deadline: Option<Instant>,
+    /// The client's trace id, or the one the shard assigned.
+    pub trace_id: u64,
     /// Trace context when this request is sampled.
     pub trace: Option<JobTrace>,
+}
+
+impl Job {
+    /// Answers the request with `frame`. The root span is recorded first —
+    /// after every child, so its window (decode start → reply ready)
+    /// encloses them all, and before the write, so a client holding its
+    /// reply can always export the whole tree — then the slow-request
+    /// event is emitted, then the frame goes to the connection.
+    pub fn answer(self, frame: Frame) {
+        let (obs, slow_request_us) = self.reply.observer();
+        let (op_kind, status) = (self.request.op.kind(), frame.kind);
+        if let Some(tr) = &self.trace {
+            obs.tracer.record(SpanRecord {
+                trace_id: self.trace_id,
+                span_id: tr.root_span,
+                parent_id: None,
+                name: "request",
+                start_us: tr.root_start_us,
+                dur_us: obs.tracer.now_us().saturating_sub(tr.root_start_us),
+                fields: vec![
+                    ("op", Json::Str(op_kind.into())),
+                    ("status", Json::Str(status.into())),
+                ],
+            });
+        }
+        if slow_request_us > 0 && obs.events.is_enabled() {
+            let total_us = self.started_at.elapsed().as_micros() as u64;
+            if total_us >= slow_request_us {
+                let sampled = self.trace.is_some();
+                emit_slow_request(obs, self.trace_id, op_kind, status, total_us, sampled);
+            }
+        }
+        self.reply.send(frame);
+    }
+
+    /// [`Job::answer`] with a response still to be encoded, under the
+    /// request's correlation id.
+    pub fn respond(self, response: &Response) {
+        let corr = self.request.corr_id;
+        self.answer(Frame::encode(response, corr));
+    }
 }
 
 /// The worker pool and its bounded queue.
@@ -106,25 +130,25 @@ impl Engine {
         Self { queue, workers: handles, obs }
     }
 
-    /// Admits a job or answers with backpressure: `Busy` when the queue is
-    /// at depth, `ShuttingDown` once draining has begun.
-    pub fn submit(&self, job: Job) -> Result<(), Response> {
+    /// Admits a job, or answers it with backpressure there and then, on
+    /// the caller's thread: BUSY when the queue is at depth, SHUTTING_DOWN
+    /// once draining has begun. Never blocks.
+    pub fn submit(&self, job: Job) {
         let kind = job.request.op.kind();
         match self.queue.try_push(job) {
             Ok(depth) => {
                 self.obs.count_op(kind);
                 self.obs.record_queue_depth(depth);
-                Ok(())
             }
-            Err(PushError::Busy(_)) => {
+            Err(PushError::Busy(job)) => {
                 self.obs.busy_rejected.inc();
                 self.obs.events.emit(
                     "server.busy",
                     &[("op", Json::Str(kind.into()))],
                 );
-                Err(Response::Busy)
+                job.respond(&Response::Busy);
             }
-            Err(PushError::Closed(_)) => Err(Response::ShuttingDown),
+            Err(PushError::Closed(job)) => job.respond(&Response::ShuttingDown),
         }
     }
 
@@ -154,7 +178,7 @@ fn worker_loop(
         if let Some(tr) = &job.trace {
             let picked_up_us = tracer.now_us();
             tracer.record(SpanRecord {
-                trace_id: tr.trace_id,
+                trace_id: job.trace_id,
                 span_id: tracer.next_span_id(),
                 parent_id: Some(tr.root_span),
                 name: "queue.wait",
@@ -168,7 +192,7 @@ fn worker_loop(
         if let Some(tr) = &job.trace {
             let check_start = tracer.now_us();
             tracer.record(SpanRecord {
-                trace_id: tr.trace_id,
+                trace_id: job.trace_id,
                 span_id: tracer.next_span_id(),
                 parent_id: Some(tr.root_span),
                 name: "deadline.check",
@@ -177,16 +201,16 @@ fn worker_loop(
                 fields: vec![("expired", Json::Bool(expired))],
             });
         }
-        let corr = job.reply.corr;
+        let corr = job.request.corr_id;
         let frame = if expired {
             obs.deadline_exceeded.inc();
             Frame::encode(&Response::DeadlineExceeded, corr)
         } else {
-            let exec_ctx = job.trace.as_ref().map(|tr| {
+            let exec_ctx = job.trace.is_some().then(|| {
                 let span_id = tracer.next_span_id();
                 ExecTrace {
                     tracer,
-                    trace_id: tr.trace_id,
+                    trace_id: job.trace_id,
                     span_id,
                     start_us: tracer.now_us(),
                 }
@@ -235,7 +259,7 @@ fn worker_loop(
                 ],
             );
         }
-        job.reply.send(frame);
+        job.answer(frame);
     }
 }
 
@@ -514,9 +538,52 @@ fn error_response(e: StoreError, obs: &ServerObserver) -> Response {
     }
 }
 
+/// Emits a `server.slow_request` event; when the request was sampled the
+/// event carries its full span tree (name/span/parent/start/duration), so
+/// the slow path is diagnosable straight from the event stream.
+fn emit_slow_request(
+    obs: &ServerObserver,
+    trace_id: u64,
+    op_kind: &str,
+    status: &str,
+    total_us: u64,
+    sampled: bool,
+) {
+    let mut fields = vec![
+        ("trace_id", Json::Str(format!("{trace_id:#018x}"))),
+        ("op", Json::Str(op_kind.into())),
+        ("status", Json::Str(status.into())),
+        ("total_us", Json::U64(total_us)),
+        ("sampled", Json::Bool(sampled)),
+    ];
+    if sampled {
+        let spans: Vec<Json> = obs
+            .tracer
+            .spans_for(trace_id)
+            .into_iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("name".into(), Json::Str(s.name.into())),
+                    ("span".into(), Json::U64(s.span_id)),
+                    (
+                        "parent".into(),
+                        s.parent_id.map(Json::U64).unwrap_or(Json::Null),
+                    ),
+                    ("start_us".into(), Json::U64(s.start_us)),
+                    ("dur_us".into(), Json::U64(s.dur_us)),
+                ])
+            })
+            .collect();
+        fields.push(("spans", Json::Arr(spans)));
+    }
+    obs.events.emit("server.slow_request", &fields);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_frame;
+    use std::net::TcpStream;
     use tornado_core::tornado_graph_1;
     use tornado_obs::trace::validate_chrome_trace;
 
@@ -524,25 +591,29 @@ mod tests {
         Engine::start(store, ServerObserver::shared(), Instant::now(), workers, depth)
     }
 
-    /// A reply addressed to a mailbox no shard drains: nothing installs a
-    /// waker, so `kick` is a no-op and the test reads the completion
-    /// itself.
-    fn reply_to(mailbox: &Arc<ShardMailbox>) -> Reply {
-        Reply { mailbox: Arc::clone(mailbox), slot: 0, gen: 0, corr: None }
+    /// An untraced, uncorrelated job with no deadline.
+    fn job(op: Op, reply: Reply) -> Job {
+        Job {
+            request: Request { deadline_ms: 0, corr_id: None, trace_id: None, op },
+            reply,
+            started_at: Instant::now(),
+            accepted_at: Instant::now(),
+            deadline: None,
+            trace_id: 0,
+            trace: None,
+        }
+    }
+
+    /// Blocks until the worker's reply arrives at the peer's end.
+    fn read_reply(peer: &mut TcpStream) -> Response {
+        let body = read_frame(peer).unwrap().expect("a frame, not EOF");
+        Response::decode(&body).expect("a worker's frame decodes")
     }
 
     fn roundtrip(engine: &Engine, op: Op) -> Response {
-        let mailbox = ShardMailbox::new();
-        engine
-            .submit(Job {
-                request: Request { deadline_ms: 0, corr_id: None, trace_id: None, op },
-                reply: reply_to(&mailbox),
-                accepted_at: Instant::now(),
-                deadline: None,
-                trace: None,
-            })
-            .expect("queue has room");
-        mailbox.wait_response()
+        let (reply, mut peer) = Reply::to_peer(ServerObserver::shared());
+        engine.submit(job(op, reply));
+        read_reply(&mut peer)
     }
 
     #[test]
@@ -576,22 +647,13 @@ mod tests {
     fn expired_deadline_is_rejected_without_executing() {
         let store = Arc::new(ArchivalStore::new(tornado_graph_1()));
         let engine = engine_over(Arc::clone(&store), 1, 8);
-        let mailbox = ShardMailbox::new();
-        engine
-            .submit(Job {
-                request: Request {
-                    deadline_ms: 1,
-                    corr_id: None,
-                    trace_id: None,
-                    op: Op::Put { name: "late".into(), payload: vec![1; 64] },
-                },
-                reply: reply_to(&mailbox),
-                accepted_at: Instant::now() - std::time::Duration::from_millis(50),
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(10)),
-                trace: None,
-            })
-            .unwrap();
-        assert_eq!(mailbox.wait_response(), Response::DeadlineExceeded);
+        let (reply, mut peer) = Reply::to_peer(ServerObserver::shared());
+        engine.submit(Job {
+            accepted_at: Instant::now() - std::time::Duration::from_millis(50),
+            deadline: Some(Instant::now() - std::time::Duration::from_millis(10)),
+            ..job(Op::Put { name: "late".into(), payload: vec![1; 64] }, reply)
+        });
+        assert_eq!(read_reply(&mut peer), Response::DeadlineExceeded);
         assert!(store.list().is_empty(), "expired request must not execute");
         engine.shutdown();
     }
@@ -649,39 +711,22 @@ mod tests {
             store.fail_device(device).unwrap();
         }
 
-        // Submit a traced GET exactly as a shard would: reserve the root
-        // span id up front, record the root after the reply.
+        // Submit a traced GET exactly as a shard would: the root span id
+        // reserved up front, the root recorded by whoever answers — before
+        // the reply is written, so it is there once the reply is.
         let trace_id = 0xABCDu64;
         let root_span = obs.tracer.next_span_id();
         let accepted_us = obs.tracer.now_us();
-        let mailbox = ShardMailbox::new();
-        engine
-            .submit(Job {
-                request: Request {
-                    deadline_ms: 0,
-                    corr_id: None,
-                    trace_id: Some(trace_id),
-                    op: Op::Get { id },
-                },
-                reply: reply_to(&mailbox),
-                accepted_at: Instant::now(),
-                deadline: None,
-                trace: Some(JobTrace { trace_id, root_span, accepted_us }),
-            })
-            .unwrap();
-        match mailbox.wait_response() {
+        let (reply, mut peer) = Reply::to_peer(Arc::clone(&obs));
+        engine.submit(Job {
+            trace_id,
+            trace: Some(JobTrace { root_span, root_start_us: accepted_us, accepted_us }),
+            ..job(Op::Get { id }, reply)
+        });
+        match read_reply(&mut peer) {
             Response::GetOk { payload: got } => assert_eq!(got, payload),
             other => panic!("{other:?}"),
         }
-        obs.tracer.record(SpanRecord {
-            trace_id,
-            span_id: root_span,
-            parent_id: None,
-            name: "request",
-            start_us: accepted_us,
-            dur_us: obs.tracer.now_us().saturating_sub(accepted_us),
-            fields: vec![("op", Json::Str("get".into()))],
-        });
 
         let names: Vec<&str> = obs.tracer.spans_for(trace_id).iter().map(|s| s.name).collect();
         for want in [

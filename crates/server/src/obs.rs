@@ -19,8 +19,11 @@ use tornado_store::{ArchivalStore, StoreObserver};
 pub const TIMESERIES_CAPACITY: usize = 120;
 
 metric_set! {
-    /// One event-loop shard's statistics: written only by that shard's
-    /// thread, summed across shards at snapshot time.
+    /// One event-loop shard's statistics, summed across shards at snapshot
+    /// time. The loop's own cells are written by that shard's thread; the
+    /// output cells (`write_flushes`, `batched_writes`, `responses_out`,
+    /// `inflight`) by whichever thread answers on one of its connections —
+    /// the shard, or the worker that made the reply.
     pub struct LoopStats {
         /// Readiness wakeups (returns from the poller's wait).
         wakeups: Counter = "server.loop.wakeups", "wakeups";
@@ -28,11 +31,12 @@ metric_set! {
         events: Counter = "server.loop.events", "events";
         /// Output flushes that put two or more response frames in one write.
         batched_writes: Counter = "server.loop.batched_writes", "writes";
-        /// Output flush syscalls.
+        /// Writes of response bytes to a socket, by a shard or by the worker
+        /// that made the reply.
         write_flushes: Counter = "server.loop.write_flushes", "writes";
         /// Request frames reassembled and dispatched or answered.
         frames_in: Counter = "server.loop.frames_in", "frames";
-        /// Response frames queued for output.
+        /// Response frames written or queued for output.
         responses_out: Counter = "server.loop.responses_out", "frames";
         /// Connections open now.
         connections: Gauge = "server.loop.connections", "connections", sampled;

@@ -22,11 +22,12 @@
 //!
 //! * The epoll fd is an `OwnedFd` — closed exactly once, on drop.
 //! * Registered fds must outlive their registration; the serving layer
-//!   guarantees this by deregistering in the same function that drops the
-//!   `TcpStream` (slot teardown), never after.
+//!   guarantees this by deregistering in slot teardown, while the slab
+//!   still holds the socket — replies in flight may keep it open longer,
+//!   never shorter.
 //! * `epoll_event` carries a plain `u64` token, no pointers, so a stale
-//!   event can at worst name a retired slot generation (which the shard
-//!   ignores), never touch freed memory.
+//!   event can at worst name a slot whose tenant has changed (which costs
+//!   the new tenant a look), never touch freed memory.
 
 #![allow(unsafe_code)]
 
@@ -313,9 +314,10 @@ mod sys {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if interest.read {
-            m |= EPOLLIN;
+            // A half-close is news about the read side only.
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.write {
             m |= EPOLLOUT;

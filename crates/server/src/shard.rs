@@ -3,21 +3,27 @@
 //! Connections are served by a small, fixed set of shards. Each shard is
 //! one thread around a
 //! [`crate::reactor::Poller`]: it owns a slab of connection states
-//! (per-connection read [`FrameBuffer`], write buffer, and in-flight
-//! bookkeeping), reassembles frames incrementally, dispatches decoded
-//! requests to the engine's worker pool, and writes completed responses
-//! back — coalescing every response queued since the last flush into one
-//! write syscall. Requests are read from the socket straight into the
+//! (per-connection read [`FrameBuffer`] and hold flags), reassembles frames
+//! incrementally and dispatches decoded requests to the engine's worker
+//! pool. Requests are read from the socket straight into the
 //! connection's [`FrameBuffer`] — no scratch buffer in between, nothing
 //! zero-filled — which sizes itself from a frame's length prefix, so a PUT
 //! lands in one allocation of its own size, leaves the buffer *with* it,
 //! and has its payload cut out of it by the decoder: between the socket
-//! and the store's encoder a payload byte moves once (the cut). Responses
-//! arrive already encoded (`Frame`): when a
-//! connection has nothing unflushed the frame's buffer *becomes* its
-//! output buffer (a 1 MiB GET reply is not copied on its way to the
-//! socket); behind unflushed output it is appended, so frames still leave
-//! in the order they were queued and share a write.
+//! and the store's encoder a payload byte moves once (the cut).
+//!
+//! A connection's **write half** — the socket, its unsent output and its
+//! in-flight count, `ConnWriter` — sits behind one per-connection lock
+//! and has one entry, `ConnWriter::send`, which any thread may call.
+//! Responses arrive there already encoded (`Frame`). A frame with nothing
+//! to share a write with — no output waiting, no other request of its
+//! connection in flight — is written to the socket by the thread that made
+//! it, nonblocking, and its buffer is what the socket reads from (a 1 MiB
+//! GET reply is not copied on its way out, and the worker that allocated
+//! it frees it); the shard is not woken. Any other frame — and the part of
+//! a write the socket would not take — waits in the connection's output
+//! buffer, in the order queued, and the shard is asked, once, to flush
+//! what has gathered in one write.
 //!
 //! Invariants the shard maintains:
 //!
@@ -29,21 +35,47 @@
 //!   whatever length the peer's prefix claims, and a prefix over
 //!   `MAX_FRAME` ends the connection's read side with nothing reserved
 //!   for it.
+//! * **One writer at a time.** Whoever writes — a worker or the shard —
+//!   first takes the queued output out from under the connection's lock
+//!   and marks the write in progress (`in_write`); until it has put back
+//!   what the socket would not take, everyone else only queues behind it.
+//!   So frames never interleave, and every write starts where the last
+//!   one stopped. The lock itself is a leaf — nothing else is locked while
+//!   it is held; the engine queue, the mailbox and the store are entered
+//!   only after it is released — and is never held through a syscall: a
+//!   write wakes the peer, and on a busy core the peer's next request
+//!   would otherwise find the shard queued behind a lock whose holder was
+//!   preempted inside `write`.
+//! * **No lost wake-up.** Whatever the shard waits on another thread for —
+//!   the in-flight cap or the serial hold with requests still buffered, a
+//!   closing or draining connection with requests outstanding or a write
+//!   in progress — it notes (`parked`) in the critical section in which it
+//!   saw the count, and a sender lowers the count (or ends its write) and
+//!   reads the note in one critical section of the same lock: either the
+//!   shard saw the new state or the sender sees the note and asks for the
+//!   shard.
 //! * **Legacy ordering.** A request without a correlation id (an
 //!   old-header, one-at-a-time client) holds further frame extraction on
 //!   its connection until it is answered, so responses stay in request
 //!   order on the wire, byte-identical to what such a client always saw.
 //! * **Pipelining.** Correlated requests run concurrently up to
-//!   `max_inflight_per_conn`; completions arrive out of order and are
-//!   matched back by slot, generation, and correlation id. Stale
-//!   completions for a reused slot are dropped by a per-slot generation
-//!   counter.
+//!   `max_inflight_per_conn` and are answered in the order they finish;
+//!   the correlation id in the reply is all that matches one to its
+//!   request. A `Reply` holds its connection, so a reply that outlives
+//!   its connection finds it closed and is dropped, and the socket's
+//!   descriptor is not reused while one is still to come.
 //! * **Nonblocking backpressure.** A full engine queue answers BUSY
 //!   inline (`server.busy_rejected`); the loop never blocks on dispatch, so
 //!   a saturated queue cannot stall readiness processing.
-//! * **Level-triggered liveness.** When a completion frees pipeline
-//!   capacity, frame extraction re-runs immediately — buffered bytes are
-//!   never stranded waiting for a readiness edge that will not come.
+//! * **Level-triggered liveness.** When a reply frees pipeline capacity,
+//!   frame extraction re-runs at once — buffered bytes are never stranded
+//!   waiting for a readiness edge that will not come.
+//! * **Asleep when there is nothing to do.** A connection whose read side
+//!   has ended (EOF, a read or framing error, SHUTDOWN answered) but which
+//!   is still owed replies is no longer watched for readability — a
+//!   hang-up is level-triggered and would wake the loop without pause —
+//!   only for writability while its output is blocked; the replies it
+//!   waits for announce themselves through the mailbox.
 //! * **Bounded output.** A peer that pipelines requests and does not read
 //!   the replies stops being served: no further frame is taken from a
 //!   connection holding more than `MAX_UNFLUSHED` (2 × `MAX_FRAME`) bytes
@@ -56,15 +88,14 @@
 //!   flushes every write buffer, then closes — with a force-close
 //!   deadline so a stuck peer cannot wedge exit.
 
-use crate::engine::{Job, JobTrace, Reply};
+use crate::engine::{Job, JobTrace};
 use crate::obs::{LoopStats, ServerObserver};
-use crate::protocol::{release_drained, Frame, FrameBuffer, Op, Request, Response, MAX_FRAME};
+use crate::protocol::{Frame, FrameBuffer, Op, Request, Response, MAX_FRAME};
 use crate::reactor::{Interest, Poller, Waker};
-use std::collections::VecDeque;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use tornado_obs::trace::SpanRecord;
 use tornado_obs::Json;
@@ -81,50 +112,34 @@ const MAX_UNFLUSHED: usize = 2 * MAX_FRAME;
 /// buffers before force-closing connections.
 const DRAIN_FORCE_CLOSE: Duration = Duration::from_secs(5);
 
-/// Where shards receive work from other threads: adopted connections from
-/// the acceptor and completions from engine workers. Every push kicks the
+/// Where a shard hears from other threads: connections the acceptor
+/// adopted out to it, and the slots of connections a sender left something
+/// on for it (output to flush, a hold to lift). Every push kicks the
 /// shard's waker so the loop reacts without waiting out its poll timeout.
 pub(crate) struct ShardMailbox {
-    completions: Mutex<Vec<Completion>>,
     adopted: Mutex<Vec<TcpStream>>,
+    unsettled: Mutex<Vec<usize>>,
     waker: OnceLock<Waker>,
-}
-
-/// One finished request on its way back to a connection.
-struct Completion {
-    slot: usize,
-    gen: u64,
-    corr: Option<u32>,
-    frame: Frame,
 }
 
 impl ShardMailbox {
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            completions: Mutex::new(Vec::new()),
             adopted: Mutex::new(Vec::new()),
+            unsettled: Mutex::new(Vec::new()),
             waker: OnceLock::new(),
         })
-    }
-
-    /// Delivers a finished, encoded response (engine worker side of
-    /// [`Reply`]).
-    pub fn complete(&self, slot: usize, gen: u64, corr: Option<u32>, frame: Frame) {
-        self.completions
-            .lock()
-            .expect("mailbox lock")
-            .push(Completion {
-                slot,
-                gen,
-                corr,
-                frame,
-            });
-        self.kick();
     }
 
     /// Hands a freshly accepted connection to the shard.
     pub fn adopt(&self, stream: TcpStream) {
         self.adopted.lock().expect("mailbox lock").push(stream);
+        self.kick();
+    }
+
+    /// Asks the shard to attend to the connection in `slot`.
+    fn unsettle(&self, slot: usize) {
+        self.unsettled.lock().expect("mailbox lock").push(slot);
         self.kick();
     }
 
@@ -135,33 +150,19 @@ impl ShardMailbox {
             w.wake();
         }
     }
-
-    /// Blocks until a completion arrives and returns its response: how
-    /// the engine's unit tests, which run no shard, read a worker's reply.
-    #[cfg(test)]
-    pub fn wait_response(&self) -> Response {
-        loop {
-            if let Some(done) = self.completions.lock().expect("mailbox lock").pop() {
-                let body = &done.frame.wire()[4..];
-                return Response::decode_corr(body)
-                    .expect("a worker's frame decodes")
-                    .1;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
 }
 
 /// Dispatches decoded requests to the worker pool. The engine implements
 /// this; tests substitute doubles (e.g. an always-busy pool) to pin loop
 /// behavior without standing up workers.
 pub(crate) trait Dispatcher: Send + Sync + 'static {
-    /// Admits a job or returns the rejection response (BUSY / SHUTTING_DOWN).
-    fn dispatch(&self, job: Job) -> Result<(), Response>;
+    /// Admits a job, or answers it (BUSY / SHUTTING_DOWN) before
+    /// returning. Never blocks.
+    fn dispatch(&self, job: Job);
 }
 
 impl Dispatcher for crate::engine::Engine {
-    fn dispatch(&self, job: Job) -> Result<(), Response> {
+    fn dispatch(&self, job: Job) {
         self.submit(job)
     }
 }
@@ -179,41 +180,276 @@ pub(crate) struct ShardContext<D: Dispatcher> {
     pub max_inflight_per_conn: usize,
 }
 
-/// Metadata for one dispatched, unanswered request.
-struct PendingMeta {
-    corr: Option<u32>,
-    op_kind: &'static str,
-    req_start: Instant,
-    trace_id: u64,
-    /// `(root_span, root_start_us)` when the request is trace-sampled.
-    trace: Option<(u64, u64)>,
+/// A connection's write half: the socket, its unsent output and its
+/// in-flight count behind one lock, so that the thread that made a reply
+/// can write it. Shared (`Arc`) by the shard's slab and every [`Reply`]
+/// outstanding, which is also what keeps the descriptor from being reused
+/// while a reply is still to come.
+pub(crate) struct ConnWriter {
+    stream: TcpStream,
+    /// The connection's slot in its shard's slab (what the mailbox names).
+    slot: usize,
+    mailbox: Arc<ShardMailbox>,
+    stats: Arc<LoopStats>,
+    obs: Arc<ServerObserver>,
+    slow_request_us: u64,
+    state: Mutex<WriteState>,
 }
 
-/// One connection's state within the shard slab.
-struct Conn {
-    stream: TcpStream,
-    /// Generation stamped on dispatches; completions carrying an older
-    /// generation targeted a previous tenant of this slot and are dropped.
-    gen: u64,
-    inbuf: FrameBuffer,
+/// What the connection's lock guards.
+#[derive(Default)]
+struct WriteState {
     /// Queued response bytes not yet written: `out[out_pos..]`. `out_pos`
     /// is the progress of a partial write and, for an adopted frame, where
     /// the frame starts in its buffer.
     out: Vec<u8>,
     out_pos: usize,
-    /// Frames appended to `out` since the last fully-drained flush — the
-    /// write-batching counter.
+    /// Frames put in `out` since it was last empty — the write-batching
+    /// counter.
     out_frames: usize,
+    /// Bytes a thread has taken out of `out` and is writing to the socket
+    /// with the lock released; nobody else writes until it has put back
+    /// what the socket would not take.
+    in_write: usize,
     /// Requests dispatched to the engine and not yet answered.
-    pending: Vec<PendingMeta>,
+    inflight: usize,
     /// An uncorrelated (one-at-a-time) request is in flight: extraction
     /// holds until it is answered so legacy responses stay ordered.
     serial_hold: bool,
+    /// The shard left something undone that only a sender unblocks
+    /// (buffered requests behind the in-flight cap or the serial hold, a
+    /// teardown or drain waiting for the count to reach zero or a write to
+    /// end): every reply asks for the shard until it has looked again.
+    parked: bool,
+    /// The shard has been asked for and has not looked yet.
+    kicked: bool,
+    /// A write failed: nothing more is sent, and the shard tears the
+    /// connection down once nothing is in flight.
+    broken: bool,
+    /// The shard closed the connection: a late reply is dropped.
+    closed: bool,
+}
+
+impl WriteState {
+    fn queued(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    fn unflushed(&self) -> usize {
+        self.in_write + self.queued()
+    }
+
+    fn has_output(&self) -> bool {
+        self.unflushed() > 0
+    }
+}
+
+impl ConnWriter {
+    fn lock(&self) -> MutexGuard<'_, WriteState> {
+        self.state.lock().expect("connection lock")
+    }
+
+    /// Counts one more request in flight and returns the claim on it that
+    /// [`Reply::send`] gives back. Only the shard admits, so a hold it
+    /// checked a moment ago can only have been lifted since.
+    fn admit(self: &Arc<Self>, serial: bool) -> Reply {
+        let mut st = self.lock();
+        st.inflight += 1;
+        st.serial_hold |= serial;
+        self.stats.inflight.add(1);
+        Reply { conn: Arc::clone(self), serial }
+    }
+
+    /// The one way a response reaches a connection, workers' replies
+    /// (`answers`: whether the request was uncorrelated) and the shard's
+    /// inline rejections (`None`) alike, and the one place that decides who
+    /// writes it: a frame with nothing to share a write with — no output
+    /// waiting or being written, nothing else in flight — goes to the
+    /// socket here; any other joins the output buffer, behind what is
+    /// already waiting, and — unless a writer is at work, who will see it —
+    /// the shard is asked (once, until it has looked) to flush it.
+    fn send(&self, frame: Frame, answers: Option<bool>) {
+        let kick = {
+            let mut st = self.lock();
+            if let Some(serial) = answers {
+                st.inflight -= 1;
+                st.serial_hold &= !serial;
+                self.stats.inflight.add(-1);
+            }
+            if st.closed {
+                return;
+            }
+            if !st.broken {
+                let alone = !st.has_output() && st.inflight == 0;
+                if st.queued() > 0 {
+                    st.out.extend_from_slice(frame.wire());
+                } else {
+                    st.out = frame.bytes;
+                    st.out_pos = frame.start;
+                }
+                st.out_frames += 1;
+                self.stats.responses_out.inc();
+                if alone {
+                    st = self.write_out(st);
+                }
+            }
+            // The shard is needed for output nobody is writing, to tear
+            // down a connection whose write failed, and for whatever it
+            // parked.
+            let idle_output = st.in_write == 0 && st.queued() > 0;
+            let kick = (idle_output || st.broken || st.parked) && !st.kicked;
+            st.kicked |= kick;
+            kick
+        };
+        if kick {
+            self.mailbox.unsettle(self.slot);
+        }
+    }
+
+    /// The one place response bytes are written to a connection's socket:
+    /// everything queued, in one syscall when the socket takes it (the
+    /// write-batching win: every frame queued since the buffer was last
+    /// empty shares it). The caller holds the lock and nobody is writing.
+    /// The output is taken and the lock released for the `write` — which
+    /// wakes the peer, whose next request must not find the shard waiting
+    /// on a lock held through a syscall — then taken again: a buffer the
+    /// socket took whole is dropped here, by the thread that wrote it, and
+    /// whatever was queued meanwhile is written next; what the socket
+    /// would not take goes back in front of it, for the shard, which
+    /// watches for writability.
+    fn write_out<'a>(&'a self, mut st: MutexGuard<'a, WriteState>) -> MutexGuard<'a, WriteState> {
+        debug_assert_eq!(st.in_write, 0, "one writer at a time");
+        while st.queued() > 0 && !st.broken && !st.closed {
+            let (mut buf, mut pos) = (std::mem::take(&mut st.out), std::mem::take(&mut st.out_pos));
+            let frames = std::mem::take(&mut st.out_frames);
+            st.in_write = buf.len() - pos;
+            drop(st);
+            let mut stream = &self.stream;
+            let mut outcome = Ok(());
+            while pos < buf.len() {
+                match stream.write(&buf[pos..]) {
+                    Ok(0) => outcome = Err(std::io::ErrorKind::WriteZero),
+                    Ok(n) => {
+                        self.stats.write_flushes.inc();
+                        pos += n;
+                        continue;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => outcome = Err(e.kind()),
+                }
+                break;
+            }
+            if outcome.is_ok() {
+                // Freed by the thread that wrote it, outside the lock.
+                buf = Vec::new();
+            }
+            st = self.lock();
+            st.in_write = 0;
+            match outcome {
+                Ok(()) if frames >= 2 => self.stats.batched_writes.inc(),
+                Ok(()) => {}
+                Err(std::io::ErrorKind::WouldBlock) if !st.closed => {
+                    buf.extend_from_slice(&st.out[st.out_pos..]);
+                    st.out = buf;
+                    st.out_pos = pos;
+                    st.out_frames += frames;
+                    return st;
+                }
+                Err(_) => {
+                    st.broken = true;
+                    st.out = Vec::new();
+                    st.out_pos = 0;
+                    st.out_frames = 0;
+                }
+            }
+        }
+        st
+    }
+
+    /// Whether everything the connection is owed has been answered and
+    /// written. If not, the sender that changes that must bring the shard
+    /// back (output left over is already watched for writability).
+    fn settled(&self) -> bool {
+        let mut st = self.lock();
+        st.parked |= st.inflight > 0 || st.in_write > 0;
+        st.inflight == 0 && !st.has_output()
+    }
+
+    /// Ends the connection: late replies become no-ops, unsent output is
+    /// dropped, and the peer sees the close now rather than when the last
+    /// [`Reply`] lets go of the socket.
+    fn close(&self) {
+        {
+            let mut st = self.lock();
+            st.closed = true;
+            st.out = Vec::new();
+            st.out_pos = 0;
+        }
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// One in-flight request's claim on its connection: made by the shard when
+/// it dispatches the request, given back — with the response — by whoever
+/// answers it.
+pub(crate) struct Reply {
+    conn: Arc<ConnWriter>,
+    /// The request carried no correlation id: answering lifts the
+    /// connection's serial hold.
+    serial: bool,
+}
+
+impl Reply {
+    /// Delivers the encoded response. A connection that has since hung up
+    /// is not an error; the work itself already happened.
+    pub fn send(self, frame: Frame) {
+        self.conn.send(frame, Some(self.serial));
+    }
+
+    /// The observer and slow-request threshold of the server the
+    /// connection belongs to.
+    pub fn observer(&self) -> (&ServerObserver, u64) {
+        (&self.conn.obs, self.conn.slow_request_us)
+    }
+}
+
+#[cfg(test)]
+impl Reply {
+    /// A claim on a connection no shard serves, and the peer's end of it:
+    /// how the engine's unit tests read a worker's reply. The socket is
+    /// left blocking, so the worker writes the whole frame while the test
+    /// blocks reading it.
+    pub fn to_peer(obs: Arc<ServerObserver>) -> (Reply, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        peer.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let (stream, _) = listener.accept().expect("accept");
+        let conn = Arc::new(ConnWriter {
+            stream,
+            slot: 0,
+            mailbox: ShardMailbox::new(),
+            stats: Arc::new(LoopStats::new()),
+            obs,
+            slow_request_us: 0,
+            state: Mutex::default(),
+        });
+        (conn.admit(true), peer)
+    }
+}
+
+/// One connection's state within the shard slab: the read half, which only
+/// the shard touches, and the shared write half.
+struct Conn {
+    tx: Arc<ConnWriter>,
+    inbuf: FrameBuffer,
     /// Extraction stopped because more than [`MAX_UNFLUSHED`] bytes were
     /// waiting for the peer to read; the flush that drains them resumes it.
     output_hold: bool,
-    /// The poller currently watches this fd for writability.
-    write_interest: bool,
+    /// What the poller watches this fd for; `None` once it watches nothing.
+    /// A connection whose read side is finished is watched only while its
+    /// output is blocked: a hang-up is level-triggered, and would wake the
+    /// shard in a loop for as long as the connection cannot be torn down.
+    watching: Option<Interest>,
     /// Read side is finished (EOF or fatal error); tear down once
     /// in-flight requests drain and the write buffer flushes.
     peer_gone: bool,
@@ -221,35 +457,22 @@ struct Conn {
     close_after_flush: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, gen: u64) -> Self {
-        Self {
-            stream,
-            gen,
-            inbuf: FrameBuffer::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            out_frames: 0,
-            pending: Vec::new(),
-            serial_hold: false,
-            output_hold: false,
-            write_interest: false,
-            peer_gone: false,
-            close_after_flush: false,
-        }
+/// Brings what the poller watches `conn` for in line with what the shard
+/// waits on it for: readability while its read side is open, writability
+/// while its output is `blocked`, nothing otherwise.
+fn watch(poller: &Poller, conn: &mut Conn, slot: usize, blocked: bool) {
+    let read = !(conn.peer_gone || conn.close_after_flush);
+    let want = (read || blocked).then_some(Interest { read, write: blocked });
+    if want == conn.watching {
+        return;
     }
-
-    fn inflight(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn unflushed(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    fn has_output(&self) -> bool {
-        self.unflushed() > 0
-    }
+    let fd = &conn.tx.stream;
+    let _ = match (conn.watching, want) {
+        (None, Some(interest)) => poller.register(fd, slot as u64, interest),
+        (Some(_), Some(interest)) => poller.reregister(fd, slot as u64, interest),
+        (_, None) => poller.deregister(fd),
+    };
+    conn.watching = want;
 }
 
 /// Trace ids assigned to requests whose client sent none. A plain counter
@@ -269,13 +492,14 @@ pub(crate) fn run_shard<D: Dispatcher>(ctx: ShardContext<D>) {
         Err(_) => return,
     };
     let _ = ctx.mailbox.waker.set(waker);
+    // Whatever was handed over before there was a waker to kick.
+    ctx.mailbox.kick();
 
     let mut shard = ShardState {
         poller,
         ctx,
         conns: Vec::new(),
         free: Vec::new(),
-        gen_counter: 0,
         drain_started: None,
     };
     shard.run();
@@ -286,7 +510,6 @@ struct ShardState<D: Dispatcher> {
     ctx: ShardContext<D>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    gen_counter: u64,
     drain_started: Option<Instant>,
 }
 
@@ -301,10 +524,6 @@ impl<D: Dispatcher> ShardState<D> {
             self.ctx.stats.wakeups.inc();
             self.ctx.stats.events.add(events.len() as u64);
 
-            // Slots whose output changed this wakeup; flushed once at the
-            // end so every response queued in this pass shares a syscall.
-            let mut dirty: Vec<usize> = Vec::new();
-
             for ev in events.drain(..) {
                 if ev.token == WAKER_TOKEN {
                     if let Some(w) = self.ctx.mailbox.waker.get() {
@@ -314,7 +533,7 @@ impl<D: Dispatcher> ShardState<D> {
                 }
                 let slot = ev.token as usize;
                 if ev.readable {
-                    self.handle_readable(slot, &mut dirty);
+                    self.handle_readable(slot);
                 }
                 if ev.writable {
                     self.flush(slot);
@@ -322,13 +541,7 @@ impl<D: Dispatcher> ShardState<D> {
             }
 
             self.adopt_new();
-            self.process_completions(&mut dirty);
-
-            dirty.sort_unstable();
-            dirty.dedup();
-            for slot in dirty {
-                self.flush(slot);
-            }
+            self.attend_unsettled();
 
             if self.ctx.shutdown.load(Ordering::SeqCst) && self.drain() {
                 return;
@@ -350,11 +563,8 @@ impl<D: Dispatcher> ShardState<D> {
         // nothing left to write. Past the force-close deadline, close
         // unconditionally — a peer that stopped reading cannot wedge exit.
         for slot in 0..self.conns.len() {
-            let done = match &self.conns[slot] {
-                Some(c) => (c.inflight() == 0 && !c.has_output()) || deadline_passed,
-                None => false,
-            };
-            if done {
+            let done = self.conns[slot].as_ref().is_some_and(|c| c.tx.settled());
+            if done || deadline_passed {
                 self.teardown(slot);
             }
         }
@@ -375,8 +585,6 @@ impl<D: Dispatcher> ShardState<D> {
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 continue;
             }
-            self.gen_counter += 1;
-            let gen = self.gen_counter;
             let slot = match self.free.pop() {
                 Some(s) => s,
                 None => {
@@ -388,8 +596,48 @@ impl<D: Dispatcher> ShardState<D> {
                 self.free.push(slot);
                 continue;
             }
-            self.conns[slot] = Some(Conn::new(stream, gen));
+            let tx = Arc::new(ConnWriter {
+                stream,
+                slot,
+                mailbox: Arc::clone(&self.ctx.mailbox),
+                stats: Arc::clone(&self.ctx.stats),
+                obs: Arc::clone(&self.ctx.obs),
+                slow_request_us: self.ctx.slow_request_us,
+                state: Mutex::default(),
+            });
+            self.conns[slot] = Some(Conn {
+                tx,
+                inbuf: FrameBuffer::new(),
+                output_hold: false,
+                watching: Some(Interest::READ),
+                peer_gone: false,
+                close_after_flush: false,
+            });
             self.ctx.stats.connections.add(1);
+        }
+    }
+
+    /// Attends to every connection a sender named since the last pass:
+    /// takes up its buffered requests again (a reply may have lifted a
+    /// hold) and flushes what has gathered in its output. The flags are
+    /// cleared before anything is looked at, so a reply that lands while
+    /// the shard is looking asks again rather than going unseen. A slot
+    /// whose tenant has changed in the meantime costs its new tenant a
+    /// look.
+    fn attend_unsettled(&mut self) {
+        let unsettled: Vec<usize> =
+            std::mem::take(&mut *self.ctx.mailbox.unsettled.lock().expect("mailbox lock"));
+        for slot in unsettled {
+            let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+                continue;
+            };
+            {
+                let mut st = conn.tx.lock();
+                st.kicked = false;
+                st.parked = false;
+            }
+            self.extract_frames(slot);
+            self.flush(slot);
         }
     }
 
@@ -397,7 +645,7 @@ impl<D: Dispatcher> ShardState<D> {
     /// would block or a buffer sized for its frame is full (the poller is
     /// level-triggered: what is left unread is reported again), then
     /// extracts as many complete frames as pipelining rules allow.
-    fn handle_readable(&mut self, slot: usize, dirty: &mut Vec<usize>) {
+    fn handle_readable(&mut self, slot: usize) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
@@ -405,32 +653,35 @@ impl<D: Dispatcher> ShardState<D> {
             return;
         }
         // End of stream and a failed read both end the read side.
-        conn.peer_gone = !conn.inbuf.fill_from(&mut conn.stream).unwrap_or(false);
-        self.extract_frames(slot, dirty);
+        conn.peer_gone = !conn.inbuf.fill_from(&mut &conn.tx.stream).unwrap_or(false);
+        self.extract_frames(slot);
         self.maybe_teardown(slot);
     }
 
     /// Pulls complete frames out of the connection's read buffer and
     /// dispatches them, honoring the output bound, the serial hold (legacy
     /// ordering), the per-connection in-flight cap, and drain mode.
-    fn extract_frames(&mut self, slot: usize, dirty: &mut Vec<usize>) {
+    fn extract_frames(&mut self, slot: usize) {
         let shutting_down = self.ctx.shutdown.load(Ordering::SeqCst);
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
         loop {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return;
-            };
             if conn.close_after_flush {
                 return;
             }
-            if conn.unflushed() > MAX_UNFLUSHED {
-                conn.output_hold = true;
-                return;
-            }
-            if !shutting_down {
-                if conn.serial_hold {
+            {
+                let mut st = conn.tx.lock();
+                if st.unflushed() > MAX_UNFLUSHED {
+                    conn.output_hold = true;
                     return;
                 }
-                if conn.inflight() >= self.ctx.max_inflight_per_conn {
+                if !shutting_down
+                    && (st.serial_hold || st.inflight >= self.ctx.max_inflight_per_conn)
+                {
+                    // Bytes already buffered have no readiness edge
+                    // coming: the reply that lifts the hold must say so.
+                    st.parked |= conn.inbuf.buffered() > 0;
                     return;
                 }
             }
@@ -446,7 +697,7 @@ impl<D: Dispatcher> ShardState<D> {
                 }
             };
             self.ctx.stats.frames_in.inc();
-            let req_start = Instant::now();
+            let started_at = Instant::now();
             let frame_bytes = (frame.len() - body_start) as u64;
             let request = match Request::decode_owned(frame, body_start) {
                 Ok(r) => r,
@@ -455,25 +706,23 @@ impl<D: Dispatcher> ShardState<D> {
                     // No correlation id survives a failed decode; answer
                     // unflagged.
                     let resp = Response::BadRequest { message: e.to_string() };
-                    self.queue_frame(slot, Frame::encode(&resp, None), dirty);
+                    conn.tx.send(Frame::encode(&resp, None), None);
                     continue;
                 }
             };
-            let decode_us = req_start.elapsed().as_micros() as u64;
+            let decode_us = started_at.elapsed().as_micros() as u64;
             let corr = request.corr_id;
 
             if matches!(request.op, Op::Shutdown) {
                 self.ctx.shutdown.store(true, Ordering::SeqCst);
                 self.ctx.obs.admin.inc();
                 self.ctx.obs.events.emit("server.shutdown_requested", &[]);
-                self.queue_frame(slot, Frame::encode(&Response::Ok, corr), dirty);
-                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                    conn.close_after_flush = true;
-                }
+                conn.tx.send(Frame::encode(&Response::Ok, corr), None);
+                conn.close_after_flush = true;
                 return;
             }
             if shutting_down {
-                self.queue_frame(slot, Frame::encode(&Response::ShuttingDown, corr), dirty);
+                conn.tx.send(Frame::encode(&Response::ShuttingDown, corr), None);
                 continue;
             }
 
@@ -484,29 +733,26 @@ impl<D: Dispatcher> ShardState<D> {
             // ring mid-request, so its own half-built tree (children
             // recorded, root still pending) would pollute every export
             // with orphans.
-            let obs = Arc::clone(&self.ctx.obs);
+            let tracer = &self.ctx.obs.tracer;
             let trace_id = request
                 .trace_id
                 .unwrap_or_else(|| SHARD_TRACE_SEQ.fetch_add(1, Ordering::Relaxed));
             let traceable = !matches!(request.op, Op::TraceExport);
-            let trace =
-                (traceable && obs.tracer.is_enabled() && obs.tracer.sampled(trace_id)).then(|| {
-                    let root_span = obs.tracer.next_span_id();
-                    let now_us = obs.tracer.now_us();
-                    let root_start_us = now_us.saturating_sub(decode_us);
-                    obs.tracer.record(SpanRecord {
-                        trace_id,
-                        span_id: obs.tracer.next_span_id(),
-                        parent_id: Some(root_span),
-                        name: "frame.decode",
-                        start_us: root_start_us,
-                        dur_us: decode_us,
-                        fields: vec![("frame_bytes", Json::U64(frame_bytes))],
-                    });
-                    (root_span, root_start_us)
+            let trace = (traceable && tracer.is_enabled() && tracer.sampled(trace_id)).then(|| {
+                let root_span = tracer.next_span_id();
+                let root_start_us = tracer.now_us().saturating_sub(decode_us);
+                tracer.record(SpanRecord {
+                    trace_id,
+                    span_id: tracer.next_span_id(),
+                    parent_id: Some(root_span),
+                    name: "frame.decode",
+                    start_us: root_start_us,
+                    dur_us: decode_us,
+                    fields: vec![("frame_bytes", Json::U64(frame_bytes))],
                 });
+                JobTrace { root_span, root_start_us, accepted_us: tracer.now_us() }
+            });
 
-            let op_kind = request.op.kind();
             let accepted_at = Instant::now();
             let deadline_ms = if request.deadline_ms > 0 {
                 request.deadline_ms
@@ -515,284 +761,79 @@ impl<D: Dispatcher> ShardState<D> {
             };
             let deadline =
                 (deadline_ms > 0).then(|| accepted_at + Duration::from_millis(deadline_ms as u64));
-            let job_trace = trace.map(|(root_span, _)| JobTrace {
-                trace_id,
-                root_span,
-                accepted_us: obs.tracer.now_us(),
-            });
-            let gen = self.conns[slot].as_ref().expect("conn present").gen;
-            let job = Job {
+            // Nonblocking backpressure: a full engine queue answers the
+            // job BUSY before `dispatch` returns and the loop moves on — a
+            // saturated queue never stalls readiness.
+            self.ctx.dispatcher.dispatch(Job {
                 request,
-                reply: Reply { mailbox: Arc::clone(&self.ctx.mailbox), slot, gen, corr },
+                reply: conn.tx.admit(corr.is_none()),
+                started_at,
                 accepted_at,
                 deadline,
-                trace: job_trace,
-            };
-            match self.ctx.dispatcher.dispatch(job) {
-                Ok(()) => {
-                    let conn = self.conns[slot].as_mut().expect("conn present");
-                    conn.pending.push(PendingMeta {
-                        corr,
-                        op_kind,
-                        req_start,
-                        trace_id,
-                        trace,
-                    });
-                    if corr.is_none() {
-                        conn.serial_hold = true;
-                    }
-                    self.ctx.stats.inflight.add(1);
-                }
-                Err(rejection) => {
-                    // Nonblocking backpressure: the rejection (BUSY /
-                    // SHUTTING_DOWN) is queued inline and the loop moves
-                    // on — a full engine queue never stalls readiness.
-                    let meta = PendingMeta { corr, op_kind, req_start, trace_id, trace };
-                    self.finish_request(slot, &meta, Frame::encode(&rejection, corr), dirty);
-                }
-            }
-        }
-    }
-
-    /// Applies completed requests from the engine, matching each back to
-    /// its connection (slot + generation) and request (correlation id).
-    fn process_completions(&mut self, dirty: &mut Vec<usize>) {
-        let completions: Vec<Completion> =
-            std::mem::take(&mut *self.ctx.mailbox.completions.lock().expect("mailbox lock"));
-        // Re-extract on every connection that got capacity back: buffered
-        // frames beyond the in-flight cap have no readiness edge coming.
-        let mut freed: VecDeque<usize> = VecDeque::new();
-        for done in completions {
-            let Some(conn) = self.conns.get_mut(done.slot).and_then(Option::as_mut) else {
-                continue;
-            };
-            if conn.gen != done.gen {
-                continue; // a previous tenant of this slot
-            }
-            let idx = match done.corr {
-                Some(c) => conn.pending.iter().position(|m| m.corr == Some(c)),
-                None => conn.pending.iter().position(|m| m.corr.is_none()),
-            };
-            let Some(idx) = idx else { continue };
-            let meta = conn.pending.remove(idx);
-            if meta.corr.is_none() {
-                conn.serial_hold = false;
-            }
-            self.ctx.stats.inflight.add(-1);
-            self.finish_request(done.slot, &meta, done.frame, dirty);
-            freed.push_back(done.slot);
-        }
-        while let Some(slot) = freed.pop_front() {
-            self.extract_frames(slot, dirty);
-            self.maybe_teardown(slot);
-        }
-    }
-
-    /// Queues the response frame, then records the root span — last, so
-    /// every child is already recorded and the root's window (decode start
-    /// → reply queued) encloses them all — and emits the slow-request
-    /// event.
-    fn finish_request(
-        &mut self,
-        slot: usize,
-        meta: &PendingMeta,
-        frame: Frame,
-        dirty: &mut Vec<usize>,
-    ) {
-        let status = frame.kind;
-        self.queue_frame(slot, frame, dirty);
-        let obs = &self.ctx.obs;
-        if let Some((root_span, root_start_us)) = meta.trace {
-            obs.tracer.record(SpanRecord {
-                trace_id: meta.trace_id,
-                span_id: root_span,
-                parent_id: None,
-                name: "request",
-                start_us: root_start_us,
-                dur_us: obs.tracer.now_us().saturating_sub(root_start_us),
-                fields: vec![
-                    ("op", Json::Str(meta.op_kind.into())),
-                    ("status", Json::Str(status.into())),
-                ],
+                trace_id,
+                trace,
             });
         }
-        let total_us = meta.req_start.elapsed().as_micros() as u64;
-        if self.ctx.slow_request_us > 0
-            && total_us >= self.ctx.slow_request_us
-            && obs.events.is_enabled()
-        {
-            emit_slow_request(
-                obs,
-                meta.trace_id,
-                meta.op_kind,
-                status,
-                total_us,
-                meta.trace.is_some(),
-            );
-        }
     }
 
-    /// The one way a response reaches a connection, completions and inline
-    /// rejections alike: with nothing unflushed the frame's buffer becomes
-    /// the connection's output buffer, otherwise its bytes are appended
-    /// behind what is already waiting.
-    fn queue_frame(&mut self, slot: usize, frame: Frame, dirty: &mut Vec<usize>) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.has_output() {
-            conn.out.extend_from_slice(frame.wire());
-        } else {
-            conn.out = frame.bytes;
-            conn.out_pos = frame.start;
-        }
-        conn.out_frames += 1;
-        self.ctx.stats.responses_out.inc();
-        dirty.push(slot);
-    }
-
-    /// Writes the connection's output, then — if that drained a buffer
-    /// whose size had stopped frame extraction — takes up the buffered
-    /// requests again and writes what they queued, until the connection is
-    /// back on hold or has nothing more to say.
+    /// Writes the connection's output (what workers left for the shard:
+    /// frames queued behind one another, the rest of a write the socket
+    /// would not take) and watches for writability while some remains;
+    /// then — if that drained a buffer whose size had stopped frame
+    /// extraction — takes up the buffered requests again.
     fn flush(&mut self, slot: usize) {
-        loop {
-            self.write_out(slot);
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return;
-            };
-            if !conn.output_hold || conn.unflushed() > MAX_UNFLUSHED {
-                break;
-            }
-            conn.output_hold = false;
-            let mut queued = Vec::new();
-            self.extract_frames(slot, &mut queued);
-            if queued.is_empty() {
-                break;
-            }
-        }
-        self.maybe_teardown(slot);
-    }
-
-    /// Writes the connection's whole output buffer in one syscall (the
-    /// write-batching win: every frame queued since the last drain shares
-    /// it). Short writes keep the remainder and register write interest.
-    fn write_out(&mut self, slot: usize) {
-        // Split borrows: the connection slab, the poller, and the stats
-        // are all touched while the connection is held mutably.
-        let Self { poller, ctx, conns, .. } = self;
+        // Split borrows: the connection is held mutably while the poller
+        // is used.
+        let Self { poller, conns, .. } = self;
         let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        if !conn.has_output() {
-            return;
-        }
-        let frames = conn.out_frames;
-        let mut wrote_all = false;
-        let mut broken = false;
-        loop {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    broken = true;
-                    break;
-                }
-                Ok(n) => {
-                    ctx.stats.write_flushes.inc();
-                    conn.out_pos += n;
-                    if conn.out_pos == conn.out.len() {
-                        wrote_all = true;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    broken = true;
-                    break;
-                }
+        let (blocked, unflushed) = {
+            let mut st = conn.tx.lock();
+            // A write in progress is its writer's to finish, or to hand over.
+            if st.in_write == 0 {
+                st = conn.tx.write_out(st);
             }
+            conn.peer_gone |= st.broken;
+            (st.in_write == 0 && st.queued() > 0, st.unflushed())
+        };
+        watch(poller, conn, slot, blocked);
+        if conn.output_hold && unflushed <= MAX_UNFLUSHED {
+            conn.output_hold = false;
+            self.extract_frames(slot);
         }
-        if broken || wrote_all {
-            conn.peer_gone |= broken;
-            if wrote_all && frames >= 2 {
-                ctx.stats.batched_writes.inc();
-            }
-            release_drained(&mut conn.out);
-            conn.out_pos = 0;
-            conn.out_frames = 0;
-            if wrote_all && conn.write_interest {
-                conn.write_interest = false;
-                let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ);
-            }
-        } else if !conn.write_interest {
-            conn.write_interest = true;
-            let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ_WRITE);
-        }
+        self.maybe_teardown(slot);
     }
 
     /// Closes the connection if it has reached a terminal state: the peer
     /// is gone (or SHUTDOWN was answered) with nothing left in flight and
     /// nothing left to write.
     fn maybe_teardown(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+        let Self { poller, conns, .. } = self;
+        let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let flushed = !conn.has_output();
-        let idle = conn.inflight() == 0;
-        let closing = (conn.close_after_flush || conn.peer_gone) && flushed && idle;
-        if closing {
+        if !(conn.close_after_flush || conn.peer_gone) {
+            return;
+        }
+        if conn.tx.settled() {
             self.teardown(slot);
+        } else {
+            // Nothing more is read from it: stop hearing that it hung up.
+            let blocked = conn.watching.is_some_and(|interest| interest.write);
+            watch(poller, conn, slot, blocked);
         }
     }
 
     fn teardown(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].take() else { return };
-        let _ = self.poller.deregister(&conn.stream);
-        drop(conn);
+        if conn.watching.is_some() {
+            let _ = self.poller.deregister(&conn.tx.stream);
+        }
+        conn.tx.close();
         self.free.push(slot);
         self.ctx.stats.connections.add(-1);
     }
-}
-
-/// Emits a `server.slow_request` event; when the request was sampled the
-/// event carries its full span tree (name/span/parent/start/duration), so
-/// the slow path is diagnosable straight from the event stream.
-fn emit_slow_request(
-    obs: &ServerObserver,
-    trace_id: u64,
-    op_kind: &str,
-    status: &str,
-    total_us: u64,
-    sampled: bool,
-) {
-    let mut fields = vec![
-        ("trace_id", Json::Str(format!("{trace_id:#018x}"))),
-        ("op", Json::Str(op_kind.into())),
-        ("status", Json::Str(status.into())),
-        ("total_us", Json::U64(total_us)),
-        ("sampled", Json::Bool(sampled)),
-    ];
-    if sampled {
-        let spans: Vec<Json> = obs
-            .tracer
-            .spans_for(trace_id)
-            .into_iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(s.name.into())),
-                    ("span".into(), Json::U64(s.span_id)),
-                    (
-                        "parent".into(),
-                        s.parent_id.map(Json::U64).unwrap_or(Json::Null),
-                    ),
-                    ("start_us".into(), Json::U64(s.start_us)),
-                    ("dur_us".into(), Json::U64(s.dur_us)),
-                ])
-            })
-            .collect();
-        fields.push(("spans", Json::Arr(spans)));
-    }
-    obs.events.emit("server.slow_request", &fields);
 }
 
 #[cfg(test)]
@@ -809,8 +850,8 @@ mod tests {
     /// Dispatcher double whose queue is permanently full.
     struct AlwaysBusy;
     impl Dispatcher for AlwaysBusy {
-        fn dispatch(&self, _job: Job) -> Result<(), Response> {
-            Err(Response::Busy)
+        fn dispatch(&self, job: Job) {
+            job.respond(&Response::Busy);
         }
     }
 
@@ -819,14 +860,12 @@ mod tests {
     /// can match responses to requests).
     struct Inline;
     impl Dispatcher for Inline {
-        fn dispatch(&self, job: Job) -> Result<(), Response> {
+        fn dispatch(&self, job: Job) {
             let response = match &job.request.op {
                 Op::Get { id } => Response::GetOk { payload: vec![*id as u8] },
                 _ => Response::Ok,
             };
-            let frame = Frame::encode(&response, job.reply.corr);
-            job.reply.send(frame);
-            Ok(())
+            job.respond(&response);
         }
     }
 
@@ -843,9 +882,9 @@ mod tests {
         dispatched: Arc<AtomicUsize>,
     }
     impl Dispatcher for Sized {
-        fn dispatch(&self, job: Job) -> Result<(), Response> {
+        fn dispatch(&self, job: Job) {
             self.dispatched.fetch_add(1, Ordering::SeqCst);
-            let corr = job.reply.corr;
+            let corr = job.request.corr_id;
             let frame = match &job.request.op {
                 Op::Get { id } => {
                     let mut buf = vec![0xEE; RESPONSE_HEAD_MAX + 8];
@@ -854,8 +893,7 @@ mod tests {
                 }
                 _ => Frame::encode(&Response::Ok, corr),
             };
-            job.reply.send(frame);
-            Ok(())
+            job.answer(frame);
         }
     }
 
@@ -898,14 +936,15 @@ mod tests {
         /// Stands up one shard behind a real listener: accepted
         /// connections go straight to the shard's mailbox.
         fn start<D: Dispatcher>(dispatcher: D, max_inflight: usize) -> Self {
-            Self::start_with(dispatcher, max_inflight, |_| ())
+            Self::start_with(dispatcher, max_inflight, 5, |_| ())
         }
 
-        /// As [`Harness::start`], with `on_accept` run on every accepted
-        /// stream before the shard sees it.
+        /// As [`Harness::start`], with the shard's poll timeout given and
+        /// `on_accept` run on every accepted stream before the shard sees it.
         fn start_with<D: Dispatcher>(
             dispatcher: D,
             max_inflight: usize,
+            poll_interval_ms: u64,
             on_accept: fn(&TcpStream),
         ) -> Self {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -922,7 +961,7 @@ mod tests {
                 shutdown: Arc::clone(&shutdown),
                 default_deadline_ms: 0,
                 slow_request_us: 0,
-                poll_interval_ms: 5,
+                poll_interval_ms,
                 max_inflight_per_conn: max_inflight,
             };
             let shard = thread::spawn(move || run_shard(ctx));
@@ -962,7 +1001,7 @@ mod tests {
         }
 
         /// Waits for the shard to have queued `n` responses.
-        fn await_responses_out(&self, n: u64) {
+        fn until_responses_out(&self, n: u64) {
             let patience = Instant::now();
             while self.stats.responses_out.get() < n {
                 assert!(
@@ -1142,17 +1181,17 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn adopted_and_appended_frames_leave_in_order_byte_identical_to_encoded_bodies() {
-        let h = Harness::start_with(Sized::default(), 64, shrink_send_buffer);
+        let h = Harness::start_with(Sized::default(), 64, 5, shrink_send_buffer);
         let mut c = h.connect();
         // Nothing is queued, so the first reply's buffer becomes the
         // connection's output; 2 MiB against a pinned send buffer and a
         // peer that is not reading leaves most of it unflushed.
         write_frame(&mut c, &req(Some(1), Op::Get { id: 2 << 20 })).unwrap();
-        h.await_responses_out(1);
+        h.until_responses_out(1);
         // These two are appended behind the partially written buffer.
         write_frame(&mut c, &req(Some(2), Op::Get { id: 300 << 10 })).unwrap();
         write_frame(&mut c, &req(Some(3), Op::Get { id: 5 })).unwrap();
-        h.await_responses_out(3);
+        h.until_responses_out(3);
 
         let mut expect = Vec::new();
         for (corr, id) in [(1, 2 << 20), (2, 300 << 10), (3, 5)] {
@@ -1230,41 +1269,17 @@ mod tests {
     #[test]
     fn a_drained_connection_gives_back_its_large_buffers() {
         const BIG: usize = 4 << 20;
-        // One shard, driven by hand on this thread, around one connection.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (served, _) = listener.accept().unwrap();
-        let mailbox = ShardMailbox::new();
-        mailbox.adopt(served);
-        let mut shard = ShardState {
-            poller: Poller::new().unwrap(),
-            ctx: ShardContext {
-                dispatcher: Arc::new(Sized::default()),
-                obs: ServerObserver::shared(),
-                stats: Arc::new(LoopStats::new()),
-                mailbox,
-                shutdown: Arc::new(AtomicBool::new(false)),
-                default_deadline_ms: 0,
-                slow_request_us: 0,
-                poll_interval_ms: 5,
-                max_inflight_per_conn: 8,
-            },
-            conns: Vec::new(),
-            free: Vec::new(),
-            gen_counter: 0,
-            drain_started: None,
-        };
-        shard.adopt_new();
+        let (mut shard, client) = hand_driven(Sized::default());
         // Runs the loop body until `done`, without the poller: read,
-        // complete, flush.
-        let turn_until = |shard: &mut ShardState<Sized>, done: &dyn Fn(&Conn) -> bool| {
+        // attend, flush.
+        let turn_until = |shard: &mut ShardState<Sized>, done: &dyn Fn(&WriteState) -> bool| {
             let patience = Instant::now();
             loop {
-                let mut dirty = Vec::new();
-                shard.handle_readable(0, &mut dirty);
-                shard.process_completions(&mut dirty);
+                shard.handle_readable(0);
+                shard.attend_unsettled();
                 shard.flush(0);
-                if done(shard.conns[0].as_ref().expect("connection stays open")) {
+                let conn = shard.conns[0].as_ref().expect("connection stays open");
+                if done(&conn.tx.lock()) {
                     return;
                 }
                 assert!(
@@ -1294,14 +1309,15 @@ mod tests {
                 }
             });
             let stats = Arc::clone(&shard.ctx.stats);
-            turn_until(&mut shard, &|conn| {
-                stats.responses_out.get() == 1 && !conn.has_output()
+            turn_until(&mut shard, &|out| {
+                stats.responses_out.get() == 1 && !out.has_output()
             });
             let inbuf_idle = shard.conns[0].as_ref().unwrap().inbuf.capacity();
-            turn_until(&mut shard, &|conn| {
-                stats.responses_out.get() == 2 && !conn.has_output()
+            turn_until(&mut shard, &|out| {
+                stats.responses_out.get() == 2 && !out.has_output()
             });
-            (inbuf_idle, shard.conns[0].as_ref().unwrap().out.capacity())
+            let out_idle = shard.conns[0].as_ref().unwrap().tx.lock().out.capacity();
+            (inbuf_idle, out_idle)
         });
         assert!(
             inbuf_idle <= RETAINED_CAPACITY,
@@ -1320,9 +1336,8 @@ mod tests {
         jobs: Arc<Mutex<Vec<Job>>>,
     }
     impl Dispatcher for Parked {
-        fn dispatch(&self, job: Job) -> Result<(), Response> {
+        fn dispatch(&self, job: Job) {
             self.jobs.lock().unwrap().push(job);
-            Ok(())
         }
     }
 
@@ -1351,7 +1366,6 @@ mod tests {
             },
             conns: Vec::new(),
             free: Vec::new(),
-            gen_counter: 0,
             drain_started: None,
         };
         shard.adopt_new();
@@ -1366,7 +1380,7 @@ mod tests {
                 patience.elapsed() < Duration::from_secs(10),
                 "shard made no progress"
             );
-            shard.handle_readable(0, &mut Vec::new());
+            shard.handle_readable(0);
             thread::sleep(Duration::from_millis(1));
         }
     }
@@ -1382,7 +1396,7 @@ mod tests {
         });
         // A few more readiness events change nothing.
         for _ in 0..3 {
-            shard.handle_readable(0, &mut Vec::new());
+            shard.handle_readable(0);
         }
         let held = shard.conns[0].as_ref().unwrap().inbuf.capacity();
         assert!(
@@ -1405,7 +1419,7 @@ mod tests {
             shard.conns[0].as_ref().expect("a request is in flight").peer_gone
         });
         let conn = shard.conns[0].as_ref().unwrap();
-        assert_eq!(conn.inflight(), 1);
+        assert_eq!(conn.tx.lock().inflight, 1);
         assert!(
             conn.inbuf.capacity() <= READ_CHUNK,
             "{} bytes reserved on the word of a frame that is refused",
@@ -1415,14 +1429,172 @@ mod tests {
         peer.write_all(&[2; 100]).unwrap();
         thread::sleep(Duration::from_millis(20));
         let before = shard.conns[0].as_ref().unwrap().inbuf.buffered();
-        shard.handle_readable(0, &mut Vec::new());
+        shard.handle_readable(0);
         assert_eq!(shard.conns[0].as_ref().unwrap().inbuf.buffered(), before);
         // ...the request in flight is still answered, and then it is closed.
         let job = jobs.lock().unwrap().pop().expect("the PING was dispatched");
-        job.reply.send(Frame::encode(&Response::Ok, Some(1)));
-        shard.process_completions(&mut Vec::new());
-        shard.flush(0);
+        job.respond(&Response::Ok);
+        shard.attend_unsettled();
         assert_eq!(read_response(&mut peer), (Some(1), Response::Ok));
         assert!(shard.conns[0].is_none(), "torn down");
+    }
+
+    /// A hand-driven shard whose one connection has `pings` requests
+    /// parked, up to the moment the peer has reset the connection: the
+    /// first reply had siblings in flight, so it waited for the shard, which
+    /// wrote it; the peer hung up without reading it. Returns the shard and
+    /// what answers the next parked request.
+    fn reset_with_requests_in_flight(pings: u32) -> (ShardState<Parked>, impl Fn()) {
+        let dispatcher = Parked::default();
+        let jobs = Arc::clone(&dispatcher.jobs);
+        let (mut shard, mut peer) = hand_driven(dispatcher);
+        for corr in 0..pings {
+            write_frame(&mut peer, &req(Some(corr), Op::Ping)).unwrap();
+        }
+        read_until(&mut shard, |_| jobs.lock().unwrap().len() == pings as usize);
+        let answer = move || {
+            let job = jobs.lock().unwrap().pop().expect("a request is parked");
+            job.respond(&Response::Ok);
+        };
+        answer();
+        shard.attend_unsettled();
+        drop(peer);
+        let served = &shard.conns[0].as_ref().expect("requests are in flight").tx.stream;
+        let patience = Instant::now();
+        while matches!(served.peek(&mut [0]), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
+        {
+            assert!(patience.elapsed() < Duration::from_secs(10), "the reset never arrived");
+            thread::sleep(Duration::from_millis(1));
+        }
+        (shard, answer)
+    }
+
+    #[test]
+    fn a_senders_failed_write_tears_the_connection_down_and_frees_its_slot() {
+        let (mut shard, answer) = reset_with_requests_in_flight(2);
+        // The last reply has the connection to itself: its sender's own
+        // write fails, and it asks for the shard.
+        answer();
+        assert!(shard.conns[0].as_ref().unwrap().tx.lock().broken);
+        assert_eq!(shard.ctx.stats.connections.get(), 1);
+        shard.attend_unsettled();
+        assert!(shard.conns[0].is_none(), "torn down");
+        assert_eq!(shard.ctx.stats.connections.get(), 0);
+        assert_eq!(shard.ctx.stats.inflight.get(), 0);
+
+        // The slot serves the next connection.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _next = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        shard.ctx.mailbox.adopt(listener.accept().unwrap().0);
+        shard.adopt_new();
+        assert!(shard.conns[0].is_some() && shard.conns.len() == 1, "slot 0 reused");
+    }
+
+    #[test]
+    fn replies_to_a_broken_connection_are_dropped_and_still_counted_out() {
+        let (mut shard, answer) = reset_with_requests_in_flight(3);
+        // The second reply still has a sibling in flight, so the failed
+        // write is the shard's; the connection waits for that sibling...
+        answer();
+        shard.attend_unsettled();
+        let conn = shard.conns[0].as_ref().expect("a request is still in flight");
+        assert!(conn.peer_gone && conn.tx.lock().broken);
+        // ...whose reply goes nowhere, and brings the shard back.
+        let before = shard.ctx.stats.responses_out.get();
+        answer();
+        assert_eq!(shard.ctx.stats.responses_out.get(), before, "nothing was sent");
+        shard.attend_unsettled();
+        assert!(shard.conns[0].is_none(), "torn down");
+        assert_eq!(shard.ctx.stats.inflight.get(), 0, "every sibling was counted out");
+    }
+
+    #[test]
+    fn a_reply_to_a_connection_already_closed_is_dropped() {
+        let dispatcher = Parked::default();
+        let jobs = Arc::clone(&dispatcher.jobs);
+        let (mut shard, mut peer) = hand_driven(dispatcher);
+        write_frame(&mut peer, &req(Some(1), Op::Ping)).unwrap();
+        read_until(&mut shard, |_| jobs.lock().unwrap().len() == 1);
+        // What a drain past its force-close deadline does.
+        shard.teardown(0);
+        let job = jobs.lock().unwrap().pop().unwrap();
+        job.respond(&Response::Ok);
+        assert_eq!(shard.ctx.stats.inflight.get(), 0);
+        assert_eq!(shard.ctx.stats.responses_out.get(), 0, "nothing was sent");
+        assert!(shard.ctx.mailbox.unsettled.lock().unwrap().is_empty(), "nor the shard asked for");
+        assert_eq!(read_frame(&mut peer).unwrap(), None, "the peer saw the close, and only that");
+    }
+
+    #[test]
+    fn a_drain_is_woken_by_the_last_reply_not_by_the_poll_timeout() {
+        const POLL: Duration = Duration::from_secs(20);
+        let dispatcher = Parked::default();
+        let jobs = Arc::clone(&dispatcher.jobs);
+        let h = Harness::start_with(dispatcher, 64, POLL.as_millis() as u64, |_| ());
+        let mut c = h.connect();
+        for corr in 0..64 {
+            write_frame(&mut c, &req(Some(corr), Op::Get { id: 1 })).unwrap();
+        }
+        let patience = Instant::now();
+        while jobs.lock().unwrap().len() < 64 {
+            assert!(patience.elapsed() < Duration::from_secs(10), "64 GETs never dispatched");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // The drain begins with 64 requests in flight. All but one are
+        // answered — from another thread — and the shard, having written
+        // them, goes back to sleep on the last...
+        h.shutdown.store(true, Ordering::SeqCst);
+        h.mailbox.kick();
+        let answer = |job: Job| job.respond(&Response::GetOk { payload: vec![7; 4096] });
+        let last = jobs.lock().unwrap().pop().expect("64 are parked");
+        jobs.lock().unwrap().drain(..).for_each(answer);
+        for _ in 0..63 {
+            assert!(matches!(read_response(&mut c).1, Response::GetOk { .. }));
+        }
+        thread::sleep(Duration::from_millis(50));
+        // ...whose reply has the connection to itself, so its sender writes
+        // it — and must still bring the shard back.
+        let answered = Instant::now();
+        answer(last);
+        assert!(matches!(read_response(&mut c).1, Response::GetOk { .. }));
+        assert_eq!(read_frame(&mut c).unwrap(), None, "drained, then closed");
+        h.stop();
+        assert!(
+            answered.elapsed() < POLL / 10,
+            "the drain took {:?}: it waited out a poll timeout",
+            answered.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_peer_that_hung_up_does_not_keep_waking_the_shard_while_it_is_owed_a_reply() {
+        let dispatcher = Parked::default();
+        let jobs = Arc::clone(&dispatcher.jobs);
+        let h = Harness::start(dispatcher, 8);
+        let mut c = h.connect();
+        write_frame(&mut c, &req(Some(1), Op::Ping)).unwrap();
+        drop(c);
+        let patience = Instant::now();
+        while jobs.lock().unwrap().is_empty() || h.stats.wakeups.get() < 3 {
+            assert!(patience.elapsed() < Duration::from_secs(10), "the PING never arrived");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // The hang-up stays readable for as long as the socket is open, and
+        // the socket stays open for as long as the request is in flight:
+        // the shard must be asleep through that, not polling it. (5 ms poll
+        // timeouts make twenty wake-ups of these 100 ms.)
+        let before = h.stats.wakeups.get();
+        thread::sleep(Duration::from_millis(100));
+        let woken = h.stats.wakeups.get() - before;
+        assert!(woken < 100, "{woken} wake-ups in 100 ms with nothing to do");
+        // The reply is still what closes it.
+        assert_eq!(h.stats.connections.get(), 1);
+        let job = jobs.lock().unwrap().pop().unwrap();
+        job.respond(&Response::Ok);
+        while h.stats.connections.get() != 0 {
+            assert!(patience.elapsed() < Duration::from_secs(10), "never torn down");
+            thread::sleep(Duration::from_millis(1));
+        }
+        h.stop();
     }
 }
