@@ -9,19 +9,25 @@
 //! the per-stripe **risk margin** (minimum additional losses until
 //! unrecoverable) and an MTTDL-style view of the composed probability.
 //!
+//! Every question is asked of the graph one of two ways, both through the
+//! lane kernel: the `tornado_sim::monte_carlo` sampler on top of the
+//! missing nodes, or an exhaustive count of every `j`-subset of the rest
+//! (row 0, every row small enough to enumerate, and every risk margin).
+//!
 //! Determinism matters here exactly as in `tornado_sim::monte_carlo`: the
 //! live health surface and any offline recomputation must agree bit for
 //! bit when given the same `(trials, seed, max_k)` parameters. With no
-//! devices missing the sampling path *is* [`sample_level`], so the live
+//! devices missing the sampling path *is*
+//! [`sample_level`](tornado_sim::monte_carlo::sample_level), so the live
 //! healthy-fleet number equals the offline
 //! [`crate::reliability::system_failure_probability`] exactly.
 
 use tornado_bitset::combinations::CombinationIter;
-use tornado_codec::{ErasureDecoder, LaneDecoder};
+use tornado_codec::LaneDecoder;
 use tornado_graph::Graph;
 use tornado_numerics::{binomial_u128, compose_failure_probability};
-use tornado_sim::monte_carlo::sample_level;
-use tornado_sim::FailureProfile;
+use tornado_sim::monte_carlo::{complement, sample_level_observed};
+use tornado_sim::{FailureProfile, SimObserver};
 
 /// Hours in a year (the AFR's implicit period), Julian convention.
 pub const HOURS_PER_YEAR: f64 = 8_766.0;
@@ -29,8 +35,8 @@ pub const HOURS_PER_YEAR: f64 = 8_766.0;
 /// Parameters for building a conditional failure profile.
 #[derive(Clone, Debug)]
 pub struct ConditionalConfig {
-    /// Monte-Carlo trials per additional-loss count `j` (when the row is
-    /// not exactly enumerable).
+    /// Monte-Carlo trials per additional-loss count `j`. A degraded row
+    /// with no more patterns than this is enumerated instead.
     pub trials_per_k: u64,
     /// Master seed: per-batch reseeding makes rows reproducible
     /// regardless of scheduling, mirroring `tornado_sim::monte_carlo`.
@@ -40,9 +46,6 @@ pub struct ConditionalConfig {
     /// which is conservative (failure probability never decreases in the
     /// loss count), so a small `max_k` still yields a sound upper tail.
     pub max_k: usize,
-    /// Rows whose full enumeration `C(remaining, j)` is at most this are
-    /// enumerated exactly instead of sampled.
-    pub exact_cap: u64,
 }
 
 impl Default for ConditionalConfig {
@@ -51,7 +54,6 @@ impl Default for ConditionalConfig {
             trials_per_k: 4_000,
             seed: 0x7042_6F72_6E61_646F,
             max_k: 8,
-            exact_cap: 2_000,
         }
     }
 }
@@ -61,11 +63,14 @@ impl Default for ConditionalConfig {
 ///
 /// The returned profile covers the `n − |missing|` remaining nodes, so it
 /// composes with the binomial model over the devices still standing.
-/// Row 0 is the exact decodability of the current pattern; later rows are
-/// exact enumerations when small enough, deterministic samples otherwise.
-/// With `missing` empty the sampled rows delegate to
-/// [`sample_level`], so the result is identical to
-/// `monte_carlo_profile` over the same `j` range, seed, and trial count.
+/// Row 0 is the exact decodability of the current pattern; a later row is
+/// enumerated when its `C(n − |missing|, j)` patterns are no more than the
+/// `trials_per_k` its sample would draw, and sampled otherwise. With
+/// `missing` empty every row is sampled through [`sample_level`], so the
+/// result is identical to `monte_carlo_profile` over the same `j` range,
+/// seed, and trial count.
+///
+/// [`sample_level`]: tornado_sim::monte_carlo::sample_level
 ///
 /// # Panics
 /// Panics if any missing index is out of range or repeated.
@@ -74,47 +79,25 @@ pub fn conditional_failure_profile(
     missing: &[usize],
     cfg: &ConditionalConfig,
 ) -> FailureProfile {
-    let n = graph.num_nodes();
-    let mut seen = vec![false; n];
-    for &d in missing {
-        assert!(d < n, "missing node {d} out of range ({n} nodes)");
-        assert!(!seen[d], "missing node {d} repeated");
-        seen[d] = true;
-    }
-    let n_rem = n - missing.len();
+    let n_rem = complement(graph.num_nodes(), missing).len();
     let mut profile = FailureProfile::new(n_rem);
-    let mut dec = ErasureDecoder::new(graph);
     if !missing.is_empty() {
-        // Row 0: the current pattern itself, decided exactly.
-        let fails = !dec.decode(missing);
-        profile.record(0, 1, fails as u64, true);
+        profile.record(0, 1, failures(graph, missing, 0), true);
     }
-    let remaining: Vec<usize> = (0..n).filter(|&i| !seen[i]).collect();
     for j in 1..=cfg.max_k.min(n_rem) {
-        if missing.is_empty() {
-            // Healthy fleet: the same stream `monte_carlo_profile` draws,
-            // so live and offline estimates agree exactly.
-            let failures = sample_level(graph, j, cfg.trials_per_k, cfg.seed);
-            profile.record(j, cfg.trials_per_k, failures, false);
-            continue;
-        }
-        let combos = binomial_u128(n_rem as u64, j as u64);
-        if combos <= cfg.exact_cap as u128 {
-            let mut failures = 0u64;
-            let mut scratch = missing.to_vec();
-            let mut subsets = CombinationIter::new(remaining.len(), j);
-            while let Some(idxs) = subsets.next_slice() {
-                scratch.truncate(missing.len());
-                scratch.extend(idxs.iter().map(|&i| remaining[i]));
-                if !dec.decode(&scratch) {
-                    failures += 1;
-                }
-            }
-            profile.record(j, combos as u64, failures, true);
+        let patterns = binomial_u128(n_rem as u64, j as u64);
+        if !missing.is_empty() && patterns <= u128::from(cfg.trials_per_k) {
+            profile.record(j, patterns as u64, failures(graph, missing, j), true);
         } else {
-            let failures =
-                sample_conditional(graph, missing, &remaining, j, cfg.trials_per_k, cfg.seed);
-            profile.record(j, cfg.trials_per_k, failures, false);
+            let sampled = sample_level_observed(
+                graph,
+                missing,
+                j,
+                cfg.trials_per_k,
+                cfg.seed,
+                &SimObserver::disabled(),
+            );
+            profile.record(j, cfg.trials_per_k, sampled, false);
         }
     }
     profile
@@ -169,95 +152,40 @@ pub fn mttdl_hours(p_loss: f64, horizon_hours: f64) -> f64 {
 /// # Panics
 /// Panics if any missing index is out of range or repeated.
 pub fn risk_margin(graph: &Graph, missing: &[usize], cap: usize) -> usize {
-    let n = graph.num_nodes();
-    let mut seen = vec![false; n];
-    for &d in missing {
-        assert!(d < n, "missing node {d} out of range ({n} nodes)");
-        assert!(!seen[d], "missing node {d} repeated");
-        seen[d] = true;
-    }
-    let mut dec = ErasureDecoder::new(graph);
-    if !dec.decode(missing) {
-        return 0;
-    }
-    let remaining: Vec<usize> = (0..n).filter(|&i| !seen[i]).collect();
-    let mut scratch = missing.to_vec();
-    for j in 1..=cap.min(remaining.len()) {
-        let mut subsets = CombinationIter::new(remaining.len(), j);
-        while let Some(idxs) = subsets.next_slice() {
-            scratch.truncate(missing.len());
-            scratch.extend(idxs.iter().map(|&i| remaining[i]));
-            if !dec.decode(&scratch) {
-                return j;
-            }
-        }
-    }
-    cap.min(remaining.len()) + 1
+    let cap = cap.min(graph.num_nodes().saturating_sub(missing.len()));
+    (0..=cap).find(|&j| failures(graph, missing, j) > 0).unwrap_or(cap + 1)
 }
 
-/// Deterministic batched sampling of `P(fail | missing ∪ j random further
-/// losses)`: the `monte_carlo` batching discipline (fixed-size batches,
-/// each reseeded from `(seed, j, batch)`) applied to partial Fisher–Yates
-/// draws over the remaining nodes, one trial per lane: `missing` is marked
-/// in every lane and each lane loads only its `j` draws.
-fn sample_conditional(
-    graph: &Graph,
-    missing: &[usize],
-    remaining: &[usize],
-    j: usize,
-    trials: u64,
-    seed: u64,
-) -> u64 {
-    const BATCH: u64 = 4096;
-    let r = remaining.len();
+/// How many of the `C(n − |base|, j)` ways to lose `j` more nodes on top
+/// of `base` leave data unrecoverable — every one, peeled side by side:
+/// `base` in every lane of a [`LaneDecoder`], one `j`-subset of the rest
+/// per lane (`j = 0` is `base` itself, one pattern).
+fn failures(graph: &Graph, base: &[usize], j: usize) -> u64 {
+    let rest = complement(graph.num_nodes(), base);
     let mut lanes = LaneDecoder::new(graph);
-    let mut perm: Vec<usize> = Vec::new();
-    let mut failures = 0u64;
-    for batch in 0..trials.div_ceil(BATCH) {
-        let mut state = mix(seed, j as u64, batch);
-        // The permutation restarts from identity over the remaining nodes;
-        // swapping the nodes themselves draws the subset swapping their
-        // indices would.
-        perm.clear();
-        perm.extend_from_slice(remaining);
-        let mut left = BATCH.min(trials - batch * BATCH) as usize;
-        while left > 0 {
-            let group = left.min(LaneDecoder::LANES);
-            lanes.load_all(missing);
-            for lane in 0..group {
-                for i in 0..j {
-                    // Lemire-style bounded draw from the SplitMix64 stream —
-                    // bias is ≤ 2⁻⁵⁶ for these ranges, far below sampling noise.
-                    state = splitmix(state);
-                    let span = (r - i) as u64;
-                    let idx = i + ((state as u128 * span as u128) >> 64) as usize;
-                    perm.swap(i, idx);
-                }
-                lanes.load(lane, &perm[..j]);
-            }
+    let mut subsets = CombinationIter::new(rest.len(), j);
+    let (mut failures, mut group) = (0, 0);
+    while let Some(idxs) = subsets.next_slice() {
+        if group == 0 {
+            lanes.load_all(base);
+        }
+        for &i in idxs {
+            lanes.load(group, &[rest[i]]);
+        }
+        group += 1;
+        if group == LaneDecoder::LANES {
             failures += lanes.run(group);
-            left -= group;
+            group = 0;
         }
     }
-    failures
-}
-
-/// SplitMix64-style seed mixing, the same constants the simulator uses so
-/// nearby `(seed, j, batch)` triples give unrelated streams.
-fn mix(seed: u64, k: u64, batch: u64) -> u64 {
-    splitmix(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    failures + lanes.run(group)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reliability::system_failure_probability;
+    use tornado_codec::reference::DenseDecoder;
     use tornado_gen::mirror::generate_mirror;
     use tornado_gen::regular::generate_regular;
     use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
@@ -272,7 +200,6 @@ mod tests {
             trials_per_k: 3_000,
             seed: 99,
             max_k: 6,
-            exact_cap: 0, // force the sample_level delegation path
         };
         let offline = monte_carlo_profile(
             &g,
@@ -294,7 +221,6 @@ mod tests {
             trials_per_k: 2_000,
             seed: 5,
             max_k: 6,
-            exact_cap: 2_000,
         };
         let afr = 0.01;
         let healthy = conditional_failure_probability(&g, &[], afr, &cfg);
@@ -351,10 +277,11 @@ mod tests {
     }
 
     /// Independent oracle: test every subset of the remaining nodes up to
-    /// `cap` by bitmask enumeration (no shared combination walker).
+    /// `cap` by bitmask enumeration through the dense reference decoder
+    /// (no shared combination walker, no shared kernel).
     fn brute_force_margin(g: &Graph, missing: &[usize], cap: usize) -> usize {
         let n = g.num_nodes();
-        let mut dec = ErasureDecoder::new(g);
+        let mut dec = DenseDecoder::new(g);
         if !dec.decode(missing) {
             return 0;
         }
@@ -415,7 +342,6 @@ mod tests {
             trials_per_k: 2_000,
             seed: 42,
             max_k: 5,
-            exact_cap: 0, // force sampling even for small rows
         };
         let a = conditional_failure_profile(&g, &[1, 7], &cfg);
         let b = conditional_failure_profile(&g, &[1, 7], &cfg);

@@ -689,9 +689,6 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
         workers,
         queue_depth,
         default_deadline_ms,
-        trace_sample,
-        trace_capacity,
-        trace_slow_keep,
         slow_request_us: slow_ms.saturating_mul(1_000),
         timeseries_interval_ms,
         shards,

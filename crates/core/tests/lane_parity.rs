@@ -1,16 +1,19 @@
 //! The Monte-Carlo suites against the loops they replaced.
 //!
-//! `tornado_sim::monte_carlo::sample_level` and the sampled rows of
-//! `tornado_analysis::health::conditional_failure_profile` peel their
-//! trials side by side through `tornado_codec::LaneDecoder`. Both used to
-//! decode one pattern at a time with `ErasureDecoder::decode`; those loops
-//! are kept here verbatim (batching, reseeding, permutation and draws) as
-//! the oracle, and the failure counts must be *equal* — same sampling
-//! streams, same verdicts — not statistically close.
+//! `tornado_sim::monte_carlo::sample_level` — with or without an
+//! already-missing base — peels its trials side by side through
+//! `tornado_codec::LaneDecoder`, and so does the exhaustive count behind
+//! `tornado_analysis::health`'s exact rows and risk margins. All of them
+//! used to decode one pattern at a time with `ErasureDecoder::decode`;
+//! those loops are kept here verbatim (batching, reseeding, permutation,
+//! draws and enumeration order) as the oracle, and the failure counts must
+//! be *equal* — same sampling streams, same verdicts — not statistically
+//! close.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tornado_analysis::health::{conditional_failure_profile, ConditionalConfig};
+use tornado_analysis::health::{conditional_failure_profile, risk_margin, ConditionalConfig};
+use tornado_bitset::combinations::CombinationIter;
 use tornado_codec::ErasureDecoder;
 use tornado_core::{tornado_graph_1, tornado_graph_2, tornado_graph_3};
 use tornado_gen::regular::generate_regular;
@@ -20,32 +23,30 @@ use tornado_sim::multi::FederatedSystem;
 
 const BATCH: u64 = 4096;
 
-fn splitmix(mut z: u64) -> u64 {
+fn mix(seed: u64, k: u64, batch: u64) -> u64 {
+    let mut z = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-fn mix(seed: u64, k: u64, batch: u64) -> u64 {
-    splitmix(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-}
-
-/// `sample_level` as it was: one `decode` per trial. (Its batches ran on
-/// rayon workers; their failure counts were summed, so a plain loop over
-/// the batches gives the same total.)
-fn scalar_sample_level(graph: &Graph, k: usize, trials: u64, seed: u64) -> u64 {
-    let n = graph.num_nodes();
+/// `sample_level` as it was: one `decode` per trial, on top of `base` (the
+/// permutation holds the nodes outside it, so `base = ∅` is the loop
+/// verbatim). Its batches ran on rayon workers; their failure counts were
+/// summed, so a plain loop over the batches gives the same total.
+fn scalar_sample_level(graph: &Graph, base: &[usize], k: usize, trials: u64, seed: u64) -> u64 {
+    let rest: Vec<usize> = (0..graph.num_nodes()).filter(|v| !base.contains(v)).collect();
+    let n = rest.len();
     if k == 0 {
         return 0;
     }
     let mut dec = ErasureDecoder::new(graph);
-    let mut perm: Vec<usize> = (0..n).collect();
+    let mut perm = rest.clone();
+    let mut pattern = base.to_vec();
     let mut total = 0u64;
     for batch in 0..trials.div_ceil(BATCH) {
         let mut rng = SmallRng::seed_from_u64(mix(seed, k as u64, batch));
-        for (i, p) in perm.iter_mut().enumerate() {
-            *p = i;
-        }
+        perm.copy_from_slice(&rest);
         let count = BATCH.min(trials - batch * BATCH);
         let mut failures = 0u64;
         for _ in 0..count {
@@ -53,7 +54,9 @@ fn scalar_sample_level(graph: &Graph, k: usize, trials: u64, seed: u64) -> u64 {
                 let j = rng.gen_range(i..n);
                 perm.swap(i, j);
             }
-            if !dec.decode(&perm[..k]) {
+            pattern.truncate(base.len());
+            pattern.extend_from_slice(&perm[..k]);
+            if !dec.decode(&pattern) {
                 failures += 1;
             }
         }
@@ -62,35 +65,48 @@ fn scalar_sample_level(graph: &Graph, k: usize, trials: u64, seed: u64) -> u64 {
     total
 }
 
-/// `health::sample_conditional` as it was: `missing` plus `j` further
-/// draws over the remaining nodes, one `decode` per trial.
-fn scalar_sample_conditional(graph: &Graph, missing: &[usize], j: usize, trials: u64, seed: u64) -> u64 {
-    let remaining: Vec<usize> = (0..graph.num_nodes()).filter(|i| !missing.contains(i)).collect();
+/// `conditional_failure_profile`'s exact rows as they were: row 0 one
+/// `decode` of `missing`, row `j` every `j`-subset of the rest in
+/// lexicographic order.
+fn scalar_exact_row(graph: &Graph, missing: &[usize], j: usize) -> u64 {
     let mut dec = ErasureDecoder::new(graph);
-    let r = remaining.len();
-    let mut perm: Vec<usize> = Vec::new();
-    let mut scratch = missing.to_vec();
+    if j == 0 {
+        return !dec.decode(missing) as u64;
+    }
+    let remaining: Vec<usize> = (0..graph.num_nodes()).filter(|i| !missing.contains(i)).collect();
     let mut failures = 0u64;
-    for batch in 0..trials.div_ceil(BATCH) {
-        let mut state = mix(seed, j as u64, batch);
-        perm.clear();
-        perm.extend(0..r);
-        let count = BATCH.min(trials - batch * BATCH);
-        for _ in 0..count {
-            for i in 0..j {
-                state = splitmix(state);
-                let span = (r - i) as u64;
-                let idx = i + ((state as u128 * span as u128) >> 64) as usize;
-                perm.swap(i, idx);
-            }
-            scratch.truncate(missing.len());
-            scratch.extend(perm[..j].iter().map(|&i| remaining[i]));
-            if !dec.decode(&scratch) {
-                failures += 1;
-            }
+    let mut scratch = missing.to_vec();
+    let mut subsets = CombinationIter::new(remaining.len(), j);
+    while let Some(idxs) = subsets.next_slice() {
+        scratch.truncate(missing.len());
+        scratch.extend(idxs.iter().map(|&i| remaining[i]));
+        if !dec.decode(&scratch) {
+            failures += 1;
         }
     }
     failures
+}
+
+/// `risk_margin` as it was: stop at the first failing pattern.
+fn scalar_risk_margin(graph: &Graph, missing: &[usize], cap: usize) -> usize {
+    let n = graph.num_nodes();
+    let mut dec = ErasureDecoder::new(graph);
+    if !dec.decode(missing) {
+        return 0;
+    }
+    let remaining: Vec<usize> = (0..n).filter(|i| !missing.contains(i)).collect();
+    let mut scratch = missing.to_vec();
+    for j in 1..=cap.min(remaining.len()) {
+        let mut subsets = CombinationIter::new(remaining.len(), j);
+        while let Some(idxs) = subsets.next_slice() {
+            scratch.truncate(missing.len());
+            scratch.extend(idxs.iter().map(|&i| remaining[i]));
+            if !dec.decode(&scratch) {
+                return j;
+            }
+        }
+    }
+    cap.min(remaining.len()) + 1
 }
 
 /// Graph 1 at the given offline counts, for four (trials, seed) pairs:
@@ -102,7 +118,7 @@ fn assert_graph_1_levels_equal(ks: impl Iterator<Item = usize> + Clone) {
         for k in ks.clone() {
             assert_eq!(
                 sample_level(&g, k, trials, seed),
-                scalar_sample_level(&g, k, trials, seed),
+                scalar_sample_level(&g, &[], k, trials, seed),
                 "k = {k}, {trials} trials, seed {seed}"
             );
         }
@@ -133,7 +149,7 @@ fn sample_level_equals_the_scalar_loop_on_other_graphs() {
         for k in [5usize, 24, 48] {
             assert_eq!(
                 sample_level(g, k, 5_000, 7),
-                scalar_sample_level(g, k, 5_000, 7),
+                scalar_sample_level(g, &[], k, 5_000, 7),
                 "{} nodes, k = {k}",
                 g.num_nodes()
             );
@@ -145,7 +161,7 @@ fn sample_level_equals_the_scalar_loop_on_other_graphs() {
 fn sample_level_equals_the_scalar_loop_at_every_thread_count() {
     // Three batches, so two and five workers split them differently.
     let g = tornado_graph_1();
-    let expected = scalar_sample_level(&g, 30, 10_000, 42);
+    let expected = scalar_sample_level(&g, &[], 30, 10_000, 42);
     assert!(expected > 0 && expected < 10_000, "a level with both verdicts");
     for threads in [1usize, 2, 5] {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
@@ -158,31 +174,70 @@ fn sample_level_equals_the_scalar_loop_at_every_thread_count() {
 fn sampled_conditional_rows_equal_the_scalar_loop() {
     // Graph 1 with four devices down loses nothing to eight more in a few
     // thousand trials, so its rows go on to where both verdicts occur.
-    // 4,200 trials cross a batch boundary.
+    // 4,100 trials cross a batch boundary and keep row 2 (C(92, 2) = 4,186
+    // patterns) sampled; on the regular graph rows from 3 on are sampled.
     let regular = generate_regular(24, 3, 3).unwrap();
     let cases: [(&Graph, &[usize], u64, &[usize]); 2] = [
-        (&tornado_graph_1(), &[7, 29, 55, 88], 4_200, &[2, 3, 4, 5, 6, 7, 8, 16, 24, 32]),
-        (&regular, &[1, 7], 2_000, &[2, 3, 4, 5, 6, 7, 8]),
+        (&tornado_graph_1(), &[7, 29, 55, 88], 4_100, &[2, 3, 4, 5, 6, 7, 8, 16, 24, 32]),
+        (&regular, &[1, 7], 2_000, &[3, 4, 5, 6, 7, 8]),
     ];
     for (g, missing, trials, js) in cases {
         let cfg = ConditionalConfig {
             trials_per_k: trials,
             seed: 42,
             max_k: *js.last().unwrap(),
-            exact_cap: 0, // sample every row
         };
         let profile = conditional_failure_profile(g, missing, &cfg);
         let last = profile.entry(cfg.max_k);
         assert!(0 < last.failures && last.failures < trials, "both verdicts occur: {last:?}");
         for &j in js {
             let row = profile.entry(j);
-            assert!(!row.exact && row.trials == trials);
+            assert!(!row.exact && row.trials == trials, "j = {j}: {row:?}");
             assert_eq!(
                 row.failures,
-                scalar_sample_conditional(g, missing, j, trials, cfg.seed),
+                scalar_sample_level(g, missing, j, trials, cfg.seed),
                 "{} nodes, missing {missing:?}, j = {j}",
                 g.num_nodes()
             );
         }
     }
+}
+
+#[test]
+fn exact_rows_and_risk_margins_equal_the_scalar_enumeration() {
+    // Graph 1 with 0, 2, 4 and 6 devices down, each seen from three stripe
+    // rotations (a rotation shifts which nodes the devices hold). Rotation
+    // 63 of the six-device set, nodes [14, 27, 38, 45, 73, 74], is a class
+    // two losses from failing; every other case is past the cap of 2.
+    let g = tornado_graph_1();
+    let n = g.num_nodes();
+    let cfg = ConditionalConfig { trials_per_k: 5_000, seed: 1, max_k: 2 };
+    let mut margins = Vec::new();
+    for devices in [&[][..], &[3, 17], &[7, 29, 55, 88], &[5, 12, 40, 41, 77, 90]] {
+        for rotation in [0, 41, 63] {
+            let mut missing: Vec<usize> =
+                devices.iter().map(|&d| (d + n - rotation) % n).collect();
+            missing.sort_unstable();
+            // A healthy fleet samples every row, as the offline profile does.
+            if !missing.is_empty() {
+                let profile = conditional_failure_profile(&g, &missing, &cfg);
+                for j in 0..=cfg.max_k {
+                    let row = profile.entry(j);
+                    assert!(row.exact, "missing {missing:?}, row {j} is enumerable: {row:?}");
+                    assert_eq!(
+                        row.failures,
+                        scalar_exact_row(&g, &missing, j),
+                        "missing {missing:?}, row {j}"
+                    );
+                }
+            }
+            let margin = risk_margin(&g, &missing, 2);
+            assert_eq!(margin, scalar_risk_margin(&g, &missing, 2), "missing {missing:?}");
+            margins.push(margin);
+        }
+    }
+    assert!(
+        margins.contains(&2) && margins.contains(&3),
+        "both an exact and a capped margin: {margins:?}"
+    );
 }

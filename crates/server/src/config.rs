@@ -75,16 +75,10 @@ pub struct ServerConfig {
     /// completions wake them at once; this only bounds how long a
     /// shutdown goes unnoticed.
     pub poll_interval_ms: u64,
-    /// Trace sampling rate: record spans for 1 in N traces (keyed
-    /// deterministically on the trace id). 0 disables tracing, 1 samples
-    /// every request.
+    /// Unread: the observer's tracer decides what is sampled
+    /// ([`crate::ServerObserver::with_tracer`]). Kept only because the
+    /// benchmark harness sets it; it goes in the next benchmark revision.
     pub trace_sample: u64,
-    /// Maximum spans retained in the trace ring buffer (oldest dropped
-    /// past this; the slowest root spans survive separately).
-    pub trace_capacity: usize,
-    /// How many of the slowest root spans to keep regardless of ring
-    /// eviction.
-    pub trace_slow_keep: usize,
     /// Emit a `server.slow_request` event (with the full span tree when
     /// the request was sampled) for any request slower than this many
     /// microseconds; 0 disables.
@@ -112,8 +106,6 @@ impl Default for ServerConfig {
             default_deadline_ms: 0,
             poll_interval_ms: 50,
             trace_sample: 0,
-            trace_capacity: 4096,
-            trace_slow_keep: 16,
             slow_request_us: 0,
             timeseries_interval_ms: 500,
             shards: 2,
@@ -135,7 +127,6 @@ mod tests {
         assert!(c.poll_interval_ms >= 1);
         assert_eq!(c.default_deadline_ms, 0);
         assert_eq!(c.trace_sample, 0, "tracing is opt-in");
-        assert!(c.trace_capacity >= 1);
         assert!(c.timeseries_interval_ms >= 1);
         assert!(c.shards >= 1);
         assert!(c.max_inflight_per_conn >= 1);

@@ -10,8 +10,9 @@
 //!   fleet-state reproduces the offline `system_failure_probability`
 //!   bit for bit, same seed and trial count);
 //! * **risk margins** per stripe rotation class — the minimum number of
-//!   *additional* device losses until some stripe becomes unrecoverable —
-//!   with a "stripes at margin ≤ 1" gauge for dashboards;
+//!   *additional* device losses until some stripe becomes unrecoverable,
+//!   exact up to `margin_cap` for every class, lowest first — with a
+//!   "stripes at margin ≤ 1" gauge for dashboards;
 //! * an **MTTDL-style** restatement of the composed loss probability and
 //!   an effective AFR from observed failure/replacement transitions;
 //! * **SLO burn rates** for degraded reads and scrub corruption over
@@ -39,20 +40,6 @@ use tornado_store::ArchivalStore;
 
 /// Schema tag of the health document.
 pub const HEALTH_SCHEMA: &str = "tornado-health-v1";
-
-/// At most this many distinct rotation classes get the full (depth
-/// `margin_cap`) margin search per recompute; the rest fall back to the
-/// cheap depth-1 probe and report a floor. Classes are prioritised by
-/// stripe count, so the floor only ever applies to the long tail.
-const MAX_DEEP_CLASSES: usize = 16;
-
-/// Total decode attempts the deep margin search may spend per recompute
-/// (the depth-`cap` search enumerates `sum_j C(n_rem, j)` patterns per
-/// class, which grows quadratically in fleet size for cap 2). When the
-/// budget runs out remaining classes keep their proven depth-1 floor —
-/// a recompute stays milliseconds even on wide fleets with many distinct
-/// rotation classes.
-const DEEP_DECODE_BUDGET: u64 = 50_000;
 
 struct State {
     doc: Option<Json>,
@@ -132,7 +119,6 @@ impl HealthModel {
             trials_per_k: self.config.trials_per_k,
             seed: self.config.seed,
             max_k: self.config.max_k,
-            ..ConditionalConfig::default()
         }
     }
 
@@ -239,56 +225,33 @@ impl HealthModel {
         if classes.is_empty() {
             classes.insert(offline.clone(), 0);
         }
-        let mut ranked: Vec<(Vec<usize>, u64)> = classes.into_iter().collect();
-        ranked.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-
+        // Every class's margin, exact up to the cap; lowest margin first
+        // (the order repair should take them in), then the most stripes.
         let cap = self.config.margin_cap;
-        let mut rows = Vec::new();
-        let mut min_margin = usize::MAX;
-        let mut min_exact = false;
-        let mut stripes_total = 0u64;
-        let mut stripes_at_risk = 0u64;
-        let mut deep_searched = 0usize;
-        let mut deep_budget = DEEP_DECODE_BUDGET;
-        for (missing, stripes) in &ranked {
-            let shallow = risk_margin(graph, missing, 1);
-            let deep_cost = deep_search_decodes(graph.num_nodes() - missing.len(), cap);
-            let (margin, exact) = if shallow <= 1 {
-                (shallow, true)
-            } else if cap <= 1 {
-                (shallow, false)
-            } else if deep_searched < MAX_DEEP_CLASSES && deep_cost <= deep_budget {
-                deep_searched += 1;
-                deep_budget -= deep_cost;
-                let deep = risk_margin(graph, missing, cap);
-                (deep, deep <= cap)
-            } else {
-                (2, false) // floor: proven > 1, search budget spent
-            };
-            stripes_total += stripes;
-            if margin <= 1 {
-                stripes_at_risk += stripes;
-            }
-            match margin.cmp(&min_margin) {
-                std::cmp::Ordering::Less => {
-                    min_margin = margin;
-                    min_exact = exact;
-                }
-                std::cmp::Ordering::Equal => min_exact |= exact,
-                std::cmp::Ordering::Greater => {}
-            }
-            if rows.len() < 8 {
-                rows.push(Json::Obj(vec![
+        let mut ranked: Vec<(usize, Vec<usize>, u64)> = classes
+            .into_iter()
+            .map(|(missing, stripes)| (risk_margin(graph, &missing, cap), missing, stripes))
+            .collect();
+        ranked.sort_by_key(|&(margin, _, stripes)| (margin, std::cmp::Reverse(stripes)));
+        let min_margin = ranked[0].0;
+        let stripes_total: u64 = ranked.iter().map(|&(_, _, stripes)| stripes).sum();
+        let stripes_at_risk: u64 =
+            ranked.iter().filter(|c| c.0 <= 1).map(|&(_, _, stripes)| stripes).sum();
+        let rows = ranked
+            .iter()
+            .take(8)
+            .map(|(margin, missing, stripes)| {
+                Json::Obj(vec![
                     (
                         "missing_nodes".into(),
                         Json::Arr(missing.iter().map(|&d| Json::U64(d as u64)).collect()),
                     ),
                     ("stripes".into(), Json::U64(*stripes)),
-                    ("margin".into(), Json::U64(margin as u64)),
-                    ("exact".into(), Json::Bool(exact)),
-                ]));
-            }
-        }
+                    ("margin".into(), Json::U64(*margin as u64)),
+                    ("exact".into(), Json::Bool(*margin <= cap)),
+                ])
+            })
+            .collect();
 
         let decoded = obs.store_obs.stripes_decoded.get();
         let checked = obs.store_obs.stripes_verified.get() + decoded;
@@ -342,10 +305,9 @@ impl HealthModel {
                 "margins".into(),
                 Json::Obj(vec![
                     ("min_margin".into(), Json::U64(min_margin as u64)),
-                    ("min_margin_exact".into(), Json::Bool(min_exact)),
+                    ("min_margin_exact".into(), Json::Bool(min_margin <= cap)),
                     ("margin_cap".into(), Json::U64(cap as u64)),
                     ("classes".into(), Json::U64(ranked.len() as u64)),
-                    ("classes_deep_searched".into(), Json::U64(deep_searched as u64)),
                     ("stripes_total".into(), Json::U64(stripes_total)),
                     ("stripes_at_margin_le_1".into(), Json::U64(stripes_at_risk)),
                     ("per_class".into(), Json::Arr(rows)),
@@ -413,19 +375,6 @@ impl HealthModel {
     }
 }
 
-/// Decode attempts a depth-`cap` margin search costs: `sum_{j<=cap}
-/// C(n_rem, j)`, saturating (a saturated estimate simply never fits the
-/// budget).
-fn deep_search_decodes(n_rem: usize, cap: usize) -> u64 {
-    let mut total: u64 = 0;
-    let mut c: u128 = 1;
-    for j in 1..=cap.min(n_rem) {
-        c = c * (n_rem - j + 1) as u128 / j as u128;
-        total = total.saturating_add(u64::try_from(c).unwrap_or(u64::MAX));
-    }
-    total
-}
-
 fn device_stat(store: &ArchivalStore, f: impl Fn(&tornado_store::DeviceStats) -> u64) -> u64 {
     (0..store.num_devices())
         .filter_map(|d| store.device(d).ok())
@@ -466,7 +415,7 @@ fn slo_json(t: &SloTracker, bad: u64, total: u64, now_ms: u64) -> Json {
 
 /// Validates a `tornado-health-v1` document: schema tag, the required
 /// sections, and basic invariants (probabilities in range, offline list
-/// consistent with its count). Unknown keys are ignored everywhere, so
+/// consistent with its count, margins a cap can produce). Unknown keys are ignored everywhere, so
 /// the schema can grow without breaking old validators.
 pub fn validate_health(doc: &Json) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
@@ -516,11 +465,49 @@ pub fn validate_health(doc: &Json) -> Result<(), String> {
         }
     }
     let margins = doc.get("margins").ok_or("missing margins section")?;
-    for key in ["min_margin", "stripes_total", "stripes_at_margin_le_1", "margin_cap"] {
+    let margin_u64 = |key: &str| {
         margins
             .get(key)
             .and_then(Json::as_u64)
-            .ok_or_else(|| format!("margins.{key} must be a u64"))?;
+            .ok_or_else(|| format!("margins.{key} must be a u64"))
+    };
+    let min_margin = margin_u64("min_margin")?;
+    let cap = margin_u64("margin_cap")?;
+    let stripes_total = margin_u64("stripes_total")?;
+    let at_risk = margin_u64("stripes_at_margin_le_1")?;
+    // A margin is exact up to the cap and reads `cap + 1` ("> cap") past it.
+    if min_margin > cap.saturating_add(1) {
+        return Err(format!(
+            "margins.min_margin {min_margin} exceeds margin_cap + 1 ({cap} + 1)"
+        ));
+    }
+    if at_risk > stripes_total {
+        return Err(format!(
+            "{at_risk} stripes at margin <= 1 out of {stripes_total}"
+        ));
+    }
+    let Some(&Json::Bool(exact)) = margins.get("min_margin_exact") else {
+        return Err("margins.min_margin_exact must be a bool".into());
+    };
+    if exact != (min_margin <= cap) {
+        return Err(format!(
+            "margins.min_margin_exact is {exact} for min_margin {min_margin} at margin_cap {cap}"
+        ));
+    }
+    let rows = margins
+        .get("per_class")
+        .and_then(Json::as_arr)
+        .ok_or("margins.per_class must be an array")?;
+    for row in rows {
+        let margin = row
+            .get("margin")
+            .and_then(Json::as_u64)
+            .ok_or("margins.per_class margin must be a u64")?;
+        if margin < min_margin {
+            return Err(format!(
+                "a per_class margin of {margin} is below min_margin {min_margin}"
+            ));
+        }
     }
     let slo = doc.get("slo").ok_or("missing slo section")?;
     let Json::Obj(entries) = slo else {
@@ -660,7 +647,6 @@ mod tests {
                 trials_per_k: cfg.trials_per_k,
                 seed: cfg.seed,
                 max_k: cfg.max_k,
-                ..ConditionalConfig::default()
             },
         );
         assert!((live - offline).abs() <= 1e-12, "live {live} vs offline {offline}");
@@ -727,5 +713,171 @@ mod tests {
             }
         }
         assert!(validate_health(&Json::Obj(fields)).is_err());
+    }
+
+    /// `doc` with `margins.<key>` replaced by `value`.
+    fn with_margin(doc: &Json, key: &str, value: Json) -> Json {
+        let Json::Obj(mut fields) = doc.clone() else {
+            panic!("document is an object")
+        };
+        for (k, v) in &mut fields {
+            if let (true, Json::Obj(margins)) = (k == "margins", v) {
+                margins
+                    .iter_mut()
+                    .filter(|(mk, _)| mk == key)
+                    .for_each(|(_, mv)| *mv = value.clone());
+            }
+        }
+        Json::Obj(fields)
+    }
+
+    #[test]
+    fn validator_rejects_impossible_margins() {
+        // A healthy mirror of 8 pairs: min_margin 2 at cap 2, one stripe.
+        let store = store_with_objects(1);
+        let doc =
+            HealthModel::new(test_config()).document(&store, &ServerObserver::disabled(), 100);
+        validate_health(&doc).unwrap();
+        let margin_row = Json::Arr(vec![Json::Obj(vec![("margin".into(), Json::U64(1))])]);
+        let corruptions = [
+            ("min_margin", Json::U64(4), "exceeds margin_cap + 1"),
+            (
+                "stripes_at_margin_le_1",
+                Json::U64(2),
+                "stripes at margin <= 1 out of 1",
+            ),
+            (
+                "min_margin_exact",
+                Json::Bool(false),
+                "min_margin_exact is false",
+            ),
+            ("per_class", margin_row, "below min_margin 2"),
+        ];
+        for (key, value, want) in corruptions {
+            let err = validate_health(&with_margin(&doc, key, value)).unwrap_err();
+            assert!(err.contains(want), "{key}: {err}");
+        }
+    }
+
+    /// Graph 1 holding `objects` small stripes (rotations `0..objects`
+    /// mod 96) with `devices` offline.
+    fn graph_1_store(objects: usize, devices: &[usize]) -> ArchivalStore {
+        let store = ArchivalStore::new(tornado_core::tornado_graph_1());
+        for i in 0..objects {
+            store.put(&format!("obj-{i}"), &[i as u8; 64]).unwrap();
+        }
+        for &d in devices {
+            store.fail_device(d).unwrap();
+        }
+        store
+    }
+
+    fn margin_rows(doc: &Json) -> Vec<(u64, u64)> {
+        let margins = doc.get("margins").unwrap();
+        margins
+            .get("per_class")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|r| {
+                (
+                    r.get("margin").unwrap().as_u64().unwrap(),
+                    r.get("stripes").unwrap().as_u64().unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_class_margin_is_exact_and_the_lowest_come_first() {
+        let obs = ServerObserver::disabled();
+        // Four devices down: every one of the 96 classes survives any two
+        // more losses, so each reads "> 2".
+        let store = graph_1_store(128, &[7, 29, 55, 88]);
+        let doc = HealthModel::new(test_config()).document(&store, &obs, 100);
+        validate_health(&doc).unwrap();
+        let margins = doc.get("margins").unwrap();
+        assert_eq!(margins.get("classes").unwrap().as_u64(), Some(96));
+        assert_eq!(margins.get("min_margin").unwrap().as_u64(), Some(3));
+        assert_eq!(margins.get("min_margin_exact"), Some(&Json::Bool(false)));
+        assert!(
+            margin_rows(&doc).iter().all(|&(m, _)| m == 3),
+            "{:?}",
+            margin_rows(&doc)
+        );
+
+        // Devices 3, 17 and 84: rotation 82 puts them on nodes [2, 17, 31],
+        // three of the certified failing 5-set [2, 5, 10, 17, 31] — a class
+        // at exact margin 2 holding only the one stripe it listed first.
+        let store = graph_1_store(128, &[3, 17, 84]);
+        let doc = HealthModel::new(test_config()).document(&store, &obs, 100);
+        validate_health(&doc).unwrap();
+        let margins = doc.get("margins").unwrap();
+        assert_eq!(margins.get("min_margin").unwrap().as_u64(), Some(2));
+        assert_eq!(margins.get("min_margin_exact"), Some(&Json::Bool(true)));
+        let rows = margin_rows(&doc);
+        assert_eq!(rows[0], (2, 1), "{rows:?}");
+        let first = &margins.get("per_class").unwrap().as_arr().unwrap()[0];
+        let nodes: Vec<u64> = first
+            .get("missing_nodes")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_u64().unwrap())
+            .collect();
+        assert_eq!(nodes, [2, 17, 31]);
+        assert!(rows[1..].iter().all(|&(m, _)| m == 3), "{rows:?}");
+        assert!(
+            rows[1..].windows(2).all(|w| w[0].1 >= w[1].1),
+            "then by stripe count: {rows:?}"
+        );
+    }
+
+    #[test]
+    fn exact_margins_bound_the_scrubbers_from_above() {
+        // The scrubber's margin is `first_failure_level − missing`, §6's
+        // distance to the initial failure point; graph 1 survives any four
+        // losses, so it is a lower bound on the exact margin HEALTH reports.
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        use tornado_store::{ScrubMode, Scrubber};
+        const FIRST_FAILURE: usize = 5;
+        let cap = test_config().margin_cap;
+        let mut rng = SmallRng::seed_from_u64(25);
+        for failed in [2, 4, 6] {
+            let mut devices: Vec<usize> = (0..96).collect();
+            devices.shuffle(&mut rng);
+            devices.truncate(failed);
+            let store = graph_1_store(40, &devices);
+            let outcome = Scrubber::new(1).run(&store, FIRST_FAILURE, false, ScrubMode::Verify);
+            let mut min_exact = usize::MAX;
+            for stripe in &outcome.stripes {
+                let mut missing: Vec<usize> =
+                    stripe.missing_blocks.iter().map(|&v| v as usize).collect();
+                missing.sort_unstable();
+                let exact = risk_margin(store.graph(), &missing, cap);
+                min_exact = min_exact.min(exact);
+                let bound = stripe.margin.clamp(0, cap as i64 + 1) as usize;
+                assert!(
+                    exact.min(cap + 1) >= bound,
+                    "devices {devices:?}, stripe {stripe:?}: exact {exact}"
+                );
+            }
+            let doc =
+                HealthModel::new(test_config()).document(&store, &ServerObserver::disabled(), 100);
+            let published = doc
+                .get("margins")
+                .unwrap()
+                .get("min_margin")
+                .unwrap()
+                .as_u64();
+            assert_eq!(
+                published,
+                Some(min_exact as u64),
+                "HEALTH's min_margin is the stripes' least"
+            );
+        }
     }
 }

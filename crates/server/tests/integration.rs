@@ -577,7 +577,6 @@ fn health_op_reports_conditional_risk_that_matches_offline_analysis() {
             trials_per_k: health.trials_per_k,
             seed: health.seed,
             max_k: health.max_k,
-            ..Default::default()
         },
     );
     assert!(

@@ -8,7 +8,9 @@
 //!
 //! Sampling is deterministic in the configuration seed: trials are split
 //! into fixed-size batches, each seeded by `(seed, k, batch)`, so results
-//! are reproducible regardless of thread scheduling.
+//! are reproducible regardless of thread scheduling. A level may start from
+//! an already-missing `base` (a degraded fleet, for the live durability
+//! model): the subset is then drawn from the other nodes.
 //!
 //! Random patterns share no prefix, so the trials are decided side by
 //! side instead: a worker draws a group of `k`-subsets, loads one into each
@@ -78,7 +80,7 @@ pub fn monte_carlo_profile_observed(
     let mut profile = FailureProfile::new(n);
     for &k in &ks {
         let started = std::time::Instant::now();
-        let failures = sample_level_observed(graph, k, cfg.trials_per_k, cfg.seed, obs);
+        let failures = sample_level_observed(graph, &[], k, cfg.trials_per_k, cfg.seed, obs);
         let fraction = if cfg.trials_per_k > 0 {
             failures as f64 / cfg.trials_per_k as f64
         } else {
@@ -101,24 +103,29 @@ pub fn monte_carlo_profile_observed(
 
 /// Samples one `k` level; returns the failure count.
 pub fn sample_level(graph: &Graph, k: usize, trials: u64, seed: u64) -> u64 {
-    sample_level_observed(graph, k, trials, seed, &SimObserver::disabled())
+    sample_level_observed(graph, &[], k, trials, seed, &SimObserver::disabled())
 }
 
-/// [`sample_level`] with per-batch progress and decode-kernel metrics
-/// reported through `obs`. The per-batch reseeding makes the failure count
-/// identical to the unobserved run regardless of observation.
+/// [`sample_level`] on top of an already-missing `base`, with per-batch
+/// progress and decode-kernel metrics reported through `obs`: each trial
+/// loses `base` (marked in every lane) plus a uniform `k`-subset of the
+/// other nodes. With `base = ∅` this is [`sample_level`]'s stream exactly;
+/// the per-batch reseeding makes the failure count identical to the
+/// unobserved run regardless of observation.
+///
+/// # Panics
+/// Panics if a `base` node is out of range or repeated, or if `k` exceeds
+/// the nodes outside `base`.
 pub fn sample_level_observed(
     graph: &Graph,
+    base: &[usize],
     k: usize,
     trials: u64,
     seed: u64,
     obs: &SimObserver,
 ) -> u64 {
-    let n = graph.num_nodes();
-    assert!(k <= n, "k = {k} exceeds {n} nodes");
-    if k == 0 {
-        return 0;
-    }
+    let rest = complement(graph.num_nodes(), base);
+    assert!(k <= rest.len(), "k = {k} exceeds {} nodes", rest.len());
     let progress = obs.progress.start(format!("monte-carlo k={k}"), trials);
     let record = obs.metrics.is_some();
     let failures = (0..trials.div_ceil(BATCH))
@@ -129,18 +136,15 @@ pub fn sample_level_observed(
             || {
                 let mut lanes = LaneDecoder::new(graph);
                 lanes.set_recording(record);
-                let perm: Vec<usize> = (0..n).collect();
-                (lanes, perm)
+                (lanes, rest.clone())
             },
             |(lanes, perm), batch| {
                 // Determinism lives in the per-batch reseed, not in which
                 // worker runs the batch — but the hoisted permutation must
-                // restart from identity or the k-subset drawn would depend
+                // restart from `rest` or the k-subset drawn would depend
                 // on the batches this worker saw before.
                 let mut rng = SmallRng::seed_from_u64(mix(seed, k as u64, batch));
-                for (i, p) in perm.iter_mut().enumerate() {
-                    *p = i;
-                }
+                perm.copy_from_slice(&rest);
                 let count = BATCH.min(trials - batch * BATCH);
                 // Resliced so pointer and length stay in registers: through
                 // the `&mut Vec` every swap's store forces their reload.
@@ -149,9 +153,10 @@ pub fn sample_level_observed(
                 let mut failures = 0u64;
                 let mut left = count as usize;
                 while left > 0 {
-                    // One trial per lane; a short last group leaves the
-                    // other lanes empty, and those decode.
+                    // One trial per lane; a short last group's other lanes
+                    // hold only the base, and `run` does not count them.
                     let group = left.min(LaneDecoder::LANES);
+                    lanes.load_all(base);
                     for lane in 0..group {
                         // Partial Fisher–Yates of the first k slots yields a
                         // uniform k-subset each trial.
@@ -174,6 +179,20 @@ pub fn sample_level_observed(
         .sum();
     progress.finish();
     failures
+}
+
+/// The nodes of `0..n` outside `base`, ascending.
+///
+/// # Panics
+/// Panics if a `base` node is out of range or repeated.
+pub fn complement(n: usize, base: &[usize]) -> Vec<usize> {
+    let mut in_base = vec![false; n];
+    for &v in base {
+        assert!(v < n, "missing node {v} out of range ({n} nodes)");
+        assert!(!in_base[v], "missing node {v} repeated");
+        in_base[v] = true;
+    }
+    (0..n).filter(|&v| !in_base[v]).collect()
 }
 
 /// SplitMix64-style seed mixing so nearby `(seed, k, batch)` triples give

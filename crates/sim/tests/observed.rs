@@ -151,7 +151,7 @@ fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
             .unwrap();
         let metrics = Arc::new(DecodeMetrics::new());
         let obs = SimObserver::disabled().with_metrics(metrics.clone());
-        let failures = pool.install(|| sample_level_observed(&g, 8, 10_000, 42, &obs));
+        let failures = pool.install(|| sample_level_observed(&g, &[], 8, 10_000, 42, &obs));
         (failures, metrics.items().map(|(_, v)| v))
     };
     let baseline = collect(1);
@@ -183,7 +183,7 @@ fn observed_sample_level_progress_counts_every_trial() {
     let g = generate_mirror(4).unwrap();
     let (progress, buf) = ProgressConfig::memory();
     let obs = SimObserver::disabled().with_progress(progress);
-    let failures = sample_level_observed(&g, 2, 10_000, 7, &obs);
+    let failures = sample_level_observed(&g, &[], 2, 10_000, 7, &obs);
     assert_eq!(failures, tornado_sim::monte_carlo::sample_level(&g, 2, 10_000, 7));
     let lines = buf.lock().unwrap();
     assert!(lines.last().unwrap().contains("(10000/10000)"), "{:?}", lines.last());

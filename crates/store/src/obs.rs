@@ -25,7 +25,8 @@ metric_set! {
         scrub_cycles: Counter = "scrub.cycles", "cycles";
         /// Stripes with a block missing or corrupt, as of the latest scrub.
         degraded: Gauge = "scrub.degraded_stripes", "stripes";
-        /// Stripes within one loss of the first-failure level, as of the latest scrub.
+        /// Stripes whose scrub margin (first-failure level − missing blocks)
+        /// is ≤ 1, as of the latest scrub: a lower bound on HEALTH's exact margin.
         urgent: Gauge = "scrub.urgent_stripes", "stripes";
         /// Blocks rebuilt and written home by repair.
         blocks_repaired: Counter = "scrub.blocks_repaired", "blocks";

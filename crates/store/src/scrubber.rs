@@ -107,7 +107,11 @@ pub struct StripeHealth {
     pub recoverable: bool,
     /// Remaining loss margin: `first_failure_level − missing` (negative
     /// when the stripe is already past the worst-case bound yet may still
-    /// be probabilistically fine).
+    /// be probabilistically fine). This is §6's distance to the initial
+    /// failure point, and a lower bound on the exact margin (the additional
+    /// losses some pattern needs to fail, which the live HEALTH document
+    /// reports up to its cap) when the graph survives any
+    /// `first_failure_level − 1` losses.
     pub margin: i64,
 }
 
