@@ -236,21 +236,33 @@ mod tests {
     fn repairs_a_planted_pair_defect() {
         let g = planted_defect();
         assert_eq!(
-            worst_case_search(&g, &WorstCaseConfig { max_k: 2, ..Default::default() })
-                .first_failure(),
+            worst_case_search(
+                &g,
+                &WorstCaseConfig {
+                    max_k: 2,
+                    ..Default::default()
+                }
+            )
+            .first_failure(),
             Some(2)
         );
-        let outcome = adjust_graph(&g, &AdjustConfig {
-            target_first_failure: 3,
-            max_iterations: 16,
-            collect_cap: 64,
-            candidate_budget: 128,
-        });
+        let outcome = adjust_graph(
+            &g,
+            &AdjustConfig {
+                target_first_failure: 3,
+                max_iterations: 16,
+                collect_cap: 64,
+                candidate_budget: 128,
+            },
+        );
         assert!(outcome.achieved(), "steps: {:?}", outcome.steps);
         assert!(!outcome.steps.is_empty());
         let report = worst_case_search(
             &outcome.graph,
-            &WorstCaseConfig { max_k: 2, ..Default::default() },
+            &WorstCaseConfig {
+                max_k: 2,
+                ..Default::default()
+            },
         );
         assert_eq!(report.first_failure(), None, "no failures at k ≤ 2");
         outcome.graph.validate().unwrap();
@@ -259,10 +271,13 @@ mod tests {
     #[test]
     fn already_good_graph_is_untouched() {
         let g = planted_defect();
-        let outcome = adjust_graph(&g, &AdjustConfig {
-            target_first_failure: 2, // only requires surviving k = 1
-            ..Default::default()
-        });
+        let outcome = adjust_graph(
+            &g,
+            &AdjustConfig {
+                target_first_failure: 2, // only requires surviving k = 1
+                ..Default::default()
+            },
+        );
         assert!(outcome.achieved());
         assert!(outcome.steps.is_empty());
         assert_eq!(outcome.graph, g);
@@ -273,12 +288,15 @@ mod tests {
         // A mirrored pair system cannot exceed first failure 2 by rewiring
         // within its single level of single-neighbour checks.
         let g = tornado_gen::mirror::generate_mirror(4).unwrap();
-        let outcome = adjust_graph(&g, &AdjustConfig {
-            target_first_failure: 3,
-            max_iterations: 8,
-            collect_cap: 64,
-            candidate_budget: 64,
-        });
+        let outcome = adjust_graph(
+            &g,
+            &AdjustConfig {
+                target_first_failure: 3,
+                max_iterations: 8,
+                collect_cap: 64,
+                candidate_budget: 64,
+            },
+        );
         assert!(!outcome.achieved());
         assert_eq!(outcome.first_failure_below_target, Some(2));
     }
@@ -296,17 +314,29 @@ mod tests {
         let (g, _) = TornadoGenerator::new(params)
             .generate_screened(3, 256, 2)
             .unwrap();
-        let before = worst_case_search(&g, &WorstCaseConfig { max_k: 3, ..Default::default() })
-            .first_failure();
-        let outcome = adjust_graph(&g, &AdjustConfig {
-            target_first_failure: 4,
-            max_iterations: 32,
-            collect_cap: 256,
-            candidate_budget: 256,
-        });
+        let before = worst_case_search(
+            &g,
+            &WorstCaseConfig {
+                max_k: 3,
+                ..Default::default()
+            },
+        )
+        .first_failure();
+        let outcome = adjust_graph(
+            &g,
+            &AdjustConfig {
+                target_first_failure: 4,
+                max_iterations: 32,
+                collect_cap: 256,
+                candidate_budget: 256,
+            },
+        );
         let after = worst_case_search(
             &outcome.graph,
-            &WorstCaseConfig { max_k: 3, ..Default::default() },
+            &WorstCaseConfig {
+                max_k: 3,
+                ..Default::default()
+            },
         )
         .first_failure();
         // Either the target was achieved, or the graph is at least no worse.
@@ -325,12 +355,15 @@ mod tests {
     #[test]
     fn steps_record_strict_improvement() {
         let g = planted_defect();
-        let outcome = adjust_graph(&g, &AdjustConfig {
-            target_first_failure: 3,
-            max_iterations: 16,
-            collect_cap: 64,
-            candidate_budget: 128,
-        });
+        let outcome = adjust_graph(
+            &g,
+            &AdjustConfig {
+                target_first_failure: 3,
+                max_iterations: 16,
+                collect_cap: 64,
+                candidate_budget: 128,
+            },
+        );
         for s in &outcome.steps {
             assert!(s.failures_after < s.failures_before, "step {s:?}");
         }

@@ -115,7 +115,11 @@ pub fn conditional_failure_probability(
     cfg: &ConditionalConfig,
 ) -> f64 {
     let profile = conditional_failure_profile(graph, missing, cfg);
-    compose_failure_probability(profile.num_nodes() as u64, p_device, &profile.conditional_vec())
+    compose_failure_probability(
+        profile.num_nodes() as u64,
+        p_device,
+        &profile.conditional_vec(),
+    )
 }
 
 /// Per-device failure probability over `horizon_hours`, from an annual
@@ -153,7 +157,9 @@ pub fn mttdl_hours(p_loss: f64, horizon_hours: f64) -> f64 {
 /// Panics if any missing index is out of range or repeated.
 pub fn risk_margin(graph: &Graph, missing: &[usize], cap: usize) -> usize {
     let cap = cap.min(graph.num_nodes().saturating_sub(missing.len()));
-    (0..=cap).find(|&j| failures(graph, missing, j) > 0).unwrap_or(cap + 1)
+    (0..=cap)
+        .find(|&j| failures(graph, missing, j) > 0)
+        .unwrap_or(cap + 1)
 }
 
 /// How many of the `C(n − |base|, j)` ways to lose `j` more nodes on top
@@ -264,7 +270,10 @@ mod tests {
 
     #[test]
     fn risk_margin_matches_brute_force_on_small_graphs() {
-        let graphs = [generate_mirror(4).unwrap(), generate_regular(12, 3, 1).unwrap()];
+        let graphs = [
+            generate_mirror(4).unwrap(),
+            generate_regular(12, 3, 1).unwrap(),
+        ];
         let missing_sets: [&[usize]; 4] = [&[], &[0], &[0, 3], &[1, 2, 5]];
         for g in &graphs {
             for missing in missing_sets {
@@ -285,8 +294,7 @@ mod tests {
         if !dec.decode(missing) {
             return 0;
         }
-        let remaining: Vec<usize> =
-            (0..n).filter(|i| !missing.contains(i)).collect();
+        let remaining: Vec<usize> = (0..n).filter(|i| !missing.contains(i)).collect();
         let mut best = cap.min(remaining.len()) + 1;
         for mask in 1u64..(1 << remaining.len()) {
             let size = mask.count_ones() as usize;
@@ -346,11 +354,7 @@ mod tests {
         let a = conditional_failure_profile(&g, &[1, 7], &cfg);
         let b = conditional_failure_profile(&g, &[1, 7], &cfg);
         assert_eq!(a, b);
-        let c = conditional_failure_profile(
-            &g,
-            &[1, 7],
-            &ConditionalConfig { seed: 43, ..cfg },
-        );
+        let c = conditional_failure_profile(&g, &[1, 7], &ConditionalConfig { seed: 43, ..cfg });
         assert_ne!(a, c, "different seed, different stream");
     }
 }

@@ -42,6 +42,6 @@ pub use health::{
 };
 pub use incremental::{incremental_overhead, IncrementalOverhead};
 pub use lifetime::{simulate_graph_lifetime, simulate_lifetime, LifetimeConfig, LifetimeReport};
-pub use stopping::{min_blocking_exact, minimum_distance};
 pub use overhead::{overhead_report, OverheadReport};
 pub use reliability::{system_failure_probability, ReliabilityRow};
+pub use stopping::{min_blocking_exact, minimum_distance};

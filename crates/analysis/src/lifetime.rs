@@ -167,14 +167,8 @@ mod tests {
             seed: 5,
         };
         let none = simulate_graph_lifetime(&g, &base).loss_probability();
-        let monthly = simulate_graph_lifetime(
-            &g,
-            &LifetimeConfig {
-                scrubs: 12,
-                ..base
-            },
-        )
-        .loss_probability();
+        let monthly =
+            simulate_graph_lifetime(&g, &LifetimeConfig { scrubs: 12, ..base }).loss_probability();
         assert!(
             monthly < none / 3.0,
             "monthly scrubs {monthly} vs none {none}"

@@ -20,7 +20,12 @@ struct Args {
 /// Parses the command line. An unknown flag or experiment name is an
 /// error that lists the valid ones — never a silently smaller run.
 fn parse(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args { names: Vec::new(), list: false, quick: false, write: false };
+    let mut args = Args {
+        names: Vec::new(),
+        list: false,
+        quick: false,
+        write: false,
+    };
     let mut named = Vec::new();
     for arg in argv {
         match arg.as_str() {
@@ -28,7 +33,9 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--write" => args.write = true,
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag} (flags: --list, --quick, --write)"))
+                return Err(format!(
+                    "unknown flag {flag} (flags: --list, --quick, --write)"
+                ))
             }
             name => match ALL.iter().find(|e| e.name == name) {
                 Some(e) => named.push(e.name),
@@ -43,12 +50,17 @@ fn parse(argv: &[String]) -> Result<Args, String> {
         }
     }
     if args.write && (args.quick || cfg!(debug_assertions)) {
-        return Err("--write records full-effort release numbers: not with --quick, \
+        return Err(
+            "--write records full-effort release numbers: not with --quick, \
                     not from a debug build"
-            .into());
+                .into(),
+        );
     }
-    args.names =
-        ALL.iter().map(|e| e.name).filter(|n| named.is_empty() || named.contains(n)).collect();
+    args.names = ALL
+        .iter()
+        .map(|e| e.name)
+        .filter(|n| named.is_empty() || named.contains(n))
+        .collect();
     Ok(args)
 }
 
@@ -67,8 +79,14 @@ fn main() {
         }
         return;
     }
-    let effort = Effort { quick: args.quick, ..effort };
-    eprintln!("# Tornado Codes for Archival Storage — experiment suite ({} build)", build_mode());
+    let effort = Effort {
+        quick: args.quick,
+        ..effort
+    };
+    eprintln!(
+        "# Tornado Codes for Archival Storage — experiment suite ({} build)",
+        build_mode()
+    );
     eprintln!("# effort: {effort:?}\n");
 
     let suite_start = Instant::now();
@@ -96,7 +114,11 @@ fn main() {
     for (e, wall_ms) in &timings {
         eprintln!("# {:<18} {:<42} {wall_ms:>10}", e.name, e.title);
     }
-    eprintln!("# {:<61} {:>10}", "TOTAL", suite_start.elapsed().as_millis());
+    eprintln!(
+        "# {:<61} {:>10}",
+        "TOTAL",
+        suite_start.elapsed().as_millis()
+    );
 }
 
 #[cfg(test)]
@@ -119,7 +141,10 @@ mod tests {
     #[test]
     fn an_unknown_name_or_flag_is_an_error_listing_the_valid_ones() {
         let err = parse_words(&["table5", "tabel6"]).unwrap_err();
-        assert!(err.contains("'tabel6'") && err.contains("table6") && err.contains("eq1"), "{err}");
+        assert!(
+            err.contains("'tabel6'") && err.contains("table6") && err.contains("eq1"),
+            "{err}"
+        );
         for stale in ["--check", "--manifest", "--only"] {
             let err = parse_words(&[stale]).unwrap_err();
             assert!(err.contains(stale) && err.contains("--write"), "{err}");

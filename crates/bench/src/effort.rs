@@ -86,15 +86,25 @@ mod tests {
     }
 
     fn vars<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| pairs.iter().find(|(n, _)| *n == name).map(|(_, v)| v.to_string())
+        move |name| {
+            pairs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        }
     }
 
     #[test]
     fn variables_override_defaults_and_a_mistyped_one_is_an_error() {
         assert_eq!(Effort::from_vars(vars(&[])), Ok(Effort::default()));
-        let e = Effort::from_vars(vars(&[("TORNADO_MAX_K", " 6 "), ("TORNADO_SEED", "9")])).unwrap();
+        let e =
+            Effort::from_vars(vars(&[("TORNADO_MAX_K", " 6 "), ("TORNADO_SEED", "9")])).unwrap();
         assert_eq!((e.exhaustive_max_k, e.seed, e.mc_trials), (6, 9, 20_000));
-        for bad in [("TORNADO_MAX_K", "6x"), ("TORNADO_TRIALS", "-1"), ("TORNADO_SEED", "")] {
+        for bad in [
+            ("TORNADO_MAX_K", "6x"),
+            ("TORNADO_TRIALS", "-1"),
+            ("TORNADO_SEED", ""),
+        ] {
             let err = Effort::from_vars(vars(&[bad])).unwrap_err();
             assert!(err.contains(bad.0) && err.contains(bad.1), "{err}");
         }

@@ -106,10 +106,7 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 /// Runs the kernel A/B and the end-to-end paths at one block size.
 /// `samples` timed calls per measurement; medians reported.
 pub fn measure(block_bytes: usize, samples: usize) -> DataPlaneReport {
-    let pool0 = (
-        pool::metrics().hits.get(),
-        pool::metrics().misses.get(),
-    );
+    let pool0 = (pool::metrics().hits.get(), pool::metrics().misses.get());
     let kern0 = (
         kernels::metrics().bytes_xored.get(),
         kernels::metrics().bytes_muled.get(),
@@ -185,7 +182,10 @@ pub fn measure(block_bytes: usize, samples: usize) -> DataPlaneReport {
             }
         });
     };
-    let mut paths = vec![("encode", mb_s(data_bytes, median_ns(1, samples, &mut encode_once)))];
+    let mut paths = vec![(
+        "encode",
+        mb_s(data_bytes, median_ns(1, samples, &mut encode_once)),
+    )];
 
     // Decode: four data blocks erased, recovered by the peeling schedule.
     let blocks = codec.encode(&data).expect("encode");
@@ -344,8 +344,11 @@ pub fn measure_scrub_modes(block_bytes: usize, samples: usize) -> ScrubModeRepor
 pub fn run(effort: &Effort) -> Report {
     let block_bytes = 65536usize;
     let samples = if effort.quick { 3 } else { 9 };
-    let (xor_floor, mul_floor, verify_floor) =
-        if effort.quick { (1.0, 1.0, 1.0) } else { (4.0, 3.0, 1.1) };
+    let (xor_floor, mul_floor, verify_floor) = if effort.quick {
+        (1.0, 1.0, 1.0)
+    } else {
+        (4.0, 3.0, 1.1)
+    };
     let r = measure(block_bytes, samples);
     let sm = measure_scrub_modes(block_bytes, samples);
     let cases: Vec<Json> = r
@@ -386,7 +389,10 @@ pub fn run(effort: &Effort) -> Report {
         block_bytes / 1024
     );
     out.push_str(&csv(&cases));
-    let _ = writeln!(out, "# End-to-end paths over tornado_graph_1, MB/s (decimal)");
+    let _ = writeln!(
+        out,
+        "# End-to-end paths over tornado_graph_1, MB/s (decimal)"
+    );
     out.push_str(&csv(&paths));
     let _ = writeln!(
         out,
@@ -426,8 +432,14 @@ pub fn run(effort: &Effort) -> Report {
         let xor = r.case("xor_into").speedup();
         let mul = r.case("mul_acc").speedup();
         let verify_clean = sm.case("verify_clean").speedup_vs_full();
-        assert!(xor >= xor_floor, "xor_into speedup {xor:.2}x is below the {xor_floor}x floor");
-        assert!(mul >= mul_floor, "mul_acc speedup {mul:.2}x is below the {mul_floor}x floor");
+        assert!(
+            xor >= xor_floor,
+            "xor_into speedup {xor:.2}x is below the {xor_floor}x floor"
+        );
+        assert!(
+            mul >= mul_floor,
+            "mul_acc speedup {mul:.2}x is below the {mul_floor}x floor"
+        );
         assert!(
             verify_clean >= verify_floor,
             "verify_clean speedup {verify_clean:.2}x is below the {verify_floor}x floor"
@@ -435,7 +447,10 @@ pub fn run(effort: &Effort) -> Report {
     }
 
     let data = obj([
-        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
+        (
+            "graph",
+            Json::Str("tornado_graph_1 (96 nodes, 48 data)".into()),
+        ),
         ("block_bytes", Json::U64(block_bytes as u64)),
         ("samples_per_case", Json::U64(samples as u64)),
         ("units", Json::Str("mb_per_s_decimal".into())),
@@ -458,7 +473,10 @@ pub fn run(effort: &Effort) -> Report {
             ]),
         ),
         ("scrub_modes", Json::Arr(scrub_modes)),
-        ("incremental_skip_ns_per_stripe", num(sm.skip_ns_per_stripe, 0)),
+        (
+            "incremental_skip_ns_per_stripe",
+            num(sm.skip_ns_per_stripe, 0),
+        ),
         (
             "floors",
             obj([
@@ -468,7 +486,10 @@ pub fn run(effort: &Effort) -> Report {
             ]),
         ),
     ]);
-    Report { text: out, data: Some(data) }
+    Report {
+        text: out,
+        data: Some(data),
+    }
 }
 
 #[cfg(test)]
@@ -489,7 +510,10 @@ mod tests {
         assert!(r.pool_hits + r.pool_misses > 0, "pools were exercised");
         assert!(r.bytes_xored > 0);
         assert!(r.bytes_muled > 0);
-        assert!(r.bytes_hashed > 0, "the scrub row exercises the checksum kernel");
+        assert!(
+            r.bytes_hashed > 0,
+            "the scrub row exercises the checksum kernel"
+        );
     }
 
     #[test]
@@ -500,7 +524,10 @@ mod tests {
             assert!(c.full_word_mb_s > 0.0, "{name} full word");
             assert!(c.mode_mb_s > 0.0, "{name} mode");
         }
-        assert!(r.skip_ns_per_stripe > 0.0, "a skipped stripe still costs a map lookup");
+        assert!(
+            r.skip_ns_per_stripe > 0.0,
+            "a skipped stripe still costs a map lookup"
+        );
         assert!(r.bytes_hashed > 0, "the verify passes hash in place");
     }
 }

@@ -139,7 +139,11 @@ pub fn run(effort: &Effort) -> Report {
         }
     });
     let lanes_speedup = random_row_ns / random_lanes_ns;
-    let lanes_floor = if effort.quick { LANES_FLOOR_QUICK } else { LANES_FLOOR };
+    let lanes_floor = if effort.quick {
+        LANES_FLOOR_QUICK
+    } else {
+        LANES_FLOOR
+    };
 
     // Observability A/B: the same k = 4 sweep with the decode recorder
     // enabled (counters ticking, no sink attached). The recorder is plain
@@ -232,7 +236,10 @@ pub fn run(effort: &Effort) -> Report {
     }
 
     let data = obj([
-        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
+        (
+            "graph",
+            Json::Str("tornado_graph_1 (96 nodes, 48 data)".into()),
+        ),
         ("samples_per_case", Json::U64(SAMPLES as u64)),
         ("units", Json::Str("ns_per_trial".into())),
         ("cases", Json::Arr(rows)),
@@ -252,9 +259,15 @@ pub fn run(effort: &Effort) -> Report {
         ("unrank_ns_per_step", num(unrank_ns, 1)),
         ("unrank_budget_ns_per_step", num(UNRANK_BUDGET_NS, 1)),
         ("recording_ns_per_trial", num(sweep_recording_ns, 1)),
-        ("recording_overhead_ns_per_trial", num(recording_overhead_ns, 2)),
+        (
+            "recording_overhead_ns_per_trial",
+            num(recording_overhead_ns, 2),
+        ),
         ("recording_budget_ns_per_trial", num(RECORDING_BUDGET_NS, 1)),
         ("sweep_floor", num(SWEEP_FLOOR, 1)),
     ]);
-    Report { text: out, data: Some(data) }
+    Report {
+        text: out,
+        data: Some(data),
+    }
 }

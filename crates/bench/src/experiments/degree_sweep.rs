@@ -17,7 +17,10 @@ use tornado_gen::TornadoParams;
 pub fn run(effort: &Effort) -> String {
     let params = TornadoParams::paper_96();
     let mut out = String::new();
-    let _ = writeln!(out, "# Degree sweep — fixed-degree cascades, 96 nodes (screened)");
+    let _ = writeln!(
+        out,
+        "# Degree sweep — fixed-degree cascades, 96 nodes (screened)"
+    );
     let _ = writeln!(
         out,
         "degree, first_failure, avg_to_reconstruct, overhead_at_half"

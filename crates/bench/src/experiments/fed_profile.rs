@@ -20,7 +20,10 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
     let mirror = generate_mirror(48).expect("mirror generation");
 
     let configs = vec![
-        ("Mirrored (4 copies)", FederatedSystem::new(&mirror, &mirror)),
+        (
+            "Mirrored (4 copies)",
+            FederatedSystem::new(&mirror, &mirror),
+        ),
         ("Tornado 1 + Tornado 1", FederatedSystem::new(&t1, &t1)),
         ("Tornado 1 + Tornado 2", FederatedSystem::new(&t1, &t2)),
     ];

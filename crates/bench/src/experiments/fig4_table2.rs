@@ -86,6 +86,9 @@ mod tests {
         assert!(matches!(raw_ff, Some(k) if k <= 3), "raw: {raw_ff:?}");
         // Screened graphs never fail at k ≤ 2 (smoke exhaustive depth).
         let scr_ff = rows[1].profile.first_failure();
-        assert!(scr_ff.is_none() || scr_ff.unwrap() > 2, "screened: {scr_ff:?}");
+        assert!(
+            scr_ff.is_none() || scr_ff.unwrap() > 2,
+            "screened: {scr_ff:?}"
+        );
     }
 }

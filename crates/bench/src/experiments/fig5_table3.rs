@@ -24,15 +24,13 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
             num_data: 48,
         });
     }
-    let doubled =
-        generate_doubled_screened(params, effort.seed, 256).expect("doubled generation");
+    let doubled = generate_doubled_screened(params, effort.seed, 256).expect("doubled generation");
     rows.push(SystemRow {
         label: "Altered Tornado (dist. doubled)".into(),
         profile: graph_profile(&doubled, effort),
         num_data: 48,
     });
-    let shifted =
-        generate_shifted_screened(params, effort.seed, 256).expect("shifted generation");
+    let shifted = generate_shifted_screened(params, effort.seed, 256).expect("shifted generation");
     rows.push(SystemRow {
         label: "Altered Tornado (dist. shifted)".into(),
         profile: graph_profile(&shifted, effort),
@@ -81,7 +79,11 @@ mod tests {
                 .average_online_given_success(paper_sampling_window(96))
         };
         let best = avg("best");
-        assert!(avg("doubled") > best, "doubled {} vs best {best}", avg("doubled"));
+        assert!(
+            avg("doubled") > best,
+            "doubled {} vs best {best}",
+            avg("doubled")
+        );
         // Regular degree-11 is far worse than the best Tornado graph.
         assert!(avg("Degree = 11") > best);
     }

@@ -43,8 +43,11 @@ fn run_arm(cfg: &LoadConfig, tracer: Option<Tracer>, health: HealthConfig) -> (L
     }
     let handle = serve(server_cfg, store, Arc::new(obs)).expect("bind loopback");
     let addr = handle.local_addr().to_string();
-    let report = run_load(&LoadConfig { addr: addr.clone(), ..cfg.clone() })
-        .expect("load run against in-process server");
+    let report = run_load(&LoadConfig {
+        addr: addr.clone(),
+        ..cfg.clone()
+    })
+    .expect("load run against in-process server");
     let mut admin = Client::connect(&addr).expect("admin connection");
     admin.shutdown().expect("graceful shutdown");
     handle.join();
@@ -83,7 +86,10 @@ fn health_accounting(metrics_json: &str) -> (u64, u64, u64) {
 
 /// Observatory disabled: the control arm and the pure-tracing A/B arms.
 fn health_off() -> HealthConfig {
-    HealthConfig { enabled: false, ..HealthConfig::default() }
+    HealthConfig {
+        enabled: false,
+        ..HealthConfig::default()
+    }
 }
 
 /// Runs the load test.
@@ -123,7 +129,10 @@ pub fn run(effort: &Effort) -> Report {
     };
     let (untraced, _) = run_arm(&ab_cfg, None, health_off());
     let (traced, traced_spans) = run_arm(
-        &LoadConfig { trace_sample: 256, ..ab_cfg.clone() },
+        &LoadConfig {
+            trace_sample: 256,
+            ..ab_cfg.clone()
+        },
         Some(Tracer::new(256, 4096, 16)),
         health_off(),
     );
@@ -163,8 +172,14 @@ pub fn run(effort: &Effort) -> Report {
         ("ops_per_sec_traced_1_in_256", num(traced.ops_per_sec, 1)),
         ("tracing_overhead_frac", num(overhead_frac, 4)),
         ("traced_spans_recorded", Json::U64(traced_spans)),
-        ("ops_per_sec_health_off", num(health_off_report.ops_per_sec, 1)),
-        ("ops_per_sec_health_on", num(health_on_report.ops_per_sec, 1)),
+        (
+            "ops_per_sec_health_off",
+            num(health_off_report.ops_per_sec, 1),
+        ),
+        (
+            "ops_per_sec_health_on",
+            num(health_on_report.ops_per_sec, 1),
+        ),
         ("health_recomputes", Json::U64(steady_recomputes)),
         ("health_compute_frac", num(health_compute_frac, 5)),
     ]);
@@ -206,7 +221,11 @@ pub fn run(effort: &Effort) -> Report {
         );
     }
     let _ = writeln!(out, "ops_per_sec_untraced, {:.0}", untraced.ops_per_sec);
-    let _ = writeln!(out, "ops_per_sec_traced_1_in_256, {:.0}", traced.ops_per_sec);
+    let _ = writeln!(
+        out,
+        "ops_per_sec_traced_1_in_256, {:.0}",
+        traced.ops_per_sec
+    );
     let _ = writeln!(out, "tracing_overhead_pct, {:.2}", overhead_frac * 100.0);
     let _ = writeln!(out, "traced_spans_recorded, {traced_spans}");
     let _ = writeln!(out, "health_recomputes_under_churn, {churn_recomputes}");
@@ -215,8 +234,16 @@ pub fn run(effort: &Effort) -> Report {
         "health_recompute_us_mean_under_churn, {}",
         churn_recompute_us / churn_recomputes.max(1)
     );
-    let _ = writeln!(out, "ops_per_sec_health_off, {:.0}", health_off_report.ops_per_sec);
-    let _ = writeln!(out, "ops_per_sec_health_on, {:.0}", health_on_report.ops_per_sec);
+    let _ = writeln!(
+        out,
+        "ops_per_sec_health_off, {:.0}",
+        health_off_report.ops_per_sec
+    );
+    let _ = writeln!(
+        out,
+        "ops_per_sec_health_on, {:.0}",
+        health_on_report.ops_per_sec
+    );
     let _ = writeln!(out, "health_steady_recomputes, {steady_recomputes}");
     let _ = writeln!(
         out,
@@ -224,11 +251,15 @@ pub fn run(effort: &Effort) -> Report {
         health_compute_frac * 100.0
     );
     assert_eq!(
-        report.payload_mismatches, 0,
+        report.payload_mismatches,
+        0,
         "reads through {} failures must stay byte-perfect",
         FAIL_DEVICES.len()
     );
-    assert!(untraced.ops > 0 && traced.ops > 0, "both A/B arms made progress");
+    assert!(
+        untraced.ops > 0 && traced.ops > 0,
+        "both A/B arms made progress"
+    );
     assert!(
         health_off_report.ops > 0 && health_on_report.ops > 0,
         "both observatory A/B arms made progress"
@@ -254,5 +285,8 @@ pub fn run(effort: &Effort) -> Report {
         "1-in-256 tracing cost {:.1}% ops/s — far beyond its overhead budget",
         overhead_frac * 100.0
     );
-    Report { text: out, data: Some(data) }
+    Report {
+        text: out,
+        data: Some(data),
+    }
 }

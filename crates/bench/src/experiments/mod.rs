@@ -96,7 +96,12 @@ mod tests {
             let report = (e.run)(&effort);
             assert!(!report.text.trim().is_empty(), "{}: empty report", e.name);
             let has_file = std::path::Path::new(&bench_file(e.name)).exists();
-            assert_eq!(report.data.is_some(), has_file, "{}: data vs committed file", e.name);
+            assert_eq!(
+                report.data.is_some(),
+                has_file,
+                "{}: data vs committed file",
+                e.name
+            );
             if let Some(data) = report.data {
                 let text = envelope(e.name, &effort, data.clone()).to_pretty();
                 let doc = json::parse(&text).unwrap_or_else(|err| panic!("{}: {err}", e.name));
@@ -121,22 +126,46 @@ mod tests {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let mut committed = Vec::new();
         for entry in std::fs::read_dir(root).expect("repository root") {
-            let file = entry.expect("dir entry").file_name().to_string_lossy().into_owned();
-            let Some(name) = file.strip_prefix("BENCH_").and_then(|f| f.strip_suffix(".json"))
+            let file = entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned();
+            let Some(name) = file
+                .strip_prefix("BENCH_")
+                .and_then(|f| f.strip_suffix(".json"))
             else {
                 continue;
             };
-            assert!(ALL.iter().any(|e| e.name == name), "{file}: no experiment owns it");
+            assert!(
+                ALL.iter().any(|e| e.name == name),
+                "{file}: no experiment owns it"
+            );
             let text = std::fs::read_to_string(bench_file(name)).expect("read bench file");
             let doc = json::parse(&text).unwrap_or_else(|err| panic!("{file}: {err}"));
-            assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some(SCHEMA), "{file}");
-            assert_eq!(doc.get("bench").and_then(|s| s.as_str()), Some(name), "{file}");
-            assert_eq!(doc.get("mode").and_then(|s| s.as_str()), Some("release"), "{file}");
+            assert_eq!(
+                doc.get("schema").and_then(|s| s.as_str()),
+                Some(SCHEMA),
+                "{file}"
+            );
+            assert_eq!(
+                doc.get("bench").and_then(|s| s.as_str()),
+                Some(name),
+                "{file}"
+            );
+            assert_eq!(
+                doc.get("mode").and_then(|s| s.as_str()),
+                Some("release"),
+                "{file}"
+            );
             assert!(doc.get("data").is_some(), "{file}: no data");
             committed.push(name.to_string());
         }
         for name in BOOTS_SERVERS {
-            assert!(committed.iter().any(|c| c == name), "BENCH_{name}.json is missing");
+            assert!(
+                committed.iter().any(|c| c == name),
+                "BENCH_{name}.json is missing"
+            );
         }
     }
 }

@@ -83,7 +83,9 @@ pub fn measure(object_counts: &[usize]) -> Vec<BackendSweep> {
             )
             .expect("open fresh bench store");
             for i in 0..objects {
-                store.put(&format!("bench-{i}"), &payload_for(i)).expect("put");
+                store
+                    .put(&format!("bench-{i}"), &payload_for(i))
+                    .expect("put");
             }
             drop(store);
 
@@ -107,7 +109,10 @@ pub fn measure(object_counts: &[usize]) -> Vec<BackendSweep> {
                 objects_recovered: report.objects,
             });
         }
-        backends.push(BackendSweep { backend: kind.as_str(), sweep });
+        backends.push(BackendSweep {
+            backend: kind.as_str(),
+            sweep,
+        });
     }
     backends
 }
@@ -118,16 +123,33 @@ pub fn measure(object_counts: &[usize]) -> Vec<BackendSweep> {
 /// the scaling trend is visible), every object recovered, and exactly two
 /// journal records — intent + commit — per clean put.
 pub fn run(effort: &Effort) -> Report {
-    let counts: &[usize] = if effort.quick { &[2, 4, 8] } else { &[16, 64, 256] };
+    let counts: &[usize] = if effort.quick {
+        &[2, 4, 8]
+    } else {
+        &[16, 64, 256]
+    };
     let backends = measure(counts);
 
-    assert!(counts.len() >= 3, "need >= 3 store sizes, got {}", counts.len());
+    assert!(
+        counts.len() >= 3,
+        "need >= 3 store sizes, got {}",
+        counts.len()
+    );
     assert_eq!(backends.len(), 2, "file + segment");
     let mut rows = Vec::new();
     for b in &backends {
-        assert_eq!(b.sweep.len(), counts.len(), "{}: one sweep point per store size", b.backend);
+        assert_eq!(
+            b.sweep.len(),
+            counts.len(),
+            "{}: one sweep point per store size",
+            b.backend
+        );
         for p in &b.sweep {
-            assert_eq!(p.objects_recovered, p.objects, "{}: lost objects", b.backend);
+            assert_eq!(
+                p.objects_recovered, p.objects,
+                "{}: lost objects",
+                b.backend
+            );
             assert_eq!(
                 p.journal_records,
                 p.objects * 2,
@@ -140,7 +162,10 @@ pub fn run(effort: &Effort) -> Report {
                 ("journal_records", Json::U64(p.journal_records as u64)),
                 ("recovery_us", Json::U64(p.recovery_us)),
                 ("open_wall_us", Json::U64(p.open_wall_us)),
-                ("us_per_object", num(p.recovery_us as f64 / p.objects.max(1) as f64, 1)),
+                (
+                    "us_per_object",
+                    num(p.recovery_us as f64 / p.objects.max(1) as f64, 1),
+                ),
             ]));
         }
     }
@@ -158,7 +183,10 @@ pub fn run(effort: &Effort) -> Report {
         ("payload_bytes", Json::U64(PAYLOAD_BYTES as u64)),
         ("points", Json::Arr(rows)),
     ]);
-    Report { text, data: Some(data) }
+    Report {
+        text,
+        data: Some(data),
+    }
 }
 
 #[cfg(test)]

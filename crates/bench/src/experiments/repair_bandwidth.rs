@@ -124,7 +124,13 @@ fn sweep_graph(
                 }
             }
         }
-        let mean = |sum: f64| if repaired == 0 { 0.0 } else { sum / repaired as f64 };
+        let mean = |sum: f64| {
+            if repaired == 0 {
+                0.0
+            } else {
+                sum / repaired as f64
+            }
+        };
         sweep.push(SweepPoint {
             k,
             p_loss: losses as f64 / trials as f64,
@@ -175,8 +181,7 @@ pub fn measure(trials_per_k: u64, ks: &[usize], seed: u64) -> RepairBandwidthRep
     let doubled = tornado_gen::altered::generate_doubled(params, seed).expect("doubled");
     let shifted = tornado_gen::altered::generate_shifted(params, seed).expect("shifted");
     let regular = tornado_gen::regular::generate_regular(48, 4, seed).expect("regular");
-    let cascade =
-        tornado_gen::cascaded::generate_fixed_degree(params, 4, seed).expect("cascade");
+    let cascade = tornado_gen::cascaded::generate_fixed_degree(params, 4, seed).expect("cascade");
     let mirror = tornado_gen::mirror::generate_mirror(48).expect("mirror");
 
     let graphs: [(&'static str, &Graph); 6] = [
@@ -242,7 +247,10 @@ pub fn run(effort: &Effort) -> Report {
         11.0,
         "RAID5 rebuild must contact the other n - 1 = 11 drawer members"
     );
-    assert_eq!(tornado1.p_loss, 0.0, "tornado must survive every single-device loss");
+    assert_eq!(
+        tornado1.p_loss, 0.0,
+        "tornado must survive every single-device loss"
+    );
 
     let text = format!(
         "# Repair-bandwidth bake-off: {trials} random offline patterns per (code, k), {} KiB blocks\n\
@@ -263,7 +271,10 @@ pub fn run(effort: &Effort) -> Report {
         ("trials_per_k", Json::U64(trials)),
         ("points", Json::Arr(rows)),
     ]);
-    Report { text, data: Some(data) }
+    Report {
+        text,
+        data: Some(data),
+    }
 }
 
 #[cfg(test)]

@@ -20,16 +20,20 @@ const LOST: [usize; 4] = [3, 17, 48, 95];
 /// release; a debug build's timings mean nothing): the XOR peeler encodes
 /// faster than the GF(256) code at every block size.
 pub fn run(effort: &Effort) -> Report {
-    let (block_lens, samples): (&[usize], usize) =
-        if effort.quick { (&[1 << 12], 3) } else { (&[1 << 12, 1 << 16], 9) };
+    let (block_lens, samples): (&[usize], usize) = if effort.quick {
+        (&[1 << 12], 3)
+    } else {
+        (&[1 << 12, 1 << 16], 9)
+    };
     let graph = tornado_core::tornado_graph_1();
     let tornado = Codec::new(&graph);
     let rs = ReedSolomon::new(48, 96);
 
     let mut rows = Vec::new();
     for &block_len in block_lens {
-        let data: Vec<Vec<u8>> =
-            (0..48).map(|i| vec![(i * 37 + 11) as u8; block_len]).collect();
+        let data: Vec<Vec<u8>> = (0..48)
+            .map(|i| vec![(i * 37 + 11) as u8; block_len])
+            .collect();
         let t_blocks = tornado.encode(&data).expect("tornado encode");
         let r_blocks = rs.encode(&data).expect("rs encode");
         let stripe_without_lost = |blocks: &[Vec<u8>]| {
@@ -50,7 +54,10 @@ pub fn run(effort: &Effort) -> Report {
                 "decode_4",
                 us(&mut || {
                     let mut stored = stripe_without_lost(&t_blocks);
-                    assert!(tornado.decode(&mut stored).expect("tornado decode").complete());
+                    assert!(tornado
+                        .decode(&mut stored)
+                        .expect("tornado decode")
+                        .complete());
                 }),
                 us(&mut || {
                     let mut stored = stripe_without_lost(&r_blocks);
@@ -80,11 +87,20 @@ pub fn run(effort: &Effort) -> Report {
         csv(&rows)
     );
     let data = obj([
-        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
-        ("rs", Json::Str("ReedSolomon (n = 96, k = 48) over GF(256)".into())),
+        (
+            "graph",
+            Json::Str("tornado_graph_1 (96 nodes, 48 data)".into()),
+        ),
+        (
+            "rs",
+            Json::Str("ReedSolomon (n = 96, k = 48) over GF(256)".into()),
+        ),
         ("samples_per_case", Json::U64(samples as u64)),
         ("units", Json::Str("us_per_stripe".into())),
         ("rows", Json::Arr(rows)),
     ]);
-    Report { text, data: Some(data) }
+    Report {
+        text,
+        data: Some(data),
+    }
 }

@@ -61,7 +61,11 @@ pub fn run(effort: &Effort) -> String {
     for &scrubs in &SCRUBS {
         let mut dec = ErasureDecoder::new(&tornado);
         let r = simulate_lifetime(&base(scrubs), |p| !dec.decode(p));
-        let _ = writeln!(out, "Tornado Graph 1, {scrubs}, {:.6}", r.loss_probability());
+        let _ = writeln!(
+            out,
+            "Tornado Graph 1, {scrubs}, {:.6}",
+            r.loss_probability()
+        );
     }
     out
 }

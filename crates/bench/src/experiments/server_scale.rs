@@ -85,7 +85,10 @@ fn serve_in_process(shards: usize) -> (tornado_server::ServerHandle, String) {
         workers: 4,
         queue_depth: 256,
         shards,
-        health: HealthConfig { enabled: false, ..HealthConfig::default() },
+        health: HealthConfig {
+            enabled: false,
+            ..HealthConfig::default()
+        },
         ..ServerConfig::default()
     };
     let handle =
@@ -189,7 +192,11 @@ fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u6
         connections,
         duration_ms,
         seed,
-        mix: OpMix { put: 10, get: 88, delete: 2 },
+        mix: OpMix {
+            put: 10,
+            get: 88,
+            delete: 2,
+        },
         payload_min: 1 << 10,
         payload_max: 8 << 10,
         prefill: 4,
@@ -201,7 +208,10 @@ fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u6
         let _ = admin.shutdown();
     }
     handle.join();
-    assert_eq!(report.payload_mismatches, 0, "closed-loop GETs must verify byte-for-byte");
+    assert_eq!(
+        report.payload_mismatches, 0,
+        "closed-loop GETs must verify byte-for-byte"
+    );
     report
 }
 
@@ -252,7 +262,12 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
 
     let closed_loop = run_closed_loop(shards, 64, if quick { 800 } else { 1_500 }, seed);
 
-    ScaleResult { shards, sweep_server, sweep, closed_loop }
+    ScaleResult {
+        shards,
+        sweep_server,
+        sweep,
+        closed_loop,
+    }
 }
 
 /// The most p99 (from scheduled arrival) any sweep point may show, µs.
@@ -272,13 +287,20 @@ pub fn run(effort: &Effort) -> Report {
             "only {} of {} connections established",
             p.connected, p.connections
         );
-        assert_eq!(p.errors, 0, "sweep at {} conns hit {} errors", p.connected, p.errors);
+        assert_eq!(
+            p.errors, 0,
+            "sweep at {} conns hit {} errors",
+            p.connected, p.errors
+        );
         assert_eq!(
             p.unanswered, 0,
             "sweep at {} conns left {} requests unanswered",
             p.connected, p.unanswered
         );
-        assert_eq!(p.payload_mismatches, 0, "sweep GETs must verify byte-for-byte");
+        assert_eq!(
+            p.payload_mismatches, 0,
+            "sweep GETs must verify byte-for-byte"
+        );
         assert!(
             p99_us <= P99_CEILING_US,
             "p99 {p99_us} us at {} conns exceeds the {P99_CEILING_US} us ceiling",
@@ -300,7 +322,10 @@ pub fn run(effort: &Effort) -> Report {
         max_conns >= conn_floor,
         "sweep reached {max_conns} concurrent connections — floor is {conn_floor}"
     );
-    assert!(r.closed_loop.ops > 0, "the closed-loop point completed no operations");
+    assert!(
+        r.closed_loop.ops > 0,
+        "the closed-loop point completed no operations"
+    );
 
     let text = format!(
         "# Event-loop connection scaling — open-loop sweep ({} server, {} shards) + 64-conn \
@@ -317,10 +342,16 @@ pub fn run(effort: &Effort) -> Report {
         r.closed_loop.p99_us()
     );
     let data = obj([
-        ("graph", Json::Str("tornado_graph_1 (96 nodes, 48 data)".into())),
+        (
+            "graph",
+            Json::Str("tornado_graph_1 (96 nodes, 48 data)".into()),
+        ),
         ("sweep_server", Json::Str(r.sweep_server.into())),
         ("shards", Json::U64(r.shards as u64)),
-        ("discipline", Json::Str("open_loop_1000_ops_per_sec_scheduled_latency".into())),
+        (
+            "discipline",
+            Json::Str("open_loop_1000_ops_per_sec_scheduled_latency".into()),
+        ),
         ("sweep", Json::Arr(rows)),
         (
             "closed_loop_64_connections",
@@ -337,5 +368,8 @@ pub fn run(effort: &Effort) -> Report {
             ]),
         ),
     ]);
-    Report { text, data: Some(data) }
+    Report {
+        text,
+        data: Some(data),
+    }
 }

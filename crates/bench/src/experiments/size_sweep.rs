@@ -19,7 +19,10 @@ pub const SIZES: [usize; 5] = [16, 32, 48, 96, 128];
 pub fn run(effort: &Effort) -> String {
     let trials = (effort.mc_trials / 10).clamp(500, 50_000);
     let mut out = String::new();
-    let _ = writeln!(out, "# Size sweep — incremental overhead vs graph size, {trials} trials");
+    let _ = writeln!(
+        out,
+        "# Size sweep — incremental overhead vs graph size, {trials} trials"
+    );
     let _ = writeln!(out, "total_nodes, mean_blocks, overhead, min, max");
     for &num_data in &SIZES {
         let params = TornadoParams {

@@ -70,7 +70,11 @@ pub fn run(effort: &Effort) -> String {
         out,
         "# Table 5 — P(fail) for 96-disk systems, AFR = {AFR}, no repair"
     );
-    let _ = writeln!(out, "{:<20} {:>5} {:>7} {:>12}", "System", "Data", "Parity", "P(fail)");
+    let _ = writeln!(
+        out,
+        "{:<20} {:>5} {:>7} {:>12}",
+        "System", "Data", "Parity", "P(fail)"
+    );
     for r in rows(effort) {
         let _ = writeln!(
             out,

@@ -15,7 +15,9 @@ use crate::effort::Effort;
 use std::fmt::Write as _;
 use tornado_codec::ErasureDecoder;
 use tornado_gen::mirror::generate_mirror;
-use tornado_sim::multi::{first_failure_detected, FederatedFailure, FederatedSearchConfig, FederatedSystem};
+use tornado_sim::multi::{
+    first_failure_detected, FederatedFailure, FederatedSearchConfig, FederatedSystem,
+};
 
 /// One Table 7 row.
 pub struct FederationRow {
@@ -66,7 +68,10 @@ pub fn rows(effort: &Effort) -> Vec<FederationRow> {
 /// Runs the experiment and renders the table.
 pub fn run(effort: &Effort) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "# Table 7 — federated multi-graph first failure detected");
+    let _ = writeln!(
+        out,
+        "# Table 7 — federated multi-graph first failure detected"
+    );
     let _ = writeln!(out, "{:<24} {:>22}", "System", "First Failure Detected");
     for row in rows(effort) {
         let _ = writeln!(out, "{:<24} {:>22}", row.label, row.failure.size());

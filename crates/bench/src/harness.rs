@@ -40,7 +40,12 @@ pub fn build_mode() -> &'static str {
 
 /// A JSON object from literal keys, in order.
 pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// `v` rounded to `decimals` places, so committed files diff in the digits
@@ -61,8 +66,10 @@ pub fn csv(rows: &[Json]) -> String {
             let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             let _ = writeln!(out, "{}", keys.join(", "));
         }
-        let cells: Vec<String> =
-            fields.iter().map(|(_, v)| v.as_str().map_or_else(|| v.to_line(), str::to_string)).collect();
+        let cells: Vec<String> = fields
+            .iter()
+            .map(|(_, v)| v.as_str().map_or_else(|| v.to_line(), str::to_string))
+            .collect();
         let _ = writeln!(out, "{}", cells.join(", "));
     }
     out
@@ -87,7 +94,10 @@ pub fn envelope(bench: &str, effort: &Effort, data: Json) -> Json {
             "effort",
             obj([
                 ("mc_trials", Json::U64(effort.mc_trials)),
-                ("exhaustive_max_k", Json::U64(effort.exhaustive_max_k as u64)),
+                (
+                    "exhaustive_max_k",
+                    Json::U64(effort.exhaustive_max_k as u64),
+                ),
                 ("seed", Json::U64(effort.seed)),
                 ("quick", Json::Bool(effort.quick)),
             ]),
@@ -198,7 +208,11 @@ pub fn paper_sampling_window(num_nodes: usize) -> std::ops::RangeInclusive<usize
 pub fn render_summary_table(title: &str, rows: &[SystemRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
-    let _ = writeln!(out, "{:<36} {:>13} {:>24}", "System", "First Failure", "Avg to Reconstruct");
+    let _ = writeln!(
+        out,
+        "{:<36} {:>13} {:>24}",
+        "System", "First Failure", "Avg to Reconstruct"
+    );
     for row in rows {
         let avg = row
             .profile

@@ -162,7 +162,10 @@ pub fn rank(n: usize, combo: &[usize]) -> u128 {
     let mut r: u128 = 0;
     let mut prev: isize = -1;
     for (i, &c) in combo.iter().enumerate() {
-        debug_assert!(c < n && c as isize > prev, "combination must be sorted, unique, in-range");
+        debug_assert!(
+            c < n && c as isize > prev,
+            "combination must be sorted, unique, in-range"
+        );
         // Count combinations whose element at position i is smaller than c
         // while positions 0..i match.
         for v in (prev + 1) as usize..c {

@@ -22,12 +22,21 @@ impl ParsedArgs {
             if key.is_empty() {
                 return Err("empty flag name".into());
             }
-            let next_is_value = argv.get(i + 1).map(|n| !n.starts_with("--")).unwrap_or(false);
+            let next_is_value = argv
+                .get(i + 1)
+                .map(|n| !n.starts_with("--"))
+                .unwrap_or(false);
             if next_is_value {
-                values.entry(key.to_string()).or_default().push(argv[i + 1].clone());
+                values
+                    .entry(key.to_string())
+                    .or_default()
+                    .push(argv[i + 1].clone());
                 i += 2;
             } else {
-                values.entry(key.to_string()).or_default().push("true".into());
+                values
+                    .entry(key.to_string())
+                    .or_default()
+                    .push("true".into());
                 i += 1;
             }
         }
@@ -41,7 +50,10 @@ impl ParsedArgs {
 
     /// Last value of a flag, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).and_then(|v| v.last()).map(|s| s.as_str())
+        self.values
+            .get(key)
+            .and_then(|v| v.last())
+            .map(|s| s.as_str())
     }
 
     /// All values of a repeatable flag.
@@ -65,7 +77,8 @@ impl ParsedArgs {
 
     /// A required flag.
     pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing required --{key}"))
+        self.get(key)
+            .ok_or_else(|| format!("missing required --{key}"))
     }
 
     /// Whether a boolean flag was passed.

@@ -215,8 +215,8 @@ impl<'g> Codec<'g> {
             };
             // A peel starts from its check block, a re-encode from zero;
             // both then fold in the check's other neighbours.
-            let via_block = (via != node)
-                .then(|| block(via).expect("schedule guarantees via is present"));
+            let via_block =
+                (via != node).then(|| block(via).expect("schedule guarantees via is present"));
             let mut acc = Vec::new();
             let dst = if at < d {
                 match via_block {
@@ -234,8 +234,8 @@ impl<'g> Codec<'g> {
             let mut deepest = via_block.map_or(0, |_| depth[via as usize]);
             for &nbr in self.graph.check_neighbors(via) {
                 if nbr != node {
-                    let b = block(nbr)
-                        .expect("schedule guarantees the other neighbours are present");
+                    let b =
+                        block(nbr).expect("schedule guarantees the other neighbours are present");
                     xor_into(dst, b);
                     deepest = deepest.max(depth[nbr as usize]);
                 }
@@ -398,7 +398,9 @@ mod tests {
     }
 
     fn sample_data(len: usize) -> Vec<Vec<u8>> {
-        (0..4u8).map(|i| vec![i.wrapping_mul(37).wrapping_add(1); len]).collect()
+        (0..4u8)
+            .map(|i| vec![i.wrapping_mul(37).wrapping_add(1); len])
+            .collect()
     }
 
     #[test]
@@ -421,7 +423,10 @@ mod tests {
         let c = Codec::new(&g);
         assert!(matches!(
             c.encode(&sample_data(8)[..3]),
-            Err(CodecError::WrongBlockCount { got: 3, expected: 4 })
+            Err(CodecError::WrongBlockCount {
+                got: 3,
+                expected: 4
+            })
         ));
         let mut uneven = sample_data(8);
         uneven[2] = vec![0; 9];
@@ -471,7 +476,10 @@ mod tests {
         let mut short: Vec<Option<Vec<u8>>> = vec![Some(vec![0u8; 4]); 6];
         assert!(matches!(
             c.decode(&mut short),
-            Err(CodecError::WrongStripeWidth { got: 6, expected: 7 })
+            Err(CodecError::WrongStripeWidth {
+                got: 6,
+                expected: 7
+            })
         ));
         let mut empty: Vec<Option<Vec<u8>>> = vec![None; 7];
         assert!(matches!(c.decode(&mut empty), Err(CodecError::EmptyStripe)));
@@ -492,7 +500,9 @@ mod tests {
             let stripe = EncodedStripe::from_object(&c, &payload).unwrap();
             let mut stored: Vec<Option<Vec<u8>>> =
                 stripe.blocks().iter().cloned().map(Some).collect();
-            let out = EncodedStripe::recover_object(&c, &mut stored).unwrap().unwrap();
+            let out = EncodedStripe::recover_object(&c, &mut stored)
+                .unwrap()
+                .unwrap();
             assert_eq!(out, payload, "size {size}");
         }
     }
@@ -519,11 +529,13 @@ mod tests {
         let g = cascade();
         let c = Codec::new(&g);
         let stripe = EncodedStripe::from_object(&c, b"payload").unwrap();
-        let mut stored: Vec<Option<Vec<u8>>> =
-            stripe.blocks().iter().cloned().map(Some).collect();
+        let mut stored: Vec<Option<Vec<u8>>> = stripe.blocks().iter().cloned().map(Some).collect();
         stored[0] = None;
         stored[1] = None;
-        assert_eq!(EncodedStripe::recover_object(&c, &mut stored).unwrap(), None);
+        assert_eq!(
+            EncodedStripe::recover_object(&c, &mut stored).unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -541,7 +553,11 @@ mod tests {
             let mut framed = vec![0x5Au8; 4 * 6];
             framed[..LEN_HEADER].copy_from_slice(&header.to_le_bytes());
             let range = EncodedStripe::payload_range(&framed);
-            assert_eq!(range, fits.map(|len| LEN_HEADER..LEN_HEADER + len), "header {header}");
+            assert_eq!(
+                range,
+                fits.map(|len| LEN_HEADER..LEN_HEADER + len),
+                "header {header}"
+            );
             let data: Vec<Vec<u8>> = framed.chunks(6).map(<[u8]>::to_vec).collect();
             let mut stored: Vec<Option<Vec<u8>>> =
                 c.encode(&data).unwrap().into_iter().map(Some).collect();
@@ -550,11 +566,22 @@ mod tests {
         }
         // Four one-byte data blocks: no room for a header at all.
         for short in 0..LEN_HEADER {
-            assert_eq!(EncodedStripe::payload_range(&vec![0xFF; short]), None, "{short} bytes");
+            assert_eq!(
+                EncodedStripe::payload_range(&vec![0xFF; short]),
+                None,
+                "{short} bytes"
+            );
         }
-        let mut stored: Vec<Option<Vec<u8>>> =
-            c.encode(&vec![vec![0xFF]; 4]).unwrap().into_iter().map(Some).collect();
-        assert_eq!(EncodedStripe::recover_object(&c, &mut stored).unwrap(), None);
+        let mut stored: Vec<Option<Vec<u8>>> = c
+            .encode(&vec![vec![0xFF]; 4])
+            .unwrap()
+            .into_iter()
+            .map(Some)
+            .collect();
+        assert_eq!(
+            EncodedStripe::recover_object(&c, &mut stored).unwrap(),
+            None
+        );
     }
 
     #[test]
@@ -583,7 +610,20 @@ mod tests {
             let k = g.num_data();
             // The last fills its `k` blocks of 1,366 bytes with no padding.
             let exact_fit = k * 1_366 - 8;
-            for size in [0, 1, 7, 8, 9, 40, 41, 65_535, 65_536, 65_537, 1 << 20, exact_fit] {
+            for size in [
+                0,
+                1,
+                7,
+                8,
+                9,
+                40,
+                41,
+                65_535,
+                65_536,
+                65_537,
+                1 << 20,
+                exact_fit,
+            ] {
                 let payload: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
                 let block_len = (size + 8).div_ceil(k).max(1);
                 let mut framed = vec![0u8; k * block_len];

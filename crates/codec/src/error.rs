@@ -38,7 +38,11 @@ impl fmt::Display for CodecError {
             CodecError::WrongBlockCount { got, expected } => {
                 write!(f, "expected {expected} data blocks, got {got}")
             }
-            CodecError::UnequalBlockLengths { index, expected, got } => write!(
+            CodecError::UnequalBlockLengths {
+                index,
+                expected,
+                got,
+            } => write!(
                 f,
                 "block {index} has length {got}, but block 0 has length {expected}"
             ),
@@ -58,9 +62,15 @@ mod tests {
 
     #[test]
     fn messages_mention_counts() {
-        let e = CodecError::WrongBlockCount { got: 3, expected: 48 };
+        let e = CodecError::WrongBlockCount {
+            got: 3,
+            expected: 48,
+        };
         assert!(e.to_string().contains('3') && e.to_string().contains("48"));
-        let e = CodecError::WrongStripeWidth { got: 95, expected: 96 };
+        let e = CodecError::WrongStripeWidth {
+            got: 95,
+            expected: 96,
+        };
         assert!(e.to_string().contains("95"));
     }
 }

@@ -607,7 +607,11 @@ mod tests {
             assert_ne!(checksum(&t), base, "flip at {i} must change the digest");
         }
         assert_ne!(checksum(&data[..256]), base, "length is part of the digest");
-        assert_ne!(checksum(&[]), checksum(&[0]), "a single zero byte is visible");
+        assert_ne!(
+            checksum(&[]),
+            checksum(&[0]),
+            "a single zero byte is visible"
+        );
     }
 
     #[test]

@@ -58,7 +58,12 @@ impl<'g> LaneDecoder<'g> {
 
     /// Creates a decoder bound to `graph` with every lane empty.
     pub fn new(graph: &'g Graph) -> Self {
-        Self { graph, missing: vec![NONE; graph.num_nodes()], failed: NONE, rec: DecodeRecorder::disabled() }
+        Self {
+            graph,
+            missing: vec![NONE; graph.num_nodes()],
+            failed: NONE,
+            rec: DecodeRecorder::disabled(),
+        }
     }
 
     /// Turns kernel instrumentation on or off (off by default); see
@@ -92,7 +97,11 @@ impl<'g> LaneDecoder<'g> {
     /// Peels every lane to its verdict and returns how many of the first
     /// `group` lanes cannot reconstruct their data.
     pub fn run(&mut self, group: usize) -> u64 {
-        assert!(group <= Self::LANES, "group of {group} exceeds {} lanes", Self::LANES);
+        assert!(
+            group <= Self::LANES,
+            "group of {group} exceeds {} lanes",
+            Self::LANES
+        );
         let recoveries = self.peel();
         let mut loaded = NONE;
         rows::fill_range(&mut loaded, 0, group);
@@ -112,7 +121,9 @@ impl<'g> LaneDecoder<'g> {
 
     /// The lanes that miss a data node right now.
     fn needy(&self) -> Lanes {
-        self.missing[..self.graph.num_data()].iter().fold(NONE, |acc, &w| or(acc, w))
+        self.missing[..self.graph.num_data()]
+            .iter()
+            .fold(NONE, |acc, &w| or(acc, w))
     }
 
     /// Sweeps the checks, deepest first (a rebuilt check serves the

@@ -118,10 +118,26 @@ mod tests {
         let expected = [
             (cells::TRIALS, "decode.trials", &m.trials),
             (cells::FAILURES, "decode.failures", &m.failures),
-            (cells::PREFIX_BEGINS, "decode.prefix_begins", &m.prefix_begins),
-            (cells::PREFIX_REUSE_HITS, "decode.prefix_reuse_hits", &m.prefix_reuse_hits),
-            (cells::PREFIX_COLLISIONS, "decode.prefix_collisions", &m.prefix_collisions),
-            (cells::MONOTONE_SHORTCUTS, "decode.monotone_shortcuts", &m.monotone_shortcuts),
+            (
+                cells::PREFIX_BEGINS,
+                "decode.prefix_begins",
+                &m.prefix_begins,
+            ),
+            (
+                cells::PREFIX_REUSE_HITS,
+                "decode.prefix_reuse_hits",
+                &m.prefix_reuse_hits,
+            ),
+            (
+                cells::PREFIX_COLLISIONS,
+                "decode.prefix_collisions",
+                &m.prefix_collisions,
+            ),
+            (
+                cells::MONOTONE_SHORTCUTS,
+                "decode.monotone_shortcuts",
+                &m.monotone_shortcuts,
+            ),
             (cells::RECOVERIES, "decode.recoveries", &m.recoveries),
         ];
         assert_eq!(expected.len(), cells::COUNT);

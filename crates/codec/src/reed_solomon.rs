@@ -95,7 +95,12 @@ impl ReedSolomon {
                     .collect()
             })
             .collect();
-        Self { k, n, field, parity_rows }
+        Self {
+            k,
+            n,
+            field,
+            parity_rows,
+        }
     }
 
     /// Number of data blocks.
@@ -154,7 +159,10 @@ impl ReedSolomon {
     /// Decodes a stripe in place: any `k` present blocks reconstruct all
     /// data (and the report lists recovered data indices). Returns
     /// `lost_data` non-empty only when fewer than `k` blocks survive.
-    pub fn decode(&self, stored: &mut [Option<Vec<u8>>]) -> Result<crate::DecodeReport, CodecError> {
+    pub fn decode(
+        &self,
+        stored: &mut [Option<Vec<u8>>],
+    ) -> Result<crate::DecodeReport, CodecError> {
         if stored.len() != self.n {
             return Err(CodecError::WrongStripeWidth {
                 got: stored.len(),

@@ -127,7 +127,10 @@ impl<'g> DenseDecoder<'g> {
                         .find(|&n| !self.available[n as usize])
                         .expect("missing_count said one neighbour is missing");
                     if let Some(s) = schedule.as_deref_mut() {
-                        s.push(RecoveryStep::Peel { node: missing, via: c });
+                        s.push(RecoveryStep::Peel {
+                            node: missing,
+                            via: c,
+                        });
                     }
                     self.make_available(missing);
                 }

@@ -116,7 +116,11 @@ proptest! {
 /// At `d = k` this is what a GET holds after its data pass.
 fn split_layout(blocks: &[Vec<u8>], d: usize, erased: &[usize]) -> (Vec<u8>, Vec<Option<Vec<u8>>>) {
     let gone = |i: &usize| erased.contains(i);
-    let front = (0..d).flat_map(|i| blocks[i].iter().map(move |&b| if gone(&i) { 0xA5 } else { b }));
+    let front = (0..d).flat_map(|i| {
+        blocks[i]
+            .iter()
+            .map(move |&b| if gone(&i) { 0xA5 } else { b })
+    });
     let rest = (d..blocks.len()).map(|i| (!gone(&i)).then(|| blocks[i].clone()));
     (front.collect(), rest.collect())
 }
@@ -124,8 +128,16 @@ fn split_layout(blocks: &[Vec<u8>], d: usize, erased: &[usize]) -> (Vec<u8>, Vec
 /// What `step` must rebuild, from the encoded `blocks`, one byte at a time.
 fn equation_by_oracle(graph: &Graph, blocks: &[Vec<u8>], step: &RecoveryStep) -> Vec<u8> {
     let (node, via) = step.node_and_check();
-    let mut acc = if via == node { vec![0; blocks[0].len()] } else { blocks[via as usize].clone() };
-    for &nbr in graph.check_neighbors(via).iter().filter(|&&nbr| nbr != node) {
+    let mut acc = if via == node {
+        vec![0; blocks[0].len()]
+    } else {
+        blocks[via as usize].clone()
+    };
+    for &nbr in graph
+        .check_neighbors(via)
+        .iter()
+        .filter(|&&nbr| nbr != node)
+    {
         kernels::scalar::xor_into(&mut acc, &blocks[nbr as usize]);
     }
     acc
@@ -137,27 +149,50 @@ fn equation_by_oracle(graph: &Graph, blocks: &[Vec<u8>], step: &RecoveryStep) ->
 /// rebuilt block is the encoded one and the oracle's, every layout reports
 /// one depth, and [`Codec::decode`] is the `d = 0` replay. `case` names
 /// the inputs.
-fn assert_replay_rebuilds(graph: &Graph, block_len: usize, seed: u64, erased: &[usize], case: &str) {
+fn assert_replay_rebuilds(
+    graph: &Graph,
+    block_len: usize,
+    seed: u64,
+    erased: &[usize],
+    case: &str,
+) {
     let codec = Codec::new(graph);
     let (n, k) = (graph.num_nodes(), graph.num_data());
-    let data: Vec<Vec<u8>> = (0..k).map(|i| bytes(block_len, seed ^ (i as u64) << 20)).collect();
+    let data: Vec<Vec<u8>> = (0..k)
+        .map(|i| bytes(block_len, seed ^ (i as u64) << 20))
+        .collect();
     let blocks = codec.encode(&data).expect("encode");
     let detail = ErasureDecoder::new(graph).decode_detailed(erased);
 
-    let mut apart: Vec<Option<Vec<u8>>> =
-        (0..n).map(|i| (!erased.contains(&i)).then(|| blocks[i].clone())).collect();
+    let mut apart: Vec<Option<Vec<u8>>> = (0..n)
+        .map(|i| (!erased.contains(&i)).then(|| blocks[i].clone()))
+        .collect();
     let mut decoded = apart.clone();
     let depth = codec.replay(&detail.schedule, &mut [], &mut apart);
     for step in &detail.schedule {
         let node = step.node_and_check().0 as usize;
         let expect = &blocks[node];
-        assert!(*expect == equation_by_oracle(graph, &blocks, step), "oracle, node {node}, {case}");
-        assert!(apart[node].as_ref() == Some(expect), "d = 0, node {node}, {case}");
+        assert!(
+            *expect == equation_by_oracle(graph, &blocks, step),
+            "oracle, node {node}, {case}"
+        );
+        assert!(
+            apart[node].as_ref() == Some(expect),
+            "d = 0, node {node}, {case}"
+        );
     }
     for d in [k, n] {
         let (mut front, mut rest) = split_layout(&blocks, d, erased);
-        assert_eq!(codec.replay(&detail.schedule, &mut front, &mut rest), depth, "depth, d = {d}, {case}");
-        for node in detail.schedule.iter().map(|step| step.node_and_check().0 as usize) {
+        assert_eq!(
+            codec.replay(&detail.schedule, &mut front, &mut rest),
+            depth,
+            "depth, d = {d}, {case}"
+        );
+        for node in detail
+            .schedule
+            .iter()
+            .map(|step| step.node_and_check().0 as usize)
+        {
             let rebuilt = match node.checked_sub(d) {
                 None => &front[node * block_len..][..block_len],
                 Some(i) => rest[i].as_deref().expect("rebuilt"),
@@ -165,7 +200,10 @@ fn assert_replay_rebuilds(graph: &Graph, block_len: usize, seed: u64, erased: &[
             assert!(rebuilt == &blocks[node][..], "d = {d}, node {node}, {case}");
         }
         if detail.success {
-            assert!(front[..k * block_len] == blocks[..k].concat(), "data half, d = {d}, {case}");
+            assert!(
+                front[..k * block_len] == blocks[..k].concat(),
+                "data half, d = {d}, {case}"
+            );
         }
     }
     let report = codec.decode(&mut decoded).expect("decode");
@@ -226,8 +264,19 @@ fn hand_graph() -> Graph {
 #[test]
 fn replay_rebuilds_holes_wherever_they_fall_in_the_data_half() {
     let g = hand_graph();
-    for erased in [&[0usize][..], &[3], &[0, 1], &[1, 2], &[2], &[0, 4], &[4, 6]] {
-        assert!(ErasureDecoder::new(&g).decode_detailed(erased).success, "{erased:?}");
+    for erased in [
+        &[0usize][..],
+        &[3],
+        &[0, 1],
+        &[1, 2],
+        &[2],
+        &[0, 4],
+        &[4, 6],
+    ] {
+        assert!(
+            ErasureDecoder::new(&g).decode_detailed(erased).success,
+            "{erased:?}"
+        );
         for block_len in [1usize, 7, 4096] {
             let case = format!("hand graph, block_len {block_len}, erased {erased:?}");
             assert_replay_rebuilds(&g, block_len, 0xC0FFEE, erased, &case);

@@ -118,7 +118,10 @@ fn graph_of_size(n: usize, seed: u64) -> Graph {
     let mut b = GraphBuilder::new(num_data);
     let num_checks = n - num_data;
     let (half, quarter) = (num_checks / 2, num_checks / 4);
-    for (level, size) in [half, quarter, num_checks - half - quarter].into_iter().enumerate() {
+    for (level, size) in [half, quarter, num_checks - half - quarter]
+        .into_iter()
+        .enumerate()
+    {
         b.begin_level(&format!("c{level}"));
         for _ in 0..size {
             let below = b.num_nodes();
@@ -187,7 +190,10 @@ fn lane_pattern(g: &Graph, lane: usize, k: usize, seed: u64) -> Vec<usize> {
     let seed = seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     match lane % 8 {
         0 => Vec::new(),
-        1 => derive_pattern(n - num_data, k, seed).into_iter().map(|c| num_data + c).collect(),
+        1 => derive_pattern(n - num_data, k, seed)
+            .into_iter()
+            .map(|c| num_data + c)
+            .collect(),
         2 => (0..n).collect(),
         3 => derive_pattern(n, k, seed).repeat(2),
         _ => derive_pattern(n, (k + lane) % (n / 2 + 1), seed),
@@ -210,7 +216,12 @@ fn assert_lane_parity(g: &Graph, lanes: &mut LaneDecoder, base: &[usize], patter
         let full: Vec<usize> = base.iter().chain(pattern).copied().collect();
         let decodes = row.decode(&full);
         assert_eq!(decodes, dense.decode(&full), "{full:?}");
-        assert_eq!(!lanes.failed(lane), decodes, "lane {lane} of {}: {full:?}", patterns.len());
+        assert_eq!(
+            !lanes.failed(lane),
+            decodes,
+            "lane {lane} of {}: {full:?}",
+            patterns.len()
+        );
         expected += u64::from(!decodes);
     }
     assert_eq!(failures, expected, "group of {}", patterns.len());
@@ -221,17 +232,29 @@ fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) {
     let mut lanes = LaneDecoder::new(g);
     for (i, &group) in GROUP_SIZES.iter().enumerate() {
         let seed = seed.rotate_left(i as u32);
-        let patterns: Vec<Vec<usize>> = (0..group).map(|lane| lane_pattern(g, lane, k, seed)).collect();
+        let patterns: Vec<Vec<usize>> = (0..group)
+            .map(|lane| lane_pattern(g, lane, k, seed))
+            .collect();
         assert_lane_parity(g, &mut lanes, &[], &patterns);
-        assert_lane_parity(g, &mut lanes, &derive_pattern(g.num_nodes(), 1 + i % 3, seed), &patterns);
+        assert_lane_parity(
+            g,
+            &mut lanes,
+            &derive_pattern(g.num_nodes(), 1 + i % 3, seed),
+            &patterns,
+        );
     }
 }
 
 /// The size sweep's largest graph: 128 data + 128 checks.
 #[test]
 fn lanes_match_row_and_dense_on_a_256_node_tornado_graph() {
-    let params = TornadoParams { num_data: 128, ..TornadoParams::default() };
-    let (g, _) = TornadoGenerator::new(params).generate_screened(7, 256, 2).unwrap();
+    let params = TornadoParams {
+        num_data: 128,
+        ..TornadoParams::default()
+    };
+    let (g, _) = TornadoGenerator::new(params)
+        .generate_screened(7, 256, 2)
+        .unwrap();
     assert_eq!(g.num_nodes(), 256);
     for k in [3usize, 40, 100] {
         assert_lane_parity_at_every_group_size(&g, k, 0xC0FFEE ^ k as u64);
@@ -247,23 +270,37 @@ fn a_lane_does_not_see_its_neighbours() {
     let mut lanes = LaneDecoder::new(&g);
     let mut row = ErasureDecoder::new(&g);
     let mut verdicts = [0usize; 2];
-    for (i, lane) in [0usize, 63, 64, 65, LaneDecoder::LANES - 1].into_iter().enumerate() {
+    for (i, lane) in [0usize, 63, 64, 65, LaneDecoder::LANES - 1]
+        .into_iter()
+        .enumerate()
+    {
         for k in [2usize, 20, 45, 70] {
             let pattern = derive_pattern(n, k, 977 * (i + k) as u64);
             let decodes = row.decode(&pattern);
             verdicts[usize::from(decodes)] += 1;
             lanes.load(lane, &pattern);
             lanes.run(LaneDecoder::LANES);
-            assert_eq!(!lanes.failed(lane), decodes, "alone in lane {lane}: {pattern:?}");
+            assert_eq!(
+                !lanes.failed(lane),
+                decodes,
+                "alone in lane {lane}: {pattern:?}"
+            );
             for other in (0..LaneDecoder::LANES).filter(|&o| o != lane) {
                 lanes.load(other, &lane_pattern(&g, other, k, 31 + k as u64));
             }
             lanes.load(lane, &pattern);
             lanes.run(LaneDecoder::LANES);
-            assert_eq!(!lanes.failed(lane), decodes, "lane {lane} in a full group: {pattern:?}");
+            assert_eq!(
+                !lanes.failed(lane),
+                decodes,
+                "lane {lane} in a full group: {pattern:?}"
+            );
         }
     }
-    assert!(verdicts[0] > 0 && verdicts[1] > 0, "both verdicts exercised: {verdicts:?}");
+    assert!(
+        verdicts[0] > 0 && verdicts[1] > 0,
+        "both verdicts exercised: {verdicts:?}"
+    );
 }
 
 /// One strip of `append_checksummed` (it copies and hashes 4 KiB at a time).

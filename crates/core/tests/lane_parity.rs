@@ -24,7 +24,8 @@ use tornado_sim::multi::FederatedSystem;
 const BATCH: u64 = 4096;
 
 fn mix(seed: u64, k: u64, batch: u64) -> u64 {
-    let mut z = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let mut z =
+        seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -35,7 +36,9 @@ fn mix(seed: u64, k: u64, batch: u64) -> u64 {
 /// verbatim). Its batches ran on rayon workers; their failure counts were
 /// summed, so a plain loop over the batches gives the same total.
 fn scalar_sample_level(graph: &Graph, base: &[usize], k: usize, trials: u64, seed: u64) -> u64 {
-    let rest: Vec<usize> = (0..graph.num_nodes()).filter(|v| !base.contains(v)).collect();
+    let rest: Vec<usize> = (0..graph.num_nodes())
+        .filter(|v| !base.contains(v))
+        .collect();
     let n = rest.len();
     if k == 0 {
         return 0;
@@ -73,7 +76,9 @@ fn scalar_exact_row(graph: &Graph, missing: &[usize], j: usize) -> u64 {
     if j == 0 {
         return !dec.decode(missing) as u64;
     }
-    let remaining: Vec<usize> = (0..graph.num_nodes()).filter(|i| !missing.contains(i)).collect();
+    let remaining: Vec<usize> = (0..graph.num_nodes())
+        .filter(|i| !missing.contains(i))
+        .collect();
     let mut failures = 0u64;
     let mut scratch = missing.to_vec();
     let mut subsets = CombinationIter::new(remaining.len(), j);
@@ -162,9 +167,15 @@ fn sample_level_equals_the_scalar_loop_at_every_thread_count() {
     // Three batches, so two and five workers split them differently.
     let g = tornado_graph_1();
     let expected = scalar_sample_level(&g, &[], 30, 10_000, 42);
-    assert!(expected > 0 && expected < 10_000, "a level with both verdicts");
+    assert!(
+        expected > 0 && expected < 10_000,
+        "a level with both verdicts"
+    );
     for threads in [1usize, 2, 5] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
         let got = pool.install(|| sample_level(&g, 30, 10_000, 42));
         assert_eq!(got, expected, "{threads} threads");
     }
@@ -178,7 +189,12 @@ fn sampled_conditional_rows_equal_the_scalar_loop() {
     // patterns) sampled; on the regular graph rows from 3 on are sampled.
     let regular = generate_regular(24, 3, 3).unwrap();
     let cases: [(&Graph, &[usize], u64, &[usize]); 2] = [
-        (&tornado_graph_1(), &[7, 29, 55, 88], 4_100, &[2, 3, 4, 5, 6, 7, 8, 16, 24, 32]),
+        (
+            &tornado_graph_1(),
+            &[7, 29, 55, 88],
+            4_100,
+            &[2, 3, 4, 5, 6, 7, 8, 16, 24, 32],
+        ),
         (&regular, &[1, 7], 2_000, &[3, 4, 5, 6, 7, 8]),
     ];
     for (g, missing, trials, js) in cases {
@@ -189,7 +205,10 @@ fn sampled_conditional_rows_equal_the_scalar_loop() {
         };
         let profile = conditional_failure_profile(g, missing, &cfg);
         let last = profile.entry(cfg.max_k);
-        assert!(0 < last.failures && last.failures < trials, "both verdicts occur: {last:?}");
+        assert!(
+            0 < last.failures && last.failures < trials,
+            "both verdicts occur: {last:?}"
+        );
         for &j in js {
             let row = profile.entry(j);
             assert!(!row.exact && row.trials == trials, "j = {j}: {row:?}");
@@ -211,19 +230,30 @@ fn exact_rows_and_risk_margins_equal_the_scalar_enumeration() {
     // two losses from failing; every other case is past the cap of 2.
     let g = tornado_graph_1();
     let n = g.num_nodes();
-    let cfg = ConditionalConfig { trials_per_k: 5_000, seed: 1, max_k: 2 };
+    let cfg = ConditionalConfig {
+        trials_per_k: 5_000,
+        seed: 1,
+        max_k: 2,
+    };
     let mut margins = Vec::new();
-    for devices in [&[][..], &[3, 17], &[7, 29, 55, 88], &[5, 12, 40, 41, 77, 90]] {
+    for devices in [
+        &[][..],
+        &[3, 17],
+        &[7, 29, 55, 88],
+        &[5, 12, 40, 41, 77, 90],
+    ] {
         for rotation in [0, 41, 63] {
-            let mut missing: Vec<usize> =
-                devices.iter().map(|&d| (d + n - rotation) % n).collect();
+            let mut missing: Vec<usize> = devices.iter().map(|&d| (d + n - rotation) % n).collect();
             missing.sort_unstable();
             // A healthy fleet samples every row, as the offline profile does.
             if !missing.is_empty() {
                 let profile = conditional_failure_profile(&g, &missing, &cfg);
                 for j in 0..=cfg.max_k {
                     let row = profile.entry(j);
-                    assert!(row.exact, "missing {missing:?}, row {j} is enumerable: {row:?}");
+                    assert!(
+                        row.exact,
+                        "missing {missing:?}, row {j} is enumerable: {row:?}"
+                    );
                     assert_eq!(
                         row.failures,
                         scalar_exact_row(&g, &missing, j),
@@ -232,7 +262,11 @@ fn exact_rows_and_risk_margins_equal_the_scalar_enumeration() {
                 }
             }
             let margin = risk_margin(&g, &missing, 2);
-            assert_eq!(margin, scalar_risk_margin(&g, &missing, 2), "missing {missing:?}");
+            assert_eq!(
+                margin,
+                scalar_risk_margin(&g, &missing, 2),
+                "missing {missing:?}"
+            );
             margins.push(margin);
         }
     }

@@ -39,11 +39,7 @@ fn seeded_regular_graph_failure_counts_are_pinned() {
     assert!(l4.truncated);
     assert_eq!(
         l4.failure_sets,
-        vec![
-            vec![0, 15, 19, 21],
-            vec![1, 2, 13, 15],
-            vec![1, 12, 13, 20],
-        ],
+        vec![vec![0, 15, 19, 21], vec![1, 2, 13, 15], vec![1, 12, 13, 20],],
         "lex-smallest collected sets under the cap"
     );
 
@@ -77,11 +73,23 @@ fn provenance_failure_counts_are_rederived_to_k6() {
             let k: usize = k[1..].parse().unwrap();
             let (failures, cases) = counts.split_once('/').unwrap();
             let level = search_level(g, k, 0);
-            assert_eq!(level.failures, failures.parse::<u64>().unwrap(), "{label}, k = {k}");
-            assert_eq!(level.cases, cases.parse::<u128>().unwrap(), "{label}, k = {k}");
+            assert_eq!(
+                level.failures,
+                failures.parse::<u64>().unwrap(),
+                "{label}, k = {k}"
+            );
+            assert_eq!(
+                level.cases,
+                cases.parse::<u128>().unwrap(),
+                "{label}, k = {k}"
+            );
             depths.push(k);
         }
         assert_eq!(depths, [5, 6], "{label}: {line}");
     }
-    assert!(provenance.lines().next().unwrap().ends_with("k6 failures 1240/927048304"));
+    assert!(provenance
+        .lines()
+        .next()
+        .unwrap()
+        .ends_with("k6 failures 1240/927048304"));
 }

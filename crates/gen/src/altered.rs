@@ -81,7 +81,10 @@ mod tests {
     #[test]
     fn altered_graphs_are_valid_and_rate_half() {
         let p = TornadoParams::paper_96();
-        for g in [generate_doubled(p, 5).unwrap(), generate_shifted(p, 5).unwrap()] {
+        for g in [
+            generate_doubled(p, 5).unwrap(),
+            generate_shifted(p, 5).unwrap(),
+        ] {
             g.validate().unwrap();
             assert_eq!(g.num_data(), 48);
             assert_eq!(g.num_checks(), 48);

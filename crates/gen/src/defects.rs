@@ -153,7 +153,10 @@ mod tests {
         let g = b.build().unwrap();
         let sets = find_stopping_sets(&g, 3);
         assert!(sets.contains(&vec![0, 1]), "sets: {sets:?}");
-        assert!(!sets.contains(&vec![0, 1, 2]), "superset suppressed: {sets:?}");
+        assert!(
+            !sets.contains(&vec![0, 1, 2]),
+            "superset suppressed: {sets:?}"
+        );
     }
 
     #[test]

@@ -116,7 +116,9 @@ mod tests {
     use super::*;
 
     fn poly(coeffs: &[f64]) -> EdgePolynomial {
-        EdgePolynomial { coeffs: coeffs.to_vec() }
+        EdgePolynomial {
+            coeffs: coeffs.to_vec(),
+        }
     }
 
     #[test]
@@ -165,7 +167,10 @@ mod tests {
         let lambda = poly(&[0.0, 0.0, 1.0]);
         let rho = poly(&[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
         assert!(decodes_at(&lambda, &rho, 0.01), "tiny loss always decodes");
-        assert!(!decodes_at(&lambda, &rho, 0.99), "near-total loss never does");
+        assert!(
+            !decodes_at(&lambda, &rho, 0.99),
+            "near-total loss never does"
+        );
     }
 
     #[test]

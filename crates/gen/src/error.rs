@@ -72,7 +72,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = GenError::DistributionUnsolvable { target: 24, closest: 23 };
+        let e = GenError::DistributionUnsolvable {
+            target: 24,
+            closest: 23,
+        };
         assert!(e.to_string().contains("24") && e.to_string().contains("23"));
         let e = GenError::ScreenExhausted { attempts: 64 };
         assert!(e.to_string().contains("64"));

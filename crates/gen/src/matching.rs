@@ -79,7 +79,10 @@ pub fn match_stage<R: Rng>(
     for (r, &d) in right_degrees.iter().enumerate() {
         if d as usize > left_degrees.len() {
             return Err(GenError::BadParameters {
-                detail: format!("check {r} degree {d} exceeds left size {}", left_degrees.len()),
+                detail: format!(
+                    "check {r} degree {d} exceeds left size {}",
+                    left_degrees.len()
+                ),
             });
         }
     }
@@ -99,7 +102,7 @@ pub fn match_stage<R: Rng>(
     }
     let check_of_slot = |s: usize, bounds: &[usize]| -> usize {
         match bounds.binary_search(&s) {
-            Ok(i) => i,                 // s is a start boundary → check i
+            Ok(i) => i, // s is a start boundary → check i
             Err(i) => i - 1,
         }
     };
@@ -247,9 +250,15 @@ mod tests {
     #[test]
     fn fit_rejects_impossible_targets() {
         let mut d = vec![1u32, 1];
-        assert!(fit_right_degrees(&mut d, 100, 3).is_err(), "beyond capacity");
+        assert!(
+            fit_right_degrees(&mut d, 100, 3).is_err(),
+            "beyond capacity"
+        );
         let mut d = vec![1u32, 1];
-        assert!(fit_right_degrees(&mut d, 1, 3).is_err(), "below one per check");
+        assert!(
+            fit_right_degrees(&mut d, 1, 3).is_err(),
+            "below one per check"
+        );
         let mut empty: Vec<u32> = vec![];
         assert!(fit_right_degrees(&mut empty, 0, 3).is_err());
     }
@@ -285,7 +294,10 @@ mod tests {
         let b = match_stage(&left, &right, &mut StdRng::seed_from_u64(42)).unwrap();
         let c = match_stage(&left, &right, &mut StdRng::seed_from_u64(43)).unwrap();
         assert_eq!(a, b);
-        assert_ne!(a, c, "different seeds give different matchings (overwhelmingly)");
+        assert_ne!(
+            a, c,
+            "different seeds give different matchings (overwhelmingly)"
+        );
     }
 
     #[test]

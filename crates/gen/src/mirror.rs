@@ -70,7 +70,10 @@ mod tests {
         let mut dec = ErasureDecoder::new(&g);
         assert!(dec.decode(&[0, 5, 2, 7])); // no complete pair (pairs are i, i+4)
         assert!(!dec.decode(&[0, 4])); // pair 0 complete
-        assert!(dec.decode(&[0, 1, 2, 3]), "all data lost but all mirrors present");
+        assert!(
+            dec.decode(&[0, 1, 2, 3]),
+            "all data lost but all mirrors present"
+        );
         assert!(dec.decode(&[4, 5, 6, 7]));
     }
 

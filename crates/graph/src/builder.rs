@@ -82,10 +82,7 @@ impl GraphBuilder {
         let mut nbrs = left_neighbors.to_vec();
         nbrs.sort_unstable();
         self.checks.push(nbrs);
-        self.level_sizes
-            .last_mut()
-            .expect("a level is open")
-            .1 += 1;
+        self.level_sizes.last_mut().expect("a level is open").1 += 1;
         id
     }
 
@@ -176,7 +173,10 @@ impl GraphBuilder {
             }
             for w in nbrs.windows(2) {
                 if w[0] == w[1] {
-                    return Err(GraphError::DuplicateNeighbor { check, neighbor: w[0] });
+                    return Err(GraphError::DuplicateNeighbor {
+                        check,
+                        neighbor: w[0],
+                    });
                 }
             }
             for &n in nbrs {
@@ -275,7 +275,10 @@ mod tests {
         b.add_check(&[0, 0]);
         assert_eq!(
             b.build().unwrap_err(),
-            GraphError::DuplicateNeighbor { check: 2, neighbor: 0 }
+            GraphError::DuplicateNeighbor {
+                check: 2,
+                neighbor: 0
+            }
         );
     }
 
@@ -287,7 +290,10 @@ mod tests {
         b.add_check(&[3]); // id 3 referencing itself
         assert_eq!(
             b.build().unwrap_err(),
-            GraphError::ForwardEdge { check: 3, neighbor: 3 }
+            GraphError::ForwardEdge {
+                check: 3,
+                neighbor: 3
+            }
         );
     }
 
@@ -298,13 +304,19 @@ mod tests {
         b.add_check(&[7]);
         assert_eq!(
             b.build().unwrap_err(),
-            GraphError::NodeOutOfRange { id: 7, num_nodes: 3 }
+            GraphError::NodeOutOfRange {
+                id: 7,
+                num_nodes: 3
+            }
         );
     }
 
     #[test]
     fn build_rejects_no_data() {
-        assert_eq!(GraphBuilder::new(0).build().unwrap_err(), GraphError::NoDataNodes);
+        assert_eq!(
+            GraphBuilder::new(0).build().unwrap_err(),
+            GraphError::NoDataNodes
+        );
     }
 
     #[test]
@@ -313,7 +325,10 @@ mod tests {
         b.begin_level("empty");
         b.begin_level("real");
         b.add_check(&[0]);
-        assert!(matches!(b.build().unwrap_err(), GraphError::BadLevelPartition { .. }));
+        assert!(matches!(
+            b.build().unwrap_err(),
+            GraphError::BadLevelPartition { .. }
+        ));
     }
 
     #[test]

@@ -87,9 +87,15 @@ mod tests {
     fn display_messages_identify_nodes() {
         let e = GraphError::EmptyCheck { check: 50 };
         assert!(e.to_string().contains("50"));
-        let e = GraphError::ForwardEdge { check: 10, neighbor: 11 };
+        let e = GraphError::ForwardEdge {
+            check: 10,
+            neighbor: 11,
+        };
         assert!(e.to_string().contains("10") && e.to_string().contains("11"));
-        let e = GraphError::Parse { line: 7, detail: "bad tag".into() };
+        let e = GraphError::Parse {
+            line: 7,
+            detail: "bad tag".into(),
+        };
         assert!(e.to_string().contains("line 7"));
     }
 }

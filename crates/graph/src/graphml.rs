@@ -99,7 +99,11 @@ struct Tokenizer<'a> {
 
 impl<'a> Tokenizer<'a> {
     fn new(src: &'a str) -> Self {
-        Self { src, pos: 0, line: 1 }
+        Self {
+            src,
+            pos: 0,
+            line: 1,
+        }
     }
 
     fn err(&self, detail: impl Into<String>) -> GraphError {
@@ -215,26 +219,39 @@ pub fn from_graphml(src: &str) -> Result<Graph, GraphError> {
 
     while let Some(ev) = tok.next_event()? {
         match ev {
-            Event::Open { name: "node", attrs, self_closing } => {
+            Event::Open {
+                name: "node",
+                attrs,
+                self_closing,
+            } => {
                 let id = attrs
                     .iter()
                     .find(|(k, _)| *k == "id")
                     .map(|(_, v)| v.clone())
                     .ok_or_else(|| tok.err("<node> without id"))?;
                 let idx = node_index(&id, tok.line)?;
-                nodes.push((idx, NodeRec { kind: None, level: None }));
+                nodes.push((
+                    idx,
+                    NodeRec {
+                        kind: None,
+                        level: None,
+                    },
+                ));
                 if !self_closing {
                     current_node = Some(nodes.len() - 1);
                 }
             }
             Event::Close("node") => current_node = None,
-            Event::Open { name: "data", attrs, self_closing }
-                if current_node.is_some() && !self_closing => {
-                    current_key = attrs
-                        .iter()
-                        .find(|(k, _)| *k == "key")
-                        .map(|(_, v)| v.clone());
-                }
+            Event::Open {
+                name: "data",
+                attrs,
+                self_closing,
+            } if current_node.is_some() && !self_closing => {
+                current_key = attrs
+                    .iter()
+                    .find(|(k, _)| *k == "key")
+                    .map(|(_, v)| v.clone());
+            }
             Event::Close("data") => current_key = None,
             Event::Text(text) => {
                 if let (Some(ni), Some(key)) = (current_node, current_key.as_deref()) {
@@ -245,7 +262,11 @@ pub fn from_graphml(src: &str) -> Result<Graph, GraphError> {
                     }
                 }
             }
-            Event::Open { name: "edge", attrs, .. } => {
+            Event::Open {
+                name: "edge",
+                attrs,
+                ..
+            } => {
                 let get = |k: &str| {
                     attrs
                         .iter()
@@ -408,7 +429,10 @@ mod tests {
     #[test]
     fn parser_reports_empty_input() {
         assert!(matches!(from_graphml(""), Err(GraphError::Parse { .. })));
-        assert!(matches!(from_graphml("   \n  "), Err(GraphError::Parse { .. })));
+        assert!(matches!(
+            from_graphml("   \n  "),
+            Err(GraphError::Parse { .. })
+        ));
     }
 
     #[test]

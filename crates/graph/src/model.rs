@@ -196,7 +196,10 @@ impl Graph {
     pub fn check_neighbors(&self, check: NodeId) -> &[u32] {
         debug_assert!(self.is_check(check), "{check} is not a check node");
         let c = (check - self.num_data) as usize;
-        let (a, b) = (self.check_offsets[c] as usize, self.check_offsets[c + 1] as usize);
+        let (a, b) = (
+            self.check_offsets[c] as usize,
+            self.check_offsets[c + 1] as usize,
+        );
         &self.check_edges[a..b]
     }
 
@@ -205,7 +208,10 @@ impl Graph {
     #[inline]
     pub fn checks_of(&self, node: NodeId) -> &[u32] {
         let v = node as usize;
-        let (a, b) = (self.node_offsets[v] as usize, self.node_offsets[v + 1] as usize);
+        let (a, b) = (
+            self.node_offsets[v] as usize,
+            self.node_offsets[v + 1] as usize,
+        );
         &self.node_checks[a..b]
     }
 
@@ -277,7 +283,10 @@ impl Graph {
             }
             for w in nbrs.windows(2) {
                 if w[0] == w[1] {
-                    return Err(GraphError::DuplicateNeighbor { check, neighbor: w[0] });
+                    return Err(GraphError::DuplicateNeighbor {
+                        check,
+                        neighbor: w[0],
+                    });
                 }
             }
             for &n in nbrs {
@@ -354,7 +363,11 @@ mod tests {
         assert_eq!(g.check_neighbors(5), &[2, 3]);
         assert_eq!(g.checks_of(0), &[4]);
         assert_eq!(g.checks_of(2), &[5]);
-        assert_eq!(g.checks_of(4), &[] as &[u32], "no deeper level uses check 4");
+        assert_eq!(
+            g.checks_of(4),
+            &[] as &[u32],
+            "no deeper level uses check 4"
+        );
     }
 
     #[test]
@@ -378,7 +391,11 @@ mod tests {
         b.add_check(&[0, 2]); // node 3 uses data 0 and check 2
         let g = b.build().unwrap();
         assert_eq!(g.degree(0), 2, "data 0 feeds checks 2 and 3");
-        assert_eq!(g.degree(2), 3, "check 2: two left neighbours + used by check 3");
+        assert_eq!(
+            g.degree(2),
+            3,
+            "check 2: two left neighbours + used by check 3"
+        );
         assert_eq!(g.degree(3), 2);
     }
 

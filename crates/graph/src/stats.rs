@@ -130,7 +130,10 @@ mod tests {
     fn out_histogram_and_unprotected() {
         let s = DegreeStats::of(&sample());
         // Out-degrees: node0:1, node1:2, node2:1, node3:1, node4:1, node5:1, node6:0.
-        assert_eq!(s.out_degree_histogram[0], 1, "only the last check is unused");
+        assert_eq!(
+            s.out_degree_histogram[0], 1,
+            "only the last check is unused"
+        );
         assert_eq!(s.out_degree_histogram[1], 5);
         assert_eq!(s.out_degree_histogram[2], 1);
         assert_eq!(s.unprotected_data_nodes, 0);

@@ -5,35 +5,31 @@ use tornado_graph::{dot, graphml, Graph, GraphBuilder};
 
 /// Random small cascade described as per-level neighbour picks.
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (
-        2usize..12,
-        proptest::collection::vec(any::<u64>(), 1..12),
-    )
-        .prop_map(|(num_data, picks)| {
-            let mut b = GraphBuilder::new(num_data);
-            b.begin_level("l0");
-            for (i, seed) in picks.iter().enumerate() {
-                let total = num_data as u32 + i as u32;
-                if i > 0 && seed % 5 == 0 {
-                    b.begin_level(&format!("l{i}"));
-                }
-                // 1–3 distinct neighbours among existing nodes.
-                let mut s = *seed | 1;
-                let want = 1 + (s % 3) as usize;
-                let mut nbrs = Vec::new();
-                while nbrs.len() < want.min(total as usize) {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    let cand = (s % total as u64) as u32;
-                    if !nbrs.contains(&cand) {
-                        nbrs.push(cand);
-                    }
-                }
-                b.add_check(&nbrs);
+    (2usize..12, proptest::collection::vec(any::<u64>(), 1..12)).prop_map(|(num_data, picks)| {
+        let mut b = GraphBuilder::new(num_data);
+        b.begin_level("l0");
+        for (i, seed) in picks.iter().enumerate() {
+            let total = num_data as u32 + i as u32;
+            if i > 0 && seed % 5 == 0 {
+                b.begin_level(&format!("l{i}"));
             }
-            b.build().expect("constructed graphs are valid")
-        })
+            // 1–3 distinct neighbours among existing nodes.
+            let mut s = *seed | 1;
+            let want = 1 + (s % 3) as usize;
+            let mut nbrs = Vec::new();
+            while nbrs.len() < want.min(total as usize) {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let cand = (s % total as u64) as u32;
+                if !nbrs.contains(&cand) {
+                    nbrs.push(cand);
+                }
+            }
+            b.add_check(&nbrs);
+        }
+        b.build().expect("constructed graphs are valid")
+    })
 }
 
 proptest! {

@@ -48,7 +48,11 @@ pub fn ln_factorial(n: u64) -> f64 {
         for i in 2..=n {
             let x = (i as f64).ln();
             let t = acc + x;
-            c += if acc.abs() >= x.abs() { (acc - t) + x } else { (x - t) + acc };
+            c += if acc.abs() >= x.abs() {
+                (acc - t) + x
+            } else {
+                (x - t) + acc
+            };
             acc = t;
         }
         acc + c
@@ -134,9 +138,8 @@ mod tests {
         // the crossover.
         let a = ln_factorial(4096);
         let nf = 4097f64;
-        let stirling = nf * nf.ln() - nf
-            + 0.5 * (2.0 * std::f64::consts::PI * nf).ln()
-            + 1.0 / (12.0 * nf);
+        let stirling =
+            nf * nf.ln() - nf + 0.5 * (2.0 * std::f64::consts::PI * nf).ln() + 1.0 / (12.0 * nf);
         let b = ln_factorial(4097);
         assert!((b - stirling).abs() < 1e-8);
         assert!(b > a);

@@ -36,7 +36,10 @@ impl std::fmt::Display for SolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SolveError::NoSignChange { f_lo, f_hi } => {
-                write!(f, "bracket does not enclose a root: f(lo) = {f_lo}, f(hi) = {f_hi}")
+                write!(
+                    f,
+                    "bracket does not enclose a root: f(lo) = {f_lo}, f(hi) = {f_hi}"
+                )
             }
             SolveError::IterationLimit => write!(f, "iteration limit reached"),
             SolveError::TargetUnreachable { closest, at } => {
@@ -139,10 +142,16 @@ pub fn solve_integer_target<G: FnMut(f64) -> i64>(
         return Ok(hi);
     }
     if target < g_lo {
-        return Err(SolveError::TargetUnreachable { closest: g_lo, at: lo });
+        return Err(SolveError::TargetUnreachable {
+            closest: g_lo,
+            at: lo,
+        });
     }
     if target > g_hi {
-        return Err(SolveError::TargetUnreachable { closest: g_hi, at: hi });
+        return Err(SolveError::TargetUnreachable {
+            closest: g_hi,
+            at: hi,
+        });
     }
     // Invariant: g(lo) < target < g(hi).
     let mut best = (g_lo, lo);
@@ -156,7 +165,10 @@ pub fn solve_integer_target<G: FnMut(f64) -> i64>(
             let closest = if (g_best - target).abs() <= (g_hi_now - target).abs() {
                 g_best
             } else {
-                return Err(SolveError::TargetUnreachable { closest: g_hi_now, at: hi });
+                return Err(SolveError::TargetUnreachable {
+                    closest: g_hi_now,
+                    at: hi,
+                });
             };
             return Err(SolveError::TargetUnreachable { closest, at });
         }
@@ -191,7 +203,10 @@ mod tests {
 
     #[test]
     fn bisect_endpoint_root() {
-        assert_eq!(bisect(|x| x, Bracket::new(0.0, 1.0), 1e-12, 10).unwrap(), 0.0);
+        assert_eq!(
+            bisect(|x| x, Bracket::new(0.0, 1.0), 1e-12, 10).unwrap(),
+            0.0
+        );
     }
 
     #[test]
@@ -203,25 +218,42 @@ mod tests {
     #[test]
     fn integer_target_on_floor_function() {
         // g(x) = floor(3x): hit target 7 somewhere in [0, 10].
-        let x = solve_integer_target(|x| (3.0 * x).floor() as i64, Bracket::new(0.0, 10.0), 7, 200)
-            .unwrap();
+        let x = solve_integer_target(
+            |x| (3.0 * x).floor() as i64,
+            Bracket::new(0.0, 10.0),
+            7,
+            200,
+        )
+        .unwrap();
         assert_eq!((3.0 * x).floor() as i64, 7);
     }
 
     #[test]
     fn integer_target_at_endpoints() {
         let g = |x: f64| x.floor() as i64;
-        assert_eq!(solve_integer_target(g, Bracket::new(2.0, 9.0), 2, 100).unwrap(), 2.0);
-        assert_eq!(solve_integer_target(g, Bracket::new(2.0, 9.0), 9, 100).unwrap(), 9.0);
+        assert_eq!(
+            solve_integer_target(g, Bracket::new(2.0, 9.0), 2, 100).unwrap(),
+            2.0
+        );
+        assert_eq!(
+            solve_integer_target(g, Bracket::new(2.0, 9.0), 9, 100).unwrap(),
+            9.0
+        );
     }
 
     #[test]
     fn integer_target_unreachable_below_and_above() {
         let g = |x: f64| x.floor() as i64;
         let e = solve_integer_target(g, Bracket::new(5.0, 9.0), 1, 100).unwrap_err();
-        assert!(matches!(e, SolveError::TargetUnreachable { closest: 5, .. }));
+        assert!(matches!(
+            e,
+            SolveError::TargetUnreachable { closest: 5, .. }
+        ));
         let e = solve_integer_target(g, Bracket::new(5.0, 9.0), 42, 100).unwrap_err();
-        assert!(matches!(e, SolveError::TargetUnreachable { closest: 9, .. }));
+        assert!(matches!(
+            e,
+            SolveError::TargetUnreachable { closest: 9, .. }
+        ));
     }
 
     #[test]
@@ -237,7 +269,10 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = SolveError::TargetUnreachable { closest: 3, at: 0.5 };
+        let e = SolveError::TargetUnreachable {
+            closest: 3,
+            at: 0.5,
+        };
         assert!(e.to_string().contains("closest 3"));
     }
 }

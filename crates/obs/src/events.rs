@@ -212,10 +212,8 @@ mod tests {
 
     #[test]
     fn no_events_lost_when_sink_dropped_at_shutdown() {
-        let path = std::env::temp_dir().join(format!(
-            "obs-events-dropflush-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("obs-events-dropflush-{}.jsonl", std::process::id()));
         let path_s = path.to_str().unwrap();
         // Fewer bytes than the BufWriter default buffer, so nothing
         // reaches the file until the Drop-flush — the property under test.

@@ -81,7 +81,10 @@ mod tests {
                     ("mttdl_hours".into(), Json::F64(250.5)),
                 ]),
             ),
-            ("margins".into(), Json::Obj(vec![("min_margin".into(), Json::U64(2))])),
+            (
+                "margins".into(),
+                Json::Obj(vec![("min_margin".into(), Json::U64(2))]),
+            ),
             ("firing".into(), Json::Bool(true)),
         ]);
         let text = render_flat("tornado_health", &doc);
@@ -94,7 +97,10 @@ mod tests {
 
     #[test]
     fn names_are_sanitized() {
-        assert_eq!(metric_name("tornado", "scrub.cycle_us"), "tornado_scrub_cycle_us");
+        assert_eq!(
+            metric_name("tornado", "scrub.cycle_us"),
+            "tornado_scrub_cycle_us"
+        );
         assert_eq!(metric_name("", "9lives"), "_9lives");
         assert_eq!(metric_name("t", "a-b c"), "t_a_b_c");
     }

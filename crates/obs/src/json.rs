@@ -314,9 +314,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
                             16,
@@ -402,7 +400,10 @@ mod tests {
             (
                 "levels".into(),
                 Json::Arr(vec![
-                    Json::Obj(vec![("k".into(), Json::U64(1)), ("ok".into(), Json::Bool(true))]),
+                    Json::Obj(vec![
+                        ("k".into(), Json::U64(1)),
+                        ("ok".into(), Json::Bool(true)),
+                    ]),
                     Json::Obj(vec![]),
                 ]),
             ),
@@ -437,7 +438,15 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "{\"a\":1} x", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "{\"a\":1} x",
+            "\"unterminated",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
     }

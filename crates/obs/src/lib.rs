@@ -56,8 +56,8 @@ pub use histogram::Histogram;
 pub use json::Json;
 pub use progress::{Progress, ProgressConfig, ProgressTarget};
 pub use recorder::Recorder;
-pub use slo::{standard_windows, BurnReading, BurnWindow, SloAlert, SloTracker};
 pub use set::MetricSet;
+pub use slo::{standard_windows, BurnReading, BurnWindow, SloAlert, SloTracker};
 pub use snapshot::Snapshot;
 pub use timeseries::{SeriesPoint, TimeSeries};
 pub use trace::{SpanRecord, Tracer};

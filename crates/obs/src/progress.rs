@@ -187,11 +187,7 @@ impl Progress {
                 line.push_str(&format!("  eta {}", human_duration(eta)));
             }
         } else {
-            line.push_str(&format!(
-                "{}  {done}  {}/s",
-                self.label,
-                human_count(rate)
-            ));
+            line.push_str(&format!("{}  {done}  {}/s", self.label, human_count(rate)));
         }
         line
     }

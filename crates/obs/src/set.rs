@@ -165,14 +165,21 @@ pub(crate) mod tests {
     #[test]
     fn rows_and_visits_follow_the_declaration() {
         let d = &Cells::DESCS[0];
-        assert_eq!(d.help, "Patterns searched, every level.", "help is the doc comment");
+        assert_eq!(
+            d.help, "Patterns searched, every level.",
+            "help is the doc comment"
+        );
         assert_eq!((d.unit, d.sampled, d.layer()), ("patterns", true, "search"));
         assert!(!Cells::DESCS[1].sampled);
         assert_eq!(Cells::cycle_us, "scrub.cycle_us");
         IN_A_STATIC.trials.add(3);
         let mut seen = Vec::new();
         IN_A_STATIC.visit(|desc, cell| {
-            seen.push((desc.name, desc.kind, matches!(cell, Cell::Counter(c) if c.get() == 3)));
+            seen.push((
+                desc.name,
+                desc.kind,
+                matches!(cell, Cell::Counter(c) if c.get() == 3),
+            ));
         });
         let declared = [
             ("search.trials", "counter", true),
@@ -197,9 +204,24 @@ pub(crate) mod tests {
         let doc = snap.to_json();
         let one_line = crate::Json::Obj(vec![("search.trials".into(), crate::Json::U64(42))]);
         assert_eq!(doc.get("counters"), Some(&one_line));
-        assert_eq!(doc.get("gauges").unwrap().get("scrub.margin").unwrap().as_u64(), Some(4));
-        let merged = doc.get("histograms").unwrap().get("scrub.cycle_us").unwrap();
+        assert_eq!(
+            doc.get("gauges")
+                .unwrap()
+                .get("scrub.margin")
+                .unwrap()
+                .as_u64(),
+            Some(4)
+        );
+        let merged = doc
+            .get("histograms")
+            .unwrap()
+            .get("scrub.cycle_us")
+            .unwrap();
         assert_eq!(merged.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(snap.sampled(), [("search.trials".to_string(), 42)], "only what is declared sampled");
+        assert_eq!(
+            snap.sampled(),
+            [("search.trials".to_string(), 42)],
+            "only what is declared sampled"
+        );
     }
 }

@@ -357,6 +357,10 @@ mod tests {
         let r = &t.readings(2_000)[0];
         assert_eq!(r.label, "fast");
         assert!(r.firing);
-        assert!((r.long - 40.0).abs() < 1e-9, "0.4/0.01 = 40, got {}", r.long);
+        assert!(
+            (r.long - 40.0).abs() < 1e-9,
+            "0.4/0.01 = 40, got {}",
+            r.long
+        );
     }
 }

@@ -73,15 +73,26 @@ impl Snapshot {
     /// Assembles the final JSON tree.
     pub fn to_json(&self) -> Json {
         fn section<T>(cells: &[(&'static Desc, T)], json: impl Fn(&T) -> Json) -> Json {
-            Json::Obj(cells.iter().map(|(d, v)| (d.name.to_string(), json(v))).collect())
+            Json::Obj(
+                cells
+                    .iter()
+                    .map(|(d, v)| (d.name.to_string(), json(v)))
+                    .collect(),
+            )
         }
         let mut root = self.fields.clone();
-        root.push(("counters".into(), section(&self.counters, |&v| Json::U64(v))));
+        root.push((
+            "counters".into(),
+            section(&self.counters, |&v| Json::U64(v)),
+        ));
         if !self.gauges.is_empty() {
             root.push(("gauges".into(), section(&self.gauges, |&v| Json::I64(v))));
         }
         if !self.histograms.is_empty() {
-            root.push(("histograms".into(), section(&self.histograms, histogram_json)));
+            root.push((
+                "histograms".into(),
+                section(&self.histograms, histogram_json),
+            ));
         }
         Json::Obj(root)
     }
@@ -99,10 +110,13 @@ impl Snapshot {
 
 /// The value recorded under `desc`'s name, inserted at its zero if new.
 fn slot<'a, T: Default>(cells: &'a mut Vec<(&'static Desc, T)>, desc: &'static Desc) -> &'a mut T {
-    let at = cells.iter().position(|(d, _)| d.name == desc.name).unwrap_or_else(|| {
-        cells.push((desc, T::default()));
-        cells.len() - 1
-    });
+    let at = cells
+        .iter()
+        .position(|(d, _)| d.name == desc.name)
+        .unwrap_or_else(|| {
+            cells.push((desc, T::default()));
+            cells.len() - 1
+        });
     &mut cells[at].1
 }
 
@@ -245,7 +259,8 @@ mod tests {
         }
 
         let mut snap = Snapshot::new("worst-case", 4200);
-        snap.set("graph", Json::Str("catalog:1".into())).record(&cells);
+        snap.set("graph", Json::Str("catalog:1".into()))
+            .record(&cells);
 
         let text = snap.to_pretty();
         let doc = parse(&text).expect("snapshot must parse");
@@ -253,9 +268,19 @@ mod tests {
         validate(&doc).expect("snapshot must validate");
 
         let counters = doc.get("counters").unwrap();
-        assert_eq!(counters.get("search.trials").unwrap().as_u64(), Some(3_469_496));
-        assert_eq!(doc.get("gauges").unwrap().get("scrub.margin"), Some(&Json::I64(-2)));
-        let h = doc.get("histograms").unwrap().get("scrub.cycle_us").unwrap();
+        assert_eq!(
+            counters.get("search.trials").unwrap().as_u64(),
+            Some(3_469_496)
+        );
+        assert_eq!(
+            doc.get("gauges").unwrap().get("scrub.margin"),
+            Some(&Json::I64(-2))
+        );
+        let h = doc
+            .get("histograms")
+            .unwrap()
+            .get("scrub.cycle_us")
+            .unwrap();
         assert_eq!(h.get("count").unwrap().as_u64(), Some(3));
         assert_eq!(h.get("max").unwrap().as_u64(), Some(1000));
         // A histogram with no sample is still a line: a count of 0, no
@@ -263,13 +288,20 @@ mod tests {
         let idle = doc.get("histograms").unwrap().get("scrub.idle_us").unwrap();
         assert_eq!(idle.get("count").unwrap().as_u64(), Some(0));
         assert!(idle.get("min").is_none() && idle.get("p99").is_none());
-        assert_eq!(idle.get("buckets").unwrap().as_arr().map(<[Json]>::len), Some(0));
+        assert_eq!(
+            idle.get("buckets").unwrap().as_arr().map(<[Json]>::len),
+            Some(0)
+        );
     }
 
     #[test]
     fn validate_rejects_foreign_documents() {
         assert!(validate(&parse("{}").unwrap()).is_err());
-        assert!(validate(&parse(r#"{"schema": "other", "command": "x", "elapsed_ms": 1, "counters": {}}"#).unwrap()).is_err());
+        assert!(validate(
+            &parse(r#"{"schema": "other", "command": "x", "elapsed_ms": 1, "counters": {}}"#)
+                .unwrap()
+        )
+        .is_err());
         assert!(validate(&parse(r#"{"schema": "tornado-metrics-v1", "command": "x", "elapsed_ms": 1, "counters": 5}"#).unwrap()).is_err());
         validate(&parse(r#"{"schema": "tornado-metrics-v1", "command": "x", "elapsed_ms": 1, "counters": {}}"#).unwrap()).unwrap();
     }
@@ -334,9 +366,8 @@ mod tests {
         let doc = base(r#"{"count": 1, "buckets": [{"bucket_upper_bound": 6, "count": 1}]}"#);
         assert!(validate(&doc).unwrap_err().contains("log2"));
         // Non-increasing bounds.
-        let doc = base(
-            r#"{"count": 2, "buckets": [{"le": 7, "count": 1}, {"le": 3, "count": 1}]}"#,
-        );
+        let doc =
+            base(r#"{"count": 2, "buckets": [{"le": 7, "count": 1}, {"le": 3, "count": 1}]}"#);
         assert!(validate(&doc).unwrap_err().contains("increasing"));
         // Bucket counts disagree with the total.
         let doc = base(r#"{"count": 5, "buckets": [{"le": 1, "count": 1}]}"#);

@@ -24,10 +24,7 @@ pub struct SeriesPoint {
 impl SeriesPoint {
     /// Value of `name` in this point, if present.
     pub fn value(&self, name: &str) -> Option<u64> {
-        self.values
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, v)| v)
+        self.values.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
     }
 }
 

@@ -216,10 +216,7 @@ impl Tracer {
     /// Spans evicted from the ring so far (the bounded-memory signal; the
     /// slowest-roots tail keeps its copies regardless).
     pub fn dropped(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().dropped)
-            .sum()
+        self.shards.iter().map(|s| s.lock().unwrap().dropped).sum()
     }
 
     /// Spans recorded so far (before any eviction).
@@ -481,7 +478,11 @@ mod tests {
         }
         assert_eq!(t.recorded(), 100);
         let spans = t.spans();
-        assert!(spans.len() <= 16, "bounded near capacity, got {}", spans.len());
+        assert!(
+            spans.len() <= 16,
+            "bounded near capacity, got {}",
+            spans.len()
+        );
         assert_eq!(t.dropped() + spans.len() as u64, 100);
         // Survivors are the newest (highest start times).
         let min_start = spans.iter().map(|s| s.start_us).min().unwrap();
@@ -528,7 +529,11 @@ mod tests {
         assert_eq!(child.start_us, 10);
         assert_eq!(child.end_us(), 50);
         let inside = span(1, 3, Some(1), "c", 20, 5).clamped_into(10, 50);
-        assert_eq!((inside.start_us, inside.dur_us), (20, 5), "untouched when already nested");
+        assert_eq!(
+            (inside.start_us, inside.dur_us),
+            (20, 5),
+            "untouched when already nested"
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@ fn mix(state: &mut u64) -> u64 {
 /// and multi-byte unicode.
 fn gen_string(state: &mut u64) -> String {
     const POOL: &[&str] = &[
-        "a", "key", "…", "λ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "snow☃",
-        " ", "0", "{", "[", "\u{7f}", "é",
+        "a", "key", "…", "λ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "snow☃", " ",
+        "0", "{", "[", "\u{7f}", "é",
     ];
     let len = (mix(state) % 12) as usize;
     (0..len)

@@ -117,7 +117,9 @@ impl GroupSystem {
 pub fn allowed_placements(groups: usize, size: usize, tolerance: usize, k: usize) -> u128 {
     let t = tolerance.min(size);
     // Per-group polynomial coefficients C(size, 0..=t).
-    let unit: Vec<u128> = (0..=t).map(|j| binomial_u128(size as u64, j as u64)).collect();
+    let unit: Vec<u128> = (0..=t)
+        .map(|j| binomial_u128(size as u64, j as u64))
+        .collect();
     let mut poly: Vec<u128> = vec![1];
     for _ in 0..groups {
         let mut next = vec![0u128; (poly.len() + t).min(k + 1)];
@@ -219,11 +221,7 @@ mod tests {
                     ok += 1;
                 }
             }
-            assert_eq!(
-                allowed_placements(2, 3, 1, k),
-                ok as u128,
-                "k = {k}"
-            );
+            assert_eq!(allowed_placements(2, 3, 1, k), ok as u128, "k = {k}");
         }
     }
 

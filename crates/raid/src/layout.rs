@@ -39,7 +39,10 @@ impl GroupLayout {
 
     /// Which group a device belongs to.
     pub fn group_of(&self, device: usize) -> usize {
-        assert!(device < self.total_devices(), "device {device} out of range");
+        assert!(
+            device < self.total_devices(),
+            "device {device} out of range"
+        );
         device / self.group_size
     }
 

@@ -40,7 +40,12 @@ pub fn sampled_profile(system: &GroupSystem, trials_per_k: u64, seed: u64) -> Fa
     let mut p = FailureProfile::new(n);
     for k in 1..=n {
         let frac = sample_group_failure(system, k, trials_per_k, seed ^ (k as u64) << 17);
-        p.record(k, trials_per_k, (frac * trials_per_k as f64).round() as u64, false);
+        p.record(
+            k,
+            trials_per_k,
+            (frac * trials_per_k as f64).round() as u64,
+            false,
+        );
     }
     p
 }

@@ -45,7 +45,9 @@ fn moved_by(layer: &str) -> &'static str {
         "trace" => "`serve --trace-sample N`",
         "health" => "`serve` (absent with `--no-health`)",
         "scrub" | "repair" => "a `Scrubber` over the store (`tornado scrub`); **not `serve`**",
-        "decode" => "a `Scrubber`'s repairs; `worst-case` / `monte-carlo --metrics`; **not `serve`**",
+        "decode" => {
+            "a `Scrubber`'s repairs; `worst-case` / `monte-carlo --metrics`; **not `serve`**"
+        }
         "device" => "`serve`: block reads and writes, fail / revive",
         "backend" => "`serve --data-dir`: durable PUT / DELETE, recovery-on-open",
         "kernel" | "pool" => "`serve`: PUT encode, block verification, degraded-GET decode",
@@ -61,7 +63,11 @@ pub fn render_markdown() -> String {
         "| name | kind | unit | layer | meaning | moved by |\n|---|---|---|---|---|---|\n",
     );
     for d in catalogue() {
-        let sampled = if d.sampled { " Sampled into the time series." } else { "" };
+        let sampled = if d.sampled {
+            " Sampled into the time series."
+        } else {
+            ""
+        };
         out.push_str(&format!(
             "| `{}` | {} | {} | {} | {}{sampled} | {} |\n",
             d.name,
@@ -84,7 +90,9 @@ pub fn check_snapshot(doc: &Json) -> Result<(), String> {
     let mut offenders = Vec::new();
     for doc in [Some(doc), doc.get("server")].into_iter().flatten() {
         for section in ["counters", "gauges", "histograms"] {
-            let Some(Json::Obj(entries)) = doc.get(section) else { continue };
+            let Some(Json::Obj(entries)) = doc.get(section) else {
+                continue;
+            };
             for (name, _) in entries {
                 match rows.iter().find(|d| d.name == name).map(|d| d.kind) {
                     None => offenders.push(format!("'{name}' is not in the catalogue")),
@@ -96,5 +104,9 @@ pub fn check_snapshot(doc: &Json) -> Result<(), String> {
             }
         }
     }
-    if offenders.is_empty() { Ok(()) } else { Err(offenders.join("; ")) }
+    if offenders.is_empty() {
+        Ok(())
+    } else {
+        Err(offenders.join("; "))
+    }
 }

@@ -23,9 +23,7 @@
 //! zero-filled, never copied again.
 
 use crate::error::ClientError;
-use crate::protocol::{
-    put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME,
-};
+use crate::protocol::{put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -39,12 +37,19 @@ pub struct Client {
 impl Client {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Ok(Self { inner: PipelinedClient::connect(addr)? })
+        Ok(Self {
+            inner: PipelinedClient::connect(addr)?,
+        })
     }
 
     /// Connects with a bounded connection attempt.
-    pub fn connect_timeout(addr: &std::net::SocketAddr, timeout: Duration) -> Result<Self, ClientError> {
-        Ok(Self { inner: PipelinedClient::connect_timeout(addr, timeout)? })
+    pub fn connect_timeout(
+        addr: &std::net::SocketAddr,
+        timeout: Duration,
+    ) -> Result<Self, ClientError> {
+        Ok(Self {
+            inner: PipelinedClient::connect_timeout(addr, timeout)?,
+        })
     }
 
     /// Sets the per-request deadline stamped on subsequent requests
@@ -278,7 +283,10 @@ impl PipelinedClient {
         self.inflight = self.inflight.saturating_sub(1);
         match corr {
             Some(corr) => Ok((corr, resp)),
-            None => Err(error_from(resp, "uncorrelated reply to a pipelined request")),
+            None => Err(error_from(
+                resp,
+                "uncorrelated reply to a pipelined request",
+            )),
         }
     }
 
@@ -333,7 +341,9 @@ fn error_from(resp: Response, op: &str) -> ClientError {
     match resp {
         Response::Busy => ClientError::Busy,
         Response::NotFound { id } => ClientError::NotFound(id),
-        Response::Unrecoverable { id, lost_blocks } => ClientError::Unrecoverable { id, lost_blocks },
+        Response::Unrecoverable { id, lost_blocks } => {
+            ClientError::Unrecoverable { id, lost_blocks }
+        }
         Response::BadRequest { message } => ClientError::BadRequest(message),
         Response::DeadlineExceeded => ClientError::DeadlineExceeded,
         Response::ShuttingDown => ClientError::ShuttingDown,
@@ -493,7 +503,10 @@ mod tests {
             };
             match too_long {
                 Err(ClientError::BadRequest(m)) => {
-                    assert_eq!(m, format!("name length {} exceeds {MAX_NAME}", MAX_NAME + 1))
+                    assert_eq!(
+                        m,
+                        format!("name length {} exceeds {MAX_NAME}", MAX_NAME + 1)
+                    )
                 }
                 other => panic!("expected BadRequest, got {other:?}"),
             }
@@ -512,7 +525,9 @@ mod tests {
         // it cannot decode: BAD_REQUEST with no correlation id to echo.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let reply = Response::BadRequest { message: "unknown opcode 66".into() };
+        let reply = Response::BadRequest {
+            message: "unknown opcode 66".into(),
+        };
         let peer = thread::spawn(move || {
             for _ in 0..2 {
                 let (mut s, _) = listener.accept().unwrap();

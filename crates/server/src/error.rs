@@ -45,7 +45,10 @@ impl fmt::Display for ClientError {
             ClientError::Busy => write!(f, "server busy (queue full)"),
             ClientError::NotFound(id) => write!(f, "object {id} not found"),
             ClientError::Unrecoverable { id, lost_blocks } => {
-                write!(f, "object {id} unrecoverable ({lost_blocks} data blocks lost)")
+                write!(
+                    f,
+                    "object {id} unrecoverable ({lost_blocks} data blocks lost)"
+                )
             }
             ClientError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ClientError::ShuttingDown => write!(f, "server shutting down"),

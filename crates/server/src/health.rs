@@ -138,7 +138,8 @@ impl HealthModel {
 
         let decoded = obs.store_obs.stripes_decoded.get();
         let checked = obs.store_obs.stripes_verified.get() + decoded;
-        st.slo_degraded.record(now_ms, obs.degraded_reads.get(), obs.gets.get());
+        st.slo_degraded
+            .record(now_ms, obs.degraded_reads.get(), obs.gets.get());
         st.slo_corruption.record(now_ms, decoded, checked);
         let mut transitions = st.slo_degraded.evaluate(now_ms);
         transitions.extend(st.slo_corruption.evaluate(now_ms));
@@ -180,7 +181,9 @@ impl HealthModel {
         if st.doc.is_none() || self.dirty(&st, store, obs) {
             self.recompute(&mut st, store, obs, now_ms);
         }
-        st.doc.clone().expect("recompute always installs a document")
+        st.doc
+            .clone()
+            .expect("recompute always installs a document")
     }
 
     /// The cached document, if any recompute has happened (no store
@@ -235,8 +238,11 @@ impl HealthModel {
         ranked.sort_by_key(|&(margin, _, stripes)| (margin, std::cmp::Reverse(stripes)));
         let min_margin = ranked[0].0;
         let stripes_total: u64 = ranked.iter().map(|&(_, _, stripes)| stripes).sum();
-        let stripes_at_risk: u64 =
-            ranked.iter().filter(|c| c.0 <= 1).map(|&(_, _, stripes)| stripes).sum();
+        let stripes_at_risk: u64 = ranked
+            .iter()
+            .filter(|c| c.0 <= 1)
+            .map(|&(_, _, stripes)| stripes)
+            .sum();
         let rows = ranked
             .iter()
             .take(8)
@@ -275,7 +281,10 @@ impl HealthModel {
                         "offline_devices".into(),
                         Json::Arr(offline.iter().map(|&d| Json::U64(d as u64)).collect()),
                     ),
-                    ("io_errors".into(), Json::U64(device_stat(store, |s| s.io_errors))),
+                    (
+                        "io_errors".into(),
+                        Json::U64(device_stat(store, |s| s.io_errors)),
+                    ),
                     (
                         "failed_writes".into(),
                         Json::U64(device_stat(store, |s| s.failed_writes)),
@@ -291,7 +300,10 @@ impl HealthModel {
                     ("p_device_horizon".into(), Json::F64(p_device)),
                     ("p_loss".into(), Json::F64(p_loss)),
                     ("p_loss_healthy".into(), Json::F64(healthy)),
-                    ("mttdl_hours".into(), finite_or_null(mttdl_hours(p_loss, self.config.horizon_hours))),
+                    (
+                        "mttdl_hours".into(),
+                        finite_or_null(mttdl_hours(p_loss, self.config.horizon_hours)),
+                    ),
                     (
                         "missing_nodes".into(),
                         Json::Arr(offline.iter().map(|&d| Json::U64(d as u64)).collect()),
@@ -320,9 +332,16 @@ impl HealthModel {
                     ("corrupt_stripes".into(), Json::U64(decoded)),
                     (
                         "corruption_rate".into(),
-                        Json::F64(if checked == 0 { 0.0 } else { decoded as f64 / checked as f64 }),
+                        Json::F64(if checked == 0 {
+                            0.0
+                        } else {
+                            decoded as f64 / checked as f64
+                        }),
                     ),
-                    ("blocks_repaired".into(), Json::U64(obs.store_obs.blocks_repaired.get())),
+                    (
+                        "blocks_repaired".into(),
+                        Json::U64(obs.store_obs.blocks_repaired.get()),
+                    ),
                 ]),
             ),
             (
@@ -330,7 +349,12 @@ impl HealthModel {
                 Json::Obj(vec![
                     (
                         "degraded_reads".into(),
-                        slo_json(&st.slo_degraded, obs.degraded_reads.get(), obs.gets.get(), now_ms),
+                        slo_json(
+                            &st.slo_degraded,
+                            obs.degraded_reads.get(),
+                            obs.gets.get(),
+                            now_ms,
+                        ),
                     ),
                     (
                         "scrub_corruption".into(),
@@ -351,7 +375,10 @@ impl HealthModel {
                 "recompute".into(),
                 Json::Obj(vec![
                     ("count".into(), Json::U64(self.metrics.recomputes.get())),
-                    ("total_us".into(), Json::U64(self.metrics.recompute_us.sum())),
+                    (
+                        "total_us".into(),
+                        Json::U64(self.metrics.recompute_us.sum()),
+                    ),
                 ]),
             ),
         ]);
@@ -445,7 +472,9 @@ pub fn validate_health(doc: &Json) -> Result<(), String> {
             listed.len()
         ));
     }
-    let rel = doc.get("reliability").ok_or("missing reliability section")?;
+    let rel = doc
+        .get("reliability")
+        .ok_or("missing reliability section")?;
     for key in ["p_loss", "p_loss_healthy"] {
         let p = rel
             .get(key)
@@ -458,7 +487,9 @@ pub fn validate_health(doc: &Json) -> Result<(), String> {
     match rel.get("mttdl_hours") {
         Some(Json::Null) | None => {}
         Some(v) => {
-            let m = v.as_f64().ok_or("reliability.mttdl_hours must be a number or null")?;
+            let m = v
+                .as_f64()
+                .ok_or("reliability.mttdl_hours must be a number or null")?;
             if m < 0.0 {
                 return Err(format!("reliability.mttdl_hours = {m} is negative"));
             }
@@ -583,7 +614,10 @@ mod tests {
             rel.get("p_loss_healthy").unwrap().as_f64(),
             "healthy fleet: live == offline baseline"
         );
-        assert_eq!(doc.get("fleet").unwrap().get("offline").unwrap().as_u64(), Some(0));
+        assert_eq!(
+            doc.get("fleet").unwrap().get("offline").unwrap().as_u64(),
+            Some(0)
+        );
     }
 
     #[test]
@@ -606,10 +640,16 @@ mod tests {
         let rel = doc.get("reliability").unwrap();
         let p_loss = rel.get("p_loss").unwrap().as_f64().unwrap();
         let healthy = rel.get("p_loss_healthy").unwrap().as_f64().unwrap();
-        assert!(p_loss > healthy, "conditional {p_loss} must exceed healthy {healthy}");
+        assert!(
+            p_loss > healthy,
+            "conditional {p_loss} must exceed healthy {healthy}"
+        );
         let margins = doc.get("margins").unwrap();
         let min_margin = margins.get("min_margin").unwrap().as_u64().unwrap();
-        assert!(min_margin < healthy_margin, "margin must drop after a failure");
+        assert!(
+            min_margin < healthy_margin,
+            "margin must drop after a failure"
+        );
         // On a mirror, one lost node leaves its partner as the single
         // point of failure: margin 1, and every stripe is at risk.
         assert_eq!(min_margin, 1);
@@ -649,7 +689,10 @@ mod tests {
                 max_k: cfg.max_k,
             },
         );
-        assert!((live - offline).abs() <= 1e-12, "live {live} vs offline {offline}");
+        assert!(
+            (live - offline).abs() <= 1e-12,
+            "live {live} vs offline {offline}"
+        );
     }
 
     #[test]
@@ -666,10 +709,18 @@ mod tests {
             let _ = model.document(&store, &obs, 200 + t);
             model.tick(&store, &obs, 200 + t);
         }
-        assert_eq!(model.metrics.recomputes.get(), 1, "clean fleet: cached document serves");
+        assert_eq!(
+            model.metrics.recomputes.get(),
+            1,
+            "clean fleet: cached document serves"
+        );
         store.fail_device(1).unwrap();
         let _ = model.document(&store, &obs, 300);
-        assert_eq!(model.metrics.recomputes.get(), 2, "pool-epoch transition recomputes once");
+        assert_eq!(
+            model.metrics.recomputes.get(),
+            2,
+            "pool-epoch transition recomputes once"
+        );
         let _ = model.document(&store, &obs, 301);
         assert_eq!(model.metrics.recomputes.get(), 2);
     }

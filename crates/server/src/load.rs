@@ -61,7 +61,11 @@ pub struct OpMix {
 impl Default for OpMix {
     /// Read-heavy archival mix: mostly GETs, steady ingest, rare deletes.
     fn default() -> Self {
-        Self { put: 20, get: 75, delete: 5 }
+        Self {
+            put: 20,
+            get: 75,
+            delete: 5,
+        }
     }
 }
 
@@ -292,7 +296,10 @@ impl LoadReport {
                 .map(|e| {
                     Json::Obj(vec![
                         ("latency_us".into(), Json::U64(e.latency_us)),
-                        ("trace_id".into(), Json::Str(format!("{:#018x}", e.trace_id))),
+                        (
+                            "trace_id".into(),
+                            Json::Str(format!("{:#018x}", e.trace_id)),
+                        ),
                         ("op".into(), Json::Str(e.op.into())),
                     ])
                 })
@@ -335,7 +342,11 @@ struct ZipfTable {
 
 impl ZipfTable {
     fn new(theta: f64) -> Self {
-        Self { entries: Vec::new(), cumulative: Vec::new(), theta }
+        Self {
+            entries: Vec::new(),
+            cumulative: Vec::new(),
+            theta,
+        }
     }
 
     fn len(&self) -> usize {
@@ -354,7 +365,9 @@ impl ZipfTable {
     fn sample(&self, rng: &mut SmallRng) -> usize {
         let total = *self.cumulative.last().expect("non-empty table");
         let u = rng.gen_range(0.0..total);
-        self.cumulative.partition_point(|&c| c <= u).min(self.entries.len() - 1)
+        self.cumulative
+            .partition_point(|&c| c <= u)
+            .min(self.entries.len() - 1)
     }
 
     /// Removes index `i`, recomputing the rank weights of what remains.
@@ -390,7 +403,13 @@ impl WorkerTally {
     /// Records one completed operation: latency, per-op counter, and —
     /// when its trace id is one the server's sampler keeps — the sampled
     /// id and a slowest-exemplar candidate.
-    fn complete(&mut self, cfg: &LoadConfig, trace_id: Option<u64>, op: &'static str, latency_us: u64) {
+    fn complete(
+        &mut self,
+        cfg: &LoadConfig,
+        trace_id: Option<u64>,
+        op: &'static str,
+        latency_us: u64,
+    ) {
         self.latency_us.record(latency_us);
         self.ops += 1;
         match op {
@@ -402,7 +421,14 @@ impl WorkerTally {
         if let Some(id) = trace_id {
             if tornado_obs::trace::sampled(id, cfg.trace_sample) {
                 self.sampled_trace_ids.push(id);
-                note_exemplar(&mut self.slowest, TraceExemplar { latency_us, trace_id: id, op });
+                note_exemplar(
+                    &mut self.slowest,
+                    TraceExemplar {
+                        latency_us,
+                        trace_id: id,
+                        op,
+                    },
+                );
             }
         }
     }
@@ -488,13 +514,18 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
     }
     report.sampled_trace_ids.sort_unstable();
     report.sampled_trace_ids.dedup();
-    report.slowest.sort_unstable_by_key(|e| std::cmp::Reverse(e.latency_us));
+    report
+        .slowest
+        .sort_unstable_by_key(|e| std::cmp::Reverse(e.latency_us));
     report.ops_per_sec = report.ops as f64 * 1000.0 / elapsed_ms as f64;
 
     report.server_metrics_json = admin.metrics()?;
     if let Ok(doc) = tornado_obs::json::parse(&report.server_metrics_json) {
         let counter = |key: &str| {
-            doc.get("counters").and_then(|c| c.get(key)).and_then(Json::as_u64).unwrap_or(0)
+            doc.get("counters")
+                .and_then(|c| c.get(key))
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
         };
         report.degraded_reads = counter(ServerMetrics::degraded_reads);
         report.replans = counter(ServerMetrics::replans);
@@ -520,9 +551,19 @@ fn per_worker_interval(cfg: &LoadConfig) -> Option<Duration> {
 enum PendingKind {
     /// `obj_seed`/`len` regenerate the payload on retry (and are what
     /// the table learns on PutOk), so no payload bytes are retained.
-    Put { name: String, obj_seed: u64, len: usize },
-    Get { obj_id: u64, obj_seed: u64, len: usize },
-    Delete { obj_id: u64 },
+    Put {
+        name: String,
+        obj_seed: u64,
+        len: usize,
+    },
+    Get {
+        obj_id: u64,
+        obj_seed: u64,
+        len: usize,
+    },
+    Delete {
+        obj_id: u64,
+    },
 }
 
 /// One submitted-but-unanswered pipelined request.
@@ -558,29 +599,47 @@ impl PipelinedWorker<'_> {
     /// stay a pure function of `obj_seed`.
     fn new_put(&mut self) -> PendingKind {
         let len = if self.cfg.payload_max > self.cfg.payload_min {
-            self.rng.gen_range(self.cfg.payload_min..=self.cfg.payload_max)
+            self.rng
+                .gen_range(self.cfg.payload_min..=self.cfg.payload_max)
         } else {
             self.cfg.payload_min.max(1)
         };
         let obj_seed = self.rng.next_u64();
         let name = format!("load-{}", self.seq.fetch_add(1, Ordering::Relaxed));
-        PendingKind::Put { name, obj_seed, len: len.max(1) }
+        PendingKind::Put {
+            name,
+            obj_seed,
+            len: len.max(1),
+        }
     }
 
     /// Draws the next op from the weighted mix. DELETE of an object with
     /// reads still in flight degrades to a GET of that object.
     fn pick_kind(&mut self) -> PendingKind {
         let total = self.cfg.mix.put + self.cfg.mix.get + self.cfg.mix.delete;
-        let pick = if total == 0 { 0 } else { self.rng.gen_range(0..total) };
+        let pick = if total == 0 {
+            0
+        } else {
+            self.rng.gen_range(0..total)
+        };
         if pick < self.cfg.mix.put || self.table.len() == 0 {
             return self.new_put();
         }
         let i = self.table.sample(&mut self.rng);
         if pick < self.cfg.mix.put + self.cfg.mix.get
-            || self.inflight_gets.get(&self.table.entries[i].id).copied().unwrap_or(0) > 0
+            || self
+                .inflight_gets
+                .get(&self.table.entries[i].id)
+                .copied()
+                .unwrap_or(0)
+                > 0
         {
             let e = &self.table.entries[i];
-            PendingKind::Get { obj_id: e.id, obj_seed: e.seed, len: e.len }
+            PendingKind::Get {
+                obj_id: e.id,
+                obj_seed: e.seed,
+                len: e.len,
+            }
         } else {
             // Removing at submit time keeps later picks off this object.
             let e = self.table.remove(i);
@@ -600,9 +659,14 @@ impl PipelinedWorker<'_> {
         sched: Option<Instant>,
     ) -> bool {
         let op = match &kind {
-            PendingKind::Put { name, obj_seed, len } => {
-                Op::Put { name: name.clone(), payload: payload_for(*obj_seed, *len) }
-            }
+            PendingKind::Put {
+                name,
+                obj_seed,
+                len,
+            } => Op::Put {
+                name: name.clone(),
+                payload: payload_for(*obj_seed, *len),
+            },
             PendingKind::Get { obj_id, .. } => Op::Get { id: *obj_id },
             PendingKind::Delete { obj_id } => Op::Delete { id: *obj_id },
         };
@@ -613,7 +677,14 @@ impl PipelinedWorker<'_> {
                 if let PendingKind::Get { obj_id, .. } = &kind {
                     *self.inflight_gets.entry(*obj_id).or_insert(0) += 1;
                 }
-                self.pending.insert(corr, PendingOp { kind, trace_id, sched });
+                self.pending.insert(
+                    corr,
+                    PendingOp {
+                        kind,
+                        trace_id,
+                        sched,
+                    },
+                );
                 true
             }
             Err(_) => {
@@ -650,7 +721,11 @@ impl PipelinedWorker<'_> {
         match (resp, p.kind) {
             (Response::PutOk { id }, PendingKind::Put { obj_seed, len, .. }) => {
                 self.tally.complete(self.cfg, p.trace_id, "put", latency_us);
-                self.table.push(ObjEntry { id, seed: obj_seed, len });
+                self.table.push(ObjEntry {
+                    id,
+                    seed: obj_seed,
+                    len,
+                });
             }
             (Response::GetOk { payload }, PendingKind::Get { obj_seed, len, .. }) => {
                 self.tally.complete(self.cfg, p.trace_id, "get", latency_us);
@@ -659,7 +734,8 @@ impl PipelinedWorker<'_> {
                 }
             }
             (Response::Ok, PendingKind::Delete { .. }) => {
-                self.tally.complete(self.cfg, p.trace_id, "delete", latency_us);
+                self.tally
+                    .complete(self.cfg, p.trace_id, "delete", latency_us);
             }
             (Response::Busy, kind) => {
                 // Back off, then the identical op goes back out under a
@@ -703,8 +779,7 @@ fn worker_loop_pipelined(
     client.set_deadline_ms(cfg.deadline_ms);
     // Golden-ratio stride keeps per-worker streams uncorrelated while the
     // whole run stays a pure function of cfg.seed.
-    let rng =
-        SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
+    let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
     let mut w = PipelinedWorker {
         cfg,
         client,
@@ -961,7 +1036,9 @@ pub mod mux {
                 Ok(s) => {
                     let _ = s.set_nodelay(true);
                     s.set_nonblocking(true).map_err(ClientError::Io)?;
-                    poller.register(&s, conns.len() as u64, Interest::READ).map_err(ClientError::Io)?;
+                    poller
+                        .register(&s, conns.len() as u64, Interest::READ)
+                        .map_err(ClientError::Io)?;
                     conns.push(MuxConn {
                         stream: s,
                         inbuf: FrameBuffer::new(),
@@ -977,7 +1054,9 @@ pub mod mux {
             }
         }
         if conns.is_empty() {
-            return Err(ClientError::Unexpected("no mux connections established".into()));
+            return Err(ClientError::Unexpected(
+                "no mux connections established".into(),
+            ));
         }
 
         let mut report = MuxReport {
@@ -1048,11 +1127,15 @@ pub mod mux {
             // and drain clocks stay responsive).
             let next_due = start + Duration::from_secs_f64(arrivals as f64 * interval_s);
             let timeout = if now < stop_at {
-                next_due.saturating_duration_since(now).min(Duration::from_millis(10))
+                next_due
+                    .saturating_duration_since(now)
+                    .min(Duration::from_millis(10))
             } else {
                 Duration::from_millis(10)
             };
-            poller.wait(&mut events, Some(timeout)).map_err(ClientError::Io)?;
+            poller
+                .wait(&mut events, Some(timeout))
+                .map_err(ClientError::Io)?;
             for ev in events.drain(..) {
                 let c = ev.token as usize;
                 if c >= conns.len() || conns[c].dead {
@@ -1092,7 +1175,13 @@ pub mod mux {
             op: Op::Get { id },
         };
         append_frame(&mut conn.out, &req.encode());
-        conn.pending.push(MuxPending { corr, sched, obj_seed, len, verify });
+        conn.pending.push(MuxPending {
+            corr,
+            sched,
+            obj_seed,
+            len,
+            verify,
+        });
     }
 
     /// Writes as much buffered output as the socket accepts, tracking
@@ -1223,7 +1312,11 @@ mod tests {
     fn zipf_prefers_early_ranks() {
         let mut t = ZipfTable::new(0.99);
         for i in 0..50 {
-            t.push(ObjEntry { id: i, seed: i, len: 1 });
+            t.push(ObjEntry {
+                id: i,
+                seed: i,
+                len: 1,
+            });
         }
         let mut rng = SmallRng::seed_from_u64(9);
         let mut hits = [0u32; 50];
@@ -1239,7 +1332,11 @@ mod tests {
     fn zipf_remove_keeps_sampling_valid() {
         let mut t = ZipfTable::new(1.0);
         for i in 0..10 {
-            t.push(ObjEntry { id: i, seed: i, len: 1 });
+            t.push(ObjEntry {
+                id: i,
+                seed: i,
+                len: 1,
+            });
         }
         let removed = t.remove(3);
         assert_eq!(removed.id, 3);
@@ -1264,7 +1361,11 @@ mod tests {
         for (i, lat) in [50u64, 900, 10, 700, 300, 5, 800, 600].iter().enumerate() {
             note_exemplar(
                 &mut slowest,
-                TraceExemplar { latency_us: *lat, trace_id: i as u64, op: "get" },
+                TraceExemplar {
+                    latency_us: *lat,
+                    trace_id: i as u64,
+                    op: "get",
+                },
             );
         }
         assert_eq!(slowest.len(), EXEMPLAR_KEEP);
@@ -1285,10 +1386,14 @@ mod tests {
                 let Ok(mut s) = stream else { break };
                 thread::spawn(move || {
                     while let Ok(Some(body)) = read_frame(&mut s) {
-                        let Ok(req) = Request::decode(&body) else { return };
+                        let Ok(req) = Request::decode(&body) else {
+                            return;
+                        };
                         let resp = match req.op {
                             Op::Put { .. } => Response::PutOk { id: 7 },
-                            Op::Get { .. } => Response::GetOk { payload: vec![1, 2, 3] },
+                            Op::Get { .. } => Response::GetOk {
+                                payload: vec![1, 2, 3],
+                            },
                             Op::Metrics => Response::MetricsOk { json: "{}".into() },
                             _ => Response::Ok,
                         };
@@ -1304,9 +1409,16 @@ mod tests {
 
     #[test]
     fn per_worker_interval_splits_rate_across_connections() {
-        let cfg = LoadConfig { connections: 4, rate_ops_per_sec: 200.0, ..LoadConfig::default() };
+        let cfg = LoadConfig {
+            connections: 4,
+            rate_ops_per_sec: 200.0,
+            ..LoadConfig::default()
+        };
         let iv = per_worker_interval(&cfg).expect("open loop");
-        assert!((iv.as_secs_f64() - 0.02).abs() < 1e-9, "4 workers share 200/s: {iv:?}");
+        assert!(
+            (iv.as_secs_f64() - 0.02).abs() < 1e-9,
+            "4 workers share 200/s: {iv:?}"
+        );
         assert_eq!(per_worker_interval(&LoadConfig::default()), None);
     }
 
@@ -1321,7 +1433,11 @@ mod tests {
                 pipeline_depth,
                 // PUT-only mix: the stub fakes GET payloads, which would
                 // (correctly) trip byte-for-byte verification.
-                mix: OpMix { put: 100, get: 0, delete: 0 },
+                mix: OpMix {
+                    put: 100,
+                    get: 0,
+                    delete: 0,
+                },
                 payload_min: 32,
                 payload_max: 64,
                 prefill: 8,
@@ -1330,7 +1446,10 @@ mod tests {
                 ..LoadConfig::default()
             };
             let report = run_load(&cfg).expect("load run");
-            assert_eq!(report.ops, 48, "depth {pipeline_depth}, 8 prefill + 40 measured: {report:?}");
+            assert_eq!(
+                report.ops, 48,
+                "depth {pipeline_depth}, 8 prefill + 40 measured: {report:?}"
+            );
             assert_eq!(report.puts, 48);
             assert_eq!(report.errors, 0);
             assert_eq!(report.payload_mismatches, 0);
@@ -1362,7 +1481,10 @@ mod tests {
 
     #[test]
     fn worker_tally_keeps_only_server_sampled_trace_ids() {
-        let cfg = LoadConfig { trace_sample: 4, ..LoadConfig::default() };
+        let cfg = LoadConfig {
+            trace_sample: 4,
+            ..LoadConfig::default()
+        };
         let mut tally = WorkerTally::default();
         let mut expected = Vec::new();
         for id in 0..400u64 {
@@ -1372,7 +1494,10 @@ mod tests {
             }
         }
         assert_eq!(tally.sampled_trace_ids, expected);
-        assert!(!expected.is_empty(), "1-in-4 sampling over 400 ids keeps some");
+        assert!(
+            !expected.is_empty(),
+            "1-in-4 sampling over 400 ids keeps some"
+        );
         assert!(tally
             .slowest
             .iter()

@@ -199,7 +199,10 @@ impl ServerObserver {
     pub fn sample_timeseries(&self, store: &ArchivalStore, t_ms: u64) {
         let mut snap = Snapshot::default();
         self.record_all(store, &mut snap);
-        self.timeseries.push(SeriesPoint { t_ms, values: snap.sampled() });
+        self.timeseries.push(SeriesPoint {
+            t_ms,
+            values: snap.sampled(),
+        });
     }
 
     /// Records every metric set a server exports: the one list behind
@@ -207,16 +210,26 @@ impl ServerObserver {
     /// Kernel, pool and backend counters are process-wide, as the server is.
     fn record_all(&self, store: &ArchivalStore, snap: &mut Snapshot) {
         let derived = Derived::new();
-        for class in [&self.puts, &self.gets, &self.deletes, &self.stats_ops, &self.admin] {
+        for class in [
+            &self.puts,
+            &self.gets,
+            &self.deletes,
+            &self.stats_ops,
+            &self.admin,
+        ] {
             derived.requests.add(class.get());
         }
         derived.spans_recorded.add(self.tracer.recorded());
         derived.spans_dropped.add(self.tracer.dropped());
         let shards = self.loop_shards.get().map_or(&[][..], Vec::as_slice);
         let open = || shards.iter().map(|s| s.connections.get());
-        derived.shard_imbalance.set(open().max().unwrap_or(0) - open().min().unwrap_or(0));
+        derived
+            .shard_imbalance
+            .set(open().max().unwrap_or(0) - open().min().unwrap_or(0));
         // A zero `LoopStats` first: the names are there before `serve` sets the shards.
-        snap.record(&self.metrics).record(&derived).record(&LoopStats::new());
+        snap.record(&self.metrics)
+            .record(&derived)
+            .record(&LoopStats::new());
         for shard in shards {
             snap.record(&**shard);
         }
@@ -224,7 +237,8 @@ impl ServerObserver {
             snap.record(&model.metrics);
         }
         self.store_obs.record_into(store, snap);
-        snap.record(tornado_codec::kernels::metrics()).record(tornado_codec::pool::metrics());
+        snap.record(tornado_codec::kernels::metrics())
+            .record(tornado_codec::pool::metrics());
     }
 
     /// Builds a complete `tornado-metrics-v1` snapshot for the METRICS admin op.
@@ -266,7 +280,10 @@ mod tests {
         let doc = obs.snapshot(&store, 50).to_json();
         let point = obs.timeseries.points().pop().unwrap();
         // The two occupancy gauges `watch` shows raw, never as rates.
-        let (raw_gauges, rows) = ([LoopStats::connections, LoopStats::inflight], crate::catalogue());
+        let (raw_gauges, rows) = (
+            [LoopStats::connections, LoopStats::inflight],
+            crate::catalogue(),
+        );
         for (name, value) in &point.values {
             let row = rows.iter().find(|d| d.name == name).expect(name);
             assert!(row.sampled, "{name}");
@@ -275,12 +292,22 @@ mod tests {
                 _ if raw_gauges.contains(&row.name) => "gauges",
                 other => panic!("{name} is sampled as a rate but is a {other}"),
             };
-            let in_document = doc.get(section).and_then(|s| s.get(name)).and_then(Json::as_u64);
-            assert_eq!(in_document, Some(*value), "{name}: one meaning per document");
+            let in_document = doc
+                .get(section)
+                .and_then(|s| s.get(name))
+                .and_then(Json::as_u64);
+            assert_eq!(
+                in_document,
+                Some(*value),
+                "{name}: one meaning per document"
+            );
         }
         // Repair traffic keeps its two sources apart, each under its own name.
         assert_eq!(point.value(ServerMetrics::get_repair_bytes), Some(4096));
-        assert_eq!(point.value(tornado_store::StoreMetrics::repair_bytes_read), Some(1024));
+        assert_eq!(
+            point.value(tornado_store::StoreMetrics::repair_bytes_read),
+            Some(1024)
+        );
         assert_eq!(point.value(Derived::requests), Some(1));
     }
 
@@ -302,9 +329,15 @@ mod tests {
         let counters = doc.get("counters").unwrap();
         assert_eq!(counters.get("server.requests").unwrap().as_u64(), Some(4));
         assert_eq!(counters.get("server.get").unwrap().as_u64(), Some(2));
-        assert_eq!(counters.get("server.get.degraded").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            counters.get("server.get.degraded").unwrap().as_u64(),
+            Some(1)
+        );
         let gauges = doc.get("gauges").unwrap();
         assert_eq!(gauges.get("server.queue_depth").unwrap().as_u64(), Some(2));
-        assert_eq!(gauges.get("server.queue_depth_peak").unwrap().as_u64(), Some(5));
+        assert_eq!(
+            gauges.get("server.queue_depth_peak").unwrap().as_u64(),
+            Some(5)
+        );
     }
 }

@@ -449,7 +449,9 @@ impl Request {
             OPCODE_PUT => {
                 let name_len = c.u16("name length")? as usize;
                 if name_len > MAX_NAME {
-                    return Err(WireError(format!("name length {name_len} exceeds {MAX_NAME}")));
+                    return Err(WireError(format!(
+                        "name length {name_len} exceeds {MAX_NAME}"
+                    )));
                 }
                 let name = c.string(name_len, "name")?;
                 // The payload is the rest of the body.
@@ -466,8 +468,12 @@ impl Request {
             3 => Op::Delete { id: c.u64("id")? },
             4 => Op::Stat { id: c.u64("id")? },
             5 => Op::Ping,
-            6 => Op::FailDevice { device: c.u32("device")? },
-            7 => Op::ReviveDevice { device: c.u32("device")? },
+            6 => Op::FailDevice {
+                device: c.u32("device")?,
+            },
+            7 => Op::ReviveDevice {
+                device: c.u32("device")?,
+            },
             8 => Op::Metrics,
             9 => Op::Shutdown,
             10 => Op::TraceExport,
@@ -686,12 +692,24 @@ impl Response {
                 let name_len = c.u16("name length")? as usize;
                 let name = c.string(name_len, "name")?;
                 Response::StatOk {
-                    meta: StatMeta { id, name, size, block_len, rotation },
+                    meta: StatMeta {
+                        id,
+                        name,
+                        size,
+                        block_len,
+                        rotation,
+                    },
                 }
             }
-            4 => Response::MetricsOk { json: c.rest_string("metrics JSON")? },
-            5 => Response::TraceOk { json: c.rest_string("trace JSON")? },
-            6 => Response::HealthOk { json: c.rest_string("health JSON")? },
+            4 => Response::MetricsOk {
+                json: c.rest_string("metrics JSON")?,
+            },
+            5 => Response::TraceOk {
+                json: c.rest_string("trace JSON")?,
+            },
+            6 => Response::HealthOk {
+                json: c.rest_string("health JSON")?,
+            },
             16 => Response::Busy,
             17 => Response::NotFound { id: c.u64("id")? },
             18 => Response::Unrecoverable {
@@ -1104,13 +1122,19 @@ mod tests {
             deadline_ms: 0,
             corr_id: None,
             trace_id: None,
-            op: Op::Put { name: "hello/世界".into(), payload: vec![0, 1, 2, 255] },
+            op: Op::Put {
+                name: "hello/世界".into(),
+                payload: vec![0, 1, 2, 255],
+            },
         });
         round_trip_request(Request {
             deadline_ms: 250,
             corr_id: None,
             trace_id: None,
-            op: Op::Put { name: String::new(), payload: Vec::new() },
+            op: Op::Put {
+                name: String::new(),
+                payload: Vec::new(),
+            },
         });
         for op in [
             Op::Get { id: u64::MAX },
@@ -1124,7 +1148,12 @@ mod tests {
             Op::TraceExport,
             Op::Health,
         ] {
-            round_trip_request(Request { deadline_ms: 42, corr_id: None, trace_id: None, op });
+            round_trip_request(Request {
+                deadline_ms: 42,
+                corr_id: None,
+                trace_id: None,
+                op,
+            });
         }
     }
 
@@ -1132,13 +1161,21 @@ mod tests {
     fn requests_round_trip_with_trace_ids() {
         for trace_id in [Some(0u64), Some(1), Some(u64::MAX), None] {
             for op in [
-                Op::Put { name: "t".into(), payload: vec![1, 2, 3] },
+                Op::Put {
+                    name: "t".into(),
+                    payload: vec![1, 2, 3],
+                },
                 Op::Get { id: 9 },
                 Op::Ping,
                 Op::Metrics,
                 Op::TraceExport,
             ] {
-                round_trip_request(Request { deadline_ms: 17, corr_id: None, trace_id, op });
+                round_trip_request(Request {
+                    deadline_ms: 17,
+                    corr_id: None,
+                    trace_id,
+                    op,
+                });
             }
         }
     }
@@ -1152,7 +1189,12 @@ mod tests {
         get.extend_from_slice(&77u64.to_le_bytes());
         assert_eq!(
             Request::decode(&get).unwrap(),
-            Request { deadline_ms: 500, corr_id: None, trace_id: None, op: Op::Get { id: 77 } }
+            Request {
+                deadline_ms: 500,
+                corr_id: None,
+                trace_id: None,
+                op: Op::Get { id: 77 }
+            }
         );
 
         let mut put = vec![1u8];
@@ -1166,7 +1208,10 @@ mod tests {
                 deadline_ms: 0,
                 corr_id: None,
                 trace_id: None,
-                op: Op::Put { name: "obj".into(), payload: vec![0xAA, 0xBB] },
+                op: Op::Put {
+                    name: "obj".into(),
+                    payload: vec![0xAA, 0xBB]
+                },
             }
         );
 
@@ -1174,7 +1219,12 @@ mod tests {
         ping.extend_from_slice(&0u32.to_le_bytes());
         assert_eq!(
             Request::decode(&ping).unwrap(),
-            Request { deadline_ms: 0, corr_id: None, trace_id: None, op: Op::Ping }
+            Request {
+                deadline_ms: 0,
+                corr_id: None,
+                trace_id: None,
+                op: Op::Ping
+            }
         );
     }
 
@@ -1182,7 +1232,13 @@ mod tests {
     fn untraced_encoding_is_byte_identical_to_the_pre_trace_wire_format() {
         // An untraced GET must serialize exactly as the old format did, so
         // new clients stay compatible with pre-trace servers.
-        let body = Request { deadline_ms: 500, corr_id: None, trace_id: None, op: Op::Get { id: 77 } }.encode();
+        let body = Request {
+            deadline_ms: 500,
+            corr_id: None,
+            trace_id: None,
+            op: Op::Get { id: 77 },
+        }
+        .encode();
         let mut expect = vec![2u8];
         expect.extend_from_slice(&500u32.to_le_bytes());
         expect.extend_from_slice(&77u64.to_le_bytes());
@@ -1212,8 +1268,12 @@ mod tests {
         for resp in [
             Response::Ok,
             Response::PutOk { id: 99 },
-            Response::GetOk { payload: vec![9; 1000] },
-            Response::GetOk { payload: Vec::new() },
+            Response::GetOk {
+                payload: vec![9; 1000],
+            },
+            Response::GetOk {
+                payload: Vec::new(),
+            },
             Response::StatOk {
                 meta: StatMeta {
                     id: 3,
@@ -1223,16 +1283,29 @@ mod tests {
                     rotation: 17,
                 },
             },
-            Response::MetricsOk { json: "{\"schema\": \"tornado-metrics-v1\"}".into() },
-            Response::TraceOk { json: "{\"traceEvents\": []}".into() },
-            Response::HealthOk { json: "{\"schema\": \"tornado-health-v1\"}".into() },
+            Response::MetricsOk {
+                json: "{\"schema\": \"tornado-metrics-v1\"}".into(),
+            },
+            Response::TraceOk {
+                json: "{\"traceEvents\": []}".into(),
+            },
+            Response::HealthOk {
+                json: "{\"schema\": \"tornado-health-v1\"}".into(),
+            },
             Response::Busy,
             Response::NotFound { id: 12 },
-            Response::Unrecoverable { id: 12, lost_blocks: 3 },
-            Response::BadRequest { message: "no".into() },
+            Response::Unrecoverable {
+                id: 12,
+                lost_blocks: 3,
+            },
+            Response::BadRequest {
+                message: "no".into(),
+            },
             Response::DeadlineExceeded,
             Response::ShuttingDown,
-            Response::ServerError { message: "boom".into() },
+            Response::ServerError {
+                message: "boom".into(),
+            },
         ] {
             round_trip_response(resp);
         }
@@ -1241,10 +1314,22 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[200, 0, 0, 0, 0]).is_err(), "unknown opcode");
-        assert!(Request::decode(&[2, 0, 0, 0, 0, 1, 2]).is_err(), "truncated id");
+        assert!(
+            Request::decode(&[200, 0, 0, 0, 0]).is_err(),
+            "unknown opcode"
+        );
+        assert!(
+            Request::decode(&[2, 0, 0, 0, 0, 1, 2]).is_err(),
+            "truncated id"
+        );
         // Trailing bytes after a fixed-size op are an error.
-        let mut body = Request { deadline_ms: 0, corr_id: None, trace_id: None, op: Op::Ping }.encode();
+        let mut body = Request {
+            deadline_ms: 0,
+            corr_id: None,
+            trace_id: None,
+            op: Op::Ping,
+        }
+        .encode();
         body.push(0);
         assert!(Request::decode(&body).is_err());
         assert!(Response::decode(&[99]).is_err(), "unknown status");
@@ -1268,7 +1353,10 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"alpha");
         assert!(read_frame(&mut r).unwrap().unwrap().is_empty());
         assert_eq!(read_frame(&mut r).unwrap().unwrap().len(), 300);
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF at a frame boundary");
+        assert!(
+            read_frame(&mut r).unwrap().is_none(),
+            "clean EOF at a frame boundary"
+        );
     }
 
     #[test]
@@ -1295,12 +1383,20 @@ mod tests {
         for corr_id in [Some(0u32), Some(1), Some(u32::MAX), None] {
             for trace_id in [None, Some(7u64)] {
                 for op in [
-                    Op::Put { name: "p".into(), payload: vec![1, 2, 3] },
+                    Op::Put {
+                        name: "p".into(),
+                        payload: vec![1, 2, 3],
+                    },
                     Op::Get { id: 9 },
                     Op::Ping,
                     Op::Health,
                 ] {
-                    round_trip_request(Request { deadline_ms: 5, corr_id, trace_id, op });
+                    round_trip_request(Request {
+                        deadline_ms: 5,
+                        corr_id,
+                        trace_id,
+                        op,
+                    });
                 }
             }
         }
@@ -1317,7 +1413,10 @@ mod tests {
         .encode();
         assert_eq!(body[0], 2 | CORR_FLAG | TRACE_FLAG);
         assert_eq!(u32::from_le_bytes(body[1..5].try_into().unwrap()), 500);
-        assert_eq!(u32::from_le_bytes(body[5..9].try_into().unwrap()), 0xAABB_CCDD);
+        assert_eq!(
+            u32::from_le_bytes(body[5..9].try_into().unwrap()),
+            0xAABB_CCDD
+        );
         assert_eq!(
             u64::from_le_bytes(body[9..17].try_into().unwrap()),
             0x1122_3344_5566_7788
@@ -1339,13 +1438,23 @@ mod tests {
         assert_eq!(decoded.corr_id, None);
         assert_eq!(
             decoded,
-            Request { deadline_ms: 500, corr_id: None, trace_id: None, op: Op::Get { id: 77 } }
+            Request {
+                deadline_ms: 500,
+                corr_id: None,
+                trace_id: None,
+                op: Op::Get { id: 77 }
+            }
         );
         // new client, legacy mode → any server: encoding with
         // corr_id: None reproduces the old bytes exactly.
         assert_eq!(
-            Request { deadline_ms: 500, corr_id: None, trace_id: None, op: Op::Get { id: 77 } }
-                .encode(),
+            Request {
+                deadline_ms: 500,
+                corr_id: None,
+                trace_id: None,
+                op: Op::Get { id: 77 }
+            }
+            .encode(),
             old_wire
         );
         // new client, pipelined mode → old server: the flagged opcode is
@@ -1371,7 +1480,10 @@ mod tests {
         assert_eq!(corr_body[0], 1 | RESP_CORR_FLAG);
         assert_eq!(u32::from_le_bytes(corr_body[1..5].try_into().unwrap()), 42);
         assert_eq!(&corr_body[5..], &resp.encode()[1..]);
-        assert_eq!(Response::decode_corr(&corr_body).unwrap(), (Some(42), resp.clone()));
+        assert_eq!(
+            Response::decode_corr(&corr_body).unwrap(),
+            (Some(42), resp.clone())
+        );
         assert_eq!(Response::decode_corr(&resp.encode()).unwrap(), (None, resp));
         // An old client that somehow received a flagged status rejects it
         // loudly (unknown status) instead of misreading the body.
@@ -1383,15 +1495,24 @@ mod tests {
         for resp in [
             Response::Ok,
             Response::PutOk { id: 99 },
-            Response::GetOk { payload: vec![9; 1000] },
+            Response::GetOk {
+                payload: vec![9; 1000],
+            },
             Response::MetricsOk { json: "{}".into() },
             Response::Busy,
             Response::NotFound { id: 12 },
-            Response::Unrecoverable { id: 12, lost_blocks: 3 },
-            Response::BadRequest { message: "no".into() },
+            Response::Unrecoverable {
+                id: 12,
+                lost_blocks: 3,
+            },
+            Response::BadRequest {
+                message: "no".into(),
+            },
             Response::DeadlineExceeded,
             Response::ShuttingDown,
-            Response::ServerError { message: "boom".into() },
+            Response::ServerError {
+                message: "boom".into(),
+            },
         ] {
             let body = resp.encode_corr(Some(0xFEED_BEEF));
             assert_eq!(
@@ -1401,7 +1522,10 @@ mod tests {
             );
         }
         assert!(Response::decode_corr(&[]).is_err());
-        assert!(Response::decode_corr(&[RESP_CORR_FLAG, 1, 2]).is_err(), "truncated corr");
+        assert!(
+            Response::decode_corr(&[RESP_CORR_FLAG, 1, 2]).is_err(),
+            "truncated corr"
+        );
     }
 
     // --- incremental frame reassembly --------------------------------------
@@ -1469,7 +1593,10 @@ mod tests {
             assert_eq!(fb.next_frame().unwrap().unwrap(), body);
         }
         // After compaction the dead prefix is bounded, not 16 frames deep.
-        assert!(fb.buf.len() < 2 * (body.len() + 4), "backing store stays bounded");
+        assert!(
+            fb.buf.len() < 2 * (body.len() + 4),
+            "backing store stays bounded"
+        );
     }
 
     #[test]
@@ -1634,7 +1761,12 @@ mod tests {
         // A 13-byte GET in a 16 KiB buffer is copied out, and the buffer
         // stays for the next request.
         let mut wire = Vec::new();
-        append_frame(&mut wire, &Request::decode(&[2, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]).unwrap().encode());
+        append_frame(
+            &mut wire,
+            &Request::decode(&[2, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0])
+                .unwrap()
+                .encode(),
+        );
         fb.fill_from(&mut Stalling { ready: &wire }).unwrap();
         let kept = fb.capacity();
         let (buf, body_start) = fb.take_frame().unwrap().unwrap();

@@ -36,7 +36,10 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be at least 1");
         Self {
-            state: Mutex::new(State { items: VecDeque::with_capacity(capacity), closed: false }),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             capacity,
         }

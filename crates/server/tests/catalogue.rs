@@ -24,7 +24,11 @@ fn exported(doc: &Json) -> BTreeSet<(String, String)> {
     };
     ["counters", "gauges", "histograms"]
         .into_iter()
-        .flat_map(|section| names(section).into_iter().map(move |name| (section.to_string(), name)))
+        .flat_map(|section| {
+            names(section)
+                .into_iter()
+                .map(move |name| (section.to_string(), name))
+        })
         .collect()
 }
 
@@ -51,8 +55,14 @@ fn drive(client: &mut Client) -> Json {
     assert_eq!(client.get(id).unwrap(), payload, "degraded GET");
     client.revive_device(7).unwrap();
     let driven = tornado_obs::json::parse(&client.metrics().unwrap()).unwrap();
-    assert_eq!(exported(&idle), exported(&driven), "names are present from the first snapshot");
-    let degraded = driven.get("counters").and_then(|c| c.get("server.get.degraded"));
+    assert_eq!(
+        exported(&idle),
+        exported(&driven),
+        "names are present from the first snapshot"
+    );
+    let degraded = driven
+        .get("counters")
+        .and_then(|c| c.get("server.get.degraded"));
     assert_eq!(degraded.and_then(Json::as_u64), Some(1));
     driven
 }
@@ -62,7 +72,10 @@ fn a_live_servers_metrics_equal_the_catalogues_server_rows() {
     // Default config, then the `--no-health` one: only the health rows go.
     for health in [true, false] {
         let config = ServerConfig {
-            health: HealthConfig { enabled: health, ..HealthConfig::default() },
+            health: HealthConfig {
+                enabled: health,
+                ..HealthConfig::default()
+            },
             ..ServerConfig::default()
         };
         let (handle, _store, mut client) = boot(config);
@@ -84,35 +97,59 @@ fn a_live_servers_metrics_equal_the_catalogues_server_rows() {
 #[test]
 fn a_name_is_declared_by_one_set() {
     let mut seen = BTreeSet::new();
-    let twice: Vec<&str> =
-        catalogue().into_iter().map(|d| d.name).filter(|name| !seen.insert(*name)).collect();
-    assert!(twice.is_empty(), "declared by more than one metric set: {twice:?}");
+    let twice: Vec<&str> = catalogue()
+        .into_iter()
+        .map(|d| d.name)
+        .filter(|name| !seen.insert(*name))
+        .collect();
+    assert!(
+        twice.is_empty(),
+        "declared by more than one metric set: {twice:?}"
+    );
 }
 
 #[test]
 fn a_scrubber_over_a_served_store_moves_the_servers_scrub_counters() {
     let (handle, store, mut client) = boot(ServerConfig::default());
     for i in 0..3 {
-        client.put(&format!("object-{i}"), &vec![i as u8; 9_000]).unwrap();
+        client
+            .put(&format!("object-{i}"), &vec![i as u8; 9_000])
+            .unwrap();
     }
     client.fail_device(11).unwrap();
     client.revive_device(11).unwrap();
     let outcome = Scrubber::new(1).run(&store, 5, true, ScrubMode::Verify);
-    assert_eq!(outcome.decoded_count(), 3, "every stripe lost its block on device 11");
+    assert_eq!(
+        outcome.decoded_count(),
+        3,
+        "every stripe lost its block on device 11"
+    );
 
     let doc = tornado_obs::json::parse(&client.metrics().unwrap()).unwrap();
     let counter = |name: &str| {
-        doc.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64).unwrap()
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap()
     };
     assert_eq!(counter("scrub.cycles"), 1);
     assert_eq!(counter("scrub.decoded"), 3);
     assert_eq!(counter("scrub.blocks_repaired"), 3);
-    assert_eq!(counter("repair.bytes_read"), outcome.repair_cost().bytes_read);
-    assert!(counter("decode.trials") >= 3, "the repair planner's decodes were drained");
+    assert_eq!(
+        counter("repair.bytes_read"),
+        outcome.repair_cost().bytes_read
+    );
+    assert!(
+        counter("decode.trials") >= 3,
+        "the repair planner's decodes were drained"
+    );
 
     // The observatory's corruption SLO reads the same cells.
     let health = tornado_obs::json::parse(&client.health().unwrap()).unwrap();
-    let slo = health.get("slo").and_then(|s| s.get("scrub_corruption")).unwrap();
+    let slo = health
+        .get("slo")
+        .and_then(|s| s.get("scrub_corruption"))
+        .unwrap();
     assert_eq!(slo.get("bad").and_then(Json::as_u64), Some(3));
     assert_eq!(slo.get("total").and_then(Json::as_u64), Some(3));
     client.shutdown().unwrap();

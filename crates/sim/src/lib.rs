@@ -34,6 +34,5 @@ pub use monte_carlo::{monte_carlo_profile, monte_carlo_profile_observed, MonteCa
 pub use obs::SimObserver;
 pub use profile::{FailureProfile, ProfileEntry};
 pub use worst_case::{
-    worst_case_search, worst_case_search_observed, KLevelResult, WorstCaseConfig,
-    WorstCaseReport,
+    worst_case_search, worst_case_search_observed, KLevelResult, WorstCaseConfig, WorstCaseReport,
 };

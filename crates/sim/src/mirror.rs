@@ -107,16 +107,22 @@ mod tests {
                     continue;
                 }
                 total += 1;
-                let complete = (0..pairs).any(|p| {
-                    mask & (1 << p) != 0 && mask & (1 << (p + pairs)) != 0
-                });
+                let complete =
+                    (0..pairs).any(|p| mask & (1 << p) != 0 && mask & (1 << (p + pairs)) != 0);
                 if complete {
                     fail += 1;
                 }
             }
-            let expected = if total == 0 { 0.0 } else { fail as f64 / total as f64 };
+            let expected = if total == 0 {
+                0.0
+            } else {
+                fail as f64 / total as f64
+            };
             let got = mirrored_failure_probability(pairs, k);
-            assert!((got - expected).abs() < 1e-12, "k = {k}: {got} vs {expected}");
+            assert!(
+                (got - expected).abs() < 1e-12,
+                "k = {k}: {got} vs {expected}"
+            );
         }
     }
 

@@ -93,7 +93,10 @@ pub fn monte_carlo_profile_observed(
                 ("trials", Json::U64(cfg.trials_per_k)),
                 ("failures", Json::U64(failures)),
                 ("fraction", Json::F64(fraction)),
-                ("elapsed_ms", Json::U64(started.elapsed().as_millis() as u64)),
+                (
+                    "elapsed_ms",
+                    Json::U64(started.elapsed().as_millis() as u64),
+                ),
             ],
         );
         profile.record(k, cfg.trials_per_k, failures, false);
@@ -198,7 +201,8 @@ pub fn complement(n: usize, base: &[usize]) -> Vec<usize> {
 /// SplitMix64-style seed mixing so nearby `(seed, k, batch)` triples give
 /// unrelated streams.
 fn mix(seed: u64, k: u64, batch: u64) -> u64 {
-    let mut z = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let mut z =
+        seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

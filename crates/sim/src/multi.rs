@@ -358,7 +358,9 @@ pub fn first_failure_detected(
                 ok = true;
                 break;
             }
-            let lost_a = dec_a.decode_detailed(&project_site_a(&joint, &fed)).lost_data;
+            let lost_a = dec_a
+                .decode_detailed(&project_site_a(&joint, &fed))
+                .lost_data;
             let lost_b = dec_b
                 .decode_detailed(&project_site_b(&joint, &fed))
                 .lost_data;
@@ -375,11 +377,8 @@ pub fn first_failure_detected(
                     joint.extend(block_a[h as usize].iter().copied());
                 }
             } else {
-                let cert = tornado_codec::recovery_certificate(
-                    fed.graph(),
-                    &joint_detail,
-                    d as NodeId,
-                );
+                let cert =
+                    tornado_codec::recovery_certificate(fed.graph(), &joint_detail, d as NodeId);
                 let Some(&e) = cert.iter().find(|e| !joint.contains(&(**e as usize))) else {
                     break;
                 };
@@ -517,7 +516,10 @@ mod tests {
         // Copies of data 0: node 0, mirror 4, replica 8, B-mirror 12.
         assert!(dec.decode(&[0, 4, 8]));
         assert!(!dec.decode(&[0, 4, 8, 12]));
-        assert!(dec.decode(&[0, 4, 9, 12]), "losing another block's replica is fine");
+        assert!(
+            dec.decode(&[0, 4, 9, 12]),
+            "losing another block's replica is fine"
+        );
     }
 
     #[test]
@@ -534,8 +536,14 @@ mod tests {
         assert!(!dec_a.decode(&[0, 2]));
         let mut joint = ErasureDecoder::new(fed.graph());
         // Federated devices: A = {0,1,2,3}; replicas = {4,5}; B checks = {6,7}.
-        assert!(joint.decode(&[0, 2, 5, 7]), "cross-site exchange must save both");
-        assert!(!joint.decode(&[0, 2, 4, 6]), "same block dead at both sites");
+        assert!(
+            joint.decode(&[0, 2, 5, 7]),
+            "cross-site exchange must save both"
+        );
+        assert!(
+            !joint.decode(&[0, 2, 4, 6]),
+            "same block dead at both sites"
+        );
     }
 
     #[test]
@@ -639,7 +647,10 @@ mod tests {
         let fed = FederatedSystem::new(&a, &b);
         let mut dec = ErasureDecoder::new(fed.graph());
         assert!(!dec.decode(&found.devices), "reported failure must verify");
-        assert!(found.size() >= 4, "cheaper than two mirrored pairs: {found:?}");
+        assert!(
+            found.size() >= 4,
+            "cheaper than two mirrored pairs: {found:?}"
+        );
     }
 
     #[test]

@@ -152,10 +152,7 @@ impl FailureProfile {
     /// was enumerated or sampled. `None` if no failure was ever observed;
     /// the certified answer is [`FailureProfile::first_failure_exact`].
     pub fn first_failure(&self) -> Option<usize> {
-        self.entries
-            .iter()
-            .find(|e| e.failures > 0)
-            .map(|e| e.k)
+        self.entries.iter().find(|e| e.failures > 0).map(|e| e.k)
     }
 
     /// First `k` whose *exhaustively enumerated* row shows a failure —
@@ -328,7 +325,7 @@ mod tests {
     #[test]
     fn average_online_given_success_conditions_on_the_window() {
         let p = step_profile(10); // succeeds iff ≥ 5 online
-        // k ∈ 1..=9 ⇒ m ∈ 1..=9; successes at m = 5..=9, uniform → mean 7.
+                                  // k ∈ 1..=9 ⇒ m ∈ 1..=9; successes at m = 5..=9, uniform → mean 7.
         let avg = p.average_online_given_success(1..=9);
         assert!((avg - 7.0).abs() < 1e-12, "got {avg}");
         // A window with no successes yields NaN.

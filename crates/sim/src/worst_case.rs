@@ -160,9 +160,10 @@ pub fn search_level_observed(
 ) -> KLevelResult {
     let n = graph.num_nodes();
     let total = binomial(n as u64, k as u64);
-    let progress = obs
-        .progress
-        .start(format!("worst-case k={k}"), u64::try_from(total).unwrap_or(u64::MAX));
+    let progress = obs.progress.start(
+        format!("worst-case k={k}"),
+        u64::try_from(total).unwrap_or(u64::MAX),
+    );
     let started = std::time::Instant::now();
     // Enough chunks to keep all cores busy with balanced tails.
     let chunks = (rayon::current_num_threads() * 8).max(1);
@@ -209,10 +210,16 @@ pub fn search_level_observed(
             ("k", Json::U64(k as u64)),
             ("cases", Json::U64(u64::try_from(total).unwrap_or(u64::MAX))),
             ("failures", Json::U64(failures)),
-            ("elapsed_ms", Json::U64(started.elapsed().as_millis() as u64)),
+            (
+                "elapsed_ms",
+                Json::U64(started.elapsed().as_millis() as u64),
+            ),
         ],
     );
-    debug_assert!(sets.is_sorted(), "rank-ordered ranges concatenate in lex order");
+    debug_assert!(
+        sets.is_sorted(),
+        "rank-ordered ranges concatenate in lex order"
+    );
     sets.truncate(collect_cap);
     let truncated = failures > sets.len() as u64;
     KLevelResult {
@@ -409,11 +416,14 @@ mod tests {
         // n mirrored pairs: failures at k are the subsets containing at
         // least one complete pair.
         let g = generate_mirror(6).unwrap(); // 12 nodes
-        let report = worst_case_search(&g, &WorstCaseConfig {
-            max_k: 3,
-            collect_cap: 1024,
-            stop_at_first_failure: false,
-        });
+        let report = worst_case_search(
+            &g,
+            &WorstCaseConfig {
+                max_k: 3,
+                collect_cap: 1024,
+                stop_at_first_failure: false,
+            },
+        );
         assert_eq!(report.first_failure(), Some(2));
         let l2 = &report.levels[1];
         assert_eq!(l2.cases, binomial(12, 2));
@@ -430,11 +440,14 @@ mod tests {
     #[test]
     fn stop_at_first_failure_halts_early() {
         let g = generate_mirror(6).unwrap();
-        let report = worst_case_search(&g, &WorstCaseConfig {
-            max_k: 3,
-            collect_cap: 16,
-            stop_at_first_failure: true,
-        });
+        let report = worst_case_search(
+            &g,
+            &WorstCaseConfig {
+                max_k: 3,
+                collect_cap: 16,
+                stop_at_first_failure: true,
+            },
+        );
         assert_eq!(report.levels.len(), 2, "stops after k = 2");
         assert_eq!(report.first_failure(), Some(2));
     }
@@ -469,18 +482,19 @@ mod tests {
         let g = b.build().unwrap();
         let report = worst_case_search(&g, &WorstCaseConfig::default());
         assert_eq!(report.first_failure(), Some(2));
-        assert!(report.levels[1]
-            .failure_sets
-            .contains(&vec![0usize, 1]));
+        assert!(report.levels[1].failure_sets.contains(&vec![0usize, 1]));
     }
 
     #[test]
     fn to_profile_marks_rows_exact() {
         let g = generate_mirror(4).unwrap();
-        let report = worst_case_search(&g, &WorstCaseConfig {
-            max_k: 2,
-            ..Default::default()
-        });
+        let report = worst_case_search(
+            &g,
+            &WorstCaseConfig {
+                max_k: 2,
+                ..Default::default()
+            },
+        );
         let p = report.to_profile(8);
         assert!(p.entry(1).exact);
         assert_eq!(p.entry(1).failures, 0);

@@ -81,11 +81,13 @@ fn observed_metrics_are_deterministic_across_thread_counts() {
         // re-begins its first prefix — so only the verdict counters are
         // asserted bit-identical.
         assert_eq!(
-            got.1[cells::TRIALS], baseline.1[cells::TRIALS],
+            got.1[cells::TRIALS],
+            baseline.1[cells::TRIALS],
             "thread count {threads} changed the trial count"
         );
         assert_eq!(
-            got.1[cells::FAILURES], baseline.1[cells::FAILURES],
+            got.1[cells::FAILURES],
+            baseline.1[cells::FAILURES],
             "thread count {threads} changed the failure count"
         );
         // Every trial takes exactly one of the three tail paths.
@@ -129,7 +131,10 @@ fn observed_monte_carlo_is_identical_and_counts_trials() {
     let lines = event_buf.lock().unwrap();
     assert_eq!(lines.len(), 3);
     let doc = tornado_obs::json::parse(&lines[0]).unwrap();
-    assert_eq!(doc.get("event").unwrap().as_str(), Some("monte_carlo_level"));
+    assert_eq!(
+        doc.get("event").unwrap().as_str(),
+        Some("monte_carlo_level")
+    );
     assert_eq!(doc.get("k").unwrap().as_u64(), Some(2));
     assert_eq!(doc.get("trials").unwrap().as_u64(), Some(5000));
     assert_eq!(
@@ -167,15 +172,22 @@ fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
 fn observed_progress_renders_per_level_lines() {
     let g = generate_mirror(6).unwrap();
     let (progress, buf) = ProgressConfig::memory();
-    let obs = SimObserver::disabled()
-        .with_progress(progress.with_interval(Duration::from_millis(0)));
+    let obs =
+        SimObserver::disabled().with_progress(progress.with_interval(Duration::from_millis(0)));
     let level = search_level_observed(&g, 2, 16, &obs);
     assert_eq!(level.failures, 6);
     let lines = buf.lock().unwrap();
     assert!(!lines.is_empty());
-    assert!(lines.iter().all(|l| l.starts_with("worst-case k=2")), "{lines:?}");
+    assert!(
+        lines.iter().all(|l| l.starts_with("worst-case k=2")),
+        "{lines:?}"
+    );
     // finish() forces a final 100% render.
-    assert!(lines.last().unwrap().contains("(66/66)"), "{:?}", lines.last());
+    assert!(
+        lines.last().unwrap().contains("(66/66)"),
+        "{:?}",
+        lines.last()
+    );
 }
 
 #[test]
@@ -184,9 +196,16 @@ fn observed_sample_level_progress_counts_every_trial() {
     let (progress, buf) = ProgressConfig::memory();
     let obs = SimObserver::disabled().with_progress(progress);
     let failures = sample_level_observed(&g, &[], 2, 10_000, 7, &obs);
-    assert_eq!(failures, tornado_sim::monte_carlo::sample_level(&g, 2, 10_000, 7));
+    assert_eq!(
+        failures,
+        tornado_sim::monte_carlo::sample_level(&g, 2, 10_000, 7)
+    );
     let lines = buf.lock().unwrap();
-    assert!(lines.last().unwrap().contains("(10000/10000)"), "{:?}", lines.last());
+    assert!(
+        lines.last().unwrap().contains("(10000/10000)"),
+        "{:?}",
+        lines.last()
+    );
 }
 
 #[test]

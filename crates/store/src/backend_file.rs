@@ -176,10 +176,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "tornado-filebackend-{tag}-{}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("tornado-filebackend-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }

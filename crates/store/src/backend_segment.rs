@@ -80,8 +80,7 @@ impl SegmentBackend {
             }
             record.resize(len as usize + TRAILER_LEN, 0);
             file.read_exact(&mut record)?;
-            let stored_sum =
-                u64::from_le_bytes(record[len as usize..].try_into().unwrap());
+            let stored_sum = u64::from_le_bytes(record[len as usize..].try_into().unwrap());
             let mut hasher_input = Vec::with_capacity(HEADER_LEN + len as usize);
             hasher_input.extend_from_slice(&header);
             hasher_input.extend_from_slice(&record[..len as usize]);
@@ -297,7 +296,11 @@ mod tests {
         }
         // Flip one payload byte of the *last* record on disk.
         let len = std::fs::metadata(&path).unwrap().len();
-        let mut f = OpenOptions::new().read(true).write(true).open(&path).unwrap();
+        let mut f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
         f.seek(SeekFrom::Start(len - 20)).unwrap();
         let mut byte = [0u8; 1];
         f.read_exact(&mut byte).unwrap();

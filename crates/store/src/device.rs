@@ -350,9 +350,17 @@ mod tests {
         assert_eq!(d.stats().writes, 0);
         d.replace();
         assert!(d.write_block((1, 0), vec![1]));
-        assert_eq!(d.stats().failed_writes, 2, "successful write leaves the failure count");
+        assert_eq!(
+            d.stats().failed_writes,
+            2,
+            "successful write leaves the failure count"
+        );
         assert_eq!(d.stats().writes, 1);
-        assert_eq!(d.stats().io_errors, 0, "offline rejections are not I/O errors");
+        assert_eq!(
+            d.stats().io_errors,
+            0,
+            "offline rejections are not I/O errors"
+        );
     }
 
     #[test]
@@ -365,7 +373,11 @@ mod tests {
         assert_eq!(d.verify_block(&(1, 1), sum), BlockProbe::Missing);
         assert!(d.corrupt_block(&(1, 0), 0x01));
         assert_eq!(d.verify_block(&(1, 0), sum), BlockProbe::Corrupt);
-        assert_eq!(d.stats().verifies, 2, "present-block probes are counted, including mismatches");
+        assert_eq!(
+            d.stats().verifies,
+            2,
+            "present-block probes are counted, including mismatches"
+        );
         assert_eq!(d.stats().reads, 0, "no block bytes were served");
         d.fail();
         assert_eq!(d.verify_block(&(1, 0), sum), BlockProbe::Missing);
@@ -383,9 +395,18 @@ mod tests {
             len: 64,
             checksum: tornado_codec::kernels::checksum(&[7u8; 64]),
         });
-        assert_eq!(d.read_block_into(&(1, 0), ReadClass::Repair, &mut out), read);
-        assert_eq!(d.read_block_into(&(1, 0), ReadClass::Repair, &mut out), read);
-        assert_eq!(d.read_block_into(&(1, 0), ReadClass::Payload, &mut out), read);
+        assert_eq!(
+            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
+            read
+        );
+        assert_eq!(
+            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
+            read
+        );
+        assert_eq!(
+            d.read_block_into(&(1, 0), ReadClass::Payload, &mut out),
+            read
+        );
         assert_eq!(out.len(), 3 + 3 * 64);
         assert_eq!((&out[..3], &out[3..67]), (&[0xEE; 3][..], &[7u8; 64][..]));
         let s = d.stats();
@@ -436,10 +457,7 @@ mod tests {
         // unreadable by replacing the file with a directory — a read
         // error that is not an offline rejection.
         use crate::backend_file::FileBackend;
-        let dir = std::env::temp_dir().join(format!(
-            "tornado-device-ioerr-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("tornado-device-ioerr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let backend = FileBackend::open(&dir, false).unwrap();
         let d = Device::with_backend(0, Box::new(backend));

@@ -442,13 +442,21 @@ pub(crate) fn open(
     let mut deletes: Vec<(u64, u32, u32)> = Vec::new();
     for rec in &scan.records {
         match *rec {
-            JournalRecord::PutIntent { id, rotation, nodes } => {
+            JournalRecord::PutIntent {
+                id,
+                rotation,
+                nodes,
+            } => {
                 intents.insert(id, (rotation, nodes));
             }
             JournalRecord::PutCommit { id } => {
                 commits.insert(id);
             }
-            JournalRecord::Delete { id, rotation, nodes } => {
+            JournalRecord::Delete {
+                id,
+                rotation,
+                nodes,
+            } => {
                 deletes.push((id, rotation, nodes));
             }
         }
@@ -561,14 +569,19 @@ mod tests {
             size: 123457,
             block_len: 2572,
             rotation: 17,
-            checksums: (0..96u64).map(|i| i.wrapping_mul(0x9e3779b97f4a7c15)).collect(),
+            checksums: (0..96u64)
+                .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
+                .collect(),
         };
         let bytes = encode_sidecar(&meta);
         assert_eq!(decode_sidecar(&bytes).unwrap(), meta);
         let mut rotted = bytes.clone();
         rotted[20] ^= 0x10;
         assert!(decode_sidecar(&rotted).is_none(), "checksum catches rot");
-        assert!(decode_sidecar(&bytes[..bytes.len() - 1]).is_none(), "truncation");
+        assert!(
+            decode_sidecar(&bytes[..bytes.len() - 1]).is_none(),
+            "truncation"
+        );
         assert!(decode_sidecar(&[]).is_none());
     }
 

@@ -158,9 +158,11 @@ impl FederatedStore {
         }
         // A rebuilt block is checked against no digest here: data blocks
         // that frame no payload are data blocks that were not recovered.
-        let payload = EncodedStripe::payload_range(&framed).ok_or_else(|| {
-            StoreError::Unrecoverable { id, lost_blocks: (0..k as NodeId).collect() }
-        })?;
+        let payload =
+            EncodedStripe::payload_range(&framed).ok_or_else(|| StoreError::Unrecoverable {
+                id,
+                lost_blocks: (0..k as NodeId).collect(),
+            })?;
         Ok((framed[payload].to_vec(), blocks_crossed))
     }
 

@@ -72,7 +72,11 @@ impl JournalRecord {
     fn encode_payload(&self) -> Vec<u8> {
         let mut p = Vec::with_capacity(17);
         match *self {
-            JournalRecord::PutIntent { id, rotation, nodes } => {
+            JournalRecord::PutIntent {
+                id,
+                rotation,
+                nodes,
+            } => {
                 p.push(KIND_PUT_INTENT);
                 p.extend_from_slice(&id.to_le_bytes());
                 p.extend_from_slice(&rotation.to_le_bytes());
@@ -82,7 +86,11 @@ impl JournalRecord {
                 p.push(KIND_PUT_COMMIT);
                 p.extend_from_slice(&id.to_le_bytes());
             }
-            JournalRecord::Delete { id, rotation, nodes } => {
+            JournalRecord::Delete {
+                id,
+                rotation,
+                nodes,
+            } => {
                 p.push(KIND_DELETE);
                 p.extend_from_slice(&id.to_le_bytes());
                 p.extend_from_slice(&rotation.to_le_bytes());
@@ -101,8 +109,16 @@ impl JournalRecord {
                 let rotation = u32::from_le_bytes(p[9..13].try_into().ok()?);
                 let nodes = u32::from_le_bytes(p[13..17].try_into().ok()?);
                 Some(match kind {
-                    KIND_PUT_INTENT => JournalRecord::PutIntent { id, rotation, nodes },
-                    _ => JournalRecord::Delete { id, rotation, nodes },
+                    KIND_PUT_INTENT => JournalRecord::PutIntent {
+                        id,
+                        rotation,
+                        nodes,
+                    },
+                    _ => JournalRecord::Delete {
+                        id,
+                        rotation,
+                        nodes,
+                    },
                 })
             }
             _ => None,
@@ -189,17 +205,20 @@ impl IntentJournal {
         metrics().scan_bytes.add(pos);
         scan.valid_bytes = pos;
         file.seek(SeekFrom::Start(pos))?;
-        Ok((Self { file, fsync, end: pos }, scan))
+        Ok((
+            Self {
+                file,
+                fsync,
+                end: pos,
+            },
+            scan,
+        ))
     }
 
     /// Appends a record (fsyncing if enabled). `crash` injects a
     /// simulated process death: either before anything is written or
     /// after only half the frame hit the file (a torn tail).
-    pub fn append(
-        &mut self,
-        rec: &JournalRecord,
-        crash: &CrashInjector,
-    ) -> io::Result<()> {
+    pub fn append(&mut self, rec: &JournalRecord, crash: &CrashInjector) -> io::Result<()> {
         let frame = rec.encode_frame();
         self.file.seek(SeekFrom::Start(self.end))?;
         crash.step()?; // crash before the append: nothing written
@@ -319,10 +338,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmpj(tag: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!(
-            "tornado-journal-{tag}-{}.wal",
-            std::process::id()
-        ));
+        let p =
+            std::env::temp_dir().join(format!("tornado-journal-{tag}-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }
@@ -332,9 +349,17 @@ mod tests {
         let path = tmpj("roundtrip");
         let quiet = CrashInjector::default();
         let recs = [
-            JournalRecord::PutIntent { id: 7, rotation: 3, nodes: 96 },
+            JournalRecord::PutIntent {
+                id: 7,
+                rotation: 3,
+                nodes: 96,
+            },
             JournalRecord::PutCommit { id: 7 },
-            JournalRecord::Delete { id: 7, rotation: 3, nodes: 96 },
+            JournalRecord::Delete {
+                id: 7,
+                rotation: 3,
+                nodes: 96,
+            },
         ];
         {
             let (mut j, scan) = IntentJournal::open(&path, false).unwrap();
@@ -355,8 +380,15 @@ mod tests {
         let crash = CrashInjector::default();
         {
             let (mut j, _) = IntentJournal::open(&path, false).unwrap();
-            j.append(&JournalRecord::PutIntent { id: 1, rotation: 0, nodes: 4 }, &crash)
-                .unwrap();
+            j.append(
+                &JournalRecord::PutIntent {
+                    id: 1,
+                    rotation: 0,
+                    nodes: 4,
+                },
+                &crash,
+            )
+            .unwrap();
             crash.arm_torn(0);
             let err = j
                 .append(&JournalRecord::PutCommit { id: 1 }, &crash)

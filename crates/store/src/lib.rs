@@ -34,8 +34,8 @@ pub mod backend_segment;
 pub mod device;
 pub mod durable;
 pub mod error;
-pub mod journal;
 pub mod federation;
+pub mod journal;
 pub mod obs;
 pub mod retrieval;
 pub mod scrubber;
@@ -47,13 +47,11 @@ pub use backend_file::FileBackend;
 pub use backend_segment::SegmentBackend;
 pub use device::{BlockProbe, Device, DeviceStats, ReadClass};
 pub use durable::{BackendKind, DurableConfig, RecoveryReport};
-pub use journal::{CrashInjector, IntentJournal, JournalRecord};
 pub use error::StoreError;
 pub use federation::{ExchangeReport, FederatedStore, FetchPath};
+pub use journal::{CrashInjector, IntentJournal, JournalRecord};
 pub use obs::{DeviceTotals, StoreMetrics, StoreObserver};
 pub use retrieval::{plan_repair, plan_retrieval, RepairCost, RetrievalPlan};
 pub use scrubber::{ScrubAction, ScrubMode, ScrubOutcome, Scrubber, StripeHealth};
 pub use store::{ArchivalStore, GetStats, ObjectId, ObjectMeta};
-pub use workload::{
-    generate_events, replay, Event, EventOutcome, ReplayReport, WorkloadConfig,
-};
+pub use workload::{generate_events, replay, Event, EventOutcome, ReplayReport, WorkloadConfig};

@@ -127,8 +127,14 @@ impl StoreObserver {
                 ("torn_tail", Json::Bool(report.torn_tail)),
                 ("committed_puts", Json::U64(report.committed_puts as u64)),
                 ("rolled_back", Json::U64(report.rolled_back as u64)),
-                ("deletes_replayed", Json::U64(report.deletes_replayed as u64)),
-                ("invalid_sidecars", Json::U64(report.invalid_sidecars as u64)),
+                (
+                    "deletes_replayed",
+                    Json::U64(report.deletes_replayed as u64),
+                ),
+                (
+                    "invalid_sidecars",
+                    Json::U64(report.invalid_sidecars as u64),
+                ),
                 ("objects", Json::U64(report.objects as u64)),
             ],
         );

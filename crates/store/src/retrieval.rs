@@ -355,12 +355,18 @@ mod tests {
         let cost = plan.cost(&g, 1024);
         assert_eq!(cost.blocks_fetched, 4);
         assert_eq!(cost.bytes_read, 4 * 1024);
-        assert_eq!(cost.devices_contacted, 4, "identity layout: one device per node");
+        assert_eq!(
+            cost.devices_contacted, 4,
+            "identity layout: one device per node"
+        );
         assert_eq!(cost.recovery_depth, 1);
 
         // Two nodes colocated on one device collapse the device count.
         let squeezed = plan.cost_with(&g, 1024, |n| (n as usize) / 2);
-        assert_eq!(squeezed.devices_contacted, 3, "nodes 1|2|3|4 -> devices 0,1,2");
+        assert_eq!(
+            squeezed.devices_contacted, 3,
+            "nodes 1|2|3|4 -> devices 0,1,2"
+        );
         assert!(!cost.is_zero());
         let mut total = RepairCost::default();
         total.absorb(&cost);

@@ -166,17 +166,26 @@ impl ScrubOutcome {
 
     /// Stripes the skip tier never touched.
     pub fn skipped_count(&self) -> usize {
-        self.actions.iter().filter(|&&a| a == ScrubAction::Skipped).count()
+        self.actions
+            .iter()
+            .filter(|&&a| a == ScrubAction::Skipped)
+            .count()
     }
 
     /// Stripes fully checksum-verified (and found intact).
     pub fn verified_count(&self) -> usize {
-        self.actions.iter().filter(|&&a| a == ScrubAction::Verified).count()
+        self.actions
+            .iter()
+            .filter(|&&a| a == ScrubAction::Verified)
+            .count()
     }
 
     /// Stripes with damage, whose repair was planned and replayed.
     pub fn decoded_count(&self) -> usize {
-        self.actions.iter().filter(|&&a| a == ScrubAction::Decoded).count()
+        self.actions
+            .iter()
+            .filter(|&&a| a == ScrubAction::Decoded)
+            .count()
     }
 
     /// Total read cost of the cycle across every stripe (bytes, blocks and
@@ -329,9 +338,12 @@ impl Scrubber {
         let ids: Vec<ObjectId> = metas.iter().map(|m| m.id).collect();
         let results: Vec<StripeScrub> = match &self.pool {
             None => metas.iter().map(per_stripe).collect(),
-            Some(pool) => {
-                pool.install(|| metas.into_par_iter().map(|meta| per_stripe(&meta)).collect())
-            }
+            Some(pool) => pool.install(|| {
+                metas
+                    .into_par_iter()
+                    .map(|meta| per_stripe(&meta))
+                    .collect()
+            }),
         };
         // store.list() is ascending by id and the parallel map preserves
         // item order, so this fold reproduces the serial outcome exactly.
@@ -437,8 +449,7 @@ fn scrub_stripe(
         // present block is hashed where it lies. Either way a block is
         // streamed once — unless a re-plan pulls one already verified in
         // place into the cone — and a block in hand is never read again.
-        let in_cone =
-            |v: NodeId| mode == ScrubMode::Full || plan.fetch.binary_search(&v).is_ok();
+        let in_cone = |v: NodeId| mode == ScrubMode::Full || plan.fetch.binary_search(&v).is_ok();
         let lost = (0..n as NodeId).find(|&v| {
             let i = v as usize;
             if missing.contains(&v) || blocks[i].is_some() {
@@ -789,7 +800,11 @@ mod tests {
     fn damaged_store() -> ArchivalStore {
         let store = ArchivalStore::new(small_graph());
         let ids: Vec<_> = (0..10u32)
-            .map(|i| store.put(&format!("t{i}"), format!("tier test {i}").as_bytes()).unwrap())
+            .map(|i| {
+                store
+                    .put(&format!("t{i}"), format!("tier test {i}").as_bytes())
+                    .unwrap()
+            })
             .collect();
         store.fail_device(0).unwrap();
         store.fail_device(5).unwrap();
@@ -811,8 +826,14 @@ mod tests {
             let full = Scrubber::new(threads).run(&store, 2, false, ScrubMode::Full);
             let verify = Scrubber::new(threads).run(&store, 2, false, ScrubMode::Verify);
             let incremental = Scrubber::new(threads).run(&store, 2, false, ScrubMode::Incremental);
-            assert_eq!(full.stripes, verify.stripes, "verify healths, threads {threads}");
-            assert_eq!(full.stripes, incremental.stripes, "incremental healths, threads {threads}");
+            assert_eq!(
+                full.stripes, verify.stripes,
+                "verify healths, threads {threads}"
+            );
+            assert_eq!(
+                full.stripes, incremental.stripes,
+                "incremental healths, threads {threads}"
+            );
             assert_eq!(full.objects_incomplete, verify.objects_incomplete);
             assert_eq!(full.objects_incomplete, incremental.objects_incomplete);
             // The gating shows only in the actions: the verify tier never
@@ -918,7 +939,11 @@ mod tests {
             .map(|d| store.device(d).unwrap().stats().verifies)
             .sum();
         assert_eq!(reads_after, reads_before, "no block was copied out");
-        assert_eq!(verifies, store.num_devices() as u64, "every block was probed in place");
+        assert_eq!(
+            verifies,
+            store.num_devices() as u64,
+            "every block was probed in place"
+        );
     }
 
     #[test]

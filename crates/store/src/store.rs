@@ -1,7 +1,7 @@
 //! The archival store: transactional object put/get over a device pool.
 
 use crate::device::{Device, ReadClass};
-use crate::durable::{self, BackendKind, DurableConfig, Durability, RecoveryReport};
+use crate::durable::{self, BackendKind, Durability, DurableConfig, RecoveryReport};
 use crate::error::StoreError;
 use crate::journal::{CrashInjector, JournalRecord};
 use crate::obs::StoreObserver;
@@ -288,8 +288,7 @@ impl ArchivalStore {
         let codec = Codec::new(&self.graph);
         let stripe = EncodedStripe::from_object(&codec, payload)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let rotation =
-            self.put_count.fetch_add(1, Ordering::Relaxed) as usize % self.devices.len();
+        let rotation = self.put_count.fetch_add(1, Ordering::Relaxed) as usize % self.devices.len();
         let block_len = stripe.block_len();
         // The digests were taken as the encoder wrote the blocks.
         let (blocks, checksums) = stripe.into_parts();
@@ -313,7 +312,9 @@ impl ArchivalStore {
         let mut touched: Vec<usize> = Vec::new();
         for (node, block) in blocks.into_iter().enumerate() {
             if let Some(d) = &self.durability {
-                d.crash.step().map_err(|e| StoreError::io("block write", &e))?;
+                d.crash
+                    .step()
+                    .map_err(|e| StoreError::io("block write", &e))?;
             }
             let dev = self.device_of_block(&meta, node as NodeId);
             if self.devices[dev].write_block((id, node as u32), block) {
@@ -657,7 +658,9 @@ mod tests {
         let offline = || {
             let mut snap = tornado_obs::Snapshot::new("test", 0);
             obs.record_into(&store, &mut snap);
-            snap.to_json().get("gauges").and_then(|g| g.get("device.offline")?.as_u64())
+            snap.to_json()
+                .get("gauges")
+                .and_then(|g| g.get("device.offline")?.as_u64())
         };
         store.fail_device(1).unwrap();
         store.fail_device(3).unwrap();
@@ -716,7 +719,10 @@ mod tests {
         let store = ArchivalStore::new(graph);
         let id = store.put("big", &vec![7u8; 4096]).unwrap();
         let (_, healthy) = store.get_detailed(id).unwrap();
-        assert_eq!(healthy.blocks_fetched, 48, "healthy stripe reads only data blocks");
+        assert_eq!(
+            healthy.blocks_fetched, 48,
+            "healthy stripe reads only data blocks"
+        );
         store.fail_device(3).unwrap();
         let (payload, degraded) = store.get_detailed(id).unwrap();
         assert_eq!(payload.len(), 4096);
@@ -736,7 +742,9 @@ mod tests {
         let id = store.put("big", &vec![7u8; 4096]).unwrap();
         let meta = store.meta(id).unwrap();
         let snap = |s: &ArchivalStore| -> Vec<DeviceStats> {
-            (0..s.num_devices()).map(|d| s.device(d).unwrap().stats()).collect()
+            (0..s.num_devices())
+                .map(|d| s.device(d).unwrap().stats())
+                .collect()
         };
 
         let before = snap(&store);
@@ -760,9 +768,7 @@ mod tests {
         assert_eq!(healthy.repair_bytes_read, 0, "healthy read is all payload");
         assert_eq!(repair, 0);
 
-        store
-            .fail_device(store.device_of_block(&meta, 3))
-            .unwrap();
+        store.fail_device(store.device_of_block(&meta, 3)).unwrap();
         let before = snap(&store);
         let (_, degraded) = store.get_detailed(id).unwrap();
         let after = snap(&store);
@@ -963,7 +969,10 @@ mod tests {
         let store = ArchivalStore::new(small_graph());
         let id = store.put("x", b"bye").unwrap();
         store.delete(id).unwrap();
-        assert!(matches!(store.get(id), Err(StoreError::UnknownObject { .. })));
+        assert!(matches!(
+            store.get(id),
+            Err(StoreError::UnknownObject { .. })
+        ));
         assert!(store.list().is_empty());
         let total: usize = (0..store.num_devices())
             .map(|d| store.device(d).unwrap().block_count())
@@ -996,7 +1005,10 @@ mod tests {
         assert!(store.device(0).unwrap().corrupt_block(&(id, 0), 0xFF));
         let (payload, stats) = store.get_detailed(id).unwrap();
         assert_eq!(payload, b"integrity matters");
-        assert!(stats.blocks_fetched >= 4, "had to fetch extra blocks to route around corruption");
+        assert!(
+            stats.blocks_fetched >= 4,
+            "had to fetch extra blocks to route around corruption"
+        );
     }
 
     #[test]

@@ -261,7 +261,10 @@ mod tests {
         let b = generate_events(&cfg, 32);
         assert_eq!(a, b);
         // Ingests all precede the first read.
-        let first_get = a.iter().position(|e| matches!(e, Event::Get { .. })).unwrap();
+        let first_get = a
+            .iter()
+            .position(|e| matches!(e, Event::Get { .. }))
+            .unwrap();
         let puts_before: usize = a[..first_get]
             .iter()
             .filter(|e| matches!(e, Event::Put { .. }))
@@ -288,7 +291,11 @@ mod tests {
         assert_eq!(report.outcomes.len(), events.len());
         assert!(report.outcomes.iter().all(|o| *o == EventOutcome::Ok));
         assert!(report.bytes_served > 0);
-        assert!(report.activation_savings() > 0.3, "savings {}", report.activation_savings());
+        assert!(
+            report.activation_savings() > 0.3,
+            "savings {}",
+            report.activation_savings()
+        );
     }
 
     #[test]
@@ -336,9 +343,13 @@ mod tests {
         // out-of-range device failure and an out-of-range replacement.
         let events = vec![
             Event::Put { size: 512 },
-            Event::FailDevice { device: devices + 7 },
+            Event::FailDevice {
+                device: devices + 7,
+            },
             Event::Get { object: 0 },
-            Event::ReplaceAndScrub { device: devices + 7 },
+            Event::ReplaceAndScrub {
+                device: devices + 7,
+            },
             Event::Get { object: 0 },
         ];
         let report = replay(&store, &events);
@@ -362,6 +373,9 @@ mod tests {
         let report = replay(&store, &events);
         assert_eq!(report.reads_failed, 1);
         assert_eq!(report.events_failed, 0);
-        assert_eq!(*report.outcomes.last().unwrap(), EventOutcome::Unrecoverable);
+        assert_eq!(
+            *report.outcomes.last().unwrap(),
+            EventOutcome::Unrecoverable
+        );
     }
 }

@@ -5,9 +5,7 @@
 //! repair it in place, and then let the incremental skip tier trust it
 //! again.
 
-use tornado_store::{
-    ArchivalStore, BackendKind, DurableConfig, ScrubAction, ScrubMode, Scrubber,
-};
+use tornado_store::{ArchivalStore, BackendKind, DurableConfig, ScrubAction, ScrubMode, Scrubber};
 
 fn catalog_store_with_objects(objects: usize) -> (ArchivalStore, Vec<u64>) {
     let store = ArchivalStore::new(tornado_core::tornado_graph_1());
@@ -37,13 +35,20 @@ fn verify_tier_catches_and_repairs_out_of_band_bit_rot() {
     let victim = ids[2];
     let node = 10u32;
     let device = (node as usize + 2) % store.num_devices();
-    assert!(store.device(device).unwrap().corrupt_block(&(victim, node), 0x55));
+    assert!(store
+        .device(device)
+        .unwrap()
+        .corrupt_block(&(victim, node), 0x55));
 
     // The skip tier is blind to out-of-band tampering — that is its
     // documented trade — so an incremental pass still reports clean.
     let blind = scrubber.run(&store, 5, false, ScrubMode::Incremental);
     assert_eq!(blind.skipped_count(), 5);
-    assert_eq!(blind.degraded_count(), 0, "skip tier cannot see device tampering");
+    assert_eq!(
+        blind.degraded_count(),
+        0,
+        "skip tier cannot see device tampering"
+    );
 
     // A verify-tier pass hashes every block in place and flags exactly
     // the tampered stripe, with exactly the tampered block missing.
@@ -54,7 +59,10 @@ fn verify_tier_catches_and_repairs_out_of_band_bit_rot() {
     let damaged = caught.stripes.iter().find(|s| s.degraded()).unwrap();
     assert_eq!(damaged.id, victim);
     assert_eq!(damaged.missing_blocks, vec![node]);
-    assert_eq!(caught.blocks_repaired, 1, "the rotted block was re-encoded in place");
+    assert_eq!(
+        caught.blocks_repaired, 1,
+        "the rotted block was re-encoded in place"
+    );
     assert!(caught.objects_incomplete.is_empty());
 
     // The repair really restored the bytes: reads come back intact and a
@@ -151,8 +159,14 @@ fn tier_healths_identical_across_thread_counts_on_a_rotted_store() {
         let full = Scrubber::new(threads).run(&store, 5, false, ScrubMode::Full);
         let verify = Scrubber::new(threads).run(&store, 5, false, ScrubMode::Verify);
         let incremental = Scrubber::new(threads).run(&store, 5, false, ScrubMode::Incremental);
-        assert_eq!(full.stripes, verify.stripes, "verify vs full, threads {threads}");
-        assert_eq!(full.stripes, incremental.stripes, "incremental vs full, threads {threads}");
+        assert_eq!(
+            full.stripes, verify.stripes,
+            "verify vs full, threads {threads}"
+        );
+        assert_eq!(
+            full.stripes, incremental.stripes,
+            "incremental vs full, threads {threads}"
+        );
         assert!(full.degraded_count() >= 1);
     }
 }

@@ -36,10 +36,7 @@ fn small_graph() -> tornado_graph::Graph {
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "tornado-crashrec-{tag}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("tornado-crashrec-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -51,23 +48,23 @@ fn payload_for(i: u64, len: usize) -> Vec<u8> {
 }
 
 fn open(dir: &Path, backend: BackendKind) -> (ArchivalStore, RecoveryReport) {
-    ArchivalStore::open(small_graph(), DurableConfig::new_nosync(dir, backend))
-        .expect("open")
+    ArchivalStore::open(small_graph(), DurableConfig::new_nosync(dir, backend)).expect("open")
 }
 
 /// Checks the full post-recovery contract. `attempted` maps the object
 /// id each put would have been assigned to its payload; `acked` flags
 /// the puts that returned `Ok` before the crash.
-fn assert_consistent(
-    store: &ArchivalStore,
-    attempted: &HashMap<u64, (Vec<u8>, bool)>,
-) {
+fn assert_consistent(store: &ArchivalStore, attempted: &HashMap<u64, (Vec<u8>, bool)>) {
     let n = store.num_devices();
     for (&id, (payload, acked)) in attempted {
         match (store.meta(id).is_some(), acked) {
             (true, _) => {
                 // Present ⇒ must be complete: byte-for-byte GET.
-                assert_eq!(&store.get(id).expect("get recovered"), payload, "object {id}");
+                assert_eq!(
+                    &store.get(id).expect("get recovered"),
+                    payload,
+                    "object {id}"
+                );
             }
             (false, true) => panic!("acknowledged object {id} lost after recovery"),
             (false, false) => {
@@ -85,7 +82,11 @@ fn assert_consistent(
     }
     // Global orphan check: exactly one block per (object, node) pair.
     let total: usize = (0..n).map(|d| store.device(d).unwrap().block_count()).sum();
-    assert_eq!(total, store.list().len() * n, "block count == objects × devices");
+    assert_eq!(
+        total,
+        store.list().len() * n,
+        "block count == objects × devices"
+    );
 }
 
 /// The deterministic sweep, parameterised by backend and journal-tear
@@ -206,11 +207,11 @@ fn crash_after_delete_journaled_replays_the_delete() {
     assert_eq!(report.deletes_replayed, 1);
     assert_eq!(store.list().len(), 1, "journaled delete was completed");
     assert_eq!(store.get(1).unwrap(), payload_for(0, 128));
-    assert!(matches!(store.get(2), Err(StoreError::UnknownObject { .. })));
-    assert_consistent(
-        &store,
-        &HashMap::from([(1, (payload_for(0, 128), true))]),
-    );
+    assert!(matches!(
+        store.get(2),
+        Err(StoreError::UnknownObject { .. })
+    ));
+    assert_consistent(&store, &HashMap::from([(1, (payload_for(0, 128), true))]));
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

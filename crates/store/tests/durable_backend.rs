@@ -19,10 +19,7 @@ fn small_graph() -> tornado_graph::Graph {
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "tornado-durable-{tag}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("tornado-durable-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -143,7 +140,11 @@ fn replaced_device_cannot_read_stale_incarnation_files() {
     drop(store);
     let store = open(&dir, BackendKind::File);
     assert!(!store.device(0).unwrap().has_block(&(id, node)));
-    assert_eq!(store.get(id).unwrap(), b"stale data probe", "decode routes around");
+    assert_eq!(
+        store.get(id).unwrap(),
+        b"stale data probe",
+        "decode routes around"
+    );
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -170,9 +171,12 @@ fn store_marker_rejects_backend_and_graph_mismatch() {
         b.add_check(&[4, 5]);
         b.build().unwrap()
     };
-    let err = ArchivalStore::open(graph, DurableConfig::new_nosync(dir.clone(), BackendKind::File))
-        .err()
-        .expect("open must fail");
+    let err = ArchivalStore::open(
+        graph,
+        DurableConfig::new_nosync(dir.clone(), BackendKind::File),
+    )
+    .err()
+    .expect("open must fail");
     assert!(matches!(err, StoreError::Io { .. }));
     // The matching config still opens fine.
     drop(open(&dir, BackendKind::File));
@@ -212,11 +216,18 @@ fn io_errors_are_counted_and_surfaced_as_device_gauge() {
     std::fs::create_dir(&blk).unwrap();
 
     assert_eq!(
-        store.device(1).unwrap().verify_block(&(id, node), meta.checksums[node as usize]),
+        store
+            .device(1)
+            .unwrap()
+            .verify_block(&(id, node), meta.checksums[node as usize]),
         BlockProbe::Missing,
         "I/O error reads as an erasure"
     );
-    assert_eq!(store.get(id).unwrap(), b"gauge probe payload", "decode routes around");
+    assert_eq!(
+        store.get(id).unwrap(),
+        b"gauge probe payload",
+        "decode routes around"
+    );
     let stats = store.device(1).unwrap().stats();
     assert!(stats.io_errors >= 1, "backend failure counted");
     assert_eq!(stats.failed_reads, 0, "device stayed online");
@@ -225,8 +236,14 @@ fn io_errors_are_counted_and_surfaced_as_device_gauge() {
     StoreObserver::disabled().record_into(&store, &mut snap);
     let counters = snap.to_json().get("counters").cloned().unwrap();
     let io_errors = counters.get("device.io_errors").and_then(|v| v.as_u64());
-    assert!(io_errors >= Some(1), "the pool-wide counter carries it: {counters:?}");
-    assert!(counters.get("backend.journal_appends").is_some(), "backend counters surfaced");
+    assert!(
+        io_errors >= Some(1),
+        "the pool-wide counter carries it: {counters:?}"
+    );
+    assert!(
+        counters.get("backend.journal_appends").is_some(),
+        "backend counters surfaced"
+    );
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

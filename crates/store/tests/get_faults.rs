@@ -86,7 +86,10 @@ fn corrupt_planned_check_block_replans_and_keeps_what_was_read() {
     assert_eq!(stats.blocks_fetched, second.fetch.len());
     assert_eq!(stats.blocks_recovered, second.schedule.len());
     // The depth the replay found as it rebuilt is the plan's own.
-    assert_eq!(stats.cost.recovery_depth, second.recovery_depth(store.graph()));
+    assert_eq!(
+        stats.cost.recovery_depth,
+        second.recovery_depth(store.graph())
+    );
     assert!(stats.cost.recovery_depth >= 1);
     // Attributed: the data pass, the first plan's check blocks read before
     // the bad one, and whatever the second plan adds — each once.

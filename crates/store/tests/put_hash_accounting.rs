@@ -20,5 +20,9 @@ fn a_put_hashes_each_of_its_96_blocks_once() {
     let meta = store.meta(id).unwrap();
     assert_eq!(meta.checksums.len(), 96);
     assert_eq!(moved, 96 * meta.block_len as u64);
-    assert_eq!(store.get(id).unwrap(), payload, "the digests are the blocks'");
+    assert_eq!(
+        store.get(id).unwrap(),
+        payload,
+        "the digests are the blocks'"
+    );
 }

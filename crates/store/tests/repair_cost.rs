@@ -178,8 +178,18 @@ proptest! {
 #[test]
 fn absorb_is_additive_with_max_depth() {
     let mut total = RepairCost::default();
-    let a = RepairCost { bytes_read: 10, blocks_fetched: 2, devices_contacted: 2, recovery_depth: 3 };
-    let b = RepairCost { bytes_read: 5, blocks_fetched: 1, devices_contacted: 1, recovery_depth: 1 };
+    let a = RepairCost {
+        bytes_read: 10,
+        blocks_fetched: 2,
+        devices_contacted: 2,
+        recovery_depth: 3,
+    };
+    let b = RepairCost {
+        bytes_read: 5,
+        blocks_fetched: 1,
+        devices_contacted: 1,
+        recovery_depth: 1,
+    };
     total.absorb(&a);
     total.absorb(&b);
     total.absorb(&RepairCost::default());

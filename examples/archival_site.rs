@@ -15,13 +15,19 @@ use tornado::store::ArchivalStore;
 
 fn main() {
     let store = ArchivalStore::new(catalog::tornado_graph_2());
-    println!("archival site: {} devices, rate-1/2 Tornado protection", store.num_devices());
+    println!(
+        "archival site: {} devices, rate-1/2 Tornado protection",
+        store.num_devices()
+    );
 
     // Ingest a small archive.
     let objects: Vec<(&str, Vec<u8>)> = vec![
         ("climate-1998.nc", vec![0xA1; 200_000]),
         ("census-rolls.tar", vec![0xB2; 64_000]),
-        ("observatory-log", b"1998-06-12 03:11 seeing 0.8 arcsec".to_vec()),
+        (
+            "observatory-log",
+            b"1998-06-12 03:11 seeing 0.8 arcsec".to_vec(),
+        ),
     ];
     let mut ids = Vec::new();
     for (name, payload) in &objects {

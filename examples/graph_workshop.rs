@@ -85,7 +85,10 @@ fn main() {
         if outcome.achieved() {
             "achieved the target".to_string()
         } else {
-            format!("stalled (first failure {:?})", outcome.first_failure_below_target)
+            format!(
+                "stalled (first failure {:?})",
+                outcome.first_failure_below_target
+            )
         }
     );
 
@@ -107,7 +110,10 @@ fn main() {
         })
         .unwrap_or_default();
     let dot_path = out_dir.join("adjusted.dot");
-    std::fs::write(&dot_path, dot::to_dot_highlighted(&outcome.graph, &highlight))
-        .expect("write dot");
+    std::fs::write(
+        &dot_path,
+        dot::to_dot_highlighted(&outcome.graph, &highlight),
+    )
+    .expect("write dot");
     println!("exported {} and {}", gml.display(), dot_path.display());
 }

@@ -36,7 +36,11 @@ fn main() {
     );
 
     let report = replay(&store, &events);
-    println!("reads served: {}/{}", report.reads_ok, report.reads_ok + report.reads_failed);
+    println!(
+        "reads served: {}/{}",
+        report.reads_ok,
+        report.reads_ok + report.reads_failed
+    );
     println!(
         "bytes: {} ingested, {} served",
         report.bytes_ingested, report.bytes_served
@@ -47,7 +51,10 @@ fn main() {
         report.blocks_naive,
         100.0 * report.activation_savings()
     );
-    println!("blocks re-encoded by repair scrubs: {}", report.blocks_repaired);
+    println!(
+        "blocks re-encoded by repair scrubs: {}",
+        report.blocks_repaired
+    );
 
     // Load balance across the array (rotation spreads stripes).
     let loads = device_load(&store);
@@ -58,5 +65,8 @@ fn main() {
     );
     let mean = reads.iter().sum::<u64>() as f64 / reads.len() as f64;
     println!("per-device reads: min {min}, mean {mean:.1}, max {max}");
-    assert!(report.reads_failed == 0, "certified tolerance must cover this workload");
+    assert!(
+        report.reads_failed == 0,
+        "certified tolerance must cover this workload"
+    );
 }

@@ -28,7 +28,11 @@ fn main() {
     let codec = Codec::new(&graph);
     let data: Vec<Vec<u8>> = (0..48u8).map(|i| vec![i; 1024]).collect();
     let blocks = codec.encode(&data).expect("48 equal-length blocks");
-    println!("encoded {} data blocks into {} stored blocks", data.len(), blocks.len());
+    println!(
+        "encoded {} data blocks into {} stored blocks",
+        data.len(),
+        blocks.len()
+    );
 
     // Lose any four devices — data AND parity, mixed.
     let mut stored: Vec<Option<Vec<u8>>> = blocks.into_iter().map(Some).collect();

@@ -37,7 +37,11 @@ fn pipeline_to_store_to_recovery() {
 
     let store = ArchivalStore::new(profiled.graph.clone());
     let payloads: Vec<Vec<u8>> = (0..5u8)
-        .map(|i| (0..100 * (i as usize + 1)).map(|j| (j as u8).wrapping_mul(i + 1)).collect())
+        .map(|i| {
+            (0..100 * (i as usize + 1))
+                .map(|j| (j as u8).wrapping_mul(i + 1))
+                .collect()
+        })
         .collect();
     let ids: Vec<_> = payloads
         .iter()
@@ -47,7 +51,9 @@ fn pipeline_to_store_to_recovery() {
 
     // Fail exactly the certified tolerance; everything must read back.
     for d in 0..tolerance {
-        store.fail_device(d * 7 % store.num_devices()).expect("fail");
+        store
+            .fail_device(d * 7 % store.num_devices())
+            .expect("fail");
     }
     for (id, payload) in ids.iter().zip(&payloads) {
         assert_eq!(&store.get(*id).expect("degraded get"), payload);

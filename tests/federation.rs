@@ -20,7 +20,11 @@ fn catalog_pair_federation_end_to_end() {
     }
     let (payload, path) = fed.get(id).expect("get");
     assert_eq!(payload.len(), 30_000);
-    assert_eq!(path, FetchPath::SiteA, "four losses are within certification");
+    assert_eq!(
+        path,
+        FetchPath::SiteA,
+        "four losses are within certification"
+    );
 
     // Eight more failures at site A likely defeat it; site B takes over.
     for d in [1usize, 5, 9, 13, 17, 21, 25, 29] {
