@@ -67,14 +67,6 @@ pub struct ServerConfig {
     /// Bounded queue depth: requests beyond this are rejected with BUSY
     /// (explicit backpressure, never unbounded buffering).
     pub queue_depth: usize,
-    /// Server-side deadline applied when a request carries none
-    /// (milliseconds; 0 disables).
-    pub default_deadline_ms: u32,
-    /// Longest an idle acceptor or shard waits on its poller before
-    /// re-checking the shutdown flag, milliseconds. New connections and
-    /// completions wake them at once; this only bounds how long a
-    /// shutdown goes unnoticed.
-    pub poll_interval_ms: u64,
     /// Unread: the observer's tracer decides what is sampled
     /// ([`crate::ServerObserver::with_tracer`]). Kept only because the
     /// benchmark harness sets it; it goes in the next benchmark revision.
@@ -84,14 +76,13 @@ pub struct ServerConfig {
     /// microseconds; 0 disables.
     pub slow_request_us: u64,
     /// Interval between time-series counter samples in milliseconds;
-    /// 0 disables the sampler thread.
+    /// 0 disables the sampler thread, the health model's clock, which
+    /// [`crate::server::serve`] refuses while `health.enabled`.
     pub timeseries_interval_ms: u64,
     /// Event-loop shards (each one thread owning a slab of connections).
     pub shards: usize,
-    /// Per-connection cap on pipelined (correlated) requests in flight;
-    /// past it the shard stops extracting frames until completions free
-    /// capacity. One-at-a-time clients are capped at 1 by the protocol's
-    /// ordering rule regardless of this value.
+    /// Per-connection cap on requests in flight; past it the shard stops
+    /// extracting frames until completions free capacity.
     pub max_inflight_per_conn: usize,
     /// Durability-observatory settings (live P(loss), margins, SLOs).
     pub health: HealthConfig,
@@ -103,8 +94,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 4,
             queue_depth: 64,
-            default_deadline_ms: 0,
-            poll_interval_ms: 50,
             trace_sample: 0,
             slow_request_us: 0,
             timeseries_interval_ms: 500,
@@ -124,8 +113,6 @@ mod tests {
         let c = ServerConfig::default();
         assert!(c.workers >= 1);
         assert!(c.queue_depth >= 1);
-        assert!(c.poll_interval_ms >= 1);
-        assert_eq!(c.default_deadline_ms, 0);
         assert_eq!(c.trace_sample, 0, "tracing is opt-in");
         assert!(c.timeseries_interval_ms >= 1);
         assert!(c.shards >= 1);

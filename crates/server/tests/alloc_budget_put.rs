@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tornado_server::{serve, Client, ServerConfig, ServerObserver};
+use tornado_server::{serve, Client, HealthConfig, ServerConfig, ServerObserver};
 use tornado_store::ArchivalStore;
 
 /// Allocations at least this large are counted.
@@ -66,9 +66,14 @@ fn a_served_64_kib_put_makes_one_large_allocation() {
     const PUTS: u64 = 64;
     let store = Arc::new(ArchivalStore::new(tornado_core::tornado_graph_1()));
     // No sampler thread: what it snapshots twice a second is not a PUT's.
+    // The health model goes with it, the sampler being its clock.
     let cfg = ServerConfig {
         workers: 1,
         timeseries_interval_ms: 0,
+        health: HealthConfig {
+            enabled: false,
+            ..HealthConfig::default()
+        },
         ..ServerConfig::default()
     };
     let handle =
