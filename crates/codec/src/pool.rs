@@ -18,7 +18,10 @@
 //!   path never contends on the arena.
 //! * Buffers that escape to a caller (a decoded payload, blocks moved
 //!   into a device) simply leave the pool's custody — nothing tracks
-//!   them. Recycling is an optimisation, never an obligation.
+//!   them. Recycling is an optimisation, never an obligation. One way
+//!   back: a block written to a memory device that kept a failed drive's
+//!   buffers lands in one of those, and the device hands the writer's
+//!   buffer back to the writing thread's pool.
 //! * Hit/miss totals aggregate process-wide into [`metrics`] (`pool.hit`
 //!   / `pool.miss`), surfaced by the server's METRICS op.
 

@@ -894,7 +894,9 @@ impl FrameBuffer {
     /// exactly its size; with no frame announced (or one over
     /// [`MAX_FRAME`], which extraction then refuses) it is offered
     /// [`READ_CHUNK`]. Beyond that the buffer grows with what has arrived:
-    /// doubling, then [`RETAINED_CAPACITY`] at a time. Filling a buffer
+    /// doubling, then [`RETAINED_CAPACITY`] at a time. It sheds the frames
+    /// already taken before it grows, so what a waiting buffer holds is
+    /// what has arrived plus one offer. Filling a buffer
     /// sized for its frame also ends the call — the frame can leave with
     /// the buffer only while it has it to itself, and the level-triggered
     /// poller reports again whatever is still unread.
@@ -908,14 +910,16 @@ impl FrameBuffer {
                 0 => READ_CHUNK,
                 rest => rest.min(RETAINED_CAPACITY),
             };
-            let held = self.buf.len();
-            if self.buf.capacity() - held < want {
-                let grow = want.max(held.min(RETAINED_CAPACITY));
+            if self.buf.capacity() - self.buf.len() < want {
+                // Frames already taken are not carried into a larger buffer.
+                self.buf.drain(..self.pos);
+                self.pos = 0;
+                let grow = want.max(self.buf.len().min(RETAINED_CAPACITY));
                 self.buf.reserve_exact(grow);
             }
             // `read_to_end` appends into spare capacity and, because the
             // `Take` ends where the capacity does, never grows the buffer.
-            let room = self.buf.capacity() - held;
+            let room = self.buf.capacity() - self.buf.len();
             match stream.by_ref().take(room as u64).read_to_end(&mut self.buf) {
                 Ok(n) if n < room => return Ok(false),
                 Ok(_) if room == missing => return Ok(true),
@@ -1105,6 +1109,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn round_trip_request(req: Request) {
         let body = req.encode();
@@ -2110,5 +2116,280 @@ mod tests {
         let mut batched = Vec::new();
         append_frame(&mut batched, b"hello");
         assert_eq!(streamed, batched);
+    }
+
+    // --- decode fuzz ---------------------------------------------------------
+
+    /// Runs `f`; if it panics, panics again naming `case` — the seed and
+    /// the bytes, since the vendored `proptest` does not shrink.
+    fn reported<T>(case: impl Fn() -> String, f: impl FnOnce() -> T) -> T {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .unwrap_or_else(|_| panic!("{}", case()))
+    }
+
+    /// `len` random printable ASCII bytes, as a string.
+    fn ascii(rng: &mut SmallRng, len: usize) -> String {
+        (0..len)
+            .map(|_| rng.gen_range(b' '..=b'~') as char)
+            .collect()
+    }
+
+    /// One of every operation, with random fields.
+    fn every_op(rng: &mut SmallRng) -> Vec<Op> {
+        let mut payload = vec![0; rng.gen_range(0..40)];
+        rng.fill_bytes(&mut payload);
+        let name_len = rng.gen_range(0..12);
+        vec![
+            Op::Put {
+                name: ascii(rng, name_len),
+                payload,
+            },
+            Op::Get { id: rng.next_u64() },
+            Op::Delete { id: rng.next_u64() },
+            Op::Stat { id: rng.next_u64() },
+            Op::Ping,
+            Op::FailDevice {
+                device: rng.next_u32(),
+            },
+            Op::ReviveDevice {
+                device: rng.next_u32(),
+            },
+            Op::Metrics,
+            Op::Shutdown,
+            Op::TraceExport,
+            Op::Health,
+        ]
+    }
+
+    /// One of every response, with random fields.
+    fn every_response(rng: &mut SmallRng) -> Vec<Response> {
+        let mut payload = vec![0; rng.gen_range(0..40)];
+        rng.fill_bytes(&mut payload);
+        let text = |rng: &mut SmallRng| {
+            let len = rng.gen_range(0..24);
+            ascii(rng, len)
+        };
+        vec![
+            Response::Ok,
+            Response::PutOk { id: rng.next_u64() },
+            Response::GetOk { payload },
+            Response::StatOk {
+                meta: StatMeta {
+                    id: rng.next_u64(),
+                    name: text(rng),
+                    size: rng.next_u64(),
+                    block_len: rng.next_u64(),
+                    rotation: rng.next_u32(),
+                },
+            },
+            Response::MetricsOk { json: text(rng) },
+            Response::TraceOk { json: text(rng) },
+            Response::HealthOk { json: text(rng) },
+            Response::Busy,
+            Response::NotFound { id: rng.next_u64() },
+            Response::Unrecoverable {
+                id: rng.next_u64(),
+                lost_blocks: rng.next_u32(),
+            },
+            Response::BadRequest { message: text(rng) },
+            Response::DeadlineExceeded,
+            Response::ShuttingDown,
+            Response::ServerError { message: text(rng) },
+        ]
+    }
+
+    /// An encoding (never empty: it has its leading byte) damaged one way:
+    /// a bit flipped, cut short, bytes appended, or flag bits set or
+    /// cleared in the leading byte.
+    fn mutate(rng: &mut SmallRng, body: &[u8]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        match rng.gen_range(0..4) {
+            0 => {
+                let at = rng.gen_range(0..out.len());
+                out[at] ^= 1 << rng.gen_range(0..8u8);
+            }
+            1 => out.truncate(rng.gen_range(0..out.len())),
+            2 => {
+                let mut tail = vec![0; rng.gen_range(1..9)];
+                rng.fill_bytes(&mut tail);
+                out.extend_from_slice(&tail);
+            }
+            _ => {
+                let stray = [TRACE_FLAG, CORR_FLAG, TRACE_FLAG | CORR_FLAG, 0x20];
+                out[0] ^= stray[rng.gen_range(0..stray.len())];
+            }
+        }
+        out
+    }
+
+    /// Every decoder over `bytes`: none may panic, and the owning request
+    /// decoder behind `garbage` must agree with the borrowing one.
+    fn decode_everywhere(seed: u64, bytes: &[u8], garbage: &[u8]) {
+        let case = || format!("seed {seed:#x}: body {bytes:02x?} behind {garbage:02x?}");
+        reported(case, || {
+            let direct = Request::decode(bytes);
+            let behind = [garbage, bytes].concat();
+            assert_eq!(Request::decode_owned(behind, garbage.len()), direct);
+            let _ = Response::decode(bytes);
+            let _ = Response::decode_corr(bytes);
+        });
+    }
+
+    #[test]
+    fn decoders_survive_random_and_mutated_bodies() {
+        const SEED: u64 = 0xF022_0001;
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let garbage = |rng: &mut SmallRng| {
+            let mut g = vec![0; rng.gen_range(0..8)];
+            rng.fill_bytes(&mut g);
+            g
+        };
+
+        // Random bytes, about half of them led by a plausible opcode or
+        // status so the decoders get past the first byte.
+        for _ in 0..20_000 {
+            let mut bytes = vec![0; rng.gen_range(0..48)];
+            rng.fill_bytes(&mut bytes);
+            if !bytes.is_empty() && rng.gen_bool(0.5) {
+                bytes[0] = rng.gen_range(0..=22u8) | (bytes[0] & (TRACE_FLAG | CORR_FLAG));
+            }
+            let g = garbage(&mut rng);
+            decode_everywhere(SEED, &bytes, &g);
+        }
+
+        // Valid encodings round-trip exactly, then survive damage.
+        for round in 0..150 {
+            let mut bodies = Vec::new();
+            for op in every_op(&mut rng) {
+                for (corr_id, trace_id) in [(None, None), (Some(7), None), (None, Some(9))]
+                    .into_iter()
+                    .chain([(Some(rng.next_u32()), Some(rng.next_u64()))])
+                {
+                    let req = Request {
+                        deadline_ms: rng.next_u32(),
+                        corr_id,
+                        trace_id,
+                        op: op.clone(),
+                    };
+                    let body = req.encode();
+                    let case = || format!("seed {SEED:#x} round {round}: {req:?}");
+                    assert_eq!(Request::decode(&body).as_ref(), Ok(&req), "{}", case());
+                    bodies.push(body);
+                }
+            }
+            for resp in every_response(&mut rng) {
+                for corr in [None, Some(rng.next_u32())] {
+                    let body = resp.encode_corr(corr);
+                    let case = || format!("seed {SEED:#x} round {round}: {resp:?} {corr:?}");
+                    let decoded = Response::decode_corr(&body);
+                    assert_eq!(decoded, Ok((corr, resp.clone())), "{}", case());
+                    if corr.is_none() {
+                        assert_eq!(Response::decode(&body).as_ref(), Ok(&resp), "{}", case());
+                    }
+                    bodies.push(body);
+                }
+            }
+            for body in &bodies {
+                let g = garbage(&mut rng);
+                decode_everywhere(SEED, body, &g);
+                for _ in 0..3 {
+                    let damaged = mutate(&mut rng, body);
+                    let g = garbage(&mut rng);
+                    decode_everywhere(SEED, &damaged, &g);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_ending_in_a_hostile_length_prefix_yields_its_frames_and_holds_little() {
+        const SEED: u64 = 0xF022_0002;
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let bound = RETAINED_CAPACITY + READ_CHUNK;
+        for hostile in [0, 1, MAX_FRAME as u32, MAX_FRAME as u32 + 1, u32::MAX] {
+            for round in 0..200 {
+                let valid: Vec<Vec<u8>> = (0..rng.gen_range(0..6))
+                    .map(|_| {
+                        let size = [0, 100, 3000, 20_000, 40_000][rng.gen_range(0..5usize)];
+                        seeded_put(&mut rng, size).encode()
+                    })
+                    .collect();
+                let mut wire = Vec::new();
+                for body in &valid {
+                    append_frame(&mut wire, body);
+                }
+                wire.extend_from_slice(&hostile.to_le_bytes());
+                let mut cuts = Vec::new();
+                let mut at = 0;
+                while at < wire.len() {
+                    at += rng.gen_range(1..=(wire.len() - at).min(20_000));
+                    cuts.push(at);
+                }
+                let case =
+                    || format!("seed {SEED:#x} prefix {hostile} round {round} cuts {cuts:?}");
+
+                let (mut fb, mut got, mut refused) = (FrameBuffer::new(), Vec::new(), false);
+                let mut from = 0;
+                for &to in &cuts {
+                    fb.extend(&wire[from..to]);
+                    from = to;
+                    loop {
+                        match fb.next_frame() {
+                            Ok(Some(body)) => got.push(body),
+                            Ok(None) => break,
+                            Err(_) => {
+                                refused = true;
+                                break;
+                            }
+                        }
+                    }
+                    assert!(
+                        fb.capacity() <= bound,
+                        "{}: holds {}",
+                        case(),
+                        fb.capacity()
+                    );
+                }
+                // The shard's path: read in place, taken with the buffer.
+                let (mut taken, mut got_taken, mut from) = (FrameBuffer::new(), Vec::new(), 0);
+                for &to in &cuts {
+                    let mut peer = Stalling {
+                        ready: &wire[from..to],
+                    };
+                    from = to;
+                    while !peer.ready.is_empty() {
+                        assert!(taken.fill_from(&mut peer).unwrap());
+                        while let Ok(Some((buf, start))) = taken.take_frame() {
+                            got_taken.push(buf[start..].to_vec());
+                        }
+                        let held = taken.capacity();
+                        assert!(held <= bound, "{}: fill_from holds {held}", case());
+                    }
+                }
+                // Readable again with nothing there: the read that waits
+                // for the announced body.
+                assert!(taken.fill_from(&mut Stalling { ready: &[] }).unwrap());
+                let held = taken.capacity();
+                assert!(held <= bound, "{}: waiting, fill_from holds {held}", case());
+                assert!(got_taken == got, "{}: the two paths differ", case());
+                reported(case, || {
+                    assert_eq!(got[..valid.len()], valid[..], "the valid frames, in order");
+                    match hostile {
+                        // An empty frame is a frame; its body is no request.
+                        0 => {
+                            assert_eq!(got.len(), valid.len() + 1);
+                            assert!(Request::decode(&got[valid.len()]).is_err());
+                            assert!(!refused);
+                        }
+                        // Waiting for a body that may yet come.
+                        h if h as usize <= MAX_FRAME => {
+                            assert_eq!((got.len(), refused), (valid.len(), false));
+                            assert_eq!(fb.buffered(), 4);
+                        }
+                        _ => assert_eq!((got.len(), refused), (valid.len(), true)),
+                    }
+                });
+            }
+        }
     }
 }

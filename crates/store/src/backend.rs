@@ -35,8 +35,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use tornado_codec::kernels;
-use tornado_codec::BlockPool;
+use tornado_codec::{kernels, pool, BlockPool};
 
 /// Identifies a block on a device: `(object id, graph node index)`.
 pub type BlockKey = (u64, u32);
@@ -115,7 +114,8 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     fn flush(&mut self) -> io::Result<()>;
 
     /// Destroys all contents (device failure / replacement). The
-    /// backend stays usable and empty afterwards.
+    /// backend stays usable and empty afterwards (the memory backend keeps
+    /// the buffers for its next writes; see [`MemoryBackend`]).
     fn destroy(&mut self) -> io::Result<()>;
 
     /// Failure-injection hook: XORs `mask` into the first byte of the
@@ -130,9 +130,27 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
 }
 
 /// The original in-memory map backend: fast, infallible, volatile.
+///
+/// A destroyed device keeps its block buffers as *spares*, and its next
+/// writes land in them: a failed drive's memory becomes its replacement's.
+/// (Freed instead, it would stay a hole in the allocator arena of whichever
+/// thread freed it, while the rebuilt blocks arrive from the scrub workers'
+/// arenas — every replacement would double the device's footprint.)
+///
+/// * [`BlockBackend::destroy`] moves every block buffer into the spares.
+///   Nothing reads a spare: `contains`, `read_into`, `checksum`, `corrupt`
+///   and `block_count` see only the map, which is empty.
+/// * A write (`put` or `put_owned`) takes the newest spare. If it *fits* —
+///   capacity at least the block's length and at most twice it — the block
+///   is copied into it, and `put_owned` recycles the caller's buffer into
+///   the calling thread's `tornado_codec::pool::with_thread_pool`. A spare
+///   that does not fit is freed, never grown.
+/// * So the spares drain by one per write, and blocks + spares never exceed
+///   what the device held when it was destroyed.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
     blocks: HashMap<BlockKey, Vec<u8>>,
+    spares: Vec<Vec<u8>>,
 }
 
 impl MemoryBackend {
@@ -140,16 +158,41 @@ impl MemoryBackend {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The newest spare, emptied, if it fits a block of `len` bytes; a
+    /// spare that does not fit is dropped.
+    fn take_spare(&mut self, len: usize) -> Option<Vec<u8>> {
+        let mut spare = self.spares.pop()?;
+        (len..=2 * len).contains(&spare.capacity()).then(|| {
+            spare.clear();
+            spare
+        })
+    }
 }
 
 impl BlockBackend for MemoryBackend {
     fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
-        self.blocks.insert(key, data.to_vec());
+        let block = match self.take_spare(data.len()) {
+            Some(mut spare) => {
+                spare.extend_from_slice(data);
+                spare
+            }
+            None => data.to_vec(),
+        };
+        self.blocks.insert(key, block);
         Ok(())
     }
 
     fn put_owned(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
-        self.blocks.insert(key, data);
+        let block = match self.take_spare(data.len()) {
+            Some(mut spare) => {
+                spare.extend_from_slice(&data);
+                pool::with_thread_pool(|p| p.recycle(data));
+                spare
+            }
+            None => data,
+        };
+        self.blocks.insert(key, block);
         Ok(())
     }
 
@@ -181,7 +224,8 @@ impl BlockBackend for MemoryBackend {
     }
 
     fn destroy(&mut self) -> io::Result<()> {
-        self.blocks.clear();
+        self.spares
+            .extend(self.blocks.drain().map(|(_, block)| block));
         Ok(())
     }
 
@@ -334,5 +378,131 @@ mod tests {
         assert_eq!(b.block_count(), 0);
         b.put((9, 9), &[1]).unwrap();
         assert_eq!(b.block_count(), 1);
+    }
+
+    /// A backend holding `n` blocks of `len` bytes under keys `(i, 0)`.
+    fn filled(n: u64, len: usize) -> MemoryBackend {
+        let mut b = MemoryBackend::new();
+        for i in 0..n {
+            b.put_owned((i, 0), vec![i as u8; len]).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn a_block_written_after_destroy_lives_in_a_spare() {
+        let mut b = filled(4, 1000);
+        b.destroy().unwrap();
+        assert_eq!(b.spares.len(), 4);
+
+        // put_owned: the bytes are copied into the newest spare, and the
+        // caller's buffer goes to this thread's pool.
+        let spare = b.spares.last().unwrap().as_ptr();
+        let rebuilt = vec![0xAB; 1000];
+        let theirs = rebuilt.as_ptr();
+        let pooled = pool::with_thread_pool(|p| p.available());
+        b.put_owned((7, 1), rebuilt).unwrap();
+        let mut out = Vec::new();
+        b.read_into(&(7, 1), &mut out).unwrap().unwrap();
+        assert_eq!(out, [0xAB; 1000]);
+        assert_eq!(b.blocks[&(7, 1)].as_ptr(), spare, "the spare's memory");
+        let recycled = pool::with_thread_pool(|p| {
+            assert_eq!(p.available(), pooled + 1, "one buffer handed back");
+            p.take_empty(1000)
+        });
+        assert_eq!(recycled.as_ptr(), theirs, "the caller's buffer");
+
+        // put: copied into the next spare, nothing handed anywhere.
+        let spare = b.spares.last().unwrap().as_ptr();
+        b.put((7, 2), &[0xCD; 999]).unwrap();
+        assert_eq!(b.blocks[&(7, 2)].as_ptr(), spare);
+        assert_eq!(b.get(&(7, 2)).unwrap().unwrap(), [0xCD; 999]);
+        assert_eq!(b.spares.len(), 2);
+        assert_eq!(pool::with_thread_pool(|p| p.available()), pooled);
+    }
+
+    #[test]
+    fn no_spare_is_visible_after_destroy() {
+        let mut b = filled(3, 64);
+        b.destroy().unwrap();
+        assert_eq!(b.spares.len(), 3, "the buffers are kept");
+        for i in 0..3 {
+            let key = (i, 0);
+            assert!(!b.contains(&key));
+            let mut out = vec![0xEE];
+            assert_eq!(b.read_into(&key, &mut out).unwrap(), None);
+            assert_eq!(out, [0xEE], "nothing appended");
+            assert_eq!(b.checksum(&key).unwrap(), None);
+            assert!(!b.corrupt(&key, 0xFF).unwrap());
+            assert!(!b.delete(&key).unwrap());
+        }
+        assert_eq!(b.block_count(), 0);
+        // A second destroy (a failed device, then its replacement) keeps them.
+        b.destroy().unwrap();
+        assert_eq!((b.block_count(), b.spares.len()), (0, 3));
+    }
+
+    #[test]
+    fn a_misfit_spare_is_freed_not_used() {
+        // Exactly the block's length and exactly twice it both fit.
+        for (spare_len, block_len, fits) in [
+            (1000, 1000, true),
+            (1000, 500, true),
+            (1000, 1001, false),
+            (1000, 499, false),
+            (0, 0, true),
+            (0, 1, false),
+        ] {
+            let mut b = filled(1, spare_len);
+            b.destroy().unwrap();
+            let spare = b.spares[0].as_ptr();
+            let block = vec![0x5A; block_len];
+            let theirs = block.as_ptr();
+            b.put_owned((9, 0), block).unwrap();
+            let stored = &b.blocks[&(9, 0)];
+            assert_eq!(stored[..], vec![0x5A; block_len][..]);
+            let case = format!("spare {spare_len} B, block {block_len} B");
+            let expect = if fits { spare } else { theirs };
+            assert_eq!(stored.as_ptr(), expect, "{case}: fits {fits}");
+            assert!(b.spares.is_empty(), "{case}: the spare is gone either way");
+        }
+    }
+
+    #[test]
+    fn blocks_and_spares_never_exceed_the_count_before_destroy() {
+        use rand::{Rng, SeedableRng};
+        const SEED: u64 = 0x5BA2E;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(SEED);
+        let lens = [0usize, 100, 4096, 21_848];
+        let mut b = MemoryBackend::new();
+        for i in 0..64u64 {
+            b.put_owned((i, 0), vec![1; lens[i as usize % lens.len()]])
+                .unwrap();
+        }
+        b.destroy().unwrap();
+        // Random lengths, so some spares fit and some are freed; a second
+        // destroy part-way (a device failed again) folds the blocks back.
+        for step in 0..85u64 {
+            let len = lens[rng.gen_range(0..lens.len())];
+            if rng.gen_bool(0.5) {
+                b.put_owned((step, 1), vec![2; len]).unwrap();
+            } else {
+                b.put((step, 1), &vec![2; len]).unwrap();
+            }
+            if step == 20 {
+                b.destroy().unwrap();
+            }
+            assert!(
+                b.block_count() + b.spares.len() <= 64,
+                "seed {SEED:#x} step {step}: {} blocks + {} spares",
+                b.block_count(),
+                b.spares.len()
+            );
+        }
+        assert_eq!(
+            (b.block_count(), b.spares.len()),
+            (64, 0),
+            "seed {SEED:#x}: drained by one per write"
+        );
     }
 }

@@ -134,8 +134,10 @@ impl Device {
         self.state.read().online
     }
 
-    /// Takes the device offline, **destroying its contents** (the paper's
-    /// no-repair model treats a failed drive's data as gone). On durable
+    /// Takes the device offline, its contents **unreadable from here on**
+    /// (the paper's no-repair model treats a failed drive's data as gone).
+    /// A memory device keeps the block buffers as spares for its
+    /// replacement's writes to land in (see [`MemoryBackend`]). On durable
     /// backends the backing files really are deleted; if even that fails
     /// the device still goes offline (and the error is counted), and the
     /// incarnation scheme in [`crate::durable`] guarantees a later
@@ -338,6 +340,42 @@ mod tests {
         assert!(d.is_online());
         assert_eq!(d.read_block(&(1, 0)), None, "replacement is empty");
         assert_eq!(d.block_count(), 0);
+    }
+
+    #[test]
+    fn replacements_refilled_from_spares_return_every_object() {
+        use crate::{ArchivalStore, ScrubMode, Scrubber};
+        let store = ArchivalStore::new(tornado_core::tornado_graph_1());
+        // Three sizes, so every device holds blocks of three lengths and
+        // a spare often does not fit the block written next.
+        let payloads: Vec<Vec<u8>> = [150_000usize, 4_000, 300]
+            .iter()
+            .flat_map(|&len| (0..4).map(move |i| (0..len).map(|b| (b * 7 + i) as u8).collect()))
+            .collect();
+        let ids: Vec<u64> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| store.put(&format!("o{i}"), p).unwrap())
+            .collect();
+        let scrubber = Scrubber::new(2);
+        // Devices 0-3 twice: the second time their spares are blocks the
+        // first repair rebuilt.
+        for devices in [0..4, 4..8, 0..4] {
+            for d in devices.clone() {
+                store.fail_device(d).unwrap();
+                store.replace_device(d).unwrap();
+            }
+            let outcome = scrubber.run(&store, 5, true, ScrubMode::Verify);
+            assert!(outcome.objects_incomplete.is_empty(), "{devices:?}");
+            for d in devices {
+                assert_eq!(store.device(d).unwrap().block_count(), ids.len());
+            }
+            for (id, payload) in ids.iter().zip(&payloads) {
+                assert_eq!(&store.get(*id).unwrap(), payload, "object {id}");
+            }
+        }
+        let clean = scrubber.run(&store, 5, false, ScrubMode::Full);
+        assert_eq!(clean.degraded_count(), 0);
     }
 
     #[test]

@@ -207,9 +207,10 @@ impl ArchivalStore {
         })
     }
 
-    /// Injects a device failure (contents destroyed — the paper's
-    /// no-repair model; on a durable backend the backing files are
-    /// really deleted).
+    /// Injects a device failure: its contents become unreadable — the
+    /// paper's no-repair model. A memory device keeps the block buffers
+    /// for its replacement's writes to land in; on a durable backend the
+    /// backing files are really deleted.
     pub fn fail_device(&self, index: usize) -> Result<(), StoreError> {
         self.device(index)?.fail();
         self.pool_epoch.fetch_add(1, Ordering::Release);
