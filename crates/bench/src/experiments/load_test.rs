@@ -143,8 +143,9 @@ pub fn run(effort: &Effort) -> Report {
     };
 
     // Observatory-overhead A/B under steady load (no failure injection:
-    // event-driven recomputation means a stable fleet serves the cached
-    // document, so this measures the observatory's standing cost). The
+    // graph facts are memoized, so a stable fleet's renderings compute
+    // nothing after the first; this measures the observatory's standing
+    // cost). The
     // direct accounting — recompute microseconds over server uptime — is
     // the asserted budget; the ops/s pair is recorded for context since
     // short loopback windows are noisy.
@@ -264,9 +265,9 @@ pub fn run(effort: &Effort) -> Report {
         health_off_report.ops > 0 && health_on_report.ops > 0,
         "both observatory A/B arms made progress"
     );
-    // The observatory's acceptance budget: event-driven recomputation must
-    // keep model compute at or below 2% of server wall time under steady
-    // load. This is direct accounting (recompute histogram over uptime),
+    // The observatory's acceptance budget: memoized graph facts must keep
+    // model compute at or below 2% of server wall time under steady load.
+    // This is direct accounting (recompute histogram over uptime),
     // so unlike the ops/s pair it is not subject to loopback noise.
     assert!(
         steady_recomputes >= 1,

@@ -655,8 +655,6 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     let workers: usize = args.get_parsed("workers", 4)?;
     let queue_depth: usize = args.get_parsed("queue-depth", 64)?;
     let trace_sample: u64 = args.get_parsed("trace-sample", 0)?;
-    let trace_capacity: usize = args.get_parsed("trace-capacity", 4096)?;
-    let trace_slow_keep: usize = args.get_parsed("trace-slow-keep", 16)?;
     let slow_ms: u64 = args.get_parsed("slow-ms", 0)?;
     let timeseries_interval_ms: u64 = args.get_parsed("timeseries-ms", 500)?;
     let shards: usize = args.get_parsed("shards", 2)?;
@@ -698,11 +696,8 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     let store = std::sync::Arc::new(store);
     let mut server_obs = tornado_server::ServerObserver::disabled().with_events(obs.events());
     if trace_sample > 0 {
-        server_obs = server_obs.with_tracer(tornado_obs::Tracer::new(
-            trace_sample,
-            trace_capacity,
-            trace_slow_keep,
-        ));
+        // A ring of 4,096 spans; the 16 slowest roots outlive eviction.
+        server_obs = server_obs.with_tracer(tornado_obs::Tracer::new(trace_sample, 4096, 16));
     }
     if let Some(report) = &recovery {
         server_obs.store_obs.record_recovery(report);
@@ -1067,7 +1062,7 @@ pub fn watch(args: &ParsedArgs) -> CmdResult {
                 .collect();
             println!("{}", row.join(" "));
         }
-        // The metrics snapshot embeds the observatory's cached document;
+        // The metrics snapshot embeds the observatory's latest tick;
         // one compact durability line rides under the rate row.
         if let Some(health) = doc.get("health") {
             let u = |sec: &str, key: &str| {
@@ -1132,11 +1127,6 @@ pub const HEALTH_FLAGS: &[&str] = &[
     "no-health",
     "afr",
     "horizon-hours",
-    "health-trials",
-    "health-seed",
-    "health-max-k",
-    "margin-cap",
-    "health-recompute-ms",
     "slo-degraded",
     "slo-corruption",
     "slo-window",
@@ -1152,11 +1142,6 @@ fn health_config_from_args(args: &ParsedArgs) -> Result<tornado_server::HealthCo
         enabled: !args.flag("no-health"),
         afr: args.get_parsed("afr", defaults.afr)?,
         horizon_hours: args.get_parsed("horizon-hours", defaults.horizon_hours)?,
-        trials_per_k: args.get_parsed("health-trials", defaults.trials_per_k)?,
-        seed: args.get_parsed("health-seed", defaults.seed)?,
-        max_k: args.get_parsed("health-max-k", defaults.max_k)?,
-        margin_cap: args.get_parsed("margin-cap", defaults.margin_cap)?,
-        min_recompute_ms: args.get_parsed("health-recompute-ms", defaults.min_recompute_ms)?,
         degraded_read_objective: args
             .get_parsed("slo-degraded", defaults.degraded_read_objective)?,
         corruption_objective: args.get_parsed("slo-corruption", defaults.corruption_objective)?,

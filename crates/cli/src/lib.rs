@@ -57,13 +57,9 @@ COMMANDS:
                                                      crash recovery on restart)
                                                      [--port-file FILE]
                                                      [--trace-sample N] [--trace-file FILE]
-                                                     [--trace-capacity 4096] [--trace-slow-keep 16]
                                                      [--slow-ms N] [--timeseries-ms 500]
                                                      [--no-health] [--afr 0.029]
                                                      [--horizon-hours 8760]
-                                                     [--health-trials 2000] [--health-seed N]
-                                                     [--health-max-k 6] [--margin-cap 2]
-                                                     [--health-recompute-ms 2000]
                                                      [--slo-degraded 0.05] [--slo-corruption 0.01]
                                                      [--slo-window label:short:long:thresh]...
     put          Store one object on a server        --addr ADDR --name NAME
@@ -144,8 +140,8 @@ pub const COMMANDS: &[Command] = &[
         &["seed", "objects", "reads"]] },
     Command { name: "serve", run: commands::serve, flags: &[
         &["addr", "workers", "queue-depth", "shards", "max-inflight", "data-dir",
-          "backend", "no-fsync", "port-file", "trace-sample", "trace-file", "trace-capacity",
-          "trace-slow-keep", "slow-ms", "timeseries-ms"],
+          "backend", "no-fsync", "port-file", "trace-sample", "trace-file", "slow-ms",
+          "timeseries-ms"],
         TARGET_FLAGS, HEALTH_FLAGS, OBS_FLAGS] },
     Command { name: "put", run: commands::put, flags: &[&["addr", "name", "payload-file"]] },
     Command { name: "get", run: commands::get, flags: &[&["addr", "id", "out"]] },
@@ -244,6 +240,17 @@ mod tests {
         }
         let observed = flags_in(USAGE.split("OBSERVABILITY").nth(1).unwrap());
         assert_eq!(observed, OBS_FLAGS);
+    }
+
+    #[test]
+    fn usage_shows_every_flag_serve_reads() {
+        let serve = COMMANDS.iter().find(|c| c.name == "serve").unwrap();
+        let declared = serve.flags.concat();
+        let shown = flags_in(&usage_block("serve"));
+        for flag in declared.iter().filter(|f| !OBS_FLAGS.contains(f)) {
+            assert!(shown.iter().any(|s| s == flag), "USAGE omits --{flag}");
+        }
+        assert_eq!(declared.len(), 25, "{declared:?}");
     }
 
     #[test]

@@ -146,12 +146,24 @@ impl SloTracker {
         self.alerts_total
     }
 
-    /// Records a cumulative observation. Samples must be pushed in
-    /// non-decreasing time order; the ring is pruned to the longest
-    /// window (plus one sample of slack so a window-spanning delta always
-    /// has a baseline point).
+    /// Records a cumulative observation; one older than the newest counts
+    /// as taken at the newest's time. The newest sample is always the
+    /// latest observation, but one landing within a thousandth of the
+    /// shortest window (at least 1 ms) of the sample before the newest
+    /// replaces the newest, so however often a caller records, the ring
+    /// holds at most two samples per such step. It is pruned to the
+    /// longest window (plus one sample of slack so a window-spanning delta
+    /// always has a baseline point).
     pub fn record(&mut self, t_ms: u64, bad: u64, total: u64) {
-        self.samples.push_back(Sample { t_ms, bad, total });
+        let t_ms = self.samples.back().map_or(t_ms, |s| t_ms.max(s.t_ms));
+        let resolution = self.windows.iter().map(|w| w.short_ms).min().unwrap_or(0) / 1_000;
+        let sample = Sample { t_ms, bad, total };
+        match self.samples.len() {
+            n if n >= 2 && t_ms - self.samples[n - 2].t_ms < resolution.max(1) => {
+                self.samples[n - 1] = sample;
+            }
+            _ => self.samples.push_back(sample),
+        }
         let horizon = self.windows.iter().map(|w| w.long_ms).max().unwrap_or(0);
         let cutoff = t_ms.saturating_sub(horizon);
         // Keep one sample at or before the cutoff as the delta baseline.
@@ -336,6 +348,27 @@ mod tests {
         // Baseline still spans the full window.
         let oldest = t.samples.front().unwrap().t_ms;
         assert!(oldest <= 1_000 * 100 - 1 - 4_000);
+    }
+
+    #[test]
+    fn recording_on_every_request_keeps_the_ring_bounded_and_the_newest_live() {
+        // A 60 s short window: one step is 60 ms. Ten observations a
+        // millisecond for 10 s leave at most two samples a step.
+        let mut t = tracker(60_000, 120_000, 2.0);
+        for i in 0..100_000u64 {
+            t.record(i / 10, i / 100, i);
+        }
+        assert!(
+            t.samples.len() <= 2 * 10_000 / 60 + 2,
+            "{}",
+            t.samples.len()
+        );
+        let newest = *t.samples.back().unwrap();
+        assert_eq!((newest.t_ms, newest.total), (9_999, 99_999));
+        // An observation stamped before the newest is taken at its time.
+        t.record(5, 1_000, 100_000);
+        let newest = *t.samples.back().unwrap();
+        assert_eq!((newest.t_ms, newest.bad), (9_999, 1_000));
     }
 
     #[test]

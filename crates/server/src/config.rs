@@ -2,7 +2,10 @@
 
 use tornado_obs::slo::{standard_windows, BurnWindow};
 
-/// Tunables for the durability observatory ([`crate::health::HealthModel`]).
+/// The durability observatory's deployment assumptions and policy
+/// ([`crate::health::HealthModel`]). How the model samples and how deep
+/// it searches are constants: [`crate::health::CONDITIONAL`] and
+/// [`crate::health::MARGIN_CAP`].
 #[derive(Clone, Debug)]
 pub struct HealthConfig {
     /// Master switch; off skips model construction entirely.
@@ -11,22 +14,6 @@ pub struct HealthConfig {
     pub afr: f64,
     /// Horizon the published P(loss) covers, in hours.
     pub horizon_hours: f64,
-    /// Monte-Carlo trials per additional-loss count for the conditional
-    /// profile rows that cannot be enumerated exactly.
-    pub trials_per_k: u64,
-    /// Seed for the conditional profile sampling (deterministic — an
-    /// offline recomputation with the same parameters matches exactly).
-    pub seed: u64,
-    /// Deepest additional-loss count measured; further rows saturate
-    /// through the profile's monotone completion.
-    pub max_k: usize,
-    /// Exhaustive-search cap for risk margins: margins up to this are
-    /// exact, beyond it the model reports `margin > cap`.
-    pub margin_cap: usize,
-    /// Minimum milliseconds between model recomputations. Dirty state
-    /// (a fail/replace/scrub transition) inside the window waits for the
-    /// next tick; a HEALTH request forces at most one early recompute.
-    pub min_recompute_ms: u64,
     /// Error budget for degraded reads: allowed fraction of GETs served
     /// through the decoder.
     pub degraded_read_objective: f64,
@@ -44,11 +31,6 @@ impl Default for HealthConfig {
             enabled: true,
             afr: 0.029, // the paper's Table 5 disk AFR
             horizon_hours: 24.0 * 365.0,
-            trials_per_k: 2_000,
-            seed: 0x7042_6F72_6E61_646F,
-            max_k: 6,
-            margin_cap: 2,
-            min_recompute_ms: 2_000,
             degraded_read_objective: 0.05,
             corruption_objective: 0.01,
             slo_windows: standard_windows(),
@@ -121,8 +103,6 @@ mod tests {
         assert!(h.enabled, "the observatory is on by default");
         assert!(h.afr > 0.0 && h.afr < 1.0);
         assert!(h.horizon_hours > 0.0);
-        assert!(h.trials_per_k >= 1 && h.max_k >= 1);
-        assert!(h.margin_cap >= 1);
         assert!(h.degraded_read_objective > 0.0 && h.corruption_objective > 0.0);
         assert_eq!(h.slo_windows.len(), 2, "fast + slow pairs");
     }

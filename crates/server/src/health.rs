@@ -19,49 +19,116 @@
 //!   multi-window pairs, with edge-triggered alert events through the
 //!   server's [`EventSink`](tornado_obs::EventSink).
 //!
-//! Recomputation is event-driven: the model watches the store's pool
-//! epoch and the scrub decode counter, recomputes only on transitions
-//! (rate-limited by `min_recompute_ms`), and serves HEALTH requests from
-//! the cached document otherwise. Steady-state cost is therefore a few
-//! counter reads per sampler tick — the load bench asserts the overhead
-//! stays under 2 %.
+//! A document describes the fleet as it is when it is asked for: the model
+//! renders one from live state on every HEALTH request and every sampler
+//! tick. What costs milliseconds — P(loss) given a set of missing nodes,
+//! and that set's risk margin — depends on nothing but the graph, the set
+//! and this module's constants, so the model memoizes these *graph facts*
+//! by set, and no fleet change, scrub find or PUT can make one stale. A
+//! rendering costs one `store.list()` plus memo lookups; only a fleet state
+//! the previous rendering had not seen computes a fact (the load bench
+//! asserts that compute stays under 2 % of wall time).
 
 use crate::config::HealthConfig;
 use crate::obs::ServerObserver;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 use std::time::Instant;
 use tornado_analysis::health::{
     conditional_failure_probability, horizon_failure_probability, mttdl_hours, risk_margin,
     ConditionalConfig, HOURS_PER_YEAR,
 };
+use tornado_graph::Graph;
 use tornado_obs::{Json, SloTracker};
 use tornado_store::ArchivalStore;
 
 /// Schema tag of the health document.
 pub const HEALTH_SCHEMA: &str = "tornado-health-v1";
 
+/// How the conditional P(loss) is measured: Monte-Carlo trials per
+/// additional-loss count, the sampling seed, and the deepest count
+/// measured (further rows saturate through the profile's monotone
+/// completion). The document publishes all three, so an offline
+/// recomputation with them matches the live number bit for bit.
+pub const CONDITIONAL: ConditionalConfig = ConditionalConfig {
+    trials_per_k: 2_000,
+    seed: 0x7042_6F72_6E61_646F,
+    max_k: 6,
+};
+
+/// Risk margins are searched exhaustively up to this many further losses:
+/// up to it a margin is exact, past it a class reads `MARGIN_CAP + 1`.
+pub const MARGIN_CAP: usize = 2;
+
 struct State {
-    doc: Option<Json>,
-    last_recompute_ms: Option<u64>,
-    last_pool_epoch: Option<u64>,
-    last_scrub_decoded: u64,
-    last_offline: usize,
-    failures_seen: u64,
-    replacements_seen: u64,
+    /// Graph facts by missing-node set: the entries the latest rendering
+    /// used, the healthy baseline (`[]`) among them — at most `n + 1`.
+    facts: HashMap<Vec<usize>, Facts>,
     slo_degraded: SloTracker,
     slo_corruption: SloTracker,
+    /// The latest tick's rendering, which METRICS embeds.
+    latest: Option<Json>,
+}
+
+/// What the graph says about one set of missing nodes; each fact is
+/// computed the first time a rendering needs it.
+#[derive(Default)]
+struct Facts {
+    /// P(loss) over the horizon with these nodes already lost.
+    p_loss: Option<f64>,
+    /// `risk_margin` of these nodes at [`MARGIN_CAP`].
+    margin: Option<usize>,
+}
+
+/// One rendering's pass over the memo: every set it looks up moves from
+/// `kept` to `used` (its facts computed on a miss), and `used` becomes the
+/// memo afterwards, so what the rendering did not need is dropped.
+struct Lookup<'g> {
+    graph: &'g Graph,
+    p_device: f64,
+    kept: HashMap<Vec<usize>, Facts>,
+    used: HashMap<Vec<usize>, Facts>,
+    computed: bool,
+}
+
+impl Lookup<'_> {
+    fn facts(&mut self, nodes: &[usize]) -> &mut Facts {
+        let kept = &mut self.kept;
+        self.used
+            .entry(nodes.to_vec())
+            .or_insert_with(|| kept.remove(nodes).unwrap_or_default())
+    }
+
+    fn p_loss(&mut self, nodes: &[usize]) -> f64 {
+        if let Some(p) = self.facts(nodes).p_loss {
+            return p;
+        }
+        let p = conditional_failure_probability(self.graph, nodes, self.p_device, &CONDITIONAL);
+        self.facts(nodes).p_loss = Some(p);
+        self.computed = true;
+        p
+    }
+
+    fn margin(&mut self, nodes: &[usize]) -> usize {
+        if let Some(m) = self.facts(nodes).margin {
+            return m;
+        }
+        let m = risk_margin(self.graph, nodes, MARGIN_CAP);
+        self.facts(nodes).margin = Some(m);
+        self.computed = true;
+        m
+    }
 }
 
 tornado_obs::metric_set! {
     /// What the observatory counts about itself. Present only on a server
     /// started with [`HealthConfig::enabled`].
     pub struct HealthMetrics {
-        /// Reliability-model recomputations performed.
+        /// Renderings that computed a graph fact: a fleet state the previous rendering had not seen.
         recomputes: Counter = "health.recomputes", "recomputes", sampled;
         /// Burn-rate alert firings, both SLOs, fire edges only.
         alerts: Counter = "health.alerts", "alerts", sampled;
-        /// Wall time per model recomputation.
+        /// Wall time of each rendering that computed a graph fact.
         recompute_us: Histogram = "health.recompute_us", "us";
     }
 }
@@ -70,9 +137,6 @@ tornado_obs::metric_set! {
 /// [`ServerObserver::health`](crate::obs::ServerObserver).
 pub struct HealthModel {
     config: HealthConfig,
-    /// Healthy-fleet baseline P(loss): the graph never changes, so this
-    /// is computed once and reused by every recompute.
-    healthy_p_loss: OnceLock<f64>,
     /// The observatory's own cells.
     pub metrics: HealthMetrics,
     state: Mutex<State>,
@@ -83,13 +147,8 @@ impl HealthModel {
     /// HEALTH request.
     pub fn new(config: HealthConfig) -> Self {
         let state = State {
-            doc: None,
-            last_recompute_ms: None,
-            last_pool_epoch: None,
-            last_scrub_decoded: 0,
-            last_offline: 0,
-            failures_seen: 0,
-            replacements_seen: 0,
+            facts: HashMap::new(),
+            latest: None,
             slo_degraded: SloTracker::new(
                 "degraded_reads",
                 config.degraded_read_objective,
@@ -103,43 +162,50 @@ impl HealthModel {
         };
         Self {
             config,
-            healthy_p_loss: OnceLock::new(),
             metrics: HealthMetrics::new(),
             state: Mutex::new(state),
         }
     }
 
-    /// The model's configuration (CLI surfaces echo parameters from it).
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
-    }
-
-    fn conditional_config(&self) -> ConditionalConfig {
-        ConditionalConfig {
-            trials_per_k: self.config.trials_per_k,
-            seed: self.config.seed,
-            max_k: self.config.max_k,
-        }
-    }
-
-    /// Periodic drive, called from the server's sampler thread: feeds the
-    /// SLO trackers, emits alert transitions, counts fleet transitions,
-    /// and recomputes the model if it is dirty and the rate limit allows.
-    /// Steady-state (no transitions) this is a handful of counter reads.
+    /// Periodic drive, called from the server's sampler thread: renders
+    /// the document and keeps it for [`HealthModel::latest`].
     pub fn tick(&self, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) {
-        let mut st = self.state.lock().unwrap();
-        let offline = store.offline_devices().len();
-        if offline > st.last_offline {
-            st.failures_seen += (offline - st.last_offline) as u64;
-        } else {
-            st.replacements_seen += (st.last_offline - offline) as u64;
-        }
-        st.last_offline = offline;
+        let mut st = self.state();
+        let doc = self.render(&mut st, store, obs, now_ms);
+        st.latest = Some(doc);
+    }
 
+    /// The document for the fleet as it is now (a HEALTH request).
+    pub fn document(&self, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) -> Json {
+        self.render(&mut self.state(), store, obs, now_ms)
+    }
+
+    /// The latest tick's document, if the sampler has ticked (no store
+    /// access — the METRICS snapshot embeds this).
+    pub fn latest(&self) -> Option<Json> {
+        self.state().latest.clone()
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("health state: a rendering panicked holding it")
+    }
+
+    /// Feeds the SLO trackers and emits their alert transitions, then
+    /// builds the document from live state and memoized graph facts.
+    fn render(
+        &self,
+        st: &mut State,
+        store: &ArchivalStore,
+        obs: &ServerObserver,
+        now_ms: u64,
+    ) -> Json {
+        let t0 = Instant::now();
+        let (bad_reads, reads) = (obs.degraded_reads.get(), obs.gets.get());
         let decoded = obs.store_obs.stripes_decoded.get();
         let checked = obs.store_obs.stripes_verified.get() + decoded;
-        st.slo_degraded
-            .record(now_ms, obs.degraded_reads.get(), obs.gets.get());
+        st.slo_degraded.record(now_ms, bad_reads, reads);
         st.slo_corruption.record(now_ms, decoded, checked);
         let mut transitions = st.slo_degraded.evaluate(now_ms);
         transitions.extend(st.slo_corruption.evaluate(now_ms));
@@ -160,60 +226,19 @@ impl HealthModel {
             );
         }
 
-        let due = st
-            .last_recompute_ms
-            .is_none_or(|t| now_ms.saturating_sub(t) >= self.config.min_recompute_ms);
-        // Periodic slow refresh keeps stripe counts from going stale on a
-        // store that only ever ingests (no failure, no scrub find).
-        let stale = st
-            .last_recompute_ms
-            .is_some_and(|t| now_ms.saturating_sub(t) >= 10 * self.config.min_recompute_ms.max(1));
-        if due && (st.doc.is_none() || self.dirty(&st, store, obs) || stale) {
-            self.recompute(&mut st, store, obs, now_ms);
-        }
-    }
-
-    /// The current document, recomputing first if the fleet has changed
-    /// since the cached one (a HEALTH request never reports an erasure
-    /// pattern the store is no longer in).
-    pub fn document(&self, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) -> Json {
-        let mut st = self.state.lock().unwrap();
-        if st.doc.is_none() || self.dirty(&st, store, obs) {
-            self.recompute(&mut st, store, obs, now_ms);
-        }
-        st.doc
-            .clone()
-            .expect("recompute always installs a document")
-    }
-
-    /// The cached document, if any recompute has happened (no store
-    /// access, no recompute — the metrics snapshot path uses this).
-    pub fn cached(&self) -> Option<Json> {
-        self.state.lock().unwrap().doc.clone()
-    }
-
-    fn dirty(&self, st: &State, store: &ArchivalStore, obs: &ServerObserver) -> bool {
-        st.last_pool_epoch != Some(store.pool_epoch())
-            || st.last_scrub_decoded != obs.store_obs.stripes_decoded.get()
-    }
-
-    fn recompute(&self, st: &mut State, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) {
-        let t0 = Instant::now();
-        let ccfg = self.conditional_config();
-        let graph = store.graph();
         let n = store.num_devices();
         let offline = store.offline_devices();
-        let p_device = horizon_failure_probability(self.config.afr, self.config.horizon_hours);
-        let healthy = *self
-            .healthy_p_loss
-            .get_or_init(|| conditional_failure_probability(graph, &[], p_device, &ccfg));
+        let mut memo = Lookup {
+            graph: store.graph(),
+            p_device: horizon_failure_probability(self.config.afr, self.config.horizon_hours),
+            kept: std::mem::take(&mut st.facts),
+            used: HashMap::new(),
+            computed: false,
+        };
+        let healthy = memo.p_loss(&[]);
         // Fleet-level estimate: the identity rotation class (node index ==
         // device index). The full per-class picture is in `margins`.
-        let p_loss = if offline.is_empty() {
-            healthy
-        } else {
-            conditional_failure_probability(graph, &offline, p_device, &ccfg)
-        };
+        let p_loss = memo.p_loss(&offline);
 
         // Rotation classes: stripes whose offline *nodes* coincide share
         // one margin computation. Healthy fleets collapse to one class.
@@ -230,11 +255,13 @@ impl HealthModel {
         }
         // Every class's margin, exact up to the cap; lowest margin first
         // (the order repair should take them in), then the most stripes.
-        let cap = self.config.margin_cap;
+        let cap = MARGIN_CAP;
         let mut ranked: Vec<(usize, Vec<usize>, u64)> = classes
             .into_iter()
-            .map(|(missing, stripes)| (risk_margin(graph, &missing, cap), missing, stripes))
+            .map(|(missing, stripes)| (memo.margin(&missing), missing, stripes))
             .collect();
+        let (p_device, computed) = (memo.p_device, memo.computed);
+        st.facts = memo.used;
         ranked.sort_by_key(|&(margin, _, stripes)| (margin, std::cmp::Reverse(stripes)));
         let min_margin = ranked[0].0;
         let stripes_total: u64 = ranked.iter().map(|&(_, _, stripes)| stripes).sum();
@@ -259,14 +286,13 @@ impl HealthModel {
             })
             .collect();
 
-        let decoded = obs.store_obs.stripes_decoded.get();
-        let checked = obs.store_obs.stripes_verified.get() + decoded;
+        let failures = device_stat(store, |s| s.failures);
         let elapsed_hours = now_ms as f64 / 3_600_000.0;
         let device_hours = n as f64 * elapsed_hours;
-        let effective_afr = if st.failures_seen == 0 || device_hours <= 0.0 {
+        let effective_afr = if failures == 0 || device_hours <= 0.0 {
             0.0
         } else {
-            1.0 - (-(st.failures_seen as f64 / device_hours) * HOURS_PER_YEAR).exp()
+            1.0 - (-(failures as f64 / device_hours) * HOURS_PER_YEAR).exp()
         };
 
         let doc = Json::Obj(vec![
@@ -308,9 +334,9 @@ impl HealthModel {
                         "missing_nodes".into(),
                         Json::Arr(offline.iter().map(|&d| Json::U64(d as u64)).collect()),
                     ),
-                    ("trials_per_k".into(), Json::U64(self.config.trials_per_k)),
-                    ("seed".into(), Json::U64(self.config.seed)),
-                    ("max_k".into(), Json::U64(self.config.max_k as u64)),
+                    ("trials_per_k".into(), Json::U64(CONDITIONAL.trials_per_k)),
+                    ("seed".into(), Json::U64(CONDITIONAL.seed)),
+                    ("max_k".into(), Json::U64(CONDITIONAL.max_k as u64)),
                 ]),
             ),
             (
@@ -349,12 +375,7 @@ impl HealthModel {
                 Json::Obj(vec![
                     (
                         "degraded_reads".into(),
-                        slo_json(
-                            &st.slo_degraded,
-                            obs.degraded_reads.get(),
-                            obs.gets.get(),
-                            now_ms,
-                        ),
+                        slo_json(&st.slo_degraded, bad_reads, reads, now_ms),
                     ),
                     (
                         "scrub_corruption".into(),
@@ -365,8 +386,11 @@ impl HealthModel {
             (
                 "observed".into(),
                 Json::Obj(vec![
-                    ("failures".into(), Json::U64(st.failures_seen)),
-                    ("replacements".into(), Json::U64(st.replacements_seen)),
+                    ("failures".into(), Json::U64(failures)),
+                    (
+                        "replacements".into(),
+                        Json::U64(device_stat(store, |s| s.replacements)),
+                    ),
                     ("elapsed_hours".into(), Json::F64(elapsed_hours)),
                     ("effective_afr".into(), Json::F64(effective_afr)),
                 ]),
@@ -383,22 +407,21 @@ impl HealthModel {
             ),
         ]);
 
-        st.doc = Some(doc);
-        st.last_recompute_ms = Some(now_ms);
-        st.last_pool_epoch = Some(store.pool_epoch());
-        st.last_scrub_decoded = obs.store_obs.stripes_decoded.get();
-        let us = t0.elapsed().as_micros() as u64;
-        self.metrics.recomputes.inc();
-        self.metrics.recompute_us.record(us);
-        obs.events.emit(
-            "health.recompute",
-            &[
-                ("us", Json::U64(us)),
-                ("offline", Json::U64(offline.len() as u64)),
-                ("p_loss", Json::F64(p_loss)),
-                ("min_margin", Json::U64(min_margin as u64)),
-            ],
-        );
+        if computed {
+            let us = t0.elapsed().as_micros() as u64;
+            self.metrics.recomputes.inc();
+            self.metrics.recompute_us.record(us);
+            obs.events.emit(
+                "health.recompute",
+                &[
+                    ("us", Json::U64(us)),
+                    ("offline", Json::U64(offline.len() as u64)),
+                    ("p_loss", Json::F64(p_loss)),
+                    ("min_margin", Json::U64(min_margin as u64)),
+                ],
+            );
+        }
+        doc
     }
 }
 
@@ -579,9 +602,6 @@ mod tests {
 
     fn test_config() -> HealthConfig {
         HealthConfig {
-            trials_per_k: 200,
-            max_k: 3,
-            min_recompute_ms: 0,
             slo_windows: vec![BurnWindow {
                 label: "fast".into(),
                 short_ms: 500,
@@ -634,7 +654,6 @@ mod tests {
             .as_u64()
             .unwrap();
         store.fail_device(0).unwrap();
-        // The pool epoch changed: the next document is dirty-recomputed.
         let doc = model.document(&store, &obs, 2_000);
         validate_health(&doc).unwrap();
         let rel = doc.get("reliability").unwrap();
@@ -683,26 +702,35 @@ mod tests {
             store.graph(),
             &missing,
             horizon_failure_probability(cfg.afr, cfg.horizon_hours),
-            &ConditionalConfig {
-                trials_per_k: cfg.trials_per_k,
-                seed: cfg.seed,
-                max_k: cfg.max_k,
-            },
+            &CONDITIONAL,
         );
         assert!(
             (live - offline).abs() <= 1e-12,
             "live {live} vs offline {offline}"
         );
+        // The document carries the recipe it was computed with.
+        let recipe = ["trials_per_k", "seed", "max_k"].map(|k| rel.get(k).unwrap().as_u64());
+        let (t, s, k) = (
+            CONDITIONAL.trials_per_k,
+            CONDITIONAL.seed,
+            CONDITIONAL.max_k,
+        );
+        assert_eq!(recipe, [Some(t), Some(s), Some(k as u64)]);
+    }
+
+    /// A store's first object with its node-0 block flipped on disk.
+    fn rot_one_block(store: &ArchivalStore) {
+        let meta = &store.list()[0].clone();
+        let device = store.device(store.device_of_block(meta, 0)).unwrap();
+        assert!(device.corrupt_block(&(meta.id, 0), 0x5A));
     }
 
     #[test]
     fn recompute_is_event_driven_not_per_request() {
-        let store = store_with_objects(1);
+        let store = store_with_objects(2);
         let obs = ServerObserver::disabled();
-        let model = HealthModel::new(HealthConfig {
-            min_recompute_ms: 1_000_000, // rate limit far beyond the test
-            ..test_config()
-        });
+        store.set_observer(std::sync::Arc::clone(&obs.store_obs));
+        let model = HealthModel::new(test_config());
         let _ = model.document(&store, &obs, 100);
         assert_eq!(model.metrics.recomputes.get(), 1);
         for t in 0..50 {
@@ -712,17 +740,74 @@ mod tests {
         assert_eq!(
             model.metrics.recomputes.get(),
             1,
-            "clean fleet: cached document serves"
+            "an unchanged fleet renders from the memo"
         );
+        // A scrub that finds rot and decodes changes no graph fact.
+        rot_one_block(&store);
+        let scrub = tornado_store::Scrubber::new(1);
+        let outcome = scrub.run(&store, 2, false, tornado_store::ScrubMode::Verify);
+        assert_eq!(outcome.decoded_count(), 1);
+        let doc = model.document(&store, &obs, 300);
+        let bitrot = doc.get("bitrot").unwrap();
+        assert_eq!(bitrot.get("corrupt_stripes").unwrap().as_u64(), Some(1));
+        assert_eq!(model.metrics.recomputes.get(), 1, "a scrub find is no fact");
         store.fail_device(1).unwrap();
-        let _ = model.document(&store, &obs, 300);
+        let _ = model.document(&store, &obs, 400);
         assert_eq!(
             model.metrics.recomputes.get(),
             2,
-            "pool-epoch transition recomputes once"
+            "a new offline set computes once"
         );
-        let _ = model.document(&store, &obs, 301);
+        let _ = model.document(&store, &obs, 401);
         assert_eq!(model.metrics.recomputes.get(), 2);
+    }
+
+    #[test]
+    fn an_alert_is_firing_in_the_next_document_without_a_tick() {
+        let store = store_with_objects(1);
+        let obs = ServerObserver::disabled();
+        let model = HealthModel::new(test_config());
+        let firing = |doc: &Json| {
+            let slo = doc.get("slo").unwrap().get("degraded_reads").unwrap();
+            slo.get("windows").unwrap().as_arr().unwrap()[0].get("firing")
+                == Some(&Json::Bool(true))
+        };
+        assert!(!firing(&model.document(&store, &obs, 0)));
+        // Half the GETs since degraded against a 5% objective: burn 10 > 2
+        // over both windows.
+        obs.gets.add(100);
+        obs.degraded_reads.add(50);
+        let doc = model.document(&store, &obs, 600);
+        assert!(firing(&doc), "{}", doc.to_pretty());
+        assert_eq!(model.metrics.alerts.get(), 1);
+        assert!(model.latest().is_none(), "no tick ran");
+    }
+
+    #[test]
+    fn stripe_counts_follow_puts_immediately() {
+        let store = store_with_objects(3);
+        let obs = ServerObserver::disabled();
+        let model = HealthModel::new(test_config());
+        let total = |doc: Json| doc.get("margins")?.get("stripes_total")?.as_u64();
+        assert_eq!(total(model.document(&store, &obs, 10)), Some(3));
+        store.put("one-more", b"payload").unwrap();
+        assert_eq!(total(model.document(&store, &obs, 11)), Some(4));
+    }
+
+    #[test]
+    fn a_fail_and_a_replace_between_two_ticks_are_both_observed() {
+        let store = store_with_objects(2);
+        let obs = ServerObserver::disabled();
+        let model = HealthModel::new(test_config());
+        model.tick(&store, &obs, 0);
+        store.fail_device(3).unwrap();
+        store.replace_device(3).unwrap();
+        model.tick(&store, &obs, 500);
+        let doc = model.latest().unwrap();
+        let observed = doc.get("observed").unwrap();
+        assert_eq!(observed.get("failures").unwrap().as_u64(), Some(1));
+        assert_eq!(observed.get("replacements").unwrap().as_u64(), Some(1));
+        assert!(observed.get("effective_afr").unwrap().as_f64().unwrap() > 0.0);
     }
 
     #[test]
@@ -845,7 +930,8 @@ mod tests {
         // Four devices down: every one of the 96 classes survives any two
         // more losses, so each reads "> 2".
         let store = graph_1_store(128, &[7, 29, 55, 88]);
-        let doc = HealthModel::new(test_config()).document(&store, &obs, 100);
+        let model = HealthModel::new(test_config());
+        let doc = model.document(&store, &obs, 100);
         validate_health(&doc).unwrap();
         let margins = doc.get("margins").unwrap();
         assert_eq!(margins.get("classes").unwrap().as_u64(), Some(96));
@@ -856,6 +942,15 @@ mod tests {
             "{:?}",
             margin_rows(&doc)
         );
+        // The memo holds what that rendering used: 96 classes, the offline
+        // set among them, and the healthy baseline — n + 1 entries.
+        let memo_len = || model.state.lock().unwrap().facts.len();
+        assert_eq!(memo_len(), 97);
+        for d in [7, 29, 55, 88] {
+            store.replace_device(d).unwrap();
+        }
+        let _ = model.document(&store, &obs, 200);
+        assert_eq!(memo_len(), 1, "a healthy fleet uses the baseline alone");
 
         // Devices 3, 17 and 84: rotation 82 puts them on nodes [2, 17, 31],
         // three of the certified failing 5-set [2, 5, 10, 17, 31] — a class
@@ -895,7 +990,7 @@ mod tests {
         use rand::SeedableRng;
         use tornado_store::{ScrubMode, Scrubber};
         const FIRST_FAILURE: usize = 5;
-        let cap = test_config().margin_cap;
+        let cap = MARGIN_CAP;
         let mut rng = SmallRng::seed_from_u64(25);
         for failed in [2, 4, 6] {
             let mut devices: Vec<usize> = (0..96).collect();

@@ -250,9 +250,9 @@ impl ServerObserver {
             // unknown keys, so old consumers keep parsing these snapshots.
             snap.set("timeseries", self.timeseries.to_json());
         }
-        // The cached health document rides along the same way (never a
-        // fresh recompute on the metrics path — METRICS must stay cheap).
-        if let Some(doc) = self.health.get().and_then(|m| m.cached()) {
+        // The latest tick's health document rides along the same way (never
+        // a fresh rendering on the metrics path — METRICS must stay cheap).
+        if let Some(doc) = self.health.get().and_then(|m| m.latest()) {
             snap.set("health", doc);
         }
         self.record_all(store, &mut snap);

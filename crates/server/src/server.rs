@@ -280,8 +280,8 @@ fn spawn_sampler(
                     let now_ms = started.elapsed().as_millis() as u64;
                     obs.sample_timeseries(&store, now_ms);
                     // The sampler doubles as the observatory's clock: the
-                    // same cadence feeds SLO burn windows and triggers
-                    // (rate-limited) model recomputes on fleet changes.
+                    // same cadence feeds SLO burn windows and renders the
+                    // document METRICS embeds.
                     if let Some(model) = obs.health.get() {
                         model.tick(&store, &obs, now_ms);
                     }

@@ -643,12 +643,7 @@ fn health_op_reports_conditional_risk_that_matches_offline_analysis() {
     // conditional P(loss) strictly exceeds the healthy baseline, and
     // (c) an offline recomputation with the published parameters and
     // erasure pattern reproduces the live number exactly.
-    let health = tornado_server::HealthConfig {
-        trials_per_k: 300,
-        max_k: 3,
-        min_recompute_ms: 0,
-        ..tornado_server::HealthConfig::default()
-    };
+    let health = HealthConfig::default();
     let cfg = ServerConfig {
         workers: 2,
         queue_depth: 16,
@@ -708,11 +703,7 @@ fn health_op_reports_conditional_risk_that_matches_offline_analysis() {
         &graph,
         &missing,
         tornado_analysis::health::horizon_failure_probability(health.afr, health.horizon_hours),
-        &tornado_analysis::health::ConditionalConfig {
-            trials_per_k: health.trials_per_k,
-            seed: health.seed,
-            max_k: health.max_k,
-        },
+        &tornado_server::health::CONDITIONAL,
     );
     assert!(
         (p_loss - offline_p).abs() <= 1e-9,
@@ -732,7 +723,7 @@ fn health_op_reports_conditional_risk_that_matches_offline_analysis() {
             >= 1
     );
 
-    // The cached document also rides on the METRICS snapshot.
+    // The latest tick's document also rides on the METRICS snapshot.
     let snap = tornado_obs::json::parse(&client.metrics().unwrap()).unwrap();
     tornado_obs::snapshot::validate(&snap).unwrap();
     let embedded = snap
@@ -740,6 +731,62 @@ fn health_op_reports_conditional_risk_that_matches_offline_analysis() {
         .expect("metrics snapshot embeds the health doc");
     tornado_server::validate_health(embedded).unwrap();
 
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn health_validates_while_other_connections_fail_replace_and_put() {
+    // Every reply is rendered from the fleet as it is at that moment, while
+    // one connection fails and replaces devices and another PUTs.
+    const ROUNDS: u64 = 30;
+    let cfg = ServerConfig {
+        timeseries_interval_ms: 20,
+        ..ServerConfig::default()
+    };
+    let graph = tornado_gen::mirror::generate_mirror(12).unwrap();
+    let store = Arc::new(ArchivalStore::new(graph));
+    let handle = serve(cfg, store, ServerObserver::shared()).expect("bind");
+    let addr = handle.local_addr().to_string();
+    let read = |doc: &tornado_obs::Json, section: &str, key: &str| {
+        doc.get(section)
+            .and_then(|s| s.get(key))
+            .and_then(|v| v.as_u64())
+    };
+    thread::scope(|s| {
+        s.spawn(|| {
+            let mut admin = Client::connect(&addr).unwrap();
+            for round in 0..ROUNDS as u32 {
+                // Never both copies of a mirrored pair: 12 apart.
+                let device = round % 12;
+                admin.fail_device(device).unwrap();
+                admin.revive_device(device).unwrap();
+            }
+        });
+        s.spawn(|| {
+            let mut writer = Client::connect(&addr).unwrap();
+            for i in 0..ROUNDS {
+                writer.put(&format!("churn-{i}"), &[i as u8; 900]).unwrap();
+            }
+        });
+        let mut reader = Client::connect(&addr).unwrap();
+        let mut stripes = 0;
+        for _ in 0..ROUNDS {
+            let doc = tornado_obs::json::parse(&reader.health().unwrap()).unwrap();
+            tornado_server::validate_health(&doc).unwrap();
+            let now = read(&doc, "margins", "stripes_total").unwrap();
+            assert!(now >= stripes, "stripes_total went from {stripes} to {now}");
+            stripes = now;
+        }
+    });
+    // With the churn over, the fleet is whole and every transition counted.
+    let mut client = Client::connect(&addr).unwrap();
+    let doc = tornado_obs::json::parse(&client.health().unwrap()).unwrap();
+    tornado_server::validate_health(&doc).unwrap();
+    assert_eq!(read(&doc, "fleet", "offline"), Some(0));
+    assert_eq!(read(&doc, "margins", "stripes_total"), Some(ROUNDS));
+    assert_eq!(read(&doc, "observed", "failures"), Some(ROUNDS));
+    assert_eq!(read(&doc, "observed", "replacements"), Some(ROUNDS));
     client.shutdown().unwrap();
     handle.join();
 }

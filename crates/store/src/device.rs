@@ -73,6 +73,10 @@ pub struct DeviceStats {
     /// which count offline rejections of a healthy backend. Non-zero
     /// here means the *media* is misbehaving.
     pub io_errors: u64,
+    /// Times the device was failed ([`Device::fail`]).
+    pub failures: u64,
+    /// Times the device was brought back as a replacement.
+    pub replacements: u64,
 }
 
 impl DeviceStats {
@@ -145,6 +149,7 @@ impl Device {
     pub fn fail(&self) {
         let mut s = self.state.write();
         s.online = false;
+        s.stats.failures += 1;
         if s.backend.destroy().is_err() {
             s.stats.io_errors += 1;
         }
@@ -157,6 +162,7 @@ impl Device {
     pub fn replace(&self) {
         let mut s = self.state.write();
         s.online = true;
+        s.stats.replacements += 1;
         if s.backend.destroy().is_err() {
             s.stats.io_errors += 1;
         }
@@ -167,6 +173,7 @@ impl Device {
     pub(crate) fn install_replacement(&self, backend: Box<dyn BlockBackend>) {
         let mut s = self.state.write();
         s.online = true;
+        s.stats.replacements += 1;
         s.backend = backend;
     }
 
@@ -340,6 +347,8 @@ mod tests {
         assert!(d.is_online());
         assert_eq!(d.read_block(&(1, 0)), None, "replacement is empty");
         assert_eq!(d.block_count(), 0);
+        let s = d.stats();
+        assert_eq!((s.failures, s.replacements), (1, 1));
     }
 
     #[test]
