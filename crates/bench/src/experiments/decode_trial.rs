@@ -19,6 +19,11 @@
 //! (`tornado_codec::LaneDecoder`, a group of patterns per run), where the
 //! lanes must be ≥ 4× the row kernel (≥ 2× under `--quick`). All four are
 //! release-only: a debug build's timings mean nothing.
+//!
+//! A last row has no floor: `worst_case_search` of the graph to k = 4 on
+//! one thread, ns per pattern — the certificate walk, prefix at a time
+//! with its collisions peeled on lanes, that `bench_budget`'s `certify`
+//! window times. The per-pattern sweep above cannot show a change there.
 
 use crate::effort::Effort;
 use crate::harness::{csv, median, median_ns, num, obj, Report};
@@ -31,6 +36,7 @@ use tornado_bitset::combinations::{binomial, CombinationIter};
 use tornado_codec::reference::DenseDecoder;
 use tornado_codec::{ErasureDecoder, LaneDecoder};
 use tornado_obs::Json;
+use tornado_sim::{worst_case_search, WorstCaseConfig};
 
 /// The least the row kernel must gain over the dense one on the sweep.
 const SWEEP_FLOOR: f64 = 10.0;
@@ -45,6 +51,8 @@ const LANES_FLOOR_QUICK: f64 = 2.0;
 /// Random patterns in the lane A/B, and the nodes each erases.
 const RANDOM_PATTERNS: usize = 4096;
 const RANDOM_K: usize = 24;
+/// The depth of the one-thread search row.
+const SEARCH_MAX_K: usize = 4;
 /// Timed samples per case side (median taken).
 const SAMPLES: usize = 9;
 
@@ -186,6 +194,24 @@ pub fn run(effort: &Effort) -> Report {
         black_box(acc);
     });
 
+    // The search itself, on one thread.
+    let search_patterns: u64 = (1..=SEARCH_MAX_K as u64)
+        .map(|k| binomial(n as u64, k) as u64)
+        .sum();
+    let search_cfg = WorstCaseConfig {
+        max_k: SEARCH_MAX_K,
+        ..Default::default()
+    };
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool");
+    let search_ns = one_thread.install(|| {
+        median_ns(search_patterns, SAMPLES, || {
+            black_box(worst_case_search(&graph, &search_cfg));
+        })
+    });
+
     let sweep_speedup = sweep_dense_ns / sweep_row_ns;
     let mut out = String::new();
     let _ = writeln!(
@@ -201,6 +227,11 @@ pub fn run(effort: &Effort) -> Report {
         LaneDecoder::LANES
     );
     let _ = writeln!(out, "unrank_ns_per_step, {unrank_ns:.1}");
+    let _ = writeln!(
+        out,
+        "search_k{SEARCH_MAX_K}_ns_per_pattern, {search_ns:.2} (worst_case_search, \
+         {search_patterns} patterns, one thread)"
+    );
     let _ = writeln!(
         out,
         "recording_ns_per_trial, {sweep_recording_ns:.1} on, {sweep_off_ns:.1} off, \
@@ -258,6 +289,15 @@ pub fn run(effort: &Effort) -> Report {
         ),
         ("unrank_ns_per_step", num(unrank_ns, 1)),
         ("unrank_budget_ns_per_step", num(UNRANK_BUDGET_NS, 1)),
+        (
+            "search_k4",
+            obj([
+                ("max_k", Json::U64(SEARCH_MAX_K as u64)),
+                ("patterns", Json::U64(search_patterns)),
+                ("threads", Json::U64(1)),
+                ("ns_per_pattern", num(search_ns, 2)),
+            ]),
+        ),
         ("recording_ns_per_trial", num(sweep_recording_ns, 1)),
         (
             "recording_overhead_ns_per_trial",

@@ -25,8 +25,8 @@ COMMANDS:
     inspect      Show structure and degree stats    --graph FILE
     dot          Export Graphviz DOT                --graph FILE [--out FILE]
     worst-case   Exhaustive worst-case search       --graph FILE | --catalog 1|2|3 [--max-k 4]
-                                                    (96 nodes, one core: k = 5 in 0.25 s,
-                                                    the paper's k = 6 in about 5 s)
+                                                    (96 nodes, one core: k = 5 in 0.13 s,
+                                                    the paper's k = 6 in 2.6 s)
     monte-carlo  Monte-Carlo failure profile        --graph FILE | --catalog 1|2|3
                                                     [--trials 20000] [--seed N]
     scrub        Fail devices, scrub, report health  --graph FILE | --catalog 1|2|3

@@ -51,11 +51,14 @@ tornado_obs::metric_set! {
         prefix_begins: Counter = "decode.prefix_begins", "prefixes";
         /// Patterns decided unpeeled: the tail missed the prefix's certificate.
         prefix_reuse_hits: Counter = "decode.prefix_reuse_hits", "patterns";
-        /// Patterns that hit their prefix's certificate and were peeled whole.
+        /// Patterns that hit their prefix's certificates and were peeled
+        /// whole: on lanes in the worst-case search.
         prefix_collisions: Counter = "decode.prefix_collisions", "patterns";
         /// Patterns under a failed prefix, answered by failure monotonicity.
         monotone_shortcuts: Counter = "decode.monotone_shortcuts", "patterns";
-        /// Nodes recovered (peeled or re-encoded).
+        /// Nodes recovered (peeled or re-encoded). In the worst-case search
+        /// it depends on how collisions group into lanes, so on the thread
+        /// count.
         recoveries: Counter = "decode.recoveries", "nodes";
     }
 }

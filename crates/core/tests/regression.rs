@@ -6,20 +6,56 @@
 //! the certificate lemmas, or the capped collection shows up as a diff
 //! here rather than as silent drift.
 
+use std::sync::Arc;
+use tornado_codec::metrics::cells;
+use tornado_codec::DecodeMetrics;
 use tornado_core::{catalog, tornado_graph_1};
 use tornado_gen::regular::generate_regular;
-use tornado_sim::worst_case::search_level;
+use tornado_sim::worst_case::{search_level, search_level_observed};
+use tornado_sim::SimObserver;
 
 #[test]
-fn catalog_graph_1_is_clean_through_k3() {
+fn catalog_graph_1_is_clean_through_k4() {
     // Certified first failure at 5; the cheap levels must stay spotless.
     let g = tornado_graph_1();
-    for (k, cases) in [(1usize, 96u128), (2, 4560), (3, 142_880)] {
+    for (k, cases) in [(1usize, 96u128), (2, 4560), (3, 142_880), (4, 3_321_960)] {
         let level = search_level(&g, k, 8);
         assert_eq!(level.cases, cases, "k={k}");
         assert_eq!(level.failures, 0, "k={k}");
         assert!(level.failure_sets.is_empty(), "k={k}");
         assert!(!level.truncated, "k={k}");
+    }
+}
+
+#[test]
+fn catalog_graph_1_k4_tail_paths_are_pinned() {
+    // How graph 1's k = 4 patterns are decided: 1.5 % collide with both
+    // certificates of their prefix and are peeled on lanes, the rest by
+    // mask. The split is fixed before any lane runs, so it holds at every
+    // thread count.
+    let g = tornado_graph_1();
+    for threads in [1usize, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let metrics = Arc::new(DecodeMetrics::new());
+        let obs = SimObserver::disabled().with_metrics(metrics.clone());
+        let level = pool.install(|| search_level_observed(&g, 4, 8, &obs));
+        assert_eq!(level.failures, 0);
+        let verdicts = [
+            cells::TRIALS,
+            cells::FAILURES,
+            cells::PREFIX_REUSE_HITS,
+            cells::PREFIX_COLLISIONS,
+            cells::MONOTONE_SHORTCUTS,
+        ]
+        .map(|cell| metrics.get(cell));
+        assert_eq!(
+            verdicts,
+            [3_321_960, 0, 3_321_960 - 50_496, 50_496, 0],
+            "{threads} threads"
+        );
     }
 }
 
@@ -58,7 +94,7 @@ fn seeded_regular_graph_failure_counts_are_pinned() {
 
 /// The paper's depth (§3: "(96 choose 1) through (96 choose 6)"),
 /// re-derived for the whole catalogue: every `kN failures F/C` entry of
-/// `assets/PROVENANCE.txt` against a fresh exhaustive search. About 20 s
+/// `assets/PROVENANCE.txt` against a fresh exhaustive search. About 8 s
 /// on one core in release (k = 6 is 927,048,304 patterns per graph).
 #[test]
 #[ignore = "exhaustive C(96,5) + C(96,6) over three graphs; run with --ignored --release"]

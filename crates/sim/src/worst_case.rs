@@ -13,12 +13,14 @@
 //! node outside a *certificate* of the prefix's recovery changes nothing
 //! about it, so all such tails of a prefix are decided by one mask (see
 //! [`ErasureDecoder::begin_pattern`]). On the 96-node catalogue graphs 98 %
-//! of the patterns are decided that way; k = 5 takes 0.25 s of one core and
-//! the paper's k = 6 (927,048,304 subsets) about 5 s.
+//! of the patterns are decided that way, and the rest are peeled 512 at a
+//! time on a [`LaneDecoder`]. Searching graph 1 to k = 5 takes 0.13 s of
+//! one core and to the paper's k = 6 (927,048,304 subsets) 2.6 s.
 //!
 //! The enumeration is split into contiguous rank ranges via the combinadic
 //! unranking in `tornado-bitset` and processed data-parallel with rayon —
-//! each worker owns its own allocation-free [`ErasureDecoder`].
+//! each worker owns its own allocation-free [`ErasureDecoder`] and
+//! [`LaneDecoder`].
 
 use crate::obs::SimObserver;
 use crate::profile::FailureProfile;
@@ -26,7 +28,7 @@ use rayon::prelude::*;
 use tornado_bitset::combinations::{binomial, chunk_ranges, unrank};
 use tornado_bitset::rows::{self, Word};
 use tornado_codec::metrics::cells;
-use tornado_codec::ErasureDecoder;
+use tornado_codec::{ErasureDecoder, LaneDecoder};
 use tornado_graph::Graph;
 use tornado_obs::Json;
 
@@ -34,8 +36,8 @@ use tornado_obs::Json;
 #[derive(Clone, Copy, Debug)]
 pub struct WorstCaseConfig {
     /// Highest `k` to examine. On a 96-node graph and one core, 4 takes
-    /// 10 ms, 5 a quarter of a second and the paper's 6 (`C(96, 6) ≈
-    /// 9.3 × 10⁸` subsets) about 5 s; each further level costs roughly
+    /// 6 ms, 5 an eighth of a second and the paper's 6 (`C(96, 6) ≈
+    /// 9.3 × 10⁸` subsets) 2.6 s; each further level costs roughly
     /// `(96 − k) / k` times the one before.
     pub max_k: usize,
     /// Maximum number of failing subsets to *collect* per `k` (counting is
@@ -126,8 +128,11 @@ pub fn worst_case_search_observed(
 
 /// Exhaustively examines one `k` level.
 ///
+/// `k = 0` is the one empty pattern, which decodes.
+///
 /// Deterministic regardless of thread count or scheduling: each rank range
-/// collects its lexicographically first failures (up to `collect_cap`),
+/// keeps its lexicographically first failures (up to `collect_cap`, sorted
+/// at the end of the range, since lane verdicts arrive out of rank order),
 /// ranges are concatenated in rank order — which *is* lexicographic order —
 /// and only the final concatenation is truncated. Since every set in the
 /// global lex-smallest `collect_cap` is also within its own range's
@@ -146,12 +151,14 @@ const PROGRESS_STRIDE: u64 = 1 << 20;
 /// and decode-kernel metrics merged from every worker through `obs`.
 ///
 /// Every pattern is accounted to exactly one of `decode.prefix_reuse_hits`
-/// (decided without a peel), `decode.prefix_collisions` (peeled) and
-/// `decode.monotone_shortcuts` (under a failed prefix), and
+/// (decided without a peel), `decode.prefix_collisions` (peeled on lanes)
+/// and `decode.monotone_shortcuts` (under a failed prefix), and
 /// `decode.trials` equals `C(n, k)` for the level; those totals do not
-/// depend on how the ranks were split (`decode.prefix_begins` — full
+/// depend on how the ranks were split. `decode.prefix_begins` — full
 /// fixpoints of inner prefixes — does, each range re-deriving its first
-/// prefix).
+/// prefix, and so does `decode.recoveries`: a lane whose data is back
+/// keeps rebuilding checks while others in its group still peel, and which
+/// collisions share a group depends on where the ranges begin.
 pub fn search_level_observed(
     graph: &Graph,
     k: usize,
@@ -172,19 +179,25 @@ pub fn search_level_observed(
     let (failures, mut sets) = ranges
         .into_par_iter()
         .map_init(
-            // One decoder per worker thread, reused across its rank ranges.
+            // One pair of decoders per worker thread, reused across its rank
+            // ranges.
             || {
                 let mut dec = ErasureDecoder::new(graph);
+                let mut lanes = LaneDecoder::new(graph);
                 dec.set_recording(obs.metrics.is_some());
-                dec
+                lanes.set_recording(obs.metrics.is_some());
+                (dec, lanes)
             },
-            |dec, (start, len)| {
-                let mut walk = Walk::new(graph, dec, k, collect_cap);
+            |(dec, lanes), (start, len)| {
+                let mut walk = Walk::new(graph, dec, lanes, k, collect_cap);
                 walk.run(start, len, |patterns| progress.add(patterns));
                 if let Some(metrics) = &obs.metrics {
-                    // The kernel counted the patterns it peeled; the walk
-                    // decided the rest in bulk.
+                    // The kernels counted their peels; the walk decided
+                    // every verdict.
                     let mut cells = walk.dec.take_cells();
+                    for (cell, lane_cell) in cells.iter_mut().zip(walk.lanes.take_cells()) {
+                        *cell += lane_cell;
+                    }
                     cells[cells::TRIALS] = len as u64;
                     cells[cells::FAILURES] = walk.failures;
                     cells[cells::PREFIX_REUSE_HITS] = walk.reuse_hits;
@@ -244,13 +257,19 @@ pub fn search_level_observed(
 /// * a tail outside either certificate leaves one recovery of the prefix
 ///   intact, so the pattern decodes iff the tail alone does — one mask
 ///   decides all such tails of a prefix at once;
-/// * only a tail inside *both* certificates is peeled. Most of a
-///   certificate above the prefix is the checks that solved for its data
-///   nodes, and a tail that is one of them misses the certificate built
-///   from each data node's other check: 3.6 % of graph 1's patterns collide
-///   with one certificate, 1.5 % with both.
+/// * only a tail inside *both* certificates is peeled, on a lane of
+///   [`LaneDecoder`] that is run once [`LaneDecoder::LANES`] patterns are
+///   queued (and at the end of the range). Most of a certificate above the
+///   prefix is the checks that solved for its data nodes, and a tail that
+///   is one of them misses the certificate built from each data node's
+///   other check: 3.6 % of graph 1's patterns collide with one
+///   certificate, 1.5 % with both.
+///
+/// Lane verdicts arrive after later patterns were decided by mask, so
+/// `sets` is not in rank order until [`Walk::run`] sorts it at the end.
 struct Walk<'a, 'g> {
     dec: &'a mut ErasureDecoder<'g>,
+    lanes: &'a mut LaneDecoder<'g>,
     /// The nodes that recover when missing alone.
     covered: &'g [Word],
     n: usize,
@@ -258,6 +277,8 @@ struct Walk<'a, 'g> {
     collect_cap: usize,
     /// The current pattern; `combo[..k - 1]` is the prefix being walked.
     combo: Vec<usize>,
+    /// The patterns loaded into `lanes`, `k` nodes each, in lane order.
+    queued: Vec<usize>,
     /// Scratch: the tails of the current prefix that fail.
     failed_tails: Vec<Word>,
     failures: u64,
@@ -271,16 +292,19 @@ impl<'a, 'g> Walk<'a, 'g> {
     fn new(
         graph: &'g Graph,
         dec: &'a mut ErasureDecoder<'g>,
+        lanes: &'a mut LaneDecoder<'g>,
         k: usize,
         collect_cap: usize,
     ) -> Self {
         Self {
             dec,
+            lanes,
             covered: &graph.rows().covered,
             n: graph.num_nodes(),
             k,
             collect_cap,
             combo: Vec::new(),
+            queued: Vec::with_capacity(k * LaneDecoder::LANES),
             failed_tails: vec![0; rows::words_for(graph.num_nodes())],
             failures: 0,
             sets: Vec::new(),
@@ -290,9 +314,17 @@ impl<'a, 'g> Walk<'a, 'g> {
         }
     }
 
-    /// Whether failing sets are still being collected.
+    /// Whether failing sets are still being collected. Once `sets` holds
+    /// `collect_cap` of them, every one precedes the patterns neither
+    /// decided nor queued yet, so none of those can be kept.
     fn collecting(&self) -> bool {
         self.sets.len() < self.collect_cap
+    }
+
+    /// Keeps the `collect_cap` lexicographically smallest sets.
+    fn trim(&mut self) {
+        self.sets.sort_unstable();
+        self.sets.truncate(self.collect_cap);
     }
 
     /// Moves position `j` of the prefix to its next value (carrying into
@@ -317,7 +349,12 @@ impl<'a, 'g> Walk<'a, 'g> {
     /// reporting progress in batches through `progress`.
     fn run(&mut self, start: u128, len: u128, progress: impl Fn(u64)) {
         let (n, k) = (self.n, self.k);
-        let last = k - 1;
+        let Some(last) = k.checked_sub(1) else {
+            // The one 0-subset erases nothing, so it decodes.
+            self.reuse_hits += len as u64;
+            progress(len as u64);
+            return;
+        };
         self.combo = unrank(n, k, start);
         let mut remaining = len;
         // The shallowest position whose subtree begins at the current
@@ -360,6 +397,8 @@ impl<'a, 'g> Walk<'a, 'g> {
                 None => break,
             }
         }
+        self.run_lanes();
+        self.trim();
         progress(unreported);
     }
 
@@ -373,7 +412,7 @@ impl<'a, 'g> Walk<'a, 'g> {
         } else {
             let mut hits = 0;
             // Outside either certificate a tail fails iff it fails alone;
-            // inside both the kernel decides.
+            // inside both the lanes decide.
             for i in 0..self.failed_tails.len() {
                 let [first, second] = self.dec.prefix_certificates();
                 let inside = self.failed_tails[i] & first[i] & second[i];
@@ -381,9 +420,7 @@ impl<'a, 'g> Walk<'a, 'g> {
                 self.failed_tails[i] &= !inside & !self.covered[i];
                 for bit in rows::ones(&[inside]) {
                     self.combo[last] = i * rows::WORD_BITS + bit;
-                    if !self.dec.decode(&self.combo) {
-                        self.failed_tails[i] |= 1 << bit;
-                    }
+                    self.queue();
                 }
             }
             self.collisions += hits;
@@ -400,6 +437,37 @@ impl<'a, 'g> Walk<'a, 'g> {
                 self.sets.push(self.combo.clone());
             }
         }
+    }
+
+    /// Loads the current pattern into the next lane, running the group once
+    /// every lane is loaded.
+    fn queue(&mut self) {
+        let lane = self.queued.len() / self.k;
+        self.lanes.load(lane, &self.combo);
+        self.queued.extend_from_slice(&self.combo);
+        if lane + 1 == LaneDecoder::LANES {
+            self.run_lanes();
+        }
+    }
+
+    /// Peels the queued patterns, counting and collecting the ones that fail.
+    /// They may precede sets already collected, so all of them are kept
+    /// until a trim.
+    fn run_lanes(&mut self) {
+        let failed = self.lanes.run(self.queued.len() / self.k);
+        if failed > 0 {
+            self.failures += failed;
+            for (lane, pattern) in self.queued.chunks_exact(self.k).enumerate() {
+                if self.lanes.failed(lane) {
+                    self.sets.push(pattern.to_vec());
+                }
+            }
+            // A set with `collect_cap` smaller ones in hand is never kept.
+            if self.sets.len() > self.collect_cap.saturating_add(LaneDecoder::LANES) {
+                self.trim();
+            }
+        }
+        self.queued.clear();
     }
 }
 
@@ -619,6 +687,60 @@ mod tests {
         assert_eq!(failing_sets(&graphs[0].0, 1), vec![vec![2]]);
         assert!(failing_sets(&graphs[3].0, 3).is_empty());
         assert_eq!(failing_sets(&graphs[3].0, 4).len(), 20);
+    }
+
+    #[test]
+    fn full_lane_groups_match_per_pattern_brute_force() {
+        // 28 nodes, first failure 4. At k = 5 some range of the one-thread
+        // split (eight ranges) peels more than a group of collisions, and
+        // every failure under a decoding prefix is a collision (all nodes
+        // are covered), so failing lanes sit in full groups.
+        let g = generate_regular(14, 3, 1).unwrap();
+        let (n, k) = (g.num_nodes(), 5);
+        let full_group_failed = chunk_ranges(n, k, 8).into_iter().any(|(start, len)| {
+            let mut dec = ErasureDecoder::new(&g);
+            let mut lanes = LaneDecoder::new(&g);
+            lanes.set_recording(true);
+            let mut walk = Walk::new(&g, &mut dec, &mut lanes, k, 0);
+            walk.run(start, len, |_| {});
+            // The last group holds the collisions past the full ones; more
+            // lane failures than that means a full group had some.
+            let partial = walk.collisions % LaneDecoder::LANES as u64;
+            walk.lanes.take_cells()[cells::FAILURES] > partial
+                && walk.collisions >= LaneDecoder::LANES as u64
+        });
+        assert!(full_group_failed, "no range ran a full group that failed");
+        let expected = failing_sets(&g, k);
+        assert_eq!(expected.len(), 457);
+        for threads in [1usize, 2, 3, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for cap in [0usize, 1, 7, usize::MAX] {
+                let level = pool.install(|| search_level(&g, k, cap));
+                let what = format!("cap {cap}, {threads} threads");
+                assert_eq!(level.failures, expected.len() as u64, "{what}");
+                let kept = expected.len().min(cap);
+                assert_eq!(level.failure_sets, expected[..kept], "{what}");
+                assert_eq!(level.truncated, kept < expected.len(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn level_zero_is_the_empty_pattern_which_decodes() {
+        let g = generate_regular(12, 3, 7).unwrap();
+        for cap in [0usize, 8] {
+            let metrics = std::sync::Arc::new(tornado_codec::DecodeMetrics::new());
+            let obs = SimObserver::disabled().with_metrics(metrics.clone());
+            let level = search_level_observed(&g, 0, cap, &obs);
+            assert_eq!((level.k, level.cases, level.failures), (0, 1, 0));
+            assert!(level.failure_sets.is_empty());
+            assert!(!level.truncated);
+            assert_eq!(metrics.get(cells::TRIALS), 1);
+            assert_eq!(metrics.get(cells::PREFIX_REUSE_HITS), 1);
+        }
     }
 
     #[test]
