@@ -20,6 +20,11 @@
 //! empty and every block is hashed in place — against `ScrubMode::Full`,
 //! which copies every block out to hash it.
 //!
+//! A third times what the scrub's verify stream is made of: separately
+//! allocated 1 MiB-object blocks hashed in a shuffled order, each with an
+//! empty hint and with the next block's (`kernels::Ahead`), through the
+//! same function. It has no floor.
+//!
 //! The floors: `xor_into` must be ≥ 4× and `mul_acc` ≥ 3× the byte-serial
 //! oracle, and the hash-in-place pass over a clean store (`verify_clean`)
 //! ≥ 1.1× the `Full` pass over the same store. Under `Effort::quick` all
@@ -28,7 +33,7 @@
 //! workspace's `x86-64-v3` codegen target.
 
 use crate::effort::Effort;
-use crate::harness::{csv, median_ns, num, obj, Report};
+use crate::harness::{csv, median, median_ns, num, obj, Report};
 use std::fmt::Write as _;
 use tornado_codec::gf256::Gf256;
 use tornado_codec::{kernels, pool, Codec};
@@ -339,8 +344,73 @@ pub fn measure_scrub_modes(block_bytes: usize, samples: usize) -> ScrubModeRepor
     }
 }
 
-/// Runs both A/Bs at 64 KiB blocks, renders the tables and asserts the
-/// three floors.
+/// The block length of a 1 MiB object on graph 1: the scrub's verify
+/// stream is made of blocks this long.
+const STREAM_BLOCK_BYTES: usize = 21_846;
+
+/// What the next-block hint buys a stream of separately allocated blocks.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockStream {
+    /// Blocks in the stream.
+    pub blocks: usize,
+    /// Bytes per block.
+    pub block_bytes: usize,
+    /// Each block hashed with [`kernels::Ahead::NONE`], decimal MB/s.
+    pub empty_hint_mb_s: f64,
+    /// Each block hashed with the next block's hint, decimal MB/s.
+    pub next_hint_mb_s: f64,
+}
+
+/// Hashes `blocks` in `order` — each with the hint of the block after it
+/// when `hinted`, else with none — as the scrubber's verify stream does.
+fn hash_stream(blocks: &[Vec<u8>], order: &[usize], hinted: bool) -> u64 {
+    let mut acc = 0;
+    for (j, &b) in order.iter().enumerate() {
+        let next = match order.get(j + 1) {
+            Some(&n) if hinted => kernels::Ahead::of(&blocks[n]),
+            _ => kernels::Ahead::NONE,
+        };
+        acc ^= kernels::checksum(std::hint::black_box(&blocks[b]), next);
+    }
+    acc
+}
+
+/// Times [`hash_stream`] over `blocks` separate buffers in one seeded
+/// shuffled order, far more than L2 holds, with and without the hint;
+/// samples alternate between the two. Both read the same digests.
+pub fn measure_block_stream(blocks: usize, samples: usize, seed: u64) -> BlockStream {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    let buffers: Vec<Vec<u8>> = (0..blocks)
+        .map(|i| pattern(STREAM_BLOCK_BYTES, i as u8))
+        .collect();
+    let mut order: Vec<usize> = (0..blocks).collect();
+    order.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
+    let digest = hash_stream(&buffers, &order, false);
+    assert_eq!(
+        hash_stream(&buffers, &order, true),
+        digest,
+        "a hint is not data"
+    );
+    let (mut empty, mut next) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        for (hinted, out) in [(false, &mut empty), (true, &mut next)] {
+            let t = std::time::Instant::now();
+            std::hint::black_box(hash_stream(&buffers, &order, hinted));
+            out.push(t.elapsed().as_nanos() as f64);
+        }
+    }
+    let bytes = blocks * STREAM_BLOCK_BYTES;
+    BlockStream {
+        blocks,
+        block_bytes: STREAM_BLOCK_BYTES,
+        empty_hint_mb_s: mb_s(bytes, median(&mut empty)),
+        next_hint_mb_s: mb_s(bytes, median(&mut next)),
+    }
+}
+
+/// Runs both A/Bs at 64 KiB blocks and the block stream, renders the
+/// tables and asserts the three floors (the block stream has none).
 pub fn run(effort: &Effort) -> Report {
     let block_bytes = 65536usize;
     let samples = if effort.quick { 3 } else { 9 };
@@ -351,6 +421,7 @@ pub fn run(effort: &Effort) -> Report {
     };
     let r = measure(block_bytes, samples);
     let sm = measure_scrub_modes(block_bytes, samples);
+    let stream = measure_block_stream(if effort.quick { 1024 } else { 4096 }, samples, effort.seed);
     let cases: Vec<Json> = r
         .cases
         .iter()
@@ -420,6 +491,16 @@ pub fn run(effort: &Effort) -> Report {
         "checksum kernel volume: {:.1} MB hashed",
         sm.bytes_hashed as f64 / 1e6,
     );
+    let _ = writeln!(
+        out,
+        "# Block stream: {} separate {} B blocks hashed in shuffled order, MB/s (decimal)\n\
+         empty_hint_mb_s, next_hint_mb_s, ratio\n{:.1}, {:.1}, {:.2}",
+        stream.blocks,
+        stream.block_bytes,
+        stream.empty_hint_mb_s,
+        stream.next_hint_mb_s,
+        stream.next_hint_mb_s / stream.empty_hint_mb_s,
+    );
     if cfg!(debug_assertions) {
         // Unoptimised, the word loops lose to the byte loops they replace.
         let _ = writeln!(out, "floors: not asserted in a debug build");
@@ -478,6 +559,19 @@ pub fn run(effort: &Effort) -> Report {
             num(sm.skip_ns_per_stripe, 0),
         ),
         (
+            "block_stream",
+            obj([
+                ("blocks", Json::U64(stream.blocks as u64)),
+                ("block_bytes", Json::U64(stream.block_bytes as u64)),
+                ("empty_hint_mb_s", num(stream.empty_hint_mb_s, 1)),
+                ("next_hint_mb_s", num(stream.next_hint_mb_s, 1)),
+                (
+                    "ratio",
+                    num(stream.next_hint_mb_s / stream.empty_hint_mb_s, 2),
+                ),
+            ]),
+        ),
+        (
             "floors",
             obj([
                 ("xor_into", num(xor_floor, 1)),
@@ -529,5 +623,12 @@ mod tests {
             "a skipped stripe still costs a map lookup"
         );
         assert!(r.bytes_hashed > 0, "the verify passes hash in place");
+    }
+
+    #[test]
+    fn block_stream_times_both_hints() {
+        let s = measure_block_stream(8, 1, 1);
+        assert_eq!((s.blocks, s.block_bytes), (8, STREAM_BLOCK_BYTES));
+        assert!(s.empty_hint_mb_s > 0.0 && s.next_hint_mb_s > 0.0, "{s:?}");
     }
 }

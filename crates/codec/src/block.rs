@@ -19,7 +19,7 @@
 
 use crate::erasure::{ErasureDecoder, RecoveryStep};
 use crate::error::CodecError;
-use crate::kernels::{append_checksummed, checksum, xor_checksummed, xor_into};
+use crate::kernels::{append_checksummed, checksum, xor_checksummed, xor_into, Ahead};
 use crate::pool;
 use std::ops::Range;
 use tornado_graph::{Graph, NodeId};
@@ -302,7 +302,7 @@ impl EncodedStripe {
                 let body = &payload[in_payload(start)..in_payload(end)];
                 let mut block = p.take_empty(block_len);
                 digests.push(if body.len() == block_len {
-                    append_checksummed(&mut block, body)
+                    append_checksummed(&mut block, body, Ahead::NONE)
                 } else {
                     // The header's block(s) and whatever the payload does
                     // not fill: a few bytes of a 64 KiB object's first and
@@ -310,7 +310,7 @@ impl EncodedStripe {
                     block.extend_from_slice(&header[start.min(LEN_HEADER)..end.min(LEN_HEADER)]);
                     block.extend_from_slice(body);
                     block.resize(block_len, 0);
-                    checksum(&block)
+                    checksum(&block, Ahead::NONE)
                 });
                 blocks.push(block);
             }
@@ -635,7 +635,7 @@ mod tests {
                 let stripe = EncodedStripe::from_object(&c, &payload).unwrap();
                 assert_eq!(stripe.block_len(), block_len, "size {size}");
                 assert!(stripe.blocks() == &expect[..], "size {size}, k {k}");
-                let digests: Vec<u64> = expect.iter().map(|b| checksum(b)).collect();
+                let digests: Vec<u64> = expect.iter().map(|b| checksum(b, Ahead::NONE)).collect();
                 assert_eq!(stripe.digests(), digests, "size {size}, k {k}");
                 assert_eq!(stripe.clone().into_parts(), (expect, digests));
             }

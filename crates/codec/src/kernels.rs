@@ -27,7 +27,10 @@
 //!   ahead of themselves through `prefetch_read`, the crate's single
 //!   `unsafe` (one instruction; the crate is `deny(unsafe_code)` with that
 //!   one `allow`): cold block buffers stream at about half of memory speed
-//!   without the hint.
+//!   without the hint. Both also take an [`Ahead`] — where the block the
+//!   caller will stream *next* lies — and request its lines into L2 while
+//!   this one is hashed, so a stream of separate block buffers never starts
+//!   a block cold. [`Ahead::NONE`] asks for nothing beyond the block.
 //! * [`xor_checksummed`] — the encoder's check-block kernel: the XOR of a
 //!   check's neighbours built strip by strip in a buffer nobody zeroed, and
 //!   the same digest taken of each strip as it lands, so encoding writes a
@@ -129,16 +132,68 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 /// function of the bytes.
 ///
 /// Whole groups are absorbed with the line `PREFETCH_AHEAD` bytes on
-/// requested as each goes in (never past the end of `data`), then the
-/// partial group. The byte-serial [`scalar::checksum`] oracle computes the
-/// *same* function (pinned by the parity suite).
-pub fn checksum(data: &[u8]) -> u64 {
+/// requested as each goes in (never past the end of `data`), and the line
+/// of `next` at the same offset requested into L2, then the partial group.
+/// `next` never changes the digest or the count: the byte-serial
+/// [`scalar::checksum`] oracle computes the *same* function (pinned by the
+/// parity suite).
+pub fn checksum(data: &[u8], next: Ahead) -> u64 {
     METRICS.bytes_hashed.add(data.len() as u64);
     let mut lanes = lane_init();
     let (groups, rest) = data.split_at(data.len() - data.len() % GROUP);
     let ahead = data.get(PREFETCH_AHEAD..).unwrap_or(&[]);
-    absorb_groups(&mut lanes, groups, ahead);
+    absorb_groups(&mut lanes, groups, ahead, next);
     finish_lanes(lanes, rest, data.len())
+}
+
+/// Where the block a caller streams next lies: an address and a length
+/// taken from a slice, for the group loop to request into L2 while the
+/// current block is hashed.
+///
+/// Nothing ever reads through it, and a prefetch cannot fault, so it
+/// carries no lifetime and may outlive the buffer it was taken from: the
+/// store takes it under a device lock and uses it after the lock is
+/// released. A block freed or moved since costs the bandwidth of a wasted
+/// request and nothing else.
+#[derive(Clone, Copy, Debug)]
+pub struct Ahead {
+    start: *const u8,
+    len: usize,
+}
+
+impl Ahead {
+    /// No next block: nothing is requested beyond the block being hashed.
+    pub const NONE: Ahead = Ahead {
+        start: std::ptr::null(),
+        len: 0,
+    };
+
+    /// The hint for `next`, the block to be streamed after this one.
+    pub fn of(next: &[u8]) -> Self {
+        Self {
+            start: next.as_ptr(),
+            len: next.len(),
+        }
+    }
+
+    /// Whether there is nothing to request.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The same block from byte `offset` on (empty past its end).
+    fn skip(self, offset: usize) -> Self {
+        Self {
+            start: self.start.wrapping_add(offset),
+            len: self.len.saturating_sub(offset),
+        }
+    }
+
+    /// The address of the byte at `offset`, if the block reaches it.
+    #[inline(always)]
+    fn at(self, offset: usize) -> Option<*const u8> {
+        (offset < self.len).then(|| self.start.wrapping_add(offset))
+    }
 }
 
 /// Per-lane initial states: the FNV offset basis perturbed by the lane
@@ -199,33 +254,52 @@ const PREFETCH_AHEAD: usize = 4096;
 /// carries from strip to strip.
 const STRIP: usize = 4096;
 
+/// Which caches [`prefetch_read`] asks a line into.
+#[derive(Clone, Copy)]
+enum Locality {
+    /// Every level (`PREFETCHT0`): this block's own lines, wanted within a
+    /// few hundred nanoseconds.
+    L1,
+    /// L2 and out (`PREFETCHT2`): the next block's, wanted after this one —
+    /// in L1 they would evict the lines being hashed.
+    L2,
+}
+
 /// Asks for the cache line holding `*p` to be brought in for reading — a
 /// hint, never an access: no address can make it fault, so it takes any
 /// pointer. The crate's one `unsafe`; nothing on targets without the
 /// instruction.
 #[allow(unsafe_code)]
 #[inline(always)]
-fn prefetch_read(p: *const u8) {
+fn prefetch_read(p: *const u8, locality: Locality) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 reads and writes no architectural state and
-    // raises no exception for any address, mapped or not.
+    // SAFETY: PREFETCHT0 and PREFETCHT2 read and write no architectural
+    // state and raise no exception for any address, mapped or not.
     unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0, _MM_HINT_T2};
+        match locality {
+            Locality::L1 => _mm_prefetch::<_MM_HINT_T0>(p.cast()),
+            Locality::L2 => _mm_prefetch::<_MM_HINT_T2>(p.cast()),
+        }
     };
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
+    let _ = (p, locality);
 }
 
 /// Absorbs `groups` (a whole number of 64-byte groups) into all eight
-/// lanes with statically-indexed independent multiplies, requesting one
-/// line of `ahead` — the bytes that will be wanted next, possibly none —
-/// per group absorbed.
+/// lanes with statically-indexed independent multiplies, requesting per
+/// group absorbed one line of `ahead` — the bytes of this block wanted
+/// next, possibly none — and, into L2, the line of `next` at the group's
+/// own offset.
 #[inline(always)]
-fn absorb_groups(lanes: &mut [u64; 8], groups: &[u8], ahead: &[u8]) {
+fn absorb_groups(lanes: &mut [u64; 8], groups: &[u8], ahead: &[u8], next: Ahead) {
     debug_assert_eq!(groups.len() % GROUP, 0);
     for (i, g) in groups.chunks_exact(GROUP).enumerate() {
         if let Some(line) = ahead.get(i * GROUP) {
-            prefetch_read(line);
+            prefetch_read(line, Locality::L1);
+        }
+        if let Some(line) = next.at(i * GROUP) {
+            prefetch_read(line, Locality::L2);
         }
         for (j, l) in lanes.iter_mut().enumerate() {
             let w = u64::from_le_bytes(g[j * WORD..(j + 1) * WORD].try_into().unwrap());
@@ -252,26 +326,28 @@ fn finish_lanes(mut lanes: [u64; 8], rest: &[u8], len: usize) -> u64 {
     fold_lanes(lanes, len)
 }
 
-/// Appends `src` to `out` and returns [`checksum`]`(src)`, streaming `src`
-/// from memory once: it is copied a 4 KiB strip at a time and each strip is
-/// hashed where it landed, still in L1, while the lines of the next are
-/// requested from `src`. The bytes count once in `kernel.bytes_hashed`.
-pub fn append_checksummed(out: &mut Vec<u8>, src: &[u8]) -> u64 {
+/// Appends `src` to `out` and returns [`checksum`]`(src, next)`, streaming
+/// `src` from memory once: it is copied a 4 KiB strip at a time and each
+/// strip is hashed where it landed, still in L1, while the lines of the
+/// next strip are requested from `src` and those of `next` at the same
+/// offsets into L2. The bytes count once in `kernel.bytes_hashed`.
+pub fn append_checksummed(out: &mut Vec<u8>, src: &[u8], next: Ahead) -> u64 {
     METRICS.bytes_hashed.add(src.len() as u64);
     out.reserve(src.len());
     let mut lanes = lane_init();
     let mut rest = src;
     while rest.len() >= STRIP {
-        let (strip, next) = rest.split_at(STRIP);
+        let (strip, following) = rest.split_at(STRIP);
         let at = out.len();
         out.extend_from_slice(strip);
-        absorb_groups(&mut lanes, &out[at..], next);
-        rest = next;
+        let offset = src.len() - rest.len();
+        absorb_groups(&mut lanes, &out[at..], following, next.skip(offset));
+        rest = following;
     }
     let at = out.len();
     out.extend_from_slice(rest);
     let (groups, tail) = out[at..].split_at(rest.len() - rest.len() % GROUP);
-    absorb_groups(&mut lanes, groups, &[]);
+    absorb_groups(&mut lanes, groups, &[], next.skip(src.len() - rest.len()));
     finish_lanes(lanes, tail, src.len())
 }
 
@@ -315,11 +391,11 @@ where
     let whole = len - len % STRIP;
     for from in (0..whole).step_by(STRIP) {
         let at = fold(out, from, from + STRIP);
-        absorb_groups(&mut lanes, &out[at..], &[]);
+        absorb_groups(&mut lanes, &out[at..], &[], Ahead::NONE);
     }
     let at = fold(out, whole, len);
     let (groups, tail) = out[at..].split_at((len - whole) - (len - whole) % GROUP);
-    absorb_groups(&mut lanes, groups, &[]);
+    absorb_groups(&mut lanes, groups, &[], Ahead::NONE);
     finish_lanes(lanes, tail, len)
 }
 
@@ -577,7 +653,7 @@ mod tests {
         let mut dst = pattern(64, 2);
         xor_into(&mut dst, &src);
         mul_acc(&f, &mut dst, &src, 9);
-        checksum(&dst);
+        checksum(&dst, Ahead::NONE);
         assert!(metrics().bytes_xored.get() >= before_xor + 64);
         assert!(metrics().bytes_muled.get() >= before_mul + 64);
         assert!(metrics().bytes_hashed.get() >= before_hash + 64);
@@ -589,7 +665,7 @@ mod tests {
             for offset in 0..4usize {
                 let data = pattern(len + offset, 17);
                 assert_eq!(
-                    checksum(&data[offset..]),
+                    checksum(&data[offset..], Ahead::NONE),
                     scalar::checksum(&data[offset..]),
                     "len {len} offset {offset}"
                 );
@@ -600,16 +676,24 @@ mod tests {
     #[test]
     fn checksum_detects_single_byte_changes_and_length() {
         let data = pattern(257, 23);
-        let base = checksum(&data);
+        let base = checksum(&data, Ahead::NONE);
         for i in [0usize, 1, 7, 8, 128, 255, 256] {
             let mut t = data.clone();
             t[i] ^= 0x40;
-            assert_ne!(checksum(&t), base, "flip at {i} must change the digest");
+            assert_ne!(
+                checksum(&t, Ahead::NONE),
+                base,
+                "flip at {i} must change the digest"
+            );
         }
-        assert_ne!(checksum(&data[..256]), base, "length is part of the digest");
         assert_ne!(
-            checksum(&[]),
-            checksum(&[0]),
+            checksum(&data[..256], Ahead::NONE),
+            base,
+            "length is part of the digest"
+        );
+        assert_ne!(
+            checksum(&[], Ahead::NONE),
+            checksum(&[0], Ahead::NONE),
             "a single zero byte is visible"
         );
     }

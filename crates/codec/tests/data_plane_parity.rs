@@ -79,7 +79,7 @@ proptest! {
     fn checksum_matches_scalar(len in 0usize..257, offset in 0usize..8, seed in any::<u64>()) {
         let buf = bytes(len + offset, seed);
         prop_assert_eq!(
-            kernels::checksum(&buf[offset..]),
+            tornado_codec::checksum(&buf[offset..]),
             kernels::scalar::checksum(&buf[offset..]),
         );
     }
@@ -92,10 +92,10 @@ proptest! {
         mask in 1u8..=255,
     ) {
         let mut buf = bytes(len, seed);
-        let clean = kernels::checksum(&buf);
+        let clean = tornado_codec::checksum(&buf);
         let pos = (pos_seed % len as u64) as usize;
         buf[pos] ^= mask;
-        prop_assert_ne!(kernels::checksum(&buf), clean, "flip at {} of {}", pos, len);
+        prop_assert_ne!(tornado_codec::checksum(&buf), clean, "flip at {} of {}", pos, len);
     }
 
     #[test]
@@ -105,8 +105,8 @@ proptest! {
         let mut buf = bytes(len, seed);
         *buf.last_mut().unwrap() = 0;
         prop_assert_ne!(
-            kernels::checksum(&buf),
-            kernels::checksum(&buf[..len - 1]),
+            tornado_codec::checksum(&buf),
+            tornado_codec::checksum(&buf[..len - 1]),
         );
     }
 }

@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tornado_codec::kernels::{self, append_checksummed, scalar};
+use tornado_codec::kernels::{self, append_checksummed, scalar, Ahead};
 use tornado_codec::reference::DenseDecoder;
 use tornado_codec::{DecodeDetail, ErasureDecoder, LaneDecoder, RecoveryStep};
 use tornado_gen::cascaded::generate_fixed_degree;
@@ -336,9 +336,12 @@ fn checksum_of_a_fixed_buffer_is_pinned() {
         .map(|i| i.wrapping_mul(31).wrapping_add(7) as u8)
         .collect();
     const GOLDEN: u64 = 0x6cb7_ac18_093c_c910;
-    assert_eq!(kernels::checksum(&buf), GOLDEN);
+    assert_eq!(kernels::checksum(&buf, Ahead::NONE), GOLDEN);
     assert_eq!(scalar::checksum(&buf), GOLDEN);
-    assert_eq!(append_checksummed(&mut Vec::new(), &buf), GOLDEN);
+    assert_eq!(
+        append_checksummed(&mut Vec::new(), &buf, Ahead::NONE),
+        GOLDEN
+    );
 }
 
 proptest! {
@@ -363,7 +366,7 @@ proptest! {
         let mut expected = vec![0xEE; prefix];
         expected.extend_from_slice(src);
         let mut out = vec![0xEE; prefix];
-        let digest = append_checksummed(&mut out, src);
+        let digest = append_checksummed(&mut out, src, Ahead::NONE);
         prop_assert_eq!(digest, scalar::checksum(src), "len {}", len);
         prop_assert_eq!(&out, &expected, "len {}", len);
     }

@@ -24,6 +24,13 @@
 //! where they are going, and streamed from memory once; `get` (a fresh
 //! `Vec`) and `get_pooled` (a recycled one) are provided on top of it.
 //!
+//! The read and the in-place [`BlockBackend::checksum`] both take a
+//! `kernels::Ahead`: where the block the caller streams next lies, which
+//! the kernel asks into L2 while this one is hashed. A caller gets it from
+//! [`BlockBackend::ahead`] — the memory backend's buffer, an empty hint
+//! from the durable backends, whose blocks are not in memory — and passes
+//! `Ahead::NONE` when nothing follows.
+//!
 //! Backends report failures as `io::Error`; the device layer translates
 //! those into [`DeviceStats::io_errors`](crate::DeviceStats::io_errors)
 //! and degrades exactly as if the block were an erasure, so upstream
@@ -35,7 +42,8 @@
 
 use std::collections::HashMap;
 use std::io;
-use tornado_codec::{kernels, pool, BlockPool};
+use tornado_codec::kernels::{self, Ahead};
+use tornado_codec::{pool, BlockPool};
 
 /// Identifies a block on a device: `(object id, graph node index)`.
 pub type BlockKey = (u64, u32);
@@ -72,21 +80,29 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// caller's spare capacity — and returns how many and their checksum;
     /// `Ok(None)` when absent. A GET passes its reply buffer, so a block is
     /// written once, where it is going, and verified without being streamed
-    /// a second time. After an `Err`, bytes past `out`'s entry length are
-    /// garbage the caller truncates away ([`Device`](crate::Device) does).
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>>;
+    /// a second time. `next` is the hint of the block the caller streams
+    /// after this one ([`BlockBackend::ahead`]), handed to the kernel;
+    /// [`Ahead::NONE`] when there is none. After an `Err`, bytes past
+    /// `out`'s entry length are garbage the caller truncates away
+    /// ([`Device`](crate::Device) does).
+    fn read_into(
+        &mut self,
+        key: &BlockKey,
+        out: &mut Vec<u8>,
+        next: Ahead,
+    ) -> io::Result<Option<Appended>>;
 
     /// Reads a block into a fresh `Vec`; `Ok(None)` when absent.
     fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
         let mut block = Vec::new();
-        Ok(self.read_into(key, &mut block)?.map(|_| block))
+        Ok(self.read_into(key, &mut block, Ahead::NONE)?.map(|_| block))
     }
 
     /// Reads a block into a buffer drawn from `pool` (see
     /// `tornado_codec::pool`), which gets it back when the block is absent.
     fn get_pooled(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
         let mut block = pool.take_zeroed(0);
-        match self.read_into(key, &mut block) {
+        match self.read_into(key, &mut block, Ahead::NONE) {
             Ok(Some(_)) => Ok(Some(block)),
             miss => {
                 pool.recycle(block);
@@ -97,8 +113,19 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
 
     /// Word-wide FNV checksum (`tornado_codec::kernels::checksum`) of
     /// the stored bytes, without handing out a copy — the scrub verify
-    /// tier's read path. `Ok(None)` when absent.
-    fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>>;
+    /// tier's read path; `next` as for [`BlockBackend::read_into`].
+    /// `Ok(None)` when absent.
+    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>>;
+
+    /// Where a block's bytes lie, as the hint a caller passes to the read
+    /// or verify it makes *before* this block's, so the kernel asks for
+    /// them while that one is hashed. An index lookup: nothing is read.
+    /// Empty when absent, and on a backend whose blocks are not in memory
+    /// (the default: the durable backends read a block into a buffer only
+    /// when asked for it).
+    fn ahead(&self, _key: &BlockKey) -> Ahead {
+        Ahead::NONE
+    }
 
     /// Whether a block is present (index lookup only; no data read).
     fn contains(&self, key: &BlockKey) -> bool;
@@ -196,15 +223,24 @@ impl BlockBackend for MemoryBackend {
         Ok(())
     }
 
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
+    fn read_into(
+        &mut self,
+        key: &BlockKey,
+        out: &mut Vec<u8>,
+        next: Ahead,
+    ) -> io::Result<Option<Appended>> {
         Ok(self.blocks.get(key).map(|b| Appended {
             len: b.len(),
-            checksum: kernels::append_checksummed(out, b),
+            checksum: kernels::append_checksummed(out, b, next),
         }))
     }
 
-    fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
-        Ok(self.blocks.get(key).map(|b| kernels::checksum(b)))
+    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
+        Ok(self.blocks.get(key).map(|b| kernels::checksum(b, next)))
+    }
+
+    fn ahead(&self, key: &BlockKey) -> Ahead {
+        self.blocks.get(key).map_or(Ahead::NONE, |b| Ahead::of(b))
     }
 
     fn contains(&self, key: &BlockKey) -> bool {
@@ -275,11 +311,12 @@ pub fn metrics() -> &'static BackendMetrics {
 }
 
 /// What a durable backend's read reports once `read_to_end` has landed a
-/// block at `out[start..]`: its length and the checksum of it where it is.
-pub(crate) fn appended_since(out: &[u8], start: usize) -> Appended {
+/// block at `out[start..]`: its length and the checksum of it where it is,
+/// with `next` handed to the kernel.
+pub(crate) fn appended_since(out: &[u8], start: usize, next: Ahead) -> Appended {
     Appended {
         len: out.len() - start,
-        checksum: kernels::checksum(&out[start..]),
+        checksum: kernels::checksum(&out[start..], next),
     }
 }
 
@@ -302,10 +339,10 @@ mod tests {
         b.put((1, 2), &[9, 8, 7]).unwrap();
         assert!(b.contains(&(1, 2)));
         assert_eq!(b.get(&(1, 2)).unwrap().unwrap(), vec![9, 8, 7]);
-        let sum = b.checksum(&(1, 2)).unwrap().unwrap();
-        assert_eq!(sum, kernels::checksum(&[9, 8, 7]));
+        let sum = b.checksum(&(1, 2), Ahead::NONE).unwrap().unwrap();
+        assert_eq!(sum, tornado_codec::checksum(&[9, 8, 7]));
         assert!(b.corrupt(&(1, 2), 0xff).unwrap());
-        assert_ne!(b.checksum(&(1, 2)).unwrap().unwrap(), sum);
+        assert_ne!(b.checksum(&(1, 2), Ahead::NONE).unwrap().unwrap(), sum);
         assert!(b.delete(&(1, 2)).unwrap());
         assert!(!b.delete(&(1, 2)).unwrap());
         assert_eq!(b.block_count(), 0);
@@ -335,16 +372,25 @@ mod tests {
             let at = out.as_ptr();
             let whole = Appended {
                 len: block.len(),
-                checksum: kernels::checksum(&block),
+                checksum: tornado_codec::checksum(&block),
             };
             let empty = Appended {
                 len: 0,
-                checksum: kernels::checksum(&[]),
+                checksum: tornado_codec::checksum(&[]),
             };
-            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(whole));
-            assert_eq!(b.read_into(&(1, 1), &mut out).unwrap(), Some(empty));
-            assert_eq!(b.read_into(&(9, 9), &mut out).unwrap(), None);
-            assert_eq!(b.read_into(&(1, 0), &mut out).unwrap(), Some(whole));
+            assert_eq!(
+                b.read_into(&(1, 0), &mut out, Ahead::NONE).unwrap(),
+                Some(whole)
+            );
+            assert_eq!(
+                b.read_into(&(1, 1), &mut out, Ahead::NONE).unwrap(),
+                Some(empty)
+            );
+            assert_eq!(b.read_into(&(9, 9), &mut out, Ahead::NONE).unwrap(), None);
+            assert_eq!(
+                b.read_into(&(1, 0), &mut out, Ahead::NONE).unwrap(),
+                Some(whole)
+            );
             assert_eq!(out[..3], [0xEE; 3]);
             assert_eq!(out[3..3 + block.len()], block[..]);
             assert_eq!(out[3 + block.len()..], block[..]);
@@ -403,7 +449,9 @@ mod tests {
         let pooled = pool::with_thread_pool(|p| p.available());
         b.put_owned((7, 1), rebuilt).unwrap();
         let mut out = Vec::new();
-        b.read_into(&(7, 1), &mut out).unwrap().unwrap();
+        b.read_into(&(7, 1), &mut out, Ahead::NONE)
+            .unwrap()
+            .unwrap();
         assert_eq!(out, [0xAB; 1000]);
         assert_eq!(b.blocks[&(7, 1)].as_ptr(), spare, "the spare's memory");
         let recycled = pool::with_thread_pool(|p| {
@@ -430,9 +478,10 @@ mod tests {
             let key = (i, 0);
             assert!(!b.contains(&key));
             let mut out = vec![0xEE];
-            assert_eq!(b.read_into(&key, &mut out).unwrap(), None);
+            assert_eq!(b.read_into(&key, &mut out, Ahead::NONE).unwrap(), None);
             assert_eq!(out, [0xEE], "nothing appended");
-            assert_eq!(b.checksum(&key).unwrap(), None);
+            assert_eq!(b.checksum(&key, Ahead::NONE).unwrap(), None);
+            assert!(b.ahead(&key).is_empty());
             assert!(!b.corrupt(&key, 0xFF).unwrap());
             assert!(!b.delete(&key).unwrap());
         }

@@ -14,6 +14,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::backend::{appended_since, sync_file, Appended, BlockBackend, BlockKey};
+use tornado_codec::kernels::Ahead;
 
 /// One file per block in a directory; see the module docs for layout.
 #[derive(Debug)]
@@ -72,10 +73,10 @@ impl FileBackend {
 
     /// Reads the block into `self.scratch` — the buffer the in-place
     /// operations (checksum, corrupt) reuse; `Ok(None)` when absent.
-    fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<Option<Appended>> {
+    fn read_into_scratch(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<Appended>> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let read = self.read_into(key, &mut scratch);
+        let read = self.read_into(key, &mut scratch, next);
         self.scratch = scratch;
         read
     }
@@ -101,18 +102,23 @@ impl BlockBackend for FileBackend {
         Ok(())
     }
 
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
+    fn read_into(
+        &mut self,
+        key: &BlockKey,
+        out: &mut Vec<u8>,
+        next: Ahead,
+    ) -> io::Result<Option<Appended>> {
         if !self.index.contains(key) {
             return Ok(None);
         }
         let start = out.len();
         // `read_to_end` fills the caller's spare capacity directly.
         File::open(self.path_of(key))?.read_to_end(out)?;
-        Ok(Some(appended_since(out, start)))
+        Ok(Some(appended_since(out, start, next)))
     }
 
-    fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
-        Ok(self.read_into_scratch(key)?.map(|read| read.checksum))
+    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
+        Ok(self.read_into_scratch(key, next)?.map(|read| read.checksum))
     }
 
     fn contains(&self, key: &BlockKey) -> bool {
@@ -154,7 +160,7 @@ impl BlockBackend for FileBackend {
     }
 
     fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-        if self.read_into_scratch(key)?.is_none() {
+        if self.read_into_scratch(key, Ahead::NONE)?.is_none() {
             return Ok(false);
         }
         if !self.scratch.is_empty() {

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `kind` is 1 (put) or 2 (tombstone, `len == 0`); the trailing FNV-1a
-//! checksum (`tornado_codec::kernels::checksum`) covers header and
+//! checksum (`tornado_codec::checksum`) covers header and
 //! payload. The scan stops at the first short or checksum-failing
 //! record and truncates the file there: a torn append can only be the
 //! tail, so everything before it is intact by construction.
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use tornado_codec::kernels;
+use tornado_codec::kernels::Ahead;
 
 use crate::backend::{appended_since, metrics, sync_file, Appended, BlockBackend, BlockKey};
 
@@ -84,7 +84,7 @@ impl SegmentBackend {
             let mut hasher_input = Vec::with_capacity(HEADER_LEN + len as usize);
             hasher_input.extend_from_slice(&header);
             hasher_input.extend_from_slice(&record[..len as usize]);
-            if kernels::checksum(&hasher_input) != stored_sum {
+            if tornado_codec::checksum(&hasher_input) != stored_sum {
                 break; // torn or rotted record: stop, truncate
             }
             let payload_off = pos + HEADER_LEN as u64;
@@ -126,7 +126,7 @@ impl SegmentBackend {
         rec.extend_from_slice(&key.1.to_le_bytes());
         rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         rec.extend_from_slice(payload);
-        let sum = kernels::checksum(&rec);
+        let sum = tornado_codec::checksum(&rec);
         rec.extend_from_slice(&sum.to_le_bytes());
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&rec)?;
@@ -140,10 +140,10 @@ impl SegmentBackend {
 
     /// Reads the live payload for `key` into `self.scratch`, which the
     /// checksum probe reuses; `Ok(None)` when absent.
-    fn read_into_scratch(&mut self, key: &BlockKey) -> io::Result<Option<Appended>> {
+    fn read_into_scratch(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<Appended>> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        let read = self.read_into(key, &mut scratch);
+        let read = self.read_into(key, &mut scratch, next);
         self.scratch = scratch;
         read
     }
@@ -156,7 +156,12 @@ impl BlockBackend for SegmentBackend {
         Ok(())
     }
 
-    fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
+    fn read_into(
+        &mut self,
+        key: &BlockKey,
+        out: &mut Vec<u8>,
+        next: Ahead,
+    ) -> io::Result<Option<Appended>> {
         let Some(&(off, len)) = self.index.get(key) else {
             return Ok(None);
         };
@@ -171,11 +176,11 @@ impl BlockBackend for SegmentBackend {
                 "segment ends inside an indexed block",
             ));
         }
-        Ok(Some(appended_since(out, start)))
+        Ok(Some(appended_since(out, start, next)))
     }
 
-    fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
-        Ok(self.read_into_scratch(key)?.map(|read| read.checksum))
+    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
+        Ok(self.read_into_scratch(key, next)?.map(|read| read.checksum))
     }
 
     fn contains(&self, key: &BlockKey) -> bool {

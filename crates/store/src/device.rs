@@ -4,7 +4,9 @@
 //! Each device stores named blocks and keeps access counters; every read
 //! is [`Device::read_block_into`], one locked append into the caller's
 //! buffer that also reports the checksum of what it appended, attributed
-//! to a [`ReadClass`]. Interior
+//! to a [`ReadClass`], and every in-place check [`Device::verify_block`].
+//! Both take the hint of the block the caller streams next, which
+//! [`Device::ahead`] looks up without counting an access. Interior
 //! mutability (a `parking_lot::RwLock` per device) lets many readers hit
 //! different devices concurrently — the access pattern the guided
 //! retrieval planner optimises — while failure injection flips a device
@@ -20,6 +22,7 @@
 
 use crate::backend::{Appended, BlockBackend, MemoryBackend};
 use parking_lot::RwLock;
+use tornado_codec::kernels::Ahead;
 
 pub use crate::backend::BlockKey;
 
@@ -215,7 +218,9 @@ impl Device {
 
     /// The device's one read: under the device lock, appends the block's
     /// bytes to `out` and returns how many and their checksum, attributed
-    /// to `class`. `None` — with `out` as it was — when the device is
+    /// to `class`, while the kernel asks for `next` — the hint of the block
+    /// the caller streams after this one ([`Device::ahead`]), or
+    /// [`Ahead::NONE`]. `None` — with `out` as it was — when the device is
     /// offline, the block is absent, or the backend fails the I/O (counted
     /// in [`DeviceStats::io_errors`]).
     pub fn read_block_into(
@@ -223,6 +228,7 @@ impl Device {
         key: &BlockKey,
         class: ReadClass,
         out: &mut Vec<u8>,
+        next: Ahead,
     ) -> Option<Appended> {
         let mut s = self.state.write();
         if !s.online {
@@ -230,7 +236,7 @@ impl Device {
             return None;
         }
         let start = out.len();
-        match s.backend.read_into(key, out) {
+        match s.backend.read_into(key, out, next) {
             Ok(read) => {
                 if let Some(read) = read {
                     s.stats.record_read(read.len, class);
@@ -249,7 +255,7 @@ impl Device {
     /// [`ReadClass::Payload`] read.
     pub fn read_block(&self, key: &BlockKey) -> Option<Vec<u8>> {
         let mut block = Vec::new();
-        self.read_block_into(key, ReadClass::Payload, &mut block)
+        self.read_block_into(key, ReadClass::Payload, &mut block, Ahead::NONE)
             .map(|_| block)
     }
 
@@ -257,15 +263,16 @@ impl Device {
     /// tier's primitive. On the memory backend no bytes are copied: the
     /// word-wide checksum kernel runs over the device-resident buffer
     /// under the device lock. Durable backends hash through a reused
-    /// scratch buffer without handing bytes upward. An I/O error reads
-    /// as [`BlockProbe::Missing`] (an erasure) and is counted.
-    pub fn verify_block(&self, key: &BlockKey, expected: u64) -> BlockProbe {
+    /// scratch buffer without handing bytes upward. `next` as for
+    /// [`Device::read_block_into`]. An I/O error reads as
+    /// [`BlockProbe::Missing`] (an erasure) and is counted.
+    pub fn verify_block(&self, key: &BlockKey, expected: u64, next: Ahead) -> BlockProbe {
         let mut s = self.state.write();
         if !s.online {
             s.stats.failed_reads += 1;
             return BlockProbe::Missing;
         }
-        match s.backend.checksum(key) {
+        match s.backend.checksum(key, next) {
             Ok(None) => BlockProbe::Missing,
             Ok(Some(sum)) => {
                 s.stats.verifies += 1;
@@ -286,6 +293,22 @@ impl Device {
     pub fn has_block(&self, key: &BlockKey) -> bool {
         let s = self.state.read();
         s.online && s.backend.contains(key)
+    }
+
+    /// The hint for a read or verify of another block that this block
+    /// follows in a stream ([`BlockBackend::ahead`]): where its bytes lie
+    /// on a memory device, empty when the device is offline, the block
+    /// absent or the backend durable. An index lookup under the read lock,
+    /// not an access — no counter moves. The lock is released before the
+    /// hint is used, so a block freed in between leaves it stale, which
+    /// costs a wasted prefetch and nothing else.
+    pub fn ahead(&self, key: &BlockKey) -> Ahead {
+        let s = self.state.read();
+        if s.online {
+            s.backend.ahead(key)
+        } else {
+            Ahead::NONE
+        }
     }
 
     /// Removes a block; returns whether it existed (false also on an
@@ -414,12 +437,18 @@ mod tests {
     fn verify_block_probes_without_copying() {
         let d = Device::new(0);
         let data = vec![5u8; 100];
-        let sum = tornado_codec::kernels::checksum(&data);
+        let sum = tornado_codec::checksum(&data);
         d.write_block((1, 0), data);
-        assert_eq!(d.verify_block(&(1, 0), sum), BlockProbe::Ok);
-        assert_eq!(d.verify_block(&(1, 1), sum), BlockProbe::Missing);
+        assert_eq!(d.verify_block(&(1, 0), sum, Ahead::NONE), BlockProbe::Ok);
+        assert_eq!(
+            d.verify_block(&(1, 1), sum, Ahead::NONE),
+            BlockProbe::Missing
+        );
         assert!(d.corrupt_block(&(1, 0), 0x01));
-        assert_eq!(d.verify_block(&(1, 0), sum), BlockProbe::Corrupt);
+        assert_eq!(
+            d.verify_block(&(1, 0), sum, Ahead::NONE),
+            BlockProbe::Corrupt
+        );
         assert_eq!(
             d.stats().verifies,
             2,
@@ -427,7 +456,10 @@ mod tests {
         );
         assert_eq!(d.stats().reads, 0, "no block bytes were served");
         d.fail();
-        assert_eq!(d.verify_block(&(1, 0), sum), BlockProbe::Missing);
+        assert_eq!(
+            d.verify_block(&(1, 0), sum, Ahead::NONE),
+            BlockProbe::Missing
+        );
         assert_eq!(d.stats().failed_reads, 1);
     }
 
@@ -440,18 +472,18 @@ mod tests {
         let mut out = vec![0xEE; 3];
         let read = Some(Appended {
             len: 64,
-            checksum: tornado_codec::kernels::checksum(&[7u8; 64]),
+            checksum: tornado_codec::checksum(&[7u8; 64]),
         });
         assert_eq!(
-            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
+            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out, Ahead::NONE),
             read
         );
         assert_eq!(
-            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out),
+            d.read_block_into(&(1, 0), ReadClass::Repair, &mut out, Ahead::NONE),
             read
         );
         assert_eq!(
-            d.read_block_into(&(1, 0), ReadClass::Payload, &mut out),
+            d.read_block_into(&(1, 0), ReadClass::Payload, &mut out, Ahead::NONE),
             read
         );
         assert_eq!(out.len(), 3 + 3 * 64);
@@ -461,10 +493,46 @@ mod tests {
         assert_eq!(s.bytes_read, 4 * 64);
         assert_eq!(s.bytes_repair_read, 2 * 64);
         assert!(d
-            .read_block_into(&(9, 9), ReadClass::Repair, &mut out)
+            .read_block_into(&(9, 9), ReadClass::Repair, &mut out, Ahead::NONE)
             .is_none());
         assert_eq!(out.len(), 3 + 3 * 64, "a miss appends nothing");
         assert_eq!(d.stats().bytes_read, 4 * 64, "misses serve no bytes");
+    }
+
+    #[test]
+    fn ahead_is_a_lookup_that_moves_no_counter() {
+        let d = Device::new(0);
+        d.write_block((1, 0), vec![7u8; 100]);
+        assert!(d.read_block(&(1, 0)).is_some());
+        let before = d.stats();
+        assert!(!d.ahead(&(1, 0)).is_empty(), "the memory block's bytes");
+        assert!(d.ahead(&(1, 1)).is_empty(), "an absent block");
+        assert_eq!(d.stats(), before, "no counter moved");
+        d.fail();
+        let failed = d.stats();
+        assert!(d.ahead(&(1, 0)).is_empty(), "an offline device");
+        assert_eq!(d.stats(), failed, "not even failed_reads");
+    }
+
+    #[test]
+    fn durable_devices_give_an_empty_hint() {
+        use crate::backend_file::FileBackend;
+        use crate::backend_segment::SegmentBackend;
+        let dir = std::env::temp_dir().join(format!("tornado-device-ahead-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backends: [Box<dyn BlockBackend>; 2] = [
+            Box::new(FileBackend::open(&dir.join("file"), false).unwrap()),
+            Box::new(SegmentBackend::open(&dir.join("seg"), false).unwrap()),
+        ];
+        for backend in backends {
+            let d = Device::with_backend(0, backend);
+            assert!(d.write_block((1, 0), vec![3; 5000]));
+            let before = d.stats();
+            assert!(d.ahead(&(1, 0)).is_empty(), "{}", d.backend_kind());
+            assert!(d.ahead(&(9, 9)).is_empty(), "{}", d.backend_kind());
+            assert_eq!(d.stats(), before, "{}", d.backend_kind());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -517,12 +585,12 @@ mod tests {
         assert!(d.has_block(&(1, 2)), "index still lists it");
         let mut out = vec![1, 2, 3];
         assert_eq!(
-            d.read_block_into(&(1, 2), ReadClass::Payload, &mut out),
+            d.read_block_into(&(1, 2), ReadClass::Payload, &mut out, Ahead::NONE),
             None,
             "read error reads as erasure"
         );
         assert_eq!(out, [1, 2, 3], "and leaves the caller's buffer as it was");
-        assert_eq!(d.verify_block(&(1, 2), 0), BlockProbe::Missing);
+        assert_eq!(d.verify_block(&(1, 2), 0, Ahead::NONE), BlockProbe::Missing);
         let s = d.stats();
         assert_eq!(s.io_errors, 2);
         assert_eq!(s.failed_reads, 0, "device was online throughout");

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use tornado_codec::kernels;
+use tornado_codec::checksum;
 use tornado_graph::Graph;
 
 use crate::backend::{metrics, sync_file, BlockBackend};
@@ -318,7 +318,7 @@ fn encode_sidecar(meta: &ObjectMeta) -> Vec<u8> {
     for sum in &meta.checksums {
         b.extend_from_slice(&sum.to_le_bytes());
     }
-    let digest = kernels::checksum(&b);
+    let digest = checksum(&b);
     b.extend_from_slice(&digest.to_le_bytes());
     b
 }
@@ -329,7 +329,7 @@ fn decode_sidecar(bytes: &[u8]) -> Option<ObjectMeta> {
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let digest = u64::from_le_bytes(tail.try_into().ok()?);
-    if kernels::checksum(body) != digest {
+    if checksum(body) != digest {
         return None;
     }
     let mut pos = 0usize;

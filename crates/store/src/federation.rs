@@ -17,6 +17,7 @@
 use crate::device::BlockProbe;
 use crate::error::StoreError;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
+use tornado_codec::kernels::Ahead;
 use tornado_codec::{Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 use tornado_sim::multi::FederatedSystem;
@@ -134,11 +135,11 @@ impl FederatedStore {
         // B's nodes (its data copies become the replica slots).
         let mut stored: Vec<Option<Vec<u8>>> = Vec::with_capacity(fed_graph.num_nodes());
         for node in 0..n_a as NodeId {
-            stored.push(self.site_a.read_raw_block(&meta_a, node));
+            stored.push(self.site_a.read_raw_block(&meta_a, node, Ahead::NONE));
         }
         let mut blocks_crossed = 0usize;
         for node in 0..self.site_b.graph().num_nodes() as NodeId {
-            let block = self.site_b.read_raw_block(&meta_b, node);
+            let block = self.site_b.read_raw_block(&meta_b, node, Ahead::NONE);
             blocks_crossed += usize::from(block.is_some());
             stored.push(block);
         }
@@ -224,7 +225,7 @@ fn refill_site(
     for (node, (block, digest)) in stripe.blocks().iter().zip(stripe.digests()).enumerate() {
         let node = node as NodeId;
         if meta.checksums.get(node as usize) == Some(digest)
-            && site.probe_block(meta, node) != BlockProbe::Ok
+            && site.probe_block(meta, node, Ahead::NONE) != BlockProbe::Ok
             && site.write_raw_block(meta, node, block.clone())
         {
             restored += 1;

@@ -31,7 +31,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use tornado_codec::kernels;
+use tornado_codec::checksum;
 
 use crate::backend::{metrics, sync_file};
 
@@ -129,7 +129,7 @@ impl JournalRecord {
         let payload = self.encode_payload();
         let mut frame = Vec::with_capacity(12 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&kernels::checksum(&payload).to_le_bytes());
+        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         frame
     }
@@ -191,7 +191,7 @@ impl IntentJournal {
             }
             payload.resize(len as usize, 0);
             file.read_exact(&mut payload)?;
-            if kernels::checksum(&payload) != sum {
+            if checksum(&payload) != sum {
                 scan.torn_tail = true;
                 break;
             }

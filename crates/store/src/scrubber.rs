@@ -25,12 +25,17 @@
 //!    cone is copied out (hashed as it lands, by the fused read); every
 //!    other present block is hash-checked *in place* on its device
 //!    ([`crate::device::Device::verify_block`]): zero copies, the
-//!    checksum kernel at memory speed. A block that fails its check, or is
-//!    gone since the index was asked, joins the missing set and the stripe
-//!    is re-planned, keeping every block already in hand. The schedule is
-//!    replayed with real XOR (`Codec::replay`) and a rebuilt block is
-//!    written home only if it hashes to its put-time digest. A stripe past
-//!    saving still gets every block the partial schedule reaches.
+//!    checksum kernel at memory speed. Each plan lists the blocks it will
+//!    stream, cone and in-place alike, in ascending node order, and
+//!    streams each with the hint of the next
+//!    ([`crate::device::Device::ahead`]), so the kernel asks for the next
+//!    block's lines while it hashes this one. The first block that fails
+//!    its check, or is gone since the index was asked, ends the plan: it
+//!    joins the missing set and the stripe is re-planned, keeping every
+//!    block already in hand. The schedule is replayed with real XOR
+//!    (`Codec::replay`) and a rebuilt block is written home only if it
+//!    hashes to its put-time digest. A stripe past saving still gets every
+//!    block the partial schedule reaches.
 //!
 //! A stripe with nothing missing has an empty cone: every block is
 //! verified in place and nothing moves. [`ScrubMode::Full`] is the same
@@ -52,11 +57,12 @@
 
 use crate::device::BlockProbe;
 use crate::retrieval::{plan_partial_repair, RepairCost, RetrievalPlan};
-use crate::store::{block_checksum, ArchivalStore, ObjectId, ObjectMeta};
+use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::Instant;
+use tornado_codec::kernels::Ahead;
 use tornado_codec::{pool, Codec, DecodeMetrics};
 use tornado_graph::NodeId;
 
@@ -450,19 +456,30 @@ fn scrub_stripe(
         // streamed once — unless a re-plan pulls one already verified in
         // place into the cone — and a block in hand is never read again.
         let in_cone = |v: NodeId| mode == ScrubMode::Full || plan.fetch.binary_search(&v).is_ok();
-        let lost = (0..n as NodeId).find(|&v| {
+        // What this plan streams, in ascending node order; each block goes
+        // with the hint of the one after it, whose head the kernel asks
+        // into L2 while this one is hashed.
+        let stream: Vec<NodeId> = (0..n as NodeId)
+            .filter(|&v| {
+                let i = v as usize;
+                !missing.contains(&v)
+                    && blocks[i].is_none()
+                    && (in_cone(v) || !verified_in_place[i])
+            })
+            .collect();
+        let lost = stream.iter().enumerate().find_map(|(j, &v)| {
+            let next = stream
+                .get(j + 1)
+                .map_or(Ahead::NONE, |&w| store.ahead(meta, w));
             let i = v as usize;
-            if missing.contains(&v) || blocks[i].is_some() {
-                false
-            } else if in_cone(v) {
-                blocks[i] = store.read_raw_block(meta, v);
-                blocks[i].is_none()
-            } else if verified_in_place[i] {
-                false
+            let intact = if in_cone(v) {
+                blocks[i] = store.read_raw_block(meta, v, next);
+                blocks[i].is_some()
             } else {
-                verified_in_place[i] = store.probe_block(meta, v) == BlockProbe::Ok;
-                !verified_in_place[i]
-            }
+                verified_in_place[i] = store.probe_block(meta, v, next) == BlockProbe::Ok;
+                verified_in_place[i]
+            };
+            (!intact).then_some(v)
         });
         // Corrupt, or gone since the index was asked: one more erasure.
         match lost {
@@ -492,7 +509,7 @@ fn scrub_stripe(
     for &node in &missing {
         let slot = &mut blocks[node as usize];
         let Some(block) = slot else { continue };
-        if block_checksum(block) != meta.checksums[node as usize] {
+        if tornado_codec::checksum(block) != meta.checksums[node as usize] {
             // Not the block that was lost: recycled below, never written.
             incomplete = true;
         } else if repair {
@@ -547,7 +564,10 @@ fn scrub_stripe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
+    use crate::device::Device;
     use crate::obs::StoreObserver;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
     use tornado_graph::{Graph, GraphBuilder};
 
@@ -958,6 +978,134 @@ mod tests {
         assert_eq!(obs.stripes_verified.get(), 2, "cold pass verified both");
         assert_eq!(obs.stripes_skipped.get(), 2, "warm pass skipped both");
         assert_eq!(obs.stripes_decoded.get(), 0);
+    }
+
+    /// Which of a backend's two reads served a block.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Served {
+        Read,
+        Checksum,
+    }
+
+    type Log = Arc<std::sync::Mutex<Vec<(Served, BlockKey)>>>;
+
+    /// A memory backend that records, in a log every device of a store
+    /// shares, the key of each `read_into` and `checksum` it serves.
+    #[derive(Debug)]
+    struct Recording {
+        inner: MemoryBackend,
+        log: Log,
+    }
+
+    impl BlockBackend for Recording {
+        fn put(&mut self, key: BlockKey, data: &[u8]) -> std::io::Result<()> {
+            self.inner.put(key, data)
+        }
+        fn read_into(
+            &mut self,
+            key: &BlockKey,
+            out: &mut Vec<u8>,
+            next: Ahead,
+        ) -> std::io::Result<Option<Appended>> {
+            self.log.lock().unwrap().push((Served::Read, *key));
+            self.inner.read_into(key, out, next)
+        }
+        fn checksum(&mut self, key: &BlockKey, next: Ahead) -> std::io::Result<Option<u64>> {
+            self.log.lock().unwrap().push((Served::Checksum, *key));
+            self.inner.checksum(key, next)
+        }
+        fn ahead(&self, key: &BlockKey) -> Ahead {
+            self.inner.ahead(key)
+        }
+        fn contains(&self, key: &BlockKey) -> bool {
+            self.inner.contains(key)
+        }
+        fn delete(&mut self, key: &BlockKey) -> std::io::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn block_count(&self) -> usize {
+            self.inner.block_count()
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+        fn destroy(&mut self) -> std::io::Result<()> {
+            self.inner.destroy()
+        }
+        fn corrupt(&mut self, key: &BlockKey, mask: u8) -> std::io::Result<bool> {
+            self.inner.corrupt(key, mask)
+        }
+        fn kind(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    #[test]
+    fn each_plan_streams_its_blocks_once_in_ascending_node_order() {
+        let graph = tornado_core::tornado_graph_1();
+        let n = graph.num_nodes() as NodeId;
+        // Per object (rotations 0, 1, 2): blocks rotted mid-stripe.
+        let rotted: [&[NodeId]; 3] = [&[30], &[], &[5, 70]];
+        for mode in [ScrubMode::Verify, ScrubMode::Full, ScrubMode::Incremental] {
+            let log = Log::default();
+            let devices = (0..n as usize)
+                .map(|d| {
+                    let log = Arc::clone(&log);
+                    let inner = MemoryBackend::new();
+                    Device::with_backend(d, Box::new(Recording { inner, log }))
+                })
+                .collect();
+            let store = ArchivalStore::assemble(graph.clone(), devices, HashMap::new(), 1, 0, None);
+            let ids: Vec<ObjectId> = (0..3)
+                .map(|i| store.put(&format!("o{i}"), &vec![i as u8; 50_000]).unwrap())
+                .collect();
+            // Device 10 stays offline; device 40 comes back empty.
+            store.fail_device(10).unwrap();
+            store.fail_device(40).unwrap();
+            store.replace_device(40).unwrap();
+            for (&id, nodes) in ids.iter().zip(rotted) {
+                let meta = store.meta(id).unwrap();
+                for &v in nodes {
+                    let device = store.device(store.device_of_block(&meta, v)).unwrap();
+                    assert!(device.corrupt_block(&(id, v), 0x20));
+                }
+            }
+            log.lock().unwrap().clear();
+            let outcome = Scrubber::new(1).run(&store, 5, true, mode);
+            assert_eq!(outcome.decoded_count(), 3, "{mode:?}");
+
+            let log = log.lock().unwrap();
+            for ((&id, nodes), meta) in ids.iter().zip(rotted).zip(store.list()) {
+                let case = format!("{mode:?}, object {id}");
+                let absent =
+                    [10, 40].map(|d| ((d + n as usize - meta.rotation) % n as usize) as NodeId);
+                let served: Vec<(Served, NodeId)> = log
+                    .iter()
+                    .filter(|(_, key)| key.0 == id)
+                    .map(|&(how, key)| (how, key.1))
+                    .collect();
+                if mode == ScrubMode::Full {
+                    assert!(served.iter().all(|&(how, _)| how == Served::Read), "{case}");
+                }
+                // A rotted block ends its plan: the stripe is re-planned
+                // around it and it is never streamed again.
+                let plans: Vec<&[(Served, NodeId)]> =
+                    served.split_inclusive(|(_, v)| nodes.contains(v)).collect();
+                assert_eq!(plans.len(), nodes.len() + 1, "{case}: {served:?}");
+                for plan in &plans {
+                    assert!(
+                        plan.windows(2).all(|w| w[0].1 < w[1].1),
+                        "{case}: a plan streams ascending, each block once: {plan:?}"
+                    );
+                }
+                let streamed: BTreeSet<NodeId> = served.iter().map(|&(_, v)| v).collect();
+                let present: BTreeSet<NodeId> = (0..n).filter(|v| !absent.contains(v)).collect();
+                assert_eq!(
+                    streamed, present,
+                    "{case}: every present block, nothing else"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tornado_codec::kernels::Ahead;
 use tornado_codec::{pool, Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 
@@ -74,13 +75,6 @@ impl GetStats {
     pub fn degraded(&self) -> bool {
         self.blocks_recovered > 0 || self.replans > 0
     }
-}
-
-/// Block digest: the word-wide 8-lane FNV checksum kernel (scrub's verify
-/// tier hashes device-resident bytes with the same function the put path
-/// recorded, so put/get/verify always agree).
-pub(crate) fn block_checksum(data: &[u8]) -> u64 {
-    tornado_codec::kernels::checksum(data)
 }
 
 /// A single-site archival store: one device per graph node, objects encoded
@@ -403,7 +397,9 @@ impl ArchivalStore {
         let mut holes: Vec<NodeId> = Vec::new();
         let mut stats = GetStats::default();
         for node in 0..k as NodeId {
-            if let Err(miss) = self.read_verified_into(&meta, node, ReadClass::Payload, &mut buf) {
+            let read =
+                self.read_verified_into(&meta, node, ReadClass::Payload, &mut buf, Ahead::NONE);
+            if let Err(miss) = read {
                 buf.resize(buf.len() + block_len, 0);
                 holes.push(node);
                 stats.replans += usize::from(miss == Miss::Corrupt);
@@ -466,7 +462,7 @@ impl ArchivalStore {
                 if slot.is_some() {
                     continue;
                 }
-                match self.read_raw_block(meta, node) {
+                match self.read_raw_block(meta, node, Ahead::NONE) {
                     Some(block) => {
                         stats.cost.blocks_fetched += 1;
                         stats.repair_bytes_read += block.len() as u64;
@@ -527,11 +523,17 @@ impl ArchivalStore {
     /// paths, so the read is attributed [`ReadClass::Repair`]. A corrupt
     /// block is reported as absent (an erasure), which is exactly how the
     /// coding layer can repair it. The copy is made into a buffer recycled
-    /// from the calling thread's block pool.
-    pub(crate) fn read_raw_block(&self, meta: &ObjectMeta, node: NodeId) -> Option<Vec<u8>> {
+    /// from the calling thread's block pool; `next` is the hint of the
+    /// block the caller streams after this one ([`ArchivalStore::ahead`]).
+    pub(crate) fn read_raw_block(
+        &self,
+        meta: &ObjectMeta,
+        node: NodeId,
+        next: Ahead,
+    ) -> Option<Vec<u8>> {
         pool::with_thread_pool(|p| {
             let mut block = p.take_zeroed(0);
-            match self.read_verified_into(meta, node, ReadClass::Repair, &mut block) {
+            match self.read_verified_into(meta, node, ReadClass::Repair, &mut block, next) {
                 Ok(()) => Some(block),
                 Err(_) => {
                     p.recycle(block);
@@ -551,10 +553,11 @@ impl ArchivalStore {
         node: NodeId,
         class: ReadClass,
         out: &mut Vec<u8>,
+        next: Ahead,
     ) -> Result<(), Miss> {
         let start = out.len();
         let dev = self.device_of_block(meta, node);
-        let miss = match self.devices[dev].read_block_into(&(meta.id, node), class, out) {
+        let miss = match self.devices[dev].read_block_into(&(meta.id, node), class, out, next) {
             None => Miss::Absent,
             Some(read)
                 if read.len == meta.block_len && read.checksum == meta.checksums[node as usize] =>
@@ -595,10 +598,22 @@ impl ArchivalStore {
     /// Hash-verifies a block **in place** on its home device — the scrub
     /// verify tier's probe. No bytes are copied and nothing is allocated;
     /// the expected digest comes from the stripe metadata written at put
-    /// time.
-    pub(crate) fn probe_block(&self, meta: &ObjectMeta, node: NodeId) -> crate::device::BlockProbe {
+    /// time. `next` as for [`ArchivalStore::read_raw_block`].
+    pub(crate) fn probe_block(
+        &self,
+        meta: &ObjectMeta,
+        node: NodeId,
+        next: Ahead,
+    ) -> crate::device::BlockProbe {
         let dev = self.device_of_block(meta, node);
-        self.devices[dev].verify_block(&(meta.id, node), meta.checksums[node as usize])
+        self.devices[dev].verify_block(&(meta.id, node), meta.checksums[node as usize], next)
+    }
+
+    /// The hint to stream a block with when this one comes next
+    /// ([`Device::ahead`]): an index lookup on its home device, not an
+    /// access.
+    pub(crate) fn ahead(&self, meta: &ObjectMeta, node: NodeId) -> Ahead {
+        self.devices[self.device_of_block(meta, node)].ahead(&(meta.id, node))
     }
 }
 
@@ -806,15 +821,20 @@ mod tests {
         fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
             self.inner.put(key, data)
         }
-        fn read_into(&mut self, key: &BlockKey, out: &mut Vec<u8>) -> io::Result<Option<Appended>> {
+        fn read_into(
+            &mut self,
+            key: &BlockKey,
+            out: &mut Vec<u8>,
+            next: Ahead,
+        ) -> io::Result<Option<Appended>> {
             if *key == self.gate {
                 self.reached.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
             }
-            self.inner.read_into(key, out)
+            self.inner.read_into(key, out, next)
         }
-        fn checksum(&mut self, key: &BlockKey) -> io::Result<Option<u64>> {
-            self.inner.checksum(key)
+        fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
+            self.inner.checksum(key, next)
         }
         fn contains(&self, key: &BlockKey) -> bool {
             self.inner.contains(key)

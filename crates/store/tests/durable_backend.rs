@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use tornado_codec::kernels::Ahead;
 use tornado_store::{
     ArchivalStore, BackendKind, BlockProbe, DurableConfig, ScrubMode, Scrubber, StoreError,
     StoreObserver,
@@ -216,10 +217,11 @@ fn io_errors_are_counted_and_surfaced_as_device_gauge() {
     std::fs::create_dir(&blk).unwrap();
 
     assert_eq!(
-        store
-            .device(1)
-            .unwrap()
-            .verify_block(&(id, node), meta.checksums[node as usize]),
+        store.device(1).unwrap().verify_block(
+            &(id, node),
+            meta.checksums[node as usize],
+            Ahead::NONE
+        ),
         BlockProbe::Missing,
         "I/O error reads as an erasure"
     );

@@ -6,7 +6,7 @@
 //! One test, so one process: `kernel.bytes_hashed` is process-wide, and
 //! exact deltas need nothing else hashing meanwhile.
 
-use tornado_codec::kernels;
+use tornado_codec::kernels::{self, Ahead};
 use tornado_store::{
     ArchivalStore, BlockBackend, BlockProbe, Device, FileBackend, MemoryBackend, ReadClass,
     ScrubMode, Scrubber, SegmentBackend,
@@ -27,7 +27,7 @@ fn every_byte_read_or_probed_is_hashed_and_counted_once() {
     ];
     // Two strips and a ragged tail.
     let block: Vec<u8> = (0..10_000usize).map(|i| (i * 7 % 253) as u8).collect();
-    let digest = kernels::checksum(&block);
+    let digest = tornado_codec::checksum(&block);
     let len = block.len() as u64;
     for backend in backends {
         let device = Device::with_backend(0, backend);
@@ -37,7 +37,7 @@ fn every_byte_read_or_probed_is_hashed_and_counted_once() {
         let before = hashed();
         let mut out = Vec::new();
         let read = device
-            .read_block_into(&(1, 0), ReadClass::Repair, &mut out)
+            .read_block_into(&(1, 0), ReadClass::Repair, &mut out, Ahead::NONE)
             .expect("present");
         assert_eq!((read.len, read.checksum), (block.len(), digest), "{kind}");
         assert_eq!(out, block, "{kind}");
@@ -48,7 +48,10 @@ fn every_byte_read_or_probed_is_hashed_and_counted_once() {
         );
 
         let before = hashed();
-        assert_eq!(device.verify_block(&(1, 0), digest), BlockProbe::Ok);
+        assert_eq!(
+            device.verify_block(&(1, 0), digest, Ahead::NONE),
+            BlockProbe::Ok
+        );
         assert_eq!(
             hashed() - before,
             len,
@@ -57,9 +60,12 @@ fn every_byte_read_or_probed_is_hashed_and_counted_once() {
 
         let before = hashed();
         assert!(device
-            .read_block_into(&(9, 9), ReadClass::Payload, &mut out)
+            .read_block_into(&(9, 9), ReadClass::Payload, &mut out, Ahead::NONE)
             .is_none());
-        assert_eq!(device.verify_block(&(9, 9), digest), BlockProbe::Missing);
+        assert_eq!(
+            device.verify_block(&(9, 9), digest, Ahead::NONE),
+            BlockProbe::Missing
+        );
         assert_eq!(hashed() - before, 0, "{kind}: a miss hashes nothing");
 
         let s = device.stats();

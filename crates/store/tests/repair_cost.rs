@@ -200,3 +200,67 @@ fn absorb_is_additive_with_max_depth() {
     assert!(!total.is_zero());
     assert!(RepairCost::default().is_zero());
 }
+
+/// One seeded repair scrub of graph 1 in each mode — six objects, three
+/// devices failed and replaced, one left offline, a block rotted in two
+/// stripes — and the pool's summed device-counter deltas: `reads`,
+/// `verifies`, `bytes_read`, `bytes_repair_read`, `writes`. Pinned to what
+/// the scrubber moved before it streamed each block with the next one's
+/// hint: a hint is neither a read nor a verify, and the same blocks are
+/// read the same number of times.
+#[test]
+fn a_seeded_repair_scrub_moves_the_pinned_device_counters() {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, RngCore, SeedableRng};
+    const SEED: u64 = 0x5C2B_0A11;
+    let pinned = [
+        (ScrubMode::Verify, [144u64, 416, 460_848, 460_848, 20]),
+        (ScrubMode::Full, [552, 0, 1_743_768, 1_743_768, 20]),
+    ];
+    for (mode, counters) in pinned {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(SEED);
+        let store = ArchivalStore::new(tornado_core::tornado_graph_1());
+        let n = store.num_devices();
+        let ids: Vec<u64> = (0..6)
+            .map(|i| {
+                let mut payload = vec![0u8; rng.gen_range(1..200_000)];
+                rng.fill_bytes(&mut payload);
+                store.put(&format!("obj-{i}"), &payload).expect("put")
+            })
+            .collect();
+        let mut devices: Vec<usize> = (0..n).collect();
+        devices.shuffle(&mut rng);
+        for &d in &devices[..3] {
+            store.fail_device(d).expect("fail");
+            store.replace_device(d).expect("replace");
+        }
+        store.fail_device(devices[3]).expect("fail");
+        for (&id, &d) in ids.iter().zip(&devices[4..6]) {
+            let node = (d + n - store.meta(id).expect("meta").rotation) % n;
+            let device = store.device(d).expect("device");
+            assert!(device.corrupt_block(&(id, node as NodeId), 0x10));
+        }
+        let sums = |s: &ArchivalStore| -> [u64; 5] {
+            (0..n).map(|d| s.device(d).expect("device").stats()).fold(
+                [0; 5],
+                |[r, v, b, rb, w], s| {
+                    [
+                        r + s.reads,
+                        v + s.verifies,
+                        b + s.bytes_read,
+                        rb + s.bytes_repair_read,
+                        w + s.writes,
+                    ]
+                },
+            )
+        };
+        let before = sums(&store);
+        Scrubber::new(2).run(&store, 5, true, mode);
+        let after = sums(&store);
+        let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(
+            moved, counters,
+            "{mode:?}, seed {SEED:#x}: reads, verifies, bytes_read, bytes_repair_read, writes"
+        );
+    }
+}
