@@ -131,15 +131,13 @@ pub fn ones(row: &[Word]) -> impl Iterator<Item = usize> + '_ {
 /// Sets every bit of `lo..hi` (and no other).
 #[inline]
 pub fn fill_range(row: &mut [Word], lo: usize, hi: usize) {
+    // Branch-free: a shift by a whole word clears every bit.
+    let by = |bits: usize| bits.min(WORD_BITS) as u32;
     for (i, w) in row.iter_mut().enumerate() {
         let base = i * WORD_BITS;
-        let from = lo.clamp(base, base + WORD_BITS) - base;
-        let to = hi.clamp(base, base + WORD_BITS) - base;
-        *w = if from >= to {
-            0
-        } else {
-            (Word::MAX >> (WORD_BITS - (to - from))) << from
-        };
+        let from = Word::MAX.checked_shl(by(lo.saturating_sub(base)));
+        let below = Word::MAX.checked_shr(by((base + WORD_BITS).saturating_sub(hi)));
+        *w = from.unwrap_or(0) & below.unwrap_or(0);
     }
 }
 

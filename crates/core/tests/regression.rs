@@ -59,6 +59,59 @@ fn catalog_graph_1_k4_tail_paths_are_pinned() {
     }
 }
 
+/// How graph 1's k = 5 patterns are decided, with its 13 failing sets: the
+/// first level with failures, so failed prefixes are skipped as well.
+/// 61,124,064 patterns, about 0.1 s on one core in release.
+#[test]
+#[ignore = "C(96,5) patterns; run with --ignored --release"]
+fn catalog_graph_1_k5_tail_paths_are_pinned() {
+    let g = tornado_graph_1();
+    for threads in [1usize, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let metrics = Arc::new(DecodeMetrics::new());
+        let obs = SimObserver::disabled().with_metrics(metrics.clone());
+        let level = pool.install(|| search_level_observed(&g, 5, 16, &obs));
+        let verdicts = [
+            cells::TRIALS,
+            cells::FAILURES,
+            cells::PREFIX_REUSE_HITS,
+            cells::PREFIX_COLLISIONS,
+            cells::MONOTONE_SHORTCUTS,
+        ]
+        .map(|cell| metrics.get(cell));
+        // No prefix of four fails, so nothing is a shortcut.
+        assert_eq!(
+            verdicts,
+            [61_124_064, 13, 60_001_352, 1_122_712, 0],
+            "{threads} threads"
+        );
+        assert_eq!(level.failures, 13);
+        assert!(!level.truncated);
+        assert_eq!(
+            level.failure_sets,
+            [
+                [0, 14, 20, 39, 45],
+                [2, 4, 6, 8, 29],
+                [2, 5, 10, 17, 31],
+                [2, 12, 31, 34, 46],
+                [2, 12, 34, 38, 42],
+                [2, 31, 38, 42, 46],
+                [2, 33, 38, 42, 44],
+                [3, 10, 16, 35, 40],
+                [5, 27, 34, 44, 46],
+                [10, 12, 29, 33, 34],
+                [12, 33, 34, 38, 42],
+                [14, 19, 38, 45, 47],
+                [19, 36, 37, 41, 44],
+            ],
+            "{threads} threads"
+        );
+    }
+}
+
 #[test]
 fn seeded_regular_graph_failure_counts_are_pinned() {
     // generate_regular(12, 3, 7) is fully determined by the seed; its

@@ -73,6 +73,14 @@ pub struct ParityRows {
     /// with a check over it. Missing alone, such a node is recovered by any
     /// of its equations; an uncovered data node is lost with no help.
     pub covered: Vec<Word>,
+    /// Rows `2v` and `2v + 1`: the equations of two checks that recover `v`
+    /// when it is missing alone, each a certificate of `{v}` (both empty for
+    /// an uncovered data node). They are the equations with the fewest
+    /// nodes above `v`, since the later members of a sorted pattern all lie
+    /// above it: a check's own equation, which has none (re-encoding reads
+    /// only lower ids), twice; a data node's two best (its one, twice, if
+    /// it has one).
+    pub solved: RowTable,
 }
 
 impl ParityRows {
@@ -99,11 +107,26 @@ impl ParityRows {
         for v in (0..n).filter(|&v| !rows::is_empty(wakes.row(v))) {
             rows::set(&mut covered, v);
         }
+        let mut solved = RowTable::new(2 * n, n);
+        for v in 0..n {
+            let mut checks: Vec<usize> = rows::ones(wakes.row(v)).collect();
+            checks.sort_by_cached_key(|&c| rows::ones(equation.row(c)).filter(|&u| u > v).count());
+            let second = if checks.first() == Some(&v) { 0 } else { 1 };
+            for (x, check) in [checks.first(), checks.get(second).or(checks.first())]
+                .into_iter()
+                .enumerate()
+            {
+                for u in check.into_iter().flat_map(|&c| rows::ones(equation.row(c))) {
+                    solved.set(2 * v + x, u);
+                }
+            }
+        }
         Self {
             equation,
             wakes,
             data,
             covered,
+            solved,
         }
     }
 }
