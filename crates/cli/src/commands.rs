@@ -40,6 +40,18 @@ fn load_target_graph(args: &ParsedArgs) -> Result<(Graph, String), String> {
     }
 }
 
+/// Refuses a graph of `nodes` nodes, read from `label`, that is too large
+/// for the exhaustive search.
+fn searchable(label: &str, nodes: usize) -> CmdResult {
+    let max = tornado_sim::worst_case::MAX_NODES;
+    if nodes > max {
+        return Err(format!(
+            "{label}: {nodes} nodes; the worst-case search takes at most {max}"
+        ));
+    }
+    Ok(())
+}
+
 fn write_or_print(out: Option<&str>, content: &str) -> CmdResult {
     match out {
         Some(path) => std::fs::write(path, content).map_err(|e| format!("{path}: {e}")),
@@ -169,6 +181,7 @@ pub fn dot(args: &ParsedArgs) -> CmdResult {
 pub fn worst_case(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let (graph, label) = load_target_graph(args)?;
+    searchable(&label, graph.num_nodes())?;
     let max_k: usize = args.get_parsed("max-k", 4)?;
     let report = worst_case_search_observed(
         &graph,
@@ -440,7 +453,9 @@ pub fn validate(args: &ParsedArgs) -> CmdResult {
 
 /// `tornado adjust`
 pub fn adjust(args: &ParsedArgs) -> CmdResult {
-    let graph = load_graph(args.require("graph")?)?;
+    let path = args.require("graph")?;
+    let graph = load_graph(path)?;
+    searchable(path, graph.num_nodes())?;
     let target: usize = args.get_parsed("target", 5)?;
     let outcome = adjust_graph(
         &graph,
@@ -489,6 +504,7 @@ pub fn reliability(args: &ParsedArgs) -> CmdResult {
     );
     for path in args.get_all("graph") {
         let graph = load_graph(path)?;
+        searchable(path, graph.num_nodes())?;
         let mut profile = worst_case_search(
             &graph,
             &WorstCaseConfig {
@@ -1326,6 +1342,18 @@ fn check_health_expectations(args: &ParsedArgs, doc: &Json) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn searches_refuse_graphs_above_the_row_limit() {
+        // A graph just past the limit needs gigabytes of parity rows to
+        // build, so the gate is checked on its node count.
+        assert_eq!(searchable("g.graphml", 65_536), Ok(()));
+        let err = searchable("g.graphml", 65_537).unwrap_err();
+        assert_eq!(
+            err,
+            "g.graphml: 65537 nodes; the worst-case search takes at most 65536"
+        );
+    }
 
     #[test]
     fn every_watch_column_reads_a_sampled_catalogue_name_of_the_right_kind() {
