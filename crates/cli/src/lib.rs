@@ -26,8 +26,8 @@ COMMANDS:
     dot          Export Graphviz DOT                --graph FILE [--out FILE]
     worst-case   Exhaustive worst-case search       --graph FILE | --catalog 1|2|3 [--max-k 4]
                                                     (up to 65,536 nodes; 96 nodes, one core:
-                                                    k = 5 in 0.1-0.2 s, the paper's k = 6
-                                                    in 2-3 s)
+                                                    k = 5 in 0.04-0.07 s, the paper's k = 6
+                                                    in 1-1.5 s)
     monte-carlo  Monte-Carlo failure profile        --graph FILE | --catalog 1|2|3
                                                     [--trials 20000] [--seed N]
     scrub        Fail devices, scrub, report health  --graph FILE | --catalog 1|2|3

@@ -12,23 +12,24 @@
 //! fails with it (whole subtrees are counted by a binomial), and a last
 //! node outside a *certificate* of the prefix's recovery changes nothing
 //! about it, so all such tails of a prefix are decided by one mask (see
-//! [`ErasureDecoder::begin_pattern`]). The last prefix position is taken
-//! a row at a time in fixed-width registers, by the same
-//! [`OneNodeRule`]. On the 96-node catalogue graphs 98 % of the patterns
-//! are decided by mask, and the rest are peeled 512 at a time on a
-//! [`LaneDecoder`]. Searching graph 1 to k = 5 takes 0.10–0.17 s of one
-//! core, and to the paper's k = 6 (927,048,304 subsets) 1.9–2.9 s (2-vCPU
-//! VM, one core pinned).
+//! [`ErasureDecoder::begin_pattern`]). The last two positions are taken a
+//! row at a time in fixed-width registers: a pair of last nodes that
+//! misses either certificate of the rest decodes, and only the nodes
+//! inside a certificate are extended, by the same [`OneNodeRule`]. On the
+//! 96-node catalogue graphs 99 % of the patterns are decided by mask, and
+//! the rest are peeled 512 at a time on a [`LaneDecoder`]. Searching graph
+//! 1 to k = 5 takes about 0.04 s of one core, and to the paper's k = 6
+//! (927,048,304 subsets) about 1.1 s (2-vCPU VM, one core pinned).
 //!
-//! The enumeration is split into contiguous rank ranges, one per thread,
-//! via the combinadic unranking in `tornado-bitset` and processed
-//! data-parallel with rayon — each worker owns its own allocation-free
-//! [`ErasureDecoder`] and [`LaneDecoder`].
+//! The enumeration is split into contiguous rank ranges of whole rows, one
+//! per thread, via the combinadic unranking in `tornado-bitset` and
+//! processed data-parallel with rayon — each worker owns its own
+//! allocation-free [`ErasureDecoder`] and [`LaneDecoder`].
 
 use crate::obs::SimObserver;
 use crate::profile::FailureProfile;
 use rayon::prelude::*;
-use tornado_bitset::combinations::{binomial, chunk_ranges, unrank};
+use tornado_bitset::combinations::{binomial, chunk_ranges, rank, unrank};
 use tornado_bitset::rows::{self, Word};
 use tornado_codec::metrics::cells;
 use tornado_codec::{ErasureDecoder, LaneDecoder, OneNodeRule};
@@ -43,8 +44,8 @@ pub const MAX_NODES: usize = 1024 * rows::WORD_BITS;
 #[derive(Clone, Copy, Debug)]
 pub struct WorstCaseConfig {
     /// Highest `k` to examine. On a 96-node graph and one core, 4 takes
-    /// 3–4 ms, 5 about a tenth of a second and the paper's 6 (`C(96, 6) ≈
-    /// 9.3 × 10⁸` subsets) 1.9–2.9 s; each further level costs roughly
+    /// 1–2 ms, 5 about 0.04 s and the paper's 6 (`C(96, 6) ≈ 9.3 × 10⁸`
+    /// subsets) about 1.1 s; each further level costs roughly
     /// `(96 − k) / k` times the one before.
     pub max_k: usize,
     /// Maximum number of failing subsets to *collect* per `k` (counting is
@@ -197,7 +198,7 @@ pub fn search_level_observed(
     // run a last partial lane group. (Later ranks cost more a pattern, but
     // pairing a cheap range with a dear one on each worker measured no
     // faster.)
-    let ranges = chunk_ranges(n, k, rayon::current_num_threads().max(1));
+    let ranges = row_ranges(n, k, rayon::current_num_threads().max(1));
     // A row's width is the node count's words rounded up to a power of two:
     // at most twice what the graph needs (see DESIGN.md for the cost).
     let walk = match rows::words_for(n).next_power_of_two() {
@@ -255,6 +256,8 @@ fn walk_ranges<const W: usize>(
     ranges: Vec<(u128, u128)>,
     progress: &Progress,
 ) -> (u64, Vec<Vec<usize>>) {
+    // Only rows of three or more nodes have a prefix to apply it above.
+    let floor = if k >= 3 { pair_floor::<W>(graph) } else { 0 };
     ranges
         .into_par_iter()
         .map_init(
@@ -268,7 +271,7 @@ fn walk_ranges<const W: usize>(
                 (dec, lanes)
             },
             |(dec, lanes), (start, len)| {
-                let mut walk = Walk::<W>::new(graph, dec, lanes, k, collect_cap);
+                let mut walk = Walk::<W>::new(graph, dec, lanes, k, floor, collect_cap);
                 walk.run(start, len, |patterns| progress.add(patterns));
                 if let Some(metrics) = &obs.metrics {
                     // The kernels counted their peels; the walk decided
@@ -297,6 +300,56 @@ fn walk_ranges<const W: usize>(
         )
 }
 
+/// `chunks` rank ranges of level `k` that each begin a row:
+/// [`chunk_ranges`]'s, each start moved back to the first pattern of its
+/// row and the ranges left empty dropped. A level below 3 is one row.
+fn row_ranges(n: usize, k: usize, chunks: usize) -> Vec<(u128, u128)> {
+    let total = binomial(n as u64, k as u64);
+    let chunks = if k < 3 { 1 } else { chunks };
+    let mut starts: Vec<u128> = chunk_ranges(n, k, chunks)
+        .into_iter()
+        .map(|(start, _)| {
+            let mut combo = unrank(n, k, start);
+            if let Some(q) = k.checked_sub(3) {
+                combo[q + 1] = combo[q] + 1;
+                combo[q + 2] = combo[q] + 2;
+            }
+            rank(n, &combo)
+        })
+        .collect();
+    starts.dedup();
+    let ends = starts.iter().skip(1).chain([&total]);
+    starts.iter().zip(ends).map(|(&s, &e)| (s, e - s)).collect()
+}
+
+/// Where a row starts taking the pair rule: the largest node that fails
+/// alone or is the smaller node of a pair that fails alone, or 0 when no
+/// node is either. Every pair above it decodes.
+fn pair_floor<const W: usize>(graph: &Graph) -> usize {
+    let n = graph.num_nodes();
+    let covered = padded::<W>(&graph.rows().covered);
+    let alone = (0..n).rev().find(|&v| !rows::test(&covered, v));
+    let rule = OneNodeRule::new(graph);
+    let mut dec = ErasureDecoder::new(graph);
+    let mut certs = [[0; W]; 2];
+    // Above `alone` every node is covered, so {t} decodes with the
+    // certificates the one-node rule gives it, and a pair {t, u} decodes
+    // unless u lies inside both (certificate disjointness).
+    let first = alone.map_or(0, |v| v + 1);
+    (first..n)
+        .rev()
+        .find(|&t| {
+            rule.extend([[0; W]; 2].as_flattened(), t, certs.as_flattened_mut());
+            let mut above = [0; W];
+            rows::fill_range(&mut above, t + 1, n);
+            let both: [Word; W] = std::array::from_fn(|i| above[i] & certs[0][i] & certs[1][i]);
+            let fails = rows::ones(&both).any(|u| !dec.decode(&[t, u]));
+            fails
+        })
+        .or(alone)
+        .unwrap_or(0)
+}
+
 /// `row` as a `W`-word row, zero above its own width.
 fn padded<const W: usize>(row: &[Word]) -> [Word; W] {
     let mut out = [0; W];
@@ -311,14 +364,14 @@ const HELD: usize = 16;
 ///
 /// A *row* is every pattern over one (k − 2)-prefix `Q = combo[..k - 2]`:
 /// each `t` above `Q` in position `k − 2`, each tail `u` above `t` in
-/// position `k − 1`. The decoder keeps how much of `Q` decodes and two
-/// certificates of its recovery ([`ErasureDecoder::begin_pattern`]
-/// re-derives only the positions that moved). The walk copies those into
-/// `W`-word rows and derives the certificates of each `Q ∪ {t}` from them
-/// by the same [`OneNodeRule`] the decoder extends by, peeling `Q ∪ {t}`
-/// only when `t` lies
-/// inside both ([`ErasureDecoder::peel_extension`]). That turns into
-/// counts:
+/// position `k − 1`. A range begins a row and ends at one (see
+/// [`row_ranges`]). The decoder keeps how much of `Q` decodes and two
+/// certificates `C1`, `C2` of its recovery
+/// ([`ErasureDecoder::begin_pattern`] re-derives only the positions that
+/// moved). The walk copies those into `W`-word rows and derives the
+/// certificates of `Q ∪ {t}` from them by the same [`OneNodeRule`] the
+/// decoder extends by, peeling `Q ∪ {t}` only when `t` lies inside both
+/// ([`ErasureDecoder::peel_extension`]). That turns into counts:
 ///
 /// * every pattern under a failed prefix fails (failure monotonicity) —
 ///   counted by a binomial when the whole subtree lies in the range and its
@@ -330,19 +383,34 @@ const HELD: usize = 16;
 ///   the collisions and the covered nodes gives the failures;
 /// * only a tail inside *both* certificates is peeled, on a lane of
 ///   [`LaneDecoder`] that is run once [`LaneDecoder::LANES`] patterns are
-///   queued (and at the end of the range). Most of a certificate above the
-///   prefix is the checks that solved for its data nodes, and a tail that
-///   is one of them misses the certificate built from each data node's
-///   other check: 3.6 % of graph 1's patterns collide with one
-///   certificate, 1.5 % with both.
+///   queued (and at the end of the range).
+///
+/// A row whose `Q` decodes and ends at or above the `floor` of
+/// [`pair_floor`] takes the *pair rule*: certificate disjointness for the
+/// two-node tail `{t, u}`. Every pair above the floor decodes alone, so a
+/// pair that misses `C1` or `C2` decodes, and only the pairs that hit both
+/// are looked at:
+///
+/// * each `t` in `C1 ∪ C2` decides all its tails as above;
+/// * each `u` in `C1 ∩ C2` decides the `t` below it outside `C1 ∪ C2` by
+///   the certificate of `Q ∪ {u}`, which the first step peeled (so its two
+///   certificates are one), with the same masks;
+/// * the rest of the row is counted as decoded by one subtraction.
+///
+/// Most of a certificate above the prefix is the checks that solved for
+/// its data nodes, and a tail that is one of them misses the certificate
+/// built from each data node's other check: on graph 1 at k = 4, 8.1 % of
+/// the `t` above a row's prefix are in `C1 ∪ C2`, and 1.0 % of the
+/// patterns collide.
 ///
 /// The collisions of a `t` are held back and queued at the end of the row
 /// (or once [`HELD`] `t` have some): queuing them as they came put a call
 /// in the row loop that 13 % of graph 1's `t` took, and the loop around it
 /// ran a fifth slower.
 ///
-/// Lane verdicts arrive after later patterns were decided by mask, so
-/// `sets` is not in rank order until [`Walk::run`] sorts it at the end.
+/// Lane verdicts and the pair rule's `u` decide patterns after later ones
+/// were decided, so `sets` is not in rank order until [`Walk::run`] sorts
+/// it at the end.
 ///
 /// Rows are `W` words, fixed per search from the node count, so that a
 /// row is a few registers and its loops unroll (`W` at least
@@ -354,6 +422,8 @@ struct Walk<'a, 'g, const W: usize> {
     rule: OneNodeRule<'g>,
     /// The nodes that recover when missing alone.
     covered: [Word; W],
+    /// Rows whose prefix ends at or above it take the pair rule.
+    floor: usize,
     n: usize,
     k: usize,
     collect_cap: usize,
@@ -365,6 +435,13 @@ struct Walk<'a, 'g, const W: usize> {
     /// its tails inside both certificates. The first `held_len` count.
     held: Vec<(usize, [Word; W])>,
     held_len: usize,
+    /// The pair rule's nodes inside both certificates of the row's prefix,
+    /// ascending: each node, whether the prefix with it decodes, and then
+    /// its certificate.
+    both: Vec<(usize, bool, [Word; W])>,
+    /// Whether the current row lists its failing sets: the row began with
+    /// fewer than `collect_cap` in hand.
+    listing: bool,
     failures: u64,
     sets: Vec<Vec<usize>>,
     reuse_hits: u64,
@@ -378,6 +455,7 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
         dec: &'a mut ErasureDecoder<'g>,
         lanes: &'a mut LaneDecoder<'g>,
         k: usize,
+        floor: usize,
         collect_cap: usize,
     ) -> Self {
         Self {
@@ -385,6 +463,7 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
             lanes,
             rule: OneNodeRule::new(graph),
             covered: padded(&graph.rows().covered),
+            floor,
             n: graph.num_nodes(),
             k,
             collect_cap,
@@ -392,6 +471,8 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
             queued: Vec::with_capacity(k * LaneDecoder::LANES),
             held: vec![(0, [0; W]); HELD],
             held_len: 0,
+            both: Vec::new(),
+            listing: false,
             failures: 0,
             sets: Vec::new(),
             reuse_hits: 0,
@@ -400,9 +481,10 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
         }
     }
 
-    /// Whether failing sets are still being collected. Once `sets` holds
-    /// `collect_cap` of them, every one precedes the patterns neither
-    /// decided nor queued (or held) yet, so none of those can be kept.
+    /// Whether failing sets are still being collected. At the start of a
+    /// row every set in hand precedes the patterns neither decided nor
+    /// queued (or held) yet, so once there are `collect_cap` of them none
+    /// of those can be kept.
     fn collecting(&self) -> bool {
         self.sets.len() < self.collect_cap
     }
@@ -411,6 +493,13 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
     fn trim(&mut self) {
         self.sets.sort_unstable();
         self.sets.truncate(self.collect_cap);
+    }
+
+    /// Trims once the sets in hand are more than a lane group past the cap.
+    fn bound_sets(&mut self) {
+        if self.sets.len() > self.collect_cap.saturating_add(LaneDecoder::LANES) {
+            self.trim();
+        }
     }
 
     /// Moves position `j` of the prefix to its next value (carrying into
@@ -431,8 +520,9 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
         }
     }
 
-    /// Decides the `len` patterns from lexicographic rank `start` on,
-    /// reporting progress in batches through `progress`.
+    /// Decides the `len` patterns from lexicographic rank `start` on, whole
+    /// rows from the first pattern of one, reporting progress in batches
+    /// through `progress`.
     fn run(&mut self, start: u128, len: u128, progress: impl Fn(u64)) {
         let (n, k) = (self.n, self.k);
         if k == 0 {
@@ -445,16 +535,16 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
         let Some(row) = k.checked_sub(2) else {
             // One node: the empty prefix decodes, and its certificates are
             // empty.
-            self.tails(Some(&[[0; W]; 2]), self.combo[0], len as usize);
+            self.listing = self.collecting();
+            self.tails(Some(&[[0; W]; 2]), 0);
             self.queue_held();
             progress(len as u64);
             return;
         };
         let mut remaining = len;
         // The shallowest position whose subtree begins at the current
-        // pattern (none for the range's first pattern, which may sit
-        // mid-subtree everywhere).
-        let mut fresh = k - 1;
+        // pattern: a range begins a row, the subtree of its prefix.
+        let mut fresh = row.saturating_sub(1);
         let mut unreported = 0u64;
         let mut report = |patterns: u128| {
             unreported += patterns as u64;
@@ -478,7 +568,8 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
                 report(subtree);
                 self.advance(j)
             } else {
-                let decided = self.row(remaining);
+                let decided = self.row();
+                debug_assert!(decided <= remaining, "a range ends at a row's end");
                 remaining -= decided;
                 report(decided);
                 row.checked_sub(1).and_then(|j| self.advance(j))
@@ -493,51 +584,101 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
         progress(unreported);
     }
 
-    /// Decides the current row from `combo[k - 2]` and `combo[k - 1]` on,
-    /// up to `budget` patterns, and returns how many it decided.
-    fn row(&mut self, budget: u128) -> u128 {
-        let (n, row, rule) = (self.n, self.k - 2, self.rule);
+    /// Decides the current row, every pair above the prefix
+    /// `combo[..k - 2]`, and returns how many patterns that is.
+    fn row(&mut self) -> u128 {
+        let (n, row) = (self.n, self.k - 2);
+        // The lowest `t`; with an empty prefix, the level is this one row.
+        let first = row.checked_sub(1).map_or(0, |q| self.combo[q] + 1);
+        self.listing = self.collecting();
         let certs = self
             .dec
             .prefix_decodes()
             .then(|| self.dec.prefix_certificates().map(padded::<W>));
-        // No row holds more than C(n, 2) patterns.
-        let budget = budget.min(u128::from(u32::MAX)) as usize;
-        let mut extended = [[0; W]; 2];
-        let mut lo = self.combo[row + 1];
-        let mut decided = 0;
-        for t in self.combo[row]..n - 1 {
-            if decided == budget {
-                break;
+        match certs {
+            Some(certs) if row > 0 && first > self.floor => self.pair_rule(&certs, first),
+            certs => {
+                let mut extended = [[0; W]; 2];
+                for t in first..n - 1 {
+                    self.combo[row] = t;
+                    let decodes = certs
+                        .as_ref()
+                        .is_some_and(|certs| self.extend(certs, t, &mut extended));
+                    self.tails(decodes.then_some(&extended), t + 1);
+                }
             }
-            self.combo[row] = t;
-            let decodes = certs.as_ref().is_some_and(|certs| {
-                let extended = extended.as_flattened_mut();
-                rule.extend(certs.as_flattened(), t, extended)
-                    .unwrap_or_else(|| self.dec.peel_extension(t, extended))
-            });
-            let tails = (n - lo).min(budget - decided);
-            self.tails(decodes.then_some(&extended), lo, tails);
-            decided += tails;
-            lo = t + 2;
         }
         if self.held_len > 0 {
             self.queue_held();
         }
-        decided as u128
+        binomial((n - first) as u64, 2)
     }
 
-    /// Decides the `count` patterns `combo[..k - 1] ∪ {u}` for `u` from
-    /// `lo` on, given two certificates of the prefix, or `None` when it
-    /// fails. Collisions are held back, and failures, which are rare, are
-    /// counted out of line.
+    /// Writes two certificates of the prefix plus `t` to `extended`, given
+    /// two of the prefix, and returns whether it decodes.
     #[inline(always)]
-    fn tails(&mut self, certs: Option<&[[Word; W]; 2]>, lo: usize, count: usize) {
+    fn extend(&mut self, certs: &[[Word; W]; 2], t: usize, extended: &mut [[Word; W]; 2]) -> bool {
+        let extended = extended.as_flattened_mut();
+        self.rule
+            .extend(certs.as_flattened(), t, extended)
+            .unwrap_or_else(|| self.dec.peel_extension(t, extended))
+    }
+
+    /// Decides the current row by the pair rule, given two certificates of
+    /// its prefix, which decodes, and the lowest `t`.
+    fn pair_rule(&mut self, certs: &[[Word; W]; 2], first: usize) {
+        let (n, row) = (self.n, self.k - 2);
+        let [c1, c2] = certs;
+        let mut above = [0; W];
+        rows::fill_range(&mut above, first, n);
+        let hard: [Word; W] = std::array::from_fn(|i| above[i] & (c1[i] | c2[i]));
+        let mut decided = 0;
+        let mut extended = [[0; W]; 2];
+        self.both.clear();
+        for t in rows::ones(&hard) {
+            self.combo[row] = t;
+            let decodes = self.extend(certs, t, &mut extended);
+            self.tails(decodes.then_some(&extended), t + 1);
+            decided += n - 1 - t;
+            if rows::test(c1, t) && rows::test(c2, t) {
+                self.both.push((t, decodes, extended[0]));
+            }
+        }
+        for i in 0..self.both.len() {
+            let (u, decodes) = (self.both[i].0, self.both[i].1);
+            self.combo[row + 1] = u;
+            let mut below = [0; W];
+            rows::fill_range(&mut below, first, u);
+            let heads: [Word; W] = std::array::from_fn(|w| below[w] & !hard[w]);
+            let count = rows::count(&heads);
+            decided += count;
+            if decodes {
+                // Every `t` here is above the floor, so covered.
+                let inside: [Word; W] = std::array::from_fn(|w| heads[w] & self.both[i].2[w]);
+                let hits = rows::count(&inside);
+                self.collisions += hits as u64;
+                self.reuse_hits += (count - hits) as u64;
+                self.queue(row, &inside);
+            } else {
+                self.shortcuts += count as u64;
+                self.fail(row, &heads);
+            }
+        }
+        let pairs = binomial((n - first) as u64, 2) as u64;
+        self.reuse_hits += pairs - decided as u64;
+    }
+
+    /// Decides the patterns `combo[..k - 1] ∪ {u}` for every `u` from `lo`
+    /// on, given two certificates of the prefix, or `None` when it fails.
+    /// Collisions are held back, and failures, which are rare, are counted
+    /// out of line.
+    #[inline(always)]
+    fn tails(&mut self, certs: Option<&[[Word; W]; 2]>, lo: usize) {
         let mut range = [0; W];
-        rows::fill_range(&mut range, lo, lo + count);
+        rows::fill_range(&mut range, lo, self.n);
         let (inside, failed) = match certs {
             None => {
-                self.shortcuts += count as u64;
+                self.shortcuts += (self.n - lo) as u64;
                 ([0; W], range)
             }
             Some([first, second]) => {
@@ -547,7 +688,7 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
                 let failed = std::array::from_fn(|i| range[i] & !inside[i] & !self.covered[i]);
                 let hits = rows::count(&inside) as u64;
                 self.collisions += hits;
-                self.reuse_hits += count as u64 - hits;
+                self.reuse_hits += (self.n - lo) as u64 - hits;
                 (inside, failed)
             }
         };
@@ -558,7 +699,7 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
             self.queue_held();
         }
         if !rows::is_empty(&failed) {
-            self.fail_tails(&failed);
+            self.fail(self.k - 1, &failed);
         }
     }
 
@@ -568,22 +709,23 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
     #[inline(never)]
     fn queue_held(&mut self) {
         // Position k − 2 holds `t`; with one node there is none, and
-        // position 0 is the tail's, which `queue_tails` writes anyway.
+        // position 0 is the tail's, which `queue` writes anyway.
         let at = self.k.saturating_sub(2);
         for i in 0..std::mem::take(&mut self.held_len) {
             let (t, tails) = self.held[i];
             self.combo[at] = t;
-            self.queue_tails(&tails);
+            self.queue(self.k - 1, &tails);
         }
     }
 
-    /// Loads the patterns `combo[..k - 1] ∪ {u}` for `u` in `tails` into the
-    /// next lanes, running the group whenever every lane is loaded.
+    /// Loads the patterns `combo` with position `at` set to each node of
+    /// `nodes` into the next lanes, running the group whenever every lane
+    /// is loaded.
     #[inline]
-    fn queue_tails(&mut self, tails: &[Word; W]) {
+    fn queue(&mut self, at: usize, nodes: &[Word; W]) {
         let mut lane = self.queued.len() / self.k;
-        for u in rows::ones(tails) {
-            self.combo[self.k - 1] = u;
+        for x in rows::ones(nodes) {
+            self.combo[at] = x;
             self.lanes.load(lane, &self.combo);
             self.queued.extend_from_slice(&self.combo);
             lane += 1;
@@ -594,17 +736,18 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
         }
     }
 
-    /// Counts the failing patterns `combo[..k - 1] ∪ {u}` for `u` in
-    /// `tails`, collecting them while there is room.
+    /// Counts the failing patterns `combo` with position `at` set to each
+    /// node of `nodes`, listing them while the row does. A row decides its
+    /// patterns out of rank order, so all of them are kept until a trim.
     #[inline(never)]
-    fn fail_tails(&mut self, tails: &[Word; W]) {
-        self.failures += rows::count(tails) as u64;
-        if self.collecting() {
-            let room = self.collect_cap - self.sets.len();
-            for u in rows::ones(tails).take(room) {
-                self.combo[self.k - 1] = u;
+    fn fail(&mut self, at: usize, nodes: &[Word; W]) {
+        self.failures += rows::count(nodes) as u64;
+        if self.listing {
+            for x in rows::ones(nodes) {
+                self.combo[at] = x;
                 self.sets.push(self.combo.clone());
             }
+            self.bound_sets();
         }
     }
 
@@ -621,9 +764,7 @@ impl<'a, 'g, const W: usize> Walk<'a, 'g, W> {
                 }
             }
             // A set with `collect_cap` smaller ones in hand is never kept.
-            if self.sets.len() > self.collect_cap.saturating_add(LaneDecoder::LANES) {
-                self.trim();
-            }
+            self.bound_sets();
         }
         self.queued.clear();
     }
@@ -793,6 +934,77 @@ mod tests {
         failing
     }
 
+    /// The pair rule's floor by brute force: the largest node of a failing
+    /// 1-set or smaller node of a failing 2-set, or 0.
+    fn brute_floor(g: &Graph) -> usize {
+        let fails = [failing_sets(g, 1), failing_sets(g, 2)];
+        fails.iter().flatten().map(|s| s[0]).max().unwrap_or(0)
+    }
+
+    /// A level's rows as the pair rule sees them, found with the public
+    /// decoder API alone.
+    #[derive(Debug, Default, PartialEq)]
+    struct PairRows {
+        /// Rows that take the pair rule.
+        pair: usize,
+        /// Rows walked a `t` at a time: a failed prefix, or one ending
+        /// below the floor.
+        per_t: usize,
+        /// Over the first kind, the `u` inside both certificates of the
+        /// prefix with room for a `t` between them.
+        between: usize,
+        /// The `t` there outside both certificates of the prefix and inside
+        /// the certificate of the prefix and `u`.
+        collisions: usize,
+        /// How many of those patterns fail.
+        failing: usize,
+    }
+
+    fn pair_rows(g: &Graph, k: usize) -> PairRows {
+        let (n, floor) = (g.num_nodes(), brute_floor(g));
+        let mut dec = ErasureDecoder::new(g);
+        let mut found = PairRows::default();
+        // Every (k − 2)-prefix with two nodes above it.
+        let mut it = CombinationIter::new(n - 2, k - 2);
+        while let Some(prefix) = it.next_slice() {
+            let q = prefix[k - 3];
+            dec.begin_pattern(prefix);
+            if !dec.prefix_decodes() || q < floor {
+                found.per_t += 1;
+                continue;
+            }
+            found.pair += 1;
+            let [c1, c2] = dec.prefix_certificates().map(<[Word]>::to_vec);
+            let hard = |v: usize| rows::test(&c1, v) || rows::test(&c2, v);
+            for u in (q + 2..n).filter(|&u| rows::test(&c1, u) && rows::test(&c2, u)) {
+                found.between += 1;
+                let mut pattern = prefix.to_vec();
+                pattern.push(u);
+                dec.begin_pattern(&pattern);
+                if !dec.prefix_decodes() {
+                    continue;
+                }
+                let cert = dec.prefix_certificates()[0].to_vec();
+                for t in (q + 1..u).filter(|&t| !hard(t) && rows::test(&cert, t)) {
+                    found.collisions += 1;
+                    let pattern = [prefix, &[t, u]].concat();
+                    found.failing += usize::from(!dec.decode(&pattern));
+                }
+            }
+        }
+        found
+    }
+
+    /// `(rows taking the pair rule, rows walked a t at a time)` over the
+    /// levels `3..=max_k`.
+    fn row_kinds(g: &Graph, max_k: usize) -> (usize, usize) {
+        (3..=max_k)
+            .map(|k| pair_rows(g, k))
+            .fold((0, 0), |(pair, per_t), rows| {
+                (pair + rows.pair, per_t + rows.per_t)
+            })
+    }
+
     #[test]
     fn walk_matches_per_pattern_brute_force() {
         // First failure 1: data node 2 is in no check, so it fails alone
@@ -810,38 +1022,35 @@ mod tests {
         shared.add_check(&[2, 3]);
         shared.add_check(&[2]);
         shared.add_check(&[3]);
+        // Each graph with its floor: the orphan's node 2, the mirror's pair
+        // {3, 7}; the shared pair begins at node 0, and no node of the last
+        // fails alone or in a pair.
         let graphs = [
-            (orphan.build().unwrap(), usize::MAX),
-            (generate_mirror(4).unwrap(), usize::MAX),
-            (shared.build().unwrap(), usize::MAX),
+            (orphan.build().unwrap(), usize::MAX, 2),
+            (generate_mirror(4).unwrap(), usize::MAX, 3),
+            (shared.build().unwrap(), usize::MAX, 0),
             // 24 nodes, first failure 4: deep enough that certificates
             // collide and inner prefixes are peeled.
-            (generate_regular(12, 3, 7).unwrap(), 5),
+            (generate_regular(12, 3, 7).unwrap(), 5, 0),
         ];
-        for (g, max_k) in &graphs {
+        for (g, max_k, floor) in &graphs {
             let n = g.num_nodes();
+            assert_eq!(pair_floor::<1>(g), *floor, "n = {n}");
+            assert_eq!(brute_floor(g), *floor, "n = {n}");
             for k in 1..=n.min(*max_k) {
-                let expected = failing_sets(g, k);
-                for threads in [1usize, 2, 3, 8] {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .unwrap();
-                    // Cap 0 counts whole failed subtrees by binomial, the
-                    // small caps switch from listing to counting midway,
-                    // no cap lists every failure.
-                    for cap in [0usize, 1, 7, usize::MAX] {
-                        let level = pool.install(|| search_level(g, k, cap));
-                        let what = format!("n = {n}, k = {k}, cap {cap}, {threads} threads");
-                        assert_eq!(level.cases, binomial(n as u64, k as u64), "{what}");
-                        assert_eq!(level.failures, expected.len() as u64, "{what}");
-                        let kept = expected.len().min(cap);
-                        assert_eq!(level.failure_sets, expected[..kept], "{what}");
-                        assert_eq!(level.truncated, kept < expected.len(), "{what}");
-                    }
-                }
+                assert_search_matches(g, k, &failing_sets(g, k));
             }
         }
+        // The first three walk rows of both kinds: below the floor or under
+        // a failed prefix, and by the pair rule.
+        for (g, ..) in &graphs[..3] {
+            let (pair, per_t) = row_kinds(g, g.num_nodes());
+            assert!(pair > 0 && per_t > 0, "{pair} / {per_t}");
+        }
+        // The last takes the pair rule on every row, and some of its `u`
+        // collide with a `t` that fails.
+        assert_eq!(row_kinds(&graphs[3].0, 5).1, 0);
+        assert!(pair_rows(&graphs[3].0, 4).failing > 0);
         assert_eq!(failing_sets(&graphs[0].0, 1), vec![vec![2]]);
         assert!(failing_sets(&graphs[3].0, 3).is_empty());
         assert_eq!(failing_sets(&graphs[3].0, 4).len(), 20);
@@ -849,41 +1058,37 @@ mod tests {
 
     #[test]
     fn full_lane_groups_match_per_pattern_brute_force() {
-        // 28 nodes, first failure 4. At k = 5 some range of the one-thread
-        // split (eight ranges) peels more than a group of collisions, and
-        // every failure under a decoding prefix is a collision (all nodes
-        // are covered), so failing lanes sit in full groups.
+        // 28 nodes, first failure 4. At k = 5 the level walked as one range
+        // peels more than a group of collisions, and every failure under a
+        // decoding prefix is a collision (all nodes are covered), so failing
+        // lanes sit in full groups. Some of those are the pair rule's: a
+        // `t` below a `u` inside both certificates of the prefix.
         let g = generate_regular(14, 3, 1).unwrap();
         let (n, k) = (g.num_nodes(), 5);
-        let full_group_failed = chunk_ranges(n, k, 8).into_iter().any(|(start, len)| {
-            let mut dec = ErasureDecoder::new(&g);
-            let mut lanes = LaneDecoder::new(&g);
-            lanes.set_recording(true);
-            let mut walk = Walk::<1>::new(&g, &mut dec, &mut lanes, k, 0);
-            walk.run(start, len, |_| {});
-            // The last group holds the collisions past the full ones; more
-            // lane failures than that means a full group had some.
-            let partial = walk.collisions % LaneDecoder::LANES as u64;
-            walk.lanes.take_cells()[cells::FAILURES] > partial
-                && walk.collisions >= LaneDecoder::LANES as u64
-        });
-        assert!(full_group_failed, "no range ran a full group that failed");
+        let pair = pair_rows(&g, k);
+        assert_eq!(pair.per_t, 0);
+        assert!(pair.collisions > 0 && pair.failing > 0, "{pair:?}");
+        let full_group_failed = |chunks| {
+            row_ranges(n, k, chunks).into_iter().any(|(start, len)| {
+                let mut dec = ErasureDecoder::new(&g);
+                let mut lanes = LaneDecoder::new(&g);
+                lanes.set_recording(true);
+                let mut walk = Walk::<1>::new(&g, &mut dec, &mut lanes, k, 0, 0);
+                walk.run(start, len, |_| {});
+                // The last group holds the collisions past the full ones;
+                // more lane failures than that means a full group had some.
+                let partial = walk.collisions % LaneDecoder::LANES as u64;
+                walk.lanes.take_cells()[cells::FAILURES] > partial
+                    && walk.collisions >= LaneDecoder::LANES as u64
+            })
+        };
+        assert!(
+            full_group_failed(1),
+            "the level ran no full group that failed"
+        );
         let expected = failing_sets(&g, k);
         assert_eq!(expected.len(), 457);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            for cap in [0usize, 1, 7, usize::MAX] {
-                let level = pool.install(|| search_level(&g, k, cap));
-                let what = format!("cap {cap}, {threads} threads");
-                assert_eq!(level.failures, expected.len() as u64, "{what}");
-                let kept = expected.len().min(cap);
-                assert_eq!(level.failure_sets, expected[..kept], "{what}");
-                assert_eq!(level.truncated, kept < expected.len(), "{what}");
-            }
-        }
+        assert_search_matches(&g, k, &expected);
     }
 
     /// `search_level` against [`failing_sets`] at 1 / 2 / 3 / 8 threads
@@ -895,6 +1100,9 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
+            // Cap 0 counts whole failed subtrees by binomial, the small caps
+            // switch from listing to counting midway, no cap lists every
+            // failure.
             for cap in [0usize, 1, 7, usize::MAX] {
                 let level = pool.install(|| search_level(g, k, cap));
                 let what = format!("n = {n}, k = {k}, cap {cap}, {threads} threads");
@@ -907,9 +1115,9 @@ mod tests {
         }
     }
 
-    /// Walks the ranges of `chunk_ranges(n, k, chunks)` in order on one
-    /// pair of decoders, as one worker does, with `W`-word rows. Returns
-    /// the failures, the kept sets (every range's, concatenated and cut to
+    /// Walks the ranges of `row_ranges(n, k, chunks)` in order on one pair
+    /// of decoders, as one worker does, with `W`-word rows. Returns the
+    /// failures, the kept sets (every range's, concatenated and cut to
     /// `cap`) and the verdict split: reuse hits, collisions, shortcuts.
     fn walk_split<const W: usize>(
         g: &Graph,
@@ -919,9 +1127,10 @@ mod tests {
     ) -> (u64, Vec<Vec<usize>>, [u64; 3]) {
         let mut dec = ErasureDecoder::new(g);
         let mut lanes = LaneDecoder::new(g);
+        let floor = pair_floor::<W>(g);
         let (mut failures, mut sets, mut split) = (0, Vec::new(), [0; 3]);
-        for (start, len) in chunk_ranges(g.num_nodes(), k, chunks) {
-            let mut walk = Walk::<W>::new(g, &mut dec, &mut lanes, k, cap);
+        for (start, len) in row_ranges(g.num_nodes(), k, chunks) {
+            let mut walk = Walk::<W>::new(g, &mut dec, &mut lanes, k, floor, cap);
             walk.run(start, len, |_| {});
             let range = [walk.reuse_hits, walk.collisions, walk.shortcuts];
             assert_eq!(range.iter().sum::<u64>(), len as u64, "one verdict each");
@@ -936,18 +1145,17 @@ mod tests {
     }
 
     #[test]
-    fn ranges_beginning_mid_row_and_mid_tail_match_brute_force() {
-        // From one range up to one pattern a range (at k = 3), most ranges
-        // begin inside a row and many inside the tails of one `t`. The
-        // verdict split must not depend on the split into ranges, and rows
-        // wider than the graph needs must not change a count.
+    fn whole_row_ranges_match_brute_force() {
+        // From one range up to one row a range. The verdict split must not
+        // depend on the split into ranges, and rows wider than the graph
+        // needs must not change a count.
         let graphs = [
             generate_regular(12, 3, 7).unwrap(),
             generate_regular(14, 3, 1).unwrap(),
         ];
-        let (mut mid_row, mut mid_tail) = (0, 0);
         for g in &graphs {
             let n = g.num_nodes();
+            assert_eq!(row_ranges(n, 2, 8), [(0, binomial(n as u64, 2))]);
             for k in 3..=5 {
                 let expected = failing_sets(g, k);
                 if n == 28 && k < 5 {
@@ -955,17 +1163,22 @@ mod tests {
                     // and `full_lane_groups_match_per_pattern_brute_force`.
                     assert_search_matches(g, k, &expected);
                 }
-                let every = binomial(n as u64, k as u64) as usize;
+                let every = binomial(n as u64, k as u64);
+                let rows = binomial(n as u64 - 2, k as u64 - 2) as usize;
                 let mut whole = None;
-                for chunks in [1, 64, if k == 3 { every } else { 1999 }] {
-                    for (start, _) in chunk_ranges(n, k, chunks) {
+                for chunks in [1, 64, every as usize] {
+                    // The ranges partition the level, each from a row's first
+                    // pattern; one a pattern leaves one a row.
+                    let ranges = row_ranges(n, k, chunks);
+                    let mut next = 0;
+                    for &(start, len) in &ranges {
+                        assert_eq!(start, next);
                         let c = unrank(n, k, start);
-                        if c[k - 1] != c[k - 2] + 1 {
-                            mid_tail += 1;
-                        } else if c[k - 2] != c[k - 3] + 1 {
-                            mid_row += 1;
-                        }
+                        assert_eq!([c[k - 2], c[k - 1]], [c[k - 3] + 1, c[k - 3] + 2]);
+                        next += len;
                     }
+                    assert_eq!(next, every);
+                    assert_eq!(ranges.len() == rows, chunks as u128 == every);
                     for cap in [0usize, 1, 7, usize::MAX] {
                         let what = format!("n = {n}, k = {k}, {chunks} ranges, cap {cap}");
                         let walked = walk_split::<1>(g, k, chunks, cap);
@@ -978,7 +1191,6 @@ mod tests {
                 }
             }
         }
-        assert!(mid_row > 100 && mid_tail > 100, "{mid_row} / {mid_tail}");
     }
 
     /// `n` nodes: `n / 2` data nodes, checks `{i, i + 1}` over them (a
@@ -1006,6 +1218,8 @@ mod tests {
         for n in [64, 65, 128, 129, 192] {
             let g = straddling(n);
             assert_eq!(g.num_nodes(), n);
+            // Only node 0 and its check fail as a pair.
+            assert_eq!(pair_floor::<4>(&g), brute_floor(&g), "n = {n}");
             let expected = failing_sets(&g, 3);
             assert!(!expected.is_empty(), "n = {n}");
             assert_search_matches(&g, 3, &expected);
@@ -1015,6 +1229,35 @@ mod tests {
             assert_eq!(wide.0, expected.len() as u64, "n = {n}");
             assert_eq!(wide.1, expected[..kept], "n = {n}");
         }
+        // 65 mirrored pairs: the floor, 64, is the first node of the second
+        // word, so rows below it are walked a `t` at a time and rows above
+        // it by the pair rule, both across the boundary.
+        let g = generate_mirror(65).unwrap();
+        assert_eq!(pair_floor::<4>(&g), 64);
+        let rows = pair_rows(&g, 3);
+        assert_eq!((rows.pair, rows.per_t), (64, 64));
+        assert_search_matches(&g, 3, &failing_sets(&g, 3));
+    }
+
+    #[test]
+    fn graph_1_pair_rule_matches_its_certificate() {
+        // The catalogue's graph 1 survives any four losses (its k = 5 and 6
+        // counts are re-derived under `--ignored` in tornado-core); brute
+        // force at k = 4 is 3.3 M decodes, so the certificate is the
+        // expectation. Every row takes the pair rule, and 1,335 of its `u`
+        // inside both certificates of a prefix have a `t` below them.
+        let xml = include_str!("../../core/assets/tornado_graph_1.graphml");
+        let g = tornado_graph::graphml::from_graphml(xml).unwrap();
+        assert_eq!(pair_floor::<2>(&g), 0);
+        let rows = PairRows {
+            pair: 4_371,
+            per_t: 0,
+            between: 1_335,
+            collisions: 1_605,
+            failing: 0,
+        };
+        assert_eq!(pair_rows(&g, 4), rows);
+        assert_search_matches(&g, 4, &[]);
     }
 
     #[test]
