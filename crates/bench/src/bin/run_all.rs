@@ -75,7 +75,7 @@ fn main() {
     };
     if args.list {
         for e in ALL {
-            println!("{:<18} {}", e.name, e.title);
+            println!("{}", e.list_line());
         }
         return;
     }

@@ -14,8 +14,8 @@ pub struct Effort {
     pub exhaustive_max_k: usize,
     /// Master seed for all randomised steps.
     pub seed: u64,
-    /// CI smoke: the engineering benches run their small shape and assert
-    /// their relaxed floors. Set by `run_all --quick` and [`Effort::smoke`].
+    /// CI smoke: the measurements that return data run their small shape.
+    /// Set by `run_all --quick` and [`Effort::smoke`].
     pub quick: bool,
 }
 

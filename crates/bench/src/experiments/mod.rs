@@ -1,13 +1,11 @@
 //! One module per experiment, and the registry [`ALL`] that `run_all`
 //! runs. Every `run` takes an [`Effort`] and returns the finished report
-//! (text suitable for EXPERIMENTS.md; the engineering benches add the
-//! measurement as data) after asserting its own floors.
+//! (text suitable for EXPERIMENTS.md; the last three, the engineering
+//! measurements, add it as data) after asserting its own floors.
 
 use crate::harness::Report;
 use crate::Effort;
 
-pub mod data_plane;
-pub mod decode_trial;
 pub mod degree_sweep;
 pub mod eq1;
 pub mod fed_profile;
@@ -15,9 +13,7 @@ pub mod fig3_table1;
 pub mod fig4_table2;
 pub mod fig5_table3;
 pub mod fig6_table4;
-pub mod load_test;
 pub mod plank_overhead;
-pub mod recovery;
 pub mod repair_bandwidth;
 pub mod retrieval;
 pub mod rs_comparison;
@@ -40,6 +36,13 @@ pub struct Experiment {
     pub run: fn(&Effort) -> Report,
 }
 
+impl Experiment {
+    /// Its line of `run_all --list`, which EXPERIMENTS.md quotes verbatim.
+    pub fn list_line(&self) -> String {
+        format!("{:<18} {}", self.name, self.title)
+    }
+}
+
 /// Every experiment, in paper order: §3–§5 artefacts, the ablations, then
 /// the engineering measurements.
 #[rustfmt::skip]
@@ -59,11 +62,7 @@ pub const ALL: &[Experiment] = &[
     Experiment { name: "size_sweep", title: "Size sweep (Plank regime)", run: |e| size_sweep::run(e).into() },
     Experiment { name: "fed_profile", title: "Federated failure profiles", run: |e| fed_profile::run(e).into() },
     Experiment { name: "rs_comparison", title: "Tornado vs Reed-Solomon time (§2.1)", run: rs_comparison::run },
-    Experiment { name: "decode_trial", title: "Decode-trial kernel A/B", run: decode_trial::run },
-    Experiment { name: "data_plane", title: "Data-plane kernels + checksum-gated scrub", run: data_plane::run },
     Experiment { name: "repair_bandwidth", title: "Repair-bandwidth bake-off", run: repair_bandwidth::run },
-    Experiment { name: "recovery", title: "Cold-start recovery", run: recovery::run },
-    Experiment { name: "load_test", title: "Serving-layer load test", run: load_test::run },
     Experiment { name: "server_scale", title: "Event-loop connection scaling", run: server_scale::run },
 ];
 
@@ -73,9 +72,9 @@ mod tests {
     use crate::harness::{bench_file, envelope, SCHEMA};
     use tornado_obs::json;
 
-    /// The two experiments that boot servers and drive them for seconds;
-    /// CI's `run_all --quick` covers them. Both return data.
-    const BOOTS_SERVERS: [&str; 2] = ["load_test", "server_scale"];
+    /// The experiment that boots servers and drives them for seconds;
+    /// CI's `run_all --quick` covers it. It returns data.
+    const BOOTS_SERVERS: [&str; 1] = ["server_scale"];
 
     #[test]
     fn names_are_unique() {
@@ -117,6 +116,24 @@ mod tests {
                 s.spawn(move || smoke.skip(lane).step_by(2).for_each(check));
             }
         });
+    }
+
+    /// EXPERIMENTS.md's *Experiment index* quotes `run_all --list`: the
+    /// fenced block between its markers is the registry's listing.
+    #[test]
+    fn the_index_in_experiments_md_is_the_registrys_listing() {
+        const BEGIN: &str = "<!-- run-all-list:begin -->\n";
+        const END: &str = "<!-- run-all-list:end -->";
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md at the repository root");
+        let start = doc.find(BEGIN).expect("begin marker") + BEGIN.len();
+        let end = doc.find(END).expect("end marker");
+        let lines: String = ALL.iter().map(|e| e.list_line() + "\n").collect();
+        let rendered = format!("```\n{lines}```\n");
+        assert!(
+            doc[start..end] == rendered,
+            "EXPERIMENTS.md's experiment index is stale; paste this between the markers:\n{rendered}"
+        );
     }
 
     /// Every `BENCH_*.json` in the repository root is an enveloped release

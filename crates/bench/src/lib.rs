@@ -1,6 +1,6 @@
 //! Experiment harness: regenerates every table and figure of the paper,
-//! and every engineering measurement EXPERIMENTS.md quotes, from one
-//! binary.
+//! its ablations, and the three measurements committed as
+//! `BENCH_<name>.json`, from one binary.
 //!
 //! Each experiment is a module of [`experiments`] with one entry point,
 //! `run(&Effort) -> Report`, which measures, renders its table and asserts
@@ -8,11 +8,11 @@
 //! binary, `run_all [NAME]... [--list] [--quick] [--write]`, runs the named
 //! ones (all of them when none is named) and prints each report on stdout;
 //! status and the timing table go to stderr. `--list` prints the registry.
-//! `--quick` is CI's smoke: the engineering benches run their small shape
-//! and assert their relaxed floors. `--write` wraps each experiment's data
-//! in the `tornado-bench-v1` envelope ([`harness::envelope`]) and writes it
-//! to `BENCH_<name>.json` at the repository root (release builds at full
-//! effort only).
+//! `--quick` is CI's smoke: the measurements run their small shape (the
+//! connection sweep stops near 1,000 and asserts that). `--write` wraps
+//! each experiment's data in the `tornado-bench-v1` envelope
+//! ([`harness::envelope`]) and writes it to `BENCH_<name>.json` at the
+//! repository root (release builds at full effort only).
 //!
 //! Fidelity comes from the environment so CI stays fast while
 //! full-fidelity runs remain one variable away: `TORNADO_TRIALS`

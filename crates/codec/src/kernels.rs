@@ -39,8 +39,7 @@
 //!   an oracle. Nothing in the data plane runs them: the parity suites
 //!   (`tests/data_plane_parity.rs`, `tests/kernel_parity.rs`,
 //!   `tests/fused_encode_kernel.rs`) assert `word == scalar::…` on the same
-//!   input, and the `data_plane` experiment times them as the baseline of
-//!   its two kernel rows. Every kernel above has one body.
+//!   input, and only tests call them. Every kernel above has one body.
 //!
 //! Volume counters: every call bumps the process-wide
 //! `kernel.bytes_xored` / `kernel.bytes_muled` totals (sharded relaxed
@@ -510,14 +509,13 @@ pub fn mul_acc(field: &Gf256, dst: &mut [u8], src: &[u8], c: u8) {
 }
 
 /// Byte-serial reference kernels: the loops the data plane ran before the
-/// word-wide rewrite, kept bit-for-bit as the parity oracle and the
-/// benchmark baseline. Called only by tests and the `data_plane`
-/// experiment, always directly.
+/// word-wide rewrite, kept bit-for-bit as the parity oracle. Called only
+/// by tests, always directly.
 ///
 /// The loop index is threaded through [`std::hint::black_box`] so the
-/// optimiser can neither vectorise nor unroll these — they measure (and
-/// model) genuine one-byte-at-a-time execution, which is the cost model
-/// the word-wide kernels are benchmarked against.
+/// optimiser can neither vectorise nor unroll these — they model genuine
+/// one-byte-at-a-time execution, sharing no code path with the word-wide
+/// kernels they check.
 pub mod scalar {
     use crate::gf256::Gf256;
     use std::hint::black_box;

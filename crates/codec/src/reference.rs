@@ -2,16 +2,12 @@
 //!
 //! This is the original O(n + checks)-reset decoder: per-trial it refills
 //! the full availability and missing-count arrays and scans *every* check
-//! to seed the worklist. It is retained verbatim for two reasons:
-//!
-//! * **Parity oracle** — the property suite in `tests/kernel_parity.rs`
-//!   asserts the bit-row kernel ([`crate::ErasureDecoder`]) reaches
-//!   exactly the same fixpoint (success flag, lost sets) on random graphs
-//!   × random erasure patterns. A counter per check and a bit row per
-//!   check share no code, which is what makes the comparison worth having.
-//! * **Benchmark baseline** — the `decode_trial` experiment (`run_all
-//!   decode_trial`, committed as `BENCH_decode_trial.json`) reports
-//!   row-vs-dense throughput and asserts its floor.
+//! to seed the worklist. It is retained verbatim as the **parity oracle**:
+//! the property suite in `tests/kernel_parity.rs` asserts the bit-row
+//! kernel ([`crate::ErasureDecoder`]) reaches exactly the same fixpoint
+//! (success flag, lost sets) on random graphs × random erasure patterns.
+//! A counter per check and a bit row per check share no code, which is
+//! what makes the comparison worth having. Only tests call it.
 //!
 //! Do not optimise this module; its value is being the simple, obviously
 //! correct formulation of the peeling fixpoint.

@@ -80,7 +80,7 @@ impl Json {
     }
 
     /// Pretty-prints with two-space indentation and a trailing newline
-    /// (the `BENCH_decode_trial.json` house style).
+    /// (the `BENCH_<name>.json` house style).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

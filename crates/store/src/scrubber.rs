@@ -709,6 +709,9 @@ mod tests {
         let relaxed = scrub(&store, 3, false);
         assert_eq!(relaxed.degraded_count(), 2);
         assert_eq!(relaxed.urgent_count(), 0);
+        // The full-read pass reports every stripe degraded too.
+        let full = Scrubber::new(1).run(&store, 3, false, ScrubMode::Full);
+        assert_eq!(full.degraded_count(), 2);
         // Level 2: margin 1 — urgent.
         let tight = scrub(&store, 2, false);
         assert_eq!(tight.urgent_count(), 2);
