@@ -191,7 +191,7 @@ fn failures(graph: &Graph, base: &[usize], j: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::reliability::system_failure_probability;
-    use tornado_codec::reference::DenseDecoder;
+    use tornado_codec::ErasureDecoder;
     use tornado_gen::mirror::generate_mirror;
     use tornado_gen::regular::generate_regular;
     use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
@@ -286,11 +286,13 @@ mod tests {
     }
 
     /// Independent oracle: test every subset of the remaining nodes up to
-    /// `cap` by bitmask enumeration through the dense reference decoder
-    /// (no shared combination walker, no shared kernel).
+    /// `cap` by bitmask enumeration through the bit-row decoder, one pattern
+    /// at a time (no shared combination walker, and not the lane kernel
+    /// `risk_margin` runs; codec's parity suite holds the two kernels equal
+    /// to each other and to the dense reference decoder).
     fn brute_force_margin(g: &Graph, missing: &[usize], cap: usize) -> usize {
         let n = g.num_nodes();
-        let mut dec = DenseDecoder::new(g);
+        let mut dec = ErasureDecoder::new(g);
         if !dec.decode(missing) {
             return 0;
         }

@@ -38,22 +38,6 @@ pub fn system_failure_probability(profile: &FailureProfile, afr: f64) -> f64 {
     compose_failure_probability(n, afr, &profile.conditional_vec())
 }
 
-/// Builds a report row from a profile.
-pub fn row_from_profile(
-    system: &str,
-    data_devices: usize,
-    parity_devices: usize,
-    profile: &FailureProfile,
-    afr: f64,
-) -> ReliabilityRow {
-    ReliabilityRow {
-        system: system.to_string(),
-        data_devices,
-        parity_devices,
-        p_fail: system_failure_probability(profile, afr),
-    }
-}
-
 /// `P(fail)` for a striped system of `n` devices: any device failure loses
 /// data. Closed form `1 − (1−p)ⁿ`; Table 5 reports 0.61895 for `n = 96`,
 /// `p = 0.01`.

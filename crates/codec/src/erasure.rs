@@ -48,9 +48,9 @@
 //! order the schedule has always had (which fixes what a repair reads),
 //! with the same on-demand test.
 //!
-//! The counter-per-check formulation is retained as
-//! [`crate::reference::DenseDecoder`] and serves as the parity oracle for
-//! the property suite.
+//! The counter-per-check formulation is retained as `DenseDecoder` in the
+//! crate's test code (`tests/oracle/mod.rs`), the parity oracle of the
+//! property suite.
 
 use crate::metrics::{cells, DecodeRecorder};
 use tornado_bitset::rows::{self, Word};

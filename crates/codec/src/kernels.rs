@@ -35,11 +35,10 @@
 //!   check's neighbours built strip by strip in a buffer nobody zeroed, and
 //!   the same digest taken of each strip as it lands, so encoding writes a
 //!   check block once and a PUT never streams its stripe a second time.
-//! * [`scalar`] — the byte-serial loops these replaced, kept verbatim as
-//!   an oracle. Nothing in the data plane runs them: the parity suites
-//!   (`tests/data_plane_parity.rs`, `tests/kernel_parity.rs`,
-//!   `tests/fused_encode_kernel.rs`) assert `word == scalar::…` on the same
-//!   input, and only tests call them. Every kernel above has one body.
+//!
+//! Every kernel above has one body. The byte-serial loops these replaced
+//! are test code (`tests/oracle/mod.rs`): the parity suites assert
+//! `word == scalar::…` on the same input.
 //!
 //! Volume counters: every call bumps the process-wide
 //! `kernel.bytes_xored` / `kernel.bytes_muled` totals (sharded relaxed
@@ -134,8 +133,8 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 /// requested as each goes in (never past the end of `data`), and the line
 /// of `next` at the same offset requested into L2, then the partial group.
 /// `next` never changes the digest or the count: the byte-serial
-/// [`scalar::checksum`] oracle computes the *same* function (pinned by the
-/// parity suite).
+/// `scalar::checksum` oracle of the parity suites computes the *same*
+/// function.
 pub fn checksum(data: &[u8], next: Ahead) -> u64 {
     METRICS.bytes_hashed.add(data.len() as u64);
     let mut lanes = lane_init();
@@ -214,8 +213,7 @@ fn lane_step(l: u64, w: u64) -> u64 {
 }
 
 /// Folds the eight lane states and the input length into one digest via a
-/// final FNV-1a chain (shared with the [`scalar::checksum`] oracle; O(1),
-/// so it adds nothing to the per-byte cost either side is measuring). The
+/// final FNV-1a chain (O(1), so it adds nothing to the per-byte cost). The
 /// `h ^= h >> 32` mix after each step is an invertible xorshift, so a
 /// change in any single lane always survives into the digest.
 fn fold_lanes(lanes: [u64; 8], len: usize) -> u64 {
@@ -508,75 +506,6 @@ pub fn mul_acc(field: &Gf256, dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// Byte-serial reference kernels: the loops the data plane ran before the
-/// word-wide rewrite, kept bit-for-bit as the parity oracle. Called only
-/// by tests, always directly.
-///
-/// The loop index is threaded through [`std::hint::black_box`] so the
-/// optimiser can neither vectorise nor unroll these — they model genuine
-/// one-byte-at-a-time execution, sharing no code path with the word-wide
-/// kernels they check.
-pub mod scalar {
-    use crate::gf256::Gf256;
-    use std::hint::black_box;
-
-    /// Byte-serial `dst ^= src`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "xor_into requires equal lengths");
-        let mut i = 0usize;
-        while i < dst.len() {
-            dst[i] ^= src[i];
-            i += black_box(1);
-        }
-    }
-
-    /// Byte-serial `dst ^= c · src` through the log/antilog tables — the
-    /// original `Gf256::mul_acc` inner loop.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ, or if `c == 0` (callers peel the
-    /// trivial coefficients before dispatch).
-    pub fn mul_acc(field: &Gf256, dst: &mut [u8], src: &[u8], c: u8) {
-        assert_eq!(dst.len(), src.len(), "mul_acc requires equal lengths");
-        assert_ne!(c, 0, "c == 0 is peeled off before dispatch");
-        let mut i = 0usize;
-        while i < dst.len() {
-            dst[i] ^= field.mul(c, src[i]);
-            i += black_box(1);
-        }
-    }
-
-    /// Byte-serial 8-lane word-striped FNV-1a — the same function as
-    /// [`super::checksum`], assembling each little-endian word one byte
-    /// per step and stepping the owning lane at every word boundary. This
-    /// is both the parity oracle and the byte-serial baseline standing in
-    /// for the pre-kernel `block_checksum` loop: the `black_box`-pinned
-    /// per-byte trip keeps it retiring ~1 byte per iteration, the cost
-    /// profile a single serial FNV chain also has.
-    pub fn checksum(data: &[u8]) -> u64 {
-        let mut lanes = super::lane_init();
-        let mut word = 0u64;
-        let mut i = 0usize;
-        while i < data.len() {
-            word |= (data[i] as u64) << ((i % 8) * 8);
-            if i % 8 == 7 {
-                let j = (i / 8) % 8;
-                lanes[j] = super::lane_step(lanes[j], word);
-                word = 0;
-            }
-            i += black_box(1);
-        }
-        if !data.len().is_multiple_of(8) {
-            let j = (data.len() / 8) % 8;
-            lanes[j] = super::lane_step(lanes[j], word);
-        }
-        super::fold_lanes(lanes, data.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,20 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_matches_scalar_across_lengths_and_offsets() {
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257] {
-            for offset in 0..4usize {
-                let src_full = pattern(len + offset, 3);
-                let mut word = pattern(len + offset, 7);
-                let mut byte = word.clone();
-                xor_into(&mut word[offset..], &src_full[offset..]);
-                scalar::xor_into(&mut byte[offset..], &src_full[offset..]);
-                assert_eq!(word, byte, "len {len} offset {offset}");
-            }
-        }
-    }
-
-    #[test]
     fn mul_table_agrees_with_field_multiply() {
         let f = Gf256::new();
         for c in 0..=255u8 {
@@ -609,21 +524,6 @@ mod tests {
             assert_eq!(t.coefficient(), c);
             for b in 0..=255u8 {
                 assert_eq!(t.mul(b), f.mul(c, b), "{c} * {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_acc_matches_scalar_across_lengths() {
-        let f = Gf256::new();
-        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 256, 257] {
-            for c in [2u8, 3, 29, 0x53, 255] {
-                let src = pattern(len, 5);
-                let mut word = pattern(len, 9);
-                let mut byte = word.clone();
-                mul_acc(&f, &mut word, &src, c);
-                scalar::mul_acc(&f, &mut byte, &src, c);
-                assert_eq!(word, byte, "len {len} c {c}");
             }
         }
     }
@@ -655,20 +555,6 @@ mod tests {
         assert!(metrics().bytes_xored.get() >= before_xor + 64);
         assert!(metrics().bytes_muled.get() >= before_mul + 64);
         assert!(metrics().bytes_hashed.get() >= before_hash + 64);
-    }
-
-    #[test]
-    fn checksum_matches_scalar_across_lengths_and_offsets() {
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257] {
-            for offset in 0..4usize {
-                let data = pattern(len + offset, 17);
-                assert_eq!(
-                    checksum(&data[offset..], Ahead::NONE),
-                    scalar::checksum(&data[offset..]),
-                    "len {len} offset {offset}"
-                );
-            }
-        }
     }
 
     #[test]

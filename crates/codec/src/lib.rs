@@ -27,14 +27,14 @@
 //! * [`Codec`] — the real data path: byte blocks in, byte blocks out, used
 //!   by the archival store.
 //!
-//! The counter-per-check kernel survives as [`reference::DenseDecoder`] — the
-//! parity oracle for the property suite and the benchmark baseline.
-//!
 //! The byte arithmetic both entry points execute lives in [`kernels`]
-//! (word-wide XOR and nibble-table GF(256) multiply-accumulate, with the
-//! byte-serial loops kept as a `scalar` parity oracle), and block-sized
-//! buffers are recycled through [`pool::BlockPool`] arenas instead of being
-//! allocated per node.
+//! (word-wide XOR and nibble-table GF(256) multiply-accumulate), and
+//! block-sized buffers are recycled through [`pool::BlockPool`] arenas
+//! instead of being allocated per node.
+//!
+//! The parity suites hold the decoders and the kernels to oracles that are
+//! test code (`tests/oracle/mod.rs`): `DenseDecoder`, the counter-per-check
+//! kernel, and the byte-serial `scalar` loops.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +48,6 @@ pub mod lanes;
 pub mod metrics;
 pub mod pool;
 pub mod reed_solomon;
-pub mod reference;
 
 pub use block::{Codec, DecodeReport, EncodedStripe};
 pub use erasure::{

@@ -103,16 +103,6 @@ impl ReedSolomon {
         }
     }
 
-    /// Number of data blocks.
-    pub fn data_blocks(&self) -> usize {
-        self.k
-    }
-
-    /// Total stored blocks.
-    pub fn total_blocks(&self) -> usize {
-        self.n
-    }
-
     /// Encodes `k` equal-length data blocks into `n` stored blocks (data
     /// first — the code is systematic).
     pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, CodecError> {

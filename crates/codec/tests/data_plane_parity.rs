@@ -12,6 +12,10 @@
 //! 1 MiB object's 21,846, exactly the encoded block *and* the XOR of its
 //! equation as `scalar::xor_into` computes it.
 
+#[allow(dead_code)]
+mod oracle;
+
+use oracle::scalar;
 use proptest::prelude::*;
 use tornado_codec::gf256::Gf256;
 use tornado_codec::{kernels, Codec, ErasureDecoder, RecoveryStep};
@@ -43,7 +47,7 @@ proptest! {
         let mut word = bytes(len + offset, seed ^ 0x9E37_79B9);
         let mut byte = word.clone();
         kernels::xor_into(&mut word[offset..], &src[offset..]);
-        kernels::scalar::xor_into(&mut byte[offset..], &src[offset..]);
+        scalar::xor_into(&mut byte[offset..], &src[offset..]);
         prop_assert_eq!(word, byte);
     }
 
@@ -60,7 +64,7 @@ proptest! {
         let mut byte = word.clone();
         kernels::mul_acc(&f, &mut word[offset..], &src[offset..], c);
         if c != 0 {
-            kernels::scalar::mul_acc(&f, &mut byte[offset..], &src[offset..], c);
+            scalar::mul_acc(&f, &mut byte[offset..], &src[offset..], c);
         }
         prop_assert_eq!(word, byte, "c = {}", c);
     }
@@ -80,7 +84,7 @@ proptest! {
         let buf = bytes(len + offset, seed);
         prop_assert_eq!(
             tornado_codec::checksum(&buf[offset..]),
-            kernels::scalar::checksum(&buf[offset..]),
+            scalar::checksum(&buf[offset..]),
         );
     }
 
@@ -111,6 +115,55 @@ proptest! {
     }
 }
 
+fn pattern(len: usize, salt: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt))
+        .collect()
+}
+
+#[test]
+fn xor_matches_scalar_across_lengths_and_offsets() {
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257] {
+        for offset in 0..4usize {
+            let src_full = pattern(len + offset, 3);
+            let mut word = pattern(len + offset, 7);
+            let mut byte = word.clone();
+            kernels::xor_into(&mut word[offset..], &src_full[offset..]);
+            scalar::xor_into(&mut byte[offset..], &src_full[offset..]);
+            assert_eq!(word, byte, "len {len} offset {offset}");
+        }
+    }
+}
+
+#[test]
+fn mul_acc_matches_scalar_across_lengths() {
+    let f = Gf256::new();
+    for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 256, 257] {
+        for c in [2u8, 3, 29, 0x53, 255] {
+            let src = pattern(len, 5);
+            let mut word = pattern(len, 9);
+            let mut byte = word.clone();
+            kernels::mul_acc(&f, &mut word, &src, c);
+            scalar::mul_acc(&f, &mut byte, &src, c);
+            assert_eq!(word, byte, "len {len} c {c}");
+        }
+    }
+}
+
+#[test]
+fn checksum_matches_scalar_across_lengths_and_offsets() {
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257] {
+        for offset in 0..4usize {
+            let data = pattern(len + offset, 17);
+            assert_eq!(
+                kernels::checksum(&data[offset..], kernels::Ahead::NONE),
+                scalar::checksum(&data[offset..]),
+                "len {len} offset {offset}"
+            );
+        }
+    }
+}
+
 /// The stripe with its first `d` blocks laid end to end — an erased one's
 /// slot holding whatever — and the others apart, the erased ones absent.
 /// At `d = k` this is what a GET holds after its data pass.
@@ -138,7 +191,7 @@ fn equation_by_oracle(graph: &Graph, blocks: &[Vec<u8>], step: &RecoveryStep) ->
         .iter()
         .filter(|&&nbr| nbr != node)
     {
-        kernels::scalar::xor_into(&mut acc, &blocks[nbr as usize]);
+        scalar::xor_into(&mut acc, &blocks[nbr as usize]);
     }
     acc
 }

@@ -5,7 +5,11 @@
 //! One test, so one process: the counters are process-wide, and exact
 //! deltas need nothing else running kernels meanwhile.
 
-use tornado_codec::kernels::{self, scalar};
+#[allow(dead_code)]
+mod oracle;
+
+use oracle::scalar;
+use tornado_codec::kernels;
 
 fn pattern(len: usize, salt: usize) -> Vec<u8> {
     (0..len)

@@ -2,7 +2,7 @@
 //!
 //! The bit-row decoder (`ErasureDecoder`) must reach exactly the same
 //! peeling fixpoint as the retained counter-per-check formulation
-//! (`reference::DenseDecoder`) on every graph × erasure pattern: same
+//! (`oracle::DenseDecoder`) on every graph × erasure pattern: same
 //! success verdict, same lost-node sets, and a *valid* recovery schedule
 //! (schedules may order independent steps differently, so they are checked
 //! by replay, not by equality). Rows are ⌈n/64⌉ words, so one property
@@ -19,10 +19,13 @@
 //! digest itself is pinned to a golden value — it is what the sidecars of
 //! every store already on disk hold.
 
+#[allow(dead_code)]
+mod oracle;
+
+use oracle::{scalar, DenseDecoder};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tornado_codec::kernels::{self, append_checksummed, scalar, Ahead};
-use tornado_codec::reference::DenseDecoder;
+use tornado_codec::kernels::{self, append_checksummed, Ahead};
 use tornado_codec::{DecodeDetail, ErasureDecoder, LaneDecoder, RecoveryStep};
 use tornado_gen::cascaded::generate_fixed_degree;
 use tornado_gen::mirror::generate_mirror;
@@ -342,6 +345,26 @@ fn checksum_of_a_fixed_buffer_is_pinned() {
         append_checksummed(&mut Vec::new(), &buf, Ahead::NONE),
         GOLDEN
     );
+}
+
+#[test]
+fn dense_kernel_still_decodes() {
+    // data 0..4; checks: 4 = 0^1, 5 = 2^3, 6 = 4^5.
+    let mut b = GraphBuilder::new(4);
+    b.begin_level("c1");
+    b.add_check(&[0, 1]);
+    b.add_check(&[2, 3]);
+    b.begin_level("c2");
+    b.add_check(&[4, 5]);
+    let g = b.build().unwrap();
+    let mut d = DenseDecoder::new(&g);
+    assert!(d.decode(&[0]));
+    assert!(d.decode(&[0, 4]));
+    assert!(!d.decode(&[0, 1]));
+    assert!(d.decode(&[4, 5, 6]));
+    let detail = d.decode_detailed(&[0, 1]);
+    assert!(!detail.success);
+    assert_eq!(detail.lost_data, vec![0, 1]);
 }
 
 proptest! {

@@ -11,7 +11,11 @@
 //! One test, so one process: `kernel.bytes_hashed` is process-wide, and
 //! exact deltas need nothing else hashing meanwhile.
 
-use tornado_codec::kernels::{self, append_checksummed, checksum, scalar, Ahead};
+#[allow(dead_code)]
+mod oracle;
+
+use oracle::scalar;
+use tornado_codec::kernels::{self, append_checksummed, checksum, Ahead};
 
 fn hashed() -> u64 {
     kernels::metrics().bytes_hashed.get()

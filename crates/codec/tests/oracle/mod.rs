@@ -1,26 +1,29 @@
-//! The dense reference peeling kernel.
+//! The test oracles the parity suites hold the data plane and the
+//! decoders to. Nothing outside the tests runs them.
 //!
-//! This is the original O(n + checks)-reset decoder: per-trial it refills
-//! the full availability and missing-count arrays and scans *every* check
-//! to seed the worklist. It is retained verbatim as the **parity oracle**:
-//! the property suite in `tests/kernel_parity.rs` asserts the bit-row
-//! kernel ([`crate::ErasureDecoder`]) reaches exactly the same fixpoint
-//! (success flag, lost sets) on random graphs × random erasure patterns.
-//! A counter per check and a bit row per check share no code, which is
-//! what makes the comparison worth having. Only tests call it.
+//! * [`DenseDecoder`] — the original O(n + checks)-reset peeling decoder:
+//!   per trial it refills the full availability and missing-count arrays
+//!   and scans *every* check to seed the worklist. `tests/kernel_parity.rs`
+//!   asserts the bit-row kernel (`ErasureDecoder`) and the lane kernel
+//!   (`LaneDecoder`) reach exactly its fixpoint (success flag, lost sets)
+//!   on random graphs × random erasure patterns. A counter per check and a
+//!   bit row per check share no code, which is what makes the comparison
+//!   worth having.
+//! * [`scalar`] — the byte-serial loops the word-wide kernels replaced.
+//!   The parity suites assert `word == scalar::…` on the same input.
 //!
-//! Do not optimise this module; its value is being the simple, obviously
-//! correct formulation of the peeling fixpoint.
+//! Do not optimise these; their value is being the simple, obviously
+//! correct formulations.
 
-use crate::erasure::{DecodeDetail, RecoveryStep};
+use tornado_codec::{DecodeDetail, RecoveryStep};
 use tornado_graph::{Graph, NodeId};
 
 /// Reference peeling decoder with dense per-trial reset.
 ///
-/// Semantically identical to [`crate::ErasureDecoder`]; kept as the simple
-/// formulation (see module docs). The recovery schedules of the two kernels
-/// may order independent steps differently — both are valid schedules and
-/// both reach the same fixpoint.
+/// Semantically identical to `ErasureDecoder`; kept as the simple
+/// formulation (see the module docs). The recovery schedules of the two
+/// kernels may order independent steps differently — both are valid
+/// schedules and both reach the same fixpoint.
 pub struct DenseDecoder<'g> {
     graph: &'g Graph,
     /// Availability per node.
@@ -43,11 +46,6 @@ impl<'g> DenseDecoder<'g> {
             stack: Vec::with_capacity(graph.num_checks()),
             missing_data: 0,
         }
-    }
-
-    /// The graph this decoder runs over.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
     }
 
     fn reset(&mut self, missing: &[usize]) {
@@ -177,28 +175,65 @@ impl<'g> DenseDecoder<'g> {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tornado_graph::GraphBuilder;
+/// Byte-serial reference kernels: the loops the data plane ran before the
+/// word-wide rewrite, sharing no code path with the kernels they check.
+pub mod scalar {
+    use tornado_codec::gf256::Gf256;
 
-    #[test]
-    fn dense_kernel_still_decodes() {
-        // data 0..4; checks: 4 = 0^1, 5 = 2^3, 6 = 4^5.
-        let mut b = GraphBuilder::new(4);
-        b.begin_level("c1");
-        b.add_check(&[0, 1]);
-        b.add_check(&[2, 3]);
-        b.begin_level("c2");
-        b.add_check(&[4, 5]);
-        let g = b.build().unwrap();
-        let mut d = DenseDecoder::new(&g);
-        assert!(d.decode(&[0]));
-        assert!(d.decode(&[0, 4]));
-        assert!(!d.decode(&[0, 1]));
-        assert!(d.decode(&[4, 5, 6]));
-        let detail = d.decode_detailed(&[0, 1]);
-        assert!(!detail.success);
-        assert_eq!(detail.lost_data, vec![0, 1]);
+    /// Byte-serial `dst ^= src`.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn xor_into(dst: &mut [u8], src: &[u8]) {
+        assert_eq!(dst.len(), src.len(), "xor_into requires equal lengths");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= s;
+        }
+    }
+
+    /// Byte-serial `dst ^= c · src` through the log/antilog tables — the
+    /// original `Gf256::mul_acc` inner loop.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ, or if `c == 0` (callers peel the
+    /// trivial coefficients before dispatch).
+    pub fn mul_acc(field: &Gf256, dst: &mut [u8], src: &[u8], c: u8) {
+        assert_eq!(dst.len(), src.len(), "mul_acc requires equal lengths");
+        assert_ne!(c, 0, "c == 0 is peeled off before dispatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d ^= field.mul(c, s);
+        }
+    }
+
+    /// Byte-serial 8-lane word-striped FNV-1a — the same function as
+    /// `kernels::checksum`, assembling each little-endian word one byte per
+    /// step and stepping the owning lane at every word boundary. The lane
+    /// seeds, the step and the final fold are written out here rather than
+    /// shared with the kernel; `kernel_parity.rs`'s GOLDEN digest pins them.
+    pub fn checksum(data: &[u8]) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x1000_0000_01b3;
+        let step = |l: u64, w: u64| (l ^ w).wrapping_mul(FNV_PRIME);
+        let mut lanes: [u64; 8] =
+            std::array::from_fn(|j| FNV_OFFSET ^ (j as u64).wrapping_mul(FNV_PRIME));
+        let mut word = 0u64;
+        for (i, &b) in data.iter().enumerate() {
+            word |= (b as u64) << ((i % 8) * 8);
+            if i % 8 == 7 {
+                let j = (i / 8) % 8;
+                lanes[j] = step(lanes[j], word);
+                word = 0;
+            }
+        }
+        if !data.len().is_multiple_of(8) {
+            let j = (data.len() / 8) % 8;
+            lanes[j] = step(lanes[j], word);
+        }
+        let mut h = FNV_OFFSET ^ data.len() as u64;
+        for l in lanes {
+            h = (h ^ l).wrapping_mul(FNV_PRIME);
+            h ^= h >> 32;
+        }
+        h
     }
 }

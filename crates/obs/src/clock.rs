@@ -2,7 +2,6 @@
 //! event timestamps) is testable with a mock.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Monotonic nanosecond source.
@@ -64,11 +63,6 @@ impl Clock for ManualClock {
     fn now_nanos(&self) -> u64 {
         self.nanos.load(Relaxed)
     }
-}
-
-/// The default shared clock.
-pub fn monotonic() -> Arc<dyn Clock> {
-    Arc::new(MonotonicClock::new())
 }
 
 #[cfg(test)]

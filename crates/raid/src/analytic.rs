@@ -62,16 +62,6 @@ impl GroupSystem {
         self.layout.groups() * self.tolerance
     }
 
-    /// Number of `k`-loss placements the system survives.
-    pub fn surviving_placements(&self, k: usize) -> u128 {
-        allowed_placements(
-            self.layout.groups(),
-            self.layout.group_size(),
-            self.tolerance,
-            k,
-        )
-    }
-
     /// `P(fail | k devices offline)` — exact.
     pub fn failure_probability(&self, k: usize) -> f64 {
         group_failure_probability(

@@ -14,15 +14,16 @@
 //! RAID5/6 failure probabilities given `k` offline devices have exact
 //! closed forms by counting the placements that keep every group within
 //! its parity budget — a product of per-group polynomials evaluated by
-//! integer convolution ([`analytic`]). [`simulate`] provides an
-//! independent randomized cross-check of the same quantities.
+//! integer convolution ([`analytic`]). The unit tests of the test-only
+//! `simulate` module cross-check the same quantities by random sampling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytic;
 pub mod layout;
-pub mod simulate;
+#[cfg(test)]
+mod simulate;
 
 pub use analytic::{group_failure_probability, GroupSystem};
 pub use layout::GroupLayout;

@@ -17,8 +17,8 @@
 //!   per-request deadlines, and serving GETs through the store's guided
 //!   retrieval path (checksum failures and offline devices degrade into
 //!   erasures that the Tornado decoder reconstructs transparently);
-//! * [`reactor`] — the readiness poller (epoll on Linux, `poll(2)` on
-//!   other unix) under the acceptor, the shards and the mux load driver;
+//! * [`reactor`] — the epoll readiness poller under the acceptor, the
+//!   shards and the mux load driver;
 //! * [`shard`] — the event-loop connection shards: incremental frame
 //!   reassembly, pipelined dispatch to the engine, batched writes;
 //! * [`server`] — the acceptor that hands connections to the shards, and
@@ -40,15 +40,15 @@
 //!   validated `tornado-health-v1` document.
 
 // `deny` rather than `forbid`: the readiness reactor is the one sanctioned
-// exception (raw epoll/poll FFI behind `#[allow(unsafe_code)]` with
-// documented invariants); everything else stays safe Rust.
+// exception (raw epoll FFI behind `#[allow(unsafe_code)]` with documented
+// invariants); everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-// The one serving path is built on a readiness poller (epoll / poll(2))
-// and no other platform has ever been built or tested.
-#[cfg(not(unix))]
-compile_error!("tornado-server serves connections through a unix readiness poller (epoll/poll)");
+// The one serving path is built on epoll; no other platform has ever been
+// built or tested.
+#[cfg(not(target_os = "linux"))]
+compile_error!("tornado-server serves connections through Linux's epoll");
 
 pub mod catalogue;
 pub mod client;

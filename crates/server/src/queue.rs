@@ -99,11 +99,6 @@ impl<T> BoundedQueue<T> {
         self.state.lock().unwrap().closed = true;
         self.not_empty.notify_all();
     }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
 }
 
 #[cfg(test)]

@@ -7,16 +7,11 @@
 //! runtime every Rust binary already links, honouring the workspace's
 //! zero-dependency rule).
 //!
-//! Two backends behind one [`Poller`] API:
-//!
-//! * **Linux**: `epoll_create1` / `epoll_ctl` / `epoll_wait`,
-//!   level-triggered. Level-triggering keeps the shard logic simple — a
-//!   socket with unread bytes or unflushed output stays ready, so a loop
-//!   iteration may do bounded work per event and rely on the next wait to
-//!   re-report whatever it left behind.
-//! * **Other Unix**: a portable `poll(2)` emulation over the same
-//!   registration book-keeping (rebuilds the pollfd array per wait; fine
-//!   for the fallback's ambitions).
+//! One backend behind the [`Poller`] API: Linux's `epoll_create1` /
+//! `epoll_ctl` / `epoll_wait`, level-triggered. Level-triggering keeps the
+//! shard logic simple — a socket with unread bytes or unflushed output
+//! stays ready, so a loop iteration may do bounded work per event and rely
+//! on the next wait to re-report whatever it left behind.
 //!
 //! Safety invariants, enforced by the wrapper types rather than callers:
 //!
@@ -204,7 +199,6 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
     }
 }
 
-#[cfg(target_os = "linux")]
 mod sys {
     //! Linux backend: level-triggered epoll via raw FFI.
 
@@ -342,138 +336,6 @@ mod sys {
             m |= EPOLLOUT;
         }
         m
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    //! Portable Unix backend: `poll(2)` over explicit registration
-    //! book-keeping. O(n) per wait — the fallback favours portability.
-
-    use super::{Event, Interest};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
-
-    // RLIMIT_NOFILE is 8 on the BSD family (macOS included).
-    pub const RLIMIT_NOFILE: i32 = 8;
-
-    #[repr(C)]
-    pub struct RLimit {
-        pub cur: u64,
-        pub max: u64,
-    }
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        pub fn signal(signum: i32, handler: usize) -> usize;
-        pub fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        pub fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    }
-
-    pub struct Selector {
-        registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Selector {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                registered: Mutex::new(HashMap::new()),
-            })
-        }
-
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registered.lock().unwrap();
-            if reg.insert(fd, (token, interest)).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd registered twice",
-                ));
-            }
-            Ok(())
-        }
-
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut reg = self.registered.lock().unwrap();
-            match reg.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            match self.registered.lock().unwrap().remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            let mut fds: Vec<(PollFd, u64)> = self
-                .registered
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(&fd, &(token, interest))| {
-                    let mut mask = 0i16;
-                    if interest.read {
-                        mask |= POLLIN;
-                    }
-                    if interest.write {
-                        mask |= POLLOUT;
-                    }
-                    (
-                        PollFd {
-                            fd,
-                            events: mask,
-                            revents: 0,
-                        },
-                        token,
-                    )
-                })
-                .collect();
-            let mut raw: Vec<PollFd> = fds.iter().map(|(p, _)| *p).collect();
-            let n = loop {
-                let n = unsafe { poll(raw.as_mut_ptr(), raw.len() as u64, timeout_ms) };
-                if n >= 0 {
-                    break n;
-                }
-                let e = io::Error::last_os_error();
-                if e.kind() != io::ErrorKind::Interrupted {
-                    return Err(e);
-                }
-            };
-            if n > 0 {
-                for (i, p) in raw.iter().enumerate() {
-                    if p.revents != 0 {
-                        events.push(Event {
-                            token: fds[i].1,
-                            readable: p.revents & (POLLIN | POLLHUP | POLLERR) != 0,
-                            writable: p.revents & (POLLOUT | POLLERR) != 0,
-                        });
-                    }
-                }
-            }
-            fds.clear();
-            Ok(())
-        }
     }
 }
 

@@ -919,7 +919,6 @@ mod tests {
 
     /// Pins the socket's send buffer at the kernel's minimum, so a large
     /// reply is certain to leave in several partial writes.
-    #[cfg(target_os = "linux")]
     #[allow(unsafe_code)]
     fn shrink_send_buffer(stream: &TcpStream) {
         use std::os::fd::AsRawFd;
@@ -1199,7 +1198,6 @@ mod tests {
         h.stop();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn adopted_and_appended_frames_leave_in_order_byte_identical_to_encoded_bodies() {
         let h = Harness::start_with(Sized::default(), 64, shrink_send_buffer);

@@ -3,10 +3,9 @@
 //! listener that stays readable, and the connection left waiting is
 //! accepted once descriptors are free again.
 //!
-//! Linux only (the limit's number and `/proc/self/stat`), and a test binary
-//! of its own with a single test: the descriptor limit is process-wide.
-
-#![cfg(target_os = "linux")]
+//! It reads Linux's limit number and `/proc/self/stat`, and it is a test
+//! binary of its own with a single test: the descriptor limit is
+//! process-wide.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};

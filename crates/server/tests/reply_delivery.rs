@@ -297,7 +297,6 @@ fn one_at_a_time_peer(mut stream: TcpStream, served: &Served, traffic: Traffic) 
 /// the window never grows to hold a large reply. (Much smaller, and on
 /// loopback — where a segment is 64 KiB — the connection spends its time in
 /// window probes, whoever serves it.)
-#[cfg(target_os = "linux")]
 fn pin_receive_buffer(stream: &TcpStream) {
     use std::os::fd::AsRawFd;
     extern "C" {
@@ -313,7 +312,6 @@ fn pin_receive_buffer(stream: &TcpStream) {
     assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn every_request_is_answered_once_in_order_byte_for_byte() {
     let _seed = SeedOnPanic(SEED);

@@ -329,6 +329,96 @@ pub(crate) fn sync_file(f: &std::fs::File) -> io::Result<()> {
 }
 
 #[cfg(test)]
+pub(crate) mod hooked {
+    //! The unit tests' delegating test double: a device that behaves like
+    //! a [`MemoryBackend`] in every respect but lets a test see, or hold,
+    //! its reads.
+
+    use super::*;
+
+    /// Which of a backend's two reads served a block.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum Served {
+        /// [`BlockBackend::read_into`].
+        Read,
+        /// [`BlockBackend::checksum`].
+        Checksum,
+    }
+
+    /// A [`MemoryBackend`] that calls its hook with the key of every
+    /// `read_into` and `checksum` before serving it, and forwards every
+    /// method, so it ingests, hints and reads like the device it stands in
+    /// for. A hook records the read, or waits until the test releases it.
+    pub(crate) struct HookedBackend<F> {
+        inner: MemoryBackend,
+        hook: F,
+    }
+
+    impl<F: Fn(Served, &BlockKey) + Send + Sync> HookedBackend<F> {
+        pub(crate) fn new(hook: F) -> Self {
+            Self {
+                inner: MemoryBackend::new(),
+                hook,
+            }
+        }
+    }
+
+    impl<F> std::fmt::Debug for HookedBackend<F> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("HookedBackend")
+                .field("inner", &self.inner)
+                .finish_non_exhaustive()
+        }
+    }
+
+    impl<F: Fn(Served, &BlockKey) + Send + Sync> BlockBackend for HookedBackend<F> {
+        fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
+            self.inner.put(key, data)
+        }
+        fn put_owned(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
+            self.inner.put_owned(key, data)
+        }
+        fn read_into(
+            &mut self,
+            key: &BlockKey,
+            out: &mut Vec<u8>,
+            next: Ahead,
+        ) -> io::Result<Option<Appended>> {
+            (self.hook)(Served::Read, key);
+            self.inner.read_into(key, out, next)
+        }
+        fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
+            (self.hook)(Served::Checksum, key);
+            self.inner.checksum(key, next)
+        }
+        fn ahead(&self, key: &BlockKey) -> Ahead {
+            self.inner.ahead(key)
+        }
+        fn contains(&self, key: &BlockKey) -> bool {
+            self.inner.contains(key)
+        }
+        fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
+            self.inner.delete(key)
+        }
+        fn block_count(&self) -> usize {
+            self.inner.block_count()
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+        fn destroy(&mut self) -> io::Result<()> {
+            self.inner.destroy()
+        }
+        fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
+            self.inner.corrupt(key, mask)
+        }
+        fn kind(&self) -> &'static str {
+            self.inner.kind()
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

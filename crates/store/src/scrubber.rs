@@ -280,12 +280,6 @@ impl Scrubber {
         self.clean.lock().len()
     }
 
-    /// Drops all clean marks: the next incremental cycle verifies
-    /// everything (e.g. after out-of-band maintenance on the devices).
-    pub fn forget_clean_marks(&self) {
-        self.clean.lock().clear();
-    }
-
     /// Runs one scrub cycle in `mode` over this scrubber's workers; results
     /// fold back in object-id order, bit-identical to a serial cycle. See
     /// [`scrub`] for the `repair` and `first_failure_level` semantics;
@@ -564,7 +558,8 @@ fn scrub_stripe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
+    use crate::backend::hooked::{HookedBackend, Served};
+    use crate::backend::BlockKey;
     use crate::device::Device;
     use crate::obs::StoreObserver;
     use std::collections::BTreeSet;
@@ -918,12 +913,6 @@ mod tests {
         let third = scrubber.run(&store, 2, false, ScrubMode::Incremental);
         assert_eq!(third.skipped_count(), 4);
         assert_eq!(third.verified_count(), 1);
-
-        // Dropping the marks forces a full re-verification.
-        scrubber.forget_clean_marks();
-        let reset = scrubber.run(&store, 2, false, ScrubMode::Incremental);
-        assert_eq!(reset.skipped_count(), 0);
-        assert_eq!(reset.verified_count(), 5);
     }
 
     #[test]
@@ -983,65 +972,9 @@ mod tests {
         assert_eq!(obs.stripes_decoded.get(), 0);
     }
 
-    /// Which of a backend's two reads served a block.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    enum Served {
-        Read,
-        Checksum,
-    }
-
+    /// Every device of a store records in one shared log the key of each
+    /// `read_into` and `checksum` it serves.
     type Log = Arc<std::sync::Mutex<Vec<(Served, BlockKey)>>>;
-
-    /// A memory backend that records, in a log every device of a store
-    /// shares, the key of each `read_into` and `checksum` it serves.
-    #[derive(Debug)]
-    struct Recording {
-        inner: MemoryBackend,
-        log: Log,
-    }
-
-    impl BlockBackend for Recording {
-        fn put(&mut self, key: BlockKey, data: &[u8]) -> std::io::Result<()> {
-            self.inner.put(key, data)
-        }
-        fn read_into(
-            &mut self,
-            key: &BlockKey,
-            out: &mut Vec<u8>,
-            next: Ahead,
-        ) -> std::io::Result<Option<Appended>> {
-            self.log.lock().unwrap().push((Served::Read, *key));
-            self.inner.read_into(key, out, next)
-        }
-        fn checksum(&mut self, key: &BlockKey, next: Ahead) -> std::io::Result<Option<u64>> {
-            self.log.lock().unwrap().push((Served::Checksum, *key));
-            self.inner.checksum(key, next)
-        }
-        fn ahead(&self, key: &BlockKey) -> Ahead {
-            self.inner.ahead(key)
-        }
-        fn contains(&self, key: &BlockKey) -> bool {
-            self.inner.contains(key)
-        }
-        fn delete(&mut self, key: &BlockKey) -> std::io::Result<bool> {
-            self.inner.delete(key)
-        }
-        fn block_count(&self) -> usize {
-            self.inner.block_count()
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.inner.flush()
-        }
-        fn destroy(&mut self) -> std::io::Result<()> {
-            self.inner.destroy()
-        }
-        fn corrupt(&mut self, key: &BlockKey, mask: u8) -> std::io::Result<bool> {
-            self.inner.corrupt(key, mask)
-        }
-        fn kind(&self) -> &'static str {
-            "recording"
-        }
-    }
 
     #[test]
     fn each_plan_streams_its_blocks_once_in_ascending_node_order() {
@@ -1054,8 +987,8 @@ mod tests {
             let devices = (0..n as usize)
                 .map(|d| {
                     let log = Arc::clone(&log);
-                    let inner = MemoryBackend::new();
-                    Device::with_backend(d, Box::new(Recording { inner, log }))
+                    let record = move |how, key: &BlockKey| log.lock().unwrap().push((how, *key));
+                    Device::with_backend(d, Box::new(HookedBackend::new(record)))
                 })
                 .collect();
             let store = ArchivalStore::assemble(graph.clone(), devices, HashMap::new(), 1, 0, None);

@@ -629,8 +629,8 @@ enum Miss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
-    use std::io;
+    use crate::backend::hooked::{HookedBackend, Served};
+    use crate::backend::BlockKey;
     use std::sync::{mpsc, Mutex};
     use tornado_gen::{TornadoGenerator, TornadoParams};
     use tornado_graph::GraphBuilder;
@@ -806,72 +806,22 @@ mod tests {
         assert!((degraded.cost.devices_contacted as usize) < store.num_devices());
     }
 
-    /// A memory backend whose read of one block announces itself and then
-    /// waits to be released: the test's handle on "this GET has probed the
-    /// check nodes and is now fetching them".
-    #[derive(Debug)]
-    struct GatedBackend {
-        inner: MemoryBackend,
-        gate: BlockKey,
-        reached: Mutex<mpsc::Sender<()>>,
-        release: Mutex<mpsc::Receiver<()>>,
-    }
-
-    impl BlockBackend for GatedBackend {
-        fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
-            self.inner.put(key, data)
-        }
-        fn read_into(
-            &mut self,
-            key: &BlockKey,
-            out: &mut Vec<u8>,
-            next: Ahead,
-        ) -> io::Result<Option<Appended>> {
-            if *key == self.gate {
-                self.reached.lock().unwrap().send(()).unwrap();
-                self.release.lock().unwrap().recv().unwrap();
-            }
-            self.inner.read_into(key, out, next)
-        }
-        fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
-            self.inner.checksum(key, next)
-        }
-        fn contains(&self, key: &BlockKey) -> bool {
-            self.inner.contains(key)
-        }
-        fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
-            self.inner.delete(key)
-        }
-        fn block_count(&self) -> usize {
-            self.inner.block_count()
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.inner.flush()
-        }
-        fn destroy(&mut self) -> io::Result<()> {
-            self.inner.destroy()
-        }
-        fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-            self.inner.corrupt(key, mask)
-        }
-        fn kind(&self) -> &'static str {
-            "gated"
-        }
-    }
-
     /// The paper's 96-node graph and, over it, a store whose device `gate`
-    /// runs on a [`GatedBackend`] gating object 1's block there (the first
-    /// object put sits at rotation 0: node v on device v), with the test's
-    /// ends of the two channels.
+    /// runs on a [`HookedBackend`] gating object 1's block there (the first
+    /// object put sits at rotation 0: node v on device v): a read of that
+    /// block announces itself and then waits to be released — the test's
+    /// handle on "this GET has probed the check nodes and is now fetching
+    /// them". Returns the test's ends of the two channels.
     fn gated_store(gate: NodeId) -> (ArchivalStore, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (reached_tx, reached_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let mut gated = Some(GatedBackend {
-            inner: MemoryBackend::new(),
-            gate: (1, gate),
-            reached: Mutex::new(reached_tx),
-            release: Mutex::new(release_rx),
-        });
+        let (reached, release) = (Mutex::new(reached_tx), Mutex::new(release_rx));
+        let mut gated = Some(HookedBackend::new(move |served, key: &BlockKey| {
+            if served == Served::Read && *key == (1, gate) {
+                reached.lock().unwrap().send(()).unwrap();
+                release.lock().unwrap().recv().unwrap();
+            }
+        }));
         let graph = paper_graph();
         let devices = (0..graph.num_nodes())
             .map(|d| match gated.take_if(|_| d == gate as usize) {
