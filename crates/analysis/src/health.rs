@@ -17,8 +17,8 @@
 //! Determinism matters here exactly as in `tornado_sim::monte_carlo`: the
 //! live health surface and any offline recomputation must agree bit for
 //! bit when given the same `(trials, seed, max_k)` parameters. With no
-//! devices missing the sampling path *is*
-//! [`sample_level`](tornado_sim::monte_carlo::sample_level), so the live
+//! devices missing every row's count *is*
+//! [`sample_level`](tornado_sim::monte_carlo::sample_level)'s, so the live
 //! healthy-fleet number equals the offline
 //! [`crate::reliability::system_failure_probability`] exactly.
 
@@ -26,7 +26,7 @@ use tornado_bitset::combinations::CombinationIter;
 use tornado_codec::LaneDecoder;
 use tornado_graph::Graph;
 use tornado_numerics::{binomial_u128, compose_failure_probability};
-use tornado_sim::monte_carlo::{complement, sample_level_observed};
+use tornado_sim::monte_carlo::{complement, sample_levels_observed};
 use tornado_sim::{FailureProfile, SimObserver};
 
 /// Hours in a year (the AFR's implicit period), Julian convention.
@@ -65,10 +65,11 @@ impl Default for ConditionalConfig {
 /// composes with the binomial model over the devices still standing.
 /// Row 0 is the exact decodability of the current pattern; a later row is
 /// enumerated when its `C(n − |missing|, j)` patterns are no more than the
-/// `trials_per_k` its sample would draw, and sampled otherwise. With
-/// `missing` empty every row is sampled through [`sample_level`], so the
-/// result is identical to `monte_carlo_profile` over the same `j` range,
-/// seed, and trial count.
+/// `trials_per_k` its sample would draw, and sampled otherwise; the
+/// sampled rows are one pass of [`sample_levels_observed`]. With `missing`
+/// empty every row is sampled, each equal to [`sample_level`]'s count, so
+/// the result is identical to `monte_carlo_profile` over the same `j`
+/// range, seed, and trial count.
 ///
 /// [`sample_level`]: tornado_sim::monte_carlo::sample_level
 ///
@@ -84,21 +85,25 @@ pub fn conditional_failure_profile(
     if !missing.is_empty() {
         profile.record(0, 1, failures(graph, missing, 0), true);
     }
+    let mut sampled = Vec::new();
     for j in 1..=cfg.max_k.min(n_rem) {
         let patterns = binomial_u128(n_rem as u64, j as u64);
         if !missing.is_empty() && patterns <= u128::from(cfg.trials_per_k) {
             profile.record(j, patterns as u64, failures(graph, missing, j), true);
         } else {
-            let sampled = sample_level_observed(
-                graph,
-                missing,
-                j,
-                cfg.trials_per_k,
-                cfg.seed,
-                &SimObserver::disabled(),
-            );
-            profile.record(j, cfg.trials_per_k, sampled, false);
+            sampled.push(j);
         }
+    }
+    let counts = sample_levels_observed(
+        graph,
+        missing,
+        &sampled,
+        cfg.trials_per_k,
+        cfg.seed,
+        &SimObserver::disabled(),
+    );
+    for (&j, count) in sampled.iter().zip(counts) {
+        profile.record(j, cfg.trials_per_k, count, false);
     }
     profile
 }

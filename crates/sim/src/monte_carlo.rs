@@ -8,18 +8,22 @@
 //!
 //! Sampling is deterministic in the configuration seed: trials are split
 //! into fixed-size batches, each seeded by `(seed, k, batch)`, so results
-//! are reproducible regardless of thread scheduling. A level may start from
-//! an already-missing `base` (a degraded fleet, for the live durability
+//! are reproducible regardless of thread scheduling. Every requested level
+//! is sampled in one parallel pass over its (level, batch) units, so a
+//! profile pays for one parallel call, one decoder and one scratch per
+//! worker instead of one of each per level. A level may start from an
+//! already-missing `base` (a degraded fleet, for the live durability
 //! model): the subset is then drawn from the other nodes.
 //!
 //! Random patterns share no prefix, so the trials are decided side by
 //! side instead: a worker draws a group of `k`-subsets, loads one into each
 //! bit lane of a [`LaneDecoder`] and peels the whole group in one run
 //! (`tornado_codec::lanes`). What remains of a trial is mostly drawing its
-//! subset: on one core of the 2-vCPU development VM, catalog graph 1
-//! averages 78 ns a trial over k = 5..=48 (12.9 M trials/s, `bench_budget`'s
-//! `profile`), and the paper's 962 M cases per graph — 34 CPU-days in
-//! 2006 — take 100 s.
+//! subset: on one core of a 2-vCPU VM (Intel Xeon), catalog graph 1 at
+//! 2,500 trials a level over k = 5..=48 — `bench_budget`'s `profile`, one
+//! batch a level — averages ~80 ns a trial (12.4 M trials/s, median of ten
+//! runs; 11.4 M when each level paid its own parallel call), and the
+//! paper's 962 M cases per graph — 34 CPU-days in 2006 — take 100 s.
 
 use crate::obs::SimObserver;
 use crate::profile::FailureProfile;
@@ -35,8 +39,8 @@ use tornado_obs::Json;
 pub struct MonteCarloConfig {
     /// Trials per offline-count `k`. The paper ran 10–34 M per point, a
     /// second or two each here (see the module docs); the default keeps a
-    /// whole 96-level profile to 0.3 s of one core and is statistically
-    /// adequate for the profile *shape*.
+    /// whole 96-level profile to ~0.3 s of one core (~0.23 s on two) and is
+    /// statistically adequate for the profile *shape*.
     pub trials_per_k: u64,
     /// Master seed.
     pub seed: u64,
@@ -64,7 +68,7 @@ pub fn monte_carlo_profile(graph: &Graph, cfg: &MonteCarloConfig) -> FailureProf
     monte_carlo_profile_observed(graph, cfg, &SimObserver::disabled())
 }
 
-/// [`monte_carlo_profile`] with per-level progress, completion events, and
+/// [`monte_carlo_profile`] with progress, per-level completion events, and
 /// decode-kernel metrics reported through `obs`. Failure counts are
 /// identical to the unobserved run (the sampling streams are untouched).
 pub fn monte_carlo_profile_observed(
@@ -77,10 +81,9 @@ pub fn monte_carlo_profile_observed(
         Some(ks) => ks.clone(),
         None => (1..=n).collect(),
     };
+    let counts = sample_levels_observed(graph, &[], &ks, cfg.trials_per_k, cfg.seed, obs);
     let mut profile = FailureProfile::new(n);
-    for &k in &ks {
-        let started = std::time::Instant::now();
-        let failures = sample_level_observed(graph, &[], k, cfg.trials_per_k, cfg.seed, obs);
+    for (&k, failures) in ks.iter().zip(counts) {
         let fraction = if cfg.trials_per_k > 0 {
             failures as f64 / cfg.trials_per_k as f64
         } else {
@@ -93,10 +96,6 @@ pub fn monte_carlo_profile_observed(
                 ("trials", Json::U64(cfg.trials_per_k)),
                 ("failures", Json::U64(failures)),
                 ("fraction", Json::F64(fraction)),
-                (
-                    "elapsed_ms",
-                    Json::U64(started.elapsed().as_millis() as u64),
-                ),
             ],
         );
         profile.record(k, cfg.trials_per_k, failures, false);
@@ -106,46 +105,57 @@ pub fn monte_carlo_profile_observed(
 
 /// Samples one `k` level; returns the failure count.
 pub fn sample_level(graph: &Graph, k: usize, trials: u64, seed: u64) -> u64 {
-    sample_level_observed(graph, &[], k, trials, seed, &SimObserver::disabled())
+    sample_levels_observed(graph, &[], &[k], trials, seed, &SimObserver::disabled())[0]
 }
 
-/// [`sample_level`] on top of an already-missing `base`, with per-batch
-/// progress and decode-kernel metrics reported through `obs`: each trial
+/// Samples every level of `ks` on top of an already-missing `base` in one
+/// parallel pass, with progress and decode-kernel metrics reported through
+/// `obs`; returns each level's failure count, in `ks` order. Each trial
 /// loses `base` (marked in every lane) plus a uniform `k`-subset of the
-/// other nodes. With `base = ∅` this is [`sample_level`]'s stream exactly;
-/// the per-batch reseeding makes the failure count identical to the
-/// unobserved run regardless of observation.
+/// other nodes. With `base = ∅` a level's count is [`sample_level`]'s
+/// exactly; the per-batch reseeding makes every count independent of the
+/// other levels in the pass, of observation and of thread count.
 ///
 /// # Panics
-/// Panics if a `base` node is out of range or repeated, or if `k` exceeds
-/// the nodes outside `base`.
-pub fn sample_level_observed(
+/// Panics if a `base` node is out of range or repeated, or if a `k`
+/// exceeds the nodes outside `base`.
+pub fn sample_levels_observed(
     graph: &Graph,
     base: &[usize],
-    k: usize,
+    ks: &[usize],
     trials: u64,
     seed: u64,
     obs: &SimObserver,
-) -> u64 {
+) -> Vec<u64> {
     let rest = complement(graph.num_nodes(), base);
-    assert!(k <= rest.len(), "k = {k} exceeds {} nodes", rest.len());
-    let progress = obs.progress.start(format!("monte-carlo k={k}"), trials);
+    for &k in ks {
+        assert!(k <= rest.len(), "k = {k} exceeds {} nodes", rest.len());
+    }
+    let batches = trials.div_ceil(BATCH);
+    let progress = obs.progress.start(
+        format!("monte-carlo {} levels", ks.len()),
+        trials.saturating_mul(ks.len() as u64),
+    );
     let record = obs.metrics.is_some();
-    let failures = (0..trials.div_ceil(BATCH))
+    // One unit is one batch of one level, level-major, so the work of the
+    // whole pass is split once over the workers.
+    let counts: Vec<(usize, u64)> = (0..ks.len() as u64 * batches)
         .into_par_iter()
         .map_init(
             // Lane state and permutation scratch are per worker thread,
-            // reused across every batch that lands on it.
+            // reused across every unit that lands on it.
             || {
                 let mut lanes = LaneDecoder::new(graph);
                 lanes.set_recording(record);
                 (lanes, rest.clone())
             },
-            |(lanes, perm), batch| {
+            |(lanes, perm), unit| {
+                let (level, batch) = ((unit / batches) as usize, unit % batches);
+                let k = ks[level];
                 // Determinism lives in the per-batch reseed, not in which
                 // worker runs the batch — but the hoisted permutation must
                 // restart from `rest` or the k-subset drawn would depend
-                // on the batches this worker saw before.
+                // on the units this worker saw before.
                 let mut rng = SmallRng::seed_from_u64(mix(seed, k as u64, batch));
                 perm.copy_from_slice(&rest);
                 let count = BATCH.min(trials - batch * BATCH);
@@ -176,11 +186,15 @@ pub fn sample_level_observed(
                 if let Some(metrics) = &obs.metrics {
                     metrics.absorb(&lanes.take_cells());
                 }
-                failures
+                (level, failures)
             },
         )
-        .sum();
+        .collect();
     progress.finish();
+    let mut failures = vec![0; ks.len()];
+    for (level, count) in counts {
+        failures[level] += count;
+    }
     failures
 }
 
@@ -261,16 +275,41 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_across_thread_counts() {
         // The hoisted per-worker scratch must not let results depend on
-        // which batches a worker happens to execute.
+        // which units a worker happens to execute, nor a level's row on
+        // the other levels sampled in the same pass.
         let g = generate_regular(12, 3, 1).unwrap();
-        let baseline = sample_level(&g, 8, 10_000, 42);
+        let ks = [8, 3, 12, 0, 5];
+        let rows: Vec<u64> = ks
+            .iter()
+            .map(|&k| sample_level(&g, k, 10_000, 42))
+            .collect();
+        // A degraded fleet: the pass and each level alone on the same base.
+        let base = [4, 9];
+        let degraded: Vec<u64> = ks[..3]
+            .iter()
+            .map(|&k| {
+                sample_levels_observed(&g, &base, &[k], 10_000, 42, &SimObserver::disabled())[0]
+            })
+            .collect();
         for threads in [1usize, 2, 5] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let got = pool.install(|| sample_level(&g, 8, 10_000, 42));
-            assert_eq!(got, baseline, "thread count {threads} changed the count");
+            let (pass, degraded_pass, alone) = pool.install(|| {
+                let obs = SimObserver::disabled();
+                (
+                    sample_levels_observed(&g, &[], &ks, 10_000, 42, &obs),
+                    sample_levels_observed(&g, &base, &ks[..3], 10_000, 42, &obs),
+                    sample_level(&g, 8, 10_000, 42),
+                )
+            });
+            assert_eq!(pass, rows, "thread count {threads} changed a row");
+            assert_eq!(
+                degraded_pass, degraded,
+                "thread count {threads}, base {base:?}"
+            );
+            assert_eq!(alone, rows[0], "thread count {threads} changed the count");
         }
     }
 

@@ -1,14 +1,14 @@
 //! Observability hooks for the fault-tolerance simulator.
 //!
 //! A [`SimObserver`] bundles everything a long sweep can report through:
-//! a progress-reporter factory (per-`k` progress with rate and ETA), a
-//! structured event sink (one event per completed level) and a shared
-//! [`DecodeMetrics`] aggregate that turns kernel recording on in every
-//! worker decoder. The default observer is fully disabled and the
-//! observed entry points with a disabled observer behave exactly like the
-//! plain ones — same counts, same collected sets, same determinism across
-//! thread counts — because workers drain their recorder cells at range or
-//! batch boundaries and summation commutes.
+//! a progress-reporter factory (progress with rate and ETA per search
+//! level or per sampling pass), a structured event sink (one event per
+//! completed level) and a shared [`DecodeMetrics`] aggregate that turns
+//! kernel recording on in every worker decoder. The default observer is
+//! fully disabled and the observed entry points with a disabled observer
+//! behave exactly like the plain ones — same counts, same collected sets,
+//! same determinism across thread counts — because workers drain their
+//! recorder cells at range or batch boundaries and summation commutes.
 
 use std::sync::Arc;
 use tornado_codec::DecodeMetrics;
@@ -16,9 +16,10 @@ use tornado_obs::{EventSink, ProgressConfig};
 
 /// Observability bundle threaded through the simulator's observed entry
 /// points ([`crate::worst_case::search_level_observed`],
-/// [`crate::monte_carlo::sample_level_observed`]).
+/// [`crate::monte_carlo::sample_levels_observed`]).
 pub struct SimObserver {
-    /// Factory for per-level progress reporters (silent by default).
+    /// Factory for progress reporters, one per search level or sampling
+    /// pass (silent by default).
     pub progress: ProgressConfig,
     /// Structured event sink (disabled by default).
     pub events: EventSink,

@@ -7,7 +7,7 @@ use tornado_codec::metrics::cells;
 use tornado_codec::DecodeMetrics;
 use tornado_gen::mirror::generate_mirror;
 use tornado_obs::{EventFormat, EventSink, Json, ProgressConfig};
-use tornado_sim::monte_carlo::sample_level_observed;
+use tornado_sim::monte_carlo::{sample_level, sample_levels_observed};
 use tornado_sim::worst_case::search_level_observed;
 use tornado_sim::{
     monte_carlo_profile, monte_carlo_profile_observed, worst_case_search,
@@ -127,28 +127,34 @@ fn observed_monte_carlo_is_identical_and_counts_trials() {
         (2..=4).map(|k| observed.entry(k).failures).sum::<u64>()
     );
 
-    // One completion event per level, parseable, with exact counts.
+    // One completion event per level, in k order, parseable, with exact
+    // counts and no timing: the levels run in one pass, not one by one.
     let lines = event_buf.lock().unwrap();
     assert_eq!(lines.len(), 3);
-    let doc = tornado_obs::json::parse(&lines[0]).unwrap();
-    assert_eq!(
-        doc.get("event").unwrap().as_str(),
-        Some("monte_carlo_level")
-    );
-    assert_eq!(doc.get("k").unwrap().as_u64(), Some(2));
-    assert_eq!(doc.get("trials").unwrap().as_u64(), Some(5000));
-    assert_eq!(
-        doc.get("failures").unwrap().as_u64(),
-        Some(observed.entry(2).failures)
-    );
+    for (line, k) in lines.iter().zip(2u64..) {
+        let doc = tornado_obs::json::parse(line).unwrap();
+        assert_eq!(
+            doc.get("event").unwrap().as_str(),
+            Some("monte_carlo_level")
+        );
+        assert_eq!(doc.get("k").unwrap().as_u64(), Some(k));
+        assert_eq!(doc.get("trials").unwrap().as_u64(), Some(5000));
+        assert_eq!(
+            doc.get("failures").unwrap().as_u64(),
+            Some(observed.entry(k as usize).failures)
+        );
+        assert_eq!(doc.get("elapsed_ms"), None, "{line}");
+    }
 }
 
 #[test]
 fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
-    // Three batches of a level with both verdicts. A lane group never
-    // spans batches, so every cell — the recoveries of lanes peeled side by
-    // side included — belongs to its batch, not to the worker that ran it.
+    // One pass over three levels with both verdicts, three batches each. A
+    // lane group never spans batches, so every cell — the recoveries of
+    // lanes peeled side by side included — belongs to its batch, not to
+    // the worker that ran it.
     let g = tornado_gen::regular::generate_regular(12, 3, 1).unwrap();
+    let ks = [8, 5, 11];
     let collect = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -156,12 +162,15 @@ fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
             .unwrap();
         let metrics = Arc::new(DecodeMetrics::new());
         let obs = SimObserver::disabled().with_metrics(metrics.clone());
-        let failures = pool.install(|| sample_level_observed(&g, &[], 8, 10_000, 42, &obs));
+        let failures = pool.install(|| sample_levels_observed(&g, &[], &ks, 10_000, 42, &obs));
         (failures, metrics.items().map(|(_, v)| v))
     };
     let baseline = collect(1);
-    assert_eq!(baseline.1[cells::TRIALS], 10_000);
-    assert_eq!(baseline.1[cells::FAILURES], baseline.0);
+    for (&k, &failures) in ks.iter().zip(&baseline.0) {
+        assert_eq!(failures, sample_level(&g, k, 10_000, 42), "k = {k}");
+    }
+    assert_eq!(baseline.1[cells::TRIALS], 30_000);
+    assert_eq!(baseline.1[cells::FAILURES], baseline.0.iter().sum::<u64>());
     assert!(baseline.1[cells::RECOVERIES] > 0, "{:?}", baseline.1);
     for threads in [2usize, 5] {
         assert_eq!(collect(threads), baseline, "{threads} threads");
@@ -195,14 +204,22 @@ fn observed_sample_level_progress_counts_every_trial() {
     let g = generate_mirror(4).unwrap();
     let (progress, buf) = ProgressConfig::memory();
     let obs = SimObserver::disabled().with_progress(progress);
-    let failures = sample_level_observed(&g, &[], 2, 10_000, 7, &obs);
+    let failures = sample_levels_observed(&g, &[], &[2, 3], 10_000, 7, &obs);
     assert_eq!(
         failures,
-        tornado_sim::monte_carlo::sample_level(&g, 2, 10_000, 7)
+        [
+            sample_level(&g, 2, 10_000, 7),
+            sample_level(&g, 3, 10_000, 7)
+        ]
     );
+    // One handle for the pass, counting the trials of every level.
     let lines = buf.lock().unwrap();
     assert!(
-        lines.last().unwrap().contains("(10000/10000)"),
+        lines.iter().all(|l| l.starts_with("monte-carlo 2 levels")),
+        "{lines:?}"
+    );
+    assert!(
+        lines.last().unwrap().contains("(20000/20000)"),
         "{:?}",
         lines.last()
     );
