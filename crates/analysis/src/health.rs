@@ -13,11 +13,15 @@
 //! lane kernel: the `tornado_sim::monte_carlo` sampler on top of the
 //! missing nodes, or an exhaustive count of every `j`-subset of the rest
 //! (row 0, every row small enough to enumerate, and every risk margin).
+//! The sampled rows are one pass: each trial draws one failure order of
+//! the nodes still standing and every row reads its prefix, so the rows
+//! share their trials and never decrease in `j`.
 //!
 //! Determinism matters here exactly as in `tornado_sim::monte_carlo`: the
 //! live health surface and any offline recomputation must agree bit for
-//! bit when given the same `(trials, seed, max_k)` parameters. With no
-//! devices missing every row's count *is*
+//! bit when given the same `(trials, seed, max_k)` parameters. A sampled
+//! row does not depend on which other rows were sampled beside it, and
+//! with no devices missing every row's count *is*
 //! [`sample_level`](tornado_sim::monte_carlo::sample_level)'s, so the live
 //! healthy-fleet number equals the offline
 //! [`crate::reliability::system_failure_probability`] exactly.
@@ -38,8 +42,9 @@ pub struct ConditionalConfig {
     /// Monte-Carlo trials per additional-loss count `j`. A degraded row
     /// with no more patterns than this is enumerated instead.
     pub trials_per_k: u64,
-    /// Master seed: per-batch reseeding makes rows reproducible
-    /// regardless of scheduling, mirroring `tornado_sim::monte_carlo`.
+    /// Master seed: each trial's stream is keyed by it and the trial's
+    /// index alone, so rows are reproducible regardless of scheduling,
+    /// mirroring `tornado_sim::monte_carlo`.
     pub seed: u64,
     /// Largest additional-loss count measured. Rows past it inherit the
     /// last measured fraction through the profile's monotone completion,
@@ -356,12 +361,22 @@ mod tests {
         let cfg = ConditionalConfig {
             trials_per_k: 2_000,
             seed: 42,
-            max_k: 5,
+            max_k: 16,
         };
         let a = conditional_failure_profile(&g, &[1, 7], &cfg);
         let b = conditional_failure_profile(&g, &[1, 7], &cfg);
         assert_eq!(a, b);
         let c = conditional_failure_profile(&g, &[1, 7], &ConditionalConfig { seed: 43, ..cfg });
         assert_ne!(a, c, "different seed, different stream");
+        // Not by a coincidence of near-empty rows: the deep rows hold
+        // hundreds of failures, and they differ too.
+        let deep =
+            |p: &FailureProfile| -> Vec<u64> { (12..=16).map(|j| p.entry(j).failures).collect() };
+        let (deep_a, deep_c) = (deep(&a), deep(&c));
+        assert!(
+            deep_a.iter().chain(&deep_c).all(|&f| f >= 200),
+            "{deep_a:?} {deep_c:?}"
+        );
+        assert_ne!(deep_a, deep_c, "different seed, different deep rows");
     }
 }

@@ -42,6 +42,10 @@ fn and_not(a: Lanes, b: Lanes) -> Lanes {
 /// Peels up to [`LaneDecoder::LANES`] erasure patterns side by side: load
 /// one pattern per lane, then [`LaneDecoder::run`] the group. `run` leaves
 /// every lane empty again, so groups follow one another with no reset.
+/// [`LaneDecoder::settle`] instead keeps every lane at its fixpoint, so a
+/// group can [`LaneDecoder::unload`] nodes and settle again: the peel
+/// resumes where it stopped, and each verdict is still the fresh one of
+/// the shorter pattern (`DESIGN.md`, "Hot-loop kernel").
 pub struct LaneDecoder<'g> {
     graph: &'g Graph,
     /// `missing[v]`: the lanes whose trial has node `v` missing.
@@ -80,10 +84,20 @@ impl<'g> LaneDecoder<'g> {
 
     /// Marks `nodes` missing in `lane`'s trial. Duplicates are harmless.
     #[inline]
-    pub fn load(&mut self, lane: usize, nodes: &[usize]) {
+    pub fn load<T: Copy + Into<usize>>(&mut self, lane: usize, nodes: &[T]) {
         assert!(lane < Self::LANES, "lane {lane} out of range");
         for &v in nodes {
-            rows::set(&mut self.missing[v], lane);
+            rows::set(&mut self.missing[v.into()], lane);
+        }
+    }
+
+    /// Marks `nodes` present again in `lane`'s trial: known, whether they
+    /// were loaded or rebuilt since. Duplicates are harmless.
+    #[inline]
+    pub fn unload<T: Copy + Into<usize>>(&mut self, lane: usize, nodes: &[T]) {
+        assert!(lane < Self::LANES, "lane {lane} out of range");
+        for &v in nodes {
+            rows::clear(&mut self.missing[v.into()], lane);
         }
     }
 
@@ -94,9 +108,24 @@ impl<'g> LaneDecoder<'g> {
         }
     }
 
-    /// Peels every lane to its verdict and returns how many of the first
-    /// `group` lanes cannot reconstruct their data.
+    /// Peels every lane to its verdict, then empties every lane; returns
+    /// how many of the first `group` lanes cannot reconstruct their data.
     pub fn run(&mut self, group: usize) -> u64 {
+        let failures = self.settle(group);
+        self.clear();
+        failures
+    }
+
+    /// Empties every lane.
+    pub fn clear(&mut self) {
+        self.missing.fill(NONE);
+    }
+
+    /// Peels every lane to its verdict and returns how many of the first
+    /// `group` lanes cannot reconstruct their data. The lanes keep their
+    /// fixpoints, so after an [`LaneDecoder::unload`] the next `settle`
+    /// resumes the peel instead of starting it over.
+    pub fn settle(&mut self, group: usize) -> u64 {
         assert!(
             group <= Self::LANES,
             "group of {group} exceeds {} lanes",
@@ -106,7 +135,6 @@ impl<'g> LaneDecoder<'g> {
         let mut loaded = NONE;
         rows::fill_range(&mut loaded, 0, group);
         self.failed = and(self.needy(), loaded);
-        self.missing.fill(NONE);
         let failures = rows::count(&self.failed) as u64;
         self.rec.add(cells::TRIALS, group as u64);
         self.rec.add(cells::FAILURES, failures);
@@ -114,7 +142,7 @@ impl<'g> LaneDecoder<'g> {
         failures
     }
 
-    /// Whether `lane` of the last [`LaneDecoder::run`] group lost data.
+    /// Whether `lane` of the last settled group lost data.
     pub fn failed(&self, lane: usize) -> bool {
         rows::test(&self.failed, lane)
     }
@@ -191,7 +219,7 @@ mod tests {
     fn run_leaves_every_lane_empty() {
         let g = cascade();
         let mut lanes = LaneDecoder::new(&g);
-        lanes.load(LaneDecoder::LANES - 1, &[0, 1]);
+        lanes.load(LaneDecoder::LANES - 1, &[0usize, 1]);
         assert_eq!(lanes.run(LaneDecoder::LANES), 1);
         assert!(lanes.failed(LaneDecoder::LANES - 1));
         assert_eq!(lanes.run(LaneDecoder::LANES), 0, "nothing carried over");
@@ -204,7 +232,7 @@ mod tests {
         let g = cascade();
         let mut lanes = LaneDecoder::new(&g);
         lanes.load_all(&[0, 1]);
-        lanes.load(0, &[2]);
+        lanes.load(0, &[2usize]);
         assert_eq!(lanes.run(1), 1);
         assert!(lanes.failed(0) && !lanes.failed(1));
         lanes.load_all(&[0, 1]);
@@ -215,13 +243,13 @@ mod tests {
     fn recording_adds_each_group_once() {
         let g = cascade();
         let mut lanes = LaneDecoder::new(&g);
-        lanes.load(0, &[0]);
+        lanes.load(0, &[0usize]);
         lanes.run(1);
         assert_eq!(lanes.take_cells(), [0; cells::COUNT], "off by default");
         lanes.set_recording(true);
-        lanes.load(0, &[0, 4]); // check 6 rebuilds 4, check 4 recovers 0
-        lanes.load(1, &[0, 1]); // nothing can act
-        lanes.load(70, &[2]); // check 5 recovers 2
+        lanes.load(0, &[0usize, 4]); // check 6 rebuilds 4, check 4 recovers 0
+        lanes.load(1, &[0usize, 1]); // nothing can act
+        lanes.load(70, &[2usize]); // check 5 recovers 2
         assert_eq!(lanes.run(71), 1);
         let mut expected = [0; cells::COUNT];
         expected[cells::TRIALS] = 71;

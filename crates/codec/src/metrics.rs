@@ -42,7 +42,8 @@ tornado_obs::metric_set! {
     #[derive(Debug)]
     pub struct DecodeMetrics {
         /// Decode verdicts: `decode`, `decode_detailed`, `decode_tail` (prefix
-        /// fixpoints are counted separately).
+        /// fixpoints are counted separately); in a Monte-Carlo profile, one
+        /// per (trial, level).
         trials: Counter = "decode.trials", "patterns";
         /// Trials whose reconstruction failed.
         failures: Counter = "decode.failures", "patterns";
@@ -58,7 +59,7 @@ tornado_obs::metric_set! {
         monotone_shortcuts: Counter = "decode.monotone_shortcuts", "patterns";
         /// Nodes recovered (peeled or re-encoded). In the worst-case search
         /// it depends on how collisions group into lanes, so on the thread
-        /// count.
+        /// count; a Monte-Carlo profile counts each resumed peel's.
         recoveries: Counter = "decode.recoveries", "nodes";
     }
 }

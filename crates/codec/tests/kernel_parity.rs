@@ -11,7 +11,8 @@
 //! The lane kernel (`LaneDecoder`) decides up to `LaneDecoder::LANES`
 //! patterns in one run; every lane's verdict must be the row kernel's and
 //! the dense reference's verdict on that lane's pattern, whatever the
-//! group size and whatever the other lanes hold.
+//! group size and whatever the other lanes hold — and still after a
+//! settled group un-erases part of each pattern and resumes its peel.
 //!
 //! The data-plane half: the fused copy-and-checksum kernel
 //! (`kernels::append_checksummed`) must append exactly the source bytes
@@ -203,17 +204,27 @@ fn lane_pattern(g: &Graph, lane: usize, k: usize, seed: u64) -> Vec<usize> {
     }
 }
 
-/// Runs `patterns` as one group, one per lane, with `base` missing in
+/// Settles `patterns` as one group, one per lane, with `base` missing in
 /// every lane, and asserts each lane's verdict and the group's count are
 /// what the row kernel and the dense reference say of `base ∪ pattern`.
-fn assert_lane_parity(g: &Graph, lanes: &mut LaneDecoder, base: &[usize], patterns: &[Vec<usize>]) {
+/// Then every lane un-erases a suffix of its pattern drawn from `seed`
+/// (which also un-erases those nodes where the base or the kept prefix
+/// holds them) and the group settles again, resuming its peel: each lane
+/// must read what a fresh `run` of the shorter pattern and `decode` read.
+fn assert_lane_parity(
+    g: &Graph,
+    lanes: &mut LaneDecoder,
+    base: &[usize],
+    patterns: &[Vec<usize>],
+    seed: u64,
+) {
     let mut row = ErasureDecoder::new(g);
     let mut dense = DenseDecoder::new(g);
     lanes.load_all(base);
     for (lane, pattern) in patterns.iter().enumerate() {
         lanes.load(lane, pattern);
     }
-    let failures = lanes.run(patterns.len());
+    let failures = lanes.settle(patterns.len());
     let mut expected = 0;
     for (lane, pattern) in patterns.iter().enumerate() {
         let full: Vec<usize> = base.iter().chain(pattern).copied().collect();
@@ -228,6 +239,42 @@ fn assert_lane_parity(g: &Graph, lanes: &mut LaneDecoder, base: &[usize], patter
         expected += u64::from(!decodes);
     }
     assert_eq!(failures, expected, "group of {}", patterns.len());
+
+    let cuts = derive_pattern(usize::MAX, patterns.len(), seed);
+    let mut fresh = LaneDecoder::new(g);
+    let mut shorter = Vec::with_capacity(patterns.len());
+    for (lane, (pattern, cut)) in patterns.iter().zip(cuts).enumerate() {
+        let tail = &pattern[cut % (pattern.len() + 1)..];
+        lanes.unload(lane, tail);
+        let kept: Vec<usize> = base
+            .iter()
+            .chain(pattern)
+            .copied()
+            .filter(|v| !tail.contains(v))
+            .collect();
+        fresh.load(lane, &kept);
+        shorter.push(kept);
+    }
+    let resumed = lanes.settle(patterns.len());
+    lanes.clear();
+    assert_eq!(
+        resumed,
+        fresh.run(patterns.len()),
+        "group of {}",
+        patterns.len()
+    );
+    let mut expected = 0;
+    for (lane, kept) in shorter.iter().enumerate() {
+        let decodes = row.decode(kept);
+        assert_eq!(!fresh.failed(lane), decodes, "fresh lane {lane}: {kept:?}");
+        assert_eq!(
+            !lanes.failed(lane),
+            decodes,
+            "resumed lane {lane}: {kept:?}"
+        );
+        expected += u64::from(!decodes);
+    }
+    assert_eq!(resumed, expected, "group of {}, resumed", patterns.len());
 }
 
 /// Every group size, with and without a base set, on `g`.
@@ -238,12 +285,13 @@ fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) {
         let patterns: Vec<Vec<usize>> = (0..group)
             .map(|lane| lane_pattern(g, lane, k, seed))
             .collect();
-        assert_lane_parity(g, &mut lanes, &[], &patterns);
+        assert_lane_parity(g, &mut lanes, &[], &patterns, !seed);
         assert_lane_parity(
             g,
             &mut lanes,
             &derive_pattern(g.num_nodes(), 1 + i % 3, seed),
             &patterns,
+            seed ^ 0x5EED,
         );
     }
 }

@@ -1,71 +1,101 @@
-//! The Monte-Carlo suites against the loops they replaced.
+//! The Monte-Carlo suites against one-pattern-at-a-time oracles.
 //!
-//! `tornado_sim::monte_carlo::sample_level` — with or without an
-//! already-missing base — peels its trials side by side through
-//! `tornado_codec::LaneDecoder`, and so does the exhaustive count behind
-//! `tornado_analysis::health`'s exact rows and risk margins. All of them
-//! used to decode one pattern at a time with `ErasureDecoder::decode`;
-//! those loops are kept here verbatim (batching, reseeding, permutation,
-//! draws and enumeration order) as the oracle, and the failure counts must
-//! be *equal* — same sampling streams, same verdicts — not statistically
-//! close.
+//! `tornado_sim::monte_carlo::sample_levels_observed` — with or without an
+//! already-missing base — reads every level of a trial off one failure
+//! order, peeling a group of trials side by side through
+//! `tornado_codec::LaneDecoder` and resuming each peel as the levels walk
+//! down; so does `tornado_analysis::health`'s sampled rows, and its exact
+//! rows and risk margins count every subset on the same lanes. The oracles
+//! here draw the same per-trial orders (same stream, permutation and
+//! draws) and call `ErasureDecoder::decode` once per (trial, level) prefix,
+//! with the base prepended, or once per enumerated pattern: the failure
+//! counts must be *equal* — same streams, same verdicts — not
+//! statistically close.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use tornado_analysis::health::{conditional_failure_profile, risk_margin, ConditionalConfig};
 use tornado_bitset::combinations::CombinationIter;
 use tornado_codec::ErasureDecoder;
 use tornado_core::{tornado_graph_1, tornado_graph_2, tornado_graph_3};
+use tornado_gen::mirror::generate_mirror;
 use tornado_gen::regular::generate_regular;
 use tornado_graph::Graph;
-use tornado_sim::monte_carlo::sample_level;
+use tornado_sim::monte_carlo::{sample_level, sample_levels_observed};
 use tornado_sim::multi::FederatedSystem;
+use tornado_sim::SimObserver;
 
-const BATCH: u64 = 4096;
+/// Trial `trial`'s stream, as the sampler draws it: SplitMix64 from a state
+/// keyed by `(seed, trial)`, each draw mapped to `lo..hi` by a widening
+/// multiply.
+struct TrialStream(u64);
 
-fn mix(seed: u64, k: u64, batch: u64) -> u64 {
-    let mut z =
-        seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+impl TrialStream {
+    fn new(seed: u64, trial: u64) -> Self {
+        Self(splitmix(seed ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    }
+
+    fn draw(&mut self, lo: usize, hi: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        lo + ((u128::from(splitmix(self.0)) * (hi - lo) as u128) >> 64) as usize
+    }
+}
+
+fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// `sample_level` as it was: one `decode` per trial, on top of `base` (the
-/// permutation holds the nodes outside it, so `base = ∅` is the loop
-/// verbatim). Its batches ran on rayon workers; their failure counts were
-/// summed, so a plain loop over the batches gives the same total.
-fn scalar_sample_level(graph: &Graph, base: &[usize], k: usize, trials: u64, seed: u64) -> u64 {
-    let rest: Vec<usize> = (0..graph.num_nodes())
-        .filter(|v| !base.contains(v))
-        .collect();
-    let n = rest.len();
-    if k == 0 {
-        return 0;
-    }
+/// Each level of `ks`, one trial at a time: trial `t` draws its order of
+/// the nodes outside `base` from its own stream, and each level's pattern
+/// is `base` plus the order's `k`-prefix, decoded afresh.
+fn scalar_sample_levels(
+    graph: &Graph,
+    base: &[usize],
+    ks: &[usize],
+    trials: u64,
+    seed: u64,
+) -> Vec<u64> {
     let mut dec = ErasureDecoder::new(graph);
+    scalar_levels_by(graph.num_nodes(), base, ks, trials, seed, |pattern| {
+        !dec.decode(pattern)
+    })
+}
+
+/// [`scalar_sample_levels`] over `n` nodes, with `fails` as the verdict.
+fn scalar_levels_by(
+    n: usize,
+    base: &[usize],
+    ks: &[usize],
+    trials: u64,
+    seed: u64,
+    mut fails: impl FnMut(&[usize]) -> bool,
+) -> Vec<u64> {
+    let mut in_base = vec![false; n];
+    for &v in base {
+        in_base[v] = true;
+    }
+    let rest: Vec<usize> = (0..n).filter(|&v| !in_base[v]).collect();
+    let depth = ks.iter().copied().max().unwrap_or(0);
     let mut perm = rest.clone();
-    let mut pattern = base.to_vec();
-    let mut total = 0u64;
-    for batch in 0..trials.div_ceil(BATCH) {
-        let mut rng = SmallRng::seed_from_u64(mix(seed, k as u64, batch));
+    let mut pattern = Vec::new();
+    let mut failures = vec![0u64; ks.len()];
+    for t in 0..trials {
+        let mut stream = TrialStream::new(seed, t);
         perm.copy_from_slice(&rest);
-        let count = BATCH.min(trials - batch * BATCH);
-        let mut failures = 0u64;
-        for _ in 0..count {
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                perm.swap(i, j);
-            }
-            pattern.truncate(base.len());
+        for i in 0..depth {
+            let j = stream.draw(i, rest.len());
+            perm.swap(i, j);
+        }
+        for (count, &k) in failures.iter_mut().zip(ks) {
+            pattern.clear();
+            pattern.extend_from_slice(base);
             pattern.extend_from_slice(&perm[..k]);
-            if !dec.decode(&pattern) {
-                failures += 1;
+            if fails(&pattern) {
+                *count += 1;
             }
         }
-        total += failures;
     }
-    total
+    failures
 }
 
 /// `conditional_failure_profile`'s exact rows as they were: row 0 one
@@ -114,17 +144,33 @@ fn scalar_risk_margin(graph: &Graph, missing: &[usize], cap: usize) -> usize {
     cap.min(remaining.len()) + 1
 }
 
-/// Graph 1 at the given offline counts, for four (trials, seed) pairs:
-/// 2,500 and 63 are one batch ending in a partial group, 4,097 spills one
-/// trial into a second batch, 5,000 ends its second batch mid-group.
-fn assert_graph_1_levels_equal(ks: impl Iterator<Item = usize> + Clone) {
+/// Graph 1 at the given offline counts, one level at a time and all in one
+/// pass, for (trials, seed) pairs on both sides of the lane-group seam:
+/// 511, 512 and 513 trials, 63 (one partial group), 2,500 and 5,000 (full
+/// groups and a partial one) and 4,097 (a one-trial last group).
+fn assert_graph_1_levels_equal(ks: &[usize]) {
     let g = tornado_graph_1();
-    for (trials, seed) in [(2_500u64, 1u64), (5_000, 9), (4_097, 3), (63, 5)] {
-        for k in ks.clone() {
+    let obs = SimObserver::disabled();
+    for (trials, seed) in [
+        (2_500u64, 1u64),
+        (5_000, 9),
+        (4_097, 3),
+        (63, 5),
+        (511, 2),
+        (512, 4),
+        (513, 6),
+    ] {
+        let expected = scalar_sample_levels(&g, &[], ks, trials, seed);
+        assert_eq!(
+            sample_levels_observed(&g, &[], ks, trials, seed, &obs),
+            expected,
+            "{trials} trials, seed {seed}"
+        );
+        for (&k, &count) in ks.iter().zip(&expected) {
             assert_eq!(
                 sample_level(&g, k, trials, seed),
-                scalar_sample_level(&g, &[], k, trials, seed),
-                "k = {k}, {trials} trials, seed {seed}"
+                count,
+                "k = {k} alone, {trials} trials, seed {seed}"
             );
         }
     }
@@ -134,15 +180,28 @@ fn assert_graph_1_levels_equal(ks: impl Iterator<Item = usize> + Clone) {
 fn sample_level_equals_the_scalar_loop_on_graph_1() {
     // The ends of the range, the first failure (5) and its neighbour, and
     // the steep part of the profile; every k is the ignored test below.
-    assert_graph_1_levels_equal([1, 4, 5, 16, 24, 47, 48, 96].into_iter());
+    assert_graph_1_levels_equal(&[1, 4, 5, 16, 24, 47, 48, 96]);
 }
 
-/// 1.1 M trials through both loops: 2 s in release, half a minute
-/// unoptimised, so it runs with the catalogue certification.
+/// 13,196 trials × 96 levels through both loops, each level also sampled
+/// alone: too slow unoptimised, so it runs with the catalogue
+/// certification.
 #[test]
-#[ignore = "every k = 1..=96 at four trial counts; run with --ignored --release"]
+#[ignore = "every k = 1..=96 at seven trial counts; run with --ignored --release"]
 fn sample_level_equals_the_scalar_loop_on_graph_1_at_every_k() {
-    assert_graph_1_levels_equal(1..=96);
+    assert_graph_1_levels_equal(&(1..=96).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_shuffled_pass_with_duplicates_on_a_base_equals_the_scalar_loop() {
+    // Levels out of order and repeated, on a degraded fleet: each row is
+    // its level's, whatever else the pass holds.
+    let g = tornado_graph_1();
+    let base = [7, 29, 55, 88];
+    let ks = [30, 6, 48, 0, 30, 17, 92, 6];
+    let got = sample_levels_observed(&g, &base, &ks, 1_100, 8, &SimObserver::disabled());
+    assert_eq!(got, scalar_sample_levels(&g, &base, &ks, 1_100, 8));
+    assert!(got[0] > 0 && got[0] < 1_100, "a level with both verdicts");
 }
 
 #[test]
@@ -150,23 +209,51 @@ fn sample_level_equals_the_scalar_loop_on_other_graphs() {
     let (g2, g3) = (tornado_graph_2(), tornado_graph_3());
     let federation = FederatedSystem::new(&tornado_graph_1(), &g2);
     assert_eq!(federation.graph().num_nodes(), 192);
+    let ks = [5usize, 24, 48];
     for g in [&g2, &g3, federation.graph()] {
-        for k in [5usize, 24, 48] {
-            assert_eq!(
-                sample_level(g, k, 5_000, 7),
-                scalar_sample_level(g, &[], k, 5_000, 7),
-                "{} nodes, k = {k}",
-                g.num_nodes()
-            );
-        }
+        assert_eq!(
+            sample_levels_observed(g, &[], &ks, 5_000, 7, &SimObserver::disabled()),
+            scalar_sample_levels(g, &[], &ks, 5_000, 7),
+            "{} nodes",
+            g.num_nodes()
+        );
     }
+}
+
+/// Building a 65,538-node graph's parity rows takes ~1.5 GB and ~10 s
+/// unoptimised, so it runs with the catalogue certification.
+#[test]
+#[ignore = "a 65,538-node graph; run with --ignored --release"]
+fn a_graph_above_65536_nodes_equals_the_scalar_loop() {
+    // 32,769 mirrored pairs, too many nodes for `u16` ids. Data node `d`
+    // is lost when it and its copy `32,769 + d` both are, so the verdict
+    // needs no decode of a 65,538-node pattern. With data nodes 0..3,000
+    // down, a trial fails when its order reaches one of their copies.
+    let data = 32_769;
+    let g = generate_mirror(data).unwrap();
+    assert_eq!(g.num_nodes(), 65_538);
+    let base: Vec<usize> = (0..3_000).collect();
+    let ks = [2, 0, 1];
+    let mut missing = vec![false; g.num_nodes()];
+    let expected = scalar_levels_by(g.num_nodes(), &base, &ks, 513, 6, |pattern| {
+        pattern.iter().for_each(|&v| missing[v] = true);
+        let lost = pattern.iter().any(|&v| v < data && missing[data + v]);
+        pattern.iter().for_each(|&v| missing[v] = false);
+        lost
+    });
+    let got = sample_levels_observed(&g, &base, &ks, 513, 6, &SimObserver::disabled());
+    assert_eq!(got, expected);
+    assert!(
+        got[2] > 0 && got[0] < 513,
+        "a level with both verdicts: {got:?}"
+    );
 }
 
 #[test]
 fn sample_level_equals_the_scalar_loop_at_every_thread_count() {
-    // Three batches, so two and five workers split them differently.
+    // Twenty groups, so two and five workers split them differently.
     let g = tornado_graph_1();
-    let expected = scalar_sample_level(&g, &[], 30, 10_000, 42);
+    let expected = scalar_sample_levels(&g, &[], &[30], 10_000, 42)[0];
     assert!(
         expected > 0 && expected < 10_000,
         "a level with both verdicts"
@@ -185,8 +272,9 @@ fn sample_level_equals_the_scalar_loop_at_every_thread_count() {
 fn sampled_conditional_rows_equal_the_scalar_loop() {
     // Graph 1 with four devices down loses nothing to eight more in a few
     // thousand trials, so its rows go on to where both verdicts occur.
-    // 4,100 trials cross a batch boundary and keep row 2 (C(92, 2) = 4,186
-    // patterns) sampled; on the regular graph rows from 3 on are sampled.
+    // 4,100 trials end in a partial lane group and keep row 2 (C(92, 2) =
+    // 4,186 patterns) sampled; on the regular graph rows from 3 on are
+    // sampled.
     let regular = generate_regular(24, 3, 3).unwrap();
     let cases: [(&Graph, &[usize], u64, &[usize]); 2] = [
         (
@@ -209,12 +297,13 @@ fn sampled_conditional_rows_equal_the_scalar_loop() {
             0 < last.failures && last.failures < trials,
             "both verdicts occur: {last:?}"
         );
-        for &j in js {
+        let expected = scalar_sample_levels(g, missing, js, trials, cfg.seed);
+        for (&j, &count) in js.iter().zip(&expected) {
             let row = profile.entry(j);
             assert!(!row.exact && row.trials == trials, "j = {j}: {row:?}");
             assert_eq!(
                 row.failures,
-                scalar_sample_level(g, missing, j, trials, cfg.seed),
+                count,
                 "{} nodes, missing {missing:?}, j = {j}",
                 g.num_nodes()
             );

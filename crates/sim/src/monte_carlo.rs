@@ -6,29 +6,32 @@
 //! `k`-subset of nodes, takes it offline, and records whether the peeling
 //! decoder reconstructs all data.
 //!
-//! Sampling is deterministic in the configuration seed: trials are split
-//! into fixed-size batches, each seeded by `(seed, k, batch)`, so results
-//! are reproducible regardless of thread scheduling. Every requested level
-//! is sampled in one parallel pass over its (level, batch) units, so a
-//! profile pays for one parallel call, one decoder and one scratch per
-//! worker instead of one of each per level. A level may start from an
-//! already-missing `base` (a degraded fleet, for the live durability
-//! model): the subset is then drawn from the other nodes.
+//! A failing erasure set stays failing when more nodes are lost, so one
+//! random *failure order* answers every level at once (the Newman–Ziff
+//! idea from percolation): trial `t` draws an order of the nodes by a
+//! partial Fisher–Yates from a stream keyed by `(seed, t)` alone, and its
+//! `k`-prefix is a uniform `k`-subset for every `k`. A level's row is
+//! therefore the same sampled alone or beside any others, on any thread
+//! count, observed or not; the rows of one pass share their trials, so
+//! they are positively correlated and never decrease in `k`. A level may
+//! start from an already-missing `base` (a degraded fleet, for the live
+//! durability model): the order is then drawn from the other nodes.
 //!
-//! Random patterns share no prefix, so the trials are decided side by
-//! side instead: a worker draws a group of `k`-subsets, loads one into each
-//! bit lane of a [`LaneDecoder`] and peels the whole group in one run
-//! (`tornado_codec::lanes`). What remains of a trial is mostly drawing its
-//! subset: on one core of a 2-vCPU VM (Intel Xeon), catalog graph 1 at
-//! 2,500 trials a level over k = 5..=48 — `bench_budget`'s `profile`, one
-//! batch a level — averages ~80 ns a trial (12.4 M trials/s, median of ten
-//! runs; 11.4 M when each level paid its own parallel call), and the
-//! paper's 962 M cases per graph — 34 CPU-days in 2006 — take 100 s.
+//! Trials are decided side by side, a [`LaneDecoder`] group of up to 512
+//! at a time (`tornado_codec::lanes`): each lane is loaded at the deepest
+//! requested level and peeled, then the levels are walked deepest first,
+//! every lane un-erasing the tail of its order down to the next level and
+//! the peel resuming from the last fixpoint. Un-erasing only adds known
+//! nodes and peeling is a monotone closure, so each resumed fixpoint is the
+//! fresh one and every verdict is `ErasureDecoder::decode`'s. A trial draws
+//! `max(ks)` nodes instead of `Σ ks`: on one core of a 2-vCPU VM (Intel
+//! Xeon), catalog graph 1 at 2,500 trials a level over k = 5..=48 —
+//! `bench_budget`'s `profile` — costs ~14 ns a (trial, level) verdict
+//! (~85 ns drawing a subset per level), so the paper's 962 M cases per
+//! graph — 34 CPU-days in 2006 — would take ~15 s.
 
 use crate::obs::SimObserver;
 use crate::profile::FailureProfile;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use tornado_codec::LaneDecoder;
 use tornado_graph::Graph;
@@ -37,9 +40,10 @@ use tornado_obs::Json;
 /// Configuration for Monte-Carlo profiling.
 #[derive(Clone, Debug)]
 pub struct MonteCarloConfig {
-    /// Trials per offline-count `k`. The paper ran 10–34 M per point, a
-    /// second or two each here (see the module docs); the default keeps a
-    /// whole 96-level profile to ~0.3 s of one core (~0.23 s on two) and is
+    /// Trials per offline-count `k`; every level is read off the same
+    /// trials' failure orders. The paper ran 10–34 M per point, well under
+    /// a second each here (see the module docs); the default keeps a whole
+    /// 96-level profile to ~40 ms of one core (~25 ms on two) and is
     /// statistically adequate for the profile *shape*.
     pub trials_per_k: u64,
     /// Master seed.
@@ -58,10 +62,6 @@ impl Default for MonteCarloConfig {
     }
 }
 
-/// Trials per parallel batch (also the granularity of deterministic
-/// seeding).
-const BATCH: u64 = 4096;
-
 /// Estimates `P(fail | k offline)` for each requested `k` by uniform
 /// sampling, returning a [`FailureProfile`] with sampled rows.
 pub fn monte_carlo_profile(graph: &Graph, cfg: &MonteCarloConfig) -> FailureProfile {
@@ -71,6 +71,8 @@ pub fn monte_carlo_profile(graph: &Graph, cfg: &MonteCarloConfig) -> FailureProf
 /// [`monte_carlo_profile`] with progress, per-level completion events, and
 /// decode-kernel metrics reported through `obs`. Failure counts are
 /// identical to the unobserved run (the sampling streams are untouched).
+/// `decode.trials` counts one per (trial, level) verdict, and
+/// `decode.recoveries` the nodes each resumed peel rebuilt.
 pub fn monte_carlo_profile_observed(
     graph: &Graph,
     cfg: &MonteCarloConfig,
@@ -110,11 +112,13 @@ pub fn sample_level(graph: &Graph, k: usize, trials: u64, seed: u64) -> u64 {
 
 /// Samples every level of `ks` on top of an already-missing `base` in one
 /// parallel pass, with progress and decode-kernel metrics reported through
-/// `obs`; returns each level's failure count, in `ks` order. Each trial
-/// loses `base` (marked in every lane) plus a uniform `k`-subset of the
-/// other nodes. With `base = ∅` a level's count is [`sample_level`]'s
-/// exactly; the per-batch reseeding makes every count independent of the
-/// other levels in the pass, of observation and of thread count.
+/// `obs`; returns each level's failure count, in `ks` order. Trial `t`
+/// loses `base` (marked in every lane) plus the `k`-prefix of one uniform
+/// order of the other nodes, drawn from a stream keyed by `(seed, t)`. With
+/// `base = ∅` a level's count is [`sample_level`]'s exactly; a count is
+/// independent of the other levels in the pass (any order, duplicates
+/// allowed), of observation and of thread count, and never decreases in
+/// `k`.
 ///
 /// # Panics
 /// Panics if a `base` node is out of range or repeated, or if a `k`
@@ -127,73 +131,114 @@ pub fn sample_levels_observed(
     seed: u64,
     obs: &SimObserver,
 ) -> Vec<u64> {
-    let rest = complement(graph.num_nodes(), base);
+    // Node ids as `u16` where they fit: a worker's orders are 48 KiB for
+    // graph 1's k = 5..=48 profile, a quarter of what `usize` ids take.
+    if graph.num_nodes() <= 1 << 16 {
+        sample_levels_as::<u16>(graph, base, ks, trials, seed, obs)
+    } else {
+        sample_levels_as::<usize>(graph, base, ks, trials, seed, obs)
+    }
+}
+
+/// [`sample_levels_observed`] with the orders kept as `Id` node ids; the
+/// rows do not depend on `Id`.
+fn sample_levels_as<Id>(
+    graph: &Graph,
+    base: &[usize],
+    ks: &[usize],
+    trials: u64,
+    seed: u64,
+    obs: &SimObserver,
+) -> Vec<u64>
+where
+    Id: Copy + Default + Into<usize> + TryFrom<usize> + Send + Sync,
+{
+    let rest: Vec<Id> = complement(graph.num_nodes(), base)
+        .into_iter()
+        .map(|v| {
+            Id::try_from(v).unwrap_or_else(|_| unreachable!("node {v} does not fit the id width"))
+        })
+        .collect();
     for &k in ks {
         assert!(k <= rest.len(), "k = {k} exceeds {} nodes", rest.len());
     }
-    let batches = trials.div_ceil(BATCH);
+    let depth = ks.iter().copied().max().unwrap_or(0);
+    // The levels deepest first: each un-erases down to the next.
+    let mut walk: Vec<usize> = (0..ks.len()).collect();
+    walk.sort_by_key(|&i| std::cmp::Reverse(ks[i]));
+    let lanes_per_group = LaneDecoder::LANES as u64;
     let progress = obs.progress.start(
         format!("monte-carlo {} levels", ks.len()),
         trials.saturating_mul(ks.len() as u64),
     );
     let record = obs.metrics.is_some();
-    // One unit is one batch of one level, level-major, so the work of the
-    // whole pass is split once over the workers.
-    let counts: Vec<(usize, u64)> = (0..ks.len() as u64 * batches)
+    // One unit is one lane group of trials at every level, so units are
+    // alike and the pass is split once over the workers.
+    let rows: Vec<Vec<u16>> = (0..trials.div_ceil(lanes_per_group))
         .into_par_iter()
         .map_init(
-            // Lane state and permutation scratch are per worker thread,
-            // reused across every unit that lands on it.
+            // Lane state, permutation and order scratch are per worker
+            // thread, reused across every unit that lands on it.
             || {
                 let mut lanes = LaneDecoder::new(graph);
                 lanes.set_recording(record);
-                (lanes, rest.clone())
+                let orders = vec![Id::default(); LaneDecoder::LANES * depth];
+                (lanes, rest.clone(), orders)
             },
-            |(lanes, perm), unit| {
-                let (level, batch) = ((unit / batches) as usize, unit % batches);
-                let k = ks[level];
-                // Determinism lives in the per-batch reseed, not in which
-                // worker runs the batch — but the hoisted permutation must
-                // restart from `rest` or the k-subset drawn would depend
-                // on the units this worker saw before.
-                let mut rng = SmallRng::seed_from_u64(mix(seed, k as u64, batch));
-                perm.copy_from_slice(&rest);
-                let count = BATCH.min(trials - batch * BATCH);
+            |(lanes, perm, orders), unit| {
+                let first = unit * lanes_per_group;
+                let group = lanes_per_group.min(trials - first) as usize;
                 // Resliced so pointer and length stay in registers: through
                 // the `&mut Vec` every swap's store forces their reload.
                 let perm = &mut perm[..];
                 let n = perm.len();
-                let mut failures = 0u64;
-                let mut left = count as usize;
-                while left > 0 {
-                    // One trial per lane; a short last group's other lanes
-                    // hold only the base, and `run` does not count them.
-                    let group = left.min(LaneDecoder::LANES);
-                    lanes.load_all(base);
-                    for lane in 0..group {
-                        // Partial Fisher–Yates of the first k slots yields a
-                        // uniform k-subset each trial.
-                        for i in 0..k {
-                            let j = rng.gen_range(i..n);
-                            perm.swap(i, j);
-                        }
-                        lanes.load(lane, &perm[..k]);
+                // A short last group's other lanes hold only the base, and
+                // `settle` does not count them.
+                lanes.load_all(base);
+                for lane in 0..group {
+                    // Determinism lives in the per-trial stream; the
+                    // permutation restarts from `rest` so the order drawn
+                    // does not depend on the trials drawn before it. (Undoing
+                    // the `depth` swaps instead of this copy measured slower
+                    // on graph 1 at every depth, k = 5 included.)
+                    let mut stream = TrialStream::new(seed, first + lane as u64);
+                    perm.copy_from_slice(&rest);
+                    // Partial Fisher–Yates: slot i is final after step i, so
+                    // every prefix is a uniform subset, whatever the depth.
+                    let order = &mut orders[lane * depth..][..depth];
+                    for (i, slot) in order.iter_mut().enumerate() {
+                        let j = stream.draw(i, n);
+                        perm.swap(i, j);
+                        *slot = perm[i];
                     }
-                    failures += lanes.run(group);
-                    left -= group;
+                    lanes.load(lane, order);
                 }
-                progress.add(count);
+                // At most `LANES` failures a level, so `u16` holds a row.
+                let mut row = vec![0u16; ks.len()];
+                let mut loaded = depth;
+                for &level in &walk {
+                    let k = ks[level];
+                    for lane in 0..group {
+                        lanes.unload(lane, &orders[lane * depth..][k..loaded]);
+                    }
+                    loaded = k;
+                    row[level] = lanes.settle(group) as u16;
+                }
+                lanes.clear();
+                progress.add(group as u64 * ks.len() as u64);
                 if let Some(metrics) = &obs.metrics {
                     metrics.absorb(&lanes.take_cells());
                 }
-                (level, failures)
+                row
             },
         )
         .collect();
     progress.finish();
     let mut failures = vec![0; ks.len()];
-    for (level, count) in counts {
-        failures[level] += count;
+    for row in rows {
+        for (total, count) in failures.iter_mut().zip(row) {
+            *total += u64::from(count);
+        }
     }
     failures
 }
@@ -212,11 +257,35 @@ pub fn complement(n: usize, base: &[usize]) -> Vec<usize> {
     (0..n).filter(|&v| !in_base[v]).collect()
 }
 
-/// SplitMix64-style seed mixing so nearby `(seed, k, batch)` triples give
-/// unrelated streams.
-fn mix(seed: u64, k: u64, batch: u64) -> u64 {
-    let mut z =
-        seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ batch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+/// One trial's random stream: SplitMix64 started from a state keyed by
+/// `(seed, trial)` alone. Each draw hashes its own counter value, so the
+/// draws of a Fisher–Yates do not wait on one another the way a
+/// generator's serial state update makes them: on graph 1 a 48-node order
+/// took ~370 ns from a freshly seeded xoshiro256++ (`SmallRng`) and ~110–
+/// 150 ns from this stream, on one core of a 2-vCPU VM (Intel Xeon).
+struct TrialStream(u64);
+
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl TrialStream {
+    fn new(seed: u64, trial: u64) -> Self {
+        Self(splitmix(seed ^ trial.wrapping_mul(GOLDEN)))
+    }
+
+    /// Uniform in `lo..hi` by a 128-bit widening multiply, like the
+    /// vendored `gen_range` (relative bias below span / 2⁶⁴: under 2⁻⁴⁸ up
+    /// to 65,536 nodes).
+    #[inline]
+    fn draw(&mut self, lo: usize, hi: usize) -> usize {
+        self.0 = self.0.wrapping_add(GOLDEN);
+        let x = u128::from(splitmix(self.0));
+        lo + ((x * (hi - lo) as u128) >> 64) as usize
+    }
+}
+
+/// The SplitMix64 finaliser: nearby inputs give unrelated outputs.
+#[inline]
+fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -225,6 +294,7 @@ fn mix(seed: u64, k: u64, batch: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worst_case::search_level;
     use tornado_gen::mirror::generate_mirror;
     use tornado_gen::regular::generate_regular;
 
@@ -262,14 +332,34 @@ mod tests {
 
     #[test]
     fn failure_counts_are_pinned() {
-        // The counts the counter-per-check kernel produced for these
-        // (graph, k, trials, seed): the sampling streams and every verdict
-        // are unchanged by how the kernel represents a pattern.
+        // The counts `crates/core/tests/lane_parity.rs`'s one-`decode`-per-
+        // (trial, level) oracle gives for these (graph, k, trials, seed): the
+        // per-trial streams and every verdict are part of the contract.
         let regular = generate_regular(12, 3, 1).unwrap();
-        assert_eq!(sample_level(&regular, 8, 10_000, 42), 1077);
-        assert_eq!(sample_level(&regular, 5, 10_000, 7), 78);
+        assert_eq!(sample_level(&regular, 8, 10_000, 42), 1098);
+        assert_eq!(sample_level(&regular, 5, 10_000, 7), 76);
         let mirror = generate_mirror(8).unwrap();
-        assert_eq!(sample_level(&mirror, 4, 10_000, 11), 3792);
+        assert_eq!(sample_level(&mirror, 4, 10_000, 11), 3844);
+    }
+
+    #[test]
+    fn rows_never_decrease_in_k() {
+        // Every level reads the same trials' orders, and a failing set
+        // stays failing with more nodes lost.
+        let g = generate_regular(12, 3, 1).unwrap();
+        let obs = SimObserver::disabled();
+        for base in [&[][..], &[4, 9]] {
+            let ks: Vec<usize> = (0..=22).collect();
+            let rows = sample_levels_observed(&g, base, &ks, 3_000, 42, &obs);
+            assert!(
+                rows.windows(2).all(|w| w[0] <= w[1]),
+                "base {base:?}: {rows:?}"
+            );
+            assert!(
+                rows.iter().any(|&r| 0 < r && r < 3_000),
+                "a level with both verdicts, base {base:?}: {rows:?}"
+            );
+        }
     }
 
     #[test]
@@ -314,19 +404,40 @@ mod tests {
     }
 
     #[test]
+    fn rows_do_not_depend_on_the_id_width() {
+        // Graphs above 65,536 nodes keep their orders as `usize` ids.
+        let g = generate_regular(12, 3, 1).unwrap();
+        let obs = SimObserver::disabled();
+        let ks = [8, 3, 12, 0, 5, 8];
+        for base in [&[][..], &[4, 9]] {
+            assert_eq!(
+                sample_levels_as::<usize>(&g, base, &ks, 1_100, 42, &obs),
+                sample_levels_as::<u16>(&g, base, &ks, 1_100, 42, &obs),
+                "base {base:?}"
+            );
+        }
+    }
+
+    #[test]
     fn mirror_sampled_fraction_matches_exact_combinatorics() {
-        // 4 pairs (8 nodes), k = 2: P(fail) = 4 / C(8,2) = 1/7.
+        // 4 pairs (8 nodes): every level's row against the exhaustive
+        // search's exact fraction, e.g. k = 2: 4 / C(8,2) = 1/7.
         let g = generate_mirror(4).unwrap();
         let trials = 200_000u64;
-        let failures = sample_level(&g, 2, trials, 7);
-        let p = failures as f64 / trials as f64;
-        let expected = 1.0 / 7.0;
-        // Three-sigma band for a Bernoulli estimate.
-        let sigma = (expected * (1.0 - expected) / trials as f64).sqrt();
-        assert!(
-            (p - expected).abs() < 4.0 * sigma,
-            "sampled {p} vs exact {expected} (sigma {sigma})"
-        );
+        let ks: Vec<usize> = (0..=8).collect();
+        let rows = sample_levels_observed(&g, &[], &ks, trials, 7, &SimObserver::disabled());
+        for (&k, failures) in ks.iter().zip(rows) {
+            let exact = search_level(&g, k, 0);
+            let expected = exact.failures as f64 / exact.cases as f64;
+            let p = failures as f64 / trials as f64;
+            // A four-sigma band for a Bernoulli estimate (zero wide where
+            // the level always or never fails).
+            let sigma = (expected * (1.0 - expected) / trials as f64).sqrt();
+            assert!(
+                (p - expected).abs() <= 4.0 * sigma,
+                "k = {k}: sampled {p} vs exact {expected} (sigma {sigma})"
+            );
+        }
     }
 
     #[test]

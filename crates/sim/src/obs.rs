@@ -8,7 +8,8 @@
 //! fully disabled and the observed entry points with a disabled observer
 //! behave exactly like the plain ones — same counts, same collected sets,
 //! same determinism across thread counts — because workers drain their
-//! recorder cells at range or batch boundaries and summation commutes.
+//! recorder cells at range or lane-group boundaries and summation
+//! commutes.
 
 use std::sync::Arc;
 use tornado_codec::DecodeMetrics;
@@ -24,8 +25,8 @@ pub struct SimObserver {
     /// Structured event sink (disabled by default).
     pub events: EventSink,
     /// Decode-kernel counter aggregate. `Some` switches kernel recording on
-    /// in every worker decoder; cells are drained into it at range/batch
-    /// boundaries.
+    /// in every worker decoder; cells are drained into it at range or
+    /// lane-group boundaries.
     pub metrics: Option<Arc<DecodeMetrics>>,
 }
 

@@ -149,10 +149,10 @@ fn observed_monte_carlo_is_identical_and_counts_trials() {
 
 #[test]
 fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
-    // One pass over three levels with both verdicts, three batches each. A
-    // lane group never spans batches, so every cell — the recoveries of
-    // lanes peeled side by side included — belongs to its batch, not to
-    // the worker that ran it.
+    // One pass over three levels with both verdicts, twenty lane groups.
+    // A group is one work unit at every level, so every cell — the
+    // recoveries of its resumed peels included — belongs to its group, not
+    // to the worker that ran it.
     let g = tornado_gen::regular::generate_regular(12, 3, 1).unwrap();
     let ks = [8, 5, 11];
     let collect = |threads: usize| {
