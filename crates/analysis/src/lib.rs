@@ -10,9 +10,6 @@
 //!   the most failure sets, rewire its most-implicated check edge to a
 //!   check outside the failures, re-test, repeat. Takes screened graphs
 //!   from first failure at 4 to first failure at 5.
-//! * [`overhead`] — reconstruction-efficiency metrics (§5.2, Table 6).
-//! * [`incremental`] — the literature's retrieve-until-decodable overhead
-//!   (Plank's metric, which §5.2 contrasts with and §6 plans to study).
 //! * [`lifetime`] — time-stepped reliability with proactive scrub/repair,
 //!   extending Table 5's no-repair model toward the §6 scrubber design.
 //! * [`stopping`] — exact minimum blocking sets by certificate-guided
@@ -28,9 +25,7 @@
 pub mod adjust;
 pub mod critical;
 pub mod health;
-pub mod incremental;
 pub mod lifetime;
-pub mod overhead;
 pub mod reliability;
 pub mod stopping;
 
@@ -40,8 +35,6 @@ pub use health::{
     conditional_failure_probability, conditional_failure_profile, horizon_failure_probability,
     mttdl_hours, risk_margin, ConditionalConfig,
 };
-pub use incremental::{incremental_overhead, IncrementalOverhead};
 pub use lifetime::{simulate_graph_lifetime, simulate_lifetime, LifetimeConfig, LifetimeReport};
-pub use overhead::{overhead_report, OverheadReport};
 pub use reliability::{system_failure_probability, ReliabilityRow};
 pub use stopping::{min_blocking_exact, minimum_distance};

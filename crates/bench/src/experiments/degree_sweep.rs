@@ -9,7 +9,6 @@
 use crate::effort::Effort;
 use crate::harness::{first_failure_cell, graph_profile, paper_sampling_window};
 use std::fmt::Write as _;
-use tornado_analysis::overhead_report;
 use tornado_gen::cascaded::generate_fixed_degree_screened;
 use tornado_gen::TornadoParams;
 
@@ -35,12 +34,13 @@ pub fn run(effort: &Effort) -> String {
         };
         let profile = graph_profile(&g, effort);
         let avg = profile.average_online_given_success(paper_sampling_window(96));
-        let report = overhead_report(&profile, 48);
+        let overhead = profile
+            .overhead_at_half(48)
+            .expect("a full complement of nodes always reconstructs");
         let _ = writeln!(
             out,
-            "{degree}, {}, {avg:.2}, {:.2}",
+            "{degree}, {}, {avg:.2}, {overhead:.2}",
             first_failure_cell(&profile),
-            report.overhead
         );
     }
     out

@@ -10,8 +10,8 @@ use crate::effort::Effort;
 use std::fmt::Write as _;
 use tornado_gen::mirror::generate_mirror;
 use tornado_sim::mirror::mirrored_failure_probability;
-use tornado_sim::monte_carlo::sample_level;
 use tornado_sim::worst_case::search_level;
+use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
 
 /// Runs the validation; the report lists per-k analytic vs sampled values
 /// and the worst deviation in sampling sigmas.
@@ -35,10 +35,20 @@ pub fn run(effort: &Effort) -> String {
         let _ = writeln!(out, "{k}, {analytic:.9}, {sampled:.9}, exact");
     }
 
+    // The stepped levels in one pass: each row's marginal is a uniform
+    // sample of its level, which is all Eq. 1 is compared with.
+    let ks: Vec<usize> = (effort.exhaustive_max_k + 1..=n).step_by(4).collect();
+    let profile = monte_carlo_profile(
+        &graph,
+        &MonteCarloConfig {
+            trials_per_k: effort.mc_trials,
+            seed: effort.seed,
+            ks: Some(ks.clone()),
+        },
+    );
     let mut worst_sigmas = 0.0f64;
-    for k in (effort.exhaustive_max_k + 1..=n).step_by(4) {
-        let failures = sample_level(&graph, k, effort.mc_trials, effort.seed ^ k as u64);
-        let sampled = failures as f64 / effort.mc_trials as f64;
+    for k in ks {
+        let sampled = profile.entry(k).fraction();
         let analytic = mirrored_failure_probability(pairs, k);
         let sigma = (analytic * (1.0 - analytic) / effort.mc_trials as f64)
             .sqrt()

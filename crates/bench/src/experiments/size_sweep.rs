@@ -8,8 +8,8 @@
 //! asymptotic regime as graphs grow.
 
 use crate::effort::Effort;
+use crate::experiments::plank_overhead::plank_cells;
 use std::fmt::Write as _;
-use tornado_analysis::incremental_overhead;
 use tornado_gen::{TornadoGenerator, TornadoParams};
 
 /// Data-node counts swept (total nodes are double these).
@@ -17,11 +17,11 @@ pub const SIZES: [usize; 5] = [16, 32, 48, 96, 128];
 
 /// Runs the sweep.
 pub fn run(effort: &Effort) -> String {
-    let trials = (effort.mc_trials / 10).clamp(500, 50_000);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# Size sweep — incremental overhead vs graph size, {trials} trials"
+        "# Size sweep — incremental overhead vs graph size, {} trials",
+        effort.mc_trials
     );
     let _ = writeln!(out, "total_nodes, mean_blocks, overhead, min, max");
     for &num_data in &SIZES {
@@ -36,15 +36,11 @@ pub fn run(effort: &Effort) -> String {
                 continue;
             }
         };
-        let r = incremental_overhead(&graph, trials, effort.seed);
         let _ = writeln!(
             out,
-            "{}, {:.2}, {:.4}, {}, {}",
+            "{}, {}",
             graph.num_nodes(),
-            r.mean_blocks,
-            r.mean_overhead,
-            r.min_blocks,
-            r.max_blocks
+            plank_cells(&graph, effort)
         );
     }
     out

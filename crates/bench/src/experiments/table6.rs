@@ -9,7 +9,6 @@
 use crate::effort::Effort;
 use crate::harness::graph_profile;
 use std::fmt::Write as _;
-use tornado_analysis::overhead_report;
 
 /// Runs the experiment and renders the table.
 pub fn run(effort: &Effort) -> String {
@@ -18,12 +17,11 @@ pub fn run(effort: &Effort) -> String {
     let _ = writeln!(out, "{:<20} {:>6} {:>9}", "System", "Nodes", "Overhead");
     for (label, graph) in tornado_core::catalog::all() {
         let profile = graph_profile(&graph, effort);
-        let report = overhead_report(&profile, graph.num_data());
-        let _ = writeln!(
-            out,
-            "{:<20} {:>6} {:>9.2}",
-            label, report.nodes_for_half, report.overhead
-        );
+        let nodes = profile
+            .nodes_for_success_probability(0.5)
+            .expect("a full complement of nodes always reconstructs");
+        let overhead = nodes as f64 / graph.num_data() as f64;
+        let _ = writeln!(out, "{label:<20} {nodes:>6} {overhead:>9.2}");
     }
     out
 }
@@ -39,12 +37,9 @@ mod tests {
         // region: more than the 48 data blocks, well under all 96.
         let g = tornado_core::tornado_graph_1();
         let profile = graph_profile(&g, &Effort::smoke());
-        let report = overhead_report(&profile, 48);
-        assert!(
-            (49..=80).contains(&report.nodes_for_half),
-            "nodes_for_half = {}",
-            report.nodes_for_half
-        );
-        assert!(report.overhead > 1.0 && report.overhead < 1.7);
+        let nodes = profile.nodes_for_success_probability(0.5).unwrap();
+        assert!((49..=80).contains(&nodes), "nodes_for_half = {nodes}");
+        let overhead = profile.overhead_at_half(48).unwrap();
+        assert!(overhead > 1.0 && overhead < 1.7);
     }
 }

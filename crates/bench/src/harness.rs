@@ -5,9 +5,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use tornado_graph::Graph;
 use tornado_obs::Json;
-use tornado_sim::{
-    monte_carlo_profile, worst_case_search, FailureProfile, MonteCarloConfig, WorstCaseConfig,
-};
+use tornado_sim::{hybrid_profile, FailureProfile};
 
 /// What one experiment hands back: the printable report, and — for the
 /// experiments whose numbers are committed as `BENCH_<name>.json` — the
@@ -127,28 +125,15 @@ pub fn median(v: &mut [f64]) -> f64 {
     v[v.len() / 2]
 }
 
-/// Builds the paper's hybrid profile for a graph: exhaustive counts for
-/// `k ≤ exhaustive_max_k`, Monte-Carlo for every larger `k`.
+/// The paper's hybrid profile ([`hybrid_profile`]) at `effort`: exact to
+/// `exhaustive_max_k`, `mc_trials` a level above.
 pub fn graph_profile(graph: &Graph, effort: &Effort) -> FailureProfile {
-    let report = worst_case_search(
+    hybrid_profile(
         graph,
-        &WorstCaseConfig {
-            max_k: effort.exhaustive_max_k,
-            collect_cap: 64,
-            stop_at_first_failure: false,
-        },
-    );
-    let mut profile = report.to_profile(graph.num_nodes());
-    let ks: Vec<usize> = (effort.exhaustive_max_k + 1..=graph.num_nodes()).collect();
-    profile.merge(&monte_carlo_profile(
-        graph,
-        &MonteCarloConfig {
-            trials_per_k: effort.mc_trials,
-            seed: effort.seed,
-            ks: Some(ks),
-        },
-    ));
-    profile
+        effort.exhaustive_max_k,
+        effort.mc_trials,
+        effort.seed,
+    )
 }
 
 /// The worst-case failure cell for the paper's tables: the first

@@ -2,14 +2,14 @@
 
 use crate::args::ParsedArgs;
 use crate::obs::CliObs;
-use tornado_analysis::{adjust_graph, overhead_report, system_failure_probability, AdjustConfig};
+use tornado_analysis::{adjust_graph, system_failure_probability, AdjustConfig};
 use tornado_gen::{TornadoGenerator, TornadoParams};
 use tornado_graph::{dot, graphml, DegreeStats, Graph};
 use tornado_obs::Json;
 use tornado_raid::GroupSystem;
 use tornado_sim::{
-    monte_carlo_profile, monte_carlo_profile_observed, worst_case_search,
-    worst_case_search_observed, MonteCarloConfig, WorstCaseConfig,
+    hybrid_profile, monte_carlo_profile_observed, worst_case_search_observed, MonteCarloConfig,
+    WorstCaseConfig,
 };
 
 type CmdResult = Result<(), String>;
@@ -257,18 +257,28 @@ pub fn monte_carlo(args: &ParsedArgs) -> CmdResult {
             println!("{}, {}, {}, {:.6}", e.k, e.trials, e.failures, e.fraction());
         }
     }
-    let report = overhead_report(&profile, graph.num_data());
-    println!("nodes for 50% reconstruction: {}", report.nodes_for_half);
-    println!("overhead: {:.2}", report.overhead);
+    let data = graph.num_data() as f64;
+    let nodes = profile
+        .nodes_for_success_probability(0.5)
+        .expect("losing no node never fails, so all of them always reconstruct");
+    let overhead = nodes as f64 / data;
+    println!("nodes for 50% reconstruction: {nodes}");
+    println!("overhead: {overhead:.2}");
+    // Each trial is one failure order read at every level, so this mean and
+    // range are also Plank's retrieve-until-decodable ones.
+    let average = profile.average_nodes_to_reconstruct();
     println!(
-        "average nodes to reconstruct: {:.2} ({:.2})",
-        report.average_to_reconstruct, report.average_overhead
+        "average nodes to reconstruct: {average:.2} ({:.2})",
+        average / data
     );
+    if let Some(range) = profile.nodes_to_reconstruct_range() {
+        println!("range of nodes to reconstruct: {range:?}");
+    }
     obs.write_metrics("monte-carlo", |snap| {
         snap.set("graph", Json::Str(label.clone()))
             .set("trials_per_k", Json::U64(trials))
             .set("seed", Json::U64(seed))
-            .set("overhead", Json::F64(report.overhead));
+            .set("overhead", Json::F64(overhead));
     })
 }
 
@@ -505,23 +515,7 @@ pub fn reliability(args: &ParsedArgs) -> CmdResult {
     for path in args.get_all("graph") {
         let graph = load_graph(path)?;
         searchable(path, graph.num_nodes())?;
-        let mut profile = worst_case_search(
-            &graph,
-            &WorstCaseConfig {
-                max_k: 4,
-                collect_cap: 4,
-                stop_at_first_failure: false,
-            },
-        )
-        .to_profile(graph.num_nodes());
-        profile.merge(&monte_carlo_profile(
-            &graph,
-            &MonteCarloConfig {
-                trials_per_k: trials,
-                seed: 1,
-                ks: Some((5..=graph.num_nodes()).collect()),
-            },
-        ));
+        let profile = hybrid_profile(&graph, 4, trials, 1);
         println!(
             "{path}, {}, {}, {:.3e}",
             graph.num_data(),
@@ -583,23 +577,6 @@ pub fn mindist(args: &ParsedArgs) -> CmdResult {
         }
         None => println!("no blocking set of size <= {cap}: the graph survives any {cap} losses"),
     }
-    Ok(())
-}
-
-/// `tornado incremental`
-pub fn incremental(args: &ParsedArgs) -> CmdResult {
-    let graph = load_graph(args.require("graph")?)?;
-    let trials: u64 = args.get_parsed("trials", 2_000)?;
-    let seed: u64 = args.get_parsed("seed", 1)?;
-    let r = tornado_analysis::incremental_overhead(&graph, trials, seed);
-    println!("trials: {}", r.trials);
-    println!("mean blocks to reconstruct: {:.2}", r.mean_blocks);
-    println!(
-        "overhead (vs {} data blocks): {:.4}",
-        graph.num_data(),
-        r.mean_overhead
-    );
-    println!("range: {}..={}", r.min_blocks, r.max_blocks);
     Ok(())
 }
 

@@ -30,6 +30,9 @@ COMMANDS:
                                                     in 1-1.5 s)
     monte-carlo  Monte-Carlo failure profile        --graph FILE | --catalog 1|2|3
                                                     [--trials 20000] [--seed N]
+                                                    (its average and range of nodes to
+                                                    reconstruct are also Plank's
+                                                    retrieve-until-decodable ones)
     scrub        Fail devices, scrub, report health  --graph FILE | --catalog 1|2|3
                                                      [--objects 8] [--level 5] [--repair]
                                                      [--threads 1] [--fail DEV]...
@@ -45,7 +48,6 @@ COMMANDS:
     reliability  Table 5 reliability comparison     [--graph FILE]... [--afr 0.01] [--trials 20000]
     demo         Archival store walkthrough         [--seed N]
     mindist      Exact minimum blocking distance     --graph FILE [--cap 5]
-    incremental  Retrieve-until-decodable overhead   --graph FILE [--trials 2000]
     lifetime     Annual loss with scrub/repair       --graph FILE [--afr 0.01]
                                                      [--scrubs 0] [--trials 100000]
     workload     Synthetic archival workload replay  [--seed N] [--objects 20] [--reads 100]
@@ -133,8 +135,6 @@ pub const COMMANDS: &[Command] = &[
         &["graph", "afr", "trials"]] },
     Command { name: "demo", run: commands::demo, flags: &[&["seed"]] },
     Command { name: "mindist", run: commands::mindist, flags: &[&["graph", "cap"]] },
-    Command { name: "incremental", run: commands::incremental, flags: &[
-        &["graph", "trials", "seed"]] },
     Command { name: "lifetime", run: commands::lifetime, flags: &[
         &["graph", "afr", "scrubs", "trials", "seed"]] },
     Command { name: "workload", run: commands::workload, flags: &[

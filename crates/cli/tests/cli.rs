@@ -159,7 +159,7 @@ fn mindist_on_small_graph() {
 }
 
 #[test]
-fn incremental_and_lifetime_run() {
+fn plank_statistics_and_lifetime_run() {
     let src = temp_path("il.graphml");
     let src_s = src.to_str().unwrap();
     run_command(
@@ -169,7 +169,10 @@ fn incremental_and_lifetime_run() {
         ]),
     )
     .expect("generate");
-    run_command("incremental", &args(&["--graph", src_s, "--trials", "200"])).expect("incremental");
+    // Plank's retrieve-until-decodable mean and range are `monte-carlo`'s
+    // lines now; the old command is gone.
+    run_command("monte-carlo", &args(&["--graph", src_s, "--trials", "200"])).expect("monte-carlo");
+    assert!(run_command("incremental", &args(&["--graph", src_s])).is_err());
     run_command(
         "lifetime",
         &args(&[

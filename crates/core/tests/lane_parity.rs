@@ -10,7 +10,9 @@
 //! draws) and call `ErasureDecoder::decode` once per (trial, level) prefix,
 //! with the base prepended, or once per enumerated pattern: the failure
 //! counts must be *equal* — same streams, same verdicts — not
-//! statistically close.
+//! statistically close. The same orders, retrieved back to front until
+//! they decode, hold Plank's retrieve-until-decodable statistics to the
+//! profile's.
 
 use tornado_analysis::health::{conditional_failure_profile, risk_margin, ConditionalConfig};
 use tornado_bitset::combinations::CombinationIter;
@@ -21,7 +23,7 @@ use tornado_gen::regular::generate_regular;
 use tornado_graph::Graph;
 use tornado_sim::monte_carlo::{sample_level, sample_levels_observed};
 use tornado_sim::multi::FederatedSystem;
-use tornado_sim::SimObserver;
+use tornado_sim::{monte_carlo_profile, MonteCarloConfig, SimObserver};
 
 /// Trial `trial`'s stream, as the sampler draws it: SplitMix64 from a state
 /// keyed by `(seed, trial)`, each draw mapped to `lo..hi` by a widening
@@ -80,12 +82,7 @@ fn scalar_levels_by(
     let mut pattern = Vec::new();
     let mut failures = vec![0u64; ks.len()];
     for t in 0..trials {
-        let mut stream = TrialStream::new(seed, t);
-        perm.copy_from_slice(&rest);
-        for i in 0..depth {
-            let j = stream.draw(i, rest.len());
-            perm.swap(i, j);
-        }
+        draw_order(&mut perm, &rest, seed, t, depth);
         for (count, &k) in failures.iter_mut().zip(ks) {
             pattern.clear();
             pattern.extend_from_slice(base);
@@ -96,6 +93,44 @@ fn scalar_levels_by(
         }
     }
     failures
+}
+
+/// Trial `t`'s failure order as the sampler draws it: a partial
+/// Fisher–Yates of `rest` to `depth` from the trial's stream, left in
+/// `perm`'s prefix.
+fn draw_order(perm: &mut [usize], rest: &[usize], seed: u64, t: u64, depth: usize) {
+    let mut stream = TrialStream::new(seed, t);
+    perm.copy_from_slice(rest);
+    for i in 0..depth {
+        let j = stream.draw(i, rest.len());
+        perm.swap(i, j);
+    }
+}
+
+/// Plank's retrieve-until-decodable count per trial, by the metric's own
+/// prefix scan: trial `t` retrieves its whole failure order back to front
+/// and, from the data-node count up, one block at a time, decodes with the
+/// unretrieved rest missing until it succeeds.
+fn scalar_blocks_to_reconstruct(graph: &Graph, trials: u64, seed: u64) -> Vec<usize> {
+    let n = graph.num_nodes();
+    let rest: Vec<usize> = (0..n).collect();
+    let mut perm = rest.clone();
+    let mut dec = ErasureDecoder::new(graph);
+    (0..trials)
+        .map(|t| {
+            draw_order(&mut perm, &rest, seed, t, n);
+            let order: Vec<usize> = perm.iter().rev().copied().collect();
+            let mut got = graph.num_data();
+            loop {
+                assert!(got <= n, "full retrieval always reconstructs");
+                let missing = &order[got..];
+                if dec.decode(missing) {
+                    break got;
+                }
+                got += 1;
+            }
+        })
+        .collect()
 }
 
 /// `conditional_failure_profile`'s exact rows as they were: row 0 one
@@ -247,6 +282,52 @@ fn a_graph_above_65536_nodes_equals_the_scalar_loop() {
         got[2] > 0 && got[0] < 513,
         "a level with both verdicts: {got:?}"
     );
+}
+
+#[test]
+fn plank_statistics_are_read_off_one_pass() {
+    // A trial needs as many blocks as it has failing levels, so over one
+    // pass of every level the per-trial counts of the retrieval loop are
+    // read off the rows: their histogram is the rows' first differences,
+    // their mean the success-threshold mean, their extremes the range.
+    let regular = generate_regular(24, 3, 3).unwrap();
+    for g in [&tornado_graph_1(), &regular] {
+        let n = g.num_nodes();
+        for (trials, seed) in [(511u64, 2u64), (512, 4), (513, 6)] {
+            let blocks = scalar_blocks_to_reconstruct(g, trials, seed);
+            let profile = monte_carlo_profile(
+                g,
+                &MonteCarloConfig {
+                    trials_per_k: trials,
+                    seed,
+                    ks: None,
+                },
+            );
+            let context = format!("{n} nodes, {trials} trials, seed {seed}");
+            let mut histogram = vec![0u64; n + 1];
+            for &b in &blocks {
+                histogram[b] += 1;
+            }
+            let mut differences = vec![0u64; n + 1];
+            for k in 1..=n {
+                differences[n - k + 1] = profile.entry(k).failures - profile.entry(k - 1).failures;
+            }
+            assert_eq!(histogram, differences, "{context}");
+            let mean = blocks.iter().sum::<usize>() as f64 / trials as f64;
+            let average = profile.average_nodes_to_reconstruct();
+            assert!(
+                (mean - average).abs() < 1e-9,
+                "{mean} vs {average}, {context}"
+            );
+            let (lo, hi) = (blocks.iter().min(), blocks.iter().max());
+            assert_eq!(
+                profile.nodes_to_reconstruct_range(),
+                Some(*lo.unwrap()..=*hi.unwrap()),
+                "{context}"
+            );
+            assert!(lo < hi, "a spread of counts: {context}");
+        }
+    }
 }
 
 #[test]

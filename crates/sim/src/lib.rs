@@ -9,11 +9,13 @@
 //!    nodes, estimated on random samples for the combinatorially intractable
 //!    middle range ([`monte_carlo`]).
 //!
-//! Both feed a [`profile::FailureProfile`], from which the paper's summary
-//! statistics derive: first failure, average number of nodes capable of
-//! reconstructing the data (Tables 1–4), the node count for 50 % success
-//! probability (Table 6), and the conditional profile composed with the
-//! device-failure model (Table 5).
+//! Both feed a [`profile::FailureProfile`] ([`hybrid_profile`] builds the
+//! paper's: exact to a depth, sampled above), from which the paper's
+//! summary statistics derive: first failure, average number of nodes
+//! capable of reconstructing the data (Tables 1–4), the node count for
+//! 50 % success probability (Table 6), the conditional profile composed
+//! with the device-failure model (Table 5), and the literature's
+//! retrieve-until-decodable overhead (§5.2) that the paper contrasts with.
 //!
 //! [`mirror`] provides the closed-form mirrored-system profile (paper
 //! Eq. 1) used to validate the simulator, and [`multi`] the two-site
@@ -32,7 +34,7 @@ pub mod worst_case;
 pub use mirror::mirrored_failure_probability;
 pub use monte_carlo::{monte_carlo_profile, monte_carlo_profile_observed, MonteCarloConfig};
 pub use obs::SimObserver;
-pub use profile::{FailureProfile, ProfileEntry};
+pub use profile::{hybrid_profile, FailureProfile, ProfileEntry};
 pub use worst_case::{
     worst_case_search, worst_case_search_observed, KLevelResult, WorstCaseConfig, WorstCaseReport,
 };
