@@ -37,8 +37,9 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
                     seed: effort.seed,
                     // Every 4th k, the figure's resolution: 48 points show
                     // the curve's shape. (Each trial draws its order to the
-                    // deepest level either way, so all 192 would add only a
-                    // resumed peel a level, not a draw.)
+                    // deepest level either way, so all 192 would add only
+                    // two settles a lane group, ⌈log₂(m + 1)⌉ for m levels,
+                    // not a draw.)
                     ks: Some((1..=fed.total_devices()).step_by(4).collect()),
                 },
             );

@@ -8,6 +8,14 @@
 //! confluent, so every lane's verdict equals
 //! [`crate::ErasureDecoder::decode`] of its pattern; `DESIGN.md`, "Hot-loop
 //! kernel", has the argument and why check order is free here.
+//!
+//! A settled lane can move either way. [`LaneDecoder::unload`] un-erases
+//! nodes and the next settle resumes the peel. [`LaneDecoder::load`] over a
+//! settled lane is a restart: the lane misses a subset of what was loaded
+//! (its peel rebuilt the rest), so loading a superset of the whole old
+//! pattern makes the lane that superset afresh. The whole pattern includes
+//! what [`LaneDecoder::load_all`] marked, since a peel can rebuild those
+//! nodes too.
 
 use crate::metrics::{cells, DecodeRecorder};
 use tornado_bitset::rows;
@@ -45,7 +53,8 @@ fn and_not(a: Lanes, b: Lanes) -> Lanes {
 /// [`LaneDecoder::settle`] instead keeps every lane at its fixpoint, so a
 /// group can [`LaneDecoder::unload`] nodes and settle again: the peel
 /// resumes where it stopped, and each verdict is still the fresh one of
-/// the shorter pattern (`DESIGN.md`, "Hot-loop kernel").
+/// the shorter pattern (`DESIGN.md`, "Hot-loop kernel"), or
+/// [`LaneDecoder::load`] a whole longer pattern over a lane to restart it.
 pub struct LaneDecoder<'g> {
     graph: &'g Graph,
     /// `missing[v]`: the lanes whose trial has node `v` missing.

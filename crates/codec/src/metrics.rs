@@ -59,7 +59,8 @@ tornado_obs::metric_set! {
         monotone_shortcuts: Counter = "decode.monotone_shortcuts", "patterns";
         /// Nodes recovered (peeled or re-encoded). In the worst-case search
         /// it depends on how collisions group into lanes, so on the thread
-        /// count; a Monte-Carlo profile counts each resumed peel's.
+        /// count; a Monte-Carlo profile counts those of the peels its
+        /// bisection ran.
         recoveries: Counter = "decode.recoveries", "nodes";
     }
 }

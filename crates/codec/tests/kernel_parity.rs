@@ -12,7 +12,8 @@
 //! patterns in one run; every lane's verdict must be the row kernel's and
 //! the dense reference's verdict on that lane's pattern, whatever the
 //! group size and whatever the other lanes hold — and still after a
-//! settled group un-erases part of each pattern and resumes its peel.
+//! settled group un-erases part of each pattern and resumes its peel, or
+//! loads a longer pattern and its base over the settled state and restarts.
 //!
 //! The data-plane half: the fused copy-and-checksum kernel
 //! (`kernels::append_checksummed`) must append exactly the source bytes
@@ -211,13 +212,17 @@ fn lane_pattern(g: &Graph, lane: usize, k: usize, seed: u64) -> Vec<usize> {
 /// (which also un-erases those nodes where the base or the kept prefix
 /// holds them) and the group settles again, resuming its peel: each lane
 /// must read what a fresh `run` of the shorter pattern and `decode` read.
+/// Last, every other lane loads `base ∪ pattern` again over its settled
+/// state (a restart) and the group settles once more, against a fresh `run`
+/// and `decode` of what each lane then holds. Returns how many restarted
+/// lanes had a base node rebuilt.
 fn assert_lane_parity(
     g: &Graph,
     lanes: &mut LaneDecoder,
     base: &[usize],
     patterns: &[Vec<usize>],
     seed: u64,
-) {
+) -> usize {
     let mut row = ErasureDecoder::new(g);
     let mut dense = DenseDecoder::new(g);
     lanes.load_all(base);
@@ -256,7 +261,6 @@ fn assert_lane_parity(
         shorter.push(kept);
     }
     let resumed = lanes.settle(patterns.len());
-    lanes.clear();
     assert_eq!(
         resumed,
         fresh.run(patterns.len()),
@@ -275,18 +279,71 @@ fn assert_lane_parity(
         expected += u64::from(!decodes);
     }
     assert_eq!(resumed, expected, "group of {}, resumed", patterns.len());
+
+    // A restart: every other lane loads the base and its whole pattern
+    // again over its settled state, which misses a subset of them. A peel
+    // may have rebuilt a base node, so the base is loaded too; a failed
+    // lane sits at the full fixpoint, whose lost nodes say which it rebuilt.
+    let mut rebuilt_base = 0;
+    let mut longer = shorter;
+    for (lane, pattern) in patterns.iter().enumerate().step_by(2) {
+        let fixpoint = row.decode_detailed(&longer[lane]);
+        let rebuilt =
+            |&v: &usize| longer[lane].contains(&v) && !fixpoint.lost_nodes.contains(&(v as u32));
+        if !fixpoint.success && base.iter().any(rebuilt) {
+            rebuilt_base += 1;
+        }
+        lanes.load(lane, base);
+        lanes.load(lane, pattern);
+        longer[lane] = base.iter().chain(pattern).copied().collect();
+    }
+    for (lane, pattern) in longer.iter().enumerate() {
+        fresh.load(lane, pattern);
+    }
+    let restarted = lanes.settle(patterns.len());
+    lanes.clear();
+    assert_eq!(
+        restarted,
+        fresh.run(patterns.len()),
+        "group of {}, restarted",
+        patterns.len()
+    );
+    let mut expected = 0;
+    for (lane, pattern) in longer.iter().enumerate() {
+        let decodes = row.decode(pattern);
+        assert_eq!(
+            !fresh.failed(lane),
+            decodes,
+            "fresh lane {lane}: {pattern:?}"
+        );
+        assert_eq!(
+            !lanes.failed(lane),
+            decodes,
+            "restarted lane {lane}: {pattern:?}"
+        );
+        expected += u64::from(!decodes);
+    }
+    assert_eq!(
+        restarted,
+        expected,
+        "group of {}, restarted",
+        patterns.len()
+    );
+    rebuilt_base
 }
 
-/// Every group size, with and without a base set, on `g`.
-fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) {
+/// Every group size, with and without a base set, on `g`; returns how many
+/// restarted lanes had a base node rebuilt.
+fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) -> usize {
     let mut lanes = LaneDecoder::new(g);
+    let mut rebuilt_base = 0;
     for (i, &group) in GROUP_SIZES.iter().enumerate() {
         let seed = seed.rotate_left(i as u32);
         let patterns: Vec<Vec<usize>> = (0..group)
             .map(|lane| lane_pattern(g, lane, k, seed))
             .collect();
         assert_lane_parity(g, &mut lanes, &[], &patterns, !seed);
-        assert_lane_parity(
+        rebuilt_base += assert_lane_parity(
             g,
             &mut lanes,
             &derive_pattern(g.num_nodes(), 1 + i % 3, seed),
@@ -294,6 +351,7 @@ fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) {
             seed ^ 0x5EED,
         );
     }
+    rebuilt_base
 }
 
 /// The size sweep's largest graph: 128 data + 128 checks.
@@ -307,9 +365,11 @@ fn lanes_match_row_and_dense_on_a_256_node_tornado_graph() {
         .generate_screened(7, 256, 2)
         .unwrap();
     assert_eq!(g.num_nodes(), 256);
+    let mut rebuilt_base = 0;
     for k in [3usize, 40, 100] {
-        assert_lane_parity_at_every_group_size(&g, k, 0xC0FFEE ^ k as u64);
+        rebuilt_base += assert_lane_parity_at_every_group_size(&g, k, 0xC0FFEE ^ k as u64);
     }
+    assert!(rebuilt_base > 0, "no restart re-marked a rebuilt base node");
 }
 
 /// A lane's verdict is its own: the same pattern alone in a group and

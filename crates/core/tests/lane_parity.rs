@@ -240,6 +240,55 @@ fn a_shuffled_pass_with_duplicates_on_a_base_equals_the_scalar_loop() {
 }
 
 #[test]
+fn a_restarted_lane_re_marks_its_base_as_well_as_its_prefix() {
+    // Each lane bisects for its trial's first failing level: a decoding
+    // probe moves up and reloads its lane over the settled state, where a
+    // peel may have rebuilt a node of the base. Forty levels on a degraded
+    // fleet restart lanes in every round; a restart that reloaded only the
+    // order's prefix read decoding trials here.
+    let g = tornado_graph_1();
+    let base = [3, 17, 84];
+    let ks: Vec<usize> = (1..=40).collect();
+    let obs = SimObserver::disabled();
+    let got = sample_levels_observed(&g, &base, &ks, 1_100, 9, &obs);
+    assert_eq!(got, scalar_sample_levels(&g, &base, &ks, 1_100, 9));
+    for (&k, &row) in ks.iter().zip(&got) {
+        assert_eq!(
+            sample_levels_observed(&g, &base, &[k], 1_100, 9, &obs),
+            [row],
+            "k = {k} alone"
+        );
+    }
+    assert!(got[0] < 1_100 && got[39] > 0, "both verdicts: {got:?}");
+}
+
+#[test]
+fn edge_level_sets_equal_the_scalar_loop() {
+    // One level, nothing lost beyond the base, every node outside it lost,
+    // levels out of order and repeated, on both sides of the group seam.
+    let g = tornado_graph_1();
+    let obs = SimObserver::disabled();
+    for base in [&[][..], &[3, 17, 84]] {
+        let all = g.num_nodes() - base.len();
+        for ks in [
+            vec![24],
+            vec![0],
+            vec![all],
+            vec![0, all],
+            vec![all, 12, 0, 5, 12, 47, 5, all],
+        ] {
+            for (trials, seed) in [(511u64, 2u64), (512, 4), (513, 6)] {
+                assert_eq!(
+                    sample_levels_observed(&g, base, &ks, trials, seed, &obs),
+                    scalar_sample_levels(&g, base, &ks, trials, seed),
+                    "base {base:?}, ks {ks:?}, {trials} trials"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn sample_level_equals_the_scalar_loop_on_other_graphs() {
     let (g2, g3) = (tornado_graph_2(), tornado_graph_3());
     let federation = FederatedSystem::new(&tornado_graph_1(), &g2);

@@ -18,21 +18,29 @@
 //! durability model): the order is then drawn from the other nodes.
 //!
 //! Trials are decided side by side, a [`LaneDecoder`] group of up to 512
-//! at a time (`tornado_codec::lanes`): each lane is loaded at the deepest
-//! requested level and peeled, then the levels are walked deepest first,
-//! every lane un-erasing the tail of its order down to the next level and
-//! the peel resuming from the last fixpoint. Un-erasing only adds known
-//! nodes and peeling is a monotone closure, so each resumed fixpoint is the
-//! fresh one and every verdict is `ErasureDecoder::decode`'s. A trial draws
-//! `max(ks)` nodes instead of `Σ ks`: on one core of a 2-vCPU VM (Intel
-//! Xeon), catalog graph 1 at 2,500 trials a level over k = 5..=48 —
-//! `bench_budget`'s `profile` — costs ~14 ns a (trial, level) verdict
-//! (~85 ns drawing a subset per level), so the paper's 962 M cases per
-//! graph — 34 CPU-days in 2006 — would take ~15 s.
+//! at a time (`tornado_codec::lanes`). A trial's verdicts form a threshold
+//! over the sorted distinct levels — it decodes below its first failing
+//! level and fails from there up — so each lane bisects for its own: every
+//! round, each lane still bracketing its threshold probes the middle level
+//! of its bracket, and the group settles once. A failing probe moves the
+//! lane down: it un-erases the tail of its order and the peel resumes from
+//! the last fixpoint (un-erasing only adds known nodes and peeling is a
+//! monotone closure, so the resumed fixpoint is the fresh one). A decoding
+//! probe moves it up: the lane re-marks the base and the longer prefix over
+//! its settled state, which misses a subset of them, so it holds exactly
+//! the fresh pattern — the base too, since a peel may have rebuilt a base
+//! node. Every verdict is `ErasureDecoder::decode`'s, and a group of `m`
+//! distinct levels settles ⌈log₂(m + 1)⌉ times instead of `m`. A trial
+//! draws `max(ks)` nodes instead of `Σ ks`: on one core of a 2-vCPU VM
+//! (Intel Xeon), catalog graph 1 at 2,500 trials a level over k = 5..=48 —
+//! `bench_budget`'s `profile`, 6 settles a group — costs ~7.4 ns a (trial,
+//! level) verdict, so the paper's 962 M cases per graph — 34 CPU-days in
+//! 2006 — would take ~7 s.
 
 use crate::obs::SimObserver;
 use crate::profile::FailureProfile;
 use rayon::prelude::*;
+use tornado_codec::metrics::cells;
 use tornado_codec::LaneDecoder;
 use tornado_graph::Graph;
 use tornado_obs::Json;
@@ -43,8 +51,9 @@ pub struct MonteCarloConfig {
     /// Trials per offline-count `k`; every level is read off the same
     /// trials' failure orders. The paper ran 10–34 M per point, well under
     /// a second each here (see the module docs); the default keeps a whole
-    /// 96-level profile to ~40 ms of one core (~25 ms on two) and is
-    /// statistically adequate for the profile *shape*.
+    /// 96-level profile to ~20 ms of one core (~13–16 ms on two), the
+    /// `tornado monte-carlo` run included, and is statistically adequate
+    /// for the profile *shape*.
     pub trials_per_k: u64,
     /// Master seed.
     pub seed: u64,
@@ -71,8 +80,10 @@ pub fn monte_carlo_profile(graph: &Graph, cfg: &MonteCarloConfig) -> FailureProf
 /// [`monte_carlo_profile`] with progress, per-level completion events, and
 /// decode-kernel metrics reported through `obs`. Failure counts are
 /// identical to the unobserved run (the sampling streams are untouched).
-/// `decode.trials` counts one per (trial, level) verdict, and
-/// `decode.recoveries` the nodes each resumed peel rebuilt.
+/// `decode.trials` counts one per (trial, level) verdict and
+/// `decode.failures` the failing ones, however many probes the bisection
+/// settled; `decode.recoveries` counts the nodes rebuilt by the peels that
+/// ran (a lane group settles once a probe round).
 pub fn monte_carlo_profile_observed(
     graph: &Graph,
     cfg: &MonteCarloConfig,
@@ -162,10 +173,11 @@ where
     for &k in ks {
         assert!(k <= rest.len(), "k = {k} exceeds {} nodes", rest.len());
     }
-    let depth = ks.iter().copied().max().unwrap_or(0);
-    // The levels deepest first: each un-erases down to the next.
-    let mut walk: Vec<usize> = (0..ks.len()).collect();
-    walk.sort_by_key(|&i| std::cmp::Reverse(ks[i]));
+    // The distinct levels, ascending: a lane bisects over their indices.
+    let mut levels = ks.to_vec();
+    levels.sort_unstable();
+    levels.dedup();
+    let depth = levels.last().copied().unwrap_or(0);
     let lanes_per_group = LaneDecoder::LANES as u64;
     let progress = obs.progress.start(
         format!("monte-carlo {} levels", ks.len()),
@@ -174,7 +186,7 @@ where
     let record = obs.metrics.is_some();
     // One unit is one lane group of trials at every level, so units are
     // alike and the pass is split once over the workers.
-    let rows: Vec<Vec<u16>> = (0..trials.div_ceil(lanes_per_group))
+    let thresholds: Vec<Vec<u16>> = (0..trials.div_ceil(lanes_per_group))
         .into_par_iter()
         .map_init(
             // Lane state, permutation and order scratch are per worker
@@ -192,9 +204,6 @@ where
                 // the `&mut Vec` every swap's store forces their reload.
                 let perm = &mut perm[..];
                 let n = perm.len();
-                // A short last group's other lanes hold only the base, and
-                // `settle` does not count them.
-                lanes.load_all(base);
                 for lane in 0..group {
                     // Determinism lives in the per-trial stream; the
                     // permutation restarts from `rest` so the order drawn
@@ -211,36 +220,122 @@ where
                         perm.swap(i, j);
                         *slot = perm[i];
                     }
-                    lanes.load(lane, order);
                 }
-                // At most `LANES` failures a level, so `u16` holds a row.
-                let mut row = vec![0u16; ks.len()];
-                let mut loaded = depth;
-                for &level in &walk {
-                    let k = ks[level];
-                    for lane in 0..group {
-                        lanes.unload(lane, &orders[lane * depth..][k..loaded]);
+                // A short last group's other lanes hold only the base, and
+                // `settle` does not count them.
+                lanes.load_all(base);
+                let mut brackets = vec![Bracket::new(levels.len()); group];
+                loop {
+                    let mut open = false;
+                    for (lane, b) in brackets.iter_mut().enumerate() {
+                        let Some(probe) = b.probe() else { continue };
+                        open = true;
+                        let order = &orders[lane * depth..][..depth];
+                        let k = levels[probe];
+                        if k < b.loaded {
+                            // Down from a failing probe: the peel resumes.
+                            lanes.unload(lane, &order[k..b.loaded]);
+                        } else {
+                            // Up from a decoding one (or the first probe), a
+                            // restart: every node the lane misses is in the
+                            // base or the loaded prefix, so marking the base
+                            // and the longer prefix leaves exactly the fresh
+                            // pattern, base nodes a peel rebuilt included.
+                            lanes.load(lane, base);
+                            lanes.load(lane, &order[..k]);
+                        }
+                        b.loaded = k;
                     }
-                    loaded = k;
-                    row[level] = lanes.settle(group) as u16;
+                    if !open {
+                        break;
+                    }
+                    lanes.settle(group);
+                    for (lane, b) in brackets.iter_mut().enumerate() {
+                        b.narrow(lanes.failed(lane));
+                    }
                 }
                 lanes.clear();
+                // At most `LANES` trials a threshold, so `u16` holds a count.
+                let mut first_fail = vec![0u16; levels.len() + 1];
+                for b in &brackets {
+                    first_fail[b.lo] += 1;
+                }
                 progress.add(group as u64 * ks.len() as u64);
                 if let Some(metrics) = &obs.metrics {
-                    metrics.absorb(&lanes.take_cells());
+                    // `settle` counted each probe; a verdict is one (trial,
+                    // level), and the failures are the rows'.
+                    let mut drained = lanes.take_cells();
+                    drained[cells::TRIALS] = group as u64 * ks.len() as u64;
+                    drained[cells::FAILURES] = rows(&levels, &first_fail, ks).iter().sum();
+                    metrics.absorb(&drained);
                 }
-                row
+                first_fail
             },
         )
         .collect();
     progress.finish();
-    let mut failures = vec![0; ks.len()];
-    for row in rows {
-        for (total, count) in failures.iter_mut().zip(row) {
+    let mut first_fail = vec![0u64; levels.len() + 1];
+    for group in thresholds {
+        for (total, count) in first_fail.iter_mut().zip(group) {
             *total += u64::from(count);
         }
     }
-    failures
+    rows(&levels, &first_fail, ks)
+}
+
+/// One lane's bisection for its trial's threshold: the index into the
+/// ascending levels of the first one its order fails at, or the level
+/// count if it decodes at every one. Verdicts never improve as `k` grows,
+/// so the threshold lies in `lo..=hi`.
+#[derive(Clone, Copy)]
+struct Bracket {
+    lo: usize,
+    hi: usize,
+    /// The order prefix the lane holds (beside the base).
+    loaded: usize,
+}
+
+impl Bracket {
+    fn new(levels: usize) -> Self {
+        Self {
+            lo: 0,
+            hi: levels,
+            loaded: 0,
+        }
+    }
+
+    /// The level index to settle next, or `None` once the threshold is
+    /// known.
+    fn probe(&self) -> Option<usize> {
+        (self.lo < self.hi).then(|| (self.lo + self.hi) / 2)
+    }
+
+    /// Takes the verdict at [`Bracket::probe`]'s level.
+    fn narrow(&mut self, failed: bool) {
+        if let Some(mid) = self.probe() {
+            if failed {
+                self.hi = mid;
+            } else {
+                self.lo = mid + 1;
+            }
+        }
+    }
+}
+
+/// Each level of `ks`'s failure count, given how many trials first fail at
+/// each of the ascending `levels` (`first_fail[levels.len()]`: those that
+/// never fail): a trial fails at its threshold and every level above.
+fn rows<T: Copy + Into<u64>>(levels: &[usize], first_fail: &[T], ks: &[usize]) -> Vec<u64> {
+    let failing: Vec<u64> = first_fail
+        .iter()
+        .scan(0, |sum, &count| {
+            *sum += count.into();
+            Some(*sum)
+        })
+        .collect();
+    ks.iter()
+        .map(|k| failing[levels.binary_search(k).expect("every k is a level")])
+        .collect()
 }
 
 /// The nodes of `0..n` outside `base`, ascending.

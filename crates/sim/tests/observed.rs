@@ -151,8 +151,8 @@ fn observed_monte_carlo_is_identical_and_counts_trials() {
 fn observed_monte_carlo_cells_are_identical_at_every_thread_count() {
     // One pass over three levels with both verdicts, twenty lane groups.
     // A group is one work unit at every level, so every cell — the
-    // recoveries of its resumed peels included — belongs to its group, not
-    // to the worker that ran it.
+    // recoveries of its bisection's peels included — belongs to its group,
+    // not to the worker that ran it.
     let g = tornado_gen::regular::generate_regular(12, 3, 1).unwrap();
     let ks = [8, 5, 11];
     let collect = |threads: usize| {
