@@ -26,10 +26,10 @@
 //! healthy-fleet number equals the offline
 //! [`crate::reliability::system_failure_probability`] exactly.
 
-use tornado_bitset::combinations::CombinationIter;
+use tornado_bitset::combinations::{binomial, CombinationIter};
 use tornado_codec::LaneDecoder;
 use tornado_graph::Graph;
-use tornado_numerics::{binomial_u128, compose_failure_probability};
+use tornado_numerics::compose_failure_probability;
 use tornado_sim::monte_carlo::{complement, sample_levels_observed};
 use tornado_sim::{FailureProfile, SimObserver};
 
@@ -92,7 +92,7 @@ pub fn conditional_failure_profile(
     }
     let mut sampled = Vec::new();
     for j in 1..=cfg.max_k.min(n_rem) {
-        let patterns = binomial_u128(n_rem as u64, j as u64);
+        let patterns = binomial(n_rem as u64, j as u64);
         if !missing.is_empty() && patterns <= u128::from(cfg.trials_per_k) {
             profile.record(j, patterns as u64, failures(graph, missing, j), true);
         } else {

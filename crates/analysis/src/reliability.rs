@@ -2,6 +2,7 @@
 //! (paper §5.1, Eqs. 2–3, Table 5).
 
 use tornado_numerics::{compose_failure_probability, BinomialFailureModel};
+use tornado_raid::{mirrored_profile, GroupSystem};
 use tornado_sim::FailureProfile;
 
 /// One row of a Table 5-style reliability report.
@@ -50,6 +51,44 @@ pub fn striping_failure_probability(n: u64, afr: f64) -> f64 {
 /// row, which is just the AFR itself.
 pub fn individual_disk_failure_probability(afr: f64) -> f64 {
     afr
+}
+
+/// Table 5's rows for every 96-disk system but the Tornado graphs:
+/// Individual Disk, Striping, RAID5, RAID6 and Mirrored, all exact.
+pub fn comparator_rows(afr: f64) -> Vec<ReliabilityRow> {
+    let row = |system: &str, data_devices, parity_devices, p_fail| ReliabilityRow {
+        system: system.into(),
+        data_devices,
+        parity_devices,
+        p_fail,
+    };
+    let mut rows = vec![
+        row(
+            "Individual Disk",
+            96,
+            0,
+            individual_disk_failure_probability(afr),
+        ),
+        row("Striping", 96, 0, striping_failure_probability(96, afr)),
+    ];
+    for (name, sys) in [
+        ("RAID5", GroupSystem::raid5_paper()),
+        ("RAID6", GroupSystem::raid6_paper()),
+    ] {
+        rows.push(row(
+            name,
+            sys.data_devices(),
+            sys.parity_devices(),
+            system_failure_probability(&sys.profile(), afr),
+        ));
+    }
+    rows.push(row(
+        "Mirrored",
+        48,
+        48,
+        system_failure_probability(&mirrored_profile(48), afr),
+    ));
+    rows
 }
 
 #[cfg(test)]

@@ -1,16 +1,18 @@
 //! Connection-count scaling of the event-loop server.
 //!
-//! Two questions, one harness:
+//! Two questions, one load driver ([`tornado_server::run_load`], which
+//! multiplexes every connection on one thread):
 //!
 //! 1. **How far do connections scale?** An open-loop GET stream at a
-//!    fixed aggregate rate is multiplexed over `N` concurrent
-//!    connections from a single driver thread ([`tornado_server::load::mux`]),
-//!    with `N` swept from 64 to 10,000+. The offered load stays
+//!    fixed aggregate rate is dealt round-robin over `N` concurrent
+//!    connections, with `N` swept from 64 to 10,000+. The offered load stays
 //!    constant, so the p99-vs-connections curve isolates what holding
 //!    (and serving) more sockets costs the server, not what more demand
 //!    costs it. Latency is measured from each operation's *scheduled*
 //!    arrival — a server that buckles under connection count shows up as
 //!    p99 inflation, never as silently reduced throughput.
+//!    Every GET is verified byte-for-byte against the 16 objects the
+//!    driver PUTs once before the window.
 //! 2. **What does it sustain at a low count?** One closed-loop point at
 //!    64 connections, fresh in-process server.
 //!
@@ -37,7 +39,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tornado_obs::Json;
-use tornado_server::load::mux::{run_mux, MuxConfig, MuxReport};
 use tornado_server::{
     run_load, serve, Client, HealthConfig, LoadConfig, LoadReport, OpMix, ServerConfig,
     ServerObserver,
@@ -50,10 +51,10 @@ pub struct ScaleResult {
     pub shards: usize,
     /// `"external-process"` or `"in-process"` (fd-budget fallback).
     pub sweep_server: &'static str,
-    /// Sweep points, ascending connection count: the connections held
-    /// concurrently under the fixed offered load, latency from each
-    /// operation's scheduled arrival.
-    pub sweep: Vec<MuxReport>,
+    /// Sweep points, ascending connection count: the connections asked
+    /// for and the run that held them concurrently under the fixed
+    /// offered load, latency from each operation's scheduled arrival.
+    pub sweep: Vec<(usize, LoadReport)>,
     /// The closed-loop point at 64 connections.
     pub closed_loop: LoadReport,
 }
@@ -61,7 +62,11 @@ pub struct ScaleResult {
 impl ScaleResult {
     /// Largest connection count the sweep actually established.
     pub fn max_connections(&self) -> usize {
-        self.sweep.iter().map(|p| p.connected).max().unwrap_or(0)
+        self.sweep
+            .iter()
+            .map(|(_, p)| p.connected)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -243,20 +248,26 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
     let mut sweep = Vec::new();
     for (i, &want) in counts.iter().enumerate() {
         let connections = want.min(conn_cap);
-        let report = run_mux(&MuxConfig {
+        let report = run_load(&LoadConfig {
             addr: addr.clone(),
             connections,
             duration_ms,
-            rate_ops_per_sec: rate,
             seed: seed ^ (i as u64 + 1),
+            mix: OpMix {
+                put: 0,
+                get: 1,
+                delete: 0,
+            },
+            payload_min: 4 << 10,
+            payload_max: 4 << 10,
             prefill: 16,
-            payload_len: 4 << 10,
-            max_inflight_per_conn: 32,
-            verify_sample: 64,
-            ..MuxConfig::default()
+            trace_sample: 0,
+            pipeline_depth: 32,
+            rate_ops_per_sec: rate,
+            ..LoadConfig::default()
         })
         .expect("open-loop sweep point");
-        sweep.push(report);
+        sweep.push((connections, report));
     }
     stop_sweep_server(server, &addr);
 
@@ -280,12 +291,12 @@ pub fn run(effort: &Effort) -> Report {
     let r = measure(effort.quick, effort.seed);
 
     let mut rows = Vec::new();
-    for p in &r.sweep {
+    for (connections, p) in &r.sweep {
         let p99_us = p.p99_us();
         assert_eq!(
-            p.connected, p.connections,
-            "only {} of {} connections established",
-            p.connected, p.connections
+            p.connected, *connections,
+            "only {} of {connections} connections established",
+            p.connected
         );
         assert_eq!(
             p.errors, 0,
@@ -308,11 +319,15 @@ pub fn run(effort: &Effort) -> Report {
         );
         rows.push(obj([
             ("connections", Json::U64(p.connected as u64)),
-            ("ops_per_sec", num(p.achieved_rate, 1)),
+            // The window's operations are its GETs; its PUTs are the
+            // prefill, made before the window opened.
+            (
+                "ops_per_sec",
+                num(p.gets as f64 * 1000.0 / p.elapsed_ms as f64, 1),
+            ),
             ("p50_us", Json::U64(p.p50_us())),
             ("p99_us", Json::U64(p99_us)),
-            ("busy", Json::U64(p.busy)),
-            ("shed", Json::U64(p.shed)),
+            ("busy", Json::U64(p.busy_retries)),
             ("errors", Json::U64(p.errors)),
             ("unanswered", Json::U64(p.unanswered)),
         ]));

@@ -9,11 +9,7 @@
 use crate::effort::Effort;
 use crate::harness::graph_profile;
 use std::fmt::Write as _;
-use tornado_analysis::reliability::{
-    individual_disk_failure_probability, striping_failure_probability, system_failure_probability,
-    ReliabilityRow,
-};
-use tornado_raid::{mirrored_profile, GroupSystem};
+use tornado_analysis::reliability::{comparator_rows, system_failure_probability, ReliabilityRow};
 
 /// The modelled annual failure rate (paper §5.1).
 pub const AFR: f64 = 0.01;
@@ -28,37 +24,7 @@ pub const TRIALS_FACTOR: u64 = 10;
 
 /// Computes every Table 5 row.
 pub fn rows(effort: &Effort) -> Vec<ReliabilityRow> {
-    let mut rows = vec![
-        ReliabilityRow {
-            system: "Individual Disk".into(),
-            data_devices: 96,
-            parity_devices: 0,
-            p_fail: individual_disk_failure_probability(AFR),
-        },
-        ReliabilityRow {
-            system: "Striping".into(),
-            data_devices: 96,
-            parity_devices: 0,
-            p_fail: striping_failure_probability(96, AFR),
-        },
-    ];
-    for (name, sys) in [
-        ("RAID5", GroupSystem::raid5_paper()),
-        ("RAID6", GroupSystem::raid6_paper()),
-    ] {
-        rows.push(ReliabilityRow {
-            system: name.into(),
-            data_devices: sys.data_devices(),
-            parity_devices: sys.parity_devices(),
-            p_fail: system_failure_probability(&sys.profile(), AFR),
-        });
-    }
-    rows.push(ReliabilityRow {
-        system: "Mirrored".into(),
-        data_devices: 48,
-        parity_devices: 48,
-        p_fail: system_failure_probability(&mirrored_profile(48), AFR),
-    });
+    let mut rows = comparator_rows(AFR);
     let sampled = Effort {
         mc_trials: effort.mc_trials.saturating_mul(TRIALS_FACTOR),
         ..*effort

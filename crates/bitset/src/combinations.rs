@@ -246,6 +246,7 @@ mod tests {
         assert_eq!(binomial(96, 3), 142_880);
         assert_eq!(binomial(96, 4), 3_321_960);
         assert_eq!(binomial(96, 6), 927_048_304);
+        assert_eq!(binomial(96, 48), 6_435_067_013_866_298_908_421_603_100);
     }
 
     #[test]
@@ -254,6 +255,14 @@ mod tests {
             for k in 1..n {
                 assert_eq!(binomial(n, k), binomial(n - 1, k - 1) + binomial(n - 1, k));
             }
+        }
+    }
+
+    #[test]
+    fn binomial_row_sums_are_powers_of_two() {
+        for n in 0..=96u64 {
+            let sum: u128 = (0..=n).map(|k| binomial(n, k)).sum();
+            assert_eq!(sum, 1u128 << n, "row {n}");
         }
     }
 

@@ -1,4 +1,5 @@
-//! Property-based tests for the combinadic rank/unrank bijection.
+//! Property-based tests for the exact binomial and the combinadic
+//! rank/unrank bijection.
 
 use proptest::prelude::*;
 use tornado_bitset::combinations::{binomial, chunk_ranges, rank, unrank};
@@ -32,5 +33,25 @@ proptest! {
         }
         let direct: Vec<Vec<usize>> = CombinationIter::new(n, k).collect();
         prop_assert_eq!(seen, direct);
+    }
+
+    #[test]
+    fn binomial_symmetry_and_bounds(n in 0u64..120, k in 0u64..120) {
+        let c = binomial(n, k);
+        if k > n {
+            prop_assert_eq!(c, 0);
+        } else {
+            prop_assert_eq!(c, binomial(n, n - k));
+            prop_assert!(c >= 1);
+        }
+    }
+
+    #[test]
+    fn binomial_pascal(n in 1u64..90, k in 1u64..90) {
+        prop_assume!(k < n);
+        prop_assert_eq!(
+            binomial(n, k),
+            binomial(n - 1, k - 1) + binomial(n - 1, k)
+        );
     }
 }

@@ -6,7 +6,6 @@ use tornado_analysis::{adjust_graph, system_failure_probability, AdjustConfig};
 use tornado_gen::{TornadoGenerator, TornadoParams};
 use tornado_graph::{dot, graphml, DegreeStats, Graph};
 use tornado_obs::Json;
-use tornado_raid::GroupSystem;
 use tornado_sim::{
     hybrid_profile, monte_carlo_profile_observed, worst_case_search_observed, MonteCarloConfig,
     WorstCaseConfig,
@@ -492,26 +491,12 @@ pub fn reliability(args: &ParsedArgs) -> CmdResult {
     let afr: f64 = args.get_parsed("afr", 0.01)?;
     let trials: u64 = args.get_parsed("trials", 20_000)?;
     println!("system, data, parity, p_fail");
-    println!("Individual Disk, 96, 0, {afr:.5}");
-    println!(
-        "Striping, 96, 0, {:.5}",
-        tornado_analysis::reliability::striping_failure_probability(96, afr)
-    );
-    for (name, sys) in [
-        ("RAID5", GroupSystem::raid5_paper()),
-        ("RAID6", GroupSystem::raid6_paper()),
-    ] {
+    for r in tornado_analysis::reliability::comparator_rows(afr) {
         println!(
-            "{name}, {}, {}, {:.5}",
-            sys.data_devices(),
-            sys.parity_devices(),
-            system_failure_probability(&sys.profile(), afr)
+            "{}, {}, {}, {:.5}",
+            r.system, r.data_devices, r.parity_devices, r.p_fail
         );
     }
-    println!(
-        "Mirrored, 48, 48, {:.5}",
-        system_failure_probability(&tornado_raid::mirrored_profile(48), afr)
-    );
     for path in args.get_all("graph") {
         let graph = load_graph(path)?;
         searchable(path, graph.num_nodes())?;
@@ -855,8 +840,12 @@ pub fn load(args: &ParsedArgs) -> CmdResult {
         );
     }
     println!(
-        "ops: {} in {} ms ({:.0} ops/s)",
-        report.ops, report.elapsed_ms, report.ops_per_sec
+        "ops: {} in {} ms ({:.0} ops/s) over {} of {} connections",
+        report.ops,
+        report.elapsed_ms,
+        report.ops_per_sec,
+        report.connected,
+        cfg.connections.max(1)
     );
     println!(
         "mix: {} put / {} get / {} delete",
@@ -883,8 +872,8 @@ pub fn load(args: &ParsedArgs) -> CmdResult {
         }
     }
     println!(
-        "backpressure: {} busy retries; errors: {}; unrecoverable: {}",
-        report.busy_retries, report.errors, report.unrecoverable
+        "backpressure: {} busy retries; errors: {}; unanswered: {}; unrecoverable: {}",
+        report.busy_retries, report.errors, report.unanswered, report.unrecoverable
     );
     println!(
         "payload mismatches: {} (must be 0)",

@@ -68,11 +68,13 @@ COMMANDS:
     put          Store one object on a server        --addr ADDR --name NAME
                                                      --payload-file FILE (prints the id)
     get          Fetch one object from a server      --addr ADDR --id N [--out FILE]
-    load         Closed-loop load generator          --addr ADDR [--connections 4]
+    load         Load generator, one thread          --addr ADDR [--connections 4]
                                                      [--duration-ms 2000] [--seed N]
                                                      [--put 20 --get 75 --delete 5]
                                                      [--payload-min N --payload-max N]
-                                                     [--zipf 0.99] [--prefill 8]
+                                                     [--zipf 0.99] [--prefill 8] (objects
+                                                     PUT once before the window, read by
+                                                     every connection, never deleted)
                                                      [--fail DEV]... [--fail-after-ms 300]
                                                      [--metrics FILE] [--shutdown]
                                                      [--trace-sample 256] [--op-limit N]

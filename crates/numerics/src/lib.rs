@@ -6,8 +6,9 @@
 //! Eq. 2–3). This crate provides both halves plus the root-finding used by
 //! the Tornado edge-distribution rescaler (§3.1):
 //!
-//! * [`binomial`] — exact coefficients in `u128` and numerically stable
-//!   `ln`-space versions for large arguments;
+//! * [`binomial`] — numerically stable `ln`-space coefficients for large
+//!   arguments (the exact `u128` ones are
+//!   `tornado_bitset::combinations::binomial`);
 //! * [`dist`] — the binomial failure-count distribution (paper Eq. 2) and
 //!   the total-probability composition (paper Eq. 3);
 //! * [`sum`] — compensated (Neumaier) summation so that summing 97 terms
@@ -24,7 +25,7 @@ pub mod dist;
 pub mod solve;
 pub mod sum;
 
-pub use binomial::{binomial_f64, binomial_u128, ln_binomial, ln_factorial};
+pub use binomial::{ln_binomial, ln_factorial};
 pub use dist::{binomial_pmf, compose_failure_probability, BinomialFailureModel};
 pub use solve::{bisect, solve_integer_target, Bracket, SolveError};
 pub use sum::NeumaierSum;

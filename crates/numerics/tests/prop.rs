@@ -1,36 +1,16 @@
 //! Property-based tests for the numeric layer.
 
 use proptest::prelude::*;
+use tornado_bitset::combinations::binomial;
 use tornado_numerics::{
-    binomial_pmf, binomial_u128, bisect, compose_failure_probability, ln_binomial, Bracket,
-    NeumaierSum,
+    binomial_pmf, bisect, compose_failure_probability, ln_binomial, Bracket, NeumaierSum,
 };
 
 proptest! {
     #[test]
-    fn binomial_symmetry_and_bounds(n in 0u64..120, k in 0u64..120) {
-        let c = binomial_u128(n, k);
-        if k > n {
-            prop_assert_eq!(c, 0);
-        } else {
-            prop_assert_eq!(c, binomial_u128(n, n - k));
-            prop_assert!(c >= 1);
-        }
-    }
-
-    #[test]
-    fn binomial_pascal(n in 1u64..90, k in 1u64..90) {
-        prop_assume!(k < n);
-        prop_assert_eq!(
-            binomial_u128(n, k),
-            binomial_u128(n - 1, k - 1) + binomial_u128(n - 1, k)
-        );
-    }
-
-    #[test]
     fn ln_binomial_tracks_exact(n in 1u64..126, k in 0u64..126) {
         prop_assume!(k <= n);
-        let exact = binomial_u128(n, k) as f64;
+        let exact = binomial(n, k) as f64;
         let ln = ln_binomial(n, k);
         prop_assert!((ln.exp() - exact).abs() / exact < 1e-9);
     }

@@ -13,7 +13,7 @@
 //! `P(fail | k) = 1 − allowed(k) / C(gs, k)`.
 
 use crate::layout::GroupLayout;
-use tornado_numerics::binomial_u128;
+use tornado_bitset::combinations::binomial;
 use tornado_sim::FailureProfile;
 
 /// A grouped parity system: layout plus per-group loss tolerance.
@@ -86,7 +86,7 @@ impl GroupSystem {
         let n = self.layout.total_devices();
         let mut p = FailureProfile::new(n);
         for k in 1..=n {
-            let cases = binomial_u128(n as u64, k as u64);
+            let cases = binomial(n as u64, k as u64);
             let frac = self.failure_probability(k);
             if cases <= u64::MAX as u128 {
                 let cases = cases as u64;
@@ -107,9 +107,7 @@ impl GroupSystem {
 pub fn allowed_placements(groups: usize, size: usize, tolerance: usize, k: usize) -> u128 {
     let t = tolerance.min(size);
     // Per-group polynomial coefficients C(size, 0..=t).
-    let unit: Vec<u128> = (0..=t)
-        .map(|j| binomial_u128(size as u64, j as u64))
-        .collect();
+    let unit: Vec<u128> = (0..=t).map(|j| binomial(size as u64, j as u64)).collect();
     let mut poly: Vec<u128> = vec![1];
     for _ in 0..groups {
         let mut next = vec![0u128; (poly.len() + t).min(k + 1)];
@@ -140,7 +138,7 @@ pub fn group_failure_probability(groups: usize, size: usize, tolerance: usize, k
     if k as u64 > n {
         return 1.0;
     }
-    let total = binomial_u128(n, k as u64);
+    let total = binomial(n, k as u64);
     let ok = allowed_placements(groups, size, tolerance, k);
     debug_assert!(ok <= total);
     1.0 - ok as f64 / total as f64

@@ -42,7 +42,7 @@ use tornado_analysis::health::{
 };
 use tornado_graph::Graph;
 use tornado_obs::{Json, SloTracker};
-use tornado_store::ArchivalStore;
+use tornado_store::{node_on_device, ArchivalStore};
 
 /// Schema tag of the health document.
 pub const HEALTH_SCHEMA: &str = "tornado-health-v1";
@@ -247,8 +247,10 @@ impl HealthModel {
         let metas = store.list();
         let mut classes: BTreeMap<Vec<usize>, u64> = BTreeMap::new();
         for meta in &metas {
-            let rot = meta.rotation % n;
-            let mut nodes: Vec<usize> = offline.iter().map(|&d| (d + n - rot) % n).collect();
+            let mut nodes: Vec<usize> = offline
+                .iter()
+                .map(|&d| node_on_device(d, meta.rotation, n))
+                .collect();
             nodes.sort_unstable();
             *classes.entry(nodes).or_insert(0) += 1;
         }

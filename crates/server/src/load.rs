@@ -1,48 +1,65 @@
-//! Load generators for the archival block service.
+//! The load generator for the archival block service.
 //!
-//! [`run_load`] opens `connections` client connections, each driven by its
-//! own worker thread over a [`PipelinedClient`]: pick the next operation
-//! from the seeded weighted mix, submit it, settle completions by
-//! correlation id in whatever order the server finishes them, record the
-//! latency, repeat until the clock runs out. Object popularity is zipfian
-//! — earlier objects are hotter — so GETs concentrate on a warm set the
-//! way archival read traffic does. Two knobs change the discipline:
+//! [`run_load`] drives `connections` client connections from one thread:
+//! every socket is nonblocking and registered with one readiness
+//! [`Poller`] — the reactor the server itself runs on — so a run holds
+//! 10,000 connections with the threads it holds 4 with, and the driver's
+//! own scheduler stays out of the measurement. Each connection picks its
+//! next operation from the seeded weighted mix, frames it with a
+//! correlation id, settles completions in whatever order the server
+//! finishes them, and records the latency. Object popularity is zipfian —
+//! earlier objects are hotter — so GETs concentrate on a warm set the way
+//! archival read traffic does. Two knobs change the discipline:
 //!
-//! * `pipeline_depth` is how many requests a worker keeps in flight on
-//!   its connection; at 1 each request waits for its response;
-//! * `rate_ops_per_sec` > 0 switches from closed-loop (issue as fast as
-//!   responses come back) to open-loop: arrivals follow a fixed schedule
-//!   and latency is measured from the *scheduled* time, so server
-//!   backlog shows up as queueing delay instead of quietly throttling
-//!   the arrival stream (the coordinated-omission correction).
+//! * `pipeline_depth` is how many requests a connection keeps in flight;
+//!   at 1 each request waits for its response;
+//! * `rate_ops_per_sec` > 0 switches from closed loop (issue as fast as
+//!   responses come back) to open loop: arrival `j` of connection `i` of
+//!   `N` is due at `start + (i + j·N) / rate`, one aggregate stream
+//!   dealt round-robin over the connections. An arrival that finds its
+//!   connection `pipeline_depth` deep waits for a slot, and its latency
+//!   counts from its *scheduled* time either way, so server backlog shows
+//!   up as queueing delay instead of quietly throttling the arrival
+//!   stream (the coordinated-omission correction). Nothing is shed.
 //!
-//! [`mux::run_mux`] is a separate driver: thousands of connections from
-//! one thread over the readiness reactor — the connection-count scaling
-//! harness, where a driver thread per connection would perturb the
-//! measurement more than the server under test.
+//! A BUSY answer puts the same operation back on the wire 1 ms later with
+//! its original latency clock; the driver never sleeps. When the window
+//! closes, what is in flight (and what waited for a slot) gets a bounded
+//! drain ([`DRAIN_GRACE`]); whatever is still unanswered after it is
+//! reported as `unanswered`. A connection the server closes (or answers
+//! SHUTTING_DOWN on) turns its in-flight requests into errors and issues
+//! nothing more, so a server that goes away ends the run.
+//!
+//! Prefill: `prefill` objects are PUT once, over the admin connection,
+//! before the window opens; every connection's zipf table starts with them
+//! as its hottest ranks. They are never deleted — a connection deletes only
+//! objects it PUT itself — so a GET-only mix reads them for the whole run.
 //!
 //! Determinism: every random choice (op, object, payload size, payload
-//! bytes) derives from `LoadConfig::seed`, so two runs with the same seed
-//! issue the same operation stream per worker. Payload bytes regenerate
-//! from a per-object seed, which is how every GET is verified
-//! byte-for-byte — any corruption the decoder fails to repair shows up as
-//! a `payload_mismatches` count, not a silent pass.
+//! bytes) derives from `LoadConfig::seed`: connection `i` draws from its
+//! own stream, seeded `seed ^ φ·(i + 1)`, in the order trace id → mix →
+//! length → object seed / zipf rank, so two runs with the same seed issue
+//! the same operation stream per connection. Payload bytes regenerate from
+//! a per-object seed, which is how every GET is verified byte-for-byte —
+//! any corruption the decoder fails to repair shows up as a
+//! `payload_mismatches` count, not a silent pass.
 //!
-//! Mid-run failure injection: when `fail_devices` is non-empty, a
-//! dedicated admin connection fails those devices (spaced by
-//! `fail_spacing_ms`) after `fail_after_ms`, while the workers keep
-//! hammering the server — exercising the transparently-degraded read path
-//! under concurrency.
+//! Mid-run failure injection: when `fail_devices` is non-empty, one helper
+//! thread fails those devices over the admin connection (spaced by
+//! `fail_spacing_ms`) `fail_after_ms` into the window, while the
+//! connections keep hammering the server — exercising the
+//! transparently-degraded read path under concurrency.
 
-use crate::client::{Client, PipelinedClient};
+use crate::client::Client;
 use crate::error::ClientError;
 use crate::obs::ServerMetrics;
-use crate::protocol::{Op, Response};
+use crate::protocol::{put_frame_head, release_drained, FrameBuffer, Op, Request, Response};
+use crate::reactor::{Event, Interest, Poller};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 use tornado_obs::{Histogram, Json, Snapshot};
@@ -74,11 +91,11 @@ impl Default for OpMix {
 pub struct LoadConfig {
     /// Server address, e.g. `127.0.0.1:7401`.
     pub addr: String,
-    /// Concurrent connections, one closed-loop worker each.
+    /// Concurrent connections, all multiplexed on the driver thread.
     pub connections: usize,
     /// Wall-clock run length in milliseconds (after prefill).
     pub duration_ms: u64,
-    /// Master seed — same seed, same per-worker operation stream.
+    /// Master seed — same seed, same per-connection operation stream.
     pub seed: u64,
     /// Operation mix.
     pub mix: OpMix,
@@ -88,8 +105,8 @@ pub struct LoadConfig {
     pub payload_max: usize,
     /// Zipf exponent for object popularity (0 = uniform; ~0.99 typical).
     pub zipf_theta: f64,
-    /// Objects each worker PUTs before the measured window opens, so GETs
-    /// have something to hit from the first sample.
+    /// Objects PUT once before the measured window opens, shared by every
+    /// connection, so GETs have something to hit from the first sample.
     pub prefill: usize,
     /// Devices to fail mid-run (empty = no injection).
     pub fail_devices: Vec<u32>,
@@ -97,29 +114,30 @@ pub struct LoadConfig {
     pub fail_after_ms: u64,
     /// Spacing between injected failures, milliseconds.
     pub fail_spacing_ms: u64,
-    /// Per-request deadline stamped by each client (0 = none).
+    /// Per-request deadline stamped on every request of the window
+    /// (0 = none).
     pub deadline_ms: u32,
     /// Trace propagation: stamp every logical operation with a
-    /// deterministic trace id drawn from the worker's seeded rng, and
+    /// deterministic trace id drawn from the connection's seeded rng, and
     /// report the 1-in-N ids the server's sampler will keep (same
     /// `tornado_obs::trace::sampled` key function on both sides).
     /// 0 stamps no trace ids at all — the wire format stays pre-trace.
     pub trace_sample: u64,
-    /// Stop each worker after this many measured operations (0 = run
+    /// Stop each connection after this many measured operations (0 = run
     /// until the clock). With a generous `duration_ms` this makes the
     /// op stream — and therefore the sampled trace-id set — an exact
     /// function of `seed`, independent of server worker count.
     pub op_limit: u64,
-    /// Requests each worker keeps in flight on its connection, matched
-    /// to their completions by correlation id. 1 (or 0) waits for each
-    /// response before issuing the next request.
+    /// Requests each connection keeps in flight, matched to their
+    /// completions by correlation id. 1 (or 0) waits for each response
+    /// before issuing the next request.
     pub pipeline_depth: usize,
     /// Open-loop arrival rate, operations per second across the whole
-    /// run (0 = closed loop). Each worker paces at `rate / connections`
-    /// and latency is measured from the *scheduled* send time, so a
-    /// server that falls behind accrues queueing delay in the histogram
-    /// instead of silently slowing the arrival stream
-    /// (coordinated-omission corrected).
+    /// run (0 = closed loop). Arrivals are dealt round-robin, so each
+    /// connection paces at `rate / connections`, and latency is measured
+    /// from the *scheduled* arrival time, so a server that falls behind
+    /// accrues queueing delay in the histogram instead of silently
+    /// slowing the arrival stream (coordinated-omission corrected).
     pub rate_ops_per_sec: f64,
 }
 
@@ -150,6 +168,12 @@ impl Default for LoadConfig {
 /// How many slowest-operation exemplars each run retains.
 pub const EXEMPLAR_KEEP: usize = 5;
 
+/// How long past the window in-flight and waiting requests may settle.
+pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// How long a request answered BUSY waits before it goes out again.
+const BUSY_BACKOFF: Duration = Duration::from_millis(1);
+
 /// One slow sampled operation, printable next to p50/p99 so the operator
 /// can jump straight from a latency number to its span tree in the
 /// server's trace export.
@@ -179,6 +203,8 @@ fn note_exemplar(slowest: &mut Vec<TraceExemplar>, e: TraceExemplar) {
 tornado_obs::metric_set! {
     /// The names a load run's own snapshot exports ([`LoadReport::snapshot`]).
     pub struct LoadMetrics {
+        /// Connections established (of `connections` requested).
+        connected: Gauge = "load.connected", "connections";
         /// Operations completed (BUSY retries excluded).
         ops: Counter = "load.ops", "ops";
         /// PUTs completed.
@@ -191,6 +217,8 @@ tornado_obs::metric_set! {
         busy_retries: Counter = "load.busy_retries", "retries";
         /// Operations that failed with a transport or server error.
         errors: Counter = "load.errors", "ops";
+        /// Requests still unanswered when the drain grace ran out.
+        unanswered: Counter = "load.unanswered", "requests";
         /// GETs answered UNRECOVERABLE.
         unrecoverable: Counter = "load.unrecoverable", "ops";
         /// GETs whose payload did not match the expected bytes; must be 0.
@@ -211,8 +239,10 @@ tornado_obs::metric_set! {
 }
 
 /// Aggregated result of one load run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LoadReport {
+    /// Connections established (a failed connect also counts an error).
+    pub connected: usize,
     /// Measured window length, milliseconds.
     pub elapsed_ms: u64,
     /// Completed operations (excludes busy retries).
@@ -225,8 +255,12 @@ pub struct LoadReport {
     pub deletes: u64,
     /// BUSY rejections absorbed (each retried after backoff).
     pub busy_retries: u64,
-    /// Operations that failed with a transport or server error.
+    /// Operations that failed with a transport or server error, including
+    /// those in flight on a connection the server closed.
     pub errors: u64,
+    /// Requests still in flight, backing off or waiting for a pipeline
+    /// slot when the drain grace ran out.
+    pub unanswered: u64,
     /// GETs answered UNRECOVERABLE (possible only past the fault
     /// tolerance of the graph).
     pub unrecoverable: u64,
@@ -246,12 +280,13 @@ pub struct LoadReport {
     /// `server.get.repair_bytes` from the server's final metrics snapshot
     /// — repair-class (check-block) bytes the degraded GETs pulled.
     pub repair_bytes: u64,
-    /// The server's final `tornado-metrics-v1` snapshot (pretty JSON).
+    /// The server's final `tornado-metrics-v1` snapshot (pretty JSON;
+    /// empty when the server was gone by the end of the run).
     pub server_metrics_json: String,
     /// Trace ids the server's deterministic sampler will have kept
     /// (sorted, deduplicated; empty when `trace_sample` is 0).
     pub sampled_trace_ids: Vec<u64>,
-    /// The slowest sampled operations across all workers, latency
+    /// The slowest sampled operations across all connections, latency
     /// descending (at most [`EXEMPLAR_KEEP`]).
     pub slowest: Vec<TraceExemplar>,
 }
@@ -267,16 +302,51 @@ impl LoadReport {
         self.latency_us.percentile(0.99).unwrap_or(0)
     }
 
+    /// Records one completed operation: latency, per-op counter, and —
+    /// when its trace id is one the server's sampler keeps — the sampled
+    /// id and a slowest-exemplar candidate.
+    fn complete(
+        &mut self,
+        trace_sample: u64,
+        trace_id: Option<u64>,
+        op: &'static str,
+        latency_us: u64,
+    ) {
+        self.latency_us.record(latency_us);
+        self.ops += 1;
+        match op {
+            "put" => self.puts += 1,
+            "get" => self.gets += 1,
+            "delete" => self.deletes += 1,
+            _ => {}
+        }
+        if let Some(id) = trace_id {
+            if tornado_obs::trace::sampled(id, trace_sample) {
+                self.sampled_trace_ids.push(id);
+                note_exemplar(
+                    &mut self.slowest,
+                    TraceExemplar {
+                        latency_us,
+                        trace_id: id,
+                        op,
+                    },
+                );
+            }
+        }
+    }
+
     /// Builds a client-side `tornado-metrics-v1` snapshot of this run,
     /// embedding the server's own final snapshot under `"server"`.
     pub fn snapshot(&self, seed: u64) -> Snapshot {
         let m = LoadMetrics::new();
+        m.connected.set(self.connected as i64);
         m.ops.add(self.ops);
         m.puts.add(self.puts);
         m.gets.add(self.gets);
         m.deletes.add(self.deletes);
         m.busy_retries.add(self.busy_retries);
         m.errors.add(self.errors);
+        m.unanswered.add(self.unanswered);
         m.unrecoverable.add(self.unrecoverable);
         m.payload_mismatches.add(self.payload_mismatches);
         m.devices_failed.add(self.devices_failed.len() as u64);
@@ -325,15 +395,19 @@ pub fn payload_for(seed: u64, len: usize) -> Vec<u8> {
     buf
 }
 
-/// One worker's view of an object it stored.
+/// One object a connection may read.
+#[derive(Clone)]
 struct ObjEntry {
     id: u64,
     seed: u64,
     len: usize,
+    /// PUT by the prefill, shared by every connection: never deleted.
+    prefilled: bool,
 }
 
 /// Zipfian sampler over a growing table: object at rank `r` (insertion
 /// order) has weight `1/(r+1)^theta`, so earlier objects stay hottest.
+#[derive(Clone)]
 struct ZipfTable {
     entries: Vec<ObjEntry>,
     cumulative: Vec<f64>,
@@ -383,171 +457,18 @@ impl ZipfTable {
     }
 }
 
-/// Per-worker tallies, summed into the report after join.
-#[derive(Default)]
-struct WorkerTally {
-    ops: u64,
-    puts: u64,
-    gets: u64,
-    deletes: u64,
-    busy_retries: u64,
-    errors: u64,
-    unrecoverable: u64,
-    payload_mismatches: u64,
-    latency_us: Histogram,
-    sampled_trace_ids: Vec<u64>,
-    slowest: Vec<TraceExemplar>,
-}
-
-impl WorkerTally {
-    /// Records one completed operation: latency, per-op counter, and —
-    /// when its trace id is one the server's sampler keeps — the sampled
-    /// id and a slowest-exemplar candidate.
-    fn complete(
-        &mut self,
-        cfg: &LoadConfig,
-        trace_id: Option<u64>,
-        op: &'static str,
-        latency_us: u64,
-    ) {
-        self.latency_us.record(latency_us);
-        self.ops += 1;
-        match op {
-            "put" => self.puts += 1,
-            "get" => self.gets += 1,
-            "delete" => self.deletes += 1,
-            _ => {}
-        }
-        if let Some(id) = trace_id {
-            if tornado_obs::trace::sampled(id, cfg.trace_sample) {
-                self.sampled_trace_ids.push(id);
-                note_exemplar(
-                    &mut self.slowest,
-                    TraceExemplar {
-                        latency_us,
-                        trace_id: id,
-                        op,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// Runs the load and returns the aggregated report.
-///
-/// Fails fast if the first connection cannot be established; individual
-/// op errors during the run are counted, not fatal.
-pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
-    // Probe the server before spawning anything.
-    let mut admin = Client::connect(&cfg.addr)?;
-    admin.ping()?;
-
-    let connections = cfg.connections.max(1);
-    let start = Instant::now();
-    let stop_at = start + Duration::from_millis(cfg.duration_ms);
-    let seq = Arc::new(AtomicU64::new(0));
-
-    let mut tallies: Vec<WorkerTally> = Vec::with_capacity(connections);
-    let mut devices_failed = Vec::new();
-    thread::scope(|s| {
-        let workers: Vec<_> = (0..connections)
-            .map(|worker| {
-                let cfg = cfg.clone();
-                let seq = Arc::clone(&seq);
-                s.spawn(move || worker_loop_pipelined(&cfg, worker as u64, stop_at, &seq))
-            })
-            .collect();
-
-        // Failure injection rides on the admin connection while workers run.
-        if !cfg.fail_devices.is_empty() {
-            thread::sleep(Duration::from_millis(cfg.fail_after_ms));
-            for &device in &cfg.fail_devices {
-                match admin.fail_device(device) {
-                    Ok(()) => devices_failed.push(device),
-                    Err(_) => break,
-                }
-                thread::sleep(Duration::from_millis(cfg.fail_spacing_ms));
-            }
-        }
-
-        for w in workers {
-            tallies.push(w.join().expect("load worker panicked"));
-        }
-    });
-    let elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
-
-    let mut report = LoadReport {
-        elapsed_ms,
-        ops: 0,
-        puts: 0,
-        gets: 0,
-        deletes: 0,
-        busy_retries: 0,
-        errors: 0,
-        unrecoverable: 0,
-        payload_mismatches: 0,
-        ops_per_sec: 0.0,
-        latency_us: Histogram::new(),
-        devices_failed,
-        degraded_reads: 0,
-        replans: 0,
-        repair_bytes: 0,
-        server_metrics_json: String::new(),
-        sampled_trace_ids: Vec::new(),
-        slowest: Vec::new(),
-    };
-    for t in &tallies {
-        report.ops += t.ops;
-        report.puts += t.puts;
-        report.gets += t.gets;
-        report.deletes += t.deletes;
-        report.busy_retries += t.busy_retries;
-        report.errors += t.errors;
-        report.unrecoverable += t.unrecoverable;
-        report.payload_mismatches += t.payload_mismatches;
-        report.latency_us.merge(&t.latency_us);
-        report.sampled_trace_ids.extend(&t.sampled_trace_ids);
-        for &e in &t.slowest {
-            note_exemplar(&mut report.slowest, e);
-        }
-    }
-    report.sampled_trace_ids.sort_unstable();
-    report.sampled_trace_ids.dedup();
-    report
-        .slowest
-        .sort_unstable_by_key(|e| std::cmp::Reverse(e.latency_us));
-    report.ops_per_sec = report.ops as f64 * 1000.0 / elapsed_ms as f64;
-
-    report.server_metrics_json = admin.metrics()?;
-    if let Ok(doc) = tornado_obs::json::parse(&report.server_metrics_json) {
-        let counter = |key: &str| {
-            doc.get("counters")
-                .and_then(|c| c.get(key))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
-        report.degraded_reads = counter(ServerMetrics::degraded_reads);
-        report.replans = counter(ServerMetrics::replans);
-        report.repair_bytes = counter(ServerMetrics::get_repair_bytes);
-    }
-    Ok(report)
-}
-
-/// The per-worker arrival interval for open-loop runs (`None` = closed
-/// loop).
-fn per_worker_interval(cfg: &LoadConfig) -> Option<Duration> {
-    if cfg.rate_ops_per_sec > 0.0 {
-        Some(Duration::from_secs_f64(
-            cfg.connections.max(1) as f64 / cfg.rate_ops_per_sec,
-        ))
+/// Draws a fresh object's length, then its payload seed.
+fn draw_object(cfg: &LoadConfig, rng: &mut SmallRng) -> (usize, u64) {
+    let len = if cfg.payload_max > cfg.payload_min {
+        rng.gen_range(cfg.payload_min..=cfg.payload_max)
     } else {
-        None
-    }
+        cfg.payload_min.max(1)
+    };
+    (len.max(1), rng.next_u64())
 }
 
-/// What one in-flight pipelined request was, in enough detail to verify
-/// its completion — or resubmit it verbatim after a BUSY.
+/// What one submitted request was, in enough detail to verify its
+/// completion — or resubmit it verbatim after a BUSY.
 enum PendingKind {
     /// `obj_seed`/`len` regenerate the payload on retry (and are what
     /// the table learns on PutOk), so no payload bytes are retained.
@@ -566,740 +487,631 @@ enum PendingKind {
     },
 }
 
-/// One submitted-but-unanswered pipelined request.
+/// One operation between its first submission and its final answer.
 struct PendingOp {
     kind: PendingKind,
     trace_id: Option<u64>,
     /// Latency origin: the scheduled arrival (open loop) or the instant
-    /// the frame was first handed to the socket (closed loop). Survives
+    /// the frame was first queued for the socket (closed loop). Survives
     /// busy-resubmits unchanged — backlog is the user's latency.
     sched: Instant,
 }
 
-/// Mutable state of one pipelined worker, so submit/receive logic can be
-/// factored into methods instead of functions with ten parameters.
-struct PipelinedWorker<'a> {
-    cfg: &'a LoadConfig,
-    client: PipelinedClient,
+/// One multiplexed connection and the operation stream it drives.
+struct Conn {
+    stream: TcpStream,
+    /// This connection's seeded stream.
     rng: SmallRng,
     table: ZipfTable,
-    /// In-flight requests by correlation id.
+    /// Requests on the wire, by correlation id.
     pending: HashMap<u32, PendingOp>,
-    /// Objects with in-flight GETs, by object id — a DELETE of such an
-    /// object is deferred (its out-of-order completion could otherwise
-    /// race the reads and turn verified GETs into NotFounds).
+    /// Objects with GETs in flight or backing off, by object id — a
+    /// DELETE of such an object is deferred (its out-of-order completion
+    /// could otherwise race the reads and turn verified GETs into
+    /// NotFounds).
     inflight_gets: HashMap<u64, u32>,
-    tally: WorkerTally,
-    seq: &'a AtomicU64,
+    inbuf: FrameBuffer,
+    out: Vec<u8>,
+    /// Bytes of `out` already written.
+    written: usize,
+    next_corr: u32,
+    write_interest: bool,
+    dead: bool,
+    /// Operations issued in the window: the `op_limit` count, and in open
+    /// loop the index of the next arrival to send.
+    issued: u64,
+    /// Open loop: this connection's arrivals that have come due.
+    due: u64,
+    /// Operations answered BUSY and waiting out their backoff; they keep
+    /// their place in the pipeline window.
+    backing_off: usize,
 }
 
-impl PipelinedWorker<'_> {
-    /// Draws a fresh object to PUT: length, then payload seed. The atomic
-    /// sequence makes names globally unique across workers; payload bytes
-    /// stay a pure function of `obj_seed`.
-    fn new_put(&mut self) -> PendingKind {
-        let len = if self.cfg.payload_max > self.cfg.payload_min {
-            self.rng
-                .gen_range(self.cfg.payload_min..=self.cfg.payload_max)
-        } else {
-            self.cfg.payload_min.max(1)
+/// The single-threaded driver: every connection, the arrival schedule,
+/// the BUSY backoff queue and the running tallies.
+struct Driver<'a> {
+    cfg: &'a LoadConfig,
+    poller: Poller,
+    conns: Vec<Conn>,
+    report: &'a mut LoadReport,
+    start: Instant,
+    stop_at: Instant,
+    depth: usize,
+    /// Open loop: the spacing of one connection's arrivals.
+    interval: Option<Duration>,
+    /// Open loop: the schedule index of the next arrival to come due.
+    arrivals: u64,
+    /// Operations answered BUSY, by resubmission time (every backoff is
+    /// the same, so arrival order is due order).
+    bounced: VecDeque<(Instant, usize, PendingOp)>,
+    /// Operations submitted and not yet finally answered.
+    open_ops: u64,
+    /// Open-loop arrivals due but not yet sent (their connection was at
+    /// depth).
+    backlog: u64,
+    /// Connections that may still issue: neither dead nor at `op_limit`.
+    live: usize,
+    /// PUT names issued so far (names are `load-N`, unique in the run).
+    names: u64,
+}
+
+/// Runs the load and returns the aggregated report.
+///
+/// Fails fast if the server is unreachable, a prefill PUT fails, or no
+/// connection can be established; errors on individual connections and
+/// operations during the run are counted, not fatal.
+pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
+    let mut admin = Client::connect(&cfg.addr)?;
+    admin.ping()?;
+    let mut report = LoadReport::default();
+    let prefilled = prefill(cfg, &mut admin, &mut report)?;
+
+    let want = cfg.connections.max(1);
+    let _ = crate::reactor::raise_nofile_limit(want as u64 + 128);
+    let poller = Poller::new()?;
+    let mut conns = Vec::with_capacity(want);
+    for i in 0..want {
+        // A blocking connect gives natural backpressure against the
+        // server's accept queue; the socket is nonblocking after.
+        let Ok(stream) = TcpStream::connect(&cfg.addr) else {
+            report.errors += 1;
+            continue;
         };
-        let obj_seed = self.rng.next_u64();
-        let name = format!("load-{}", self.seq.fetch_add(1, Ordering::Relaxed));
-        PendingKind::Put {
-            name,
-            obj_seed,
-            len: len.max(1),
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        poller.register(&stream, conns.len() as u64, Interest::READ)?;
+        conns.push(Conn {
+            stream,
+            // Golden-ratio stride keeps per-connection streams
+            // uncorrelated while the whole run stays a pure function of
+            // cfg.seed.
+            rng: SmallRng::seed_from_u64(
+                cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1),
+            ),
+            table: prefilled.clone(),
+            pending: HashMap::new(),
+            inflight_gets: HashMap::new(),
+            inbuf: FrameBuffer::new(),
+            out: Vec::new(),
+            written: 0,
+            next_corr: 0,
+            write_interest: false,
+            dead: false,
+            issued: 0,
+            due: 0,
+            backing_off: 0,
+        });
+    }
+    if conns.is_empty() {
+        return Err(ClientError::Unexpected(
+            "no load connection could be established".into(),
+        ));
+    }
+    report.connected = conns.len();
+
+    let start = Instant::now();
+    let mut driver = Driver {
+        cfg,
+        poller,
+        live: conns.len(),
+        conns,
+        report: &mut report,
+        start,
+        stop_at: start + Duration::from_millis(cfg.duration_ms),
+        depth: cfg.pipeline_depth.max(1),
+        interval: per_worker_interval(cfg),
+        arrivals: 0,
+        bounced: VecDeque::new(),
+        open_ops: 0,
+        backlog: 0,
+        names: cfg.prefill as u64,
+    };
+    // Failure injection rides on the admin connection, on the one helper
+    // thread a run may start, while the driver runs.
+    let devices_failed = thread::scope(|s| {
+        let injector = (!cfg.fail_devices.is_empty())
+            .then(|| s.spawn(|| inject_failures(cfg, &mut admin, start)));
+        let run = driver.run();
+        let failed = injector.map_or_else(Vec::new, |h| h.join().expect("failure injector"));
+        run.map(|()| failed)
+    })?;
+    let elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
+
+    report.elapsed_ms = elapsed_ms;
+    report.devices_failed = devices_failed;
+    report.sampled_trace_ids.sort_unstable();
+    report.sampled_trace_ids.dedup();
+    report
+        .slowest
+        .sort_unstable_by_key(|e| std::cmp::Reverse(e.latency_us));
+    report.ops_per_sec = report.ops as f64 * 1000.0 / elapsed_ms as f64;
+
+    // A server that went away mid-run leaves the report without its
+    // snapshot; the lost requests are already counted.
+    if let Ok(json) = admin.metrics() {
+        if let Ok(doc) = tornado_obs::json::parse(&json) {
+            let counter = |key: &str| {
+                doc.get("counters")
+                    .and_then(|c| c.get(key))
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0)
+            };
+            report.degraded_reads = counter(ServerMetrics::degraded_reads);
+            report.replans = counter(ServerMetrics::replans);
+            report.repair_bytes = counter(ServerMetrics::get_repair_bytes);
+        }
+        report.server_metrics_json = json;
+    }
+    Ok(report)
+}
+
+/// PUTs the shared prefill over the admin connection, one at a time and
+/// with no deadline, drawing each object (trace id → length → object
+/// seed) from a stream seeded with `cfg.seed` itself; returns the table
+/// every connection starts from.
+fn prefill(
+    cfg: &LoadConfig,
+    admin: &mut Client,
+    report: &mut LoadReport,
+) -> Result<ZipfTable, ClientError> {
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut table = ZipfTable::new(cfg.zipf_theta);
+    for i in 0..cfg.prefill {
+        let trace_id = (cfg.trace_sample > 0).then(|| rng.next_u64());
+        let (len, seed) = draw_object(cfg, &mut rng);
+        let payload = payload_for(seed, len);
+        let name = format!("load-{i}");
+        admin.set_trace_id(trace_id);
+        let t = Instant::now();
+        let id = loop {
+            match admin.put(&name, &payload) {
+                Err(ClientError::Busy) => {
+                    report.busy_retries += 1;
+                    thread::sleep(BUSY_BACKOFF);
+                }
+                other => break other?,
+            }
+        };
+        report.complete(
+            cfg.trace_sample,
+            trace_id,
+            "put",
+            t.elapsed().as_micros() as u64,
+        );
+        table.push(ObjEntry {
+            id,
+            seed,
+            len,
+            prefilled: true,
+        });
+    }
+    admin.set_trace_id(None);
+    Ok(table)
+}
+
+/// The helper thread's body: fails `cfg.fail_devices` over the admin
+/// connection, the first `fail_after_ms` after `start`, then one every
+/// `fail_spacing_ms`. Returns the devices the server accepted, in order.
+fn inject_failures(cfg: &LoadConfig, admin: &mut Client, start: Instant) -> Vec<u32> {
+    let first = start + Duration::from_millis(cfg.fail_after_ms);
+    thread::sleep(first.saturating_duration_since(Instant::now()));
+    let mut failed = Vec::new();
+    for &device in &cfg.fail_devices {
+        if admin.fail_device(device).is_err() {
+            break;
+        }
+        failed.push(device);
+        thread::sleep(Duration::from_millis(cfg.fail_spacing_ms));
+    }
+    failed
+}
+
+/// The spacing of one connection's open-loop arrivals (`None` = closed
+/// loop): the aggregate rate dealt over the connections.
+fn per_worker_interval(cfg: &LoadConfig) -> Option<Duration> {
+    (cfg.rate_ops_per_sec > 0.0)
+        .then(|| Duration::from_secs_f64(cfg.connections.max(1) as f64 / cfg.rate_ops_per_sec))
+}
+
+impl Driver<'_> {
+    /// Runs the window and the drain.
+    fn run(&mut self) -> io::Result<()> {
+        for c in 0..self.conns.len() {
+            self.pump(c);
+        }
+        let drain_by = self.stop_at + DRAIN_GRACE;
+        let mut events: Vec<Event> = Vec::new();
+        loop {
+            let now = Instant::now();
+            self.admit_arrivals(now);
+            self.resubmit_bounced(now);
+            let waiting = self.open_ops + self.backlog;
+            if waiting == 0 && (now >= self.stop_at || self.live == 0) {
+                return Ok(());
+            }
+            if now >= drain_by {
+                self.report.unanswered = waiting;
+                return Ok(());
+            }
+            let mut wake = drain_by;
+            if now < self.stop_at {
+                wake = wake.min(self.stop_at);
+            }
+            if let Some(due) = self.next_arrival() {
+                wake = wake.min(due);
+            }
+            if let Some(&(due, ..)) = self.bounced.front() {
+                wake = wake.min(due);
+            }
+            self.poller
+                .wait(&mut events, Some(wake.saturating_duration_since(now)))?;
+            for ev in &events {
+                let c = ev.token as usize;
+                if ev.readable && !self.conns[c].dead {
+                    self.read(c);
+                }
+                if ev.writable && !self.conns[c].dead {
+                    self.flush(c);
+                }
+            }
         }
     }
 
-    /// Draws the next op from the weighted mix. DELETE of an object with
-    /// reads still in flight degrades to a GET of that object.
-    fn pick_kind(&mut self) -> PendingKind {
-        let total = self.cfg.mix.put + self.cfg.mix.get + self.cfg.mix.delete;
+    /// When open-loop arrival `a` is due: it belongs to connection
+    /// `a % N` and is due at `start + a / rate`.
+    fn due_at(&self, interval: Duration, a: u64) -> Instant {
+        self.start + interval.mul_f64(a as f64 / self.conns.len() as f64)
+    }
+
+    /// When the next open-loop arrival is due, if there is one.
+    fn next_arrival(&self) -> Option<Instant> {
+        let iv = self.interval?;
+        let n = self.conns.len() as u64;
+        if self.cfg.op_limit > 0 && self.arrivals / n >= self.cfg.op_limit {
+            return None;
+        }
+        let due = self.due_at(iv, self.arrivals);
+        (due < self.stop_at).then_some(due)
+    }
+
+    /// Deals every arrival due by `now` to its connection.
+    fn admit_arrivals(&mut self, now: Instant) {
+        while let Some(due) = self.next_arrival() {
+            if due > now {
+                return;
+            }
+            let c = (self.arrivals % self.conns.len() as u64) as usize;
+            self.arrivals += 1;
+            if !self.conns[c].dead {
+                self.conns[c].due += 1;
+                self.backlog += 1;
+                self.pump(c);
+            }
+        }
+    }
+
+    /// Puts every BUSY-bounced operation whose backoff is over back on
+    /// the wire, under a fresh correlation id, with its original clock.
+    fn resubmit_bounced(&mut self, now: Instant) {
+        while self.bounced.front().is_some_and(|&(due, ..)| due <= now) {
+            let (_, c, op) = self.bounced.pop_front().expect("front checked");
+            self.conns[c].backing_off -= 1;
+            if self.conns[c].dead {
+                self.report.errors += 1;
+                self.open_ops -= 1;
+                continue;
+            }
+            self.submit(c, op);
+            self.flush(c);
+        }
+    }
+
+    /// Issues what connection `c` may issue now — up to its pipeline
+    /// depth: new operations while the window is open (closed loop), or
+    /// the arrivals that have come due (open loop) — then flushes.
+    fn pump(&mut self, c: usize) {
+        loop {
+            let conn = &self.conns[c];
+            if conn.dead || conn.pending.len() + conn.backing_off >= self.depth {
+                break;
+            }
+            let sched = match self.interval {
+                Some(iv) => {
+                    if conn.issued == conn.due {
+                        break;
+                    }
+                    self.backlog -= 1;
+                    self.due_at(iv, c as u64 + conn.issued * self.conns.len() as u64)
+                }
+                None => {
+                    let limited = self.cfg.op_limit > 0 && conn.issued >= self.cfg.op_limit;
+                    let now = Instant::now();
+                    if limited || now >= self.stop_at {
+                        break;
+                    }
+                    now
+                }
+            };
+            self.issue(c, sched);
+        }
+        self.flush(c);
+    }
+
+    /// Draws connection `c`'s next operation and submits it.
+    fn issue(&mut self, c: usize, sched: Instant) {
+        let cfg = self.cfg;
+        let conn = &mut self.conns[c];
+        let trace_id = (cfg.trace_sample > 0).then(|| conn.rng.next_u64());
+        let total = cfg.mix.put + cfg.mix.get + cfg.mix.delete;
         let pick = if total == 0 {
             0
         } else {
-            self.rng.gen_range(0..total)
+            conn.rng.gen_range(0..total)
         };
-        if pick < self.cfg.mix.put || self.table.len() == 0 {
-            return self.new_put();
-        }
-        let i = self.table.sample(&mut self.rng);
-        if pick < self.cfg.mix.put + self.cfg.mix.get
-            || self
-                .inflight_gets
-                .get(&self.table.entries[i].id)
-                .copied()
-                .unwrap_or(0)
-                > 0
-        {
-            let e = &self.table.entries[i];
-            PendingKind::Get {
-                obj_id: e.id,
-                obj_seed: e.seed,
-                len: e.len,
-            }
-        } else {
-            // Removing at submit time keeps later picks off this object.
-            let e = self.table.remove(i);
-            PendingKind::Delete { obj_id: e.id }
-        }
-    }
-
-    /// Submits `kind`, registering it in the pending window. `sched` is
-    /// the latency origin; `None` (a closed-loop first attempt) starts the
-    /// clock as the frame is handed to the socket, so generating a PUT
-    /// payload is not billed to the server. Returns `false` when the
-    /// connection is unusable.
-    fn submit_kind(
-        &mut self,
-        kind: PendingKind,
-        trace_id: Option<u64>,
-        sched: Option<Instant>,
-    ) -> bool {
-        let op = match &kind {
+        let kind = if pick < cfg.mix.put || conn.table.len() == 0 {
+            let (len, obj_seed) = draw_object(cfg, &mut conn.rng);
+            let name = format!("load-{}", self.names);
+            self.names += 1;
             PendingKind::Put {
                 name,
                 obj_seed,
                 len,
-            } => Op::Put {
-                name: name.clone(),
-                payload: payload_for(*obj_seed, *len),
-            },
-            PendingKind::Get { obj_id, .. } => Op::Get { id: *obj_id },
-            PendingKind::Delete { obj_id } => Op::Delete { id: *obj_id },
-        };
-        self.client.set_trace_id(trace_id);
-        let sched = sched.unwrap_or_else(Instant::now);
-        match self.client.submit(op) {
-            Ok(corr) => {
-                if let PendingKind::Get { obj_id, .. } = &kind {
-                    *self.inflight_gets.entry(*obj_id).or_insert(0) += 1;
+            }
+        } else {
+            let i = conn.table.sample(&mut conn.rng);
+            let e = &conn.table.entries[i];
+            // A DELETE of a shared object, or of one with reads in
+            // flight, degrades to a GET of it.
+            if pick < cfg.mix.put + cfg.mix.get
+                || e.prefilled
+                || conn.inflight_gets.contains_key(&e.id)
+            {
+                *conn.inflight_gets.entry(e.id).or_insert(0) += 1;
+                PendingKind::Get {
+                    obj_id: e.id,
+                    obj_seed: e.seed,
+                    len: e.len,
                 }
-                self.pending.insert(
-                    corr,
-                    PendingOp {
-                        kind,
-                        trace_id,
-                        sched,
-                    },
-                );
-                true
-            }
-            Err(_) => {
-                self.tally.errors += 1;
-                false
-            }
-        }
-    }
-
-    /// Blocks for one completion and settles it against the pending
-    /// window. Returns `false` when the connection is unusable.
-    fn recv_one(&mut self) -> bool {
-        let (corr, resp) = match self.client.recv() {
-            Ok(pair) => pair,
-            Err(_) => {
-                self.tally.errors += 1;
-                return false;
-            }
-        };
-        let Some(p) = self.pending.remove(&corr) else {
-            // A correlation id we never issued — protocol breakage.
-            self.tally.errors += 1;
-            return true;
-        };
-        if let PendingKind::Get { obj_id, .. } = &p.kind {
-            if let Some(n) = self.inflight_gets.get_mut(obj_id) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    self.inflight_gets.remove(obj_id);
-                }
-            }
-        }
-        let latency_us = p.sched.elapsed().as_micros() as u64;
-        match (resp, p.kind) {
-            (Response::PutOk { id }, PendingKind::Put { obj_seed, len, .. }) => {
-                self.tally.complete(self.cfg, p.trace_id, "put", latency_us);
-                self.table.push(ObjEntry {
-                    id,
-                    seed: obj_seed,
-                    len,
-                });
-            }
-            (Response::GetOk { payload }, PendingKind::Get { obj_seed, len, .. }) => {
-                self.tally.complete(self.cfg, p.trace_id, "get", latency_us);
-                if payload != payload_for(obj_seed, len) {
-                    self.tally.payload_mismatches += 1;
-                }
-            }
-            (Response::Ok, PendingKind::Delete { .. }) => {
-                self.tally
-                    .complete(self.cfg, p.trace_id, "delete", latency_us);
-            }
-            (Response::Busy, kind) => {
-                // Back off, then the identical op goes back out under a
-                // fresh correlation id with its original latency clock
-                // still running.
-                self.tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-                return self.submit_kind(kind, p.trace_id, Some(p.sched));
-            }
-            (Response::Unrecoverable { .. }, PendingKind::Get { .. }) => {
-                self.tally.unrecoverable += 1;
-            }
-            _ => {
-                self.tally.errors += 1;
-            }
-        }
-        true
-    }
-}
-
-/// The worker body: up to `pipeline_depth` requests in flight on one
-/// connection, completions settled in whatever order the shards finish
-/// them. The trace id is drawn from the same seeded stream as the op
-/// choice (trace id → mix pick → length → object seed / zipf sample), so
-/// the id sequence — and the sampled subset — is an exact function of
-/// (seed, worker index).
-fn worker_loop_pipelined(
-    cfg: &LoadConfig,
-    worker: u64,
-    stop_at: Instant,
-    seq: &AtomicU64,
-) -> WorkerTally {
-    let mut client = match PipelinedClient::connect(&cfg.addr) {
-        Ok(c) => c,
-        Err(_) => {
-            let mut tally = WorkerTally::default();
-            tally.errors += 1;
-            return tally;
-        }
-    };
-    client.set_deadline_ms(cfg.deadline_ms);
-    // Golden-ratio stride keeps per-worker streams uncorrelated while the
-    // whole run stays a pure function of cfg.seed.
-    let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
-    let mut w = PipelinedWorker {
-        cfg,
-        client,
-        rng,
-        table: ZipfTable::new(cfg.zipf_theta),
-        pending: HashMap::new(),
-        inflight_gets: HashMap::new(),
-        tally: WorkerTally::default(),
-        seq,
-    };
-
-    // Prefill serially (depth 1) so the zipf table is warm before the
-    // window opens.
-    for _ in 0..cfg.prefill {
-        let tid = (cfg.trace_sample > 0).then(|| w.rng.next_u64());
-        let kind = w.new_put();
-        if !w.submit_kind(kind, tid, None) {
-            return w.tally;
-        }
-        while !w.pending.is_empty() {
-            if !w.recv_one() {
-                return w.tally;
-            }
-        }
-    }
-
-    let depth = cfg.pipeline_depth.max(1);
-    // Open-loop pacing: one worker owns a 1/connections slice of the
-    // aggregate rate, and each operation's latency clock starts at its
-    // *scheduled* arrival, not when the (possibly backlogged) worker got
-    // around to sending it.
-    let interval = per_worker_interval(cfg);
-    let open_start = Instant::now();
-    let mut issued: u64 = 0;
-    loop {
-        let now = Instant::now();
-        if now >= stop_at {
-            break;
-        }
-        let limit_hit = cfg.op_limit > 0 && issued >= cfg.op_limit;
-        if !limit_hit && w.pending.len() < depth {
-            let sched = match interval {
-                Some(iv) => {
-                    let due =
-                        open_start + Duration::from_secs_f64(issued as f64 * iv.as_secs_f64());
-                    if due >= stop_at {
-                        break;
-                    }
-                    if due > now {
-                        // Sleep in short slices so the stop clock stays
-                        // responsive at low rates; completions buffer in
-                        // the socket meanwhile and settle instantly.
-                        thread::sleep((due - now).min(Duration::from_millis(5)));
-                        continue;
-                    }
-                    Some(due)
-                }
-                None => None,
-            };
-            issued += 1;
-            let tid = (cfg.trace_sample > 0).then(|| w.rng.next_u64());
-            let kind = w.pick_kind();
-            if !w.submit_kind(kind, tid, sched) {
-                return w.tally;
-            }
-            continue;
-        }
-        if w.pending.is_empty() {
-            if limit_hit {
-                break;
-            }
-            continue;
-        }
-        if !w.recv_one() {
-            return w.tally;
-        }
-    }
-    // Settle whatever is still in flight — those were real arrivals.
-    while !w.pending.is_empty() {
-        if !w.recv_one() {
-            break;
-        }
-    }
-    w.tally
-}
-
-/// Multiplexed open-loop driver: thousands of connections, one thread.
-///
-/// The connection-count scaling bench needs 10,000+ concurrent
-/// connections against a server sharing the same machine. Driving those
-/// with one thread each would measure the *driver's* scheduler, not the
-/// server; instead [`mux::run_mux`] multiplexes every connection over the
-/// same readiness reactor the server itself uses — nonblocking sockets,
-/// per-connection frame reassembly, correlation-id matching — and paces
-/// arrivals on a fixed open-loop schedule. Latency is measured from each
-/// operation's *scheduled* arrival, so a server that falls behind at
-/// high connection counts shows the backlog in p99 rather than silently
-/// slowing the offered load.
-pub mod mux {
-    use super::payload_for;
-    use crate::client::Client;
-    use crate::error::ClientError;
-    use crate::protocol::{append_frame, FrameBuffer, Op, Request, Response};
-    use crate::reactor::{Event, Interest, Poller};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use std::io::{ErrorKind, Read, Write};
-    use std::net::TcpStream;
-    use std::time::{Duration, Instant};
-    use tornado_obs::Histogram;
-
-    /// Tunables for one [`run_mux`] run.
-    #[derive(Clone, Debug)]
-    pub struct MuxConfig {
-        /// Server address.
-        pub addr: String,
-        /// Concurrent connections, all multiplexed on one driver thread.
-        pub connections: usize,
-        /// Measured window, milliseconds (arrivals stop at the window
-        /// edge; stragglers get a bounded drain).
-        pub duration_ms: u64,
-        /// Aggregate open-loop arrival rate, operations per second,
-        /// spread round-robin across all connections.
-        pub rate_ops_per_sec: f64,
-        /// Seed for object choice and verification sampling.
-        pub seed: u64,
-        /// Objects PUT up front (serially) that the GET stream reads.
-        pub prefill: usize,
-        /// Payload length of each prefilled object, bytes.
-        pub payload_len: usize,
-        /// Deadline stamped on every request (0 = none).
-        pub deadline_ms: u32,
-        /// In-flight cap per connection; arrivals that find every
-        /// connection at its cap are shed (counted, not sent).
-        pub max_inflight_per_conn: usize,
-        /// Verify payload bytes on 1-in-N GETs (0 = never) — full
-        /// verification at 10k connections would bottleneck the driver.
-        pub verify_sample: u64,
-    }
-
-    impl Default for MuxConfig {
-        fn default() -> Self {
-            Self {
-                addr: "127.0.0.1:7401".into(),
-                connections: 256,
-                duration_ms: 2_000,
-                rate_ops_per_sec: 1_000.0,
-                seed: 1,
-                prefill: 16,
-                payload_len: 4 << 10,
-                deadline_ms: 0,
-                max_inflight_per_conn: 32,
-                verify_sample: 64,
-            }
-        }
-    }
-
-    /// Aggregated result of one [`run_mux`] run.
-    #[derive(Debug)]
-    pub struct MuxReport {
-        /// Connections requested.
-        pub connections: usize,
-        /// Connections actually established.
-        pub connected: usize,
-        /// Wall-clock from first arrival to last settled completion, ms.
-        pub elapsed_ms: u64,
-        /// Successfully completed operations.
-        pub ops: u64,
-        /// BUSY answers (open loop does not retry — shed at the server).
-        pub busy: u64,
-        /// Arrivals dropped because every connection was at its
-        /// in-flight cap (shed at the driver).
-        pub shed: u64,
-        /// Transport or server errors (includes completions lost to a
-        /// dead connection).
-        pub errors: u64,
-        /// Verified GETs whose bytes did not match — must stay zero.
-        pub payload_mismatches: u64,
-        /// Requests submitted onto the wire.
-        pub submitted: u64,
-        /// Still unanswered when the drain deadline expired.
-        pub unanswered: u64,
-        /// The configured arrival rate, ops/s.
-        pub target_rate: f64,
-        /// Completed ops per second over the elapsed window.
-        pub achieved_rate: f64,
-        /// Latency from scheduled arrival to settled completion, µs.
-        pub latency_us: Histogram,
-    }
-
-    impl MuxReport {
-        /// Median latency in microseconds.
-        pub fn p50_us(&self) -> u64 {
-            self.latency_us.percentile(0.5).unwrap_or(0)
-        }
-
-        /// 99th-percentile latency in microseconds.
-        pub fn p99_us(&self) -> u64 {
-            self.latency_us.percentile(0.99).unwrap_or(0)
-        }
-    }
-
-    /// One request on the wire, awaiting its completion.
-    struct MuxPending {
-        corr: u32,
-        /// Scheduled arrival — the latency origin.
-        sched: Instant,
-        obj_seed: u64,
-        len: usize,
-        verify: bool,
-    }
-
-    /// One multiplexed connection's state.
-    struct MuxConn {
-        stream: TcpStream,
-        inbuf: FrameBuffer,
-        out: Vec<u8>,
-        out_pos: usize,
-        pending: Vec<MuxPending>,
-        next_corr: u32,
-        write_interest: bool,
-        dead: bool,
-    }
-
-    /// How long past the arrival window stragglers may settle.
-    const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-    /// Runs the multiplexed open-loop GET stream and returns the report.
-    ///
-    /// Fails fast if the server is unreachable or prefill fails; errors
-    /// on individual connections during the run are counted, not fatal.
-    pub fn run_mux(cfg: &MuxConfig) -> Result<MuxReport, ClientError> {
-        // Prefill over an ordinary blocking connection.
-        let mut admin = Client::connect(&cfg.addr)?;
-        admin.ping()?;
-        let mut objects = Vec::with_capacity(cfg.prefill.max(1));
-        for i in 0..cfg.prefill.max(1) {
-            let obj_seed = cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let len = cfg.payload_len.max(1);
-            let payload = payload_for(obj_seed, len);
-            let id = admin.put(&format!("mux-{}-{i}", cfg.seed), &payload)?;
-            objects.push((id, obj_seed, len));
-        }
-
-        // File descriptors: connections + listener-side headroom.
-        let _ = crate::reactor::raise_nofile_limit(cfg.connections as u64 + 128);
-        let poller = Poller::new().map_err(ClientError::Io)?;
-        let mut conns: Vec<MuxConn> = Vec::with_capacity(cfg.connections);
-        let mut connect_errors = 0u64;
-        for i in 0..cfg.connections.max(1) {
-            // Blocking connect gives natural backpressure against the
-            // server's accept queue; nonblocking takes over after.
-            match TcpStream::connect(&cfg.addr) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    s.set_nonblocking(true).map_err(ClientError::Io)?;
-                    poller
-                        .register(&s, conns.len() as u64, Interest::READ)
-                        .map_err(ClientError::Io)?;
-                    conns.push(MuxConn {
-                        stream: s,
-                        inbuf: FrameBuffer::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        pending: Vec::new(),
-                        next_corr: (i as u32) << 16,
-                        write_interest: false,
-                        dead: false,
-                    });
-                }
-                Err(_) => connect_errors += 1,
-            }
-        }
-        if conns.is_empty() {
-            return Err(ClientError::Unexpected(
-                "no mux connections established".into(),
-            ));
-        }
-
-        let mut report = MuxReport {
-            connections: cfg.connections,
-            connected: conns.len(),
-            elapsed_ms: 0,
-            ops: 0,
-            busy: 0,
-            shed: 0,
-            errors: connect_errors,
-            payload_mismatches: 0,
-            submitted: 0,
-            unanswered: 0,
-            target_rate: cfg.rate_ops_per_sec,
-            achieved_rate: 0.0,
-            latency_us: Histogram::new(),
-        };
-
-        let rate = cfg.rate_ops_per_sec.max(1.0);
-        let interval_s = 1.0 / rate;
-        let start = Instant::now();
-        let stop_at = start + Duration::from_millis(cfg.duration_ms);
-        let drain_by = stop_at + DRAIN_GRACE;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut arrivals = 0u64;
-        let mut rr = 0usize;
-        let mut events: Vec<Event> = Vec::new();
-        let mut scratch = vec![0u8; 16 << 10];
-
-        loop {
-            let now = Instant::now();
-
-            // Emit every arrival that is due, round-robin over
-            // connections with window capacity.
-            if now < stop_at {
-                loop {
-                    let due = start + Duration::from_secs_f64(arrivals as f64 * interval_s);
-                    if due > now {
-                        break;
-                    }
-                    arrivals += 1;
-                    let n = conns.len();
-                    let slot = (0..n).map(|k| (rr + k) % n).find(|&c| {
-                        !conns[c].dead && conns[c].pending.len() < cfg.max_inflight_per_conn.max(1)
-                    });
-                    rr = rr.wrapping_add(1);
-                    match slot {
-                        Some(c) => {
-                            let (id, obj_seed, len) = objects[rng.gen_range(0..objects.len())];
-                            let verify =
-                                cfg.verify_sample > 0 && rng.gen_range(0..cfg.verify_sample) == 0;
-                            submit_get(&mut conns[c], cfg, id, obj_seed, len, verify, due);
-                            report.submitted += 1;
-                            flush_conn(&poller, &mut conns[c], c as u64, &mut report);
-                        }
-                        None => report.shed += 1,
-                    }
-                }
-            }
-
-            let outstanding: usize = conns.iter().map(|c| c.pending.len()).sum();
-            if (now >= stop_at && outstanding == 0) || now >= drain_by {
-                report.unanswered = outstanding as u64;
-                break;
-            }
-
-            // Sleep until the next arrival is due (capped so the stop
-            // and drain clocks stay responsive).
-            let next_due = start + Duration::from_secs_f64(arrivals as f64 * interval_s);
-            let timeout = if now < stop_at {
-                next_due
-                    .saturating_duration_since(now)
-                    .min(Duration::from_millis(10))
             } else {
-                Duration::from_millis(10)
-            };
-            poller
-                .wait(&mut events, Some(timeout))
-                .map_err(ClientError::Io)?;
-            for ev in events.drain(..) {
-                let c = ev.token as usize;
-                if c >= conns.len() || conns[c].dead {
-                    continue;
-                }
-                if ev.readable {
-                    read_conn(&poller, &mut conns[c], cfg, &mut scratch, &mut report);
-                }
-                if ev.writable && !conns[c].dead {
-                    flush_conn(&poller, &mut conns[c], c as u64, &mut report);
+                // Removing at submit time keeps later picks off this object.
+                let e = conn.table.remove(i);
+                PendingKind::Delete { obj_id: e.id }
+            }
+        };
+        conn.issued += 1;
+        if cfg.op_limit > 0 && conn.issued == cfg.op_limit {
+            self.live -= 1;
+        }
+        self.open_ops += 1;
+        self.submit(
+            c,
+            PendingOp {
+                kind,
+                trace_id,
+                sched,
+            },
+        );
+    }
+
+    /// Frames `op` into connection `c`'s output under a fresh correlation
+    /// id and registers it as pending. An unframeable request (a PUT over
+    /// the frame cap) is an error, never sent.
+    fn submit(&mut self, c: usize, op: PendingOp) {
+        let deadline_ms = self.cfg.deadline_ms;
+        let conn = &mut self.conns[c];
+        let corr = conn.next_corr;
+        conn.next_corr = corr.wrapping_add(1);
+        let trace_id = op.trace_id;
+        let frame = |op| {
+            Request {
+                deadline_ms,
+                corr_id: Some(corr),
+                trace_id,
+                op,
+            }
+            .encode_frame()
+        };
+        let out = &mut conn.out;
+        let framed = match &op.kind {
+            PendingKind::Put {
+                name,
+                obj_seed,
+                len,
+            } => put_frame_head(deadline_ms, Some(corr), trace_id, name, *len).map(|head| {
+                out.extend_from_slice(&head);
+                out.extend_from_slice(&payload_for(*obj_seed, *len));
+            }),
+            PendingKind::Get { obj_id, .. } => {
+                frame(Op::Get { id: *obj_id }).map(|f| out.extend_from_slice(&f))
+            }
+            PendingKind::Delete { obj_id } => {
+                frame(Op::Delete { id: *obj_id }).map(|f| out.extend_from_slice(&f))
+            }
+        };
+        if framed.is_ok() {
+            conn.pending.insert(corr, op);
+        } else {
+            self.report.errors += 1;
+            self.finish(c, &op);
+        }
+    }
+
+    /// Takes a finally answered (or failed) operation off the books.
+    fn finish(&mut self, c: usize, op: &PendingOp) {
+        self.open_ops -= 1;
+        if let PendingKind::Get { obj_id, .. } = op.kind {
+            let gets = &mut self.conns[c].inflight_gets;
+            if let Some(n) = gets.get_mut(&obj_id) {
+                *n -= 1;
+                if *n == 0 {
+                    gets.remove(&obj_id);
                 }
             }
         }
-
-        let elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
-        report.elapsed_ms = elapsed_ms;
-        report.achieved_rate = report.ops as f64 * 1000.0 / elapsed_ms as f64;
-        Ok(report)
     }
 
-    /// Frames one correlated GET into the connection's output buffer.
-    fn submit_get(
-        conn: &mut MuxConn,
-        cfg: &MuxConfig,
-        id: u64,
-        obj_seed: u64,
-        len: usize,
-        verify: bool,
-        sched: Instant,
-    ) {
-        let corr = conn.next_corr;
-        conn.next_corr = conn.next_corr.wrapping_add(1);
-        let req = Request {
-            deadline_ms: cfg.deadline_ms,
-            corr_id: Some(corr),
-            trace_id: None,
-            op: Op::Get { id },
-        };
-        append_frame(&mut conn.out, &req.encode());
-        conn.pending.push(MuxPending {
-            corr,
-            sched,
-            obj_seed,
-            len,
-            verify,
-        });
-    }
-
-    /// Writes as much buffered output as the socket accepts, tracking
-    /// write interest across WouldBlock.
-    fn flush_conn(poller: &Poller, conn: &mut MuxConn, token: u64, report: &mut MuxReport) {
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
+    /// Writes as much of connection `c`'s output as the socket takes,
+    /// asking for write readiness while some is left.
+    fn flush(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        while conn.written < conn.out.len() {
+            match conn.stream.write(&conn.out[conn.written..]) {
+                Ok(0) => return self.kill(c),
+                Ok(n) => conn.written += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if !conn.write_interest {
                         conn.write_interest = true;
-                        let _ = poller.reregister(&conn.stream, token, Interest::READ_WRITE);
+                        let _ =
+                            self.poller
+                                .reregister(&conn.stream, c as u64, Interest::READ_WRITE);
                     }
                     return;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
+                Err(_) => return self.kill(c),
             }
         }
-        conn.out.clear();
-        conn.out_pos = 0;
+        release_drained(&mut conn.out);
+        conn.written = 0;
         if conn.write_interest {
             conn.write_interest = false;
-            let _ = poller.reregister(&conn.stream, token, Interest::READ);
+            let _ = self
+                .poller
+                .reregister(&conn.stream, c as u64, Interest::READ);
         }
     }
 
-    /// Drains readable bytes and settles every completed frame.
-    fn read_conn(
-        poller: &Poller,
-        conn: &mut MuxConn,
-        cfg: &MuxConfig,
-        scratch: &mut [u8],
-        report: &mut MuxReport,
-    ) {
-        loop {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-                Ok(n) => conn.inbuf.extend(&scratch[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
+    /// Reads what connection `c` has, settles every complete frame, and
+    /// refills its pipeline.
+    fn read(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        let open = conn.inbuf.fill_from(&mut conn.stream).unwrap_or(false);
+        while !self.conns[c].dead {
+            match self.conns[c].inbuf.take_frame() {
+                Ok(Some((buf, at))) => self.settle(c, &buf[at..]),
+                Ok(None) => break,
+                Err(_) => return self.kill(c),
             }
         }
-        loop {
-            match conn.inbuf.next_frame() {
-                Ok(Some(body)) => settle(conn, cfg, &body, report),
-                Ok(None) => break,
-                Err(_) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-            }
+        if open {
+            self.pump(c);
+        } else {
+            self.kill(c);
         }
     }
 
     /// Matches one response frame to its pending request and records it.
-    fn settle(conn: &mut MuxConn, _cfg: &MuxConfig, body: &[u8], report: &mut MuxReport) {
-        let (corr, resp) = match Response::decode_corr(body) {
-            Ok(pair) => pair,
-            Err(_) => {
-                report.errors += 1;
+    fn settle(&mut self, c: usize, body: &[u8]) {
+        let conn = &mut self.conns[c];
+        let Some((resp, op)) = Response::decode_corr(body)
+            .ok()
+            .and_then(|(corr, resp)| Some((resp, conn.pending.remove(&corr?)?)))
+        else {
+            // Undecodable, or a correlation id never issued: protocol
+            // breakage.
+            self.report.errors += 1;
+            return;
+        };
+        match resp {
+            Response::Busy => {
+                self.report.busy_retries += 1;
+                conn.backing_off += 1;
+                self.bounced
+                    .push_back((Instant::now() + BUSY_BACKOFF, c, op));
                 return;
             }
-        };
-        let Some(corr) = corr else {
-            report.errors += 1;
-            return;
-        };
-        let Some(i) = conn.pending.iter().position(|p| p.corr == corr) else {
-            report.errors += 1;
-            return;
-        };
-        let p = conn.pending.swap_remove(i);
-        let latency_us = p.sched.elapsed().as_micros() as u64;
-        match resp {
-            Response::GetOk { payload } => {
-                report.ops += 1;
-                report.latency_us.record(latency_us);
-                if p.verify && payload != payload_for(p.obj_seed, p.len) {
+            // A draining server answers every request on the connection
+            // so: it is as good as closed.
+            Response::ShuttingDown => {
+                self.report.errors += 1;
+                self.finish(c, &op);
+                return self.kill(c);
+            }
+            _ => {}
+        }
+        self.finish(c, &op);
+        let latency_us = op.sched.elapsed().as_micros() as u64;
+        let sample = self.cfg.trace_sample;
+        let report = &mut *self.report;
+        match (resp, op.kind) {
+            (Response::PutOk { id }, PendingKind::Put { obj_seed, len, .. }) => {
+                report.complete(sample, op.trace_id, "put", latency_us);
+                self.conns[c].table.push(ObjEntry {
+                    id,
+                    seed: obj_seed,
+                    len,
+                    prefilled: false,
+                });
+            }
+            (Response::GetOk { payload }, PendingKind::Get { obj_seed, len, .. }) => {
+                report.complete(sample, op.trace_id, "get", latency_us);
+                if payload != payload_for(obj_seed, len) {
                     report.payload_mismatches += 1;
                 }
             }
-            Response::Busy => report.busy += 1,
+            (Response::Ok, PendingKind::Delete { .. }) => {
+                report.complete(sample, op.trace_id, "delete", latency_us);
+            }
+            (Response::Unrecoverable { .. }, PendingKind::Get { .. }) => {
+                report.unrecoverable += 1;
+            }
             _ => report.errors += 1,
         }
     }
 
-    /// Tears a connection down; its in-flight requests become errors.
-    fn kill_conn(poller: &Poller, conn: &mut MuxConn, report: &mut MuxReport) {
+    /// Tears connection `c` down: its in-flight requests become errors,
+    /// its waiting arrivals are dropped, and it issues nothing more.
+    fn kill(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
         if conn.dead {
             return;
         }
         conn.dead = true;
-        let _ = poller.deregister(&conn.stream);
-        report.errors += conn.pending.len() as u64;
+        let _ = self.poller.deregister(&conn.stream);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.inbuf = FrameBuffer::new();
+        let lost = conn.pending.len() as u64;
         conn.pending.clear();
-        conn.out.clear();
-        conn.out_pos = 0;
+        conn.inflight_gets.clear();
+        conn.out = Vec::new();
+        conn.written = 0;
+        self.report.errors += lost;
+        self.open_ops -= lost;
+        if self.interval.is_some() {
+            self.backlog -= conn.due - conn.issued;
+        }
+        if self.cfg.op_limit == 0 || conn.issued < self.cfg.op_limit {
+            self.live -= 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn payloads_are_deterministic_per_seed() {
@@ -1308,15 +1120,20 @@ mod tests {
         assert_eq!(payload_for(7, 13).len(), 13);
     }
 
+    fn entry(i: u64) -> ObjEntry {
+        ObjEntry {
+            id: i,
+            seed: i,
+            len: 1,
+            prefilled: false,
+        }
+    }
+
     #[test]
     fn zipf_prefers_early_ranks() {
         let mut t = ZipfTable::new(0.99);
         for i in 0..50 {
-            t.push(ObjEntry {
-                id: i,
-                seed: i,
-                len: 1,
-            });
+            t.push(entry(i));
         }
         let mut rng = SmallRng::seed_from_u64(9);
         let mut hits = [0u32; 50];
@@ -1332,11 +1149,7 @@ mod tests {
     fn zipf_remove_keeps_sampling_valid() {
         let mut t = ZipfTable::new(1.0);
         for i in 0..10 {
-            t.push(ObjEntry {
-                id: i,
-                seed: i,
-                len: 1,
-            });
+            t.push(entry(i));
         }
         let removed = t.remove(3);
         assert_eq!(removed.id, 3);
@@ -1374,29 +1187,87 @@ mod tests {
         assert_eq!(kept, vec![300, 600, 700, 800, 900]);
     }
 
-    /// A protocol-speaking stub server: every connection gets a thread
-    /// (test scale only) that answers each request immediately, echoing
-    /// correlation ids. PUTs get `PutOk`, GETs a fixed fake payload.
-    fn spawn_stub_server() -> std::net::SocketAddr {
-        use crate::protocol::{read_frame, write_frame, Request};
+    /// What a [`spawn_stub_server`] saw.
+    #[derive(Default)]
+    struct StubLog {
+        deleted: Mutex<Vec<u64>>,
+    }
+
+    /// How a [`spawn_stub_server`] answers.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Stub {
+        /// Every request, at once.
+        Store,
+        /// Every other PUT on a connection BUSY first.
+        BouncePuts,
+        /// No GET: a connection is closed, its GETs unanswered, once it
+        /// has sent this many.
+        VanishAfterGets(usize),
+    }
+
+    /// A protocol-speaking in-memory object store: every connection gets
+    /// a thread (test scale only) that answers each request immediately,
+    /// echoing correlation ids, as `mode` says. Ids count up from 1.
+    fn spawn_stub_server(mode: Stub) -> (std::net::SocketAddr, Arc<StubLog>) {
+        use crate::protocol::{read_frame, write_frame};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
         let addr = listener.local_addr().expect("stub addr");
+        let log = Arc::new(StubLog::default());
+        let objects = Arc::new(Mutex::new(HashMap::<u64, Vec<u8>>::new()));
+        let next_id = Arc::new(AtomicU64::new(1));
+        let seen = Arc::clone(&log);
         thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut s) = stream else { break };
+                let _ = s.set_nodelay(true);
+                let (objects, next_id, log) = (
+                    Arc::clone(&objects),
+                    Arc::clone(&next_id),
+                    Arc::clone(&seen),
+                );
                 thread::spawn(move || {
+                    let mut bounce = mode == Stub::BouncePuts;
+                    let mut swallowed = 0;
                     while let Ok(Some(body)) = read_frame(&mut s) {
                         let Ok(req) = Request::decode(&body) else {
                             return;
                         };
+                        if let (Stub::VanishAfterGets(n), Op::Get { .. }) = (mode, &req.op) {
+                            swallowed += 1;
+                            if swallowed == n {
+                                return;
+                            }
+                            continue;
+                        }
+                        let is_put = matches!(req.op, Op::Put { .. });
+                        let mut objects = objects.lock().unwrap();
                         let resp = match req.op {
-                            Op::Put { .. } => Response::PutOk { id: 7 },
-                            Op::Get { .. } => Response::GetOk {
-                                payload: vec![1, 2, 3],
+                            Op::Put { .. } if bounce => Response::Busy,
+                            Op::Put { payload, .. } => {
+                                let id = next_id.fetch_add(1, Ordering::Relaxed);
+                                objects.insert(id, payload);
+                                Response::PutOk { id }
+                            }
+                            Op::Get { id } => match objects.get(&id) {
+                                Some(payload) => Response::GetOk {
+                                    payload: payload.clone(),
+                                },
+                                None => Response::NotFound { id },
                             },
+                            Op::Delete { id } => {
+                                log.deleted.lock().unwrap().push(id);
+                                match objects.remove(&id) {
+                                    Some(_) => Response::Ok,
+                                    None => Response::NotFound { id },
+                                }
+                            }
                             Op::Metrics => Response::MetricsOk { json: "{}".into() },
                             _ => Response::Ok,
                         };
+                        if is_put {
+                            bounce = mode == Stub::BouncePuts && !bounce;
+                        }
+                        drop(objects);
                         if write_frame(&mut s, &resp.encode_corr(req.corr_id)).is_err() {
                             return;
                         }
@@ -1404,7 +1275,7 @@ mod tests {
                 });
             }
         });
-        addr
+        (addr, log)
     }
 
     #[test]
@@ -1424,15 +1295,13 @@ mod tests {
 
     #[test]
     fn pipelined_worker_completes_its_op_limit_exactly() {
-        let addr = spawn_stub_server();
+        let (addr, _) = spawn_stub_server(Stub::Store);
         for pipeline_depth in [1, 8] {
             let cfg = LoadConfig {
                 addr: addr.to_string(),
                 connections: 1,
                 duration_ms: 10_000,
                 pipeline_depth,
-                // PUT-only mix: the stub fakes GET payloads, which would
-                // (correctly) trip byte-for-byte verification.
                 mix: OpMix {
                     put: 100,
                     get: 0,
@@ -1458,49 +1327,148 @@ mod tests {
 
     #[test]
     fn mux_driver_sustains_open_loop_over_many_connections() {
-        let addr = spawn_stub_server();
-        let cfg = mux::MuxConfig {
+        let (addr, _) = spawn_stub_server(Stub::Store);
+        let cfg = LoadConfig {
             addr: addr.to_string(),
             connections: 32,
             duration_ms: 400,
             rate_ops_per_sec: 500.0,
+            pipeline_depth: 32,
+            mix: OpMix {
+                put: 0,
+                get: 100,
+                delete: 0,
+            },
             prefill: 4,
-            payload_len: 64,
-            verify_sample: 0, // stub payloads are fake by design
-            ..mux::MuxConfig::default()
+            payload_min: 64,
+            payload_max: 64,
+            ..LoadConfig::default()
         };
-        let report = mux::run_mux(&cfg).expect("mux run");
+        let report = run_load(&cfg).expect("load run");
         assert_eq!(report.connected, 32);
         assert_eq!(report.errors, 0, "{report:?}");
         assert_eq!(report.unanswered, 0, "drain settles everything");
-        assert_eq!(report.shed, 0, "32x32 window absorbs 500/s");
-        assert!(report.ops >= 100, "~200 arrivals in 400ms: {}", report.ops);
+        assert_eq!(report.payload_mismatches, 0, "every GET verified");
+        assert!(
+            report.gets >= 100,
+            "~200 arrivals in 400ms: {}",
+            report.gets
+        );
+        assert_eq!(report.puts, 4, "a GET-only mix PUTs only the prefill");
         assert!(report.p99_us() > 0);
-        assert!(report.achieved_rate > 0.0);
+        assert!(report.ops_per_sec > 0.0);
     }
 
     #[test]
-    fn worker_tally_keeps_only_server_sampled_trace_ids() {
-        let cfg = LoadConfig {
-            trace_sample: 4,
+    fn busy_answers_are_retried_with_the_same_operation() {
+        let (addr, _) = spawn_stub_server(Stub::BouncePuts);
+        let report = run_load(&LoadConfig {
+            addr: addr.to_string(),
+            connections: 1,
+            duration_ms: 10_000,
+            mix: OpMix {
+                put: 100,
+                get: 0,
+                delete: 0,
+            },
+            payload_min: 32,
+            payload_max: 64,
+            prefill: 2,
+            op_limit: 20,
+            trace_sample: 1,
             ..LoadConfig::default()
-        };
-        let mut tally = WorkerTally::default();
+        })
+        .expect("load run");
+        assert_eq!(report.puts, 22, "every bounced PUT lands: {report:?}");
+        assert_eq!(report.busy_retries, 22, "each PUT bounced once");
+        assert_eq!(report.errors, 0);
+        assert_eq!(
+            report.sampled_trace_ids.len(),
+            22,
+            "a retry keeps its trace id: one id per logical PUT"
+        );
+    }
+
+    #[test]
+    fn a_server_that_vanishes_turns_in_flight_requests_into_errors() {
+        let (addr, _) = spawn_stub_server(Stub::VanishAfterGets(4));
+        let started = Instant::now();
+        let report = run_load(&LoadConfig {
+            addr: addr.to_string(),
+            connections: 3,
+            duration_ms: 60_000,
+            pipeline_depth: 4,
+            mix: OpMix {
+                put: 0,
+                get: 1,
+                delete: 0,
+            },
+            payload_min: 32,
+            payload_max: 64,
+            prefill: 2,
+            trace_sample: 0,
+            ..LoadConfig::default()
+        })
+        .expect("a run whose server went away still reports");
+        assert!(
+            started.elapsed() < DRAIN_GRACE,
+            "the closed connections, not the 60 s window, end the run"
+        );
+        assert_eq!(report.errors, 12, "3 connections x 4 GETs lost: {report:?}");
+        assert_eq!(report.unanswered, 0, "nothing is left waiting");
+        assert_eq!(report.ops, 2, "only the prefill was answered");
+    }
+
+    #[test]
+    fn prefilled_objects_are_never_deleted() {
+        let (addr, log) = spawn_stub_server(Stub::Store);
+        let report = run_load(&LoadConfig {
+            addr: addr.to_string(),
+            connections: 3,
+            duration_ms: 10_000,
+            mix: OpMix {
+                put: 30,
+                get: 0,
+                delete: 70,
+            },
+            payload_min: 32,
+            payload_max: 64,
+            prefill: 4,
+            op_limit: 60,
+            trace_sample: 0,
+            ..LoadConfig::default()
+        })
+        .expect("load run");
+        assert_eq!(report.errors, 0, "{report:?}");
+        assert_eq!(report.payload_mismatches, 0);
+        assert!(report.deletes > 0, "own objects are deleted: {report:?}");
+        let deleted: HashSet<u64> = log.deleted.lock().unwrap().iter().copied().collect();
+        assert_eq!(deleted.len() as u64, report.deletes, "each deleted once");
+        assert!(
+            (1..=4).all(|prefilled| !deleted.contains(&prefilled)),
+            "the prefill (ids 1-4) is shared: {deleted:?}"
+        );
+    }
+
+    #[test]
+    fn report_keeps_only_server_sampled_trace_ids() {
+        let sample = 4;
+        let mut report = LoadReport::default();
         let mut expected = Vec::new();
         for id in 0..400u64 {
-            tally.complete(&cfg, Some(id), "get", id);
-            if tornado_obs::trace::sampled(id, cfg.trace_sample) {
+            report.complete(sample, Some(id), "get", id);
+            if tornado_obs::trace::sampled(id, sample) {
                 expected.push(id);
             }
         }
-        assert_eq!(tally.sampled_trace_ids, expected);
+        assert_eq!(report.sampled_trace_ids, expected);
         assert!(
             !expected.is_empty(),
             "1-in-4 sampling over 400 ids keeps some"
         );
-        assert!(tally
+        assert!(report
             .slowest
             .iter()
-            .all(|e| tornado_obs::trace::sampled(e.trace_id, cfg.trace_sample)));
+            .all(|e| tornado_obs::trace::sampled(e.trace_id, sample)));
     }
 }

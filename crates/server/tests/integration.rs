@@ -11,7 +11,7 @@ use tornado_core::tornado_graph_1;
 use tornado_obs::Tracer;
 use tornado_server::protocol::read_frame;
 use tornado_server::{
-    load, serve, Client, ClientError, HealthConfig, LoadConfig, Op, Request, Response,
+    load, serve, Client, ClientError, HealthConfig, LoadConfig, Op, OpMix, Request, Response,
     ServerConfig, ServerObserver,
 };
 use tornado_store::ArchivalStore;
@@ -897,6 +897,93 @@ fn pipelined_open_loop_load_survives_device_failures() {
     let mut admin = Client::connect(&addr).unwrap();
     admin.shutdown().unwrap();
     handle.join();
+}
+
+#[test]
+fn one_load_driver_holds_256_open_loop_connections() {
+    let (handle, addr) = start_server(2, 256);
+    let report = load::run_load(&LoadConfig {
+        addr: addr.clone(),
+        connections: 256,
+        duration_ms: 600,
+        seed: 5,
+        mix: OpMix {
+            put: 0,
+            get: 1,
+            delete: 0,
+        },
+        payload_min: 4 << 10,
+        payload_max: 4 << 10,
+        prefill: 8,
+        pipeline_depth: 32,
+        rate_ops_per_sec: 1_000.0,
+        trace_sample: 0,
+        ..LoadConfig::default()
+    })
+    .expect("load run succeeds");
+
+    assert_eq!(report.connected, 256, "every connection established");
+    assert_eq!(report.errors, 0, "{report:?}");
+    assert_eq!(report.unanswered, 0, "the drain settles every arrival");
+    assert_eq!(report.payload_mismatches, 0, "every GET byte-for-byte");
+    assert_eq!(
+        report.puts, 8,
+        "a GET-only run PUTs only the shared prefill"
+    );
+    assert!(
+        report.gets >= 400,
+        "~600 arrivals in the 600 ms window, got {}",
+        report.gets
+    );
+
+    let mut c = Client::connect(&addr).unwrap();
+    c.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn a_server_shut_down_mid_run_ends_the_load_run() {
+    let (handle, addr) = start_server(2, 64);
+    let stopper = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            thread::sleep(Duration::from_millis(300));
+            Client::connect(&addr).unwrap().shutdown().unwrap();
+        })
+    };
+    let started = Instant::now();
+    let report = load::run_load(&LoadConfig {
+        addr,
+        connections: 8,
+        // Far longer than the test may take: the server going away, not
+        // the clock, has to end the run.
+        duration_ms: 60_000,
+        seed: 13,
+        payload_min: 512,
+        payload_max: 8 << 10,
+        pipeline_depth: 4,
+        trace_sample: 0,
+        ..LoadConfig::default()
+    })
+    .expect("a run whose server went away still reports");
+    let took = started.elapsed();
+    stopper.join().unwrap();
+    handle.join();
+
+    assert!(
+        took < load::DRAIN_GRACE,
+        "the run ended {took:?} in, not at its window plus the drain grace"
+    );
+    assert!(report.ops > 0, "the run made progress before the shutdown");
+    // Whether a request was in flight when its connection closed is a
+    // race; whatever was is an error (`load.rs` pins the count against a
+    // server that vanishes), and nothing is left waiting.
+    assert_eq!(report.unanswered, 0, "{report:?}");
+    assert_eq!(report.payload_mismatches, 0);
+    assert!(
+        report.server_metrics_json.is_empty(),
+        "no server left to ask for a snapshot"
+    );
 }
 
 #[test]

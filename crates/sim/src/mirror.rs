@@ -14,7 +14,7 @@
 //! binary reproduce that check.
 
 use crate::profile::FailureProfile;
-use tornado_numerics::binomial_u128;
+use tornado_bitset::combinations::binomial;
 
 /// `P(fail | k devices offline)` for `pairs` mirrored pairs.
 ///
@@ -36,8 +36,8 @@ pub fn mirrored_failure_probability(pairs: usize, k: usize) -> f64 {
     if k64 > n {
         return 1.0; // pigeonhole: some pair must be complete
     }
-    let good = binomial_u128(n, k64) as f64 * (2.0f64).powi(k as i32);
-    let all = binomial_u128(2 * n, k64) as f64;
+    let good = binomial(n, k64) as f64 * (2.0f64).powi(k as i32);
+    let all = binomial(2 * n, k64) as f64;
     1.0 - good / all
 }
 
@@ -50,7 +50,7 @@ pub fn mirrored_profile(pairs: usize) -> FailureProfile {
     let mut p = FailureProfile::new(n);
     for k in 1..=n {
         let frac = mirrored_failure_probability(pairs, k);
-        let cases = binomial_u128(n as u64, k as u64);
+        let cases = binomial(n as u64, k as u64);
         if cases <= u64::MAX as u128 {
             let cases = cases as u64;
             // Round to the nearest integer failure count; exact because the

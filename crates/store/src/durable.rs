@@ -45,7 +45,7 @@ use crate::backend_segment::SegmentBackend;
 use crate::device::Device;
 use crate::error::StoreError;
 use crate::journal::{CrashInjector, IntentJournal, JournalRecord};
-use crate::store::{ArchivalStore, ObjectMeta};
+use crate::store::{device_of_node, ArchivalStore, ObjectMeta};
 
 /// Which [`BlockBackend`] implementation a store's devices use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -495,7 +495,7 @@ pub(crate) fn open(
     let mut max_seen_id = objects.keys().copied().max().unwrap_or(0);
     let delete_stripe = |id: u64, rotation: u32, nodes: u32| {
         for node in 0..nodes {
-            let dev = (node as usize + rotation as usize) % n;
+            let dev = device_of_node(node as usize, rotation as usize, n);
             devices[dev].delete_block(&(id, node));
         }
         let _ = fs::remove_file(meta_dir.join(format!("{id:016x}.meta")));

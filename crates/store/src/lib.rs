@@ -53,5 +53,5 @@ pub use journal::{CrashInjector, IntentJournal, JournalRecord};
 pub use obs::{DeviceTotals, StoreMetrics, StoreObserver};
 pub use retrieval::{plan_repair, plan_retrieval, RepairCost, RetrievalPlan};
 pub use scrubber::{ScrubAction, ScrubMode, ScrubOutcome, Scrubber, StripeHealth};
-pub use store::{ArchivalStore, GetStats, ObjectId, ObjectMeta};
+pub use store::{device_of_node, node_on_device, ArchivalStore, GetStats, ObjectId, ObjectMeta};
 pub use workload::{generate_events, replay, Event, EventOutcome, ReplayReport, WorkloadConfig};

@@ -562,6 +562,7 @@ mod tests {
     use crate::backend::BlockKey;
     use crate::device::Device;
     use crate::obs::StoreObserver;
+    use crate::store::node_on_device;
     use std::collections::BTreeSet;
     use std::sync::Arc;
     use tornado_graph::{Graph, GraphBuilder};
@@ -1014,7 +1015,7 @@ mod tests {
             for ((&id, nodes), meta) in ids.iter().zip(rotted).zip(store.list()) {
                 let case = format!("{mode:?}, object {id}");
                 let absent =
-                    [10, 40].map(|d| ((d + n as usize - meta.rotation) % n as usize) as NodeId);
+                    [10, 40].map(|d| node_on_device(d, meta.rotation, n as usize) as NodeId);
                 let served: Vec<(Served, NodeId)> = log
                     .iter()
                     .filter(|(_, key)| key.0 == id)

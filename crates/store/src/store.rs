@@ -18,6 +18,20 @@ use tornado_graph::{Graph, NodeId};
 /// Opaque object identifier.
 pub type ObjectId = u64;
 
+/// The block-placement rule: the device, of `devices`, that holds graph
+/// node `node` of a stripe placed at `rotation`.
+#[inline]
+pub fn device_of_node(node: usize, rotation: usize, devices: usize) -> usize {
+    (node + rotation) % devices
+}
+
+/// The inverse of [`device_of_node`]: the graph node of a stripe placed at
+/// `rotation` that device `device` (of `devices`) holds.
+#[inline]
+pub fn node_on_device(device: usize, rotation: usize, devices: usize) -> usize {
+    (device + devices - rotation % devices) % devices
+}
+
 /// Metadata tracked per stored object.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectMeta {
@@ -30,7 +44,7 @@ pub struct ObjectMeta {
     /// Per-block size after framing/padding.
     pub block_len: usize,
     /// Device rotation offset: block `i` lives on device
-    /// `(i + rotation) % devices`.
+    /// `(i + rotation) % devices` ([`device_of_node`]).
     pub rotation: usize,
     /// FNV-1a checksum per block (indexed by graph node), so silent
     /// corruption on a device is detected at read time and handled as an
@@ -265,7 +279,7 @@ impl ArchivalStore {
 
     /// Device index of an object's block for graph node `node`.
     pub fn device_of_block(&self, meta: &ObjectMeta, node: NodeId) -> usize {
-        (node as usize + meta.rotation) % self.devices.len()
+        device_of_node(node as usize, meta.rotation, self.devices.len())
     }
 
     /// Stores an object; returns its id. Blocks whose target device is
