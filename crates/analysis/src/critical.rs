@@ -19,13 +19,13 @@ pub struct CriticalSet {
     pub lost_data: Vec<NodeId>,
     /// The "left node [ right nodes ]" view: each lost node paired with the
     /// checks that use it (all of which are blocked for it).
-    pub dependencies: Vec<(NodeId, Vec<NodeId>)>,
+    pub(crate) dependencies: Vec<(NodeId, Vec<NodeId>)>,
 }
 
 impl CriticalSet {
     /// Every check node implicated in this failure: the union of the
     /// dependency right-node sets.
-    pub fn implicated_checks(&self) -> Vec<NodeId> {
+    pub(crate) fn implicated_checks(&self) -> Vec<NodeId> {
         let mut checks: Vec<NodeId> = self
             .dependencies
             .iter()
@@ -77,7 +77,7 @@ pub fn critical_sets(graph: &Graph, patterns: &[Vec<usize>]) -> Vec<CriticalSet>
 /// the lost nodes — §3.3's "identify critical left nodes that were involved
 /// in the most failure sets". Returns `(node, count)` sorted by descending
 /// count (ties by ascending id).
-pub fn involvement_counts(sets: &[CriticalSet]) -> Vec<(NodeId, usize)> {
+pub(crate) fn involvement_counts(sets: &[CriticalSet]) -> Vec<(NodeId, usize)> {
     let mut counts: std::collections::BTreeMap<NodeId, usize> = Default::default();
     for s in sets {
         for &l in &s.lost_nodes {
@@ -90,7 +90,7 @@ pub fn involvement_counts(sets: &[CriticalSet]) -> Vec<(NodeId, usize)> {
 }
 
 /// Counts how often each check is implicated across critical sets.
-pub fn check_involvement_counts(sets: &[CriticalSet]) -> Vec<(NodeId, usize)> {
+pub(crate) fn check_involvement_counts(sets: &[CriticalSet]) -> Vec<(NodeId, usize)> {
     let mut counts: std::collections::BTreeMap<NodeId, usize> = Default::default();
     for s in sets {
         for c in s.implicated_checks() {

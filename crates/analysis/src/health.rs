@@ -26,10 +26,10 @@
 //! healthy-fleet number equals the offline
 //! [`crate::reliability::system_failure_probability`] exactly.
 
+use crate::dist::compose_failure_probability;
 use tornado_bitset::combinations::{binomial, CombinationIter};
 use tornado_codec::LaneDecoder;
 use tornado_graph::Graph;
-use tornado_numerics::compose_failure_probability;
 use tornado_sim::monte_carlo::{complement, sample_levels_observed};
 use tornado_sim::{FailureProfile, SimObserver};
 

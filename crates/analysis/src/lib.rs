@@ -2,7 +2,14 @@
 //! adjustment procedure.
 //!
 //! * [`reliability`] — composes a measured conditional failure profile with
-//!   the binomial device-failure model (paper §5.1, Eqs. 2–3, Table 5).
+//!   the binomial device-failure model (paper §5.1, Eqs. 2–3, Table 5):
+//!   [`binomial_pmf`] is Eq. 2 and [`compose_failure_probability`] Eq. 3,
+//!   with log-space binomials ([`ln_binomial`]) and a compensated sum
+//!   ([`NeumaierSum`]) so the 97 terms spanning thirty orders of magnitude
+//!   stay exact to the last ulp.
+//! * [`analytic`] and [`layout`] — the RAID systems the paper sets against
+//!   its graphs (striping, RAID5, RAID6 on 8 × 12 drawers), in exact closed
+//!   form (§4.1, Fig. 3, Tables 1 and 5).
 //! * [`critical`] — turns the worst-case search's failing erasure patterns
 //!   into *critical left-node sets* with their closed right-node
 //!   dependencies, the paper's "left node [ right nodes ]" view (§3.2–3.3).
@@ -21,20 +28,31 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod adjust;
+pub mod analytic;
+mod binomial;
 pub mod critical;
+mod dist;
 pub mod health;
+pub mod layout;
 pub mod lifetime;
 pub mod reliability;
+#[cfg(test)]
+mod simulate;
 pub mod stopping;
+mod sum;
 
 pub use adjust::{adjust_graph, AdjustConfig, AdjustOutcome, AdjustmentStep};
+pub use binomial::ln_binomial;
 pub use critical::{critical_sets, CriticalSet};
+pub use dist::{binomial_pmf, compose_failure_probability};
 pub use health::{
     conditional_failure_probability, conditional_failure_profile, horizon_failure_probability,
     mttdl_hours, risk_margin, ConditionalConfig,
 };
 pub use lifetime::{simulate_graph_lifetime, simulate_lifetime, LifetimeConfig, LifetimeReport};
 pub use reliability::{system_failure_probability, ReliabilityRow};
-pub use stopping::{min_blocking_exact, minimum_distance};
+pub use stopping::minimum_distance;
+pub use sum::NeumaierSum;

@@ -127,8 +127,8 @@ pub fn simulate_graph_lifetime(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::compose_failure_probability;
     use tornado_gen::mirror::generate_mirror;
-    use tornado_numerics::compose_failure_probability;
     use tornado_sim::mirror::mirrored_profile;
 
     #[test]

@@ -1,8 +1,9 @@
 //! System reliability under independent device failures
 //! (paper §5.1, Eqs. 2–3, Table 5).
 
-use tornado_numerics::{compose_failure_probability, BinomialFailureModel};
-use tornado_raid::{mirrored_profile, GroupSystem};
+use crate::analytic::GroupSystem;
+use crate::dist::{binomial_pmf, compose_failure_probability};
+use tornado_sim::mirror::mirrored_profile;
 use tornado_sim::FailureProfile;
 
 /// One row of a Table 5-style reliability report.
@@ -42,14 +43,13 @@ pub fn system_failure_probability(profile: &FailureProfile, afr: f64) -> f64 {
 /// `P(fail)` for a striped system of `n` devices: any device failure loses
 /// data. Closed form `1 − (1−p)ⁿ`; Table 5 reports 0.61895 for `n = 96`,
 /// `p = 0.01`.
-pub fn striping_failure_probability(n: u64, afr: f64) -> f64 {
-    let m = BinomialFailureModel::new(n, afr);
-    1.0 - m.pmf(0)
+pub(crate) fn striping_failure_probability(n: u64, afr: f64) -> f64 {
+    1.0 - binomial_pmf(n, 0, afr)
 }
 
 /// `P(fail)` for a single independent device — Table 5's "Individual Disk"
 /// row, which is just the AFR itself.
-pub fn individual_disk_failure_probability(afr: f64) -> f64 {
+pub(crate) fn individual_disk_failure_probability(afr: f64) -> f64 {
     afr
 }
 
@@ -94,7 +94,6 @@ pub fn comparator_rows(afr: f64) -> Vec<ReliabilityRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tornado_sim::mirror::mirrored_profile;
 
     const AFR: f64 = 0.01;
 

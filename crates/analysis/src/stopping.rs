@@ -25,7 +25,7 @@ use tornado_graph::{Graph, NodeId};
 /// Complete by the certificate argument (module docs); complexity is
 /// roughly `b^cap` with `b` the certificate size, so keep `cap` modest
 /// (≤ 6 covers the paper's regime).
-pub fn min_blocking_exact(graph: &Graph, target: NodeId, cap: usize) -> Option<Vec<usize>> {
+pub(crate) fn min_blocking_exact(graph: &Graph, target: NodeId, cap: usize) -> Option<Vec<usize>> {
     assert!(graph.is_data(target), "{target} is not a data node");
     let mut dec = ErasureDecoder::new(graph);
     for depth in 1..=cap {

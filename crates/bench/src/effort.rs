@@ -15,7 +15,7 @@ pub struct Effort {
     /// Master seed for all randomised steps.
     pub seed: u64,
     /// CI smoke: the measurements that return data run their small shape.
-    /// Set by `run_all --quick` and [`Effort::smoke`].
+    /// Set by `run_all --quick` and `Effort::smoke`.
     pub quick: bool,
 }
 
@@ -57,7 +57,8 @@ impl Effort {
     }
 
     /// A tiny-effort configuration for unit tests of the harness itself.
-    pub fn smoke() -> Self {
+    #[cfg(test)]
+    pub(crate) fn smoke() -> Self {
         Self {
             mc_trials: 200,
             exhaustive_max_k: 2,

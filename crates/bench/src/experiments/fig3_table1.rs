@@ -8,7 +8,8 @@
 
 use crate::effort::Effort;
 use crate::harness::{graph_profile, render_figure, render_summary_table, SystemRow};
-use tornado_raid::{mirrored_profile, GroupSystem};
+use tornado_analysis::analytic::GroupSystem;
+use tornado_sim::mirror::mirrored_profile;
 
 /// Builds the system rows shared by the figure and the table.
 pub fn rows(effort: &Effort) -> Vec<SystemRow> {

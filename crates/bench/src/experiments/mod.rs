@@ -6,23 +6,23 @@
 use crate::harness::Report;
 use crate::Effort;
 
-pub mod degree_sweep;
+pub(crate) mod degree_sweep;
 pub mod eq1;
-pub mod fed_profile;
-pub mod fig3_table1;
-pub mod fig4_table2;
-pub mod fig5_table3;
-pub mod fig6_table4;
-pub mod plank_overhead;
-pub mod repair_bandwidth;
+pub(crate) mod fed_profile;
+pub(crate) mod fig3_table1;
+pub(crate) mod fig4_table2;
+pub(crate) mod fig5_table3;
+pub(crate) mod fig6_table4;
+pub(crate) mod plank_overhead;
+pub(crate) mod repair_bandwidth;
 pub mod retrieval;
-pub mod rs_comparison;
-pub mod scrub_sweep;
-pub mod server_scale;
-pub mod size_sweep;
+pub(crate) mod rs_comparison;
+pub(crate) mod scrub_sweep;
+pub(crate) mod server_scale;
+pub(crate) mod size_sweep;
 pub mod table5;
 pub mod table6;
-pub mod table7;
+pub(crate) mod table7;
 
 /// One experiment: the name `run_all` selects it by (and, when it returns
 /// data, the `BENCH_<name>.json` it owns), a display title, and its entry

@@ -23,24 +23,24 @@ use crate::harness::{csv, num, obj, Report};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use tornado_analysis::analytic::GroupSystem;
 use tornado_gen::TornadoParams;
 use tornado_graph::{Graph, NodeId};
 use tornado_obs::Json;
-use tornado_raid::GroupSystem;
 use tornado_store::plan_repair;
 
 /// Block size the byte columns assume (costs scale linearly with it).
-pub const BLOCK_BYTES: usize = 65_536;
+pub(crate) const BLOCK_BYTES: usize = 65_536;
 
 /// One (code, devices-offline) measurement.
 #[derive(Clone, Copy, Debug)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Devices offline.
     pub k: usize,
     /// Fraction of offline patterns the code could not repair.
     pub p_loss: f64,
     /// Mean blocks read per lost block, over repairable patterns.
-    pub repair_blocks_per_lost: f64,
+    pub(crate) repair_blocks_per_lost: f64,
     /// Mean distinct devices contacted per repair.
     pub devices_contacted: f64,
     /// Mean longest dependency chain in the repair schedule.
@@ -49,7 +49,7 @@ pub struct SweepPoint {
 
 /// One code's full sweep.
 #[derive(Clone, Debug)]
-pub struct CodeReport {
+pub(crate) struct CodeReport {
     /// Stable code label (JSON schema key).
     pub code: &'static str,
     /// `"graph"` (empirical, via `plan_repair`) or `"analytic"`.
@@ -72,9 +72,9 @@ impl CodeReport {
 
 /// The whole bake-off.
 #[derive(Clone, Debug)]
-pub struct RepairBandwidthReport {
+pub(crate) struct RepairBandwidthReport {
     /// One report per code, generator order then analytic.
-    pub codes: Vec<CodeReport>,
+    pub(crate) codes: Vec<CodeReport>,
 }
 
 impl RepairBandwidthReport {

@@ -10,13 +10,13 @@
 
 use crate::effort::Effort;
 use std::fmt::Write as _;
+use tornado_analysis::analytic::GroupSystem;
 use tornado_analysis::lifetime::{simulate_lifetime, LifetimeConfig};
 use tornado_codec::ErasureDecoder;
 use tornado_gen::mirror::generate_mirror;
-use tornado_raid::GroupSystem;
 
 /// The sweep of scrubs-per-year (0 = Table 5's model).
-pub const SCRUBS: [usize; 4] = [0, 4, 12, 52];
+pub(crate) const SCRUBS: [usize; 4] = [0, 4, 12, 52];
 
 /// Runs the sweep.
 pub fn run(effort: &Effort) -> String {

@@ -46,22 +46,22 @@ use tornado_server::{
 use tornado_store::ArchivalStore;
 
 /// Full result of one scaling run.
-pub struct ScaleResult {
+pub(crate) struct ScaleResult {
     /// Event-loop shards serving the sweep.
     pub shards: usize,
     /// `"external-process"` or `"in-process"` (fd-budget fallback).
-    pub sweep_server: &'static str,
+    pub(crate) sweep_server: &'static str,
     /// Sweep points, ascending connection count: the connections asked
     /// for and the run that held them concurrently under the fixed
     /// offered load, latency from each operation's scheduled arrival.
     pub sweep: Vec<(usize, LoadReport)>,
     /// The closed-loop point at 64 connections.
-    pub closed_loop: LoadReport,
+    pub(crate) closed_loop: LoadReport,
 }
 
 impl ScaleResult {
     /// Largest connection count the sweep actually established.
-    pub fn max_connections(&self) -> usize {
+    pub(crate) fn max_connections(&self) -> usize {
         self.sweep
             .iter()
             .map(|(_, p)| p.connected)

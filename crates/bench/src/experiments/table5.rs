@@ -20,7 +20,7 @@ pub const AFR: f64 = 0.01;
 /// row; at ×10 the table costs no more than when every level drew trials
 /// of its own, and its seed-to-seed spread is narrower (EXPERIMENTS.md,
 /// "One failure order a trial").
-pub const TRIALS_FACTOR: u64 = 10;
+pub(crate) const TRIALS_FACTOR: u64 = 10;
 
 /// Computes every Table 5 row.
 pub fn rows(effort: &Effort) -> Vec<ReliabilityRow> {

@@ -20,7 +20,7 @@ use tornado_sim::multi::{
 };
 
 /// One Table 7 row.
-pub struct FederationRow {
+pub(crate) struct FederationRow {
     /// Configuration label.
     pub label: String,
     /// The detected joint failure.

@@ -56,7 +56,7 @@ pub fn num(v: f64, decimals: i32) -> Json {
 /// Renders flat row objects as a report's CSV block — a header line from
 /// the first row's keys, then one line of values per row — so an
 /// experiment builds its rows once, for the text and for the data.
-pub fn csv(rows: &[Json]) -> String {
+pub(crate) fn csv(rows: &[Json]) -> String {
     let mut out = String::new();
     for (i, row) in rows.iter().enumerate() {
         let Json::Obj(fields) = row else { continue };
@@ -107,7 +107,7 @@ pub fn envelope(bench: &str, effort: &Effort, data: Json) -> Json {
 
 /// Median ns per inner iteration of `f` (which must run `batch` iterations
 /// per call), over `samples` timed calls after one warmup call.
-pub fn median_ns(batch: u64, samples: usize, mut f: impl FnMut()) -> f64 {
+pub(crate) fn median_ns(batch: u64, samples: usize, mut f: impl FnMut()) -> f64 {
     f(); // warmup: touch caches, fault pages, warm the pools
     let mut per_iter: Vec<f64> = (0..samples)
         .map(|_| {
@@ -127,7 +127,7 @@ pub fn median(v: &mut [f64]) -> f64 {
 
 /// The paper's hybrid profile ([`hybrid_profile`]) at `effort`: exact to
 /// `exhaustive_max_k`, `mc_trials` a level above.
-pub fn graph_profile(graph: &Graph, effort: &Effort) -> FailureProfile {
+pub(crate) fn graph_profile(graph: &Graph, effort: &Effort) -> FailureProfile {
     hybrid_profile(
         graph,
         effort.exhaustive_max_k,
@@ -140,7 +140,7 @@ pub fn graph_profile(graph: &Graph, effort: &Effort) -> FailureProfile {
 /// exhaustively certified failing level, or `">D"` when all exact levels
 /// (depth `D`) are clean — sampled rows cannot resolve the ~10⁻⁷ failure
 /// fractions the worst-case column is about.
-pub fn first_failure_cell(profile: &FailureProfile) -> String {
+pub(crate) fn first_failure_cell(profile: &FailureProfile) -> String {
     match profile.first_failure_exact() {
         Some(k) => k.to_string(),
         None => format!(">{}", profile.max_exact_k()),
@@ -148,7 +148,7 @@ pub fn first_failure_cell(profile: &FailureProfile) -> String {
 }
 
 /// One labelled system in a figure/table.
-pub struct SystemRow {
+pub(crate) struct SystemRow {
     /// Display label.
     pub label: String,
     /// Its failure profile.
@@ -160,7 +160,7 @@ pub struct SystemRow {
 /// Renders a Fig. 3/4/5/6-style series block: for each system, the fraction
 /// of failed reconstructions by number of missing nodes (CSV-ish, one
 /// series per system).
-pub fn render_figure(title: &str, rows: &[SystemRow]) -> String {
+pub(crate) fn render_figure(title: &str, rows: &[SystemRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
     let _ = writeln!(out, "# series: k, fraction_failed (one block per system)");
@@ -180,7 +180,7 @@ pub fn render_figure(title: &str, rows: &[SystemRow]) -> String {
 /// The paper's Monte-Carlo sampling window for 96-node systems: offline
 /// counts from 5 (above the exhaustively searched worst-case regime) to 48
 /// (half the devices). Scaled proportionally for other sizes.
-pub fn paper_sampling_window(num_nodes: usize) -> std::ops::RangeInclusive<usize> {
+pub(crate) fn paper_sampling_window(num_nodes: usize) -> std::ops::RangeInclusive<usize> {
     let lo = (num_nodes * 5 / 96).max(1);
     let hi = (num_nodes / 2).max(lo);
     lo..=hi
@@ -190,7 +190,7 @@ pub fn paper_sampling_window(num_nodes: usize) -> std::ops::RangeInclusive<usize
 /// "average number of nodes capable of reconstructing the data" (mean
 /// online nodes over successful trials in the sampling window), with the
 /// ratio to the data-node count in parentheses, as the paper prints it.
-pub fn render_summary_table(title: &str, rows: &[SystemRow]) -> String {
+pub(crate) fn render_summary_table(title: &str, rows: &[SystemRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {title}");
     let _ = writeln!(

@@ -20,6 +20,8 @@
 //! (exhaustive search depth, default 4; the paper used 6) and
 //! `TORNADO_SEED`. A value that does not parse is an error, not a default.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod effort;
 pub mod experiments;
 pub mod harness;

@@ -57,7 +57,7 @@ impl ParsedArgs {
     }
 
     /// All values of a repeatable flag.
-    pub fn get_all(&self, key: &str) -> Vec<&str> {
+    pub(crate) fn get_all(&self, key: &str) -> Vec<&str> {
         self.values
             .get(key)
             .map(|v| v.iter().map(|s| s.as_str()).collect())
@@ -65,7 +65,11 @@ impl ParsedArgs {
     }
 
     /// Parses a flag as `T`, with a default.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {

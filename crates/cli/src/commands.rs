@@ -19,7 +19,7 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 }
 
 /// The flags `load_target_graph` reads.
-pub const TARGET_FLAGS: &[&str] = &["catalog", "graph"];
+pub(crate) const TARGET_FLAGS: &[&str] = &["catalog", "graph"];
 
 /// Resolves `--catalog N` or `--graph FILE` to a graph plus a label for
 /// metrics snapshots.
@@ -1105,7 +1105,7 @@ pub fn trace(args: &ParsedArgs) -> CmdResult {
 }
 
 /// The flags `health_config_from_args` reads.
-pub const HEALTH_FLAGS: &[&str] = &[
+pub(crate) const HEALTH_FLAGS: &[&str] = &[
     "no-health",
     "afr",
     "horizon-hours",
@@ -1253,7 +1253,7 @@ fn print_health_summary(doc: &Json) {
 }
 
 /// The flags `check_health_expectations` reads.
-pub const EXPECT_FLAGS: &[&str] = &["expect-offline", "expect-max-margin", "expect-alert"];
+pub(crate) const EXPECT_FLAGS: &[&str] = &["expect-offline", "expect-max-margin", "expect-alert"];
 
 /// `--expect-offline N`, `--expect-max-margin N`, `--expect-alert`:
 /// smoke-test assertions against a fetched (and already validated)

@@ -3,9 +3,10 @@
 //! The binary in `main.rs` is a thin wrapper over [`run_command`].
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod args;
-pub mod commands;
+mod commands;
 pub mod obs;
 
 pub use args::ParsedArgs;
@@ -116,7 +117,7 @@ use obs::OBS_FLAGS;
 
 /// Every subcommand, in `USAGE` order.
 #[rustfmt::skip]
-pub const COMMANDS: &[Command] = &[
+pub(crate) const COMMANDS: &[Command] = &[
     Command { name: "generate", run: commands::generate, flags: &[
         &["seed", "data", "screen", "no-screen", "family", "degree", "out"], OBS_FLAGS] },
     Command { name: "catalog", run: commands::catalog, flags: &[&["index", "out"]] },

@@ -1,7 +1,7 @@
 //! Shared CLI observability wiring.
 //!
 //! Every long-running command accepts the same four flags and routes them
-//! through a [`CliObs`]:
+//! through a `CliObs`:
 //!
 //! * `--progress` — throttled progress lines (rate + ETA) on stderr;
 //! * `--metrics PATH` — write a point-in-time metrics snapshot (JSON) on
@@ -23,7 +23,7 @@ use tornado_obs::{EventFormat, EventSink, Json, ProgressConfig, Snapshot};
 use tornado_sim::SimObserver;
 
 /// The flags [`CliObs::from_args`] reads.
-pub const OBS_FLAGS: &[&str] = &["progress", "metrics", "log-json", "quiet"];
+pub(crate) const OBS_FLAGS: &[&str] = &["progress", "metrics", "log-json", "quiet"];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum EventMode {
@@ -33,18 +33,18 @@ enum EventMode {
 }
 
 /// Per-invocation observability context, parsed from the common flags.
-pub struct CliObs {
+pub(crate) struct CliObs {
     progress_on: bool,
     event_mode: EventMode,
     metrics_path: Option<String>,
     started: Instant,
     /// Decode-kernel counter aggregate, filled when `--metrics` is given.
-    pub decode_metrics: Arc<DecodeMetrics>,
+    pub(crate) decode_metrics: Arc<DecodeMetrics>,
 }
 
 impl CliObs {
     /// Reads `--progress`, `--metrics`, `--log-json`, `--quiet`.
-    pub fn from_args(args: &ParsedArgs) -> Self {
+    pub(crate) fn from_args(args: &ParsedArgs) -> Self {
         let quiet = args.flag("quiet");
         let event_mode = if quiet {
             EventMode::Disabled
@@ -89,7 +89,7 @@ impl CliObs {
 
     /// Builds a simulator observer: progress + events always, decode-kernel
     /// metrics when `--metrics` was given.
-    pub fn sim_observer(&self) -> SimObserver {
+    pub(crate) fn sim_observer(&self) -> SimObserver {
         let mut obs = SimObserver::disabled()
             .with_progress(self.progress())
             .with_events(self.events());
@@ -102,7 +102,7 @@ impl CliObs {
     /// Writes the metrics snapshot if `--metrics` was given. `extra` adds
     /// command-specific context (graph identity, per-level rows, store
     /// gauges) on top of the decode-kernel counters.
-    pub fn write_metrics(
+    pub(crate) fn write_metrics(
         &self,
         command: &str,
         extra: impl FnOnce(&mut Snapshot),

@@ -2,7 +2,7 @@
 //!
 //! Encoding writes every stored byte once: [`EncodedStripe::from_object`]
 //! cuts its data blocks straight out of the payload, [`Codec::encode`] /
-//! [`Codec::encode_owned`] take theirs as given, and all three run one
+//! `Codec::encode_owned` take theirs as given, and all three run one
 //! check loop that builds each check block in a buffer nobody zeroed and
 //! digests it as it lands — the stripe is not streamed again to hash it.
 //!
@@ -75,7 +75,7 @@ impl<'g> Codec<'g> {
     /// they become the stored blocks without a per-block clone. Check
     /// blocks are built in buffers from the calling thread's
     /// [`pool::BlockPool`].
-    pub fn encode_owned(&self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
+    pub(crate) fn encode_owned(&self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CodecError> {
         let k = self.graph.num_data();
         if data.len() != k {
             return Err(CodecError::WrongBlockCount {

@@ -54,24 +54,14 @@ impl Gf256 {
     /// # Panics
     /// Panics on zero.
     #[inline]
-    pub fn inv(&self, a: u8) -> u8 {
+    pub(crate) fn inv(&self, a: u8) -> u8 {
         assert!(a != 0, "zero has no inverse");
         self.exp[255 - self.log[a as usize] as usize]
     }
 
-    /// Field division `a / b`.
-    #[inline]
-    pub fn div(&self, a: u8, b: u8) -> u8 {
-        if a == 0 {
-            0
-        } else {
-            self.mul(a, self.inv(b))
-        }
-    }
-
     /// `base^power` by log-space multiplication.
     #[inline]
-    pub fn pow(&self, base: u8, power: usize) -> u8 {
+    pub(crate) fn pow(&self, base: u8, power: usize) -> u8 {
         if base == 0 {
             return if power == 0 { 1 } else { 0 };
         }
@@ -133,7 +123,6 @@ mod tests {
             assert_eq!(f.mul(a, f.inv(a)), 1, "a = {a}");
             assert_eq!(f.mul(a, 1), a);
             assert_eq!(f.mul(a, 0), 0);
-            assert_eq!(f.div(a, a), 1);
         }
         // Distributivity samples.
         for &(a, b, c) in &[(3u8, 7u8, 200u8), (91, 4, 17), (255, 254, 253)] {

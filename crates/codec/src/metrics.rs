@@ -20,7 +20,7 @@ pub mod cells {
     /// [`DecodeMetrics::failures`](super::DecodeMetrics).
     pub const FAILURES: usize = 1;
     /// [`DecodeMetrics::prefix_begins`](super::DecodeMetrics).
-    pub const PREFIX_BEGINS: usize = 2;
+    pub(crate) const PREFIX_BEGINS: usize = 2;
     /// [`DecodeMetrics::prefix_reuse_hits`](super::DecodeMetrics).
     pub const PREFIX_REUSE_HITS: usize = 3;
     /// [`DecodeMetrics::prefix_collisions`](super::DecodeMetrics).
@@ -30,11 +30,11 @@ pub mod cells {
     /// [`DecodeMetrics::recoveries`](super::DecodeMetrics).
     pub const RECOVERIES: usize = 6;
     /// Number of cells.
-    pub const COUNT: usize = 7;
+    pub(crate) const COUNT: usize = 7;
 }
 
 /// The decoder's recorder type.
-pub type DecodeRecorder = tornado_obs::Recorder<{ cells::COUNT }>;
+pub(crate) type DecodeRecorder = tornado_obs::Recorder<{ cells::COUNT }>;
 
 tornado_obs::metric_set! {
     /// Cross-thread aggregate of decode-kernel counters, one sharded

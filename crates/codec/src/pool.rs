@@ -4,7 +4,7 @@
 //! block it touched: encode's check accumulators, decode's recovery
 //! buffers, the store's device reads, the scrubber's per-stripe scans.
 //! A [`BlockPool`] turns those into buffer reuse: [`BlockPool::take_zeroed`]
-//! / [`BlockPool::take_empty`] / [`BlockPool::take_copy`] hand out a
+//! / [`BlockPool::take_empty`] / `BlockPool::take_copy` hand out a
 //! recycled buffer when one is free (a *hit* — at most a memset, no
 //! allocator call once the buffer's capacity suffices) and fall back to a
 //! fresh allocation otherwise (a *miss*); [`BlockPool::recycle`] returns
@@ -55,7 +55,7 @@ impl BlockPool {
     /// Default cap on retained buffers — generous for one 96-node stripe
     /// plus scratch, small enough that an idle worker pins a few MiB at
     /// most.
-    pub const DEFAULT_RETAINED: usize = 256;
+    pub(crate) const DEFAULT_RETAINED: usize = 256;
 
     /// An empty pool with the default retention cap.
     pub fn new() -> Self {
@@ -110,7 +110,7 @@ impl BlockPool {
     }
 
     /// A buffer holding a copy of `src`.
-    pub fn take_copy(&mut self, src: &[u8]) -> Vec<u8> {
+    pub(crate) fn take_copy(&mut self, src: &[u8]) -> Vec<u8> {
         let mut buf = self.take_empty(src.len());
         buf.extend_from_slice(src);
         buf

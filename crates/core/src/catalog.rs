@@ -7,11 +7,19 @@
 //! combinatorial search to survive **any four device failures** (first
 //! failure at five lost nodes, like the paper's best graphs).
 //!
-//! The graphs are embedded as GraphML (the paper's own storage format) and
-//! regenerated by `cargo run --release -p tornado-core --example
-//! make_catalog`; `assets/PROVENANCE.txt` records seeds, adjustment counts,
-//! and the measured k = 5 and k = 6 failure counts (re-derived by the
-//! `--ignored` release test in `tests/regression.rs`).
+//! The graphs are embedded as GraphML (the paper's own storage format);
+//! `assets/PROVENANCE.txt` records the seeds, adjustment counts and
+//! fingerprints they were made with, and their measured k = 5 and k = 6
+//! failure counts (re-derived by the `--ignored` release test in
+//! `tests/regression.rs`).
+//!
+//! The committed assets are the catalog; the pipeline that made them has
+//! since changed, so the seed column is history, not a recipe. `cargo run
+//! --release -p tornado-core --example make_catalog -- OUT_DIR` runs the
+//! current pipeline, and from seed 1 it makes a graph 1 with fingerprint
+//! 0xb9e30fa1fe245c88, not the committed 0x8aa161a00049e572. Until the
+//! pipeline is pinned to reproduce the assets or the assets are declared
+//! frozen, nothing regenerates them in place.
 
 use tornado_graph::{graphml, Graph};
 

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod catalog;
 pub mod pipeline;

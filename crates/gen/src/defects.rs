@@ -58,7 +58,7 @@ pub fn find_stopping_sets(graph: &Graph, max_size: usize) -> Vec<Vec<NodeId>> {
 
 /// Whether `set` (data nodes) is a stopping set: every adjacent check has at
 /// least two neighbours inside `set`.
-pub fn is_stopping_set(graph: &Graph, set: &[NodeId]) -> bool {
+pub(crate) fn is_stopping_set(graph: &Graph, set: &[NodeId]) -> bool {
     debug_assert!(set.iter().all(|&n| graph.is_data(n)));
     for &v in set {
         for &c in graph.checks_of(v) {

@@ -9,19 +9,20 @@
 //! `Σ_d round(m · w_d / d)` equals the target exactly.
 
 use crate::error::GenError;
-use tornado_numerics::solve::{solve_integer_target, Bracket, SolveError};
+use crate::solve::{solve_integer_target, Bracket, SolveError};
 
 /// A distribution over edge degrees: `weights[j] = (degree, weight)` with
 /// positive weights (not necessarily normalised).
 #[derive(Clone, Debug, PartialEq)]
-pub struct EdgeDegreeDistribution {
+pub(crate) struct EdgeDegreeDistribution {
     weights: Vec<(u32, f64)>,
 }
 
 impl EdgeDegreeDistribution {
     /// Builds a distribution from `(degree, weight)` pairs; weights must be
     /// positive and degrees unique and ≥ 1.
-    pub fn new(weights: Vec<(u32, f64)>) -> Result<Self, GenError> {
+    #[cfg(test)]
+    pub(crate) fn new(weights: Vec<(u32, f64)>) -> Result<Self, GenError> {
         if weights.is_empty() {
             return Err(GenError::BadParameters {
                 detail: "empty degree distribution".into(),
@@ -51,7 +52,7 @@ impl EdgeDegreeDistribution {
     /// Luby's heavy-tail edge-degree distribution with maximum node degree
     /// `D + 1`: weight `1 / ((i − 1) · H(D))` for node degrees
     /// `i = 2, …, D + 1`, where `H(D)` is the `D`-th harmonic number.
-    pub fn heavy_tail(max_degree_d: u32) -> Self {
+    pub(crate) fn heavy_tail(max_degree_d: u32) -> Self {
         assert!(max_degree_d >= 1, "heavy tail needs D >= 1");
         let h: f64 = (1..=max_degree_d).map(|i| 1.0 / i as f64).sum();
         let weights = (2..=max_degree_d + 1)
@@ -63,7 +64,7 @@ impl EdgeDegreeDistribution {
     /// Truncated Poisson edge-degree distribution with parameter `a` over
     /// node degrees `1..=max_degree`: weight ∝ `a^(i−1) / (i−1)!` (the
     /// right-side distribution of Luby's construction).
-    pub fn poisson(a: f64, max_degree: u32) -> Self {
+    pub(crate) fn poisson(a: f64, max_degree: u32) -> Self {
         assert!(a > 0.0 && max_degree >= 1);
         let mut weights = Vec::with_capacity(max_degree as usize);
         let mut term = 1.0f64; // a^0 / 0!
@@ -75,7 +76,8 @@ impl EdgeDegreeDistribution {
     }
 
     /// The `(degree, weight)` pairs, ascending by degree.
-    pub fn weights(&self) -> &[(u32, f64)] {
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> &[(u32, f64)] {
         &self.weights
     }
 
@@ -115,7 +117,7 @@ impl EdgeDegreeDistribution {
     /// achievable count is *repaired* by adjusting the count of the smallest
     /// degree — the paper's intermediate processing step guarantees the
     /// required number of nodes one way or another.
-    pub fn solve_node_counts(&self, target: usize) -> Result<Vec<(u32, usize)>, GenError> {
+    pub(crate) fn solve_node_counts(&self, target: usize) -> Result<Vec<(u32, usize)>, GenError> {
         assert!(target > 0, "target must be positive");
         // Bracket: m = 0 gives 0 nodes; scale up until we overshoot.
         let mut hi = 1.0f64;
@@ -171,7 +173,7 @@ impl EdgeDegreeDistribution {
 
     /// Expands solved node counts into a degree sequence (one entry per
     /// node, ascending by degree). Total length equals the solved target.
-    pub fn degree_sequence(&self, target: usize) -> Result<Vec<u32>, GenError> {
+    pub(crate) fn degree_sequence(&self, target: usize) -> Result<Vec<u32>, GenError> {
         let counts = self.solve_node_counts(target)?;
         let mut seq = Vec::with_capacity(target);
         for (d, c) in counts {
@@ -183,7 +185,8 @@ impl EdgeDegreeDistribution {
 
     /// Average node degree implied by the distribution:
     /// `Σ w_d / Σ (w_d / d)` (edges per node).
-    pub fn mean_node_degree(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_node_degree(&self) -> f64 {
         let edges: f64 = self.weights.iter().map(|&(_, w)| w).sum();
         let nodes: f64 = self.weights.iter().map(|&(d, w)| w / d as f64).sum();
         edges / nodes
@@ -241,6 +244,17 @@ mod tests {
         let dist = EdgeDegreeDistribution::new(vec![(3, 1.0)]).unwrap();
         let counts = dist.solve_node_counts(7).unwrap();
         assert_eq!(counts, vec![(3, 7)]);
+    }
+
+    #[test]
+    fn solver_repairs_a_target_the_rounding_jumps_over() {
+        // Both degrees carry w / d = 1, so the node count is 2 · round(m):
+        // no multiplier yields an odd total, and the shortfall goes to the
+        // smallest degree.
+        let dist = EdgeDegreeDistribution::new(vec![(2, 2.0), (3, 3.0)]).unwrap();
+        let counts = dist.solve_node_counts(7).unwrap();
+        assert_eq!(counts.iter().map(|&(_, c)| c).sum::<usize>(), 7);
+        assert_eq!(counts[0].1, counts[1].1 + 1, "{counts:?}");
     }
 
     #[test]

@@ -25,27 +25,32 @@
 //! * [`regular`] — biregular single-stage graphs of degree 4 / 11;
 //! * [`mirror`] — mirrored systems expressed as graphs (for the Eq. 1
 //!   simulator validation and the RAID 10 comparison);
-//! * [`defects`] — small-stopping-set detection, the generation-time screen;
-//! * [`density`] — density evolution (asymptotic erasure thresholds), the
-//!   theory whose finite-size gap motivates the paper's empirical method.
+//! * [`defects`] — small-stopping-set detection, the generation-time screen.
+//!
+//! [`solve`] holds the §3.1 numeric solver. The test-only `density` module
+//! computes density-evolution (asymptotic erasure) thresholds, the theory
+//! whose finite-size gap motivates the paper's empirical method; its tests
+//! hold the generator's distributions to it.
 //!
 //! All generators are deterministic in their seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod altered;
 pub mod cascaded;
 pub mod defects;
-pub mod density;
-pub mod distribution;
+#[cfg(test)]
+mod density;
+mod distribution;
 pub mod error;
-pub mod matching;
+mod matching;
 pub mod mirror;
 pub mod regular;
+pub mod solve;
 pub mod tornado;
 
 pub use defects::{find_stopping_sets, screen};
-pub use distribution::EdgeDegreeDistribution;
 pub use error::GenError;
 pub use tornado::{TornadoGenerator, TornadoParams};

@@ -17,7 +17,7 @@ use rand::Rng;
 /// spreading increments/decrements round-robin and keeping every degree
 /// ≥ 1 and ≤ `left_size` (a check cannot use more distinct left nodes than
 /// exist).
-pub fn fit_right_degrees(
+pub(crate) fn fit_right_degrees(
     right_degrees: &mut [u32],
     target_slots: usize,
     left_size: usize,
@@ -64,7 +64,7 @@ pub fn fit_right_degrees(
 /// `left_degrees[l]` is the number of checks left node `l` feeds;
 /// `right_degrees[r]` is the in-degree of check `r`. The two slot totals
 /// must match (see [`fit_right_degrees`]).
-pub fn match_stage<R: Rng>(
+pub(crate) fn match_stage<R: Rng>(
     left_degrees: &[u32],
     right_degrees: &[u32],
     rng: &mut R,

@@ -25,30 +25,6 @@ pub fn generate_mirror(num_data: usize) -> Result<Graph, GenError> {
     Ok(b.build()?)
 }
 
-/// An `m`-way replicated array: each data node copied `m − 1` times
-/// (`m = 2` is [`generate_mirror`]). Used for the federation baseline that
-/// stores four copies of every block (§5.3, Table 7).
-pub fn generate_replicated(num_data: usize, copies: usize) -> Result<Graph, GenError> {
-    if copies < 2 {
-        return Err(GenError::BadParameters {
-            detail: format!("{copies} copies is not replication"),
-        });
-    }
-    if num_data == 0 {
-        return Err(GenError::BadParameters {
-            detail: "no data nodes".into(),
-        });
-    }
-    let mut b = GraphBuilder::new(num_data);
-    for c in 1..copies {
-        b.begin_level(&format!("copy-{c}"));
-        for v in 0..num_data as u32 {
-            b.add_check(&[v]);
-        }
-    }
-    Ok(b.build()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,19 +54,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_tolerates_all_but_one_copy() {
-        let g = generate_replicated(2, 4).unwrap();
-        assert_eq!(g.num_nodes(), 8);
-        let mut dec = ErasureDecoder::new(&g);
-        // Node 0's copies are 2, 4, 6 — lose data + two copies, keep one.
-        assert!(dec.decode(&[0, 2, 4]));
-        assert!(!dec.decode(&[0, 2, 4, 6]), "all four copies gone");
-    }
-
-    #[test]
     fn rejects_degenerate_parameters() {
         assert!(generate_mirror(0).is_err());
-        assert!(generate_replicated(4, 1).is_err());
-        assert!(generate_replicated(0, 3).is_err());
     }
 }

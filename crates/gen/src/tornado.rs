@@ -53,7 +53,7 @@ impl TornadoParams {
 
     /// Computes the cascade shape: the halving check-level sizes followed by
     /// the two final stage sizes. The sum always equals `num_data`.
-    pub fn shape(&self) -> Result<CascadeShape, GenError> {
+    pub(crate) fn shape(&self) -> Result<CascadeShape, GenError> {
         let k = self.num_data;
         if k < 4 {
             return Err(GenError::BadParameters {
@@ -90,18 +90,11 @@ impl TornadoParams {
 
 /// The level structure of a Tornado cascade.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CascadeShape {
+pub(crate) struct CascadeShape {
     /// Sizes of the halving check levels (`k/2, k/4, …`).
-    pub halving: Vec<usize>,
+    pub(crate) halving: Vec<usize>,
     /// Size of each of the two final stages (half the last halving level).
-    pub final_stage: usize,
-}
-
-impl CascadeShape {
-    /// Total number of check nodes (always `num_data` for this cascade).
-    pub fn total_checks(&self) -> usize {
-        self.halving.iter().sum::<usize>() + 2 * self.final_stage
-    }
+    pub(crate) final_stage: usize,
 }
 
 /// Generates Tornado Code graphs.
@@ -252,7 +245,6 @@ mod tests {
         let shape = TornadoParams::paper_96().shape().unwrap();
         assert_eq!(shape.halving, vec![24, 12]);
         assert_eq!(shape.final_stage, 6);
-        assert_eq!(shape.total_checks(), 48);
     }
 
     #[test]
@@ -266,7 +258,6 @@ mod tests {
         let shape = p.shape().unwrap();
         assert_eq!(shape.halving, vec![8]);
         assert_eq!(shape.final_stage, 4);
-        assert_eq!(shape.total_checks(), 16);
     }
 
     #[test]

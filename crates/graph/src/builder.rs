@@ -8,7 +8,7 @@ use crate::model::{Graph, Level, LevelKind, NodeId, ParityRows};
 ///
 /// Generators call [`GraphBuilder::begin_level`] / [`GraphBuilder::add_check`]
 /// in cascade order; the §3.3 adjustment procedure edits an existing graph
-/// through [`GraphBuilder::replace_neighbor`].
+/// ([`Graph::to_builder`]) through [`GraphBuilder::move_edge`].
 ///
 /// ```
 /// use tornado_graph::GraphBuilder;
@@ -42,7 +42,7 @@ impl GraphBuilder {
     }
 
     /// Recreates a builder from a frozen graph (for adjustment).
-    pub fn from_graph(graph: &Graph) -> Self {
+    pub(crate) fn from_graph(graph: &Graph) -> Self {
         let mut b = Self::new(graph.num_data());
         for level in &graph.levels()[1..] {
             b.begin_level(&level.label);
@@ -90,14 +90,15 @@ impl GraphBuilder {
     ///
     /// # Panics
     /// Panics if `check` is not a check node id allocated by this builder.
-    pub fn neighbors_of(&self, check: NodeId) -> &[NodeId] {
+    #[cfg(test)]
+    pub(crate) fn neighbors_of(&self, check: NodeId) -> &[NodeId] {
         &self.checks[(check - self.num_data) as usize]
     }
 
     /// Removes `node` from check `check`'s left neighbours. Returns `true`
     /// if the edge existed. Refuses (returns `false`) to remove the last
     /// neighbour — a check must XOR something.
-    pub fn remove_neighbor(&mut self, check: NodeId, node: NodeId) -> bool {
+    pub(crate) fn remove_neighbor(&mut self, check: NodeId, node: NodeId) -> bool {
         let list = &mut self.checks[(check - self.num_data) as usize];
         if list.len() <= 1 {
             return false;
@@ -113,7 +114,7 @@ impl GraphBuilder {
 
     /// Adds `node` to check `check`'s left neighbours. Returns `true` if the
     /// edge was new; `false` if it already existed.
-    pub fn add_neighbor(&mut self, check: NodeId, node: NodeId) -> bool {
+    pub(crate) fn add_neighbor(&mut self, check: NodeId, node: NodeId) -> bool {
         let list = &mut self.checks[(check - self.num_data) as usize];
         if list.contains(&node) {
             return false;
@@ -138,24 +139,6 @@ impl GraphBuilder {
         let added = self.add_neighbor(to_check, left);
         debug_assert!(added, "membership was pre-checked");
         true
-    }
-
-    /// Replaces neighbour `old` of check node `check` with `new`
-    /// (a §3.3 rewiring variant). Returns `true` if the replacement was
-    /// made; `false` if `old` was not a neighbour or `new` already is.
-    pub fn replace_neighbor(&mut self, check: NodeId, old: NodeId, new: NodeId) -> bool {
-        let list = &mut self.checks[(check - self.num_data) as usize];
-        if list.contains(&new) {
-            return false;
-        }
-        match list.iter().position(|&n| n == old) {
-            Some(pos) => {
-                list[pos] = new;
-                list.sort_unstable();
-                true
-            }
-            None => false,
-        }
     }
 
     /// Validates and freezes into an immutable [`Graph`].
@@ -339,19 +322,6 @@ mod tests {
         assert_eq!(b.neighbors_of(id), &[0, 2, 3]);
         let g = b.build().unwrap();
         assert_eq!(g.check_neighbors(id), &[0, 2, 3]);
-    }
-
-    #[test]
-    fn replace_neighbor_rewires() {
-        let mut b = GraphBuilder::new(4);
-        b.begin_level("c");
-        let id = b.add_check(&[0, 1]);
-        assert!(b.replace_neighbor(id, 1, 3));
-        assert_eq!(b.neighbors_of(id), &[0, 3]);
-        assert!(!b.replace_neighbor(id, 1, 2), "1 is no longer a neighbour");
-        assert!(!b.replace_neighbor(id, 0, 3), "3 already present");
-        let g = b.build().unwrap();
-        assert_eq!(g.check_neighbors(id), &[0, 3]);
     }
 
     #[test]

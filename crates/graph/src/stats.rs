@@ -13,14 +13,14 @@ pub struct DegreeStats {
     /// Edges divided by total nodes (the paper's "average degree").
     pub mean_degree_per_node: f64,
     /// Edges divided by data nodes.
-    pub mean_left_degree: f64,
+    pub(crate) mean_left_degree: f64,
     /// Edges divided by check nodes.
-    pub mean_right_degree: f64,
+    pub(crate) mean_right_degree: f64,
     /// Histogram of check in-degrees: `check_degree_histogram[d]` = number of
     /// check nodes with `d` left neighbours.
-    pub check_degree_histogram: Vec<usize>,
+    pub(crate) check_degree_histogram: Vec<usize>,
     /// Histogram of node out-degrees (how many checks use each node).
-    pub out_degree_histogram: Vec<usize>,
+    pub(crate) out_degree_histogram: Vec<usize>,
     /// Minimum / maximum check in-degree.
     pub check_degree_range: (usize, usize),
     /// Number of nodes no check ever uses (degree-0 on the left side). Data

@@ -1,17 +1,18 @@
 //! Clock abstraction so time-dependent behaviour (progress throttling,
 //! event timestamps) is testable with a mock.
 
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 /// Monotonic nanosecond source.
-pub trait Clock: Send + Sync {
+pub(crate) trait Clock: Send + Sync {
     /// Nanoseconds since an arbitrary (per-clock) epoch.
     fn now_nanos(&self) -> u64;
 }
 
 /// Wall-clock implementation: nanoseconds since the clock's creation.
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     epoch: Instant,
 }
 
@@ -37,11 +38,13 @@ impl Clock for MonotonicClock {
 }
 
 /// Hand-cranked clock for deterministic tests.
+#[cfg(test)]
 #[derive(Default)]
-pub struct ManualClock {
+pub(crate) struct ManualClock {
     nanos: AtomicU64,
 }
 
+#[cfg(test)]
 impl ManualClock {
     /// A clock stuck at zero until advanced.
     pub fn new() -> Self {
@@ -49,16 +52,17 @@ impl ManualClock {
     }
 
     /// Advances by `nanos`.
-    pub fn advance_nanos(&self, nanos: u64) {
+    pub(crate) fn advance_nanos(&self, nanos: u64) {
         self.nanos.fetch_add(nanos, Relaxed);
     }
 
     /// Advances by whole milliseconds.
-    pub fn advance_millis(&self, millis: u64) {
+    pub(crate) fn advance_millis(&self, millis: u64) {
         self.advance_nanos(millis * 1_000_000);
     }
 }
 
+#[cfg(test)]
 impl Clock for ManualClock {
     fn now_nanos(&self) -> u64 {
         self.nanos.load(Relaxed)

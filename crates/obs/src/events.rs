@@ -78,7 +78,8 @@ impl EventSink {
     }
 
     /// Replaces the timestamp source (tests).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
     }

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of buckets: zero plus one per possible `leading_zeros` result.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// Concurrent log2 histogram.
 pub struct Histogram {
@@ -25,13 +25,13 @@ pub struct Histogram {
 
 /// Bucket index for `v` (0 for 0; `64 - leading_zeros` otherwise).
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of bucket `i` (what percentile queries report).
 #[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         64 => u64::MAX,
@@ -41,7 +41,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 /// Inclusive lower bound of bucket `i`.
 #[inline]
-pub fn bucket_lower_bound(i: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         i => 1u64 << (i - 1),
@@ -123,7 +123,7 @@ impl Histogram {
         Some(self.max.load(Relaxed))
     }
 
-    /// Per-bucket counts (index = [`bucket_index`]).
+    /// Per-bucket counts (index = `bucket_index`).
     pub fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Relaxed))
     }

@@ -17,7 +17,7 @@
 //! * [`metric_set!`] — the one declaration form: a struct of such cells, each
 //!   written once with name, unit and meaning; its [`MetricSet`] rows are the catalogue;
 //! * [`Progress`] — throttled rate + ETA reporting to stderr (or silent),
-//!   driven by a mockable [`Clock`];
+//!   driven by a clock tests can replace;
 //! * [`EventSink`] — a JSON-lines (or human-readable) event stream;
 //! * [`Snapshot`] — a point-in-time dump of recorded metric sets through the
 //!   hand-rolled [`json`] serializer, with a [`snapshot::validate`] checker;
@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod clock;
 pub mod counter;
@@ -42,19 +43,18 @@ pub mod expo;
 pub mod histogram;
 pub mod json;
 pub mod progress;
-pub mod recorder;
+mod recorder;
 pub mod set;
 pub mod slo;
 pub mod snapshot;
 pub mod timeseries;
 pub mod trace;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use counter::{Counter, Gauge};
 pub use events::{EventFormat, EventSink};
 pub use histogram::Histogram;
 pub use json::Json;
-pub use progress::{Progress, ProgressConfig, ProgressTarget};
+pub use progress::{Progress, ProgressConfig};
 pub use recorder::Recorder;
 pub use set::MetricSet;
 pub use slo::{standard_windows, BurnReading, BurnWindow, SloAlert, SloTracker};

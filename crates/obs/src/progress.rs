@@ -17,7 +17,7 @@ use std::time::Duration;
 
 /// Where progress renders.
 #[derive(Clone)]
-pub enum ProgressTarget {
+pub(crate) enum ProgressTarget {
     /// Throttled lines (or in-place updates on a tty) to stderr.
     Stderr,
     /// No output; counting still works.
@@ -32,9 +32,9 @@ pub struct ProgressConfig {
     /// Minimum wall-clock time between renders.
     pub interval: Duration,
     /// Render destination.
-    pub target: ProgressTarget,
-    /// Time source (swap in a [`crate::ManualClock`] for tests).
-    pub clock: Arc<dyn Clock>,
+    pub(crate) target: ProgressTarget,
+    /// Time source (tests swap in a hand-cranked clock).
+    pub(crate) clock: Arc<dyn Clock>,
 }
 
 impl ProgressConfig {
@@ -72,7 +72,8 @@ impl ProgressConfig {
     }
 
     /// Overrides the clock.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
     }

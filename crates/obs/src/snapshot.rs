@@ -14,7 +14,7 @@ use crate::set::{Cell, Desc, MetricSet};
 pub const SCHEMA: &str = "tornado-metrics-v1";
 
 /// Top-level keys every snapshot carries (what validators check).
-pub const REQUIRED_KEYS: [&str; 4] = ["schema", "command", "elapsed_ms", "counters"];
+pub(crate) const REQUIRED_KEYS: [&str; 4] = ["schema", "command", "elapsed_ms", "counters"];
 
 /// Builder for one metrics snapshot.
 #[derive(Debug, Default)]
@@ -158,7 +158,7 @@ fn histogram_json(h: &Histogram) -> Json {
 }
 
 /// Checks that `doc` looks like a snapshot this crate wrote: every
-/// [`REQUIRED_KEYS`] entry present, schema matching, counters an object.
+/// `REQUIRED_KEYS` entry present, schema matching, counters an object.
 /// Returns the offending key on failure.
 pub fn validate(doc: &Json) -> Result<(), String> {
     for key in REQUIRED_KEYS {

@@ -150,7 +150,8 @@ impl Tracer {
     }
 
     /// Replaces the timestamp source (tests).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
     }
@@ -158,11 +159,6 @@ impl Tracer {
     /// Whether this tracer can ever record a span.
     pub fn is_enabled(&self) -> bool {
         self.sample_every != 0
-    }
-
-    /// The configured 1-in-N rate (0 = disabled).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
     }
 
     /// Deterministic sampling decision for `trace_id` at this tracer's
@@ -222,13 +218,6 @@ impl Tracer {
     /// Spans recorded so far (before any eviction).
     pub fn recorded(&self) -> u64 {
         self.recorded.load(Relaxed)
-    }
-
-    /// The always-kept tail of the slowest root spans, slowest first.
-    pub fn slowest_roots(&self) -> Vec<SpanRecord> {
-        let mut v = self.slow.lock().unwrap().clone();
-        v.sort_by_key(|s| std::cmp::Reverse(s.dur_us));
-        v
     }
 
     /// Every retained span — ring contents plus the slowest-roots tail,
@@ -497,8 +486,6 @@ mod tests {
         for i in 0..200u64 {
             t.record(span(8, i + 2, None, "fast", 100 + i, 1));
         }
-        let slow = t.slowest_roots();
-        assert_eq!(slow[0].dur_us, 9_999, "slowest kept: {slow:?}");
         assert!(
             t.spans().iter().any(|s| s.dur_us == 9_999),
             "export includes the evicted-but-slow root"

@@ -17,7 +17,7 @@
 //! the same vectored write ([`Client::put`] copies nothing, and
 //! [`PipelinedClient::submit`] sends an [`Op::Put`]'s payload from inside
 //! the op). A reply is decoded as it is read
-//! ([`read_response`]): header fields come out of a small read-ahead
+//! (`read_response`): header fields come out of a small read-ahead
 //! buffer, and a GET's payload goes from the socket into the `Vec` that
 //! [`Client::get`] returns — allocated once at its final size, never
 //! zero-filled, never copied again.
@@ -26,7 +26,6 @@ use crate::error::ClientError;
 use crate::protocol::{put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// A blocking connection to one server: one request at a time over a
 /// [`PipelinedClient`].
@@ -39,16 +38,6 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         Ok(Self {
             inner: PipelinedClient::connect(addr)?,
-        })
-    }
-
-    /// Connects with a bounded connection attempt.
-    pub fn connect_timeout(
-        addr: &std::net::SocketAddr,
-        timeout: Duration,
-    ) -> Result<Self, ClientError> {
-        Ok(Self {
-            inner: PipelinedClient::connect_timeout(addr, timeout)?,
         })
     }
 
@@ -195,14 +184,6 @@ impl PipelinedClient {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         Self::over(TcpStream::connect(addr)?)
-    }
-
-    /// Connects with a bounded connection attempt.
-    pub fn connect_timeout(
-        addr: &std::net::SocketAddr,
-        timeout: Duration,
-    ) -> Result<Self, ClientError> {
-        Self::over(TcpStream::connect_timeout(addr, timeout)?)
     }
 
     /// Sets the per-request deadline stamped on subsequent requests

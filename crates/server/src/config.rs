@@ -5,7 +5,7 @@ use tornado_obs::slo::{standard_windows, BurnWindow};
 /// The durability observatory's deployment assumptions and policy
 /// ([`crate::health::HealthModel`]). How the model samples and how deep
 /// it searches are constants: [`crate::health::CONDITIONAL`] and
-/// [`crate::health::MARGIN_CAP`].
+/// `crate::health::MARGIN_CAP`.
 #[derive(Clone, Debug)]
 pub struct HealthConfig {
     /// Master switch; off skips model construction entirely.

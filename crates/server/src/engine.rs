@@ -30,13 +30,13 @@ use tornado_store::{ArchivalStore, StoreError};
 pub(crate) struct JobTrace {
     /// Span id reserved for the root `request` span (recorded when the
     /// request is answered; children reference it immediately).
-    pub root_span: u64,
+    pub(crate) root_span: u64,
     /// Tracer-timebase instant the shard began decoding the request's
     /// frame: where the root span starts.
-    pub root_start_us: u64,
+    pub(crate) root_start_us: u64,
     /// Tracer-timebase instant the job was submitted (start of the
     /// queue-wait window).
-    pub accepted_us: u64,
+    pub(crate) accepted_us: u64,
 }
 
 /// One queued request plus everything needed to answer it.
@@ -47,9 +47,9 @@ pub(crate) struct Job {
     pub reply: Reply,
     /// When the shard began decoding the request's frame (the
     /// slow-request clock).
-    pub started_at: Instant,
+    pub(crate) started_at: Instant,
     /// When the server accepted the request (queue-wait measurement).
-    pub accepted_at: Instant,
+    pub(crate) accepted_at: Instant,
     /// Absolute deadline, if the request set one.
     pub deadline: Option<Instant>,
     /// The client's trace id, or the one the shard assigned.
@@ -64,7 +64,7 @@ impl Job {
     /// encloses them all, and before the write, so a client holding its
     /// reply can always export the whole tree — then the slow-request
     /// event is emitted, then the frame goes to the connection.
-    pub fn answer(self, frame: Frame) {
+    pub(crate) fn answer(self, frame: Frame) {
         let (obs, slow_request_us) = self.reply.observer();
         let (op_kind, status) = (self.request.op.kind(), frame.kind);
         if let Some(tr) = &self.trace {
@@ -93,7 +93,7 @@ impl Job {
 
     /// [`Job::answer`] with a response still to be encoded, under the
     /// request's correlation id.
-    pub fn respond(self, response: &Response) {
+    pub(crate) fn respond(self, response: &Response) {
         let corr = self.request.corr_id;
         self.answer(Frame::encode(response, corr));
     }

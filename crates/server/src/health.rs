@@ -60,7 +60,7 @@ pub const CONDITIONAL: ConditionalConfig = ConditionalConfig {
 
 /// Risk margins are searched exhaustively up to this many further losses:
 /// up to it a margin is exact, past it a class reads `MARGIN_CAP + 1`.
-pub const MARGIN_CAP: usize = 2;
+pub(crate) const MARGIN_CAP: usize = 2;
 
 struct State {
     /// Graph facts by missing-node set: the entries the latest rendering

@@ -13,7 +13,7 @@
 //! * [`queue`] — a bounded MPMC request queue with explicit backpressure:
 //!   past the configured depth the service answers BUSY instead of
 //!   buffering without bound;
-//! * [`engine`] — the fixed worker pool draining the queue, enforcing
+//! * `engine` — the fixed worker pool draining the queue, enforcing
 //!   per-request deadlines, and serving GETs through the store's guided
 //!   retrieval path (checksum failures and offline devices degrade into
 //!   erasures that the Tornado decoder reconstructs transparently);
@@ -44,6 +44,7 @@
 // invariants); everything else stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 // The one serving path is built on epoll; no other platform has ever been
 // built or tested.
@@ -53,7 +54,7 @@ compile_error!("tornado-server serves connections through Linux's epoll");
 pub mod catalogue;
 pub mod client;
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod error;
 pub mod health;
 pub mod load;
@@ -72,5 +73,4 @@ pub use health::{validate_health, HealthModel, HEALTH_SCHEMA};
 pub use load::{run_load, LoadConfig, LoadReport, OpMix, TraceExemplar};
 pub use obs::{LoopStats, ServerMetrics, ServerObserver};
 pub use protocol::{Op, Request, Response, StatMeta};
-pub use queue::BoundedQueue;
 pub use server::{serve, ServerHandle};

@@ -2,7 +2,7 @@
 //!
 //! [`run_load`] drives `connections` client connections from one thread:
 //! every socket is nonblocking and registered with one readiness
-//! [`Poller`] — the reactor the server itself runs on — so a run holds
+//! `Poller` — the reactor the server itself runs on — so a run holds
 //! 10,000 connections with the threads it holds 4 with, and the driver's
 //! own scheduler stays out of the measurement. Each connection picks its
 //! next operation from the seeded weighted mix, frames it with a
@@ -166,7 +166,7 @@ impl Default for LoadConfig {
 }
 
 /// How many slowest-operation exemplars each run retains.
-pub const EXEMPLAR_KEEP: usize = 5;
+pub(crate) const EXEMPLAR_KEEP: usize = 5;
 
 /// How long past the window in-flight and waiting requests may settle.
 pub const DRAIN_GRACE: Duration = Duration::from_secs(5);
@@ -202,7 +202,7 @@ fn note_exemplar(slowest: &mut Vec<TraceExemplar>, e: TraceExemplar) {
 
 tornado_obs::metric_set! {
     /// The names a load run's own snapshot exports ([`LoadReport::snapshot`]).
-    pub struct LoadMetrics {
+    pub(crate) struct LoadMetrics {
         /// Connections established (of `connections` requested).
         connected: Gauge = "load.connected", "connections";
         /// Operations completed (BUSY retries excluded).
@@ -287,7 +287,7 @@ pub struct LoadReport {
     /// (sorted, deduplicated; empty when `trace_sample` is 0).
     pub sampled_trace_ids: Vec<u64>,
     /// The slowest sampled operations across all connections, latency
-    /// descending (at most [`EXEMPLAR_KEEP`]).
+    /// descending (at most `EXEMPLAR_KEEP`).
     pub slowest: Vec<TraceExemplar>,
 }
 

@@ -16,7 +16,7 @@ use tornado_store::{ArchivalStore, StoreObserver};
 
 /// How many periodic samples the server's time-series ring retains.
 /// At the default 500 ms interval this is one minute of history.
-pub const TIMESERIES_CAPACITY: usize = 120;
+pub(crate) const TIMESERIES_CAPACITY: usize = 120;
 
 metric_set! {
     /// One event-loop shard's statistics, summed across shards at snapshot
@@ -196,7 +196,7 @@ impl ServerObserver {
 
     /// Takes one time-series sample: every metric declared `sampled`, at the
     /// value a METRICS snapshot taken now would carry (the sampler thread's call).
-    pub fn sample_timeseries(&self, store: &ArchivalStore, t_ms: u64) {
+    pub(crate) fn sample_timeseries(&self, store: &ArchivalStore, t_ms: u64) {
         let mut snap = Snapshot::default();
         self.record_all(store, &mut snap);
         self.timeseries.push(SeriesPoint {

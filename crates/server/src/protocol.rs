@@ -26,7 +26,7 @@
 //! the body.
 //!
 //! The correlation id is the pipelining handle: a client that sets
-//! [`CORR_FLAG`] may issue further requests on the same connection before
+//! `CORR_FLAG` may issue further requests on the same connection before
 //! reading responses, and the server may answer them out of order — each
 //! response then starts with its status byte OR [`RESP_CORR_FLAG`],
 //! followed by the echoed `corr_id: u32`, before the usual status fields.
@@ -67,7 +67,7 @@
 //! | 21     | SHUTTING_DOWN      | —                                     |
 //! | 22     | SERVER_ERROR       | message (rest, UTF-8)                 |
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Hard cap on one frame body; larger length prefixes are rejected before
 /// allocation (a corrupt or hostile peer cannot balloon memory).
@@ -79,15 +79,15 @@ pub const MAX_FRAME: usize = 16 << 20;
 pub const MAX_NAME: usize = 4096;
 
 /// Header flag bit: an 8-byte trace id follows the (optional) corr id.
-pub const TRACE_FLAG: u8 = 0x80;
+pub(crate) const TRACE_FLAG: u8 = 0x80;
 
 /// Header flag bit: a 4-byte correlation id follows `deadline_ms`, and
 /// the request may be answered out of order (pipelining).
-pub const CORR_FLAG: u8 = 0x40;
+pub(crate) const CORR_FLAG: u8 = 0x40;
 
 /// Response status flag bit: the status byte is followed by the echoed
 /// 4-byte correlation id. Only ever set on responses to requests that
-/// carried [`CORR_FLAG`], so old clients never see it.
+/// carried `CORR_FLAG`, so old clients never see it.
 pub const RESP_CORR_FLAG: u8 = 0x80;
 
 /// One decoded request: a deadline plus the operation.
@@ -376,7 +376,7 @@ impl Request {
     }
 
     /// Serializes the whole frame — length prefix and body in one buffer.
-    /// A body over [`MAX_FRAME`] is refused, as [`write_frame`] refuses it.
+    /// A body over [`MAX_FRAME`] is refused.
     pub fn encode_frame(&self) -> io::Result<Vec<u8>> {
         let frame = build_frame(self.body_capacity(), |buf| self.write_body(buf));
         check_frame_len(frame.len() - 4)?;
@@ -790,7 +790,7 @@ impl Frame {
     /// into the bytes just in front of the payload and the buffer becomes
     /// the frame — no payload byte moves. Byte-identical on the wire to
     /// encoding [`Response::GetOk`].
-    pub fn get_ok(mut buf: Vec<u8>, payload_start: usize, corr_id: Option<u32>) -> Frame {
+    pub(crate) fn get_ok(mut buf: Vec<u8>, payload_start: usize, corr_id: Option<u32>) -> Frame {
         let (head, used) = response_head(STATUS_GET_OK, corr_id);
         let body_len = used + buf.len() - payload_start;
         debug_assert!(body_len <= MAX_FRAME, "oversized frame body");
@@ -1010,8 +1010,10 @@ fn check_frame_len(len: usize) -> io::Result<u32> {
     Ok(len as u32)
 }
 
-/// Writes one frame: `u32` LE length prefix plus `body`.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+/// Writes one frame: `u32` LE length prefix plus `body` (the tests'
+/// blocking peer).
+#[cfg(test)]
+pub(crate) fn write_frame(w: &mut impl std::io::Write, body: &[u8]) -> io::Result<()> {
     w.write_all(&check_frame_len(body.len())?.to_le_bytes())?;
     w.write_all(body)?;
     w.flush()
@@ -1079,7 +1081,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// and then the fields — which for a successful GET are the payload, read
 /// from the stream straight into the `Vec` that [`Response::GetOk`] hands
 /// the caller. `E` is the caller's sum of the two ways this fails.
-pub fn read_response<E>(r: &mut impl Read) -> Result<Option<(Option<u32>, Response)>, E>
+pub(crate) fn read_response<E>(r: &mut impl Read) -> Result<Option<(Option<u32>, Response)>, E>
 where
     E: From<io::Error> + From<WireError>,
 {

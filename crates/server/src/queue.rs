@@ -1,9 +1,9 @@
 //! Bounded MPMC request queue with explicit backpressure.
 //!
 //! The serving layer never buffers without bound: beyond the configured
-//! depth, [`BoundedQueue::try_push`] fails with [`PushError::Busy`] and
+//! depth, `BoundedQueue::try_push` fails with `PushError::Busy` and
 //! the connection layer answers BUSY instead of queueing. Workers block
-//! in [`BoundedQueue::pop`] on a condvar; [`BoundedQueue::close`] starts
+//! in `BoundedQueue::pop` on a condvar; `BoundedQueue::close` starts
 //! the drain — already-queued items are still handed out, then every
 //! popper unblocks with `None`.
 
@@ -12,7 +12,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Rejection from [`BoundedQueue::try_push`], returning the item.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue is at capacity — the caller must shed load.
     Busy(T),
     /// The queue has been closed for shutdown.
@@ -25,7 +25,7 @@ struct State<T> {
 }
 
 /// A bounded multi-producer multi-consumer queue.
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     capacity: usize,
@@ -45,25 +45,15 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The configured depth limit.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current queue depth.
     pub fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Enqueues without blocking. Fails with [`PushError::Busy`] at
     /// capacity (the backpressure signal) and [`PushError::Closed`] after
     /// [`BoundedQueue::close`].
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
         let mut s = self.state.lock().unwrap();
         if s.closed {
             return Err(PushError::Closed(item));
@@ -95,7 +85,7 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue: future pushes fail, queued items still drain,
     /// then poppers unblock with `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.not_empty.notify_all();
     }

@@ -7,7 +7,7 @@
 //! runtime every Rust binary already links, honouring the workspace's
 //! zero-dependency rule).
 //!
-//! One backend behind the [`Poller`] API: Linux's `epoll_create1` /
+//! One backend behind the `Poller` API: Linux's `epoll_create1` /
 //! `epoll_ctl` / `epoll_wait`, level-triggered. Level-triggering keeps the
 //! shard logic simple — a socket with unread bytes or unflushed output
 //! stays ready, so a loop iteration may do bounded work per event and rely
@@ -34,7 +34,7 @@ use std::time::Duration;
 
 /// Which readiness classes a registration subscribes to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the fd is readable (or the peer hung up).
     pub read: bool,
     /// Wake when the fd is writable.
@@ -43,31 +43,31 @@ pub struct Interest {
 
 impl Interest {
     /// Read readiness only — the steady state of an idle connection.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         read: true,
         write: false,
     };
     /// Read and write readiness — a connection with unflushed output.
-    pub const READ_WRITE: Interest = Interest {
+    pub(crate) const READ_WRITE: Interest = Interest {
         read: true,
         write: true,
     };
 }
 
-/// One readiness event out of [`Poller::wait`].
+/// One readiness event out of `Poller::wait`.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// The token the fd was registered with.
-    pub token: u64,
+    pub(crate) token: u64,
     /// The fd is readable, the peer hung up, or the fd is in an error
     /// state (all three are discovered by the next `read`).
-    pub readable: bool,
+    pub(crate) readable: bool,
     /// The fd is writable.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 /// A readiness selector: registered fds plus a blocking wait.
-pub struct Poller {
+pub(crate) struct Poller {
     sys: sys::Selector,
 }
 
@@ -80,17 +80,27 @@ impl Poller {
     }
 
     /// Subscribes `fd` under `token`. One registration per fd.
-    pub fn register(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(
+        &self,
+        fd: &impl AsRawFd,
+        token: u64,
+        interest: Interest,
+    ) -> io::Result<()> {
         self.sys.register(fd.as_raw_fd(), token, interest)
     }
 
     /// Replaces the interest set of an already-registered fd.
-    pub fn reregister(&self, fd: &impl AsRawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn reregister(
+        &self,
+        fd: &impl AsRawFd,
+        token: u64,
+        interest: Interest,
+    ) -> io::Result<()> {
         self.sys.reregister(fd.as_raw_fd(), token, interest)
     }
 
     /// Removes a registration. Must be called before the fd is closed.
-    pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
         self.sys.deregister(fd.as_raw_fd())
     }
 
@@ -113,7 +123,7 @@ impl Poller {
 /// nonblocking `UnixStream` pair — safe std, real fds, no extra syscall
 /// API to wrap. A full pipe means a wake is already pending, so the
 /// (ignored) `WouldBlock` still guarantees delivery.
-pub struct Waker {
+pub(crate) struct Waker {
     rx: UnixStream,
     tx: UnixStream,
 }
@@ -240,12 +250,12 @@ mod sys {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        pub fn signal(signum: i32, handler: usize) -> usize;
+        pub(crate) fn signal(signum: i32, handler: usize) -> usize;
         pub fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
     }
 
-    pub struct Selector {
+    pub(crate) struct Selector {
         epfd: OwnedFd,
     }
 
@@ -273,15 +283,20 @@ mod sys {
             Ok(())
         }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        pub fn reregister(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn reregister(
+            &self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
             // Pre-2.6.9 kernels demanded a non-null event for DEL; every
             // kernel this runs on ignores it.
             let mut ev = EpollEvent { events: 0, data: 0 };

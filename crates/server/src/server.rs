@@ -55,7 +55,7 @@ impl Shutdown {
     }
 
     /// Whether shutdown has been raised.
-    pub fn is_raised(&self) -> bool {
+    pub(crate) fn is_raised(&self) -> bool {
         self.raised.load(Ordering::SeqCst)
     }
 
@@ -71,7 +71,7 @@ impl Shutdown {
     }
 
     /// Sleeps for `timeout` or until the signal is raised.
-    pub fn wait_timeout(&self, timeout: Duration) {
+    pub(crate) fn wait_timeout(&self, timeout: Duration) {
         let (lock, woken) = &self.sampler;
         let held = lock.lock().expect("shutdown lock");
         let _ = woken.wait_timeout_while(held, timeout, |_| !self.is_raised());

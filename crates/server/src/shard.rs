@@ -2,7 +2,7 @@
 //!
 //! Connections are served by a small, fixed set of shards. Each shard is
 //! one thread around a
-//! [`crate::reactor::Poller`]: it owns a slab of connection states
+//! `crate::reactor::Poller`: it owns a slab of connection states
 //! (per-connection read [`FrameBuffer`] and hold flags), reassembles frames
 //! incrementally and dispatches decoded requests to the engine's worker
 //! pool. Requests are read from the socket straight into the
@@ -136,7 +136,7 @@ impl ShardMailbox {
     }
 
     /// Hands a freshly accepted connection to the shard.
-    pub fn adopt(&self, stream: TcpStream) {
+    pub(crate) fn adopt(&self, stream: TcpStream) {
         self.adopted.lock().expect("mailbox lock").push(stream);
         self.kick();
     }
@@ -148,7 +148,7 @@ impl ShardMailbox {
     }
 
     /// Wakes the shard's event loop, now or at its next wait.
-    pub fn kick(&self) {
+    pub(crate) fn kick(&self) {
         self.waker.wake();
     }
 }
@@ -170,10 +170,10 @@ impl Dispatcher for crate::engine::Engine {
 
 /// Everything a shard needs beyond its mailbox.
 pub(crate) struct ShardContext<D: Dispatcher> {
-    pub dispatcher: Arc<D>,
+    pub(crate) dispatcher: Arc<D>,
     pub obs: Arc<ServerObserver>,
     pub stats: Arc<LoopStats>,
-    pub mailbox: Arc<ShardMailbox>,
+    pub(crate) mailbox: Arc<ShardMailbox>,
     pub shutdown: Arc<Shutdown>,
     pub slow_request_us: u64,
     pub max_inflight_per_conn: usize,
@@ -407,7 +407,7 @@ impl Reply {
     /// how the engine's unit tests read a worker's reply. The socket is
     /// left blocking, so the worker writes the whole frame while the test
     /// blocks reading it.
-    pub fn to_peer(obs: Arc<ServerObserver>) -> (Reply, TcpStream) {
+    pub(crate) fn to_peer(obs: Arc<ServerObserver>) -> (Reply, TcpStream) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let peer = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
         peer.set_read_timeout(Some(Duration::from_secs(10)))

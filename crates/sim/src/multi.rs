@@ -147,7 +147,7 @@ impl FederatedSystem {
 
     /// Maps a node id of the site-B *local* graph to its federated device
     /// index (data nodes map to B's replica devices).
-    pub fn site_b_device(&self, b_node: NodeId) -> usize {
+    pub(crate) fn site_b_device(&self, b_node: NodeId) -> usize {
         self.site_starts[1] + b_node as usize
     }
 }
@@ -287,7 +287,7 @@ pub struct FederatedFailure {
     /// Devices lost (federated indices), sorted.
     pub devices: Vec<usize>,
     /// The data node that stays unrecoverable.
-    pub data_node: NodeId,
+    pub(crate) data_node: NodeId,
 }
 
 impl FederatedFailure {

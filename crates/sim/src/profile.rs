@@ -122,8 +122,8 @@ impl FailureProfile {
             .unwrap_or_else(|| panic!("k = {k} beyond {}", self.num_nodes))
     }
 
-    /// The full conditional vector `P(fail | k)`, `k = 0..=n`, suitable for
-    /// [`tornado_numerics::compose_failure_probability`].
+    /// The full conditional vector `P(fail | k)`, `k = 0..=n`: the input of
+    /// the paper's Eq. 3 composition (`tornado_analysis::reliability`).
     pub fn conditional_vec(&self) -> Vec<f64> {
         self.completed().collect()
     }
@@ -139,14 +139,8 @@ impl FailureProfile {
         })
     }
 
-    /// `P(success | m nodes online)` — the complement view used by the
-    /// reconstruction-efficiency statistics.
-    pub fn success_by_online(&self, online: usize) -> f64 {
-        assert!(online <= self.num_nodes);
-        1.0 - self.conditional(self.num_nodes - online)
-    }
-
-    /// [`FailureProfile::success_by_online`] for `m = 0..=n`, from one scan.
+    /// `P(success | m nodes online)` for `m = 0..=n`, from one scan: the
+    /// complement view used by the reconstruction-efficiency statistics.
     fn success_vec(&self) -> Vec<f64> {
         self.conditional_vec()
             .iter()
@@ -489,9 +483,9 @@ mod tests {
 
     #[test]
     fn success_by_online_inverts_axis() {
-        let p = step_profile(10);
-        assert_eq!(p.success_by_online(10), 1.0);
-        assert_eq!(p.success_by_online(5), 1.0);
-        assert_eq!(p.success_by_online(4), 0.0);
+        let s = step_profile(10).success_vec();
+        assert_eq!(s[10], 1.0);
+        assert_eq!(s[5], 1.0);
+        assert_eq!(s[4], 0.0);
     }
 }

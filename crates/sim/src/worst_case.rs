@@ -97,7 +97,7 @@ impl WorstCaseReport {
 
     /// Folds the exact counts into a [`FailureProfile`] for `graph_nodes`
     /// total nodes.
-    pub fn to_profile(&self, graph_nodes: usize) -> FailureProfile {
+    pub(crate) fn to_profile(&self, graph_nodes: usize) -> FailureProfile {
         let mut p = FailureProfile::new(graph_nodes);
         for l in &self.levels {
             // Counts above u64 range cannot occur for the sizes this crate

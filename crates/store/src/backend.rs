@@ -46,7 +46,7 @@ use tornado_codec::kernels::{self, Ahead};
 use tornado_codec::{pool, BlockPool};
 
 /// Identifies a block on a device: `(object id, graph node index)`.
-pub type BlockKey = (u64, u32);
+pub(crate) type BlockKey = (u64, u32);
 
 /// What [`BlockBackend::read_into`] appended to the caller's buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -24,7 +24,7 @@ use crate::backend::{Appended, BlockBackend, MemoryBackend};
 use parking_lot::RwLock;
 use tornado_codec::kernels::Ahead;
 
-pub use crate::backend::BlockKey;
+pub(crate) use crate::backend::BlockKey;
 
 /// Outcome of a zero-copy checksum probe ([`Device::verify_block`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,7 +313,7 @@ impl Device {
 
     /// Removes a block; returns whether it existed (false also on an
     /// I/O error, which is counted).
-    pub fn delete_block(&self, key: &BlockKey) -> bool {
+    pub(crate) fn delete_block(&self, key: &BlockKey) -> bool {
         let mut s = self.state.write();
         match s.backend.delete(key) {
             Ok(existed) => existed,

@@ -137,7 +137,7 @@ pub struct RecoveryReport {
     /// Delete records replayed.
     pub deletes_replayed: usize,
     /// Sidecar files that failed their checksum and were dropped.
-    pub invalid_sidecars: usize,
+    pub(crate) invalid_sidecars: usize,
     /// Objects in the store after recovery.
     pub objects: usize,
 }
@@ -158,17 +158,17 @@ const FORMAT_VERSION: u32 = 1;
 const META_MAGIC: u64 = 0x31_41_54_45_4d_4e_52_54; // "TRNMETA1" LE-ish tag
 
 impl Durability {
-    pub fn meta_dir(&self) -> PathBuf {
+    pub(crate) fn meta_dir(&self) -> PathBuf {
         self.dir.join("meta")
     }
 
-    pub fn sidecar_path(&self, id: u64) -> PathBuf {
+    pub(crate) fn sidecar_path(&self, id: u64) -> PathBuf {
         self.meta_dir().join(format!("{id:016x}.meta"))
     }
 
     /// Appends a journal record, fsyncing per policy, stepping the
     /// crash injector.
-    pub fn journal_append(&self, rec: &JournalRecord) -> Result<(), StoreError> {
+    pub(crate) fn journal_append(&self, rec: &JournalRecord) -> Result<(), StoreError> {
         self.journal
             .lock()
             .append(rec, &self.crash)
@@ -176,7 +176,7 @@ impl Durability {
     }
 
     /// Writes an object's metadata sidecar via tmp + rename (+ fsync).
-    pub fn write_sidecar(&self, meta: &ObjectMeta) -> Result<(), StoreError> {
+    pub(crate) fn write_sidecar(&self, meta: &ObjectMeta) -> Result<(), StoreError> {
         self.crash
             .step()
             .map_err(|e| StoreError::io("sidecar write", &e))?;
@@ -204,7 +204,7 @@ impl Durability {
     }
 
     /// Removes an object's sidecar (idempotent).
-    pub fn remove_sidecar(&self, id: u64) -> Result<(), StoreError> {
+    pub(crate) fn remove_sidecar(&self, id: u64) -> Result<(), StoreError> {
         match fs::remove_file(self.sidecar_path(id)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),

@@ -143,7 +143,7 @@ pub struct JournalScan {
     /// Whether the scan stopped at a torn/corrupt tail frame.
     pub torn_tail: bool,
     /// Bytes of valid journal scanned.
-    pub valid_bytes: u64,
+    pub(crate) valid_bytes: u64,
 }
 
 /// The per-store write-ahead intent journal.
@@ -258,7 +258,7 @@ impl IntentJournal {
 /// the on-disk state is left exactly as a SIGKILL at that instant
 /// would leave it. Dropping the store and reopening the directory then
 /// exercises the real recovery path. Once tripped, the injector stays
-/// tripped (all subsequent steps fail) until [`CrashInjector::disarm`].
+/// tripped: all subsequent steps fail.
 #[derive(Debug, Default)]
 pub struct CrashInjector {
     armed: AtomicBool,
@@ -281,12 +281,6 @@ impl CrashInjector {
     pub fn arm_torn(&self, steps: i64) {
         self.torn_writes.store(true, Ordering::SeqCst);
         self.arm(steps);
-    }
-
-    /// Disarms; subsequent steps always succeed.
-    pub fn disarm(&self) {
-        self.armed.store(false, Ordering::SeqCst);
-        self.torn_writes.store(false, Ordering::SeqCst);
     }
 
     /// Whether the injector has already fired.
@@ -416,7 +410,5 @@ mod tests {
         assert!(c.step().is_err());
         assert!(c.step().is_err()); // stays tripped
         assert!(c.tripped());
-        c.disarm();
-        assert!(c.step().is_ok());
     }
 }

@@ -27,10 +27,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod backend;
-pub mod backend_file;
-pub mod backend_segment;
+mod backend_file;
+mod backend_segment;
 pub mod device;
 pub mod durable;
 pub mod error;
@@ -42,7 +43,7 @@ pub mod scrubber;
 pub mod store;
 pub mod workload;
 
-pub use backend::{Appended, BlockBackend, BlockKey, MemoryBackend};
+pub use backend::{Appended, BlockBackend, MemoryBackend};
 pub use backend_file::FileBackend;
 pub use backend_segment::SegmentBackend;
 pub use device::{BlockProbe, Device, DeviceStats, ReadClass};
@@ -53,5 +54,5 @@ pub use journal::{CrashInjector, IntentJournal, JournalRecord};
 pub use obs::{DeviceTotals, StoreMetrics, StoreObserver};
 pub use retrieval::{plan_repair, plan_retrieval, RepairCost, RetrievalPlan};
 pub use scrubber::{ScrubAction, ScrubMode, ScrubOutcome, Scrubber, StripeHealth};
-pub use store::{device_of_node, node_on_device, ArchivalStore, GetStats, ObjectId, ObjectMeta};
+pub use store::{node_on_device, ArchivalStore, GetStats, ObjectMeta};
 pub use workload::{generate_events, replay, Event, EventOutcome, ReplayReport, WorkloadConfig};

@@ -276,7 +276,8 @@ impl Scrubber {
     }
 
     /// Number of stripes currently marked clean (skip-tier candidates).
-    pub fn clean_marks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn clean_marks(&self) -> usize {
         self.clean.lock().len()
     }
 

@@ -16,16 +16,16 @@ use tornado_codec::{pool, Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 
 /// Opaque object identifier.
-pub type ObjectId = u64;
+pub(crate) type ObjectId = u64;
 
 /// The block-placement rule: the device, of `devices`, that holds graph
 /// node `node` of a stripe placed at `rotation`.
 #[inline]
-pub fn device_of_node(node: usize, rotation: usize, devices: usize) -> usize {
+pub(crate) fn device_of_node(node: usize, rotation: usize, devices: usize) -> usize {
     (node + rotation) % devices
 }
 
-/// The inverse of [`device_of_node`]: the graph node of a stripe placed at
+/// The inverse of `device_of_node`: the graph node of a stripe placed at
 /// `rotation` that device `device` (of `devices`) holds.
 #[inline]
 pub fn node_on_device(device: usize, rotation: usize, devices: usize) -> usize {
@@ -44,7 +44,7 @@ pub struct ObjectMeta {
     /// Per-block size after framing/padding.
     pub block_len: usize,
     /// Device rotation offset: block `i` lives on device
-    /// `(i + rotation) % devices` ([`device_of_node`]).
+    /// `(i + rotation) % devices` (`device_of_node`).
     pub rotation: usize,
     /// FNV-1a checksum per block (indexed by graph node), so silent
     /// corruption on a device is detected at read time and handled as an
@@ -258,7 +258,7 @@ impl ArchivalStore {
     }
 
     /// The stripe's current dirty generation (`0` before its first write).
-    pub fn stripe_generation(&self, id: ObjectId) -> u64 {
+    pub(crate) fn stripe_generation(&self, id: ObjectId) -> u64 {
         self.generations.read().get(&id).copied().unwrap_or(0)
     }
 

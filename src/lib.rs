@@ -13,11 +13,13 @@
 //! * XOR codec and peeling decoder ([`codec`]),
 //! * the fault-tolerance testing system — exhaustive worst-case search and
 //!   Monte-Carlo failure profiling ([`sim`]),
-//! * reliability modelling and the feedback graph-adjustment procedure
-//!   ([`analysis`]),
-//! * RAID comparators ([`raid`]),
+//! * reliability modelling, the RAID comparators and the feedback
+//!   graph-adjustment procedure ([`analysis`]),
 //! * a simulated archival store with multi-site federation ([`store`]),
-//! * the high-level profiled-graph pipeline ([`core`]).
+//! * the archival block service and its load generator ([`server`]),
+//! * the counters, histograms and traces every layer reports ([`obs`]),
+//! * the high-level profiled-graph pipeline and the certified graph
+//!   catalog ([`core`]).
 //!
 //! ## Quickstart
 //!
@@ -45,15 +47,15 @@
 //! }
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub use tornado_analysis as analysis;
 pub use tornado_bitset as bitset;
 pub use tornado_codec as codec;
 pub use tornado_core as core;
 pub use tornado_gen as gen;
 pub use tornado_graph as graph;
-pub use tornado_numerics as numerics;
 pub use tornado_obs as obs;
-pub use tornado_raid as raid;
 pub use tornado_server as server;
 pub use tornado_sim as sim;
 pub use tornado_store as store;
