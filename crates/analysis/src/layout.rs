@@ -12,7 +12,7 @@ impl GroupLayout {
     ///
     /// # Panics
     /// Panics on zero groups or zero-size groups.
-    pub fn new(groups: usize, group_size: usize) -> Self {
+    pub(crate) fn new(groups: usize, group_size: usize) -> Self {
         assert!(groups > 0 && group_size > 0, "degenerate layout");
         Self { groups, group_size }
     }
@@ -33,7 +33,7 @@ impl GroupLayout {
     }
 
     /// Total devices.
-    pub fn total_devices(&self) -> usize {
+    pub(crate) fn total_devices(&self) -> usize {
         self.groups * self.group_size
     }
 

@@ -13,7 +13,7 @@ use tornado_gen::cascaded::generate_fixed_degree_screened;
 use tornado_gen::TornadoParams;
 
 /// Runs the sweep.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let params = TornadoParams::paper_96();
     let mut out = String::new();
     let _ = writeln!(

@@ -15,7 +15,7 @@ use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
 
 /// Runs the validation; the report lists per-k analytic vs sampled values
 /// and the worst deviation in sampling sigmas.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let pairs = 48usize;
     let graph = generate_mirror(pairs).expect("mirror generation");
     let n = graph.num_nodes();

@@ -14,7 +14,7 @@ use tornado_sim::multi::FederatedSystem;
 use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
 
 /// Builds profiles for the three federation configurations.
-pub fn rows(effort: &Effort) -> Vec<SystemRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
     let t1 = tornado_core::tornado_graph_1();
     let t2 = tornado_core::tornado_graph_2();
     let mirror = generate_mirror(48).expect("mirror generation");
@@ -53,7 +53,7 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
 }
 
 /// Runs the experiment.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     render_figure(
         "Federated failure profiles — 192 devices, two sites (extends Table 7)",
         &rows(effort),

@@ -12,7 +12,7 @@ use tornado_analysis::analytic::GroupSystem;
 use tornado_sim::mirror::mirrored_profile;
 
 /// Builds the system rows shared by the figure and the table.
-pub fn rows(effort: &Effort) -> Vec<SystemRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
     let mut rows = vec![
         SystemRow {
             label: "Mirrored (RAID 10)".into(),
@@ -41,7 +41,7 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
 }
 
 /// Runs the experiment and renders both artefacts.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let rows = rows(effort);
     let mut out = render_figure(
         "Figure 3 — fraction reconstruction failure by missing nodes (96-device systems)",

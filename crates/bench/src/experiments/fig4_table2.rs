@@ -14,7 +14,7 @@ use tornado_gen::{TornadoGenerator, TornadoParams};
 
 /// Builds the three stages of one graph lineage: raw (first random graph,
 /// no screening), screened, and screened + adjusted.
-pub fn rows(effort: &Effort) -> Vec<SystemRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
     let gen = TornadoGenerator::new(TornadoParams::paper_96());
     // "Raw": scan seeds for the first *defective* random graph so the row
     // shows what unscreened generation risks (the paper's two-node
@@ -60,7 +60,7 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
 }
 
 /// Runs the experiment and renders both artefacts.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let rows = rows(effort);
     let mut out = render_figure(
         "Figure 4 — failure fraction: unadjusted vs screened vs adjusted Tornado graphs",

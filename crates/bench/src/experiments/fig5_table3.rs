@@ -13,7 +13,7 @@ use tornado_gen::regular::generate_regular;
 use tornado_gen::TornadoParams;
 
 /// Builds the comparison rows.
-pub fn rows(effort: &Effort) -> Vec<SystemRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
     let params = TornadoParams::paper_96();
     let mut rows = Vec::new();
     for degree in [4u32, 11] {
@@ -46,7 +46,7 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
 }
 
 /// Runs the experiment and renders both artefacts.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let rows = rows(effort);
     let mut out = render_figure(
         "Figure 5 — failure fraction: Tornado vs regular and altered graphs",

@@ -15,7 +15,7 @@ use tornado_gen::TornadoParams;
 /// order, then the best Tornado graph). Cascades are screened like every
 /// other family — the paper's comparators first-fail at 4–5, which random
 /// unscreened wiring does not reliably reach.
-pub fn rows(effort: &Effort) -> Vec<SystemRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
     let params = TornadoParams::paper_96();
     let mut rows = Vec::new();
     for degree in [6u32, 4, 3] {
@@ -36,7 +36,7 @@ pub fn rows(effort: &Effort) -> Vec<SystemRow> {
 }
 
 /// Runs the experiment and renders both artefacts.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let rows = rows(effort);
     let mut out = render_figure(
         "Figure 6 — failure fraction: fixed-degree cascades vs best Tornado graph",

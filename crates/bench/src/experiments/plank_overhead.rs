@@ -21,7 +21,7 @@ use tornado_graph::Graph;
 use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
 
 /// Runs the measurement for each catalog graph.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

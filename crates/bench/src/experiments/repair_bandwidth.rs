@@ -62,7 +62,7 @@ pub(crate) struct CodeReport {
 
 impl CodeReport {
     /// Looks a sweep point up by offline count.
-    pub fn at(&self, k: usize) -> &SweepPoint {
+    pub(crate) fn at(&self, k: usize) -> &SweepPoint {
         self.sweep
             .iter()
             .find(|p| p.k == k)
@@ -79,7 +79,7 @@ pub(crate) struct RepairBandwidthReport {
 
 impl RepairBandwidthReport {
     /// Looks a code up by label.
-    pub fn code(&self, code: &str) -> &CodeReport {
+    pub(crate) fn code(&self, code: &str) -> &CodeReport {
         self.codes
             .iter()
             .find(|c| c.code == code)
@@ -175,7 +175,7 @@ fn sweep_raid(code: &'static str, sys: &GroupSystem, ks: &[usize]) -> CodeReport
 
 /// Runs the whole bake-off: six generator families plus the two paper
 /// RAID systems, all at 96-device scale.
-pub fn measure(trials_per_k: u64, ks: &[usize], seed: u64) -> RepairBandwidthReport {
+pub(crate) fn measure(trials_per_k: u64, ks: &[usize], seed: u64) -> RepairBandwidthReport {
     let params = TornadoParams::paper_96();
     let tornado = tornado_core::tornado_graph_1();
     let doubled = tornado_gen::altered::generate_doubled(params, seed).expect("doubled");
@@ -209,7 +209,7 @@ pub fn measure(trials_per_k: u64, ks: &[usize], seed: u64) -> RepairBandwidthRep
 /// present with one point per k, mirroring repairs exactly 1 block per
 /// lost block, a RAID5 rebuild contacts the other 11 drawer members, and
 /// tornado survives every single-device loss.
-pub fn run(effort: &Effort) -> Report {
+pub(crate) fn run(effort: &Effort) -> Report {
     let trials = if effort.quick { 100 } else { 2_000 };
     let ks: Vec<usize> = (1..=8).collect();
     let r = measure(trials, &ks, effort.seed);

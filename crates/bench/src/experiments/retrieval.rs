@@ -14,7 +14,7 @@ use tornado_graph::NodeId;
 use tornado_store::retrieval::{plan_fetch_all, plan_retrieval};
 
 /// Runs the ablation over the catalog's first graph.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let graph = tornado_core::tornado_graph_1();
     let n = graph.num_nodes();
     let trials = (effort.mc_trials / 100).clamp(20, 2_000);

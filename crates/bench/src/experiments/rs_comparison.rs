@@ -19,7 +19,7 @@ const LOST: [usize; 4] = [3, 17, 48, 95];
 /// Times both codes and renders the table. Asserts the claim itself (in
 /// release; a debug build's timings mean nothing): the XOR peeler encodes
 /// faster than the GF(256) code at every block size.
-pub fn run(effort: &Effort) -> Report {
+pub(crate) fn run(effort: &Effort) -> Report {
     let (block_lens, samples): (&[usize], usize) = if effort.quick {
         (&[1 << 12], 3)
     } else {

@@ -19,7 +19,7 @@ use tornado_gen::mirror::generate_mirror;
 pub(crate) const SCRUBS: [usize; 4] = [0, 4, 12, 52];
 
 /// Runs the sweep.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let trials = (effort.mc_trials * 5).clamp(50_000, 2_000_000);
     let afr = 0.01;
     let mut out = String::new();

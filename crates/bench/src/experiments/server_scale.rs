@@ -225,7 +225,7 @@ fn run_closed_loop(shards: usize, connections: usize, duration_ms: u64, seed: u6
 ///
 /// `quick` caps the sweep at ~1k connections with shorter windows — the
 /// CI smoke; the full run reaches 10,000.
-pub fn measure(quick: bool, seed: u64) -> ScaleResult {
+pub(crate) fn measure(quick: bool, seed: u64) -> ScaleResult {
     let shards = 2usize;
     let rate = 1_000.0;
     let (duration_ms, counts): (u64, Vec<usize>) = if quick {
@@ -286,7 +286,7 @@ const P99_CEILING_US: u64 = 2_000_000;
 
 /// Runs the sweep (to 10,000 connections; to 1,024 under `effort.quick`)
 /// and the closed-loop point, renders the table and asserts the floors.
-pub fn run(effort: &Effort) -> Report {
+pub(crate) fn run(effort: &Effort) -> Report {
     let conn_floor = if effort.quick { 1_000 } else { 10_000 };
     let r = measure(effort.quick, effort.seed);
 

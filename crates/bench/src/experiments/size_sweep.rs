@@ -13,10 +13,10 @@ use std::fmt::Write as _;
 use tornado_gen::{TornadoGenerator, TornadoParams};
 
 /// Data-node counts swept (total nodes are double these).
-pub const SIZES: [usize; 5] = [16, 32, 48, 96, 128];
+pub(crate) const SIZES: [usize; 5] = [16, 32, 48, 96, 128];
 
 /// Runs the sweep.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use tornado_analysis::reliability::{comparator_rows, system_failure_probability, ReliabilityRow};
 
 /// The modelled annual failure rate (paper §5.1).
-pub const AFR: f64 = 0.01;
+pub(crate) const AFR: f64 = 0.01;
 
 /// The Tornado rows sample each level at this many times `mc_trials`. Their
 /// sums lean on the rare failures just past the exhaustive depth, and a
@@ -23,7 +23,7 @@ pub const AFR: f64 = 0.01;
 pub(crate) const TRIALS_FACTOR: u64 = 10;
 
 /// Computes every Table 5 row.
-pub fn rows(effort: &Effort) -> Vec<ReliabilityRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<ReliabilityRow> {
     let mut rows = comparator_rows(AFR);
     let sampled = Effort {
         mc_trials: effort.mc_trials.saturating_mul(TRIALS_FACTOR),
@@ -42,7 +42,7 @@ pub fn rows(effort: &Effort) -> Vec<ReliabilityRow> {
 }
 
 /// Runs the experiment and renders the table.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -11,7 +11,7 @@ use crate::harness::graph_profile;
 use std::fmt::Write as _;
 
 /// Runs the experiment and renders the table.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# Table 6 — nodes for 50% reconstruction and overhead");
     let _ = writeln!(out, "{:<20} {:>6} {:>9}", "System", "Nodes", "Overhead");

@@ -28,7 +28,7 @@ pub(crate) struct FederationRow {
 }
 
 /// Runs the targeted search for every configuration in the paper's table.
-pub fn rows(effort: &Effort) -> Vec<FederationRow> {
+pub(crate) fn rows(effort: &Effort) -> Vec<FederationRow> {
     let cfg = FederatedSearchConfig {
         seed: effort.seed,
         rounds_per_node: (effort.mc_trials / 500).clamp(8, 200) as usize,
@@ -66,7 +66,7 @@ pub fn rows(effort: &Effort) -> Vec<FederationRow> {
 }
 
 /// Runs the experiment and renders the table.
-pub fn run(effort: &Effort) -> String {
+pub(crate) fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -24,7 +24,7 @@ impl From<String> for Report {
 }
 
 /// Schema tag of every `BENCH_<name>.json`.
-pub const SCHEMA: &str = "tornado-bench-v1";
+pub(crate) const SCHEMA: &str = "tornado-bench-v1";
 
 /// `"debug"` or `"release"`: timings from a debug build mean nothing, so
 /// every document says which it came from.
@@ -37,7 +37,7 @@ pub fn build_mode() -> &'static str {
 }
 
 /// A JSON object from literal keys, in order.
-pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+pub(crate) fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     Json::Obj(
         fields
             .into_iter()
@@ -48,7 +48,7 @@ pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
 
 /// `v` rounded to `decimals` places, so committed files diff in the digits
 /// that were measured rather than in seventeen.
-pub fn num(v: f64, decimals: i32) -> Json {
+pub(crate) fn num(v: f64, decimals: i32) -> Json {
     let scale = 10f64.powi(decimals);
     Json::F64((v * scale).round() / scale)
 }
@@ -120,7 +120,7 @@ pub(crate) fn median_ns(batch: u64, samples: usize, mut f: impl FnMut()) -> f64 
 }
 
 /// Median of `v` (upper of the middle two when even), sorting it.
-pub fn median(v: &mut [f64]) -> f64 {
+pub(crate) fn median(v: &mut [f64]) -> f64 {
     v.sort_by(|a, b| a.total_cmp(b));
     v[v.len() / 2]
 }

@@ -21,6 +21,7 @@
 //! `TORNADO_SEED`. A value that does not parse is an error, not a default.
 
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+#![warn(unreachable_pub)]
 
 pub mod effort;
 pub mod experiments;

@@ -146,11 +146,6 @@ impl Combinations {
     pub fn of(n: usize, k: usize) -> CombinationIter {
         CombinationIter::new(n, k)
     }
-
-    /// Total number of `k`-subsets of `0..n`.
-    pub fn count(n: usize, k: usize) -> u128 {
-        binomial(n as u64, k as u64)
-    }
 }
 
 /// Lexicographic rank of a sorted combination of `0..n`.

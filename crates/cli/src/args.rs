@@ -44,12 +44,12 @@ impl ParsedArgs {
     }
 
     /// The flags that were passed, each once.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &str> {
         self.values.keys().map(String::as_str)
     }
 
     /// Last value of a flag, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values
             .get(key)
             .and_then(|v| v.last())
@@ -80,13 +80,13 @@ impl ParsedArgs {
     }
 
     /// A required flag.
-    pub fn require(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, String> {
         self.get(key)
             .ok_or_else(|| format!("missing required --{key}"))
     }
 
     /// Whether a boolean flag was passed.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 }

@@ -62,7 +62,7 @@ fn write_or_print(out: Option<&str>, content: &str) -> CmdResult {
 }
 
 /// `tornado generate`
-pub fn generate(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn generate(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.get_parsed("seed", 1)?;
     let num_data: usize = args.get_parsed("data", 48)?;
     let screen: usize = args.get_parsed("screen", 3)?;
@@ -114,7 +114,7 @@ pub fn generate(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado catalog`
-pub fn catalog(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn catalog(args: &ParsedArgs) -> CmdResult {
     let index: usize = args.get_parsed("index", 1)?;
     let graph = match index {
         1 => tornado_core::tornado_graph_1(),
@@ -126,7 +126,7 @@ pub fn catalog(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado inspect`
-pub fn inspect(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn inspect(args: &ParsedArgs) -> CmdResult {
     let graph = load_graph(args.require("graph")?)?;
     let stats = DegreeStats::of(&graph);
     println!(
@@ -171,13 +171,13 @@ pub fn inspect(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado dot`
-pub fn dot(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn dot(args: &ParsedArgs) -> CmdResult {
     let graph = load_graph(args.require("graph")?)?;
     write_or_print(args.get("out"), &dot::to_dot(&graph))
 }
 
 /// `tornado worst-case`
-pub fn worst_case(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn worst_case(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let (graph, label) = load_target_graph(args)?;
     searchable(&label, graph.num_nodes())?;
@@ -236,7 +236,7 @@ pub fn worst_case(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado monte-carlo`
-pub fn monte_carlo(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn monte_carlo(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let (graph, label) = load_target_graph(args)?;
     let trials: u64 = args.get_parsed("trials", 20_000)?;
@@ -282,7 +282,7 @@ pub fn monte_carlo(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado scrub`
-pub fn scrub(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn scrub(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let (graph, label) = load_target_graph(args)?;
     let objects: usize = args.get_parsed("objects", 8)?;
@@ -330,8 +330,8 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
     let store_obs = tornado_store::StoreObserver::disabled().with_events(obs.events());
     let store_obs = std::sync::Arc::new(store_obs);
     store.set_observer(store_obs.clone());
-    // One scrubber across all cycles: the worker pool is built once and
-    // the clean marks accumulate, so later incremental cycles skip.
+    // One scrubber across all cycles: the clean marks accumulate, so later
+    // incremental cycles skip.
     let scrubber = tornado_store::Scrubber::new(threads);
     let mut outcome = scrubber.run(&store, level, repair, mode);
     for cycle in 1..cycles {
@@ -391,7 +391,7 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
 /// assertions as `health` for post-hoc CI checks on captured files; or a
 /// Chrome trace-event export with well-nested spans, where `--require
 /// NAME` (repeatable) additionally demands that span names be present.
-pub fn validate(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn validate(args: &ParsedArgs) -> CmdResult {
     let kinds: Vec<&str> = ["metrics", "health", "trace"]
         .into_iter()
         .filter(|k| args.flag(k))
@@ -461,7 +461,7 @@ pub fn validate(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado adjust`
-pub fn adjust(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn adjust(args: &ParsedArgs) -> CmdResult {
     let path = args.require("graph")?;
     let graph = load_graph(path)?;
     searchable(path, graph.num_nodes())?;
@@ -487,7 +487,7 @@ pub fn adjust(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado reliability`
-pub fn reliability(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn reliability(args: &ParsedArgs) -> CmdResult {
     let afr: f64 = args.get_parsed("afr", 0.01)?;
     let trials: u64 = args.get_parsed("trials", 20_000)?;
     println!("system, data, parity, p_fail");
@@ -512,7 +512,7 @@ pub fn reliability(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado demo`
-pub fn demo(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn demo(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.get_parsed("seed", 1)?;
     let params = TornadoParams {
         num_data: 16,
@@ -552,7 +552,7 @@ pub fn demo(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado mindist`
-pub fn mindist(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn mindist(args: &ParsedArgs) -> CmdResult {
     let graph = load_graph(args.require("graph")?)?;
     let cap: usize = args.get_parsed("cap", 5)?;
     match tornado_analysis::minimum_distance(&graph, cap) {
@@ -566,7 +566,7 @@ pub fn mindist(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado lifetime`
-pub fn lifetime(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn lifetime(args: &ParsedArgs) -> CmdResult {
     let graph = load_graph(args.require("graph")?)?;
     let afr: f64 = args.get_parsed("afr", 0.01)?;
     let scrubs: usize = args.get_parsed("scrubs", 0)?;
@@ -591,7 +591,7 @@ pub fn lifetime(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado workload`
-pub fn workload(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn workload(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.get_parsed("seed", 1)?;
     let objects: usize = args.get_parsed("objects", 20)?;
     let reads: usize = args.get_parsed("reads", 100)?;
@@ -627,7 +627,7 @@ pub fn workload(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado serve`
-pub fn serve(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn serve(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401").to_string();
     let workers: usize = args.get_parsed("workers", 4)?;
@@ -792,7 +792,7 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `tornado load`
-pub fn load(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn load(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let mut fail_devices = Vec::new();
     for d in args.get_all("fail") {
@@ -911,7 +911,7 @@ pub fn load(args: &ParsedArgs) -> CmdResult {
 
 /// `tornado put` — store one object on a running server. Prints the
 /// assigned object id (bare, on stdout) so shell scripts can capture it.
-pub fn put(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn put(args: &ParsedArgs) -> CmdResult {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401").to_string();
     let name = args.require("name")?;
     let path = args.require("payload-file")?;
@@ -927,7 +927,7 @@ pub fn put(args: &ParsedArgs) -> CmdResult {
 
 /// `tornado get` — fetch one object from a running server by id, writing
 /// the payload to `--out FILE` (or raw bytes to stdout without it).
-pub fn get(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn get(args: &ParsedArgs) -> CmdResult {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401").to_string();
     let id: u64 = args
         .require("id")?
@@ -994,7 +994,7 @@ const WATCH_COLUMNS: [(&str, usize, &[&str], Read); 11] = [
 
 /// `tornado watch` — live windowed rates from a running server's
 /// time-series ring (polls the METRICS admin op).
-pub fn watch(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn watch(args: &ParsedArgs) -> CmdResult {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401").to_string();
     let interval_ms: u64 = args.get_parsed("interval-ms", 1_000)?;
     let count: u64 = args.get_parsed("count", 0)?; // 0 = until interrupted
@@ -1083,7 +1083,7 @@ pub fn watch(args: &ParsedArgs) -> CmdResult {
 
 /// `tornado trace` — export a running server's retained spans as Chrome
 /// trace-event JSON (open the file in Perfetto / chrome://tracing).
-pub fn trace(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn trace(args: &ParsedArgs) -> CmdResult {
     let obs = CliObs::from_args(args);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401").to_string();
     let mut client =
@@ -1161,7 +1161,7 @@ fn health_config_from_args(args: &ParsedArgs) -> Result<tornado_server::HealthCo
 /// `tornado health` — fetch a running server's durability document,
 /// validate it, and print a summary (or the raw JSON / Prometheus text).
 /// The `--expect-*` flags turn the command into a smoke-test assertion.
-pub fn health(args: &ParsedArgs) -> CmdResult {
+pub(crate) fn health(args: &ParsedArgs) -> CmdResult {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401").to_string();
     let mut client =
         tornado_server::Client::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;

@@ -4,6 +4,7 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+#![warn(unreachable_pub)]
 
 pub mod args;
 mod commands;

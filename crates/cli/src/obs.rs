@@ -63,7 +63,7 @@ impl CliObs {
     }
 
     /// Progress factory honouring `--progress`/`--quiet`.
-    pub fn progress(&self) -> ProgressConfig {
+    pub(crate) fn progress(&self) -> ProgressConfig {
         if self.progress_on {
             ProgressConfig::stderr()
         } else {
@@ -73,7 +73,7 @@ impl CliObs {
 
     /// A fresh event sink honouring `--log-json`/`--quiet`. Sinks write to
     /// stderr and hold no state, so each consumer gets its own.
-    pub fn events(&self) -> EventSink {
+    pub(crate) fn events(&self) -> EventSink {
         match self.event_mode {
             EventMode::Disabled => EventSink::disabled(),
             EventMode::Human => EventSink::stderr(EventFormat::Human),
@@ -83,7 +83,7 @@ impl CliObs {
 
     /// Emits one status event (the structured replacement for ad-hoc
     /// `eprintln!` status lines).
-    pub fn status(&self, event: &str, fields: &[(&str, Json)]) {
+    pub(crate) fn status(&self, event: &str, fields: &[(&str, Json)]) {
         self.events().emit(event, fields);
     }
 

@@ -61,7 +61,7 @@ impl<'g> Codec<'g> {
     }
 
     /// The underlying graph.
-    pub fn graph(&self) -> &'g Graph {
+    pub(crate) fn graph(&self) -> &'g Graph {
         self.graph
     }
 

@@ -35,7 +35,7 @@ impl Gf256 {
 
     /// Field addition (= subtraction = XOR).
     #[inline]
-    pub fn add(a: u8, b: u8) -> u8 {
+    pub(crate) fn add(a: u8, b: u8) -> u8 {
         a ^ b
     }
 
@@ -76,7 +76,7 @@ impl Gf256 {
     /// skips entirely, `c == 1` is a plain word-wide XOR, and everything
     /// else runs the nibble-table kernel ([`crate::kernels::mul_acc`]).
     #[inline]
-    pub fn mul_acc(&self, dst: &mut [u8], src: &[u8], c: u8) {
+    pub(crate) fn mul_acc(&self, dst: &mut [u8], src: &[u8], c: u8) {
         crate::kernels::mul_acc(self, dst, src, c);
     }
 }

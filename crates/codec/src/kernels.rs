@@ -401,8 +401,6 @@ where
 /// over the XOR decomposition `b = (b & 0xF) ⊕ (b & 0xF0)`.
 #[derive(Clone, Copy, Debug)]
 pub struct MulTable {
-    /// The coefficient the tables encode.
-    c: u8,
     /// `lo[n] = c · n` for the low nibble.
     lo: [u8; 16],
     /// `hi[n] = c · (n << 4)` for the high nibble.
@@ -427,12 +425,7 @@ impl MulTable {
         for (i, b) in bits.iter_mut().enumerate() {
             *b = field.mul(c, 1 << i) as u64 * LANE_LSB;
         }
-        Self { c, lo, hi, bits }
-    }
-
-    /// The coefficient this table multiplies by.
-    pub fn coefficient(&self) -> u8 {
-        self.c
+        Self { lo, hi, bits }
     }
 
     /// Multiplies one byte through the tables.
@@ -448,7 +441,7 @@ impl MulTable {
     ///
     /// # Panics
     /// Panics if the lengths differ.
-    pub fn mul_acc(&self, dst: &mut [u8], src: &[u8]) {
+    pub(crate) fn mul_acc(&self, dst: &mut [u8], src: &[u8]) {
         assert_eq!(dst.len(), src.len(), "mul_acc requires equal lengths");
         METRICS.bytes_muled.add(dst.len() as u64);
         let mut src_words = src.chunks_exact(WORD);
@@ -492,9 +485,6 @@ const LANE_LSB: u64 = 0x0101_0101_0101_0101;
 /// dispatch: `c == 0` is a no-op, `c == 1` is a plain [`xor_into`], and
 /// everything else builds a [`MulTable`] and runs the nibble kernel.
 ///
-/// Callers applying the same coefficient to many blocks should build the
-/// [`MulTable`] once and call [`MulTable::mul_acc`] directly.
-///
 /// # Panics
 /// Panics if the lengths differ.
 pub fn mul_acc(field: &Gf256, dst: &mut [u8], src: &[u8], c: u8) {
@@ -521,7 +511,6 @@ mod tests {
         let f = Gf256::new();
         for c in 0..=255u8 {
             let t = MulTable::new(&f, c);
-            assert_eq!(t.coefficient(), c);
             for b in 0..=255u8 {
                 assert_eq!(t.mul(b), f.mul(c, b), "{c} * {b}");
             }

@@ -64,7 +64,7 @@ impl BlockPool {
 
     /// An empty pool retaining at most `max_retained` free buffers;
     /// recycles beyond the cap are dropped (freed) instead.
-    pub fn with_capacity(max_retained: usize) -> Self {
+    pub(crate) fn with_capacity(max_retained: usize) -> Self {
         Self {
             free: Vec::new(),
             max_retained,

@@ -23,13 +23,13 @@ use crate::distribution::EdgeDegreeDistribution;
 /// Edge-perspective polynomial coefficients: `coeffs[i]` is the fraction of
 /// edges attached to degree-`i+1` nodes (so `poly(x) = Σ coeffs[i]·x^i`).
 #[derive(Clone, Debug, PartialEq)]
-pub struct EdgePolynomial {
+pub(crate) struct EdgePolynomial {
     coeffs: Vec<f64>,
 }
 
 impl EdgePolynomial {
     /// Normalises an [`EdgeDegreeDistribution`] into edge-perspective form.
-    pub fn from_distribution(dist: &EdgeDegreeDistribution) -> Self {
+    pub(crate) fn from_distribution(dist: &EdgeDegreeDistribution) -> Self {
         let total: f64 = dist.weights().iter().map(|&(_, w)| w).sum();
         let max_degree = dist
             .weights()
@@ -45,14 +45,14 @@ impl EdgePolynomial {
     }
 
     /// Evaluates the polynomial at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         // Horner, highest degree first.
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
     }
 
     /// Mean node degree implied by the edge perspective:
     /// `1 / Σ (coeffs[i] / (i+1))`.
-    pub fn mean_node_degree(&self) -> f64 {
+    pub(crate) fn mean_node_degree(&self) -> f64 {
         let inv: f64 = self
             .coeffs
             .iter()
@@ -64,7 +64,7 @@ impl EdgePolynomial {
 }
 
 /// Whether the recursion converges to zero at loss fraction `delta`.
-pub fn decodes_at(lambda: &EdgePolynomial, rho: &EdgePolynomial, delta: f64) -> bool {
+pub(crate) fn decodes_at(lambda: &EdgePolynomial, rho: &EdgePolynomial, delta: f64) -> bool {
     let mut x = delta;
     for _ in 0..10_000 {
         let next = delta * lambda.eval(1.0 - rho.eval(1.0 - x));
@@ -82,7 +82,7 @@ pub fn decodes_at(lambda: &EdgePolynomial, rho: &EdgePolynomial, delta: f64) -> 
 }
 
 /// The erasure threshold of the pair `(λ, ρ)` by bisection, within `tol`.
-pub fn erasure_threshold(lambda: &EdgePolynomial, rho: &EdgePolynomial, tol: f64) -> f64 {
+pub(crate) fn erasure_threshold(lambda: &EdgePolynomial, rho: &EdgePolynomial, tol: f64) -> f64 {
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
@@ -98,7 +98,7 @@ pub fn erasure_threshold(lambda: &EdgePolynomial, rho: &EdgePolynomial, tol: f64
 /// Convenience: the threshold of a Tornado stage with heavy-tail left
 /// distribution `D` and the matching truncated-Poisson right distribution
 /// at the edge-balanced mean for a rate-1/2 stage.
-pub fn tornado_stage_threshold(max_degree_d: u32, tol: f64) -> f64 {
+pub(crate) fn tornado_stage_threshold(max_degree_d: u32, tol: f64) -> f64 {
     let left = EdgeDegreeDistribution::heavy_tail(max_degree_d);
     // A halving stage has twice as many left nodes as checks, so the mean
     // check degree is twice the mean left degree.

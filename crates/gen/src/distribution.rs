@@ -83,7 +83,7 @@ impl EdgeDegreeDistribution {
 
     /// Returns a new distribution with every degree doubled (the paper's
     /// "distribution doubled" alteration, §4.3).
-    pub fn doubled(&self) -> Self {
+    pub(crate) fn doubled(&self) -> Self {
         Self {
             weights: self.weights.iter().map(|&(d, w)| (d * 2, w)).collect(),
         }
@@ -91,7 +91,7 @@ impl EdgeDegreeDistribution {
 
     /// Returns a new distribution with every degree shifted by +1 (the
     /// paper's "distribution shifted" alteration, §4.3).
-    pub fn shifted(&self) -> Self {
+    pub(crate) fn shifted(&self) -> Self {
         Self {
             weights: self.weights.iter().map(|&(d, w)| (d + 1, w)).collect(),
         }
@@ -99,7 +99,7 @@ impl EdgeDegreeDistribution {
 
     /// Node counts per degree for multiplier `m`:
     /// `count_d = round(m · w_d / d)`.
-    pub fn node_counts(&self, m: f64) -> Vec<(u32, usize)> {
+    pub(crate) fn node_counts(&self, m: f64) -> Vec<(u32, usize)> {
         self.weights
             .iter()
             .map(|&(d, w)| (d, (m * w / d as f64).round().max(0.0) as usize))

@@ -126,11 +126,6 @@ impl TornadoGenerator {
         Self { params, transform }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &TornadoParams {
-        &self.params
-    }
-
     fn left_distribution(&self, n_left: usize, n_right: usize) -> EdgeDegreeDistribution {
         // A left node cannot feed more distinct checks than the stage has.
         let cap = (n_right.saturating_sub(1)).max(1) as u32;

@@ -53,11 +53,6 @@ impl GraphBuilder {
         b
     }
 
-    /// Number of data nodes.
-    pub fn num_data(&self) -> usize {
-        self.num_data as usize
-    }
-
     /// Total nodes allocated so far (data + checks).
     pub fn num_nodes(&self) -> usize {
         self.num_data as usize + self.checks.len()

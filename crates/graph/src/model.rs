@@ -41,7 +41,7 @@ impl Level {
     }
 
     /// Whether `node` belongs to this level.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         (self.start..self.end).contains(&node)
     }
 
@@ -250,18 +250,6 @@ impl Graph {
         0..self.num_data
     }
 
-    /// Degree of a node counting both directions: for a data node, the
-    /// number of checks using it; for a check node, its left neighbours plus
-    /// the deeper checks using it.
-    pub fn degree(&self, node: NodeId) -> usize {
-        let up = self.checks_of(node).len();
-        if self.is_check(node) {
-            up + self.check_neighbors(node).len()
-        } else {
-            up
-        }
-    }
-
     /// Rebuilds a [`crate::GraphBuilder`] with this graph's structure, for
     /// mutation (used by the §3.3 adjustment procedure).
     pub fn to_builder(&self) -> crate::GraphBuilder {
@@ -402,24 +390,6 @@ mod tests {
         assert_eq!(g.levels()[1].nodes(), 4..6);
         assert_eq!(g.level_of(5).label, "check-1");
         assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn degree_counts_both_directions() {
-        // Two cascade levels so a check node has both in- and out-edges.
-        let mut b = GraphBuilder::new(2);
-        b.begin_level("c1");
-        b.add_check(&[0, 1]); // node 2
-        b.begin_level("c2");
-        b.add_check(&[0, 2]); // node 3 uses data 0 and check 2
-        let g = b.build().unwrap();
-        assert_eq!(g.degree(0), 2, "data 0 feeds checks 2 and 3");
-        assert_eq!(
-            g.degree(2),
-            3,
-            "check 2: two left neighbours + used by check 3"
-        );
-        assert_eq!(g.degree(3), 2);
     }
 
     #[test]

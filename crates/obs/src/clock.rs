@@ -18,7 +18,7 @@ pub(crate) struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock whose epoch is "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             epoch: Instant::now(),
         }
@@ -47,7 +47,7 @@ pub(crate) struct ManualClock {
 #[cfg(test)]
 impl ManualClock {
     /// A clock stuck at zero until advanced.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -65,13 +65,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Relaxed)).sum()
     }
-
-    /// Resets every shard to zero and returns the folded pre-reset total.
-    /// Not atomic with respect to concurrent `add`s — call between
-    /// parallel sections.
-    pub fn take(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.swap(0, Relaxed)).sum()
-    }
 }
 
 impl Default for Counter {
@@ -147,13 +140,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_and_takes() {
+    fn counts() {
         let c = Counter::new();
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        assert_eq!(c.take(), 42);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

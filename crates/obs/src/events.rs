@@ -23,7 +23,6 @@ pub enum EventFormat {
 
 enum Target {
     Stderr,
-    File(Mutex<std::io::BufWriter<std::fs::File>>),
     Memory(Arc<Mutex<Vec<String>>>),
 }
 
@@ -52,16 +51,6 @@ impl EventSink {
             format,
             clock: Arc::new(MonotonicClock::new()),
         }
-    }
-
-    /// JSON-lines events appended to a file.
-    pub fn file(path: &str) -> std::io::Result<Self> {
-        let f = std::fs::File::create(path)?;
-        Ok(Self {
-            target: Some(Target::File(Mutex::new(std::io::BufWriter::new(f)))),
-            format: EventFormat::Json,
-            clock: Arc::new(MonotonicClock::new()),
-        })
     }
 
     /// Collects rendered lines in memory (tests).
@@ -123,29 +112,8 @@ impl EventSink {
             Target::Stderr => {
                 let _ = writeln!(std::io::stderr().lock(), "{line}");
             }
-            Target::File(w) => {
-                // Buffered: high-rate emitters (slow-request events under
-                // load) pay one syscall per BufWriter fill, not per line.
-                // Durability comes from flush() / the Drop impl.
-                let mut w = w.lock().unwrap();
-                let _ = writeln!(w, "{line}");
-            }
             Target::Memory(buf) => buf.lock().unwrap().push(line),
         }
-    }
-
-    /// Forces buffered events to their destination (file targets only;
-    /// stderr and memory targets are unbuffered).
-    pub fn flush(&self) {
-        if let Some(Target::File(w)) = &self.target {
-            let _ = w.lock().unwrap().flush();
-        }
-    }
-}
-
-impl Drop for EventSink {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -193,44 +161,5 @@ mod tests {
         let sink = EventSink::disabled();
         assert!(!sink.is_enabled());
         sink.emit("anything", &[("k", Json::U64(1))]); // must not panic
-    }
-
-    #[test]
-    fn file_sink_appends_json_lines() {
-        let path = std::env::temp_dir().join(format!("obs-events-{}.jsonl", std::process::id()));
-        let path_s = path.to_str().unwrap();
-        {
-            let sink = EventSink::file(path_s).unwrap();
-            sink.emit("a", &[]);
-            sink.emit("b", &[("n", Json::U64(2))]);
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(parse(lines[1]).unwrap().get("n").unwrap().as_u64(), Some(2));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn no_events_lost_when_sink_dropped_at_shutdown() {
-        let path =
-            std::env::temp_dir().join(format!("obs-events-dropflush-{}.jsonl", std::process::id()));
-        let path_s = path.to_str().unwrap();
-        // Fewer bytes than the BufWriter default buffer, so nothing
-        // reaches the file until the Drop-flush — the property under test.
-        {
-            let sink = EventSink::file(path_s).unwrap();
-            for i in 0..100u64 {
-                sink.emit("shutdown_burst", &[("seq", Json::U64(i))]);
-            }
-        } // drop here must flush
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 100, "every buffered event persisted");
-        for (i, line) in lines.iter().enumerate() {
-            let v = parse(line).unwrap();
-            assert_eq!(v.get("seq").unwrap().as_u64(), Some(i as u64));
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

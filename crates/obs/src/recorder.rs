@@ -63,11 +63,6 @@ impl<const N: usize> Recorder<N> {
         }
     }
 
-    /// Current value of `cell`.
-    pub fn get(&self, cell: usize) -> u64 {
-        self.cells[cell]
-    }
-
     /// All cells.
     pub fn cells(&self) -> &[u64; N] {
         &self.cells
@@ -98,11 +93,11 @@ mod tests {
         r.inc(0);
         r.inc(0);
         r.add(1, 5);
-        assert_eq!(r.get(0), 2);
+        assert_eq!(r.cells()[0], 2);
         assert_eq!(r.take(), [2, 5, 0]);
         assert_eq!(r.cells(), &[0, 0, 0], "take drains");
         r.inc(2);
-        assert_eq!(r.get(2), 1, "still enabled after take");
+        assert_eq!(r.cells()[2], 1, "still enabled after take");
     }
 
     #[test]
@@ -111,9 +106,9 @@ mod tests {
         r.inc(0);
         r.set_enabled(false);
         r.inc(0);
-        assert_eq!(r.get(0), 1);
+        assert_eq!(r.cells()[0], 1);
         r.set_enabled(true);
         r.inc(0);
-        assert_eq!(r.get(0), 2);
+        assert_eq!(r.cells()[0], 2);
     }
 }

@@ -97,14 +97,14 @@ macro_rules! metric_set {
 
         impl $Set {
             /// A zeroed set (usable in `static`s).
-            pub const fn new() -> Self {
+            $vis const fn new() -> Self {
                 Self { $( $field: $crate::$Kind::new(), )* }
             }
 
             $(
                 #[doc(hidden)]
                 #[allow(non_upper_case_globals, dead_code)]
-                pub const $field: &'static str = $name;
+                $vis const $field: &'static str = $name;
             )*
         }
 

@@ -131,11 +131,6 @@ impl SloTracker {
         }
     }
 
-    /// Tracker name (used in events and exposition).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The allowed bad fraction.
     pub fn objective(&self) -> f64 {
         self.objective
@@ -175,7 +170,7 @@ impl SloTracker {
     /// Burn rate over the trailing `window_ms`: delta against the newest
     /// sample at or before the window start (or the oldest retained).
     /// Counter resets clamp to zero; zero traffic burns nothing.
-    pub fn burn_rate(&self, now_ms: u64, window_ms: u64) -> f64 {
+    pub(crate) fn burn_rate(&self, now_ms: u64, window_ms: u64) -> f64 {
         let newest = match self.samples.back() {
             Some(s) => *s,
             None => return 0.0,

@@ -54,7 +54,7 @@ impl TimeSeries {
     }
 
     /// Number of retained points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap().len()
     }
 

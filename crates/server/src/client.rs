@@ -188,12 +188,12 @@ impl PipelinedClient {
 
     /// Sets the per-request deadline stamped on subsequent requests
     /// (0 clears it).
-    pub fn set_deadline_ms(&mut self, deadline_ms: u32) {
+    pub(crate) fn set_deadline_ms(&mut self, deadline_ms: u32) {
         self.deadline_ms = deadline_ms;
     }
 
     /// Sets the trace id stamped on subsequent requests.
-    pub fn set_trace_id(&mut self, trace_id: Option<u64>) {
+    pub(crate) fn set_trace_id(&mut self, trace_id: Option<u64>) {
         self.trace_id = trace_id;
     }
 
@@ -274,7 +274,7 @@ impl PipelinedClient {
     /// Sends one request and waits for its specific response (correlation
     /// ids still matched, so stray completions from earlier fire-and-forget
     /// submits are surfaced as errors rather than misattributed).
-    pub fn roundtrip(&mut self, op: Op) -> Result<Response, ClientError> {
+    pub(crate) fn roundtrip(&mut self, op: Op) -> Result<Response, ClientError> {
         let want = self.submit(op)?;
         self.wait(want)
     }
@@ -513,7 +513,7 @@ mod tests {
             for _ in 0..2 {
                 let (mut s, _) = listener.accept().unwrap();
                 while let Ok(Some(_)) = read_frame(&mut s) {
-                    write_frame(&mut s, &reply.encode()).unwrap();
+                    write_frame(&mut s, &reply.encode_corr(None)).unwrap();
                 }
             }
         });

@@ -108,7 +108,7 @@ pub(crate) struct Engine {
 
 impl Engine {
     /// Spawns `workers` threads draining a queue of depth `queue_depth`.
-    pub fn start(
+    pub(crate) fn start(
         store: Arc<ArchivalStore>,
         obs: Arc<ServerObserver>,
         started: Instant,
@@ -137,7 +137,7 @@ impl Engine {
     /// Admits a job, or answers it with backpressure there and then, on
     /// the caller's thread: BUSY when the queue is at depth, SHUTTING_DOWN
     /// once draining has begun. Never blocks.
-    pub fn submit(&self, job: Job) {
+    pub(crate) fn submit(&self, job: Job) {
         let kind = job.request.op.kind();
         match self.queue.try_push(job) {
             Ok(depth) => {
@@ -156,7 +156,7 @@ impl Engine {
     }
 
     /// Closes the queue and joins every worker once queued jobs drain.
-    pub fn shutdown(self) {
+    pub(crate) fn shutdown(self) {
         self.queue.close();
         for w in self.workers {
             let _ = w.join();

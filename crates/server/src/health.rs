@@ -147,7 +147,7 @@ pub struct HealthModel {
 impl HealthModel {
     /// Builds an idle model; nothing is computed until the first tick or
     /// HEALTH request.
-    pub fn new(config: HealthConfig) -> Self {
+    pub(crate) fn new(config: HealthConfig) -> Self {
         let state = State {
             facts: HashMap::new(),
             latest: None,
@@ -171,20 +171,25 @@ impl HealthModel {
 
     /// Periodic drive, called from the server's sampler thread: renders
     /// the document and keeps it for [`HealthModel::latest`].
-    pub fn tick(&self, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) {
+    pub(crate) fn tick(&self, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) {
         let mut st = self.state();
         let doc = self.render(&mut st, store, obs, now_ms);
         st.latest = Some(doc);
     }
 
     /// The document for the fleet as it is now (a HEALTH request).
-    pub fn document(&self, store: &ArchivalStore, obs: &ServerObserver, now_ms: u64) -> Json {
+    pub(crate) fn document(
+        &self,
+        store: &ArchivalStore,
+        obs: &ServerObserver,
+        now_ms: u64,
+    ) -> Json {
         self.render(&mut self.state(), store, obs, now_ms)
     }
 
     /// The latest tick's document, if the sampler has ticked (no store
     /// access — the METRICS snapshot embeds this).
-    pub fn latest(&self) -> Option<Json> {
+    pub(crate) fn latest(&self) -> Option<Json> {
         self.state().latest.clone()
     }
 

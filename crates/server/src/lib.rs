@@ -45,6 +45,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+#![warn(unreachable_pub)]
 
 // The one serving path is built on epoll; no other platform has ever been
 // built or tested.

@@ -156,7 +156,7 @@ pub enum Op {
 
 impl Op {
     /// Short label for metrics/event dimensions.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Op::Put { .. } => "put",
             Op::Get { .. } => "get",
@@ -562,12 +562,6 @@ fn response_head(status: u8, corr_id: Option<u32>) -> ([u8; 5], usize) {
 }
 
 impl Response {
-    /// Serializes the response body (no frame prefix) for an uncorrelated
-    /// request — the pre-pipelining wire, byte for byte.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_corr(None)
-    }
-
     /// Serializes the response body, echoing `corr_id` when the request
     /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
     /// u32 id follows it, then the status fields.
@@ -773,7 +767,7 @@ pub(crate) struct Frame {
 impl Frame {
     /// Encodes `response` — length prefix included — into a buffer of its
     /// own.
-    pub fn encode(response: &Response, corr_id: Option<u32>) -> Frame {
+    pub(crate) fn encode(response: &Response, corr_id: Option<u32>) -> Frame {
         let bytes = build_frame(response.body_capacity(), |buf| {
             response.write_body(corr_id, buf)
         });
@@ -807,7 +801,7 @@ impl Frame {
     }
 
     /// The bytes that go on the wire.
-    pub fn wire(&self) -> &[u8] {
+    pub(crate) fn wire(&self) -> &[u8] {
         &self.bytes[self.start..]
     }
 }
@@ -870,7 +864,7 @@ impl FrameBuffer {
     }
 
     /// Unconsumed bytes currently buffered.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -1120,7 +1114,7 @@ mod tests {
     }
 
     fn round_trip_response(resp: Response) {
-        let body = resp.encode();
+        let body = resp.encode_corr(None);
         assert_eq!(Response::decode(&body).unwrap(), resp);
     }
 
@@ -1481,18 +1475,19 @@ mod tests {
         // new server → old client: responses to uncorrelated requests are
         // byte-identical to the old encoding.
         let resp = Response::PutOk { id: 7 };
-        assert_eq!(resp.encode_corr(None), resp.encode());
+        let plain = resp.encode_corr(None);
+        assert_eq!(plain[0], 1, "the old status byte, unflagged");
         // new server → new client: flagged status byte, echoed id, then
         // the old body.
         let corr_body = resp.encode_corr(Some(42));
         assert_eq!(corr_body[0], 1 | RESP_CORR_FLAG);
         assert_eq!(u32::from_le_bytes(corr_body[1..5].try_into().unwrap()), 42);
-        assert_eq!(&corr_body[5..], &resp.encode()[1..]);
+        assert_eq!(&corr_body[5..], &plain[1..]);
         assert_eq!(
             Response::decode_corr(&corr_body).unwrap(),
             (Some(42), resp.clone())
         );
-        assert_eq!(Response::decode_corr(&resp.encode()).unwrap(), (None, resp));
+        assert_eq!(Response::decode_corr(&plain).unwrap(), (None, resp));
         // An old client that somehow received a flagged status rejects it
         // loudly (unknown status) instead of misreading the body.
         assert!(Response::decode(&corr_body).is_err());

@@ -33,7 +33,7 @@ pub(crate) struct BoundedQueue<T> {
 
 impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` items (`capacity ≥ 1`).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be at least 1");
         Self {
             state: Mutex::new(State {
@@ -46,7 +46,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Current queue depth.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state.lock().unwrap().items.len()
     }
 
@@ -70,7 +70,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocks until an item is available or the queue is closed *and*
     /// drained; `None` signals the consumer to exit.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut s = self.state.lock().unwrap();
         loop {
             if let Some(item) = s.items.pop_front() {

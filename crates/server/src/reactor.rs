@@ -73,7 +73,7 @@ pub(crate) struct Poller {
 
 impl Poller {
     /// Creates an empty selector.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         Ok(Self {
             sys: sys::Selector::new()?,
         })
@@ -107,7 +107,11 @@ impl Poller {
     /// Blocks until at least one registered fd is ready or `timeout`
     /// elapses (`None` blocks indefinitely), filling `events` (cleared
     /// first). Spurious empty returns are allowed.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn wait(
+        &self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
         events.clear();
         let timeout_ms: i32 = match timeout {
             None => -1,
@@ -130,7 +134,7 @@ pub(crate) struct Waker {
 
 impl Waker {
     /// Creates the pair and registers the read side under `token`.
-    pub fn new(poller: &Poller, token: u64) -> io::Result<Self> {
+    pub(crate) fn new(poller: &Poller, token: u64) -> io::Result<Self> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -140,7 +144,7 @@ impl Waker {
 
     /// Signals the owning poller's next (or current) wait. Callable from
     /// any thread.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         // Errors are either WouldBlock (a wake is already pending) or the
         // poller side is gone (shutdown race) — both safely ignorable.
         let _ = (&self.tx).write(&[1u8]);
@@ -148,7 +152,7 @@ impl Waker {
 
     /// Consumes pending wake bytes; the loop calls this once per wakeup
     /// so level-triggered readiness does not re-report old wakes.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf = [0u8; 64];
         while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
@@ -216,12 +220,12 @@ mod sys {
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
-    pub const RLIMIT_NOFILE: i32 = 7;
+    pub(super) const RLIMIT_NOFILE: i32 = 7;
 
     /// Matches the kernel's `struct rlimit` (rlim_t is 64-bit on every
     /// supported Linux ABI).
     #[repr(C)]
-    pub struct RLimit {
+    pub(super) struct RLimit {
         pub cur: u64,
         pub max: u64,
     }
@@ -251,8 +255,8 @@ mod sys {
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub(crate) fn signal(signum: i32, handler: usize) -> usize;
-        pub fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        pub fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+        pub(super) fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
+        pub(super) fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
     }
 
     pub(crate) struct Selector {
@@ -260,7 +264,7 @@ mod sys {
     }
 
     impl Selector {
-        pub fn new() -> io::Result<Self> {
+        pub(super) fn new() -> io::Result<Self> {
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
                 return Err(io::Error::last_os_error());
@@ -307,7 +311,7 @@ mod sys {
             Ok(())
         }
 
-        pub fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        pub(super) fn wait(&self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
             let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
             let n = loop {
                 let n = unsafe {

@@ -45,7 +45,7 @@ pub(crate) struct Shutdown {
 }
 
 impl Shutdown {
-    pub fn new(shards: Vec<Arc<ShardMailbox>>, acceptor: Waker) -> Arc<Self> {
+    pub(crate) fn new(shards: Vec<Arc<ShardMailbox>>, acceptor: Waker) -> Arc<Self> {
         Arc::new(Self {
             raised: AtomicBool::new(false),
             shards,
@@ -60,7 +60,7 @@ impl Shutdown {
     }
 
     /// Raises the signal and wakes every thread that sleeps.
-    pub fn raise(&self) {
+    pub(crate) fn raise(&self) {
         self.raised.store(true, Ordering::SeqCst);
         for mailbox in &self.shards {
             mailbox.kick();
@@ -246,8 +246,6 @@ pub fn serve(
                     .unwrap_or_else(|_| unreachable!("all shard dispatchers joined"))
                     .shutdown();
                 obs.events.emit("server.stop", &[]);
-                // Shutdown is the one moment buffered file events must hit disk.
-                obs.events.flush();
             })?
     };
 

@@ -125,7 +125,7 @@ pub(crate) struct ShardMailbox {
 
 impl ShardMailbox {
     /// A shard's poller, and the mailbox whose kicks wake it.
-    pub fn new() -> io::Result<(Poller, Arc<Self>)> {
+    pub(crate) fn new() -> io::Result<(Poller, Arc<Self>)> {
         let poller = Poller::new()?;
         let mailbox = Arc::new(Self {
             adopted: Mutex::new(Vec::new()),
@@ -390,13 +390,13 @@ pub(crate) struct Reply(Arc<ConnWriter>);
 impl Reply {
     /// Delivers the encoded response. A connection that has since hung up
     /// is not an error; the work itself already happened.
-    pub fn send(self, frame: Frame) {
+    pub(crate) fn send(self, frame: Frame) {
         self.0.send(frame, true);
     }
 
     /// The observer and slow-request threshold of the server the
     /// connection belongs to.
-    pub fn observer(&self) -> (&ServerObserver, u64) {
+    pub(crate) fn observer(&self) -> (&ServerObserver, u64) {
         (&self.0.obs, self.0.slow_request_us)
     }
 }

@@ -136,12 +136,12 @@ impl FederatedSystem {
     }
 
     /// Device range of site A.
-    pub fn site_a(&self) -> std::ops::Range<usize> {
+    pub(crate) fn site_a(&self) -> std::ops::Range<usize> {
         self.site(0)
     }
 
     /// Device range of site B.
-    pub fn site_b(&self) -> std::ops::Range<usize> {
+    pub(crate) fn site_b(&self) -> std::ops::Range<usize> {
         self.site(1)
     }
 

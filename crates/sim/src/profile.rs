@@ -24,7 +24,7 @@ impl ProfileEntry {
     pub fn fraction(&self) -> f64 {
         if self.trials == 0 {
             // No evidence: conservative upper bound for reliability math is
-            // supplied by FailureProfile::conditional(), not here.
+            // supplied by FailureProfile::conditional_vec(), not here.
             return f64::NAN;
         }
         self.failures as f64 / self.trials as f64
@@ -107,29 +107,24 @@ impl FailureProfile {
         };
     }
 
-    /// `P(fail | k offline)` with the monotone-completion convention for
-    /// unmeasured rows: failure probability is non-decreasing in `k` (losing
-    /// more nodes never helps), so an unmeasured row inherits the largest
-    /// measured fraction at any smaller `k` (a lower bound) — and rows past
-    /// the last measured `k` saturate at that value.
+    /// The full conditional vector `P(fail | k offline)`, `k = 0..=n`: the
+    /// input of the paper's Eq. 3 composition
+    /// (`tornado_analysis::reliability`), with the monotone-completion
+    /// convention for unmeasured rows: failure probability is
+    /// non-decreasing in `k` (losing more nodes never helps), so an
+    /// unmeasured row inherits the largest measured fraction at any smaller
+    /// `k` (a lower bound) — and rows past the last measured `k` saturate
+    /// at that value.
     ///
     /// Rows measured with zero trials at `k` between measured rows are rare
     /// in practice (the harnesses measure every `k`); the convention keeps
     /// the reliability composition well-defined regardless.
-    pub fn conditional(&self, k: usize) -> f64 {
-        self.completed()
-            .nth(k)
-            .unwrap_or_else(|| panic!("k = {k} beyond {}", self.num_nodes))
-    }
-
-    /// The full conditional vector `P(fail | k)`, `k = 0..=n`: the input of
-    /// the paper's Eq. 3 composition (`tornado_analysis::reliability`).
     pub fn conditional_vec(&self) -> Vec<f64> {
         self.completed().collect()
     }
 
-    /// [`FailureProfile::conditional`] for `k = 0..=n` in one scan: the
-    /// running maximum of the measured fractions.
+    /// [`FailureProfile::conditional_vec`] in one scan: the running maximum
+    /// of the measured fractions.
     fn completed(&self) -> impl Iterator<Item = f64> + '_ {
         self.entries.iter().scan(0.0f64, |best, e| {
             if e.trials > 0 {
@@ -341,7 +336,11 @@ mod tests {
         let p = FailureProfile::new(10);
         assert_eq!(p.entry(0).fraction(), 0.0);
         assert!(p.entry(5).fraction().is_nan());
-        assert_eq!(p.conditional(5), 0.0, "no evidence → monotone floor 0");
+        assert_eq!(
+            p.conditional_vec()[5],
+            0.0,
+            "no evidence → monotone floor 0"
+        );
         assert_eq!(p.first_failure(), None);
     }
 
@@ -350,9 +349,9 @@ mod tests {
         let mut p = FailureProfile::new(10);
         p.record(3, 100, 25, false);
         assert_eq!(p.entry(3).fraction(), 0.25);
-        assert_eq!(p.conditional(3), 0.25);
-        assert_eq!(p.conditional(2), 0.0);
-        assert_eq!(p.conditional(4), 0.25, "monotone completion");
+        assert_eq!(p.conditional_vec()[3], 0.25);
+        assert_eq!(p.conditional_vec()[2], 0.0);
+        assert_eq!(p.conditional_vec()[4], 0.25, "monotone completion");
     }
 
     #[test]

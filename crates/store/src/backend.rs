@@ -26,10 +26,12 @@
 //!
 //! The read and the in-place [`BlockBackend::checksum`] both take a
 //! `kernels::Ahead`: where the block the caller streams next lies, which
-//! the kernel asks into L2 while this one is hashed. A caller gets it from
-//! [`BlockBackend::ahead`] — the memory backend's buffer, an empty hint
-//! from the durable backends, whose blocks are not in memory — and passes
-//! `Ahead::NONE` when nothing follows.
+//! the kernel asks into L2 while this one is hashed. Whether a block is
+//! here and where is one index question, [`BlockBackend::locate`]: `None`
+//! when the block is absent, else its hint — the memory backend's buffer,
+//! [`Ahead::NONE`] from the durable backends, whose blocks are not in
+//! memory. A caller that has located a stripe's blocks streams them with
+//! the hints it got, and passes `Ahead::NONE` when nothing follows.
 //!
 //! Backends report failures as `io::Error`; the device layer translates
 //! those into [`DeviceStats::io_errors`](crate::DeviceStats::io_errors)
@@ -81,7 +83,7 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// `Ok(None)` when absent. A GET passes its reply buffer, so a block is
     /// written once, where it is going, and verified without being streamed
     /// a second time. `next` is the hint of the block the caller streams
-    /// after this one ([`BlockBackend::ahead`]), handed to the kernel;
+    /// after this one ([`BlockBackend::locate`]), handed to the kernel;
     /// [`Ahead::NONE`] when there is none. After an `Err`, bytes past
     /// `out`'s entry length are garbage the caller truncates away
     /// ([`Device`](crate::Device) does).
@@ -117,18 +119,13 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// `Ok(None)` when absent.
     fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>>;
 
-    /// Where a block's bytes lie, as the hint a caller passes to the read
-    /// or verify it makes *before* this block's, so the kernel asks for
-    /// them while that one is hashed. An index lookup: nothing is read.
-    /// Empty when absent, and on a backend whose blocks are not in memory
-    /// (the default: the durable backends read a block into a buffer only
-    /// when asked for it).
-    fn ahead(&self, _key: &BlockKey) -> Ahead {
-        Ahead::NONE
-    }
-
-    /// Whether a block is present (index lookup only; no data read).
-    fn contains(&self, key: &BlockKey) -> bool;
+    /// Whether a block is here, and where: `None` when absent, else the
+    /// hint a caller passes to the read or verify it makes *before* this
+    /// block's, so the kernel asks for its bytes while that one is hashed.
+    /// An index lookup: nothing is read. The hint is empty on a backend
+    /// whose blocks are not in memory (the durable backends read a block
+    /// into a buffer only when asked for it).
+    fn locate(&self, key: &BlockKey) -> Option<Ahead>;
 
     /// Removes a block; returns whether it was present.
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool>;
@@ -165,7 +162,7 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
 /// arenas — every replacement would double the device's footprint.)
 ///
 /// * [`BlockBackend::destroy`] moves every block buffer into the spares.
-///   Nothing reads a spare: `contains`, `read_into`, `checksum`, `corrupt`
+///   Nothing reads a spare: `locate`, `read_into`, `checksum`, `corrupt`
 ///   and `block_count` see only the map, which is empty.
 /// * A write (`put` or `put_owned`) takes the newest spare. If it *fits* —
 ///   capacity at least the block's length and at most twice it — the block
@@ -239,12 +236,8 @@ impl BlockBackend for MemoryBackend {
         Ok(self.blocks.get(key).map(|b| kernels::checksum(b, next)))
     }
 
-    fn ahead(&self, key: &BlockKey) -> Ahead {
-        self.blocks.get(key).map_or(Ahead::NONE, |b| Ahead::of(b))
-    }
-
-    fn contains(&self, key: &BlockKey) -> bool {
-        self.blocks.contains_key(key)
+    fn locate(&self, key: &BlockKey) -> Option<Ahead> {
+        self.blocks.get(key).map(|b| Ahead::of(b))
     }
 
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
@@ -336,9 +329,11 @@ pub(crate) mod hooked {
 
     use super::*;
 
-    /// Which of a backend's two reads served a block.
+    /// Which of a backend's index lookup and two reads served a block.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub(crate) enum Served {
+        /// [`BlockBackend::locate`].
+        Locate,
         /// [`BlockBackend::read_into`].
         Read,
         /// [`BlockBackend::checksum`].
@@ -346,9 +341,10 @@ pub(crate) mod hooked {
     }
 
     /// A [`MemoryBackend`] that calls its hook with the key of every
-    /// `read_into` and `checksum` before serving it, and forwards every
-    /// method, so it ingests, hints and reads like the device it stands in
-    /// for. A hook records the read, or waits until the test releases it.
+    /// `locate`, `read_into` and `checksum` before serving it, and forwards
+    /// every method, so it ingests, hints and reads like the device it
+    /// stands in for. A hook records the access, or waits until the test
+    /// releases it.
     pub(crate) struct HookedBackend<F> {
         inner: MemoryBackend,
         hook: F,
@@ -391,11 +387,9 @@ pub(crate) mod hooked {
             (self.hook)(Served::Checksum, key);
             self.inner.checksum(key, next)
         }
-        fn ahead(&self, key: &BlockKey) -> Ahead {
-            self.inner.ahead(key)
-        }
-        fn contains(&self, key: &BlockKey) -> bool {
-            self.inner.contains(key)
+        fn locate(&self, key: &BlockKey) -> Option<Ahead> {
+            (self.hook)(Served::Locate, key);
+            self.inner.locate(key)
         }
         fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
             self.inner.delete(key)
@@ -427,7 +421,7 @@ mod tests {
         let mut b = MemoryBackend::new();
         assert_eq!(b.kind(), "memory");
         b.put((1, 2), &[9, 8, 7]).unwrap();
-        assert!(b.contains(&(1, 2)));
+        assert!(b.locate(&(1, 2)).is_some_and(|hint| !hint.is_empty()));
         assert_eq!(b.get(&(1, 2)).unwrap().unwrap(), vec![9, 8, 7]);
         let sum = b.checksum(&(1, 2), Ahead::NONE).unwrap().unwrap();
         assert_eq!(sum, tornado_codec::checksum(&[9, 8, 7]));
@@ -566,12 +560,11 @@ mod tests {
         assert_eq!(b.spares.len(), 3, "the buffers are kept");
         for i in 0..3 {
             let key = (i, 0);
-            assert!(!b.contains(&key));
+            assert!(b.locate(&key).is_none());
             let mut out = vec![0xEE];
             assert_eq!(b.read_into(&key, &mut out, Ahead::NONE).unwrap(), None);
             assert_eq!(out, [0xEE], "nothing appended");
             assert_eq!(b.checksum(&key, Ahead::NONE).unwrap(), None);
-            assert!(b.ahead(&key).is_empty());
             assert!(!b.corrupt(&key, 0xFF).unwrap());
             assert!(!b.delete(&key).unwrap());
         }

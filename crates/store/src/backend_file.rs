@@ -121,8 +121,8 @@ impl BlockBackend for FileBackend {
         Ok(self.read_into_scratch(key, next)?.map(|read| read.checksum))
     }
 
-    fn contains(&self, key: &BlockKey) -> bool {
-        self.index.contains(key)
+    fn locate(&self, key: &BlockKey) -> Option<Ahead> {
+        self.index.contains(key).then_some(Ahead::NONE)
     }
 
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tornado_codec::kernels::Ahead;
 
 use crate::backend::{appended_since, metrics, sync_file, Appended, BlockBackend, BlockKey};
@@ -35,7 +35,6 @@ const TRAILER_LEN: usize = 8;
 /// Append-only single-file store; see the module docs for the format.
 #[derive(Debug)]
 pub struct SegmentBackend {
-    path: PathBuf,
     file: File,
     /// Offset one past the last valid record — the append point.
     end: u64,
@@ -105,18 +104,12 @@ impl SegmentBackend {
         }
         file.seek(SeekFrom::Start(pos))?;
         Ok(Self {
-            path: path.to_path_buf(),
             file,
             end: pos,
             index,
             fsync,
             scratch: Vec::new(),
         })
-    }
-
-    /// The segment file path (tests poke bytes into it directly).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     fn append(&mut self, kind: u8, key: BlockKey, payload: &[u8]) -> io::Result<u64> {
@@ -183,8 +176,8 @@ impl BlockBackend for SegmentBackend {
         Ok(self.read_into_scratch(key, next)?.map(|read| read.checksum))
     }
 
-    fn contains(&self, key: &BlockKey) -> bool {
-        self.index.contains_key(key)
+    fn locate(&self, key: &BlockKey) -> Option<Ahead> {
+        self.index.contains_key(key).then_some(Ahead::NONE)
     }
 
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
@@ -237,7 +230,7 @@ impl BlockBackend for SegmentBackend {
 mod tests {
     use super::*;
 
-    fn tmpseg(tag: &str) -> PathBuf {
+    fn tmpseg(tag: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!(
             "tornado-segbackend-{tag}-{}.seg",
             std::process::id()
@@ -315,8 +308,8 @@ mod tests {
         drop(f);
         let b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 1);
-        assert!(b.contains(&(1, 0)));
-        assert!(!b.contains(&(2, 0)));
+        assert!(b.locate(&(1, 0)).is_some());
+        assert!(b.locate(&(2, 0)).is_none());
         let _ = std::fs::remove_file(&path);
     }
 }

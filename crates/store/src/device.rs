@@ -5,8 +5,9 @@
 //! is [`Device::read_block_into`], one locked append into the caller's
 //! buffer that also reports the checksum of what it appended, attributed
 //! to a [`ReadClass`], and every in-place check [`Device::verify_block`].
-//! Both take the hint of the block the caller streams next, which
-//! [`Device::ahead`] looks up without counting an access. Interior
+//! Both take the hint of the block the caller streams next. Whether a
+//! block is here, and that hint, are one index lookup, [`Device::locate`],
+//! which counts no access. Interior
 //! mutability (a `parking_lot::RwLock` per device) lets many readers hit
 //! different devices concurrently — the access pattern the guided
 //! retrieval planner optimises — while failure injection flips a device
@@ -76,7 +77,8 @@ pub struct DeviceStats {
     /// which count offline rejections of a healthy backend. Non-zero
     /// here means the *media* is misbehaving.
     pub io_errors: u64,
-    /// Times the device was failed ([`Device::fail`]).
+    /// Times the device was failed
+    /// ([`ArchivalStore::fail_device`](crate::ArchivalStore::fail_device)).
     pub failures: u64,
     /// Times the device was brought back as a replacement.
     pub replacements: u64,
@@ -108,7 +110,7 @@ pub struct Device {
 
 impl Device {
     /// A fresh, online, empty device on the volatile in-memory backend.
-    pub fn new(id: usize) -> Self {
+    pub(crate) fn new(id: usize) -> Self {
         Self::with_backend(id, Box::new(MemoryBackend::new()))
     }
 
@@ -127,7 +129,7 @@ impl Device {
     }
 
     /// The device's pool index.
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
     }
 
@@ -149,7 +151,7 @@ impl Device {
     /// the device still goes offline (and the error is counted), and the
     /// incarnation scheme in [`crate::durable`] guarantees a later
     /// replacement can never resurrect the stale files.
-    pub fn fail(&self) {
+    pub(crate) fn fail(&self) {
         let mut s = self.state.write();
         s.online = false;
         s.stats.failures += 1;
@@ -162,7 +164,7 @@ impl Device {
     /// Durable stores route replacement through
     /// `ArchivalStore::replace_device`, which installs a fresh backend
     /// at a new incarnation path instead.
-    pub fn replace(&self) {
+    pub(crate) fn replace(&self) {
         let mut s = self.state.write();
         s.online = true;
         s.stats.replacements += 1;
@@ -205,7 +207,7 @@ impl Device {
 
     /// Flushes the backend to stable storage (fsync). Returns `false` —
     /// and counts an I/O error — if the sync failed.
-    pub fn flush(&self) -> bool {
+    pub(crate) fn flush(&self) -> bool {
         let mut s = self.state.write();
         match s.backend.flush() {
             Ok(()) => true,
@@ -219,7 +221,7 @@ impl Device {
     /// The device's one read: under the device lock, appends the block's
     /// bytes to `out` and returns how many and their checksum, attributed
     /// to `class`, while the kernel asks for `next` — the hint of the block
-    /// the caller streams after this one ([`Device::ahead`]), or
+    /// the caller streams after this one ([`Device::locate`]), or
     /// [`Ahead::NONE`]. `None` — with `out` as it was — when the device is
     /// offline, the block is absent, or the backend fails the I/O (counted
     /// in [`DeviceStats::io_errors`]).
@@ -289,25 +291,20 @@ impl Device {
         }
     }
 
-    /// Whether a block exists (does not count as an access).
-    pub fn has_block(&self, key: &BlockKey) -> bool {
-        let s = self.state.read();
-        s.online && s.backend.contains(key)
-    }
-
-    /// The hint for a read or verify of another block that this block
-    /// follows in a stream ([`BlockBackend::ahead`]): where its bytes lie
-    /// on a memory device, empty when the device is offline, the block
-    /// absent or the backend durable. An index lookup under the read lock,
-    /// not an access — no counter moves. The lock is released before the
+    /// Whether the device is online and holds a block, and where
+    /// ([`BlockBackend::locate`]): `None` when it is offline or the block
+    /// absent, else the hint for a read or verify of another block that
+    /// this one follows in a stream — where its bytes lie on a memory
+    /// device, empty on a durable one. An index lookup under the read lock,
+    /// not an access: no counter moves. The lock is released before the
     /// hint is used, so a block freed in between leaves it stale, which
     /// costs a wasted prefetch and nothing else.
-    pub fn ahead(&self, key: &BlockKey) -> Ahead {
+    pub fn locate(&self, key: &BlockKey) -> Option<Ahead> {
         let s = self.state.read();
         if s.online {
-            s.backend.ahead(key)
+            s.backend.locate(key)
         } else {
-            Ahead::NONE
+            None
         }
     }
 
@@ -505,12 +502,13 @@ mod tests {
         d.write_block((1, 0), vec![7u8; 100]);
         assert!(d.read_block(&(1, 0)).is_some());
         let before = d.stats();
-        assert!(!d.ahead(&(1, 0)).is_empty(), "the memory block's bytes");
-        assert!(d.ahead(&(1, 1)).is_empty(), "an absent block");
+        let hint = d.locate(&(1, 0)).expect("the block is here");
+        assert!(!hint.is_empty(), "the memory block's bytes");
+        assert!(d.locate(&(1, 1)).is_none(), "an absent block");
         assert_eq!(d.stats(), before, "no counter moved");
         d.fail();
         let failed = d.stats();
-        assert!(d.ahead(&(1, 0)).is_empty(), "an offline device");
+        assert!(d.locate(&(1, 0)).is_none(), "an offline device");
         assert_eq!(d.stats(), failed, "not even failed_reads");
     }
 
@@ -528,8 +526,9 @@ mod tests {
             let d = Device::with_backend(0, backend);
             assert!(d.write_block((1, 0), vec![3; 5000]));
             let before = d.stats();
-            assert!(d.ahead(&(1, 0)).is_empty(), "{}", d.backend_kind());
-            assert!(d.ahead(&(9, 9)).is_empty(), "{}", d.backend_kind());
+            let hint = d.locate(&(1, 0));
+            assert!(hint.is_some_and(|h| h.is_empty()), "{}", d.backend_kind());
+            assert!(d.locate(&(9, 9)).is_none(), "{}", d.backend_kind());
             assert_eq!(d.stats(), before, "{}", d.backend_kind());
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -539,10 +538,10 @@ mod tests {
     fn delete_and_has() {
         let d = Device::new(0);
         d.write_block((2, 5), vec![0]);
-        assert!(d.has_block(&(2, 5)));
+        assert!(d.locate(&(2, 5)).is_some());
         assert!(d.delete_block(&(2, 5)));
         assert!(!d.delete_block(&(2, 5)));
-        assert!(!d.has_block(&(2, 5)));
+        assert!(d.locate(&(2, 5)).is_none());
     }
 
     #[test]
@@ -582,7 +581,7 @@ mod tests {
         let path = dir.join("0000000000000001.00000002.blk");
         std::fs::remove_file(&path).unwrap();
         std::fs::create_dir(&path).unwrap();
-        assert!(d.has_block(&(1, 2)), "index still lists it");
+        assert!(d.locate(&(1, 2)).is_some(), "index still lists it");
         let mut out = vec![1, 2, 3];
         assert_eq!(
             d.read_block_into(&(1, 2), ReadClass::Payload, &mut out, Ahead::NONE),

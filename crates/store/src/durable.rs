@@ -32,7 +32,6 @@ use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -463,7 +462,7 @@ pub(crate) fn open(
     }
 
     // Object map: the sidecars are the source of truth.
-    let mut objects: HashMap<u64, Arc<ObjectMeta>> = HashMap::new();
+    let mut objects: HashMap<u64, ObjectMeta> = HashMap::new();
     let mut invalid_sidecars = 0usize;
     let meta_dir = dir.join("meta");
     let entries = fs::read_dir(&meta_dir).map_err(|e| StoreError::io("meta scan", &e))?;
@@ -481,7 +480,7 @@ pub(crate) fn open(
         let bytes = fs::read(entry.path()).map_err(|e| StoreError::io("meta read", &e))?;
         match decode_sidecar(&bytes) {
             Some(meta) => {
-                objects.insert(meta.id, Arc::new(meta));
+                objects.insert(meta.id, meta);
             }
             None => {
                 invalid_sidecars += 1;

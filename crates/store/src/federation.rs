@@ -83,11 +83,6 @@ impl FederatedStore {
         &self.site_b
     }
 
-    /// The combined decode system.
-    pub fn federation(&self) -> &FederatedSystem {
-        &self.federation
-    }
-
     /// Stores the object at both sites. Returns the (shared) object id.
     ///
     /// Object ids are kept in lockstep: both sites assign ids from the same
@@ -360,9 +355,9 @@ mod tests {
         let before = (writes(0), writes(1));
         assert_eq!(refill_site(site, &meta, payload).unwrap(), 1);
         assert_eq!(writes(0), before.0, "nothing was written for node 0");
-        assert!(!site.has_block(&meta, 0));
+        assert!(site.locate(&meta, 0).is_none());
         assert_eq!(writes(1), before.1 + 1, "node 1 went home");
-        assert!(site.has_block(&meta, 1));
+        assert!(site.locate(&meta, 1).is_some());
     }
 
     #[test]

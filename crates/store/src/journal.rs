@@ -158,8 +158,8 @@ pub struct IntentJournal {
 impl IntentJournal {
     /// Opens (creating if needed) the journal at `path` and scans it.
     /// Appends resume after the last valid frame; a torn tail is
-    /// reported in the scan and overwritten by the next append after
-    /// [`IntentJournal::reset`].
+    /// reported in the scan and overwritten by the next append after the
+    /// journal is reset (recovery-on-open resets it once it has replayed).
     pub fn open(path: &Path, fsync: bool) -> io::Result<(Self, JournalScan)> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -240,7 +240,7 @@ impl IntentJournal {
 
     /// Truncates the journal to zero after a completed recovery — every
     /// surviving effect is now captured by sidecars and block files.
-    pub fn reset(&mut self) -> io::Result<()> {
+    pub(crate) fn reset(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.end = 0;

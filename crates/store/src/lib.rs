@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+#![warn(unreachable_pub)]
 
 pub mod backend;
 mod backend_file;

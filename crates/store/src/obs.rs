@@ -68,7 +68,7 @@ metric_set! {
 
 impl DeviceTotals {
     /// The totals of `store`'s device pool as of now.
-    pub fn of(store: &ArchivalStore) -> Self {
+    pub(crate) fn of(store: &ArchivalStore) -> Self {
         let totals = Self::new();
         totals.offline.set(store.offline_devices().len() as i64);
         for d in (0..store.num_devices()).filter_map(|d| store.device(d).ok()) {

@@ -18,8 +18,9 @@
 //!    unchanged since it was last seen fully clean is not touched at all
 //!    (near-O(1) per stripe). Only [`ScrubMode::Incremental`] uses this
 //!    tier; it trusts that every store-API mutation bumps the generation.
-//! 2. **Plan → cone → replay** — the device index says which blocks are
-//!    there (nothing is read to find out); the repair planner's peeling
+//! 2. **Plan → cone → replay** — one device-index lookup per block
+//!    ([`crate::device::Device::locate`]) says which blocks are there and
+//!    where (nothing is read to find out); the repair planner's peeling
 //!    schedule ([`crate::retrieval::plan_repair`]'s) says how to rebuild
 //!    the ones that are not, and from which blocks — the *cone*. Only the
 //!    cone is copied out (hashed as it lands, by the fused read); every
@@ -27,15 +28,15 @@
 //!    ([`crate::device::Device::verify_block`]): zero copies, the
 //!    checksum kernel at memory speed. Each plan lists the blocks it will
 //!    stream, cone and in-place alike, in ascending node order, and
-//!    streams each with the hint of the next
-//!    ([`crate::device::Device::ahead`]), so the kernel asks for the next
-//!    block's lines while it hashes this one. The first block that fails
-//!    its check, or is gone since the index was asked, ends the plan: it
-//!    joins the missing set and the stripe is re-planned, keeping every
-//!    block already in hand. The schedule is replayed with real XOR
-//!    (`Codec::replay`) and a rebuilt block is written home only if it
-//!    hashes to its put-time digest. A stripe past saving still gets every
-//!    block the partial schedule reaches.
+//!    streams each with the hint the lookup gave for the next, so the
+//!    kernel asks for the next block's lines while it hashes this one: two
+//!    visits to a block's device, the lookup and the read or verify. The
+//!    first block that fails its check, or is gone since the index was
+//!    asked, ends the plan: it joins the missing set and the stripe is
+//!    re-planned, keeping every block already in hand. The schedule is
+//!    replayed with real XOR (`Codec::replay`) and a rebuilt block is
+//!    written home only if it hashes to its put-time digest. A stripe past
+//!    saving still gets every block the partial schedule reaches.
 //!
 //! A stripe with nothing missing has an empty cone: every block is
 //! verified in place and nothing moves. [`ScrubMode::Full`] is the same
@@ -47,11 +48,14 @@
 //! [`ScrubAction`].
 
 //! Scrub passes can fan out across worker threads ([`Scrubber::new`]): each
-//! rayon worker scrubs whole stripes with its own thread-local block pool
-//! and decoder, and the per-stripe results are folded back **in object-id
+//! worker scrubs whole stripes with its own thread-local block pool and
+//! decoder, and the per-stripe results are folded back **in object-id
 //! order**, so the outcome is bit-identical to a serial pass regardless of
-//! thread count. A long-lived [`Scrubber`] owns its rayon pool (built once,
-//! reused every cycle) and the clean-stripe marks the skip tier consults.
+//! thread count. The workers are not kept between cycles: a [`Scrubber`]'s
+//! rayon `ThreadPool` is, under the vendored rayon every build uses, only a
+//! thread count, and each cycle's parallel map spawns and joins its own
+//! scoped threads. What a long-lived `Scrubber` does keep is the
+//! clean-stripe marks the skip tier consults.
 //! A cycle records into the observer attached to the store
 //! ([`ArchivalStore::set_observer`]), when there is one.
 
@@ -225,7 +229,7 @@ impl ScrubOutcome {
 /// (the default) verify mode: blocks are hash-checked in place and only a
 /// damaged stripe's repair cone is read; the reported healths are
 /// identical to a [`ScrubMode::Full`] pass. Periodic loops should hold a
-/// `Scrubber` so the worker pool and clean marks persist across cycles.
+/// `Scrubber` so the clean marks persist across cycles.
 pub fn scrub(store: &ArchivalStore, first_failure_level: usize, repair: bool) -> ScrubOutcome {
     Scrubber::new(1).run(store, first_failure_level, repair, ScrubMode::Verify)
 }
@@ -239,14 +243,14 @@ struct CleanMark {
     pool_epoch: u64,
 }
 
-/// A long-lived scrub driver: owns the rayon worker pool (built **once**,
-/// not per cycle — periodic scrub loops were paying thread spawn/teardown
-/// every pass) and the per-stripe clean marks the incremental tier skips
-/// by. One `Scrubber` per store; marks are keyed by object id and pruned
-/// as objects are deleted.
+/// A long-lived scrub driver: the worker count its cycles fan out to and
+/// the per-stripe clean marks the incremental tier skips by. The workers
+/// themselves are spawned per cycle (see the module doc). One `Scrubber`
+/// per store; marks are keyed by object id and pruned as objects are
+/// deleted.
 pub struct Scrubber {
-    threads: usize,
-    /// `None` when `threads == 1` (serial — no pool needed).
+    /// `None` when serial. Under the vendored rayon a `ThreadPool` is a
+    /// thread count that `install` scopes each cycle's parallel map to.
     pool: Option<rayon::ThreadPool>,
     /// Clean marks from previous cycles (skip-tier state).
     clean: Mutex<HashMap<ObjectId, CleanMark>>,
@@ -254,8 +258,8 @@ pub struct Scrubber {
 
 impl Scrubber {
     /// Builds a scrubber with `threads` workers (`0` = automatic, `1` =
-    /// serial). The rayon pool, if any, is constructed here and reused by
-    /// every subsequent cycle.
+    /// serial). Every parallel cycle spawns that many scoped threads and
+    /// joins them before it returns; no thread outlives a cycle.
     pub fn new(threads: usize) -> Self {
         let pool = (threads != 1).then(|| {
             rayon::ThreadPoolBuilder::new()
@@ -264,15 +268,9 @@ impl Scrubber {
                 .expect("scrub thread pool")
         });
         Self {
-            threads,
             pool,
             clean: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The configured worker count (`0` = automatic).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of stripes currently marked clean (skip-tier candidates).
@@ -430,9 +428,12 @@ fn scrub_stripe(
         }
     }
 
-    // What is there, by the device index: nothing is read to find out.
+    // What is there, and where, by the device index: nothing is read to
+    // find out. The hints stream the blocks below; one may be stale by
+    // then, which costs a wasted prefetch and nothing else.
+    let hints: Vec<Option<Ahead>> = (0..n as NodeId).map(|v| store.locate(meta, v)).collect();
     let mut missing: Vec<NodeId> = (0..n as NodeId)
-        .filter(|&v| !store.has_block(meta, v))
+        .filter(|&v| hints[v as usize].is_none())
         .collect();
     // Blocks in hand: the cone's, copied out and verified as they landed;
     // after the replay, the rebuilt ones too.
@@ -465,7 +466,8 @@ fn scrub_stripe(
         let lost = stream.iter().enumerate().find_map(|(j, &v)| {
             let next = stream
                 .get(j + 1)
-                .map_or(Ahead::NONE, |&w| store.ahead(meta, w));
+                .and_then(|&w| hints[w as usize])
+                .unwrap_or(Ahead::NONE);
             let i = v as usize;
             let intact = if in_cone(v) {
                 blocks[i] = store.read_raw_block(meta, v, next);
@@ -692,7 +694,7 @@ mod tests {
         assert!(r.incomplete, "reported in objects_incomplete");
         assert!(r.clean_mark.is_none());
         assert_eq!(writes(&store), before, "nothing was written");
-        assert!(!store.has_block(&meta, 0));
+        assert!(store.locate(&meta, 0).is_none());
     }
 
     #[test]
@@ -975,7 +977,7 @@ mod tests {
     }
 
     /// Every device of a store records in one shared log the key of each
-    /// `read_into` and `checksum` it serves.
+    /// `locate`, `read_into` and `checksum` it serves.
     type Log = Arc<std::sync::Mutex<Vec<(Served, BlockKey)>>>;
 
     #[test]
@@ -1017,11 +1019,25 @@ mod tests {
                 let case = format!("{mode:?}, object {id}");
                 let absent =
                     [10, 40].map(|d| node_on_device(d, meta.rotation, n as usize) as NodeId);
-                let served: Vec<(Served, NodeId)> = log
+                let accesses: Vec<(Served, NodeId)> = log
                     .iter()
                     .filter(|(_, key)| key.0 == id)
                     .map(|&(how, key)| (how, key.1))
                     .collect();
+                // One index lookup per node, on every online device, all
+                // before the stream and none during it.
+                let lookups = accesses
+                    .iter()
+                    .take_while(|&&(how, _)| how == Served::Locate)
+                    .count();
+                let (located, served) = accesses.split_at(lookups);
+                let online: Vec<NodeId> = (0..n).filter(|&v| v != absent[0]).collect();
+                let located: Vec<NodeId> = located.iter().map(|&(_, v)| v).collect();
+                assert_eq!(located, online, "{case}: one lookup per node");
+                assert!(
+                    served.iter().all(|&(how, _)| how != Served::Locate),
+                    "{case}: no lookup during the stream: {served:?}"
+                );
                 if mode == ScrubMode::Full {
                     assert!(served.iter().all(|&(how, _)| how == Served::Read), "{case}");
                 }

@@ -91,6 +91,26 @@ impl GetStats {
     }
 }
 
+/// One stripe's record: what was stored and how recently it was written,
+/// under one lock, so whether a write to the stripe stands is decided in
+/// one place.
+struct Stripe {
+    meta: Arc<ObjectMeta>,
+    /// The stripe's dirty generation: a fresh store-wide number on every
+    /// API-visible write of its blocks (put, repair and federation
+    /// writes); `0` for a stripe recovered on open and not written since.
+    /// The incremental scrub tier skips a stripe whose generation — and the
+    /// pool epoch — are unchanged since it was last seen fully clean.
+    generation: u64,
+}
+
+impl Stripe {
+    fn new(meta: ObjectMeta, generation: u64) -> Self {
+        let meta = Arc::new(meta);
+        Self { meta, generation }
+    }
+}
+
 /// A single-site archival store: one device per graph node, objects encoded
 /// into one block per device.
 ///
@@ -102,15 +122,10 @@ impl GetStats {
 pub struct ArchivalStore {
     graph: Graph,
     devices: Vec<Device>,
-    objects: RwLock<HashMap<ObjectId, Arc<ObjectMeta>>>,
+    objects: RwLock<HashMap<ObjectId, Stripe>>,
     next_id: AtomicU64,
     put_count: AtomicU64,
-    /// Per-stripe dirty generations: bumped on every API-visible mutation
-    /// of a stripe's blocks (put, delete, repair/federation writes). The
-    /// incremental scrub tier skips a stripe whose generation — and the
-    /// pool epoch — are unchanged since it was last seen fully clean.
-    generations: RwLock<HashMap<ObjectId, u64>>,
-    /// Source of generation numbers (store-wide, strictly increasing).
+    /// Source of stripe generations (store-wide, strictly increasing).
     generation_counter: AtomicU64,
     /// Device-pool epoch: bumped whenever a device fails or is replaced.
     /// Device-level events destroy blocks without touching any stripe's
@@ -147,18 +162,21 @@ impl ArchivalStore {
     pub(crate) fn assemble(
         graph: Graph,
         devices: Vec<Device>,
-        objects: HashMap<ObjectId, Arc<ObjectMeta>>,
+        objects: HashMap<ObjectId, ObjectMeta>,
         next_id: u64,
         put_count: u64,
         durability: Option<Durability>,
     ) -> Self {
+        let objects = objects
+            .into_iter()
+            .map(|(id, meta)| (id, Stripe::new(meta, 0)))
+            .collect();
         Self {
             graph,
             devices,
             objects: RwLock::new(objects),
             next_id: AtomicU64::new(next_id),
             put_count: AtomicU64::new(put_count),
-            generations: RwLock::new(HashMap::new()),
             generation_counter: AtomicU64::new(0),
             pool_epoch: AtomicU64::new(0),
             durability,
@@ -257,15 +275,15 @@ impl ArchivalStore {
         self.pool_epoch.load(Ordering::Acquire)
     }
 
-    /// The stripe's current dirty generation (`0` before its first write).
+    /// The stripe's current dirty generation (`0` before its first write,
+    /// and once the object is deleted).
     pub(crate) fn stripe_generation(&self, id: ObjectId) -> u64 {
-        self.generations.read().get(&id).copied().unwrap_or(0)
+        self.objects.read().get(&id).map_or(0, |s| s.generation)
     }
 
-    /// Marks a stripe dirty: assigns it a fresh store-wide generation.
-    fn bump_generation(&self, id: ObjectId) {
-        let g = self.generation_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        self.generations.write().insert(id, g);
+    /// A fresh store-wide generation, for a stripe just written.
+    fn next_generation(&self) -> u64 {
+        self.generation_counter.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Indices of currently offline devices.
@@ -342,20 +360,26 @@ impl ArchivalStore {
             d.write_sidecar(&meta)?;
             d.journal_append(&JournalRecord::PutCommit { id })?;
         }
-        self.objects.write().insert(id, Arc::new(meta));
-        self.bump_generation(id);
+        let stripe = Stripe::new(meta, self.next_generation());
+        self.objects.write().insert(id, stripe);
         Ok(id)
     }
 
     /// Object metadata, if present.
     pub fn meta(&self, id: ObjectId) -> Option<ObjectMeta> {
-        self.objects.read().get(&id).map(|m| ObjectMeta::clone(m))
+        self.objects
+            .read()
+            .get(&id)
+            .map(|s| ObjectMeta::clone(&s.meta))
     }
 
     /// All stored objects, ascending by id.
     pub fn list(&self) -> Vec<ObjectMeta> {
         let objects = self.objects.read();
-        let mut v: Vec<ObjectMeta> = objects.values().map(|m| ObjectMeta::clone(m)).collect();
+        let mut v: Vec<ObjectMeta> = objects
+            .values()
+            .map(|s| ObjectMeta::clone(&s.meta))
+            .collect();
         v.sort_by_key(|m| m.id);
         v
     }
@@ -402,7 +426,7 @@ impl ArchivalStore {
         id: ObjectId,
         headroom: usize,
     ) -> Result<(Vec<u8>, usize, GetStats), StoreError> {
-        let meta = self.objects.read().get(&id).cloned();
+        let meta = self.objects.read().get(&id).map(|s| Arc::clone(&s.meta));
         let meta = meta.ok_or(StoreError::UnknownObject { id })?;
         let (k, block_len) = (self.graph.num_data(), meta.block_len);
         let fetch_start = Instant::now();
@@ -456,7 +480,7 @@ impl ArchivalStore {
         let (n, k) = (self.graph.num_nodes(), self.graph.num_data());
         let mut available: Vec<NodeId> = (0..k as NodeId)
             .filter(|v| !holes.contains(v))
-            .chain((k as NodeId..n as NodeId).filter(|&v| self.has_block(meta, v)))
+            .chain((k as NodeId..n as NodeId).filter(|&v| self.locate(meta, v).is_some()))
             .collect();
         let mut checks: Vec<Option<Vec<u8>>> = vec![None; n - k];
         let result = loop {
@@ -520,16 +544,15 @@ impl ArchivalStore {
             })?;
             d.remove_sidecar(id)?;
         }
-        let meta = self
+        let stripe = self
             .objects
             .write()
             .remove(&id)
             .ok_or(StoreError::UnknownObject { id })?;
         for node in 0..self.graph.num_nodes() as u32 {
-            let dev = self.device_of_block(&meta, node);
+            let dev = self.device_of_block(&stripe.meta, node);
             self.devices[dev].delete_block(&(id, node));
         }
-        self.generations.write().remove(&id);
         Ok(())
     }
 
@@ -538,7 +561,7 @@ impl ArchivalStore {
     /// block is reported as absent (an erasure), which is exactly how the
     /// coding layer can repair it. The copy is made into a buffer recycled
     /// from the calling thread's block pool; `next` is the hint of the
-    /// block the caller streams after this one ([`ArchivalStore::ahead`]).
+    /// block the caller streams after this one ([`ArchivalStore::locate`]).
     pub(crate) fn read_raw_block(
         &self,
         meta: &ObjectMeta,
@@ -584,29 +607,47 @@ impl ArchivalStore {
         Err(miss)
     }
 
-    /// Writes a (re-encoded) block back to its home device. Repair
-    /// writes are not journaled — the block's content is pinned by the
-    /// checksum in the (already-durable) sidecar, so a torn repair write
-    /// is just a still-missing block the next scrub repairs again; on a
-    /// durable store the write is flushed per the fsync policy.
+    /// Writes a (re-encoded) block back to its home device; returns
+    /// whether it stands. Repair writes are not journaled — the block's
+    /// content is pinned by the checksum in the (already-durable) sidecar,
+    /// so a torn repair write is just a still-missing block the next scrub
+    /// repairs again; on a durable store the write is flushed per the fsync
+    /// policy.
+    ///
+    /// A repair works from a snapshot of the object list, so its object
+    /// may be deleted while the block is rebuilt. The write therefore lands
+    /// first and is judged after, under the map's lock: a live stripe gets
+    /// a fresh generation; for a deleted one the block is removed again
+    /// (after the lock is released), so no orphan outlives the delete —
+    /// whichever of the delete's block removal and this write came first.
     pub(crate) fn write_raw_block(&self, meta: &ObjectMeta, node: NodeId, data: Vec<u8>) -> bool {
         let dev = self.device_of_block(meta, node);
-        let written = self.devices[dev].write_block((meta.id, node), data);
-        if written {
-            if let Some(d) = &self.durability {
-                if d.fsync {
-                    self.devices[dev].flush();
-                }
-            }
-            self.bump_generation(meta.id);
+        if !self.devices[dev].write_block((meta.id, node), data) {
+            return false;
         }
-        written
+        if let Some(d) = &self.durability {
+            if d.fsync {
+                self.devices[dev].flush();
+            }
+        }
+        let live = match self.objects.write().get_mut(&meta.id) {
+            Some(stripe) => {
+                stripe.generation = self.next_generation();
+                true
+            }
+            None => false,
+        };
+        if !live {
+            self.devices[dev].delete_block(&(meta.id, node));
+        }
+        live
     }
 
-    /// Whether a block's home device is online and lists it — an index
-    /// lookup, not an access: nothing is read and no counter moves.
-    pub(crate) fn has_block(&self, meta: &ObjectMeta, node: NodeId) -> bool {
-        self.devices[self.device_of_block(meta, node)].has_block(&(meta.id, node))
+    /// Whether a block's home device is online and lists it, and the hint
+    /// to stream it with when it comes next ([`Device::locate`]): an index
+    /// lookup, not an access — nothing is read and no counter moves.
+    pub(crate) fn locate(&self, meta: &ObjectMeta, node: NodeId) -> Option<Ahead> {
+        self.devices[self.device_of_block(meta, node)].locate(&(meta.id, node))
     }
 
     /// Hash-verifies a block **in place** on its home device — the scrub
@@ -621,13 +662,6 @@ impl ArchivalStore {
     ) -> crate::device::BlockProbe {
         let dev = self.device_of_block(meta, node);
         self.devices[dev].verify_block(&(meta.id, node), meta.checksums[node as usize], next)
-    }
-
-    /// The hint to stream a block with when this one comes next
-    /// ([`Device::ahead`]): an index lookup on its home device, not an
-    /// access.
-    pub(crate) fn ahead(&self, meta: &ObjectMeta, node: NodeId) -> Ahead {
-        self.devices[self.device_of_block(meta, node)].ahead(&(meta.id, node))
     }
 }
 
@@ -947,6 +981,39 @@ mod tests {
         assert_eq!(outcome.costs[0].blocks_fetched, in_hand.len() as u64);
         assert_eq!(total_reads(&store) - before, in_hand.len() as u64);
         assert_eq!(store.devices[victim as usize].stats().failed_reads, 1);
+    }
+
+    #[test]
+    fn a_repair_write_that_lands_after_its_objects_delete_leaves_no_block() {
+        use crate::scrubber::{ScrubMode, Scrubber};
+        // The object sits at rotation 0 (node v on device v) and device 0
+        // comes back empty, so the scrub rebuilds node 0 — after it has
+        // read node 95, the last block it streams, which the gate holds
+        // until a delete has removed the object's record.
+        let (store, reached_rx, release_tx) = gated_store(95);
+        let id = store.put("x", &vec![9u8; 5000]).unwrap();
+        store.fail_device(0).unwrap();
+        store.replace_device(0).unwrap();
+        let outcome = std::thread::scope(|s| {
+            let scrub = s.spawn(|| Scrubber::new(1).run(&store, 5, true, ScrubMode::Full));
+            reached_rx.recv().unwrap();
+            // The delete takes the record, then waits for device 95, whose
+            // lock the held read keeps.
+            let delete = s.spawn(|| store.delete(id));
+            while store.meta(id).is_some() {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            delete.join().unwrap().unwrap();
+            scrub.join().unwrap()
+        });
+        assert_eq!(
+            outcome.blocks_repaired, 0,
+            "the rebuilt block did not stand"
+        );
+        let orphans: usize = store.devices.iter().map(Device::block_count).sum();
+        assert_eq!(orphans, 0, "no block outlives its object");
+        assert_eq!(store.stripe_generation(id), 0, "no record either");
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn assert_consistent(store: &ArchivalStore, attempted: &HashMap<u64, (Vec<u8>, b
                 for dev in 0..n {
                     for node in 0..n as u32 {
                         assert!(
-                            !store.device(dev).unwrap().has_block(&(id, node)),
+                            store.device(dev).unwrap().locate(&(id, node)).is_none(),
                             "orphan block ({id}, {node}) on device {dev}"
                         );
                     }

@@ -95,7 +95,7 @@ fn degraded_get_and_scrub_repair_work_on_durable_store() {
     let dev0_node = (0..store.num_devices() as u32)
         .find(|&n| store.device_of_block(&meta, n) == 0)
         .unwrap();
-    assert!(store.device(0).unwrap().has_block(&(id, dev0_node)));
+    assert!(store.device(0).unwrap().locate(&(id, dev0_node)).is_some());
     assert_eq!(store.get(id).unwrap(), payload);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
@@ -110,7 +110,7 @@ fn replaced_device_cannot_read_stale_incarnation_files() {
     let node = (0..store.num_devices() as u32)
         .find(|&n| store.device_of_block(&meta, n) == 0)
         .unwrap();
-    assert!(store.device(0).unwrap().has_block(&(id, node)));
+    assert!(store.device(0).unwrap().locate(&(id, node)).is_some());
 
     // Fail the device but sabotage the destroy by planting a copy of the
     // old incarnation's directory back on disk after failure: without
@@ -127,7 +127,7 @@ fn replaced_device_cannot_read_stale_incarnation_files() {
     store.replace_device(0).unwrap();
     assert!(store.device(0).unwrap().is_online());
     assert!(
-        !store.device(0).unwrap().has_block(&(id, node)),
+        store.device(0).unwrap().locate(&(id, node)).is_none(),
         "replacement must come up empty even with stale files on disk"
     );
     // The new incarnation writes land in g1, not g0.
@@ -140,7 +140,7 @@ fn replaced_device_cannot_read_stale_incarnation_files() {
     // And a reopen attaches incarnation 1, still blind to the ghost.
     drop(store);
     let store = open(&dir, BackendKind::File);
-    assert!(!store.device(0).unwrap().has_block(&(id, node)));
+    assert!(store.device(0).unwrap().locate(&(id, node)).is_none());
     assert_eq!(
         store.get(id).unwrap(),
         b"stale data probe",

@@ -48,6 +48,7 @@
 //! ```
 
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+#![warn(unreachable_pub)]
 
 pub use tornado_analysis as analysis;
 pub use tornado_bitset as bitset;
