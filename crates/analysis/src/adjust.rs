@@ -19,31 +19,16 @@ use crate::critical::{check_involvement_counts, critical_sets, involvement_count
 use tornado_graph::{Graph, NodeId};
 use tornado_sim::worst_case::{search_level, KLevelResult};
 
-/// Configuration for the adjustment loop.
-#[derive(Clone, Copy, Debug)]
-pub struct AdjustConfig {
-    /// Desired first-failure level: the adjusted graph should survive every
-    /// loss of `target_first_failure − 1` nodes. The paper achieves 5.
-    pub target_first_failure: usize,
-    /// Maximum accepted rewirings before giving up.
-    pub max_iterations: usize,
-    /// Cap on failure sets collected per search level (memory bound).
-    pub collect_cap: usize,
-    /// How many `(target, replacement)` candidates to try per iteration
-    /// before declaring a stall.
-    pub candidate_budget: usize,
-}
+/// Accepted rewirings before the loop gives up.
+const MAX_ITERATIONS: usize = 64;
 
-impl Default for AdjustConfig {
-    fn default() -> Self {
-        Self {
-            target_first_failure: 5,
-            max_iterations: 64,
-            collect_cap: 1024,
-            candidate_budget: 64,
-        }
-    }
-}
+/// Failure sets collected at the failing level (a memory bound): the
+/// critical sets that pick each rewiring are read off these.
+const COLLECT_CAP: usize = 1024;
+
+/// `(target, replacement)` candidates one iteration tries before it
+/// declares a stall.
+const CANDIDATE_BUDGET: usize = 64;
 
 /// One accepted rewiring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,22 +76,25 @@ fn first_failing_level(graph: &Graph, max_k: usize, collect_cap: usize) -> Optio
     None
 }
 
-/// Runs the §3.3 adjustment loop on `graph`.
-pub fn adjust_graph(graph: &Graph, cfg: &AdjustConfig) -> AdjustOutcome {
-    assert!(cfg.target_first_failure >= 2);
-    let below = cfg.target_first_failure - 1;
+/// Runs the §3.3 adjustment loop on `graph` toward `target_first_failure`:
+/// the adjusted graph should survive every loss of `target_first_failure −
+/// 1` nodes (the paper achieves 5). The loop accepts at most 64 rewirings
+/// and tries at most 64 candidates for each.
+pub fn adjust_graph(graph: &Graph, target_first_failure: usize) -> AdjustOutcome {
+    assert!(target_first_failure >= 2);
+    let below = target_first_failure - 1;
     let mut current = graph.clone();
     let mut steps = Vec::new();
 
-    for _ in 0..cfg.max_iterations {
-        let Some(level) = first_failing_level(&current, below, cfg.collect_cap) else {
+    for _ in 0..MAX_ITERATIONS {
+        let Some(level) = first_failing_level(&current, below, COLLECT_CAP) else {
             return AdjustOutcome {
                 graph: current,
                 steps,
                 first_failure_below_target: None,
             };
         };
-        match try_one_adjustment(&current, &level, cfg) {
+        match try_one_adjustment(&current, &level) {
             Some((next, step)) => {
                 steps.push(step);
                 current = next;
@@ -132,18 +120,14 @@ pub fn adjust_graph(graph: &Graph, cfg: &AdjustConfig) -> AdjustOutcome {
 /// Attempts one accepted rewiring against the failing level. Returns the
 /// improved graph and the step, or `None` if every candidate within budget
 /// made things equal-or-worse.
-fn try_one_adjustment(
-    graph: &Graph,
-    level: &KLevelResult,
-    cfg: &AdjustConfig,
-) -> Option<(Graph, AdjustmentStep)> {
+fn try_one_adjustment(graph: &Graph, level: &KLevelResult) -> Option<(Graph, AdjustmentStep)> {
     let sets = critical_sets(graph, &level.failure_sets);
     let node_counts = involvement_counts(&sets);
     let check_counts = check_involvement_counts(&sets);
     let involved_checks: std::collections::BTreeSet<NodeId> =
         check_counts.iter().map(|&(c, _)| c).collect();
 
-    let mut budget = cfg.candidate_budget;
+    let mut budget = CANDIDATE_BUDGET;
     // Targets: most-involved left nodes first (the paper's heuristic).
     for &(target, _) in &node_counts {
         // The target's checks, most-implicated first.
@@ -214,7 +198,7 @@ fn try_one_adjustment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tornado_gen::{TornadoGenerator, TornadoParams};
+    use tornado_gen::TornadoGenerator;
     use tornado_graph::GraphBuilder;
     use tornado_sim::{worst_case_search, WorstCaseConfig};
 
@@ -246,15 +230,7 @@ mod tests {
             .first_failure(),
             Some(2)
         );
-        let outcome = adjust_graph(
-            &g,
-            &AdjustConfig {
-                target_first_failure: 3,
-                max_iterations: 16,
-                collect_cap: 64,
-                candidate_budget: 128,
-            },
-        );
+        let outcome = adjust_graph(&g, 3);
         assert!(outcome.achieved(), "steps: {:?}", outcome.steps);
         assert!(!outcome.steps.is_empty());
         let report = worst_case_search(
@@ -271,13 +247,8 @@ mod tests {
     #[test]
     fn already_good_graph_is_untouched() {
         let g = planted_defect();
-        let outcome = adjust_graph(
-            &g,
-            &AdjustConfig {
-                target_first_failure: 2, // only requires surviving k = 1
-                ..Default::default()
-            },
-        );
+        // Target 2 only requires surviving k = 1.
+        let outcome = adjust_graph(&g, 2);
         assert!(outcome.achieved());
         assert!(outcome.steps.is_empty());
         assert_eq!(outcome.graph, g);
@@ -288,15 +259,7 @@ mod tests {
         // A mirrored pair system cannot exceed first failure 2 by rewiring
         // within its single level of single-neighbour checks.
         let g = tornado_gen::mirror::generate_mirror(4).unwrap();
-        let outcome = adjust_graph(
-            &g,
-            &AdjustConfig {
-                target_first_failure: 3,
-                max_iterations: 8,
-                collect_cap: 64,
-                candidate_budget: 64,
-            },
-        );
+        let outcome = adjust_graph(&g, 3);
         assert!(!outcome.achieved());
         assert_eq!(outcome.first_failure_below_target, Some(2));
     }
@@ -304,16 +267,10 @@ mod tests {
     #[test]
     fn adjusts_a_small_tornado_graph_upward() {
         // 32-node graphs keep debug-mode search cheap: C(32,3) = 4960.
-        let params = TornadoParams {
-            num_data: 16,
-            ..TornadoParams::default()
-        };
         // 32-node graphs rarely clear the size-3 screen (the paper also
         // reports small graphs are the hard case); screen at 2 and let the
         // adjustment loop do the rest.
-        let (g, _) = TornadoGenerator::new(params)
-            .generate_screened(3, 256, 2)
-            .unwrap();
+        let (g, _) = TornadoGenerator::new(16).generate_screened(3, 2).unwrap();
         let before = worst_case_search(
             &g,
             &WorstCaseConfig {
@@ -322,15 +279,7 @@ mod tests {
             },
         )
         .first_failure();
-        let outcome = adjust_graph(
-            &g,
-            &AdjustConfig {
-                target_first_failure: 4,
-                max_iterations: 32,
-                collect_cap: 256,
-                candidate_budget: 256,
-            },
-        );
+        let outcome = adjust_graph(&g, 4);
         let after = worst_case_search(
             &outcome.graph,
             &WorstCaseConfig {
@@ -355,15 +304,7 @@ mod tests {
     #[test]
     fn steps_record_strict_improvement() {
         let g = planted_defect();
-        let outcome = adjust_graph(
-            &g,
-            &AdjustConfig {
-                target_first_failure: 3,
-                max_iterations: 16,
-                collect_cap: 64,
-                candidate_budget: 128,
-            },
-        );
+        let outcome = adjust_graph(&g, 3);
         for s in &outcome.steps {
             assert!(s.failures_after < s.failures_before, "step {s:?}");
         }

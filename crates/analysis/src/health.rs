@@ -53,16 +53,6 @@ pub struct ConditionalConfig {
     pub max_k: usize,
 }
 
-impl Default for ConditionalConfig {
-    fn default() -> Self {
-        Self {
-            trials_per_k: 4_000,
-            seed: 0x7042_6F72_6E61_646F,
-            max_k: 8,
-        }
-    }
-}
-
 /// Builds `P(fail | j additional losses)` for `j = 0..=max_k`, with the
 /// nodes in `missing` *already* erased in every trial.
 ///
@@ -206,6 +196,13 @@ mod tests {
     use tornado_gen::regular::generate_regular;
     use tornado_sim::{monte_carlo_profile, MonteCarloConfig};
 
+    /// A sampling recipe for the tests that need no particular one.
+    const CFG: ConditionalConfig = ConditionalConfig {
+        trials_per_k: 4_000,
+        seed: 0x7042_6F72_6E61_646F,
+        max_k: 8,
+    };
+
     #[test]
     fn healthy_fleet_matches_offline_model_exactly() {
         // The tentpole acceptance bar: with zero observed failures the
@@ -253,7 +250,7 @@ mod tests {
         // node 4 (its mirror) also goes. Row 1 enumerates C(7,1) = 7
         // patterns, one fatal.
         let g = generate_mirror(4).unwrap();
-        let p = conditional_failure_profile(&g, &[0], &ConditionalConfig::default());
+        let p = conditional_failure_profile(&g, &[0], &CFG);
         assert_eq!(p.num_nodes(), 7);
         let e0 = p.entry(0);
         assert!(e0.exact);
@@ -271,7 +268,7 @@ mod tests {
     #[test]
     fn undecodable_pattern_composes_to_near_certain_loss() {
         let g = generate_mirror(4).unwrap();
-        let cfg = ConditionalConfig::default();
+        let cfg = CFG;
         // A whole mirror pair gone: row 0 fails, so P(loss) = 1 regardless
         // of further failures.
         let p = conditional_failure_probability(&g, &[0, 4], 0.01, &cfg);

@@ -45,7 +45,7 @@ mod simulate;
 pub mod stopping;
 mod sum;
 
-pub use adjust::{adjust_graph, AdjustConfig, AdjustOutcome, AdjustmentStep};
+pub use adjust::{adjust_graph, AdjustOutcome, AdjustmentStep};
 pub use binomial::ln_binomial;
 pub use critical::{critical_sets, CriticalSet};
 pub use dist::{binomial_pmf, compose_failure_probability};

@@ -16,35 +16,22 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration for the lifetime simulation.
+/// The simulated horizon, in years: one, the period of the AFR and of
+/// Table 5's "annual" probability of data loss.
+const YEARS: f64 = 1.0;
+
+/// Configuration for the one-year lifetime simulation.
 #[derive(Clone, Copy, Debug)]
 pub struct LifetimeConfig {
-    /// Devices in the system.
-    pub devices: usize,
     /// Annual failure rate of one device (paper: 0.01).
     pub afr: f64,
-    /// Scrub/repair passes during the horizon (`0` = the paper's no-repair
+    /// Scrub/repair passes during the year (`0` = the paper's no-repair
     /// model).
     pub scrubs: usize,
-    /// Horizon in years.
-    pub years: f64,
     /// Monte-Carlo trials.
     pub trials: u64,
     /// Seed.
     pub seed: u64,
-}
-
-impl Default for LifetimeConfig {
-    fn default() -> Self {
-        Self {
-            devices: 96,
-            afr: 0.01,
-            scrubs: 0,
-            years: 1.0,
-            trials: 100_000,
-            seed: 0x11FE,
-        }
-    }
 }
 
 /// Result of a lifetime simulation.
@@ -57,20 +44,21 @@ pub struct LifetimeReport {
 }
 
 impl LifetimeReport {
-    /// Estimated probability of data loss over the horizon.
+    /// Estimated probability of data loss within the year.
     pub fn loss_probability(&self) -> f64 {
         self.losses as f64 / self.trials as f64
     }
 }
 
-/// Simulates the horizon. `fails(pattern)` must return whether the erasure
-/// pattern (device indices) loses data — pass a decoder closure for graph
-/// codes or a group-tolerance closure for RAID.
+/// Simulates one year of `devices` devices. `fails(pattern)` must return
+/// whether the erasure pattern (device indices) loses data — pass a decoder
+/// closure for graph codes or a group-tolerance closure for RAID.
 pub fn simulate_lifetime<F: FnMut(&[usize]) -> bool>(
+    devices: usize,
     cfg: &LifetimeConfig,
     mut fails: F,
 ) -> LifetimeReport {
-    assert!(cfg.devices > 0 && cfg.trials > 0);
+    assert!(devices > 0 && cfg.trials > 0);
     assert!((0.0..1.0).contains(&cfg.afr), "AFR must be in [0, 1)");
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     // Exponential rate so that P(fail within 1 year) = afr. ln(1) is -0.0,
@@ -83,18 +71,18 @@ pub fn simulate_lifetime<F: FnMut(&[usize]) -> bool>(
         };
     }
     let intervals = cfg.scrubs + 1;
-    let dt = cfg.years / intervals as f64;
+    let dt = YEARS / intervals as f64;
     let mut losses = 0u64;
     let mut interval_failures: Vec<Vec<usize>> = vec![Vec::new(); intervals];
     for _ in 0..cfg.trials {
         for v in interval_failures.iter_mut() {
             v.clear();
         }
-        for d in 0..cfg.devices {
+        for d in 0..devices {
             // Inverse-CDF sample of the exponential failure time.
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             let t = -u.ln() / rate;
-            if t < cfg.years {
+            if t < YEARS {
                 let slot = ((t / dt) as usize).min(intervals - 1);
                 interval_failures[slot].push(d);
             }
@@ -114,14 +102,13 @@ pub fn simulate_lifetime<F: FnMut(&[usize]) -> bool>(
 }
 
 /// Convenience adapter: lifetime of a graph-coded system (device `i` holds
-/// node `i`).
+/// node `i`, so the graph's node count is the device count).
 pub fn simulate_graph_lifetime(
     graph: &tornado_graph::Graph,
     cfg: &LifetimeConfig,
 ) -> LifetimeReport {
-    assert_eq!(cfg.devices, graph.num_nodes(), "one device per node");
     let mut dec = tornado_codec::ErasureDecoder::new(graph);
-    simulate_lifetime(cfg, |pattern| !dec.decode(pattern))
+    simulate_lifetime(graph.num_nodes(), cfg, |pattern| !dec.decode(pattern))
 }
 
 #[cfg(test)]
@@ -137,10 +124,8 @@ mod tests {
         // probability must match the analytic composition.
         let g = generate_mirror(8).unwrap();
         let cfg = LifetimeConfig {
-            devices: 16,
             afr: 0.05, // inflated so the MC estimate is well-resolved
             scrubs: 0,
-            years: 1.0,
             trials: 300_000,
             seed: 3,
         };
@@ -159,10 +144,8 @@ mod tests {
     fn scrubbing_improves_reliability() {
         let g = generate_mirror(8).unwrap();
         let base = LifetimeConfig {
-            devices: 16,
             afr: 0.10,
             scrubs: 0,
-            years: 1.0,
             trials: 150_000,
             seed: 5,
         };
@@ -179,10 +162,10 @@ mod tests {
     fn zero_afr_never_loses() {
         let g = generate_mirror(4).unwrap();
         let cfg = LifetimeConfig {
-            devices: 8,
             afr: 0.0,
+            scrubs: 0,
             trials: 1_000,
-            ..Default::default()
+            seed: 0x11FE,
         };
         assert_eq!(simulate_graph_lifetime(&g, &cfg).losses, 0);
     }
@@ -193,14 +176,12 @@ mod tests {
         // 1 − (1 − afr)^n regardless of scrubbing (a failure is always
         // immediately fatal, repair never gets a chance).
         let cfg = LifetimeConfig {
-            devices: 10,
             afr: 0.05,
             scrubs: 4,
-            years: 1.0,
             trials: 200_000,
             seed: 9,
         };
-        let sim = simulate_lifetime(&cfg, |pattern| !pattern.is_empty());
+        let sim = simulate_lifetime(10, &cfg, |pattern| !pattern.is_empty());
         let analytic = 1.0 - (1.0f64 - 0.05).powi(10);
         let p = sim.loss_probability();
         let sigma = (analytic * (1.0 - analytic) / cfg.trials as f64).sqrt();
@@ -211,10 +192,10 @@ mod tests {
     fn deterministic_in_seed() {
         let g = generate_mirror(4).unwrap();
         let cfg = LifetimeConfig {
-            devices: 8,
             afr: 0.1,
+            scrubs: 0,
             trials: 10_000,
-            ..Default::default()
+            seed: 0x11FE,
         };
         let a = simulate_graph_lifetime(&g, &cfg);
         let b = simulate_graph_lifetime(&g, &cfg);

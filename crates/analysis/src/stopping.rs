@@ -93,7 +93,7 @@ pub fn minimum_distance(graph: &Graph, cap: usize) -> Option<(usize, Vec<usize>)
 mod tests {
     use super::*;
     use tornado_gen::mirror::generate_mirror;
-    use tornado_gen::{TornadoGenerator, TornadoParams};
+    use tornado_gen::TornadoGenerator;
     use tornado_graph::GraphBuilder;
     use tornado_sim::{worst_case_search, WorstCaseConfig};
 
@@ -132,12 +132,7 @@ mod tests {
 
     #[test]
     fn agrees_with_worst_case_search_on_small_tornado_graphs() {
-        let (g, _) = TornadoGenerator::new(TornadoParams {
-            num_data: 16,
-            ..TornadoParams::default()
-        })
-        .generate_screened(5, 256, 2)
-        .unwrap();
+        let (g, _) = TornadoGenerator::new(16).generate_screened(5, 2).unwrap();
         let brute = worst_case_search(
             &g,
             &WorstCaseConfig {

@@ -10,11 +10,9 @@ use crate::effort::Effort;
 use crate::harness::{first_failure_cell, graph_profile, paper_sampling_window};
 use std::fmt::Write as _;
 use tornado_gen::cascaded::generate_fixed_degree_screened;
-use tornado_gen::TornadoParams;
 
 /// Runs the sweep.
 pub(crate) fn run(effort: &Effort) -> String {
-    let params = TornadoParams::paper_96();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -25,7 +23,7 @@ pub(crate) fn run(effort: &Effort) -> String {
         "degree, first_failure, avg_to_reconstruct, overhead_at_half"
     );
     for degree in 2u32..=8 {
-        let g = match generate_fixed_degree_screened(params, degree, effort.seed, 256, 3) {
+        let g = match generate_fixed_degree_screened(48, degree, effort.seed) {
             Ok(g) => g,
             Err(e) => {
                 let _ = writeln!(out, "{degree}, generation failed: {e}");

@@ -9,13 +9,13 @@
 
 use crate::effort::Effort;
 use crate::harness::{graph_profile, render_figure, render_summary_table, SystemRow};
-use tornado_analysis::{adjust_graph, AdjustConfig};
-use tornado_gen::{TornadoGenerator, TornadoParams};
+use tornado_analysis::adjust_graph;
+use tornado_gen::TornadoGenerator;
 
 /// Builds the three stages of one graph lineage: raw (first random graph,
 /// no screening), screened, and screened + adjusted.
 pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
-    let gen = TornadoGenerator::new(TornadoParams::paper_96());
+    let gen = TornadoGenerator::new(48);
     // "Raw": scan seeds for the first *defective* random graph so the row
     // shows what unscreened generation risks (the paper's two-node
     // failures).
@@ -24,21 +24,14 @@ pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
         .find(|g| tornado_gen::defects::screen(g, 3).is_err())
         .expect("defective random graphs occur well within 512 seeds");
     let (screened, _) = gen
-        .generate_screened(effort.seed, 256, 3)
+        .generate_screened(effort.seed, 3)
         .expect("screened generation");
     // The adjustment target tracks the exhaustive depth so the smoke
     // configuration stays affordable, capped at the paper's target of 5 —
     // the paper found 6 unreachable ("insufficient candidates for
     // replacement were available"), and every candidate evaluation at
     // target 6 costs a C(96,5) sweep.
-    let adjusted = adjust_graph(
-        &screened,
-        &AdjustConfig {
-            target_first_failure: (effort.exhaustive_max_k + 1).min(5),
-            ..AdjustConfig::default()
-        },
-    )
-    .graph;
+    let adjusted = adjust_graph(&screened, (effort.exhaustive_max_k + 1).min(5)).graph;
 
     vec![
         SystemRow {

@@ -10,11 +10,9 @@ use crate::effort::Effort;
 use crate::harness::{graph_profile, render_figure, render_summary_table, SystemRow};
 use tornado_gen::altered::{generate_doubled_screened, generate_shifted_screened};
 use tornado_gen::regular::generate_regular;
-use tornado_gen::TornadoParams;
 
 /// Builds the comparison rows.
 pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
-    let params = TornadoParams::paper_96();
     let mut rows = Vec::new();
     for degree in [4u32, 11] {
         let g = generate_regular(48, degree, effort.seed).expect("regular generation");
@@ -24,13 +22,13 @@ pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
             num_data: 48,
         });
     }
-    let doubled = generate_doubled_screened(params, effort.seed, 256).expect("doubled generation");
+    let doubled = generate_doubled_screened(48, effort.seed).expect("doubled generation");
     rows.push(SystemRow {
         label: "Altered Tornado (dist. doubled)".into(),
         profile: graph_profile(&doubled, effort),
         num_data: 48,
     });
-    let shifted = generate_shifted_screened(params, effort.seed, 256).expect("shifted generation");
+    let shifted = generate_shifted_screened(48, effort.seed).expect("shifted generation");
     rows.push(SystemRow {
         label: "Altered Tornado (dist. shifted)".into(),
         profile: graph_profile(&shifted, effort),

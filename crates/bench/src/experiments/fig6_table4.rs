@@ -9,18 +9,16 @@
 use crate::effort::Effort;
 use crate::harness::{graph_profile, render_figure, render_summary_table, SystemRow};
 use tornado_gen::cascaded::generate_fixed_degree_screened;
-use tornado_gen::TornadoParams;
 
 /// Builds the comparison rows (cascade degrees 6, 4, 3 in the paper's
 /// order, then the best Tornado graph). Cascades are screened like every
 /// other family — the paper's comparators first-fail at 4–5, which random
 /// unscreened wiring does not reliably reach.
 pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
-    let params = TornadoParams::paper_96();
     let mut rows = Vec::new();
     for degree in [6u32, 4, 3] {
-        let g = generate_fixed_degree_screened(params, degree, effort.seed, 256, 3)
-            .expect("cascade generation");
+        let g =
+            generate_fixed_degree_screened(48, degree, effort.seed).expect("cascade generation");
         rows.push(SystemRow {
             label: format!("Cascaded - Degree = {degree}"),
             profile: graph_profile(&g, effort),

@@ -24,7 +24,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tornado_analysis::analytic::GroupSystem;
-use tornado_gen::TornadoParams;
 use tornado_graph::{Graph, NodeId};
 use tornado_obs::Json;
 use tornado_store::plan_repair;
@@ -176,12 +175,11 @@ fn sweep_raid(code: &'static str, sys: &GroupSystem, ks: &[usize]) -> CodeReport
 /// Runs the whole bake-off: six generator families plus the two paper
 /// RAID systems, all at 96-device scale.
 pub(crate) fn measure(trials_per_k: u64, ks: &[usize], seed: u64) -> RepairBandwidthReport {
-    let params = TornadoParams::paper_96();
     let tornado = tornado_core::tornado_graph_1();
-    let doubled = tornado_gen::altered::generate_doubled(params, seed).expect("doubled");
-    let shifted = tornado_gen::altered::generate_shifted(params, seed).expect("shifted");
+    let doubled = tornado_gen::altered::generate_doubled(48, seed).expect("doubled");
+    let shifted = tornado_gen::altered::generate_shifted(48, seed).expect("shifted");
     let regular = tornado_gen::regular::generate_regular(48, 4, seed).expect("regular");
-    let cascade = tornado_gen::cascaded::generate_fixed_degree(params, 4, seed).expect("cascade");
+    let cascade = tornado_gen::cascaded::generate_fixed_degree(48, 4, seed).expect("cascade");
     let mirror = tornado_gen::mirror::generate_mirror(48).expect("mirror");
 
     let graphs: [(&'static str, &Graph); 6] = [

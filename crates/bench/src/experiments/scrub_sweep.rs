@@ -11,8 +11,7 @@
 use crate::effort::Effort;
 use std::fmt::Write as _;
 use tornado_analysis::analytic::GroupSystem;
-use tornado_analysis::lifetime::{simulate_lifetime, LifetimeConfig};
-use tornado_codec::ErasureDecoder;
+use tornado_analysis::lifetime::{simulate_graph_lifetime, simulate_lifetime, LifetimeConfig};
 use tornado_gen::mirror::generate_mirror;
 
 /// The sweep of scrubs-per-year (0 = Table 5's model).
@@ -30,16 +29,14 @@ pub(crate) fn run(effort: &Effort) -> String {
     let _ = writeln!(out, "system, scrubs_per_year, p_loss");
 
     let base = |scrubs: usize| LifetimeConfig {
-        devices: 96,
         afr,
         scrubs,
-        years: 1.0,
         trials,
         seed: effort.seed,
     };
 
     for &scrubs in &SCRUBS {
-        let r = simulate_lifetime(&base(scrubs), |p| !p.is_empty());
+        let r = simulate_lifetime(96, &base(scrubs), |p| !p.is_empty());
         let _ = writeln!(out, "Striping, {scrubs}, {:.6}", r.loss_probability());
     }
     for (label, sys) in [
@@ -47,20 +44,18 @@ pub(crate) fn run(effort: &Effort) -> String {
         ("RAID6", GroupSystem::raid6_paper()),
     ] {
         for &scrubs in &SCRUBS {
-            let r = simulate_lifetime(&base(scrubs), |p| sys.pattern_fails(p));
+            let r = simulate_lifetime(96, &base(scrubs), |p| sys.pattern_fails(p));
             let _ = writeln!(out, "{label}, {scrubs}, {:.6}", r.loss_probability());
         }
     }
     let mirror = generate_mirror(48).expect("mirror");
     for &scrubs in &SCRUBS {
-        let mut dec = ErasureDecoder::new(&mirror);
-        let r = simulate_lifetime(&base(scrubs), |p| !dec.decode(p));
+        let r = simulate_graph_lifetime(&mirror, &base(scrubs));
         let _ = writeln!(out, "Mirrored, {scrubs}, {:.6}", r.loss_probability());
     }
     let tornado = tornado_core::tornado_graph_1();
     for &scrubs in &SCRUBS {
-        let mut dec = ErasureDecoder::new(&tornado);
-        let r = simulate_lifetime(&base(scrubs), |p| !dec.decode(p));
+        let r = simulate_graph_lifetime(&tornado, &base(scrubs));
         let _ = writeln!(
             out,
             "Tornado Graph 1, {scrubs}, {:.6}",

@@ -10,7 +10,7 @@
 use crate::effort::Effort;
 use crate::experiments::plank_overhead::plank_cells;
 use std::fmt::Write as _;
-use tornado_gen::{TornadoGenerator, TornadoParams};
+use tornado_gen::TornadoGenerator;
 
 /// Data-node counts swept (total nodes are double these).
 pub(crate) const SIZES: [usize; 5] = [16, 32, 48, 96, 128];
@@ -25,11 +25,7 @@ pub(crate) fn run(effort: &Effort) -> String {
     );
     let _ = writeln!(out, "total_nodes, mean_blocks, overhead, min, max");
     for &num_data in &SIZES {
-        let params = TornadoParams {
-            num_data,
-            ..TornadoParams::default()
-        };
-        let graph = match TornadoGenerator::new(params).generate_screened(effort.seed, 256, 2) {
+        let graph = match TornadoGenerator::new(num_data).generate_screened(effort.seed, 2) {
             Ok((g, _)) => g,
             Err(e) => {
                 let _ = writeln!(out, "{}, generation failed: {e}", 2 * num_data);

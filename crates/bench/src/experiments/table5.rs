@@ -87,6 +87,46 @@ mod tests {
         assert_eq!(get("Individual Disk"), 0.01);
     }
 
+    /// EXPERIMENTS.md's published Tornado rows, graph by graph, against the
+    /// certified lower bound Σₖ countₖ · pᵏ(1 − p)^(96−k) of `PROVENANCE.txt`'s
+    /// exhaustive k = 5 and k = 6 failure counts: a sampled row may sit
+    /// above its bound, never below it.
+    #[test]
+    fn published_tornado_rows_are_above_their_certified_bounds() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let doc = std::fs::read_to_string(format!("{root}/EXPERIMENTS.md")).unwrap();
+        let provenance =
+            std::fs::read_to_string(format!("{root}/crates/core/assets/PROVENANCE.txt")).unwrap();
+        let table = doc
+            .split("## Table 5")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("EXPERIMENTS.md has a Table 5 section");
+        let count = |line: &str, k: &str| -> f64 {
+            let (_, tail) = line.split_once(&format!("{k} failures ")).unwrap();
+            tail.split('/').next().unwrap().parse().unwrap()
+        };
+        for graph in 1..=3 {
+            let row = table
+                .lines()
+                .find(|l| l.starts_with(&format!("| Tornado Graph {graph} |")))
+                .unwrap_or_else(|| panic!("no Table 5 row for graph {graph}"));
+            let measured: f64 = row.split('|').nth(3).unwrap().trim().parse().unwrap();
+            let line = provenance
+                .lines()
+                .find(|l| l.starts_with(&format!("graph {graph}:")))
+                .unwrap();
+            let bound: f64 = [(5, count(line, "k5")), (6, count(line, "k6"))]
+                .iter()
+                .map(|&(k, c)| c * AFR.powi(k) * (1.0 - AFR).powi(96 - k))
+                .sum();
+            assert!(
+                measured >= bound,
+                "Tornado Graph {graph}: published {measured:e} below its certified bound {bound:e}"
+            );
+        }
+    }
+
     #[test]
     fn tornado_rows_beat_every_alternative() {
         // Even at smoke fidelity (exhaustive only to k = 2, noisy MC above)

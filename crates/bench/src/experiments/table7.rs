@@ -32,10 +32,9 @@ pub(crate) fn rows(effort: &Effort) -> Vec<FederationRow> {
     let cfg = FederatedSearchConfig {
         seed: effort.seed,
         rounds_per_node: (effort.mc_trials / 500).clamp(8, 200) as usize,
-        escalation_cap: 24,
         // Seed with the exhaustively detected critical sets, as the paper
         // does; depth 5 at default effort (the paper's first-failure level).
-        exhaustive_seed_depth: Some(effort.exhaustive_max_k + 1),
+        exhaustive_seed_depth: effort.exhaustive_max_k + 1,
     };
     let t1 = tornado_core::tornado_graph_1();
     let t2 = tornado_core::tornado_graph_2();
@@ -88,8 +87,7 @@ mod tests {
         let cfg = FederatedSearchConfig {
             seed: 3,
             rounds_per_node: 4,
-            escalation_cap: 8,
-            exhaustive_seed_depth: Some(2),
+            exhaustive_seed_depth: 2,
         };
         let mirror = generate_mirror(48).unwrap();
         let f = first_failure_detected(&mirror, &mirror, &cfg);
@@ -103,8 +101,7 @@ mod tests {
         let cfg = FederatedSearchConfig {
             seed: 5,
             rounds_per_node: 8,
-            escalation_cap: 8,
-            exhaustive_seed_depth: Some(2),
+            exhaustive_seed_depth: 2,
         };
         let m = generate_mirror(6).unwrap();
         let f = first_failure_detected(&m, &m, &cfg);

@@ -2,8 +2,8 @@
 
 use crate::args::ParsedArgs;
 use crate::obs::CliObs;
-use tornado_analysis::{adjust_graph, system_failure_probability, AdjustConfig};
-use tornado_gen::{TornadoGenerator, TornadoParams};
+use tornado_analysis::{adjust_graph, system_failure_probability};
+use tornado_gen::TornadoGenerator;
 use tornado_graph::{dot, graphml, DegreeStats, Graph};
 use tornado_obs::Json;
 use tornado_sim::{
@@ -26,16 +26,20 @@ pub(crate) const TARGET_FLAGS: &[&str] = &["catalog", "graph"];
 fn load_target_graph(args: &ParsedArgs) -> Result<(Graph, String), String> {
     if let Some(idx) = args.get("catalog") {
         let index: usize = idx.parse().map_err(|e| format!("--catalog {idx}: {e}"))?;
-        let graph = match index {
-            1 => tornado_core::tornado_graph_1(),
-            2 => tornado_core::tornado_graph_2(),
-            3 => tornado_core::tornado_graph_3(),
-            other => return Err(format!("catalog index {other} (valid: 1, 2, 3)")),
-        };
-        Ok((graph, format!("catalog:{index}")))
+        Ok((catalog_graph(index)?, format!("catalog:{index}")))
     } else {
         let path = args.require("graph")?;
         Ok((load_graph(path)?, path.to_string()))
+    }
+}
+
+/// Catalog graph `index` (1, 2 or 3).
+fn catalog_graph(index: usize) -> Result<Graph, String> {
+    match index {
+        1 => Ok(tornado_core::tornado_graph_1()),
+        2 => Ok(tornado_core::tornado_graph_2()),
+        3 => Ok(tornado_core::tornado_graph_3()),
+        other => Err(format!("catalog index {other} (valid: 1, 2, 3)")),
     }
 }
 
@@ -68,33 +72,29 @@ pub(crate) fn generate(args: &ParsedArgs) -> CmdResult {
     let screen: usize = args.get_parsed("screen", 3)?;
     let family = args.get("family").unwrap_or("tornado");
     let degree: u32 = args.get_parsed("degree", 4)?;
-    let params = TornadoParams {
-        num_data,
-        ..TornadoParams::default()
-    };
     let graph = match family {
         "tornado" => {
             if args.flag("no-screen") {
-                TornadoGenerator::new(params)
+                TornadoGenerator::new(num_data)
                     .generate(seed)
                     .map_err(|e| e.to_string())?
             } else {
-                TornadoGenerator::new(params)
-                    .generate_screened(seed, 256, screen)
+                TornadoGenerator::new(num_data)
+                    .generate_screened(seed, screen)
                     .map_err(|e| e.to_string())?
                     .0
             }
         }
         "regular" => tornado_gen::regular::generate_regular(num_data, degree, seed)
             .map_err(|e| e.to_string())?,
-        "cascaded" => tornado_gen::cascaded::generate_fixed_degree(params, degree, seed)
+        "cascaded" => tornado_gen::cascaded::generate_fixed_degree(num_data, degree, seed)
             .map_err(|e| e.to_string())?,
         "mirror" => tornado_gen::mirror::generate_mirror(num_data).map_err(|e| e.to_string())?,
         "doubled" => {
-            tornado_gen::altered::generate_doubled(params, seed).map_err(|e| e.to_string())?
+            tornado_gen::altered::generate_doubled(num_data, seed).map_err(|e| e.to_string())?
         }
         "shifted" => {
-            tornado_gen::altered::generate_shifted(params, seed).map_err(|e| e.to_string())?
+            tornado_gen::altered::generate_shifted(num_data, seed).map_err(|e| e.to_string())?
         }
         other => return Err(format!("unknown family '{other}'")),
     };
@@ -115,13 +115,7 @@ pub(crate) fn generate(args: &ParsedArgs) -> CmdResult {
 
 /// `tornado catalog`
 pub(crate) fn catalog(args: &ParsedArgs) -> CmdResult {
-    let index: usize = args.get_parsed("index", 1)?;
-    let graph = match index {
-        1 => tornado_core::tornado_graph_1(),
-        2 => tornado_core::tornado_graph_2(),
-        3 => tornado_core::tornado_graph_3(),
-        other => return Err(format!("catalog index {other} (valid: 1, 2, 3)")),
-    };
+    let graph = catalog_graph(args.get_parsed("index", 1)?)?;
     write_or_print(args.get("out"), &graphml::to_graphml(&graph))
 }
 
@@ -466,13 +460,7 @@ pub(crate) fn adjust(args: &ParsedArgs) -> CmdResult {
     let graph = load_graph(path)?;
     searchable(path, graph.num_nodes())?;
     let target: usize = args.get_parsed("target", 5)?;
-    let outcome = adjust_graph(
-        &graph,
-        &AdjustConfig {
-            target_first_failure: target,
-            ..AdjustConfig::default()
-        },
-    );
+    let outcome = adjust_graph(&graph, target);
     for s in &outcome.steps {
         println!(
             "moved left {} from check {} to check {} (failures {} -> {})",
@@ -514,12 +502,8 @@ pub(crate) fn reliability(args: &ParsedArgs) -> CmdResult {
 /// `tornado demo`
 pub(crate) fn demo(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.get_parsed("seed", 1)?;
-    let params = TornadoParams {
-        num_data: 16,
-        ..TornadoParams::default()
-    };
-    let graph = TornadoGenerator::new(params)
-        .generate_screened(seed, 256, 2)
+    let graph = TornadoGenerator::new(16)
+        .generate_screened(seed, 2)
         .map_err(|e| e.to_string())?
         .0;
     let store = tornado_store::ArchivalStore::new(graph);
@@ -573,10 +557,8 @@ pub(crate) fn lifetime(args: &ParsedArgs) -> CmdResult {
     let trials: u64 = args.get_parsed("trials", 100_000)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
     let cfg = tornado_analysis::LifetimeConfig {
-        devices: graph.num_nodes(),
         afr,
         scrubs,
-        years: 1.0,
         trials,
         seed,
     };
@@ -601,7 +583,6 @@ pub(crate) fn workload(args: &ParsedArgs) -> CmdResult {
         objects,
         reads,
         seed,
-        ..Default::default()
     };
     let events = tornado_store::generate_events(&cfg, store.num_devices());
     let report = tornado_store::replay(&store, &events);

@@ -21,7 +21,7 @@ use tornado_codec::gf256::Gf256;
 use tornado_codec::{kernels, Codec, ErasureDecoder, RecoveryStep};
 use tornado_gen::cascaded::generate_fixed_degree;
 use tornado_gen::mirror::generate_mirror;
-use tornado_gen::{TornadoGenerator, TornadoParams};
+use tornado_gen::TornadoGenerator;
 use tornado_graph::{Graph, GraphBuilder};
 
 /// Deterministic pseudo-random bytes, xorshift-style like the other
@@ -277,9 +277,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let graph = match family {
-            0 => generate_fixed_degree(TornadoParams::paper_96(), 3, seed),
+            0 => generate_fixed_degree(48, 3, seed),
             1 => generate_mirror(12),
-            _ => TornadoGenerator::new(TornadoParams::paper_96()).generate(seed),
+            _ => TornadoGenerator::new(48).generate(seed),
         }
         .expect("graph");
         let block_len = [1usize, 7, 4096, 21_846][len_ix];

@@ -47,7 +47,7 @@ fn main() {
                 continue;
             }
         };
-        if !profiled.achieved_target(cfg.adjust.target_first_failure) {
+        if !profiled.achieved_target(cfg.target_first_failure) {
             eprintln!(
                 "seed {seed}: stalled at first failure {:?}",
                 profiled.first_failure

@@ -1,23 +1,23 @@
 //! The generate → screen → test → adjust → verify pipeline (paper §3).
 
-use tornado_analysis::{adjust_graph, AdjustConfig, AdjustmentStep};
-use tornado_gen::{GenError, TornadoGenerator, TornadoParams};
+use tornado_analysis::{adjust_graph, AdjustmentStep};
+use tornado_gen::{GenError, TornadoGenerator};
 use tornado_graph::Graph;
 use tornado_sim::{worst_case_search, WorstCaseConfig};
 
 /// Configuration of the full pipeline.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Tornado generation parameters.
-    pub params: TornadoParams,
+    /// Data nodes of the generated Tornado graph (48 for the paper's
+    /// 96-node graphs).
+    pub num_data: usize,
     /// Structural screen: reject graphs with stopping sets of this size or
     /// smaller among the data nodes (the paper screens the "two- and
-    /// three-node overlapping sets").
+    /// three-node overlapping sets"), within 256 generation attempts.
     pub screen_size: usize,
-    /// Generation attempts before giving up on the screen.
-    pub screen_attempts: usize,
-    /// Adjustment loop configuration (target first failure etc.).
-    pub adjust: AdjustConfig,
+    /// Desired first-failure level of the adjustment loop (the paper
+    /// achieves 5).
+    pub target_first_failure: usize,
     /// Master seed; the whole pipeline is deterministic in it.
     pub seed: u64,
 }
@@ -25,10 +25,9 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            params: TornadoParams::paper_96(),
+            num_data: 48,
             screen_size: 3,
-            screen_attempts: 256,
-            adjust: AdjustConfig::default(),
+            target_first_failure: 5,
             seed: 1,
         }
     }
@@ -39,8 +38,6 @@ impl Default for PipelineConfig {
 pub struct ProfiledGraph {
     /// The final graph.
     pub graph: Graph,
-    /// Seed the pipeline ran with.
-    pub seed: u64,
     /// Generation attempts consumed by the structural screen.
     pub generation_attempts: usize,
     /// Rewirings applied by the adjustment loop.
@@ -63,21 +60,20 @@ impl ProfiledGraph {
 }
 
 /// Runs the full §3 pipeline. The returned graph is certified by an
-/// exhaustive search up to `adjust.target_first_failure` (the verification
+/// exhaustive search up to `target_first_failure` (the verification
 /// sweep re-runs even the levels the adjustment loop already cleared).
 pub fn build_profiled_graph(cfg: &PipelineConfig) -> Result<ProfiledGraph, GenError> {
-    let generator = TornadoGenerator::new(cfg.params);
-    let (raw, attempts) =
-        generator.generate_screened(cfg.seed, cfg.screen_attempts, cfg.screen_size)?;
+    let generator = TornadoGenerator::new(cfg.num_data);
+    let (raw, attempts) = generator.generate_screened(cfg.seed, cfg.screen_size)?;
 
-    let outcome = adjust_graph(&raw, &cfg.adjust);
+    let outcome = adjust_graph(&raw, cfg.target_first_failure);
 
     // Final verification sweep, one level past the target to report the
     // first real failure level when possible.
     let report = worst_case_search(
         &outcome.graph,
         &WorstCaseConfig {
-            max_k: cfg.adjust.target_first_failure - 1,
+            max_k: cfg.target_first_failure - 1,
             collect_cap: 16,
             stop_at_first_failure: true,
         },
@@ -89,11 +85,10 @@ pub fn build_profiled_graph(cfg: &PipelineConfig) -> Result<ProfiledGraph, GenEr
         .map(|l| (l.k, l.failures));
     let verified = match first_failure {
         Some((k, _)) => k - 1,
-        None => cfg.adjust.target_first_failure - 1,
+        None => cfg.target_first_failure - 1,
     };
     Ok(ProfiledGraph {
         graph: outcome.graph,
-        seed: cfg.seed,
         generation_attempts: attempts,
         adjustment_steps: outcome.steps,
         verified_loss_tolerance: verified,
@@ -109,18 +104,9 @@ mod tests {
     /// (C(32, 3) = 4960 per sweep level).
     fn small_cfg(seed: u64) -> PipelineConfig {
         PipelineConfig {
-            params: TornadoParams {
-                num_data: 16,
-                ..TornadoParams::default()
-            },
+            num_data: 16,
             screen_size: 2,
-            screen_attempts: 256,
-            adjust: AdjustConfig {
-                target_first_failure: 3,
-                max_iterations: 16,
-                collect_cap: 128,
-                candidate_budget: 128,
-            },
+            target_first_failure: 3,
             seed,
         }
     }
@@ -155,11 +141,11 @@ mod tests {
     fn achieved_target_reflects_verification() {
         let cfg = small_cfg(11);
         let profiled = build_profiled_graph(&cfg).unwrap();
-        let achieved = profiled.achieved_target(cfg.adjust.target_first_failure);
+        let achieved = profiled.achieved_target(cfg.target_first_failure);
         match profiled.first_failure {
             None => assert!(achieved),
             Some((k, n)) => {
-                assert!(!achieved || k >= cfg.adjust.target_first_failure);
+                assert!(!achieved || k >= cfg.target_first_failure);
                 assert!(n > 0);
             }
         }

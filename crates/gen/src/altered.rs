@@ -7,41 +7,33 @@
 //! with the penalty of an earlier average failure point."
 
 use crate::error::GenError;
-use crate::tornado::{DistTransform, TornadoGenerator, TornadoParams};
+use crate::tornado::{DistTransform, TornadoGenerator, SCREEN_SIZE};
 use tornado_graph::Graph;
 
 /// Generates a Tornado graph whose per-stage left distribution has every
 /// degree doubled.
-pub fn generate_doubled(params: TornadoParams, seed: u64) -> Result<Graph, GenError> {
-    TornadoGenerator::with_transform(params, DistTransform::Doubled).generate(seed)
+pub fn generate_doubled(num_data: usize, seed: u64) -> Result<Graph, GenError> {
+    TornadoGenerator::with_transform(num_data, DistTransform::Doubled).generate(seed)
 }
 
 /// Generates a Tornado graph whose per-stage left distribution has every
 /// degree shifted by +1.
-pub fn generate_shifted(params: TornadoParams, seed: u64) -> Result<Graph, GenError> {
-    TornadoGenerator::with_transform(params, DistTransform::Shifted).generate(seed)
+pub fn generate_shifted(num_data: usize, seed: u64) -> Result<Graph, GenError> {
+    TornadoGenerator::with_transform(num_data, DistTransform::Shifted).generate(seed)
 }
 
-/// Screened variants (discard graphs with small stopping sets), matching
-/// how the unaltered graphs are produced.
-pub fn generate_doubled_screened(
-    params: TornadoParams,
-    seed: u64,
-    max_attempts: usize,
-) -> Result<Graph, GenError> {
-    TornadoGenerator::with_transform(params, DistTransform::Doubled)
-        .generate_screened(seed, max_attempts, 3)
+/// Screened variants (discard graphs with stopping sets of up to three data
+/// nodes), matching how the unaltered 96-node graphs are produced.
+pub fn generate_doubled_screened(num_data: usize, seed: u64) -> Result<Graph, GenError> {
+    TornadoGenerator::with_transform(num_data, DistTransform::Doubled)
+        .generate_screened(seed, SCREEN_SIZE)
         .map(|(g, _)| g)
 }
 
 /// See [`generate_doubled_screened`].
-pub fn generate_shifted_screened(
-    params: TornadoParams,
-    seed: u64,
-    max_attempts: usize,
-) -> Result<Graph, GenError> {
-    TornadoGenerator::with_transform(params, DistTransform::Shifted)
-        .generate_screened(seed, max_attempts, 3)
+pub fn generate_shifted_screened(num_data: usize, seed: u64) -> Result<Graph, GenError> {
+    TornadoGenerator::with_transform(num_data, DistTransform::Shifted)
+        .generate_screened(seed, SCREEN_SIZE)
         .map(|(g, _)| g)
 }
 
@@ -52,9 +44,8 @@ mod tests {
 
     #[test]
     fn doubled_has_higher_connectivity() {
-        let p = TornadoParams::paper_96();
-        let base = TornadoGenerator::new(p).generate(11).unwrap();
-        let doubled = generate_doubled(p, 11).unwrap();
+        let base = TornadoGenerator::new(48).generate(11).unwrap();
+        let doubled = generate_doubled(48, 11).unwrap();
         let base_deg = DegreeStats::of(&base).mean_degree_per_node;
         let doubled_deg = DegreeStats::of(&doubled).mean_degree_per_node;
         assert!(
@@ -66,9 +57,8 @@ mod tests {
 
     #[test]
     fn shifted_increases_degree_by_about_one() {
-        let p = TornadoParams::paper_96();
-        let base = TornadoGenerator::new(p).generate(11).unwrap();
-        let shifted = generate_shifted(p, 11).unwrap();
+        let base = TornadoGenerator::new(48).generate(11).unwrap();
+        let shifted = generate_shifted(48, 11).unwrap();
         let d_base = DegreeStats::of(&base).mean_degree_per_node;
         let d_shift = DegreeStats::of(&shifted).mean_degree_per_node;
         assert!(d_shift > d_base + 0.3, "shift {d_shift} vs base {d_base}");
@@ -80,10 +70,9 @@ mod tests {
 
     #[test]
     fn altered_graphs_are_valid_and_rate_half() {
-        let p = TornadoParams::paper_96();
         for g in [
-            generate_doubled(p, 5).unwrap(),
-            generate_shifted(p, 5).unwrap(),
+            generate_doubled(48, 5).unwrap(),
+            generate_shifted(48, 5).unwrap(),
         ] {
             g.validate().unwrap();
             assert_eq!(g.num_data(), 48);
@@ -93,10 +82,9 @@ mod tests {
 
     #[test]
     fn screened_variants_produce_clean_graphs() {
-        let p = TornadoParams::paper_96();
-        let g = generate_doubled_screened(p, 21, 64).unwrap();
+        let g = generate_doubled_screened(48, 21).unwrap();
         assert!(crate::defects::screen(&g, 3).is_ok());
-        let g = generate_shifted_screened(p, 21, 64).unwrap();
+        let g = generate_shifted_screened(48, 21).unwrap();
         assert!(crate::defects::screen(&g, 3).is_ok());
     }
 }

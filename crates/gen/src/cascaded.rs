@@ -11,7 +11,7 @@
 
 use crate::error::GenError;
 use crate::matching::{fit_right_degrees, match_stage};
-use crate::tornado::TornadoParams;
+use crate::tornado::{shape, SCREEN_ATTEMPTS, SCREEN_SIZE};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -21,20 +21,16 @@ use tornado_graph::{Graph, GraphBuilder, NodeId};
 /// exactly `degree` edges (capped by the stage width), using the same
 /// cascade shape (including the shared-left final stages) as the Tornado
 /// generator.
-pub fn generate_fixed_degree(
-    params: TornadoParams,
-    degree: u32,
-    seed: u64,
-) -> Result<Graph, GenError> {
+pub fn generate_fixed_degree(num_data: usize, degree: u32, seed: u64) -> Result<Graph, GenError> {
     if degree < 2 {
         return Err(GenError::BadParameters {
             detail: format!("fixed degree {degree} < 2 cannot protect anything"),
         });
     }
-    let shape = params.shape()?;
+    let shape = shape(num_data)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(params.num_data);
-    let mut left_ids: Vec<NodeId> = (0..params.num_data as NodeId).collect();
+    let mut builder = GraphBuilder::new(num_data);
+    let mut left_ids: Vec<NodeId> = (0..num_data as NodeId).collect();
 
     for (li, &size) in shape.halving.iter().enumerate() {
         builder.begin_level(&format!("check-{}", li + 1));
@@ -58,23 +54,22 @@ pub fn generate_fixed_degree(
 }
 
 /// Retries seeds until the generated graph passes the structural defect
-/// screen (no stopping set of size ≤ `screen_size`) — random fixed-degree
-/// wiring occasionally produces closed pairs just like Tornado wiring does.
+/// screen (no stopping set of up to three data nodes), for at most 256
+/// seeds — random fixed-degree wiring occasionally produces closed pairs
+/// just like Tornado wiring does.
 pub fn generate_fixed_degree_screened(
-    params: TornadoParams,
+    num_data: usize,
     degree: u32,
     seed: u64,
-    max_attempts: usize,
-    screen_size: usize,
 ) -> Result<Graph, GenError> {
     let mut last_err = None;
-    for attempt in 0..max_attempts {
+    for attempt in 0..SCREEN_ATTEMPTS {
         let mut s = seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         s ^= s >> 31;
-        match generate_fixed_degree(params, degree, s) {
+        match generate_fixed_degree(num_data, degree, s) {
             Ok(g) => {
-                if crate::defects::screen(&g, screen_size).is_ok() {
+                if crate::defects::screen(&g, SCREEN_SIZE).is_ok() {
                     return Ok(g);
                 }
             }
@@ -82,7 +77,7 @@ pub fn generate_fixed_degree_screened(
         }
     }
     Err(last_err.unwrap_or(GenError::ScreenExhausted {
-        attempts: max_attempts,
+        attempts: SCREEN_ATTEMPTS,
     }))
 }
 
@@ -114,7 +109,7 @@ mod tests {
     #[test]
     fn fixed_left_degree_structure() {
         for d in [3u32, 4, 6] {
-            let g = generate_fixed_degree(TornadoParams::paper_96(), d, 9).unwrap();
+            let g = generate_fixed_degree(48, d, 9).unwrap();
             assert_eq!(g.num_nodes(), 96);
             assert_eq!(level_shape(&g), vec![48, 24, 12, 6, 6]);
             // Every node that acts as a left node of a halving stage feeds
@@ -141,7 +136,7 @@ mod tests {
         // Halving stages contribute d·(48 + 24) edges, the two final stages
         // d·12 each (capped at width 6).
         for d in [3u32, 4] {
-            let g = generate_fixed_degree(TornadoParams::paper_96(), d, 13).unwrap();
+            let g = generate_fixed_degree(48, d, 13).unwrap();
             let expected = d as usize * (48 + 24) + 2 * d.min(6) as usize * 12;
             assert_eq!(g.num_edges(), expected, "d = {d}");
         }
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn every_data_node_is_protected() {
         for d in [3u32, 4, 6] {
-            let g = generate_fixed_degree(TornadoParams::paper_96(), d, 13).unwrap();
+            let g = generate_fixed_degree(48, d, 13).unwrap();
             assert_eq!(DegreeStats::of(&g).unprotected_data_nodes, 0, "d = {d}");
         }
     }
@@ -159,7 +154,7 @@ mod tests {
     fn degree_six_saturates_the_final_stage() {
         // With d = 6 over the 12-node shared level, each final stage is the
         // complete bipartite graph: every check uses all 12 left nodes.
-        let g = generate_fixed_degree(TornadoParams::paper_96(), 6, 5).unwrap();
+        let g = generate_fixed_degree(48, 6, 5).unwrap();
         for level in &g.levels()[3..] {
             for c in level.nodes() {
                 assert_eq!(g.check_neighbors(c).len(), 12);
@@ -169,19 +164,19 @@ mod tests {
 
     #[test]
     fn rejects_degree_below_two() {
-        assert!(generate_fixed_degree(TornadoParams::paper_96(), 1, 1).is_err());
+        assert!(generate_fixed_degree(48, 1, 1).is_err());
     }
 
     #[test]
     fn deterministic_in_seed() {
-        let a = generate_fixed_degree(TornadoParams::paper_96(), 4, 5).unwrap();
-        let b = generate_fixed_degree(TornadoParams::paper_96(), 4, 5).unwrap();
+        let a = generate_fixed_degree(48, 4, 5).unwrap();
+        let b = generate_fixed_degree(48, 4, 5).unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn screened_variant_passes_the_screen() {
-        let g = generate_fixed_degree_screened(TornadoParams::paper_96(), 3, 1, 128, 3).unwrap();
+        let g = generate_fixed_degree_screened(48, 3, 1).unwrap();
         assert!(crate::defects::screen(&g, 3).is_ok());
     }
 
@@ -189,7 +184,7 @@ mod tests {
     fn mean_left_degree_tracks_parameter() {
         // Edges per node ≈ d (every node is a left node of exactly one
         // stage, except the shared level which doubles — slight excess).
-        let g = generate_fixed_degree(TornadoParams::paper_96(), 3, 2).unwrap();
+        let g = generate_fixed_degree(48, 3, 2).unwrap();
         let per_node = g.num_edges() as f64 / g.num_nodes() as f64;
         assert!((2.9..3.6).contains(&per_node), "got {per_node}");
     }

@@ -54,4 +54,4 @@ pub mod tornado;
 
 pub use defects::{find_stopping_sets, screen};
 pub use error::GenError;
-pub use tornado::{TornadoGenerator, TornadoParams};
+pub use tornado::TornadoGenerator;

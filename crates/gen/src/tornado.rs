@@ -1,7 +1,7 @@
 //! The Tornado Code graph generator (paper §3.1).
 //!
 //! Cascade shape: check levels halve (`k/2, k/4, …`) until the next level
-//! would drop to `min_final_level` or below; the last halving level then
+//! would drop below `MIN_FINAL_LEVEL` (8); the last halving level then
 //! acts as the shared left set for *two independent* final check stages of
 //! half its size (the Typhoon treatment — "the last two stages of the graph
 //! share the same set of left nodes"). The level sizes telescope so that
@@ -9,9 +9,10 @@
 //! 50 % capacity overhead as RAID 10.
 //!
 //! Per stage, left node degrees follow Luby's heavy-tail edge-degree
-//! distribution and check degrees a truncated Poisson, both rescaled by the
-//! §3.1 numeric solver to produce exact node counts, then paired by a
-//! configuration-model matching with duplicate repair.
+//! distribution (`MAX_DEGREE_D`, the paper's `D = 16`) and check degrees a
+//! truncated Poisson, both rescaled by the §3.1 numeric solver to produce
+//! exact node counts, then paired by a configuration-model matching with
+//! duplicate repair.
 
 use crate::distribution::EdgeDegreeDistribution;
 use crate::error::GenError;
@@ -21,71 +22,55 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tornado_graph::{Graph, GraphBuilder, NodeId};
 
-/// Parameters for Tornado graph generation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TornadoParams {
-    /// Number of data nodes `k`; total graph size is `2k`.
-    pub num_data: usize,
-    /// Heavy-tail parameter `D`: left node degrees range over `2..=D+1`
-    /// (capped per stage so a node never needs more checks than exist).
-    /// `D = 16` yields the ≈ 3.6 average degree the paper reports.
-    pub max_degree_d: u32,
-    /// Stop halving when the next level would be `<=` this size; the last
-    /// halving level then feeds the two shared-left final stages.
-    pub min_final_level: usize,
-}
+/// Heavy-tail parameter `D` (§3.1): left node degrees range over
+/// `2..=D+1`, capped per stage so a node never needs more checks than
+/// exist. `D = 16` yields the ≈ 3.6 average degree the paper reports.
+const MAX_DEGREE_D: u32 = 16;
 
-impl Default for TornadoParams {
-    fn default() -> Self {
-        Self {
-            num_data: 48,
-            max_degree_d: 16,
-            min_final_level: 8,
-        }
+/// Halving stops when the next level would be smaller than this; the last
+/// halving level then feeds the two shared-left final stages (6 + 6 checks
+/// on the paper's 96-node graphs, 4 + 4 on 32-node ones).
+const MIN_FINAL_LEVEL: usize = 8;
+
+/// Generation attempts the structural screen makes before giving up: the
+/// paper's "graphs that fail are discarded" loop, bounded.
+pub(crate) const SCREEN_ATTEMPTS: usize = 256;
+
+/// The screen of the altered and fixed-degree families: stopping sets of
+/// up to three data nodes, the paper's "two- and three-node overlapping
+/// sets" (§3.2).
+pub(crate) const SCREEN_SIZE: usize = 3;
+
+/// Computes the cascade shape of a graph with `num_data` data nodes: the
+/// halving check-level sizes followed by the two final stage sizes. The sum
+/// always equals `num_data`.
+pub(crate) fn shape(num_data: usize) -> Result<CascadeShape, GenError> {
+    if num_data < 4 {
+        return Err(GenError::BadParameters {
+            detail: format!("num_data = {num_data} too small (need >= 4)"),
+        });
     }
-}
-
-impl TornadoParams {
-    /// The paper's 96-node configuration (48 data + 48 check nodes).
-    pub fn paper_96() -> Self {
-        Self::default()
-    }
-
-    /// Computes the cascade shape: the halving check-level sizes followed by
-    /// the two final stage sizes. The sum always equals `num_data`.
-    pub(crate) fn shape(&self) -> Result<CascadeShape, GenError> {
-        let k = self.num_data;
-        if k < 4 {
+    let mut halving = Vec::new();
+    let mut cur = num_data;
+    loop {
+        if !cur.is_multiple_of(2) {
             return Err(GenError::BadParameters {
-                detail: format!("num_data = {k} too small (need >= 4)"),
+                detail: format!("level size {cur} is odd; num_data must halve cleanly"),
             });
         }
-        let mut halving = Vec::new();
-        let mut cur = k;
-        loop {
-            if !cur.is_multiple_of(2) {
-                return Err(GenError::BadParameters {
-                    detail: format!("level size {cur} is odd; num_data must halve cleanly"),
-                });
-            }
-            let next = cur / 2;
-            if next < self.min_final_level.max(2) {
-                break;
-            }
-            halving.push(next);
-            cur = next;
+        let next = cur / 2;
+        if next < MIN_FINAL_LEVEL {
+            break;
         }
-        let s = *halving.last().unwrap_or(&k);
-        if s % 2 != 0 || s < 2 {
-            return Err(GenError::BadParameters {
-                detail: format!("final shared-left level size {s} must be even and >= 2"),
-            });
-        }
-        Ok(CascadeShape {
-            halving,
-            final_stage: s / 2,
-        })
+        halving.push(next);
+        cur = next;
     }
+    // `cur`, the shared-left level, is even (the loop checked it) and at
+    // least 4.
+    Ok(CascadeShape {
+        halving,
+        final_stage: cur / 2,
+    })
 }
 
 /// The level structure of a Tornado cascade.
@@ -100,7 +85,8 @@ pub(crate) struct CascadeShape {
 /// Generates Tornado Code graphs.
 #[derive(Clone, Debug)]
 pub struct TornadoGenerator {
-    params: TornadoParams,
+    /// Data nodes `k`; the graph has `2k` nodes.
+    num_data: usize,
     /// Distribution transform applied per stage (identity for standard
     /// Tornado; see [`crate::altered`]).
     transform: DistTransform,
@@ -114,24 +100,23 @@ pub(crate) enum DistTransform {
 }
 
 impl TornadoGenerator {
-    /// Standard Tornado generator.
-    pub fn new(params: TornadoParams) -> Self {
+    /// Standard Tornado generator for `num_data` data nodes (`2 · num_data`
+    /// nodes in all; the paper's graphs have 48).
+    pub fn new(num_data: usize) -> Self {
+        Self::with_transform(num_data, DistTransform::Identity)
+    }
+
+    pub(crate) fn with_transform(num_data: usize, transform: DistTransform) -> Self {
         Self {
-            params,
-            transform: DistTransform::Identity,
+            num_data,
+            transform,
         }
     }
 
-    pub(crate) fn with_transform(params: TornadoParams, transform: DistTransform) -> Self {
-        Self { params, transform }
-    }
-
-    fn left_distribution(&self, n_left: usize, n_right: usize) -> EdgeDegreeDistribution {
+    fn left_distribution(&self, n_right: usize) -> EdgeDegreeDistribution {
         // A left node cannot feed more distinct checks than the stage has.
         let cap = (n_right.saturating_sub(1)).max(1) as u32;
-        let d = self.params.max_degree_d.min(cap).max(1);
-        let base = EdgeDegreeDistribution::heavy_tail(d);
-        let _ = n_left;
+        let base = EdgeDegreeDistribution::heavy_tail(MAX_DEGREE_D.min(cap));
         match self.transform {
             DistTransform::Identity => base,
             DistTransform::Doubled => base.doubled(),
@@ -147,7 +132,7 @@ impl TornadoGenerator {
         n_right: usize,
         rng: &mut StdRng,
     ) -> Result<Vec<Vec<u32>>, GenError> {
-        let left_dist = self.left_distribution(n_left, n_right);
+        let left_dist = self.left_distribution(n_right);
         let mut left_degrees = left_dist.degree_sequence(n_left)?;
         // Cap any degree that exceeds the number of checks (transforms like
         // "doubled" can push degrees past the stage width).
@@ -167,12 +152,12 @@ impl TornadoGenerator {
 
     /// Generates one graph from `seed` (no defect screening).
     pub fn generate(&self, seed: u64) -> Result<Graph, GenError> {
-        let shape = self.params.shape()?;
+        let shape = shape(self.num_data)?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut builder = GraphBuilder::new(self.params.num_data);
+        let mut builder = GraphBuilder::new(self.num_data);
 
         // Left node ids of the stage being built.
-        let mut left_ids: Vec<NodeId> = (0..self.params.num_data as NodeId).collect();
+        let mut left_ids: Vec<NodeId> = (0..self.num_data as NodeId).collect();
         for (li, &size) in shape.halving.iter().enumerate() {
             builder.begin_level(&format!("check-{}", li + 1));
             let stage = self.build_stage(left_ids.len(), size, &mut rng)?;
@@ -198,16 +183,16 @@ impl TornadoGenerator {
 
     /// Generates graphs from successive derived seeds until one passes the
     /// structural defect screen (no stopping set of size ≤ `screen_size`
-    /// among the data nodes). Returns the graph and the number of attempts
-    /// used. This is the paper's "graphs that fail are discarded" loop.
+    /// among the data nodes), for at most `SCREEN_ATTEMPTS` (256) seeds.
+    /// Returns the graph and the number of attempts used. This is the
+    /// paper's "graphs that fail are discarded" loop.
     pub fn generate_screened(
         &self,
         seed: u64,
-        max_attempts: usize,
         screen_size: usize,
     ) -> Result<(Graph, usize), GenError> {
         let mut last_err = None;
-        for attempt in 0..max_attempts {
+        for attempt in 0..SCREEN_ATTEMPTS {
             // SplitMix-style finalizer over (seed, attempt) so distinct
             // pairs give unrelated generation streams.
             let mut s = seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -224,7 +209,7 @@ impl TornadoGenerator {
             }
         }
         Err(last_err.unwrap_or(GenError::ScreenExhausted {
-            attempts: max_attempts,
+            attempts: SCREEN_ATTEMPTS,
         }))
     }
 }
@@ -237,7 +222,7 @@ mod tests {
 
     #[test]
     fn shape_for_paper_96() {
-        let shape = TornadoParams::paper_96().shape().unwrap();
+        let shape = shape(48).unwrap();
         assert_eq!(shape.halving, vec![24, 12]);
         assert_eq!(shape.final_stage, 6);
     }
@@ -246,35 +231,20 @@ mod tests {
     fn shape_for_32_node_graph() {
         // §3.1: "The resulting graph constructor was able to produce Tornado
         // Code graphs as small as 32 total nodes" — final stages of 4.
-        let p = TornadoParams {
-            num_data: 16,
-            ..TornadoParams::default()
-        };
-        let shape = p.shape().unwrap();
+        let shape = shape(16).unwrap();
         assert_eq!(shape.halving, vec![8]);
         assert_eq!(shape.final_stage, 4);
     }
 
     #[test]
     fn shape_rejects_bad_sizes() {
-        let p = TornadoParams {
-            num_data: 3,
-            ..TornadoParams::default()
-        };
-        assert!(p.shape().is_err());
-        let p = TornadoParams {
-            num_data: 50, // 50 → 25 odd
-            min_final_level: 4,
-            ..TornadoParams::default()
-        };
-        assert!(p.shape().is_err());
+        assert!(shape(3).is_err());
+        assert!(shape(50).is_err(), "50 → 25 is odd");
     }
 
     #[test]
     fn generated_graph_has_paper_structure() {
-        let g = TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(1)
-            .unwrap();
+        let g = TornadoGenerator::new(48).generate(1).unwrap();
         assert_eq!(g.num_data(), 48);
         assert_eq!(g.num_nodes(), 96);
         assert_eq!(level_shape(&g), vec![48, 24, 12, 6, 6]);
@@ -285,9 +255,7 @@ mod tests {
 
     #[test]
     fn final_stages_share_the_same_left_set() {
-        let g = TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(2)
-            .unwrap();
+        let g = TornadoGenerator::new(48).generate(2).unwrap();
         let levels = g.levels();
         let shared_left = levels[2].nodes(); // the 12-node level
         for final_level in &levels[3..] {
@@ -304,7 +272,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_in_seed() {
-        let gen = TornadoGenerator::new(TornadoParams::paper_96());
+        let gen = TornadoGenerator::new(48);
         let a = gen.generate(77).unwrap();
         let b = gen.generate(77).unwrap();
         let c = gen.generate(78).unwrap();
@@ -318,7 +286,7 @@ mod tests {
         // comparable quantity is edges per node (every node acts as a left
         // node of exactly one stage, and Σ left-set sizes = num_nodes), i.e.
         // the mean heavy-tail left degree.
-        let gen = TornadoGenerator::new(TornadoParams::paper_96());
+        let gen = TornadoGenerator::new(48);
         let mut total = 0.0;
         for seed in 0..5 {
             let g = gen.generate(seed).unwrap();
@@ -333,7 +301,7 @@ mod tests {
 
     #[test]
     fn every_data_node_is_protected() {
-        let gen = TornadoGenerator::new(TornadoParams::paper_96());
+        let gen = TornadoGenerator::new(48);
         for seed in 0..10 {
             let g = gen.generate(seed).unwrap();
             let stats = DegreeStats::of(&g);
@@ -346,19 +314,15 @@ mod tests {
 
     #[test]
     fn screened_generation_passes_the_screen() {
-        let gen = TornadoGenerator::new(TornadoParams::paper_96());
-        let (g, attempts) = gen.generate_screened(1234, 64, 3).unwrap();
+        let gen = TornadoGenerator::new(48);
+        let (g, attempts) = gen.generate_screened(1234, 3).unwrap();
         assert!(attempts >= 1);
         assert!(crate::defects::screen(&g, 3).is_ok());
     }
 
     #[test]
     fn small_graph_generation_works() {
-        let p = TornadoParams {
-            num_data: 16,
-            ..TornadoParams::default()
-        };
-        let g = TornadoGenerator::new(p).generate(5).unwrap();
+        let g = TornadoGenerator::new(16).generate(5).unwrap();
         assert_eq!(g.num_nodes(), 32);
         assert_eq!(level_shape(&g), vec![16, 8, 4, 4]);
     }
@@ -366,9 +330,7 @@ mod tests {
     #[test]
     fn single_data_loss_always_recovers() {
         // Basic sanity for real Tornado graphs: any single loss is fine.
-        let g = TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(3)
-            .unwrap();
+        let g = TornadoGenerator::new(48).generate(3).unwrap();
         let mut dec = tornado_codec::ErasureDecoder::new(&g);
         for v in 0..96 {
             assert!(dec.decode(&[v]), "single loss of node {v} failed");

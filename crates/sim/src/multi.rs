@@ -194,14 +194,29 @@ fn minimize_blocking(
     }
 }
 
+/// The upward closure of `data` in `graph`, ascending: the node, every
+/// check that uses it, every deeper check using those, and so on. With the
+/// whole cone erased no peel or re-encode path into the node survives, so
+/// it always blocks `data`.
+fn upward_closure(graph: &Graph, data: NodeId) -> Vec<usize> {
+    let mut cone = std::collections::BTreeSet::from([data as usize]);
+    let mut frontier = vec![data];
+    while let Some(v) = frontier.pop() {
+        for &c in graph.checks_of(v) {
+            if cone.insert(c as usize) {
+                frontier.push(c);
+            }
+        }
+    }
+    cone.into_iter().collect()
+}
+
 /// Upper bound on the minimum erasure set leaving `data` unrecoverable in
 /// `graph`. Deterministic in `seed`.
 ///
-/// Starts from the guaranteed-blocking *upward closure* of the node (the
-/// node, every check that uses it, every deeper check using those, …:
-/// with the whole cone erased, no peel or re-encode path into the node
-/// survives) and from random failing patterns, greedily minimised;
-/// `rounds` random restarts.
+/// Starts from the guaranteed-blocking *upward closure* of the node and
+/// from random failing patterns, greedily minimised; `rounds` random
+/// restarts.
 pub fn min_blocking_upper_bound(
     graph: &Graph,
     data: NodeId,
@@ -214,17 +229,7 @@ pub fn min_blocking_upper_bound(
     let n = graph.num_nodes();
 
     // Deterministic seed set: the upward dependency closure.
-    let mut cone: std::collections::BTreeSet<usize> = std::iter::once(data as usize).collect();
-    let mut frontier: Vec<NodeId> = vec![data];
-    while let Some(v) = frontier.pop() {
-        for &c in graph.checks_of(v) {
-            if cone.insert(c as usize) {
-                frontier.push(c);
-            }
-        }
-    }
-    let mut best: Vec<usize> = cone.into_iter().collect();
-    best = minimize_blocking(&mut dec, &best, data, &mut rng);
+    let mut best = minimize_blocking(&mut dec, &upward_closure(graph, data), data, &mut rng);
 
     // Randomised restarts: sample patterns around the current best size.
     let mut perm: Vec<usize> = (0..n).collect();
@@ -252,6 +257,11 @@ pub fn min_blocking_upper_bound(
     best
 }
 
+/// Escalation iterations a candidate gets while cross-site exchange still
+/// recovers it; also the slack past the best joint failure found within
+/// which a candidate is still tried.
+const ESCALATION_CAP: usize = 24;
+
 /// Configuration for the federated first-failure search.
 #[derive(Clone, Copy, Debug)]
 pub struct FederatedSearchConfig {
@@ -259,26 +269,13 @@ pub struct FederatedSearchConfig {
     pub seed: u64,
     /// Random minimisation restarts per data node per site.
     pub rounds_per_node: usize,
-    /// Escalation iterations when a candidate is recovered by cross-site
-    /// exchange.
-    pub escalation_cap: usize,
-    /// When set, run the exhaustive worst-case search to this depth on each
-    /// site graph and seed the per-node blocking sets with the failing
-    /// patterns found — the paper's method of constructing Table 7 test
-    /// cases from "the previously detected failure cases for the 96-node
-    /// graphs". Depth 5 reproduces the paper (≈ 64 M decodes per graph).
-    pub exhaustive_seed_depth: Option<usize>,
-}
-
-impl Default for FederatedSearchConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0xFEDE_7A7E,
-            rounds_per_node: 40,
-            escalation_cap: 16,
-            exhaustive_seed_depth: None,
-        }
-    }
+    /// Run the exhaustive worst-case search to this depth on each site
+    /// graph and seed the per-node blocking sets with the failing patterns
+    /// found — the paper's method of constructing Table 7 test cases from
+    /// "the previously detected failure cases for the 96-node graphs".
+    /// Depth 5 reproduces the paper (≈ 64 M decodes per graph); 0 seeds
+    /// nothing.
+    pub exhaustive_seed_depth: usize,
 }
 
 /// A detected joint failure of a federated system.
@@ -318,10 +315,8 @@ pub fn first_failure_detected(
     let mut block_b: Vec<Vec<usize>> = (0..k as NodeId)
         .map(|d| min_blocking_upper_bound(site_b, d, cfg.seed ^ 0xB, cfg.rounds_per_node))
         .collect();
-    if let Some(depth) = cfg.exhaustive_seed_depth {
-        seed_blocks_from_worst_case(site_a, depth, &mut block_a);
-        seed_blocks_from_worst_case(site_b, depth, &mut block_b);
-    }
+    seed_blocks_from_worst_case(site_a, cfg.exhaustive_seed_depth, &mut block_a);
+    seed_blocks_from_worst_case(site_b, cfg.exhaustive_seed_depth, &mut block_b);
 
     // Candidate data nodes ordered by cheapest combined block cost.
     let mut order: Vec<usize> = (0..k).collect();
@@ -330,7 +325,7 @@ pub fn first_failure_detected(
     let mut best: Option<FederatedFailure> = None;
     for &d in &order {
         if let Some(b) = &best {
-            if block_a[d].len() + block_b[d].len() >= b.size() + cfg.escalation_cap {
+            if block_a[d].len() + block_b[d].len() >= b.size() + ESCALATION_CAP {
                 break; // no hope of improving
             }
         }
@@ -352,7 +347,7 @@ pub fn first_failure_detected(
         //      directly (complete by the certificate property: any blocking
         //      superset must erase a certificate member).
         let mut ok = false;
-        for _ in 0..cfg.escalation_cap {
+        for _ in 0..ESCALATION_CAP {
             let joint_detail = joint_dec.decode_detailed(&joint);
             if joint_detail.lost_data.contains(&(d as NodeId)) {
                 ok = true;
@@ -410,17 +405,7 @@ pub fn first_failure_detected(
         // candidate was rescued by exchange and escalation stalled.)
         let mut joint: Vec<usize> = Vec::new();
         for (site, base) in [(site_a, 0usize), (site_b, fed.site_b_device(0))] {
-            let mut cone = vec![0u32];
-            let mut frontier = vec![0u32];
-            while let Some(v) = frontier.pop() {
-                for &c in site.checks_of(v) {
-                    if !cone.contains(&c) {
-                        cone.push(c);
-                        frontier.push(c);
-                    }
-                }
-            }
-            joint.extend(cone.into_iter().map(|x| base + x as usize));
+            joint.extend(upward_closure(site, 0).into_iter().map(|x| base + x));
         }
         joint.sort_unstable();
         joint.dedup();
@@ -488,6 +473,13 @@ mod tests {
     use super::*;
     use tornado_gen::mirror::generate_mirror;
     use tornado_gen::regular::generate_regular;
+
+    /// Random minimisation alone: no exhaustive seeding.
+    const SEARCH: FederatedSearchConfig = FederatedSearchConfig {
+        seed: 0xFEDE_7A7E,
+        rounds_per_node: 40,
+        exhaustive_seed_depth: 0,
+    };
 
     #[test]
     fn federation_layout() {
@@ -582,12 +574,9 @@ mod tests {
     fn min_blocking_respects_certified_tolerance_on_tornado_graphs() {
         // A screened 32-node Tornado graph tolerating any 2 losses cannot
         // have a blocking set smaller than 3.
-        let (g, _) = tornado_gen::TornadoGenerator::new(tornado_gen::TornadoParams {
-            num_data: 16,
-            ..tornado_gen::TornadoParams::default()
-        })
-        .generate_screened(3, 256, 2)
-        .unwrap();
+        let (g, _) = tornado_gen::TornadoGenerator::new(16)
+            .generate_screened(3, 2)
+            .unwrap();
         let tolerance = {
             use tornado_codec::ErasureDecoder;
             let mut dec = ErasureDecoder::new(&g);
@@ -629,7 +618,7 @@ mod tests {
         // cheapest joint failure is the same critical set lost at both
         // sites, so the detected size is twice the single-site size.
         let g = generate_mirror(3).unwrap(); // single-site min block = 2
-        let found = first_failure_detected(&g, &g, &FederatedSearchConfig::default());
+        let found = first_failure_detected(&g, &g, &SEARCH);
         assert_eq!(found.size(), 4);
         // And the failure is real.
         let fed = FederatedSystem::new(&g, &g);
@@ -643,7 +632,7 @@ mod tests {
         // cheaper than the mirrored pair (4 devices total here).
         let a = generate_mirror(6).unwrap();
         let b = generate_regular(6, 3, 3).unwrap();
-        let found = first_failure_detected(&a, &b, &FederatedSearchConfig::default());
+        let found = first_failure_detected(&a, &b, &SEARCH);
         let fed = FederatedSystem::new(&a, &b);
         let mut dec = ErasureDecoder::new(fed.graph());
         assert!(!dec.decode(&found.devices), "reported failure must verify");

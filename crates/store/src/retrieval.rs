@@ -439,9 +439,7 @@ mod tests {
 
     #[test]
     fn plan_on_real_tornado_graph_beats_naive() {
-        let g = tornado_gen::TornadoGenerator::new(tornado_gen::TornadoParams::paper_96())
-            .generate(9)
-            .unwrap();
+        let g = tornado_gen::TornadoGenerator::new(48).generate(9).unwrap();
         // Lose 10 arbitrary nodes.
         let missing: Vec<NodeId> = (0..10).map(|i| i * 7 % 96).collect();
         let avail = all_except(&g, &missing);

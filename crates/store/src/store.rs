@@ -680,7 +680,7 @@ mod tests {
     use crate::backend::hooked::{HookedBackend, Served};
     use crate::backend::BlockKey;
     use std::sync::{mpsc, Mutex};
-    use tornado_gen::{TornadoGenerator, TornadoParams};
+    use tornado_gen::TornadoGenerator;
     use tornado_graph::GraphBuilder;
 
     fn small_graph() -> Graph {
@@ -777,9 +777,7 @@ mod tests {
 
     #[test]
     fn guided_retrieval_touches_few_devices() {
-        let graph = TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(4)
-            .unwrap();
+        let graph = TornadoGenerator::new(48).generate(4).unwrap();
         let store = ArchivalStore::new(graph);
         let id = store.put("big", &vec![7u8; 4096]).unwrap();
         let (_, healthy) = store.get_detailed(id).unwrap();
@@ -799,9 +797,7 @@ mod tests {
     #[test]
     fn get_cost_matches_device_byte_deltas() {
         use crate::device::DeviceStats;
-        let graph = TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(4)
-            .unwrap();
+        let graph = TornadoGenerator::new(48).generate(4).unwrap();
         let store = ArchivalStore::new(graph);
         let id = store.put("big", &vec![7u8; 4096]).unwrap();
         let meta = store.meta(id).unwrap();
@@ -882,9 +878,7 @@ mod tests {
     }
 
     fn paper_graph() -> Graph {
-        TornadoGenerator::new(TornadoParams::paper_96())
-            .generate(4)
-            .unwrap()
+        TornadoGenerator::new(48).generate(4).unwrap()
     }
 
     fn all_except(missing: &[NodeId]) -> Vec<NodeId> {

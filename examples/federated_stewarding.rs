@@ -35,8 +35,7 @@ fn main() {
     let cfg = FederatedSearchConfig {
         seed: 42,
         rounds_per_node: 16,
-        escalation_cap: 8,
-        exhaustive_seed_depth: None,
+        exhaustive_seed_depth: 0,
     };
     let block_a = tornado::sim::multi::min_blocking_upper_bound(&graph_a, 0, cfg.seed, 24);
     println!("critical set for data block 0 at site A: {block_a:?}");

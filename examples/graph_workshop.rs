@@ -3,25 +3,21 @@
 //! adjust it with the feedback procedure, and export the result.
 //!
 //! Uses 32-node graphs so the exhaustive sweeps finish instantly; swap in
-//! `TornadoParams::paper_96()` (and release mode) for the paper's scale.
+//! `TornadoGenerator::new(48)` (and release mode) for the paper's scale.
 //!
 //! ```text
 //! cargo run --release --example graph_workshop
 //! ```
 
+use tornado::analysis::adjust_graph;
 use tornado::analysis::critical::critical_sets;
-use tornado::analysis::{adjust_graph, AdjustConfig};
 use tornado::gen::defects::find_stopping_sets;
-use tornado::gen::{TornadoGenerator, TornadoParams};
+use tornado::gen::TornadoGenerator;
 use tornado::graph::{dot, graphml};
 use tornado::sim::{worst_case_search, WorstCaseConfig};
 
 fn main() {
-    let params = TornadoParams {
-        num_data: 16,
-        ..TornadoParams::default()
-    };
-    let generator = TornadoGenerator::new(params);
+    let generator = TornadoGenerator::new(16);
 
     // Step 1: raw random generation, checking for the §3.2 defects.
     let mut seed = 1u64;
@@ -65,15 +61,7 @@ fn main() {
 
     // Step 4: feedback adjustment toward first failure 4 (32-node scale of
     // the paper's 4 → 5 improvement).
-    let outcome = adjust_graph(
-        &raw,
-        &AdjustConfig {
-            target_first_failure: 4,
-            max_iterations: 32,
-            collect_cap: 128,
-            candidate_budget: 256,
-        },
-    );
+    let outcome = adjust_graph(&raw, 4);
     for step in &outcome.steps {
         println!(
             "rewired left node {}: check {} -> check {} (failures {} -> {})",

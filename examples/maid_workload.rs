@@ -12,27 +12,27 @@
 //! cargo run --release --example maid_workload
 //! ```
 
-use tornado::store::workload::{device_load, generate_events, replay, WorkloadConfig};
+use tornado::store::workload::{device_load, generate_events, replay, Event, WorkloadConfig};
 use tornado::store::ArchivalStore;
 
 fn main() {
     let store = ArchivalStore::new(tornado::core::catalog::tornado_graph_3());
     let cfg = WorkloadConfig {
         objects: 30,
-        size_range: (2_000, 80_000),
         reads: 400,
-        skew: 0.6,
-        failures: 4,
-        repair: true,
         seed: 2026,
     };
     let events = generate_events(&cfg, store.num_devices());
+    let failures = events
+        .iter()
+        .filter(|e| matches!(e, Event::FailDevice { .. }))
+        .count();
     println!(
         "replaying {} events ({} ingests, {} reads, {} failures, repair on)",
         events.len(),
         cfg.objects,
         cfg.reads,
-        cfg.failures
+        failures
     );
 
     let report = replay(&store, &events);

@@ -3,9 +3,7 @@
 //! redundancy, and the reliability model consumes the measured profile.
 
 use tornado::analysis::reliability::system_failure_probability;
-use tornado::analysis::AdjustConfig;
 use tornado::core::pipeline::{build_profiled_graph, PipelineConfig};
-use tornado::gen::TornadoParams;
 use tornado::sim::{monte_carlo_profile, MonteCarloConfig};
 use tornado::store::scrubber::scrub;
 use tornado::store::{ArchivalStore, StoreError};
@@ -13,18 +11,9 @@ use tornado::store::{ArchivalStore, StoreError};
 /// 32-node pipeline configuration (debug-affordable exhaustive sweeps).
 fn pipeline_cfg(seed: u64) -> PipelineConfig {
     PipelineConfig {
-        params: TornadoParams {
-            num_data: 16,
-            ..TornadoParams::default()
-        },
+        num_data: 16,
         screen_size: 2,
-        screen_attempts: 256,
-        adjust: AdjustConfig {
-            target_first_failure: 3,
-            max_iterations: 16,
-            collect_cap: 128,
-            candidate_budget: 128,
-        },
+        target_first_failure: 3,
         seed,
     }
 }
