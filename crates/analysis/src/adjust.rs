@@ -270,7 +270,8 @@ mod tests {
         // 32-node graphs rarely clear the size-3 screen (the paper also
         // reports small graphs are the hard case); screen at 2 and let the
         // adjustment loop do the rest.
-        let (g, _) = TornadoGenerator::new(16).generate_screened(3, 2).unwrap();
+        let gen = TornadoGenerator::new(16);
+        let (g, _) = tornado_gen::screened(3, 2, |s| gen.generate(s)).unwrap();
         let before = worst_case_search(
             &g,
             &WorstCaseConfig {

@@ -132,7 +132,8 @@ mod tests {
 
     #[test]
     fn agrees_with_worst_case_search_on_small_tornado_graphs() {
-        let (g, _) = TornadoGenerator::new(16).generate_screened(5, 2).unwrap();
+        let gen = TornadoGenerator::new(16);
+        let (g, _) = tornado_gen::screened(5, 2, |s| gen.generate(s)).unwrap();
         let brute = worst_case_search(
             &g,
             &WorstCaseConfig {

@@ -9,7 +9,7 @@
 use crate::effort::Effort;
 use crate::harness::{first_failure_cell, graph_profile, paper_sampling_window};
 use std::fmt::Write as _;
-use tornado_gen::cascaded::generate_fixed_degree_screened;
+use tornado_gen::cascaded::generate_fixed_degree;
 
 /// Runs the sweep.
 pub(crate) fn run(effort: &Effort) -> String {
@@ -23,13 +23,14 @@ pub(crate) fn run(effort: &Effort) -> String {
         "degree, first_failure, avg_to_reconstruct, overhead_at_half"
     );
     for degree in 2u32..=8 {
-        let g = match generate_fixed_degree_screened(48, degree, effort.seed) {
-            Ok(g) => g,
-            Err(e) => {
-                let _ = writeln!(out, "{degree}, generation failed: {e}");
-                continue;
-            }
-        };
+        let g =
+            match tornado_gen::screened(effort.seed, 3, |s| generate_fixed_degree(48, degree, s)) {
+                Ok((g, _)) => g,
+                Err(e) => {
+                    let _ = writeln!(out, "{degree}, generation failed: {e}");
+                    continue;
+                }
+            };
         let profile = graph_profile(&g, effort);
         let avg = profile.average_online_given_success(paper_sampling_window(96));
         let overhead = profile

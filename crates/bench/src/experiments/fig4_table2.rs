@@ -23,9 +23,8 @@ pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
         .map(|s| gen.generate(effort.seed ^ s).expect("generation"))
         .find(|g| tornado_gen::defects::screen(g, 3).is_err())
         .expect("defective random graphs occur well within 512 seeds");
-    let (screened, _) = gen
-        .generate_screened(effort.seed, 3)
-        .expect("screened generation");
+    let (screened, _) =
+        tornado_gen::screened(effort.seed, 3, |s| gen.generate(s)).expect("screened generation");
     // The adjustment target tracks the exhaustive depth so the smoke
     // configuration stays affordable, capped at the paper's target of 5 —
     // the paper found 6 unreachable ("insufficient candidates for

@@ -8,7 +8,7 @@
 
 use crate::effort::Effort;
 use crate::harness::{graph_profile, render_figure, render_summary_table, SystemRow};
-use tornado_gen::altered::{generate_doubled_screened, generate_shifted_screened};
+use tornado_gen::altered::{generate_doubled, generate_shifted};
 use tornado_gen::regular::generate_regular;
 
 /// Builds the comparison rows.
@@ -22,13 +22,15 @@ pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
             num_data: 48,
         });
     }
-    let doubled = generate_doubled_screened(48, effort.seed).expect("doubled generation");
+    let (doubled, _) = tornado_gen::screened(effort.seed, 3, |s| generate_doubled(48, s))
+        .expect("doubled generation");
     rows.push(SystemRow {
         label: "Altered Tornado (dist. doubled)".into(),
         profile: graph_profile(&doubled, effort),
         num_data: 48,
     });
-    let shifted = generate_shifted_screened(48, effort.seed).expect("shifted generation");
+    let (shifted, _) = tornado_gen::screened(effort.seed, 3, |s| generate_shifted(48, s))
+        .expect("shifted generation");
     rows.push(SystemRow {
         label: "Altered Tornado (dist. shifted)".into(),
         profile: graph_profile(&shifted, effort),

@@ -8,7 +8,7 @@
 
 use crate::effort::Effort;
 use crate::harness::{graph_profile, render_figure, render_summary_table, SystemRow};
-use tornado_gen::cascaded::generate_fixed_degree_screened;
+use tornado_gen::cascaded::generate_fixed_degree;
 
 /// Builds the comparison rows (cascade degrees 6, 4, 3 in the paper's
 /// order, then the best Tornado graph). Cascades are screened like every
@@ -17,8 +17,9 @@ use tornado_gen::cascaded::generate_fixed_degree_screened;
 pub(crate) fn rows(effort: &Effort) -> Vec<SystemRow> {
     let mut rows = Vec::new();
     for degree in [6u32, 4, 3] {
-        let g =
-            generate_fixed_degree_screened(48, degree, effort.seed).expect("cascade generation");
+        let (g, _) =
+            tornado_gen::screened(effort.seed, 3, |s| generate_fixed_degree(48, degree, s))
+                .expect("cascade generation");
         rows.push(SystemRow {
             label: format!("Cascaded - Degree = {degree}"),
             profile: graph_profile(&g, effort),

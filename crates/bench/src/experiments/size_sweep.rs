@@ -25,7 +25,8 @@ pub(crate) fn run(effort: &Effort) -> String {
     );
     let _ = writeln!(out, "total_nodes, mean_blocks, overhead, min, max");
     for &num_data in &SIZES {
-        let graph = match TornadoGenerator::new(num_data).generate_screened(effort.seed, 2) {
+        let gen = TornadoGenerator::new(num_data);
+        let graph = match tornado_gen::screened(effort.seed, 2, |s| gen.generate(s)) {
             Ok((g, _)) => g,
             Err(e) => {
                 let _ = writeln!(out, "{}, generation failed: {e}", 2 * num_data);

@@ -3,7 +3,7 @@
 use crate::args::ParsedArgs;
 use crate::obs::CliObs;
 use tornado_analysis::{adjust_graph, system_failure_probability};
-use tornado_gen::TornadoGenerator;
+use tornado_gen::{GenError, TornadoGenerator};
 use tornado_graph::{dot, graphml, DegreeStats, Graph};
 use tornado_obs::Json;
 use tornado_sim::{
@@ -65,39 +65,36 @@ fn write_or_print(out: Option<&str>, content: &str) -> CmdResult {
     }
 }
 
-/// `tornado generate`
+/// `tornado generate`. Every family is screened through the one loop:
+/// tornado graphs at 3 unless `--screen N` or `--no-screen` says
+/// otherwise, the other families only when `--screen N` asks.
 pub(crate) fn generate(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.get_parsed("seed", 1)?;
     let num_data: usize = args.get_parsed("data", 48)?;
-    let screen: usize = args.get_parsed("screen", 3)?;
     let family = args.get("family").unwrap_or("tornado");
     let degree: u32 = args.get_parsed("degree", 4)?;
-    let graph = match family {
-        "tornado" => {
-            if args.flag("no-screen") {
-                TornadoGenerator::new(num_data)
-                    .generate(seed)
-                    .map_err(|e| e.to_string())?
-            } else {
-                TornadoGenerator::new(num_data)
-                    .generate_screened(seed, screen)
-                    .map_err(|e| e.to_string())?
-                    .0
-            }
-        }
-        "regular" => tornado_gen::regular::generate_regular(num_data, degree, seed)
-            .map_err(|e| e.to_string())?,
-        "cascaded" => tornado_gen::cascaded::generate_fixed_degree(num_data, degree, seed)
-            .map_err(|e| e.to_string())?,
-        "mirror" => tornado_gen::mirror::generate_mirror(num_data).map_err(|e| e.to_string())?,
-        "doubled" => {
-            tornado_gen::altered::generate_doubled(num_data, seed).map_err(|e| e.to_string())?
-        }
-        "shifted" => {
-            tornado_gen::altered::generate_shifted(num_data, seed).map_err(|e| e.to_string())?
-        }
+    let draw: fn(usize, u32, u64) -> Result<Graph, GenError> = match family {
+        "tornado" => |k, _, seed| TornadoGenerator::new(k).generate(seed),
+        "regular" => tornado_gen::regular::generate_regular,
+        "cascaded" => tornado_gen::cascaded::generate_fixed_degree,
+        "mirror" => |k, _, _| tornado_gen::mirror::generate_mirror(k),
+        "doubled" => |k, _, seed| tornado_gen::altered::generate_doubled(k, seed),
+        "shifted" => |k, _, seed| tornado_gen::altered::generate_shifted(k, seed),
         other => return Err(format!("unknown family '{other}'")),
     };
+    let screen = match (args.get("screen"), args.flag("no-screen")) {
+        (Some(_), true) => return Err("--screen and --no-screen contradict".into()),
+        (Some(_), false) => Some(args.get_parsed("screen", 3)?),
+        (None, false) if family == "tornado" => Some(3),
+        (None, _) => None,
+    };
+    let graph = match screen {
+        Some(size) => {
+            tornado_gen::screened(seed, size, |s| draw(num_data, degree, s)).map(|(g, _)| g)
+        }
+        None => draw(num_data, degree, seed),
+    }
+    .map_err(|e| e.to_string())?;
     CliObs::from_args(args).status(
         "graph_generated",
         &[
@@ -502,10 +499,9 @@ pub(crate) fn reliability(args: &ParsedArgs) -> CmdResult {
 /// `tornado demo`
 pub(crate) fn demo(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.get_parsed("seed", 1)?;
-    let graph = TornadoGenerator::new(16)
-        .generate_screened(seed, 2)
-        .map_err(|e| e.to_string())?
-        .0;
+    let generator = TornadoGenerator::new(16);
+    let (graph, _) =
+        tornado_gen::screened(seed, 2, |s| generator.generate(s)).map_err(|e| e.to_string())?;
     let store = tornado_store::ArchivalStore::new(graph);
     println!("created a {}-device archival store", store.num_devices());
     let id = store

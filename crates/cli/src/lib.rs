@@ -20,9 +20,11 @@ USAGE:
     tornado <COMMAND> [OPTIONS]
 
 COMMANDS:
-    generate     Generate a Tornado graph           --seed N [--data 48] [--screen 3]
+    generate     Generate a Tornado graph           --seed N [--data 48] [--screen N | --no-screen]
                                                     [--family tornado|regular|cascaded|mirror|doubled|shifted]
                                                     [--degree D] [--out FILE]
+                                                    (tornado is screened at 3 by default,
+                                                    the other families only with --screen)
     catalog      Dump a certified catalog graph     --index 1|2|3 [--out FILE]
     inspect      Show structure and degree stats    --graph FILE
     dot          Export Graphviz DOT                --graph FILE [--out FILE]

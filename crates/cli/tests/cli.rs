@@ -64,6 +64,30 @@ fn generate_families() {
 }
 
 #[test]
+fn screen_flags_reach_every_family() {
+    // The raw degree-3 cascade from seed 1 closes a small set of data
+    // nodes; `--screen 3` draws through the screen loop instead.
+    let generate = |extra: &[&str], name: &str| {
+        let out = temp_path(name);
+        let mut flags = vec!["--seed", "1", "--family", "cascaded", "--degree", "3"];
+        flags.extend_from_slice(extra);
+        flags.extend_from_slice(&["--out", out.to_str().unwrap()]);
+        run_command("generate", &args(&flags)).unwrap();
+        tornado_graph::graphml::from_graphml(&std::fs::read_to_string(&out).unwrap()).unwrap()
+    };
+    let raw = generate(&[], "cascade-raw.graphml");
+    assert!(tornado_gen::screen(&raw, 3).is_err());
+    let screened = generate(&["--screen", "3"], "cascade-screened.graphml");
+    assert!(tornado_gen::screen(&screened, 3).is_ok());
+    assert_ne!(raw.fingerprint(), screened.fingerprint());
+    // Drawn raw by default, so `--no-screen` changes nothing here.
+    let unscreened = generate(&["--no-screen"], "cascade-unscreened.graphml");
+    assert_eq!(unscreened.fingerprint(), raw.fingerprint());
+    let both = args(&["--screen", "3", "--no-screen"]);
+    assert!(run_command("generate", &both).is_err());
+}
+
+#[test]
 fn unknown_family_is_rejected() {
     let err = run_command("generate", &args(&["--family", "fountain"])).unwrap_err();
     assert!(err.contains("fountain"));

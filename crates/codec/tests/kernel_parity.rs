@@ -351,7 +351,8 @@ fn assert_lane_parity_at_every_group_size(g: &Graph, k: usize, seed: u64) -> usi
 /// The size sweep's largest graph: 128 data + 128 checks.
 #[test]
 fn lanes_match_row_and_dense_on_a_256_node_tornado_graph() {
-    let (g, _) = TornadoGenerator::new(128).generate_screened(7, 2).unwrap();
+    let gen = TornadoGenerator::new(128);
+    let (g, _) = tornado_gen::screened(7, 2, |s| gen.generate(s)).unwrap();
     assert_eq!(g.num_nodes(), 256);
     let mut rebuilt_base = 0;
     for k in [3usize, 40, 100] {

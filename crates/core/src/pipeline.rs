@@ -64,7 +64,8 @@ impl ProfiledGraph {
 /// sweep re-runs even the levels the adjustment loop already cleared).
 pub fn build_profiled_graph(cfg: &PipelineConfig) -> Result<ProfiledGraph, GenError> {
     let generator = TornadoGenerator::new(cfg.num_data);
-    let (raw, attempts) = generator.generate_screened(cfg.seed, cfg.screen_size)?;
+    let (raw, attempts) =
+        tornado_gen::screened(cfg.seed, cfg.screen_size, |s| generator.generate(s))?;
 
     let outcome = adjust_graph(&raw, cfg.target_first_failure);
 

@@ -7,7 +7,7 @@
 //! with the penalty of an earlier average failure point."
 
 use crate::error::GenError;
-use crate::tornado::{DistTransform, TornadoGenerator, SCREEN_SIZE};
+use crate::tornado::{DistTransform, TornadoGenerator};
 use tornado_graph::Graph;
 
 /// Generates a Tornado graph whose per-stage left distribution has every
@@ -20,21 +20,6 @@ pub fn generate_doubled(num_data: usize, seed: u64) -> Result<Graph, GenError> {
 /// degree shifted by +1.
 pub fn generate_shifted(num_data: usize, seed: u64) -> Result<Graph, GenError> {
     TornadoGenerator::with_transform(num_data, DistTransform::Shifted).generate(seed)
-}
-
-/// Screened variants (discard graphs with stopping sets of up to three data
-/// nodes), matching how the unaltered 96-node graphs are produced.
-pub fn generate_doubled_screened(num_data: usize, seed: u64) -> Result<Graph, GenError> {
-    TornadoGenerator::with_transform(num_data, DistTransform::Doubled)
-        .generate_screened(seed, SCREEN_SIZE)
-        .map(|(g, _)| g)
-}
-
-/// See [`generate_doubled_screened`].
-pub fn generate_shifted_screened(num_data: usize, seed: u64) -> Result<Graph, GenError> {
-    TornadoGenerator::with_transform(num_data, DistTransform::Shifted)
-        .generate_screened(seed, SCREEN_SIZE)
-        .map(|(g, _)| g)
 }
 
 #[cfg(test)]
@@ -82,9 +67,9 @@ mod tests {
 
     #[test]
     fn screened_variants_produce_clean_graphs() {
-        let g = generate_doubled_screened(48, 21).unwrap();
+        let (g, _) = crate::screened(21, 3, |s| generate_doubled(48, s)).unwrap();
         assert!(crate::defects::screen(&g, 3).is_ok());
-        let g = generate_shifted_screened(48, 21).unwrap();
+        let (g, _) = crate::screened(21, 3, |s| generate_shifted(48, s)).unwrap();
         assert!(crate::defects::screen(&g, 3).is_ok());
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::error::GenError;
 use crate::matching::{fit_right_degrees, match_stage};
-use crate::tornado::{shape, SCREEN_ATTEMPTS, SCREEN_SIZE};
+use crate::tornado::shape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,7 +20,9 @@ use tornado_graph::{Graph, GraphBuilder, NodeId};
 /// Generates a cascaded graph in which every left node of every stage has
 /// exactly `degree` edges (capped by the stage width), using the same
 /// cascade shape (including the shared-left final stages) as the Tornado
-/// generator.
+/// generator. Random fixed-degree wiring occasionally closes small sets of
+/// data nodes just as Tornado wiring does; [`crate::screened`] discards
+/// those draws.
 pub fn generate_fixed_degree(num_data: usize, degree: u32, seed: u64) -> Result<Graph, GenError> {
     if degree < 2 {
         return Err(GenError::BadParameters {
@@ -51,34 +53,6 @@ pub fn generate_fixed_degree(num_data: usize, degree: u32, seed: u64) -> Result<
         }
     }
     Ok(builder.build()?)
-}
-
-/// Retries seeds until the generated graph passes the structural defect
-/// screen (no stopping set of up to three data nodes), for at most 256
-/// seeds — random fixed-degree wiring occasionally produces closed pairs
-/// just like Tornado wiring does.
-pub fn generate_fixed_degree_screened(
-    num_data: usize,
-    degree: u32,
-    seed: u64,
-) -> Result<Graph, GenError> {
-    let mut last_err = None;
-    for attempt in 0..SCREEN_ATTEMPTS {
-        let mut s = seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        s ^= s >> 31;
-        match generate_fixed_degree(num_data, degree, s) {
-            Ok(g) => {
-                if crate::defects::screen(&g, SCREEN_SIZE).is_ok() {
-                    return Ok(g);
-                }
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or(GenError::ScreenExhausted {
-        attempts: SCREEN_ATTEMPTS,
-    }))
 }
 
 /// Builds one stage with every left node of degree exactly
@@ -176,7 +150,7 @@ mod tests {
 
     #[test]
     fn screened_variant_passes_the_screen() {
-        let g = generate_fixed_degree_screened(48, 3, 1).unwrap();
+        let (g, _) = crate::screened(1, 3, |s| generate_fixed_degree(48, 3, s)).unwrap();
         assert!(crate::defects::screen(&g, 3).is_ok());
     }
 

@@ -12,9 +12,15 @@
 //!
 //! [`screen`] is the generation-time filter: graphs with a stopping set of
 //! size ≤ `max_size` among their data nodes are discarded (§3.3's "graphs
-//! that fail are discarded").
+//! that fail are discarded"), and [`screened`] is that loop, the one every
+//! family is screened through.
 
+use crate::error::GenError;
 use tornado_graph::{Graph, NodeId};
+
+/// Generation attempts [`screened`] makes before giving up: the paper's
+/// "graphs that fail are discarded" loop, bounded.
+const SCREEN_ATTEMPTS: usize = 256;
 
 /// Finds all stopping sets of size 2..=`max_size` among the *data nodes* of
 /// `graph`, returned as sorted node-id vectors (sorted lexicographically).
@@ -98,6 +104,37 @@ pub fn screen(graph: &Graph, max_size: usize) -> Result<(), Vec<Vec<NodeId>>> {
     } else {
         Err(bad)
     }
+}
+
+/// Draws graphs from `generate` with successive seeds derived from `seed`
+/// until one passes [`screen`] at `screen_size`, for at most 256 attempts.
+/// Returns the graph and the number of attempts used; a generation error
+/// on every attempt comes back as the last one.
+pub fn screened(
+    seed: u64,
+    screen_size: usize,
+    mut generate: impl FnMut(u64) -> Result<Graph, GenError>,
+) -> Result<(Graph, usize), GenError> {
+    let mut last_err = None;
+    for attempt in 0..SCREEN_ATTEMPTS {
+        // SplitMix-style finalizer over (seed, attempt) so distinct
+        // pairs give unrelated generation streams.
+        let mut s = seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        s ^= s >> 31;
+        match generate(s) {
+            Ok(graph) => {
+                if screen(&graph, screen_size).is_ok() {
+                    return Ok((graph, attempt + 1));
+                }
+            }
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err.unwrap_or(GenError::ScreenExhausted {
+        attempts: SCREEN_ATTEMPTS,
+    }))
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@
 //! * [`regular`] — biregular single-stage graphs of degree 4 / 11;
 //! * [`mirror`] — mirrored systems expressed as graphs (for the Eq. 1
 //!   simulator validation and the RAID 10 comparison);
-//! * [`defects`] — small-stopping-set detection, the generation-time screen.
+//! * [`defects`] — small-stopping-set detection, and [`screened`], the
+//!   one generation-time screen loop every family is drawn through.
 //!
 //! [`solve`] holds the §3.1 numeric solver. The test-only `density` module
 //! computes density-evolution (asymptotic erasure) thresholds, the theory
@@ -52,6 +53,6 @@ pub mod regular;
 pub mod solve;
 pub mod tornado;
 
-pub use defects::{find_stopping_sets, screen};
+pub use defects::{find_stopping_sets, screen, screened};
 pub use error::GenError;
 pub use tornado::TornadoGenerator;

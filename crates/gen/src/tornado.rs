@@ -32,15 +32,6 @@ const MAX_DEGREE_D: u32 = 16;
 /// on the paper's 96-node graphs, 4 + 4 on 32-node ones).
 const MIN_FINAL_LEVEL: usize = 8;
 
-/// Generation attempts the structural screen makes before giving up: the
-/// paper's "graphs that fail are discarded" loop, bounded.
-pub(crate) const SCREEN_ATTEMPTS: usize = 256;
-
-/// The screen of the altered and fixed-degree families: stopping sets of
-/// up to three data nodes, the paper's "two- and three-node overlapping
-/// sets" (§3.2).
-pub(crate) const SCREEN_SIZE: usize = 3;
-
 /// Computes the cascade shape of a graph with `num_data` data nodes: the
 /// halving check-level sizes followed by the two final stage sizes. The sum
 /// always equals `num_data`.
@@ -150,7 +141,8 @@ impl TornadoGenerator {
         match_stage(&left_degrees, &right_degrees, rng)
     }
 
-    /// Generates one graph from `seed` (no defect screening).
+    /// Generates one graph from `seed` (no defect screening; see
+    /// [`crate::screened`]).
     pub fn generate(&self, seed: u64) -> Result<Graph, GenError> {
         let shape = shape(self.num_data)?;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -179,38 +171,6 @@ impl TornadoGenerator {
             }
         }
         Ok(builder.build()?)
-    }
-
-    /// Generates graphs from successive derived seeds until one passes the
-    /// structural defect screen (no stopping set of size ≤ `screen_size`
-    /// among the data nodes), for at most `SCREEN_ATTEMPTS` (256) seeds.
-    /// Returns the graph and the number of attempts used. This is the
-    /// paper's "graphs that fail are discarded" loop.
-    pub fn generate_screened(
-        &self,
-        seed: u64,
-        screen_size: usize,
-    ) -> Result<(Graph, usize), GenError> {
-        let mut last_err = None;
-        for attempt in 0..SCREEN_ATTEMPTS {
-            // SplitMix-style finalizer over (seed, attempt) so distinct
-            // pairs give unrelated generation streams.
-            let mut s = seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            s ^= s >> 31;
-            match self.generate(s) {
-                Ok(graph) => {
-                    if crate::defects::screen(&graph, screen_size).is_ok() {
-                        return Ok((graph, attempt + 1));
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or(GenError::ScreenExhausted {
-            attempts: SCREEN_ATTEMPTS,
-        }))
     }
 }
 
@@ -315,7 +275,7 @@ mod tests {
     #[test]
     fn screened_generation_passes_the_screen() {
         let gen = TornadoGenerator::new(48);
-        let (g, attempts) = gen.generate_screened(1234, 3).unwrap();
+        let (g, attempts) = crate::screened(1234, 3, |s| gen.generate(s)).unwrap();
         assert!(attempts >= 1);
         assert!(crate::defects::screen(&g, 3).is_ok());
     }

@@ -1,68 +1,79 @@
-//! Blocking clients for the archival block service.
+//! The blocking client for the archival block service.
 //!
-//! A [`PipelinedClient`] is the primitive: one TCP connection on which
-//! every request carries a correlation id, so several can be in flight and
-//! responses are matched back as they arrive, in any order
-//! ([`PipelinedClient::submit`] / [`PipelinedClient::recv`]). A [`Client`]
-//! is the blocking call on top of it: submit one request, wait for its
-//! response, with typed methods per operation. Error statuses come back
-//! as typed [`ClientError`] variants so callers can distinguish
+//! A [`Client`] owns one TCP connection and makes one request at a time:
+//! each typed method sends its request with a fresh correlation id, waits
+//! for the reply and checks that it echoes that id. Error statuses come
+//! back as typed [`ClientError`] variants so callers can distinguish
 //! backpressure ([`ClientError::Busy`] — back off and retry) from real
-//! failures.
+//! failures. Pipelined traffic (many requests in flight on a connection)
+//! is the load generator's, which frames its own requests
+//! ([`crate::load::run_load`]).
 //!
 //! A request leaves in one write — on a `TCP_NODELAY` socket two writes
 //! are two segments and two server wake-ups — and a PUT's payload leaves
 //! from where the caller holds it: the length prefix, header and name are
 //! built in a small buffer and the payload slice goes out behind them in
-//! the same vectored write ([`Client::put`] copies nothing, and
-//! [`PipelinedClient::submit`] sends an [`Op::Put`]'s payload from inside
-//! the op). A reply is decoded as it is read
-//! (`read_response`): header fields come out of a small read-ahead
-//! buffer, and a GET's payload goes from the socket into the `Vec` that
-//! [`Client::get`] returns — allocated once at its final size, never
-//! zero-filled, never copied again.
+//! the same vectored write ([`Client::put`] copies nothing). A reply is
+//! decoded as it is read (`read_response`): header fields come out of a
+//! small read-ahead buffer, and a GET's payload goes from the socket into
+//! the `Vec` that [`Client::get`] returns — allocated once at its final
+//! size, never zero-filled, never copied again.
 
 use crate::error::ClientError;
 use crate::protocol::{put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// A blocking connection to one server: one request at a time over a
-/// [`PipelinedClient`].
+/// A blocking connection to one server.
 pub struct Client {
-    inner: PipelinedClient,
+    /// Replies are read through the buffer (a frame header costs no
+    /// syscall of its own; reads larger than the buffer bypass it);
+    /// requests are written to the socket inside.
+    stream: BufReader<TcpStream>,
+    /// Deadline stamped on every request (milliseconds; 0 = none).
+    deadline_ms: u32,
+    /// Trace id stamped on every request (`None` = untraced).
+    trace_id: Option<u64>,
+    /// Correlation id of the next request (wraps).
+    next_corr: u32,
 }
 
 impl Client {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
-            inner: PipelinedClient::connect(addr)?,
+            stream: BufReader::new(stream),
+            deadline_ms: 0,
+            trace_id: None,
+            next_corr: 0,
         })
     }
 
     /// Sets the per-request deadline stamped on subsequent requests
     /// (0 clears it).
     pub fn set_deadline_ms(&mut self, deadline_ms: u32) {
-        self.inner.set_deadline_ms(deadline_ms);
+        self.deadline_ms = deadline_ms;
     }
 
     /// Sets the trace id stamped on subsequent requests (`None` clears
     /// it). Retries of the same logical operation should keep the same
     /// id so their spans land in one trace.
     pub fn set_trace_id(&mut self, trace_id: Option<u64>) {
-        self.inner.set_trace_id(trace_id);
+        self.trace_id = trace_id;
     }
 
     /// Sends one request and waits for its response.
     pub fn roundtrip(&mut self, op: Op) -> Result<Response, ClientError> {
-        self.inner.roundtrip(op)
+        let corr = self.send(op)?;
+        self.receive(corr)
     }
 
     /// Stores `payload` under `name`, returning the assigned object id.
     pub fn put(&mut self, name: &str, payload: &[u8]) -> Result<u64, ClientError> {
-        let want = self.inner.submit_put(name, payload)?;
-        match self.inner.wait(want)? {
+        let corr = self.send_put(name, payload)?;
+        match self.receive(corr)? {
             Response::PutOk { id } => Ok(id),
             other => Err(error_from(other, "PUT")),
         }
@@ -149,67 +160,15 @@ impl Client {
             other => Err(error_from(other, "SHUTDOWN")),
         }
     }
-}
 
-/// A pipelined connection: issue up to many requests before reading any
-/// response, then match completions by correlation id.
-pub struct PipelinedClient {
-    /// Replies are read through the buffer (a frame header costs no
-    /// syscall of its own; reads larger than the buffer bypass it);
-    /// requests are written to the socket inside.
-    stream: BufReader<TcpStream>,
-    /// Deadline stamped on every request (milliseconds; 0 = none).
-    deadline_ms: u32,
-    /// Trace id stamped on every request (`None` = untraced).
-    trace_id: Option<u64>,
-    /// Next correlation id to assign (wraps; in-flight windows are far
-    /// smaller than 2³²).
-    next_corr: u32,
-    /// Requests submitted and not yet received.
-    inflight: usize,
-}
-
-impl PipelinedClient {
-    fn over(stream: TcpStream) -> Result<Self, ClientError> {
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            stream: BufReader::new(stream),
-            deadline_ms: 0,
-            trace_id: None,
-            next_corr: 0,
-            inflight: 0,
-        })
-    }
-
-    /// Connects to `addr`.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::over(TcpStream::connect(addr)?)
-    }
-
-    /// Sets the per-request deadline stamped on subsequent requests
-    /// (0 clears it).
-    pub(crate) fn set_deadline_ms(&mut self, deadline_ms: u32) {
-        self.deadline_ms = deadline_ms;
-    }
-
-    /// Sets the trace id stamped on subsequent requests.
-    pub(crate) fn set_trace_id(&mut self, trace_id: Option<u64>) {
-        self.trace_id = trace_id;
-    }
-
-    /// Requests submitted and not yet matched to a response.
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
-    /// Sends one request without waiting, returning the correlation id its
-    /// response will carry. A PUT name over [`MAX_NAME`] bytes is refused
-    /// with [`ClientError::BadRequest`] before anything is written (its
-    /// length would not fit the wire's `u16`, or would ship the whole
-    /// payload only for the server to refuse it).
-    pub fn submit(&mut self, op: Op) -> Result<u32, ClientError> {
+    /// Sends one request, returning the correlation id its response must
+    /// carry. A PUT name over [`MAX_NAME`] bytes is refused with
+    /// [`ClientError::BadRequest`] before anything is written (its length
+    /// would not fit the wire's `u16`, or would ship the whole payload
+    /// only for the server to refuse it).
+    fn send(&mut self, op: Op) -> Result<u32, ClientError> {
         if let Op::Put { name, payload } = &op {
-            return self.submit_put(name, payload);
+            return self.send_put(name, payload);
         }
         let corr = self.take_corr();
         let req = Request {
@@ -219,13 +178,12 @@ impl PipelinedClient {
             op,
         };
         write_request(self.stream.get_mut(), &req)?;
-        self.inflight += 1;
         Ok(corr)
     }
 
-    /// [`PipelinedClient::submit`] of a PUT whose name and payload the
-    /// caller only lends: the same checks, the same bytes on the wire.
-    pub(crate) fn submit_put(&mut self, name: &str, payload: &[u8]) -> Result<u32, ClientError> {
+    /// [`Client::send`] of a PUT whose name and payload the caller only
+    /// lends: the same checks, the same bytes on the wire.
+    fn send_put(&mut self, name: &str, payload: &[u8]) -> Result<u32, ClientError> {
         if name.len() > MAX_NAME {
             return Err(ClientError::BadRequest(format!(
                 "name length {} exceeds {MAX_NAME}",
@@ -236,7 +194,6 @@ impl PipelinedClient {
         let (deadline_ms, trace_id) = (self.deadline_ms, self.trace_id);
         let head = put_frame_head(deadline_ms, Some(corr), trace_id, name, payload.len())?;
         write_parts(self.stream.get_mut(), &head, payload)?;
-        self.inflight += 1;
         Ok(corr)
     }
 
@@ -247,54 +204,32 @@ impl PipelinedClient {
         corr
     }
 
-    /// Reads the next response frame — whichever in-flight request
-    /// finished first — as `(correlation id, response)`.
+    /// Reads the next response, which must be the one to request `want`.
     ///
     /// A server that cannot decode a frame has no id to echo and answers
-    /// it unflagged; that reply settles one in-flight request and comes
-    /// back as the typed error it is (`BadRequest`), not as a response.
-    pub fn recv(&mut self) -> Result<(u32, Response), ClientError> {
+    /// it unflagged; that reply comes back as the typed error it is
+    /// (`BadRequest`), not as a response.
+    fn receive(&mut self, want: u32) -> Result<Response, ClientError> {
         let reply = read_response::<ClientError>(&mut self.stream)?;
         let (corr, resp) = reply.ok_or_else(|| {
-            ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection with requests in flight",
+            ClientError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection with a request in flight",
             ))
         })?;
-        self.inflight = self.inflight.saturating_sub(1);
         match corr {
-            Some(corr) => Ok((corr, resp)),
-            None => Err(error_from(
-                resp,
-                "uncorrelated reply to a pipelined request",
-            )),
+            Some(corr) if corr == want => Ok(resp),
+            Some(corr) => Err(ClientError::Unexpected(format!(
+                "response corr {corr} does not match request corr {want}"
+            ))),
+            None => Err(error_from(resp, "uncorrelated reply to a request")),
         }
-    }
-
-    /// Sends one request and waits for its specific response (correlation
-    /// ids still matched, so stray completions from earlier fire-and-forget
-    /// submits are surfaced as errors rather than misattributed).
-    pub(crate) fn roundtrip(&mut self, op: Op) -> Result<Response, ClientError> {
-        let want = self.submit(op)?;
-        self.wait(want)
-    }
-
-    /// Reads the next response, which must be the one to request `want`.
-    fn wait(&mut self, want: u32) -> Result<Response, ClientError> {
-        let (corr, resp) = self.recv()?;
-        if corr != want {
-            return Err(ClientError::Unexpected(format!(
-                "response corr {corr} does not match request corr {want} \
-                 (interleaved with unread completions?)"
-            )));
-        }
-        Ok(resp)
     }
 }
 
 /// Sends `req` as one frame in one write (short writes aside). PUTs do not
-/// come this way: [`PipelinedClient::submit_put`] sends theirs without
-/// building the frame around a copy of the payload.
+/// come this way: [`Client::send_put`] sends theirs without building the
+/// frame around a copy of the payload.
 fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     write_parts(w, &req.encode_frame()?, &[])
 }
@@ -455,34 +390,25 @@ mod tests {
         let (mut served, _) = listener.accept().unwrap();
 
         // A name plus a payload of exactly MAX_FRAME cannot fit the frame.
+        // `put` lends the payload; `roundtrip` hands over an owned op.
         let huge = vec![0u8; crate::protocol::MAX_FRAME];
         let name = "x".repeat(MAX_NAME + 1);
-        for pipelined in [false, true] {
-            let too_big = match pipelined {
-                false => client.put("big", &huge).map(drop),
+        for owned in [false, true] {
+            let mut put = |name: &str, payload: &[u8]| match owned {
+                false => client.put(name, payload).map(drop),
                 true => {
                     let op = Op::Put {
-                        name: "big".into(),
-                        payload: huge.clone(),
+                        name: name.into(),
+                        payload: payload.to_vec(),
                     };
-                    client.inner.submit(op).map(drop)
+                    client.roundtrip(op).map(drop)
                 }
             };
-            match too_big {
+            match put("big", &huge) {
                 Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
                 other => panic!("expected InvalidInput, got {other:?}"),
             }
-            let too_long = match pipelined {
-                false => client.put(&name, b"payload").map(drop),
-                true => {
-                    let op = Op::Put {
-                        name: name.clone(),
-                        payload: b"payload".to_vec(),
-                    };
-                    client.inner.submit(op).map(drop)
-                }
-            };
-            match too_long {
+            match put(&name, b"payload") {
                 Err(ClientError::BadRequest(m)) => {
                     assert_eq!(
                         m,
@@ -492,43 +418,61 @@ mod tests {
                 other => panic!("expected BadRequest, got {other:?}"),
             }
         }
-        assert_eq!(client.inner.inflight(), 0);
         // The connection is still in step: a PING goes out, and it is the
         // first thing the peer sees.
-        client.inner.submit(Op::Ping).unwrap();
+        client.send(Op::Ping).unwrap();
         let frame = read_frame(&mut served).unwrap().expect("a frame");
         assert_eq!(Request::decode(&frame).unwrap().op, Op::Ping);
+    }
+
+    /// Connects a client to a one-connection peer that answers every
+    /// request frame with what `answer` makes of the request's corr id.
+    fn stub_peer(
+        answer: impl Fn(Option<u32>) -> Vec<u8> + Send + 'static,
+    ) -> (Client, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let peer = thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            while let Ok(Some(frame)) = read_frame(&mut s) {
+                let corr = Request::decode(&frame).unwrap().corr_id;
+                write_frame(&mut s, &answer(corr)).unwrap();
+            }
+        });
+        (client, peer)
     }
 
     #[test]
     fn flagless_error_reply_comes_back_typed_and_settles_the_request() {
         // A peer that answers every frame the way the server answers one
         // it cannot decode: BAD_REQUEST with no correlation id to echo.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let reply = Response::BadRequest {
             message: "unknown opcode 66".into(),
         };
-        let peer = thread::spawn(move || {
-            for _ in 0..2 {
-                let (mut s, _) = listener.accept().unwrap();
-                while let Ok(Some(_)) = read_frame(&mut s) {
-                    write_frame(&mut s, &reply.encode_corr(None)).unwrap();
-                }
+        let (mut client, peer) = stub_peer(move |_| reply.encode_corr(None));
+        // Each reply settles its request: the second PING reads its own.
+        for _ in 0..2 {
+            match client.ping() {
+                Err(ClientError::BadRequest(m)) => assert_eq!(m, "unknown opcode 66"),
+                other => panic!("expected BadRequest, got {other:?}"),
             }
-        });
-
-        let mut pipelined = PipelinedClient::connect(addr).unwrap();
-        pipelined.submit(Op::Ping).unwrap();
-        match pipelined.recv() {
-            Err(ClientError::BadRequest(m)) => assert_eq!(m, "unknown opcode 66"),
-            other => panic!("expected BadRequest, got {other:?}"),
         }
-        assert_eq!(pipelined.inflight(), 0, "the reply settled the request");
-        drop(pipelined);
+        drop(client);
+        peer.join().unwrap();
+    }
 
-        let mut client = Client::connect(addr).unwrap();
-        assert!(matches!(client.ping(), Err(ClientError::BadRequest(_))));
+    #[test]
+    fn a_reply_echoing_another_corr_id_is_refused() {
+        let (mut client, peer) = stub_peer(|corr| {
+            let corr = corr.expect("every request is correlated");
+            Response::Ok.encode_corr(Some(corr + 1))
+        });
+        match client.ping() {
+            Err(ClientError::Unexpected(m)) => {
+                assert_eq!(m, "response corr 1 does not match request corr 0")
+            }
+            other => panic!("expected Unexpected, got {other:?}"),
+        }
         drop(client);
         peer.join().unwrap();
     }

@@ -18,18 +18,18 @@
 //!   retrieval path (checksum failures and offline devices degrade into
 //!   erasures that the Tornado decoder reconstructs transparently);
 //! * [`reactor`] — the epoll readiness poller under the acceptor, the
-//!   shards and the mux load driver;
+//!   shards and the load generator;
 //! * [`shard`] — the event-loop connection shards: incremental frame
 //!   reassembly, pipelined dispatch to the engine, batched writes;
 //! * [`server`] — the acceptor that hands connections to the shards, and
 //!   graceful shutdown that drains in-flight requests before exiting;
-//! * [`client`] — the client library: a pipelined connection (submit /
-//!   recv by correlation id) and the blocking call built on it;
+//! * [`client`] — the client library: one connection, one request at a
+//!   time, each reply matched to its request by correlation id;
 //! * [`load`] — a multi-connection load generator (closed or open loop,
 //!   any pipeline depth) with a seeded operation mix (weighted
 //!   put/get/delete, zipfian object popularity) and mid-run
-//!   device-failure injection, verifying every GET byte-for-byte, plus
-//!   the one-thread multiplexed driver for connection-count sweeps;
+//!   device-failure injection, verifying every GET byte-for-byte, every
+//!   connection a nonblocking socket on one thread;
 //! * [`obs`] — `tornado-obs` counters, latency histograms, JSON-lines
 //!   events, sampled request-scoped trace spans (exported as Chrome
 //!   trace-event JSON), and a time-series ring of periodic counter
@@ -67,7 +67,7 @@ pub mod server;
 pub mod shard;
 
 pub use catalogue::catalogue;
-pub use client::{Client, PipelinedClient};
+pub use client::Client;
 pub use config::{HealthConfig, ServerConfig};
 pub use error::ClientError;
 pub use health::{validate_health, HealthModel, HEALTH_SCHEMA};

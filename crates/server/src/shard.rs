@@ -1158,28 +1158,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_client_against_shard_via_client_api() {
-        // The library client's pipelined mode against a real shard.
-        let h = Harness::start(Inline, 8);
-        let mut pc = crate::client::PipelinedClient::connect(h.addr).unwrap();
-        let mut ids = Vec::new();
-        for i in 0..6u64 {
-            ids.push(pc.submit(Op::Get { id: i }).unwrap());
-        }
-        let mut got = 0;
-        while got < 6 {
-            let (corr, resp) = pc.recv().unwrap();
-            let idx = ids.iter().position(|&c| c == corr).expect("known corr id");
-            match resp {
-                Response::GetOk { payload } => assert_eq!(payload, vec![idx as u8]),
-                other => panic!("{other:?}"),
-            }
-            got += 1;
-        }
-        h.stop();
-    }
-
-    #[test]
     fn shutdown_drains_and_closes() {
         let h = Harness::start(Inline, 8);
         let mut c = h.connect();

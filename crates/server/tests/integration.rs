@@ -798,8 +798,6 @@ const TOLERATED_FAILURES: [u32; 4] = [7, 29, 55, 88];
 
 #[test]
 fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
-    use tornado_server::PipelinedClient;
-
     let (handle, addr) = start_server(3, 32);
     let mut writer = Client::connect(&addr).unwrap();
 
@@ -815,27 +813,41 @@ fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
         objects.push((id, payload));
     }
 
-    let mut pipelined = PipelinedClient::connect(&addr).unwrap();
+    // Every GET on one connection, each framed with its own correlation id.
+    let mut pipelined = TcpStream::connect(&addr).unwrap();
     let mut expected = std::collections::HashMap::new();
+    let mut submit_wave = |pipelined: &mut TcpStream| {
+        for (id, payload) in &objects {
+            let corr = expected.len() as u32;
+            let request = Request {
+                deadline_ms: 0,
+                corr_id: Some(corr),
+                trace_id: None,
+                op: Op::Get { id: *id },
+            };
+            pipelined
+                .write_all(&request.encode_frame().unwrap())
+                .unwrap();
+            expected.insert(corr, payload.clone());
+        }
+    };
 
     // First wave in flight...
-    for (id, payload) in &objects {
-        let corr = pipelined.submit(Op::Get { id: *id }).unwrap();
-        expected.insert(corr, payload.clone());
-    }
+    submit_wave(&mut pipelined);
     // ...devices die mid-run on a separate admin connection...
     let mut admin = Client::connect(&addr).unwrap();
     for d in TOLERATED_FAILURES {
         admin.fail_device(d).unwrap();
     }
     // ...second wave reads through the failures.
-    for (id, payload) in &objects {
-        let corr = pipelined.submit(Op::Get { id: *id }).unwrap();
-        expected.insert(corr, payload.clone());
-    }
+    submit_wave(&mut pipelined);
 
-    while pipelined.inflight() > 0 {
-        let (corr, resp) = pipelined.recv().unwrap();
+    while !expected.is_empty() {
+        let body = read_frame(&mut pipelined)
+            .unwrap()
+            .expect("a reply, not EOF");
+        let (corr, resp) = Response::decode_corr(&body).unwrap();
+        let corr = corr.expect("a correlated request gets a correlated reply");
         let want = expected
             .remove(&corr)
             .expect("response corr matches a submitted GET");
@@ -846,7 +858,6 @@ fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
             other => panic!("GET corr {corr} answered {:?}", other.kind()),
         }
     }
-    assert!(expected.is_empty(), "every submitted GET completed");
 
     // The failures really happened: reads past this point are degraded.
     let metrics = admin.metrics().unwrap();

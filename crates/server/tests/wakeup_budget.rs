@@ -7,9 +7,12 @@
 //! One worker and one shard: the worker that takes a METRICS snapshot has
 //! finished every earlier request, so the deltas are exact.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use tornado_server::{serve, Client, Op, PipelinedClient, ServerConfig, ServerHandle};
+use tornado_server::protocol::read_frame;
+use tornado_server::{serve, Client, Op, Request, ServerConfig, ServerHandle};
 use tornado_server::{Response, ServerObserver};
 use tornado_store::ArchivalStore;
 
@@ -131,17 +134,28 @@ fn pipelined_replies_still_share_writes() {
     // Sixteen in flight on one connection: all but the last to finish find
     // siblings still in flight and wait in the output buffer for the shard,
     // which writes what has gathered in one write.
-    let mut pc = PipelinedClient::connect(&addr).unwrap();
-    let mut answered = 0;
-    for _ in 0..DEPTH {
-        pc.submit(Op::Ping).unwrap();
+    let mut pipe = TcpStream::connect(&addr).unwrap();
+    pipe.set_nodelay(true).unwrap();
+    let ping = |corr: u32| {
+        let request = Request {
+            deadline_ms: 0,
+            corr_id: Some(corr),
+            trace_id: None,
+            op: Op::Ping,
+        };
+        request.encode_frame().unwrap()
+    };
+    for corr in 0..DEPTH as u32 {
+        pipe.write_all(&ping(corr)).unwrap();
     }
-    while answered < 2_000 {
-        let (_, response) = pc.recv().unwrap();
-        assert_eq!(response, Response::Ok);
-        answered += 1;
-        if answered + pc.inflight() < 2_000 {
-            pc.submit(Op::Ping).unwrap();
+    let mut sent = DEPTH as u32;
+    for answered in 0..2_000 {
+        let body = read_frame(&mut pipe).unwrap().expect("a reply, not EOF");
+        let (corr, response) = Response::decode_corr(&body).unwrap();
+        assert_eq!(response, Response::Ok, "reply {answered} (corr {corr:?})");
+        if sent < 2_000 {
+            pipe.write_all(&ping(sent)).unwrap();
+            sent += 1;
         }
     }
     let batched = loop_counters(&mut admin)[2] - before;

@@ -574,9 +574,8 @@ mod tests {
     fn min_blocking_respects_certified_tolerance_on_tornado_graphs() {
         // A screened 32-node Tornado graph tolerating any 2 losses cannot
         // have a blocking set smaller than 3.
-        let (g, _) = tornado_gen::TornadoGenerator::new(16)
-            .generate_screened(3, 2)
-            .unwrap();
+        let gen = tornado_gen::TornadoGenerator::new(16);
+        let (g, _) = tornado_gen::screened(3, 2, |s| gen.generate(s)).unwrap();
         let tolerance = {
             use tornado_codec::ErasureDecoder;
             let mut dec = ErasureDecoder::new(&g);

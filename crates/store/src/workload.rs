@@ -232,7 +232,8 @@ mod tests {
     use tornado_gen::TornadoGenerator;
 
     fn small_store() -> ArchivalStore {
-        let g = TornadoGenerator::new(16).generate_screened(3, 2).unwrap().0;
+        let gen = TornadoGenerator::new(16);
+        let g = tornado_gen::screened(3, 2, |s| gen.generate(s)).unwrap().0;
         ArchivalStore::new(g)
     }
 
