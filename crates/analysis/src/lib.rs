@@ -53,7 +53,5 @@ pub use health::{
     conditional_failure_probability, conditional_failure_profile, horizon_failure_probability,
     mttdl_hours, risk_margin, ConditionalConfig,
 };
-pub use lifetime::{simulate_graph_lifetime, simulate_lifetime, LifetimeConfig, LifetimeReport};
-pub use reliability::{system_failure_probability, ReliabilityRow};
 pub use stopping::minimum_distance;
 pub use sum::NeumaierSum;

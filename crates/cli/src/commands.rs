@@ -2,13 +2,12 @@
 
 use crate::args::ParsedArgs;
 use crate::obs::CliObs;
-use tornado_analysis::{adjust_graph, system_failure_probability};
+use tornado_analysis::adjust_graph;
 use tornado_gen::{GenError, TornadoGenerator};
 use tornado_graph::{dot, graphml, DegreeStats, Graph};
 use tornado_obs::Json;
 use tornado_sim::{
-    hybrid_profile, monte_carlo_profile_observed, worst_case_search_observed, MonteCarloConfig,
-    WorstCaseConfig,
+    monte_carlo_profile_observed, worst_case_search_observed, MonteCarloConfig, WorstCaseConfig,
 };
 
 type CmdResult = Result<(), String>;
@@ -471,66 +470,6 @@ pub(crate) fn adjust(args: &ParsedArgs) -> CmdResult {
     write_or_print(args.get("out"), &graphml::to_graphml(&outcome.graph))
 }
 
-/// `tornado reliability`
-pub(crate) fn reliability(args: &ParsedArgs) -> CmdResult {
-    let afr: f64 = args.get_parsed("afr", 0.01)?;
-    let trials: u64 = args.get_parsed("trials", 20_000)?;
-    println!("system, data, parity, p_fail");
-    for r in tornado_analysis::reliability::comparator_rows(afr) {
-        println!(
-            "{}, {}, {}, {:.5}",
-            r.system, r.data_devices, r.parity_devices, r.p_fail
-        );
-    }
-    for path in args.get_all("graph") {
-        let graph = load_graph(path)?;
-        searchable(path, graph.num_nodes())?;
-        let profile = hybrid_profile(&graph, 4, trials, 1);
-        println!(
-            "{path}, {}, {}, {:.3e}",
-            graph.num_data(),
-            graph.num_checks(),
-            system_failure_probability(&profile, afr)
-        );
-    }
-    Ok(())
-}
-
-/// `tornado demo`
-pub(crate) fn demo(args: &ParsedArgs) -> CmdResult {
-    let seed: u64 = args.get_parsed("seed", 1)?;
-    let generator = TornadoGenerator::new(16);
-    let (graph, _) =
-        tornado_gen::screened(seed, 2, |s| generator.generate(s)).map_err(|e| e.to_string())?;
-    let store = tornado_store::ArchivalStore::new(graph);
-    println!("created a {}-device archival store", store.num_devices());
-    let id = store
-        .put(
-            "demo-object",
-            b"the archival payload survives device failures",
-        )
-        .map_err(|e| e.to_string())?;
-    println!("stored object {id}");
-    store.fail_device(0).map_err(|e| e.to_string())?;
-    store.fail_device(7).map_err(|e| e.to_string())?;
-    println!("failed devices 0 and 7");
-    let (payload, stats) = store.get_detailed(id).map_err(|e| e.to_string())?;
-    println!(
-        "recovered {} bytes by fetching {}/{} blocks: {:?}",
-        payload.len(),
-        stats.blocks_fetched,
-        store.num_devices(),
-        String::from_utf8_lossy(&payload)
-    );
-    let scrubbed = tornado_store::scrubber::scrub(&store, 3, true);
-    println!(
-        "scrub: {} degraded stripe(s), {} block(s) repaired",
-        scrubbed.degraded_count(),
-        scrubbed.blocks_repaired
-    );
-    Ok(())
-}
-
 /// `tornado mindist`
 pub(crate) fn mindist(args: &ParsedArgs) -> CmdResult {
     let graph = load_graph(args.require("graph")?)?;
@@ -542,64 +481,6 @@ pub(crate) fn mindist(args: &ParsedArgs) -> CmdResult {
         }
         None => println!("no blocking set of size <= {cap}: the graph survives any {cap} losses"),
     }
-    Ok(())
-}
-
-/// `tornado lifetime`
-pub(crate) fn lifetime(args: &ParsedArgs) -> CmdResult {
-    let graph = load_graph(args.require("graph")?)?;
-    let afr: f64 = args.get_parsed("afr", 0.01)?;
-    let scrubs: usize = args.get_parsed("scrubs", 0)?;
-    let trials: u64 = args.get_parsed("trials", 100_000)?;
-    let seed: u64 = args.get_parsed("seed", 1)?;
-    let cfg = tornado_analysis::LifetimeConfig {
-        afr,
-        scrubs,
-        trials,
-        seed,
-    };
-    let r = tornado_analysis::simulate_graph_lifetime(&graph, &cfg);
-    println!(
-        "annual P(data loss) with {scrubs} scrub(s)/year at AFR {afr}: {:.3e} ({}/{} trials)",
-        r.loss_probability(),
-        r.losses,
-        r.trials
-    );
-    Ok(())
-}
-
-/// `tornado workload`
-pub(crate) fn workload(args: &ParsedArgs) -> CmdResult {
-    let seed: u64 = args.get_parsed("seed", 1)?;
-    let objects: usize = args.get_parsed("objects", 20)?;
-    let reads: usize = args.get_parsed("reads", 100)?;
-    let graph = tornado_core::tornado_graph_1();
-    let store = tornado_store::ArchivalStore::new(graph);
-    let cfg = tornado_store::WorkloadConfig {
-        objects,
-        reads,
-        seed,
-    };
-    let events = tornado_store::generate_events(&cfg, store.num_devices());
-    let report = tornado_store::replay(&store, &events);
-    println!(
-        "reads ok/failed: {}/{}",
-        report.reads_ok, report.reads_failed
-    );
-    if report.events_failed > 0 {
-        println!("events rejected mid-replay: {}", report.events_failed);
-    }
-    println!(
-        "bytes ingested/served: {}/{}",
-        report.bytes_ingested, report.bytes_served
-    );
-    println!(
-        "blocks fetched vs naive: {}/{} ({:.0}% activations saved)",
-        report.blocks_fetched,
-        report.blocks_naive,
-        100.0 * report.activation_savings()
-    );
-    println!("blocks repaired by scrubs: {}", report.blocks_repaired);
     Ok(())
 }
 

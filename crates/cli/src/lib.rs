@@ -49,12 +49,7 @@ COMMANDS:
                                                      [--expect-max-margin N] [--expect-alert]
                                                      | --trace FILE [--require SPAN]...
     adjust       Feedback adjustment (§3.3)         --graph FILE [--target 5] [--out FILE]
-    reliability  Table 5 reliability comparison     [--graph FILE]... [--afr 0.01] [--trials 20000]
-    demo         Archival store walkthrough         [--seed N]
     mindist      Exact minimum blocking distance     --graph FILE [--cap 5]
-    lifetime     Annual loss with scrub/repair       --graph FILE [--afr 0.01]
-                                                     [--scrubs 0] [--trials 100000]
-    workload     Synthetic archival workload replay  [--seed N] [--objects 20] [--reads 100]
     serve        TCP archival block service          [--addr 127.0.0.1:7401] [--workers 4]
                                                      [--queue-depth 64] [--shards 2]
                                                      [--max-inflight 64]
@@ -137,14 +132,7 @@ pub(crate) const COMMANDS: &[Command] = &[
     Command { name: "validate", run: commands::validate, flags: &[
         &["metrics", "health", "trace", "require"], EXPECT_FLAGS] },
     Command { name: "adjust", run: commands::adjust, flags: &[&["graph", "target", "out"]] },
-    Command { name: "reliability", run: commands::reliability, flags: &[
-        &["graph", "afr", "trials"]] },
-    Command { name: "demo", run: commands::demo, flags: &[&["seed"]] },
     Command { name: "mindist", run: commands::mindist, flags: &[&["graph", "cap"]] },
-    Command { name: "lifetime", run: commands::lifetime, flags: &[
-        &["graph", "afr", "scrubs", "trials", "seed"]] },
-    Command { name: "workload", run: commands::workload, flags: &[
-        &["seed", "objects", "reads"]] },
     Command { name: "serve", run: commands::serve, flags: &[
         &["addr", "workers", "queue-depth", "shards", "max-inflight", "data-dir",
           "backend", "no-fsync", "port-file", "trace-sample", "trace-file", "slow-ms",
@@ -258,6 +246,30 @@ mod tests {
             assert!(shown.iter().any(|s| s == flag), "USAGE omits --{flag}");
         }
         assert_eq!(declared.len(), 25, "{declared:?}");
+    }
+
+    /// README's command list (between its markers) and DESIGN.md's
+    /// `tornado-cli` row name the table's commands, in its order.
+    #[test]
+    fn readme_and_design_list_the_commands_of_the_table() {
+        const BEGIN: &str = "<!-- tornado-commands:begin -->";
+        const END: &str = "<!-- tornado-commands:end -->";
+        let names: Vec<String> = COMMANDS.iter().map(|c| format!("`{}`", c.name)).collect();
+        let rendered = format!("{} commands: {}", names.len(), names.join(", "));
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let readme = std::fs::read_to_string(format!("{root}/README.md")).expect("README.md");
+        let start = readme.find(BEGIN).expect("begin marker") + BEGIN.len();
+        let end = readme.find(END).expect("end marker");
+        assert!(
+            readme[start..end] == rendered,
+            "README.md's command list is stale; put this between the markers:\n{rendered}"
+        );
+        let design = std::fs::read_to_string(format!("{root}/DESIGN.md")).expect("DESIGN.md");
+        let row = format!("The `tornado` binary's {rendered}.");
+        assert!(
+            design.contains(&row),
+            "DESIGN.md's tornado-cli row is stale; it should read:\n{row}"
+        );
     }
 
     #[test]

@@ -97,6 +97,13 @@ fn unknown_family_is_rejected() {
 fn unknown_command_is_rejected() {
     let err = run_command("frobnicate", &args(&[])).unwrap_err();
     assert!(err.contains("frobnicate"));
+    // Retired copies of an experiment or an example: `run_all table5`,
+    // `run_all scrub_sweep`, `examples/archival_site.rs` and
+    // `examples/maid_workload.rs` make what they printed.
+    for retired in ["reliability", "lifetime", "demo", "workload"] {
+        let err = run_command(retired, &args(&[])).unwrap_err();
+        assert_eq!(err, format!("unknown command '{retired}'"));
+    }
 }
 
 #[test]
@@ -164,11 +171,6 @@ fn missing_required_flag_errors() {
 }
 
 #[test]
-fn demo_runs() {
-    run_command("demo", &args(&["--seed", "2"])).expect("demo");
-}
-
-#[test]
 fn mindist_on_small_graph() {
     let src = temp_path("md.graphml");
     let src_s = src.to_str().unwrap();
@@ -183,7 +185,7 @@ fn mindist_on_small_graph() {
 }
 
 #[test]
-fn plank_statistics_and_lifetime_run() {
+fn plank_statistics_run() {
     let src = temp_path("il.graphml");
     let src_s = src.to_str().unwrap();
     run_command(
@@ -197,22 +199,6 @@ fn plank_statistics_and_lifetime_run() {
     // lines now; the old command is gone.
     run_command("monte-carlo", &args(&["--graph", src_s, "--trials", "200"])).expect("monte-carlo");
     assert!(run_command("incremental", &args(&["--graph", src_s])).is_err());
-    run_command(
-        "lifetime",
-        &args(&[
-            "--graph", src_s, "--afr", "0.02", "--scrubs", "2", "--trials", "5000",
-        ]),
-    )
-    .expect("lifetime");
-}
-
-#[test]
-fn workload_runs() {
-    run_command(
-        "workload",
-        &args(&["--seed", "3", "--objects", "4", "--reads", "10"]),
-    )
-    .expect("workload");
 }
 
 #[test]

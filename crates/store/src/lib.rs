@@ -56,4 +56,3 @@ pub use obs::{DeviceTotals, StoreMetrics, StoreObserver};
 pub use retrieval::{plan_repair, plan_retrieval, RepairCost, RetrievalPlan};
 pub use scrubber::{ScrubAction, ScrubMode, ScrubOutcome, Scrubber, StripeHealth};
 pub use store::{node_on_device, ArchivalStore, GetStats, ObjectMeta};
-pub use workload::{generate_events, replay, Event, EventOutcome, ReplayReport, WorkloadConfig};
