@@ -18,7 +18,7 @@ pub(crate) const AFR: f64 = 0.01;
 /// sums lean on the rare failures just past the exhaustive depth, and a
 /// profile's sampled rows share their trials, so a sum is noisier than a
 /// row; at ×10 the table costs no more than when every level drew trials
-/// of its own, and its seed-to-seed spread is narrower (EXPERIMENTS.md,
+/// of its own, and its seed-to-seed spread is narrower (EXPERIMENTS_LOG.md,
 /// "One failure order a trial").
 pub(crate) const TRIALS_FACTOR: u64 = 10;
 

@@ -333,13 +333,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid; find the char at this byte offset).
+                // The plain run up to the next quote or backslash, in one
+                // copy. Both are ASCII, so the run starts and ends on char
+                // boundaries of the `&str` the bytes came from, and checking
+                // it reads each byte once.
                 let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                let len = rest
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8")?);
+                *pos += len;
             }
         }
     }

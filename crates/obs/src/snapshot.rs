@@ -130,9 +130,6 @@ fn histogram_json(h: &Histogram) -> Json {
         .map(|(i, &c)| {
             let upper = crate::histogram::bucket_upper_bound(i);
             Json::Obj(vec![
-                // "le" predates the explicit bound keys; kept so older
-                // tornado-metrics-v1 consumers still find it.
-                ("le".into(), Json::U64(upper)),
                 ("bucket_upper_bound".into(), Json::U64(upper)),
                 (
                     "bucket_lower_bound".into(),
@@ -192,8 +189,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 /// Structural check for one serialized histogram: a `count`, and buckets
 /// (when present) each carrying a count plus a bound that is a genuine
 /// log2 bucket edge, strictly increasing, with counts summing to `count`.
-/// Buckets written before `bucket_upper_bound` existed (only `le`) still
-/// pass — the keys are synonyms.
 fn validate_histogram(name: &str, h: &Json) -> Result<(), String> {
     let total = h
         .get("count")
@@ -210,10 +205,9 @@ fn validate_histogram(name: &str, h: &Json) -> Result<(), String> {
     for (i, b) in buckets.iter().enumerate() {
         let upper = b
             .get("bucket_upper_bound")
-            .or_else(|| b.get("le"))
             .and_then(Json::as_u64)
             .ok_or_else(|| {
-                format!("histogram '{name}' bucket {i}: missing 'bucket_upper_bound'/'le'")
+                format!("histogram '{name}' bucket {i}: missing 'bucket_upper_bound'")
             })?;
         // Valid log2 edges are 0, 2^k - 1, or u64::MAX.
         if !(upper == 0 || upper == u64::MAX || (upper.wrapping_add(1)).is_power_of_two()) {
@@ -326,10 +320,9 @@ mod tests {
             .as_arr()
             .unwrap();
         for b in buckets {
-            let le = b.get("le").unwrap().as_u64().unwrap();
+            assert!(b.get("le").is_none(), "one key per bound");
             let upper = b.get("bucket_upper_bound").unwrap().as_u64().unwrap();
             let lower = b.get("bucket_lower_bound").unwrap().as_u64().unwrap();
-            assert_eq!(le, upper, "'le' and explicit bound are synonyms");
             assert!(lower <= upper);
         }
         // 5 recorded twice lands in bucket [4,7]: lower 4, upper 7.
@@ -338,19 +331,6 @@ mod tests {
                 && b.get("bucket_upper_bound").unwrap().as_u64() == Some(7)
                 && b.get("count").unwrap().as_u64() == Some(2)
         }));
-    }
-
-    #[test]
-    fn validate_accepts_legacy_le_only_buckets() {
-        // A pre-bucket_upper_bound snapshot: buckets keyed by 'le' alone.
-        let doc = parse(
-            r#"{"schema": "tornado-metrics-v1", "command": "x", "elapsed_ms": 1,
-                "counters": {},
-                "histograms": {"h": {"count": 3, "sum": 9,
-                    "buckets": [{"le": 1, "count": 1}, {"le": 7, "count": 2}]}}}"#,
-        )
-        .unwrap();
-        validate(&doc).expect("legacy snapshots must keep validating");
     }
 
     #[test]
@@ -366,12 +346,19 @@ mod tests {
         let doc = base(r#"{"count": 1, "buckets": [{"bucket_upper_bound": 6, "count": 1}]}"#);
         assert!(validate(&doc).unwrap_err().contains("log2"));
         // Non-increasing bounds.
-        let doc =
-            base(r#"{"count": 2, "buckets": [{"le": 7, "count": 1}, {"le": 3, "count": 1}]}"#);
+        let doc = base(
+            r#"{"count": 2, "buckets": [{"bucket_upper_bound": 7, "count": 1},
+                                        {"bucket_upper_bound": 3, "count": 1}]}"#,
+        );
         assert!(validate(&doc).unwrap_err().contains("increasing"));
         // Bucket counts disagree with the total.
-        let doc = base(r#"{"count": 5, "buckets": [{"le": 1, "count": 1}]}"#);
+        let doc = base(r#"{"count": 5, "buckets": [{"bucket_upper_bound": 1, "count": 1}]}"#);
         assert!(validate(&doc).unwrap_err().contains("sum"));
+        // A bound under the key older snapshots also wrote is no bound.
+        let doc = base(r#"{"count": 1, "buckets": [{"le": 1, "count": 1}]}"#);
+        assert!(validate(&doc)
+            .unwrap_err()
+            .contains("missing 'bucket_upper_bound'"));
         // Missing count entirely.
         let doc = base(r#"{"sum": 1}"#);
         assert!(validate(&doc).unwrap_err().contains("count"));

@@ -26,7 +26,8 @@ fn mix(state: &mut u64) -> u64 {
 fn gen_string(state: &mut u64) -> String {
     const POOL: &[&str] = &[
         "a", "key", "…", "λ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "/", "snow☃", " ",
-        "0", "{", "[", "\u{7f}", "é",
+        "0", "{", "[", "\u{7f}", "é", "🦀", "𝄞", "\u{0}", "\u{8}", "\u{c}", "ü\\n", "a\"b", "日本",
+        "\\u0041", "€\t€",
     ];
     let len = (mix(state) % 12) as usize;
     (0..len)
@@ -141,4 +142,18 @@ fn integer_edge_values_round_trip_exactly() {
         assert_eq!(parse(&v.to_line()).unwrap(), v, "{v:?}");
         assert_eq!(parse(&v.to_pretty()).unwrap(), v, "{v:?}");
     }
+}
+
+/// A string far longer than any name — a trace export's worth — of mixed
+/// one- to four-byte characters and escapes parses back whole.
+#[test]
+fn a_mebibyte_string_of_mixed_characters_round_trips() {
+    let mut state = 0x15_0B5;
+    let mut s = String::new();
+    while s.len() < 1 << 20 {
+        s.push_str(&gen_string(&mut state));
+    }
+    let v = Json::Obj(vec![("args".into(), Json::Str(s))]);
+    assert_eq!(parse(&v.to_line()).unwrap(), v);
+    assert_eq!(parse(&v.to_pretty()).unwrap(), v);
 }

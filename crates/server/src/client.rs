@@ -20,7 +20,9 @@
 //! size, never zero-filled, never copied again.
 
 use crate::error::ClientError;
-use crate::protocol::{put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME};
+use crate::protocol::{
+    next_corr, put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME,
+};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -34,7 +36,8 @@ pub struct Client {
     deadline_ms: u32,
     /// Trace id stamped on every request (`None` = untraced).
     trace_id: Option<u64>,
-    /// Correlation id of the next request (wraps).
+    /// Correlation id of the next request (never 0, see
+    /// [`next_corr`](crate::protocol::next_corr)).
     next_corr: u32,
 }
 
@@ -47,7 +50,7 @@ impl Client {
             stream: BufReader::new(stream),
             deadline_ms: 0,
             trace_id: None,
-            next_corr: 0,
+            next_corr: 1,
         })
     }
 
@@ -200,14 +203,14 @@ impl Client {
     /// Assigns the next correlation id.
     fn take_corr(&mut self) -> u32 {
         let corr = self.next_corr;
-        self.next_corr = self.next_corr.wrapping_add(1);
+        self.next_corr = next_corr(corr);
         corr
     }
 
     /// Reads the next response, which must be the one to request `want`.
     ///
     /// A server that cannot decode a frame has no id to echo and answers
-    /// it unflagged; that reply comes back as the typed error it is
+    /// it with corr 0; that reply comes back as the typed error it is
     /// (`BadRequest`), not as a response.
     fn receive(&mut self, want: u32) -> Result<Response, ClientError> {
         let reply = read_response::<ClientError>(&mut self.stream)?;
@@ -462,6 +465,23 @@ mod tests {
     }
 
     #[test]
+    fn a_wrapping_corr_counter_never_sends_0() {
+        let (seen, corrs) = std::sync::mpsc::channel();
+        let (mut client, peer) = stub_peer(move |corr| {
+            seen.send(corr).unwrap();
+            Response::Ok.encode_corr(corr)
+        });
+        client.next_corr = u32::MAX;
+        for _ in 0..3 {
+            client.ping().unwrap();
+        }
+        drop(client);
+        peer.join().unwrap();
+        let sent: Vec<_> = corrs.iter().collect();
+        assert_eq!(sent, [Some(u32::MAX), Some(1), Some(2)]);
+    }
+
+    #[test]
     fn a_reply_echoing_another_corr_id_is_refused() {
         let (mut client, peer) = stub_peer(|corr| {
             let corr = corr.expect("every request is correlated");
@@ -469,7 +489,7 @@ mod tests {
         });
         match client.ping() {
             Err(ClientError::Unexpected(m)) => {
-                assert_eq!(m, "response corr 1 does not match request corr 0")
+                assert_eq!(m, "response corr 2 does not match request corr 1")
             }
             other => panic!("expected Unexpected, got {other:?}"),
         }

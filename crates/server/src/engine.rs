@@ -12,7 +12,7 @@
 //! BUSY — the system sheds load instead of hiding it in growing latency.
 
 use crate::obs::ServerObserver;
-use crate::protocol::{Frame, Op, Request, Response, StatMeta, RESPONSE_HEAD_MAX};
+use crate::protocol::{Frame, Op, Request, Response, StatMeta, RESPONSE_FRAME_HEAD};
 use crate::queue::{BoundedQueue, PushError};
 use crate::shard::Reply;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -346,7 +346,7 @@ fn execute(
         }
         Op::Get { id } => {
             let start_us = trace.map(|t| t.tracer.now_us()).unwrap_or_default();
-            let result = store.get_framed(*id, RESPONSE_HEAD_MAX);
+            let result = store.get_framed(*id, RESPONSE_FRAME_HEAD);
             if let Some(t) = trace {
                 let end_us = t.tracer.now_us();
                 let get_span = t.child(
@@ -636,7 +636,9 @@ mod tests {
     /// Blocks until the worker's reply arrives at the peer's end.
     fn read_reply(peer: &mut TcpStream) -> Response {
         let body = read_frame(peer).unwrap().expect("a frame, not EOF");
-        Response::decode(&body).expect("a worker's frame decodes")
+        let (corr, response) = Response::decode_corr(&body).expect("a worker's frame decodes");
+        assert_eq!(corr, None, "an uncorrelated job's reply carries corr 0");
+        response
     }
 
     fn roundtrip(engine: &Engine, op: Op) -> Response {

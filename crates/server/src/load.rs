@@ -53,7 +53,9 @@
 use crate::client::Client;
 use crate::error::ClientError;
 use crate::obs::ServerMetrics;
-use crate::protocol::{put_frame_head, release_drained, FrameBuffer, Op, Request, Response};
+use crate::protocol::{
+    next_corr, put_frame_head, release_drained, FrameBuffer, Op, Request, Response,
+};
 use crate::reactor::{Event, Interest, Poller};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -121,7 +123,8 @@ pub struct LoadConfig {
     /// deterministic trace id drawn from the connection's seeded rng, and
     /// report the 1-in-N ids the server's sampler will keep (same
     /// `tornado_obs::trace::sampled` key function on both sides).
-    /// 0 stamps no trace ids at all — the wire format stays pre-trace.
+    /// 0 stamps no trace ids at all: every request's trace id is 0, and
+    /// the server assigns its own.
     pub trace_sample: u64,
     /// Stop each connection after this many measured operations (0 = run
     /// until the clock). With a generous `duration_ms` this makes the
@@ -594,7 +597,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
             inbuf: FrameBuffer::new(),
             out: Vec::new(),
             written: 0,
-            next_corr: 0,
+            next_corr: 1,
             write_interest: false,
             dead: false,
             issued: 0,
@@ -677,7 +680,7 @@ fn prefill(
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut table = ZipfTable::new(cfg.zipf_theta);
     for i in 0..cfg.prefill {
-        let trace_id = (cfg.trace_sample > 0).then(|| rng.next_u64());
+        let trace_id = draw_trace_id(cfg, &mut rng);
         let (len, seed) = draw_object(cfg, &mut rng);
         let payload = payload_for(seed, len);
         let name = format!("load-{i}");
@@ -707,6 +710,14 @@ fn prefill(
     }
     admin.set_trace_id(None);
     Ok(table)
+}
+
+/// A traced run's next trace id, drawn from `rng`; one drawn as 0, which
+/// the wire reserves for "absent", goes out untraced.
+fn draw_trace_id(cfg: &LoadConfig, rng: &mut SmallRng) -> Option<u64> {
+    (cfg.trace_sample > 0)
+        .then(|| rng.next_u64())
+        .filter(|&id| id != 0)
 }
 
 /// The helper thread's body: fails `cfg.fail_devices` over the admin
@@ -861,7 +872,7 @@ impl Driver<'_> {
     fn issue(&mut self, c: usize, sched: Instant) {
         let cfg = self.cfg;
         let conn = &mut self.conns[c];
-        let trace_id = (cfg.trace_sample > 0).then(|| conn.rng.next_u64());
+        let trace_id = draw_trace_id(cfg, &mut conn.rng);
         let total = cfg.mix.put + cfg.mix.get + cfg.mix.delete;
         let pick = if total == 0 {
             0
@@ -920,7 +931,7 @@ impl Driver<'_> {
         let deadline_ms = self.cfg.deadline_ms;
         let conn = &mut self.conns[c];
         let corr = conn.next_corr;
-        conn.next_corr = corr.wrapping_add(1);
+        conn.next_corr = next_corr(corr);
         let trace_id = op.trace_id;
         let frame = |op| {
             Request {

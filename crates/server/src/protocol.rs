@@ -8,30 +8,25 @@
 //! +----------------+---------------------+
 //! ```
 //!
-//! A request body is a fixed header followed by op-specific fields, all
-//! integers little-endian (header v2 — the correlation id is new):
+//! A request body is a fixed 17-byte header followed by op-specific
+//! fields, all integers little-endian:
 //!
 //! ```text
-//! byte 0       opcode (low 6 bits) | CORR_FLAG (0x40) | TRACE_FLAG (0x80)
+//! byte 0       opcode
 //! bytes 1..5   deadline_ms: u32 (0 = no deadline)
-//! [bytes ..    corr_id: u32  — present iff CORR_FLAG set]
-//! [bytes ..    trace_id: u64 — present iff TRACE_FLAG set]
-//! bytes ..     op fields
+//! bytes 5..9   corr_id: u32     (0 = absent)
+//! bytes 9..17  trace_id: u64    (0 = absent)
+//! bytes 17..   op fields
 //! ```
 //!
-//! Optional header extensions ride in flag bits so the header stays
-//! back-compatible both ways: pre-trace / pre-pipelining clients never set
-//! a bit and their frames decode exactly as before, and an old server
-//! rejects a flagged opcode loudly (unknown opcode) rather than misparse
-//! the body.
-//!
-//! The correlation id is the pipelining handle: a client that sets
-//! `CORR_FLAG` may issue further requests on the same connection before
-//! reading responses, and the server may answer them out of order — each
-//! response then starts with its status byte OR [`RESP_CORR_FLAG`],
-//! followed by the echoed `corr_id: u32`, before the usual status fields.
-//! Requests without the flag keep the strict one-at-a-time
-//! request/response contract and byte-identical responses.
+//! The correlation id is the pipelining handle: a client may issue further
+//! requests on the same connection before reading responses, and the
+//! server may answer them out of order — each response echoes the id, so
+//! the client matches it to its request. A client that leaves it 0 gets
+//! its replies in request order only while it waits for each. A trace id
+//! of 0 means the client sent none (the server then assigns its own for
+//! sampled spans), as an all-zero trace-id is invalid in W3C Trace
+//! Context. [`Request`] carries both as `Option`s; `None` travels as 0.
 //!
 //! | opcode | op            | fields                                   |
 //! |--------|---------------|------------------------------------------|
@@ -47,8 +42,10 @@
 //! | 10     | TRACE_EXPORT  | —                                        |
 //! | 11     | HEALTH        | —                                        |
 //!
-//! A response body starts with a status byte; successful statuses are
-//! op-shaped so responses decode without request context:
+//! A response body starts with a fixed 5-byte head — the status byte, then
+//! the echoed `corr_id: u32` (0 for a frame the server could not decode,
+//! whose id it cannot know). Successful statuses are op-shaped so
+//! responses decode without request context:
 //!
 //! | status | meaning            | fields                                |
 //! |--------|--------------------|---------------------------------------|
@@ -78,29 +75,17 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// length on the wire from wrapping.
 pub const MAX_NAME: usize = 4096;
 
-/// Header flag bit: an 8-byte trace id follows the (optional) corr id.
-pub(crate) const TRACE_FLAG: u8 = 0x80;
-
-/// Header flag bit: a 4-byte correlation id follows `deadline_ms`, and
-/// the request may be answered out of order (pipelining).
-pub(crate) const CORR_FLAG: u8 = 0x40;
-
-/// Response status flag bit: the status byte is followed by the echoed
-/// 4-byte correlation id. Only ever set on responses to requests that
-/// carried `CORR_FLAG`, so old clients never see it.
-pub const RESP_CORR_FLAG: u8 = 0x80;
-
 /// One decoded request: a deadline plus the operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
     /// Milliseconds the client allows for this request, measured from
     /// server acceptance; 0 means no deadline.
     pub deadline_ms: u32,
-    /// Pipelining correlation id; `None` from one-at-a-time clients
-    /// (whose responses then stay in strict request order).
+    /// Pipelining correlation id; `None` (0 on the wire) leaves replies
+    /// nothing to be matched by but their order.
     pub corr_id: Option<u32>,
-    /// Client-assigned distributed-trace id; `None` from pre-trace
-    /// clients (the server then assigns its own for sampled spans).
+    /// Client-assigned distributed-trace id; `None` (0 on the wire) lets
+    /// the server assign its own for sampled spans.
     pub trace_id: Option<u64>,
     /// The operation.
     pub op: Op,
@@ -368,7 +353,8 @@ impl<'a> Cursor<'a> {
 }
 
 impl Request {
-    /// Serializes the request body (no frame prefix).
+    /// Serializes the request body (no frame prefix). Panics on a PUT name
+    /// over [`MAX_NAME`] bytes, which its `u16` length could not carry.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.body_capacity());
         self.write_body(&mut buf);
@@ -376,21 +362,23 @@ impl Request {
     }
 
     /// Serializes the whole frame — length prefix and body in one buffer.
-    /// A body over [`MAX_FRAME`] is refused.
+    /// A PUT name over [`MAX_NAME`] or a body over [`MAX_FRAME`] is refused.
     pub fn encode_frame(&self) -> io::Result<Vec<u8>> {
+        if let Op::Put { name, .. } = &self.op {
+            check_name(name)?;
+        }
         let frame = build_frame(self.body_capacity(), |buf| self.write_body(buf));
         check_frame_len(frame.len() - 4)?;
         Ok(frame)
     }
 
-    /// Header with both optional ids, the widest fixed fields, and the
-    /// variable part of a PUT.
+    /// Header, the widest fixed fields, and the variable part of a PUT.
     fn body_capacity(&self) -> usize {
         let variable = match &self.op {
             Op::Put { name, payload } => 2 + name.len() + payload.len(),
             _ => 0,
         };
-        HEADER_MAX + 8 + variable
+        HEADER_LEN + 8 + variable
     }
 
     /// The one request encoder: appends the body to `buf`.
@@ -411,8 +399,7 @@ impl Request {
         write_header(buf, opcode, self.deadline_ms, self.corr_id, self.trace_id);
         match &self.op {
             Op::Put { name, payload } => {
-                put_u16(buf, name.len() as u16);
-                buf.extend_from_slice(name.as_bytes());
+                put_name(buf, name);
                 buf.extend_from_slice(payload);
             }
             Op::Get { id } | Op::Delete { id } | Op::Stat { id } => put_u64(buf, *id),
@@ -432,19 +419,10 @@ impl Request {
     /// PUT's payload is that allocation with the front cut off, not a copy.
     pub(crate) fn decode_owned(mut buf: Vec<u8>, body_start: usize) -> Result<Request, WireError> {
         let mut c = Cursor::new(&buf[body_start..]);
-        let tagged = c.u8("opcode")?;
-        let opcode = tagged & !(TRACE_FLAG | CORR_FLAG);
+        let opcode = c.u8("opcode")?;
         let deadline_ms = c.u32("deadline")?;
-        let corr_id = if tagged & CORR_FLAG != 0 {
-            Some(c.u32("corr id")?)
-        } else {
-            None
-        };
-        let trace_id = if tagged & TRACE_FLAG != 0 {
-            Some(c.u64("trace id")?)
-        } else {
-            None
-        };
+        let corr_id = present(c.u32("corr id")?);
+        let trace_id = present(c.u64("trace id")?);
         let op = match opcode {
             OPCODE_PUT => {
                 let name_len = c.u16("name length")? as usize;
@@ -490,15 +468,25 @@ impl Request {
     }
 }
 
+/// An id as it comes off the wire: 0, which the wire reserves for
+/// "absent", is `None`.
+fn present<T: Default + PartialEq>(id: T) -> Option<T> {
+    (id != T::default()).then_some(id)
+}
+
+/// The correlation id to use after `corr`: ids count up from 1 and skip 0,
+/// which the wire reserves for "absent", when they wrap.
+pub(crate) fn next_corr(corr: u32) -> u32 {
+    corr.checked_add(1).unwrap_or(1)
+}
+
 /// Opcode of a PUT (see the module table).
 const OPCODE_PUT: u8 = 1;
 
-/// Most bytes a request header takes: the tagged opcode, the deadline and
-/// both optional ids.
-const HEADER_MAX: usize = 1 + 4 + 4 + 8;
+/// Bytes of a request header: opcode, deadline, corr id and trace id.
+const HEADER_LEN: usize = 1 + 4 + 4 + 8;
 
-/// Appends a request header: the opcode tagged with the flags of the ids
-/// present, the deadline, then those ids.
+/// Appends a request header; an absent id goes out as 0.
 fn write_header(
     buf: &mut Vec<u8>,
     opcode: u8,
@@ -506,26 +494,39 @@ fn write_header(
     corr_id: Option<u32>,
     trace_id: Option<u64>,
 ) {
-    let mut tagged = opcode;
-    if corr_id.is_some() {
-        tagged |= CORR_FLAG;
-    }
-    if trace_id.is_some() {
-        tagged |= TRACE_FLAG;
-    }
-    buf.push(tagged);
+    buf.push(opcode);
     put_u32(buf, deadline_ms);
-    if let Some(corr_id) = corr_id {
-        put_u32(buf, corr_id);
+    put_u32(buf, corr_id.unwrap_or(0));
+    put_u64(buf, trace_id.unwrap_or(0));
+}
+
+/// Refuses a PUT name over [`MAX_NAME`] bytes, as [`check_frame_len`]
+/// refuses an oversized body.
+fn check_name(name: &str) -> io::Result<()> {
+    if name.len() > MAX_NAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("name length {} exceeds {MAX_NAME}", name.len()),
+        ));
     }
-    if let Some(trace_id) = trace_id {
-        put_u64(buf, trace_id);
-    }
+    Ok(())
+}
+
+/// Appends a PUT's `name_len: u16` and name. Past [`MAX_NAME`] the length
+/// would not describe the name, so that is a caller's bug.
+fn put_name(buf: &mut Vec<u8>, name: &str) {
+    assert!(
+        name.len() <= MAX_NAME,
+        "name length {} exceeds {MAX_NAME}",
+        name.len()
+    );
+    put_u16(buf, name.len() as u16);
+    buf.extend_from_slice(name.as_bytes());
 }
 
 /// A PUT frame up to its payload: the length prefix — which counts the
 /// `payload_len` bytes the caller sends behind it — header and name. A
-/// body over [`MAX_FRAME`] is refused.
+/// name over [`MAX_NAME`] or a body over [`MAX_FRAME`] is refused.
 pub(crate) fn put_frame_head(
     deadline_ms: u32,
     corr_id: Option<u32>,
@@ -533,10 +534,10 @@ pub(crate) fn put_frame_head(
     name: &str,
     payload_len: usize,
 ) -> io::Result<Vec<u8>> {
-    let mut head = build_frame(HEADER_MAX + 2 + name.len(), |buf| {
+    check_name(name)?;
+    let mut head = build_frame(HEADER_LEN + 2 + name.len(), |buf| {
         write_header(buf, OPCODE_PUT, deadline_ms, corr_id, trace_id);
-        put_u16(buf, name.len() as u16);
-        buf.extend_from_slice(name.as_bytes());
+        put_name(buf, name);
     });
     let body_len = check_frame_len(head.len() - 4 + payload_len)?;
     head[..4].copy_from_slice(&body_len.to_le_bytes());
@@ -546,25 +547,20 @@ pub(crate) fn put_frame_head(
 /// Status byte of a successful GET (`OK GET` in the module table).
 const STATUS_GET_OK: u8 = 2;
 
-/// The bytes every response body starts with: the status byte, or — for a
-/// correlated request — the status byte with [`RESP_CORR_FLAG`] and the
-/// echoed id. Returns the array and how much of it is used (1 or 5).
-fn response_head(status: u8, corr_id: Option<u32>) -> ([u8; 5], usize) {
+/// Bytes every response body starts with: the status byte and the echoed
+/// corr id.
+const RESPONSE_HEAD_LEN: usize = 1 + 4;
+
+/// The head of a response body; an absent corr id goes out as 0.
+fn response_head(status: u8, corr_id: Option<u32>) -> [u8; RESPONSE_HEAD_LEN] {
     let mut head = [status, 0, 0, 0, 0];
-    match corr_id {
-        None => (head, 1),
-        Some(corr) => {
-            head[0] |= RESP_CORR_FLAG;
-            head[1..].copy_from_slice(&corr.to_le_bytes());
-            (head, 5)
-        }
-    }
+    head[1..].copy_from_slice(&corr_id.unwrap_or(0).to_le_bytes());
+    head
 }
 
 impl Response {
-    /// Serializes the response body, echoing `corr_id` when the request
-    /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
-    /// u32 id follows it, then the status fields.
+    /// Serializes the response body: the status byte, `corr_id` (0 for
+    /// `None`), then the status fields.
     pub fn encode_corr(&self, corr_id: Option<u32>) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.body_capacity());
         self.write_body(corr_id, &mut buf);
@@ -584,15 +580,14 @@ impl Response {
             Response::BadRequest { message } | Response::ServerError { message } => message.len(),
             _ => 0,
         };
-        1 + 4 + 30 + variable
+        RESPONSE_HEAD_LEN + 30 + variable
     }
 
-    /// The one response encoder: appends the body — status (|
-    /// [`RESP_CORR_FLAG`]), optional corr id, fields — to `buf`.
+    /// The one response encoder: appends the body — head, fields — to
+    /// `buf`.
     fn write_body(&self, corr_id: Option<u32>, buf: &mut Vec<u8>) {
         let head = |buf: &mut Vec<u8>, status: u8| {
-            let (head, used) = response_head(status, corr_id);
-            buf.extend_from_slice(&head[..used]);
+            buf.extend_from_slice(&response_head(status, corr_id));
         };
         match self {
             Response::Ok => head(buf, 0),
@@ -648,29 +643,16 @@ impl Response {
         }
     }
 
-    /// Parses an uncorrelated response body. A status carrying
-    /// [`RESP_CORR_FLAG`] is rejected as unknown, never misread.
-    pub fn decode(body: &[u8]) -> Result<Response, WireError> {
-        let mut c = Cursor::new(body);
-        let status = c.u8("status")?;
-        Self::decode_fields(status, &mut c)
-    }
-
-    /// Parses a response body that may carry an echoed correlation id
-    /// (`None` for an unflagged body, which decodes exactly as
-    /// [`Response::decode`] would).
+    /// Parses a response body into its echoed corr id (`None` for 0) and
+    /// the response.
     pub fn decode_corr(body: &[u8]) -> Result<(Option<u32>, Response), WireError> {
         let mut c = Cursor::new(body);
-        let tagged = c.u8("status")?;
-        let corr = if tagged & RESP_CORR_FLAG != 0 {
-            Some(c.u32("corr id")?)
-        } else {
-            None
-        };
-        Ok((corr, Self::decode_fields(tagged & !RESP_CORR_FLAG, &mut c)?))
+        let status = c.u8("status")?;
+        let corr = present(c.u32("corr id")?);
+        Ok((corr, Self::decode_fields(status, &mut c)?))
     }
 
-    /// The fields that follow the status byte (and the corr id, if any).
+    /// The fields that follow the head.
     fn decode_fields(status: u8, c: &mut Cursor<'_>) -> Result<Response, WireError> {
         let resp = match status {
             0 => Response::Ok,
@@ -747,10 +729,10 @@ fn build_frame(body_capacity: usize, write_body: impl FnOnce(&mut Vec<u8>)) -> V
     frame
 }
 
-/// Most bytes a response frame puts in front of its fields: the length
-/// prefix, the status byte and a correlation id. A GET asks the store for
-/// this much room in front of the payload.
-pub(crate) const RESPONSE_HEAD_MAX: usize = 4 + 5;
+/// Bytes a response frame puts in front of its fields: the length prefix
+/// and the head. A GET asks the store for this much room in front of the
+/// payload.
+pub(crate) const RESPONSE_FRAME_HEAD: usize = 4 + RESPONSE_HEAD_LEN;
 
 /// One encoded response frame on its way to a socket: `bytes[start..]` is
 /// `[len u32][body]`, and the bytes before `start` are never sent. The
@@ -785,14 +767,13 @@ impl Frame {
     /// the frame — no payload byte moves. Byte-identical on the wire to
     /// encoding [`Response::GetOk`].
     pub(crate) fn get_ok(mut buf: Vec<u8>, payload_start: usize, corr_id: Option<u32>) -> Frame {
-        let (head, used) = response_head(STATUS_GET_OK, corr_id);
-        let body_len = used + buf.len() - payload_start;
+        let body_len = RESPONSE_HEAD_LEN + buf.len() - payload_start;
         debug_assert!(body_len <= MAX_FRAME, "oversized frame body");
         let start = payload_start
-            .checked_sub(4 + used)
+            .checked_sub(RESPONSE_FRAME_HEAD)
             .expect("the store left room for the frame header");
         buf[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        buf[start + 4..payload_start].copy_from_slice(&head[..used]);
+        buf[start + 4..payload_start].copy_from_slice(&response_head(STATUS_GET_OK, corr_id));
         Frame {
             bytes: buf,
             start,
@@ -1071,10 +1052,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 /// Reads one response frame from a blocking stream, decoding as it
 /// arrives: the length prefix (under [`read_frame`]'s EOF and
-/// [`MAX_FRAME`] rules), the status byte, the correlation id if flagged,
-/// and then the fields — which for a successful GET are the payload, read
-/// from the stream straight into the `Vec` that [`Response::GetOk`] hands
-/// the caller. `E` is the caller's sum of the two ways this fails.
+/// [`MAX_FRAME`] rules), the head, and then the fields — which for a
+/// successful GET are the payload, read from the stream straight into the
+/// `Vec` that [`Response::GetOk`] hands the caller. `E` is the caller's
+/// sum of the two ways this fails.
 pub(crate) fn read_response<E>(r: &mut impl Read) -> Result<Option<(Option<u32>, Response)>, E>
 where
     E: From<io::Error> + From<WireError>,
@@ -1082,20 +1063,14 @@ where
     let Some(len) = read_frame_len(r)? else {
         return Ok(None);
     };
-    let truncated = |what: &str| WireError(format!("truncated {what}"));
-    let mut tagged = [0u8; 1];
-    let mut rest = len.checked_sub(1).ok_or_else(|| truncated("status"))?;
-    r.read_exact(&mut tagged)?;
-    let corr = if tagged[0] & RESP_CORR_FLAG != 0 {
-        let mut corr = [0u8; 4];
-        rest = rest.checked_sub(4).ok_or_else(|| truncated("corr id"))?;
-        r.read_exact(&mut corr)?;
-        Some(u32::from_le_bytes(corr))
-    } else {
-        None
-    };
+    let rest = len
+        .checked_sub(RESPONSE_HEAD_LEN)
+        .ok_or_else(|| WireError("truncated response head".into()))?;
+    let mut head = [0u8; RESPONSE_HEAD_LEN];
+    r.read_exact(&mut head)?;
+    let corr = present(u32::from_le_bytes(head[1..].try_into().expect("4 bytes")));
     let fields = read_exact_vec(r, rest)?;
-    let response = match tagged[0] & !RESP_CORR_FLAG {
+    let response = match head[0] {
         STATUS_GET_OK => Response::GetOk { payload: fields },
         status => Response::decode_fields(status, &mut Cursor::new(&fields))?,
     };
@@ -1115,7 +1090,7 @@ mod tests {
 
     fn round_trip_response(resp: Response) {
         let body = resp.encode_corr(None);
-        assert_eq!(Response::decode(&body).unwrap(), resp);
+        assert_eq!(Response::decode_corr(&body).unwrap(), (None, resp));
     }
 
     #[test]
@@ -1159,110 +1134,123 @@ mod tests {
         }
     }
 
-    #[test]
-    fn requests_round_trip_with_trace_ids() {
-        for trace_id in [Some(0u64), Some(1), Some(u64::MAX), None] {
-            for op in [
-                Op::Put {
-                    name: "t".into(),
-                    payload: vec![1, 2, 3],
-                },
-                Op::Get { id: 9 },
-                Op::Ping,
-                Op::Metrics,
-                Op::TraceExport,
-            ] {
-                round_trip_request(Request {
-                    deadline_ms: 17,
-                    corr_id: None,
-                    trace_id,
-                    op,
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn pre_trace_client_frames_still_decode() {
-        // Hand-built frames exactly as a pre-trace client wrote them:
-        // opcode byte (no flag), u32 deadline, op fields — no trace id.
-        let mut get = vec![2u8];
-        get.extend_from_slice(&500u32.to_le_bytes());
-        get.extend_from_slice(&77u64.to_le_bytes());
-        assert_eq!(
-            Request::decode(&get).unwrap(),
-            Request {
-                deadline_ms: 500,
-                corr_id: None,
-                trace_id: None,
-                op: Op::Get { id: 77 }
-            }
-        );
-
-        let mut put = vec![1u8];
-        put.extend_from_slice(&0u32.to_le_bytes());
-        put.extend_from_slice(&3u16.to_le_bytes());
-        put.extend_from_slice(b"obj");
-        put.extend_from_slice(&[0xAA, 0xBB]);
-        assert_eq!(
-            Request::decode(&put).unwrap(),
-            Request {
-                deadline_ms: 0,
-                corr_id: None,
-                trace_id: None,
-                op: Op::Put {
-                    name: "obj".into(),
-                    payload: vec![0xAA, 0xBB]
-                },
-            }
-        );
-
-        let mut ping = vec![5u8];
-        ping.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(
-            Request::decode(&ping).unwrap(),
-            Request {
-                deadline_ms: 0,
-                corr_id: None,
-                trace_id: None,
-                op: Op::Ping
-            }
-        );
-    }
-
-    #[test]
-    fn untraced_encoding_is_byte_identical_to_the_pre_trace_wire_format() {
-        // An untraced GET must serialize exactly as the old format did, so
-        // new clients stay compatible with pre-trace servers.
-        let body = Request {
+    /// A GET with every header field non-zero, and the bytes it travels as.
+    fn golden_get() -> (Request, Vec<u8>) {
+        let req = Request {
             deadline_ms: 500,
-            corr_id: None,
-            trace_id: None,
+            corr_id: Some(0xAABB_CCDD),
+            trace_id: Some(0x1122_3344_5566_7788),
             op: Op::Get { id: 77 },
-        }
-        .encode();
-        let mut expect = vec![2u8];
-        expect.extend_from_slice(&500u32.to_le_bytes());
-        expect.extend_from_slice(&77u64.to_le_bytes());
-        assert_eq!(body, expect);
+        };
+        #[rustfmt::skip]
+        let wire = vec![
+            2,                                              // opcode: GET
+            0xF4, 0x01, 0, 0,                               // deadline_ms 500
+            0xDD, 0xCC, 0xBB, 0xAA,                         // corr_id
+            0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // trace_id
+            77, 0, 0, 0, 0, 0, 0, 0,                        // id
+        ];
+        (req, wire)
     }
 
     #[test]
-    fn traced_header_sets_the_flag_bit_and_carries_the_id() {
-        let body = Request {
-            deadline_ms: 1,
-            corr_id: None,
-            trace_id: Some(0xDEAD_BEEF_CAFE_F00D),
-            op: Op::Get { id: 5 },
+    fn corr_header_layout_is_deadline_then_corr_then_trace() {
+        let (req, wire) = golden_get();
+        assert_eq!(req.encode(), wire);
+        assert_eq!(Request::decode(&wire).unwrap(), req);
+        for cut in 0..HEADER_LEN {
+            assert!(Request::decode(&wire[..cut]).is_err(), "cut at {cut}");
         }
-        .encode();
-        assert_eq!(body[0], 2 | TRACE_FLAG);
+        // A header whose opcode has a high bit set is an unknown opcode,
+        // never a GET with extras.
+        let mut flagged = wire.clone();
+        flagged[0] = 0x42;
         assert_eq!(
-            u64::from_le_bytes(body[5..13].try_into().unwrap()),
-            0xDEAD_BEEF_CAFE_F00D
+            Request::decode(&flagged),
+            Err(WireError("unknown opcode 66".into()))
         );
-        // A flagged frame with a truncated trace id must not misparse.
-        assert!(Request::decode(&body[..9]).is_err());
+    }
+
+    #[test]
+    fn correlated_requests_round_trip_with_and_without_trace_ids() {
+        // Both ids absent: they travel as 0 and come back absent.
+        let (mut req, mut wire) = golden_get();
+        (req.corr_id, req.trace_id) = (None, None);
+        wire[5..17].fill(0);
+        assert_eq!(req.encode(), wire);
+        assert_eq!(Request::decode(&wire).unwrap(), req);
+        for corr_id in [Some(1u32), Some(u32::MAX), None] {
+            for trace_id in [None, Some(7u64), Some(u64::MAX)] {
+                for op in [
+                    Op::Put {
+                        name: "p".into(),
+                        payload: vec![1, 2, 3],
+                    },
+                    Op::Get { id: 9 },
+                    Op::Ping,
+                    Op::Health,
+                ] {
+                    round_trip_request(Request {
+                        deadline_ms: 5,
+                        corr_id,
+                        trace_id,
+                        op,
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn correlated_responses_round_trip_for_every_status() {
+        let resp = Response::PutOk { id: 7 };
+        #[rustfmt::skip]
+        let wire = vec![
+            1,                       // status: OK PUT
+            0xDD, 0xCC, 0xBB, 0xAA,  // corr_id
+            7, 0, 0, 0, 0, 0, 0, 0,  // id
+        ];
+        assert_eq!(resp.encode_corr(Some(0xAABB_CCDD)), wire);
+        assert_eq!(
+            Response::decode_corr(&wire).unwrap(),
+            (Some(0xAABB_CCDD), resp)
+        );
+        for cut in 0..RESPONSE_HEAD_LEN {
+            assert!(Response::decode_corr(&wire[..cut]).is_err(), "cut at {cut}");
+        }
+        // An absent corr id travels as 0 and comes back absent.
+        assert_eq!(Response::Busy.encode_corr(None), [16, 0, 0, 0, 0]);
+        assert_eq!(
+            Response::decode_corr(&[16, 0, 0, 0, 0]).unwrap(),
+            (None, Response::Busy)
+        );
+        for resp in [
+            Response::Ok,
+            Response::GetOk {
+                payload: vec![9; 1000],
+            },
+            Response::MetricsOk { json: "{}".into() },
+            Response::NotFound { id: 12 },
+            Response::Unrecoverable {
+                id: 12,
+                lost_blocks: 3,
+            },
+            Response::BadRequest {
+                message: "no".into(),
+            },
+            Response::DeadlineExceeded,
+            Response::ShuttingDown,
+            Response::ServerError {
+                message: "boom".into(),
+            },
+        ] {
+            let body = resp.encode_corr(Some(0xFEED_BEEF));
+            assert_eq!(
+                Response::decode_corr(&body).unwrap(),
+                (Some(0xFEED_BEEF), resp.clone()),
+                "{resp:?}"
+            );
+        }
     }
 
     #[test]
@@ -1316,12 +1304,12 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Request::decode(&[]).is_err());
+        let mut header = [0u8; HEADER_LEN];
+        header[0] = 200;
+        assert!(Request::decode(&header).is_err(), "unknown opcode");
+        header[0] = 2;
         assert!(
-            Request::decode(&[200, 0, 0, 0, 0]).is_err(),
-            "unknown opcode"
-        );
-        assert!(
-            Request::decode(&[2, 0, 0, 0, 0, 1, 2]).is_err(),
+            Request::decode(&[&header[..], &[1, 2]].concat()).is_err(),
             "truncated id"
         );
         // Trailing bytes after a fixed-size op are an error.
@@ -1334,15 +1322,52 @@ mod tests {
         .encode();
         body.push(0);
         assert!(Request::decode(&body).is_err());
-        assert!(Response::decode(&[99]).is_err(), "unknown status");
+        assert!(
+            Response::decode_corr(&[99, 0, 0, 0, 0]).is_err(),
+            "unknown status"
+        );
     }
 
     #[test]
     fn put_name_length_is_bounded() {
-        let mut body = vec![1u8, 0, 0, 0, 0];
+        let mut body = vec![0u8; HEADER_LEN];
+        body[0] = OPCODE_PUT;
         body.extend_from_slice(&8000u16.to_le_bytes());
         body.extend_from_slice(&[b'x'; 8000]);
         assert!(Request::decode(&body).is_err());
+    }
+
+    #[test]
+    fn a_put_name_over_max_name_is_refused_not_framed() {
+        for len in [MAX_NAME, MAX_NAME + 1, 65_636] {
+            let name = "n".repeat(len);
+            let req = Request {
+                deadline_ms: 0,
+                corr_id: Some(1),
+                trace_id: None,
+                op: Op::Put {
+                    name: name.clone(),
+                    payload: b"payload".to_vec(),
+                },
+            };
+            let head = put_frame_head(0, Some(1), None, &name, 7);
+            if len <= MAX_NAME {
+                let frame = req.encode_frame().unwrap();
+                assert_eq!(Request::decode(&frame[4..]).unwrap(), req);
+                assert_eq!(frame[..frame.len() - 7], head.unwrap()[..]);
+                continue;
+            }
+            for refused in [req.encode_frame().map(drop), head.map(drop)] {
+                let e = refused.unwrap_err();
+                assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{len}");
+                assert_eq!(
+                    e.to_string(),
+                    format!("name length {len} exceeds {MAX_NAME}")
+                );
+            }
+            let encoded = std::panic::catch_unwind(|| req.encode());
+            assert!(encoded.is_err(), "encode() framed a {len}-byte name");
+        }
     }
 
     #[test]
@@ -1376,159 +1401,6 @@ mod tests {
         wire.truncate(50);
         let mut r = std::io::Cursor::new(wire);
         assert!(read_frame(&mut r).is_err());
-    }
-
-    // --- correlation-id header (frame header v2) ---------------------------
-
-    #[test]
-    fn correlated_requests_round_trip_with_and_without_trace_ids() {
-        for corr_id in [Some(0u32), Some(1), Some(u32::MAX), None] {
-            for trace_id in [None, Some(7u64)] {
-                for op in [
-                    Op::Put {
-                        name: "p".into(),
-                        payload: vec![1, 2, 3],
-                    },
-                    Op::Get { id: 9 },
-                    Op::Ping,
-                    Op::Health,
-                ] {
-                    round_trip_request(Request {
-                        deadline_ms: 5,
-                        corr_id,
-                        trace_id,
-                        op,
-                    });
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corr_header_layout_is_deadline_then_corr_then_trace() {
-        let body = Request {
-            deadline_ms: 500,
-            corr_id: Some(0xAABB_CCDD),
-            trace_id: Some(0x1122_3344_5566_7788),
-            op: Op::Get { id: 77 },
-        }
-        .encode();
-        assert_eq!(body[0], 2 | CORR_FLAG | TRACE_FLAG);
-        assert_eq!(u32::from_le_bytes(body[1..5].try_into().unwrap()), 500);
-        assert_eq!(
-            u32::from_le_bytes(body[5..9].try_into().unwrap()),
-            0xAABB_CCDD
-        );
-        assert_eq!(
-            u64::from_le_bytes(body[9..17].try_into().unwrap()),
-            0x1122_3344_5566_7788
-        );
-        // A flagged frame with a truncated corr id must not misparse.
-        assert!(Request::decode(&body[..7]).is_err());
-    }
-
-    #[test]
-    fn old_new_header_version_matrix() {
-        // old client → new server: an uncorrelated, untraced GET is
-        // byte-identical to the PR 3 wire format and decodes to
-        // corr_id: None (the server then answers in strict order with
-        // unflagged responses).
-        let mut old_wire = vec![2u8];
-        old_wire.extend_from_slice(&500u32.to_le_bytes());
-        old_wire.extend_from_slice(&77u64.to_le_bytes());
-        let decoded = Request::decode(&old_wire).unwrap();
-        assert_eq!(decoded.corr_id, None);
-        assert_eq!(
-            decoded,
-            Request {
-                deadline_ms: 500,
-                corr_id: None,
-                trace_id: None,
-                op: Op::Get { id: 77 }
-            }
-        );
-        // new client, legacy mode → any server: encoding with
-        // corr_id: None reproduces the old bytes exactly.
-        assert_eq!(
-            Request {
-                deadline_ms: 500,
-                corr_id: None,
-                trace_id: None,
-                op: Op::Get { id: 77 }
-            }
-            .encode(),
-            old_wire
-        );
-        // new client, pipelined mode → old server: the flagged opcode is
-        // rejected loudly (unknown opcode 66), never misparsed. An old
-        // decoder strips only TRACE_FLAG, so opcode 2 | CORR_FLAG reads
-        // back as 0x42 = 66.
-        let new_wire = Request {
-            deadline_ms: 0,
-            corr_id: Some(1),
-            trace_id: None,
-            op: Op::Get { id: 1 },
-        }
-        .encode();
-        assert_eq!(new_wire[0] & !TRACE_FLAG, 66);
-
-        // new server → old client: responses to uncorrelated requests are
-        // byte-identical to the old encoding.
-        let resp = Response::PutOk { id: 7 };
-        let plain = resp.encode_corr(None);
-        assert_eq!(plain[0], 1, "the old status byte, unflagged");
-        // new server → new client: flagged status byte, echoed id, then
-        // the old body.
-        let corr_body = resp.encode_corr(Some(42));
-        assert_eq!(corr_body[0], 1 | RESP_CORR_FLAG);
-        assert_eq!(u32::from_le_bytes(corr_body[1..5].try_into().unwrap()), 42);
-        assert_eq!(&corr_body[5..], &plain[1..]);
-        assert_eq!(
-            Response::decode_corr(&corr_body).unwrap(),
-            (Some(42), resp.clone())
-        );
-        assert_eq!(Response::decode_corr(&plain).unwrap(), (None, resp));
-        // An old client that somehow received a flagged status rejects it
-        // loudly (unknown status) instead of misreading the body.
-        assert!(Response::decode(&corr_body).is_err());
-    }
-
-    #[test]
-    fn correlated_responses_round_trip_for_every_status() {
-        for resp in [
-            Response::Ok,
-            Response::PutOk { id: 99 },
-            Response::GetOk {
-                payload: vec![9; 1000],
-            },
-            Response::MetricsOk { json: "{}".into() },
-            Response::Busy,
-            Response::NotFound { id: 12 },
-            Response::Unrecoverable {
-                id: 12,
-                lost_blocks: 3,
-            },
-            Response::BadRequest {
-                message: "no".into(),
-            },
-            Response::DeadlineExceeded,
-            Response::ShuttingDown,
-            Response::ServerError {
-                message: "boom".into(),
-            },
-        ] {
-            let body = resp.encode_corr(Some(0xFEED_BEEF));
-            assert_eq!(
-                Response::decode_corr(&body).unwrap(),
-                (Some(0xFEED_BEEF), resp.clone()),
-                "{resp:?}"
-            );
-        }
-        assert!(Response::decode_corr(&[]).is_err());
-        assert!(
-            Response::decode_corr(&[RESP_CORR_FLAG, 1, 2]).is_err(),
-            "truncated corr"
-        );
     }
 
     // --- incremental frame reassembly --------------------------------------
@@ -1657,7 +1529,7 @@ mod tests {
         let draw = rng.next_u64();
         Request {
             deadline_ms: draw as u32 & 0xFFFF,
-            corr_id: (draw & 1 << 32 != 0).then_some((draw >> 40) as u32),
+            corr_id: (draw & 1 << 32 != 0).then_some((draw >> 40) as u32 | 1),
             trace_id: (draw & 1 << 33 != 0).then_some(draw.rotate_left(17)),
             op: Op::Put {
                 name: "n".repeat((draw >> 34) as usize % 40),
@@ -1761,19 +1633,14 @@ mod tests {
             other => panic!("{other:?}"),
         }
 
-        // A 13-byte GET in a 16 KiB buffer is copied out, and the buffer
+        // A 25-byte GET in a 16 KiB buffer is copied out, and the buffer
         // stays for the next request.
         let mut wire = Vec::new();
-        append_frame(
-            &mut wire,
-            &Request::decode(&[2, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0])
-                .unwrap()
-                .encode(),
-        );
+        append_frame(&mut wire, &golden_get().1);
         fb.fill_from(&mut Stalling { ready: &wire }).unwrap();
         let kept = fb.capacity();
         let (buf, body_start) = fb.take_frame().unwrap().unwrap();
-        assert_eq!((buf.len(), body_start), (13, 0));
+        assert_eq!((buf.len(), body_start), (25, 0));
         assert_eq!(fb.capacity(), kept);
     }
 
@@ -1887,19 +1754,15 @@ mod tests {
             let resp = Response::GetOk {
                 payload: payload.clone(),
             };
-            for headroom in [RESPONSE_HEAD_MAX, 64] {
+            for headroom in [RESPONSE_FRAME_HEAD, 64] {
                 // As the store returns it: headroom, the stripe's 8-byte
                 // length header, the payload.
                 let mut buf = vec![0xEE; headroom + 8];
                 buf.extend_from_slice(&payload);
                 let payload_at = buf[headroom + 8..].as_ptr();
-                for (corr, head) in [(None, 5), (Some(7u32), 9)] {
+                for corr in [None, Some(7)] {
                     let frame = Frame::get_ok(buf.clone(), headroom + 8, corr);
-                    assert_eq!(
-                        frame.start,
-                        headroom + 8 - head,
-                        "legacy replies get 5 bytes"
-                    );
+                    assert_eq!(frame.start, headroom + 8 - RESPONSE_FRAME_HEAD);
                     assert_eq!(frame.wire(), reference_frame(&resp, corr));
                     assert_eq!(frame.kind, resp.kind());
                 }
@@ -2098,11 +1961,11 @@ mod tests {
             "no status byte"
         );
         let mut wire = Vec::new();
-        append_frame(&mut wire, &[STATUS_GET_OK | RESP_CORR_FLAG, 1, 2]);
+        append_frame(&mut wire, &[STATUS_GET_OK, 1, 2]);
         let mut peer = Dribble::new(wire, usize::MAX);
         assert!(
             matches!(read_one(&mut peer), Err(Failure::Wire(_))),
-            "flagged, but no room for the id"
+            "no room for the corr id"
         );
     }
 
@@ -2196,8 +2059,8 @@ mod tests {
     }
 
     /// An encoding (never empty: it has its leading byte) damaged one way:
-    /// a bit flipped, cut short, bytes appended, or flag bits set or
-    /// cleared in the leading byte.
+    /// a bit flipped, cut short, bytes appended, or high bits of the
+    /// leading byte — where old headers kept their flags — flipped.
     fn mutate(rng: &mut SmallRng, body: &[u8]) -> Vec<u8> {
         let mut out = body.to_vec();
         match rng.gen_range(0..4) {
@@ -2212,7 +2075,7 @@ mod tests {
                 out.extend_from_slice(&tail);
             }
             _ => {
-                let stray = [TRACE_FLAG, CORR_FLAG, TRACE_FLAG | CORR_FLAG, 0x20];
+                let stray = [0x80, 0x40, 0xC0, 0x20];
                 out[0] ^= stray[rng.gen_range(0..stray.len())];
             }
         }
@@ -2227,7 +2090,6 @@ mod tests {
             let direct = Request::decode(bytes);
             let behind = [garbage, bytes].concat();
             assert_eq!(Request::decode_owned(behind, garbage.len()), direct);
-            let _ = Response::decode(bytes);
             let _ = Response::decode_corr(bytes);
         });
     }
@@ -2248,7 +2110,7 @@ mod tests {
             let mut bytes = vec![0; rng.gen_range(0..48)];
             rng.fill_bytes(&mut bytes);
             if !bytes.is_empty() && rng.gen_bool(0.5) {
-                bytes[0] = rng.gen_range(0..=22u8) | (bytes[0] & (TRACE_FLAG | CORR_FLAG));
+                bytes[0] = rng.gen_range(0..=22u8) | (bytes[0] & 0xC0);
             }
             let g = garbage(&mut rng);
             decode_everywhere(SEED, &bytes, &g);
@@ -2260,7 +2122,7 @@ mod tests {
             for op in every_op(&mut rng) {
                 for (corr_id, trace_id) in [(None, None), (Some(7), None), (None, Some(9))]
                     .into_iter()
-                    .chain([(Some(rng.next_u32()), Some(rng.next_u64()))])
+                    .chain([(Some(rng.next_u32() | 1), Some(rng.next_u64() | 1))])
                 {
                     let req = Request {
                         deadline_ms: rng.next_u32(),
@@ -2275,14 +2137,11 @@ mod tests {
                 }
             }
             for resp in every_response(&mut rng) {
-                for corr in [None, Some(rng.next_u32())] {
+                for corr in [None, Some(rng.next_u32() | 1)] {
                     let body = resp.encode_corr(corr);
                     let case = || format!("seed {SEED:#x} round {round}: {resp:?} {corr:?}");
                     let decoded = Response::decode_corr(&body);
                     assert_eq!(decoded, Ok((corr, resp.clone())), "{}", case());
-                    if corr.is_none() {
-                        assert_eq!(Response::decode(&body).as_ref(), Ok(&resp), "{}", case());
-                    }
                     bodies.push(body);
                 }
             }

@@ -57,7 +57,7 @@
 //!   `max_inflight_per_conn` and are answered in the order they finish;
 //!   the correlation id in the reply is all that matches one to its
 //!   request. A request without one, which the protocol allows only one at
-//!   a time, is admitted like any other and answered unflagged. A `Reply`
+//!   a time, is admitted like any other and answered with corr 0. A `Reply`
 //!   holds its connection, so a reply that outlives its connection finds it
 //!   closed and is dropped, and the socket's descriptor is not reused while
 //!   one is still to come.
@@ -688,7 +688,7 @@ impl<D: Dispatcher> ShardState<D> {
                 Err(e) => {
                     self.ctx.obs.bad_requests.inc();
                     // No correlation id survives a failed decode; answer
-                    // unflagged.
+                    // with corr 0.
                     let resp = Response::BadRequest {
                         message: e.to_string(),
                     };
@@ -828,7 +828,7 @@ impl<D: Dispatcher> ShardState<D> {
 mod tests {
     use super::*;
     use crate::protocol::{
-        append_frame, read_frame, write_frame, READ_CHUNK, RESPONSE_HEAD_MAX, RETAINED_CAPACITY,
+        append_frame, read_frame, write_frame, READ_CHUNK, RESPONSE_FRAME_HEAD, RETAINED_CAPACITY,
     };
     use crate::server::accept_until_shutdown;
     use std::io::Read;
@@ -884,9 +884,9 @@ mod tests {
         let corr = job.request.corr_id;
         let frame = match &job.request.op {
             Op::Get { id } => {
-                let mut buf = vec![0xEE; RESPONSE_HEAD_MAX + 8];
+                let mut buf = vec![0xEE; RESPONSE_FRAME_HEAD + 8];
                 buf.extend_from_slice(&sized_payload(*id));
-                Frame::get_ok(buf, RESPONSE_HEAD_MAX + 8, corr)
+                Frame::get_ok(buf, RESPONSE_FRAME_HEAD + 8, corr)
             }
             _ => Frame::encode(&Response::Ok, corr),
         };
@@ -1050,15 +1050,15 @@ mod tests {
         let mut c = h.connect();
         // Issue 10 GETs before reading anything; responses must carry the
         // echoed corr ids and the per-request payloads.
-        for i in 0..10u32 {
+        for i in 1..=10u32 {
             write_frame(&mut c, &req(Some(i), Op::Get { id: i as u64 })).unwrap();
         }
         let mut seen = [false; 10];
         for _ in 0..10 {
             let (corr, resp) = read_response(&mut c);
             let corr = corr.expect("pipelined response carries its corr id");
-            assert!(!seen[corr as usize], "corr {corr} answered twice");
-            seen[corr as usize] = true;
+            assert!(!seen[corr as usize - 1], "corr {corr} answered twice");
+            seen[corr as usize - 1] = true;
             match resp {
                 Response::GetOk { payload } => assert_eq!(payload, vec![corr as u8]),
                 other => panic!("{other:?}"),
@@ -1083,7 +1083,7 @@ mod tests {
         let mut owed: std::collections::HashSet<u64> = ids.iter().copied().collect();
         for _ in 0..ids.len() {
             let (corr, resp) = read_response(&mut c);
-            assert_eq!(corr, None, "an uncorrelated request's reply is unflagged");
+            assert_eq!(corr, None, "an uncorrelated request's reply carries corr 0");
             let Response::GetOk { payload } = resp else {
                 panic!("{resp:?}")
             };
@@ -1091,6 +1091,27 @@ mod tests {
             assert!(owed.remove(&id), "a reply of {id} bytes twice, or unasked");
             assert!(payload == sized_payload(id), "GET {id}: altered");
         }
+        h.stop();
+    }
+
+    #[test]
+    fn an_old_flagged_header_is_answered_bad_request_and_the_connection_stays_in_step() {
+        let h = Harness::start(Inline, 64);
+        let mut c = h.connect();
+        // A GET of object 3 under corr 5 as the header with flag bits sent
+        // it: opcode 2 | 0x40, deadline, corr id, then the op fields.
+        let mut old = vec![2 | 0x40, 0, 0, 0, 0, 5, 0, 0, 0];
+        old.extend_from_slice(&3u64.to_le_bytes());
+        write_frame(&mut c, &old).unwrap();
+        write_frame(&mut c, &req(Some(6), Op::Get { id: 4 })).unwrap();
+        match read_response(&mut c) {
+            (None, Response::BadRequest { message }) => {
+                assert!(message.contains("unknown opcode 66"), "{message}")
+            }
+            other => panic!("{other:?}"),
+        }
+        let reply = (Some(6), Response::GetOk { payload: vec![4] });
+        assert_eq!(read_response(&mut c), reply);
         h.stop();
     }
 
@@ -1135,7 +1156,7 @@ mod tests {
         let mut b = h.connect();
         // Every dispatch is rejected; the loop must keep answering — on
         // this connection and on others — without blocking.
-        for i in 0..20u32 {
+        for i in 1..=20u32 {
             write_frame(&mut a, &req(Some(i), Op::Ping)).unwrap();
         }
         write_frame(&mut b, &req(None, Op::Ping)).unwrap();
@@ -1226,7 +1247,7 @@ mod tests {
 
         // 200 pipelined 1 MiB GETs (4 KiB of requests) and not one read.
         let mut greedy = h.connect();
-        for corr in 0..REQUESTS {
+        for corr in 1..=REQUESTS {
             write_frame(&mut greedy, &req(Some(corr), Op::Get { id: OBJECT })).unwrap();
         }
         // The shard goes on serving everyone else...
@@ -1252,7 +1273,7 @@ mod tests {
             let (corr, resp) = read_response(&mut greedy);
             let corr = corr.expect("correlated") as usize;
             assert!(
-                !std::mem::replace(&mut seen[corr], true),
+                !std::mem::replace(&mut seen[corr - 1], true),
                 "corr {corr} answered twice"
             );
             match resp {
@@ -1456,7 +1477,7 @@ mod tests {
         let dispatcher = Parked::default();
         let jobs = Arc::clone(&dispatcher.jobs);
         let (mut shard, mut peer) = hand_driven(dispatcher);
-        for corr in 0..pings {
+        for corr in 1..=pings {
             write_frame(&mut peer, &req(Some(corr), Op::Ping)).unwrap();
         }
         read_until(&mut shard, |_| jobs.lock().unwrap().len() == pings as usize);
@@ -1566,7 +1587,7 @@ mod tests {
         let jobs = Arc::clone(&dispatcher.jobs);
         let h = Harness::start(dispatcher, 64);
         let mut c = h.connect();
-        for corr in 0..64 {
+        for corr in 1..=64 {
             write_frame(&mut c, &req(Some(corr), Op::Get { id: 1 })).unwrap();
         }
         let patience = Instant::now();

@@ -216,7 +216,7 @@ fn a_shutdown_op_on_one_shard_closes_idle_connections_on_every_shard() {
             };
             stream.write_all(&ping.encode_frame().unwrap()).unwrap();
             let reply = read_frame(&mut stream).unwrap().expect("a PING reply");
-            assert_eq!(Response::decode(&reply).unwrap(), Response::Ok);
+            assert_eq!(Response::decode_corr(&reply).unwrap(), (None, Response::Ok));
             stream
         })
         .collect();
@@ -818,7 +818,7 @@ fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
     let mut expected = std::collections::HashMap::new();
     let mut submit_wave = |pipelined: &mut TcpStream| {
         for (id, payload) in &objects {
-            let corr = expected.len() as u32;
+            let corr = expected.len() as u32 + 1;
             let request = Request {
                 deadline_ms: 0,
                 corr_id: Some(corr),

@@ -2,7 +2,7 @@
 //! reply has the connection to itself, the shard otherwise — and the peer
 //! must not be able to tell: every request is answered exactly once, with
 //! the bytes `Response::encode_corr` would have produced, whole (no frame
-//! inside another), unflagged for a one-at-a-time peer.
+//! inside another), with corr 0 for a one-at-a-time peer that sends none.
 //! Four workers race on every connection here; the traffic is seeded and a
 //! failure prints the seed.
 
@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-use tornado_server::protocol::{append_frame, MAX_FRAME, RESP_CORR_FLAG};
+use tornado_server::protocol::{append_frame, MAX_FRAME};
 use tornado_server::ServerObserver;
 use tornado_server::{serve, Client, Op, Request, Response, ServerConfig, ServerHandle};
 use tornado_store::ArchivalStore;
@@ -188,15 +188,11 @@ impl FrameReader {
     }
 }
 
-/// The correlation id a reply frame carries, if it is flagged as carrying one.
+/// The correlation id a reply frame echoes; `None` for 0, the answer to a
+/// request that carried none.
 fn corr_of(frame: &[u8]) -> Option<u32> {
-    (frame[4] & RESP_CORR_FLAG != 0).then(|| {
-        u32::from_le_bytes(
-            frame[5..9]
-                .try_into()
-                .expect("a flagged reply holds its id"),
-        )
-    })
+    let corr = u32::from_le_bytes(frame[5..9].try_into().expect("a reply holds its id"));
+    (corr != 0).then_some(corr)
 }
 
 /// Nothing more arrives on a connection whose every request was answered.
@@ -245,14 +241,14 @@ fn pipelined_peer(mut stream: TcpStream, served: &Served, traffic: Traffic) {
     while answered < requests {
         while sent < requests && (sent - answered) < IN_FLIGHT as u32 {
             let (op, response) = served.pick(&mut rng, big, big_in);
+            sent += 1;
             send(&mut stream, Some(sent), op);
             expected.push(Some(wire(Some(sent), &response)));
-            sent += 1;
         }
         let frame = reader.next(&mut stream, &mut rng);
         let corr = corr_of(&frame).expect("a correlated request's reply carries its id") as usize;
         let want = expected
-            .get_mut(corr)
+            .get_mut(corr - 1)
             .unwrap_or_else(|| panic!("corr {corr} was never sent"))
             .take()
             .unwrap_or_else(|| panic!("corr {corr} answered twice"));
@@ -269,7 +265,7 @@ fn pipelined_peer(mut stream: TcpStream, served: &Served, traffic: Traffic) {
 
 /// Sends uncorrelated requests of the mix one at a time, each once the last
 /// is answered — the only way the protocol lets a client without
-/// correlation ids send; every reply must come back unflagged, byte for
+/// correlation ids send; every reply must come back with corr 0, byte for
 /// byte.
 fn one_at_a_time_peer(mut stream: TcpStream, served: &Served, traffic: Traffic) {
     let Traffic {
@@ -376,7 +372,7 @@ fn a_peer_that_hangs_up_with_requests_in_flight_costs_nothing_but_its_replies() 
     // 64 large GETs, and gone before the first reply: workers find the
     // socket reset under them, or the connection already closed.
     let mut rude = served.connect();
-    for corr in 0..IN_FLIGHT as u32 {
+    for corr in 1..=IN_FLIGHT as u32 {
         send(&mut rude, Some(corr), Op::Get { id: served.large.0 });
     }
     drop(rude);
@@ -415,7 +411,7 @@ fn a_peer_that_never_reads_is_owed_a_bounded_number_of_replies() {
     // another until the connection's unsent output passes its bound
     // (2 × MAX_FRAME), and nothing further is taken from it.
     let mut greedy = served.connect();
-    for corr in 0..REQUESTS {
+    for corr in 1..=REQUESTS {
         send(&mut greedy, Some(corr), Op::Get { id: served.large.0 });
     }
     let bound = (2 * MAX_FRAME / LARGE + MAX_IN_FLIGHT) as u64;
@@ -451,7 +447,7 @@ fn a_peer_that_never_reads_is_owed_a_bounded_number_of_replies() {
         let frame = reader.next(&mut greedy, &mut rng);
         let corr = corr_of(&frame).expect("correlated");
         assert!(
-            !std::mem::replace(&mut seen[corr as usize], true),
+            !std::mem::replace(&mut seen[corr as usize - 1], true),
             "corr {corr} answered twice"
         );
         let want = wire(

@@ -47,8 +47,8 @@ impl Drop for SeedOnPanic {
 
 /// One request the server must answer, never one that changes the fleet
 /// or stops the server: a GET of a stored object or of none, PUT, STAT,
-/// DELETE of an id never issued, PING, METRICS or HEALTH, under any of the
-/// header's optional fields.
+/// DELETE of an id never issued, PING, METRICS or HEALTH, with or without
+/// a deadline, a correlation id and a trace id.
 fn random_frame(rng: &mut Rng, stored: &[u64]) -> Vec<u8> {
     let missing = rng.next() | (1 << 63);
     let op = match rng.below(8) {
