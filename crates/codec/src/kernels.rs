@@ -111,7 +111,13 @@ fn xor_into_words(dst: &mut [u8], src: &[u8]) {
 
 /// FNV-1a offset basis (per-lane states are this perturbed by lane index).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
+/// The lanes' multiplier: 2⁴⁴ + 0x1b3. It is *not* FNV-64's prime
+/// (`0x100_0000_01b3`, 2⁴⁰ + 0x1b3), only written like it; it is odd, and
+/// so invertible mod 2⁶⁴, which is all the lane argument needs (a change
+/// to a word changes its lane's state). The value is pinned: sidecars and
+/// segment records on disk hold digests made with it, and
+/// `checksum_of_a_fixed_buffer_is_pinned` holds one (the copies in
+/// `Graph::fingerprint` and the test oracle are pinned likewise).
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// 8-lane word-striped FNV-1a block checksum.

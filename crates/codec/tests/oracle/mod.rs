@@ -212,6 +212,8 @@ pub mod scalar {
     /// shared with the kernel; `kernel_parity.rs`'s GOLDEN digest pins them.
     pub fn checksum(data: &[u8]) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        // 2⁴⁴ + 0x1b3, the kernel's multiplier: not FNV-64's prime
+        // (2⁴⁰ + 0x1b3), but odd and so invertible mod 2⁶⁴.
         const FNV_PRIME: u64 = 0x1000_0000_01b3;
         let step = |l: u64, w: u64| (l ^ w).wrapping_mul(FNV_PRIME);
         let mut lanes: [u64; 8] =

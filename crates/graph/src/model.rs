@@ -256,11 +256,14 @@ impl Graph {
         crate::GraphBuilder::from_graph(self)
     }
 
-    /// A stable 64-bit structural fingerprint (FNV-1a over the canonical
-    /// adjacency), used to detect accidental graph mutation and to name
-    /// generated graphs reproducibly.
+    /// A stable 64-bit structural fingerprint (FNV-1a-style over the
+    /// canonical adjacency), used to detect accidental graph mutation and
+    /// to name generated graphs reproducibly.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        // The block digest's multiplier, 2⁴⁴ + 0x1b3: not FNV-64's prime
+        // (2⁴⁰ + 0x1b3), but odd and so invertible mod 2⁶⁴. Pinned: the
+        // fingerprints recorded for the catalogue graphs depend on it.
         const PRIME: u64 = 0x1000_0000_01b3;
         let mut h = OFFSET;
         let mut eat = |x: u32| {

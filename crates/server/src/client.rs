@@ -20,9 +20,7 @@
 //! size, never zero-filled, never copied again.
 
 use crate::error::ClientError;
-use crate::protocol::{
-    next_corr, put_frame_head, read_response, Op, Request, Response, StatMeta, MAX_NAME,
-};
+use crate::protocol::{next_corr, put_frame_head, read_response, Op, Request, Response, StatMeta};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -165,10 +163,13 @@ impl Client {
     }
 
     /// Sends one request, returning the correlation id its response must
-    /// carry. A PUT name over [`MAX_NAME`] bytes is refused with
-    /// [`ClientError::BadRequest`] before anything is written (its length
-    /// would not fit the wire's `u16`, or would ship the whole payload
-    /// only for the server to refuse it).
+    /// carry. A PUT whose name is over [`MAX_NAME`](crate::protocol::MAX_NAME)
+    /// bytes, or whose frame would be over
+    /// [`MAX_FRAME`](crate::protocol::MAX_FRAME), is refused by the
+    /// protocol's frame check before anything is written, as
+    /// [`ClientError::Io`] of kind `InvalidInput` (the name's length would
+    /// not fit the wire's `u16`, or would ship the whole payload only for
+    /// the server to refuse it).
     fn send(&mut self, op: Op) -> Result<u32, ClientError> {
         if let Op::Put { name, payload } = &op {
             return self.send_put(name, payload);
@@ -187,12 +188,6 @@ impl Client {
     /// [`Client::send`] of a PUT whose name and payload the caller only
     /// lends: the same checks, the same bytes on the wire.
     fn send_put(&mut self, name: &str, payload: &[u8]) -> Result<u32, ClientError> {
-        if name.len() > MAX_NAME {
-            return Err(ClientError::BadRequest(format!(
-                "name length {} exceeds {MAX_NAME}",
-                name.len()
-            )));
-        }
         let corr = self.take_corr();
         let (deadline_ms, trace_id) = (self.deadline_ms, self.trace_id);
         let head = put_frame_head(deadline_ms, Some(corr), trace_id, name, payload.len())?;
@@ -274,7 +269,7 @@ fn error_from(resp: Response, op: &str) -> ClientError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_frame, write_frame};
+    use crate::protocol::{read_frame, write_frame, MAX_FRAME, MAX_NAME};
     use std::net::TcpListener;
     use std::thread;
 
@@ -394,7 +389,7 @@ mod tests {
 
         // A name plus a payload of exactly MAX_FRAME cannot fit the frame.
         // `put` lends the payload; `roundtrip` hands over an owned op.
-        let huge = vec![0u8; crate::protocol::MAX_FRAME];
+        let huge = vec![0u8; MAX_FRAME];
         let name = "x".repeat(MAX_NAME + 1);
         for owned in [false, true] {
             let mut put = |name: &str, payload: &[u8]| match owned {
@@ -407,18 +402,11 @@ mod tests {
                     client.roundtrip(op).map(drop)
                 }
             };
-            match put("big", &huge) {
-                Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
-                other => panic!("expected InvalidInput, got {other:?}"),
-            }
-            match put(&name, b"payload") {
-                Err(ClientError::BadRequest(m)) => {
-                    assert_eq!(
-                        m,
-                        format!("name length {} exceeds {MAX_NAME}", MAX_NAME + 1)
-                    )
+            for (name, payload) in [("big", &huge[..]), (&name[..], b"payload")] {
+                match put(name, payload) {
+                    Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+                    other => panic!("expected InvalidInput, got {other:?}"),
                 }
-                other => panic!("expected BadRequest, got {other:?}"),
             }
         }
         // The connection is still in step: a PING goes out, and it is the

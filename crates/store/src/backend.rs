@@ -38,17 +38,71 @@
 //! and degrades exactly as if the block were an erasure, so upstream
 //! recovery (planner replans, scrubber repairs) applies unchanged.
 //!
+//! Every map the store keys by a block or an object id hashes with
+//! `IndexHasher`: the store assigns those keys itself, so no one can
+//! choose them to collide, and a keyed hash would buy nothing.
+//!
 //! Process-wide persistence counters live in [`BackendMetrics`]
 //! (`backend.*` in METRICS snapshots), following the same static-counter
 //! idiom as `tornado_codec::kernels::metrics`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use tornado_codec::kernels::{self, Ahead};
 use tornado_codec::{pool, BlockPool};
 
 /// Identifies a block on a device: `(object id, graph node index)`.
 pub(crate) type BlockKey = (u64, u32);
+
+/// A map keyed by what the store assigns — a [`BlockKey`] or an object id.
+pub(crate) type IndexMap<K, V> = HashMap<K, V, BuildHasherDefault<IndexHasher>>;
+/// A set of what the store assigns; see [`IndexMap`].
+pub(crate) type IndexSet<K> = HashSet<K, BuildHasherDefault<IndexHasher>>;
+
+/// The hash of the store's own keys, in the FxHash style: each word is
+/// XORed in, multiplied by an odd constant and rotated, so a word's low
+/// bits reach the high bits through the multiply and come back down
+/// through the rotation; `finish` folds the high half onto the low half
+/// and multiplies and rotates once more, so ids that differ only in their
+/// high bits spread too. The table indexes buckets by the low bits and
+/// tags them with the top seven; both see every bit of the key. Every step
+/// is a bijection, so distinct states never finish alike.
+///
+/// It is not keyed, unlike the standard library's SipHash, and so does not
+/// resist keys chosen to collide. None can be: object ids come from the
+/// store's counter and nodes are below the graph's node count, and no
+/// client names either. Object names are never hashed.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IndexHasher(u64);
+
+/// [`IndexHasher`]'s multiplier (rustc-hash's): odd, so multiplying by it
+/// is a bijection.
+const INDEX_K: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl Hasher for IndexHasher {
+    // The store's keys are integers; bytes, which none of them write, go a
+    // byte to a word.
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(INDEX_K).rotate_left(26);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        (self.0 ^ self.0 >> 32)
+            .wrapping_mul(INDEX_K)
+            .rotate_left(26)
+    }
+}
 
 /// What [`BlockBackend::read_into`] appended to the caller's buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,7 +167,7 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
         }
     }
 
-    /// Word-wide FNV checksum (`tornado_codec::kernels::checksum`) of
+    /// The 8-lane block digest (`tornado_codec::kernels::checksum`) of
     /// the stored bytes, without handing out a copy — the scrub verify
     /// tier's read path; `next` as for [`BlockBackend::read_into`].
     /// `Ok(None)` when absent.
@@ -173,7 +227,7 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
 ///   what the device held when it was destroyed.
 #[derive(Debug, Default)]
 pub struct MemoryBackend {
-    blocks: HashMap<BlockKey, Vec<u8>>,
+    blocks: IndexMap<BlockKey, Vec<u8>>,
     spares: Vec<Vec<u8>>,
 }
 
@@ -415,6 +469,70 @@ pub(crate) mod hooked {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{BuildHasher, Hash};
+
+    /// How `hashes` fall in a table sized as the standard map sizes one
+    /// for them (the next power of two at 7/8 load), which indexes buckets
+    /// by the low bits and tags them with the top seven: the most keys in
+    /// one bucket, the buckets in use as a share of what uniform hashing
+    /// fills, and the keys under each tag.
+    fn spread(hashes: &[u64]) -> (usize, f64, [usize; 128]) {
+        let n = hashes.len();
+        let buckets = (n * 8 / 7).next_power_of_two();
+        let mut load = vec![0usize; buckets];
+        let mut tags = [0usize; 128];
+        for &h in hashes {
+            load[h as usize & (buckets - 1)] += 1;
+            tags[(h >> 57) as usize] += 1;
+        }
+        let used = load.iter().filter(|&&l| l > 0).count() as f64;
+        let uniform = buckets as f64 * (1.0 - (-(n as f64) / buckets as f64).exp());
+        (*load.iter().max().unwrap(), used / uniform, tags)
+    }
+
+    #[test]
+    fn the_index_hasher_spreads_the_keys_the_store_assigns() {
+        fn hash(key: impl Hash) -> u64 {
+            BuildHasherDefault::<IndexHasher>::default().hash_one(key)
+        }
+        // 1,024 objects of 96 nodes: the block keys of a whole store, one
+        // device's share of them (a node per object, by rotation) and the
+        // object ids alone. The ids count up from 1, or differ only in
+        // their high bits.
+        for shift in [0u32, 24, 40, 54] {
+            let ids: Vec<u64> = (1..=1024u64).map(|i| i << shift).collect();
+            let blocks: Vec<u64> = ids
+                .iter()
+                .flat_map(|&id| (0..96u32).map(move |node| hash((id, node))))
+                .collect();
+            let device: Vec<u64> = ids
+                .iter()
+                .zip((0..96u32).cycle().step_by(7))
+                .map(|(&id, node)| hash((id, node)))
+                .collect();
+            let objects: Vec<u64> = ids.iter().map(hash).collect();
+            for (what, hashes) in [("blocks", blocks), ("device", device), ("ids", objects)] {
+                let (most, used, tags) = spread(&hashes);
+                let case = format!("{} {what} keys, ids << {shift}", hashes.len());
+                // Uniform hashing puts at most ~8 keys in a bucket here.
+                assert!(most <= 12, "{case}: {most} keys in one bucket");
+                assert!(used >= 0.85, "{case}: {used:.3} of the buckets in use");
+                let unused = tags.iter().filter(|&&t| t == 0).count();
+                assert!(unused <= 4, "{case}: {unused} of 128 tags unused");
+                if hashes.len() > 1 << 16 {
+                    // ~768 keys a tag, so ±15 % is over 4 standard deviations.
+                    let mean = hashes.len() as f64 / 128.0;
+                    for t in tags {
+                        let share = t as f64 / mean;
+                        assert!(
+                            (0.85..=1.15).contains(&share),
+                            "{case}: a tag holds {share:.2}× its share"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn memory_roundtrip_and_corrupt() {

@@ -8,19 +8,18 @@
 //! never observable half-written; a crash mid-put leaves at most a
 //! `.tmp` orphan, which the next open sweeps away.
 
-use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::backend::{appended_since, sync_file, Appended, BlockBackend, BlockKey};
+use crate::backend::{appended_since, sync_file, Appended, BlockBackend, BlockKey, IndexSet};
 use tornado_codec::kernels::Ahead;
 
 /// One file per block in a directory; see the module docs for layout.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
-    index: HashSet<BlockKey>,
+    index: IndexSet<BlockKey>,
     fsync: bool,
     scratch: Vec<u8>,
 }
@@ -46,7 +45,7 @@ impl FileBackend {
     /// an interrupted write are removed.
     pub fn open(dir: &Path, fsync: bool) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
-        let mut index = HashSet::new();
+        let mut index = IndexSet::default();
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();

@@ -13,19 +13,20 @@
 //! [kind u8][id u64][node u32][len u32][payload len bytes][fnv u64]
 //! ```
 //!
-//! `kind` is 1 (put) or 2 (tombstone, `len == 0`); the trailing FNV-1a
-//! checksum (`tornado_codec::checksum`) covers header and
+//! `kind` is 1 (put) or 2 (tombstone, `len == 0`); the trailing 8-lane
+//! block digest (`tornado_codec::checksum`) covers header and
 //! payload. The scan stops at the first short or checksum-failing
 //! record and truncates the file there: a torn append can only be the
 //! tail, so everything before it is intact by construction.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use tornado_codec::kernels::Ahead;
 
-use crate::backend::{appended_since, metrics, sync_file, Appended, BlockBackend, BlockKey};
+use crate::backend::{
+    appended_since, metrics, sync_file, Appended, BlockBackend, BlockKey, IndexMap,
+};
 
 const KIND_PUT: u8 = 1;
 const KIND_TOMBSTONE: u8 = 2;
@@ -39,7 +40,7 @@ pub struct SegmentBackend {
     /// Offset one past the last valid record — the append point.
     end: u64,
     /// `key -> (payload offset, payload len)` of the live record.
-    index: HashMap<BlockKey, (u64, u32)>,
+    index: IndexMap<BlockKey, (u64, u32)>,
     fsync: bool,
     scratch: Vec<u8>,
 }
@@ -58,7 +59,7 @@ impl SegmentBackend {
             .truncate(false)
             .open(path)?;
         let file_len = file.metadata()?.len();
-        let mut index = HashMap::new();
+        let mut index = IndexMap::default();
         let mut pos = 0u64;
         file.seek(SeekFrom::Start(0))?;
         let mut header = [0u8; HEADER_LEN];

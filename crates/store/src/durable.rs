@@ -28,7 +28,6 @@
 //! sidecars and block files, so the journal only ever holds the
 //! in-flight window, not history.
 
-use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -38,7 +37,7 @@ use parking_lot::Mutex;
 use tornado_codec::checksum;
 use tornado_graph::Graph;
 
-use crate::backend::{metrics, sync_file, BlockBackend};
+use crate::backend::{metrics, sync_file, BlockBackend, IndexMap, IndexSet};
 use crate::backend_file::FileBackend;
 use crate::backend_segment::SegmentBackend;
 use crate::device::Device;
@@ -436,8 +435,8 @@ pub(crate) fn open(
     // Journal scan: classify the in-flight window.
     let (mut journal, scan) = IntentJournal::open(&dir.join("journal.wal"), cfg.fsync)
         .map_err(|e| StoreError::io("journal open", &e))?;
-    let mut intents: HashMap<u64, (u32, u32)> = HashMap::new();
-    let mut commits: HashSet<u64> = HashSet::new();
+    let mut intents: IndexMap<u64, (u32, u32)> = IndexMap::default();
+    let mut commits: IndexSet<u64> = IndexSet::default();
     let mut deletes: Vec<(u64, u32, u32)> = Vec::new();
     for rec in &scan.records {
         match *rec {
@@ -462,7 +461,7 @@ pub(crate) fn open(
     }
 
     // Object map: the sidecars are the source of truth.
-    let mut objects: HashMap<u64, ObjectMeta> = HashMap::new();
+    let mut objects: IndexMap<u64, ObjectMeta> = IndexMap::default();
     let mut invalid_sidecars = 0usize;
     let meta_dir = dir.join("meta");
     let entries = fs::read_dir(&meta_dir).map_err(|e| StoreError::io("meta scan", &e))?;

@@ -394,9 +394,11 @@ mod tests {
         assert!(plan_repair(&g, &all_except(&g, &[0, 1, 4])).is_none());
     }
 
-    /// FNV-1a over every plan `plan_retrieval` and `plan_repair` return for
-    /// each `stride`-th 4-erasure pattern of catalogue graph 1: `fetch`,
-    /// then the schedule in order.
+    /// FNV-1a-style over every plan `plan_retrieval` and `plan_repair`
+    /// return for each `stride`-th 4-erasure pattern of catalogue graph 1:
+    /// `fetch`, then the schedule in order. The multiplier is the block
+    /// digest's, 2⁴⁴ + 0x1b3 — not FNV-64's prime (2⁴⁰ + 0x1b3), but odd
+    /// and so invertible mod 2⁶⁴; the pinned digests below depend on it.
     fn plans_digest(stride: usize) -> u64 {
         let g = tornado_core::tornado_graph_1();
         let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -59,12 +59,12 @@
 //! A cycle records into the observer attached to the store
 //! ([`ArchivalStore::set_observer`]), when there is one.
 
+use crate::backend::IndexMap;
 use crate::device::BlockProbe;
 use crate::retrieval::{plan_partial_repair, RepairCost, RetrievalPlan};
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::time::Instant;
 use tornado_codec::kernels::Ahead;
 use tornado_codec::{pool, Codec, DecodeMetrics};
@@ -253,7 +253,7 @@ pub struct Scrubber {
     /// thread count that `install` scopes each cycle's parallel map to.
     pool: Option<rayon::ThreadPool>,
     /// Clean marks from previous cycles (skip-tier state).
-    clean: Mutex<HashMap<ObjectId, CleanMark>>,
+    clean: Mutex<IndexMap<ObjectId, CleanMark>>,
 }
 
 impl Scrubber {
@@ -269,7 +269,7 @@ impl Scrubber {
         });
         Self {
             pool,
-            clean: Mutex::new(HashMap::new()),
+            clean: Mutex::new(IndexMap::default()),
         }
     }
 
@@ -316,10 +316,10 @@ impl Scrubber {
         // mid-cycle invalidates every mark this cycle records, because the
         // next cycle observes a larger epoch.
         let epoch = store.pool_epoch();
-        let marks: HashMap<ObjectId, CleanMark> = if mode == ScrubMode::Incremental {
+        let marks: IndexMap<ObjectId, CleanMark> = if mode == ScrubMode::Incremental {
             self.clean.lock().clone()
         } else {
-            HashMap::new()
+            IndexMap::default()
         };
         let per_stripe = |meta: &ObjectMeta| -> StripeScrub {
             scrub_stripe(
@@ -995,7 +995,8 @@ mod tests {
                     Device::with_backend(d, Box::new(HookedBackend::new(record)))
                 })
                 .collect();
-            let store = ArchivalStore::assemble(graph.clone(), devices, HashMap::new(), 1, 0, None);
+            let store =
+                ArchivalStore::assemble(graph.clone(), devices, IndexMap::default(), 1, 0, None);
             let ids: Vec<ObjectId> = (0..3)
                 .map(|i| store.put(&format!("o{i}"), &vec![i as u8; 50_000]).unwrap())
                 .collect();

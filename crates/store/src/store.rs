@@ -1,5 +1,6 @@
 //! The archival store: transactional object put/get over a device pool.
 
+use crate::backend::IndexMap;
 use crate::device::{Device, ReadClass};
 use crate::durable::{self, BackendKind, Durability, DurableConfig, RecoveryReport};
 use crate::error::StoreError;
@@ -7,7 +8,6 @@ use crate::journal::{CrashInjector, JournalRecord};
 use crate::obs::StoreObserver;
 use crate::retrieval::{plan_retrieval_or_lost, RepairCost};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,9 +46,9 @@ pub struct ObjectMeta {
     /// Device rotation offset: block `i` lives on device
     /// `(i + rotation) % devices` (`device_of_node`).
     pub rotation: usize,
-    /// FNV-1a checksum per block (indexed by graph node), so silent
-    /// corruption on a device is detected at read time and handled as an
-    /// erasure.
+    /// The 8-lane block digest (`tornado_codec::checksum`) of each block,
+    /// indexed by graph node, so silent corruption on a device is detected
+    /// at read time and handled as an erasure.
     pub checksums: Vec<u64>,
 }
 
@@ -122,7 +122,7 @@ impl Stripe {
 pub struct ArchivalStore {
     graph: Graph,
     devices: Vec<Device>,
-    objects: RwLock<HashMap<ObjectId, Stripe>>,
+    objects: RwLock<IndexMap<ObjectId, Stripe>>,
     next_id: AtomicU64,
     put_count: AtomicU64,
     /// Source of stripe generations (store-wide, strictly increasing).
@@ -145,7 +145,7 @@ impl ArchivalStore {
     /// `graph` (the simulation default; nothing survives process exit).
     pub fn new(graph: Graph) -> Self {
         let devices = (0..graph.num_nodes()).map(Device::new).collect();
-        Self::assemble(graph, devices, HashMap::new(), 1, 0, None)
+        Self::assemble(graph, devices, IndexMap::default(), 1, 0, None)
     }
 
     /// Opens (creating if empty) a durable store rooted at `cfg.dir`,
@@ -162,7 +162,7 @@ impl ArchivalStore {
     pub(crate) fn assemble(
         graph: Graph,
         devices: Vec<Device>,
-        objects: HashMap<ObjectId, ObjectMeta>,
+        objects: IndexMap<ObjectId, ObjectMeta>,
         next_id: u64,
         put_count: u64,
         durability: Option<Durability>,
@@ -414,13 +414,19 @@ impl ArchivalStore {
     /// The code is systematic, so the data half of the stripe *is* the
     /// framed payload: data blocks `0..k` are read in order straight into
     /// `buf`, each byte written once, and checksum-verified where they
-    /// landed. A healthy stripe touches nothing else — no availability
-    /// scan, no plan, no scratch block. A block that is absent, on an
-    /// offline device, of the wrong length or corrupt is cut back out and
-    /// its slot zero-filled as a *hole* for `fill_holes` to rebuild
-    /// before the next block is read, so silent corruption degrades into
-    /// an ordinary erasure and unverified bytes are never in a buffer that
-    /// is returned.
+    /// landed. The data pass streams like a scrub: one device-index lookup
+    /// per data block first ([`Device::locate`]; nothing is read and
+    /// no counter moves), then each read carries the hint of the block
+    /// after it, whose head the kernel asks into L2 while this one is
+    /// hashed. A healthy stripe touches nothing else — no check-node probe,
+    /// no plan, no scratch block. A block that is absent, on an offline
+    /// device, of the wrong length or corrupt — or gone since its lookup —
+    /// is cut back out and its slot zero-filled as a *hole* for
+    /// `fill_holes` to rebuild before the next block is read, so silent
+    /// corruption degrades into an ordinary erasure and unverified bytes
+    /// are never in a buffer that is returned. A GET whose object is
+    /// deleted under it answers [`StoreError::UnknownObject`] when the
+    /// blocks it still found cannot rebuild the stripe.
     pub fn get_framed(
         &self,
         id: ObjectId,
@@ -434,9 +440,16 @@ impl ArchivalStore {
         buf.resize(headroom, 0);
         let mut holes: Vec<NodeId> = Vec::new();
         let mut stats = GetStats::default();
+        // A hint gone stale by its use costs a wasted prefetch, and a block
+        // gone since its lookup is a hole like any other.
+        let hints: Vec<Option<Ahead>> = (0..k as NodeId).map(|v| self.locate(&meta, v)).collect();
         for node in 0..k as NodeId {
-            let read =
-                self.read_verified_into(&meta, node, ReadClass::Payload, &mut buf, Ahead::NONE);
+            let next = hints
+                .get(node as usize + 1)
+                .copied()
+                .flatten()
+                .unwrap_or(Ahead::NONE);
+            let read = self.read_verified_into(&meta, node, ReadClass::Payload, &mut buf, next);
             if let Err(miss) = read {
                 buf.resize(buf.len() + block_len, 0);
                 holes.push(node);
@@ -447,7 +460,13 @@ impl ArchivalStore {
         stats.blocks_fetched = k - holes.len();
         stats.cost.blocks_fetched = stats.blocks_fetched as u64;
         if !holes.is_empty() {
-            self.fill_holes(&meta, &holes, &mut buf[headroom..], &mut stats)?;
+            let filled = self.fill_holes(&meta, &holes, &mut buf[headroom..], &mut stats);
+            // A delete that takes the blocks from under the read orders the
+            // GET after it: the object is unknown, not lost.
+            if filled.is_err() && !self.objects.read().contains_key(&id) {
+                return Err(StoreError::UnknownObject { id });
+            }
+            filled?;
         }
         // One device per node and no block read twice: blocks, devices
         // and bytes are the same count in different units.
@@ -873,7 +892,7 @@ mod tests {
                 None => Device::new(d),
             })
             .collect();
-        let store = ArchivalStore::assemble(graph, devices, HashMap::new(), 1, 0, None);
+        let store = ArchivalStore::assemble(graph, devices, IndexMap::default(), 1, 0, None);
         (store, reached_rx, release_tx)
     }
 
@@ -975,6 +994,32 @@ mod tests {
         assert_eq!(outcome.costs[0].blocks_fetched, in_hand.len() as u64);
         assert_eq!(total_reads(&store) - before, in_hand.len() as u64);
         assert_eq!(store.devices[victim as usize].stats().failed_reads, 1);
+    }
+
+    #[test]
+    fn a_get_that_a_delete_overtakes_answers_unknown_object() {
+        // The gate holds the GET inside its first read, node 0's, under
+        // that device's lock. Meanwhile the object is deleted as `delete`
+        // does it — the record, then every block — with the held device
+        // left to last, so the GET reads node 0 and then finds no more.
+        let (store, reached_rx, release_tx) = gated_store(0);
+        let id = store.put("x", &vec![9u8; 5000]).unwrap();
+        let got = std::thread::scope(|s| {
+            let get = s.spawn(|| store.get_framed(id, 0));
+            reached_rx.recv().unwrap();
+            let stripe = store.objects.write().remove(&id).unwrap();
+            for node in 1..96 {
+                let dev = store.device_of_block(&stripe.meta, node);
+                assert!(store.devices[dev].delete_block(&(id, node)));
+            }
+            release_tx.send(()).unwrap();
+            get.join().unwrap()
+        });
+        assert!(
+            matches!(got, Err(StoreError::UnknownObject { id: gone }) if gone == id),
+            "{got:?}"
+        );
+        assert_eq!(store.devices[0].stats().reads, 1, "node 0 was read");
     }
 
     #[test]

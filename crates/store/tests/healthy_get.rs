@@ -1,13 +1,13 @@
 //! A healthy GET is a data-only read: no plan, nothing fetched beyond the
-//! `k` data blocks, and — on a warm thread — no buffer that is not
-//! recycled from the block pool.
+//! `k` data blocks, one read of each and no in-place verify, and — on a
+//! warm thread — no buffer that is not recycled from the block pool.
 //!
 //! This is a test binary of its own with a single test because
 //! `pool::metrics()` is process-wide: any test running beside it would
 //! move the miss counter.
 
 use tornado_codec::pool;
-use tornado_store::ArchivalStore;
+use tornado_store::{ArchivalStore, DeviceStats};
 
 #[test]
 fn healthy_get_skips_the_planner_and_never_misses_the_pool() {
@@ -42,5 +42,27 @@ fn healthy_get_skips_the_planner_and_never_misses_the_pool() {
     for node in k..n {
         let dev = store.device_of_block(&meta, node as u32);
         assert_eq!(store.device(dev).unwrap().stats().reads, 0);
+    }
+
+    // One GET, device by device: each data block is read once and verified
+    // where it landed, never probed in place, and a check device sees
+    // nothing. The index lookups before the data pass move no counter.
+    let stats = |node: usize| {
+        let dev = store.device_of_block(&meta, node as u32);
+        store.device(dev).unwrap().stats()
+    };
+    let before: Vec<DeviceStats> = (0..n).map(stats).collect();
+    assert_eq!(store.get(id).unwrap(), payload);
+    for (node, before) in before.into_iter().enumerate() {
+        let expected = if node < k {
+            DeviceStats {
+                reads: before.reads + 1,
+                bytes_read: before.bytes_read + meta.block_len as u64,
+                ..before
+            }
+        } else {
+            before
+        };
+        assert_eq!(stats(node), expected, "node {node}");
     }
 }

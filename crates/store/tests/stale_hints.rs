@@ -1,28 +1,32 @@
 //! Stale next-block hints are harmless.
 //!
-//! A scrub streams each block with the hint of the one after it, taken
-//! under that device's read lock and used after the lock is gone — by then
-//! the block may be deleted, its device failed and replaced, its buffer
-//! handed to another block. Here Verify and Full repair scrubs run on two
-//! to four workers, back to back, while another thread fails and replaces
-//! devices, puts and deletes objects and rots blocks as fast as it can.
+//! A scrub and a GET stream each block with the hint of the one after it,
+//! taken under that device's read lock and used after the lock is gone —
+//! by then the block may be deleted, its device failed and replaced, its
+//! buffer handed to another block. Here Verify and Full repair scrubs run
+//! on two to four workers, back to back, and two reader threads GET live
+//! objects, while another thread fails and replaces devices, puts and
+//! deletes objects and rots blocks as fast as it can.
 //!
 //! Only two devices are ever failed and two others ever rotted, so no
 //! stripe misses more than four blocks, and graph 1 decodes any four. Then
-//! nothing may panic; and once every device is back, a repair scrub and a
-//! Full scrub after it find no stripe degraded, and every live object
-//! reads back byte for byte.
+//! nothing may panic; every GET returns its object byte for byte, or
+//! `UnknownObject` for one the churn deleted, and never `Unrecoverable`;
+//! and once every device is back, a repair scrub and a Full scrub after it
+//! find no stripe degraded, and every live object reads back byte for
+//! byte.
 //!
-//! A failure names the seed it ran (the churn's operations are seeded; how
-//! they interleave with the scrubs is not).
+//! A failure names the seed it ran (the churn's and the readers' choices
+//! are seeded; how they interleave with the scrubs is not).
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use tornado_graph::NodeId;
-use tornado_store::{ArchivalStore, ScrubMode, Scrubber};
+use tornado_store::{ArchivalStore, ScrubMode, Scrubber, StoreError};
 
 const SEEDS: [u64; 2] = [0x57A1E, 0x4EAD];
 /// Operations the churn runs per seed.
@@ -32,6 +36,15 @@ const OPS: usize = 300;
 const CYCLES: usize = 12;
 /// The graph's first failure level, handed to the scrubber.
 const LEVEL: usize = 5;
+/// Reader threads, and the fewest GETs each makes; they go on until the
+/// churn is done.
+const READERS: u64 = 2;
+const GETS: usize = 40;
+
+/// The live objects and their payloads, shared by the churn and the
+/// readers. The churn drops an object from here before it deletes it, so a
+/// GET that finds an object unknown finds it gone from here too.
+type Live = Mutex<HashMap<u64, Arc<Vec<u8>>>>;
 
 /// Mostly small objects, some of a few 4 KiB strips per block.
 fn payload(rng: &mut SmallRng) -> Vec<u8> {
@@ -45,31 +58,31 @@ fn payload(rng: &mut SmallRng) -> Vec<u8> {
     p
 }
 
-/// The churn: `OPS` random operations, then `done`. Returns the live
-/// objects.
+/// The churn: `OPS` random operations on `live` and the store, then
+/// `done`.
 fn churn(
     store: &ArchivalStore,
-    mut live: HashMap<u64, Vec<u8>>,
+    live: &Live,
     failing: [usize; 2],
     rotting: [usize; 2],
     seed: u64,
     done: &AtomicBool,
-) -> HashMap<u64, Vec<u8>> {
+) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = store.num_devices();
     for _ in 0..OPS {
-        let mut ids: Vec<u64> = live.keys().copied().collect();
+        let mut ids: Vec<u64> = live.lock().unwrap().keys().copied().collect();
         ids.sort_unstable();
         match rng.gen_range(0..4) {
-            0 if live.len() < 24 => {
+            0 if ids.len() < 24 => {
                 let p = payload(&mut rng);
                 let id = store.put("churn", &p).expect("put");
-                live.insert(id, p);
+                live.lock().unwrap().insert(id, Arc::new(p));
             }
-            0 | 1 if live.len() > 8 => {
+            0 | 1 if ids.len() > 8 => {
                 let id = *ids.choose(&mut rng).expect("live objects");
+                live.lock().unwrap().remove(&id);
                 store.delete(id).expect("delete");
-                live.remove(&id);
             }
             2 => {
                 let d = *failing.choose(&mut rng).expect("two devices");
@@ -93,7 +106,34 @@ fn churn(
         }
     }
     done.store(true, Ordering::Release);
-    live
+}
+
+/// A reader: GETs of live objects, at least `GETS` and until `done`. Each
+/// returns its payload, or `UnknownObject` for an object the churn deleted.
+/// Returns how many GETs it made, and how many found their object gone.
+fn read(store: &ArchivalStore, live: &Live, seed: u64, done: &AtomicBool) -> (usize, usize) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut gets, mut unknown) = (0, 0);
+    while gets < GETS || !done.load(Ordering::Acquire) {
+        let (id, p) = {
+            let live = live.lock().unwrap();
+            let (id, p) = live.iter().nth(rng.gen_range(0..live.len())).expect("live");
+            (*id, Arc::clone(p))
+        };
+        match store.get(id) {
+            Ok(got) => assert!(got == *p, "seed {seed:#x}: GET {id} returned other bytes"),
+            Err(StoreError::UnknownObject { .. }) => {
+                assert!(
+                    !live.lock().unwrap().contains_key(&id),
+                    "seed {seed:#x}: GET {id} of a live object: unknown"
+                );
+                unknown += 1;
+            }
+            Err(e) => panic!("seed {seed:#x}: GET {id}: {e}"),
+        }
+        gets += 1;
+    }
+    (gets, unknown)
 }
 
 fn run(seed: u64) {
@@ -102,25 +142,38 @@ fn run(seed: u64) {
     let mut devices: Vec<usize> = (0..store.num_devices()).collect();
     devices.shuffle(&mut rng);
     let (failing, rotting) = ([devices[0], devices[1]], [devices[2], devices[3]]);
-    let live: HashMap<u64, Vec<u8>> = (0..16)
-        .map(|i| {
-            let p = payload(&mut rng);
-            (store.put(&format!("o{i}"), &p).expect("put"), p)
-        })
-        .collect();
+    let live: Live = Mutex::new(
+        (0..16)
+            .map(|i| {
+                let p = payload(&mut rng);
+                (store.put(&format!("o{i}"), &p).expect("put"), Arc::new(p))
+            })
+            .collect(),
+    );
     let scrubbers = [2, 3, 4].map(Scrubber::new);
 
     let done = AtomicBool::new(false);
-    let live = std::thread::scope(|s| {
-        let churned = s.spawn(|| churn(&store, live, failing, rotting, seed ^ 1, &done));
+    std::thread::scope(|s| {
+        let churned = s.spawn(|| churn(&store, &live, failing, rotting, seed ^ 1, &done));
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (store, live, done) = (&store, &live, &done);
+                s.spawn(move || read(store, live, seed ^ (2 + r), done))
+            })
+            .collect();
         let mut cycle = 0;
         while cycle < CYCLES || !done.load(Ordering::Acquire) {
             let mode = [ScrubMode::Verify, ScrubMode::Full][cycle % 2];
             scrubbers[cycle % 3].run(&store, LEVEL, true, mode);
             cycle += 1;
         }
-        churned.join().expect("the churn thread does not panic")
+        churned.join().expect("the churn thread does not panic");
+        for r in readers {
+            let (gets, unknown) = r.join().expect("a reader does not panic");
+            println!("a reader: {gets} GETs, {unknown} of a deleted object");
+        }
     });
+    let live = live.into_inner().unwrap();
 
     for d in failing {
         if !store.device(d).expect("device").is_online() {
@@ -142,7 +195,7 @@ fn run(seed: u64) {
     assert_eq!(full.stripes.len(), live.len(), "seed {seed:#x}");
     for (id, p) in &live {
         assert!(
-            store.get(*id).expect("live object reads") == *p,
+            store.get(*id).expect("live object reads") == **p,
             "seed {seed:#x}: object {id} reads back other bytes"
         );
     }
