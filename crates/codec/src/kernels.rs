@@ -31,6 +31,10 @@
 //!   caller will stream *next* lies — and request its lines into L2 while
 //!   this one is hashed, so a stream of separate block buffers never starts
 //!   a block cold. [`Ahead::NONE`] asks for nothing beyond the block.
+//! * [`checksum4`] — the same digest of four blocks in one pass, their
+//!   groups interleaved: one block's digest waits on its own lanes'
+//!   multiply chains, four keep the multiplier busy. The scrub's in-place
+//!   verify tier hashes a stripe's blocks four at a time with it.
 //! * [`xor_checksummed`] — the encoder's check-block kernel: the XOR of a
 //!   check's neighbours built strip by strip in a buffer nobody zeroed, and
 //!   the same digest taken of each strip as it lands, so encoding writes a
@@ -148,6 +152,58 @@ pub fn checksum(data: &[u8], next: Ahead) -> u64 {
     let ahead = data.get(PREFETCH_AHEAD..).unwrap_or(&[]);
     absorb_groups(&mut lanes, groups, ahead, next);
     finish_lanes(lanes, rest, data.len())
+}
+
+/// [`checksum`] of four blocks in one pass: element `k` of the result is
+/// `checksum(blocks[k], _)`, bit for bit.
+///
+/// One block's digest is bound by its lanes' multiply chains, not by
+/// memory: the eight lane steps of a group widen into two 4-wide vector
+/// multiplies, each emulated from three 32-bit ones, and the next group's
+/// steps wait on them — about ten cycles a line however fast the line
+/// arrives. Here the blocks' lanes advance a group each per step,
+/// interleaved over the blocks' common whole-group prefix: eight
+/// independent chains and four memory streams, each stream requesting its
+/// own line `PREFETCH_AHEAD` on, while `next`'s line at the step's offset is
+/// requested into L2 as [`checksum`] does. Each block's remainder then
+/// finishes alone, as in [`checksum`]. `kernel.bytes_hashed` advances once,
+/// by the blocks' summed lengths.
+pub fn checksum4(blocks: [&[u8]; 4], next: Ahead) -> [u64; 4] {
+    METRICS
+        .bytes_hashed
+        .add(blocks.iter().map(|b| b.len() as u64).sum());
+    let shortest = blocks.iter().map(|b| b.len()).min().unwrap_or(0);
+    let common = shortest - shortest % GROUP;
+    let aheads = blocks.map(|b| b.get(PREFETCH_AHEAD..).unwrap_or(&[]));
+    let mut lanes = [lane_init(); 4];
+    let [a, b, c, d] = blocks.map(|b| b[..common].chunks_exact(GROUP));
+    for (i, (((ga, gb), gc), gd)) in a.zip(b).zip(c).zip(d).enumerate() {
+        for ahead in aheads {
+            if let Some(line) = ahead.get(i * GROUP) {
+                prefetch_read(line, Locality::L1);
+            }
+        }
+        if let Some(line) = next.at(i * GROUP) {
+            prefetch_read(line, Locality::L2);
+        }
+        for (l, g) in lanes.iter_mut().zip([ga, gb, gc, gd]) {
+            absorb_group(l, g);
+        }
+    }
+    // The rest of `next` goes with the longest block's remainder.
+    let longest = (0..4).max_by_key(|&k| blocks[k].len()).unwrap_or(0);
+    std::array::from_fn(|k| {
+        let rest = &blocks[k][common..];
+        let (groups, tail) = rest.split_at(rest.len() - rest.len() % GROUP);
+        let ahead = aheads[k].get(common..).unwrap_or(&[]);
+        let next = if k == longest {
+            next.skip(common)
+        } else {
+            Ahead::NONE
+        };
+        absorb_groups(&mut lanes[k], groups, ahead, next);
+        finish_lanes(lanes[k], tail, blocks[k].len())
+    })
 }
 
 /// Where the block a caller streams next lies: an address and a length
@@ -289,11 +345,20 @@ fn prefetch_read(p: *const u8, locality: Locality) {
     let _ = (p, locality);
 }
 
+/// Absorbs one 64-byte group into all eight lanes with statically-indexed
+/// independent multiplies.
+#[inline(always)]
+fn absorb_group(lanes: &mut [u64; 8], g: &[u8]) {
+    for (j, l) in lanes.iter_mut().enumerate() {
+        let w = u64::from_le_bytes(g[j * WORD..(j + 1) * WORD].try_into().unwrap());
+        *l = lane_step(*l, w);
+    }
+}
+
 /// Absorbs `groups` (a whole number of 64-byte groups) into all eight
-/// lanes with statically-indexed independent multiplies, requesting per
-/// group absorbed one line of `ahead` — the bytes of this block wanted
-/// next, possibly none — and, into L2, the line of `next` at the group's
-/// own offset.
+/// lanes, requesting per group absorbed one line of `ahead` — the bytes of
+/// this block wanted next, possibly none — and, into L2, the line of
+/// `next` at the group's own offset.
 #[inline(always)]
 fn absorb_groups(lanes: &mut [u64; 8], groups: &[u8], ahead: &[u8], next: Ahead) {
     debug_assert_eq!(groups.len() % GROUP, 0);
@@ -304,10 +369,7 @@ fn absorb_groups(lanes: &mut [u64; 8], groups: &[u8], ahead: &[u8], next: Ahead)
         if let Some(line) = next.at(i * GROUP) {
             prefetch_read(line, Locality::L2);
         }
-        for (j, l) in lanes.iter_mut().enumerate() {
-            let w = u64::from_le_bytes(g[j * WORD..(j + 1) * WORD].try_into().unwrap());
-            *l = lane_step(*l, w);
-        }
+        absorb_group(lanes, g);
     }
 }
 

@@ -115,6 +115,42 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `checksum4` is four `checksum`s and the oracle's four digests, for
+    /// blocks of zero to three whole 4 KiB strips and a part, of unequal
+    /// lengths, tails under a group and any slice offset, whatever `next`
+    /// names.
+    #[test]
+    fn checksum4_is_four_checksums(
+        shapes in proptest::collection::vec((0usize..=3 * 64, 0usize..64, 0usize..8), 4..5),
+        hint in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        let backing: Vec<Vec<u8>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, &(groups, tail, offset))| bytes(offset + groups * 64 + tail, seed ^ k as u64))
+            .collect();
+        let blocks: [&[u8]; 4] = std::array::from_fn(|k| &backing[k][shapes[k].2..]);
+        let unrelated = bytes(20_000, !seed);
+        let freed = kernels::Ahead::of(&bytes(9_000, seed ^ 9));
+        let next = match hint {
+            0 => kernels::Ahead::NONE,
+            1..=4 => kernels::Ahead::of(blocks[hint - 1]),
+            5 => kernels::Ahead::of(&unrelated),
+            6 => kernels::Ahead::of(&unrelated[..0]),
+            _ => freed,
+        };
+        let four = kernels::checksum4(blocks, next);
+        for (k, block) in blocks.iter().enumerate() {
+            prop_assert_eq!(four[k], kernels::checksum(block, kernels::Ahead::NONE), "block {}", k);
+            prop_assert_eq!(four[k], scalar::checksum(block), "block {}", k);
+        }
+    }
+}
+
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt))

@@ -1,12 +1,13 @@
 //! A next-block hint never changes a digest or a count.
 //!
-//! `checksum` and `append_checksummed` take an `Ahead` — where the block
-//! streamed after this one lies — and only ask for its lines. Whatever the
-//! hint names (nothing, the data itself, an unrelated buffer, a shorter or
-//! longer one, memory already freed, or an empty slice), both kernels must
-//! return the byte-serial oracle's digest, `append_checksummed` must append
-//! exactly the source bytes, and `kernel.bytes_hashed` must advance by the
-//! data's length and nothing else.
+//! `checksum`, `checksum4` and `append_checksummed` take an `Ahead` — where
+//! the block streamed after this one lies — and only ask for its lines.
+//! Whatever the hint names (nothing, the data itself, an unrelated buffer,
+//! a shorter or longer one, memory already freed, or an empty slice), the
+//! kernels must return the byte-serial oracle's digests,
+//! `append_checksummed` must append exactly the source bytes, and
+//! `kernel.bytes_hashed` must advance by the data's length — for
+//! `checksum4`, the four blocks' summed lengths — and nothing else.
 //!
 //! One test, so one process: `kernel.bytes_hashed` is process-wide, and
 //! exact deltas need nothing else hashing meanwhile.
@@ -15,7 +16,7 @@
 mod oracle;
 
 use oracle::scalar;
-use tornado_codec::kernels::{self, append_checksummed, checksum, Ahead};
+use tornado_codec::kernels::{self, append_checksummed, checksum, checksum4, Ahead};
 
 fn hashed() -> u64 {
     kernels::metrics().bytes_hashed.get()
@@ -73,6 +74,37 @@ fn a_hint_never_changes_a_digest_or_a_count() {
                 );
                 assert_eq!((&out[..3], &out[3..]), (&[0xEE; 3][..], data), "{case}");
             }
+        }
+    }
+
+    // Four blocks a pass: empty, under a group, the group and strip seams,
+    // three strips and a part, and a 1 MiB object's block, four at a time
+    // and unequal.
+    let lengths = [0, 63, 64, 4_095, 4_097, 3 * 4_096 + 63, 21_846];
+    let blocks: Vec<Vec<u8>> = (0u8..)
+        .zip(lengths)
+        .map(|(k, len)| pattern(len, k))
+        .collect();
+    for first in 0..lengths.len() {
+        let four: [&[u8]; 4] =
+            std::array::from_fn(|k| &blocks[(first + 2 * k) % lengths.len()][..]);
+        let expect = four.map(scalar::checksum);
+        let summed: usize = four.iter().map(|b| b.len()).sum();
+        let hints = [
+            ("none", Ahead::NONE),
+            ("its own first block", Ahead::of(four[0])),
+            ("an unrelated buffer", Ahead::of(&unrelated)),
+            ("a freed buffer", freed),
+            ("an empty slice", Ahead::of(&unrelated[..0])),
+        ];
+        for (what, hint) in hints {
+            let case = format!(
+                "checksum4 of lengths {:?}, hint {what}",
+                four.map(<[u8]>::len)
+            );
+            let before = hashed();
+            assert_eq!(checksum4(four, hint), expect, "{case}");
+            assert_eq!(hashed() - before, summed as u64, "count, {case}");
         }
     }
 }

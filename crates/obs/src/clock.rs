@@ -1,9 +1,17 @@
 //! Clock abstraction so time-dependent behaviour (progress throttling,
-//! event timestamps) is testable with a mock.
+//! event timestamps) is testable with a mock, and [`round_us`], the one
+//! rounding of a measured duration to whole microseconds.
 
 #[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// `d` in whole microseconds, rounded to the nearest (a half rounds up).
+/// Sum a phase's spans as `Duration`s and round the sum once: flooring each
+/// span to whole µs reads ~0.5 µs low a span.
+pub fn round_us(d: Duration) -> u64 {
+    d.as_secs() * 1_000_000 + (u64::from(d.subsec_nanos()) + 500) / 1_000
+}
 
 /// Monotonic nanosecond source.
 pub(crate) trait Clock: Send + Sync {
@@ -79,6 +87,22 @@ mod tests {
         assert_eq!(c.now_nanos(), 0);
         c.advance_millis(5);
         assert_eq!(c.now_nanos(), 5_000_000);
+    }
+
+    #[test]
+    fn round_us_rounds_to_the_nearest_microsecond() {
+        for (nanos, us) in [
+            (0, 0),
+            (499, 0),
+            (999, 1),
+            (1_499, 1),
+            (1_500, 2),
+            (2_000, 2),
+            (1_000_000_499, 1_000_000),
+            (2_999_999_500, 3_000_000),
+        ] {
+            assert_eq!(round_us(Duration::from_nanos(nanos)), us, "{nanos} ns");
+        }
     }
 
     #[test]

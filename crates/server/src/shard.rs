@@ -98,6 +98,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use tornado_obs::clock::round_us;
 use tornado_obs::trace::SpanRecord;
 use tornado_obs::Json;
 
@@ -696,7 +697,7 @@ impl<D: Dispatcher> ShardState<D> {
                     continue;
                 }
             };
-            let decode_us = started_at.elapsed().as_micros() as u64;
+            let decode_us = round_us(started_at.elapsed());
             let corr = request.corr_id;
 
             if matches!(request.op, Op::Shutdown) {

@@ -24,6 +24,11 @@
 //! where they are going, and streamed from memory once; `get` (a fresh
 //! `Vec`) and `get_pooled` (a recycled one) are provided on top of it.
 //!
+//! A backend that holds its blocks in memory also lends them out,
+//! [`BlockBackend::resident`], so a scrub can hash four blocks of a stripe
+//! in one kernel pass where they lie; the durable backends lend nothing
+//! and are verified a block at a time through their `checksum`.
+//!
 //! The read and the in-place [`BlockBackend::checksum`] both take a
 //! `kernels::Ahead`: where the block the caller streams next lies, which
 //! the kernel asks into L2 while this one is hashed. Whether a block is
@@ -181,6 +186,14 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// into a buffer only when asked for it).
     fn locate(&self, key: &BlockKey) -> Option<Ahead>;
 
+    /// The stored bytes of a block the backend holds in memory, to hash
+    /// where they lie: `None` when the block is absent or, as on the
+    /// durable backends (the default), read into a buffer only when asked
+    /// for. Nothing is read or counted.
+    fn resident(&self, _key: &BlockKey) -> Option<&[u8]> {
+        None
+    }
+
     /// Removes a block; returns whether it was present.
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool>;
 
@@ -294,6 +307,10 @@ impl BlockBackend for MemoryBackend {
         self.blocks.get(key).map(|b| Ahead::of(b))
     }
 
+    fn resident(&self, key: &BlockKey) -> Option<&[u8]> {
+        self.blocks.get(key).map(Vec::as_slice)
+    }
+
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
         Ok(self.blocks.remove(key).is_some())
     }
@@ -390,15 +407,16 @@ pub(crate) mod hooked {
         Locate,
         /// [`BlockBackend::read_into`].
         Read,
-        /// [`BlockBackend::checksum`].
+        /// [`BlockBackend::checksum`], or [`BlockBackend::resident`] for a
+        /// four-block verify to hash.
         Checksum,
     }
 
     /// A [`MemoryBackend`] that calls its hook with the key of every
-    /// `locate`, `read_into` and `checksum` before serving it, and forwards
-    /// every method, so it ingests, hints and reads like the device it
-    /// stands in for. A hook records the access, or waits until the test
-    /// releases it.
+    /// `locate`, `read_into`, `checksum` and `resident` before serving it,
+    /// and forwards every method, so it ingests, hints and reads like the
+    /// device it stands in for. A hook records the access, or waits until
+    /// the test releases it.
     pub(crate) struct HookedBackend<F> {
         inner: MemoryBackend,
         hook: F,
@@ -444,6 +462,11 @@ pub(crate) mod hooked {
         fn locate(&self, key: &BlockKey) -> Option<Ahead> {
             (self.hook)(Served::Locate, key);
             self.inner.locate(key)
+        }
+        // The bytes a four-block verify hashes in place: a checksum.
+        fn resident(&self, key: &BlockKey) -> Option<&[u8]> {
+            (self.hook)(Served::Checksum, key);
+            self.inner.resident(key)
         }
         fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
             self.inner.delete(key)

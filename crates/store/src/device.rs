@@ -4,10 +4,11 @@
 //! Each device stores named blocks and keeps access counters; every read
 //! is [`Device::read_block_into`], one locked append into the caller's
 //! buffer that also reports the checksum of what it appended, attributed
-//! to a [`ReadClass`], and every in-place check [`Device::verify_block`].
-//! Both take the hint of the block the caller streams next. Whether a
-//! block is here, and that hint, are one index lookup, [`Device::locate`],
-//! which counts no access. Interior
+//! to a [`ReadClass`], and every in-place check [`Device::verify_block`]
+//! — or, for a scrub, `Device::verify_four`, four devices' blocks in
+//! one kernel pass. They take the hint of the block the caller streams
+//! next. Whether a block is here, and that hint, are one index lookup,
+//! [`Device::locate`], which counts no access. Interior
 //! mutability (a `parking_lot::RwLock` per device) lets many readers hit
 //! different devices concurrently — the access pattern the guided
 //! retrieval planner optimises — while failure injection flips a device
@@ -20,10 +21,24 @@
 //! [`DeviceStats::io_errors`] — distinct from the offline-rejection
 //! counters — and the affected block is reported absent, so the coding
 //! layer treats real storage trouble exactly like an erasure.
+//!
+//! **Lock order.** `Device::verify_four` — a scrub hashing four blocks
+//! of a stripe, on four devices, in one kernel pass — is the only call
+//! that holds more than one device lock. It takes the four in ascending
+//! device id, and holds nothing else while it has them: no store lock,
+//! no other device's. Every other device lock is taken alone and released
+//! before the next is taken — reads, verifies, writes, deletes, `locate`,
+//! [`ArchivalStore::fail_device`](crate::ArchivalStore::fail_device) and
+//! `replace_device` (one device each), and
+//! `ArchivalStore::write_raw_block`, which writes, flushes and deletes
+//! under separate acquisitions and takes the object map's lock only
+//! between them. So every thread that waits for a device lock while
+//! holding one holds lower ids than the one it waits for, and no cycle of
+//! waits can form.
 
 use crate::backend::{Appended, BlockBackend, MemoryBackend};
-use parking_lot::RwLock;
-use tornado_codec::kernels::Ahead;
+use parking_lot::{RwLock, RwLockWriteGuard};
+use tornado_codec::kernels::{self, Ahead};
 
 pub(crate) use crate::backend::BlockKey;
 
@@ -291,6 +306,61 @@ impl Device {
         }
     }
 
+    /// [`Device::verify_block`] of four blocks on four distinct devices in
+    /// one kernel pass (`kernels::checksum4`): element `i` of the result
+    /// is what `devices[i].verify_block(&keys[i], expected[i], nexts[i])`
+    /// would report, and the devices count `verifies`, `failed_reads` and
+    /// `io_errors` exactly as it would. The four write locks are taken in
+    /// ascending device id (the lock order of the module doc) and the
+    /// blocks' resident bytes hashed under them, with `nexts[3]` the hint
+    /// of the block streamed after the four. If any device is offline or
+    /// does not hold its block in memory, the locks are released and each
+    /// block goes through [`Device::verify_block`] with its own hint.
+    ///
+    /// # Panics
+    /// Panics if two of the devices are the same one.
+    pub(crate) fn verify_four(
+        devices: [&Device; 4],
+        keys: [BlockKey; 4],
+        expected: [u64; 4],
+        nexts: [Ahead; 4],
+    ) -> [BlockProbe; 4] {
+        let mut order = [0, 1, 2, 3];
+        order.sort_unstable_by_key(|&i| devices[i].id);
+        assert!(
+            order
+                .windows(2)
+                .all(|w| devices[w[0]].id < devices[w[1]].id),
+            "four distinct devices"
+        );
+        let mut locked: [Option<RwLockWriteGuard<'_, DeviceState>>; 4] = Default::default();
+        for i in order {
+            locked[i] = Some(devices[i].state.write());
+        }
+        let mut states = locked.map(|s| s.expect("every device locked"));
+        let blocks: [Option<&[u8]>; 4] = std::array::from_fn(|i| {
+            let s = &states[i];
+            s.online.then(|| s.backend.resident(&keys[i])).flatten()
+        });
+        let sums = match blocks {
+            [Some(a), Some(b), Some(c), Some(d)] => kernels::checksum4([a, b, c, d], nexts[3]),
+            _ => {
+                drop(states);
+                return std::array::from_fn(|i| {
+                    devices[i].verify_block(&keys[i], expected[i], nexts[i])
+                });
+            }
+        };
+        std::array::from_fn(|i| {
+            states[i].stats.verifies += 1;
+            if sums[i] == expected[i] {
+                BlockProbe::Ok
+            } else {
+                BlockProbe::Corrupt
+            }
+        })
+    }
+
     /// Whether the device is online and holds a block, and where
     /// ([`BlockBackend::locate`]): `None` when it is offline or the block
     /// absent, else the hint for a read or verify of another block that
@@ -458,6 +528,154 @@ mod tests {
             BlockProbe::Missing
         );
         assert_eq!(d.stats().failed_reads, 1);
+    }
+
+    /// Two sets of the same four devices, ids out of order, blocks of
+    /// unequal lengths (one rotted, on device 2): the one-pass verify of
+    /// one set against `verify_block` of each block of the other.
+    fn twin_sets(online: [bool; 4], present: [bool; 4]) -> ([Vec<Device>; 2], [u64; 4]) {
+        let blocks: [Vec<u8>; 4] =
+            std::array::from_fn(|i| (0..100 + 700 * i).map(|b| (b * 7 + i) as u8).collect());
+        let set = || {
+            let devices: Vec<Device> = [7, 2, 5, 0].into_iter().map(Device::new).collect();
+            for (i, d) in devices.iter().enumerate() {
+                if present[i] {
+                    d.write_block((1, i as u32), blocks[i].clone());
+                }
+                if !online[i] {
+                    d.fail();
+                }
+            }
+            devices[1].corrupt_block(&(1, 1), 0x04);
+            devices
+        };
+        (
+            [set(), set()],
+            blocks.each_ref().map(|b| tornado_codec::checksum(b)),
+        )
+    }
+
+    fn verify_both(sets: &[Vec<Device>; 2], expected: [u64; 4]) -> [BlockProbe; 4] {
+        let keys = std::array::from_fn(|i| (1, i as u32));
+        let [four, one] = sets;
+        let probes = Device::verify_four(
+            std::array::from_fn(|i| &four[i]),
+            keys,
+            expected,
+            [Ahead::NONE; 4],
+        );
+        for (i, d) in one.iter().enumerate() {
+            let alone = d.verify_block(&keys[i], expected[i], Ahead::NONE);
+            assert_eq!(probes[i], alone, "block {i}");
+            assert_eq!(four[i].stats(), d.stats(), "block {i}'s device counters");
+        }
+        probes
+    }
+
+    #[test]
+    fn verify_four_reports_and_counts_as_four_verify_blocks() {
+        use BlockProbe::{Corrupt, Missing, Ok};
+        let (sets, expected) = twin_sets([true; 4], [true; 4]);
+        assert_eq!(verify_both(&sets, expected), [Ok, Corrupt, Ok, Ok]);
+        assert_eq!(sets[0][0].stats().verifies, 1);
+        // One device offline, one block absent: each block alone.
+        let (sets, expected) = twin_sets([true, true, false, true], [true, true, true, false]);
+        assert_eq!(
+            verify_both(&sets, expected),
+            [Ok, Corrupt, Missing, Missing]
+        );
+        assert_eq!(sets[0][2].stats().failed_reads, 1);
+    }
+
+    #[test]
+    fn verify_four_hashes_durable_blocks_one_at_a_time() {
+        use crate::backend_file::FileBackend;
+        let dir = std::env::temp_dir().join(format!("tornado-device-four-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let devices: Vec<Device> = (0..4)
+            .map(|d| {
+                let backend = FileBackend::open(&dir.join(d.to_string()), false).unwrap();
+                Device::with_backend(d, Box::new(backend))
+            })
+            .collect();
+        let blocks: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 5000]).collect();
+        for (i, d) in devices.iter().enumerate() {
+            assert!(d.write_block((1, i as u32), blocks[i].clone()));
+        }
+        let probes = Device::verify_four(
+            std::array::from_fn(|i| &devices[i]),
+            std::array::from_fn(|i| (1, i as u32)),
+            std::array::from_fn(|i| tornado_codec::checksum(&blocks[i])),
+            [Ahead::NONE; 4],
+        );
+        assert_eq!(probes, [BlockProbe::Ok; 4]);
+        assert!(devices.iter().all(|d| d.stats().verifies == 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "four distinct devices")]
+    fn verify_four_refuses_a_device_twice() {
+        let d = [Device::new(0), Device::new(1), Device::new(2)];
+        Device::verify_four(
+            [&d[0], &d[1], &d[2], &d[1]],
+            [(1, 0), (1, 1), (1, 2), (1, 3)],
+            [0; 4],
+            [Ahead::NONE; 4],
+        );
+    }
+
+    #[test]
+    fn verify_fours_in_every_order_do_not_deadlock() {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        use std::sync::Arc;
+        use std::time::Duration;
+        let devices: Arc<Vec<Device>> = Arc::new((0..4).map(Device::new).collect());
+        for (i, d) in devices.iter().enumerate() {
+            d.write_block((1, i as u32), vec![i as u8; 3000]);
+        }
+        // Each verifier names the four in another order; a churner writes,
+        // fails and replaces them one lock at a time among them.
+        let (finished, done) = mpsc::channel();
+        let orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]];
+        let mut threads: Vec<_> = orders
+            .into_iter()
+            .map(|order| {
+                let (devices, finished) = (Arc::clone(&devices), finished.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..2_000 {
+                        Device::verify_four(
+                            order.map(|i| &devices[i]),
+                            order.map(|i| (1, i as u32)),
+                            [0; 4],
+                            [Ahead::NONE; 4],
+                        );
+                    }
+                    finished.send(()).expect("the test waits");
+                })
+            })
+            .collect();
+        threads.push(std::thread::spawn(move || {
+            for k in 0..2_000usize {
+                let d = &devices[k % 4];
+                d.write_block((1, (k % 4) as u32), vec![k as u8; 3000]);
+                if k % 500 == 0 {
+                    d.fail();
+                    d.replace();
+                }
+            }
+            finished.send(()).expect("the test waits");
+        }));
+        for _ in 0..threads.len() {
+            // Disconnected: a thread panicked, and its join says so.
+            match done.recv_timeout(Duration::from_secs(60)) {
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => {}
+                Err(RecvTimeoutError::Timeout) => panic!("not done in 60 s: a lock cycle"),
+            }
+        }
+        for t in threads {
+            t.join().expect("a thread does not panic");
+        }
     }
 
     #[test]

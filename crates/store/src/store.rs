@@ -10,10 +10,11 @@ use crate::retrieval::{plan_retrieval_or_lost, RepairCost};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tornado_codec::kernels::Ahead;
 use tornado_codec::{pool, Codec, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
+use tornado_obs::clock::round_us;
 
 /// Opaque object identifier.
 pub(crate) type ObjectId = u64;
@@ -67,7 +68,9 @@ pub struct GetStats {
     /// simply absent or on an offline device is a hole, not a replan.
     pub replans: usize,
     /// Wall time spent planning the retrieval (all attempts), µs — zero
-    /// on a healthy stripe, which is read without a plan.
+    /// on a healthy stripe, which is read without a plan. Each of the three
+    /// phase times is summed over its spans and rounded to the nearest µs
+    /// once.
     pub plan_us: u64,
     /// Wall time spent fetching and checksum-verifying blocks, µs.
     pub fetch_us: u64,
@@ -88,6 +91,24 @@ impl GetStats {
     /// Whether any block had to be reconstructed (a degraded read).
     pub fn degraded(&self) -> bool {
         self.blocks_recovered > 0 || self.replans > 0
+    }
+}
+
+/// The wall time of a GET's phases, each summed over its spans (every plan
+/// attempt, every fetch pass) and rounded to whole µs once, into
+/// [`GetStats`].
+#[derive(Default)]
+struct PhaseTimes {
+    plan: Duration,
+    fetch: Duration,
+    decode: Duration,
+}
+
+impl PhaseTimes {
+    fn record(&self, stats: &mut GetStats) {
+        stats.plan_us = round_us(self.plan);
+        stats.fetch_us = round_us(self.fetch);
+        stats.decode_us = round_us(self.decode);
     }
 }
 
@@ -397,10 +418,11 @@ impl ArchivalStore {
     /// [`ArchivalStore::get_framed`] read, with the buffer cut down to the
     /// payload (the one memmove a caller who wants a bare `Vec` pays).
     pub fn get_detailed(&self, id: ObjectId) -> Result<(Vec<u8>, GetStats), StoreError> {
-        let (mut buf, payload_start, mut stats) = self.get_framed(id, 0)?;
+        let (mut buf, payload_start, mut stats, mut times) = self.get_timed(id, 0)?;
         let strip_start = Instant::now();
         buf.drain(..payload_start);
-        stats.decode_us += strip_start.elapsed().as_micros() as u64;
+        times.decode += strip_start.elapsed();
+        times.record(&mut stats);
         Ok((buf, stats))
     }
 
@@ -432,6 +454,18 @@ impl ArchivalStore {
         id: ObjectId,
         headroom: usize,
     ) -> Result<(Vec<u8>, usize, GetStats), StoreError> {
+        let (buf, payload_start, mut stats, times) = self.get_timed(id, headroom)?;
+        times.record(&mut stats);
+        Ok((buf, payload_start, stats))
+    }
+
+    /// [`ArchivalStore::get_framed`], its phase times not yet rounded into
+    /// the stats.
+    fn get_timed(
+        &self,
+        id: ObjectId,
+        headroom: usize,
+    ) -> Result<(Vec<u8>, usize, GetStats, PhaseTimes), StoreError> {
         let meta = self.objects.read().get(&id).map(|s| Arc::clone(&s.meta));
         let meta = meta.ok_or(StoreError::UnknownObject { id })?;
         let (k, block_len) = (self.graph.num_data(), meta.block_len);
@@ -440,6 +474,7 @@ impl ArchivalStore {
         buf.resize(headroom, 0);
         let mut holes: Vec<NodeId> = Vec::new();
         let mut stats = GetStats::default();
+        let mut times = PhaseTimes::default();
         // A hint gone stale by its use costs a wasted prefetch, and a block
         // gone since its lookup is a hole like any other.
         let hints: Vec<Option<Ahead>> = (0..k as NodeId).map(|v| self.locate(&meta, v)).collect();
@@ -456,11 +491,12 @@ impl ArchivalStore {
                 stats.replans += usize::from(miss == Miss::Corrupt);
             }
         }
-        stats.fetch_us = fetch_start.elapsed().as_micros() as u64;
+        times.fetch = fetch_start.elapsed();
         stats.blocks_fetched = k - holes.len();
         stats.cost.blocks_fetched = stats.blocks_fetched as u64;
         if !holes.is_empty() {
-            let filled = self.fill_holes(&meta, &holes, &mut buf[headroom..], &mut stats);
+            let filled =
+                self.fill_holes(&meta, &holes, &mut buf[headroom..], &mut stats, &mut times);
             // A delete that takes the blocks from under the read orders the
             // GET after it: the object is unknown, not lost.
             if filled.is_err() && !self.objects.read().contains_key(&id) {
@@ -478,7 +514,7 @@ impl ArchivalStore {
         let payload = EncodedStripe::payload_range(&buf[headroom..]).expect("framed by put");
         debug_assert_eq!(payload.len(), meta.size);
         buf.truncate(headroom + payload.end);
-        Ok((buf, headroom + payload.start, stats))
+        Ok((buf, headroom + payload.start, stats, times))
     }
 
     /// The miss path of a GET: `data` is the contiguous data half with the
@@ -495,6 +531,7 @@ impl ArchivalStore {
         holes: &[NodeId],
         data: &mut [u8],
         stats: &mut GetStats,
+        times: &mut PhaseTimes,
     ) -> Result<(), StoreError> {
         let (n, k) = (self.graph.num_nodes(), self.graph.num_data());
         let mut available: Vec<NodeId> = (0..k as NodeId)
@@ -505,7 +542,7 @@ impl ArchivalStore {
         let result = loop {
             let plan_start = Instant::now();
             let planned = plan_retrieval_or_lost(&self.graph, &available);
-            stats.plan_us += plan_start.elapsed().as_micros() as u64;
+            times.plan += plan_start.elapsed();
             let plan = match planned {
                 Ok(plan) => plan,
                 Err(lost_blocks) => break Err(lost_blocks),
@@ -531,7 +568,7 @@ impl ArchivalStore {
                     }
                 }
             }
-            stats.fetch_us += fetch_start.elapsed().as_micros() as u64;
+            times.fetch += fetch_start.elapsed();
             if let Some(node) = lost {
                 available.retain(|&v| v != node);
                 stats.replans += 1;
@@ -540,7 +577,7 @@ impl ArchivalStore {
             let decode_start = Instant::now();
             stats.cost.recovery_depth =
                 Codec::new(&self.graph).replay(&plan.schedule, data, &mut checks);
-            stats.decode_us += decode_start.elapsed().as_micros() as u64;
+            times.decode += decode_start.elapsed();
             stats.blocks_fetched = plan.fetch.len();
             stats.blocks_recovered = plan.schedule.len();
             break Ok(());
@@ -681,6 +718,23 @@ impl ArchivalStore {
     ) -> crate::device::BlockProbe {
         let dev = self.device_of_block(meta, node);
         self.devices[dev].verify_block(&(meta.id, node), meta.checksums[node as usize], next)
+    }
+
+    /// [`ArchivalStore::probe_block`] of four blocks of a stripe in one
+    /// kernel pass ([`Device::verify_four`]): `nexts[i]` is the hint of the
+    /// block streamed after `nodes[i]`.
+    pub(crate) fn probe_four(
+        &self,
+        meta: &ObjectMeta,
+        nodes: [NodeId; 4],
+        nexts: [Ahead; 4],
+    ) -> [crate::device::BlockProbe; 4] {
+        Device::verify_four(
+            nodes.map(|v| &self.devices[self.device_of_block(meta, v)]),
+            nodes.map(|v| (meta.id, v)),
+            nodes.map(|v| meta.checksums[v as usize]),
+            nexts,
+        )
     }
 }
 

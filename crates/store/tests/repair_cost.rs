@@ -204,17 +204,20 @@ fn absorb_is_additive_with_max_depth() {
 /// One seeded repair scrub of graph 1 in each mode — six objects, three
 /// devices failed and replaced, one left offline, a block rotted in two
 /// stripes — and the pool's summed device-counter deltas: `reads`,
-/// `verifies`, `bytes_read`, `bytes_repair_read`, `writes`. Pinned to what
-/// the scrubber moved before it streamed each block with the next one's
-/// hint: a hint is neither a read nor a verify, and the same blocks are
-/// read the same number of times.
+/// `verifies`, `bytes_read`, `bytes_repair_read`, `writes`. A hint is
+/// neither a read nor a verify. `Verify` hashes in-place blocks four to a
+/// kernel pass, and a rotted block ends its plan only after its group: the
+/// group-mates it was verified with count their verifies even when the
+/// re-plan then pulls them into the repair cone and reads them, two more
+/// than when a plan ended at the rotted block itself (416). The reads and
+/// bytes are unchanged, and so is `Full`, which verifies nothing in place.
 #[test]
 fn a_seeded_repair_scrub_moves_the_pinned_device_counters() {
     use rand::seq::SliceRandom;
     use rand::{Rng, RngCore, SeedableRng};
     const SEED: u64 = 0x5C2B_0A11;
     let pinned = [
-        (ScrubMode::Verify, [144u64, 416, 460_848, 460_848, 20]),
+        (ScrubMode::Verify, [144u64, 418, 460_848, 460_848, 20]),
         (ScrubMode::Full, [552, 0, 1_743_768, 1_743_768, 20]),
     ];
     for (mode, counters) in pinned {

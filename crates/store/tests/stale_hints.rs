@@ -18,13 +18,21 @@
 //!
 //! A failure names the seed it ran (the churn's and the readers' choices
 //! are seeded; how they interleave with the scrubs is not).
+//!
+//! A Verify scrub holds four device locks at a time while it hashes four
+//! blocks in one pass, on several workers at once. Each seed runs on its
+//! own thread, and one that is not done within [`DEADLINE`] fails the test,
+//! naming the seed, instead of hanging it: a lock-order cycle shows as a
+//! failure.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use tornado_graph::NodeId;
 use tornado_store::{ArchivalStore, ScrubMode, Scrubber, StoreError};
 
@@ -40,6 +48,9 @@ const LEVEL: usize = 5;
 /// churn is done.
 const READERS: u64 = 2;
 const GETS: usize = 40;
+/// How long one seed may take before it counts as deadlocked: a seed runs
+/// in well under a second in the test profile.
+const DEADLINE: Duration = Duration::from_secs(120);
 
 /// The live objects and their payloads, shared by the churn and the
 /// readers. The churn drops an object from here before it deletes it, so a
@@ -205,6 +216,21 @@ fn run(seed: u64) {
 fn scrubs_streaming_with_stale_hints_repair_a_churning_store() {
     for seed in SEEDS {
         println!("seed {seed:#x}");
-        run(seed);
+        let (finished, done) = mpsc::channel();
+        let seeded = std::thread::spawn(move || {
+            run(seed);
+            finished.send(()).expect("the test waits");
+        });
+        match done.recv_timeout(DEADLINE) {
+            // Disconnected: `run` panicked, and the join passes it on.
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                if let Err(panic) = seeded.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("seed {seed:#x}: not done in {DEADLINE:?}, deadlocked")
+            }
+        }
     }
 }
