@@ -19,24 +19,23 @@
 //! appends a block to a buffer the caller owns and returns the checksum of
 //! what it appended — the memory backend copies from its map and hashes
 //! each strip as it lands (`kernels::append_checksummed`), the durable
-//! ones read from the file into the buffer's spare capacity and hash that.
-//! A GET passes its reply buffer, so a block's bytes are written once,
-//! where they are going, and streamed from memory once; `get` (a fresh
-//! `Vec`) and `get_pooled` (a recycled one) are provided on top of it.
+//! ones read from the file into the buffer and hash that. A GET passes its
+//! reply buffer, so a block's bytes are written once, where they are
+//! going, and streamed from memory once.
 //!
 //! A backend that holds its blocks in memory also lends them out,
-//! [`BlockBackend::resident`], so a scrub can hash four blocks of a stripe
-//! in one kernel pass where they lie; the durable backends lend nothing
-//! and are verified a block at a time through their `checksum`.
+//! [`BlockBackend::resident`], so a verify hashes a block where it lies,
+//! and a scrub four blocks of a stripe in one kernel pass; a durable
+//! backend lends nothing, and its blocks are verified through `read_into`.
 //!
-//! The read and the in-place [`BlockBackend::checksum`] both take a
-//! `kernels::Ahead`: where the block the caller streams next lies, which
-//! the kernel asks into L2 while this one is hashed. Whether a block is
-//! here and where is one index question, [`BlockBackend::locate`]: `None`
-//! when the block is absent, else its hint — the memory backend's buffer,
-//! [`Ahead::NONE`] from the durable backends, whose blocks are not in
-//! memory. A caller that has located a stripe's blocks streams them with
-//! the hints it got, and passes `Ahead::NONE` when nothing follows.
+//! The read takes a `kernels::Ahead`: where the block the caller streams
+//! next lies, which the kernel asks into L2 while this one is hashed.
+//! Whether a block is here and where is one index question,
+//! [`BlockBackend::locate`]: `None` when the block is absent, else its
+//! hint — the memory backend's buffer, [`Ahead::NONE`] from the durable
+//! backends, whose blocks are not in memory. A caller that has located a
+//! stripe's blocks streams them with the hints it got, and passes
+//! `Ahead::NONE` when nothing follows.
 //!
 //! Backends report failures as `io::Error`; the device layer translates
 //! those into [`DeviceStats::io_errors`](crate::DeviceStats::io_errors)
@@ -120,10 +119,11 @@ pub struct Appended {
 
 /// Block persistence for one device.
 ///
-/// All methods take `&mut self`: every `Device` access already goes
-/// through a per-device write lock, so backends need no internal
-/// synchronisation and may keep scratch state (open file handles,
-/// reusable read buffers) without interior mutability.
+/// What only reads — `read_into`, `locate`, `resident` — takes `&self`, so
+/// a [`Device`](crate::Device) serves it under its read lock, and many
+/// readers of one device run at once; what changes the blocks takes
+/// `&mut self`, under the device's write lock. A backend keeps no state a
+/// read moves: the durable ones read at an offset, never from a cursor.
 pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// Stores a block, overwriting any previous content under `key`.
     fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()>;
@@ -137,31 +137,25 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// The one read every backend implements: appends the block's bytes
-    /// to `out` — straight from the map, the file or the segment, into the
-    /// caller's spare capacity — and returns how many and their checksum;
-    /// `Ok(None)` when absent. A GET passes its reply buffer, so a block is
-    /// written once, where it is going, and verified without being streamed
-    /// a second time. `next` is the hint of the block the caller streams
-    /// after this one ([`BlockBackend::locate`]), handed to the kernel;
-    /// [`Ahead::NONE`] when there is none. After an `Err`, bytes past
-    /// `out`'s entry length are garbage the caller truncates away
-    /// ([`Device`](crate::Device) does).
+    /// to `out` — straight from the map, the file or the segment — and
+    /// returns how many and their checksum; `Ok(None)` when absent. A GET
+    /// passes its reply buffer, so a block is written once, where it is
+    /// going, and verified without being streamed a second time. `next` is
+    /// the hint of the block the caller streams after this one
+    /// ([`BlockBackend::locate`]), handed to the kernel; [`Ahead::NONE`]
+    /// when there is none. After an `Err`, bytes past `out`'s entry length
+    /// are garbage the caller truncates away ([`Device`](crate::Device)
+    /// does).
     fn read_into(
-        &mut self,
+        &self,
         key: &BlockKey,
         out: &mut Vec<u8>,
         next: Ahead,
     ) -> io::Result<Option<Appended>>;
 
-    /// Reads a block into a fresh `Vec`; `Ok(None)` when absent.
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-        let mut block = Vec::new();
-        Ok(self.read_into(key, &mut block, Ahead::NONE)?.map(|_| block))
-    }
-
     /// Reads a block into a buffer drawn from `pool` (see
     /// `tornado_codec::pool`), which gets it back when the block is absent.
-    fn get_pooled(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
+    fn get_pooled(&self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
         let mut block = pool.take_zeroed(0);
         match self.read_into(key, &mut block, Ahead::NONE) {
             Ok(Some(_)) => Ok(Some(block)),
@@ -171,12 +165,6 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
             }
         }
     }
-
-    /// The 8-lane block digest (`tornado_codec::kernels::checksum`) of
-    /// the stored bytes, without handing out a copy — the scrub verify
-    /// tier's read path; `next` as for [`BlockBackend::read_into`].
-    /// `Ok(None)` when absent.
-    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>>;
 
     /// Whether a block is here, and where: `None` when absent, else the
     /// hint a caller passes to the read or verify it makes *before* this
@@ -209,13 +197,6 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// the buffers for its next writes; see [`MemoryBackend`]).
     fn destroy(&mut self) -> io::Result<()>;
 
-    /// Failure-injection hook: XORs `mask` into the first byte of the
-    /// stored block, bypassing every integrity layer — the simulated
-    /// form of bit rot. Returns whether the block existed. (Real rot on
-    /// durable backends is injected by writing garbage into the backing
-    /// files out-of-band; see `tests/bitrot_scrub.rs`.)
-    fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool>;
-
     /// Human-readable backend label (`"memory"`, `"file"`, `"segment"`).
     fn kind(&self) -> &'static str;
 }
@@ -229,8 +210,8 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
 /// arenas — every replacement would double the device's footprint.)
 ///
 /// * [`BlockBackend::destroy`] moves every block buffer into the spares.
-///   Nothing reads a spare: `locate`, `read_into`, `checksum`, `corrupt`
-///   and `block_count` see only the map, which is empty.
+///   Nothing reads a spare: `locate`, `read_into`, `resident` and
+///   `block_count` see only the map, which is empty.
 /// * A write (`put` or `put_owned`) takes the newest spare. If it *fits* —
 ///   capacity at least the block's length and at most twice it — the block
 ///   is copied into it, and `put_owned` recycles the caller's buffer into
@@ -288,7 +269,7 @@ impl BlockBackend for MemoryBackend {
     }
 
     fn read_into(
-        &mut self,
+        &self,
         key: &BlockKey,
         out: &mut Vec<u8>,
         next: Ahead,
@@ -297,10 +278,6 @@ impl BlockBackend for MemoryBackend {
             len: b.len(),
             checksum: kernels::append_checksummed(out, b, next),
         }))
-    }
-
-    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
-        Ok(self.blocks.get(key).map(|b| kernels::checksum(b, next)))
     }
 
     fn locate(&self, key: &BlockKey) -> Option<Ahead> {
@@ -327,16 +304,6 @@ impl BlockBackend for MemoryBackend {
         self.spares
             .extend(self.blocks.drain().map(|(_, block)| block));
         Ok(())
-    }
-
-    fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-        match self.blocks.get_mut(key) {
-            Some(b) if !b.is_empty() => {
-                b[0] ^= mask;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
     }
 
     fn kind(&self) -> &'static str {
@@ -407,13 +374,12 @@ pub(crate) mod hooked {
         Locate,
         /// [`BlockBackend::read_into`].
         Read,
-        /// [`BlockBackend::checksum`], or [`BlockBackend::resident`] for a
-        /// four-block verify to hash.
+        /// [`BlockBackend::resident`]: the bytes a verify hashes in place.
         Checksum,
     }
 
     /// A [`MemoryBackend`] that calls its hook with the key of every
-    /// `locate`, `read_into`, `checksum` and `resident` before serving it,
+    /// `locate`, `read_into` and `resident` before serving it,
     /// and forwards every method, so it ingests, hints and reads like the
     /// device it stands in for. A hook records the access, or waits until
     /// the test releases it.
@@ -447,7 +413,7 @@ pub(crate) mod hooked {
             self.inner.put_owned(key, data)
         }
         fn read_into(
-            &mut self,
+            &self,
             key: &BlockKey,
             out: &mut Vec<u8>,
             next: Ahead,
@@ -455,15 +421,10 @@ pub(crate) mod hooked {
             (self.hook)(Served::Read, key);
             self.inner.read_into(key, out, next)
         }
-        fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
-            (self.hook)(Served::Checksum, key);
-            self.inner.checksum(key, next)
-        }
         fn locate(&self, key: &BlockKey) -> Option<Ahead> {
             (self.hook)(Served::Locate, key);
             self.inner.locate(key)
         }
-        // The bytes a four-block verify hashes in place: a checksum.
         fn resident(&self, key: &BlockKey) -> Option<&[u8]> {
             (self.hook)(Served::Checksum, key);
             self.inner.resident(key)
@@ -480,9 +441,6 @@ pub(crate) mod hooked {
         fn destroy(&mut self) -> io::Result<()> {
             self.inner.destroy()
         }
-        fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-            self.inner.corrupt(key, mask)
-        }
         fn kind(&self) -> &'static str {
             self.inner.kind()
         }
@@ -490,9 +448,15 @@ pub(crate) mod hooked {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::hash::{BuildHasher, Hash};
+
+    /// A block read into a fresh `Vec`; `Ok(None)` when absent.
+    pub(crate) fn get(b: &dyn BlockBackend, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
+        let mut block = Vec::new();
+        Ok(b.read_into(key, &mut block, Ahead::NONE)?.map(|_| block))
+    }
 
     /// How `hashes` fall in a table sized as the standard map sizes one
     /// for them (the next power of two at 7/8 load), which indexes buckets
@@ -558,20 +522,18 @@ mod tests {
     }
 
     #[test]
-    fn memory_roundtrip_and_corrupt() {
+    fn memory_roundtrip() {
         let mut b = MemoryBackend::new();
         assert_eq!(b.kind(), "memory");
         b.put((1, 2), &[9, 8, 7]).unwrap();
         assert!(b.locate(&(1, 2)).is_some_and(|hint| !hint.is_empty()));
-        assert_eq!(b.get(&(1, 2)).unwrap().unwrap(), vec![9, 8, 7]);
-        let sum = b.checksum(&(1, 2), Ahead::NONE).unwrap().unwrap();
-        assert_eq!(sum, tornado_codec::checksum(&[9, 8, 7]));
-        assert!(b.corrupt(&(1, 2), 0xff).unwrap());
-        assert_ne!(b.checksum(&(1, 2), Ahead::NONE).unwrap().unwrap(), sum);
+        assert_eq!(get(&b, &(1, 2)).unwrap().unwrap(), vec![9, 8, 7]);
+        assert_eq!(b.resident(&(1, 2)), Some(&[9, 8, 7][..]));
         assert!(b.delete(&(1, 2)).unwrap());
         assert!(!b.delete(&(1, 2)).unwrap());
         assert_eq!(b.block_count(), 0);
-        assert!(b.get(&(1, 2)).unwrap().is_none());
+        assert!(get(&b, &(1, 2)).unwrap().is_none());
+        assert!(b.resident(&(1, 2)).is_none());
     }
 
     #[test]
@@ -621,8 +583,8 @@ mod tests {
             assert_eq!(out[3 + block.len()..], block[..]);
             assert_eq!(out.as_ptr(), at, "{}: no reallocation", b.kind());
 
-            assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), block);
-            assert!(b.get(&(9, 9)).unwrap().is_none());
+            assert_eq!(get(b.as_ref(), &(1, 0)).unwrap().unwrap(), block);
+            assert!(get(b.as_ref(), &(9, 9)).unwrap().is_none());
             let mut pool = BlockPool::new();
             pool.recycle(Vec::with_capacity(8192));
             let pooled = b.get_pooled(&(1, 0), &mut pool).unwrap().unwrap();
@@ -689,7 +651,7 @@ mod tests {
         let spare = b.spares.last().unwrap().as_ptr();
         b.put((7, 2), &[0xCD; 999]).unwrap();
         assert_eq!(b.blocks[&(7, 2)].as_ptr(), spare);
-        assert_eq!(b.get(&(7, 2)).unwrap().unwrap(), [0xCD; 999]);
+        assert_eq!(get(&b, &(7, 2)).unwrap().unwrap(), [0xCD; 999]);
         assert_eq!(b.spares.len(), 2);
         assert_eq!(pool::with_thread_pool(|p| p.available()), pooled);
     }
@@ -705,8 +667,7 @@ mod tests {
             let mut out = vec![0xEE];
             assert_eq!(b.read_into(&key, &mut out, Ahead::NONE).unwrap(), None);
             assert_eq!(out, [0xEE], "nothing appended");
-            assert_eq!(b.checksum(&key, Ahead::NONE).unwrap(), None);
-            assert!(!b.corrupt(&key, 0xFF).unwrap());
+            assert!(b.resident(&key).is_none());
             assert!(!b.delete(&key).unwrap());
         }
         assert_eq!(b.block_count(), 0);

@@ -21,7 +21,6 @@ pub struct FileBackend {
     dir: PathBuf,
     index: IndexSet<BlockKey>,
     fsync: bool,
-    scratch: Vec<u8>,
 }
 
 fn block_file_name(key: &BlockKey) -> String {
@@ -62,22 +61,11 @@ impl FileBackend {
             dir: dir.to_path_buf(),
             index,
             fsync,
-            scratch: Vec::new(),
         })
     }
 
     fn path_of(&self, key: &BlockKey) -> PathBuf {
         self.dir.join(block_file_name(key))
-    }
-
-    /// Reads the block into `self.scratch` — the buffer the in-place
-    /// operations (checksum, corrupt) reuse; `Ok(None)` when absent.
-    fn read_into_scratch(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<Appended>> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let read = self.read_into(key, &mut scratch, next);
-        self.scratch = scratch;
-        read
     }
 }
 
@@ -102,7 +90,7 @@ impl BlockBackend for FileBackend {
     }
 
     fn read_into(
-        &mut self,
+        &self,
         key: &BlockKey,
         out: &mut Vec<u8>,
         next: Ahead,
@@ -114,10 +102,6 @@ impl BlockBackend for FileBackend {
         // `read_to_end` fills the caller's spare capacity directly.
         File::open(self.path_of(key))?.read_to_end(out)?;
         Ok(Some(appended_since(out, start, next)))
-    }
-
-    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
-        Ok(self.read_into_scratch(key, next)?.map(|read| read.checksum))
     }
 
     fn locate(&self, key: &BlockKey) -> Option<Ahead> {
@@ -158,19 +142,6 @@ impl BlockBackend for FileBackend {
         Ok(())
     }
 
-    fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-        if self.read_into_scratch(key, Ahead::NONE)?.is_none() {
-            return Ok(false);
-        }
-        if !self.scratch.is_empty() {
-            self.scratch[0] ^= mask;
-        }
-        let data = std::mem::take(&mut self.scratch);
-        fs::write(self.path_of(key), &data)?;
-        self.scratch = data;
-        Ok(true)
-    }
-
     fn kind(&self) -> &'static str {
         "file"
     }
@@ -179,6 +150,7 @@ impl BlockBackend for FileBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::get;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d =
@@ -205,10 +177,10 @@ mod tests {
         }
         // Plant a torn temp file from a hypothetical crash.
         fs::write(dir.join("00000000000000ff.00000001.blk.tmp"), b"torn").unwrap();
-        let mut b = FileBackend::open(&dir, false).unwrap();
+        let b = FileBackend::open(&dir, false).unwrap();
         assert_eq!(b.block_count(), 2);
-        assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![1, 2, 3]);
-        assert_eq!(b.get(&(2, 5)).unwrap().unwrap(), vec![4; 100]);
+        assert_eq!(get(&b, &(1, 0)).unwrap().unwrap(), vec![1, 2, 3]);
+        assert_eq!(get(&b, &(2, 5)).unwrap().unwrap(), vec![4; 100]);
         assert!(!dir.join("00000000000000ff.00000001.blk.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -15,12 +15,26 @@
 //!
 //! `kind` is 1 (put) or 2 (tombstone, `len == 0`); the trailing 8-lane
 //! block digest (`tornado_codec::checksum`) covers header and
-//! payload. The scan stops at the first short or checksum-failing
-//! record and truncates the file there: a torn append can only be the
-//! tail, so everything before it is intact by construction.
+//! payload.
+//!
+//! The scan on open trusts a record's kind and length to find the next
+//! one. A record whose kind is valid and whose whole length lies inside
+//! the file, but whose digest fails, has rotted where it lies: the scan
+//! skips it, and its block is absent — an erasure the store repairs like
+//! any other. Where the file ends inside a record, or a kind byte is
+//! garbage, the scan stops and truncates the file there: a torn append can
+//! only be the tail. So rot in a length field still truncates from its
+//! record on (the length sends the scan past the file's end, or to a
+//! garbage kind), and a rotted tombstone, skipped, leaves its block's
+//! earlier record live: an orphan the store, having deleted the object,
+//! never serves.
+//!
+//! Reads and appends are positioned (`read_exact_at`, `write_all_at`): the
+//! file has no cursor to move, and a read needs only `&self`.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use tornado_codec::kernels::Ahead;
 
@@ -42,17 +56,17 @@ pub struct SegmentBackend {
     /// `key -> (payload offset, payload len)` of the live record.
     index: IndexMap<BlockKey, (u64, u32)>,
     fsync: bool,
-    scratch: Vec<u8>,
 }
 
 impl SegmentBackend {
     /// Opens (creating if needed) the segment at `path`, rebuilding the
-    /// index by a full scan. A torn or corrupt tail is truncated away.
+    /// index by a full scan. A rotted record is skipped; a torn tail is
+    /// truncated away (see the module docs).
     pub fn open(path: &Path, fsync: bool) -> io::Result<Self> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -61,55 +75,40 @@ impl SegmentBackend {
         let file_len = file.metadata()?.len();
         let mut index = IndexMap::default();
         let mut pos = 0u64;
-        file.seek(SeekFrom::Start(0))?;
-        let mut header = [0u8; HEADER_LEN];
-        let mut record = Vec::new();
-        while pos < file_len {
-            if file_len - pos < (HEADER_LEN + TRAILER_LEN) as u64 {
-                break; // torn tail: not even a header + trailer
-            }
-            file.read_exact(&mut header)?;
-            let kind = header[0];
-            let id = u64::from_le_bytes(header[1..9].try_into().unwrap());
-            let node = u32::from_le_bytes(header[9..13].try_into().unwrap());
-            let len = u32::from_le_bytes(header[13..17].try_into().unwrap());
-            let body = len as u64 + TRAILER_LEN as u64;
-            let valid_kind = kind == KIND_PUT || kind == KIND_TOMBSTONE;
-            if !valid_kind || file_len - pos - (HEADER_LEN as u64) < body {
+        let mut record = vec![0u8; HEADER_LEN];
+        while file_len - pos >= (HEADER_LEN + TRAILER_LEN) as u64 {
+            record.resize(HEADER_LEN, 0);
+            file.read_exact_at(&mut record, pos)?;
+            let kind = record[0];
+            let id = u64::from_le_bytes(record[1..9].try_into().unwrap());
+            let node = u32::from_le_bytes(record[9..13].try_into().unwrap());
+            let len = u32::from_le_bytes(record[13..17].try_into().unwrap()) as usize;
+            let record_len = (HEADER_LEN + len + TRAILER_LEN) as u64;
+            if !(kind == KIND_PUT || kind == KIND_TOMBSTONE) || file_len - pos < record_len {
                 break; // garbage kind or torn payload
             }
-            record.resize(len as usize + TRAILER_LEN, 0);
-            file.read_exact(&mut record)?;
-            let stored_sum = u64::from_le_bytes(record[len as usize..].try_into().unwrap());
-            let mut hasher_input = Vec::with_capacity(HEADER_LEN + len as usize);
-            hasher_input.extend_from_slice(&header);
-            hasher_input.extend_from_slice(&record[..len as usize]);
-            if tornado_codec::checksum(&hasher_input) != stored_sum {
-                break; // torn or rotted record: stop, truncate
-            }
-            let payload_off = pos + HEADER_LEN as u64;
-            match kind {
-                KIND_PUT => {
-                    index.insert((id, node), (payload_off, len));
-                }
-                _ => {
+            record.resize(HEADER_LEN + len + TRAILER_LEN, 0);
+            file.read_exact_at(&mut record[HEADER_LEN..], pos + HEADER_LEN as u64)?;
+            let (body, trailer) = record.split_at(HEADER_LEN + len);
+            if tornado_codec::checksum(body) == u64::from_le_bytes(trailer.try_into().unwrap()) {
+                if kind == KIND_PUT {
+                    index.insert((id, node), (pos + HEADER_LEN as u64, len as u32));
+                } else {
                     index.remove(&(id, node));
                 }
             }
-            pos += HEADER_LEN as u64 + body;
+            pos += record_len;
         }
         metrics().scan_bytes.add(pos);
         if pos < file_len {
             file.set_len(pos)?;
             sync_file(&file)?;
         }
-        file.seek(SeekFrom::Start(pos))?;
         Ok(Self {
             file,
             end: pos,
             index,
             fsync,
-            scratch: Vec::new(),
         })
     }
 
@@ -122,24 +121,13 @@ impl SegmentBackend {
         rec.extend_from_slice(payload);
         let sum = tornado_codec::checksum(&rec);
         rec.extend_from_slice(&sum.to_le_bytes());
-        self.file.seek(SeekFrom::Start(self.end))?;
-        self.file.write_all(&rec)?;
+        self.file.write_all_at(&rec, self.end)?;
         let payload_off = self.end + HEADER_LEN as u64;
         self.end += rec.len() as u64;
         if self.fsync {
             sync_file(&self.file)?;
         }
         Ok(payload_off)
-    }
-
-    /// Reads the live payload for `key` into `self.scratch`, which the
-    /// checksum probe reuses; `Ok(None)` when absent.
-    fn read_into_scratch(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<Appended>> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let read = self.read_into(key, &mut scratch, next);
-        self.scratch = scratch;
-        read
     }
 }
 
@@ -151,7 +139,7 @@ impl BlockBackend for SegmentBackend {
     }
 
     fn read_into(
-        &mut self,
+        &self,
         key: &BlockKey,
         out: &mut Vec<u8>,
         next: Ahead,
@@ -159,22 +147,10 @@ impl BlockBackend for SegmentBackend {
         let Some(&(off, len)) = self.index.get(key) else {
             return Ok(None);
         };
-        self.file.seek(SeekFrom::Start(off))?;
-        // A bounded `read_to_end` fills the caller's spare capacity
-        // directly, with no zero-fill first.
         let start = out.len();
-        let read = (&self.file).take(u64::from(len)).read_to_end(out)?;
-        if read != len as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "segment ends inside an indexed block",
-            ));
-        }
+        out.resize(start + len as usize, 0);
+        self.file.read_exact_at(&mut out[start..], off)?;
         Ok(Some(appended_since(out, start, next)))
-    }
-
-    fn checksum(&mut self, key: &BlockKey, next: Ahead) -> io::Result<Option<u64>> {
-        Ok(self.read_into_scratch(key, next)?.map(|read| read.checksum))
     }
 
     fn locate(&self, key: &BlockKey) -> Option<Ahead> {
@@ -200,26 +176,9 @@ impl BlockBackend for SegmentBackend {
 
     fn destroy(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
         self.end = 0;
         self.index.clear();
         sync_file(&self.file)
-    }
-
-    fn corrupt(&mut self, key: &BlockKey, mask: u8) -> io::Result<bool> {
-        let Some(&(off, len)) = self.index.get(key) else {
-            return Ok(false);
-        };
-        if len == 0 {
-            return Ok(true);
-        }
-        let mut byte = [0u8; 1];
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(&mut byte)?;
-        byte[0] ^= mask;
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(&byte)?;
-        Ok(true)
     }
 
     fn kind(&self) -> &'static str {
@@ -230,6 +189,8 @@ impl BlockBackend for SegmentBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::get;
+    use std::io::{Read, Seek, SeekFrom, Write};
 
     fn tmpseg(tag: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!(
@@ -250,13 +211,13 @@ mod tests {
             b.put((2, 4), &[7; 64]).unwrap();
             b.put((3, 1), &[5]).unwrap();
             b.delete(&(3, 1)).unwrap();
-            assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![9, 9]);
+            assert_eq!(get(&b, &(1, 0)).unwrap().unwrap(), vec![9, 9]);
         }
-        let mut b = SegmentBackend::open(&path, false).unwrap();
+        let b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 2);
-        assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![9, 9]);
-        assert_eq!(b.get(&(2, 4)).unwrap().unwrap(), vec![7; 64]);
-        assert!(b.get(&(3, 1)).unwrap().is_none());
+        assert_eq!(get(&b, &(1, 0)).unwrap().unwrap(), vec![9, 9]);
+        assert_eq!(get(&b, &(2, 4)).unwrap().unwrap(), vec![7; 64]);
+        assert!(get(&b, &(3, 1)).unwrap().is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -275,13 +236,13 @@ mod tests {
         drop(f);
         let mut b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 1);
-        assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(get(&b, &(1, 0)).unwrap().unwrap(), vec![1, 2, 3, 4]);
         // The torn tail was truncated: appends land on a clean boundary.
         b.put((2, 0), &[5, 6, 7, 8]).unwrap();
         drop(b);
-        let mut b = SegmentBackend::open(&path, false).unwrap();
+        let b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 2);
-        assert_eq!(b.get(&(2, 0)).unwrap().unwrap(), vec![5, 6, 7, 8]);
+        assert_eq!(get(&b, &(2, 0)).unwrap().unwrap(), vec![5, 6, 7, 8]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -311,6 +272,47 @@ mod tests {
         assert_eq!(b.block_count(), 1);
         assert!(b.locate(&(1, 0)).is_some());
         assert!(b.locate(&(2, 0)).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_rotted_record_mid_segment_is_skipped_and_the_rest_survive() {
+        let path = tmpseg("midrot");
+        {
+            let mut b = SegmentBackend::open(&path, false).unwrap();
+            for i in 0..10u64 {
+                b.put((i, 0), &[i as u8; 32]).unwrap();
+            }
+        }
+        // Flip one payload byte of the *first* record on disk.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let mut byte = [0u8; 1];
+        f.read_exact_at(&mut byte, HEADER_LEN as u64).unwrap();
+        f.write_all_at(&[byte[0] ^ 0x40], HEADER_LEN as u64)
+            .unwrap();
+        drop(f);
+        let mut b = SegmentBackend::open(&path, false).unwrap();
+        assert_eq!(b.block_count(), 9, "only the rotted record's block is gone");
+        assert!(b.locate(&(0, 0)).is_none());
+        for i in 1..10u64 {
+            assert_eq!(get(&b, &(i, 0)).unwrap().unwrap(), vec![i as u8; 32]);
+        }
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            len,
+            "not shortened"
+        );
+        // The store rewrites the lost block; it shadows nothing and survives.
+        b.put((0, 0), &[0; 32]).unwrap();
+        drop(b);
+        let b = SegmentBackend::open(&path, false).unwrap();
+        assert_eq!(b.block_count(), 10);
+        assert_eq!(get(&b, &(0, 0)).unwrap().unwrap(), vec![0; 32]);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -2,20 +2,25 @@
 //! [`BlockBackend`]s.
 //!
 //! Each device stores named blocks and keeps access counters; every read
-//! is [`Device::read_block_into`], one locked append into the caller's
-//! buffer that also reports the checksum of what it appended, attributed
-//! to a [`ReadClass`], and every in-place check [`Device::verify_block`]
-//! — or, for a scrub, `Device::verify_four`, four devices' blocks in
-//! one kernel pass. They take the hint of the block the caller streams
-//! next. Whether a block is here, and that hint, are one index lookup,
-//! [`Device::locate`], which counts no access. Interior
-//! mutability (a `parking_lot::RwLock` per device) lets many readers hit
-//! different devices concurrently — the access pattern the guided
-//! retrieval planner optimises — while failure injection flips a device
-//! offline atomically. `Device::new` keeps the original volatile
-//! in-memory backend (the simulation default); durable stores attach
-//! file or segment backends via [`Device::with_backend`] (see
-//! [`crate::durable`]).
+//! is [`Device::read_block_into`], one append into the caller's buffer
+//! that also reports the checksum of what it appended, attributed to a
+//! [`ReadClass`], and every in-place check [`Device::verify_block`] — or,
+//! for a scrub, `Device::verify_four`, four devices' blocks in one kernel
+//! pass. They take the hint of the block the caller streams next. Whether
+//! a block is here, and that hint, are one index lookup,
+//! [`Device::locate`], which counts no access. `Device::new` keeps the
+//! original volatile in-memory backend (the simulation default); durable
+//! stores attach file or segment backends via [`Device::with_backend`]
+//! (see [`crate::durable`]).
+//!
+//! **Locks.** A device's state — online or not, and its backend — sits
+//! behind a `parking_lot::RwLock`, and its counters are atomics beside it.
+//! A read, a verify, a four-block verify and a `locate` take the read lock,
+//! so any number of them run at once on one device, and a failure flips
+//! the device offline between two of them, atomically. What changes the
+//! blocks or the state — a write, a delete, a flush, `corrupt_block`, a
+//! failure and a replacement — takes the write lock, and waits for the
+//! readers to leave.
 //!
 //! Backend I/O failures (a read error, a failed fsync) are counted in
 //! [`DeviceStats::io_errors`] — distinct from the offline-rejection
@@ -24,10 +29,15 @@
 //!
 //! **Lock order.** `Device::verify_four` — a scrub hashing four blocks
 //! of a stripe, on four devices, in one kernel pass — is the only call
-//! that holds more than one device lock. It takes the four in ascending
-//! device id, and holds nothing else while it has them: no store lock,
-//! no other device's. Every other device lock is taken alone and released
-//! before the next is taken — reads, verifies, writes, deletes, `locate`,
+//! that holds more than one device lock. It takes the four read locks in
+//! ascending device id, and holds nothing else while it has them: no store
+//! lock, no other device's. Read locks alone cannot wait for each other,
+//! but the order still matters: the vendored `parking_lot` wraps
+//! `std::sync::RwLock`, and on Linux a `read()` waits behind a writer
+//! already queued. Two four-block verifies taking two devices in opposite
+//! orders, and a write queued on each, would wait in a cycle. Every other
+//! device lock is taken alone and released before the next is taken —
+//! reads, verifies, writes, deletes, `locate`,
 //! [`ArchivalStore::fail_device`](crate::ArchivalStore::fail_device) and
 //! `replace_device` (one device each), and
 //! `ArchivalStore::write_raw_block`, which writes, flushes and deletes
@@ -37,8 +47,10 @@
 //! waits can form.
 
 use crate::backend::{Appended, BlockBackend, MemoryBackend};
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use tornado_codec::kernels::{self, Ahead};
+use tornado_codec::pool;
 
 pub(crate) use crate::backend::BlockKey;
 
@@ -99,21 +111,32 @@ pub struct DeviceStats {
     pub replacements: u64,
 }
 
-impl DeviceStats {
-    fn record_read(&mut self, len: usize, class: ReadClass) {
-        self.reads += 1;
-        self.bytes_read += len as u64;
-        if class == ReadClass::Repair {
-            self.bytes_repair_read += len as u64;
-        }
-    }
+/// The live counters behind [`DeviceStats`], beside the state lock: a read
+/// moves two of them (`reads`, and its class's bytes), and needs no write
+/// lock to do so.
+#[derive(Debug, Default)]
+struct Counters {
+    reads: AtomicU64,
+    writes: AtomicU64,
+    failed_reads: AtomicU64,
+    failed_writes: AtomicU64,
+    verifies: AtomicU64,
+    /// `bytes_read` less `bytes_repair_read`.
+    bytes_payload_read: AtomicU64,
+    bytes_repair_read: AtomicU64,
+    io_errors: AtomicU64,
+    failures: AtomicU64,
+    replacements: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Relaxed);
 }
 
 #[derive(Debug)]
 struct DeviceState {
     online: bool,
     backend: Box<dyn BlockBackend>,
-    stats: DeviceStats,
 }
 
 /// One storage device.
@@ -121,6 +144,7 @@ struct DeviceState {
 pub struct Device {
     id: usize,
     state: RwLock<DeviceState>,
+    counters: Counters,
 }
 
 impl Device {
@@ -138,8 +162,8 @@ impl Device {
             state: RwLock::new(DeviceState {
                 online: true,
                 backend,
-                stats: DeviceStats::default(),
             }),
+            counters: Counters::default(),
         }
     }
 
@@ -169,9 +193,9 @@ impl Device {
     pub(crate) fn fail(&self) {
         let mut s = self.state.write();
         s.online = false;
-        s.stats.failures += 1;
+        bump(&self.counters.failures);
         if s.backend.destroy().is_err() {
-            s.stats.io_errors += 1;
+            bump(&self.counters.io_errors);
         }
     }
 
@@ -182,9 +206,9 @@ impl Device {
     pub(crate) fn replace(&self) {
         let mut s = self.state.write();
         s.online = true;
-        s.stats.replacements += 1;
+        bump(&self.counters.replacements);
         if s.backend.destroy().is_err() {
-            s.stats.io_errors += 1;
+            bump(&self.counters.io_errors);
         }
     }
 
@@ -193,7 +217,7 @@ impl Device {
     pub(crate) fn install_replacement(&self, backend: Box<dyn BlockBackend>) {
         let mut s = self.state.write();
         s.online = true;
-        s.stats.replacements += 1;
+        bump(&self.counters.replacements);
         s.backend = backend;
     }
 
@@ -205,35 +229,29 @@ impl Device {
     pub fn write_block(&self, key: BlockKey, data: Vec<u8>) -> bool {
         let mut s = self.state.write();
         if !s.online {
-            s.stats.failed_writes += 1;
+            bump(&self.counters.failed_writes);
             return false;
         }
-        match s.backend.put_owned(key, data) {
-            Ok(()) => {
-                s.stats.writes += 1;
-                true
-            }
-            Err(_) => {
-                s.stats.io_errors += 1;
-                false
-            }
-        }
+        let written = s.backend.put_owned(key, data).is_ok();
+        bump(if written {
+            &self.counters.writes
+        } else {
+            &self.counters.io_errors
+        });
+        written
     }
 
     /// Flushes the backend to stable storage (fsync). Returns `false` —
     /// and counts an I/O error — if the sync failed.
     pub(crate) fn flush(&self) -> bool {
-        let mut s = self.state.write();
-        match s.backend.flush() {
-            Ok(()) => true,
-            Err(_) => {
-                s.stats.io_errors += 1;
-                false
-            }
+        let flushed = self.state.write().backend.flush().is_ok();
+        if !flushed {
+            bump(&self.counters.io_errors);
         }
+        flushed
     }
 
-    /// The device's one read: under the device lock, appends the block's
+    /// The device's one read: under the read lock, appends the block's
     /// bytes to `out` and returns how many and their checksum, attributed
     /// to `class`, while the kernel asks for `next` — the hint of the block
     /// the caller streams after this one ([`Device::locate`]), or
@@ -247,62 +265,71 @@ impl Device {
         out: &mut Vec<u8>,
         next: Ahead,
     ) -> Option<Appended> {
-        let mut s = self.state.write();
+        let s = self.state.read();
         if !s.online {
-            s.stats.failed_reads += 1;
+            bump(&self.counters.failed_reads);
             return None;
         }
         let start = out.len();
         match s.backend.read_into(key, out, next) {
             Ok(read) => {
                 if let Some(read) = read {
-                    s.stats.record_read(read.len, class);
+                    bump(&self.counters.reads);
+                    let bytes = match class {
+                        ReadClass::Payload => &self.counters.bytes_payload_read,
+                        ReadClass::Repair => &self.counters.bytes_repair_read,
+                    };
+                    bytes.fetch_add(read.len as u64, Relaxed);
                 }
                 read
             }
             Err(_) => {
                 out.truncate(start);
-                s.stats.io_errors += 1;
+                bump(&self.counters.io_errors);
                 None
             }
         }
     }
 
-    /// [`Device::read_block_into`] a fresh `Vec`, as a
-    /// [`ReadClass::Payload`] read.
-    pub fn read_block(&self, key: &BlockKey) -> Option<Vec<u8>> {
-        let mut block = Vec::new();
-        self.read_block_into(key, ReadClass::Payload, &mut block, Ahead::NONE)
-            .map(|_| block)
-    }
-
     /// Checksums a block in place against `expected` — the scrub verify
-    /// tier's primitive. On the memory backend no bytes are copied: the
-    /// word-wide checksum kernel runs over the device-resident buffer
-    /// under the device lock. Durable backends hash through a reused
-    /// scratch buffer without handing bytes upward. `next` as for
+    /// tier's primitive, under the read lock. A block the backend holds in
+    /// memory is hashed where it lies ([`BlockBackend::resident`]); any
+    /// other is read into a buffer from the thread's block pool and hashed
+    /// as it lands, and no bytes are handed upward. `next` as for
     /// [`Device::read_block_into`]. An I/O error reads as
     /// [`BlockProbe::Missing`] (an erasure) and is counted.
     pub fn verify_block(&self, key: &BlockKey, expected: u64, next: Ahead) -> BlockProbe {
-        let mut s = self.state.write();
+        let s = self.state.read();
         if !s.online {
-            s.stats.failed_reads += 1;
+            bump(&self.counters.failed_reads);
             return BlockProbe::Missing;
         }
-        match s.backend.checksum(key, next) {
-            Ok(None) => BlockProbe::Missing,
-            Ok(Some(sum)) => {
-                s.stats.verifies += 1;
-                if sum == expected {
-                    BlockProbe::Ok
-                } else {
-                    BlockProbe::Corrupt
-                }
+        let sum = match s.backend.resident(key) {
+            Some(block) => Ok(Some(kernels::checksum(block, next))),
+            None => {
+                let mut buf = pool::with_thread_pool(|p| p.take_empty(0));
+                let read = s.backend.read_into(key, &mut buf, next);
+                pool::with_thread_pool(|p| p.recycle(buf));
+                read.map(|read| read.map(|read| read.checksum))
             }
+        };
+        match sum {
+            Ok(None) => BlockProbe::Missing,
+            Ok(Some(sum)) => self.verified(sum == expected),
             Err(_) => {
-                s.stats.io_errors += 1;
+                bump(&self.counters.io_errors);
                 BlockProbe::Missing
             }
+        }
+    }
+
+    /// Counts a verify of a present block and says how it came out.
+    fn verified(&self, matches: bool) -> BlockProbe {
+        bump(&self.counters.verifies);
+        if matches {
+            BlockProbe::Ok
+        } else {
+            BlockProbe::Corrupt
         }
     }
 
@@ -310,7 +337,7 @@ impl Device {
     /// one kernel pass (`kernels::checksum4`): element `i` of the result
     /// is what `devices[i].verify_block(&keys[i], expected[i], nexts[i])`
     /// would report, and the devices count `verifies`, `failed_reads` and
-    /// `io_errors` exactly as it would. The four write locks are taken in
+    /// `io_errors` exactly as it would. The four read locks are taken in
     /// ascending device id (the lock order of the module doc) and the
     /// blocks' resident bytes hashed under them, with `nexts[3]` the hint
     /// of the block streamed after the four. If any device is offline or
@@ -333,11 +360,11 @@ impl Device {
                 .all(|w| devices[w[0]].id < devices[w[1]].id),
             "four distinct devices"
         );
-        let mut locked: [Option<RwLockWriteGuard<'_, DeviceState>>; 4] = Default::default();
+        let mut locked: [Option<RwLockReadGuard<'_, DeviceState>>; 4] = Default::default();
         for i in order {
-            locked[i] = Some(devices[i].state.write());
+            locked[i] = Some(devices[i].state.read());
         }
-        let mut states = locked.map(|s| s.expect("every device locked"));
+        let states = locked.map(|s| s.expect("every device locked"));
         let blocks: [Option<&[u8]>; 4] = std::array::from_fn(|i| {
             let s = &states[i];
             s.online.then(|| s.backend.resident(&keys[i])).flatten()
@@ -351,14 +378,7 @@ impl Device {
                 });
             }
         };
-        std::array::from_fn(|i| {
-            states[i].stats.verifies += 1;
-            if sums[i] == expected[i] {
-                BlockProbe::Ok
-            } else {
-                BlockProbe::Corrupt
-            }
-        })
+        std::array::from_fn(|i| devices[i].verified(sums[i] == expected[i]))
     }
 
     /// Whether the device is online and holds a block, and where
@@ -381,27 +401,49 @@ impl Device {
     /// Removes a block; returns whether it existed (false also on an
     /// I/O error, which is counted).
     pub(crate) fn delete_block(&self, key: &BlockKey) -> bool {
-        let mut s = self.state.write();
-        match s.backend.delete(key) {
-            Ok(existed) => existed,
-            Err(_) => {
-                s.stats.io_errors += 1;
-                false
-            }
+        let deleted = self.state.write().backend.delete(key);
+        if deleted.is_err() {
+            bump(&self.counters.io_errors);
         }
+        deleted.unwrap_or(false)
     }
 
     /// Silently corrupts a stored block (failure-injection helper for
-    /// integrity testing): XORs `mask` into the first byte. Returns whether
-    /// the block existed.
+    /// integrity testing): reads it, XORs `mask` into its first byte and
+    /// writes it back, past every counter and integrity layer — the
+    /// simulated form of bit rot. Returns whether the block existed and was
+    /// written back. (Real rot on durable backends is injected by writing
+    /// garbage into the backing files out-of-band; see
+    /// `tests/bitrot_scrub.rs`.)
     pub fn corrupt_block(&self, key: &BlockKey, mask: u8) -> bool {
         let mut s = self.state.write();
-        s.backend.corrupt(key, mask).unwrap_or(false)
+        let mut block = Vec::new();
+        let Ok(Some(_)) = s.backend.read_into(key, &mut block, Ahead::NONE) else {
+            return false;
+        };
+        if let Some(first) = block.first_mut() {
+            *first ^= mask;
+        }
+        s.backend.put(*key, &block).is_ok()
     }
 
-    /// Access counters snapshot.
+    /// Access counters snapshot: each counter exact, read one at a time.
     pub fn stats(&self) -> DeviceStats {
-        self.state.read().stats
+        let c = &self.counters;
+        let [payload, repair] =
+            [&c.bytes_payload_read, &c.bytes_repair_read].map(|b| b.load(Relaxed));
+        DeviceStats {
+            reads: c.reads.load(Relaxed),
+            writes: c.writes.load(Relaxed),
+            failed_reads: c.failed_reads.load(Relaxed),
+            failed_writes: c.failed_writes.load(Relaxed),
+            verifies: c.verifies.load(Relaxed),
+            bytes_read: payload + repair,
+            bytes_repair_read: repair,
+            io_errors: c.io_errors.load(Relaxed),
+            failures: c.failures.load(Relaxed),
+            replacements: c.replacements.load(Relaxed),
+        }
     }
 
     /// Number of blocks held.
@@ -414,11 +456,19 @@ impl Device {
 mod tests {
     use super::*;
 
+    /// [`Device::read_block_into`] a fresh `Vec`, as a
+    /// [`ReadClass::Payload`] read.
+    fn read_block(d: &Device, key: &BlockKey) -> Option<Vec<u8>> {
+        let mut block = Vec::new();
+        d.read_block_into(key, ReadClass::Payload, &mut block, Ahead::NONE)
+            .map(|_| block)
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let d = Device::new(3);
         assert!(d.write_block((1, 0), vec![1, 2, 3]));
-        assert_eq!(d.read_block(&(1, 0)), Some(vec![1, 2, 3]));
+        assert_eq!(read_block(&d, &(1, 0)), Some(vec![1, 2, 3]));
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.block_count(), 1);
@@ -431,11 +481,11 @@ mod tests {
         d.write_block((1, 0), vec![9]);
         d.fail();
         assert!(!d.is_online());
-        assert_eq!(d.read_block(&(1, 0)), None);
+        assert_eq!(read_block(&d, &(1, 0)), None);
         assert_eq!(d.stats().failed_reads, 1);
         d.replace();
         assert!(d.is_online());
-        assert_eq!(d.read_block(&(1, 0)), None, "replacement is empty");
+        assert_eq!(read_block(&d, &(1, 0)), None, "replacement is empty");
         assert_eq!(d.block_count(), 0);
         let s = d.stats();
         assert_eq!((s.failures, s.replacements), (1, 1));
@@ -634,8 +684,11 @@ mod tests {
         for (i, d) in devices.iter().enumerate() {
             d.write_block((1, i as u32), vec![i as u8; 3000]);
         }
-        // Each verifier names the four in another order; a churner writes,
-        // fails and replaces them one lock at a time among them.
+        // Each verifier names the four in another order; a churner per
+        // device writes, fails and replaces it, so writers queue on all
+        // four. A read lock waits behind a queued writer: two verifiers
+        // locking two devices in opposite orders, with a writer queued on
+        // each, would wait in a cycle. One churner in all would not.
         let (finished, done) = mpsc::channel();
         let orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]];
         let mut threads: Vec<_> = orders
@@ -643,7 +696,7 @@ mod tests {
             .map(|order| {
                 let (devices, finished) = (Arc::clone(&devices), finished.clone());
                 std::thread::spawn(move || {
-                    for _ in 0..2_000 {
+                    for _ in 0..30_000 {
                         Device::verify_four(
                             order.map(|i| &devices[i]),
                             order.map(|i| (1, i as u32)),
@@ -655,16 +708,18 @@ mod tests {
                 })
             })
             .collect();
-        threads.push(std::thread::spawn(move || {
-            for k in 0..2_000usize {
-                let d = &devices[k % 4];
-                d.write_block((1, (k % 4) as u32), vec![k as u8; 3000]);
-                if k % 500 == 0 {
-                    d.fail();
-                    d.replace();
+        threads.extend((0..4).map(|i| {
+            let (devices, finished) = (Arc::clone(&devices), finished.clone());
+            std::thread::spawn(move || {
+                for k in 0..30_000usize {
+                    devices[i].write_block((1, i as u32), vec![k as u8; 3000]);
+                    if k % 500 == 0 {
+                        devices[i].fail();
+                        devices[i].replace();
+                    }
                 }
-            }
-            finished.send(()).expect("the test waits");
+                finished.send(()).expect("the test waits");
+            })
         }));
         for _ in 0..threads.len() {
             // Disconnected: a thread panicked, and its join says so.
@@ -682,7 +737,7 @@ mod tests {
     fn read_bytes_are_attributed_per_class() {
         let d = Device::new(0);
         d.write_block((1, 0), vec![7u8; 64]);
-        assert!(d.read_block(&(1, 0)).is_some());
+        assert!(read_block(&d, &(1, 0)).is_some());
         // Reads append: the caller's bytes in front stay put.
         let mut out = vec![0xEE; 3];
         let read = Some(Appended {
@@ -718,7 +773,7 @@ mod tests {
     fn ahead_is_a_lookup_that_moves_no_counter() {
         let d = Device::new(0);
         d.write_block((1, 0), vec![7u8; 100]);
-        assert!(d.read_block(&(1, 0)).is_some());
+        assert!(read_block(&d, &(1, 0)).is_some());
         let before = d.stats();
         let hint = d.locate(&(1, 0)).expect("the block is here");
         assert!(!hint.is_empty(), "the memory block's bytes");
@@ -772,7 +827,7 @@ mod tests {
                 let d = Arc::clone(&d);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        assert_eq!(d.read_block(&(1, 1)).unwrap()[0], 42);
+                        assert_eq!(read_block(&d, &(1, 1)).unwrap()[0], 42);
                     }
                 })
             })
@@ -781,6 +836,86 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(d.stats().reads, 800);
+    }
+
+    #[test]
+    fn readers_of_one_device_do_not_wait_for_each_other() {
+        use crate::backend::hooked::{HookedBackend, Served};
+        use std::sync::mpsc;
+        use std::sync::{Arc, Mutex};
+        use std::time::Duration;
+        // A read of block (1, 0) announces itself, then waits inside the
+        // backend until the test releases it.
+        let (reached_tx, reached) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (reached_tx, release_rx) = (Mutex::new(reached_tx), Mutex::new(release_rx));
+        let hook = move |served, key: &BlockKey| {
+            if served == Served::Read && *key == (1, 0) {
+                reached_tx.lock().unwrap().send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+        };
+        let d = Arc::new(Device::with_backend(0, Box::new(HookedBackend::new(hook))));
+        let block = vec![7u8; 4096];
+        let sum = tornado_codec::checksum(&block);
+        d.write_block((1, 0), block.clone());
+        d.write_block((1, 1), block.clone());
+
+        let held = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || read_block(&d, &(1, 0)))
+        };
+        reached.recv().unwrap();
+        let (finished, done) = mpsc::channel();
+        let other = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || {
+                let read = read_block(&d, &(1, 1));
+                let probe = d.verify_block(&(1, 1), sum, Ahead::NONE);
+                finished.send(()).unwrap();
+                (read, probe)
+            })
+        };
+        let waited = done.recv_timeout(Duration::from_secs(10));
+        // Released either way, so a lock held across the read ends too.
+        release.send(()).unwrap();
+        assert_eq!(held.join().unwrap().as_ref(), Some(&block));
+        assert_eq!(other.join().unwrap(), (Some(block.clone()), BlockProbe::Ok));
+        assert!(
+            waited.is_ok(),
+            "a read and a verify of another block waited 10 s for a held read"
+        );
+
+        // Readers at once lose no count: N threads × k reads, every other
+        // one a repair read.
+        const N: u64 = 4;
+        const K: u64 = 1_000;
+        let before = d.stats();
+        let readers: Vec<_> = (0..N)
+            .map(|_| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    let mut out = Vec::with_capacity(4096);
+                    for k in 0..K {
+                        let class = [ReadClass::Payload, ReadClass::Repair][k as usize % 2];
+                        out.clear();
+                        assert!(d
+                            .read_block_into(&(1, 1), class, &mut out, Ahead::NONE)
+                            .is_some());
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        let after = d.stats();
+        assert_eq!(after.reads - before.reads, N * K);
+        assert_eq!(after.bytes_read - before.bytes_read, N * K * 4096);
+        assert_eq!(
+            after.bytes_repair_read - before.bytes_repair_read,
+            N * K / 2 * 4096
+        );
     }
 
     #[test]

@@ -1049,7 +1049,7 @@ mod tests {
     }
 
     /// Every device of a store records in one shared log the key of each
-    /// `locate`, `read_into` and `checksum` it serves.
+    /// `locate`, `read_into` and `resident` it serves.
     type Log = Arc<std::sync::Mutex<Vec<(Served, BlockKey)>>>;
 
     #[test]

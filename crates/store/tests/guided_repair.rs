@@ -15,9 +15,10 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use tornado_codec::kernels::Ahead;
 use tornado_codec::{Codec, EncodedStripe};
 use tornado_graph::{Graph, GraphBuilder, NodeId};
-use tornado_store::{ArchivalStore, ScrubMode, ScrubOutcome, Scrubber};
+use tornado_store::{ArchivalStore, ReadClass, ScrubMode, ScrubOutcome, Scrubber};
 
 /// Profiled first-failure level handed to the scrubber (graph 1's).
 const LEVEL: usize = 5;
@@ -151,7 +152,10 @@ fn scrub_and_check(
         for (v, block) in want.blocks.iter().enumerate() {
             let v = v as NodeId;
             let device = store.device(store.device_of_block(&meta, v)).unwrap();
-            let held = device.read_block(&(id, v));
+            let mut bytes = Vec::new();
+            let held = device
+                .read_block_into(&(id, v), ReadClass::Payload, &mut bytes, Ahead::NONE)
+                .map(|_| bytes);
             let intact = held.as_ref() == Some(block);
             let should_be = !want.missing.contains(&v) || want.rewritten.contains(&v);
             assert_eq!(intact, should_be, "object {id} node {v}: {what}");

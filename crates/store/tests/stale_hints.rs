@@ -19,7 +19,7 @@
 //! A failure names the seed it ran (the churn's and the readers' choices
 //! are seeded; how they interleave with the scrubs is not).
 //!
-//! A Verify scrub holds four device locks at a time while it hashes four
+//! A Verify scrub holds four device read locks at a time while it hashes four
 //! blocks in one pass, on several workers at once. Each seed runs on its
 //! own thread, and one that is not done within [`DEADLINE`] fails the test,
 //! naming the seed, instead of hanging it: a lock-order cycle shows as a
