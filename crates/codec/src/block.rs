@@ -12,8 +12,9 @@
 //! [`EncodedStripe::from_object`] and read back by
 //! [`EncodedStripe::payload_range`]; nothing else names the header's size.
 //! *Rebuilding* is [`Codec::replay`], the only loop that turns a
-//! [`RecoveryStep`] into bytes: [`Codec::decode`], the store's scrubber and
-//! its federation hand it a stripe of separate blocks, the store's GET miss
+//! [`RecoveryStep`] into bytes: [`Codec::decode`] and the store's
+//! federation hand it a stripe of separate blocks, the store's scrubber the
+//! same stripe borrowed where its devices hold it, the store's GET miss
 //! path the contiguous data half it is about to return, and a recovered
 //! block is built where it will be read from.
 
@@ -169,6 +170,12 @@ impl<'g> Codec<'g> {
     /// holds the data half in the buffer it returns (`d = k`) and only the
     /// check blocks it fetched in `rest`.
     ///
+    /// A block of `rest` is owned (`Vec<u8>`) or borrowed (a
+    /// `Cow::Borrowed` of bytes that lie elsewhere — a scrub lends the
+    /// replay its repair cone where the devices hold it); the replay only
+    /// reads them, and a rebuilt one is always owned (`B::from` of its
+    /// accumulator).
+    ///
     /// Each step's node is rebuilt where it belongs: a node of `front`
     /// over whatever its slot held (check block copied in, the check's
     /// other neighbours folded in on top), a node of `rest` into its empty
@@ -183,16 +190,16 @@ impl<'g> Codec<'g> {
     /// nor rebuilt by an earlier step — the schedule was not derived for
     /// this availability — or if `front` is not `d` equal blocks, or `rest`
     /// is longer than the graph has nodes.
-    pub fn replay(
+    pub fn replay<B: AsRef<[u8]> + From<Vec<u8>>>(
         &self,
         schedule: &[RecoveryStep],
         front: &mut [u8],
-        rest: &mut [Option<Vec<u8>>],
+        rest: &mut [Option<B>],
     ) -> u64 {
         let d = (self.graph.num_nodes().checked_sub(rest.len()))
             .expect("rest holds at most one block per node");
         let block_len = match d {
-            0 => rest.iter().flatten().next().map_or(0, Vec::len),
+            0 => rest.iter().flatten().next().map_or(0, |b| b.as_ref().len()),
             _ => front.len() / d,
         };
         assert_eq!(front.len(), d * block_len, "front is d equal blocks");
@@ -208,7 +215,7 @@ impl<'g> Codec<'g> {
             let block = |v: NodeId| -> Option<&[u8]> {
                 let v = v as usize;
                 match v.checked_sub(d) {
-                    Some(i) => rest[i].as_deref(),
+                    Some(i) => rest[i].as_ref().map(B::as_ref),
                     None if v < at => Some(&before[v * block_len..][..block_len]),
                     None => Some(&after[(v - at - 1) * block_len..][..block_len]),
                 }
@@ -241,7 +248,7 @@ impl<'g> Codec<'g> {
                 }
             }
             if at == d {
-                rest[node as usize - d] = Some(acc);
+                rest[node as usize - d] = Some(B::from(acc));
             }
             depth[node as usize] = deepest + 1;
             recovery_depth = recovery_depth.max(deepest + 1);

@@ -10,13 +10,16 @@
 //! peel at both layouts the workspace uses (every block apart; the data
 //! half contiguous) and must rebuild, at block sizes from one byte to a
 //! 1 MiB object's 21,846, exactly the encoded block *and* the XOR of its
-//! equation as `scalar::xor_into` computes it.
+//! equation as `scalar::xor_into` computes it — and, from blocks it
+//! borrows (a scrub lends it the devices' own bytes), exactly what it
+//! rebuilds from owned copies.
 
 #[allow(dead_code)]
 mod oracle;
 
 use oracle::scalar;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use tornado_codec::gf256::Gf256;
 use tornado_codec::{kernels, Codec, ErasureDecoder, RecoveryStep};
 use tornado_gen::cascaded::generate_fixed_degree;
@@ -298,6 +301,50 @@ fn assert_replay_rebuilds(
     let report = codec.decode(&mut decoded).expect("decode");
     assert_eq!(report.recovery_depth, depth, "decode's depth, {case}");
     assert!(decoded == apart, "decode is the d = 0 replay, {case}");
+    assert_borrowed_replay_matches_owned(&codec, k, &blocks, erased, &detail.schedule, case);
+}
+
+/// At every layout (`d` of 0, `k` and every node), a replay whose blocks
+/// apart are borrowed from the encoded stripe rebuilds the bytes and
+/// reports the depth of one over owned copies of them, and every block it
+/// rebuilds apart is its own.
+fn assert_borrowed_replay_matches_owned(
+    codec: &Codec<'_>,
+    k: usize,
+    blocks: &[Vec<u8>],
+    erased: &[usize],
+    schedule: &[RecoveryStep],
+    case: &str,
+) {
+    let n = blocks.len();
+    for d in [0, k, n] {
+        let (mut front, mut owned) = split_layout(blocks, d, erased);
+        let mut lent_front = front.clone();
+        let mut lent: Vec<Option<Cow<'_, [u8]>>> = (d..n)
+            .map(|i| (!erased.contains(&i)).then(|| Cow::Borrowed(&blocks[i][..])))
+            .collect();
+        let depth = codec.replay(schedule, &mut front, &mut owned);
+        assert_eq!(
+            codec.replay(schedule, &mut lent_front, &mut lent),
+            depth,
+            "borrowed depth, d = {d}, {case}"
+        );
+        assert!(lent_front == front, "borrowed front, d = {d}, {case}");
+        for (i, (lent, owned)) in lent.iter().zip(&owned).enumerate() {
+            assert!(
+                lent.as_deref() == owned.as_deref(),
+                "borrowed node {}, d = {d}, {case}",
+                d + i
+            );
+            if erased.contains(&(d + i)) {
+                assert!(
+                    lent.is_none() || matches!(lent, Some(Cow::Owned(_))),
+                    "a rebuilt node is owned, node {}, d = {d}, {case}",
+                    d + i
+                );
+            }
+        }
+    }
 }
 
 proptest! {

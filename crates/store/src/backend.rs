@@ -24,9 +24,12 @@
 //! going, and streamed from memory once.
 //!
 //! A backend that holds its blocks in memory also lends them out,
-//! [`BlockBackend::resident`], so a verify hashes a block where it lies,
-//! and a scrub four blocks of a stripe in one kernel pass; a durable
-//! backend lends nothing, and its blocks are verified through `read_into`.
+//! [`BlockBackend::resident`], so a verify hashes a block where it lies, a
+//! scrub four blocks of a stripe in one kernel pass, and a repair replays
+//! from its cone's bytes without copying them; one map lookup answers
+//! both "here" and "absent". A durable backend lends nothing
+//! ([`Resident::OnMedia`], without a lookup), and its blocks are verified
+//! and copied through `read_into`.
 //!
 //! The read takes a `kernels::Ahead`: where the block the caller streams
 //! next lies, which the kernel asks into L2 while this one is hashed.
@@ -117,6 +120,18 @@ pub struct Appended {
     pub checksum: u64,
 }
 
+/// Where [`BlockBackend::resident`] finds a block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resident<'a> {
+    /// Held in memory: its stored bytes, where they lie.
+    Here(&'a [u8]),
+    /// Not held.
+    Absent,
+    /// Not in memory, here or not: read into a buffer only when asked for
+    /// (the durable backends, which answer so without a lookup).
+    OnMedia,
+}
+
 /// Block persistence for one device.
 ///
 /// What only reads — `read_into`, `locate`, `resident` — takes `&self`, so
@@ -174,12 +189,13 @@ pub trait BlockBackend: Send + Sync + std::fmt::Debug {
     /// into a buffer only when asked for it).
     fn locate(&self, key: &BlockKey) -> Option<Ahead>;
 
-    /// The stored bytes of a block the backend holds in memory, to hash
-    /// where they lie: `None` when the block is absent or, as on the
-    /// durable backends (the default), read into a buffer only when asked
-    /// for. Nothing is read or counted.
-    fn resident(&self, _key: &BlockKey) -> Option<&[u8]> {
-        None
+    /// The stored bytes of a block the backend holds in memory, to hash or
+    /// XOR where they lie — or [`Resident::Absent`], from the same one
+    /// lookup. The default, for a backend that reads a block into a buffer
+    /// only when asked for (the durable ones), is [`Resident::OnMedia`]
+    /// and looks nothing up. Nothing is read or counted.
+    fn resident(&self, _key: &BlockKey) -> Resident<'_> {
+        Resident::OnMedia
     }
 
     /// Removes a block; returns whether it was present.
@@ -284,8 +300,11 @@ impl BlockBackend for MemoryBackend {
         self.blocks.get(key).map(|b| Ahead::of(b))
     }
 
-    fn resident(&self, key: &BlockKey) -> Option<&[u8]> {
-        self.blocks.get(key).map(Vec::as_slice)
+    fn resident(&self, key: &BlockKey) -> Resident<'_> {
+        match self.blocks.get(key) {
+            Some(block) => Resident::Here(block),
+            None => Resident::Absent,
+        }
     }
 
     fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
@@ -374,8 +393,9 @@ pub(crate) mod hooked {
         Locate,
         /// [`BlockBackend::read_into`].
         Read,
-        /// [`BlockBackend::resident`]: the bytes a verify hashes in place.
-        Checksum,
+        /// [`BlockBackend::resident`]: the bytes a verify hashes, or a lend
+        /// hands a replay, where they lie.
+        Resident,
     }
 
     /// A [`MemoryBackend`] that calls its hook with the key of every
@@ -425,8 +445,8 @@ pub(crate) mod hooked {
             (self.hook)(Served::Locate, key);
             self.inner.locate(key)
         }
-        fn resident(&self, key: &BlockKey) -> Option<&[u8]> {
-            (self.hook)(Served::Checksum, key);
+        fn resident(&self, key: &BlockKey) -> Resident<'_> {
+            (self.hook)(Served::Resident, key);
             self.inner.resident(key)
         }
         fn delete(&mut self, key: &BlockKey) -> io::Result<bool> {
@@ -528,12 +548,12 @@ pub(crate) mod tests {
         b.put((1, 2), &[9, 8, 7]).unwrap();
         assert!(b.locate(&(1, 2)).is_some_and(|hint| !hint.is_empty()));
         assert_eq!(get(&b, &(1, 2)).unwrap().unwrap(), vec![9, 8, 7]);
-        assert_eq!(b.resident(&(1, 2)), Some(&[9, 8, 7][..]));
+        assert_eq!(b.resident(&(1, 2)), Resident::Here(&[9, 8, 7]));
         assert!(b.delete(&(1, 2)).unwrap());
         assert!(!b.delete(&(1, 2)).unwrap());
         assert_eq!(b.block_count(), 0);
         assert!(get(&b, &(1, 2)).unwrap().is_none());
-        assert!(b.resident(&(1, 2)).is_none());
+        assert_eq!(b.resident(&(1, 2)), Resident::Absent);
     }
 
     #[test]
@@ -667,7 +687,7 @@ pub(crate) mod tests {
             let mut out = vec![0xEE];
             assert_eq!(b.read_into(&key, &mut out, Ahead::NONE).unwrap(), None);
             assert_eq!(out, [0xEE], "nothing appended");
-            assert!(b.resident(&key).is_none());
+            assert_eq!(b.resident(&key), Resident::Absent);
             assert!(!b.delete(&key).unwrap());
         }
         assert_eq!(b.block_count(), 0);

@@ -8,36 +8,42 @@
 //! for a scrub, `Device::verify_four`, four devices' blocks in one kernel
 //! pass. They take the hint of the block the caller streams next. Whether
 //! a block is here, and that hint, are one index lookup,
-//! [`Device::locate`], which counts no access. `Device::new` keeps the
-//! original volatile in-memory backend (the simulation default); durable
-//! stores attach file or segment backends via [`Device::with_backend`]
-//! (see [`crate::durable`]).
+//! [`Device::locate`], which counts no access. A repair scrub's replay
+//! reads its cone where the devices hold it, `Device::lend`, each lent
+//! block one repair-class read. `Device::new` keeps the original volatile
+//! in-memory backend (the simulation default); durable stores attach file
+//! or segment backends via [`Device::with_backend`] (see
+//! [`crate::durable`]).
 //!
 //! **Locks.** A device's state — online or not, and its backend — sits
 //! behind a `parking_lot::RwLock`, and its counters are atomics beside it.
-//! A read, a verify, a four-block verify and a `locate` take the read lock,
-//! so any number of them run at once on one device, and a failure flips
-//! the device offline between two of them, atomically. What changes the
-//! blocks or the state — a write, a delete, a flush, `corrupt_block`, a
-//! failure and a replacement — takes the write lock, and waits for the
-//! readers to leave.
+//! A read, a verify, a four-block verify, a lend and a `locate` take the
+//! read lock, so any number of them run at once on one device, and a
+//! failure flips the device offline between two of them, atomically.
+//! What changes the blocks or the state — a write, a delete, a flush,
+//! `corrupt_block`, a failure and a replacement — takes the write lock,
+//! and waits for the readers to leave.
 //!
 //! Backend I/O failures (a read error, a failed fsync) are counted in
 //! [`DeviceStats::io_errors`] — distinct from the offline-rejection
 //! counters — and the affected block is reported absent, so the coding
 //! layer treats real storage trouble exactly like an erasure.
 //!
-//! **Lock order.** `Device::verify_four` — a scrub hashing four blocks
-//! of a stripe, on four devices, in one kernel pass — is the only call
-//! that holds more than one device lock. It takes the four read locks in
-//! ascending device id, and holds nothing else while it has them: no store
-//! lock, no other device's. Read locks alone cannot wait for each other,
-//! but the order still matters: the vendored `parking_lot` wraps
-//! `std::sync::RwLock`, and on Linux a `read()` waits behind a writer
-//! already queued. Two four-block verifies taking two devices in opposite
-//! orders, and a write queued on each, would wait in a cycle. Every other
-//! device lock is taken alone and released before the next is taken —
-//! reads, verifies, writes, deletes, `locate`,
+//! **Lock order.** Two calls hold more than one device lock, both read
+//! locks of a scrub: `Device::verify_four`, which hashes four blocks of a
+//! stripe on four devices in one kernel pass, and `Device::lend`, which
+//! holds a stripe's repair cone — a few dozen devices — for the replay
+//! that reads it. Each takes its locks in ascending device id, and holds
+//! nothing else while it has them: no store lock, no lock of a device it
+//! did not name. `verify_four` holds them for one four-block hash; `lend`
+//! for one stripe's replay, which a write, delete, failure or replacement
+//! of any of those devices waits for. Read locks alone cannot wait for
+//! each other, but the order still matters: the vendored `parking_lot`
+//! wraps `std::sync::RwLock`, and on Linux a `read()` waits behind a
+//! writer already queued. Two multi-lock calls taking two devices in
+//! opposite orders, and a write queued on each, would wait in a cycle.
+//! Every other device lock is taken alone and released before the next is
+//! taken — reads, verifies, writes, deletes, `locate`,
 //! [`ArchivalStore::fail_device`](crate::ArchivalStore::fail_device) and
 //! `replace_device` (one device each), and
 //! `ArchivalStore::write_raw_block`, which writes, flushes and deletes
@@ -46,7 +52,7 @@
 //! holding one holds lower ids than the one it waits for, and no cycle of
 //! waits can form.
 
-use crate::backend::{Appended, BlockBackend, MemoryBackend};
+use crate::backend::{Appended, BlockBackend, MemoryBackend, Resident};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use tornado_codec::kernels::{self, Ahead};
@@ -293,34 +299,49 @@ impl Device {
 
     /// Checksums a block in place against `expected` — the scrub verify
     /// tier's primitive, under the read lock. A block the backend holds in
-    /// memory is hashed where it lies ([`BlockBackend::resident`]); any
-    /// other is read into a buffer from the thread's block pool and hashed
-    /// as it lands, and no bytes are handed upward. `next` as for
+    /// memory is hashed where it lies ([`BlockBackend::resident`], which
+    /// also answers a miss: one lookup either way); any other is read into
+    /// a buffer from the thread's block pool and hashed as it lands, and no
+    /// bytes are handed upward. `next` as for
     /// [`Device::read_block_into`]. An I/O error reads as
     /// [`BlockProbe::Missing`] (an erasure) and is counted.
     pub fn verify_block(&self, key: &BlockKey, expected: u64, next: Ahead) -> BlockProbe {
         let s = self.state.read();
-        if !s.online {
-            bump(&self.counters.failed_reads);
-            return BlockProbe::Missing;
-        }
-        let sum = match s.backend.resident(key) {
-            Some(block) => Ok(Some(kernels::checksum(block, next))),
+        self.judge(&s, looked_up(&s, key), key, expected, next)
+    }
+
+    /// The verdict on one block from its lookup ([`looked_up`]) under the
+    /// read lock `s`, counted as [`Device::verify_block`] counts it.
+    fn judge(
+        &self,
+        s: &DeviceState,
+        looked: Option<Resident<'_>>,
+        key: &BlockKey,
+        expected: u64,
+        next: Ahead,
+    ) -> BlockProbe {
+        let sum = match looked {
             None => {
+                bump(&self.counters.failed_reads);
+                return BlockProbe::Missing;
+            }
+            Some(Resident::Absent) => return BlockProbe::Missing,
+            Some(Resident::Here(block)) => kernels::checksum(block, next),
+            Some(Resident::OnMedia) => {
                 let mut buf = pool::with_thread_pool(|p| p.take_empty(0));
                 let read = s.backend.read_into(key, &mut buf, next);
                 pool::with_thread_pool(|p| p.recycle(buf));
-                read.map(|read| read.map(|read| read.checksum))
+                match read {
+                    Ok(Some(read)) => read.checksum,
+                    Ok(None) => return BlockProbe::Missing,
+                    Err(_) => {
+                        bump(&self.counters.io_errors);
+                        return BlockProbe::Missing;
+                    }
+                }
             }
         };
-        match sum {
-            Ok(None) => BlockProbe::Missing,
-            Ok(Some(sum)) => self.verified(sum == expected),
-            Err(_) => {
-                bump(&self.counters.io_errors);
-                BlockProbe::Missing
-            }
-        }
+        self.verified(sum == expected)
     }
 
     /// Counts a verify of a present block and says how it came out.
@@ -338,11 +359,12 @@ impl Device {
     /// is what `devices[i].verify_block(&keys[i], expected[i], nexts[i])`
     /// would report, and the devices count `verifies`, `failed_reads` and
     /// `io_errors` exactly as it would. The four read locks are taken in
-    /// ascending device id (the lock order of the module doc) and the
-    /// blocks' resident bytes hashed under them, with `nexts[3]` the hint
-    /// of the block streamed after the four. If any device is offline or
-    /// does not hold its block in memory, the locks are released and each
-    /// block goes through [`Device::verify_block`] with its own hint.
+    /// ascending device id (the lock order of the module doc) and each
+    /// block looked up once under them; when all four are resident their
+    /// bytes are hashed in one pass, with `nexts[3]` the hint of the block
+    /// streamed after the four, else each is judged alone by its lookup. A
+    /// durable device's block is read only after the locks are released,
+    /// through [`Device::verify_block`] with its own hint.
     ///
     /// # Panics
     /// Panics if two of the devices are the same one.
@@ -352,33 +374,72 @@ impl Device {
         expected: [u64; 4],
         nexts: [Ahead; 4],
     ) -> [BlockProbe; 4] {
-        let mut order = [0, 1, 2, 3];
-        order.sort_unstable_by_key(|&i| devices[i].id);
-        assert!(
-            order
-                .windows(2)
-                .all(|w| devices[w[0]].id < devices[w[1]].id),
-            "four distinct devices"
-        );
         let mut locked: [Option<RwLockReadGuard<'_, DeviceState>>; 4] = Default::default();
-        for i in order {
-            locked[i] = Some(devices[i].state.read());
-        }
+        lock_ascending(|i| devices[i], &mut locked);
         let states = locked.map(|s| s.expect("every device locked"));
-        let blocks: [Option<&[u8]>; 4] = std::array::from_fn(|i| {
-            let s = &states[i];
-            s.online.then(|| s.backend.resident(&keys[i])).flatten()
+        let looked: [Option<Resident<'_>>; 4] =
+            std::array::from_fn(|i| looked_up(&states[i], &keys[i]));
+        let here = looked.map(|l| match l {
+            Some(Resident::Here(block)) => Some(block),
+            _ => None,
         });
-        let sums = match blocks {
-            [Some(a), Some(b), Some(c), Some(d)] => kernels::checksum4([a, b, c, d], nexts[3]),
-            _ => {
-                drop(states);
-                return std::array::from_fn(|i| {
-                    devices[i].verify_block(&keys[i], expected[i], nexts[i])
-                });
+        if let [Some(a), Some(b), Some(c), Some(d)] = here {
+            let sums = kernels::checksum4([a, b, c, d], nexts[3]);
+            return std::array::from_fn(|i| devices[i].verified(sums[i] == expected[i]));
+        }
+        if looked.contains(&Some(Resident::OnMedia)) {
+            drop(states);
+            return std::array::from_fn(|i| {
+                devices[i].verify_block(&keys[i], expected[i], nexts[i])
+            });
+        }
+        std::array::from_fn(|i| {
+            devices[i].judge(&states[i], looked[i], &keys[i], expected[i], nexts[i])
+        })
+    }
+
+    /// Lends the resident bytes of blocks on distinct devices to `replay`,
+    /// where they lie: a repair scrub's cone, read by its replay without a
+    /// copy. The read locks are taken in ascending device id (the lock
+    /// order of the module doc), every block looked up once under them,
+    /// and `replay` called with `lent[i]` the bytes of `blocks[i]`; the
+    /// locks are released when it returns. Each lent block counts as one
+    /// [`ReadClass::Repair`] read of its bytes on its device.
+    ///
+    /// `Err(i)` — nothing lent, nothing counted but the `failed_reads` of
+    /// an offline device — when `blocks[i]` is the first that is not there
+    /// to lend: its device offline, the block gone, or a device that does
+    /// not hold its blocks in memory.
+    ///
+    /// # Panics
+    /// Panics if two of the blocks are on the same device.
+    pub(crate) fn lend<R>(
+        blocks: &[(&Device, BlockKey)],
+        replay: impl FnOnce(&[&[u8]]) -> R,
+    ) -> Result<R, usize> {
+        let mut locked: Vec<Option<RwLockReadGuard<'_, DeviceState>>> =
+            blocks.iter().map(|_| None).collect();
+        lock_ascending(|i| blocks[i].0, &mut locked);
+        let mut lent = Vec::with_capacity(blocks.len());
+        for (i, ((device, key), s)) in blocks.iter().zip(&locked).enumerate() {
+            match looked_up(s.as_ref().expect("every device locked"), key) {
+                Some(Resident::Here(block)) => lent.push(block),
+                looked => {
+                    if looked.is_none() {
+                        bump(&device.counters.failed_reads);
+                    }
+                    return Err(i);
+                }
             }
-        };
-        std::array::from_fn(|i| devices[i].verified(sums[i] == expected[i]))
+        }
+        for ((device, _), block) in blocks.iter().zip(&lent) {
+            bump(&device.counters.reads);
+            device
+                .counters
+                .bytes_repair_read
+                .fetch_add(block.len() as u64, Relaxed);
+        }
+        Ok(replay(&lent))
     }
 
     /// Whether the device is online and holds a block, and where
@@ -449,6 +510,32 @@ impl Device {
     /// Number of blocks held.
     pub fn block_count(&self) -> usize {
         self.state.read().backend.block_count()
+    }
+}
+
+/// A block's lookup under its device's read lock `s`: `None` when the
+/// device is offline.
+fn looked_up<'s>(s: &'s DeviceState, key: &BlockKey) -> Option<Resident<'s>> {
+    s.online.then(|| s.backend.resident(key))
+}
+
+/// Takes the read lock of `device(i)` into `locked[i]`, for every `i`, in
+/// ascending device id: the lock order of the module doc.
+///
+/// # Panics
+/// Panics if two of the devices are the same one.
+fn lock_ascending<'d>(
+    device: impl Fn(usize) -> &'d Device,
+    locked: &mut [Option<RwLockReadGuard<'d, DeviceState>>],
+) {
+    let mut above = None;
+    for _ in 0..locked.len() {
+        let next = (0..locked.len())
+            .filter(|&i| above.is_none_or(|id| device(i).id > id))
+            .min_by_key(|&i| device(i).id)
+            .expect("blocks on distinct devices");
+        locked[next] = Some(device(next).state.read());
+        above = Some(device(next).id);
     }
 }
 
@@ -664,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "four distinct devices")]
+    #[should_panic(expected = "blocks on distinct devices")]
     fn verify_four_refuses_a_device_twice() {
         let d = [Device::new(0), Device::new(1), Device::new(2)];
         Device::verify_four(
@@ -675,8 +762,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn verify_fours_in_every_order_do_not_deadlock() {
+    /// Four devices, each holding one block and churned by a writer of its
+    /// own, and four threads calling `multi_lock` 30,000 times, each naming
+    /// the four devices in another order. A read lock waits behind a queued
+    /// writer: two callers locking two devices in opposite orders, with a
+    /// writer queued on each, would wait in a cycle. One churner in all
+    /// would not. Panics if the threads are not done in 60 s.
+    fn assert_no_lock_cycle(multi_lock: fn(&[Device], [usize; 4])) {
         use std::sync::mpsc::{self, RecvTimeoutError};
         use std::sync::Arc;
         use std::time::Duration;
@@ -684,11 +776,6 @@ mod tests {
         for (i, d) in devices.iter().enumerate() {
             d.write_block((1, i as u32), vec![i as u8; 3000]);
         }
-        // Each verifier names the four in another order; a churner per
-        // device writes, fails and replaces it, so writers queue on all
-        // four. A read lock waits behind a queued writer: two verifiers
-        // locking two devices in opposite orders, with a writer queued on
-        // each, would wait in a cycle. One churner in all would not.
         let (finished, done) = mpsc::channel();
         let orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]];
         let mut threads: Vec<_> = orders
@@ -697,12 +784,7 @@ mod tests {
                 let (devices, finished) = (Arc::clone(&devices), finished.clone());
                 std::thread::spawn(move || {
                     for _ in 0..30_000 {
-                        Device::verify_four(
-                            order.map(|i| &devices[i]),
-                            order.map(|i| (1, i as u32)),
-                            [0; 4],
-                            [Ahead::NONE; 4],
-                        );
+                        multi_lock(&devices, order);
                     }
                     finished.send(()).expect("the test waits");
                 })
@@ -731,6 +813,129 @@ mod tests {
         for t in threads {
             t.join().expect("a thread does not panic");
         }
+    }
+
+    #[test]
+    fn verify_fours_in_every_order_do_not_deadlock() {
+        assert_no_lock_cycle(|devices, order| {
+            Device::verify_four(
+                order.map(|i| &devices[i]),
+                order.map(|i| (1, i as u32)),
+                [0; 4],
+                [Ahead::NONE; 4],
+            );
+        });
+    }
+
+    #[test]
+    fn lends_in_every_order_do_not_deadlock() {
+        assert_no_lock_cycle(|devices, order| {
+            let blocks = order.map(|i| (&devices[i], (1, i as u32)));
+            // A block between a failure and its rewrite is not there to
+            // lend; the locks are taken and released all the same.
+            let _ = Device::lend(&blocks, |lent| lent.len());
+        });
+    }
+
+    /// A device on a [`HookedBackend`](crate::backend::hooked::HookedBackend)
+    /// and the log of what its backend served.
+    fn logged_device(
+        id: usize,
+    ) -> (
+        Device,
+        std::sync::Arc<std::sync::Mutex<Vec<crate::backend::hooked::Served>>>,
+    ) {
+        use crate::backend::hooked::HookedBackend;
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let record = {
+            let log = std::sync::Arc::clone(&log);
+            move |served, _: &BlockKey| log.lock().unwrap().push(served)
+        };
+        (
+            Device::with_backend(id, Box::new(HookedBackend::new(record))),
+            log,
+        )
+    }
+
+    #[test]
+    fn a_miss_on_a_memory_device_is_one_lookup() {
+        use crate::backend::hooked::Served;
+        let (d, log) = logged_device(0);
+        assert!(d.write_block((1, 0), vec![1; 100]));
+        let before = d.stats();
+        assert_eq!(d.verify_block(&(9, 9), 0, Ahead::NONE), BlockProbe::Missing);
+        assert_eq!(*log.lock().unwrap(), [Served::Resident], "a verify");
+        log.lock().unwrap().clear();
+        assert_eq!(Device::lend(&[(&d, (9, 9))], |_| ()), Err(0));
+        assert_eq!(*log.lock().unwrap(), [Served::Resident], "a lend");
+        // Four devices, one block absent: each device is asked once.
+        let logged: Vec<_> = (1..5).map(logged_device).collect();
+        for (i, (d, _)) in logged.iter().enumerate().skip(1) {
+            assert!(d.write_block((1, i as u32), vec![2; 100]));
+        }
+        let probes = Device::verify_four(
+            std::array::from_fn(|i| &logged[i].0),
+            std::array::from_fn(|i| (1, i as u32)),
+            [0; 4],
+            [Ahead::NONE; 4],
+        );
+        assert_eq!(probes[0], BlockProbe::Missing);
+        for (i, (_, log)) in logged.iter().enumerate() {
+            assert_eq!(
+                *log.lock().unwrap(),
+                [Served::Resident],
+                "a four-block verify, {i}"
+            );
+        }
+        assert_eq!(d.stats(), before, "a miss counts nothing");
+    }
+
+    #[test]
+    fn a_lent_block_is_one_repair_read_of_its_bytes() {
+        let devices: Vec<Device> = [5, 1, 3].into_iter().map(Device::new).collect();
+        let blocks: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8 + 1; 100 * (i + 1)]).collect();
+        for (i, d) in devices.iter().enumerate() {
+            assert!(d.write_block((1, i as u32), blocks[i].clone()));
+        }
+        let keys: Vec<(&Device, BlockKey)> = (0..3).map(|i| (&devices[i], (1, i as u32))).collect();
+        let lent = Device::lend(&keys, |lent| {
+            lent.iter().map(|b| b.to_vec()).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            lent,
+            Ok(blocks.clone()),
+            "each block's bytes, in the caller's order"
+        );
+        for (d, block) in devices.iter().zip(&blocks) {
+            let s = d.stats();
+            let len = block.len() as u64;
+            assert_eq!((s.reads, s.bytes_read, s.bytes_repair_read), (1, len, len));
+            assert_eq!(s.verifies, 0);
+        }
+        // One device offline: nothing is lent, and only its failed read is
+        // counted.
+        devices[2].fail();
+        let before: Vec<DeviceStats> = devices.iter().map(Device::stats).collect();
+        assert_eq!(
+            Device::lend(&keys, |_| unreachable!("nothing lent")),
+            Err(2)
+        );
+        assert_eq!(devices[2].stats().failed_reads, before[2].failed_reads + 1);
+        for (d, before) in devices.iter().zip(&before).take(2) {
+            assert_eq!(d.stats(), *before);
+        }
+    }
+
+    #[test]
+    fn a_durable_device_lends_nothing() {
+        use crate::backend_segment::SegmentBackend;
+        let dir = std::env::temp_dir().join(format!("tornado-device-lend-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Device::with_backend(0, Box::new(SegmentBackend::open(&dir, false).unwrap()));
+        assert!(d.write_block((1, 0), vec![3; 5000]));
+        assert_eq!(Device::lend(&[(&d, (1, 0))], |_| ()), Err(0));
+        assert_eq!(d.stats().reads, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

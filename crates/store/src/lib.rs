@@ -44,7 +44,7 @@ pub mod scrubber;
 pub mod store;
 pub mod workload;
 
-pub use backend::{Appended, BlockBackend, MemoryBackend};
+pub use backend::{Appended, BlockBackend, MemoryBackend, Resident};
 pub use backend_file::FileBackend;
 pub use backend_segment::SegmentBackend;
 pub use device::{BlockProbe, Device, DeviceStats, ReadClass};

@@ -18,20 +18,22 @@
 //!    unchanged since it was last seen fully clean is not touched at all
 //!    (near-O(1) per stripe). Only [`ScrubMode::Incremental`] uses this
 //!    tier; it trusts that every store-API mutation bumps the generation.
-//! 2. **Plan → cone → replay** — one device-index lookup per block
-//!    ([`crate::device::Device::locate`]) says which blocks are there and
-//!    where (nothing is read to find out); the repair planner's peeling
-//!    schedule ([`crate::retrieval::plan_repair`]'s) says how to rebuild
-//!    the ones that are not, and from which blocks — the *cone*. Only the
-//!    cone is copied out (hashed as it lands, by the fused read), one
-//!    block at a time; every other present block is hash-checked *in
-//!    place* on its device, zero copies, four blocks to one kernel pass
-//!    (`Device::verify_four`): one block's digest waits
-//!    on its own multiply chains, four interleaved keep the multiplier
-//!    busy. Each plan lists the blocks it will stream in ascending node
+//! 2. **Plan → stream → lent replay** — one device-index lookup per
+//!    block ([`crate::device::Device::locate`]) says which blocks are
+//!    there and where (nothing is read to find out); the repair planner's
+//!    peeling schedule ([`crate::retrieval::plan_repair`]'s) says how to
+//!    rebuild the ones that are not, and from which blocks — the *cone*.
+//!    Every present block is hash-checked *in place* on its device, zero
+//!    copies, four blocks to one kernel pass (`Device::verify_four`): one
+//!    block's digest waits on its own multiply chains, four interleaved
+//!    keep the multiplier busy. On memory devices that is the whole
+//!    stream, the cone included. A device that does not hold its blocks
+//!    in memory (a durable one: its hint is empty) cannot lend them, so
+//!    its cone blocks are copied out instead, hashed as they land, one at
+//!    a time. Each plan lists the blocks it will stream in ascending node
 //!    order; the in-place ones go in groups of four, each group where its
-//!    first block falls, looking past any cone block between its members,
-//!    and the fewer than four left over one at a time
+//!    first block falls, looking past any copied block between its
+//!    members, and the fewer than four left over one at a time
 //!    ([`crate::device::Device::verify_block`]). Each read or verify
 //!    carries the hint the lookup gave for the block streamed after it, so
 //!    the kernel asks for that block's lines while it hashes: two visits
@@ -39,15 +41,21 @@
 //!    block that fails its check, or is gone since the index was asked,
 //!    ends the plan — after the rest of its group, which keep their
 //!    verdicts: it joins the missing set and the stripe is re-planned,
-//!    keeping every block already in hand. The schedule is
-//!    replayed with real XOR (`Codec::replay`) and a rebuilt block is
-//!    written home only if it hashes to its put-time digest. A stripe past
+//!    keeping every verdict and every block already in hand. A plan
+//!    streamed whole is replayed with real XOR (`Codec::replay`) from the
+//!    copied blocks and the rest of its cone *lent* where the devices hold
+//!    it (`Device::lend`: their read locks, ascending by id, for the
+//!    replay's length), each lent block one repair-class read; a cone
+//!    block gone by then is one more erasure and a re-plan. A rebuilt
+//!    block is written home only if it hashes to its put-time digest; if
+//!    one does not, the lent blocks are verified again, and one changed
+//!    since its verify is one more erasure and a re-plan. A stripe past
 //!    saving still gets every block the partial schedule reaches.
 //!
 //! A stripe with nothing missing has an empty cone: every block is
 //! verified in place and nothing moves. [`ScrubMode::Full`] is the same
-//! routine with the cone widened to every present block — the whole
-//! stripe goes through the read path.
+//! routine with every present block copied out — the whole stripe goes
+//! through the read path.
 //!
 //! Every mode reports identical [`StripeHealth`]s for states reachable
 //! through the store API; what was done per stripe is recorded as a
@@ -71,6 +79,7 @@ use crate::retrieval::{plan_partial_repair, RepairCost, RetrievalPlan};
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::time::Instant;
 use tornado_codec::kernels::Ahead;
 use tornado_codec::{pool, Codec, DecodeMetrics};
@@ -85,9 +94,10 @@ pub enum ScrubMode {
     /// by its device into a buffer, not just hashed where they lie. Pays a
     /// full copy of the archive per cycle.
     Full,
-    /// Hash-verify blocks in place; copy out only the blocks a damaged
-    /// stripe's repair reads. Detects everything `Full` detects (both
-    /// trust the same per-block digests) without copying healthy bytes.
+    /// Hash-verify blocks in place; a damaged stripe's repair reads its
+    /// cone where the devices hold it (a durable device's cone blocks are
+    /// copied out). Detects everything `Full` detects (both trust the same
+    /// per-block digests) without copying healthy bytes.
     Verify,
     /// Like [`ScrubMode::Verify`], but skip stripes whose dirty generation
     /// is unchanged since they were last seen clean. Blind to out-of-band
@@ -107,7 +117,7 @@ pub enum ScrubAction {
     /// [`ScrubMode::Full`]) and found present and intact.
     Verified,
     /// At least one block missing or corrupt: the stripe's repair was
-    /// planned, its cone read and the schedule replayed (and the rebuilt
+    /// planned and its schedule replayed from its cone (and the rebuilt
     /// blocks written home, when asked).
     Decoded,
 }
@@ -153,12 +163,16 @@ pub struct ScrubOutcome {
     /// are mode-independent; actions are where the gating shows.
     pub actions: Vec<ScrubAction>,
     /// What scrubbing each stripe cost, parallel to `stripes`: actual
-    /// bytes/blocks read off devices and (for decoded stripes) the
-    /// recovery-schedule depth. Zero for skipped and in-place-verified
-    /// stripes — those move no block bytes; for a decoded stripe in
-    /// `Verify`/`Incremental` mode it is the repair plan's own cost
-    /// (`plan_repair(..).cost_with(..)`) unless a block failed its check on
-    /// the way. Deterministic per stripe, so parallel cycles fold the same
+    /// bytes/blocks read off devices — copied out, or lent to the replay
+    /// where the device holds them, one read each — and (for decoded
+    /// stripes) the recovery-schedule depth. Zero for skipped and
+    /// in-place-verified stripes — those move no block bytes; for a decoded
+    /// stripe in `Verify`/`Incremental` mode it is the repair plan's own
+    /// cost (`plan_repair(..).cost_with(..)`) unless a block failed its
+    /// check on the way: then it is the last plan's cone on memory devices
+    /// (a block only an abandoned plan's cone named is verified in place,
+    /// never read), and every cone block copied along the way on durable
+    /// ones. Deterministic per stripe, so parallel cycles fold the same
     /// costs as serial ones.
     pub costs: Vec<RepairCost>,
     /// Blocks rewritten by repair.
@@ -404,8 +418,8 @@ fn clean_health(id: ObjectId, first_failure_level: usize) -> StripeHealth {
 /// one at a time, fours about +40 %.
 const GROUP: usize = 4;
 
-/// One step of a plan's stream: a cone block copied out, or in-place
-/// blocks hash-checked where they lie — four at a time, or one.
+/// One step of a plan's stream: a block copied out, or in-place blocks
+/// hash-checked where they lie — four at a time, or one.
 enum Visit<'a> {
     Read(NodeId),
     Verify(&'a [NodeId]),
@@ -421,22 +435,22 @@ impl Visit<'_> {
     }
 }
 
-/// A plan's `stream` as visits, in ascending node order: each cone block
-/// where it falls, read alone; the `in_place` blocks (the rest of the
+/// A plan's `stream` as visits, in ascending node order: each `copied`
+/// block where it falls, read alone; the `in_place` blocks (the rest of the
 /// stream) in groups of [`GROUP`], each group visited where its first
-/// block falls, looking past any cone block between its members; the
+/// block falls, looking past any copied block between its members; the
 /// fewer than four left over one at a time.
 fn visits<'a>(
     stream: &[NodeId],
     in_place: &'a [NodeId],
-    in_cone: impl Fn(NodeId) -> bool,
+    copied: impl Fn(NodeId) -> bool,
 ) -> Vec<Visit<'a>> {
     let grouped = in_place.len() - in_place.len() % GROUP;
     let mut visits = Vec::new();
     // `in_place[k]` is the next in-place block the stream reaches.
     let mut k = 0;
     for &v in stream {
-        if in_cone(v) {
+        if copied(v) {
             visits.push(Visit::Read(v));
             continue;
         }
@@ -492,11 +506,14 @@ fn scrub_stripe(
     let mut missing: Vec<NodeId> = (0..n as NodeId)
         .filter(|&v| hints[v as usize].is_none())
         .collect();
-    // Blocks in hand: the cone's, copied out and verified as they landed;
-    // after the replay, the rebuilt ones too.
+    // Blocks copied out, verified as they landed: every block in Full mode,
+    // and a cone block whose device does not hold it in memory — its hint
+    // is empty (no stored block is).
     let mut blocks: Vec<Option<Vec<u8>>> = vec![None; n];
     let mut verified_in_place = vec![false; n];
-    let (plan, recoverable) = loop {
+    // Cone blocks lent to a replay, summed over the replays.
+    let mut lent_blocks = 0u64;
+    let (recoverable, recovery_depth, rebuilt) = loop {
         let (plan, recoverable) = if missing.is_empty() {
             (RetrievalPlan::default(), true)
         } else {
@@ -504,22 +521,22 @@ fn scrub_stripe(
                 (0..n as NodeId).filter(|v| !missing.contains(v)).collect();
             plan_partial_repair(graph, &available, metrics)
         };
-        // The cone is copied out, because the replay reads it; every other
-        // present block is hashed where it lies. Either way a block is
-        // streamed once — unless a re-plan pulls one already verified in
-        // place into the cone — and a block in hand is never read again.
-        let in_cone = |v: NodeId| mode == ScrubMode::Full || plan.fetch.binary_search(&v).is_ok();
-        // What this plan streams, in ascending node order.
+        let copied = |v: NodeId| {
+            mode == ScrubMode::Full
+                || (hints[v as usize].is_some_and(|h| h.is_empty())
+                    && plan.fetch.binary_search(&v).is_ok())
+        };
+        // What this plan streams, in ascending node order: each block once,
+        // and a block in hand is never read again — unless a re-plan pulls
+        // one a durable device had verified in place into the cone.
         let stream: Vec<NodeId> = (0..n as NodeId)
             .filter(|&v| {
                 let i = v as usize;
-                !missing.contains(&v)
-                    && blocks[i].is_none()
-                    && (in_cone(v) || !verified_in_place[i])
+                !missing.contains(&v) && blocks[i].is_none() && (copied(v) || !verified_in_place[i])
             })
             .collect();
-        let in_place: Vec<NodeId> = stream.iter().copied().filter(|&v| !in_cone(v)).collect();
-        let visits = visits(&stream, &in_place, in_cone);
+        let in_place: Vec<NodeId> = stream.iter().copied().filter(|&v| !copied(v)).collect();
+        let visits = visits(&stream, &in_place, copied);
         let lost = visits.iter().enumerate().find_map(|(j, visit)| {
             // Each visit goes with the hint of the one after it, whose head
             // the kernel asks into L2 while this one is hashed.
@@ -551,48 +568,102 @@ fn scrub_stripe(
             }
         });
         // Corrupt, or gone since the index was asked: one more erasure.
-        match lost {
-            Some(v) => missing.push(v),
-            None => break (plan, recoverable),
+        if let Some(v) = lost {
+            missing.push(v);
+            continue;
         }
+        if missing.is_empty() {
+            break (true, 0, Vec::new());
+        }
+        // The replay reads the copied blocks from their buffers and the rest
+        // of the cone where the devices hold it, under their read locks; a
+        // rebuilt block comes back owned.
+        let lent: Vec<NodeId> = (plan.fetch.iter().copied())
+            .filter(|&v| blocks[v as usize].is_none())
+            .collect();
+        let replayed = store.lend_blocks(meta, &lent, |bytes| {
+            let mut stripe: Vec<Option<Cow<'_, [u8]>>> =
+                blocks.iter().map(|b| b.as_deref().map(Cow::from)).collect();
+            for (&v, &block) in lent.iter().zip(bytes) {
+                stripe[v as usize] = Some(Cow::from(block));
+            }
+            let depth = codec.replay(&plan.schedule, &mut [], &mut stripe);
+            let rebuilt: Vec<(NodeId, Vec<u8>)> = (stripe.into_iter().enumerate())
+                .filter_map(|(v, b)| match b {
+                    Some(Cow::Owned(block)) => Some((v as NodeId, block)),
+                    _ => None,
+                })
+                .collect();
+            (depth, rebuilt)
+        });
+        // Gone since it was verified: one more erasure.
+        let (depth, rebuilt) = match replayed {
+            Ok(replayed) => replayed,
+            Err(v) => {
+                missing.push(v);
+                continue;
+            }
+        };
+        lent_blocks += lent.len() as u64;
+        // The digest gate: a rebuilt block is the one that was lost only if
+        // it hashes to its put-time digest.
+        let rebuilt: Vec<(NodeId, Vec<u8>, bool)> = (rebuilt.into_iter())
+            .map(|(v, block)| {
+                let intact = tornado_codec::checksum(&block) == meta.checksums[v as usize];
+                (v, block, intact)
+            })
+            .collect();
+        // A miss may be a lent block changed since its verify: whichever
+        // fails a second look is one more erasure, and the stripe is
+        // re-planned. None does when the miss is not the cone's.
+        if rebuilt.iter().any(|&(_, _, intact)| !intact) {
+            let changed = (lent.iter().copied())
+                .find(|&v| store.probe_block(meta, v, Ahead::NONE) != BlockProbe::Ok);
+            if let Some(v) = changed {
+                pool::with_thread_pool(|p| rebuilt.into_iter().for_each(|(_, b, _)| p.recycle(b)));
+                missing.push(v);
+                continue;
+            }
+        }
+        break (recoverable, depth, rebuilt);
     };
     missing.sort_unstable();
 
-    // What was read off devices — the per-stripe repair cost. A block that
-    // failed verification contributes nothing here (its device-side bytes
-    // are the documented attribution gap). One device per node and every
-    // verified block `block_len` long: blocks, devices and bytes are one
-    // count in three units.
-    let blocks_fetched = blocks.iter().flatten().count() as u64;
+    // What was read off devices — the per-stripe repair cost: the blocks
+    // copied out and the blocks lent. A block that failed verification
+    // contributes nothing here (its device-side bytes are the documented
+    // attribution gap). One device per node and every verified block
+    // `block_len` long: blocks, devices and bytes are one count in three
+    // units.
+    let blocks_fetched = blocks.iter().flatten().count() as u64 + lent_blocks;
     let cost = RepairCost {
         bytes_read: blocks_fetched * meta.block_len as u64,
         blocks_fetched,
         devices_contacted: blocks_fetched,
-        recovery_depth: codec.replay(&plan.schedule, &mut [], &mut blocks),
+        recovery_depth,
     };
+    // Whatever was copied out goes home to the pool.
+    pool::with_thread_pool(|p| p.recycle_stripe(&mut blocks));
 
     let mut repaired = 0usize;
-    // Blocks peeling cannot reach stay lost; the others are written home
-    // where a device will take them.
+    // Blocks peeling cannot reach stay lost, and so does a rebuilt block
+    // that missed its digest; the others are written home where a device
+    // will take them.
     let mut incomplete = !recoverable;
-    for &node in &missing {
-        let slot = &mut blocks[node as usize];
-        let Some(block) = slot else { continue };
-        if tornado_codec::checksum(block) != meta.checksums[node as usize] {
-            // Not the block that was lost: recycled below, never written.
+    for (node, block, intact) in rebuilt {
+        if !intact {
             incomplete = true;
         } else if repair {
-            let block = slot.take().expect("seen above");
             if store.write_raw_block(meta, node, block) {
                 repaired += 1;
             } else {
                 incomplete = true; // home device still offline
             }
+            continue;
         }
+        // Not written: home to the pool.
+        pool::with_thread_pool(|p| p.recycle(block));
     }
-    // Whatever was read or rebuilt and not written back goes home to the
-    // pool.
-    pool::with_thread_pool(|p| p.recycle_stripe(&mut blocks));
     // A stripe is markable clean when every block is verifiably present:
     // either nothing was missing, or repair just rewrote every missing
     // block. Repair writes bumped the generation, so re-sample it — the
@@ -638,7 +709,6 @@ mod tests {
     use crate::device::Device;
     use crate::obs::StoreObserver;
     use crate::store::node_on_device;
-    use std::collections::BTreeSet;
     use std::sync::Arc;
     use tornado_graph::{Graph, GraphBuilder};
 
@@ -1088,7 +1158,8 @@ mod tests {
             assert_eq!(outcome.decoded_count(), 3, "{mode:?}");
 
             let log = log.lock().unwrap();
-            for ((&id, nodes), meta) in ids.iter().zip(rotted).zip(store.list()) {
+            let stripes = ids.iter().zip(rotted).zip(store.list()).zip(&outcome.costs);
+            for (((&id, nodes), meta), cost) in stripes {
                 let case = format!("{mode:?}, object {id}");
                 let absent =
                     [10, 40].map(|d| node_on_device(d, meta.rotation, n as usize) as NodeId);
@@ -1111,61 +1182,41 @@ mod tests {
                     served.iter().all(|&(how, _)| how != Served::Locate),
                     "{case}: no lookup during the stream: {served:?}"
                 );
+                // Every present block streamed once, in ascending node order
+                // across the re-plans: a plan ends at its rotted block (after
+                // the block's group of four), and the next streams only what
+                // the last did not reach. Full mode reads every block; the
+                // others verify every block in place, the cone too.
+                let present: Vec<NodeId> = (0..n).filter(|v| !absent.contains(v)).collect();
+                let (stream, lend) = served.split_at(present.len().min(served.len()));
+                let streamed: Vec<NodeId> = stream.iter().map(|&(_, v)| v).collect();
+                assert_eq!(streamed, present, "{case}: {served:?}");
+                let class = match mode {
+                    ScrubMode::Full => Served::Read,
+                    _ => Served::Resident,
+                };
+                assert!(stream.iter().all(|&(how, _)| how == class), "{case}");
+                // Then the last plan's cone, lent to its replay where the
+                // devices hold it: in ascending device id, each block once,
+                // one repair-class read each. Full mode has it in hand.
+                let lent: Vec<NodeId> = lend.iter().map(|&(_, v)| v).collect();
                 if mode == ScrubMode::Full {
-                    assert!(served.iter().all(|&(how, _)| how == Served::Read), "{case}");
+                    assert!(lent.is_empty(), "{case}: {lend:?}");
+                    continue;
                 }
-                // A rotted block ends its plan after the group it was
-                // verified in — four in-place verifies in a row, counted in
-                // fours from the plan's first — or at itself when it was
-                // read or verified alone: the stripe is re-planned around
-                // it and it is never streamed again.
-                let mut plans: Vec<&[(Served, NodeId)]> = Vec::new();
-                let (mut start, mut verifies) = (0, 0);
-                let mut end = None;
-                for (i, &(how, v)) in served.iter().enumerate() {
-                    verifies += usize::from(how == Served::Checksum);
-                    if nodes.contains(&v) {
-                        let at = (verifies + 3) % 4;
-                        let group = (how == Served::Checksum && at <= i)
-                            .then(|| served.get(i - at..i + 4 - at))
-                            .flatten()
-                            .filter(|g| g.iter().all(|&(how, _)| how == Served::Checksum));
-                        end = Some(if group.is_some() { i + 3 - at } else { i });
-                    }
-                    if end == Some(i) {
-                        plans.push(&served[start..=i]);
-                        (start, verifies, end) = (i + 1, 0, None);
-                    }
-                }
-                plans.push(&served[start..]);
-                assert_eq!(plans.len(), nodes.len() + 1, "{case}: {served:?}");
-                for plan in &plans {
-                    for class in [Served::Read, Served::Checksum] {
-                        let order: Vec<NodeId> = plan
-                            .iter()
-                            .filter(|&&(how, _)| how == class)
-                            .map(|&(_, v)| v)
-                            .collect();
-                        assert!(
-                            order.windows(2).all(|w| w[0] < w[1]),
-                            "{case}: a plan streams each class ascending, each block once: {plan:?}"
-                        );
-                    }
-                }
-                // A group's other blocks keep their verdicts: nothing is
-                // verified in place twice.
-                let verified: Vec<NodeId> = served
+                assert!(
+                    lend.iter().all(|&(how, _)| how == Served::Resident),
+                    "{case}"
+                );
+                assert_eq!(lent.len() as u64, cost.blocks_fetched, "{case}");
+                let on: Vec<usize> = lent
                     .iter()
-                    .filter(|&&(how, _)| how == Served::Checksum)
-                    .map(|&(_, v)| v)
+                    .map(|&v| store.device_of_block(&meta, v))
                     .collect();
-                let once: BTreeSet<NodeId> = verified.iter().copied().collect();
-                assert_eq!(once.len(), verified.len(), "{case}: {served:?}");
-                let streamed: BTreeSet<NodeId> = served.iter().map(|&(_, v)| v).collect();
-                let present: BTreeSet<NodeId> = (0..n).filter(|v| !absent.contains(v)).collect();
-                assert_eq!(
-                    streamed, present,
-                    "{case}: every present block, nothing else"
+                assert!(on.windows(2).all(|w| w[0] < w[1]), "{case}: {on:?}");
+                assert!(
+                    lent.iter().all(|v| !nodes.contains(v)),
+                    "{case}: a rotted block is an erasure"
                 );
             }
         }

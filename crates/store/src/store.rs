@@ -1,6 +1,6 @@
 //! The archival store: transactional object put/get over a device pool.
 
-use crate::backend::IndexMap;
+use crate::backend::{BlockKey, IndexMap};
 use crate::device::{Device, ReadClass};
 use crate::durable::{self, BackendKind, Durability, DurableConfig, RecoveryReport};
 use crate::error::StoreError;
@@ -612,8 +612,10 @@ impl ArchivalStore {
         Ok(())
     }
 
-    /// Exposes the raw stored block for federation/scrubbing — repair
-    /// paths, so the read is attributed [`ReadClass::Repair`]. A corrupt
+    /// Exposes the raw stored block for the repair paths that need a copy
+    /// — federation, a degraded GET's check blocks, a `Full` scrub and a
+    /// scrub's cone on a durable device — so the read is attributed
+    /// [`ReadClass::Repair`]. A corrupt
     /// block is reported as absent (an erasure), which is exactly how the
     /// coding layer can repair it. The copy is made into a buffer recycled
     /// from the calling thread's block pool; `next` is the hint of the
@@ -720,6 +722,23 @@ impl ArchivalStore {
         self.devices[dev].verify_block(&(meta.id, node), meta.checksums[node as usize], next)
     }
 
+    /// Lends `replay` the bytes of `nodes`' blocks where their home devices
+    /// hold them ([`Device::lend`]), each one repair-class read: `Err(node)`
+    /// for the first that is not there to lend. `nodes` are of one stripe,
+    /// so on distinct devices.
+    pub(crate) fn lend_blocks<R>(
+        &self,
+        meta: &ObjectMeta,
+        nodes: &[NodeId],
+        replay: impl FnOnce(&[&[u8]]) -> R,
+    ) -> Result<R, NodeId> {
+        let blocks: Vec<(&Device, BlockKey)> = nodes
+            .iter()
+            .map(|&v| (&self.devices[self.device_of_block(meta, v)], (meta.id, v)))
+            .collect();
+        Device::lend(&blocks, replay).map_err(|i| nodes[i])
+    }
+
     /// [`ArchivalStore::probe_block`] of four blocks of a stripe in one
     /// kernel pass ([`Device::verify_four`]): `nexts[i]` is the hint of the
     /// block streamed after `nodes[i]`.
@@ -751,7 +770,6 @@ enum Miss {
 mod tests {
     use super::*;
     use crate::backend::hooked::{HookedBackend, Served};
-    use crate::backend::BlockKey;
     use std::sync::{mpsc, Mutex};
     use tornado_gen::TornadoGenerator;
     use tornado_graph::GraphBuilder;
@@ -925,18 +943,29 @@ mod tests {
 
     /// The paper's 96-node graph and, over it, a store whose device `gate`
     /// runs on a [`HookedBackend`] gating object 1's block there (the first
-    /// object put sits at rotation 0: node v on device v): a read of that
-    /// block announces itself and then waits to be released — the test's
-    /// handle on "this GET has probed the check nodes and is now fetching
-    /// them". Returns the test's ends of the two channels.
+    /// object put sits at rotation 0: node v on device v): the first read
+    /// of that block, or look at its resident bytes, announces itself and
+    /// then waits to be released — the test's handle on "this GET has
+    /// probed the check nodes and is now fetching them". Returns the test's
+    /// ends of the two channels.
     fn gated_store(gate: NodeId) -> (ArchivalStore, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        gated_store_on(gate, Served::Read)
+    }
+
+    /// [`gated_store`], gating the first access of kind `on`.
+    fn gated_store_on(
+        gate: NodeId,
+        on: Served,
+    ) -> (ArchivalStore, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (reached_tx, reached_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let (reached, release) = (Mutex::new(reached_tx), Mutex::new(release_rx));
+        let (reached, release) = (Mutex::new(Some(reached_tx)), Mutex::new(release_rx));
         let mut gated = Some(HookedBackend::new(move |served, key: &BlockKey| {
-            if served == Served::Read && *key == (1, gate) {
-                reached.lock().unwrap().send(()).unwrap();
-                release.lock().unwrap().recv().unwrap();
+            if served == on && *key == (1, gate) {
+                if let Some(reached) = reached.lock().unwrap().take() {
+                    reached.send(()).unwrap();
+                    release.lock().unwrap().recv().unwrap();
+                }
             }
         }));
         let graph = paper_graph();
@@ -1003,31 +1032,35 @@ mod tests {
     fn block_lost_between_index_probe_and_fetch_costs_a_scrub_one_replan_and_no_reread() {
         use crate::retrieval::plan_repair;
         use crate::scrubber::{ScrubMode, Scrubber};
-        use std::collections::BTreeSet;
         use tornado_codec::metrics::cells;
 
         let graph = paper_graph();
-        // Devices 0 and 1 will be offline, so the scrub plans a repair; the
-        // gate is the first block of that plan's cone, the victim its last.
+        // Devices 0 and 1 will be offline, so the scrub plans a repair. It
+        // verifies nodes 2..=95 in place, in ascending order, 94 % 4 = 2
+        // left over alone: the gate is node 95, the last, and the victim
+        // the last block of the plan's cone that a group of four verifies
+        // before it. Then the scrub lends the cone to its replay.
         let first = plan_repair(&graph, &all_except(&[0, 1])).unwrap();
-        let (gate, victim) = (first.fetch[0], *first.fetch.last().unwrap());
-        assert_ne!(gate, victim, "the cone holds several blocks");
+        let gate = 95;
+        let victim = *first.fetch.iter().rev().find(|&&v| v < 94).unwrap();
         let second = plan_repair(&graph, &all_except(&[0, 1, victim])).unwrap();
 
-        let (store, reached_rx, release_tx) = gated_store(gate);
+        let (store, reached_rx, release_tx) = gated_store_on(gate, Served::Resident);
         store.put("x", &vec![9u8; 5000]).unwrap();
         store.fail_device(0).unwrap();
         store.fail_device(1).unwrap();
 
         let obs = Arc::new(StoreObserver::disabled());
         store.set_observer(Arc::clone(&obs));
-        let before = total_reads(&store);
+        let verifies =
+            |s: &ArchivalStore| -> u64 { s.devices.iter().map(|d| d.stats().verifies).sum() };
+        let before = (total_reads(&store), verifies(&store));
         let scrubber = Scrubber::new(1);
         let outcome = std::thread::scope(|s| {
             let run = || scrubber.run(&store, 5, false, ScrubMode::Verify);
             let scrub = s.spawn(run);
-            // The scrub is inside its first cone fetch: the index listed
-            // the victim and it has not been read yet.
+            // The scrub is verifying its last block: the index listed the
+            // victim, it was verified, and it has not been lent yet.
             reached_rx.recv().unwrap();
             store.fail_device(victim as usize).unwrap();
             release_tx.send(()).unwrap();
@@ -1036,18 +1069,57 @@ mod tests {
         assert_eq!(outcome.stripes[0].missing_blocks, vec![0, 1, victim]);
         assert!(outcome.stripes[0].recoverable);
         assert_eq!(obs.decode.get(cells::TRIALS), 2, "plan and one re-plan");
-        // In hand: what the first plan fetched before the loss, plus what
-        // the second wanted on top — each read exactly once.
-        let in_hand: BTreeSet<NodeId> = first
-            .fetch
-            .iter()
-            .chain(&second.fetch)
-            .copied()
-            .filter(|&v| v != victim)
-            .collect();
-        assert_eq!(outcome.costs[0].blocks_fetched, in_hand.len() as u64);
-        assert_eq!(total_reads(&store) - before, in_hand.len() as u64);
+        // The first lend found the victim gone and lent nothing; the
+        // second lent its cone, each block once. Nothing was verified
+        // twice: the re-plan's cone was verified with the first's.
+        assert_eq!(outcome.costs[0].blocks_fetched, second.fetch.len() as u64);
+        assert_eq!(total_reads(&store) - before.0, second.fetch.len() as u64);
+        assert_eq!(verifies(&store) - before.1, 94);
         assert_eq!(store.devices[victim as usize].stats().failed_reads, 1);
+    }
+
+    #[test]
+    fn a_cone_block_rotted_between_its_verify_and_its_lend_costs_a_scrub_one_replan() {
+        use crate::retrieval::plan_repair;
+        use crate::scrubber::{ScrubMode, Scrubber};
+        use tornado_codec::metrics::cells;
+
+        // As above: the gate holds the scrub at its last verify, node 95,
+        // after a group of four has verified the victim, a block of the
+        // plan's cone. Devices 0 and 1 come back empty.
+        let graph = paper_graph();
+        let first = plan_repair(&graph, &all_except(&[0, 1])).unwrap();
+        let victim = *first.fetch.iter().rev().find(|&&v| v < 94).unwrap();
+        let (store, reached_rx, release_tx) = gated_store_on(95, Served::Resident);
+        let payload: Vec<u8> = (0..5000usize).map(|i| (i * 31 % 251) as u8).collect();
+        let id = store.put("x", &payload).unwrap();
+        for d in [0, 1] {
+            store.fail_device(d).unwrap();
+            store.replace_device(d).unwrap();
+        }
+
+        let obs = Arc::new(StoreObserver::disabled());
+        store.set_observer(Arc::clone(&obs));
+        let scrubber = Scrubber::new(1);
+        let outcome = std::thread::scope(|s| {
+            let scrub = s.spawn(|| scrubber.run(&store, 5, true, ScrubMode::Verify));
+            reached_rx.recv().unwrap();
+            let device = &store.devices[victim as usize];
+            assert!(device.corrupt_block(&(id, victim), 0x40));
+            release_tx.send(()).unwrap();
+            scrub.join().unwrap()
+        });
+        // The replay read the rotted bytes, so what it rebuilt missed its
+        // digests; a second look at the lent blocks found the rot, and the
+        // re-plan rebuilt the victim with the two lost blocks.
+        assert_eq!(outcome.stripes[0].missing_blocks, vec![0, 1, victim]);
+        assert!(outcome.stripes[0].recoverable);
+        assert_eq!(obs.decode.get(cells::TRIALS), 2, "plan and one re-plan");
+        assert_eq!(outcome.blocks_repaired, 3);
+        assert!(outcome.objects_incomplete.is_empty());
+        assert_eq!(store.get(id).unwrap(), payload);
+        let clean = Scrubber::new(1).run(&store, 5, false, ScrubMode::Full);
+        assert_eq!(clean.degraded_count(), 0);
     }
 
     #[test]

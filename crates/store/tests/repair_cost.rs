@@ -20,7 +20,10 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tornado_graph::NodeId;
-use tornado_store::{plan_repair, ArchivalStore, RepairCost, ScrubMode, ScrubOutcome, Scrubber};
+use tornado_store::{
+    plan_repair, ArchivalStore, BackendKind, DurableConfig, RepairCost, ScrubMode, ScrubOutcome,
+    Scrubber,
+};
 
 /// Sums `(bytes_read, bytes_repair_read)` across the device pool.
 fn pool_bytes(store: &ArchivalStore) -> (u64, u64) {
@@ -98,9 +101,10 @@ proptest! {
 
     /// Guided scrub: a recoverable stripe's reported cost *is*
     /// [`plan_repair`]'s price for its repair cone, and the devices served
-    /// exactly those bytes — each cone block one read, every other present
-    /// block one in-place probe, none both — whether or not the lost
-    /// blocks have a replacement device to be written to.
+    /// exactly those bytes — every present block one in-place probe, and
+    /// each cone block, lent to the replay where its device holds it, one
+    /// read — whether or not the lost blocks have a replacement device to
+    /// be written to.
     #[test]
     fn guided_scrub_cost_is_the_planned_cost_and_the_served_bytes(
         failure_draws in proptest::collection::vec(0usize..96, 0..7),
@@ -138,9 +142,9 @@ proptest! {
             prop_assert_eq!(claimed.bytes_read, after.1 - before.1, "all repair-class");
             prop_assert_eq!(claimed.blocks_fetched, after.2 - before.2, "one read per cone block");
             prop_assert_eq!(
-                present_blocks - claimed.blocks_fetched,
+                present_blocks,
                 after.3 - before.3,
-                "one in-place probe per present block outside the cone"
+                "one in-place probe per present block, the cone's too"
             );
         }
     }
@@ -205,19 +209,25 @@ fn absorb_is_additive_with_max_depth() {
 /// devices failed and replaced, one left offline, a block rotted in two
 /// stripes — and the pool's summed device-counter deltas: `reads`,
 /// `verifies`, `bytes_read`, `bytes_repair_read`, `writes`. A hint is
-/// neither a read nor a verify. `Verify` hashes in-place blocks four to a
-/// kernel pass, and a rotted block ends its plan only after its group: the
-/// group-mates it was verified with count their verifies even when the
-/// re-plan then pulls them into the repair cone and reads them, two more
-/// than when a plan ended at the rotted block itself (416). The reads and
-/// bytes are unchanged, and so is `Full`, which verifies nothing in place.
+/// neither a read nor a verify.
+///
+/// `Verify` hashes every present block in place, four to a kernel pass —
+/// the repair cone's too, which the replay then reads where the devices
+/// hold it, one repair-class read per lent block. So it verifies each of
+/// the 552 present blocks once (418 while the cone was copied out and
+/// hashed as it landed). A rotted block ends its plan, and only the last
+/// plan's cone is lent: two blocks that the cone of a plan ended by a rot
+/// named, and the last plan's did not, are verified and never read — 142
+/// reads and 453,156 bytes, where copying each cone block as its plan
+/// reached it read 144 and 460,848. The writes are unchanged, and so is
+/// `Full`, which copies every block and verifies nothing in place.
 #[test]
 fn a_seeded_repair_scrub_moves_the_pinned_device_counters() {
     use rand::seq::SliceRandom;
     use rand::{Rng, RngCore, SeedableRng};
     const SEED: u64 = 0x5C2B_0A11;
     let pinned = [
-        (ScrubMode::Verify, [144u64, 418, 460_848, 460_848, 20]),
+        (ScrubMode::Verify, [142u64, 552, 453_156, 453_156, 20]),
         (ScrubMode::Full, [552, 0, 1_743_768, 1_743_768, 20]),
     ];
     for (mode, counters) in pinned {
@@ -266,4 +276,58 @@ fn a_seeded_repair_scrub_moves_the_pinned_device_counters() {
             "{mode:?}, seed {SEED:#x}: reads, verifies, bytes_read, bytes_repair_read, writes"
         );
     }
+}
+
+/// A segment-backed device holds no block in memory, so a guided repair
+/// cannot lend it its cone: each cone block is read into a buffer exactly
+/// once, hashed as it lands, and every other present block is verified in
+/// place once — no block both — at the plan's price.
+#[test]
+fn a_segment_backed_verify_repair_reads_each_cone_block_once() {
+    let dir = std::env::temp_dir().join(format!("tornado-repair-cost-seg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let graph = tornado_core::tornado_graph_1();
+    let config = DurableConfig::new_nosync(&dir, BackendKind::Segment);
+    let (store, _) = ArchivalStore::open(graph.clone(), config).expect("open");
+    for i in 0..3usize {
+        let payload: Vec<u8> = (0..30_000 + i * 977)
+            .map(|b| (b * 31 % 251) as u8)
+            .collect();
+        store.put(&format!("obj-{i}"), &payload).expect("put");
+    }
+    let lost = [3, 17, 50, 81];
+    for d in lost {
+        store.fail_device(d).expect("fail");
+        store.replace_device(d).expect("replace");
+    }
+    let metas = store.list();
+    let before = pool_counts(&store);
+    let outcome = Scrubber::new(1).run(&store, 5, true, ScrubMode::Verify);
+    let after = pool_counts(&store);
+
+    assert!(outcome.objects_incomplete.is_empty());
+    assert_eq!(outcome.blocks_repaired, lost.len() * metas.len());
+    for (meta, cost) in metas.iter().zip(&outcome.costs) {
+        let available: Vec<NodeId> = (0..graph.num_nodes() as NodeId)
+            .filter(|&v| !lost.contains(&store.device_of_block(meta, v)))
+            .collect();
+        let plan = plan_repair(&graph, &available).expect("recoverable");
+        let planned = plan.cost_with(&graph, meta.block_len, |v| store.device_of_block(meta, v));
+        assert_eq!(*cost, planned, "object {}", meta.id);
+    }
+    let claimed = outcome.total_cost();
+    let present = ((graph.num_nodes() - lost.len()) * metas.len()) as u64;
+    assert_eq!(claimed.bytes_read, after.0 - before.0, "claimed vs served");
+    assert_eq!(
+        claimed.blocks_fetched,
+        after.2 - before.2,
+        "one read per cone block"
+    );
+    assert_eq!(
+        present - claimed.blocks_fetched,
+        after.3 - before.3,
+        "one in-place verify per present block outside the cone"
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
